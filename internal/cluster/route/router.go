@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -31,9 +32,11 @@ import (
 // Placement is a consistent-hash ring with virtual nodes: each shard's
 // replica set is the first Replication distinct nodes clockwise from the
 // shard name's hash, so adding a replica moves only the shards on the arcs
-// it gains. Per-shard sub-queries carry per-attempt deadlines, retry with
-// full-jitter backoff across the surviving owners, and optionally hedge
-// the first attempt; answers merge with the same boundary-stitch logic the
+// it gains. The membership ops of a request reach each shard as one
+// /v1/batch sub-request (a single query is the one-op case). Per-shard
+// sub-requests carry per-attempt deadlines, retry with full-jitter backoff
+// across the surviving owners, and optionally hedge the first attempt;
+// answers merge with the same boundary-stitch logic the
 // in-process ShardedIndex uses (era.Stitch and friends), so
 // junction-crossing matches are never lost.
 //
@@ -102,7 +105,9 @@ type RouterConfig struct {
 	// Health gates candidate selection; nil constructs a checker over
 	// Replicas (start it with Router.Health().Start()).
 	Health *Health
-	// Client issues the sub-requests; nil uses http.DefaultClient.
+	// Client issues the sub-requests; nil gives the router a client of its
+	// own whose transport keeps idleConnsPerReplica idle connections per
+	// replica (see newTransport).
 	Client *http.Client
 	// ErrLog receives routing failures; nil uses the process logger.
 	ErrLog *log.Logger
@@ -116,6 +121,9 @@ type shardInfo struct {
 	OffStart int // global content offset of the shard's first byte
 	DocStart int // global ordinal of the shard's first document
 	Owners   []string
+	// batchHead is the constant head of a /v1/batch sub-request body for
+	// this shard: `{"index":"<name>","ops":`.
+	batchHead []byte
 }
 
 // topology is an immutable snapshot of the discovered shard layout;
@@ -127,10 +135,11 @@ type topology struct {
 	numDocs  int
 	bounds   []int // interior junction offsets, ascending
 
-	// winCache holds the junction windows prefetched at refresh: winCache[j]
-	// covers global [winLo[j], winLo[j]+len(winCache[j])) around bounds[j].
-	winLo    []int
-	winCache [][]byte
+	// stitch is the junction-scan view over the windows prefetched at
+	// refresh, good for patterns up to MaxPattern; nil when a prefetch failed
+	// (every pattern then takes the live fetch). It is immutable, so all
+	// requests share it.
+	stitch *era.Stitch
 }
 
 // NewRouter builds a router over the replica set; call Refresh before
@@ -166,7 +175,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.Backoff = Backoff{Base: 10 * time.Millisecond, Cap: 250 * time.Millisecond, Rand: cfg.Backoff.Rand}
 	}
 	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
+		cfg.Client = &http.Client{Transport: newTransport()}
 	}
 	ring := NewRing(cfg.VNodes)
 	for _, r := range cfg.Replicas {
@@ -178,6 +187,23 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		h.Client = cfg.Client
 	}
 	return &Router{cfg: cfg, ring: ring, healthy: h}, nil
+}
+
+// idleConnsPerReplica is how many idle connections the router's own
+// transport keeps per replica.
+const idleConnsPerReplica = 64
+
+// newTransport is the transport of a router that was not handed a client.
+// http.DefaultClient keeps 2 idle connections per host; one client request
+// already holds a connection per shard, so two concurrent ones over three
+// shards exceed that and every fan-out past it dials afresh.
+func newTransport() *http.Transport {
+	return &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: idleConnsPerReplica,
+		IdleConnTimeout:     90 * time.Second,
+	}
 }
 
 // Health exposes the router's checker so callers can start its background
@@ -271,6 +297,11 @@ func (rt *Router) Refresh(ctx context.Context) error {
 			DocStart: topo.numDocs,
 			Owners:   rt.ring.Owners(info.Name, rt.cfg.Replication),
 		}
+		name, err := json.Marshal(info.Name)
+		if err != nil {
+			return err
+		}
+		sh.batchHead = append(append([]byte(`{"index":`), name...), `,"ops":`...)
 		topo.shards = append(topo.shards, sh)
 		topo.totalLen += info.Symbols - 1 // per-shard terminators are not global bytes
 		topo.numDocs += info.Documents
@@ -280,25 +311,12 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		topo.bounds = append(topo.bounds, sh.OffStart)
 	}
 
-	// Prefetch junction windows up to the MaxPattern half-width; a failure
+	// Prefetch the junction windows at the MaxPattern half-width; a failure
 	// here is tolerable (live fetches cover it), so errors only log.
-	for _, b := range topo.bounds {
-		lo, hi := b-rt.cfg.MaxPattern+1, b+rt.cfg.MaxPattern-1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > topo.totalLen {
-			hi = topo.totalLen
-		}
-		win, err := rt.globalSlice(ctx, topo, lo, hi)
-		if err != nil {
-			rt.logf("cluster: prefetching junction window at %d: %v", b, err)
-			topo.winLo = append(topo.winLo, -1)
-			topo.winCache = append(topo.winCache, nil)
-			continue
-		}
-		topo.winLo = append(topo.winLo, lo)
-		topo.winCache = append(topo.winCache, win)
+	if st, missing, err := rt.fetchStitch(ctx, topo, rt.cfg.MaxPattern); err != nil || missing {
+		rt.logf("cluster: junction prefetch incomplete; crossing scans will fetch live")
+	} else {
+		topo.stitch = st
 	}
 
 	rt.topo.Store(topo)
@@ -539,17 +557,9 @@ func wireErrMsg(body []byte, status int) string {
 	return fmt.Sprintf("replica answered status %d", status)
 }
 
-// doJSON runs one JSON round trip through doShard.
-func (rt *Router) doJSON(ctx context.Context, owners []string, heavy bool, method, path string, reqBody, out any) error {
-	var payload []byte
-	if reqBody != nil {
-		var err error
-		payload, err = json.Marshal(reqBody)
-		if err != nil {
-			return err
-		}
-	}
-	return rt.doShard(ctx, owners, heavy, func(base string) (*http.Request, error) {
+// jsonRequest builds doShard's request for a JSON payload (nil for none).
+func jsonRequest(method, path string, payload []byte) func(base string) (*http.Request, error) {
+	return func(base string) (*http.Request, error) {
 		var rd io.Reader
 		if payload != nil {
 			rd = bytes.NewReader(payload)
@@ -562,7 +572,20 @@ func (rt *Router) doJSON(ctx context.Context, owners []string, heavy bool, metho
 			req.Header.Set("Content-Type", "application/json")
 		}
 		return req, nil
-	}, func(body []byte) error {
+	}
+}
+
+// doJSON runs one JSON round trip through doShard.
+func (rt *Router) doJSON(ctx context.Context, owners []string, heavy bool, method, path string, reqBody, out any) error {
+	var payload []byte
+	if reqBody != nil {
+		var err error
+		payload, err = json.Marshal(reqBody)
+		if err != nil {
+			return err
+		}
+	}
+	return rt.doShard(ctx, owners, heavy, jsonRequest(method, path, payload), func(body []byte) error {
 		if out == nil {
 			return nil
 		}
@@ -654,41 +677,28 @@ func (rt *Router) globalSlice(ctx context.Context, topo *topology, lo, hi int) (
 	return out, nil
 }
 
-// junctionWindow returns global [lo, hi), serving from the refresh-time
-// cache when the range fits junction j's prefetched window.
-func (rt *Router) junctionWindow(ctx context.Context, topo *topology, j, lo, hi int) ([]byte, error) {
-	if j < len(topo.winCache) && topo.winCache[j] != nil {
-		cLo := topo.winLo[j]
-		if lo >= cLo && hi <= cLo+len(topo.winCache[j]) {
-			return topo.winCache[j][lo-cLo : hi-cLo], nil
-		}
+// stitchFor returns the junction-scan view for pattern length m: the one
+// prefetched at refresh when it covers m, a live fetch otherwise.
+func (rt *Router) stitchFor(ctx context.Context, topo *topology, m int) (st *era.Stitch, partial bool, err error) {
+	if topo.stitch != nil && m <= rt.cfg.MaxPattern {
+		return topo.stitch, false, nil
 	}
-	return rt.globalSlice(ctx, topo, lo, hi)
+	return rt.fetchStitch(ctx, topo, m)
 }
 
-// buildStitch assembles the junction-scan view for pattern length m: every
-// junction's stitch window is fetched up front (cache first), and junctions
-// whose bytes are unreachable — their shard is down — are dropped with
+// fetchStitch assembles the junction-scan view for patterns up to length m:
+// every junction's stitch window is fetched up front, and junctions whose
+// bytes are unreachable — their shard is down — are dropped with
 // partial=true rather than scanned against fabricated bytes. The returned
-// Stitch serves slices purely from the prefetched windows, so the scan
-// itself cannot fail midway.
-func (rt *Router) buildStitch(ctx context.Context, topo *topology, m int) (st *era.Stitch, partial bool, err error) {
-	type win struct {
-		lo   int
-		data []byte
-	}
-	var bounds []int
-	wins := map[int]win{}
+// Stitch serves slices purely from the fetched windows, so the scan itself
+// cannot fail midway.
+func (rt *Router) fetchStitch(ctx context.Context, topo *topology, m int) (st *era.Stitch, partial bool, err error) {
+	var bounds, los []int
+	var wins [][]byte
 	if m >= 2 {
-		for j, b := range topo.bounds {
-			lo, hi := b-m+1, b+m-1
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > topo.totalLen {
-				hi = topo.totalLen
-			}
-			data, werr := rt.junctionWindow(ctx, topo, j, lo, hi)
+		for _, b := range topo.bounds {
+			lo, hi := max(b-m+1, 0), min(b+m-1, topo.totalLen)
+			data, werr := rt.globalSlice(ctx, topo, lo, hi)
 			if werr != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					return nil, false, cerr
@@ -696,30 +706,20 @@ func (rt *Router) buildStitch(ctx context.Context, topo *topology, m int) (st *e
 				partial = true
 				continue
 			}
-			bounds = append(bounds, b)
-			wins[b] = win{lo: lo, data: data}
+			bounds, los, wins = append(bounds, b), append(los, lo), append(wins, data)
 		}
 	}
-	boundOf := func(lo, hi int) (win, bool) {
-		// The stitch scan requests exactly one window per junction; find the
-		// junction whose prefetched window covers the range.
-		for _, b := range bounds {
-			w := wins[b]
-			if lo >= w.lo && hi <= w.lo+len(w.data) {
-				return w, true
-			}
-		}
-		return win{}, false
-	}
-	st = era.NewStitch(topo.totalLen, bounds, func(buf []byte, lo, hi int) []byte {
-		if w, ok := boundOf(lo, hi); ok {
-			return w.data[lo-w.lo : hi-w.lo]
+	return era.NewStitch(topo.totalLen, bounds, func(_ []byte, lo, hi int) []byte {
+		// Windows ascend at both ends, so the first one ending at or past hi
+		// is the one that covers [lo, hi) if any does.
+		j := sort.Search(len(wins), func(j int) bool { return los[j]+len(wins[j]) >= hi })
+		if j < len(wins) && lo >= los[j] {
+			return wins[j][lo-los[j] : hi-los[j]]
 		}
 		// Unreachable by construction; returning an empty window of the
 		// right length keeps the scan crash-free if it ever isn't.
 		return make([]byte, hi-lo)
-	})
-	return st, partial, nil
+	}), partial, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -729,9 +729,9 @@ func (rt *Router) buildStitch(ctx context.Context, topo *topology, m int) (st *e
 // between partial degradation and strict refusal.
 var errShardDown = errors.New("cluster: shard unavailable")
 
-// fanOut runs fn for every shard concurrently; failed shards are reported
-// in down (ascending), a 4xx from any shard aborts with that error.
-func (rt *Router) fanOut(ctx context.Context, topo *topology, fn func(i int, sh *shardInfo) error) (down []int, err error) {
+// fanOut runs fn for every shard concurrently; dead[i] reports a shard whose
+// every replica failed, a 4xx from any shard aborts with that error.
+func (rt *Router) fanOut(ctx context.Context, topo *topology, fn func(i int, sh *shardInfo) error) (dead []bool, err error) {
 	errs := make([]error, len(topo.shards))
 	var wg sync.WaitGroup
 	for i := range topo.shards {
@@ -742,6 +742,7 @@ func (rt *Router) fanOut(ctx context.Context, topo *topology, fn func(i int, sh 
 		}(i)
 	}
 	wg.Wait()
+	dead = make([]bool, len(topo.shards))
 	for i, e := range errs {
 		if e == nil {
 			continue
@@ -752,41 +753,34 @@ func (rt *Router) fanOut(ctx context.Context, topo *topology, fn func(i int, sh 
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		down = append(down, i)
+		dead[i] = true
 	}
-	return down, nil
+	return dead, nil
 }
 
-// degrade folds a fan-out's dead-shard list into the answer policy: strict
-// mode refuses, otherwise the caller proceeds without those shards and the
+// degrade folds a fan-out's dead shards into the answer policy: strict mode
+// refuses, otherwise the caller proceeds without those shards and the
 // answer is flagged partial.
-func (rt *Router) degrade(topo *topology, down []int) (partial bool, err error) {
-	if len(down) == 0 {
+func (rt *Router) degrade(topo *topology, dead []bool) (partial bool, err error) {
+	var names []string
+	for i, d := range dead {
+		if d {
+			names = append(names, topo.shards[i].Name)
+		}
+	}
+	if len(names) == 0 {
 		return false, nil
 	}
 	if rt.cfg.Strict {
-		names := make([]string, len(down))
-		for i, d := range down {
-			names[i] = topo.shards[d].Name
-		}
 		return false, fmt.Errorf("%w: %s", errShardDown, strings.Join(names, ", "))
 	}
 	return true, nil
 }
 
-// execute answers one planned op through the routed fan-out and merge.
-func (rt *Router) execute(ctx context.Context, topo *topology, op era.Op) (res era.Result, partial bool, err error) {
-	// Analytics parameters are validated against the global corpus (the
-	// replicas would validate against their local shard — a global document
-	// ordinal can be perfectly valid and still exceed every shard's count).
-	if op.Kind.IsAnalytic() {
-		if verr := op.Validate(nil, topo.numDocs); verr != nil {
-			return era.Result{}, false, &routeError{status: http.StatusBadRequest, msg: verr.Error()}
-		}
-	}
+// analytic answers one planned and validated analytics op through its
+// routed executor.
+func (rt *Router) analytic(ctx context.Context, topo *topology, op era.Op) (res era.Result, partial bool, err error) {
 	switch op.Kind {
-	case era.OpContains, era.OpCount, era.OpOccurrences:
-		return rt.membership(ctx, topo, op)
 	case era.OpTopK:
 		return rt.topK(ctx, topo, op)
 	case era.OpLongestRepeat:
@@ -801,91 +795,170 @@ func (rt *Router) execute(ctx context.Context, topo *topology, op era.Op) (res e
 	return era.Result{}, false, &routeError{status: http.StatusBadRequest, msg: fmt.Sprintf("unsupported op kind %v", op.Kind)}
 }
 
-// membership merges per-shard contains/count/occurrences with the
-// junction-crossing matches, exactly as ShardedIndex does. Per-shard
-// sub-queries keep the client's occurrence cap: shards cover ascending
-// disjoint ranges, so the merged first-Max needs at most the first Max from
-// each shard.
-func (rt *Router) membership(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	// Patterns containing the terminator byte can only match where '$' is
-	// part of the global string — at its very end — so every shard but the
-	// last would report phantom matches against its own local terminator.
-	// Same gate as ShardedIndex.shardValid; skipped shards keep their
-	// zero-valued response, which the merges below naturally ignore.
-	withTerm := bytes.IndexByte(op.Pattern, era.TerminatorByte) >= 0
-	kind := opName(op.Kind)
-	resps := make([]server.QueryResponse, len(topo.shards))
-	down, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-		if withTerm && i != len(topo.shards)-1 {
-			return nil
-		}
-		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: kind, Pattern: string(op.Pattern), Max: op.MaxOccurrences})
-		resps[i] = r
-		return qerr
-	})
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	partial, err := rt.degrade(topo, down)
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	dead := map[int]bool{}
-	for _, i := range down {
-		dead[i] = true
-	}
+// A membership sub-batch is cut at whichever budget fills first. The byte
+// budget counts the ops as the router encodes them, so a sub-request stays
+// far under the replicas' 1 MiB body limit however a client body the router
+// admitted was spelled (an op over the budget on its own rides alone), and
+// the answers the router holds at once are those of one chunk.
+const (
+	maxChunkOps   = 512
+	maxChunkBytes = 256 << 10
+)
 
-	switch op.Kind {
-	case era.OpContains:
-		for _, r := range resps {
-			if r.Found {
-				return era.Result{Found: true}, partial, nil
-			}
+// opError attributes a client error to one op of a multi-op call, by its
+// position in the ops the call was handed.
+type opError struct {
+	op  int
+	err error
+}
+
+func (e *opError) Error() string { return server.OpPrefix(e.op) + e.err.Error() }
+func (e *opError) Unwrap() error { return e.err }
+
+// memberAnswer is what the merge reads of a replica's answer to one
+// membership op (server.QueryResponse without the pointer fields).
+type memberAnswer struct {
+	Found       bool  `json:"found"`
+	Count       int   `json:"count"`
+	Occurrences []int `json:"occurrences"`
+}
+
+// encodeChunk writes the longest prefix of ops that fits the chunk budgets
+// into buf as a JSON array of wire ops and returns how many it took.
+func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
+	buf.Reset()
+	buf.WriteByte('[')
+	enc := json.NewEncoder(buf)
+	// Patterns are echoed to the replica as the client spelled them; HTML
+	// escaping would only inflate '<', '>' and '&' sixfold.
+	enc.SetEscapeHTML(false)
+	n := 0
+	for n < len(ops) && n < maxChunkOps {
+		mark := buf.Len()
+		if n > 0 {
+			buf.WriteByte(',')
 		}
-		st, stPartial, serr := rt.buildStitch(ctx, topo, len(op.Pattern))
-		if serr != nil {
-			return era.Result{}, false, serr
+		op := &ops[n]
+		if err := enc.Encode(server.QueryOp{Op: op.Kind.String(), Pattern: string(op.Pattern), Max: op.MaxOccurrences}); err != nil {
+			return 0, err
 		}
-		return era.Result{Found: len(st.CrossingOccurrences(op.Pattern, 1)) > 0}, partial || stPartial, nil
-	case era.OpCount:
-		st, stPartial, serr := rt.buildStitch(ctx, topo, len(op.Pattern))
-		if serr != nil {
-			return era.Result{}, false, serr
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		if n > 0 && buf.Len() > maxChunkBytes {
+			buf.Truncate(mark)
+			break
 		}
-		total := len(st.CrossingOccurrences(op.Pattern, 0))
-		for i, r := range resps {
-			if !dead[i] && r.Count != nil {
-				total += *r.Count
-			}
-		}
-		return era.Result{Found: total > 0, Count: total}, partial || stPartial, nil
-	default: // era.OpOccurrences
-		st, stPartial, serr := rt.buildStitch(ctx, topo, len(op.Pattern))
-		if serr != nil {
-			return era.Result{}, false, serr
-		}
-		crossing := st.CrossingOccurrences(op.Pattern, 0)
-		perShard := make([][]int, 0, len(topo.shards))
-		total := len(crossing)
-		for i, r := range resps {
-			if dead[i] {
-				continue
-			}
-			if r.Count != nil {
-				total += *r.Count
-			}
-			if len(r.Occurrences) == 0 {
-				continue
-			}
-			occ := make([]int, len(r.Occurrences))
-			for j, o := range r.Occurrences {
-				occ[j] = o + topo.shards[i].OffStart
-			}
-			perShard = append(perShard, occ)
-		}
-		merged := era.MergeOccurrences(perShard, crossing, op.MaxOccurrences)
-		return era.Result{Found: total > 0, Count: total, Occurrences: merged}, partial || stPartial, nil
+		n++
 	}
+	buf.WriteByte(']')
+	return n, nil
+}
+
+// membership answers contains/count/occurrences ops — one from /v1/query,
+// the membership ops of a /v1/batch, the counts topK re-verifies with — the
+// way ShardedIndex.Batch does: every shard gets the ops as one /v1/batch
+// sub-request per chunk, and each op's per-shard answers merge with its
+// junction-crossing matches. Sub-requests keep the client's occurrence cap:
+// shards cover ascending disjoint ranges, so the merged first-Max needs at
+// most the first Max from each shard. A shard that is down is down for every
+// op of the chunk, so partial is per op but uniform within a chunk. A
+// replica's 400 comes back as an opError naming the op it was about.
+func (rt *Router) membership(ctx context.Context, topo *topology, ops []era.Op) (results []era.Result, partial []bool, err error) {
+	results = make([]era.Result, len(ops))
+	partial = make([]bool, len(ops))
+	var chunk bytes.Buffer
+	for lo := 0; lo < len(ops); {
+		n, err := encodeChunk(&chunk, ops[lo:])
+		if err != nil {
+			return nil, nil, err
+		}
+		cops := ops[lo : lo+n]
+
+		// No ShardedIndex.shardValid gate here: a pattern containing the
+		// terminator byte is outside every replica's alphabet, so its op fails
+		// the sub-batch with a 400 before any shard can report a phantom match
+		// against its own local terminator.
+		perShard := make([][]memberAnswer, len(topo.shards))
+		dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
+			body := make([]byte, 0, len(sh.batchHead)+chunk.Len()+1)
+			body = append(append(append(body, sh.batchHead...), chunk.Bytes()...), '}')
+			return rt.doShard(ctx, sh.Owners, false, jsonRequest(http.MethodPost, "/v1/batch", body), func(raw []byte) error {
+				var resp struct {
+					Results []memberAnswer `json:"results"`
+				}
+				if err := json.Unmarshal(raw, &resp); err != nil {
+					return err
+				}
+				if len(resp.Results) != n {
+					return fmt.Errorf("%d results for a %d-op sub-batch", len(resp.Results), n)
+				}
+				perShard[i] = resp.Results
+				return nil
+			})
+		})
+		if err != nil {
+			var re *routeError
+			if errors.As(err, &re) && re.status == http.StatusBadRequest {
+				// The replica names the op by its sub-batch position, and a
+				// sub-batch of one not at all.
+				pos, msg, ok := server.SplitOpError(re.msg)
+				switch {
+				case n == 1:
+					err = &opError{op: lo, err: err}
+				case ok && pos < n:
+					err = &opError{op: lo + pos, err: &routeError{status: re.status, msg: msg}}
+				}
+			}
+			return nil, nil, err
+		}
+		chunkPartial, err := rt.degrade(topo, dead)
+		if err != nil {
+			return nil, nil, err
+		}
+
+		for oi := range cops {
+			op, res := &cops[oi], &results[lo+oi]
+			partial[lo+oi] = chunkPartial
+			found, count := false, 0
+			var lists [][]int
+			for i, answers := range perShard {
+				if answers == nil {
+					continue // shard is down
+				}
+				// A replica sends count and occurrences only for the kinds
+				// that have them.
+				a := &answers[oi]
+				found = found || a.Found
+				count += a.Count
+				if len(a.Occurrences) > 0 {
+					for j := range a.Occurrences {
+						a.Occurrences[j] += topo.shards[i].OffStart
+					}
+					lists = append(lists, a.Occurrences)
+				}
+			}
+			if op.Kind == era.OpContains && found {
+				res.Found = true
+				continue
+			}
+			st, stPartial, err := rt.stitchFor(ctx, topo, len(op.Pattern))
+			if err != nil {
+				return nil, nil, err
+			}
+			partial[lo+oi] = chunkPartial || stPartial
+			if op.Kind == era.OpContains {
+				res.Found = len(st.CrossingOccurrences(op.Pattern, 1)) > 0
+				continue
+			}
+			crossing := st.CrossingOccurrences(op.Pattern, 0)
+			count += len(crossing)
+			res.Found, res.Count = count > 0, count
+			if op.Kind == era.OpOccurrences {
+				res.Occurrences = era.MergeOccurrences(lists, crossing, op.MaxOccurrences)
+			}
+		}
+		lo += n
+	}
+	return results, partial, nil
 }
 
 // topK aggregates exact global substring counts: every shard's full
@@ -895,7 +968,7 @@ func (rt *Router) membership(ctx context.Context, topo *topology, op era.Op) (er
 // and re-verified against the routed Count.
 func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
 	perShard := make([]map[string]int, len(topo.shards))
-	down, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
+	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
 		counts, cerr := rt.shardPrefixCounts(ctx, sh, op.MinLen)
 		perShard[i] = counts
 		return cerr
@@ -903,7 +976,7 @@ func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Resu
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	partial, err := rt.degrade(topo, down)
+	partial, err := rt.degrade(topo, dead)
 	if err != nil {
 		return era.Result{}, false, err
 	}
@@ -913,7 +986,7 @@ func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Resu
 			agg[s] += c
 		}
 	}
-	st, stPartial, serr := rt.buildStitch(ctx, topo, op.MinLen)
+	st, stPartial, serr := rt.stitchFor(ctx, topo, op.MinLen)
 	if serr != nil {
 		return era.Result{}, false, serr
 	}
@@ -926,39 +999,54 @@ func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Resu
 		// Same insurance as ShardedIndex.topK: the ranked counts must agree
 		// with the authoritative global Count; a disagreement (unreachable
 		// while the aggregation is exact) triggers a full re-count.
-		for _, e := range ans.Top {
-			cnt, cerr := rt.routedCount(ctx, topo, e.Pattern)
-			if cerr != nil {
-				partial = true
-				break
+		ranked := make([][]byte, len(ans.Top))
+		for i, e := range ans.Top {
+			ranked[i] = e.Pattern
+		}
+		counts, cerr := rt.routedCounts(ctx, topo, ranked)
+		if cerr != nil {
+			return ans, true, nil
+		}
+		agree := true
+		for i, e := range ans.Top {
+			agree = agree && counts[i] == e.Count
+		}
+		if !agree {
+			all := make([][]byte, 0, len(agg))
+			for s := range agg {
+				all = append(all, []byte(s))
 			}
-			if cnt != e.Count {
-				for s := range agg {
-					c, rerr := rt.routedCount(ctx, topo, []byte(s))
-					if rerr != nil {
-						partial = true
-						break
-					}
-					agg[s] = c
-				}
-				ans = era.TopAnswer(agg, op.K)
-				break
+			if counts, cerr = rt.routedCounts(ctx, topo, all); cerr != nil {
+				return ans, true, nil
 			}
+			for i, p := range all {
+				agg[string(p)] = counts[i]
+			}
+			ans = era.TopAnswer(agg, op.K)
 		}
 	}
 	return ans, partial, nil
 }
 
-// routedCount is the membership count fan-out reused by topK's re-verify.
-func (rt *Router) routedCount(ctx context.Context, topo *topology, pattern []byte) (int, error) {
-	res, partial, err := rt.membership(ctx, topo, era.Op{Kind: era.OpCount, Pattern: pattern})
+// routedCounts is the membership count fan-out reused by topK's re-verify:
+// all patterns ride one count sub-batch per shard.
+func (rt *Router) routedCounts(ctx context.Context, topo *topology, patterns [][]byte) ([]int, error) {
+	ops := make([]era.Op, len(patterns))
+	for i, p := range patterns {
+		ops[i] = era.Op{Kind: era.OpCount, Pattern: p}
+	}
+	res, partial, err := rt.membership(ctx, topo, ops)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if partial {
-		return 0, errShardDown
+	counts := make([]int, len(res))
+	for i, r := range res {
+		if partial[i] {
+			return nil, errShardDown
+		}
+		counts[i] = r.Count
 	}
-	return res.Count, nil
+	return counts, nil
 }
 
 // longestRepeat answers lrs: per-shard tree answers are sound lower bounds
@@ -967,7 +1055,7 @@ func (rt *Router) routedCount(ctx context.Context, topo *topology, pattern []byt
 // materialized virtual string — identical to ShardedIndex.
 func (rt *Router) longestRepeat(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
 	resps := make([]server.QueryResponse, len(topo.shards))
-	down, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
+	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
 		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "lrs"})
 		resps[i] = r
 		return qerr
@@ -975,13 +1063,9 @@ func (rt *Router) longestRepeat(ctx context.Context, topo *topology, op era.Op) 
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	partial, err := rt.degrade(topo, down)
+	partial, err := rt.degrade(topo, dead)
 	if err != nil {
 		return era.Result{}, false, err
-	}
-	dead := map[int]bool{}
-	for _, i := range down {
-		dead[i] = true
 	}
 	lo := 0
 	for i, r := range resps {
@@ -1085,7 +1169,7 @@ func (rt *Router) docFreq(ctx context.Context, topo *topology, op era.Op) (era.R
 		pats[i] = string(p)
 	}
 	resps := make([]server.QueryResponse, len(topo.shards))
-	down, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
+	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
 		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "docfreq", Patterns: pats})
 		resps[i] = r
 		return qerr
@@ -1093,13 +1177,9 @@ func (rt *Router) docFreq(ctx context.Context, topo *topology, op era.Op) (era.R
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	partial, err := rt.degrade(topo, down)
+	partial, err := rt.degrade(topo, dead)
 	if err != nil {
 		return era.Result{}, false, err
-	}
-	dead := map[int]bool{}
-	for _, i := range down {
-		dead[i] = true
 	}
 	res := era.Result{Stats: make([]era.PatternStat, len(op.Patterns))}
 	for i, r := range resps {
@@ -1128,7 +1208,7 @@ func (rt *Router) docFreq(ctx context.Context, topo *topology, op era.Op) (era.R
 // occurrences.
 func (rt *Router) mismatch(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
 	resps := make([]server.QueryResponse, len(topo.shards))
-	down, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
+	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
 		// Max 0: the merge needs every within-shard match to cap globally.
 		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "mismatch", Pattern: string(op.Pattern), K: op.K})
 		resps[i] = r
@@ -1137,13 +1217,9 @@ func (rt *Router) mismatch(ctx context.Context, topo *topology, op era.Op) (era.
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	partial, err := rt.degrade(topo, down)
+	partial, err := rt.degrade(topo, dead)
 	if err != nil {
 		return era.Result{}, false, err
-	}
-	dead := map[int]bool{}
-	for _, i := range down {
-		dead[i] = true
 	}
 	perShard := make([][]int, 0, len(topo.shards))
 	for i, r := range resps {
@@ -1156,7 +1232,7 @@ func (rt *Router) mismatch(ctx context.Context, topo *topology, op era.Op) (era.
 		}
 		perShard = append(perShard, occ)
 	}
-	st, stPartial, serr := rt.buildStitch(ctx, topo, len(op.Pattern))
+	st, stPartial, serr := rt.stitchFor(ctx, topo, len(op.Pattern))
 	if serr != nil {
 		return era.Result{}, false, serr
 	}
@@ -1209,8 +1285,6 @@ func fromWire(kind era.OpKind, w server.QueryResponse) era.Result {
 	}
 	return res
 }
-
-func opName(kind era.OpKind) string { return kind.String() }
 
 // ---------------------------------------------------------------------------
 // HTTP front end.
@@ -1312,23 +1386,79 @@ func (rt *Router) Handler() http.Handler {
 		rt.requests.Add(1)
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.Timeout)
 		defer cancel()
-		wire := make([]server.QueryResponse, len(qops))
+		// failOp reports op i's failure; like the replica API, a batch names
+		// the op a client error is about by its position in the request.
+		failOp := func(i int, err error) {
+			var re *routeError
+			if batch && errors.As(err, &re) && clientErr(err) {
+				err = &routeError{status: re.status, msg: server.OpPrefix(i) + re.msg}
+			}
+			fail(w, err)
+		}
+		ops := make([]era.Op, len(qops))
+		var member []int // positions of the membership ops
 		for i := range qops {
 			op, err := qops[i].Plan()
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err.Error())
+				failOp(i, &routeError{status: http.StatusBadRequest, msg: err.Error()})
 				return
 			}
-			res, partial, err := rt.execute(ctx, topo, op)
-			if err != nil {
-				fail(w, err)
+			ops[i] = op
+			if !op.Kind.IsAnalytic() {
+				member = append(member, i)
+				continue
+			}
+			// Analytics parameters are validated against the global corpus
+			// (the replicas would validate against their local shard — a
+			// global document ordinal can be perfectly valid and still exceed
+			// every shard's count).
+			if err := op.Validate(nil, topo.numDocs); err != nil {
+				failOp(i, &routeError{status: http.StatusBadRequest, msg: err.Error()})
 				return
 			}
+		}
+		wire := make([]server.QueryResponse, len(ops))
+		answer := func(i int, res era.Result, partial bool) {
 			if partial {
 				rt.partials.Add(1)
 			}
-			wire[i] = server.ToWire(op, res)
+			wire[i] = server.ToWire(ops[i], res)
 			wire[i].Partial = partial
+		}
+		// The membership ops of the request go first, together; an analytics
+		// op then runs its own routed executor.
+		if len(member) > 0 {
+			mops := ops
+			if len(member) < len(ops) {
+				mops = make([]era.Op, len(member))
+				for j, i := range member {
+					mops[j] = ops[i]
+				}
+			}
+			res, partial, err := rt.membership(ctx, topo, mops)
+			if err != nil {
+				var oe *opError
+				if errors.As(err, &oe) {
+					failOp(member[oe.op], oe.err)
+				} else {
+					fail(w, err)
+				}
+				return
+			}
+			for j, i := range member {
+				answer(i, res[j], partial[j])
+			}
+		}
+		for i, op := range ops {
+			if !op.Kind.IsAnalytic() {
+				continue
+			}
+			res, partial, err := rt.analytic(ctx, topo, op)
+			if err != nil {
+				failOp(i, err)
+				return
+			}
+			answer(i, res, partial)
 		}
 		if batch {
 			writeJSON(w, http.StatusOK, map[string]any{"results": wire})

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 	"time"
 
@@ -180,11 +181,29 @@ func (tc *routedCluster) check(t *testing.T, path string, req any) {
 
 type routedCheck struct {
 	path string
-	req  server.QueryRequest
+	req  any // server.QueryRequest, or server.BatchRequest on /v1/batch
 }
 
 func qreq(op server.QueryOp) server.QueryRequest {
 	return server.QueryRequest{Index: "corpus", QueryOp: op}
+}
+
+func breq(ops ...server.QueryOp) server.BatchRequest {
+	return server.BatchRequest{Index: "corpus", Ops: ops}
+}
+
+// faultBatch is the /v1/batch case run under every fault, against a dead
+// shard and under hedging: a junction-crossing count, capped occurrences, a
+// membership op after an analytics op (sub-batch and client positions
+// differ), one analytics op.
+func (tc *routedCluster) faultBatch() server.BatchRequest {
+	b := tc.bounds[0]
+	return breq(
+		server.QueryOp{Op: "count", Pattern: string(tc.concat[b-4 : b+4])},
+		server.QueryOp{Op: "occurrences", Pattern: string(tc.concat[10:12]), Max: 3},
+		server.QueryOp{Op: "docfreq", Patterns: []string{string(tc.concat[100:110])}},
+		server.QueryOp{Op: "contains", Pattern: string(tc.concat[100:110])},
+	)
 }
 
 // membershipChecks exercises present, absent, junction-crossing, empty and
@@ -253,6 +272,10 @@ func (tc *routedCluster) faultChecks() []routedCheck {
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs - 1})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{string(tc.concat[100:110])}})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: string(tc.concat[50:58]), K: 1})},
+		{"/v1/batch", tc.faultBatch()},
+		// An empty or '$' pattern anywhere fails the batch, as on the mono server.
+		{"/v1/batch", breq(server.QueryOp{Op: "contains", Pattern: "A"}, server.QueryOp{Op: "count"})},
+		{"/v1/batch", breq(server.QueryOp{Op: "count", Pattern: "$"}, server.QueryOp{Op: "contains", Pattern: "A"})},
 	}
 }
 
@@ -379,6 +402,7 @@ func TestRoutedPartialAndStrict(t *testing.T) {
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs - 1})}, // doc 0 lives in the dead shard
 		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{string(tc.concat[100:110])}})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: string(tc.concat[50:58]), K: 1})},
+		{"/v1/batch", tc.faultBatch()},
 	}
 	for _, c := range checks {
 		body, _ := json.Marshal(c.req)
@@ -392,14 +416,28 @@ func TestRoutedPartialAndStrict(t *testing.T) {
 			t.Errorf("%s %s: degraded status %d (%s), want 200 partial", c.path, body, status, resp)
 			continue
 		}
-		var out struct {
+		type flagged struct {
 			Partial bool `json:"partial"`
+		}
+		var out struct {
+			flagged
+			Results []flagged `json:"results"`
 		}
 		if err := json.Unmarshal(resp, &out); err != nil {
 			t.Fatalf("%s %s: %v in %s", c.path, body, err, resp)
 		}
-		if !out.Partial {
-			t.Errorf("%s %s: dead shard but partial not set: %s", c.path, body, resp)
+		answers := []flagged{out.flagged}
+		if br, ok := c.req.(server.BatchRequest); ok {
+			// The shard is down for the whole sub-batch: every op is partial.
+			if answers = out.Results; len(answers) != len(br.Ops) {
+				t.Errorf("%s %s: %d results for %d ops: %s", c.path, body, len(answers), len(br.Ops), resp)
+			}
+		}
+		for _, a := range answers {
+			if !a.Partial {
+				t.Errorf("%s %s: dead shard but partial not set: %s", c.path, body, resp)
+				break
+			}
 		}
 
 		// Strict mode refuses the same requests outright.
@@ -460,6 +498,17 @@ func TestRoutedHedge(t *testing.T) {
 	ms, mb := postRaw(t, tc.mono.URL, "/v1/query", body)
 	if ms != http.StatusOK || !bytes.Equal(resp, mb) {
 		t.Errorf("hedged answer diverged: routed %s, mono %s", resp, mb)
+	}
+
+	// A sub-batch hedges like any other sub-request.
+	hedges := tc.rt.hedges.Load()
+	start = time.Now()
+	tc.check(t, "/v1/batch", tc.faultBatch())
+	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
+		t.Errorf("hedged batch took %v, want well under the 2s injected delay", elapsed)
+	}
+	if tc.rt.hedges.Load() == hedges {
+		t.Error("slow primary never triggered a hedge on the batch")
 	}
 }
 
@@ -589,5 +638,117 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	status, _ := postRaw(t, front.URL, "/v1/query", []byte(`{"index":"corpus","op":"contains","pattern":"A"}`))
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("query with no topology = %d, want 503", status)
+	}
+}
+
+// replicaRequests arms every proxy with a zero delay — a fault that changes
+// nothing but is counted — and returns a func reading the number of HTTP
+// requests the replicas have received since.
+func (tc *routedCluster) replicaRequests() func() int {
+	total := func() (n int) {
+		for _, p := range tc.proxies {
+			n += p.Hits()
+		}
+		return n
+	}
+	for _, p := range tc.proxies {
+		p.Delay = 0
+		p.Set(FaultDelay, -1)
+	}
+	base := total()
+	return func() int { return total() - base }
+}
+
+// TestRoutedBatchSubBatches pins the batch execution model: the membership
+// ops of a request reach each shard as one sub-request per chunk, not one
+// per op, and a request cut into several chunks still answers byte-equal to
+// the monolithic server.
+func TestRoutedBatchSubBatches(t *testing.T) {
+	const shards = 3
+	tc := newRoutedCluster(t, shards, 3, nil)
+	defer tc.readmitAll()
+	requests := tc.replicaRequests()
+
+	// Patterns up to MaxPattern long: junction windows come from the
+	// refresh-time prefetch, so sub-batches are the only replica traffic.
+	rng := rand.New(rand.NewSource(5))
+	kinds := []string{"contains", "count", "occurrences"}
+	ops := make([]server.QueryOp, maxChunkOps+88)
+	for i := range ops {
+		at, m := rng.Intn(len(tc.concat)-40), 2+rng.Intn(30)
+		if i%5 == 0 {
+			at = tc.bounds[i%len(tc.bounds)] - 1 - rng.Intn(m-1) // crosses a junction
+		}
+		ops[i] = server.QueryOp{Op: kinds[i%3], Pattern: string(tc.concat[at : at+m]), Max: i % 4}
+	}
+
+	tc.check(t, "/v1/batch", breq(ops[:32]...))
+	if got := requests(); got != shards {
+		t.Errorf("a 32-op batch over %d shards made %d replica requests, want one per shard", shards, got)
+	}
+	tc.check(t, "/v1/batch", breq(ops...))
+	if got := requests(); got != 3*shards {
+		t.Errorf("a %d-op batch (chunk budget %d ops) made %d replica requests, want two per shard", len(ops), maxChunkOps, got-shards)
+	}
+
+	// The byte budget cuts too: patterns this long also take the live
+	// junction fetch.
+	long := make([]server.QueryOp, 96)
+	for i := range long {
+		at := rng.Intn(len(tc.concat) - 3000)
+		long[i] = server.QueryOp{Op: kinds[i%3], Pattern: string(tc.concat[at : at+3000]), Max: 2}
+	}
+	var buf bytes.Buffer
+	planned := make([]era.Op, len(long))
+	for i := range long {
+		var err error
+		if planned[i], err = long[i].Plan(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := encodeChunk(&buf, planned); err != nil || n == 0 || n == len(planned) || buf.Len() > maxChunkBytes {
+		t.Fatalf("encodeChunk took %d of %d ops in %d bytes (err %v), want a cut under %d bytes", n, len(planned), buf.Len(), err, maxChunkBytes)
+	}
+	tc.check(t, "/v1/batch", breq(long...))
+}
+
+// TestRoutedBatchErrorPosition pins the position a batch error names: the
+// client's op index, as on the monolithic server — whether the router caught
+// the op itself (unknown op, analytics parameters) or a replica rejected it
+// inside a sub-batch, where analytics ops ahead of it shift its position.
+func TestRoutedBatchErrorPosition(t *testing.T) {
+	tc := newRoutedCluster(t, 3, 3, nil)
+	ok := server.QueryOp{Op: "count", Pattern: "AC"}
+	lrs := server.QueryOp{Op: "lrs"}
+	cases := []struct {
+		name string
+		ops  []server.QueryOp
+		want int
+	}{
+		{"unknown op", []server.QueryOp{ok, lrs, {Op: "frobnicate"}, ok}, 2},
+		{"negative max", []server.QueryOp{lrs, ok, {Op: "occurrences", Pattern: "AC", Max: -1}}, 2},
+		{"empty pattern in a sub-batch", []server.QueryOp{lrs, ok, lrs, {Op: "count"}, ok}, 3},
+		{"byte outside the alphabet", []server.QueryOp{lrs, ok, {Op: "contains", Pattern: "AxC"}}, 2},
+		{"sub-batch of one", []server.QueryOp{lrs, lrs, {Op: "count"}}, 2},
+		{"analytics parameters", []server.QueryOp{ok, {Op: "topk", K: 0, MinLen: 4}, ok}, 1},
+		{"first op", []server.QueryOp{{Op: "count"}, ok}, 0},
+	}
+	marker := regexp.MustCompile(`op (\d+): `)
+	for _, c := range cases {
+		body, err := json.Marshal(breq(c.ops...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, side := range []struct{ name, url string }{{"routed", tc.routed.URL}, {"mono", tc.mono.URL}} {
+			status, resp := postRaw(t, side.url, "/v1/batch", body)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s: %s answered %d (%s), want 400", c.name, side.name, status, resp)
+				continue
+			}
+			m := marker.FindSubmatch(resp)
+			if m == nil || string(m[1]) != fmt.Sprint(c.want) {
+				t.Errorf("%s: %s error %s does not name op %d", c.name, side.name, resp, c.want)
+			}
+		}
 	}
 }

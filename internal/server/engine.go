@@ -565,7 +565,7 @@ func (e *Engine) BatchChecked(ctx context.Context, index string, ops []era.Op) (
 	for i, op := range ops {
 		prefix := ""
 		if len(ops) > 1 {
-			prefix = fmt.Sprintf("op %d: ", i)
+			prefix = OpPrefix(i)
 		}
 		if err := op.Validate(a, numDocs); err != nil {
 			return nil, fmt.Errorf("server: %w: %s%v", ErrBadPattern, prefix, err)

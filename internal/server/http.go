@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"regexp"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -257,7 +258,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 		for i, q := range req.Ops {
 			op, err := q.Plan()
 			if err != nil {
-				h.writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err))
+				h.writeError(w, http.StatusBadRequest, OpPrefix(i)+err.Error())
 				return
 			}
 			ops[i] = op
@@ -582,6 +583,27 @@ type QueryRequest struct {
 type BatchRequest struct {
 	Index string    `json:"index"`
 	Ops   []QueryOp `json:"ops"`
+}
+
+// OpPrefix is the marker a /v1/batch error names its offending op with.
+func OpPrefix(i int) string { return fmt.Sprintf("op %d: ", i) }
+
+var opMarker = regexp.MustCompile(`\bop (\d+): `)
+
+// SplitOpError is OpPrefix's inverse: it finds the first op marker in a
+// batch error message and returns the position with the marker removed.
+// The cluster router sends a client's ops to replicas in sub-batches, so a
+// position a replica reports has to be translated back to the client's own.
+func SplitOpError(msg string) (op int, rest string, ok bool) {
+	m := opMarker.FindStringSubmatchIndex(msg)
+	if m == nil {
+		return 0, msg, false
+	}
+	op, err := strconv.Atoi(msg[m[2]:m[3]])
+	if err != nil {
+		return 0, msg, false
+	}
+	return op, msg[:m[0]] + msg[m[1]:], true
 }
 
 // appendRequest carries documents for a live index; like patterns, they

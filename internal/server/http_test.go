@@ -327,8 +327,16 @@ func TestHTTPPatternValidation(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("batch foreign byte: status %d, want 400 (%v)", status, out)
 	}
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "op 1") {
+	msg, _ := out["error"].(string)
+	if !strings.Contains(msg, "op 1") {
 		t.Errorf("batch error does not name the op: %v", out)
+	}
+	// The router reads the position back out of the message.
+	if op, rest, ok := SplitOpError(msg); !ok || op != 1 || strings.Contains(rest, "op 1") || !strings.Contains(rest, "'z'") {
+		t.Errorf("SplitOpError(%q) = %d, %q, %v", msg, op, rest, ok)
+	}
+	if _, rest, ok := SplitOpError("no index named \"top 3: x\" loaded"); ok || rest == "" {
+		t.Errorf("SplitOpError found a marker in a message without one (%q)", rest)
 	}
 
 	// Unknown index outranks pattern validation: addressing comes first.
