@@ -19,8 +19,11 @@ import (
 // these): top-k most frequent substrings of a length, longest repeated
 // substring, longest common substring across documents, document-frequency
 // stats for a pattern set, and k-mismatch search via bounded-branching
-// descent. Each layer (Index, ShardedIndex, LiveIndex) carries one executor,
-// Analytics; dispatch and parameter validation live here, once.
+// descent. There are two in-process executors: Index.Analytics walks one
+// tree, and liveSnapshot.analytics (analytics_live.go) merges tiers — it is
+// what both LiveIndex.Analytics and ShardedIndex.Analytics run, a sharded
+// index being the zero-tombstone case. Dispatch and parameter validation
+// live here, once.
 //
 // Answer identity across layers is the package discipline: every analytics
 // answer is a pure function of the virtual global string and the document

@@ -19,9 +19,6 @@ func (lx *LiveIndex) Analytics(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, errLiveClosed
 	}
 	defer s.release()
-	if err := q.Validate(nil, s.numDocs); err != nil {
-		return Answer{}, err
-	}
 	return s.analytics(ctx, q)
 }
 
@@ -42,6 +39,9 @@ func (s *liveSnapshot) checkErr() error {
 // assembled from live segments, so a `$`-window or junction scan touches no
 // tombstoned byte and no tier tree at all.
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
+	if err := q.Validate(nil, s.numDocs); err != nil {
+		return Answer{}, err
+	}
 	if err := s.checkErr(); err != nil {
 		return Answer{}, err
 	}
@@ -199,16 +199,17 @@ func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
 	return mismatchAnswer(mergeOccurrences(perTier, crossing, 0), q.MaxOccurrences)
 }
 
-// docBytes returns the raw content of the live document with ordinal ord.
+// docBytes returns the raw content of the live document with ordinal ord
+// (which must be in range): the last tier whose docBase is at most ord holds
+// it, at or after local index ord−docBase — exactly there when the tier is
+// clean, later by one per tombstone before it otherwise.
 func (s *liveSnapshot) docBytes(ord int) []byte {
-	for _, t := range s.tiers {
-		for d, g := range t.gDoc {
-			if g == ord {
-				return t.h.idx.data[t.localStart(d):t.h.idx.docEnds[d]]
-			}
-		}
+	t := s.tiers[sort.Search(len(s.tiers), func(i int) bool { return s.tiers[i].docBase > ord })-1]
+	d := ord - t.docBase
+	for t.gDoc[d] != ord {
+		d++
 	}
-	return nil
+	return t.h.idx.data[t.localStart(d):t.h.idx.docEnds[d]]
 }
 
 // bytesIndexTerminator reports whether b contains the corpus terminator.

@@ -3,7 +3,8 @@
 // The router in internal/cluster serves a sharded corpus from per-shard
 // monolithic indexes hosted on remote replicas. To answer exactly like one
 // big index it must re-run the same boundary-stitch and merge logic the
-// in-process ShardedIndex uses: matches crossing a shard junction are found
+// in-process partitioned executor (tombstone.go, which serves ShardedIndex
+// and LiveIndex alike) uses: matches crossing a shard junction are found
 // by scanning small stitch windows, per-shard results merge in ascending
 // shard order, and the analytics tie-breaks (count desc / label asc, the
 // lexicographically smallest longest repeat, ...) are pinned here so every
@@ -56,7 +57,7 @@ func (s *Stitch) CrossingWindows(m int, fn func(start int, window []byte)) {
 
 // MergeOccurrences merges per-shard occurrence lists (each sorted, in
 // globally ascending shard order) with the sorted crossing list; max > 0
-// caps the output length. Identical to the ShardedIndex merge.
+// caps the output length. It is the in-process executor's merge, not a copy.
 func MergeOccurrences(perShard [][]int, crossing []int, max int) []int {
 	return mergeOccurrences(perShard, crossing, max)
 }

@@ -36,9 +36,9 @@ import (
 // /v1/batch sub-request (a single query is the one-op case). Per-shard
 // sub-requests carry per-attempt deadlines, retry with full-jitter backoff
 // across the surviving owners, and optionally hedge the first attempt;
-// answers merge with the same boundary-stitch logic the
-// in-process ShardedIndex uses (era.Stitch and friends), so
-// junction-crossing matches are never lost.
+// answers merge with the same boundary-stitch logic the in-process
+// partitioned executor uses (era.Stitch and friends), so junction-crossing
+// matches are never lost.
 //
 // Degradation is explicit: when every replica of a shard is unreachable
 // the router answers from the surviving shards with "partial": true — or
@@ -416,6 +416,17 @@ func (rt *Router) doShard(ctx context.Context, owners []string, heavy bool, buil
 // to the health checker. 4xx statuses are surfaced as routeErrors and count
 // as replica-healthy (the replica answered; the request was wrong).
 func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build func(base string) (*http.Request, error), decode func(body []byte) error) error {
+	// An attempt abandoned by its caller — the losing arm of a hedge, a
+	// request whose client went away — says nothing about the replica, so it
+	// reports no outcome: three canceled losers would otherwise eject a slow
+	// but alive primary and end hedging. The attempt's own AttemptTimeout
+	// expiring leaves the parent live and still counts as a failure.
+	parent := ctx
+	report := func(ok bool) {
+		if parent.Err() == nil {
+			rt.healthy.Report(base, ok)
+		}
+	}
 	if !heavy {
 		// Heavy sub-requests keep the caller's deadline: the end-to-end
 		// budget already bounds them, and a tighter per-attempt cutoff would
@@ -430,23 +441,23 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 	}
 	resp, err := rt.cfg.Client.Do(req.WithContext(ctx))
 	if err != nil {
-		rt.healthy.Report(base, false)
+		report(false)
 		return err
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		rt.healthy.Report(base, false)
+		report(false)
 		return fmt.Errorf("cluster: reading %s response: %w", base, err)
 	}
 	if resp.StatusCode >= 500 {
-		rt.healthy.Report(base, false)
+		report(false)
 		return &routeError{status: resp.StatusCode, msg: wireErrMsg(body, resp.StatusCode)}
 	}
 	if resp.StatusCode >= 400 {
 		// The replica answered; the request was wrong. That is a healthy
 		// replica and a deterministic client error.
-		rt.healthy.Report(base, true)
+		report(true)
 		return &routeError{status: resp.StatusCode, msg: wireErrMsg(body, resp.StatusCode)}
 	}
 	// The application-level length frame catches torn bodies whose transfer
@@ -454,7 +465,7 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 	// recomputed Content-Length over a truncated payload).
 	if want := resp.Header.Get("X-Era-Content-Length"); want != "" {
 		if n, perr := strconv.Atoi(want); perr == nil && n != len(body) {
-			rt.healthy.Report(base, false)
+			report(false)
 			return fmt.Errorf("cluster: %s sent %d of %d framed bytes", base, len(body), n)
 		}
 	}
@@ -462,11 +473,11 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 		if err := decode(body); err != nil {
 			// A 200 whose body does not parse is a torn response, not an
 			// answer; class it with the transport failures so it retries.
-			rt.healthy.Report(base, false)
+			report(false)
 			return fmt.Errorf("cluster: decoding %s response: %w", base, err)
 		}
 	}
-	rt.healthy.Report(base, true)
+	report(true)
 	return nil
 }
 
@@ -855,9 +866,9 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 
 // membership answers contains/count/occurrences ops — one from /v1/query,
 // the membership ops of a /v1/batch, the counts topK re-verifies with — the
-// way ShardedIndex.Batch does: every shard gets the ops as one /v1/batch
-// sub-request per chunk, and each op's per-shard answers merge with its
-// junction-crossing matches. Sub-requests keep the client's occurrence cap:
+// way the in-process executor's batch does: every shard gets the ops as one
+// /v1/batch sub-request per chunk, and each op's per-shard answers merge with
+// its junction-crossing matches. Sub-requests keep the client's occurrence cap:
 // shards cover ascending disjoint ranges, so the merged first-Max needs at
 // most the first Max from each shard. A shard that is down is down for every
 // op of the chunk, so partial is per op but uniform within a chunk. A
@@ -873,7 +884,8 @@ func (rt *Router) membership(ctx context.Context, topo *topology, ops []era.Op) 
 		}
 		cops := ops[lo : lo+n]
 
-		// No ShardedIndex.shardValid gate here: a pattern containing the
+		// No terminator gate here (in process, liveSnapshot.tailMatch keeps
+		// such patterns away from the trees): a pattern containing the
 		// terminator byte is outside every replica's alphabet, so its op fails
 		// the sub-batch with a 400 before any shard can report a phantom match
 		// against its own local terminator.
@@ -996,7 +1008,7 @@ func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Resu
 	})
 	ans := era.TopAnswer(agg, op.K)
 	if !partial {
-		// Same insurance as ShardedIndex.topK: the ranked counts must agree
+		// Same insurance as liveSnapshot.topK: the ranked counts must agree
 		// with the authoritative global Count; a disagreement (unreachable
 		// while the aggregation is exact) triggers a full re-count.
 		ranked := make([][]byte, len(ans.Top))
@@ -1052,7 +1064,7 @@ func (rt *Router) routedCounts(ctx context.Context, topo *topology, patterns [][
 // longestRepeat answers lrs: per-shard tree answers are sound lower bounds
 // (and power the degraded path); the true answer, which may straddle shard
 // cuts, comes from the canonical content-level search over the fully
-// materialized virtual string — identical to ShardedIndex.
+// materialized virtual string — identical to the in-process executor.
 func (rt *Router) longestRepeat(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
 	resps := make([]server.QueryResponse, len(topo.shards))
 	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {

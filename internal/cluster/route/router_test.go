@@ -512,6 +512,38 @@ func TestRoutedHedge(t *testing.T) {
 	}
 }
 
+// TestRoutedHedgeLoserKeepsPrimaryHealthy pins that the losing arm of a hedge
+// — canceled by the router itself once the secondary answered — reports no
+// outcome: a slow but alive primary must stay healthy and keep being hedged,
+// not be ejected after FailThreshold canceled attempts (after which
+// candidates orders it last and hedging silently stops).
+func TestRoutedHedgeLoserKeepsPrimaryHealthy(t *testing.T) {
+	tc := newRoutedCluster(t, 3, 3, func(cfg *RouterConfig) {
+		cfg.HedgeDelay = 20 * time.Millisecond
+		cfg.AttemptTimeout = 3 * time.Second
+	})
+	primary := tc.rt.Placement()["corpus~0"][0]
+	for i, f := range tc.fronts {
+		if f == primary {
+			tc.proxies[i].Delay = 300 * time.Millisecond
+			tc.proxies[i].Set(FaultDelay, -1)
+		}
+	}
+	defer tc.readmitAll()
+
+	req := qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])})
+	for call := 1; call <= 6; call++ {
+		hedges := tc.rt.hedges.Load()
+		tc.check(t, "/v1/query", req)
+		if tc.rt.hedges.Load() == hedges {
+			t.Fatalf("call %d: slow primary was not hedged", call)
+		}
+	}
+	if !tc.rt.Health().Healthy(primary) {
+		t.Error("slow primary ejected by its own canceled hedge losers")
+	}
+}
+
 // TestRoutedHedgeFastFailDegrades pins the hedge drain when the primary
 // fails BEFORE the hedge timer and the secondary fails too: the first
 // select already consumed the primary's outcome, so the drain loop must

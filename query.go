@@ -14,8 +14,8 @@ import (
 // Batch, WriteTo) is a pure read of the immutable tree and string built by
 // Build/BuildCorpus/ReadIndex. Any number of goroutines may query one Index
 // concurrently without synchronization; the concurrent query server in
-// internal/server relies on this, ShardedIndex's fan-out queries one shard
-// Index from a goroutine per shard (shard.go), and TestConcurrentQueries
+// internal/server relies on this, the partitioned executor queries one tier
+// Index from a goroutine per tier (tombstone.go), and TestConcurrentQueries
 // pins it under the race detector.
 
 // Contains reports whether pattern occurs in the indexed string — the
@@ -141,7 +141,7 @@ func (x *Index) Batch(ops []Op) []Result {
 	maxLen := 0
 	for i, op := range ops {
 		if op.Kind.IsAnalytic() {
-			// Analytics plans dispatch through the per-layer executor; a
+			// Analytics plans dispatch through the tree executor; a
 			// malformed plan leaves the zero Answer.
 			if a, err := x.Analytics(context.Background(), op); err == nil {
 				results[i] = a

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"era/internal/alphabet"
 )
@@ -17,6 +15,15 @@ import (
 // (§1, §6); a ShardedIndex is the serving-side counterpart — it lets the
 // query layer scale past what one suffix tree can hold, while staying
 // answer-for-answer identical to the monolithic index over the same corpus.
+//
+// What lives here is the build (cuts, one alphabet, per-shard construction),
+// the shard layout persistence addresses, the lifecycle, and the two pieces
+// of the merge every partitioned layer — in-process and routed — shares:
+// the junction stitch scan (stitchString) and the ascending interleave
+// (mergeOccurrences). The fan-out → stitch → merge executor itself is the
+// snapshot executor in tombstone.go / analytics_live.go: a sharded index is
+// its zero-tombstone case, one clean tier per shard, and every query method
+// below is a delegation to that view.
 //
 // Identity with the monolithic index is exact, not approximate. Matches
 // fully inside one shard are found by that shard's tree and translated to
@@ -64,21 +71,17 @@ var (
 
 // ShardedIndex is a corpus index split at document boundaries into shards,
 // each an independent Index over a contiguous run of documents. Queries fan
-// out to all shards concurrently and merge; answers are byte-identical to
-// the monolithic Index over the same corpus. Build with BuildShardedCorpus
-// or reopen with OpenIndex (format v3).
+// out to all shards concurrently and merge (through view); answers are
+// byte-identical to the monolithic Index over the same corpus. Build with
+// BuildShardedCorpus or reopen with OpenIndex (format v3).
 type ShardedIndex struct {
 	name   string
 	shards []*Index
-	// docStart[i] is the global index of shard i's first document;
-	// offStart[i] is the global byte offset of its first symbol.
-	docStart []int
-	offStart []int
-	numDocs  int
-	totalLen int // global concatenated length including the single terminator
-	alpha    *alphabet.Alphabet
-	mp       *mapping // non-nil when all shards view one mapped v4 file
-	stitch   stitchString
+	mp     *mapping // non-nil when all shards view one mapped v4 file
+	// view is the partitioned executor (tombstone.go) over the shards: one
+	// clean tier per shard. It is built once and never released — the shards'
+	// lifecycle is sx.mp's, not the tier handles'.
+	view *liveSnapshot
 }
 
 // ShardConfig tunes BuildShardedCorpus beyond the per-shard build Config.
@@ -199,34 +202,24 @@ func shardCuts(sizes []int, k int) [][2]int {
 	return cuts
 }
 
-// newShardedIndex assembles the fan-out metadata over already-built shards,
-// validating that they form one coherent corpus.
+// newShardedIndex validates that already-built shards form one coherent
+// corpus and derives the query view over them.
 func newShardedIndex(name string, shards []*Index) (*ShardedIndex, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("era: sharded index with zero shards")
 	}
-	sx := &ShardedIndex{
-		name:     name,
-		shards:   shards,
-		docStart: make([]int, len(shards)),
-		offStart: make([]int, len(shards)),
-		alpha:    shards[0].alpha,
-	}
+	alpha := shards[0].alpha
+	states := make([]*tierState, len(shards))
 	for i, sh := range shards {
 		if sh.NumDocs() == 0 {
 			return nil, fmt.Errorf("era: shard %d holds no documents", i)
 		}
-		if sh.alpha.Name() != sx.alpha.Name() || !bytes.Equal(sh.alpha.Symbols(), sx.alpha.Symbols()) {
-			return nil, fmt.Errorf("era: shard %d alphabet %s differs from shard 0 alphabet %s", i, sh.alpha.Name(), sx.alpha.Name())
+		if sh.alpha.Name() != alpha.Name() || !bytes.Equal(sh.alpha.Symbols(), alpha.Symbols()) {
+			return nil, fmt.Errorf("era: shard %d alphabet %s differs from shard 0 alphabet %s", i, sh.alpha.Name(), alpha.Name())
 		}
-		sx.docStart[i] = sx.numDocs
-		sx.offStart[i] = sx.totalLen
-		sx.numDocs += sh.NumDocs()
-		sx.totalLen += sh.Len() - 1 // exclude the per-shard terminator
+		states[i] = &tierState{h: newTierHandle(sh, ""), dead: make([]bool, sh.NumDocs())}
 	}
-	sx.totalLen++ // the single global terminator
-	sx.stitch = stitchString{totalLen: sx.totalLen, bounds: sx.offStart[1:], slice: sx.globalSlice}
-	return sx, nil
+	return &ShardedIndex{name: name, shards: shards, view: newLiveSnapshot(states, alpha)}, nil
 }
 
 // Name returns the corpus name (see Index.Name).
@@ -236,32 +229,26 @@ func (sx *ShardedIndex) Name() string { return sx.name }
 func (sx *ShardedIndex) SetName(name string) { sx.name = name }
 
 // Alphabet returns the alphabet shared by every shard.
-func (sx *ShardedIndex) Alphabet() *alphabet.Alphabet { return sx.alpha }
+func (sx *ShardedIndex) Alphabet() *alphabet.Alphabet { return sx.view.alpha }
 
 // Len returns the indexed string length including the terminator, as the
 // monolithic index over the same corpus would report it.
-func (sx *ShardedIndex) Len() int { return sx.totalLen }
+func (sx *ShardedIndex) Len() int { return sx.view.totalLen }
 
 // NumDocs returns the total document count across shards.
-func (sx *ShardedIndex) NumDocs() int { return sx.numDocs }
+func (sx *ShardedIndex) NumDocs() int { return sx.view.numDocs }
 
 // NumShards returns the shard count.
 func (sx *ShardedIndex) NumShards() int { return len(sx.shards) }
 
 // Shard returns the i-th shard's index and the global index of its first
 // document (shards hold contiguous document runs).
-func (sx *ShardedIndex) Shard(i int) (*Index, int) { return sx.shards[i], sx.docStart[i] }
+func (sx *ShardedIndex) Shard(i int) (*Index, int) { return sx.shards[i], sx.view.tiers[i].docBase }
 
 // TreeNodes returns the summed node count of the shard trees (roots
 // excluded). Sharding changes the tree decomposition, so this differs from
 // the monolithic tree's count; it is reported for capacity accounting.
-func (sx *ShardedIndex) TreeNodes() int64 {
-	var n int64
-	for _, sh := range sx.shards {
-		n += sh.TreeNodes()
-	}
-	return n
-}
+func (sx *ShardedIndex) TreeNodes() int64 { return sx.view.treeNodes }
 
 // MappedBytes returns the size of the mapping shared by the shards, or 0
 // when the shards are heap-resident.
@@ -290,65 +277,55 @@ func (sx *ShardedIndex) Close() error {
 	return sx.mp.Close()
 }
 
-// fanOut runs f(i, shard) for every shard, concurrently when there are
-// several. Each invocation must confine its writes to per-shard slots.
-func (sx *ShardedIndex) fanOut(f func(i int, sh *Index)) {
-	if len(sx.shards) == 1 {
-		f(0, sx.shards[0])
-		return
+// Contains reports whether pattern occurs in the sharded corpus, exactly as
+// the monolithic Index.Contains would (boundary-crossing matches included).
+func (sx *ShardedIndex) Contains(pattern []byte) bool { return sx.view.contains(pattern) }
+
+// Count returns the number of occurrences of pattern across the corpus,
+// identical to the monolithic count (crossing matches included).
+func (sx *ShardedIndex) Count(pattern []byte) int { return sx.view.count(pattern) }
+
+// Occurrences returns the global start offsets of every occurrence of
+// pattern, sorted ascending — byte-identical to the monolithic index. A
+// corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
+func (sx *ShardedIndex) Occurrences(pattern []byte) ([]int, error) {
+	if err := sx.CheckErr(); err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	for i, sh := range sx.shards {
-		wg.Add(1)
-		go func(i int, sh *Index) {
-			defer wg.Done()
-			f(i, sh)
-		}(i, sh)
-	}
-	wg.Wait()
+	return sx.view.occurrences(pattern), nil
 }
 
-// shardValid reports whether shard i's answers are valid for the pattern.
-// Patterns containing the terminator byte can only match where '$' is part
-// of the global string — at its very end — so every shard but the last
-// would report phantom matches against its own local terminator.
-func (sx *ShardedIndex) shardValid(i int, pattern []byte) bool {
-	return i == len(sx.shards)-1 || bytes.IndexByte(pattern, alphabet.Terminator) < 0
+// DocOccurrences returns per-document occurrences, identical to the
+// monolithic index: shard cuts are document-aligned, so a boundary-crossing
+// match is a document-crossing match, which is excluded on both sides. A
+// corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
+func (sx *ShardedIndex) DocOccurrences(pattern []byte) ([]DocHit, error) {
+	if err := sx.CheckErr(); err != nil {
+		return nil, err
+	}
+	return sx.view.docOccurrences(pattern), nil
 }
 
-// globalSlice copies the bytes [lo, hi) of the virtual global string — the
-// shard contents concatenated, with the single terminator at the end —
-// into buf, walking whole shard slices rather than one byte at a time.
-func (sx *ShardedIndex) globalSlice(buf []byte, lo, hi int) []byte {
-	buf = buf[:0]
-	end := hi
-	if end == sx.totalLen {
-		end-- // the terminator is appended below, not stored in any shard
-	}
-	i := sort.Search(len(sx.offStart), func(j int) bool { return sx.offStart[j] > lo }) - 1
-	for off := lo; off < end; i++ {
-		content := sx.shards[i].data[:sx.shards[i].Len()-1]
-		from := off - sx.offStart[i]
-		take := len(content) - from
-		if off+take > end {
-			take = end - off
-		}
-		buf = append(buf, content[from:from+take]...)
-		off += take
-	}
-	if hi == sx.totalLen {
-		buf = append(buf, alphabet.Terminator)
-	}
-	return buf
+// Batch answers many queries in one call: every shard serves the whole op
+// list as one sub-batch (reusing Index.Batch's prefix-resumed descents).
+// Results are identical to the monolithic Index.Batch, occurrence order and
+// truncation included.
+func (sx *ShardedIndex) Batch(ops []Op) []Result { return sx.view.batch(ops) }
+
+// Analytics answers one analytics query against the sharded index,
+// byte-identically to the monolithic executor over the same corpus.
+func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) {
+	return sx.view.analytics(ctx, q)
 }
 
 // stitchString abstracts the virtual global string a segmented index serves:
 // totalLen counts the concatenated content plus the single terminator,
 // bounds are the ascending interior junction offsets no single tree sees
-// across (shard boundaries for a ShardedIndex, segment boundaries for a
-// LiveIndex), and slice materializes any [lo, hi) window of the virtual
-// string. It exists so the boundary stitch scan is written once and shared
-// by every segmented implementation.
+// across (live-segment boundaries for a snapshot — which are the shard
+// boundaries of a ShardedIndex — and shard boundaries for the router), and
+// slice materializes any [lo, hi) window of the virtual string. It exists so
+// the boundary stitch scan is written once and shared by every segmented
+// implementation.
 type stitchString struct {
 	totalLen int
 	bounds   []int
@@ -403,89 +380,6 @@ func (ss *stitchString) crossingOccurrences(pattern []byte, max int) []int {
 	return out
 }
 
-// crossingOccurrences returns the matches that cross a shard boundary; see
-// stitchString.crossingOccurrences.
-func (sx *ShardedIndex) crossingOccurrences(pattern []byte, max int) []int {
-	return sx.stitch.crossingOccurrences(pattern, max)
-}
-
-// Contains reports whether pattern occurs in the sharded corpus, exactly as
-// the monolithic Index.Contains would (boundary-crossing matches included).
-func (sx *ShardedIndex) Contains(pattern []byte) bool {
-	if len(pattern) == 0 {
-		return true
-	}
-	found := make([]bool, len(sx.shards))
-	sx.fanOut(func(i int, sh *Index) {
-		if sx.shardValid(i, pattern) {
-			found[i] = sh.Contains(pattern)
-		}
-	})
-	for _, f := range found {
-		if f {
-			return true
-		}
-	}
-	return len(sx.crossingOccurrences(pattern, 1)) > 0
-}
-
-// Count returns the number of occurrences of pattern across the corpus,
-// identical to the monolithic count (crossing matches included).
-func (sx *ShardedIndex) Count(pattern []byte) int {
-	if len(pattern) == 0 {
-		return sx.totalLen
-	}
-	counts := make([]int, len(sx.shards))
-	sx.fanOut(func(i int, sh *Index) {
-		if sx.shardValid(i, pattern) {
-			counts[i] = sh.Count(pattern)
-		}
-	})
-	total := len(sx.crossingOccurrences(pattern, 0))
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}
-
-// Occurrences returns the global start offsets of every occurrence of
-// pattern, sorted ascending — byte-identical to the monolithic index. A
-// corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
-func (sx *ShardedIndex) Occurrences(pattern []byte) ([]int, error) {
-	if err := sx.CheckErr(); err != nil {
-		return nil, err
-	}
-	if len(pattern) == 0 {
-		out := make([]int, sx.totalLen)
-		for i := range out {
-			out[i] = i
-		}
-		return out, nil
-	}
-	perShard := make([][]int, len(sx.shards))
-	errs := make([]error, len(sx.shards))
-	sx.fanOut(func(i int, sh *Index) {
-		if !sx.shardValid(i, pattern) {
-			return
-		}
-		occ, err := sh.Occurrences(pattern)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for j := range occ {
-			occ[j] += sx.offStart[i]
-		}
-		perShard[i] = occ
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return mergeOccurrences(perShard, sx.crossingOccurrences(pattern, 0), 0), nil
-}
-
 // mergeOccurrences merges per-shard occurrence lists (each sorted, and in
 // globally ascending shard order since shards cover disjoint ascending byte
 // ranges) with the sorted crossing list: the k-way merge degenerates to a
@@ -522,161 +416,4 @@ func mergeOccurrences(perShard [][]int, crossing []int, max int) []int {
 		}
 	}
 	return out
-}
-
-// DocOccurrences returns per-document occurrences, identical to the
-// monolithic index: shard cuts are document-aligned, so a boundary-crossing
-// match is a document-crossing match, which is excluded on both sides. A
-// corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
-func (sx *ShardedIndex) DocOccurrences(pattern []byte) ([]DocHit, error) {
-	if err := sx.CheckErr(); err != nil {
-		return nil, err
-	}
-	perShard := make([][]DocHit, len(sx.shards))
-	errs := make([]error, len(sx.shards))
-	sx.fanOut(func(i int, sh *Index) {
-		if !sx.shardValid(i, pattern) {
-			return
-		}
-		hits, err := sh.DocOccurrences(pattern)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for j := range hits {
-			hits[j].Doc += sx.docStart[i]
-		}
-		perShard[i] = hits
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	var n int
-	for _, h := range perShard {
-		n += len(h)
-	}
-	out := make([]DocHit, 0, n)
-	for _, h := range perShard {
-		out = append(out, h...) // shards hold ascending document runs
-	}
-	return out, nil
-}
-
-// Batch answers many queries in one call: every shard serves the whole op
-// list as one sub-batch (reusing Index.Batch's prefix-resumed descents),
-// sub-batches run concurrently across shards, and per-op answers are merged
-// with boundary stitching. Results are identical to the monolithic
-// Index.Batch, occurrence order and truncation included.
-func (sx *ShardedIndex) Batch(ops []Op) []Result {
-	results := make([]Result, len(ops))
-	if len(ops) == 0 {
-		return results
-	}
-	// Analytics plans dispatch through the sharded executor (their merge is
-	// op-specific); the membership sub-batches see a trivial placeholder.
-	sub := ops
-	copied := false
-	for i := range ops {
-		if !ops[i].Kind.IsAnalytic() {
-			continue
-		}
-		if !copied {
-			sub = append([]Op(nil), ops...)
-			copied = true
-		}
-		if a, err := sx.Analytics(context.Background(), ops[i]); err == nil {
-			results[i] = a
-		}
-		sub[i] = Op{Kind: OpContains}
-	}
-	perShard := make([][]Result, len(sx.shards))
-	var crossing [][]int
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		// Stitch scans overlap the shard descents; they touch only the
-		// boundary windows of the immutable shard data.
-		defer wg.Done()
-		crossing = make([][]int, len(ops))
-		for oi, op := range ops {
-			if len(op.Pattern) == 0 || op.Kind.IsAnalytic() {
-				continue
-			}
-			limit := 0
-			if op.Kind == OpContains {
-				limit = 1
-			}
-			crossing[oi] = sx.crossingOccurrences(op.Pattern, limit)
-		}
-	}()
-	sx.fanOut(func(i int, sh *Index) {
-		perShard[i] = sh.Batch(sub)
-	})
-	wg.Wait()
-
-	for oi, op := range ops {
-		if op.Kind.IsAnalytic() {
-			continue // answered above by the sharded executor
-		}
-		r := &results[oi]
-		if len(op.Pattern) == 0 {
-			// The monolithic tree resolves the empty pattern at the root:
-			// found, with every suffix (terminator included) below it.
-			r.Found = true
-			if op.Kind == OpContains {
-				continue
-			}
-			r.Count = sx.totalLen
-			if op.Kind == OpOccurrences {
-				n := sx.totalLen
-				if op.MaxOccurrences > 0 && n > op.MaxOccurrences {
-					n = op.MaxOccurrences
-				}
-				r.Occurrences = make([]int, n)
-				for i := range r.Occurrences {
-					r.Occurrences[i] = i
-				}
-			}
-			continue
-		}
-		cross := crossing[oi]
-		r.Found = len(cross) > 0
-		for i := range sx.shards {
-			if sx.shardValid(i, op.Pattern) && perShard[i][oi].Found {
-				r.Found = true
-			}
-		}
-		if op.Kind == OpContains || !r.Found {
-			continue
-		}
-		r.Count = len(cross)
-		for i := range sx.shards {
-			if sx.shardValid(i, op.Pattern) {
-				r.Count += perShard[i][oi].Count
-			}
-		}
-		if op.Kind == OpOccurrences {
-			// Batch results carry shard-local offsets, and their backing
-			// arrays are shared across ops; translate into fresh lists.
-			lists := make([][]int, 0, len(sx.shards))
-			for i := range sx.shards {
-				if !sx.shardValid(i, op.Pattern) {
-					continue
-				}
-				occ := perShard[i][oi].Occurrences
-				if len(occ) == 0 {
-					continue
-				}
-				g := make([]int, len(occ))
-				for j, o := range occ {
-					g[j] = o + sx.offStart[i]
-				}
-				lists = append(lists, g)
-			}
-			r.Occurrences = mergeOccurrences(lists, cross, op.MaxOccurrences)
-		}
-	}
-	return results
 }

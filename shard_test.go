@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"era/internal/workload"
@@ -68,86 +69,100 @@ func shardTestPatterns(docs [][]byte, seed int64) [][]byte {
 		nil,                              // empty: matches everywhere
 		[]byte("ACGTACGTACGTACGTACGTAA"), // likely absent
 		[]byte("$"),                      // the global terminator suffix
-		append(append([]byte{}, concat[len(concat)-3:]...), '$'), // valid only at the global end
-		append(append([]byte{}, concat[:2]...), '$'),             // '$' never occurs mid-string
+		append(append([]byte{}, concat[len(concat)-3:]...), '$'),    // valid only at the global end
+		append(append([]byte{}, concat[len(concat)-9:]...), '$'),    // a tail wide enough to span the last cut(s)
+		append(append([]byte{'$'}, concat[len(concat)-9:]...), '$'), // the same tail behind a second terminator: a miss
+		append(append([]byte{}, concat[:2]...), '$'),                // '$' never occurs mid-string
 		[]byte("$A"), // nothing follows the terminator
 	)
 	return pats
 }
 
-// TestShardedDifferential is the acceptance test for the tentpole: for
-// K ∈ {1,2,4,8}, every query kind on the ShardedIndex — Contains, Count,
-// Occurrences, DocOccurrences, Batch — answers byte-identically to the
-// monolithic index over the same corpus, boundary-crossing and
-// terminator-containing patterns included.
-func TestShardedDifferential(t *testing.T) {
-	docs := shardTestCorpus(t, 23, 7)
-	mono, err := BuildCorpus(docs, nil)
-	if err != nil {
-		t.Fatal(err)
+// shardEmptyDocsCorpus interleaves empty documents with short ones — at the
+// head, at the tail, singly and in runs — so that for every K up to the
+// document count each cut has an empty document at it or next to it, and
+// some shards hold no content at all.
+func shardEmptyDocsCorpus() [][]byte {
+	var docs [][]byte
+	for i, d := range []string{"ACGTAC", "GT", "ACGTACGT", "T", "CGTACG", "TACGTA", "GTAC"} {
+		docs = append(docs, nil, []byte(d))
+		if i%2 == 1 {
+			docs = append(docs, nil)
+		}
 	}
-	pats := shardTestPatterns(docs, 99)
+	return append(docs, nil)
+}
 
-	for _, k := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k <= len(docs) && sx.NumShards() != k {
-				t.Fatalf("NumShards = %d, want %d", sx.NumShards(), k)
-			}
-			if sx.Len() != mono.Len() || sx.NumDocs() != mono.NumDocs() {
-				t.Fatalf("Len/NumDocs = %d/%d, want %d/%d", sx.Len(), sx.NumDocs(), mono.Len(), mono.NumDocs())
-			}
-			if sx.Alphabet().Name() != mono.Alphabet().Name() {
-				t.Fatalf("alphabet %s, want %s", sx.Alphabet().Name(), mono.Alphabet().Name())
-			}
-			assertShardedMatches(t, mono, sx, pats)
-		})
+// TestShardedDifferential is the acceptance test for the tentpole: every
+// query kind on the ShardedIndex — Contains, Count, Occurrences,
+// DocOccurrences, Batch — answers byte-identically to the monolithic index
+// over the same corpus, boundary-crossing and terminator-containing patterns
+// included, for K ∈ {1,2,4,8} on a mixed-size corpus and for every K on a
+// corpus with empty documents around every cut.
+func TestShardedDifferential(t *testing.T) {
+	empties := shardEmptyDocsCorpus()
+	everyK := make([]int, len(empties))
+	for i := range everyK {
+		everyK[i] = i + 1
+	}
+	for _, tc := range []struct {
+		name string
+		docs [][]byte
+		ks   []int
+	}{
+		{"mixed", shardTestCorpus(t, 23, 7), []int{1, 2, 4, 8}},
+		{"empty-docs", empties, everyK},
+	} {
+		mono, err := BuildCorpus(tc.docs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats := shardTestPatterns(tc.docs, 99)
+		for _, k := range tc.ks {
+			t.Run(fmt.Sprintf("%s/K=%d", tc.name, k), func(t *testing.T) {
+				sx, err := BuildShardedCorpus(tc.docs, &ShardConfig{Shards: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sx.NumShards() != k {
+					t.Fatalf("NumShards = %d, want %d", sx.NumShards(), k)
+				}
+				if sx.Len() != mono.Len() || sx.NumDocs() != mono.NumDocs() {
+					t.Fatalf("Len/NumDocs = %d/%d, want %d/%d", sx.Len(), sx.NumDocs(), mono.Len(), mono.NumDocs())
+				}
+				if sx.Alphabet().Name() != mono.Alphabet().Name() {
+					t.Fatalf("alphabet %s, want %s", sx.Alphabet().Name(), mono.Alphabet().Name())
+				}
+				assertSameAnswers(t, mono, sx, pats)
+			})
+		}
 	}
 }
 
-// assertShardedMatches checks every query kind over pats, plus the batched
-// path with mixed kinds and occurrence caps.
-func assertShardedMatches(t *testing.T, mono *Index, sx *ShardedIndex, pats [][]byte) {
+// assertSameAnswers is the one membership differential every partitioned
+// layer is held to: over pats, got must answer Contains, Count, Occurrences,
+// DocOccurrences and a mixed-kind Batch with assorted occurrence caps
+// exactly (reflect.DeepEqual, so nil-versus-empty included) as want does.
+func assertSameAnswers(t *testing.T, want, got Queryable, pats [][]byte) {
 	t.Helper()
-	for pi, p := range pats {
-		if got, want := sx.Contains(p), mono.Contains(p); got != want {
-			t.Errorf("pattern %d %q: Contains = %v, want %v", pi, p, got, want)
-		}
-		if got, want := sx.Count(p), mono.Count(p); got != want {
-			t.Errorf("pattern %d %q: Count = %d, want %d", pi, p, got, want)
-		}
-		gotOcc, _ := sx.Occurrences(p)
-		wantOcc, _ := mono.Occurrences(p)
-		if len(gotOcc) != len(wantOcc) {
-			t.Errorf("pattern %d %q: %d occurrences, want %d", pi, p, len(gotOcc), len(wantOcc))
-		} else {
-			for i := range wantOcc {
-				if gotOcc[i] != wantOcc[i] {
-					t.Errorf("pattern %d %q: occurrence %d = %d, want %d", pi, p, i, gotOcc[i], wantOcc[i])
-					break
-				}
-			}
-		}
-		gotHits, _ := sx.DocOccurrences(p)
-		wantHits, _ := mono.DocOccurrences(p)
-		if len(gotHits) != len(wantHits) {
-			t.Errorf("pattern %d %q: %d doc hits, want %d", pi, p, len(gotHits), len(wantHits))
-		} else {
-			for i := range wantHits {
-				if gotHits[i] != wantHits[i] {
-					t.Errorf("pattern %d %q: doc hit %d = %+v, want %+v", pi, p, i, gotHits[i], wantHits[i])
-					break
-				}
-			}
-		}
-	}
-
-	// The batched path, with every kind and assorted caps over all patterns.
 	var ops []Op
 	for i, p := range pats {
+		if g, w := got.Contains(p), want.Contains(p); g != w {
+			t.Fatalf("Contains(%q) = %v, want %v", p, g, w)
+		}
+		if g, w := got.Count(p), want.Count(p); g != w {
+			t.Fatalf("Count(%q) = %d, want %d", p, g, w)
+		}
+		gotOcc, _ := got.Occurrences(p)
+		wantOcc, _ := want.Occurrences(p)
+		if !reflect.DeepEqual(gotOcc, wantOcc) {
+			t.Fatalf("Occurrences(%q) = %v, want %v", p, gotOcc, wantOcc)
+		}
+		gotHits, _ := got.DocOccurrences(p)
+		wantHits, _ := want.DocOccurrences(p)
+		if !reflect.DeepEqual(gotHits, wantHits) {
+			t.Fatalf("DocOccurrences(%q) = %v, want %v", p, gotHits, wantHits)
+		}
 		ops = append(ops,
 			Op{Kind: OpContains, Pattern: p},
 			Op{Kind: OpCount, Pattern: p},
@@ -155,20 +170,11 @@ func assertShardedMatches(t *testing.T, mono *Index, sx *ShardedIndex, pats [][]
 			Op{Kind: OpOccurrences, Pattern: p, MaxOccurrences: 1 + i%5},
 		)
 	}
-	gotRes, wantRes := sx.Batch(ops), mono.Batch(ops)
-	for i := range wantRes {
-		g, w := gotRes[i], wantRes[i]
-		if g.Found != w.Found || g.Count != w.Count || len(g.Occurrences) != len(w.Occurrences) {
-			t.Errorf("batch op %d (%s %q max %d): got %+v, want %+v",
-				i, ops[i].Kind, ops[i].Pattern, ops[i].MaxOccurrences, g, w)
-			continue
-		}
-		for j := range w.Occurrences {
-			if g.Occurrences[j] != w.Occurrences[j] {
-				t.Errorf("batch op %d (%q): occurrence %d = %d, want %d",
-					i, ops[i].Pattern, j, g.Occurrences[j], w.Occurrences[j])
-				break
-			}
+	gotRes, wantRes := got.Batch(ops), want.Batch(ops)
+	for i := range ops {
+		if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
+			t.Fatalf("Batch op %d (%s %q max %d): got %+v, want %+v",
+				i, ops[i].Kind, ops[i].Pattern, ops[i].MaxOccurrences, gotRes[i], wantRes[i])
 		}
 	}
 }
@@ -208,7 +214,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatalf("layout after round trip = %d shards / %d docs / %d len, want %d / %d / %d",
 			got.NumShards(), got.NumDocs(), got.Len(), sx.NumShards(), sx.NumDocs(), sx.Len())
 	}
-	assertShardedMatches(t, mono, got, shardTestPatterns(docs, 31))
+	assertSameAnswers(t, mono, got, shardTestPatterns(docs, 31))
 
 	// Stream round trip (no file): WriteTo → ReadQueryable. The plain
 	// buffer takes the two-pass sizing path while WriteFile took the

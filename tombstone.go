@@ -10,18 +10,25 @@ import (
 	"era/internal/alphabet"
 )
 
-// This file implements the tombstone-filtered query view of a LiveIndex
-// (live.go): the per-tier bookkeeping that maps tier-local suffix tree
-// answers onto the virtual global string of live documents, and the
-// immutable, reference-counted snapshot queries read.
+// This file is the in-process partitioned executor: the immutable,
+// reference-counted snapshot that answers contains / count / occurrences /
+// doc-occurrences / batch (here) and the analytics ops (analytics_live.go)
+// over a sequence of tiers, each an ordinary Index, by fan-out → stitch →
+// merge. It is written once and serves both partitioned layers: a LiveIndex
+// (live.go) publishes a fresh snapshot per mutation, with per-tier
+// bookkeeping that maps tier-local suffix tree answers onto the virtual
+// global string of live documents; a ShardedIndex (shard.go) holds one
+// snapshot for life over its shards — the zero-tombstone case, where every
+// tier takes the nDead == 0 fast path and the local→global map is a
+// constant shift. The executor never learns which of the two it serves.
 //
 // The model: a live corpus is a sequence of documents identified by stable,
 // monotonically increasing ids. Documents live in tiers (sealed v4 shards
 // plus one in-memory memtable), each tier an ordinary Index over a
 // contiguous run of ids. Deletes are per-document tombstones. The query
 // surface must answer exactly as a from-scratch BuildCorpus over the
-// surviving documents (in id order) would — the same identity discipline
-// ShardedIndex maintains, with two extra wrinkles:
+// surviving documents (in id order) would. Over clean tiers that is plain
+// document-aligned sharding; tombstones add two wrinkles:
 //
 //   - A tombstoned document leaves its bytes in the tier (rebuilding the
 //     tier per delete would be re-derivation, the very cost this subsystem
@@ -80,8 +87,11 @@ type liveTier struct {
 	nDead int
 	// gStart[d] is the global offset of local document d's first byte,
 	// gDoc[d] its global (live-ordinal) document number; both -1 when dead.
-	gStart []int
-	gDoc   []int
+	// docBase counts the live documents in earlier tiers, i.e. the ordinal
+	// this tier's first live document has.
+	gStart  []int
+	gDoc    []int
+	docBase int
 	// runEnd[d] is the tier-local end offset of the run of consecutive live
 	// documents containing d (-1 when d is dead): a tier-local match starting
 	// in d is globally valid iff it ends at or before runEnd[d], i.e. it
@@ -168,12 +178,13 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 		de := idx.docEnds
 		n := len(de)
 		t := &liveTier{
-			h:      st.h,
-			dead:   append([]bool(nil), st.dead...),
-			nDead:  st.nDead,
-			gStart: make([]int, n),
-			gDoc:   make([]int, n),
-			runEnd: make([]int, n),
+			h:       st.h,
+			dead:    append([]bool(nil), st.dead...),
+			nDead:   st.nDead,
+			gStart:  make([]int, n),
+			gDoc:    make([]int, n),
+			docBase: ord,
+			runEnd:  make([]int, n),
 		}
 		segLo, segOff := -1, 0
 		start := 0
@@ -407,9 +418,8 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 	s.fanOut(func(i int, t *liveTier) {
 		hits, _ := t.h.idx.DocOccurrences(p) // LiveIndex.DocOccurrences surfaced checkErr already
 		if t.nDead == 0 {
-			base := t.gDoc[0]
 			for j := range hits {
-				hits[j].Doc += base
+				hits[j].Doc += t.docBase
 			}
 			perTier[i] = hits
 		} else {
@@ -435,12 +445,13 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 	return out
 }
 
-// batch answers many queries over one snapshot, mirroring
-// ShardedIndex.Batch: tier sub-batches run concurrently, the stitch scans
-// overlap them, and per-op answers merge identically to the monolithic
-// index, occurrence order and truncation included. Tiers with tombstones
-// answer through full occurrence enumeration plus translate, so their
-// counts and lists reflect only live matches.
+// batch answers many queries over one snapshot: every tier serves the whole
+// op list as one sub-batch (reusing Index.Batch's prefix-resumed descents),
+// tier sub-batches run concurrently, the stitch scans overlap them, and
+// per-op answers merge identically to the monolithic index, occurrence
+// order and truncation included. Tiers with tombstones answer through full
+// occurrence enumeration plus translate, so their counts and lists reflect
+// only live matches.
 func (s *liveSnapshot) batch(ops []Op) []Result {
 	results := make([]Result, len(ops))
 	if len(ops) == 0 {
@@ -468,6 +479,20 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 		}
 	}
 
+	// Clean tiers all run one op list: the caller's own, or — when specials
+	// exist — a single copy with placeholders the trees answer trivially (the
+	// merge below never reads a special's per-tier result).
+	clean, copied := ops, false
+	for j := range ops {
+		if class[j] == opNormal {
+			continue
+		}
+		if !copied {
+			clean, copied = append([]Op(nil), ops...), true
+		}
+		clean[j] = Op{Kind: OpContains}
+	}
+
 	perTier := make([][]Result, len(s.tiers))
 	var crossing [][]int
 	var wg sync.WaitGroup
@@ -489,34 +514,29 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 		}
 	}()
 	s.fanOut(func(i int, t *liveTier) {
+		if t.nDead == 0 {
+			perTier[i] = t.h.idx.Batch(clean)
+			return
+		}
+		// Tombstoned tiers need every occurrence to filter.
 		sub := make([]Op, len(ops))
-		for j, op := range ops {
-			switch {
-			case class[j] != opNormal:
-				// Placeholder the tree answers trivially; the merge below
-				// never reads this op's per-tier result.
-				sub[j] = Op{Kind: OpContains}
-			case t.nDead > 0:
-				// Tombstoned tiers need every occurrence to filter.
+		for j, op := range clean {
+			sub[j] = op
+			if class[j] == opNormal {
 				sub[j] = Op{Kind: OpOccurrences, Pattern: op.Pattern}
-			default:
-				sub[j] = op
 			}
 		}
 		res := t.h.idx.Batch(sub)
-		if t.nDead > 0 {
-			for j := range res {
-				if class[j] != opNormal {
-					res[j] = Result{}
-					continue
-				}
-				max := 0
-				if ops[j].Kind == OpContains {
-					max = 1
-				}
-				tr := t.translate(res[j].Occurrences, len(ops[j].Pattern), max)
-				res[j] = Result{Found: len(tr) > 0, Count: len(tr), Occurrences: tr}
+		for j := range res {
+			if class[j] != opNormal {
+				continue
 			}
+			max := 0
+			if ops[j].Kind == OpContains {
+				max = 1
+			}
+			tr := t.translate(res[j].Occurrences, len(ops[j].Pattern), max)
+			res[j] = Result{Found: len(tr) > 0, Count: len(tr), Occurrences: tr}
 		}
 		perTier[i] = res
 	})
