@@ -532,43 +532,19 @@ func hammingAtMost(a, b []byte, k int) bool {
 }
 
 // crossingWindows invokes fn for every length-m content window of the
-// virtual global string that crosses a junction, deduplicated across
-// junctions (same discipline as crossingOccurrences); start is the global
-// window offset and window its materialized bytes. Windows touching the
-// virtual terminator are excluded — analytics windows are content-only.
+// virtual global string that no per-segment tree can see — those crossing a
+// junction, deduplicated across junctions, and those inside an uncovered run
+// (the regions crossingOccurrences scans) — in ascending start order; start
+// is the global window offset and window its bytes, valid only during the
+// call. Windows touching the virtual terminator are excluded — analytics
+// windows are content-only.
 func (ss *stitchString) crossingWindows(m int, fn func(start int, window []byte)) {
-	if m < 2 || len(ss.bounds) == 0 {
-		return
-	}
-	var win []byte
-	next := 0 // first candidate start not yet examined
-	for _, b := range ss.bounds {
-		winLo := b - m + 1
-		if winLo < 0 {
-			winLo = 0
+	ss.eachRegion(m, ss.totalLen-1, func(off int, data []byte, from, limit int) bool {
+		for s := from; s < limit && s+m <= len(data); s++ {
+			fn(off+s, data[s:s+m])
 		}
-		winHi := b + m - 1
-		if winHi > ss.totalLen-1 {
-			winHi = ss.totalLen - 1
-		}
-		if winHi-winLo < m {
-			next = b
-			continue
-		}
-		win = ss.slice(win, winLo, winHi)
-		lo := winLo
-		if next > lo {
-			lo = next
-		}
-		hi := b // crossing windows start before the junction
-		if hi > winHi-m+1 {
-			hi = winHi - m + 1
-		}
-		for s := lo; s < hi; s++ {
-			fn(s, win[s-winLo:s-winLo+m])
-		}
-		next = b
-	}
+		return true
+	})
 }
 
 // The rolling-hash helpers below power the stitched (sharded and live)

@@ -1,6 +1,7 @@
 package era
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -36,8 +37,8 @@ func (s *liveSnapshot) checkErr() error {
 // discipline: a tier with dead documents contributes only matches that
 // start in a live document and stay inside its live run (translate), and
 // the stitched scans see only live content — the virtual global string is
-// assembled from live segments, so a `$`-window or junction scan touches no
-// tombstoned byte and no tier tree at all.
+// assembled from live segments, so a `$`-window, junction or uncovered-run
+// scan touches no tombstoned byte and no tier tree at all.
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, s.numDocs); err != nil {
 		return Answer{}, err
@@ -130,7 +131,7 @@ func (s *liveSnapshot) topK(ctx context.Context, q Query) Answer {
 					return true
 				}
 				lbl = lbl[:L]
-				if bytesIndexTerminator(lbl) {
+				if bytes.IndexByte(lbl, alphabet.Terminator) >= 0 {
 					return true
 				}
 				leaves := idx.tree.Leaves(node)
@@ -197,27 +198,4 @@ func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
 		}
 	})
 	return mismatchAnswer(mergeOccurrences(perTier, crossing, 0), q.MaxOccurrences)
-}
-
-// docBytes returns the raw content of the live document with ordinal ord
-// (which must be in range): the last tier whose docBase is at most ord holds
-// it, at or after local index ord−docBase — exactly there when the tier is
-// clean, later by one per tombstone before it otherwise.
-func (s *liveSnapshot) docBytes(ord int) []byte {
-	t := s.tiers[sort.Search(len(s.tiers), func(i int) bool { return s.tiers[i].docBase > ord })-1]
-	d := ord - t.docBase
-	for t.gDoc[d] != ord {
-		d++
-	}
-	return t.h.idx.data[t.localStart(d):t.h.idx.docEnds[d]]
-}
-
-// bytesIndexTerminator reports whether b contains the corpus terminator.
-func bytesIndexTerminator(b []byte) bool {
-	for _, c := range b {
-		if c == alphabet.Terminator {
-			return true
-		}
-	}
-	return false
 }

@@ -8,11 +8,13 @@ package era_test
 // runs).
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
 	"era"
 	"era/internal/bench"
+	"era/internal/workload"
 )
 
 // runExperiment executes one experiment per b.N iteration and publishes the
@@ -144,4 +146,54 @@ func mustDNA(n int) []byte {
 		out[i] = "ACGT"[state&3]
 	}
 	return out
+}
+
+// BenchmarkLiveMemtableScan measures what a query pays for the unindexed
+// memtable: count and occurrences over a live index holding nothing but
+// unsealed documents — 256 single-document appends, the most junctions the
+// default MemtableMaxDocs allows — at three memtable sizes and two alphabets.
+// Patterns are 4- to 16-symbol substrings of the data; the short DNA ones
+// match hundreds of times per 32 KiB, which is the scan's worst case.
+// LiveConfig.MemtableMaxBytes defaults to the largest size here whose count
+// stays under one served point query (~50 µs).
+func BenchmarkLiveMemtableScan(b *testing.B) {
+	for _, kind := range []workload.Kind{workload.DNA, workload.Protein} {
+		for _, size := range []int{32 << 10, 256 << 10, 4 << 20} {
+			data := workload.MustGenerate(kind, size, 16)[:size] // minus the terminator
+			docs, err := workload.SliceDocs(data, 256)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lx, err := era.NewLive("scan", &era.LiveConfig{MemtableMaxDocs: 1 << 30, MemtableMaxBytes: 1 << 40})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, d := range docs {
+				if _, err := lx.Append([][]byte{d}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pats := make([][]byte, 64)
+			for i := range pats {
+				off, m := (i*7919)%(len(data)-16), 4+i%13
+				pats[i] = data[off : off+m]
+			}
+			name := fmt.Sprintf("%s/%dKiB", kind, size>>10)
+			b.Run(name+"/count", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if lx.Count(pats[i%len(pats)]) == 0 {
+						b.Fatal("pattern lost")
+					}
+				}
+			})
+			b.Run(name+"/occurrences", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if occ, err := lx.Occurrences(pats[i%len(pats)]); err != nil || len(occ) == 0 {
+						b.Fatal("pattern lost")
+					}
+				}
+			})
+			lx.Close()
+		}
+	}
 }

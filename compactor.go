@@ -31,7 +31,8 @@ const (
 
 // memFullLocked reports whether the memtable has reached a seal threshold.
 func (lx *LiveIndex) memFullLocked() bool {
-	return len(lx.mem.docs) >= lx.cfg.MemtableMaxDocs || lx.mem.size >= lx.cfg.MemtableMaxBytes
+	docs, size := lx.memSizeLocked()
+	return docs >= lx.cfg.MemtableMaxDocs || size >= lx.cfg.MemtableMaxBytes
 }
 
 // Seal forces the memtable into a sealed tier (a v4 file in directory mode)
@@ -59,43 +60,23 @@ func (lx *LiveIndex) Compact() error {
 	return lx.compactLocked()
 }
 
-// sealLocked converts the memtable into a sealed tier and publishes the new
-// stack; at MaxTiers sealed tiers it compacts. Caller holds mu.
+// sealLocked converts the memtable into a sealed tier — the one build its
+// documents get, tombstoned ones included (they are filtered at query time
+// like any tier's) — and publishes the new stack; at MaxTiers sealed tiers it
+// compacts. A failed build or tier write leaves the memtable serving as it
+// was. Caller holds mu.
 func (lx *LiveIndex) sealLocked() error {
-	if lx.mem.h == nil {
+	if len(lx.mem) == 0 {
 		return nil
 	}
 	start := time.Now()
-	st := &tierState{ids: lx.mem.ids, dead: lx.mem.dead, nDead: lx.mem.nDead}
-	if lx.dir == "" {
-		st.h = lx.mem.h // the heap tier moves wholesale; ownership transfers
-	} else {
-		file := fmt.Sprintf(liveTierPattern, lx.tierSeq)
-		lx.tierSeq++
-		idx, err := lx.writeTierFile(file, lx.mem.h.idx)
-		if err != nil {
-			lx.tierSeq-- // the file never landed; reuse the sequence number
-			return err
-		}
-		st.h = newTierHandle(idx, file)
-		lx.mem.h.release()
+	st, err := lx.buildTier(lx.mem, false)
+	if err != nil {
+		return err
 	}
 	lx.sealed = append(lx.sealed, st)
-	lx.mem = memtable{}
-	var errs []error
-	if lx.dir != "" {
-		if err := lx.writeManifestLocked(); err != nil {
-			errs = append(errs, err)
-		} else if lx.wal != nil {
-			// The manifest now covers everything the log recorded; discard
-			// it. A lost rotate is harmless — replay skips covered records
-			// by id — but a rotate before a durable manifest would not be.
-			if err := lx.wal.rotate(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	lx.publishLocked()
+	lx.mem = nil
+	errs := lx.commitTiersLocked()
 	lx.seals++
 	lx.mutPause += time.Since(start)
 	if len(lx.sealed) >= lx.cfg.MaxTiers {
@@ -114,56 +95,18 @@ func (lx *LiveIndex) compactLocked() error {
 		return nil
 	}
 	start := time.Now()
-	var docs [][]byte
-	var ids []uint64
-	for _, st := range lx.sealed {
-		de := st.h.idx.docEnds
-		s0 := 0
-		for d := 0; d < len(de); d++ {
-			end := int(de[d])
-			if !st.dead[d] {
-				docs = append(docs, st.h.idx.data[s0:end])
-				ids = append(ids, st.ids[d])
-			}
-			s0 = end
-		}
+	// The build copies the document bytes up front; the old tiers stay alive
+	// until the swap below.
+	st, err := lx.buildTier(lx.sealed, true)
+	if err != nil {
+		return err
 	}
 	old := lx.sealed
-	var next []*tierState
-	if len(docs) > 0 {
-		bcfg := lx.buildConfig()
-		bcfg.Alphabet = lx.alpha
-		merged, err := build(docs, &bcfg) // copies doc bytes up front; old tiers stay alive below
-		if err != nil {
-			return err
-		}
-		var h *tierHandle
-		if lx.dir == "" {
-			h = newTierHandle(merged, "")
-		} else {
-			file := fmt.Sprintf(liveTierPattern, lx.tierSeq)
-			lx.tierSeq++
-			opened, err := lx.writeTierFile(file, merged)
-			if err != nil {
-				lx.tierSeq--
-				return err
-			}
-			h = newTierHandle(opened, file)
-		}
-		next = []*tierState{{h: h, ids: ids, dead: make([]bool, len(ids))}}
+	lx.sealed = nil
+	if st != nil {
+		lx.sealed = []*tierState{st}
 	}
-	lx.sealed = next
-	var errs []error
-	if lx.dir != "" {
-		if err := lx.writeManifestLocked(); err != nil {
-			errs = append(errs, err)
-		} else if lx.wal != nil {
-			if err := lx.wal.rotate(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	lx.publishLocked()
+	errs := lx.commitTiersLocked()
 	for _, st := range old {
 		if st.h.file != "" {
 			lx.fs.Remove(filepath.Join(lx.dir, st.h.file))
@@ -173,6 +116,74 @@ func (lx *LiveIndex) compactLocked() error {
 	lx.compactions++
 	lx.mutPause += time.Since(start)
 	return errors.Join(errs...)
+}
+
+// buildTier folds the documents of the given tiers — all of them, or only
+// the survivors — into one sealed tier (nil when none qualifies) through the
+// single ERA build a seal or compaction pays: straight to the flat v4
+// sections, never through a heap tree. The tier is the heap-resident flat
+// index itself, or in directory mode the next tier file, written from the
+// already-encoded sections and mapped back in.
+func (lx *LiveIndex) buildTier(from []*tierState, liveOnly bool) (*tierState, error) {
+	var (
+		docs  [][]byte
+		ids   []uint64
+		dead  []bool
+		nDead int
+	)
+	for _, t := range from {
+		start := int32(0)
+		for d, end := range t.docEnds {
+			if !liveOnly || !t.dead[d] {
+				docs = append(docs, t.data[start:end])
+				ids = append(ids, t.ids[d])
+				dead = append(dead, t.dead[d])
+			}
+			start = end
+		}
+		if !liveOnly {
+			nDead += t.nDead
+		}
+	}
+	if len(docs) == 0 {
+		return nil, nil
+	}
+	bcfg := lx.buildConfig()
+	bcfg.Alphabet = lx.alpha
+	bcfg.Target = TargetFlat
+	idx, err := build(docs, &bcfg)
+	if err != nil {
+		return nil, err
+	}
+	file := ""
+	if lx.dir != "" {
+		file = fmt.Sprintf(liveTierPattern, lx.tierSeq)
+		if idx, err = lx.writeTierFile(file, idx); err != nil {
+			return nil, err // the file never landed; the sequence number is reused
+		}
+		lx.tierSeq++
+	}
+	return sealedTier(idx, file, ids, dead, nDead), nil
+}
+
+// commitTiersLocked makes a changed sealed-tier stack durable and visible:
+// the manifest swap, the WAL rotation it licenses, and the new snapshot.
+// Caller holds mu, with the memtable already empty.
+func (lx *LiveIndex) commitTiersLocked() (errs []error) {
+	if lx.dir != "" {
+		if err := lx.writeManifestLocked(); err != nil {
+			errs = append(errs, err)
+		} else if lx.wal != nil {
+			// The manifest now covers everything the log recorded; discard
+			// it. A lost rotate is harmless — replay skips covered records
+			// by id — but a rotate before a durable manifest would not be.
+			if err := lx.wal.rotate(); err != nil {
+				errs = append(errs, err)
+			}
+		}
+	}
+	lx.publishLocked()
+	return errs
 }
 
 // compactLoop is the background maintenance goroutine (LiveConfig
@@ -246,8 +257,8 @@ func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
 // ids, and WAL replay — which skips records below nextID as already sealed —
 // would silently drop the acknowledged batch.
 func (lx *LiveIndex) writeManifestLocked() error {
-	if len(lx.mem.docs) > 0 {
-		return fmt.Errorf("era: internal: manifest write with %d unsealed documents would orphan their WAL records", len(lx.mem.docs))
+	if n, _ := lx.memSizeLocked(); n > 0 {
+		return fmt.Errorf("era: internal: manifest write with %d unsealed documents would orphan their WAL records", n)
 	}
 	m := &liveManifest{name: lx.name, nextID: lx.nextID, tierSeq: lx.tierSeq}
 	for _, st := range lx.sealed {
@@ -329,8 +340,7 @@ func (lx *LiveIndex) loadManifest(path string) error {
 		for _, di := range mt.dead {
 			dead[di] = true
 		}
-		st := &tierState{h: newTierHandle(idx, mt.file), ids: mt.ids, dead: dead, nDead: len(mt.dead)}
-		lx.sealed = append(lx.sealed, st)
+		lx.sealed = append(lx.sealed, sealedTier(idx, mt.file, mt.ids, dead, len(mt.dead)))
 		if !lx.fixedAlpha {
 			for _, b := range idx.Alphabet().Symbols() {
 				lx.seen[b] = true

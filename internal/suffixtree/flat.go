@@ -633,6 +633,18 @@ func Flatten(v View, data []byte) (*Flat, error) {
 	stack = append(stack, frame{root, false})
 	depth[root] = v.EdgeLen(root) // 0 for a real root; mirrors WalkDFS
 	visited := 0
+	// ForEachChild takes its callback through the View interface, so a
+	// closure literal inside the loop would escape and allocate once per
+	// internal node; both passes hoist one closure over loop state instead.
+	var parent int32
+	pushChild := func(c int32) bool {
+		if c < 0 || int(c) >= n {
+			return true
+		}
+		depth[c] = depth[parent] + v.EdgeLen(c)
+		stack = append(stack, frame{c, false})
+		return true
+	}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -655,14 +667,8 @@ func Flatten(v View, data []byte) (*Flat, error) {
 		}
 		stack = append(stack, frame{f.id, true})
 		mark := len(stack)
-		v.ForEachChild(f.id, func(c int32) bool {
-			if c < 0 || int(c) >= n {
-				return true
-			}
-			depth[c] = depth[f.id] + v.EdgeLen(c)
-			stack = append(stack, frame{c, false})
-			return true
-		})
+		parent = f.id
+		v.ForEachChild(parent, pushChild)
 		for i, j := mark, len(stack)-1; i < j; i, j = i+1, j-1 {
 			stack[i], stack[j] = stack[j], stack[i]
 		}
@@ -680,19 +686,21 @@ func Flatten(v View, data []byte) (*Flat, error) {
 	newID[root] = 0
 	childStart := make([]int32, 0, visited) // by new id
 	childCount := make([]int32, 0, visited)
+	var cc int32
+	number := func(c int32) bool {
+		if c < 0 || int(c) >= n || newID[c] >= 0 {
+			return true
+		}
+		newID[c] = int32(len(order))
+		order = append(order, c)
+		cc++
+		return true
+	}
 	for qi := 0; qi < len(order); qi++ {
 		old := order[qi]
 		cs := int32(len(order))
-		cc := int32(0)
-		v.ForEachChild(old, func(c int32) bool {
-			if c < 0 || int(c) >= n || newID[c] >= 0 {
-				return true
-			}
-			newID[c] = int32(len(order))
-			order = append(order, c)
-			cc++
-			return true
-		})
+		cc = 0
+		v.ForEachChild(old, number)
 		if cc == 0 {
 			cs = 0
 		}

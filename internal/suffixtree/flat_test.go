@@ -289,3 +289,33 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestFlattenAllocsDoNotScaleWithNodes pins Flatten's allocation count to its
+// handful of whole-tree arrays (plus their logarithmic regrowth): the child
+// callbacks escape through the View interface, so a closure literal per node
+// would make the count linear in the tree — 16× the nodes must cost nowhere
+// near 16× the objects.
+func TestFlattenAllocsDoNotScaleWithNodes(t *testing.T) {
+	allocs := func(n int) (nodes int, perRun float64) {
+		rng := rand.New(rand.NewSource(5))
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = "ACGT"[rng.Intn(4)]
+		}
+		tree, _, term := buildBoth(t, data)
+		return tree.NumNodes(), testing.AllocsPerRun(5, func() {
+			if _, err := Flatten(tree, term); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	smallNodes, small := allocs(256)
+	bigNodes, big := allocs(4096)
+	if bigNodes < 8*smallNodes {
+		t.Fatalf("trees of %d and %d nodes do not separate the two growth laws", smallNodes, bigNodes)
+	}
+	if big > 2*small {
+		t.Fatalf("Flatten allocated %.0f objects on %d nodes but %.0f on %d: allocation scales with node count",
+			small, smallNodes, big, bigNodes)
+	}
+}

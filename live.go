@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,15 +16,15 @@ import (
 )
 
 // LiveIndex is a mutable, query-compatible index over a live corpus: an
-// LSM-style tier stack. Appends land in an in-memory memtable (an ordinary
-// heap-resident Index, rebuilt through the parallel build path on every
-// append batch — memtables are small, so the rebuild is microseconds to
-// milliseconds), which seals into an immutable v4 tier file once full;
-// deletes are per-document tombstones filtered at query time; background
-// compaction folds the sealed tiers back into one. Every query surface of
-// Queryable answers byte-identically to a from-scratch BuildCorpus over the
-// surviving documents in append order — LiveIndex trades none of the
-// package's answer discipline for mutability.
+// LSM-style tier stack. Appends land in an in-memory memtable that is never
+// indexed — an append costs a copy of its bytes, and queries scan the few
+// unsealed kilobytes in place — which seals into an immutable v4 tier once
+// full, through the one ERA build those documents ever get; deletes are
+// per-document tombstones filtered at query time; background compaction
+// folds the sealed tiers back into one. Every query surface of Queryable
+// answers byte-identically to a from-scratch BuildCorpus over the surviving
+// documents in append order — LiveIndex trades none of the package's answer
+// discipline for mutability.
 //
 // Concurrency: mutations serialize on an internal mutex; queries are
 // lock-free against an atomically published, reference-counted snapshot and
@@ -52,7 +53,7 @@ type LiveIndex struct {
 	fixedAlpha  bool
 	seen        [256]bool
 	sealed      []*tierState
-	mem         memtable
+	mem         []*tierState // the memtable: unsealed extents, oldest first
 	nextID      uint64
 	tierSeq     uint64
 	quarantined []string // tier files moved aside at load for failing validation
@@ -73,15 +74,48 @@ var _ Queryable = (*LiveIndex)(nil)
 
 var errLiveClosed = errors.New("era: live index is closed")
 
-// memtable is the mutable head tier: the raw documents plus the heap Index
-// rebuilt over them after each append batch.
-type memtable struct {
-	docs  [][]byte
-	ids   []uint64
-	dead  []bool
-	nDead int
-	size  int64
-	h     *tierHandle // nil while the memtable is empty
+// memExtentBytes is the capacity the memtable grows by. Unsealed documents
+// are copied into fixed extents, not one reallocating buffer: an append never
+// moves what earlier ones wrote (snapshots keep viewing it), allocates at most
+// one extent beyond its own bytes, and leaves a run of live documents
+// contiguous — one in-place scan, no junction — for as long as an extent
+// lasts. By default (MemtableMaxBytes) a memtable is one extent.
+const memExtentBytes = 32 << 10
+
+// memAppendLocked copies one acknowledged batch into the memtable, ids
+// ascending from firstID: into the last extent when it has room for the whole
+// batch (a document never straddles extents), else into a fresh one. Each
+// extent is an unsealed tierState, append-only but for its tombstone flags.
+// Returns the extent's view of the new ids. Caller holds mu.
+func (lx *LiveIndex) memAppendLocked(firstID uint64, docs [][]byte) []uint64 {
+	total := 0
+	for _, d := range docs {
+		total += len(d)
+	}
+	var ext *tierState
+	if n := len(lx.mem); n > 0 && cap(lx.mem[n-1].data)-len(lx.mem[n-1].data) >= total {
+		ext = lx.mem[n-1]
+	} else {
+		ext = &tierState{data: make([]byte, 0, max(total, memExtentBytes))}
+		lx.mem = append(lx.mem, ext)
+	}
+	for i, d := range docs {
+		ext.data = append(ext.data, d...)
+		ext.docEnds = append(ext.docEnds, int32(len(ext.data)))
+		ext.ids = append(ext.ids, firstID+uint64(i))
+		ext.dead = append(ext.dead, false)
+	}
+	return ext.ids[len(ext.ids)-len(docs):]
+}
+
+// memSizeLocked returns the memtable's document and byte counts, tombstoned
+// documents included. Caller holds mu.
+func (lx *LiveIndex) memSizeLocked() (docs int, size int64) {
+	for _, b := range lx.mem {
+		docs += len(b.ids)
+		size += int64(len(b.data))
+	}
+	return docs, size
 }
 
 // LiveConfig configures a LiveIndex. The zero value is usable: heap-only,
@@ -97,7 +131,16 @@ type LiveConfig struct {
 	Build *Config
 	// MemtableMaxDocs and MemtableMaxBytes are the seal thresholds; an
 	// append that leaves the memtable at or past either triggers a seal
-	// (inline, or via the background compactor). Defaults: 256 docs, 4 MiB.
+	// (inline, or via the background compactor). Defaults: 256 docs, 32 KiB.
+	//
+	// The memtable has no index: every query scans its bytes. The thresholds
+	// therefore trade read latency against write work. BenchmarkLiveMemtableScan
+	// puts a worst-case count over a full memtable at ~20 µs (DNA) to ~40 µs
+	// (protein) per 32 KiB, growing linearly — 256 KiB costs 0.15–0.3 ms,
+	// 4 MiB 2–4 ms — and the 32 KiB default keeps it under one served point
+	// query (~50 µs). Raising MemtableMaxBytes seals, and later compacts,
+	// proportionally less often (each seal is one ERA build whose fixed cost
+	// dwarfs a small memtable's) and charges every read the longer scan.
 	MemtableMaxDocs  int
 	MemtableMaxBytes int64
 	// MaxTiers is the sealed-tier count that triggers compaction back into
@@ -121,7 +164,7 @@ func (c *LiveConfig) withLiveDefaults() LiveConfig {
 		out.MemtableMaxDocs = 256
 	}
 	if out.MemtableMaxBytes <= 0 {
-		out.MemtableMaxBytes = 4 << 20
+		out.MemtableMaxBytes = memExtentBytes
 	}
 	if out.MaxTiers <= 0 {
 		out.MaxTiers = 8
@@ -155,9 +198,6 @@ func NewLive(name string, cfg *LiveConfig) (*LiveIndex, error) {
 		fail := func(err error) (*LiveIndex, error) {
 			for _, st := range lx.sealed {
 				st.h.release()
-			}
-			if lx.mem.h != nil {
-				lx.mem.h.release()
 			}
 			return nil, err
 		}
@@ -225,7 +265,6 @@ func (lx *LiveIndex) recoverWAL() error {
 		}
 		return err
 	}
-	var appended bool
 	valid := walScan(buf, func(r walRecord) bool {
 		switch r.kind {
 		case walRecAppend:
@@ -235,20 +274,11 @@ func (lx *LiveIndex) recoverWAL() error {
 			if r.firstID > lx.nextID {
 				return false // id gap: treat like a corrupt tail
 			}
-			for _, d := range r.docs {
-				cp := append([]byte(nil), d...)
-				lx.mem.docs = append(lx.mem.docs, cp)
-				lx.mem.ids = append(lx.mem.ids, lx.nextID)
-				lx.mem.dead = append(lx.mem.dead, false)
-				lx.mem.size += int64(len(cp))
-				lx.nextID++
-				if !lx.fixedAlpha {
-					for _, b := range cp {
-						lx.seen[b] = true
-					}
-				}
+			lx.memAppendLocked(lx.nextID, r.docs)
+			lx.nextID += uint64(len(r.docs))
+			if !lx.fixedAlpha {
+				markSeen(&lx.seen, r.docs)
 			}
-			appended = true
 		case walRecDelete:
 			lx.deleteLocked(r.id)
 		}
@@ -261,20 +291,25 @@ func (lx *LiveIndex) recoverWAL() error {
 			return err
 		}
 	}
-	if appended {
-		if !lx.fixedAlpha {
-			if a, err := alphabetFromSeen(&lx.seen); err == nil {
-				lx.alpha = a
-			}
-		}
-		if err := lx.rebuildMemLocked(); err != nil {
-			return err
+	if len(lx.mem) > 0 && !lx.fixedAlpha {
+		if a, err := alphabetFromSeen(&lx.seen); err == nil {
+			lx.alpha = a
 		}
 	}
 	return nil
 }
 
-// buildConfig returns the Config value memtable and compaction builds use.
+// markSeen records the documents' bytes in the alphabet-inference presence
+// set.
+func markSeen(seen *[256]bool, docs [][]byte) {
+	for _, d := range docs {
+		for _, b := range d {
+			seen[b] = true
+		}
+	}
+}
+
+// buildConfig returns the Config value seal and compaction builds use.
 func (lx *LiveIndex) buildConfig() Config {
 	if lx.cfg.Build != nil {
 		return *lx.cfg.Build
@@ -286,12 +321,7 @@ func (lx *LiveIndex) buildConfig() Config {
 // swaps it in, releasing ownership of the previous one. Racing queries keep
 // their acquired snapshot until they return. Caller holds mu.
 func (lx *LiveIndex) publishLocked() {
-	states := lx.sealed
-	if lx.mem.h != nil {
-		states = append(append([]*tierState(nil), lx.sealed...),
-			&tierState{h: lx.mem.h, dead: lx.mem.dead, nDead: lx.mem.nDead})
-	}
-	s := newLiveSnapshot(states, lx.alpha)
+	s := newLiveSnapshot(slices.Concat(lx.sealed, lx.mem), lx.alpha)
 	if old := lx.snap.Swap(s); old != nil {
 		old.release()
 	}
@@ -339,68 +369,25 @@ func (lx *LiveIndex) Append(docs [][]byte) ([]uint64, error) {
 		}
 	}
 
-	nd, ni := len(lx.mem.docs), lx.nextID
-	ids := make([]uint64, len(docs))
-	for i, d := range docs {
-		ids[i] = lx.nextID
-		lx.nextID++
-		cp := append([]byte(nil), d...)
-		lx.mem.docs = append(lx.mem.docs, cp)
-		lx.mem.ids = append(lx.mem.ids, ids[i])
-		lx.mem.dead = append(lx.mem.dead, false)
-		lx.mem.size += int64(len(d))
-		if !lx.fixedAlpha {
-			for _, b := range d {
-				lx.seen[b] = true
+	// Nothing is applied until the batch is durable, so a failed log write
+	// has nothing to roll back — not even the inferred alphabet.
+	seen, alpha := lx.seen, lx.alpha
+	if !lx.fixedAlpha {
+		markSeen(&seen, docs)
+		if seen != lx.seen { // a byte the corpus had not held: re-infer
+			if a, err := alphabetFromSeen(&seen); err == nil {
+				alpha = a
 			}
 		}
-	}
-	oldAlpha := lx.alpha
-	if !lx.fixedAlpha {
-		a, err := alphabetFromSeen(&lx.seen)
-		if err == nil {
-			lx.alpha = a
-		}
-	}
-	rollback := func() {
-		lx.mem.docs = lx.mem.docs[:nd]
-		lx.mem.ids = lx.mem.ids[:nd]
-		lx.mem.dead = lx.mem.dead[:nd]
-		lx.mem.size = 0
-		for _, d := range lx.mem.docs {
-			lx.mem.size += int64(len(d))
-		}
-		lx.nextID = ni
-		lx.alpha = oldAlpha
-	}
-	if err := lx.rebuildMemLocked(); err != nil {
-		// Roll the batch back so the corpus state matches the answer.
-		rollback()
-		return nil, err
 	}
 	if lx.wal != nil {
-		if werr := lx.wal.append(walEncodeAppend(ni, docs)); werr != nil {
-			// The batch was never durable, so it must not be served: roll the
-			// memory back too. The memtable handle currently views the batch;
-			// rebuild it over the surviving documents, and if even that
-			// fails, drop the handle — publish then skips the memtable and
-			// seal declines, leaving the earlier pending documents invisible
-			// but still recoverable from their own durable WAL records.
-			rollback()
-			if lx.mem.h != nil {
-				lx.mem.h.release()
-				lx.mem.h = nil
-			}
-			if nd > 0 {
-				if rerr := lx.rebuildMemLocked(); rerr != nil {
-					lx.publishLocked()
-					lx.epoch.Add(1)
-					return nil, errors.Join(werr, rerr)
-				}
-			}
-			return nil, fmt.Errorf("era: append rolled back; WAL write failed: %w", werr)
+		if err := lx.wal.append(walEncodeAppend(lx.nextID, docs)); err != nil {
+			return nil, fmt.Errorf("era: append rejected; WAL write failed: %w", err)
 		}
 	}
+	ids := slices.Clone(lx.memAppendLocked(lx.nextID, docs))
+	lx.nextID += uint64(len(docs))
+	lx.seen, lx.alpha = seen, alpha
 	lx.publishLocked()
 	lx.epoch.Add(1)
 
@@ -417,23 +404,6 @@ func (lx *LiveIndex) Append(docs [][]byte) ([]uint64, error) {
 	return ids, nil
 }
 
-// rebuildMemLocked rebuilds the memtable Index over the current pending
-// documents (tombstoned ones included — they are filtered at query time
-// like any tier) and swaps the handle. Caller holds mu.
-func (lx *LiveIndex) rebuildMemLocked() error {
-	bcfg := lx.buildConfig()
-	bcfg.Alphabet = lx.alpha
-	idx, err := build(lx.mem.docs, &bcfg)
-	if err != nil {
-		return err
-	}
-	if lx.mem.h != nil {
-		lx.mem.h.release()
-	}
-	lx.mem.h = newTierHandle(idx, "")
-	return nil
-}
-
 // Delete tombstones the document with the given id. It reports whether the
 // id named a live document; deleting an unknown or already-deleted id is a
 // no-op returning false. In directory mode the tombstone is fsynced to the
@@ -445,7 +415,7 @@ func (lx *LiveIndex) Delete(id uint64) (bool, error) {
 	if lx.closedFl.Load() {
 		return false, errLiveClosed
 	}
-	if _, ok := lx.deleteLocked(id); !ok {
+	if !lx.deleteLocked(id) {
 		return false, nil
 	}
 	if lx.wal != nil {
@@ -460,43 +430,36 @@ func (lx *LiveIndex) Delete(id uint64) (bool, error) {
 	return true, nil
 }
 
-func (lx *LiveIndex) deleteLocked(id uint64) (inSealed, ok bool) {
-	if i := searchIDs(lx.mem.ids, id); i >= 0 {
-		if lx.mem.dead[i] {
-			return false, false
-		}
-		lx.mem.dead[i] = true
-		lx.mem.nDead++
-		return false, true
-	}
-	for _, st := range lx.sealed {
-		if i := searchIDs(st.ids, id); i >= 0 {
-			if st.dead[i] {
-				return false, false
+// findLocked locates the tier — a memtable extent or a sealed tier — holding
+// the document with the given id, and its local index there. Caller holds mu.
+func (lx *LiveIndex) findLocked(id uint64) (*tierState, int) {
+	for _, tiers := range [2][]*tierState{lx.mem, lx.sealed} {
+		for _, st := range tiers {
+			if i := searchIDs(st.ids, id); i >= 0 {
+				return st, i
 			}
-			st.dead[i] = true
-			st.nDead++
-			return true, true
 		}
 	}
-	return false, false
+	return nil, -1
+}
+
+// deleteLocked tombstones id, reporting whether it named a live document.
+func (lx *LiveIndex) deleteLocked(id uint64) bool {
+	st, i := lx.findLocked(id)
+	if st == nil || st.dead[i] {
+		return false
+	}
+	st.dead[i] = true
+	st.nDead++
+	return true
 }
 
 // undeleteLocked reverses a just-applied deleteLocked whose WAL record
 // failed to land. Caller holds mu.
 func (lx *LiveIndex) undeleteLocked(id uint64) {
-	if i := searchIDs(lx.mem.ids, id); i >= 0 {
-		lx.mem.dead[i] = false
-		lx.mem.nDead--
-		return
-	}
-	for _, st := range lx.sealed {
-		if i := searchIDs(st.ids, id); i >= 0 {
-			st.dead[i] = false
-			st.nDead--
-			return
-		}
-	}
+	st, i := lx.findLocked(id)
+	st.dead[i] = false
+	st.nDead--
 }
 
 // searchIDs finds id in the ascending slice, or -1.
@@ -665,7 +628,7 @@ func (lx *LiveIndex) Close() error {
 	if lx.bgErr != nil {
 		errs = append(errs, lx.bgErr)
 	}
-	if lx.dir != "" && len(lx.mem.docs) > 0 {
+	if lx.dir != "" && len(lx.mem) > 0 {
 		if err := lx.sealLocked(); err != nil {
 			errs = append(errs, err)
 		}
@@ -683,10 +646,7 @@ func (lx *LiveIndex) Close() error {
 	for _, st := range lx.sealed {
 		st.h.release()
 	}
-	if lx.mem.h != nil {
-		lx.mem.h.release()
-	}
-	lx.sealed, lx.mem = nil, memtable{}
+	lx.sealed, lx.mem = nil, nil
 	return errors.Join(errs...)
 }
 
@@ -709,9 +669,10 @@ type LiveStats struct {
 func (lx *LiveIndex) Stats() LiveStats {
 	lx.mu.Lock()
 	defer lx.mu.Unlock()
+	memDocs, _ := lx.memSizeLocked()
 	st := LiveStats{
 		Tiers:         len(lx.sealed),
-		MemtableDocs:  len(lx.mem.docs),
+		MemtableDocs:  memDocs,
 		Seals:         lx.seals,
 		Compactions:   lx.compactions,
 		MutationPause: lx.mutPause,
@@ -719,11 +680,9 @@ func (lx *LiveIndex) Stats() LiveStats {
 		Epoch:         lx.epoch.Load(),
 		Quarantined:   append([]string(nil), lx.quarantined...),
 	}
-	dead := lx.mem.nDead
-	for _, t := range lx.sealed {
-		dead += t.nDead
+	for _, t := range slices.Concat(lx.mem, lx.sealed) {
+		st.DeadDocs += t.nDead
 	}
-	st.DeadDocs = dead
 	if s := lx.snap.Load(); s != nil {
 		st.LiveDocs = s.numDocs
 	}

@@ -1,6 +1,7 @@
 package era
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -271,9 +272,10 @@ func TestFaultWALFailureRollsBack(t *testing.T) {
 	}
 	o.append(ids, [][]byte{[]byte("GATTACA")})
 
-	// The WAL append is one write+sync pair; fail its sync.
+	// The WAL append is one write+sync pair; fail its sync. The rejected
+	// batch carries protein letters the DNA survivors never will.
 	ffs.FailOp(vfs.OpSync, ffs.KindOps(vfs.OpSync)+1)
-	if ids, err := lx.Append([][]byte{[]byte("CCCC")}); err == nil || ids != nil {
+	if ids, err := lx.Append([][]byte{[]byte("CCCCMKVLW")}); err == nil || ids != nil {
 		t.Fatalf("append with failing WAL sync: ids=%v err=%v, want rejection", ids, err)
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -286,6 +288,16 @@ func TestFaultWALFailureRollsBack(t *testing.T) {
 		t.Fatalf("append after expunged WAL failure: %v", err)
 	}
 	o.append(ids2, [][]byte{[]byte("AAAA")})
+	// The rejected batch must not have widened the inferred alphabet either:
+	// the next acknowledged append re-derives it, and it must be what a build
+	// of the acknowledged documents infers.
+	want, err := BuildCorpus(o.docs, nil)
+	if err != nil {
+		t.Fatalf("oracle BuildCorpus: %v", err)
+	}
+	if got, want := lx.Alphabet().Symbols(), want.Alphabet().Symbols(); !bytes.Equal(got, want) {
+		t.Fatalf("Alphabet() = %q after a rejected batch, a build of the survivors infers %q", got, want)
+	}
 	if ok, err := lx.Delete(ids[0]); !ok || err != nil {
 		t.Fatalf("delete after expunged WAL failure: ok=%v err=%v", ok, err)
 	}
@@ -294,7 +306,7 @@ func TestFaultWALFailureRollsBack(t *testing.T) {
 	lx.Close()
 
 	// Reopen without Close-time sealing interference: the durable state must
-	// be exactly the acknowledged mutations — "CCCC" stays gone.
+	// be exactly the acknowledged mutations — the rejected batch stays gone.
 	lx2, err := NewLive("", &LiveConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

@@ -574,7 +574,9 @@ func TestLiveWriteFileFrozen(t *testing.T) {
 
 // FuzzLiveMutations interprets fuzz bytes as an append/delete/seal/compact
 // op sequence and differentially checks the final live view against a
-// from-scratch build over the surviving documents.
+// from-scratch build over the surviving documents — analytics included, and
+// also just before every seal and compaction, when the most documents are
+// being served unindexed.
 func FuzzLiveMutations(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 6, 0, 4, 7, 0}, int64(1))
 	f.Add([]byte{0, 0, 0, 0, 6, 6, 4, 4, 7}, int64(2))
@@ -619,15 +621,18 @@ func FuzzLiveMutations(f *testing.F) {
 				}
 				o.delete(id)
 			case 6:
+				checkLiveAnalytics(t, lx, o) // the memtable at its fullest
 				if err := lx.Seal(); err != nil {
 					t.Fatalf("Seal: %v", err)
 				}
 			case 7:
+				checkLiveAnalytics(t, lx, o)
 				if err := lx.Compact(); err != nil {
 					t.Fatalf("Compact: %v", err)
 				}
 			}
 		}
 		checkLive(t, lx, o, rand.New(rand.NewSource(seed+1)))
+		checkLiveAnalytics(t, lx, o)
 	})
 }

@@ -217,7 +217,7 @@ func newShardedIndex(name string, shards []*Index) (*ShardedIndex, error) {
 		if sh.alpha.Name() != alpha.Name() || !bytes.Equal(sh.alpha.Symbols(), alpha.Symbols()) {
 			return nil, fmt.Errorf("era: shard %d alphabet %s differs from shard 0 alphabet %s", i, sh.alpha.Name(), alpha.Name())
 		}
-		states[i] = &tierState{h: newTierHandle(sh, ""), dead: make([]bool, sh.NumDocs())}
+		states[i] = sealedTier(sh, "", nil, make([]bool, sh.NumDocs()), 0)
 	}
 	return &ShardedIndex{name: name, shards: shards, view: newLiveSnapshot(states, alpha)}, nil
 }
@@ -323,60 +323,100 @@ func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) 
 // bounds are the ascending interior junction offsets no single tree sees
 // across (live-segment boundaries for a snapshot — which are the shard
 // boundaries of a ShardedIndex — and shard boundaries for the router), and
-// slice materializes any [lo, hi) window of the virtual string. It exists so
-// the boundary stitch scan is written once and shared by every segmented
-// implementation.
+// slice materializes any [lo, hi) window of the virtual string. uncovered
+// lists, ascending, the runs between junctions that no tree indexes at all
+// (a live snapshot's unsealed documents; nil everywhere else): the scan that
+// recovers junction-crossing matches answers for their interiors too, over
+// the bytes in place. It exists so the stitch scan is written once and shared
+// by every segmented implementation.
 type stitchString struct {
-	totalLen int
-	bounds   []int
-	slice    func(buf []byte, lo, hi int) []byte
+	totalLen  int
+	bounds    []int
+	slice     func(buf []byte, lo, hi int) []byte
+	uncovered []stitchRun
 }
 
-// crossingOccurrences returns the sorted global start offsets of pattern
-// occurrences that cross a junction — the matches no per-segment tree can
-// see. A crossing match must start within |P|−1 bytes of a junction, so each
-// junction contributes one ≤ 2(|P|−1)-byte stitch window, materialized once
-// and scanned with bytes.Index (no per-byte segment lookups). Candidates are
-// deduplicated across junctions (a match spanning several tiny segments is
-// reported once). max > 0 caps the number returned.
-func (ss *stitchString) crossingOccurrences(pattern []byte, max int) []int {
-	m := len(pattern)
-	if m < 2 || len(ss.bounds) == 0 {
-		return nil
+// stitchRun is a run of the virtual string viewed in place: data starts at
+// global offset off and spans from one junction (or end of string) to the
+// next.
+type stitchRun struct {
+	off  int
+	data []byte
+}
+
+// eachMatch calls fn with the start of every occurrence of pattern in data
+// (overlapping ones included), ascending, until fn returns false.
+func eachMatch(data, pattern []byte, fn func(j int) bool) {
+	for j := 0; j < len(data); j++ {
+		rel := bytes.Index(data[j:], pattern)
+		if rel < 0 {
+			return
+		}
+		j += rel
+		if !fn(j) {
+			return
+		}
 	}
-	var out []int
+}
+
+// eachRegion visits, in ascending order, every stretch of the virtual string
+// in which a length-m match or window no per-segment tree can see may start:
+// the stitch window around each junction — one ≤ 2(m−1)-byte slice,
+// materialized once, no per-byte segment lookups — and each uncovered run,
+// in place. fn receives the stretch's global offset, its bytes, and the range
+// [from, limit) of starts that belong to it; whether start+m still fits in
+// the bytes is the caller's check. At a junction only starts before it cross
+// it (they always end after it), and starts an earlier junction already
+// covered are skipped, so a match spanning several tiny segments is seen
+// once. end clips the windows: totalLen, or totalLen−1 to keep the
+// terminator out. fn returning false ends the visit.
+func (ss *stitchString) eachRegion(m, end int, fn func(off int, data []byte, from, limit int) bool) {
+	runs := ss.uncovered
+	// inside visits the uncovered runs starting before global offset b: what
+	// starts in them sorts before anything crossing b.
+	inside := func(b int) bool {
+		for ; len(runs) > 0 && runs[0].off < b; runs = runs[1:] {
+			if !fn(runs[0].off, runs[0].data, 0, len(runs[0].data)) {
+				return false
+			}
+		}
+		return true
+	}
 	var win []byte
-	next := 0 // first candidate start not yet examined
+	next := 0 // first start not yet covered by a junction
 	for _, b := range ss.bounds {
-		winLo := b - m + 1
-		if winLo < 0 {
-			winLo = 0
+		if m < 2 {
+			break // one byte crosses nothing
 		}
-		winHi := b + m - 1
-		if winHi > ss.totalLen {
-			winHi = ss.totalLen
+		if !inside(b) {
+			return
 		}
-		win = ss.slice(win, winLo, winHi)
-		// A match at window offset j starts at global winLo+j; it crosses b
-		// exactly when it starts before b (it always ends after b, since
-		// winLo ≥ b−m+1). Starts at or past b belong to later junctions.
-		j := 0
-		if next > winLo {
-			j = next - winLo
-		}
-		for limit := b - winLo; j < limit; j++ {
-			rel := bytes.Index(win[j:], pattern)
-			if rel < 0 || j+rel >= limit {
-				break
-			}
-			j += rel
-			out = append(out, winLo+j)
-			if max > 0 && len(out) == max {
-				return out
-			}
+		winLo := max(b-m+1, 0)
+		win = ss.slice(win, winLo, min(b+m-1, end))
+		if !fn(winLo, win, max(next-winLo, 0), b-winLo) {
+			return
 		}
 		next = b
 	}
+	inside(ss.totalLen)
+}
+
+// crossingOccurrences returns the sorted global start offsets of the pattern
+// occurrences no per-segment tree can see: those that cross a junction and
+// those inside an uncovered run. max > 0 caps the number returned.
+func (ss *stitchString) crossingOccurrences(pattern []byte, max int) []int {
+	var out []int
+	more := func() bool { return max <= 0 || len(out) < max }
+	ss.eachRegion(len(pattern), ss.totalLen, func(off int, data []byte, from, limit int) bool {
+		eachMatch(data[from:], pattern, func(j int) bool {
+			if from+j >= limit {
+				return false
+			}
+			out = append(out, off+from+j)
+			return more()
+		})
+		return more()
+	})
 	return out
 }
 

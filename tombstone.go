@@ -23,12 +23,14 @@ import (
 // constant shift. The executor never learns which of the two it serves.
 //
 // The model: a live corpus is a sequence of documents identified by stable,
-// monotonically increasing ids. Documents live in tiers (sealed v4 shards
-// plus one in-memory memtable), each tier an ordinary Index over a
-// contiguous run of ids. Deletes are per-document tombstones. The query
-// surface must answer exactly as a from-scratch BuildCorpus over the
-// surviving documents (in id order) would. Over clean tiers that is plain
-// document-aligned sharding; tombstones add two wrinkles:
+// monotonically increasing ids. Documents live in tiers, each an ordinary
+// Index over a contiguous run of ids, followed by the unsealed memtable
+// extents, which have no index at all: their live bytes are uncovered runs of
+// the virtual string, answered by the stitch scan in place (stitchString in
+// shard.go). Deletes are per-document tombstones. The query surface must
+// answer exactly as a from-scratch BuildCorpus over the surviving documents
+// (in id order) would. Over clean tiers that is plain document-aligned
+// sharding; tombstones add two wrinkles:
 //
 //   - A tombstoned document leaves its bytes in the tier (rebuilding the
 //     tier per delete would be re-derivation, the very cost this subsystem
@@ -68,13 +70,24 @@ func (h *tierHandle) release() {
 	}
 }
 
-// tierState is the mutator-side record of one tier: its handle plus the
-// stable document ids and tombstone flags, mutated only under LiveIndex.mu.
+// tierState is the mutator-side record of one tier: its documents, their
+// stable ids and tombstone flags (mutated only under LiveIndex.mu), and the
+// handle of the Index built over them. A memtable extent is a tierState with
+// no handle: nothing indexes its bytes, so a snapshot serves them as
+// uncovered runs of the virtual string. Only an extent ever grows, and only
+// by appending — bytes a snapshot already views never change.
 type tierState struct {
-	h     *tierHandle
-	ids   []uint64 // ascending; tiers hold disjoint ascending id ranges
-	dead  []bool
-	nDead int
+	h       *tierHandle // nil until sealed
+	data    []byte      // the documents, concatenated without separators
+	docEnds []int32     // exclusive end offset per document in data
+	ids     []uint64    // ascending; tiers hold disjoint ascending id ranges
+	dead    []bool
+	nDead   int
+}
+
+// sealedTier wraps a built (or reopened) tier Index as a tierState owning it.
+func sealedTier(idx *Index, file string, ids []uint64, dead []bool, nDead int) *tierState {
+	return &tierState{h: newTierHandle(idx, file), data: idx.data, docEnds: idx.docEnds, ids: ids, dead: dead, nDead: nDead}
 }
 
 // liveTier is a tier as one snapshot sees it: a private copy of the
@@ -97,14 +110,6 @@ type liveTier struct {
 	// in d is globally valid iff it ends at or before runEnd[d], i.e. it
 	// never reaches into a tombstoned document or the tier's own terminator.
 	runEnd []int
-}
-
-// localStart returns the tier-local start offset of local document d.
-func (t *liveTier) localStart(d int) int {
-	if d == 0 {
-		return 0
-	}
-	return int(t.h.idx.docEnds[d-1])
 }
 
 // translate filters tier-local occurrence offsets (ascending) of an m-byte
@@ -138,16 +143,6 @@ func (t *liveTier) translate(occ []int, m, max int) []int {
 	return out
 }
 
-// liveSeg is one maximal run of consecutive live documents within a tier:
-// [lo, hi) of the tier's data, starting at global offset gOff. Segments are
-// the units the virtual global string is assembled from; zero-width runs
-// (all-empty documents) are omitted.
-type liveSeg struct {
-	t      *liveTier
-	gOff   int
-	lo, hi int
-}
-
 // liveSnapshot is the immutable query view of a LiveIndex at one mutation
 // epoch. Queries acquire a reference, read, and release; the mutator swaps
 // in a new snapshot per mutation and releases its ownership of the old one.
@@ -155,8 +150,14 @@ type liveSeg struct {
 // so a compacted-away tier unmaps exactly when the slowest query still
 // reading it finishes, in any drain order.
 type liveSnapshot struct {
-	tiers     []*liveTier
-	segs      []liveSeg
+	tiers []*liveTier // the indexed tiers; memtable extents appear only in segs
+	// segs are the maximal runs of consecutive live documents, each viewing
+	// its tier's data in place: the units the virtual global string is
+	// assembled from. Zero-width runs (all-empty documents) are omitted.
+	segs []stitchRun
+	// docStart[ord] is the global offset of live document ord's first byte;
+	// docStart[numDocs] closes the last one.
+	docStart  []int
 	totalLen  int // live content bytes + the single virtual terminator
 	numDocs   int // live documents
 	alpha     *alphabet.Alphabet
@@ -167,49 +168,68 @@ type liveSnapshot struct {
 }
 
 // newLiveSnapshot derives the query view over the given tier states,
-// acquiring one reference on every included tier handle. The caller must
-// hold the LiveIndex mutex (it reads mutator state).
+// acquiring one reference on every included tier handle. Unsealed states
+// (no handle) must follow the sealed ones — document hits concatenate in that
+// order — and contribute segments and document offsets but no tier: their
+// bytes become the stitch string's uncovered runs. The caller must hold the
+// LiveIndex mutex (it reads mutator state).
 func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapshot {
 	s := &liveSnapshot{alpha: alpha}
 	s.refs.Store(1) // the owner (current-snapshot) reference
+	var uncovered []stitchRun
 	off, ord := 0, 0
 	for _, st := range states {
-		idx := st.h.idx
-		de := idx.docEnds
+		de := st.docEnds
 		n := len(de)
-		t := &liveTier{
-			h:       st.h,
-			dead:    append([]bool(nil), st.dead...),
-			nDead:   st.nDead,
-			gStart:  make([]int, n),
-			gDoc:    make([]int, n),
-			docBase: ord,
-			runEnd:  make([]int, n),
+		var t *liveTier
+		if st.h != nil {
+			t = &liveTier{
+				h:       st.h,
+				dead:    append([]bool(nil), st.dead...),
+				nDead:   st.nDead,
+				gStart:  make([]int, n),
+				gDoc:    make([]int, n),
+				docBase: ord,
+				runEnd:  make([]int, n),
+			}
 		}
-		segLo, segOff := -1, 0
-		start := 0
+		// [runLo, start) is the current run of live documents, opened at
+		// global offset runOff; endRun closes it into a segment.
+		runLo, runOff, start := -1, 0, 0
+		endRun := func() {
+			if runLo >= 0 && start > runLo {
+				run := stitchRun{off: runOff, data: st.data[runLo:start]}
+				s.segs = append(s.segs, run)
+				if t == nil {
+					uncovered = append(uncovered, run)
+				}
+			}
+			runLo = -1
+		}
 		for d := 0; d < n; d++ {
 			end := int(de[d])
-			if t.dead[d] {
-				t.gStart[d], t.gDoc[d], t.runEnd[d] = -1, -1, -1
-				if segLo >= 0 && start > segLo {
-					s.segs = append(s.segs, liveSeg{t: t, gOff: segOff, lo: segLo, hi: start})
+			if st.dead[d] {
+				if t != nil {
+					t.gStart[d], t.gDoc[d], t.runEnd[d] = -1, -1, -1
 				}
-				segLo = -1
+				endRun()
 				start = end
 				continue
 			}
-			if segLo < 0 {
-				segLo, segOff = start, off
+			if runLo < 0 {
+				runLo, runOff = start, off
 			}
-			t.gStart[d] = off
-			t.gDoc[d] = ord
+			if t != nil {
+				t.gStart[d], t.gDoc[d] = off, ord
+			}
+			s.docStart = append(s.docStart, off)
 			ord++
 			off += end - start
 			start = end
 		}
-		if segLo >= 0 && start > segLo {
-			s.segs = append(s.segs, liveSeg{t: t, gOff: segOff, lo: segLo, hi: start})
+		endRun()
+		if t == nil {
+			continue
 		}
 		for d := n - 1; d >= 0; d-- {
 			if t.dead[d] {
@@ -223,16 +243,17 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 		}
 		st.h.acquire()
 		s.tiers = append(s.tiers, t)
-		s.treeNodes += idx.TreeNodes()
-		s.mapped += idx.MappedBytes()
+		s.treeNodes += st.h.idx.TreeNodes()
+		s.mapped += st.h.idx.MappedBytes()
 	}
+	s.docStart = append(s.docStart, off)
 	s.totalLen = off + 1
 	s.numDocs = ord
 	bounds := make([]int, 0, len(s.segs))
 	for i := 1; i < len(s.segs); i++ {
-		bounds = append(bounds, s.segs[i].gOff)
+		bounds = append(bounds, s.segs[i].off)
 	}
-	s.stitch = stitchString{totalLen: s.totalLen, bounds: bounds, slice: s.globalSlice}
+	s.stitch = stitchString{totalLen: s.totalLen, bounds: bounds, slice: s.globalSlice, uncovered: uncovered}
 	return s
 }
 
@@ -270,11 +291,11 @@ func (s *liveSnapshot) globalSlice(buf []byte, lo, hi int) []byte {
 	if end == s.totalLen {
 		end-- // the terminator is appended below, not stored in any tier
 	}
-	i := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].gOff > lo }) - 1
+	i := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].off > lo }) - 1
 	for off := lo; off < end; i++ {
 		seg := &s.segs[i]
-		content := seg.t.h.idx.data[seg.lo:seg.hi]
-		from := off - seg.gOff
+		content := seg.data
+		from := off - seg.off
 		take := len(content) - from
 		if off+take > end {
 			take = end - off
@@ -442,6 +463,18 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 	for _, h := range perTier {
 		out = append(out, h...) // tiers hold ascending live-ordinal runs
 	}
+	// Uncovered runs follow every tier and answer for themselves: a match
+	// inside one is a hit unless it straddles a document boundary.
+	for _, r := range s.stitch.uncovered {
+		eachMatch(r.data, p, func(j int) bool {
+			g := r.off + j
+			ord := sort.Search(s.numDocs, func(i int) bool { return s.docStart[i+1] > g })
+			if g+len(p) <= s.docStart[ord+1] {
+				out = append(out, DocHit{Doc: ord, Offset: g - s.docStart[ord]})
+			}
+			return true
+		})
+	}
 	return out
 }
 
@@ -499,7 +532,7 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 	wg.Add(1)
 	go func() {
 		// Stitch scans overlap the tier descents; they touch only the
-		// junction windows of the immutable tier data.
+		// junction windows and uncovered runs of the immutable tier data.
 		defer wg.Done()
 		crossing = make([][]int, len(ops))
 		for oi, op := range ops {
@@ -626,20 +659,24 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 	return results
 }
 
+// docBytes returns the raw content of the live document with ordinal ord
+// (which must be in range), viewed in place: documents never straddle a
+// segment.
+func (s *liveSnapshot) docBytes(ord int) []byte {
+	lo, hi := s.docStart[ord], s.docStart[ord+1]
+	if lo == hi {
+		return nil // empty documents sit in no segment
+	}
+	seg := &s.segs[sort.Search(len(s.segs), func(j int) bool { return s.segs[j].off > lo })-1]
+	return seg.data[lo-seg.off : hi-seg.off]
+}
+
 // liveDocs returns the surviving documents in id order; the slices view tier
 // data, so the caller must hold the snapshot reference while using them.
 func (s *liveSnapshot) liveDocs() [][]byte {
-	docs := make([][]byte, 0, s.numDocs)
-	for _, t := range s.tiers {
-		de := t.h.idx.docEnds
-		start := 0
-		for d := 0; d < len(de); d++ {
-			end := int(de[d])
-			if !t.dead[d] {
-				docs = append(docs, t.h.idx.data[start:end])
-			}
-			start = end
-		}
+	docs := make([][]byte, s.numDocs)
+	for ord := range docs {
+		docs[ord] = s.docBytes(ord)
 	}
 	return docs
 }

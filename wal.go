@@ -8,8 +8,8 @@ import (
 	"era/internal/vfs"
 )
 
-// Write-ahead log for LiveIndex directory mode. The memtable is rebuilt
-// from raw documents, so the WAL only has to make the *mutations* durable:
+// Write-ahead log for LiveIndex directory mode. The memtable is nothing but
+// its raw documents, so the WAL only has to make the *mutations* durable:
 // every Append/Delete appends one checksummed record and fsyncs before the
 // call acknowledges, and recovery replays the tail into the memtable.
 //
