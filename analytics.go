@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"era/internal/alphabet"
+	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 )
 
@@ -24,6 +25,16 @@ import (
 // what both LiveIndex.Analytics and ShardedIndex.Analytics run, a sharded
 // index being the zero-tombstone case. Dispatch and parameter validation
 // live here, once.
+//
+// The monolithic index answers lrs and topk with its own O(nodes) walks
+// (suffixtree.LongestRepeated, PrefixLoci). Every partitioned layer answers
+// them from the suffixes of the virtual global string in lexicographic order
+// with the LCP between neighbours — SA-IS + Kasai over the materialized
+// string (suffixOrderAnswer): lrs is the first maximum of that LCP
+// (repeatScan), topk a run-length count of LCP ≥ L into a bounded selection
+// (topScan, topSelection). The in-process executor (analytics_live.go) and
+// the router, which holds the fetched bytes but no trees (cluster_support.go,
+// lrs only), run the same code.
 //
 // Answer identity across layers is the package discipline: every analytics
 // answer is a pure function of the virtual global string and the document
@@ -242,14 +253,12 @@ func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 	stop := ctxStop(ctx)
 	switch q.Kind {
 	case OpTopK:
-		agg := map[string]int{}
-		collectPrefixCounts(x.tree, q.MinLen, stop, func(label []byte, count int) {
-			agg[string(label)] += count
-		})
+		sel := topSelection{k: q.K}
+		collectPrefixCounts(x.tree, x.data, q.MinLen, stop, sel.offer)
 		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
-		return topAnswer(agg, q.K), nil
+		return sel.answer(), nil
 	case OpLongestRepeat:
 		lbl, occ := suffixtree.LongestRepeated(x.tree, stop)
 		if err := ctx.Err(); err != nil {
@@ -343,20 +352,33 @@ func (x *Index) commonSubstring(ctx context.Context, a, b int) (Answer, error) {
 	var bestLen int32
 	var cands []int32
 	stack := []frame{{t.Root(), 0, false}}
+	// One closure each over loop state: a literal at the call site would
+	// escape through the View interface and allocate per internal node.
+	var f frame
+	push := func(c int32) bool {
+		stack = append(stack, frame{c, f.depth + t.EdgeLen(c), false})
+		return true
+	}
+	fold := func(c int32) bool {
+		if sa[c] > sa[f.id] {
+			sa[f.id] = sa[c]
+		}
+		if sb[c] > sb[f.id] {
+			sb[f.id] = sb[c]
+		}
+		return true
+	}
 	budget := 2 * n
 	for len(stack) > 0 && budget > 0 {
 		if stop != nil && stop() {
 			return Answer{}, ctx.Err()
 		}
 		budget--
-		f := stack[len(stack)-1]
+		f = stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if !f.visited {
 			stack = append(stack, frame{f.id, f.depth, true})
-			t.ForEachChild(f.id, func(c int32) bool {
-				stack = append(stack, frame{c, f.depth + t.EdgeLen(c), false})
-				return true
-			})
+			t.ForEachChild(f.id, push)
 			continue
 		}
 		sa[f.id], sb[f.id] = -1, -1
@@ -372,15 +394,7 @@ func (x *Index) commonSubstring(ctx context.Context, a, b int) (Answer, error) {
 			}
 			continue
 		}
-		t.ForEachChild(f.id, func(c int32) bool {
-			if sa[c] > sa[f.id] {
-				sa[f.id] = sa[c]
-			}
-			if sb[c] > sb[f.id] {
-				sb[f.id] = sb[c]
-			}
-			return true
-		})
+		t.ForEachChild(f.id, fold)
 		if f.id == t.Root() {
 			continue
 		}
@@ -431,27 +445,211 @@ func (x *Index) minDocOffset(pattern []byte, doc int) int {
 	return best
 }
 
-// collectPrefixCounts enumerates every distinct length-L content substring
-// (windows containing the terminator are skipped) with its occurrence count
-// — the depth-L loci walk with O(1)-amortized subtree counts. A non-nil
-// stop predicate (ctxStop) abandons the walk early; the caller re-checks
-// its context afterwards and discards the partial aggregate.
-func collectPrefixCounts(v suffixtree.View, L int, stop func() bool, add func(label []byte, count int)) {
+// collectPrefixCounts enumerates, in lexicographic order, every distinct
+// length-L content substring (windows containing the terminator are skipped)
+// with its occurrence count — the depth-L loci walk with O(1)-amortized
+// subtree counts. A label is the L bytes at the locus's first suffix, viewed
+// in place and valid only during the call: the locus of a substring that
+// occurs once is a leaf, whose path label is the whole suffix, so reading
+// the path and slicing it would copy O(n) bytes per L-mer. A non-nil stop
+// predicate (ctxStop) abandons the walk early; the caller re-checks its
+// context afterwards and discards the partial aggregate.
+func collectPrefixCounts(v suffixtree.View, data []byte, L int, stop func() bool, add func(label []byte, count int)) {
 	suffixtree.PrefixLoci(v, int32(L), func(node int32) bool {
 		if stop != nil && stop() {
 			return false
 		}
-		lbl := v.PathLabel(node)
-		if len(lbl) < L {
+		o := int(suffixtree.FirstLeaf(v, node))
+		if o < 0 || o+L > len(data) {
 			return true // defensive: corrupt layout
 		}
-		lbl = lbl[:L]
+		lbl := data[o : o+L]
 		if bytes.IndexByte(lbl, alphabet.Terminator) >= 0 {
 			return true
 		}
 		add(lbl, v.CountLeaves(node))
 		return true
 	})
+}
+
+// topSelection keeps the k best of a stream of distinct (label, count)
+// candidates offered in ascending label order, under the canonical ranking:
+// count descending, then label ascending. Arrival order stands in for the
+// label comparison, so the selection is a min-heap on (count, −arrival)
+// whose root is the entry that loses first; a label is copied only when its
+// candidate enters the selection.
+type topSelection struct {
+	k    int
+	heap []topCandidate
+	seq  int
+}
+
+type topCandidate struct {
+	count, seq int
+	label      []byte
+}
+
+// loses reports whether candidate a ranks below candidate b.
+func (a *topCandidate) loses(b *topCandidate) bool {
+	if a.count != b.count {
+		return a.count < b.count
+	}
+	return a.seq > b.seq
+}
+
+// offer presents the next candidate; label is only read during the call.
+func (t *topSelection) offer(label []byte, count int) {
+	t.seq++
+	if len(t.heap) == t.k && count <= t.heap[0].count {
+		return
+	}
+	h := t.heap
+	if len(h) < t.k {
+		h = append(h, topCandidate{count, t.seq, append([]byte(nil), label...)})
+		t.heap = h
+		for i := len(h) - 1; i > 0; { // sift up
+			up := (i - 1) / 2
+			if !h[i].loses(&h[up]) {
+				break
+			}
+			h[i], h[up] = h[up], h[i]
+			i = up
+		}
+		return
+	}
+	h[0] = topCandidate{count, t.seq, append(h[0].label[:0], label...)}
+	for i := 0; ; { // sift down
+		low := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c].loses(&h[low]) {
+				low = c
+			}
+		}
+		if low == i {
+			break
+		}
+		h[i], h[low] = h[low], h[i]
+		i = low
+	}
+}
+
+// answer ranks the selection into the OpTopK answer.
+func (t *topSelection) answer() Answer {
+	if len(t.heap) == 0 {
+		return Answer{}
+	}
+	sort.Slice(t.heap, func(i, j int) bool { return t.heap[j].loses(&t.heap[i]) })
+	top := make([]TopEntry, len(t.heap))
+	for i, c := range t.heap {
+		top[i] = TopEntry{Pattern: c.label, Count: c.count}
+	}
+	return Answer{Found: true, Top: top, Count: len(top)}
+}
+
+// The two consumers below are fed the suffixes of a terminated text in
+// lexicographic order, each with its offset and the LCP it shares with the
+// suffix before it (content bytes only: the unique terminator never matches).
+
+// repeatScan is the lrs consumer: the longest repeated substring is as long
+// as the largest LCP between neighbouring suffixes, the first pair reaching
+// it names the lexicographically smallest such substring, and the unbroken
+// run of LCPs at that length around the pair lists its occurrences.
+type repeatScan struct {
+	best int   // largest neighbour LCP so far
+	occ  []int // suffixes of the first run reaching it
+	open bool  // that run is still extending
+	prev int   // the previous suffix
+}
+
+func (r *repeatScan) add(off, lcp int) {
+	switch {
+	case lcp > r.best:
+		r.best, r.open = lcp, true
+		r.occ = append(r.occ[:0], r.prev, off)
+	case lcp < r.best:
+		r.open = false
+	case r.open:
+		r.occ = append(r.occ, off)
+	}
+	r.prev = off
+}
+
+// answer packages the scan of text.
+func (r *repeatScan) answer(text []byte) Answer {
+	if r.best == 0 {
+		return Answer{}
+	}
+	sort.Ints(r.occ)
+	label := append([]byte(nil), text[r.occ[0]:r.occ[0]+r.best]...)
+	return Answer{Found: true, Pattern: label, Occurrences: r.occ, Count: len(r.occ)}
+}
+
+// topScan is the topk consumer: suffixes sharing their first l bytes are
+// neighbours, so every distinct l-mer is one run of LCP ≥ l and its count
+// the run's length. Suffixes with fewer than l content bytes left carry no
+// window (and break every run: their LCP with anything is below l).
+type topScan struct {
+	l            int
+	text         []byte // the scanned text, terminator last
+	sel          topSelection
+	start, count int // the current run: its first suffix and its size
+}
+
+func (t *topScan) add(off, lcp int) {
+	if off+t.l > len(t.text)-1 {
+		return
+	}
+	if t.count > 0 && lcp >= t.l {
+		t.count++
+		return
+	}
+	t.flush()
+	t.start, t.count = off, 1
+}
+
+// flush closes the current run into the selection.
+func (t *topScan) flush() {
+	if t.count > 0 {
+		t.sel.offer(t.text[t.start:t.start+t.l], t.count)
+		t.count = 0
+	}
+}
+
+func (t *topScan) answer() Answer {
+	t.flush()
+	return t.sel.answer()
+}
+
+// suffixOrderAnswer answers lrs or topk over a materialized, terminated
+// text: SA-IS for the suffix order, Kasai for the neighbour LCPs, one pass
+// of the op's consumer. O(n) time and about 37 bytes per symbol whatever the
+// text looks like.
+func suffixOrderAnswer(ctx context.Context, text []byte, q Query) (Answer, error) {
+	sa, err := suffixarray.Build(text)
+	if err != nil {
+		return Answer{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Answer{}, err
+	}
+	lcp := suffixarray.LCP(text, sa)
+	var rep repeatScan
+	top := topScan{l: q.MinLen, text: text, sel: topSelection{k: q.K}}
+	add := rep.add
+	if q.Kind == OpTopK {
+		add = top.add
+	}
+	stop := ctxStop(ctx)
+	for i, o := range sa {
+		if stop != nil && stop() {
+			return Answer{}, ctx.Err()
+		}
+		add(int(o), int(lcp[i]))
+	}
+	if q.Kind == OpTopK {
+		return top.answer(), nil
+	}
+	return rep.answer(text), nil
 }
 
 // topAnswer ranks the aggregated substring counts: count descending, then
@@ -547,11 +745,11 @@ func (ss *stitchString) crossingWindows(m int, fn func(start int, window []byte)
 	})
 }
 
-// The rolling-hash helpers below power the stitched (sharded and live)
-// executors for longest-repeated and longest-common substring: candidate
-// lengths binary-search over window-hash tables of the materialized virtual
-// string, with every hash hit verified byte-for-byte before it counts, so
-// collisions cost time, never correctness.
+// The rolling-hash helper below powers the partitioned executors' longest
+// common substring of two documents: candidate lengths binary-search over
+// window-hash tables of the two raw byte strings, with every hash hit
+// verified byte-for-byte before it counts, so collisions cost time, never
+// correctness.
 
 const hashBase = 1099511628211 // FNV prime; any odd multiplier works
 
@@ -576,103 +774,6 @@ func windowHashes(s []byte, m int) []uint64 {
 		out[i-m+1] = h
 	}
 	return out
-}
-
-// hasRepeatedWindow reports whether some length-m substring of content
-// occurs at least twice. A non-nil stop predicate abandons the scan early
-// (reporting false); the caller re-checks its context and discards the
-// misled binary search.
-func hasRepeatedWindow(content []byte, m int, stop func() bool) bool {
-	hs := windowHashes(content, m)
-	if hs == nil {
-		return false
-	}
-	byHash := make(map[uint64][]int32, len(hs))
-	for i, h := range hs {
-		if stop != nil && stop() {
-			return false
-		}
-		for _, j := range byHash[h] {
-			if bytes.Equal(content[i:i+m], content[j:int(j)+m]) {
-				return true
-			}
-		}
-		byHash[h] = append(byHash[h], int32(i))
-	}
-	return false
-}
-
-// longestRepeatContent computes the canonical longest-repeated-substring
-// answer directly over the materialized content: the longest length is
-// binary-searched above the caller's known-achievable lower bound (0 when
-// unknown), the lexicographically smallest repeated substring of that
-// length wins, and its ascending occurrence positions are returned. A
-// canceled ctx abandons the search and returns ctx's error.
-func longestRepeatContent(ctx context.Context, content []byte, lo int) (label []byte, occ []int, err error) {
-	n := len(content)
-	if n < 2 {
-		return nil, nil, ctx.Err()
-	}
-	stop := ctxStop(ctx)
-	best := lo
-	l, r := lo+1, n-1
-	for l <= r {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		mid := (l + r) / 2
-		if hasRepeatedWindow(content, mid, stop) {
-			best = mid
-			l = mid + 1
-		} else {
-			r = mid - 1
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if best == 0 {
-		return nil, nil, nil
-	}
-	// Group the best-length windows by hash, split groups by actual bytes,
-	// and take the lexicographically smallest substring repeating ≥ 2×.
-	hs := windowHashes(content, best)
-	byHash := make(map[uint64][]int32, len(hs))
-	for i, h := range hs {
-		byHash[h] = append(byHash[h], int32(i))
-	}
-	for _, group := range byHash {
-		if len(group) < 2 {
-			continue
-		}
-		for gi, i := range group {
-			dup := false
-			for _, j := range group[gi+1:] {
-				if bytes.Equal(content[i:int(i)+best], content[j:int(j)+best]) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				w := content[i : int(i)+best]
-				if label == nil || bytes.Compare(w, label) < 0 {
-					label = w
-				}
-			}
-		}
-	}
-	if label == nil {
-		return nil, nil, nil // unreachable unless the binary search was misled
-	}
-	for i := 0; i+best <= n; {
-		rel := bytes.Index(content[i:], label)
-		if rel < 0 {
-			break
-		}
-		occ = append(occ, i+rel)
-		i += rel + 1
-	}
-	return append([]byte(nil), label...), occ, nil
 }
 
 // lcsTwoStrings computes the canonical longest-common-substring answer for

@@ -1,0 +1,418 @@
+package era
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"era/internal/suffixtree"
+	"era/internal/workload"
+)
+
+// Tests for the suffix-order lrs / topk executor of the partitioned layers
+// (suffixOrderAnswer, analytics.go) and the cost pins of the analytics walks.
+
+// suffixCorpus returns n bytes of one of the inputs that stress a suffix
+// order: random text, periodic texts (every suffix repeats for as long as the
+// text lasts) and a low-entropy text in between.
+func suffixCorpus(kind string, n int, rng *rand.Rand) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		switch kind {
+		case "random":
+			out[i] = "ACGT"[rng.Intn(4)]
+		case "one-symbol":
+			out[i] = 'A'
+		case "period-2":
+			out[i] = "AC"[i%2]
+		case "period-7":
+			out[i] = "ACGTTGA"[i%7]
+		case "low-entropy":
+			out[i] = 'A'
+			if rng.Intn(9) == 0 {
+				out[i] = 'C'
+			}
+		default:
+			panic("unknown corpus kind " + kind)
+		}
+	}
+	return out
+}
+
+var suffixCorpusKinds = []string{"random", "one-symbol", "period-2", "period-7", "low-entropy"}
+
+// cutDocs splits text into nDocs consecutive documents at random cuts; with
+// empties, roughly every third document is empty.
+func cutDocs(text []byte, nDocs int, empties bool, rng *rand.Rand) [][]byte {
+	cuts := make([]int, nDocs+1)
+	cuts[nDocs] = len(text)
+	for i := 1; i < nDocs; i++ {
+		cuts[i] = rng.Intn(len(text) + 1)
+	}
+	for i := 1; i < nDocs; i++ { // insertion sort: nDocs is small
+		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
+			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
+		}
+	}
+	if empties {
+		for i := 1; i < nDocs; i += 3 {
+			cuts[i] = cuts[i-1]
+		}
+	}
+	docs := make([][]byte, nDocs)
+	for i := range docs {
+		docs[i] = text[cuts[i]:cuts[i+1]]
+	}
+	return docs
+}
+
+// tombstonedLive appends docs (24 of them) to a fresh live index sealing
+// every five, so five tiers result, and tombstones eight: the head, the
+// tail, an adjacent pair inside a tier, both sides of a tier cut, and one in
+// each remaining tier. With memtable set, four more documents derived from
+// docs follow unsealed — one empty — and one of them is tombstoned too. It
+// returns the index and the surviving documents in order.
+func tombstonedLive(t *testing.T, docs [][]byte, memtable bool) (*LiveIndex, [][]byte) {
+	t.Helper()
+	lx, err := NewLive("merge", &LiveConfig{MemtableMaxDocs: 5, MemtableMaxBytes: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if _, err := lx.Append([][]byte{d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lx.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	dead := map[int]bool{0: true, 4: true, 5: true, 7: true, 8: true, 12: true, 17: true, 23: true}
+	all := docs
+	if memtable {
+		extra := [][]byte{docs[3], {}, docs[1], docs[20]}
+		if _, err := lx.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		all = append(append([][]byte(nil), docs...), extra...)
+		dead[26] = true
+	}
+	for id := range dead {
+		if ok, err := lx.Delete(uint64(id)); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", id, ok, err)
+		}
+	}
+	st := lx.Stats()
+	if want := map[bool]int{false: 0, true: 4}[memtable]; st.Tiers != 5 || st.DeadDocs != len(dead) || st.MemtableDocs != want {
+		t.Fatalf("live layout: %d tiers, %d tombstones, %d memtable docs; want 5, %d, %d", st.Tiers, st.DeadDocs, st.MemtableDocs, len(dead), want)
+	}
+	var live [][]byte
+	for i, d := range all {
+		if !dead[i] {
+			live = append(live, d)
+		}
+	}
+	return lx, live
+}
+
+// requireSuffixOrderAnswers checks lrs and a spread of topk queries on a
+// partitioned layer against the monolithic index over the same documents.
+func requireSuffixOrderAnswers(t *testing.T, label string, mono *Index, got Queryable) {
+	t.Helper()
+	ctx := context.Background()
+	for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 3, MinLen: 1}, {Kind: OpTopK, K: 5, MinLen: 4}, {Kind: OpTopK, K: MaxTopK, MinLen: 2}} {
+		want, err := mono.Analytics(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: mono %s: %v", label, q.Kind, err)
+		}
+		ans, err := got.Analytics(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", label, q.Kind, err)
+		}
+		if !reflect.DeepEqual(ans, want) {
+			t.Fatalf("%s: %s k=%d L=%d\n got %+v\nwant %+v", label, q.Kind, q.K, q.MinLen, ans, want)
+		}
+	}
+}
+
+// TestPartitionedSuffixOrderAnswers pins partitioned lrs and topk to the
+// monolithic index — itself pinned to the naive oracles here — over random
+// and periodic corpora, document counts below and above the shard count,
+// empty documents, and a live index whose every tier carries tombstones,
+// with and without a tombstoned memtable behind the tiers. The router's
+// entry point over fetched bytes answers the same lrs.
+func TestPartitionedSuffixOrderAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ctx := context.Background()
+	for _, kind := range suffixCorpusKinds {
+		text := suffixCorpus(kind, 600, rng)
+		for _, nDocs := range []int{1, 2, 5, 17} {
+			for _, empties := range []bool{false, true} {
+				docs := cutDocs(text, nDocs, empties && nDocs > 2, rng)
+				mono, err := BuildCorpus(docs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for shards := 1; shards <= 6; shards++ {
+					sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSuffixOrderAnswers(t, fmt.Sprintf("%s, %d docs (empties %v), %d shards", kind, nDocs, empties, shards), mono, sx)
+				}
+			}
+		}
+		for _, memtable := range []bool{false, true} {
+			lx, live := tombstonedLive(t, cutDocs(text, 24, memtable, rng), memtable)
+			mono, err := BuildCorpus(live, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			global := bytes.Join(live, nil)
+			if got, _ := mono.Analytics(ctx, Query{Kind: OpLongestRepeat}); !reflect.DeepEqual(got, naiveLRS(global)) {
+				t.Fatalf("%s: mono lrs differs from the naive oracle", kind)
+			}
+			if got, _ := mono.Analytics(ctx, Query{Kind: OpTopK, K: 5, MinLen: 4}); !reflect.DeepEqual(got, naiveTopK(global, 4, 5)) {
+				t.Fatalf("%s: mono topk differs from the naive oracle", kind)
+			}
+			requireSuffixOrderAnswers(t, fmt.Sprintf("%s, live (memtable %v)", kind, memtable), mono, lx)
+			want, _ := mono.Analytics(ctx, Query{Kind: OpLongestRepeat})
+			label, occ, err := LongestRepeatContent(ctx, global)
+			if err != nil || !bytes.Equal(label, want.Pattern) || !reflect.DeepEqual(occ, want.Occurrences) {
+				t.Fatalf("%s: LongestRepeatContent = %q %v, %v; want %q %v", kind, label, occ, err, want.Pattern, want.Occurrences)
+			}
+			lx.Close()
+		}
+	}
+}
+
+// TestAnalyticsCostPins pins the two allocation costs this layer was
+// rewritten for: mono topk reads L bytes per distinct L-mer rather than
+// copying a suffix, so its allocation does not grow with the corpus; and
+// partitioned lrs allocates one suffix array's worth (text, SA-IS working
+// set, LCP: about 37 B per symbol) where its window-hash search allocated
+// 1600.
+func TestAnalyticsCostPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 128 Ki-symbol corpus three ways")
+	}
+	ctx := context.Background()
+	topk := Query{Kind: OpTopK, K: 16, MinLen: 8}
+	var monoAlloc []uint64
+	for _, n := range []int{32 << 10, 128 << 10} {
+		data := workload.MustGenerate(workload.DNA, n, 3)
+		docs, err := workload.SliceDocs(data[:n], 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := BuildCorpus(docs, &Config{Target: TargetFlat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		monoAlloc = append(monoAlloc, allocatedBy(func() {
+			if _, err := mono.Analytics(ctx, topk); err != nil {
+				t.Error(err)
+			}
+		}))
+		if n != 128<<10 {
+			continue
+		}
+		sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3, Build: &Config{Target: TargetFlat}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ans Answer
+		lrsAlloc := allocatedBy(func() {
+			if ans, err = sx.Analytics(ctx, Query{Kind: OpLongestRepeat}); err != nil {
+				t.Error(err)
+			}
+		})
+		if want, _ := mono.Analytics(ctx, Query{Kind: OpLongestRepeat}); !reflect.DeepEqual(ans, want) {
+			t.Errorf("sharded lrs differs from mono: %+v vs %+v", ans, want)
+		}
+		if perSym := float64(lrsAlloc) / float64(n); perSym >= 48 {
+			t.Errorf("3-shard lrs over %d symbols allocated %d B = %.1f B/symbol, want < 48", n, lrsAlloc, perSym)
+		}
+	}
+	if small, large := monoAlloc[0], monoAlloc[1]; large > small+small/4+4096 {
+		t.Errorf("mono topk allocated %d B at 32 Ki symbols and %d B at 128 Ki: it grows with the corpus", small, large)
+	}
+}
+
+// countdownCtx reports no error for its first n Err calls and Canceled from
+// then on — a cancellation that lands while a walk is under way, whichever
+// goroutine schedule the test runs under.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPartitionedAnalyticsCancelMidWalk: a context canceled after the scan
+// started — past the executor's entry check — ends lrs and topk on the
+// sharded and live layers with the context's error, not with an answer.
+func TestPartitionedAnalyticsCancelMidWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	docs := cutDocs(suffixCorpus("random", 24*stopCheckInterval, rng), 24, false, rng)
+	sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lx, _ := tombstonedLive(t, docs, true)
+	defer lx.Close()
+	for _, layer := range []struct {
+		name string
+		q    Queryable
+	}{{"sharded", sx}, {"live", lx}} {
+		for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 4, MinLen: 6}} {
+			if _, err := layer.q.Analytics(context.Background(), q); err != nil {
+				t.Fatalf("%s %s: %v", layer.name, q.Kind, err)
+			}
+			// The entry check, the check after SA-IS and two polls pass, so the
+			// scan is 3·stopCheckInterval suffixes in when the next poll cancels it.
+			ctx := &countdownCtx{Context: context.Background(), n: 4}
+			ans, err := layer.q.Analytics(ctx, q)
+			if err != context.Canceled || ans.Found {
+				t.Errorf("%s %s canceled mid-walk: answer %+v, err %v; want context.Canceled", layer.name, q.Kind, ans, err)
+			}
+			if ctx.n >= 0 {
+				t.Errorf("%s %s: the scan finished without polling its context to cancellation", layer.name, q.Kind)
+			}
+		}
+	}
+}
+
+// periodicAnalyticsBound is a loose guard on one lrs or topk over the 64 KiB
+// periodic corpora below: the suffix array answers in tens of milliseconds (a
+// few hundred under -race), an executor that orders suffixes by comparing
+// them needs 10 s and more on the same text.
+const periodicAnalyticsBound = 5 * time.Second
+
+// testPeriodicAnalytics is TestAnalyticsDifferential's periodic-corpus case:
+// on text where every suffix repeats for as long as the text lasts, lrs and
+// topk on the sharded and the tombstoned live layer answer as the monolithic
+// index does, in time that does not depend on the repeat length.
+func testPeriodicAnalytics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 64 KiB periodic corpora")
+	}
+	kinds := []string{"one-symbol", "period-2", "period-7"}
+	// Building a periodic monolithic index is the slow part (ERA is quadratic
+	// in the repeat length): the three references build side by side while
+	// this goroutine sets up the partitioned layers, and every timed call
+	// runs after all of them are done.
+	rng := rand.New(rand.NewSource(41))
+	corpora := make([][][]byte, len(kinds))
+	monos := make([]*Index, len(kinds))
+	errs := make([]error, len(kinds))
+	var wg sync.WaitGroup
+	for i, kind := range kinds {
+		corpora[i] = cutDocs(suffixCorpus(kind, 64<<10, rng), 16, false, rng)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			monos[i], errs[i] = BuildCorpus(corpora[i], nil)
+		}()
+	}
+	type layer struct {
+		name string
+		q    Queryable
+	}
+	layers := make([][]layer, len(kinds))
+	for i, docs := range corpora {
+		sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both layers serve the same 16 documents: the live index holds them
+		// around 8 more that are tombstoned again.
+		var all [][]byte
+		for id, next := 0, 0; id < 24; id++ {
+			switch id {
+			case 0, 4, 5, 7, 8, 12, 17, 23: // the ids tombstonedLive deletes
+				all = append(all, docs[id%len(docs)][:64])
+			default:
+				all = append(all, docs[next])
+				next++
+			}
+		}
+		lx, live := tombstonedLive(t, all, false)
+		defer lx.Close()
+		if !reflect.DeepEqual(live, docs) {
+			t.Fatal("the live index's survivors are not the sharded corpus")
+		}
+		layers[i] = []layer{{"sharded", sx}, {"live", lx}}
+	}
+	wg.Wait()
+	for i, kind := range kinds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, l := range layers[i] {
+			for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 5, MinLen: 8}, {Kind: OpTopK, K: 64, MinLen: 3}} {
+				want, err := monos[i].Analytics(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t0 := time.Now()
+				got, err := l.q.Analytics(context.Background(), q)
+				took := time.Since(t0)
+				if err != nil {
+					t.Fatalf("%s, %s: Analytics(%s): %v", kind, l.name, q.Kind, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s: Analytics(%s %+v) differs from the monolithic index: %d-byte pattern, %d occurrences, top %v; want %d, %d, %v",
+						kind, l.name, q.Kind, q, len(got.Pattern), got.Count, got.Top, len(want.Pattern), want.Count, want.Top)
+				}
+				if took > periodicAnalyticsBound {
+					t.Errorf("%s, %s: Analytics(%s) took %v, bound %v", kind, l.name, q.Kind, took, periodicAnalyticsBound)
+				}
+			}
+		}
+	}
+}
+
+// TestWalkAllocationsDoNotScale pins the read-side walks' allocation count:
+// one hoisted child callback per walk, not one closure per visited node.
+func TestWalkAllocationsDoNotScale(t *testing.T) {
+	var allocs [2][3]float64
+	for i, n := range []int{2 << 10, 16 << 10} {
+		data := workload.MustGenerate(workload.DNA, n, 11)
+		docs, err := workload.SliceDocs(data[:n], 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := BuildCorpus(docs, &Config{Target: TargetFlat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[i][0] = testing.AllocsPerRun(3, func() { suffixtree.LongestRepeated(x.tree, nil) })
+		allocs[i][1] = testing.AllocsPerRun(3, func() {
+			suffixtree.PrefixLoci(x.tree, 6, func(int32) bool { return true })
+		})
+		allocs[i][2] = testing.AllocsPerRun(3, func() {
+			if _, err := x.commonSubstring(context.Background(), 0, 3); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for j, name := range []string{"LongestRepeated", "PrefixLoci", "commonSubstring"} {
+		// Stacks and result slices may grow a few more times on the larger
+		// tree; a closure per node would add thousands.
+		if small, large := allocs[0][j], allocs[1][j]; large > small+16 {
+			t.Errorf("%s: %.0f allocations on the 2 Ki-symbol tree, %.0f on the 16 Ki one", name, small, large)
+		}
+	}
+}

@@ -152,7 +152,9 @@ func analyticsQuerySet(numDocs int) []Query {
 
 // TestAnalyticsDifferential pins every analytics op byte-identical across
 // the four layers — heap monolithic, v4 file-backed monolithic, sharded,
-// and live after appends and deletes — against the naive scan oracle.
+// and live after appends and deletes — against the naive scan oracle; its
+// periodic sub-test (testPeriodicAnalytics) adds the corpora on which a
+// suffix order must not be had by comparing suffixes.
 func TestAnalyticsDifferential(t *testing.T) {
 	docs := [][]byte{
 		[]byte("GATTACAGATTACAGGTT"),
@@ -240,6 +242,10 @@ func TestAnalyticsDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// Periodic corpora, far too long for the naive oracles: the partitioned
+	// layers against the monolithic index, inside a time bound.
+	t.Run("periodic", testPeriodicAnalytics)
 }
 
 // TestAnalyticsBatchDispatch pins the mutual dispatch: an analytics op

@@ -12,6 +12,10 @@
 //
 // Everything in this file is a thin exported veneer over the internal
 // helpers in shard.go and analytics.go; the logic itself is written once.
+// That includes lrs: the router hands the bytes it fetched to the suffix-order
+// executor the in-process partitioned layers run (suffixOrderAnswer). Routed
+// topk still ships every shard's depth-L census (Index.PrefixCounts) and ranks
+// the sum here.
 package era
 
 import (
@@ -69,11 +73,13 @@ func TopAnswer(agg map[string]int, k int) Answer {
 }
 
 // LongestRepeatContent computes the canonical longest-repeated-substring
-// answer over materialized content, binary-searching lengths above the
-// known-achievable lower bound lo (0 when unknown). A canceled ctx abandons
-// the search and returns its error.
-func LongestRepeatContent(ctx context.Context, content []byte, lo int) (label []byte, occ []int, err error) {
-	return longestRepeatContent(ctx, content, lo)
+// answer over materialized content, the way the in-process partitioned
+// executor does: the router holds the fetched corpus but no trees. A canceled
+// ctx abandons the scan and returns its error.
+func LongestRepeatContent(ctx context.Context, content []byte) (label []byte, occ []int, err error) {
+	text := append(content[:len(content):len(content)], alphabet.Terminator)
+	ans, err := suffixOrderAnswer(ctx, text, Query{Kind: OpLongestRepeat})
+	return ans.Pattern, ans.Occurrences, err
 }
 
 // LCSTwoStrings computes the canonical longest-common-substring answer for
@@ -134,7 +140,7 @@ func (x *Index) PrefixCounts(ctx context.Context, L int) (map[string]int, error)
 	}
 	stop := ctxStop(ctx)
 	counts := make(map[string]int)
-	collectPrefixCounts(x.tree, L, stop, func(label []byte, count int) {
+	collectPrefixCounts(x.tree, x.data, L, stop, func(label []byte, count int) {
 		counts[string(label)] += count
 	})
 	if err := ctx.Err(); err != nil {

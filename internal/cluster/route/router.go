@@ -1061,11 +1061,26 @@ func (rt *Router) routedCounts(ctx context.Context, topo *topology, patterns [][
 	return counts, nil
 }
 
-// longestRepeat answers lrs: per-shard tree answers are sound lower bounds
-// (and power the degraded path); the true answer, which may straddle shard
-// cuts, comes from the canonical content-level search over the fully
-// materialized virtual string — identical to the in-process executor.
+// longestRepeat answers lrs from the fully materialized virtual string, the
+// way the in-process partitioned executor does — the answer may straddle
+// shard cuts, so no per-shard answer bounds it. Only when the corpus cannot
+// be fetched are the shards asked for their own tree answers, which power
+// the degraded path.
 func (rt *Router) longestRepeat(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
+	content, cerr := rt.globalSlice(ctx, topo, 0, topo.totalLen-1)
+	if cerr == nil {
+		label, occ, lerr := era.LongestRepeatContent(ctx, content)
+		if lerr != nil {
+			return era.Result{}, false, lerr
+		}
+		return era.Result{Found: label != nil, Pattern: label, Occurrences: occ, Count: len(occ)}, false, nil
+	}
+	if ctx.Err() != nil {
+		return era.Result{}, false, ctx.Err()
+	}
+	if rt.cfg.Strict {
+		return era.Result{}, false, fmt.Errorf("%w: content fetch: %v", errShardDown, cerr)
+	}
 	resps := make([]server.QueryResponse, len(topo.shards))
 	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
 		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "lrs"})
@@ -1074,36 +1089,6 @@ func (rt *Router) longestRepeat(ctx context.Context, topo *topology, op era.Op) 
 	})
 	if err != nil {
 		return era.Result{}, false, err
-	}
-	partial, err := rt.degrade(topo, dead)
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	lo := 0
-	for i, r := range resps {
-		if !dead[i] && len(r.Pattern) > lo {
-			lo = len(r.Pattern)
-		}
-	}
-
-	if !partial {
-		content, cerr := rt.globalSlice(ctx, topo, 0, topo.totalLen-1)
-		if cerr != nil {
-			if ctx.Err() != nil {
-				return era.Result{}, false, ctx.Err()
-			}
-			// A shard died between the fan-out and the content fetch.
-			if rt.cfg.Strict {
-				return era.Result{}, false, fmt.Errorf("%w: content fetch: %v", errShardDown, cerr)
-			}
-			partial = true
-		} else {
-			label, occ, lerr := era.LongestRepeatContent(ctx, content, lo)
-			if lerr != nil {
-				return era.Result{}, false, lerr
-			}
-			return era.Result{Found: label != nil, Pattern: label, Occurrences: occ, Count: len(occ)}, false, nil
-		}
 	}
 	// Degraded: the best within-shard answer among the survivors — never a
 	// fabricated cross-junction repeat. Canonical tie-break: longest, then

@@ -215,6 +215,7 @@ func scanCountDenseChunk(vc *vertCounter, counts []int64, sc *seq.Scanner, n, k,
 	// The last window of the span starts at hi-1 and ends at hi+k-2, so the
 	// chunk never reads past hi+k-1 (the S-prefix-1 overlap into the next
 	// worker's span) — nor past the string end.
+	got := 0
 	for base := lo; base < hi; base += chunk {
 		want := chunk + k - 1
 		if base+want > hi+k-1 {
@@ -223,11 +224,23 @@ func scanCountDenseChunk(vc *vertCounter, counts []int64, sc *seq.Scanner, n, k,
 		if base+want > n {
 			want = n - base
 		}
-		got, err := sc.Fetch(buf[:want], base)
-		if err != nil {
-			return nil, err
+		// A step opens with the k-1 symbols the previous one closed with.
+		// They are carried over, not fetched again: the scanner's buffer is
+		// one block-aligned window, and when that overlap straddles a block
+		// boundary the buffer has already moved past its first symbols.
+		keep := 0
+		if base > lo {
+			keep = copy(buf, buf[chunk:got])
 		}
-		end := base + got - k // last window start fully inside this fetch
+		got = keep
+		if keep < want {
+			m, err := sc.Fetch(buf[keep:want], base+keep)
+			if err != nil {
+				return nil, err
+			}
+			got += m
+		}
+		end := base + got - k // last window start fully inside this step
 		code := 0
 		for t := 0; t < k-1 && t < got; t++ {
 			code = code<<bits | int(codes[buf[t]])

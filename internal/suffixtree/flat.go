@@ -244,6 +244,11 @@ func (t *FlatTree) Suffix(u int32) int32 {
 	if !t.valid(u) || !t.IsLeaf(u) {
 		return -1
 	}
+	return t.leafSuffix(u)
+}
+
+// leafSuffix is Suffix for a node the caller knows is a valid leaf.
+func (t *FlatTree) leafSuffix(u int32) int32 {
 	return int32(binary.LittleEndian.Uint32(t.rec(u)[24:]))
 }
 

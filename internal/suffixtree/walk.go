@@ -8,10 +8,18 @@ package suffixtree
 // lexicographic order — every tie-break the era layer documents ("smallest
 // substring wins") falls out of that order for free.
 //
+// FirstLeaf names a locus by its lexicographically first suffix, so the era
+// layer labels a locus with L bytes of S viewed in place rather than a
+// materialized path.
+//
 // All walks are budgeted against NumNodes: a corrupt flat file can encode
 // overlapping child runs (a DAG), which would re-expand shared subtrees
 // exponentially. Wrong answers on a corrupt file are acceptable (the
 // checksum layer catches them before they are served); runaway walks are not.
+//
+// ForEachChild takes its callback through the View interface, so a closure
+// literal inside a walk's loop would escape and allocate once per visited
+// node; every walk here hoists one closure over loop state instead.
 
 // Walk visits every node reachable from u in depth-first pre-order, children
 // in first-symbol order; fn receives the node id and its string depth. If fn
@@ -20,6 +28,11 @@ func Walk(v View, u int32, fn func(id, depth int32) bool) {
 	type frame struct{ id, depth int32 }
 	stack := make([]frame, 0, 64)
 	stack = append(stack, frame{u, v.EdgeLen(u)})
+	var depth int32 // string depth of the node being expanded
+	push := func(c int32) bool {
+		stack = append(stack, frame{c, depth + v.EdgeLen(c)})
+		return true
+	}
 	budget := v.NumNodes()
 	for len(stack) > 0 && budget > 0 {
 		budget--
@@ -29,10 +42,8 @@ func Walk(v View, u int32, fn func(id, depth int32) bool) {
 			continue
 		}
 		mark := len(stack)
-		v.ForEachChild(f.id, func(c int32) bool {
-			stack = append(stack, frame{c, f.depth + v.EdgeLen(c)})
-			return true
-		})
+		depth = f.depth
+		v.ForEachChild(f.id, push)
 		// Children were pushed in sibling order; reverse the run so the
 		// first sibling pops first.
 		for i, j := mark, len(stack)-1; i < j; i, j = i+1, j-1 {
@@ -53,6 +64,15 @@ func LeafCounts(v View) []int32 {
 	}
 	stack := make([]frame, 0, 64)
 	stack = append(stack, frame{v.Root(), false})
+	push := func(c int32) bool {
+		stack = append(stack, frame{c, false})
+		return true
+	}
+	var sum int32
+	add := func(c int32) bool {
+		sum += counts[c]
+		return true
+	}
 	budget := 2 * n
 	for len(stack) > 0 && budget > 0 {
 		budget--
@@ -60,24 +80,45 @@ func LeafCounts(v View) []int32 {
 		stack = stack[:len(stack)-1]
 		if !f.visited {
 			stack = append(stack, frame{f.id, true})
-			v.ForEachChild(f.id, func(c int32) bool {
-				stack = append(stack, frame{c, false})
-				return true
-			})
+			v.ForEachChild(f.id, push)
 			continue
 		}
 		if v.IsLeaf(f.id) {
 			counts[f.id] = 1
 			continue
 		}
-		var sum int32
-		v.ForEachChild(f.id, func(c int32) bool {
-			sum += counts[c]
-			return true
-		})
+		sum = 0
+		v.ForEachChild(f.id, add)
 		counts[f.id] = sum
 	}
 	return counts
+}
+
+// FirstLeaf returns the suffix offset of the lexicographically first leaf
+// below u (u's own when it is a leaf), by descending first children; -1 for
+// an id outside the tree. The path label of u is S[o : o+depth(u)] for that
+// offset o, so a caller that needs only a prefix of the label reads it out
+// of S in place. Both layouts of View (view.go) resolve without allocating.
+func FirstLeaf(v View, u int32) int32 {
+	switch t := v.(type) {
+	case *FlatTree:
+		if !t.valid(u) {
+			return -1
+		}
+		for cs, cc := t.children(u); cc > 0; cs, cc = t.children(u) {
+			u = cs // child runs lie after their parent, so this terminates
+		}
+		return t.leafSuffix(u)
+	case *Tree:
+		if u < 0 || int(u) >= len(t.nodes) {
+			return -1
+		}
+		for c := t.nodes[u].firstChild; c != None; c = t.nodes[u].firstChild {
+			u = c
+		}
+		return t.nodes[u].suffix
+	}
+	return -1
 }
 
 // LongestRepeated returns the deepest internal node's path label — the

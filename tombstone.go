@@ -14,7 +14,8 @@ import (
 // reference-counted snapshot that answers contains / count / occurrences /
 // doc-occurrences / batch (here) and the analytics ops (analytics_live.go)
 // over a sequence of tiers, each an ordinary Index, by fan-out → stitch →
-// merge. It is written once and serves both partitioned layers: a LiveIndex
+// merge (lrs and topk excepted: they read the suffix array of the virtual
+// string, globalSlice below). It is written once and serves both partitioned layers: a LiveIndex
 // (live.go) publishes a fresh snapshot per mutation, with per-tier
 // bookkeeping that maps tier-local suffix tree answers onto the virtual
 // global string of live documents; a ShardedIndex (shard.go) holds one
