@@ -15,11 +15,12 @@ import (
 // stated reason for superseding it with SubTreePrepare/BuildSubTree, §4.2.2).
 // It is kept as a first-class builder because Fig. 7 compares the two.
 //
-// Chunk state is a flat per-sub-tree slice indexed by occurrence appearance
-// rank (each open edge carries its occurrences' ranks), so the innermost
-// symbol-comparison loop costs one array index instead of a hash-map probe;
-// the chunk bytes live in a per-round arena and the round's fill schedule is
-// a k-way merge of the per-edge appearance-ordered runs.
+// Chunk state is a flat per-sub-tree slot table indexed by occurrence
+// appearance rank (each open edge carries its occurrences' ranks), so the
+// innermost symbol-comparison loop costs one array index instead of a
+// hash-map probe; the chunk bytes live in the round's chunk buffer and the
+// round's fill schedule is a k-way merge of the per-edge appearance-ordered
+// runs.
 
 // openEdge is an edge still under construction: all suffixes in occs pass
 // through node's edge end at string depth depth. ranks[k] is the appearance
@@ -41,8 +42,9 @@ type strState struct {
 	// land in the array still being iterated (edges would be clobbered and
 	// duplicated mid-round, silently corrupting the sub-tree).
 	spare  []openEdge
-	active int      // total occurrences on open edges
-	chunks [][]byte // appearance rank → this round's chunk
+	active int       // total occurrences on open edges
+	chunks *chunkBuf // this round's chunks
+	slots  []int32   // appearance rank → slot in chunks
 
 	// processEdge scratch, reused across rounds.
 	stack     []branchJob
@@ -78,13 +80,14 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 	stats := PrepareStats{MinRange: int(^uint(0) >> 1)}
 
 	rng1 := roundRange(rCap, staticRange, activeUpfront(group), n)
-	occs, round1, captured, err := CollectWithFill(ctx, f, sc, clock, model, group, rng1)
+	occs, captured, err := CollectWithFill(ctx, f, sc, clock, model, group, rng1)
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.SymbolsRead += captured
 
 	subs := make([]*strState, len(group.Prefixes))
+	slot := 0 // the collect scan left occurrence r of prefix i in slot Σ_{k<i} Freq_k + r
 	for i, p := range group.Prefixes {
 		if len(occs[i]) == 0 {
 			return nil, stats, fmt.Errorf("core: prefix %q has no occurrences", p.Label)
@@ -101,13 +104,18 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 		} else {
 			u := t.NewNode(first, first+plen, -1)
 			t.AttachLast(t.Root(), u)
-			ranks := make([]int32, len(occs[i]))
+			m := len(occs[i])
+			tables := make([]int32, 2*m)
+			ranks := tables[:m:m]
+			st.slots = tables[m:]
 			for r := range ranks {
 				ranks[r] = int32(r)
+				st.slots[r] = int32(slot + r)
 			}
 			st.open = append(st.open, openEdge{node: u, occs: occs[i], ranks: ranks, depth: plen})
-			st.active = len(occs[i])
+			st.active = m
 		}
+		slot += len(occs[i])
 		subs[i] = st
 	}
 
@@ -117,7 +125,7 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 	// context). For this builder a fillReq's idx is the occurrence's
 	// appearance rank, which identifies the chunk slot.
 	fills, heap, reqs := ctx.fills, ctx.heap, ctx.reqs
-	chunkArena := &ctx.roundArena
+	chunks := &ctx.chunks
 	defer func() { ctx.fills, ctx.heap, ctx.reqs = fills[:0], heap[:0], reqs }()
 	firstRound := true
 
@@ -147,14 +155,14 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 			// Round one uses the chunks captured by the collect scan, which
 			// arrive already indexed by appearance rank.
 			firstRound = false
-			for si := range subs {
-				subs[si].chunks = round1[si]
-			}
 		} else {
 			// One sequential pass fetches the next chunk for every
 			// unresolved suffix of every sub-tree in the group. Every open
 			// edge's occurrences are in appearance order, so the schedule
 			// is a k-way merge of per-edge runs.
+			if cap(fills) < activeTotal {
+				fills = make([]fillReq, 0, activeTotal)
+			}
 			fills = fills[:0]
 			heap = heap[:0]
 			for si, st := range subs {
@@ -168,7 +176,7 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 			for len(heap) > 0 {
 				hd := heap[0]
 				oe := &subs[hd.sub].open[hd.a]
-				fills = append(fills, fillReq{hd.pos, hd.sub, oe.ranks[hd.b]})
+				fills = append(fills, fillReq{int32(hd.pos), hd.sub, oe.ranks[hd.b]})
 				if nb := hd.b + 1; int(nb) < len(oe.occs) {
 					heap.replaceMin(mergeHead{pos: int(oe.occs[nb]) + int(oe.depth), sub: hd.sub, a: hd.a, b: nb})
 				} else {
@@ -177,37 +185,13 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 			}
 			cpuSeq += int64(len(fills))
 
-			total := 0
-			for _, fl := range fills {
-				want := rng
-				if fl.pos+want > n {
-					want = n - fl.pos
-				}
-				if want <= 0 {
-					// The suffix is exhausted; this cannot happen for an
-					// open edge (the unique terminator forces divergence
-					// before the suffix ends).
-					return nil, stats, fmt.Errorf("core: open edge of %q exhausted at %d (string length %d)", subs[fl.sub].prefix.Label, fl.pos, n)
-				}
-				total += want
+			var read int64
+			if reqs, read, err = fetchRound(sc, chunks, reqs, fills, rng, n); err != nil {
+				return nil, stats, fmt.Errorf("core: group of %q: %w", group.Prefixes[0].Label, err)
 			}
-			chunkArena.reset()
-			chunkArena.ensure(total)
-			reqs = seq.GrowBatch(reqs, len(fills))
+			stats.SymbolsRead += read
 			for i, fl := range fills {
-				want := rng
-				if fl.pos+want > n {
-					want = n - fl.pos
-				}
-				reqs[i] = seq.BatchRequest{Off: fl.pos, Dst: chunkArena.grab(want)}
-			}
-			sc.Reset()
-			if err := sc.FetchBatch(reqs); err != nil {
-				return nil, stats, err
-			}
-			for i, fl := range fills {
-				subs[fl.sub].chunks[fl.idx] = reqs[i].Dst[:reqs[i].Got]
-				stats.SymbolsRead += int64(reqs[i].Got)
+				subs[fl.sub].slots[fl.idx] = int32(i)
 			}
 		}
 
@@ -221,6 +205,7 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 			st.open = st.spare[:0]
 			st.spare = open
 			st.active = 0
+			st.chunks = chunks
 			for _, oe := range open {
 				seqOps, randOps, err := st.processEdge(oe, int32(n))
 				if err != nil {
@@ -252,7 +237,7 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 // sequential ones.
 func (st *strState) processEdge(oe openEdge, n int32) (seqOps, randOps int64, err error) {
 	t := st.tree
-	chunks := st.chunks
+	chunks, slots := st.chunks, st.slots
 	stack := append(st.stack[:0], branchJob{oe.node, oe.occs, oe.ranks, oe.depth, 0})
 
 	for len(stack) > 0 {
@@ -268,21 +253,23 @@ func (st *strState) processEdge(oe openEdge, n int32) (seqOps, randOps int64, er
 			continue
 		}
 
-		// Common extension across all suffixes within the fetched window.
-		first := chunks[j.ranks[0]]
-		limit := int32(len(first)) - j.consumed
-		for _, r := range j.ranks[1:] {
-			if l := int32(len(chunks[r])) - j.consumed; l < limit {
+		// Common extension across all suffixes within the fetched window: a
+		// chunk is the round's range wide unless the end of S clipped it.
+		limit := int32(chunks.rng)
+		for _, o := range j.occs {
+			if l := n - o - (j.depth - j.consumed); l < limit {
 				limit = l
 			}
 		}
+		limit -= j.consumed
+		first := slots[j.ranks[0]]
 		var cs int32
 		for cs < limit {
-			sym := first[j.consumed+cs]
+			sym := chunks.at(first, int(j.consumed+cs))
 			same := true
 			for _, r := range j.ranks[1:] {
 				seqOps++
-				if chunks[r][j.consumed+cs] != sym {
+				if chunks.at(slots[r], int(j.consumed+cs)) != sym {
 					same = false
 					break
 				}
@@ -316,7 +303,7 @@ func (st *strState) processEdge(oe openEdge, n int32) (seqOps, randOps int64, er
 		}
 		present := st.symList[:0]
 		for _, r := range j.ranks {
-			sym := chunks[r][newConsumed]
+			sym := chunks.at(slots[r], int(newConsumed))
 			if st.symCounts[sym] == 0 {
 				present = append(present, sym)
 			}
@@ -338,7 +325,7 @@ func (st *strState) processEdge(oe openEdge, n int32) (seqOps, randOps int64, er
 		copy(occTmp, j.occs)
 		copy(rankTmp, j.ranks)
 		for k := 0; k < m; k++ {
-			sym := chunks[rankTmp[k]][newConsumed]
+			sym := chunks.at(slots[rankTmp[k]], int(newConsumed))
 			d := st.symCounts[sym]
 			st.symCounts[sym]++
 			j.occs[d] = occTmp[k]

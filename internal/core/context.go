@@ -32,17 +32,18 @@ type buildContext struct {
 	// buffer doubles as the chunk-scan buffer).
 	vc *vertCounter
 
-	// Round-loop scratch shared by GroupPrepare and GroupBranch.
-	fills      []fillReq
-	heap       fillHeap
-	reqs       []seq.BatchRequest
-	roundArena byteArena
+	// Round-loop scratch shared by GroupPrepare and GroupBranch, and the
+	// area-sort scratch of GroupPrepare's rounds. chunks is array R: the
+	// collect scan fills it for round one, and each later round — the
+	// previous round's chunks being dead by then — refills it.
+	fills       []fillReq
+	heap        fillHeap
+	reqs        []seq.BatchRequest
+	chunks      chunkBuf
+	sortScratch sortScratch
 
-	// Collect-scan scratch: the streaming window buffer and the arena
-	// backing the round-one chunks (live until the first round consumes
-	// them, so it is reset at the next collect, not per round).
-	collectBuf   []byte
-	collectArena byteArena
+	// Collect-scan scratch: the streaming window buffer.
+	collectBuf []byte
 
 	// Sub-tree materialization: a recycled arena-backed tree — used only
 	// when finished sub-trees are dropped after accounting — plus the LCP
@@ -54,20 +55,20 @@ type buildContext struct {
 
 	// Per-group pooled storage — the remaining per-group allocations the
 	// ROADMAP flagged after PR 3: the collect matcher (root table + trie
-	// blocks), the occurrence/chunk list headers and their slabs, and the
-	// subState headers with their P/I/area/B/defined/R backing. Carved per
-	// group, reused across every group a worker processes, so the steady
-	// state allocates nothing per group either. The pooled outputs
-	// (CollectWithFill's occs/chunks, GroupPrepare's []Prepared with its L
-	// and B) stay valid only until the next CollectWithFill/GroupPrepare on
-	// the same context — exactly the lifetime processGroup gives them.
+	// blocks), the occurrence list headers and their slab, each prefix's
+	// first chunk slot, and the subState headers with their
+	// P/I/area/R/B/defined backing. Carved per group, reused across every
+	// group a worker processes, so the steady state allocates nothing per
+	// group either. The pooled outputs (CollectWithFill's occs and
+	// chunks, GroupPrepare's []Prepared with its L and B) stay valid
+	// only until the next CollectWithFill/GroupPrepare on the same context —
+	// exactly the lifetime processGroup gives them.
 	cm         *collectMatcher
 	lengthsBuf []int
 	lengthSeen []bool
 	occLists   [][]int32
-	chunkLists [][][]byte
 	occSlab    []int32
-	chunkSlab  [][]byte
+	slotBase   []int32
 	subStates  []subState
 	subPtrs    []*subState
 	startsBuf  []int
@@ -75,7 +76,6 @@ type buildContext struct {
 	i32Slab    []int32
 	bSlab      []BEntry
 	defSlab    []bool
-	rSlab      [][]byte
 }
 
 // fillReq is one entry of a round's fill schedule: fetch the next chunk for
@@ -83,7 +83,7 @@ type buildContext struct {
 // current index within the sub-tree arrays for GroupPrepare and the
 // occurrence's appearance rank for GroupBranch.
 type fillReq struct {
-	pos int
+	pos int32
 	sub int32
 	idx int32
 }

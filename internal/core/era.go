@@ -251,9 +251,15 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 			}
 			ctx.tree.EnsureCap(2*int(g.Freq) + 1)
 		}
+		var flatSlab []int32
+		if res.collectFlat {
+			// One slab per group backs every sub-tree's L / LCP copy.
+			flatSlab = make([]int32, 2*g.Freq)
+		}
 		for ti, p := range prepared {
 			if res.collectFlat {
-				fs, nodes, err := collectFlatSub(int32(f.Len()), p, cpuClock, model, &ctx.depthScratch)
+				fs, nodes, err := collectFlatSub(int32(f.Len()), p, cpuClock, model, &ctx.depthScratch, flatSlab[:2*len(p.L)])
+				flatSlab = flatSlab[2*len(p.L):]
 				if err != nil {
 					return err
 				}
@@ -310,27 +316,28 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 // This is the scan that seeds array L (SubTreePrepare line 1); the group
 // shares it, which is the virtual-tree I/O amortization of §4.1.
 func CollectOccurrences(f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, g Group) ([][]int32, error) {
-	occs, _, _, err := CollectWithFill(nil, f, sc, clock, model, g, 0)
+	occs, _, err := CollectWithFill(nil, f, sc, clock, model, g, 0)
 	return occs, err
 }
 
 // CollectWithFill is CollectOccurrences fused with the first fill round:
 // alongside each occurrence it captures the rng symbols that follow the
-// occurrence's prefix, in the same sequential pass. chunks[i][j] holds the
-// symbols for occurrence j of prefix i (nil when rng == 0); captured is the
-// total number of symbols captured.
+// occurrence's prefix, in the same sequential pass, into ctx.chunks
+// (untouched when rng == 0). Occurrence j of prefix i owns slot
+// (Σ_{k<i} Freq_k) + j, so the slots need no table; captured is the total
+// number of symbols captured.
 //
 // The group's prefix-free label set resolves through a shortest-match code
 // trie (collectMatcher) whose first levels are collapsed into one rolling
-// root-table probe, with the chunk buffers carved from a shared arena. The
+// root-table probe. The
 // root fold is capped at a cache-resident size, so the trie handles labels
 // of any length and needs no fallback; the original map scan below remains
 // as the reference the equivalence tests replay, with identical probe and
-// capture accounting. A non-nil ctx supplies the reusable scan buffer and
-// chunk arena, the recycled matcher, and the pooled occurrence/chunk lists
-// (nil allocates throwaway ones); the pooled outputs are valid until the
-// next CollectWithFill on the same ctx.
-func CollectWithFill(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, g Group, rng int) (occs [][]int32, chunks [][][]byte, captured int64, err error) {
+// capture accounting. A non-nil ctx supplies the reusable scan and chunk
+// buffers, the recycled matcher, and the pooled occurrence lists (nil
+// allocates throwaway ones, so only the occurrences survive); the pooled
+// outputs are valid until the next CollectWithFill on the same ctx.
+func CollectWithFill(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, g Group, rng int) (occs [][]int32, captured int64, err error) {
 	if ctx == nil {
 		ctx = new(buildContext) // throwaway: the pools below start empty
 	}
@@ -357,47 +364,42 @@ func CollectWithFill(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim
 	sort.Ints(lengths)
 	ctx.lengthsBuf = lengths
 
-	// Occurrence and chunk lists carved from pooled slabs: each prefix's
-	// list gets exactly its frequency in capacity, so the scan's appends
-	// never reallocate and consecutive groups reuse one backing array.
+	// Occurrence lists carved from a pooled slab: each prefix's list gets
+	// exactly its frequency in capacity, so the scan's appends never
+	// reallocate and consecutive groups reuse one backing array. The same
+	// running offset is the prefix's first chunk slot.
 	occs = growOccLists(ctx.occLists, len(g.Prefixes))
 	ctx.occLists = occs
 	if cap(ctx.occSlab) < int(total) {
 		ctx.occSlab = make([]int32, total)
 	}
 	oSlab := ctx.occSlab[:cap(ctx.occSlab)]
-	chunks = growChunkLists(ctx.chunkLists, len(g.Prefixes))
-	ctx.chunkLists = chunks
-	var cSlab [][]byte
-	if rng > 0 {
-		if cap(ctx.chunkSlab) < int(total) {
-			ctx.chunkSlab = make([][]byte, total)
-		}
-		cSlab = ctx.chunkSlab[:cap(ctx.chunkSlab)]
+	if cap(ctx.slotBase) < len(g.Prefixes) {
+		ctx.slotBase = make([]int32, len(g.Prefixes))
 	}
+	base := ctx.slotBase[:len(g.Prefixes)]
 	pos := 0
 	for i, p := range g.Prefixes {
 		occs[i] = oSlab[pos : pos : pos+int(p.Freq)]
-		if rng > 0 {
-			chunks[i] = cSlab[pos : pos : pos+int(p.Freq)]
-		} else {
-			chunks[i] = nil
-		}
+		base[i] = int32(pos)
 		pos += int(p.Freq)
+	}
+	if rng > 0 {
+		ctx.chunks.reset(int(total), rng)
 	}
 
 	ctx.cm = newCollectMatcher(ctx.cm, f.Alphabet(), g, lengths, maxLen)
-	captured, err = collectScanTrie(ctx, ctx.cm, sc, clock, model, n, rng, occs, chunks)
+	captured, err = collectScanTrie(ctx, ctx.cm, sc, clock, model, n, rng, occs, base)
 	if err != nil {
-		return nil, nil, captured, err
+		return nil, captured, err
 	}
 
 	for i, p := range g.Prefixes {
 		if int64(len(occs[i])) != p.Freq {
-			return nil, nil, captured, fmt.Errorf("core: prefix %q: collected %d occurrences, expected %d", p.Label, len(occs[i]), p.Freq)
+			return nil, captured, fmt.Errorf("core: prefix %q: collected %d occurrences, expected %d", p.Label, len(occs[i]), p.Freq)
 		}
 	}
-	return occs, chunks, captured, nil
+	return occs, captured, nil
 }
 
 // growClearBool returns a false-filled bool slice of length n backed by s's
@@ -419,14 +421,6 @@ func growOccLists(s [][]int32, n int) [][]int32 {
 	return s[:n]
 }
 
-// growChunkLists resizes the pooled chunk-list headers.
-func growChunkLists(s [][][]byte, n int) [][][]byte {
-	if cap(s) < n {
-		return make([][][]byte, n)
-	}
-	return s[:n]
-}
-
 // pendingFill is a chunk whose tail lies beyond the current scan window; it
 // is completed as later windows stream past.
 type pendingFill struct {
@@ -442,26 +436,17 @@ type pendingFill struct {
 // reference's length-by-length loop: a match at length l costs its rank
 // among the distinct lengths, a miss costs every length that fits in the
 // window (zero for the tail positions too short for any label, which is why
-// they need no walk at all). A non-nil ctx backs the scan buffer and the
-// round-one chunks with the context's reusable storage; the chunk arena is
-// reset here — its previous group's chunks are dead by the time the next
-// collect starts.
-func collectScanTrie(ctx *buildContext, m *collectMatcher, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, n, rng int, occs [][]int32, chunks [][][]byte) (captured int64, err error) {
+// they need no walk at all). The round-one chunks go to ctx.chunks,
+// which the caller has sized for the group when rng > 0: occurrence j of
+// prefix i fills slot slot[i]+j.
+func collectScanTrie(ctx *buildContext, m *collectMatcher, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, n, rng int, occs [][]int32, slot []int32) (captured int64, err error) {
 	maxLen := m.maxLen
 	var pend []pendingFill
 
 	sc.Reset()
 	const chunk = 64 * 1024
-	var buf []byte
-	var arena *byteArena
-	if ctx != nil {
-		buf = ctx.scanBuf(chunk + maxLen - 1)
-		arena = &ctx.collectArena
-		arena.reset()
-	} else {
-		buf = make([]byte, chunk+maxLen-1)
-		arena = new(byteArena)
-	}
+	buf := ctx.scanBuf(chunk + maxLen - 1)
+	chunks := &ctx.chunks
 	root, trie, codes := m.root, m.trie, m.codes
 	bits, rootLen := m.bits, m.rootLen
 	mask := len(root) - 1
@@ -545,20 +530,19 @@ func collectScanTrie(ctx *buildContext, m *collectMatcher, sc *seq.Scanner, cloc
 			// Mark: the label of length l matches at i.
 			pi := -v - 1
 			probes += int64(m.probesByLen[l])
-			occs[pi] = append(occs[pi], int32(i))
 			if rng > 0 {
 				wantC := rng
 				if i+l+wantC > n {
 					wantC = n - i - l
 				}
-				cb := arena.grab(wantC)
+				cb := chunks.fill(int(slot[pi])+len(occs[pi]), wantC)
 				c := copy(cb, buf[i+l-base:got])
 				captured += int64(c)
 				if c < wantC {
 					pend = append(pend, pendingFill{buf: cb, got: c, from: i + l + c})
 				}
-				chunks[pi] = append(chunks[pi], cb)
 			}
+			occs[pi] = append(occs[pi], int32(i))
 		}
 	}
 	if len(pend) > 0 {

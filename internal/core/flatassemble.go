@@ -13,11 +13,13 @@ import (
 // S-prefix label (arena-backed by VerticalPartition, immutable for the
 // build's lifetime) plus private copies of the sorted occurrence list and
 // its LCP array — the prepare pools recycle the originals on the worker's
-// next group.
+// next group — and the number of branch nodes the sub-tree has, which sizes
+// the assembly.
 type flatSub struct {
-	label []byte
-	l     []int32
-	lcp   []int32
+	label    []byte
+	l        []int32
+	lcp      []int32
+	branches int64
 }
 
 // collectFlatSub snapshots one prepared sub-tree for direct flat assembly.
@@ -26,14 +28,14 @@ type flatSub struct {
 // identical whichever layout a build targets, and returns the node count
 // the equivalent heap sub-tree would have had (leaves plus split-created
 // branch nodes, local root excluded) so Stats.TreeNodes stays identical
-// too.
-func collectFlatSub(n int32, p Prepared, clock *sim.Clock, model sim.CostModel, scratch *[]int32) (flatSub, int64, error) {
+// too. The copies go into buf, 2·len(p.L) entries the caller carves from one
+// slab per group.
+func collectFlatSub(n int32, p Prepared, clock *sim.Clock, model sim.CostModel, scratch *[]int32, buf []int32) (flatSub, int64, error) {
 	m := len(p.L)
 	if m == 0 {
 		return flatSub{}, 0, fmt.Errorf("core: prefix %q has no occurrences", p.Prefix.Label)
 	}
-	buf := make([]int32, 2*m)
-	l, lcp := buf[:m:m], buf[m:]
+	l, lcp := buf[:m:m], buf[m:2*m:2*m]
 	copy(l, p.L)
 	if _, err := fillLCP(p, lcp); err != nil {
 		return flatSub{}, 0, err
@@ -43,7 +45,7 @@ func collectFlatSub(n int32, p Prepared, clock *sim.Clock, model sim.CostModel, 
 		return flatSub{}, 0, fmt.Errorf("core: prefix %q: %w", p.Prefix.Label, err)
 	}
 	clock.Advance(model.CPUTime(int64(2 * m)))
-	return flatSub{label: p.Prefix.Label, l: l, lcp: lcp}, nodes, nil
+	return flatSub{label: p.Prefix.Label, l: l, lcp: lcp, branches: nodes - int64(m)}, nodes, nil
 }
 
 // countSubTreeNodes replays FromSortedSuffixes' rightmost-path walk over the
@@ -84,10 +86,16 @@ func countSubTreeNodes(n int32, l, lcp []int32, scratch *[]int32) (int64, error)
 // through a FlatBuilder over the raw string bytes. The labels are unique and
 // prefix-free (they partition the suffix set), so the order is total and the
 // emitted image is identical whichever worker of whichever driver collected
-// which group — the flat counterpart of grafting in global group order.
+// which group — the flat counterpart of grafting in global group order. The
+// builder is sized from the counts collectFlatSub took: every sub-tree's own
+// branch nodes, plus at most one split where it joins its predecessor.
 func assembleFlatSubs(raw []byte, subs []flatSub) (*suffixtree.Flat, error) {
 	sort.Slice(subs, func(a, b int) bool { return bytes.Compare(subs[a].label, subs[b].label) < 0 })
-	fb := suffixtree.NewFlatBuilder(raw)
+	internal := int64(len(subs))
+	for _, s := range subs {
+		internal += s.branches
+	}
+	fb := suffixtree.NewFlatBuilder(raw, int(internal))
 	for _, s := range subs {
 		if _, err := fb.AddSubTree(s.label, s.l, s.lcp); err != nil {
 			return nil, err

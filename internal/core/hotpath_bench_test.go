@@ -85,7 +85,7 @@ func BenchmarkCollectFill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc, clock := env.scanner(b)
-		if _, _, _, err := CollectWithFill(nil, env.f, sc, clock, env.model, env.group, 32); err != nil {
+		if _, _, err := CollectWithFill(nil, env.f, sc, clock, env.model, env.group, 32); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,6 +103,31 @@ func BenchmarkRoundFill(b *testing.B) {
 		if _, _, err := GroupPrepare(nil, env.f, sc, clock, env.model, env.group, 1<<20, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSortArea is the kernel of a prepare round (§4.2.2 lines 13–15):
+// one 64 Ki-leaf active area of 32-symbol DNA chunks, as round one of a
+// wide-budget build meets it, sorted on packed keys.
+func BenchmarkSortArea(b *testing.B) {
+	const m, rng = 1 << 16, 32
+	data := workload.MustGenerate(workload.DNA, m+rng, 42)
+	var ch chunkBuf
+	ch.reset(m, rng)
+	pristine := &subState{L: make([]int32, m), P: make([]int32, m), R: make([]int32, m)}
+	for i := 0; i < m; i++ {
+		copy(ch.fill(i, rng), data[i:])
+		pristine.L[i], pristine.P[i], pristine.R[i] = int32(i), int32(i), int32(i)
+	}
+	st := &subState{L: make([]int32, m), P: make([]int32, m), R: make([]int32, m), I: make([]int32, m)}
+	var scr sortScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(st.L, pristine.L)
+		copy(st.P, pristine.P)
+		copy(st.R, pristine.R)
+		st.sortArea(&ch, &scr, 0, m)
 	}
 }
 

@@ -144,10 +144,23 @@ func TestCollectTrieMatchesMap(t *testing.T) {
 						}
 					}
 
-					occsT, chunksT := prep()
+					occsT, _ := prep()
 					scT, clockT := matcherScanner(t, publish(t, a, data))
 					m := newCollectMatcher(nil, a, g, lengths, maxLen)
-					capT, err := collectScanTrie(nil, m, scT, clockT, model, len(data), rng, occsT, chunksT)
+					ctx := new(buildContext)
+					slot := make([]int32, len(g.Prefixes))
+					total := 0
+					for i, p := range g.Prefixes {
+						slot[i] = int32(total)
+						total += int(p.Freq)
+					}
+					if rng > 0 {
+						ctx.chunks.reset(total, rng)
+						for i := range ctx.chunks.buf {
+							ctx.chunks.buf[i] = 0xFF // a recycled buffer: the scan must pad clipped chunks itself
+						}
+					}
+					capT, err := collectScanTrie(ctx, m, scT, clockT, model, len(data), rng, occsT, slot)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -172,13 +185,14 @@ func TestCollectTrieMatchesMap(t *testing.T) {
 							t.Errorf("%s seed %d group %d: occs of %q trie %v, map %v", kind, seed, gi, g.Prefixes[i].Label, occsT[i], occsM[i])
 						}
 						if rng > 0 {
-							for j := range chunksM[i] {
-								if j < len(chunksT[i]) && !bytes.Equal(chunksT[i][j], chunksM[i][j]) {
-									t.Errorf("%s seed %d group %d: chunk %d of %q trie %q, map %q", kind, seed, gi, j, g.Prefixes[i].Label, chunksT[i][j], chunksM[i][j])
+							// Slot slot[i]+j holds the map scan's chunk j of
+							// prefix i, zero-padded to the stride.
+							for j, want := range chunksM[i] {
+								off := (int(slot[i]) + j) * rng
+								got := ctx.chunks.buf[off : off+rng]
+								if !bytes.Equal(got[:len(want)], want) || !bytes.Equal(got[len(want):], make([]byte, rng-len(want))) {
+									t.Errorf("%s seed %d group %d: chunk %d of %q trie %q, map %q", kind, seed, gi, j, g.Prefixes[i].Label, got, want)
 								}
-							}
-							if len(chunksT[i]) != len(chunksM[i]) {
-								t.Errorf("%s seed %d group %d: %q chunk counts trie %d, map %d", kind, seed, gi, g.Prefixes[i].Label, len(chunksT[i]), len(chunksM[i]))
 							}
 						}
 					}
@@ -256,22 +270,21 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestMatcherPrimitivesAllocFree pins the reusable building blocks at zero
-// steady-state allocations once warm: the byte arena's reset/ensure/grab
-// cycle, batch-request reuse, and the dense counter's per-round table reuse.
+// steady-state allocations once warm: the chunk buffer's reset/fill cycle,
+// batch-request reuse, and the dense counter's per-round table reuse.
 func TestMatcherPrimitivesAllocFree(t *testing.T) {
-	var arena byteArena
+	var chunks chunkBuf
 	var reqs []seq.BatchRequest
-	arena.ensure(1 << 14)
+	chunks.reset(64, 256)
 	reqs = seq.GrowBatch(reqs, 64)
 	if n := testing.AllocsPerRun(50, func() {
-		arena.reset()
-		arena.ensure(1 << 14)
+		chunks.reset(64, 256)
 		for i := 0; i < 64; i++ {
-			arena.grab(256)
+			chunks.fill(i, 200)
 		}
 		reqs = seq.GrowBatch(reqs, 64)
 	}); n != 0 {
-		t.Errorf("arena/batch round cycle allocates %v times per round, want 0", n)
+		t.Errorf("chunk buffer/batch round cycle allocates %v times per round, want 0", n)
 	}
 
 	vc := newVertCounter(alphabet.DNA)

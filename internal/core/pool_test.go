@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"era/internal/alphabet"
+	"era/internal/seq"
 	"era/internal/sim"
 	"era/internal/workload"
 )
@@ -105,5 +107,68 @@ func TestPooledCollectMatchesFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFlatBuildAllocatesItsOutput is the allocation pin of a direct-to-flat
+// build at the benchmark's tight budget (4 bytes per symbol): 256 Ki DNA
+// symbols must not cost more than 180 allocated bytes each (≈ 280 when the
+// flat assembly grew its columns by append and R was a table of slice
+// headers; ≈ 120 now, half of it the image itself), and the assembly
+// alone — builder tables sized once from the collected counts, plus the
+// sections — must stay within a handful of allocations however many nodes
+// it emits.
+func TestFlatBuildAllocatesItsOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 256 Ki symbols")
+	}
+	const n = 256 << 10
+	data := workload.MustGenerate(workload.DNA, n, 42)
+	f := publish(t, alphabet.DNA, data)
+	opts := Options{MemoryBudget: 4 * n, AssembleFlat: true}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := BuildSerial(f, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSym := float64(after.TotalAlloc-before.TotalAlloc) / n
+	image := len(res.Flat.Nodes) + len(res.Flat.Sym) + len(res.Flat.Dense) + len(res.Flat.LeafIdx) + len(res.Flat.LeafData)
+	t.Logf("%.1f B allocated per symbol, %.1f B of image per symbol", perSym, float64(image)/n)
+	if perSym > 180 {
+		t.Errorf("a %d-symbol flat build allocated %.1f B per symbol, want ≤ 180", n, perSym)
+	}
+
+	// Re-collect the sub-trees and count the assembly's allocations.
+	clock := new(sim.Clock)
+	sc, err := f.NewScanner(clock, seq.ScannerConfig{BufSize: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := PlanMemory(opts.MemoryBudget, 0, f.Alphabet().Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := &Result{collectFlat: true}
+	ctx := new(buildContext)
+	for gi, g := range res.Groups {
+		if err := processGroup(ctx, f, sc, clock, clock, sim.DefaultModel(), layout, opts, g, gi, collected); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := f.Disk().Bytes(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := assembleFlatSubs(raw, collected.flatSubs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d sub-trees assembled in %.0f allocations", len(collected.flatSubs), allocs)
+	if allocs > 40 { // growing the tables by append would take well over a hundred
+		t.Errorf("assembling %d sub-trees took %.0f allocations; the builder's tables must be sized once, not grown", len(collected.flatSubs), allocs)
 	}
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"era/internal/seq"
 	"era/internal/sim"
@@ -42,7 +43,8 @@ type PrepareStats struct {
 //	     sequential pass of S fill R in string order
 //	area active-area id per index (-1 once done); equal adjacent ids form
 //	     one active area
-//	R    the chunk of next symbols fetched this round per index
+//	R    slot, in the round's chunk buffer, of the next symbols fetched
+//	     this round per index (stale once the index is done)
 //	B    branching triplets; defined[i] tracks which are known
 type subState struct {
 	prefix  Prefix
@@ -50,34 +52,18 @@ type subState struct {
 	P       []int32
 	I       []int32
 	area    []int32
-	R       [][]byte
+	R       []int32
 	B       []BEntry
 	defined []bool
 	pending int // undefined B entries
 	active  int // indices not yet done
-
-	// sortArea scratch, grown to the largest area sorted so far and reused
-	// so the round loop stays allocation-free in the steady state.
-	sorter areaSorter
-	permL  []int32
-	permP  []int32
-	permR  [][]byte
 }
 
-func newSubState(prefix Prefix, occ []int32, areaID int32) *subState {
-	m := len(occ)
-	st := &subState{}
-	st.init(prefix, occ, areaID,
-		make([]int32, m), make([]int32, m), make([]int32, m),
-		make([][]byte, m), make([]BEntry, m), make([]bool, m))
-	return st
-}
-
-// init (re)points a subState — possibly a recycled one whose sort scratch
-// carries over — at the four auxiliary arrays for a fresh prepare. The
-// backing slices may come from pooled slabs holding a previous group's
-// values: every element the algorithm reads is (re)written here.
-func (st *subState) init(prefix Prefix, occ []int32, areaID int32, p, i32, area []int32, r [][]byte, b []BEntry, defined []bool) {
+// init (re)points a subState at the auxiliary arrays for a fresh prepare. The
+// backing slices come from pooled slabs holding a previous group's values:
+// every element the algorithm reads is (re)written here. The collect scan
+// left occurrence i's round-one chunk in slot slot0+i.
+func (st *subState) init(prefix Prefix, occ []int32, areaID, slot0 int32, p, i32, area, r []int32, b []BEntry, defined []bool) {
 	m := len(occ)
 	st.prefix = prefix
 	st.L = occ
@@ -89,7 +75,7 @@ func (st *subState) init(prefix Prefix, occ []int32, areaID int32, p, i32, area 
 		st.P[i] = int32(i)
 		st.I[i] = int32(i)
 		st.area[i] = areaID
-		st.R[i] = nil
+		st.R[i] = slot0 + int32(i)
 		st.B[i] = BEntry{}
 		st.defined[i] = false
 	}
@@ -122,7 +108,6 @@ func (st *subState) markDone(i int32) {
 	}
 	st.I[st.P[i]] = -1
 	st.area[i] = -1
-	st.R[i] = nil
 	st.active--
 }
 
@@ -151,7 +136,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	// Round-1 range from the known group frequency (the occurrence count
 	// is exactly Σ freq, so the elastic formula needs no second pass).
 	rng1 := roundRange(rCap, staticRange, activeUpfront(group), n)
-	occs, chunks, captured, err := CollectWithFill(ctx, f, sc, clock, model, group, rng1)
+	occs, captured, err := CollectWithFill(ctx, f, sc, clock, model, group, rng1)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -161,8 +146,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 
 	// subState headers and their auxiliary arrays come from the context's
 	// pooled slabs (fresh per-call allocations when ctx was nil): one int32
-	// slab backs every P/I/area, one slab each backs R, B and defined, and
-	// the recycled headers keep their grown sort scratch across groups.
+	// slab backs every P/I/area/R, one slab each backs B and defined.
 	var nextArea int32
 	nSubs := len(group.Prefixes)
 	if cap(ctx.subStates) < nSubs {
@@ -179,8 +163,8 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	for i := range occs {
 		M += len(occs[i])
 	}
-	if cap(ctx.i32Slab) < 3*M {
-		ctx.i32Slab = make([]int32, 3*M)
+	if cap(ctx.i32Slab) < 4*M {
+		ctx.i32Slab = make([]int32, 4*M)
 	}
 	if cap(ctx.bSlab) < M {
 		ctx.bSlab = make([]BEntry, M)
@@ -188,11 +172,8 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	if cap(ctx.defSlab) < M {
 		ctx.defSlab = make([]bool, M)
 	}
-	if cap(ctx.rSlab) < M {
-		ctx.rSlab = make([][]byte, M)
-	}
-	i32 := ctx.i32Slab[:3*M]
-	bsl, dsl, rsl := ctx.bSlab[:cap(ctx.bSlab)], ctx.defSlab[:cap(ctx.defSlab)], ctx.rSlab[:cap(ctx.rSlab)]
+	i32 := ctx.i32Slab[:4*M]
+	bsl, dsl := ctx.bSlab[:cap(ctx.bSlab)], ctx.defSlab[:cap(ctx.defSlab)]
 	posI, pos := 0, 0
 	for i, p := range group.Prefixes {
 		if int64(len(occs[i])) != p.Freq {
@@ -200,10 +181,10 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		}
 		m := len(occs[i])
 		subs[i] = &states[i]
-		subs[i].init(p, occs[i], nextArea,
-			i32[posI:posI+m], i32[posI+m:posI+2*m], i32[posI+2*m:posI+3*m],
-			rsl[pos:pos+m], bsl[pos:pos+m], dsl[pos:pos+m])
-		posI += 3 * m
+		subs[i].init(p, occs[i], nextArea, int32(pos),
+			i32[posI:posI+m], i32[posI+m:posI+2*m], i32[posI+2*m:posI+3*m], i32[posI+3*m:posI+4*m],
+			bsl[pos:pos+m], dsl[pos:pos+m])
+		posI += 4 * m
 		pos += m
 		nextArea++
 	}
@@ -218,12 +199,12 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	starts = starts[:len(subs)]
 	ctx.startsBuf = starts
 	var cpuOps int64
+	chunks := &ctx.chunks
 	for i, st := range subs {
 		starts[i] = len(st.prefix.Label)
-		// Inject the chunks captured by the collect scan as round one.
+		// The chunks captured by the collect scan are round one.
 		if st.active > 0 {
-			copy(st.R, chunks[i])
-			ops, err := st.round(int32(starts[i]), &nextArea)
+			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[i], &nextArea)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -236,9 +217,8 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 
 	// Round-loop scratch, reused every round (and, through the context,
 	// across groups): the fill schedule, the merge heap, the batch requests
-	// and the chunk arena. Once sized, the loop allocates nothing.
+	// and the chunk buffer. Once sized, the loop allocates nothing.
 	fills, heap, reqs := ctx.fills, ctx.heap, ctx.reqs
-	chunkArena := &ctx.roundArena
 	defer func() { ctx.fills, ctx.heap, ctx.reqs = fills[:0], heap[:0], reqs }()
 
 	for {
@@ -273,7 +253,11 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		// sub-tree are visited via I in appearance order (increasing
 		// position), so each sub-tree contributes one already-sorted run; a
 		// k-way heap merge unions the runs into one sequential pass without
-		// re-sorting them.
+		// re-sorting them. The schedule has exactly activeTotal entries, a
+		// count that only falls from round to round.
+		if cap(fills) < activeTotal {
+			fills = make([]fillReq, 0, activeTotal)
+		}
 		fills = fills[:0]
 		heap = heap[:0]
 		for si, st := range subs {
@@ -285,7 +269,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		for len(heap) > 0 {
 			hd := heap[0]
 			st := subs[hd.sub]
-			fills = append(fills, fillReq{hd.pos, hd.sub, st.I[hd.a]})
+			fills = append(fills, fillReq{int32(hd.pos), hd.sub, st.I[hd.a]})
 			if r := st.nextActive(int(hd.a) + 1); r >= 0 {
 				heap.replaceMin(mergeHead{pos: int(st.L[st.I[r]]) + starts[hd.sub], sub: hd.sub, a: int32(r)})
 			} else {
@@ -294,46 +278,18 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		}
 		cpuOps += int64(len(fills))
 
-		// One arena block per round backs every leaf's chunk; FetchBatch
-		// overwrites each Dst fully, so reuse across rounds is safe (prior
-		// rounds' chunks are dead: active leaves are refilled every round
-		// and retired ones had R nilled).
-		total := 0
-		for _, fl := range fills {
-			want := rng
-			if fl.pos+want > n {
-				want = n - fl.pos
-			}
-			if want <= 0 {
-				// The suffix is exhausted; this cannot happen for an
-				// active entry (the unique terminator forces divergence
-				// before the suffix ends).
-				return nil, stats, fmt.Errorf("core: active leaf %d of %q exhausted at start %d", fl.idx, subs[fl.sub].prefix.Label, starts[fl.sub])
-			}
-			total += want
+		var read int64
+		if reqs, read, err = fetchRound(sc, chunks, reqs, fills, rng, n); err != nil {
+			return nil, stats, fmt.Errorf("core: group of %q: %w", group.Prefixes[0].Label, err)
 		}
-		chunkArena.reset()
-		chunkArena.ensure(total)
-		reqs = seq.GrowBatch(reqs, len(fills))
+		stats.SymbolsRead += read
 		for i, fl := range fills {
-			want := rng
-			if fl.pos+want > n {
-				want = n - fl.pos
-			}
-			reqs[i] = seq.BatchRequest{Off: fl.pos, Dst: chunkArena.grab(want)}
-		}
-		sc.Reset()
-		if err := sc.FetchBatch(reqs); err != nil {
-			return nil, stats, err
-		}
-		for i, fl := range fills {
-			subs[fl.sub].R[fl.idx] = reqs[i].Dst[:reqs[i].Got]
-			stats.SymbolsRead += int64(reqs[i].Got)
+			subs[fl.sub].R[fl.idx] = int32(i)
 		}
 
 		// Per sub-tree: sort active areas, split them, and extend B.
 		for si, st := range subs {
-			ops, err := st.round(int32(starts[si]), &nextArea)
+			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[si], &nextArea)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -361,6 +317,36 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		stats.MinRange = 0
 	}
 	return out, stats, nil
+}
+
+// fetchRound runs one fill round for either horizontal builder: it sizes
+// chunks for the schedule, fetches rng symbols (fewer where S ends) at every
+// scheduled position in one sequential pass, fill i into slot i, and returns
+// the regrown batch with the number of symbols read. FetchBatch overwrites
+// each destination fully and fill zero-pads the rest of the slot, so reusing
+// the buffer across rounds is safe: prior rounds' chunks are dead (active
+// leaves are refilled every round, retired ones never read again).
+func fetchRound(sc *seq.Scanner, chunks *chunkBuf, reqs []seq.BatchRequest, fills []fillReq, rng, n int) ([]seq.BatchRequest, int64, error) {
+	chunks.reset(len(fills), rng)
+	reqs = seq.GrowBatch(reqs, len(fills))
+	for i, fl := range fills {
+		want := min(rng, n-int(fl.pos))
+		if want <= 0 {
+			// Cannot happen for an unresolved suffix: the unique terminator
+			// forces divergence before the suffix ends.
+			return reqs, 0, fmt.Errorf("entry %d of sub-tree %d exhausted at %d (string length %d)", fl.idx, fl.sub, fl.pos, n)
+		}
+		reqs[i] = seq.BatchRequest{Off: int(fl.pos), Dst: chunks.fill(i, want)}
+	}
+	sc.Reset()
+	if err := sc.FetchBatch(reqs); err != nil {
+		return reqs, 0, err
+	}
+	var read int64
+	for i := range reqs {
+		read += int64(reqs[i].Got)
+	}
+	return reqs, read, nil
 }
 
 // roundRange computes the per-leaf fetch width: the elastic |R|/|L'| of
@@ -396,13 +382,19 @@ func activeUpfront(g Group) int {
 }
 
 // round performs lines 13–23 of Algorithm SubTreePrepare for one sub-tree:
-// lexicographically reorder every active area by the fetched chunks
+// lexicographically reorder every active area by the chunks fetched into ch
 // (maintaining I and P), split areas whose chunks diverge, define the newly
 // determined B entries, and retire indices separated from both neighbours.
-// It returns the number of symbol operations performed, for CPU accounting.
-func (st *subState) round(start int32, nextArea *int32) (int64, error) {
+// start is the offset within every suffix of the chunks' first symbol and n
+// is |S|: the chunk of index i is clipped to n-L[i]-start symbols when fewer
+// than the round's range remain. It returns the number of symbol operations
+// performed, for CPU accounting.
+func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int, nextArea *int32) (int64, error) {
 	m := len(st.L)
 	var ops int64
+	width := func(i int) int {
+		return min(ch.rng, n-int(st.L[i])-start)
+	}
 
 	// Reorder active areas (lines 13–15).
 	i := 0
@@ -416,48 +408,55 @@ func (st *subState) round(start int32, nextArea *int32) (int64, error) {
 			j++
 		}
 		if j-i > 1 {
-			ops += st.sortArea(i, j)
+			st.sortArea(ch, scr, i, j)
 		}
-		// Split into new areas by equal chunks.
+		// Split into new areas by equal chunks: one comparison per adjacent
+		// pair of the (now sorted) area. A pair that diverges also yields
+		// its branching triplet (lines 16–23); it is written here, while
+		// both chunks are at hand, and taken up by the pass below.
+		var adjacent int64
 		k := i
 		for k < j {
 			e := k + 1
-			for e < j && bytesEqualCount(st.R[k], st.R[e], &ops) {
-				e++
-			}
-			if e-k >= 1 {
-				id := *nextArea
-				*nextArea++
-				for x := k; x < e; x++ {
-					st.area[x] = id
+			for ; e < j; e++ {
+				wa, wb := width(e-1), width(e)
+				cs := ch.lcp(st.R[e-1], st.R[e], min(wa, wb))
+				ops += int64(cs + 1) // the B pass's look at the pair
+				if cs < wa && cs < wb {
+					st.B[e] = BEntry{C1: ch.at(st.R[e-1], cs), C2: ch.at(st.R[e], cs), Offset: int32(start + cs)}
+					if wa != wb {
+						adjacent++
+					} else {
+						adjacent += int64(cs + 1)
+					}
+					break
 				}
+				if wa != wb {
+					// A clipped chunk ends at the terminator, which is unique,
+					// so one chunk can never be a proper prefix of its
+					// neighbour.
+					return ops, fmt.Errorf("core: chunk of leaf %d is a prefix of its neighbour (corrupt input?)", e)
+				}
+				adjacent += int64(wa) // equal: still together, next round extends the window
+			}
+			id := *nextArea
+			*nextArea++
+			for x := k; x < e; x++ {
+				st.area[x] = id
 			}
 			k = e
 		}
+		ops += adjacent + sortCharge(j-i, adjacent)
 		i = j
 	}
 
-	// Define B entries (lines 16–23).
+	// Define B entries (lines 16–23): an undefined entry lies inside an
+	// area the pass above just compared, and holds a triplet (C1 ≠ C2) exactly
+	// when its pair diverged this round.
 	for i := 1; i < m; i++ {
-		if st.defined[i] {
+		if st.defined[i] || st.B[i].C1 == st.B[i].C2 {
 			continue
 		}
-		a, b := st.R[i-1], st.R[i]
-		cs := 0
-		for cs < len(a) && cs < len(b) && a[cs] == b[cs] {
-			cs++
-		}
-		ops += int64(cs + 1)
-		if cs >= len(a) || cs >= len(b) {
-			if len(a) != len(b) {
-				// A clipped chunk ends at the terminator, which is unique,
-				// so one chunk can never be a proper prefix of its
-				// neighbour.
-				return ops, fmt.Errorf("core: chunk of leaf %d is a prefix of its neighbour (corrupt input?)", i)
-			}
-			continue // still together; next round extends the window
-		}
-		st.B[i] = BEntry{C1: a[cs], C2: b[cs], Offset: start + int32(cs)}
 		st.defined[i] = true
 		st.pending--
 		if i == 1 || st.defined[i-1] {
@@ -470,60 +469,61 @@ func (st *subState) round(start int32, nextArea *int32) (int64, error) {
 	return ops, nil
 }
 
-// areaSorter stably sorts an index window over a subState's R chunks,
-// accumulating compared symbols into ops. A pointer to the subState's own
-// instance goes to sort.Stable, so sorting allocates nothing.
-type areaSorter struct {
-	st  *subState
-	idx []int32
-	ops int64
+// sortCharge is the modeled cost of sorting an area of m chunks: m·⌈log₂ m⌉
+// comparisons, as a merge sort makes. A comparison reads one symbol past the
+// common prefix of its pair; the pairs met in the first merges are strangers
+// (one symbol), those met in the last are the area's sorted neighbours, whose
+// comparisons cost adjacent in total over the m-1 pairs — so the charge per
+// comparison is the mean of the two, (1 + adjacent/(m-1)) / 2. It is a
+// function of the sorted data alone: virtual time does not depend on which
+// sort the code runs or on the order the area arrived in.
+func sortCharge(m int, adjacent int64) int64 {
+	if m < 2 {
+		return 0
+	}
+	cmps := int64(m) * int64(bits.Len(uint(m-1)))
+	pairs := int64(m - 1)
+	// cmps·adjacent/pairs, split so the product cannot overflow.
+	atNeighbours := cmps*(adjacent/pairs) + cmps*(adjacent%pairs)/pairs
+	return (cmps + atNeighbours) / 2
 }
 
-func (s *areaSorter) Len() int { return len(s.idx) }
-
-func (s *areaSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-func (s *areaSorter) Less(a, b int) bool {
-	x, y := s.st.R[s.idx[a]], s.st.R[s.idx[b]]
-	k := 0
-	for k < len(x) && k < len(y) && x[k] == y[k] {
-		k++
-	}
-	s.ops += int64(k + 1)
-	if k == len(x) || k == len(y) {
-		return len(x) < len(y)
-	}
-	return x[k] < y[k]
+// areaRec is one chunk of an area being sorted: keyBytes of its symbols,
+// packed so integer order is symbol order, beside its index in the subState
+// arrays.
+type areaRec struct {
+	key uint64
+	idx int32
 }
 
-// sortArea lexicographically sorts the triple (R, P, L) on R within the
-// contiguous index range [i, j), maintaining the inverse index I. It returns
-// the number of symbol comparisons for CPU accounting. The permutation
-// scratch lives on the subState and is reused across rounds.
-func (st *subState) sortArea(i, j int) int64 {
+// sortScratch is sortArea's working memory, grown to the largest area sorted
+// so far and shared by every sub-tree a build context prepares, so the round
+// loop stays allocation-free in the steady state.
+type sortScratch struct {
+	recs []areaRec
+	perm []int32
+}
+
+// sortArea lexicographically sorts the triple (R, P, L) on R's chunks within
+// the contiguous index range [i, j), maintaining the inverse index I. Equal
+// chunks keep their current relative order.
+func (st *subState) sortArea(ch *chunkBuf, scr *sortScratch, i, j int) {
 	m := j - i
-	if cap(st.permL) < m {
-		st.sorter.idx = make([]int32, m)
-		st.permL = make([]int32, m)
-		st.permP = make([]int32, m)
-		st.permR = make([][]byte, m)
+	if cap(scr.recs) < m {
+		scr.recs = make([]areaRec, m)
+		scr.perm = make([]int32, 3*m)
 	}
-	idx := st.sorter.idx[:m]
-	for k := range idx {
-		idx[k] = int32(i + k)
+	recs := scr.recs[:m]
+	for k := range recs {
+		recs[k] = areaRec{ch.key(st.R[i+k], 0), int32(i + k)}
 	}
-	st.sorter.st = st
-	st.sorter.idx = idx
-	st.sorter.ops = 0
-	sort.Stable(&st.sorter)
+	ch.sortRecs(recs, st.R, 0)
 	// Apply the permutation to L, P, R.
-	permL := st.permL[:m]
-	permP := st.permP[:m]
-	permR := st.permR[:m]
-	for k, src := range idx {
-		permL[k] = st.L[src]
-		permP[k] = st.P[src]
-		permR[k] = st.R[src]
+	permL, permP, permR := scr.perm[:m], scr.perm[m:2*m], scr.perm[2*m:3*m]
+	for k, rec := range recs {
+		permL[k] = st.L[rec.idx]
+		permP[k] = st.P[rec.idx]
+		permR[k] = st.R[rec.idx]
 	}
 	copy(st.L[i:j], permL)
 	copy(st.P[i:j], permP)
@@ -531,20 +531,48 @@ func (st *subState) sortArea(i, j int) int64 {
 	for x := i; x < j; x++ {
 		st.I[st.P[x]] = int32(x)
 	}
-	return st.sorter.ops
 }
 
-// bytesEqualCount reports a == b, accumulating compared symbols into ops.
-func bytesEqualCount(a, b []byte, ops *int64) bool {
-	if len(a) != len(b) {
-		*ops++
-		return false
-	}
-	for i := range a {
-		*ops++
-		if a[i] != b[i] {
-			return false
+// sortRecs orders recs, whose keys hold their chunks' symbols from depth on,
+// by the rest of their chunks and then by index. Records are sorted by value
+// on the key; chunk bytes are touched again only to re-key the runs the key
+// left tied, keyBytes symbols deeper each time.
+func (ch *chunkBuf) sortRecs(recs []areaRec, slots []int32, depth int) {
+	for {
+		// Plain branches: cmp.Compare measured ≈ 8 % slower on BenchmarkSortArea.
+		slices.SortFunc(recs, func(a, b areaRec) int {
+			if a.key != b.key {
+				if a.key < b.key {
+					return -1
+				}
+				return 1
+			}
+			return int(a.idx - b.idx)
+		})
+		depth += keyBytes
+		if depth >= ch.rng {
+			return
 		}
+		if recs[0].key != recs[len(recs)-1].key {
+			break
+		}
+		ch.rekey(recs, slots, depth) // one tied run: go deeper without recursing
 	}
-	return true
+	for lo := 0; lo < len(recs); {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].key == recs[lo].key {
+			hi++
+		}
+		if hi-lo > 1 {
+			ch.rekey(recs[lo:hi], slots, depth)
+			ch.sortRecs(recs[lo:hi], slots, depth)
+		}
+		lo = hi
+	}
+}
+
+func (ch *chunkBuf) rekey(run []areaRec, slots []int32, depth int) {
+	for k := range run {
+		run[k].key = ch.key(slots[run[k].idx], depth)
+	}
 }

@@ -15,12 +15,13 @@ import (
 // suffix tree — the classic sorted-suffix construction, with the LCP at each
 // sub-tree boundary recovered from the labels themselves.
 //
-// The builder keeps only the open rightmost path, a struct-of-arrays pool of
-// completed internal nodes, and the (already final) leaf varint blocks; the
-// peak is a fraction of the heap tree the two-phase build-then-Flatten path
-// allocates. Finish renumbers internal nodes BFS and emits records
-// byte-identical to Flatten over the heap tree the same sub-trees would have
-// assembled into — the property the cross-path differential tests pin.
+// The builder keeps only the open rightmost path, the completed internal
+// nodes, and the (already final) leaf varint blocks, all sized once from the
+// counts the caller already has; the peak is a fraction of the heap tree the
+// two-phase build-then-Flatten path allocates. Finish renumbers internal
+// nodes BFS and emits records byte-identical to Flatten over the heap tree
+// the same sub-trees would have assembled into — the property the cross-path
+// differential tests pin.
 type FlatBuilder struct {
 	data []byte
 	n    int32
@@ -32,14 +33,9 @@ type FlatBuilder struct {
 
 	// Completed internal nodes in completion (post-) order, plus the
 	// contiguous child run each one captured from childStack.
-	dStart     []int32
-	dEnd       []int32
-	dDepth     []int32
-	dLeafStart []int32
-	dLeafCount []int32
-	dChildOff  []int32
-	dChildCnt  []int32
-	childIDs   []int32
+	done     []fbNode
+	childIDs []int32
+	nDense   int // completed nodes wide enough for a dense child table
 
 	// childStack holds the pending children of every open frame, stacked
 	// region over region: entries ≥ 0 are completed-internal indexes, entries
@@ -63,10 +59,38 @@ type fbFrame struct {
 	suffix     int32 // leaf frames: the suffix; split-created frames: -1
 }
 
+// fbNode is one completed internal node.
+type fbNode struct {
+	start, end int32 // edge label window in data
+	depth      int32 // string depth at the bottom of the edge
+	leafStart  int32 // rank of the subtree's first leaf
+	leafCount  int32
+	childOff   int32 // its children are childIDs[childOff:childOff+childCnt]
+	childCnt   int32
+}
+
 // NewFlatBuilder starts a direct flat build over data (the terminated
-// string S).
-func NewFlatBuilder(data []byte) *FlatBuilder {
-	return &FlatBuilder{data: data, n: int32(len(data))}
+// string S). Every suffix of data becomes a leaf, and internal is an upper
+// bound on the internal nodes below the root — every AddSubTree creates at
+// most one more than its sub-tree has branch nodes, which ERA's assembly
+// has counted by then — so the node, child and leaf tables are allocated
+// here, once, and the stream never regrows them. (A stream that exceeds the
+// bound still builds; it only reallocates.)
+func NewFlatBuilder(data []byte, internal int) *FlatBuilder {
+	n := len(data)
+	blocks := (n + flatLeafBlock - 1) / flatLeafBlock
+	// A block opens with a suffix (< n) and continues with zigzag deltas
+	// (< 2n); both fit the varint width of 2n.
+	var scratch [binary.MaxVarintLen64]byte
+	leafWidth := binary.PutUvarint(scratch[:], 2*uint64(n))
+	return &FlatBuilder{
+		data:     data,
+		n:        int32(n),
+		done:     make([]fbNode, 0, internal),
+		childIDs: make([]int32, 0, n+internal),
+		leafIdx:  make([]byte, 0, 4*blocks),
+		leafData: make([]byte, 0, n*leafWidth),
+	}
 }
 
 // AddSubTree streams one prepared sub-tree into the builder: suffixes is the
@@ -184,15 +208,16 @@ func (b *FlatBuilder) complete(f fbFrame) error {
 	if len(kids) > 1<<16-1 {
 		return fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(kids))
 	}
-	id := int32(len(b.dStart))
-	b.dChildOff = append(b.dChildOff, int32(len(b.childIDs)))
-	b.dChildCnt = append(b.dChildCnt, int32(len(kids)))
+	if len(kids) >= flatDenseMin {
+		b.nDense++
+	}
+	id := int32(len(b.done))
+	b.done = append(b.done, fbNode{
+		start: f.start, end: f.end, depth: f.botDepth,
+		leafStart: f.leafStart, leafCount: b.nLeaves - f.leafStart,
+		childOff: int32(len(b.childIDs)), childCnt: int32(len(kids)),
+	})
 	b.childIDs = append(b.childIDs, kids...)
-	b.dStart = append(b.dStart, f.start)
-	b.dEnd = append(b.dEnd, f.end)
-	b.dDepth = append(b.dDepth, f.botDepth)
-	b.dLeafStart = append(b.dLeafStart, f.leafStart)
-	b.dLeafCount = append(b.dLeafCount, b.nLeaves-f.leafStart)
 	b.childStack = append(b.childStack[:f.childBase], id)
 	return nil
 }
@@ -227,7 +252,7 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 			return nil, err
 		}
 	}
-	nn := 1 + int64(len(b.dStart)) + int64(b.nLeaves)
+	nn := 1 + int64(len(b.done)) + int64(b.nLeaves)
 	if nn*flatNodeSize > int64(1)<<40 {
 		return nil, fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", nn)
 	}
@@ -235,73 +260,71 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 		return nil, fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(b.childStack))
 	}
 
+	if len(b.childStack) >= flatDenseMin {
+		b.nDense++
+	}
 	f := &Flat{
 		Nodes:    make([]byte, nn*flatNodeSize),
 		Sym:      make([]byte, nn),
+		Dense:    make([]byte, 0, b.nDense*flatDenseBytes),
 		LeafIdx:  b.leafIdx,
 		LeafData: b.leafData,
 		NNodes:   int32(nn),
 		NLeaves:  b.nLeaves,
 	}
 
-	// BFS emission. The queue holds internal nodes only (leaves are written
-	// in full the moment their flat id is assigned); processing order is
-	// ascending flat id, so the dense tables come out in the same order
-	// Flatten's record loop emits them.
-	type qent struct {
-		done int32 // completed-internal index, or -1 for the root
-		id   int32 // flat id
-	}
-	q := make([]qent, 0, len(b.dStart)+1)
-	q = append(q, qent{-1, 0})
+	// BFS emission. Flat ids are handed out in BFS order, so the records
+	// themselves are the queue: an internal node's record holds its
+	// completed-node index + 1 in the first-child field from the moment its
+	// parent numbers it until the scan below reaches it (a leaf is written
+	// in full at once and reads as 0 there). Scanning ids upward therefore
+	// visits the internal nodes in ascending flat id, the order Flatten's
+	// record loop emits the dense tables in.
 	next := int32(1)
-	for qi := 0; qi < len(q); qi++ {
-		e := q[qi]
-		var start, end, depth, leafStart, leafCount int32
-		var kids []int32
-		if e.done < 0 {
-			kids = b.childStack
-			leafCount = b.nLeaves
+	for id := int32(0); id < next; id++ {
+		r := f.Nodes[int64(id)*flatNodeSize:]
+		var nd fbNode
+		kids := b.childStack
+		if id == 0 {
+			nd.leafCount = b.nLeaves
+		} else if d := binary.LittleEndian.Uint32(r[12:]); d != 0 {
+			nd = b.done[d-1]
+			kids = b.childIDs[nd.childOff : nd.childOff+nd.childCnt]
 		} else {
-			d := e.done
-			start, end, depth = b.dStart[d], b.dEnd[d], b.dDepth[d]
-			leafStart, leafCount = b.dLeafStart[d], b.dLeafCount[d]
-			kids = b.childIDs[b.dChildOff[d] : b.dChildOff[d]+b.dChildCnt[d]]
+			continue // a leaf
 		}
 		cs := next
 		if len(kids) == 0 {
 			cs = 0
 		}
-		rank := leafStart
+		rank := nd.leafStart
 		for _, k := range kids {
-			id := next
-			next++
+			c := f.Nodes[int64(next)*flatNodeSize:]
 			if k < 0 {
 				// Leaf: suffix s attached at the parent's depth.
 				s := -k - 1
-				es := s + depth
-				r := f.Nodes[int64(id)*flatNodeSize:]
-				binary.LittleEndian.PutUint32(r[0:], uint32(es))
-				binary.LittleEndian.PutUint32(r[4:], uint32(b.n))
-				binary.LittleEndian.PutUint32(r[8:], uint32(b.n-s))
-				binary.LittleEndian.PutUint32(r[16:], uint32(rank))
-				binary.LittleEndian.PutUint32(r[20:], 1)
-				binary.LittleEndian.PutUint32(r[24:], uint32(s))
-				f.Sym[id] = b.data[es]
+				es := s + nd.depth
+				binary.LittleEndian.PutUint32(c[0:], uint32(es))
+				binary.LittleEndian.PutUint32(c[4:], uint32(b.n))
+				binary.LittleEndian.PutUint32(c[8:], uint32(b.n-s))
+				binary.LittleEndian.PutUint32(c[16:], uint32(rank))
+				binary.LittleEndian.PutUint32(c[20:], 1)
+				binary.LittleEndian.PutUint32(c[24:], uint32(s))
+				f.Sym[next] = b.data[es]
 				rank++
 			} else {
-				f.Sym[id] = b.data[b.dStart[k]]
-				rank += b.dLeafCount[k]
-				q = append(q, qent{k, id})
+				binary.LittleEndian.PutUint32(c[12:], uint32(k)+1)
+				f.Sym[next] = b.data[b.done[k].start]
+				rank += b.done[k].leafCount
 			}
+			next++
 		}
-		r := f.Nodes[int64(e.id)*flatNodeSize:]
-		binary.LittleEndian.PutUint32(r[0:], uint32(start))
-		binary.LittleEndian.PutUint32(r[4:], uint32(end))
-		binary.LittleEndian.PutUint32(r[8:], uint32(depth))
+		binary.LittleEndian.PutUint32(r[0:], uint32(nd.start))
+		binary.LittleEndian.PutUint32(r[4:], uint32(nd.end))
+		binary.LittleEndian.PutUint32(r[8:], uint32(nd.depth))
 		binary.LittleEndian.PutUint32(r[12:], uint32(cs))
-		binary.LittleEndian.PutUint32(r[16:], uint32(leafStart))
-		binary.LittleEndian.PutUint32(r[20:], uint32(leafCount))
+		binary.LittleEndian.PutUint32(r[16:], uint32(nd.leafStart))
+		binary.LittleEndian.PutUint32(r[20:], uint32(nd.leafCount))
 		binary.LittleEndian.PutUint16(r[28:], uint16(len(kids)))
 		aux := uint32(0)
 		if len(kids) >= flatDenseMin {

@@ -176,7 +176,7 @@ func TestFlatBuilderDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fb := NewFlatBuilder(term)
+		fb := NewFlatBuilder(term, len(term))
 		for _, sub := range subTreesOf(term) {
 			nodes, err := fb.AddSubTree(sub.label, sub.l, sub.lcp)
 			if err != nil {
@@ -223,7 +223,7 @@ func TestFlatBuilderDifferential(t *testing.T) {
 func TestFlatBuilderSingleSubTree(t *testing.T) {
 	term := append([]byte("zyxw"), alphabet.Terminator)
 	// All first symbols distinct: five singleton sub-trees with 1-byte labels.
-	fb := NewFlatBuilder(term)
+	fb := NewFlatBuilder(term, len(term))
 	subs := subTreesOf(term)
 	if len(subs) != 5 {
 		t.Fatalf("expected 5 singleton sub-trees, got %d", len(subs))
@@ -259,7 +259,7 @@ func TestFlatBuilderSingleSubTree(t *testing.T) {
 // empty stream must all error — never emit a silently wrong image.
 func TestFlatBuilderErrors(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
-	fresh := func() *FlatBuilder { return NewFlatBuilder(term) }
+	fresh := func() *FlatBuilder { return NewFlatBuilder(term, len(term)) }
 
 	if _, err := fresh().Finish(); err == nil {
 		t.Error("Finish on an empty stream succeeded")
@@ -295,5 +295,58 @@ func TestFlatBuilderErrors(t *testing.T) {
 	}
 	if _, err := b.AddSubTree([]byte("ab"), []int32{2, 0}, []int32{0, 2}); err == nil {
 		t.Error("non-prefix-free label accepted")
+	}
+}
+
+// TestFlatBuilderTablesNeverGrow pins the sizing contract of NewFlatBuilder:
+// given the internal-node bound ERA's assembly computes — every sub-tree's
+// branch nodes (the node count AddSubTree reports, less its leaves) plus one
+// per sub-tree for the split where it joins its predecessor — the node,
+// child and leaf tables have the same capacity before the first AddSubTree
+// and after Finish, and the bound is not slack by more than the joins.
+func TestFlatBuilderTablesNeverGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, syms := range []string{"ab", "ACGT", "abcdefghijklmnopqrstuvwxyz"} {
+		data := make([]byte, 20000)
+		for i := range data {
+			data[i] = syms[rng.Intn(len(syms))]
+		}
+		term := append(data, alphabet.Terminator)
+		subs := subTreesOf(term)
+
+		// A first, unsized stream stands in for core's counting pass.
+		count := NewFlatBuilder(term, 0)
+		internal := len(subs)
+		for _, sub := range subs {
+			nodes, err := count.AddSubTree(sub.label, sub.l, sub.lcp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			internal += int(nodes) - len(sub.l)
+		}
+
+		fb := NewFlatBuilder(term, internal)
+		caps := func() [4]int {
+			return [4]int{cap(fb.done), cap(fb.childIDs), cap(fb.leafIdx), cap(fb.leafData)}
+		}
+		before := caps()
+		for _, sub := range subs {
+			if _, err := fb.AddSubTree(sub.label, sub.l, sub.lcp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fl, err := fb.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := caps(); after != before {
+			t.Errorf("%q: table capacities grew from %v to %v", syms, before, after)
+		}
+		if len(fb.done) > internal || len(fb.done) < internal-len(subs) {
+			t.Errorf("%q: %d internal nodes, bound %d over %d sub-trees", syms, len(fb.done), internal, len(subs))
+		}
+		if cap(fl.Dense) != len(fl.Dense) {
+			t.Errorf("%q: dense section %d bytes in a %d-byte allocation", syms, len(fl.Dense), cap(fl.Dense))
+		}
 	}
 }
