@@ -207,8 +207,11 @@ func checkPatternBytes(a *alphabet.Alphabet, k OpKind, p []byte) error {
 // Fingerprint returns a canonical, injective byte encoding of the plan —
 // the serving layer's cache key component. Two Queries answer identically
 // on one index epoch iff their fingerprints match.
-func (q *Query) Fingerprint() string {
-	var b []byte
+func (q *Query) Fingerprint() string { return string(q.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the plan's Fingerprint to b and returns the
+// extended slice, for callers that build a larger key in one buffer.
+func (q *Query) AppendFingerprint(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(q.Kind), 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(q.MaxOccurrences), 10)
@@ -230,7 +233,7 @@ func (q *Query) Fingerprint() string {
 		b = append(b, ':')
 		b = append(b, p...)
 	}
-	return string(b)
+	return b
 }
 
 // Analytics answers one analytics query against the monolithic index. It is

@@ -362,3 +362,26 @@ func TestFingerprintInjective(t *testing.T) {
 		seen[fp] = i
 	}
 }
+
+// TestFingerprintStable pins the fingerprint's bytes — cache keys of one
+// deployment's replicas must agree across versions — and AppendFingerprint
+// to the same encoding behind whatever the buffer already holds.
+func TestFingerprintStable(t *testing.T) {
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{Query{Kind: OpCount, Pattern: []byte("AC")}, "1|0|0|0|0|0|2:AC"},
+		{Query{Kind: OpOccurrences, Pattern: []byte("a|b"), MaxOccurrences: 5}, "2|5|0|0|0|0|3:a|b"},
+		{Query{Kind: OpTopK, K: 5, MinLen: 3}, "3|0|5|3|0|0|0:"},
+		{Query{Kind: OpCommonSubstring, DocA: 1, DocB: 0}, "5|0|0|0|1|0|0:"},
+		{Query{Kind: OpDocFreq, Patterns: [][]byte{[]byte("A"), nil, []byte("CG")}}, "6|0|0|0|0|0|0:|1:A|0:|2:CG"},
+	} {
+		if got := c.q.Fingerprint(); got != c.want {
+			t.Errorf("Fingerprint(%+v) = %q, want %q", c.q, got, c.want)
+		}
+		if got := string(c.q.AppendFingerprint([]byte("7|"))); got != "7|"+c.want {
+			t.Errorf("AppendFingerprint(%+v) behind a prefix = %q, want %q", c.q, got, "7|"+c.want)
+		}
+	}
+}

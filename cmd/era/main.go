@@ -20,10 +20,12 @@
 // like any other index and answers the same JSON queries, fanned out and
 // merged across the shards.
 //
-// compact rewrites any index file (v1/v2/v3/v4) as format v4, the
-// mmap-native layout: serve opens v4 files zero-copy in O(header) time, so
-// startup is milliseconds regardless of index size and concurrent server
-// processes share one page-cache copy.
+// compact rewrites an index file (v1/v2/v3, or a current v4) as format v4,
+// the mmap-native layout: serve opens v4 files zero-copy in O(header) time,
+// so startup is milliseconds regardless of index size and concurrent server
+// processes share one page-cache copy. A v4 image written before the compact
+// node layout (8-byte leaf records) is refused like everywhere else — no
+// reader for it is kept; rebuild it from its source.
 //
 // serve drains gracefully on SIGTERM/SIGINT (http.Server.Shutdown), then
 // closes the engine so mapped indexes unmap only after the last in-flight
@@ -97,6 +99,7 @@ func usage() {
             (-out ending in .v4 or .v4.idx builds the mmap-native image directly, skipping the heap tree)
   era shard -in FILE | -gen KIND -n N -docs D [-shards K] [-out FILE] [-name NAME] [-mem BYTES] [-workers N]
   era compact -in FILE [-out FILE] [-verify]
+            (FILE: v1/v2/v3 or a current v4; a v4 image that predates the compact node layout must be rebuilt)
   era query -index FILE -pattern P [-max N]
   era stats -index FILE
   era verify FILE|LIVEDIR ...
@@ -106,12 +109,12 @@ func usage() {
 	os.Exit(2)
 }
 
-// compact converts an index file of any format to v4, the mmap-native
-// layout OpenIndex serves zero-copy.
+// compact converts an index file to v4, the mmap-native layout OpenIndex
+// serves zero-copy.
 func compact(args []string) {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	var (
-		in     = fs.String("in", "", "index file to convert (any format)")
+		in     = fs.String("in", "", "index file to convert (v1/v2/v3, or a current v4)")
 		out    = fs.String("out", "", "output v4 index file (default: IN with a .v4.idx suffix)")
 		verify = fs.Bool("verify", true, "reopen the output and spot-check answers against the input")
 	)
@@ -122,47 +125,55 @@ func compact(args []string) {
 	if *out == "" {
 		*out = strings.TrimSuffix(*in, filepath.Ext(*in)) + ".v4.idx"
 	}
-	src, err := era.OpenIndex(*in)
-	if err != nil {
+	if err := runCompact(*in, *out, *verify); err != nil {
 		fatal(err)
+	}
+}
+
+// runCompact is compact behind its flags.
+func runCompact(in, out string, verify bool) error {
+	src, err := era.OpenIndex(in)
+	if err != nil {
+		return err
 	}
 	defer src.Close()
 	start := time.Now()
-	if err := era.WriteFileV4(*out, src); err != nil {
-		fatal(err)
+	if err := era.WriteFileV4(out, src); err != nil {
+		return err
 	}
 	inSize := int64(-1)
-	if inInfo, err := os.Stat(*in); err == nil {
+	if inInfo, err := os.Stat(in); err == nil {
 		inSize = inInfo.Size() // the input may have been renamed away since OpenIndex
 	}
-	outInfo, err := os.Stat(*out)
+	outInfo, err := os.Stat(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("compacted %s (%d bytes) to %s (%d bytes, format v4) in %v\n",
-		*in, inSize, *out, outInfo.Size(), time.Since(start).Round(time.Millisecond))
-
-	if *verify {
-		dst, err := era.OpenIndex(*out)
-		if err != nil {
-			fatal(fmt.Errorf("verify: %w", err))
-		}
-		defer dst.Close()
-		if dst.Len() != src.Len() || dst.NumDocs() != src.NumDocs() {
-			fatal(fmt.Errorf("verify: output Len/NumDocs %d/%d differ from input %d/%d", dst.Len(), dst.NumDocs(), src.Len(), src.NumDocs()))
-		}
-		// Spot-check: probe substrings sampled across the corpus through
-		// both indexes; the differential test suite pins full equality.
-		probe := []byte("era-verify-probe")
-		checks := 0
-		for _, pat := range [][]byte{probe[:4], probe, []byte("a"), []byte("AC"), []byte("the")} {
-			if src.Count(pat) != dst.Count(pat) || src.Contains(pat) != dst.Contains(pat) {
-				fatal(fmt.Errorf("verify: answers diverge for pattern %q", pat))
-			}
-			checks++
-		}
-		fmt.Printf("verified %d spot probes identical; open is zero-copy (%d mapped bytes)\n", checks, dst.MappedBytes())
+		in, inSize, out, outInfo.Size(), time.Since(start).Round(time.Millisecond))
+	if !verify {
+		return nil
 	}
+	dst, err := era.OpenIndex(out)
+	if err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
+	defer dst.Close()
+	if dst.Len() != src.Len() || dst.NumDocs() != src.NumDocs() {
+		return fmt.Errorf("verify: output Len/NumDocs %d/%d differ from input %d/%d", dst.Len(), dst.NumDocs(), src.Len(), src.NumDocs())
+	}
+	// Spot-check: probe substrings sampled across the corpus through
+	// both indexes; the differential test suite pins full equality.
+	probe := []byte("era-verify-probe")
+	checks := 0
+	for _, pat := range [][]byte{probe[:4], probe, []byte("a"), []byte("AC"), []byte("the")} {
+		if src.Count(pat) != dst.Count(pat) || src.Contains(pat) != dst.Contains(pat) {
+			return fmt.Errorf("verify: answers diverge for pattern %q", pat)
+		}
+		checks++
+	}
+	fmt.Printf("verified %d spot probes identical; open is zero-copy (%d mapped bytes)\n", checks, dst.MappedBytes())
+	return nil
 }
 
 func serve(args []string) {

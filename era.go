@@ -247,7 +247,7 @@ func build(docs [][]byte, cfgp *Config) (*Index, error) {
 func (x *Index) adoptResult(t *suffixtree.Tree, fl *suffixtree.Flat, s core.Stats) error {
 	switch {
 	case fl != nil:
-		ft, err := suffixtree.NewFlatTree(x.data, fl.Nodes, fl.Sym, fl.Dense, fl.LeafIdx, fl.LeafData, fl.NLeaves)
+		ft, err := suffixtree.NewFlatTree(x.data, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
 		if err != nil {
 			return fmt.Errorf("era: viewing direct-built flat sections: %w", err)
 		}

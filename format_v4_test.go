@@ -3,12 +3,17 @@ package era
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"era/internal/workload"
 )
 
 // diffCorpus is the document corpus the cross-format differential suite
@@ -376,14 +381,37 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 			return b
 		}},
 		{"leafidx-misaligned", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[112:], binary.LittleEndian.Uint64(b[112:])+4)
+			binary.LittleEndian.PutUint64(b[96:], binary.LittleEndian.Uint64(b[96:])+4)
+			return b
+		}},
+		// The leaf count decides where the internal records end, so it is
+		// pinned to the one value it can have: a leaf per symbol of S.
+		{"leaves-past-nodes", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[128:], binary.LittleEndian.Uint64(b[80:]))
+			return b
+		}},
+		{"one-leaf-short", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[128:], binary.LittleEndian.Uint64(b[128:])-1)
+			return b
+		}},
+		{"compact-flag-clear", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[12:], v4FlagChecksums)
+			return b
+		}},
+		{"checksum-flag-clear", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[12:], v4FlagCompact)
 			return b
 		}},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			// The header's own CRC is checked first; restamp it so the edited
+			// field is what refuses the image.
 			b := c.mutate(append([]byte(nil), raw...))
+			if len(b) >= v4HeaderLenCk {
+				fixV4HeaderCRC(b)
+			}
 			if _, err := ReadQueryable(bytes.NewReader(b)); err == nil {
 				t.Error("ReadQueryable accepted the corrupt image")
 			}
@@ -396,6 +424,14 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 				t.Error("OpenIndex accepted the corrupt image")
 			}
 		})
+	}
+
+	// A flipped layout bit on a good image is damage, not age: the header's
+	// CRC speaks before its flags are believed.
+	flipped := append([]byte(nil), raw...)
+	flipped[12] ^= v4FlagCompact
+	if _, err := ReadQueryable(bytes.NewReader(flipped)); err == nil || errors.Is(err, errOldLayout) {
+		t.Errorf("a flipped compact-layout flag: %v, want a checksum error", err)
 	}
 
 	// The sharded container must reject payload-table corruption too.
@@ -420,10 +456,161 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			b := c.mutate(append([]byte(nil), sraw...))
+			b := fixV4HeaderCRC(c.mutate(append([]byte(nil), sraw...)))
 			if _, err := ReadQueryable(bytes.NewReader(b)); err == nil {
 				t.Error("ReadQueryable accepted the corrupt sharded image")
 			}
 		})
+	}
+}
+
+// fixV4HeaderCRC restamps a checksummed header's own CRC after a test edited
+// a header field, so the edit is what the reader sees, not a checksum miss.
+func fixV4HeaderCRC(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[v4HeaderCRCOff:], crc32.Checksum(b[:v4HeaderCRCOff], castagnoli))
+	return b
+}
+
+// TestVerifyChecksTreeStructure: tree images whose bytes carry valid
+// checksums but whose records break the layout's invariants open — every
+// field is in range, so the query paths clamp nothing — and era.Verify
+// reports them.
+func TestVerifyChecksTreeStructure(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		mutate     func(img []byte, s *v4sections)
+	}{
+		// The root's leaf children are the first leaf records; it has the
+		// terminator's leaf and, in this corpus, the documents' last symbols.
+		{"swapped-leaves", "leaf", func(img []byte, s *v4sections) {
+			leaves := s.nodes[(s.nNodes-s.nLeaves)*32:]
+			a := append([]byte(nil), leaves[:8]...)
+			copy(leaves[:8], leaves[8:16])
+			copy(leaves[8:16], a)
+			nodesOff, symOff := binary.LittleEndian.Uint64(img[72:]), binary.LittleEndian.Uint64(img[88:])
+			binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*3:], crc32.Checksum(img[nodesOff:symOff], castagnoli))
+		}},
+		// One more node than the tree has: the section windows (and their
+		// checksums) run to the next section's start, so the padding supplies
+		// a record and a symbol, and only the structure pass sees that the
+		// leaf ids no longer begin where the child runs say.
+		{"one-node-more", "child run", func(img []byte, s *v4sections) {
+			binary.LittleEndian.PutUint64(img[80:], uint64(s.nNodes)+1)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			img := v4TestImage(t, false)
+			s, err := parseV4Sections(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(img, s)
+			p := filepath.Join(t.TempDir(), c.name+".idx")
+			if err := os.WriteFile(p, fixV4HeaderCRC(img), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Verify(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), c.want) {
+				t.Fatalf("Verify: problems %q, want one naming the %s", rep.Problems, c.want)
+			}
+		})
+	}
+}
+
+// TestOldLayoutImageRefused: the images under testdata/old-layout were
+// written by the commit before the compact node layout (32-byte records for
+// every node, 1 KiB dense tables; same version field). Every way in must
+// refuse them by name — never mis-read them as the new records — and a live
+// directory holding such a tier must quarantine it and keep serving.
+func TestOldLayoutImageRefused(t *testing.T) {
+	const want = "predates the compact node layout"
+	old := filepath.Join("testdata", "old-layout")
+	for _, name := range []string{"mono.idx", "sharded.idx"} {
+		p := filepath.Join(old, name)
+		if q, err := OpenIndex(p); err == nil {
+			q.Close()
+			t.Errorf("OpenIndex(%s) accepted an old-layout image", name)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenIndex(%s): %v, want an error that says the image %s", name, err, want)
+		}
+		buf, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadQueryable(bytes.NewReader(buf)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadQueryable(%s): %v, want an error that says the image %s", name, err, want)
+		}
+		rep, err := Verify(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+			t.Errorf("Verify(%s): problems %q, want one that says the image %s", name, rep.Problems, want)
+		}
+	}
+
+	// Opening a live directory repairs it in place, so work on a copy.
+	dir := t.TempDir()
+	for _, name := range []string{liveManifestName, fmt.Sprintf(liveTierPattern, 0), walName} {
+		buf, err := os.ReadFile(filepath.Join(old, "live", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+		t.Errorf("Verify(live): problems %q, want one that says the tier %s", rep.Problems, want)
+	}
+	lx, err := NewLive("", &LiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("opening a live directory with an old-layout tier: %v", err)
+	}
+	defer lx.Close()
+	if q := lx.Stats().Quarantined; len(q) != 1 || q[0] != fmt.Sprintf(liveTierPattern, 0) {
+		t.Fatalf("Quarantined = %v, want the old-layout tier", q)
+	}
+	// The fixture's third document was unsealed, in the WAL only: it is what
+	// survives, and it still answers.
+	if got := lx.Count([]byte("ACGTACGT")); got == 0 {
+		t.Error("the WAL's document does not answer after the old tier was quarantined")
+	}
+}
+
+// TestFlatImageBytesPerSymbol pins what the compact layout is for: a
+// TargetFlat image costs at most 45 bytes per indexed symbol on disk, DNA
+// and English alike (the layout before it cost 63 and 76).
+func TestFlatImageBytesPerSymbol(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 128 Ki corpora")
+	}
+	const n = 128 << 10
+	for _, kind := range []workload.Kind{workload.DNA, workload.English} {
+		data := workload.MustGenerate(kind, n, 7)
+		idx, err := Build(data[:len(data)-1], &Config{Target: TargetFlat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(t.TempDir(), string(kind)+".idx")
+		if err := WriteFileV4(p, idx); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per := float64(info.Size()) / float64(idx.Len()); per > 45 {
+			t.Errorf("%s: %d-byte image over %d symbols = %.1f B per symbol, want ≤ 45", kind, info.Size(), idx.Len(), per)
+		} else {
+			t.Logf("%s: %.2f B per symbol", kind, per)
+		}
 	}
 }

@@ -112,9 +112,10 @@ func TestPooledCollectMatchesFresh(t *testing.T) {
 
 // TestFlatBuildAllocatesItsOutput is the allocation pin of a direct-to-flat
 // build at the benchmark's tight budget (4 bytes per symbol): 256 Ki DNA
-// symbols must not cost more than 180 allocated bytes each (≈ 280 when the
+// symbols must not cost more than 145 allocated bytes each (≈ 280 when the
 // flat assembly grew its columns by append and R was a table of slice
-// headers; ≈ 120 now, half of it the image itself), and the assembly
+// headers; ≈ 120 while every leaf took a 32-byte record; ≈ 97 now, 38 of it
+// the image itself), and the assembly
 // alone — builder tables sized once from the collected counts, plus the
 // sections — must stay within a handful of allocations however many nodes
 // it emits.
@@ -135,10 +136,10 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	perSym := float64(after.TotalAlloc-before.TotalAlloc) / n
-	image := len(res.Flat.Nodes) + len(res.Flat.Sym) + len(res.Flat.Dense) + len(res.Flat.LeafIdx) + len(res.Flat.LeafData)
+	image := len(res.Flat.Nodes) + len(res.Flat.Sym) + len(res.Flat.LeafIdx) + len(res.Flat.LeafData)
 	t.Logf("%.1f B allocated per symbol, %.1f B of image per symbol", perSym, float64(image)/n)
-	if perSym > 180 {
-		t.Errorf("a %d-symbol flat build allocated %.1f B per symbol, want ≤ 180", n, perSym)
+	if perSym > 145 {
+		t.Errorf("a %d-symbol flat build allocated %.1f B per symbol, want ≤ 145", n, perSym)
 	}
 
 	// Re-collect the sub-trees and count the assembly's allocations.

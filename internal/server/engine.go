@@ -784,7 +784,10 @@ func epochPrefix(epoch uint64) string {
 // epoch) and the op's canonical fingerprint, which covers every parameter
 // of every op kind injectively.
 func cacheKey(prefix string, op era.Op) string {
-	return prefix + op.Fingerprint()
+	// One buffer, seeded on the stack, for prefix and fingerprint: the string
+	// conversion is the key's only allocation unless the pattern is long.
+	var buf [128]byte
+	return string(op.AppendFingerprint(append(buf[:0], prefix...)))
 }
 
 // Stats is a snapshot of engine activity.

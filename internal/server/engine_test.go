@@ -740,3 +740,19 @@ func TestEngineLiveMutations(t *testing.T) {
 		t.Fatalf("DeleteDoc on a static index: %v, want ErrNotMutable", err)
 	}
 }
+
+// TestCacheKeyOneAllocation: a membership op's cache key — prefix and
+// fingerprint — is built in one buffer and costs the key string alone, and
+// it is still the prefix followed by the op's fingerprint.
+func TestCacheKeyOneAllocation(t *testing.T) {
+	op := era.Op{Kind: era.OpOccurrences, Pattern: []byte("the quick brown fox"), MaxOccurrences: 100}
+	prefix := epochPrefix(12345) + "77|"
+	if got, want := cacheKey(prefix, op), prefix+op.Fingerprint(); got != want {
+		t.Fatalf("cacheKey = %q, want %q", got, want)
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = cacheKey(prefix, op) }); n > 1 {
+		t.Errorf("cacheKey allocates %.0f objects per membership op, want ≤ 1", n)
+	}
+	_ = sink
+}

@@ -11,76 +11,91 @@ import (
 // no node structs are materialized, no pointers fixed up, and concurrent
 // processes serving the same file share one page-cache copy.
 //
-// The layout is chosen for the descent and occurrence-listing hot paths:
+// The layout is chosen for the descent and occurrence-listing hot paths, and
+// sized by what a node has to say:
 //
-//   - Nodes are numbered in BFS order, so the children of a node occupy a
-//     contiguous id run sorted by the first symbol of their edge labels.
-//     Child lookup is a binary search over the packed first-symbol array
-//     (one cache line covers 64 children); nodes with ≥ flatDenseMin
-//     children (the root, and branchy nodes near it) carry a dense 256-entry
-//     first-symbol → child table resolved with a single probe.
-//   - Leaves are stored once, in lexicographic (DFS) order, as delta-varint
-//     blocks. Every node stores the rank and count of its subtree's leaf
-//     range, so Count is O(1) after the descent — no offsets are
-//     materialized — and Occurrences is a streaming decode of exactly the
-//     range requested.
-//   - Each node stores its string depth, so PathLabel is a single slice of S
-//     (first leaf's suffix + depth) instead of a parent-chain walk; the flat
-//     layout stores no parent pointers at all.
+//   - Node ids are one space. Internal nodes are ids [0, nInt) in BFS order;
+//     leaves are ids [nInt, nNodes) ordered by (parent id, first symbol). An
+//     internal node's internal children are therefore one contiguous id run
+//     and its leaf children a second one, each sorted by the first symbol of
+//     the edge label. Child lookup scans the packed first-symbol array over
+//     the two short runs a word at a time — there is no per-node lookup
+//     table; ForEachChild is the two-way merge of the runs in symbol order.
+//   - More than half of all nodes are leaves, and a leaf has two facts: where
+//     its edge label starts and which suffix it is. Its record is those 8
+//     bytes; the edge ends at |S|, the depth is |S| − suffix, the subtree is
+//     the leaf itself.
+//   - Leaves are also stored once in lexicographic (DFS) order, as
+//     delta-varint blocks. Every internal node stores the rank and count of
+//     its subtree's leaf range, so Count is O(1) after the descent — no
+//     offsets are materialized — and Occurrences is a streaming decode of
+//     exactly the range requested.
+//   - Every internal edge window is canonical: re-based onto the subtree's
+//     lexicographically first suffix o, it ends at o + depth. The path label
+//     of a node is therefore one slice of S, S[end−depth:end) — no
+//     parent-chain walk and no parent pointers.
 //
 // A FlatTree built over untrusted bytes (a corrupt or hostile index file)
-// never panics: every access clamps ids and offsets to the section bounds,
-// and descent only ever follows child ids larger than the current node — a
+// never panics: every access clamps ids and offsets to the section bounds —
+// internal child runs lie strictly after their parent and inside the
+// internal ids, leaf runs inside the leaf ids, edge offsets inside S — so a
 // corrupt file can answer wrongly, but cannot loop, over-read, or crash the
 // process. NewFlatTree validates only section shapes (O(1)); the per-access
-// guards carry the rest.
+// guards carry the rest, and ValidateView is the full structural check.
 //
-// Node record (flatNodeSize = 32 bytes, little endian):
+// Internal record (flatNodeSize bytes, little endian), ids [0, nInt):
 //
 //	off  0  start      uint32  edge label = S[start:end)
 //	off  4  end        uint32
-//	off  8  depth      uint32  string depth of the node
-//	off 12  childStart uint32  first child id (contiguous run); 0 = leaf
+//	off  8  childStart uint32  first internal child id (0 when there is none)
+//	off 12  leafChild  uint32  first leaf child id (0 when there is none)
 //	off 16  leafStart  uint32  rank of the subtree's first leaf
-//	off 20  leafCount  uint32  leaves in the subtree (1 for a leaf)
-//	off 24  aux        uint32  leaf: suffix offset; internal: dense-table
-//	                           index + 1, or 0 when the node has no table
-//	off 28  childCount uint16
-//	off 30  flags      uint16  reserved (0)
+//	off 20  leafCount  uint32  leaves in the subtree
+//	off 24  nInternal  uint16  internal children
+//	off 26  nLeaf      uint16  leaf children
+//	off 28  depth      uint32  string depth at the bottom of the edge
+//
+// 32 bytes with two child runs in them, so a record never straddles a cache
+// line.
+//
+// Leaf record (flatLeafSize bytes), ids [nInt, nNodes), stored behind the
+// internal records in the same section:
+//
+//	off  0  edgeStart  uint32  edge label = S[edgeStart:|S|)
+//	off  4  suffix     uint32  the suffix offset
 type FlatTree struct {
 	data     []byte // S including the terminator
-	nodes    []byte // nNodes × flatNodeSize records
+	nodes    []byte // nInt internal records, then nLeaves leaf records
 	sym      []byte // nNodes bytes: first symbol of each node's edge label
-	dense    []byte // dense child tables, 256 × uint32 each
 	leafIdx  []byte // per-block byte offsets into leafData
 	leafData []byte // delta-varint leaf blocks
+	leafBase int    // byte offset of the first leaf record in nodes
+	nInt     int32  // internal nodes, the root included
 	nNodes   int32
 	nLeaves  int32
 }
 
 const (
-	// flatNodeSize is the bytes per flat node record.
+	// flatNodeSize is the bytes per internal node record.
 	flatNodeSize = 32
+	// flatLeafSize is the bytes per leaf record.
+	flatLeafSize = 8
 	// flatLeafBlock is the number of leaves per varint block; each block
 	// starts with a full value, so decoding a range touches at most
 	// flatLeafBlock-1 extra varints before the range.
 	flatLeafBlock = 128
-	// flatDenseBytes is the size of one dense child table (256 × uint32).
-	flatDenseBytes = 256 * 4
-	// flatDenseMin is the child count at which a node gets a dense table;
-	// below it the word-parallel scan of the packed first-symbol run wins.
-	// 8 puts a table on the branchy top levels of text-alphabet trees (the
-	// hottest descent steps) at ~1 KiB per qualifying node; readers follow
-	// whatever threshold the image was written with, so older images with
-	// the previous threshold (16) stay valid.
-	flatDenseMin = 8
+	// flatMaxKids bounds a node's children: sibling edges start with distinct
+	// byte symbols.
+	flatMaxKids = 256
 )
 
 // Flat holds the encoded sections of a flattened tree, ready to be written
 // as the tree part of a v4 index file (or handed straight to NewFlatTree).
 type Flat struct {
-	Nodes    []byte
-	Sym      []byte
+	Nodes []byte
+	Sym   []byte
+	// Dense is always empty: the layout has no child lookup tables. The field
+	// (and NewFlatTree's parameter) stays for callers written against them.
 	Dense    []byte
 	LeafIdx  []byte
 	LeafData []byte
@@ -88,35 +103,43 @@ type Flat struct {
 	NLeaves  int32
 }
 
+// FlatNodesLen is the byte length of the node section of a tree with nInt
+// internal nodes and nLeaves leaves.
+func FlatNodesLen(nInt, nLeaves int64) int64 {
+	return nInt*flatNodeSize + nLeaves*flatLeafSize
+}
+
 // NewFlatTree wraps pre-encoded sections (typically windows of one mapped
-// file) as a queryable tree over data. Validation is O(1) — section shapes
-// only; field values inside the records are clamped at access time, so
-// corrupt bytes degrade to wrong answers, never to panics or runaway loops.
+// file) as a queryable tree over data. The node count is the length of sym
+// and the internal-node count what nLeaves leaves of it; the node section
+// must hold exactly that many records of each kind, and dense must be empty
+// (see Flat.Dense). Validation is O(1) — section shapes only; field values
+// inside the records are clamped at access time, so corrupt bytes degrade to
+// wrong answers, never to panics or runaway loops.
 func NewFlatTree(data, nodes, sym, dense, leafIdx, leafData []byte, nLeaves int32) (*FlatTree, error) {
-	if len(nodes) == 0 || len(nodes)%flatNodeSize != 0 {
-		return nil, fmt.Errorf("suffixtree: flat node section of %d bytes is not a multiple of %d", len(nodes), flatNodeSize)
+	nNodes := len(sym)
+	if nNodes < 1 || nNodes > 1<<31-1 {
+		return nil, fmt.Errorf("suffixtree: first-symbol section holds %d nodes", nNodes)
 	}
-	nNodes := len(nodes) / flatNodeSize
-	if nNodes > 1<<31-1 {
-		return nil, fmt.Errorf("suffixtree: flat node section holds %d nodes", nNodes)
-	}
-	if len(sym) != nNodes {
-		return nil, fmt.Errorf("suffixtree: first-symbol section of %d bytes for %d nodes", len(sym), nNodes)
-	}
-	if len(dense)%flatDenseBytes != 0 {
-		return nil, fmt.Errorf("suffixtree: dense table section of %d bytes is not a multiple of %d", len(dense), flatDenseBytes)
-	}
-	if nLeaves < 0 || int(nLeaves) > nNodes {
+	if nLeaves < 0 || int(nLeaves) >= nNodes {
 		return nil, fmt.Errorf("suffixtree: %d leaves for %d nodes", nLeaves, nNodes)
+	}
+	nInt := nNodes - int(nLeaves)
+	if want := FlatNodesLen(int64(nInt), int64(nLeaves)); int64(len(nodes)) != want {
+		return nil, fmt.Errorf("suffixtree: flat node section of %d bytes, want %d for %d internal nodes and %d leaves", len(nodes), want, nInt, nLeaves)
+	}
+	if len(dense) != 0 {
+		return nil, fmt.Errorf("suffixtree: dense table section of %d bytes in a layout without tables", len(dense))
 	}
 	wantBlocks := (int(nLeaves) + flatLeafBlock - 1) / flatLeafBlock
 	if len(leafIdx) != wantBlocks*4 {
 		return nil, fmt.Errorf("suffixtree: leaf block index of %d bytes, want %d for %d leaves", len(leafIdx), wantBlocks*4, nLeaves)
 	}
 	return &FlatTree{
-		data: data, nodes: nodes, sym: sym, dense: dense,
+		data: data, nodes: nodes, sym: sym,
 		leafIdx: leafIdx, leafData: leafData,
-		nNodes: int32(nNodes), nLeaves: nLeaves,
+		leafBase: nInt * flatNodeSize,
+		nInt:     int32(nInt), nNodes: int32(nNodes), nLeaves: nLeaves,
 	}, nil
 }
 
@@ -132,24 +155,37 @@ func (t *FlatTree) NumNodes() int { return int(t.nNodes) }
 // NumLeaves returns the total leaf count.
 func (t *FlatTree) NumLeaves() int { return int(t.nLeaves) }
 
-// rec returns the record window for node u; u must be in range.
+func (t *FlatTree) valid(u int32) bool { return u >= 0 && u < t.nNodes }
+
+// rec returns the record window of internal node u; u must be in [0, nInt).
 func (t *FlatTree) rec(u int32) []byte {
 	return t.nodes[int(u)*flatNodeSize : int(u)*flatNodeSize+flatNodeSize]
 }
 
-func (t *FlatTree) valid(u int32) bool { return u >= 0 && u < t.nNodes }
+// leaf returns the edge start and suffix of leaf u, both clamped to [0, |S|];
+// u must be in [nInt, nNodes).
+func (t *FlatTree) leaf(u int32) (es, suf int32) {
+	n := int32(len(t.data))
+	w := binary.LittleEndian.Uint64(t.nodes[t.leafBase+int(u-t.nInt)*flatLeafSize:])
+	es, suf = int32(uint32(w)), int32(uint32(w>>32))
+	if uint32(es) > uint32(n) {
+		es = n
+	}
+	if uint32(suf) > uint32(n) {
+		suf = n
+	}
+	return es, suf
+}
 
 // edge returns u's edge label offsets clamped to the string bounds, so the
 // descent loops can index data without further checks.
 func (t *FlatTree) edge(u int32) (int32, int32) {
-	return t.edgeOf(t.rec(u))
-}
-
-// edgeOf is edge for a record window the caller already holds — the fused
-// descent loops read each 32-byte record exactly once.
-func (t *FlatTree) edgeOf(r []byte) (int32, int32) {
 	n := int32(len(t.data))
-	w := binary.LittleEndian.Uint64(r[0:8])
+	if u >= t.nInt {
+		es, _ := t.leaf(u)
+		return es, n
+	}
+	w := binary.LittleEndian.Uint64(t.rec(u))
 	cs := int32(uint32(w))
 	ce := int32(uint32(w >> 32))
 	if uint32(cs) > uint32(n) {
@@ -164,20 +200,26 @@ func (t *FlatTree) edgeOf(r []byte) (int32, int32) {
 	return cs, ce
 }
 
-// children returns u's child run [cs, cs+cc), or (0, 0) for leaves and for
-// corrupt records (runs must lie strictly after u and inside the node
-// section — the invariant that makes every descent terminate).
-func (t *FlatTree) children(u int32) (int32, int32) {
-	r := t.rec(u)
-	cs := int32(binary.LittleEndian.Uint32(r[12:]))
-	cc := int32(binary.LittleEndian.Uint16(r[28:]))
-	if cs <= u || cc <= 0 || cs > t.nNodes-cc {
-		return 0, 0
+// kids returns the two child runs of internal node u from its record r: ci
+// internal children from id cs and cl leaf children from id ls. A corrupt run
+// reads as empty: internal runs must lie strictly after u and inside the
+// internal ids — the invariant that makes every descent terminate — and leaf
+// runs inside the leaf ids.
+func (t *FlatTree) kids(r []byte, u int32) (cs, ci, ls, cl int32) {
+	w := binary.LittleEndian.Uint64(r[8:])
+	k := binary.LittleEndian.Uint32(r[24:])
+	cs, ls = int32(uint32(w)), int32(uint32(w>>32))
+	ci, cl = int32(k&0xffff), int32(k>>16)
+	if cs <= u || cs > t.nInt-ci {
+		ci = 0
 	}
-	return cs, cc
+	if ls < t.nInt || ls > t.nNodes-cl {
+		cl = 0
+	}
+	return cs, ci, ls, cl
 }
 
-// leafRange returns u's leaf range clamped to [0, nLeaves).
+// leafRange returns internal node u's leaf range clamped to [0, nLeaves).
 func (t *FlatTree) leafRange(u int32) (int32, int32) {
 	r := t.rec(u)
 	ls := int32(binary.LittleEndian.Uint32(r[16:]))
@@ -218,38 +260,42 @@ func (t *FlatTree) EdgeLen(u int32) int32 {
 	return e - s
 }
 
-// Depth returns the string depth of u (path length from the root).
+// Depth returns the string depth of u (path length from the root): the
+// length of its path window. O(1) for either kind of node.
 func (t *FlatTree) Depth(u int32) int32 {
-	if !t.valid(u) {
-		return 0
-	}
-	d := int32(binary.LittleEndian.Uint32(t.rec(u)[8:]))
-	if d < 0 {
-		return 0
-	}
-	return d
+	o, e := t.pathWindow(u)
+	return e - o
 }
 
-// IsLeaf reports whether u has no children.
-func (t *FlatTree) IsLeaf(u int32) bool {
+// pathWindow returns the window of S that spells u's path label: from the
+// lexicographically first suffix below u to the end of u's (canonical) edge.
+// Invalid ids and corrupt records yield an empty window.
+func (t *FlatTree) pathWindow(u int32) (o, e int32) {
 	if !t.valid(u) {
-		return true
+		return 0, 0
 	}
-	cs, cc := t.children(u)
-	return cs == 0 && cc == 0
+	if u >= t.nInt {
+		_, o = t.leaf(u)
+		return o, int32(len(t.data))
+	}
+	_, e = t.edge(u)
+	d := int32(binary.LittleEndian.Uint32(t.rec(u)[28:]))
+	if d < 0 || d > e {
+		return 0, 0
+	}
+	return e - d, e
 }
+
+// IsLeaf reports whether u is a leaf: the id alone decides.
+func (t *FlatTree) IsLeaf(u int32) bool { return u < 0 || u >= t.nInt }
 
 // Suffix returns the suffix offset for a leaf, or -1 for internal nodes.
 func (t *FlatTree) Suffix(u int32) int32 {
-	if !t.valid(u) || !t.IsLeaf(u) {
+	if !t.valid(u) || u < t.nInt {
 		return -1
 	}
-	return t.leafSuffix(u)
-}
-
-// leafSuffix is Suffix for a node the caller knows is a valid leaf.
-func (t *FlatTree) leafSuffix(u int32) int32 {
-	return int32(binary.LittleEndian.Uint32(t.rec(u)[24:]))
+	_, suf := t.leaf(u)
+	return suf
 }
 
 // CountLeaves returns the number of leaves below u — O(1) in the flat
@@ -258,80 +304,72 @@ func (t *FlatTree) CountLeaves(u int32) int {
 	if !t.valid(u) {
 		return 0
 	}
+	if u >= t.nInt {
+		return 1
+	}
 	_, lc := t.leafRange(u)
 	return int(lc)
 }
 
-// ForEachChild calls fn for every child of u in first-symbol order,
-// stopping early if fn returns false.
+// ForEachChild calls fn for every child of u in first-symbol order — the
+// merge of the internal and the leaf run — stopping early if fn returns
+// false.
 func (t *FlatTree) ForEachChild(u int32, fn func(c int32) bool) {
-	if !t.valid(u) {
+	if u < 0 || u >= t.nInt {
 		return
 	}
-	cs, cc := t.children(u)
-	for c := cs; c < cs+cc; c++ {
+	i, ci, l, cl := t.kids(t.rec(u), u)
+	for ie, le := i+ci, l+cl; i < ie || l < le; {
+		c := l
+		if l == le || (i < ie && t.sym[i] < t.sym[l]) {
+			c = i
+			i++
+		} else {
+			l++
+		}
 		if !fn(c) {
 			return
 		}
 	}
 }
 
-// Child returns the child of u whose edge label starts with b, or None.
-// Branchy nodes resolve with one dense-table probe; the rest binary-search
-// the packed first-symbol run of the contiguous child ids.
-func (t *FlatTree) Child(u int32, b byte) int32 {
-	if !t.valid(u) {
+// firstChild returns u's child with the smallest first symbol, or None for a
+// leaf (or a corrupt internal record without children).
+func (t *FlatTree) firstChild(u int32) int32 {
+	if u >= t.nInt {
 		return None
 	}
-	cs, cc := t.children(u)
-	if cc == 0 {
+	cs, ci, ls, cl := t.kids(t.rec(u), u)
+	switch {
+	case ci == 0 && cl == 0:
 		return None
+	case cl == 0 || (ci > 0 && t.sym[cs] < t.sym[ls]):
+		return cs
 	}
-	if aux := binary.LittleEndian.Uint32(t.rec(u)[24:]); aux != 0 {
-		off := (int(aux) - 1) * flatDenseBytes
-		if off >= 0 && off+flatDenseBytes <= len(t.dense) {
-			c := int32(binary.LittleEndian.Uint32(t.dense[off+int(b)*4:]))
-			if c <= u || c >= t.nNodes {
-				return None // 0 = absent; anything ≤ u would break termination
-			}
-			return c
-		}
-		// Corrupt table reference: fall through to the run scan.
-	}
-	if j := findSym(t.sym, cs, cc, b); j >= 0 {
-		return cs + j
-	}
-	return None
+	return ls
 }
 
-// lookupChild is Child for a record window the caller already holds — the
-// fused descent loops decode each 32-byte record exactly once.
+// lookupChild returns the child of internal node u (record r) whose edge
+// label starts with b, or None: a word-parallel scan of the packed first
+// symbols of the two contiguous child runs.
 func (t *FlatTree) lookupChild(r []byte, u int32, b byte) int32 {
-	cs := int32(binary.LittleEndian.Uint32(r[12:]))
-	cc := int32(binary.LittleEndian.Uint16(r[28:]))
-	if cs <= u || cc <= 0 || cs > t.nNodes-cc {
-		return None
-	}
-	if aux := binary.LittleEndian.Uint32(r[24:]); aux != 0 {
-		off := (int(aux) - 1) * flatDenseBytes
-		if off >= 0 && off+flatDenseBytes <= len(t.dense) {
-			c := int32(binary.LittleEndian.Uint32(t.dense[off+int(b)*4:]))
-			if c <= u || c >= t.nNodes {
-				return None // 0 = absent; anything ≤ u would break termination
-			}
-			return c
+	cs, ci, ls, cl := t.kids(r, u)
+	if ci > 0 {
+		if j := findSym(t.sym, cs, ci, b); j >= 0 {
+			return cs + j
 		}
-		// Corrupt table reference: fall through to the run scan.
 	}
-	if j := findSym(t.sym, cs, cc, b); j >= 0 {
-		return cs + j
+	if cl > 0 {
+		if j := findSym(t.sym, ls, cl, b); j >= 0 {
+			return ls + j
+		}
 	}
 	return None
 }
 
 // Find matches pattern from the root and returns the locus where the match
-// ends, or ok=false if the pattern does not occur in S. The descent reads
-// each node record once and compares edge labels a word at a time.
+// ends, or ok=false if the pattern does not occur in S. The descent holds
+// one node record at a time and compares edge labels a word at a time.
 func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
 	cur := int32(0)
 	r := t.rec(cur)
@@ -341,8 +379,7 @@ func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
 		if c == None {
 			return Locus{}, false
 		}
-		r = t.rec(c)
-		cs, ce := t.edgeOf(r)
+		cs, ce := t.edge(c)
 		// The child lookup already matched the first edge symbol (sym[c] is
 		// data[cs] in any valid image), so the label compare starts one byte
 		// in — and single-symbol edges, the common case near the root, skip
@@ -355,19 +392,19 @@ func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
 		if i == len(pattern) {
 			return Locus{Node: c, Depth: int32(k)}, true
 		}
-		if int32(k) < ce-cs {
-			return Locus{}, false
+		if int32(k) < ce-cs || c >= t.nInt {
+			return Locus{}, false // mismatch inside the edge, or past a leaf
 		}
-		cur = c
+		cur, r = c, t.rec(c)
 	}
-	e0, e1 := t.edgeOf(r)
-	return Locus{Node: cur, Depth: e1 - e0}, true
+	return Locus{Node: 0}, true // the empty pattern ends at the root
 }
 
 // MatchTrace matches pattern against the tree with per-symbol loci, resuming
 // from trace[from-1]; see Tree.MatchTrace for the contract. The two layouts
 // produce identical traces for identical trees. Like Find, the descent is
-// fused: one record read per node, word-at-a-time label comparison.
+// fused: the child lookup supplies the first edge symbol, the rest of the
+// label is compared a word at a time.
 func (t *FlatTree) MatchTrace(pattern []byte, from int, trace []Locus) int {
 	i := from
 	cur := int32(0)
@@ -381,17 +418,18 @@ func (t *FlatTree) MatchTrace(pattern []byte, from int, trace []Locus) int {
 	if i >= len(pattern) {
 		return i
 	}
-	r := t.rec(cur)
+	cs, ce := t.edge(cur)
 	for i < len(pattern) {
-		cs, ce := t.edgeOf(r)
 		if depth >= ce-cs {
-			c := t.lookupChild(r, cur, pattern[i])
+			if cur >= t.nInt {
+				return i // a leaf has no children
+			}
+			c := t.lookupChild(t.rec(cur), cur, pattern[i])
 			if c == None {
 				return i
 			}
 			cur = c
-			r = t.rec(cur)
-			cs, ce = t.edgeOf(r)
+			cs, ce = t.edge(cur)
 			// The child lookup matched the first edge symbol; record it and
 			// move on — single-symbol edges never reach the label compare.
 			trace[i] = Locus{Node: cur, Depth: 1}
@@ -443,27 +481,21 @@ func (t *FlatTree) Occurrences(pattern []byte) []int32 {
 }
 
 // Leaves returns the suffix offsets of the leaves below u in lexicographic
-// order, decoded from the delta-varint leaf blocks.
+// order: a leaf's own suffix, or an internal node's range decoded from the
+// delta-varint leaf blocks.
 func (t *FlatTree) Leaves(u int32) []int32 {
 	if !t.valid(u) {
 		return nil
 	}
-	_, lc := t.leafRange(u)
+	if u >= t.nInt {
+		_, suf := t.leaf(u)
+		return []int32{suf}
+	}
+	ls, lc := t.leafRange(u)
 	if lc == 0 {
 		return nil
 	}
-	return t.AppendLeaves(make([]int32, 0, lc), u)
-}
-
-// AppendLeaves appends u's leaf offsets to dst (in lexicographic order) and
-// returns the extended slice — the allocation-free form of Leaves for
-// callers that reuse a reply buffer.
-func (t *FlatTree) AppendLeaves(dst []int32, u int32) []int32 {
-	if !t.valid(u) {
-		return dst
-	}
-	ls, lc := t.leafRange(u)
-	return t.appendLeafRange(dst, int(ls), int(lc))
+	return t.appendLeafRange(make([]int32, 0, lc), int(ls), int(lc))
 }
 
 // appendLeafRange decodes leaf ranks [start, start+count) into dst. On
@@ -508,77 +540,23 @@ func (t *FlatTree) appendLeafRange(dst []int32, start, count int) []int32 {
 	return dst
 }
 
-// leafAt returns the suffix offset of the leaf with lexicographic rank r.
-func (t *FlatTree) leafAt(r int32) (int32, bool) {
-	if r < 0 || r >= t.nLeaves {
-		return 0, false
-	}
-	var one [1]int32
-	out := t.appendLeafRange(one[:0], int(r), 1)
-	if len(out) != 1 {
-		return 0, false
-	}
-	return out[0], true
-}
-
 // PathLabel materializes the concatenated edge labels from the root to u.
 // The flat layout stores no parent pointers; instead the label is read
-// directly out of S as the depth-long prefix of the subtree's first suffix.
+// directly out of S, from the subtree's first suffix to the end of u's edge.
 func (t *FlatTree) PathLabel(u int32) []byte {
-	if u == 0 || !t.valid(u) {
+	o, e := t.pathWindow(u)
+	if e == o {
 		return nil
 	}
-	d := t.Depth(u)
-	var o int32
-	if t.IsLeaf(u) {
-		o = t.Suffix(u)
-	} else {
-		ls, lc := t.leafRange(u)
-		if lc == 0 {
-			return nil
-		}
-		v, ok := t.leafAt(ls)
-		if !ok {
-			return nil
-		}
-		o = v
-	}
-	n := int32(len(t.data))
-	if o < 0 || o > n {
-		return nil
-	}
-	if d > n-o {
-		d = n - o
-	}
-	out := make([]byte, d)
-	copy(out, t.data[o:o+d])
-	return out
+	return append([]byte(nil), t.data[o:e]...)
 }
 
 // WalkDFS visits every node reachable from u in depth-first order, children
-// in first-symbol order; fn receives the node id and its string depth. If fn
-// returns false the subtree below the node is skipped. Traversal order (and
-// therefore every tie-break built on it) matches the heap layout's WalkDFS.
-// A visit budget of NumNodes bounds the walk on corrupt files whose child
-// runs overlap.
+// in first-symbol order, exactly as the heap layout's WalkDFS does — both are
+// the shared Walk, whose NumNodes visit budget bounds it on corrupt files.
 func (t *FlatTree) WalkDFS(u int32, fn func(id, depth int32) bool) {
-	if !t.valid(u) {
-		return
-	}
-	stack := make([]int32, 0, 64)
-	stack = append(stack, u)
-	budget := int(t.nNodes)
-	for len(stack) > 0 && budget > 0 {
-		budget--
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !fn(id, t.Depth(id)) {
-			continue
-		}
-		cs, cc := t.children(id)
-		for c := cs + cc - 1; c >= cs; c-- {
-			stack = append(stack, c)
-		}
+	if t.valid(u) {
+		Walk(t, u, fn)
 	}
 }
 
@@ -597,6 +575,38 @@ func (t *FlatTree) MaximalRepeats(minLen int32, minOcc int, fn func(node int32, 
 	VisitRepeats(t, minLen, minOcc, fn)
 }
 
+// flatRec is one internal node on its way into the sections: Flatten and
+// FlatBuilder both encode through put, so the record layout is written down
+// once.
+type flatRec struct {
+	start, end int32 // edge label window in data
+	depth      int32 // string depth at the bottom of the edge
+	leafStart  int32 // rank of the subtree's first leaf
+	leafCount  int32
+	cs, ci     int32 // internal child run: first id, count
+	ls, cl     int32 // leaf child run: first id, count
+}
+
+// put encodes the record of internal node id into f.Nodes.
+func (n flatRec) put(f *Flat, id int32) {
+	if n.ci == 0 {
+		n.cs = 0
+	}
+	if n.cl == 0 {
+		n.ls = 0
+	}
+	r := f.Nodes[int(id)*flatNodeSize:]
+	binary.LittleEndian.PutUint32(r[0:], uint32(n.start))
+	binary.LittleEndian.PutUint32(r[4:], uint32(n.end))
+	binary.LittleEndian.PutUint32(r[8:], uint32(n.cs))
+	binary.LittleEndian.PutUint32(r[12:], uint32(n.ls))
+	binary.LittleEndian.PutUint32(r[16:], uint32(n.leafStart))
+	binary.LittleEndian.PutUint32(r[20:], uint32(n.leafCount))
+	binary.LittleEndian.PutUint16(r[24:], uint16(n.ci))
+	binary.LittleEndian.PutUint16(r[26:], uint16(n.cl))
+	binary.LittleEndian.PutUint32(r[28:], uint32(n.depth))
+}
+
 // unzigzag32 decodes the zigzag form of a signed 32-bit delta.
 func unzigzag32(v uint64) int32 {
 	return int32(uint32(v)>>1) ^ -int32(v&1)
@@ -609,18 +619,16 @@ func zigzag32(d int32) uint64 {
 
 // Flatten encodes any tree view over data into the flat sections. It is the
 // v2/v3 → v4 conversion heart: the heap tree a builder produced (or another
-// FlatTree being re-written) is renumbered BFS so child runs are contiguous
-// and sorted, subtree leaf ranges and depths are precomputed, branchy nodes
-// get dense child tables, and the leaf sequence is delta-varint packed.
+// FlatTree being re-written) is renumbered — internal nodes BFS, leaves by
+// parent — so child runs are contiguous and sorted, subtree leaf ranges
+// are precomputed, edge windows re-based, and the leaf sequence is
+// delta-varint packed.
 // Node ids in v must be dense in [0, NumNodes), which both layouts
-// guarantee; every leaf must carry a suffix offset within data.
+// guarantee, and the tree complete: one leaf per suffix of data.
 func Flatten(v View, data []byte) (*Flat, error) {
 	n := v.NumNodes()
 	if n < 1 {
 		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
-	}
-	if int64(n)*flatNodeSize > int64(1)<<40 {
-		return nil, fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", n)
 	}
 	root := v.Root()
 
@@ -679,49 +687,54 @@ func Flatten(v View, data []byte) (*Flat, error) {
 		}
 	}
 
-	// Pass 2 — BFS renumbering: children of each node take consecutive new
-	// ids in sibling (first-symbol) order, so a child run is one contiguous,
-	// sorted window of the node array.
-	order := make([]int32, 0, visited) // new id → old id
-	newID := make([]int32, n)
-	for i := range newID {
-		newID[i] = -1
+	// Pass 2 — renumbering. Internal nodes take ids in BFS order and leaves
+	// ids behind them in the order their parents are numbered, so the
+	// internal children of a node are one contiguous window of the internal
+	// records, its leaf children one of the leaf records, each in sibling
+	// (first-symbol) order.
+	nLeaves := len(leaves)
+	if nLeaves != len(data) {
+		// The image indexes every suffix of data; the reader holds it to that.
+		return nil, fmt.Errorf("suffixtree: flatten found %d leaves over a %d-byte string", nLeaves, len(data))
 	}
+	order := make([]int32, 0, visited-nLeaves) // new internal id → old id
+	leafOrder := make([]int32, 0, nLeaves)     // new leaf id − nInt → old id
+	numbered := make([]bool, n)
 	order = append(order, root)
-	newID[root] = 0
-	childStart := make([]int32, 0, visited) // by new id
-	childCount := make([]int32, 0, visited)
-	var cc int32
+	numbered[root] = true
+	type runs struct{ cs, ci, ls, cl int32 }
+	kids := make([]runs, 0, visited-nLeaves) // by new internal id; ls counts from the first leaf
 	number := func(c int32) bool {
-		if c < 0 || int(c) >= n || newID[c] >= 0 {
+		if c < 0 || int(c) >= n || numbered[c] {
 			return true
 		}
-		newID[c] = int32(len(order))
-		order = append(order, c)
-		cc++
+		numbered[c] = true
+		if v.IsLeaf(c) {
+			leafOrder = append(leafOrder, c)
+		} else {
+			order = append(order, c)
+		}
 		return true
 	}
 	for qi := 0; qi < len(order); qi++ {
-		old := order[qi]
-		cs := int32(len(order))
-		cc = 0
-		v.ForEachChild(old, number)
-		if cc == 0 {
-			cs = 0
+		k := runs{cs: int32(len(order)), ls: int32(len(leafOrder))}
+		v.ForEachChild(order[qi], number)
+		k.ci, k.cl = int32(len(order))-k.cs, int32(len(leafOrder))-k.ls
+		if k.ci+k.cl > flatMaxKids {
+			return nil, fmt.Errorf("suffixtree: node %d has %d children, beyond the flat layout's limit", order[qi], k.ci+k.cl)
 		}
-		if cc > 1<<16-1 {
-			return nil, fmt.Errorf("suffixtree: node %d has %d children, beyond the flat layout's limit", old, cc)
-		}
-		childStart = append(childStart, cs)
-		childCount = append(childCount, cc)
+		kids = append(kids, k)
+	}
+	if len(leafOrder) != nLeaves {
+		return nil, fmt.Errorf("suffixtree: flatten numbered %d leaves of %d", len(leafOrder), nLeaves)
 	}
 
-	nn := len(order)
+	nInt := len(order)
 	f := &Flat{
-		Nodes:   make([]byte, nn*flatNodeSize),
-		Sym:     make([]byte, nn),
-		NNodes:  int32(nn),
-		NLeaves: int32(len(leaves)),
+		Nodes:   make([]byte, FlatNodesLen(int64(nInt), int64(nLeaves))),
+		Sym:     make([]byte, nInt+nLeaves),
+		NNodes:  int32(nInt + nLeaves),
+		NLeaves: int32(nLeaves),
 	}
 
 	// Canonical edge windows: every non-root label is re-based onto the
@@ -744,49 +757,30 @@ func Flatten(v View, data []byte) (*Flat, error) {
 		return es, ee, nil
 	}
 
-	// First-symbol array first: the dense tables below index it for child
-	// runs, which sit after their parent in the BFS order.
-	for ni, old := range order {
-		if ni == 0 {
-			continue
-		}
+	// Leaf records, and with them the leaves' first symbols. A leaf's
+	// canonical window starts at suffix + parent depth and ends with S.
+	lrecs := f.Nodes[nInt*flatNodeSize:]
+	for li, old := range leafOrder {
 		es, _, err := canon(old)
 		if err != nil {
 			return nil, err
 		}
-		f.Sym[ni] = data[es]
+		binary.LittleEndian.PutUint32(lrecs[li*flatLeafSize:], uint32(es))
+		binary.LittleEndian.PutUint32(lrecs[li*flatLeafSize+4:], uint32(v.Suffix(old)))
+		f.Sym[nInt+li] = data[es]
 	}
 
-	// Emit records; branchy nodes get a dense first-symbol table.
 	for ni, old := range order {
-		r := f.Nodes[ni*flatNodeSize:]
-		var es, ee int32
+		rec := flatRec{depth: depth[old], leafStart: leafStart[old], leafCount: leafCount[old],
+			cs: kids[ni].cs, ci: kids[ni].ci, ls: int32(nInt) + kids[ni].ls, cl: kids[ni].cl}
 		if ni != 0 {
 			var err error
-			if es, ee, err = canon(old); err != nil {
+			if rec.start, rec.end, err = canon(old); err != nil {
 				return nil, err
 			}
+			f.Sym[ni] = data[rec.start]
 		}
-		binary.LittleEndian.PutUint32(r[0:], uint32(es))
-		binary.LittleEndian.PutUint32(r[4:], uint32(ee))
-		binary.LittleEndian.PutUint32(r[8:], uint32(depth[old]))
-		binary.LittleEndian.PutUint32(r[12:], uint32(childStart[ni]))
-		binary.LittleEndian.PutUint32(r[16:], uint32(leafStart[old]))
-		binary.LittleEndian.PutUint32(r[20:], uint32(leafCount[old]))
-		binary.LittleEndian.PutUint16(r[28:], uint16(childCount[ni]))
-		aux := uint32(0)
-		if childCount[ni] == 0 {
-			aux = uint32(v.Suffix(old))
-		} else if childCount[ni] >= flatDenseMin {
-			ti := len(f.Dense) / flatDenseBytes
-			f.Dense = append(f.Dense, make([]byte, flatDenseBytes)...)
-			tbl := f.Dense[ti*flatDenseBytes:]
-			for c := childStart[ni]; c < childStart[ni]+childCount[ni]; c++ {
-				binary.LittleEndian.PutUint32(tbl[int(f.Sym[c])*4:], uint32(c))
-			}
-			aux = uint32(ti) + 1
-		}
-		binary.LittleEndian.PutUint32(r[24:], aux)
+		rec.put(f, int32(ni))
 	}
 
 	// Leaf blocks: uvarint first value, zigzag-varint deltas after.

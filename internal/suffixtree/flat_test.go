@@ -36,7 +36,7 @@ func buildBoth(t testing.TB, data []byte) (*Tree, *FlatTree, []byte) {
 	if err != nil {
 		t.Fatalf("Flatten: %v", err)
 	}
-	ft, err := NewFlatTree(term, f.Nodes, f.Sym, f.Dense, f.LeafIdx, f.LeafData, f.NLeaves)
+	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, f.LeafIdx, f.LeafData, f.NLeaves)
 	if err != nil {
 		t.Fatalf("NewFlatTree: %v", err)
 	}
@@ -114,6 +114,9 @@ func TestFlatTreeDifferential(t *testing.T) {
 		tree, flat, term := buildBoth(t, data)
 		if tree.NumNodes() != flat.NumNodes() {
 			t.Fatalf("corpus %d: node counts %d != %d", ci, tree.NumNodes(), flat.NumNodes())
+		}
+		if err := ValidateView(flat); err != nil {
+			t.Fatalf("corpus %d: %v", ci, err)
 		}
 
 		// Patterns: all substrings up to length 8 of short corpora, random
@@ -237,57 +240,165 @@ func TestFlatTreeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(f2.Nodes, flat.nodes) || !bytes.Equal(f2.Sym, flat.sym) ||
-		!bytes.Equal(f2.Dense, flat.dense) || !bytes.Equal(f2.LeafIdx, flat.leafIdx) ||
-		!bytes.Equal(f2.LeafData, flat.leafData) {
+		!bytes.Equal(f2.LeafIdx, flat.leafIdx) || !bytes.Equal(f2.LeafData, flat.leafData) {
 		t.Fatal("re-flattening a FlatTree changed the encoded sections")
 	}
 }
 
+// exerciseCorrupt drives every query over a tree whose sections may hold
+// anything: answers may be wrong, but nothing may panic, loop, or read out of
+// bounds (the bounds checker enforces the latter), and no walk may take more
+// steps than the tree has nodes.
+func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
+	t.Helper()
+	for _, p := range [][]byte{nil, []byte("a"), []byte("abra"), []byte("zzz"), term} {
+		ft.Find(p)
+		ft.Contains(p)
+		ft.Count(p)
+		ft.Occurrences(p)
+		tr := make([]Locus, len(p))
+		ft.MatchTrace(p, 0, tr)
+	}
+	steps := 0
+	ft.WalkDFS(ft.Root(), func(_, _ int32) bool { steps++; return true })
+	if steps > ft.NumNodes() {
+		t.Fatalf("WalkDFS took %d steps over %d nodes", steps, ft.NumNodes())
+	}
+	ft.LongestRepeatedSubstring()
+	ft.MaximalRepeats(1, 2, func(_, _ int32, _ int) bool { return true })
+	for u := int32(-2); u < int32(ft.NumNodes())+2; u++ {
+		ft.Leaves(u)
+		ft.CountLeaves(u)
+		ft.PathLabel(u)
+		ft.Depth(u)
+		ft.Suffix(u)
+		ft.IsLeaf(u)
+		ft.EdgeLen(u)
+		FirstLeaf(ft, u)
+		kids := 0
+		ft.ForEachChild(u, func(c int32) bool {
+			if kids++; c <= u || int(c) >= ft.NumNodes() {
+				t.Fatalf("node %d lists child %d of %d nodes", u, c, ft.NumNodes())
+			}
+			return true
+		})
+		if kids > ft.NumNodes() {
+			t.Fatalf("node %d lists %d children", u, kids)
+		}
+	}
+	_ = ValidateView(ft)
+}
+
 // TestFlatTreeCorruptNoPanic drives every query over systematically
-// corrupted node records: answers may be wrong, but nothing may panic, loop,
-// or read out of bounds (the race/bounds checkers enforce the latter).
+// corrupted records — every field of the first internal records, both fields
+// of the first leaf records, the symbol section — and over
+// truncated leaf data.
 func TestFlatTreeCorruptNoPanic(t *testing.T) {
 	_, flat, term := buildBoth(t, []byte("abracadabra.arcana.abracadabra"))
-	run := func(ft *FlatTree) {
-		for _, p := range [][]byte{nil, []byte("a"), []byte("abra"), []byte("zzz"), term} {
-			ft.Contains(p)
-			ft.Count(p)
-			ft.Occurrences(p)
-			tr := make([]Locus, len(p))
-			ft.MatchTrace(p, 0, tr)
-		}
-		ft.LongestRepeatedSubstring()
-		ft.MaximalRepeats(1, 2, func(_, _ int32, _ int) bool { return true })
-		for u := int32(-2); u < int32(ft.NumNodes())+2; u++ {
-			ft.Leaves(u)
-			ft.CountLeaves(u)
-			ft.PathLabel(u)
-			ft.Suffix(u)
-			ft.IsLeaf(u)
-			ft.EdgeLen(u)
+	if err := ValidateView(flat); err != nil {
+		t.Fatalf("the uncorrupted tree: %v", err)
+	}
+	values := []uint32{0, 1, 0x7fffffff, 0xffffffff, 0x00010001, uint32(flat.nInt), uint32(flat.nInt) - 1,
+		uint32(flat.NumNodes()), uint32(flat.NumNodes()) - 1, uint32(len(term))}
+	corrupt := func(size, base, off int) {
+		for _, v := range values {
+			nodes := append([]byte(nil), flat.nodes...)
+			for ni := 0; ni < 5 && base+(ni+1)*size <= len(nodes); ni++ {
+				binary.LittleEndian.PutUint32(nodes[base+ni*size+off:], v)
+			}
+			ft, err := NewFlatTree(term, nodes, flat.sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves)
+			if err != nil {
+				t.Fatal(err) // record values are never a shape error
+			}
+			if ValidateView(ft) == nil && !bytes.Equal(nodes, flat.nodes) {
+				t.Errorf("ValidateView accepted %#x at offset %d of the %d-byte records", v, off, size)
+			}
+			exerciseCorrupt(t, ft, term)
 		}
 	}
 	for off := 0; off < flatNodeSize; off += 4 {
-		for _, v := range []uint32{0, 1, 0x7fffffff, 0xffffffff, uint32(flat.NumNodes()), uint32(len(term))} {
-			nodes := append([]byte(nil), flat.nodes...)
-			for ni := 0; ni < flat.NumNodes() && ni < 5; ni++ {
-				binary.LittleEndian.PutUint32(nodes[ni*flatNodeSize+off:], v)
-			}
-			ft, err := NewFlatTree(term, nodes, flat.sym, flat.dense, flat.leafIdx, flat.leafData, flat.nLeaves)
-			if err != nil {
-				continue
-			}
-			run(ft)
+		corrupt(flatNodeSize, 0, off)
+	}
+	for off := 0; off < flatLeafSize; off += 4 {
+		corrupt(flatLeafSize, flat.leafBase, off)
+	}
+	for _, v := range []byte{0, 1, 7, 0xff} {
+		sym := bytes.Repeat([]byte{v}, len(flat.sym))
+		ft, err := NewFlatTree(term, flat.nodes, sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ValidateView(ft) == nil {
+			t.Errorf("ValidateView accepted a sym section of all %#x", v)
+		}
+		exerciseCorrupt(t, ft, term)
 	}
 	// Truncated/garbage leaf data must decode to short (never panicking)
 	// results.
 	for cut := 0; cut < len(flat.leafData); cut += 7 {
-		ft, err := NewFlatTree(term, flat.nodes, flat.sym, flat.dense, flat.leafIdx, flat.leafData[:cut], flat.nLeaves)
+		ft, err := NewFlatTree(term, flat.nodes, flat.sym, nil, flat.leafIdx, flat.leafData[:cut], flat.nLeaves)
 		if err == nil {
-			run(ft)
+			exerciseCorrupt(t, ft, term)
 		}
 	}
+	// The internal-node count is what the leaf count leaves of the symbol
+	// section; a node section that does not hold exactly those records is a
+	// shape error, not something to clamp.
+	for _, d := range []int32{-1, 1} {
+		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves+d); err == nil {
+			t.Errorf("NewFlatTree accepted %d leaves for a section of %d", flat.nLeaves+d, flat.nLeaves)
+		}
+	}
+	if _, err := NewFlatTree(term, flat.nodes[:len(flat.nodes)-flatLeafSize], flat.sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves); err == nil {
+		t.Error("NewFlatTree accepted a node section one leaf record short")
+	}
+	if _, err := NewFlatTree(term, flat.nodes, flat.sym, make([]byte, 256), flat.leafIdx, flat.leafData, flat.nLeaves); err == nil {
+		t.Error("NewFlatTree accepted a dense-table section; the layout has none")
+	}
+}
+
+// FuzzFlatTreeSections mutates the sections of a small valid tree — 9-byte
+// patches of (section, offset, value), plus a skew of the leaf count that
+// decides where the internal records end — and requires the reader to refuse
+// the shape or answer every query without panicking, within the step bounds
+// exerciseCorrupt checks.
+func FuzzFlatTreeSections(f *testing.F) {
+	_, flat, term := buildBoth(f, []byte("abracadabra.arcana.abracadabra"))
+	patch := func(sec byte, off int, v uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{sec}, uint32(off)), v)
+	}
+	nInt, nNodes := uint32(flat.nInt), uint32(flat.nNodes)
+	f.Add([]byte(nil), int8(0))
+	// The seams of the two-run layout: an internal child run reaching into
+	// the leaf ids, a leaf run past the last node, a depth past the edge's
+	// end, a leaf edge starting past S, and an internal-node count that
+	// disagrees with the section length.
+	f.Add(append(patch(0, 8, nInt-1), patch(0, 24, 0x00010004)...), int8(0))
+	f.Add(append(patch(0, 12, nNodes-1), patch(0, 24, 0x00040001)...), int8(0))
+	f.Add(patch(0, flatNodeSize+28, 0x7fffffff), int8(0))
+	f.Add(patch(0, flat.leafBase, 0xffffffff), int8(0))
+	f.Add(patch(0, flat.leafBase+4, uint32(len(term))+7), int8(0))
+	f.Add([]byte(nil), int8(1))
+	f.Add([]byte(nil), int8(-4))
+	f.Fuzz(func(t *testing.T, patches []byte, leafSkew int8) {
+		secs := [4][]byte{
+			append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...),
+			append([]byte(nil), flat.leafIdx...), append([]byte(nil), flat.leafData...),
+		}
+		for ; len(patches) >= 9; patches = patches[9:] {
+			sec := secs[int(patches[0])%len(secs)]
+			var v [4]byte
+			copy(v[:], patches[5:9])
+			if off := int(binary.LittleEndian.Uint32(patches[1:5])); len(sec) > 0 {
+				copy(sec[off%len(sec):], v[:])
+			}
+		}
+		ft, err := NewFlatTree(term, secs[0], secs[1], nil, secs[2], secs[3], flat.nLeaves+int32(leafSkew))
+		if err != nil {
+			return
+		}
+		exerciseCorrupt(t, ft, term)
+	})
 }
 
 // TestFlattenAllocsDoNotScaleWithNodes pins Flatten's allocation count to its

@@ -35,7 +35,6 @@ type FlatBuilder struct {
 	// contiguous child run each one captured from childStack.
 	done     []fbNode
 	childIDs []int32
-	nDense   int // completed nodes wide enough for a dense child table
 
 	// childStack holds the pending children of every open frame, stacked
 	// region over region: entries ≥ 0 are completed-internal indexes, entries
@@ -205,11 +204,8 @@ func (b *FlatBuilder) complete(f fbFrame) error {
 		b.childStack = append(b.childStack, -f.suffix-1)
 		return nil
 	}
-	if len(kids) > 1<<16-1 {
+	if len(kids) > flatMaxKids {
 		return fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(kids))
-	}
-	if len(kids) >= flatDenseMin {
-		b.nDense++
 	}
 	id := int32(len(b.done))
 	b.done = append(b.done, fbNode{
@@ -239,8 +235,9 @@ func (b *FlatBuilder) emitLeaf(suf int32) {
 	b.nLeaves++
 }
 
-// Finish closes the stream, renumbers the nodes BFS, and encodes the
-// sections — byte-identical to Flatten over the equivalent heap tree.
+// Finish closes the stream, renumbers the nodes — internal nodes BFS, leaves
+// by parent — and encodes the sections, byte-identical to Flatten over the
+// equivalent heap tree.
 func (b *FlatBuilder) Finish() (*Flat, error) {
 	if !b.started {
 		return nil, fmt.Errorf("suffixtree: flat build of an empty tree")
@@ -252,91 +249,60 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 			return nil, err
 		}
 	}
-	nn := 1 + int64(len(b.done)) + int64(b.nLeaves)
-	if nn*flatNodeSize > int64(1)<<40 {
-		return nil, fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", nn)
-	}
-	if len(b.childStack) > 1<<16-1 {
+	if len(b.childStack) > flatMaxKids {
 		return nil, fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(b.childStack))
 	}
-
-	if len(b.childStack) >= flatDenseMin {
-		b.nDense++
+	nInt := 1 + int32(len(b.done))
+	nn := int64(nInt) + int64(b.nLeaves)
+	if nn > 1<<31-1 {
+		return nil, fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", nn)
 	}
 	f := &Flat{
-		Nodes:    make([]byte, nn*flatNodeSize),
+		Nodes:    make([]byte, FlatNodesLen(int64(nInt), int64(b.nLeaves))),
 		Sym:      make([]byte, nn),
-		Dense:    make([]byte, 0, b.nDense*flatDenseBytes),
 		LeafIdx:  b.leafIdx,
 		LeafData: b.leafData,
 		NNodes:   int32(nn),
 		NLeaves:  b.nLeaves,
 	}
 
-	// BFS emission. Flat ids are handed out in BFS order, so the records
+	// BFS emission. Internal ids are handed out in BFS order, so the records
 	// themselves are the queue: an internal node's record holds its
-	// completed-node index + 1 in the first-child field from the moment its
-	// parent numbers it until the scan below reaches it (a leaf is written
-	// in full at once and reads as 0 there). Scanning ids upward therefore
-	// visits the internal nodes in ascending flat id, the order Flatten's
-	// record loop emits the dense tables in.
-	next := int32(1)
-	for id := int32(0); id < next; id++ {
-		r := f.Nodes[int64(id)*flatNodeSize:]
+	// completed-node index in the first-child field from the moment its
+	// parent numbers it until the scan below reaches it. Leaves take the ids
+	// behind the internal nodes as their parents are scanned, and are written
+	// in full at once.
+	lrecs := f.Nodes[int(nInt)*flatNodeSize:]
+	nextInt, nextLeaf := int32(1), nInt
+	for id := int32(0); id < nInt; id++ {
 		var nd fbNode
 		kids := b.childStack
 		if id == 0 {
 			nd.leafCount = b.nLeaves
-		} else if d := binary.LittleEndian.Uint32(r[12:]); d != 0 {
-			nd = b.done[d-1]
-			kids = b.childIDs[nd.childOff : nd.childOff+nd.childCnt]
 		} else {
-			continue // a leaf
+			nd = b.done[binary.LittleEndian.Uint32(f.Nodes[int(id)*flatNodeSize+8:])]
+			kids = b.childIDs[nd.childOff : nd.childOff+nd.childCnt]
 		}
-		cs := next
-		if len(kids) == 0 {
-			cs = 0
-		}
-		rank := nd.leafStart
+		rec := flatRec{start: nd.start, end: nd.end, depth: nd.depth,
+			leafStart: nd.leafStart, leafCount: nd.leafCount, cs: nextInt, ls: nextLeaf}
 		for _, k := range kids {
-			c := f.Nodes[int64(next)*flatNodeSize:]
 			if k < 0 {
 				// Leaf: suffix s attached at the parent's depth.
 				s := -k - 1
 				es := s + nd.depth
+				c := lrecs[int(nextLeaf-nInt)*flatLeafSize:]
 				binary.LittleEndian.PutUint32(c[0:], uint32(es))
-				binary.LittleEndian.PutUint32(c[4:], uint32(b.n))
-				binary.LittleEndian.PutUint32(c[8:], uint32(b.n-s))
-				binary.LittleEndian.PutUint32(c[16:], uint32(rank))
-				binary.LittleEndian.PutUint32(c[20:], 1)
-				binary.LittleEndian.PutUint32(c[24:], uint32(s))
-				f.Sym[next] = b.data[es]
-				rank++
+				binary.LittleEndian.PutUint32(c[4:], uint32(s))
+				f.Sym[nextLeaf] = b.data[es]
+				nextLeaf++
 			} else {
-				binary.LittleEndian.PutUint32(c[12:], uint32(k)+1)
-				f.Sym[next] = b.data[b.done[k].start]
-				rank += b.done[k].leafCount
+				binary.LittleEndian.PutUint32(f.Nodes[int(nextInt)*flatNodeSize+8:], uint32(k))
+				f.Sym[nextInt] = b.data[b.done[k].start]
+				nextInt++
 			}
-			next++
 		}
-		binary.LittleEndian.PutUint32(r[0:], uint32(nd.start))
-		binary.LittleEndian.PutUint32(r[4:], uint32(nd.end))
-		binary.LittleEndian.PutUint32(r[8:], uint32(nd.depth))
-		binary.LittleEndian.PutUint32(r[12:], uint32(cs))
-		binary.LittleEndian.PutUint32(r[16:], uint32(nd.leafStart))
-		binary.LittleEndian.PutUint32(r[20:], uint32(nd.leafCount))
-		binary.LittleEndian.PutUint16(r[28:], uint16(len(kids)))
-		aux := uint32(0)
-		if len(kids) >= flatDenseMin {
-			ti := len(f.Dense) / flatDenseBytes
-			f.Dense = append(f.Dense, make([]byte, flatDenseBytes)...)
-			tbl := f.Dense[ti*flatDenseBytes:]
-			for c := cs; c < cs+int32(len(kids)); c++ {
-				binary.LittleEndian.PutUint32(tbl[int(f.Sym[c])*4:], uint32(c))
-			}
-			aux = uint32(ti) + 1
-		}
-		binary.LittleEndian.PutUint32(r[24:], aux)
+		rec.ci, rec.cl = nextInt-rec.cs, nextLeaf-rec.ls
+		rec.put(f, id)
 	}
 	return f, nil
 }

@@ -203,7 +203,6 @@ func TestFlatBuilderDifferential(t *testing.T) {
 		}{
 			{"nodes", got.Nodes, want.Nodes},
 			{"sym", got.Sym, want.Sym},
-			{"dense", got.Dense, want.Dense},
 			{"leafIdx", got.LeafIdx, want.LeafIdx},
 			{"leafData", got.LeafData, want.LeafData},
 		} {
@@ -240,7 +239,7 @@ func TestFlatBuilderSingleSubTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFlatTree(term, got.Nodes, got.Sym, got.Dense, got.LeafIdx, got.LeafData, got.NLeaves)
+	ft, err := NewFlatTree(term, got.Nodes, got.Sym, nil, got.LeafIdx, got.LeafData, got.NLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +344,8 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if len(fb.done) > internal || len(fb.done) < internal-len(subs) {
 			t.Errorf("%q: %d internal nodes, bound %d over %d sub-trees", syms, len(fb.done), internal, len(subs))
 		}
-		if cap(fl.Dense) != len(fl.Dense) {
-			t.Errorf("%q: dense section %d bytes in a %d-byte allocation", syms, len(fl.Dense), cap(fl.Dense))
+		if cap(fl.Dense) != 0 {
+			t.Errorf("%q: a %d-byte dense section allocated; the layout has none", syms, cap(fl.Dense))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package suffixtree
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Validate checks the structural suffix-tree invariants from §2 of the paper
 // against the underlying string:
@@ -144,6 +147,134 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 	}
 	if end != o {
 		return fmt.Errorf("suffixtree: leaf %d: path spells S[%d:], expected S[%d:]", leaf, end, o)
+	}
+	return nil
+}
+
+// ValidateView checks a flat tree's records against the invariants its
+// accessors otherwise only clamp — the structural half of era.Verify, after
+// the checksums have vouched for the bytes. One pass over the internal
+// records in id order, each checking its children:
+//
+//  1. the child runs tile the id space: every internal id but the root and
+//     every leaf id is in exactly one parent's run, runs in BFS order;
+//  2. every internal node other than the root has ≥ 2 children, and sibling
+//     edges start with strictly increasing symbols across the two runs;
+//  3. edge windows lie in S, start with the symbol sym records, and are
+//     canonical: an internal edge ends at first-leaf suffix + depth — the
+//     depth its record stores — and a leaf's starts at suffix + parent depth;
+//  4. subtree leaf ranges nest: children partition their parent's range in
+//     symbol order, and the leaf with rank r is the r-th entry of the varint
+//     leaf blocks — so the leaf records' suffixes are those entries, permuted;
+//  5. the leaf blocks hold every suffix of S exactly once.
+//
+// It does not re-spell edge labels beyond their first symbol (see
+// Tree.ValidateLinks). Corrupt input yields an error, never a panic.
+func ValidateView(t *FlatTree) error {
+	n := int64(len(t.data))
+	if int64(t.nLeaves) != n {
+		return fmt.Errorf("suffixtree: %d leaves over a %d-byte string", t.nLeaves, n)
+	}
+	ranks := t.appendLeafRange(make([]int32, 0, t.nLeaves), 0, int(t.nLeaves))
+	if len(ranks) != int(t.nLeaves) {
+		return fmt.Errorf("suffixtree: leaf blocks decode %d of %d leaves", len(ranks), t.nLeaves)
+	}
+	present := make([]bool, n)
+	for r, o := range ranks {
+		if o < 0 || int64(o) >= n || present[o] {
+			return fmt.Errorf("suffixtree: leaf rank %d holds suffix %d, out of range or indexed twice", r, o)
+		}
+		present[o] = true
+	}
+
+	u32 := func(r []byte, off int) int64 { return int64(binary.LittleEndian.Uint32(r[off:])) }
+	nextInt, nextLeaf := int64(1), int64(t.nInt)
+	for u := int32(0); u < t.nInt; u++ {
+		r := t.rec(u)
+		rank, leafCount := u32(r, 16), u32(r, 20)
+		cs, ls := u32(r, 8), u32(r, 12)
+		ci, cl := int64(binary.LittleEndian.Uint16(r[24:])), int64(binary.LittleEndian.Uint16(r[26:]))
+		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || leafCount != n) {
+			return fmt.Errorf("suffixtree: root record has a label, or not every leaf below it")
+		}
+		if int64(u) >= nextInt {
+			return fmt.Errorf("suffixtree: internal node %d is in no parent's child run", u)
+		}
+		if leafCount < 1 || rank+leafCount > n {
+			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, leafCount, n)
+		}
+		// A canonical edge ends at first suffix + depth; the parent checked
+		// that u's starts at first suffix + parent depth, before its end.
+		depth, want := u32(r, 28), u32(r, 4)-int64(ranks[rank])
+		if u == 0 {
+			want = 0
+		}
+		if depth != want {
+			return fmt.Errorf("suffixtree: node %d: depth %d on an edge ending %d past its first suffix", u, depth, want)
+		}
+		if ci+cl < 2 && (u != 0 || ci+cl < 1) {
+			return fmt.Errorf("suffixtree: internal node %d has %d children", u, ci+cl)
+		}
+		if (ci > 0 && cs != nextInt) || nextInt+ci > int64(t.nInt) {
+			return fmt.Errorf("suffixtree: node %d: internal child run [%d,+%d) where id %d is next", u, cs, ci, nextInt)
+		}
+		if (cl > 0 && ls != nextLeaf) || nextLeaf+cl > int64(t.nNodes) {
+			return fmt.Errorf("suffixtree: node %d: leaf child run [%d,+%d) where id %d is next", u, ls, cl, nextLeaf)
+		}
+		i, ie, l, le := nextInt, nextInt+ci, nextLeaf, nextLeaf+cl
+		leafEnd := rank + leafCount
+		prevSym := -1
+		for i < ie || l < le {
+			c := l
+			if l == le || (i < ie && t.sym[i] < t.sym[l]) {
+				c = i
+				i++
+			} else {
+				l++
+			}
+			sym := t.sym[c]
+			if int(sym) <= prevSym {
+				return fmt.Errorf("suffixtree: children of node %d not in strictly increasing symbol order", u)
+			}
+			prevSym = int(sym)
+			if rank >= leafEnd {
+				return fmt.Errorf("suffixtree: node %d: children hold more than its %d leaves", u, leafCount)
+			}
+			var es int64
+			if c < int64(t.nInt) {
+				rc := t.rec(int32(c))
+				var ee int64
+				es, ee = u32(rc, 0), u32(rc, 4)
+				if es >= ee || ee > n || es != int64(ranks[rank])+depth {
+					return fmt.Errorf("suffixtree: node %d: edge [%d,%d) under depth %d is not based on its first suffix %d", c, es, ee, depth, ranks[rank])
+				}
+				if u32(rc, 16) != rank {
+					return fmt.Errorf("suffixtree: node %d: leaf range starts at %d where rank %d is next", c, u32(rc, 16), rank)
+				}
+				rank += u32(rc, 20)
+			} else {
+				lr := t.nodes[t.leafBase+int(c-int64(t.nInt))*flatLeafSize:]
+				var suf int64
+				es, suf = u32(lr, 0), u32(lr, 4)
+				if es != suf+depth || es >= n {
+					return fmt.Errorf("suffixtree: leaf %d for suffix %d: edge starts at %d under depth %d", c, suf, es, depth)
+				}
+				if int64(ranks[rank]) != suf {
+					return fmt.Errorf("suffixtree: leaf %d for suffix %d is not the leaf of rank %d", c, suf, rank)
+				}
+				rank++
+			}
+			if t.data[es] != sym {
+				return fmt.Errorf("suffixtree: node %d: edge starts with %q, sym records %q", c, t.data[es], sym)
+			}
+		}
+		if rank != leafEnd {
+			return fmt.Errorf("suffixtree: node %d: children hold %d of its %d leaves", u, rank-(leafEnd-leafCount), leafCount)
+		}
+		nextInt, nextLeaf = ie, le
+	}
+	if nextInt != int64(t.nInt) || nextLeaf != int64(t.nNodes) {
+		return fmt.Errorf("suffixtree: child runs end at ids %d and %d of %d and %d: nodes unreachable from the root", nextInt, nextLeaf, t.nInt, t.nNodes)
 	}
 	return nil
 }

@@ -105,10 +105,14 @@ func FirstLeaf(v View, u int32) int32 {
 		if !t.valid(u) {
 			return -1
 		}
-		for cs, cc := t.children(u); cc > 0; cs, cc = t.children(u) {
-			u = cs // child runs lie after their parent, so this terminates
+		for u < t.nInt {
+			// Internal child runs lie after their parent, so this terminates.
+			if u = t.firstChild(u); u == None {
+				return -1 // a corrupt record: an internal node without children
+			}
 		}
-		return t.leafSuffix(u)
+		_, suf := t.leaf(u)
+		return suf
 	case *Tree:
 		if u < 0 || int(u) >= len(t.nodes) {
 			return -1

@@ -52,6 +52,8 @@ func crashScript() []crashStep {
 		a("AGAG"), // id 7
 		del(6),
 		{kind: "compact"},
+		a("CTGA"), // id 8; the thresholds again, after the explicit compaction
+		{kind: "seal"},
 	}
 }
 
@@ -138,8 +140,8 @@ func TestCrashPointMatrix(t *testing.T) {
 	if inflight != nil {
 		t.Fatal("rehearsal run hit an error with no fault armed")
 	}
-	if len(acked.docs) != 4 { // 8 appended, 4 deleted
-		t.Fatalf("rehearsal survivors = %d, want 4 (script did not complete)", len(acked.docs))
+	if len(acked.docs) != 5 { // 9 appended, 4 deleted
+		t.Fatalf("rehearsal survivors = %d, want 5 (script did not complete)", len(acked.docs))
 	}
 	if err := lx.Close(); err != nil {
 		t.Fatalf("rehearsal Close: %v", err)

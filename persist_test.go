@@ -170,7 +170,7 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(corrupt(v4, 8, 7))              // unknown kind
 	f.Add(corrupt(v4, 72, 4097))          // misaligned node section
 	f.Add(corrupt(v4, 80, 1<<30))         // hostile node count
-	f.Add(corrupt(v4, 144, 1<<30))        // hostile leaf count
+	f.Add(corrupt(v4, 128, 1<<30))        // hostile leaf count
 	f.Add(corrupt(v4s, 48, 1<<20))        // hostile v4 shard count
 	// Valid sections, corrupted node payload: the reader accepts it (open is
 	// O(header) by design) and the query-time clamps must hold.

@@ -2,6 +2,7 @@ package era
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -25,9 +26,9 @@ import (
 //	          nSyms u32 + symbols
 //	data      the string S, terminator included           (page-aligned)
 //	docEnds   nDocs × u32 exclusive document ends         (page-aligned)
-//	nodes     nNodes × 32-byte flat node records          (page-aligned)
+//	nodes     (nNodes − nLeaves) × 32-byte internal records,
+//	          then nLeaves × 8-byte leaf records          (page-aligned)
 //	sym       nNodes × 1 byte first edge symbols          (page-aligned)
-//	dense     dense child tables, 1 KiB each              (page-aligned)
 //	leafIdx   per-block u32 offsets into leafData         (page-aligned)
 //	leafData  delta-varint leaf blocks                    (page-aligned)
 //
@@ -36,18 +37,26 @@ import (
 //	0   magic    u32 'ERAI'
 //	4   version  u32 = 4
 //	8   kind     u32: 0 monolithic, 1 sharded
-//	12  flags    u32 (bit 0: header carries the checksum block below)
+//	12  flags    u32 (bit 0, required on monolithic and sharded images:
+//	             the header carries the checksum block below; bit 1,
+//	             required on monolithic images: the tree sections are the
+//	             compact layout of suffixtree.FlatTree — narrow leaf
+//	             records, no dense child tables)
 //	16  imageLen u64  total image bytes (truncation check)
 //	24  metaOff  u64
 //	32  metaLen  u64
-//	40.. kind-specific fields, see v4Header / v4ShardHeader.
+//	40.. kind-specific fields. Monolithic: dataOff, dataLen, docEndsOff,
+//	    nDocs, nodesOff, nNodes, symOff, leafIdxOff, leafIdxLen,
+//	    leafDataOff, leafDataLen, nLeaves (u64 each, through byte 136; the
+//	    rest of the fixed header is zero). Sharded: shard table offset,
+//	    shard count.
 //
-// Checksummed headers (flags bit 0, every image this package writes) grow
-// the header to v4HeaderLenCk bytes:
+// The checksum block (flags bit 0) grows the header to v4HeaderLenCk bytes:
 //
 //	152  8 × u32 CRC32C, one per section window in file order; each window
 //	     runs from its section's start to the next section's start (trailing
-//	     page padding included), the last to imageLen. Sharded images use
+//	     page padding included), the last to imageLen. Monolithic images
+//	     have seven sections; the eighth slot is zero. Sharded images use
 //	     slot 0 for meta and slot 1 for the shard table window; payloads
 //	     carry their own checksums.
 //	184  u32 CRC32C of header bytes [0, 184)
@@ -55,8 +64,14 @@ import (
 //
 // The header checksum is verified at open; section windows are verified
 // lazily — once, before the first query touches the image — so opening a
-// mapped file stays O(header). Files with flags == 0 (written before the
-// checksummed format) parse as before, unverified.
+// mapped file stays O(header).
+//
+// The version field has stayed 4 since the tree sections were 32-byte records
+// for every node and 1 KiB dense tables. Such an image lacks flags bit 1
+// (the oldest lack bit 0 too) and is refused at open (errOldLayout) — its
+// sections would mis-read as the compact layout, and no reader for them is
+// kept: rebuild the index, or re-run the `era compact` that produced it from
+// its v1–v3 source.
 //
 // Sharded image (kind 1): header + meta (name only) + a table of
 // (payloadOff, payloadLen) u64 pairs + the payloads, each payload a complete
@@ -77,17 +92,25 @@ const (
 	// is shorter but padded to the same length, so meta always follows at
 	// one offset).
 	v4HeaderLen = 152
-	// v4HeaderLenCk is the header size with the checksum block appended;
-	// every image written since checksums landed uses it (flags bit 0).
+	// v4HeaderLenCk is the header size with the checksum block appended
+	// (flags bit 0): every monolithic and sharded image.
 	v4HeaderLenCk = 192
-	// v4FlagChecksums marks a header that carries the checksum block.
+	// v4FlagChecksums marks a header that carries the checksum block (a
+	// trailing footer, for live manifests).
 	v4FlagChecksums = 1 << 0
+	// v4FlagCompact marks a monolithic image whose tree sections are the
+	// compact flat layout; every image this package writes carries it and the
+	// reader requires it.
+	v4FlagCompact = 1 << 1
 	// v4CRCTableOff / v4HeaderCRCOff locate the checksum block fields.
 	v4CRCTableOff  = 152
 	v4HeaderCRCOff = 184
 	// maxV4Shards bounds the shard table on read, mirroring maxShards.
 	maxV4Shards = 1 << 12
 )
+
+// errOldLayout refuses a v4 image written before the compact node layout.
+var errOldLayout = errors.New("era: index image predates the compact node layout (8-byte leaf records) and must be rebuilt")
 
 // v4align rounds n up to the page boundary.
 func v4align(n int64) int64 {
@@ -100,12 +123,11 @@ type v4sections struct {
 	data              []byte
 	docEnds           []byte
 	nodes, sym        []byte
-	dense             []byte
 	leafIdx, leafData []byte
 	nDocs, nLeaves    int64
 	nNodes            int64
 	imageLen          int64
-	ck                *checkState // nil for images without stored checksums
+	ck                *checkState
 }
 
 // crcPadded is the CRC32C of b followed by zeros up to total bytes — the
@@ -175,7 +197,7 @@ func parseV4Mono(buf []byte, mp *mapping) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := suffixtree.NewFlatTree(s.data, s.nodes, s.sym, s.dense, s.leafIdx, s.leafData, int32(s.nLeaves))
+	tree, err := suffixtree.NewFlatTree(s.data, s.nodes, s.sym, nil, s.leafIdx, s.leafData, int32(s.nLeaves))
 	if err != nil {
 		return nil, fmt.Errorf("era: corrupt index: %w", err)
 	}
@@ -211,7 +233,20 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 		return nil, fmt.Errorf("era: corrupt index: image length %d outside the %d available bytes (truncated file?)", s.imageLen, len(buf))
 	}
 	img := buf[:s.imageLen]
-	var err error
+	// Every compact-layout image carries the checksum block, so an image
+	// without it is old whatever else it says; with it, the header is vouched
+	// for before its layout flag is believed.
+	flags := binary.LittleEndian.Uint32(buf[12:])
+	if flags&v4FlagChecksums == 0 {
+		return nil, errOldLayout
+	}
+	crcs, err := v4HeaderChecks(img)
+	if err != nil {
+		return nil, err
+	}
+	if flags&v4FlagCompact == 0 {
+		return nil, errOldLayout
+	}
 	if s.meta, err = sliceV4(img, u64(24), u64(32), 1, "meta"); err != nil {
 		return nil, err
 	}
@@ -233,45 +268,33 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 	if s.nNodes < 1 || s.nNodes > int64(1)<<31-1 {
 		return nil, fmt.Errorf("era: corrupt index: node count %d", s.nNodes)
 	}
-	if s.nodes, err = sliceV4(img, u64(72), s.nNodes*32, v4Page, "nodes"); err != nil {
+	s.nLeaves = u64(128)
+	// Every suffix of S is a leaf, so the leaf count — which decides where the
+	// internal records end — is not a free field.
+	if s.nLeaves != dataLen || s.nLeaves >= s.nNodes {
+		return nil, fmt.Errorf("era: corrupt index: %d leaves and %d nodes over a %d-byte string", s.nLeaves, s.nNodes, dataLen)
+	}
+	if s.nodes, err = sliceV4(img, u64(72), suffixtree.FlatNodesLen(s.nNodes-s.nLeaves, s.nLeaves), v4Page, "nodes"); err != nil {
 		return nil, err
 	}
 	if s.sym, err = sliceV4(img, u64(88), s.nNodes, v4Page, "sym"); err != nil {
 		return nil, err
 	}
-	if s.dense, err = sliceV4(img, u64(96), u64(104), v4Page, "dense"); err != nil {
+	if s.leafIdx, err = sliceV4(img, u64(96), u64(104), v4Page, "leafIdx"); err != nil {
 		return nil, err
 	}
-	s.nLeaves = u64(144)
-	if s.nLeaves < 0 || s.nLeaves > s.nNodes {
-		return nil, fmt.Errorf("era: corrupt index: %d leaves for %d nodes", s.nLeaves, s.nNodes)
-	}
-	if s.leafIdx, err = sliceV4(img, u64(112), u64(120), v4Page, "leafIdx"); err != nil {
+	if s.leafData, err = sliceV4(img, u64(112), u64(120), v4Page, "leafData"); err != nil {
 		return nil, err
 	}
-	if s.leafData, err = sliceV4(img, u64(128), u64(136), v4Page, "leafData"); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(buf[12:])&v4FlagChecksums != 0 {
-		crcs, err := v4HeaderChecks(img)
-		if err != nil {
-			return nil, err
+	names := [7]string{"meta", "data", "docEnds", "nodes", "sym", "leafIdx", "leafData"}
+	bounds := [8]int64{u64(24), u64(40), u64(56), u64(72), u64(88), u64(96), u64(112), s.imageLen}
+	s.ck = &checkState{}
+	for i, name := range names {
+		start, end := bounds[i], bounds[i+1]
+		if start < 0 || end < start || end > s.imageLen {
+			return nil, fmt.Errorf("era: corrupt index: %s checksum window [%d, %d) outside the %d-byte image", name, start, end, s.imageLen)
 		}
-		names := [8]string{"meta", "data", "docEnds", "nodes", "sym", "dense", "leafIdx", "leafData"}
-		bounds := [9]int64{u64(24), u64(40), u64(56), u64(72), u64(88), u64(96), u64(112), u64(128), s.imageLen}
-		s.ck = &checkState{}
-		for i := 0; i < 8; i++ {
-			start, end := bounds[i], bounds[i+1]
-			if start < 0 || end < start || end > s.imageLen {
-				return nil, fmt.Errorf("era: corrupt index: %s checksum window [%d, %d) outside the %d-byte image", names[i], start, end, s.imageLen)
-			}
-			s.ck.secs = append(s.ck.secs, checkSection{name: names[i], data: img[start:end], want: crcs[i]})
-		}
-	} else if u64(24) == v4HeaderLenCk {
-		// Legacy (pre-checksum) writers put meta right after the short header;
-		// a checksummed-era layout with the flag clear means the flags field
-		// itself was damaged, not that the file predates checksums.
-		return nil, fmt.Errorf("era: corrupt index: header flags claim no checksums but the layout is checksummed-era")
+		s.ck.secs = append(s.ck.secs, checkSection{name: name, data: img[start:end], want: crcs[i]})
 	}
 	return s, nil
 }
@@ -377,6 +400,15 @@ func parseV4Sharded(buf []byte, mp *mapping) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("era: corrupt index: image length %d outside the %d available bytes (truncated file?)", imageLen, len(buf))
 	}
 	img := buf[:imageLen]
+	if binary.LittleEndian.Uint32(buf[12:])&v4FlagChecksums == 0 {
+		return nil, errOldLayout // from before checksums: so are its payloads
+	}
+	// The outer windows are header-sized; verify them eagerly. Payloads are
+	// monolithic images whose own checksums verify lazily.
+	crcs, err := v4HeaderChecks(img)
+	if err != nil {
+		return nil, err
+	}
 	meta, err := sliceV4(img, u64(24), u64(32), 1, "meta")
 	if err != nil {
 		return nil, err
@@ -393,31 +425,20 @@ func parseV4Sharded(buf []byte, mp *mapping) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(buf[12:])&v4FlagChecksums != 0 {
-		// The outer windows are header-sized; verify them eagerly. Payloads
-		// are monolithic images whose own checksums verify lazily.
-		crcs, err := v4HeaderChecks(img)
-		if err != nil {
-			return nil, err
+	check := func(name string, start, end int64, want uint32) error {
+		if start < 0 || end < start || end > imageLen {
+			return fmt.Errorf("era: corrupt index: %s checksum window [%d, %d) outside the %d-byte image", name, start, end, imageLen)
 		}
-		check := func(name string, start, end int64, want uint32) error {
-			if start < 0 || end < start || end > imageLen {
-				return fmt.Errorf("era: corrupt index: %s checksum window [%d, %d) outside the %d-byte image", name, start, end, imageLen)
-			}
-			if got := crc32.Checksum(img[start:end], castagnoli); got != want {
-				return fmt.Errorf("era: corrupt index: %s section checksum mismatch (stored %#08x, computed %#08x)", name, want, got)
-			}
-			return nil
+		if got := crc32.Checksum(img[start:end], castagnoli); got != want {
+			return fmt.Errorf("era: corrupt index: %s section checksum mismatch (stored %#08x, computed %#08x)", name, want, got)
 		}
-		if err := check("meta", u64(24), u64(40), crcs[0]); err != nil {
-			return nil, err
-		}
-		if err := check("shard table", u64(40), v4align(u64(40)+nShards*16), crcs[1]); err != nil {
-			return nil, err
-		}
-	} else if u64(24) == v4HeaderLenCk {
-		// Same flags-vs-layout contradiction as the monolithic parser.
-		return nil, fmt.Errorf("era: corrupt index: header flags claim no checksums but the layout is checksummed-era")
+		return nil
+	}
+	if err := check("meta", u64(24), u64(40), crcs[0]); err != nil {
+		return nil, err
+	}
+	if err := check("shard table", u64(40), v4align(u64(40)+nShards*16), crcs[1]); err != nil {
+		return nil, err
 	}
 	shards := make([]*Index, nShards)
 	for i := range shards {
@@ -486,10 +507,10 @@ func v4MetaMono(name string, alpha *alphabet.Alphabet) []byte {
 
 // v4MonoLayout computes the section offsets of one monolithic image.
 type v4MonoLayout struct {
-	metaLen                                         int64
-	dataOff, docEndsOff, nodesOff, symOff, denseOff int64
-	leafIdxOff, leafDataOff                         int64
-	imageLen                                        int64
+	metaLen                               int64
+	dataOff, docEndsOff, nodesOff, symOff int64
+	leafIdxOff, leafDataOff               int64
+	imageLen                              int64
 }
 
 func planV4Mono(metaLen, dataLen, nDocs int64, f *suffixtree.Flat) v4MonoLayout {
@@ -499,8 +520,7 @@ func planV4Mono(metaLen, dataLen, nDocs int64, f *suffixtree.Flat) v4MonoLayout 
 	l.docEndsOff = v4align(l.dataOff + dataLen)
 	l.nodesOff = v4align(l.docEndsOff + nDocs*4)
 	l.symOff = v4align(l.nodesOff + int64(len(f.Nodes)))
-	l.denseOff = v4align(l.symOff + int64(len(f.Sym)))
-	l.leafIdxOff = v4align(l.denseOff + int64(len(f.Dense)))
+	l.leafIdxOff = v4align(l.symOff + int64(len(f.Sym)))
 	l.leafDataOff = v4align(l.leafIdxOff + int64(len(f.LeafIdx)))
 	l.imageLen = l.leafDataOff + int64(len(f.LeafData))
 	return l
@@ -535,7 +555,7 @@ func (x *Index) writeV4MonoWith(w io.Writer, f *suffixtree.Flat) (int64, error) 
 	binary.LittleEndian.PutUint32(hdr[0:], indexMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], flatVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], 0) // monolithic
-	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums)
+	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums|v4FlagCompact)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(l.imageLen))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(v4HeaderLenCk))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(meta)))
@@ -546,13 +566,11 @@ func (x *Index) writeV4MonoWith(w io.Writer, f *suffixtree.Flat) (int64, error) 
 	binary.LittleEndian.PutUint64(hdr[72:], uint64(l.nodesOff))
 	binary.LittleEndian.PutUint64(hdr[80:], uint64(f.NNodes))
 	binary.LittleEndian.PutUint64(hdr[88:], uint64(l.symOff))
-	binary.LittleEndian.PutUint64(hdr[96:], uint64(l.denseOff))
-	binary.LittleEndian.PutUint64(hdr[104:], uint64(len(f.Dense)))
-	binary.LittleEndian.PutUint64(hdr[112:], uint64(l.leafIdxOff))
-	binary.LittleEndian.PutUint64(hdr[120:], uint64(len(f.LeafIdx)))
-	binary.LittleEndian.PutUint64(hdr[128:], uint64(l.leafDataOff))
-	binary.LittleEndian.PutUint64(hdr[136:], uint64(len(f.LeafData)))
-	binary.LittleEndian.PutUint64(hdr[144:], uint64(f.NLeaves))
+	binary.LittleEndian.PutUint64(hdr[96:], uint64(l.leafIdxOff))
+	binary.LittleEndian.PutUint64(hdr[104:], uint64(len(f.LeafIdx)))
+	binary.LittleEndian.PutUint64(hdr[112:], uint64(l.leafDataOff))
+	binary.LittleEndian.PutUint64(hdr[120:], uint64(len(f.LeafData)))
+	binary.LittleEndian.PutUint64(hdr[128:], uint64(f.NLeaves))
 
 	de := make([]byte, 4*len(x.docEnds))
 	for i, e := range x.docEnds {
@@ -560,13 +578,12 @@ func (x *Index) writeV4MonoWith(w io.Writer, f *suffixtree.Flat) (int64, error) 
 	}
 	// Section window checksums, each covering the section and its trailing
 	// page padding so every image byte past the header is accounted for.
-	for i, c := range [8]uint32{
+	for i, c := range [7]uint32{
 		crcPadded(meta, l.dataOff-v4HeaderLenCk),
 		crcPadded(x.data, l.docEndsOff-l.dataOff),
 		crcPadded(de, l.nodesOff-l.docEndsOff),
 		crcPadded(f.Nodes, l.symOff-l.nodesOff),
-		crcPadded(f.Sym, l.denseOff-l.symOff),
-		crcPadded(f.Dense, l.leafIdxOff-l.denseOff),
+		crcPadded(f.Sym, l.leafIdxOff-l.symOff),
 		crcPadded(f.LeafIdx, l.leafDataOff-l.leafIdxOff),
 		crcPadded(f.LeafData, l.imageLen-l.leafDataOff),
 	} {
@@ -585,8 +602,6 @@ func (x *Index) writeV4MonoWith(w io.Writer, f *suffixtree.Flat) (int64, error) 
 	p.write(f.Nodes)
 	p.padTo(l.symOff)
 	p.write(f.Sym)
-	p.padTo(l.denseOff)
-	p.write(f.Dense)
 	p.padTo(l.leafIdxOff)
 	p.write(f.LeafIdx)
 	p.padTo(l.leafDataOff)

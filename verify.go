@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"era/internal/suffixtree"
 )
 
 // VerifyReport is the result of Verify: what was checked and what failed.
@@ -29,7 +31,10 @@ func (r *VerifyReport) OK() bool { return len(r.Problems) == 0 }
 
 // Verify checks every stored checksum reachable from path — an index file
 // of any format, or a live directory (its manifest, every sealed tier, and
-// the write-ahead log) — without modifying anything on disk. Unlike opening
+// the write-ahead log) — and, behind the checksums, the structure of every v4
+// tree image (suffixtree.ValidateView: each node in exactly one parent's
+// child run, leaf records and leaf blocks the same permutation of the
+// suffixes), without modifying anything on disk. Unlike opening
 // a live directory, Verify never truncates a torn WAL tail or quarantines a
 // damaged tier; it only reports. The returned error covers being unable to
 // start (path unreadable); verification failures land in
@@ -48,6 +53,21 @@ func Verify(path string) (*VerifyReport, error) {
 	return verifyIndexFile(path)
 }
 
+// verifyMono checks one opened monolithic index: its stored checksums, then —
+// once those vouch for the bytes — the structure of a flat tree image, which
+// the query paths only ever clamp.
+func verifyMono(x *Index) error {
+	if err := x.VerifyChecksums(); err != nil {
+		return err
+	}
+	if ft, ok := x.tree.(*suffixtree.FlatTree); ok {
+		if err := suffixtree.ValidateView(ft); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorruptIndex, err)
+		}
+	}
+	return nil
+}
+
 func verifyIndexFile(path string) (*VerifyReport, error) {
 	rep := &VerifyReport{Path: path, Kind: "monolithic"}
 	q, err := OpenIndex(path)
@@ -62,16 +82,18 @@ func verifyIndexFile(path string) (*VerifyReport, error) {
 			rep.note("opened cleanly; no stored section checksums (pre-checksum format, stream footer verified at read where present)")
 			return rep, nil
 		}
-		if err := x.VerifyChecksums(); err != nil {
+		if err := verifyMono(x); err != nil {
 			rep.problem("%v", err)
 			return rep, nil
 		}
-		rep.note("header and all section checksums verified (%d documents, %d symbols)", x.NumDocs(), x.Len())
+		rep.note("header, section checksums and tree structure verified (%d documents, %d symbols)", x.NumDocs(), x.Len())
 	case *ShardedIndex:
 		rep.Kind = "sharded"
-		if err := x.VerifyChecksums(); err != nil {
-			rep.problem("%v", err)
-			return rep, nil
+		for i, sh := range x.shards {
+			if err := verifyMono(sh); err != nil {
+				rep.problem("shard %d: %v", i, err)
+				return rep, nil
+			}
 		}
 		rep.note("all %d shards verified (%d documents)", x.NumShards(), x.NumDocs())
 	default:
@@ -109,10 +131,10 @@ func verifyLiveDir(dir string) (*VerifyReport, error) {
 		case idx.NumDocs() != len(mt.ids):
 			rep.problem("tier %s: holds %d documents, manifest says %d", mt.file, idx.NumDocs(), len(mt.ids))
 		default:
-			if err := idx.VerifyChecksums(); err != nil {
+			if err := verifyMono(idx); err != nil {
 				rep.problem("tier %s: %v", mt.file, err)
 			} else {
-				rep.note("tier %s: %d documents, checksums verified", mt.file, idx.NumDocs())
+				rep.note("tier %s: %d documents, checksums and tree structure verified", mt.file, idx.NumDocs())
 			}
 		}
 		q.Close()
