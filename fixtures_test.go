@@ -1,10 +1,39 @@
 package era
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// fixtureDocs is the corpus behind every committed fixture image.
+func fixtureDocs() [][]byte {
+	return [][]byte{
+		[]byte("GATTACAGATTACAGATTACA"),
+		[]byte("CCCGATTACACCCGGGTTTAAA"),
+		[]byte("ACGTACGTACGTACGTACGT"),
+		[]byte("TTAGGGTTAGGGTTAGGG"),
+	}
+}
+
+// copyLiveFixture copies a committed live directory (manifest, its one tier,
+// WAL) into a temporary one: opening a live directory repairs it in place.
+func copyLiveFixture(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{liveManifestName, fmt.Sprintf(liveTierPattern, 0), walName} {
+		buf, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
 
 // TestRegenerateFixtures rewrites the committed images under
 // testdata/fixtures — the corpus the CI `era verify` gate runs against, so
@@ -15,12 +44,7 @@ func TestRegenerateFixtures(t *testing.T) {
 	if os.Getenv("ERA_REGEN_FIXTURES") != "1" {
 		t.Skip("set ERA_REGEN_FIXTURES=1 to rewrite testdata/fixtures")
 	}
-	docs := [][]byte{
-		[]byte("GATTACAGATTACAGATTACA"),
-		[]byte("CCCGATTACACCCGGGTTTAAA"),
-		[]byte("ACGTACGTACGTACGTACGT"),
-		[]byte("TTAGGGTTAGGGTTAGGG"),
-	}
+	docs := fixtureDocs()
 	dir := filepath.Join("testdata", "fixtures")
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
@@ -79,5 +103,73 @@ func TestRegenerateFixtures(t *testing.T) {
 		if !rep.OK() {
 			t.Fatalf("fresh fixture %s unhealthy: %v", p, rep.Problems)
 		}
+	}
+}
+
+// TestCommittedImagesServed holds the committed images to what a build of
+// their corpus answers today. testdata/fixtures is what this tree writes,
+// byte for byte (a stale fixture fails here, not at the next format change);
+// testdata/bfs-numbered was written before node ids followed completion
+// order — same records, same sections, same byte count, other numbering —
+// and must keep verifying and answering, since nothing in the format says
+// which order a writer numbered the nodes in.
+func TestCommittedImagesServed(t *testing.T) {
+	docs := fixtureDocs()
+	mono, err := BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono.SetName("fixture-mono")
+	var fresh bytes.Buffer
+	if _, err := mono.WriteToV4(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	// The live fixture holds documents 0 and 2: document 1 was deleted.
+	live, err := BuildCorpus([][]byte{docs[0], docs[2]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		dir     string
+		current bool
+	}{{"fixtures", true}, {"bfs-numbered", false}} {
+		t.Run(c.dir, func(t *testing.T) {
+			dir := filepath.Join("testdata", c.dir)
+			for _, name := range []string{"mono.idx", "sharded.idx", "live"} {
+				rep, err := Verify(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.OK() {
+					t.Errorf("Verify(%s): %v", name, rep.Problems)
+				}
+			}
+			img, err := os.ReadFile(filepath.Join(dir, "mono.idx"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same := bytes.Equal(img, fresh.Bytes()); len(img) != fresh.Len() || same != c.current {
+				t.Errorf("mono.idx: %d bytes against a fresh image's %d, byte-identical: %v, want %v",
+					len(img), fresh.Len(), same, c.current)
+			}
+			for _, name := range []string{"mono.idx", "sharded.idx"} {
+				q, err := OpenIndex(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer q.Close()
+				assertSameAnswers(t, mono, q, shardTestPatterns(docs, 5))
+			}
+			lx, err := NewLive("", &LiveConfig{Dir: copyLiveFixture(t, filepath.Join(dir, "live"))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lx.Close()
+			if q := lx.Stats().Quarantined; len(q) != 0 {
+				t.Fatalf("the live fixture's tier was quarantined: %v", q)
+			}
+			assertSameAnswers(t, live, lx, shardTestPatterns([][]byte{docs[0], docs[2]}, 5))
+		})
 	}
 }

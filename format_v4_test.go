@@ -2,6 +2,7 @@ package era
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"era/internal/suffixarray"
+	"era/internal/suffixtree"
 	"era/internal/workload"
 )
 
@@ -239,6 +242,59 @@ func TestDirectV4ByteIdentical(t *testing.T) {
 		for _, w := range []int{2, 5} {
 			check(fmt.Sprintf("shared-nothing-%d", w), &Config{Mode: SharedNothing, Workers: w})
 		}
+	}
+}
+
+// TestFlatImageAgainstSuffixArray is the image's independent oracle. The
+// heap path and the direct path share one encoder (Flatten feeds FlatBuilder
+// too), so their byte-identity says nothing about the stream ERA hands it;
+// SA-IS and Kasai share no code with vertical partitioning, the elastic
+// range or the group sorts. Their suffix and LCP arrays over the terminated
+// corpus, streamed as one sub-tree under the empty prefix, must produce the
+// sections of the ERA build — at a budget that makes ERA cut the same
+// corpus into many sub-trees.
+func TestFlatImageAgainstSuffixArray(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		docs [][]byte
+	}{
+		{"diff-corpus", diffCorpus()},
+		{"periodic", [][]byte{bytes.Repeat([]byte("ACGT"), 300), bytes.Repeat([]byte("AC"), 500), []byte("ACGTACG")}},
+		{"one-symbol", [][]byte{bytes.Repeat([]byte("A"), 700), []byte("AAA")}},
+		{"empty-docs", shardEmptyDocsCorpus()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			idx, err := BuildCorpus(c.docs, &Config{Target: TargetFlat, MemoryBudget: 4 * 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idx.Stats().SubTrees < 2 {
+				t.Fatalf("ERA built %d sub-tree: nothing for the assembly to join", idx.Stats().SubTrees)
+			}
+			sa, err := suffixarray.Build(idx.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, err := suffixtree.NewFlatBuilder(idx.data, len(idx.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fb.AddSubTree(nil, sa, suffixarray.LCP(idx.data, sa)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := fb.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := idx.flat
+			if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
+				t.Fatalf("%d nodes / %d leaves, the suffix array's tree has %d / %d", got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
+			}
+			if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) ||
+				!bytes.Equal(got.LeafIdx, want.LeafIdx) || !bytes.Equal(got.LeafData, want.LeafData) {
+				t.Error("the ERA build's sections differ from the suffix array's")
+			}
+		})
 	}
 }
 
@@ -476,26 +532,65 @@ func fixV4HeaderCRC(b []byte) []byte {
 // field is in range, so the query paths clamp nothing — and era.Verify
 // reports them.
 func TestVerifyChecksTreeStructure(t *testing.T) {
+	// restamp recomputes the node section's checksum after a record edit, so
+	// the structure pass is what sees it.
+	restamp := func(img []byte) {
+		nodesOff, symOff := binary.LittleEndian.Uint64(img[72:]), binary.LittleEndian.Uint64(img[88:])
+		binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*3:], crc32.Checksum(img[nodesOff:symOff], castagnoli))
+	}
+	// withRun returns the record of the first internal node below the root
+	// that has a child run of the kind whose count sits at offset cnt.
+	withRun := func(t *testing.T, s *v4sections, cnt int) (id uint32, rec []byte) {
+		for u := int64(1); u < s.nNodes-s.nLeaves; u++ {
+			if r := s.nodes[u*32 : u*32+32]; binary.LittleEndian.Uint16(r[cnt:]) > 0 {
+				return uint32(u), r
+			}
+		}
+		t.Fatal("no internal node below the root has such a run")
+		return 0, nil
+	}
 	for _, c := range []struct {
 		name, want string
-		mutate     func(img []byte, s *v4sections)
+		mutate     func(t *testing.T, img []byte, s *v4sections)
 	}{
 		// The root's leaf children are the first leaf records; it has the
 		// terminator's leaf and, in this corpus, the documents' last symbols.
-		{"swapped-leaves", "leaf", func(img []byte, s *v4sections) {
+		{"swapped-leaves", "leaf", func(t *testing.T, img []byte, s *v4sections) {
 			leaves := s.nodes[(s.nNodes-s.nLeaves)*32:]
 			a := append([]byte(nil), leaves[:8]...)
 			copy(leaves[:8], leaves[8:16])
 			copy(leaves[8:16], a)
-			nodesOff, symOff := binary.LittleEndian.Uint64(img[72:]), binary.LittleEndian.Uint64(img[88:])
-			binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*3:], crc32.Checksum(img[nodesOff:symOff], castagnoli))
+			restamp(img)
 		}},
 		// One more node than the tree has: the section windows (and their
 		// checksums) run to the next section's start, so the padding supplies
 		// a record and a symbol, and only the structure pass sees that the
 		// leaf ids no longer begin where the child runs say.
-		{"one-node-more", "child run", func(img []byte, s *v4sections) {
+		{"one-node-more", "child run", func(t *testing.T, img []byte, s *v4sections) {
 			binary.LittleEndian.PutUint64(img[80:], uint64(s.nNodes)+1)
+		}},
+		// Two parents claim the same leaves: a node below the root points its
+		// leaf run at the root's.
+		{"doubly-claimed-run", "an earlier run holds", func(t *testing.T, img []byte, s *v4sections) {
+			_, r := withRun(t, s, 26)
+			copy(r[12:16], s.nodes[12:16])
+			restamp(img)
+		}},
+		// A node is its own first internal child: the one shape a descent
+		// could follow forever, which is why the reader clamps it.
+		{"run-at-its-parent", "is not after it", func(t *testing.T, img []byte, s *v4sections) {
+			id, r := withRun(t, s, 24)
+			binary.LittleEndian.PutUint32(r[8:], id)
+			restamp(img)
+		}},
+		// The root lets go of its first internal child, which no run holds
+		// any more. Its sibling speaks first: it now stands where the
+		// orphan's leaves are expected.
+		{"unclaimed-id", "not based on its first suffix", func(t *testing.T, img []byte, s *v4sections) {
+			r := s.nodes[:32]
+			binary.LittleEndian.PutUint32(r[8:], binary.LittleEndian.Uint32(r[8:])+1)
+			binary.LittleEndian.PutUint16(r[24:], binary.LittleEndian.Uint16(r[24:])-1)
+			restamp(img)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -504,7 +599,7 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.mutate(img, s)
+			c.mutate(t, img, s)
 			p := filepath.Join(t.TempDir(), c.name+".idx")
 			if err := os.WriteFile(p, fixV4HeaderCRC(img), 0o644); err != nil {
 				t.Fatal(err)
@@ -516,6 +611,19 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 			if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), c.want) {
 				t.Fatalf("Verify: problems %q, want one naming the %s", rep.Problems, c.want)
 			}
+			// Opening does not run the structure pass: whatever the image
+			// answers, it answers without a panic or a hang.
+			q, err := OpenIndex(p)
+			if err != nil {
+				return
+			}
+			defer q.Close()
+			for _, pat := range diffPatterns(diffCorpus()) {
+				q.Count(pat)
+				q.Occurrences(pat)
+				q.DocOccurrences(pat)
+			}
+			q.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
 		})
 	}
 }
@@ -552,17 +660,7 @@ func TestOldLayoutImageRefused(t *testing.T) {
 		}
 	}
 
-	// Opening a live directory repairs it in place, so work on a copy.
-	dir := t.TempDir()
-	for _, name := range []string{liveManifestName, fmt.Sprintf(liveTierPattern, 0), walName} {
-		buf, err := os.ReadFile(filepath.Join(old, "live", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyLiveFixture(t, filepath.Join(old, "live"))
 	rep, err := Verify(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -95,7 +95,10 @@ func assembleFlatSubs(raw []byte, subs []flatSub) (*suffixtree.Flat, error) {
 	for _, s := range subs {
 		internal += s.branches
 	}
-	fb := suffixtree.NewFlatBuilder(raw, int(internal))
+	fb, err := suffixtree.NewFlatBuilder(raw, int(internal))
+	if err != nil {
+		return nil, err
+	}
 	for _, s := range subs {
 		if _, err := fb.AddSubTree(s.label, s.l, s.lcp); err != nil {
 			return nil, err

@@ -14,13 +14,18 @@ import (
 // The layout is chosen for the descent and occurrence-listing hot paths, and
 // sized by what a node has to say:
 //
-//   - Node ids are one space. Internal nodes are ids [0, nInt) in BFS order;
-//     leaves are ids [nInt, nNodes) ordered by (parent id, first symbol). An
-//     internal node's internal children are therefore one contiguous id run
-//     and its leaf children a second one, each sorted by the first symbol of
-//     the edge label. Child lookup scans the packed first-symbol array over
-//     the two short runs a word at a time — there is no per-node lookup
-//     table; ForEachChild is the two-way merge of the runs in symbol order.
+//   - Node ids are one space: internal nodes are ids [0, nInt), the root 0,
+//     leaves are ids [nInt, nNodes). An internal node's internal children are
+//     one contiguous id run and its leaf children a second one, each sorted
+//     by the first symbol of the edge label. Child lookup scans the packed
+//     first-symbol array over the two short runs a word at a time — there is
+//     no per-node lookup table; ForEachChild is the two-way merge of the runs
+//     in symbol order. Which ids the runs get is the writer's business, under
+//     one rule: an internal run lies strictly after its parent. FlatBuilder
+//     numbers in reverse completion order — a node's children are written
+//     when it completes, in front of everything written before — so a whole
+//     subtree is one window of records behind its root; images written
+//     before it numbered breadth-first, and read the same.
 //   - More than half of all nodes are leaves, and a leaf has two facts: where
 //     its edge label starts and which suffix it is. Its record is those 8
 //     bytes; the edge ends at |S|, the depth is |S| − suffix, the subtree is
@@ -575,38 +580,6 @@ func (t *FlatTree) MaximalRepeats(minLen int32, minOcc int, fn func(node int32, 
 	VisitRepeats(t, minLen, minOcc, fn)
 }
 
-// flatRec is one internal node on its way into the sections: Flatten and
-// FlatBuilder both encode through put, so the record layout is written down
-// once.
-type flatRec struct {
-	start, end int32 // edge label window in data
-	depth      int32 // string depth at the bottom of the edge
-	leafStart  int32 // rank of the subtree's first leaf
-	leafCount  int32
-	cs, ci     int32 // internal child run: first id, count
-	ls, cl     int32 // leaf child run: first id, count
-}
-
-// put encodes the record of internal node id into f.Nodes.
-func (n flatRec) put(f *Flat, id int32) {
-	if n.ci == 0 {
-		n.cs = 0
-	}
-	if n.cl == 0 {
-		n.ls = 0
-	}
-	r := f.Nodes[int(id)*flatNodeSize:]
-	binary.LittleEndian.PutUint32(r[0:], uint32(n.start))
-	binary.LittleEndian.PutUint32(r[4:], uint32(n.end))
-	binary.LittleEndian.PutUint32(r[8:], uint32(n.cs))
-	binary.LittleEndian.PutUint32(r[12:], uint32(n.ls))
-	binary.LittleEndian.PutUint32(r[16:], uint32(n.leafStart))
-	binary.LittleEndian.PutUint32(r[20:], uint32(n.leafCount))
-	binary.LittleEndian.PutUint16(r[24:], uint16(n.ci))
-	binary.LittleEndian.PutUint16(r[26:], uint16(n.cl))
-	binary.LittleEndian.PutUint32(r[28:], uint32(n.depth))
-}
-
 // unzigzag32 decodes the zigzag form of a signed 32-bit delta.
 func unzigzag32(v uint64) int32 {
 	return int32(uint32(v)>>1) ^ -int32(v&1)
@@ -615,194 +588,4 @@ func unzigzag32(v uint64) int32 {
 // zigzag32 encodes a signed 32-bit delta for varint storage.
 func zigzag32(d int32) uint64 {
 	return uint64(uint32(d<<1) ^ uint32(d>>31))
-}
-
-// Flatten encodes any tree view over data into the flat sections. It is the
-// v2/v3 → v4 conversion heart: the heap tree a builder produced (or another
-// FlatTree being re-written) is renumbered — internal nodes BFS, leaves by
-// parent — so child runs are contiguous and sorted, subtree leaf ranges
-// are precomputed, edge windows re-based, and the leaf sequence is
-// delta-varint packed.
-// Node ids in v must be dense in [0, NumNodes), which both layouts
-// guarantee, and the tree complete: one leaf per suffix of data.
-func Flatten(v View, data []byte) (*Flat, error) {
-	n := v.NumNodes()
-	if n < 1 {
-		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
-	}
-	root := v.Root()
-
-	// Pass 1 — DFS over the source ids: string depth (pre-order), the leaf
-	// sequence in lexicographic order, and each subtree's leaf range.
-	depth := make([]int32, n)
-	leafStart := make([]int32, n)
-	leafCount := make([]int32, n)
-	leaves := make([]int32, 0, (n+1)/2)
-	type frame struct {
-		id   int32
-		post bool
-	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{root, false})
-	depth[root] = v.EdgeLen(root) // 0 for a real root; mirrors WalkDFS
-	visited := 0
-	// ForEachChild takes its callback through the View interface, so a
-	// closure literal inside the loop would escape and allocate once per
-	// internal node; both passes hoist one closure over loop state instead.
-	var parent int32
-	pushChild := func(c int32) bool {
-		if c < 0 || int(c) >= n {
-			return true
-		}
-		depth[c] = depth[parent] + v.EdgeLen(c)
-		stack = append(stack, frame{c, false})
-		return true
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.post {
-			leafCount[f.id] = int32(len(leaves)) - leafStart[f.id]
-			continue
-		}
-		if visited++; visited > n {
-			return nil, fmt.Errorf("suffixtree: flatten visited more than %d nodes (ids not dense, or cyclic links)", n)
-		}
-		leafStart[f.id] = int32(len(leaves))
-		if v.IsLeaf(f.id) {
-			s := v.Suffix(f.id)
-			if s < 0 || int(s) >= len(data) {
-				return nil, fmt.Errorf("suffixtree: leaf %d has suffix %d outside the %d-byte string", f.id, s, len(data))
-			}
-			leaves = append(leaves, s)
-			leafCount[f.id] = 1
-			continue
-		}
-		stack = append(stack, frame{f.id, true})
-		mark := len(stack)
-		parent = f.id
-		v.ForEachChild(parent, pushChild)
-		for i, j := mark, len(stack)-1; i < j; i, j = i+1, j-1 {
-			stack[i], stack[j] = stack[j], stack[i]
-		}
-	}
-
-	// Pass 2 — renumbering. Internal nodes take ids in BFS order and leaves
-	// ids behind them in the order their parents are numbered, so the
-	// internal children of a node are one contiguous window of the internal
-	// records, its leaf children one of the leaf records, each in sibling
-	// (first-symbol) order.
-	nLeaves := len(leaves)
-	if nLeaves != len(data) {
-		// The image indexes every suffix of data; the reader holds it to that.
-		return nil, fmt.Errorf("suffixtree: flatten found %d leaves over a %d-byte string", nLeaves, len(data))
-	}
-	order := make([]int32, 0, visited-nLeaves) // new internal id → old id
-	leafOrder := make([]int32, 0, nLeaves)     // new leaf id − nInt → old id
-	numbered := make([]bool, n)
-	order = append(order, root)
-	numbered[root] = true
-	type runs struct{ cs, ci, ls, cl int32 }
-	kids := make([]runs, 0, visited-nLeaves) // by new internal id; ls counts from the first leaf
-	number := func(c int32) bool {
-		if c < 0 || int(c) >= n || numbered[c] {
-			return true
-		}
-		numbered[c] = true
-		if v.IsLeaf(c) {
-			leafOrder = append(leafOrder, c)
-		} else {
-			order = append(order, c)
-		}
-		return true
-	}
-	for qi := 0; qi < len(order); qi++ {
-		k := runs{cs: int32(len(order)), ls: int32(len(leafOrder))}
-		v.ForEachChild(order[qi], number)
-		k.ci, k.cl = int32(len(order))-k.cs, int32(len(leafOrder))-k.ls
-		if k.ci+k.cl > flatMaxKids {
-			return nil, fmt.Errorf("suffixtree: node %d has %d children, beyond the flat layout's limit", order[qi], k.ci+k.cl)
-		}
-		kids = append(kids, k)
-	}
-	if len(leafOrder) != nLeaves {
-		return nil, fmt.Errorf("suffixtree: flatten numbered %d leaves of %d", len(leafOrder), nLeaves)
-	}
-
-	nInt := len(order)
-	f := &Flat{
-		Nodes:   make([]byte, FlatNodesLen(int64(nInt), int64(nLeaves))),
-		Sym:     make([]byte, nInt+nLeaves),
-		NNodes:  int32(nInt + nLeaves),
-		NLeaves: int32(nLeaves),
-	}
-
-	// Canonical edge windows: every non-root label is re-based onto the
-	// subtree's lexicographically first suffix — start = firstLeaf + depth −
-	// edgeLen, end = firstLeaf + depth. Builders that assemble sub-trees in
-	// different orders leave different (but label-equal) windows on the nodes
-	// their grafts split; re-basing makes the encoded image a pure function
-	// of tree shape and string, so serial, parallel, distributed, and
-	// direct-to-flat builds all emit byte-identical sections.
-	canon := func(old int32) (int32, int32, error) {
-		ls := leafStart[old]
-		if leafCount[old] <= 0 || int(ls) >= len(leaves) {
-			return 0, 0, fmt.Errorf("suffixtree: node %d has no leaves below it", old)
-		}
-		ee := leaves[ls] + depth[old]
-		es := ee - v.EdgeLen(old)
-		if es < 0 || int(es) >= len(data) || ee < es {
-			return 0, 0, fmt.Errorf("suffixtree: node %d edge start %d outside the %d-byte string", old, es, len(data))
-		}
-		return es, ee, nil
-	}
-
-	// Leaf records, and with them the leaves' first symbols. A leaf's
-	// canonical window starts at suffix + parent depth and ends with S.
-	lrecs := f.Nodes[nInt*flatNodeSize:]
-	for li, old := range leafOrder {
-		es, _, err := canon(old)
-		if err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint32(lrecs[li*flatLeafSize:], uint32(es))
-		binary.LittleEndian.PutUint32(lrecs[li*flatLeafSize+4:], uint32(v.Suffix(old)))
-		f.Sym[nInt+li] = data[es]
-	}
-
-	for ni, old := range order {
-		rec := flatRec{depth: depth[old], leafStart: leafStart[old], leafCount: leafCount[old],
-			cs: kids[ni].cs, ci: kids[ni].ci, ls: int32(nInt) + kids[ni].ls, cl: kids[ni].cl}
-		if ni != 0 {
-			var err error
-			if rec.start, rec.end, err = canon(old); err != nil {
-				return nil, err
-			}
-			f.Sym[ni] = data[rec.start]
-		}
-		rec.put(f, int32(ni))
-	}
-
-	// Leaf blocks: uvarint first value, zigzag-varint deltas after.
-	var scratch [binary.MaxVarintLen64]byte
-	for b := 0; b < len(leaves); b += flatLeafBlock {
-		f.LeafIdx = binary.LittleEndian.AppendUint32(f.LeafIdx, uint32(len(f.LeafData)))
-		end := b + flatLeafBlock
-		if end > len(leaves) {
-			end = len(leaves)
-		}
-		prev := int32(0)
-		for j := b; j < end; j++ {
-			var enc uint64
-			if j == b {
-				enc = uint64(uint32(leaves[j]))
-			} else {
-				enc = zigzag32(leaves[j] - prev)
-			}
-			m := binary.PutUvarint(scratch[:], enc)
-			f.LeafData = append(f.LeafData, scratch[:m]...)
-			prev = leaves[j]
-		}
-	}
-	return f, nil
 }

@@ -380,6 +380,23 @@ func FuzzFlatTreeSections(f *testing.F) {
 	f.Add(patch(0, flat.leafBase+4, uint32(len(term))+7), int8(0))
 	f.Add([]byte(nil), int8(1))
 	f.Add([]byte(nil), int8(-4))
+	// What ValidateView's first check refuses and the reader has to survive:
+	// a leaf run two parents claim, a node that is its own first internal
+	// child (the cycle the cs <= u clamp exists for), and an internal id the
+	// root's run no longer reaches.
+	withRun := func(cnt int) int {
+		for u := 1; u < int(flat.nInt); u++ {
+			if binary.LittleEndian.Uint16(flat.rec(int32(u))[cnt:]) > 0 {
+				return u
+			}
+		}
+		f.Fatal("no internal node below the root has such a run")
+		return 0
+	}
+	root := flat.rec(0)
+	f.Add(patch(0, withRun(26)*flatNodeSize+12, binary.LittleEndian.Uint32(root[12:])), int8(0))
+	f.Add(patch(0, withRun(24)*flatNodeSize+8, uint32(withRun(24))), int8(0))
+	f.Add(append(patch(0, 8, binary.LittleEndian.Uint32(root[8:])+1), patch(0, 24, binary.LittleEndian.Uint32(root[24:])-1)...), int8(0))
 	f.Fuzz(func(t *testing.T, patches []byte, leafSkew int8) {
 		secs := [4][]byte{
 			append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...),

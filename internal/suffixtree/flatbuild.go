@@ -4,44 +4,53 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // FlatBuilder assembles the flat (format v4) sections directly from the
 // sorted-suffix sub-trees that ERA's group assembly produces: no
-// intermediate heap Tree is materialized and no Flatten pass runs. Sub-trees
-// stream in by strictly increasing prefix label; because the label set is
-// prefix-free, concatenating their occurrence lists yields the full suffix
-// array of S, and one rightmost-path stack pass over that stream builds the
-// suffix tree — the classic sorted-suffix construction, with the LCP at each
-// sub-tree boundary recovered from the labels themselves.
+// intermediate heap Tree is materialized. Sub-trees stream in by strictly
+// increasing prefix label; because the label set is prefix-free,
+// concatenating their occurrence lists yields the full suffix array of S,
+// and one rightmost-path stack pass over that stream builds the suffix tree
+// — the classic sorted-suffix construction (ERA's BuildSubTree, §4.2.2),
+// with the LCP at each sub-tree boundary recovered from the labels
+// themselves.
 //
-// The builder keeps only the open rightmost path, the completed internal
-// nodes, and the (already final) leaf varint blocks, all sized once from the
-// counts the caller already has; the peak is a fraction of the heap tree the
-// two-phase build-then-Flatten path allocates. Finish renumbers internal
-// nodes BFS and emits records byte-identical to Flatten over the heap tree
-// the same sub-trees would have assembled into — the property the cross-path
-// differential tests pin.
+// Every record is written once, into the image's own sections. A node is
+// final when the rightmost path leaves it, but where it goes is its parent's
+// decision — siblings must be contiguous — so it waits on the pending stack
+// until the parent completes, which then writes all its children as one
+// internal run and one leaf run. Both tables fill from the back: a parent
+// completes after its children, so it lands in front of them, and every
+// child run lies strictly after its parent — the order the reader's descent
+// relies on to terminate. Ids are therefore handed out in reverse completion
+// order, counted from the end of the tables while the stream runs (the
+// tables' used length is not known until it ends); Finish turns those into
+// ids in one pass. Besides the sections the builder holds only the open
+// rightmost path and the finished children of its nodes.
 type FlatBuilder struct {
 	data []byte
 	n    int32
 
-	started   bool
 	prevLabel []byte
 
 	frames []fbFrame
 
-	// Completed internal nodes in completion (post-) order, plus the
-	// contiguous child run each one captured from childStack.
-	done     []fbNode
-	childIDs []int32
+	// nodes and sym are the image's sections, sized for intCap internal
+	// records and n leaf records. The last nInt internal slots and the last
+	// nLeafRecs leaf slots are written.
+	nodes     []byte
+	sym       []byte
+	intCap    int32
+	nInt      int32
+	nLeafRecs int32
 
-	// childStack holds the pending children of every open frame, stacked
-	// region over region: entries ≥ 0 are completed-internal indexes, entries
-	// < 0 are leaves encoded as -(suffix)-1.
-	childStack []int32
+	// pending holds the finished children of every open frame, stacked
+	// region over region.
+	pending []fbRec
 
-	nLeaves  int32
+	nLeaves  int32 // leaves streamed so far, in lexicographic order
 	leafIdx  []byte
 	leafData []byte
 	prevLeaf int32
@@ -49,47 +58,71 @@ type FlatBuilder struct {
 
 // fbFrame is one edge of the open rightmost path. The node at the edge's
 // bottom is still growing; its children collected so far live in
-// childStack[childBase:].
+// pending[childBase:].
 type fbFrame struct {
 	start, end int32 // edge label window in data
 	botDepth   int32 // string depth at the bottom of the edge
 	leafStart  int32 // rank of the bottom subtree's first leaf
-	childBase  int32 // childStack length when the frame opened
+	childBase  int32 // pending length when the frame opened
 	suffix     int32 // leaf frames: the suffix; split-created frames: -1
 }
 
-// fbNode is one completed internal node.
-type fbNode struct {
+// fbRec is one finished node on the pending stack: a leaf (suffix ≥ 0, with
+// start its edge start) or an internal node whose children are already in
+// the tables.
+type fbRec struct {
 	start, end int32 // edge label window in data
+	suffix     int32 // the leaf's suffix; -1 for an internal node
 	depth      int32 // string depth at the bottom of the edge
 	leafStart  int32 // rank of the subtree's first leaf
 	leafCount  int32
-	childOff   int32 // its children are childIDs[childOff:childOff+childCnt]
-	childCnt   int32
+	cs, ci     int32 // internal child run: first record counted from the table's end, count
+	ls, cl     int32 // leaf child run, likewise
+}
+
+// put encodes an internal node's record into r. The child-run fields still
+// count from the end of their tables; Finish rewrites them as ids.
+func (n *fbRec) put(r []byte) {
+	binary.LittleEndian.PutUint32(r[0:], uint32(n.start))
+	binary.LittleEndian.PutUint32(r[4:], uint32(n.end))
+	binary.LittleEndian.PutUint32(r[8:], uint32(n.cs))
+	binary.LittleEndian.PutUint32(r[12:], uint32(n.ls))
+	binary.LittleEndian.PutUint32(r[16:], uint32(n.leafStart))
+	binary.LittleEndian.PutUint32(r[20:], uint32(n.leafCount))
+	binary.LittleEndian.PutUint16(r[24:], uint16(n.ci))
+	binary.LittleEndian.PutUint16(r[26:], uint16(n.cl))
+	binary.LittleEndian.PutUint32(r[28:], uint32(n.depth))
 }
 
 // NewFlatBuilder starts a direct flat build over data (the terminated
 // string S). Every suffix of data becomes a leaf, and internal is an upper
 // bound on the internal nodes below the root — every AddSubTree creates at
 // most one more than its sub-tree has branch nodes, which ERA's assembly
-// has counted by then — so the node, child and leaf tables are allocated
-// here, once, and the stream never regrows them. (A stream that exceeds the
-// bound still builds; it only reallocates.)
-func NewFlatBuilder(data []byte, internal int) *FlatBuilder {
+// has counted by then — so the image's node and symbol sections and the leaf
+// blocks are allocated here, once, and Finish hands out those same arrays.
+// (A stream that exceeds the bound still builds; it only reallocates.) A
+// tree whose ids would not fit the layout's 31 bits is refused before
+// anything is allocated.
+func NewFlatBuilder(data []byte, internal int) (*FlatBuilder, error) {
 	n := len(data)
+	if internal < 0 || int64(internal) >= math.MaxInt32-int64(n) { // internal + the root + n leaves
+		return nil, fmt.Errorf("suffixtree: %d internal nodes over a %d-byte string exceed the flat layout's bounds", internal, n)
+	}
 	blocks := (n + flatLeafBlock - 1) / flatLeafBlock
 	// A block opens with a suffix (< n) and continues with zigzag deltas
 	// (< 2n); both fit the varint width of 2n.
 	var scratch [binary.MaxVarintLen64]byte
 	leafWidth := binary.PutUvarint(scratch[:], 2*uint64(n))
+	intCap := internal + 1
 	return &FlatBuilder{
 		data:     data,
 		n:        int32(n),
-		done:     make([]fbNode, 0, internal),
-		childIDs: make([]int32, 0, n+internal),
+		nodes:    make([]byte, FlatNodesLen(int64(intCap), int64(n))),
+		sym:      make([]byte, intCap+n),
+		intCap:   int32(intCap),
 		leafIdx:  make([]byte, 0, 4*blocks),
 		leafData: make([]byte, 0, n*leafWidth),
-	}
+	}, nil
 }
 
 // AddSubTree streams one prepared sub-tree into the builder: suffixes is the
@@ -109,14 +142,13 @@ func (b *FlatBuilder) AddSubTree(label []byte, suffixes, lcp []int32) (int64, er
 		return 0, fmt.Errorf("suffixtree: flat build: %d suffixes but %d lcp entries", len(suffixes), len(lcp))
 	}
 	boundary := int32(0)
-	if b.started {
+	if b.nLeaves > 0 {
 		c := commonPrefixLen(b.prevLabel, label)
 		if c == len(b.prevLabel) || c == len(label) || bytes.Compare(b.prevLabel, label) >= 0 {
 			return 0, fmt.Errorf("suffixtree: flat build: label %q must follow %q in strict prefix-free order", label, b.prevLabel)
 		}
 		boundary = int32(c)
 	}
-	b.started = true
 	b.prevLabel = append(b.prevLabel[:0], label...)
 	if _, err := b.add(suffixes[0], boundary); err != nil {
 		return 0, fmt.Errorf("suffixtree: flat build: sub-tree %q: %w", label, err)
@@ -147,6 +179,9 @@ func (b *FlatBuilder) add(suf, offset int32) (split bool, err error) {
 	}
 	if offset >= b.n-suf {
 		return false, fmt.Errorf("suffixtree: lcp %d ≥ suffix length %d (suffixes not distinct?)", offset, b.n-suf)
+	}
+	if b.nLeaves == b.n {
+		return false, fmt.Errorf("suffixtree: more than %d suffixes of a %d-byte string (suffixes not distinct?)", b.n, b.n)
 	}
 	for len(b.frames) > 0 && b.frames[len(b.frames)-1].botDepth > offset {
 		f := b.frames[len(b.frames)-1]
@@ -188,33 +223,94 @@ func (b *FlatBuilder) add(suf, offset int32) (split bool, err error) {
 	b.emitLeaf(suf)
 	b.frames = append(b.frames, fbFrame{
 		start: suf + offset, end: b.n, botDepth: b.n - suf,
-		leafStart: b.nLeaves - 1, childBase: int32(len(b.childStack)), suffix: suf,
+		leafStart: b.nLeaves - 1, childBase: int32(len(b.pending)), suffix: suf,
 	})
 	return split, nil
 }
 
-// complete closes the bottom node of a popped frame and pushes its encoding
-// onto the child region of the frame below it.
+// complete closes the bottom node of a popped frame: its children leave the
+// pending stack for the tables, and the node itself takes their place, as a
+// child of the frame below.
 func (b *FlatBuilder) complete(f fbFrame) error {
-	kids := b.childStack[f.childBase:]
+	kids := b.pending[f.childBase:]
 	if f.suffix >= 0 {
 		if len(kids) != 0 {
 			return fmt.Errorf("suffixtree: flat build attached %d children below a leaf (suffixes not distinct?)", len(kids))
 		}
-		b.childStack = append(b.childStack, -f.suffix-1)
+		// A leaf's edge starts at suffix + parent depth: splits above it
+		// have moved start there by now.
+		b.pending = append(b.pending, fbRec{start: f.start, suffix: f.suffix})
 		return nil
 	}
+	rec := fbRec{start: f.start, end: f.end, suffix: -1, depth: f.botDepth,
+		leafStart: f.leafStart, leafCount: b.nLeaves - f.leafStart}
+	if err := b.writeKids(&rec, kids); err != nil {
+		return err
+	}
+	b.pending = append(b.pending[:f.childBase], rec)
+	return nil
+}
+
+// writeKids writes the finished children of a completing node — in sibling
+// order, as the stream delivered them — in front of everything the two
+// tables hold, and records the two runs in rec.
+func (b *FlatBuilder) writeKids(rec *fbRec, kids []fbRec) error {
 	if len(kids) > flatMaxKids {
 		return fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(kids))
 	}
-	id := int32(len(b.done))
-	b.done = append(b.done, fbNode{
-		start: f.start, end: f.end, depth: f.botDepth,
-		leafStart: f.leafStart, leafCount: b.nLeaves - f.leafStart,
-		childOff: int32(len(b.childIDs)), childCnt: int32(len(kids)),
-	})
-	b.childIDs = append(b.childIDs, kids...)
-	b.childStack = append(b.childStack[:f.childBase], id)
+	for i := range kids {
+		if kids[i].suffix >= 0 {
+			rec.cl++
+		}
+	}
+	rec.ci = int32(len(kids)) - rec.cl
+	if err := b.reserve(rec.ci); err != nil {
+		return err
+	}
+	b.nInt += rec.ci
+	b.nLeafRecs += rec.cl // add admits at most n leaves, so the leaf table cannot overflow
+	rec.cs, rec.ls = b.nInt, b.nLeafRecs
+	// The runs' first slots, and the leaf table behind the internal one.
+	i, l := int(b.intCap-b.nInt), int(b.n-b.nLeafRecs)
+	leaves, leafSym := b.nodes[int(b.intCap)*flatNodeSize:], b.sym[b.intCap:]
+	for k := range kids {
+		c := &kids[k]
+		if c.suffix >= 0 {
+			r := leaves[l*flatLeafSize:]
+			binary.LittleEndian.PutUint32(r[0:], uint32(c.start))
+			binary.LittleEndian.PutUint32(r[4:], uint32(c.suffix))
+			leafSym[l] = b.data[c.start]
+			l++
+		} else {
+			c.put(b.nodes[i*flatNodeSize:])
+			b.sym[i] = b.data[c.start]
+			i++
+		}
+	}
+	return nil
+}
+
+// reserve makes room for k more internal records. Within the bound
+// NewFlatBuilder was given it does nothing; past it the tables move to
+// larger arrays, keeping their distance from the end.
+func (b *FlatBuilder) reserve(k int32) error {
+	need := int64(b.nInt) + int64(k)
+	if need <= int64(b.intCap) {
+		return nil
+	}
+	limit := math.MaxInt32 - int64(b.n)
+	if need > limit {
+		return fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", need+int64(b.n))
+	}
+	grown := min(max(2*int64(b.intCap), need), limit)
+	nodes := make([]byte, FlatNodesLen(grown, int64(b.n)))
+	sym := make([]byte, grown+int64(b.n))
+	// The written internal records and the leaf table behind them are one
+	// window of each section.
+	used := int(b.intCap - b.nInt)
+	copy(nodes[(int(grown)-int(b.nInt))*flatNodeSize:], b.nodes[used*flatNodeSize:])
+	copy(sym[int(grown)-int(b.nInt):], b.sym[used:])
+	b.nodes, b.sym, b.intCap = nodes, sym, int32(grown)
 	return nil
 }
 
@@ -235,11 +331,12 @@ func (b *FlatBuilder) emitLeaf(suf int32) {
 	b.nLeaves++
 }
 
-// Finish closes the stream, renumbers the nodes — internal nodes BFS, leaves
-// by parent — and encodes the sections, byte-identical to Flatten over the
-// equivalent heap tree.
+// Finish closes the stream: the open path completes, the root takes the
+// slot in front of everything written, the unused front of the internal
+// bound is cut off by re-slicing, and the child-run fields — counted from
+// the end of the tables until now — become ids.
 func (b *FlatBuilder) Finish() (*Flat, error) {
-	if !b.started {
+	if b.nLeaves == 0 {
 		return nil, fmt.Errorf("suffixtree: flat build of an empty tree")
 	}
 	for len(b.frames) > 0 {
@@ -249,60 +346,79 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 			return nil, err
 		}
 	}
-	if len(b.childStack) > flatMaxKids {
-		return nil, fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(b.childStack))
+	if b.nLeaves != b.n {
+		// The image indexes every suffix of data; the reader holds it to that.
+		return nil, fmt.Errorf("suffixtree: flat build found %d leaves over a %d-byte string", b.nLeaves, b.n)
 	}
-	nInt := 1 + int32(len(b.done))
-	nn := int64(nInt) + int64(b.nLeaves)
-	if nn > 1<<31-1 {
-		return nil, fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", nn)
+	root := fbRec{suffix: -1, leafCount: b.nLeaves}
+	if err := b.writeKids(&root, b.pending); err != nil {
+		return nil, err
 	}
+	if err := b.reserve(1); err != nil {
+		return nil, err
+	}
+	b.nInt++
+	gap := int(b.intCap - b.nInt)
+	root.put(b.nodes[gap*flatNodeSize:])
+
+	nn := b.nInt + b.n
 	f := &Flat{
-		Nodes:    make([]byte, FlatNodesLen(int64(nInt), int64(b.nLeaves))),
-		Sym:      make([]byte, nn),
+		Nodes:    b.nodes[gap*flatNodeSize:],
+		Sym:      b.sym[gap:],
 		LeafIdx:  b.leafIdx,
 		LeafData: b.leafData,
-		NNodes:   int32(nn),
-		NLeaves:  b.nLeaves,
+		NNodes:   nn,
+		NLeaves:  b.n,
 	}
-
-	// BFS emission. Internal ids are handed out in BFS order, so the records
-	// themselves are the queue: an internal node's record holds its
-	// completed-node index in the first-child field from the moment its
-	// parent numbers it until the scan below reaches it. Leaves take the ids
-	// behind the internal nodes as their parents are scanned, and are written
-	// in full at once.
-	lrecs := f.Nodes[int(nInt)*flatNodeSize:]
-	nextInt, nextLeaf := int32(1), nInt
-	for id := int32(0); id < nInt; id++ {
-		var nd fbNode
-		kids := b.childStack
-		if id == 0 {
-			nd.leafCount = b.nLeaves
-		} else {
-			nd = b.done[binary.LittleEndian.Uint32(f.Nodes[int(id)*flatNodeSize+8:])]
-			kids = b.childIDs[nd.childOff : nd.childOff+nd.childCnt]
+	for r := f.Nodes[:int(b.nInt)*flatNodeSize]; len(r) > 0; r = r[flatNodeSize:] {
+		var cs, ls uint32 // an empty run is stored as id 0
+		if binary.LittleEndian.Uint16(r[24:]) > 0 {
+			cs = uint32(b.nInt) - binary.LittleEndian.Uint32(r[8:])
 		}
-		rec := flatRec{start: nd.start, end: nd.end, depth: nd.depth,
-			leafStart: nd.leafStart, leafCount: nd.leafCount, cs: nextInt, ls: nextLeaf}
-		for _, k := range kids {
-			if k < 0 {
-				// Leaf: suffix s attached at the parent's depth.
-				s := -k - 1
-				es := s + nd.depth
-				c := lrecs[int(nextLeaf-nInt)*flatLeafSize:]
-				binary.LittleEndian.PutUint32(c[0:], uint32(es))
-				binary.LittleEndian.PutUint32(c[4:], uint32(s))
-				f.Sym[nextLeaf] = b.data[es]
-				nextLeaf++
-			} else {
-				binary.LittleEndian.PutUint32(f.Nodes[int(nextInt)*flatNodeSize+8:], uint32(k))
-				f.Sym[nextInt] = b.data[b.done[k].start]
-				nextInt++
-			}
+		if binary.LittleEndian.Uint16(r[26:]) > 0 {
+			ls = uint32(nn) - binary.LittleEndian.Uint32(r[12:])
 		}
-		rec.ci, rec.cl = nextInt-rec.cs, nextLeaf-rec.ls
-		rec.put(f, id)
+		binary.LittleEndian.PutUint32(r[8:], cs)
+		binary.LittleEndian.PutUint32(r[12:], ls)
 	}
 	return f, nil
+}
+
+// Flatten encodes any tree view over data into the flat sections — the
+// v2/v3 → v4 conversion heart: the heap tree a builder produced (or another
+// FlatTree being re-written) is read back as the sorted suffix stream it
+// spells, one pre-order walk, and fed to the same FlatBuilder the direct
+// builds use. The image is therefore a function of the string and the tree's
+// leaf order and branching depths alone; edge windows come out canonical
+// whichever way the source tree based them. The tree must be complete: one
+// leaf per suffix of data.
+func Flatten(v View, data []byte) (*Flat, error) {
+	if v.NumNodes() < 1 {
+		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
+	}
+	b, err := NewFlatBuilder(data, max(v.NumNodes()-1-len(data), 0))
+	if err != nil {
+		return nil, err
+	}
+	// The first node the walk reaches after a leaf hangs off the lowest
+	// common ancestor of that leaf and the next: its parent's depth is their
+	// LCP.
+	afterLeaf, lcp := true, int32(0)
+	Walk(v, v.Root(), func(id, depth int32) bool {
+		if err != nil {
+			return false
+		}
+		if afterLeaf {
+			afterLeaf, lcp = false, depth-v.EdgeLen(id)
+		}
+		if v.IsLeaf(id) {
+			_, err = b.add(v.Suffix(id), lcp)
+			afterLeaf = true
+		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("suffixtree: flatten: %w", err)
+	}
+	return b.Finish()
 }

@@ -2,6 +2,7 @@ package suffixtree
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -91,6 +92,16 @@ func TestFindSym(t *testing.T) {
 	}
 }
 
+// newBuilder is NewFlatBuilder for bounds that are known to fit the layout.
+func newBuilder(t testing.TB, term []byte, internal int) *FlatBuilder {
+	t.Helper()
+	fb, err := NewFlatBuilder(term, internal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fb
+}
+
 // builderSub is one prepared sub-tree as group assembly would hand it over.
 type builderSub struct {
 	label []byte
@@ -176,7 +187,7 @@ func TestFlatBuilderDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fb := NewFlatBuilder(term, len(term))
+		fb := newBuilder(t, term, len(term))
 		for _, sub := range subTreesOf(term) {
 			nodes, err := fb.AddSubTree(sub.label, sub.l, sub.lcp)
 			if err != nil {
@@ -222,7 +233,7 @@ func TestFlatBuilderDifferential(t *testing.T) {
 func TestFlatBuilderSingleSubTree(t *testing.T) {
 	term := append([]byte("zyxw"), alphabet.Terminator)
 	// All first symbols distinct: five singleton sub-trees with 1-byte labels.
-	fb := NewFlatBuilder(term, len(term))
+	fb := newBuilder(t, term, len(term))
 	subs := subTreesOf(term)
 	if len(subs) != 5 {
 		t.Fatalf("expected 5 singleton sub-trees, got %d", len(subs))
@@ -258,7 +269,7 @@ func TestFlatBuilderSingleSubTree(t *testing.T) {
 // empty stream must all error — never emit a silently wrong image.
 func TestFlatBuilderErrors(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
-	fresh := func() *FlatBuilder { return NewFlatBuilder(term, len(term)) }
+	fresh := func() *FlatBuilder { return newBuilder(t, term, len(term)) }
 
 	if _, err := fresh().Finish(); err == nil {
 		t.Error("Finish on an empty stream succeeded")
@@ -300,9 +311,11 @@ func TestFlatBuilderErrors(t *testing.T) {
 // TestFlatBuilderTablesNeverGrow pins the sizing contract of NewFlatBuilder:
 // given the internal-node bound ERA's assembly computes — every sub-tree's
 // branch nodes (the node count AddSubTree reports, less its leaves) plus one
-// per sub-tree for the split where it joins its predecessor — the node,
-// child and leaf tables have the same capacity before the first AddSubTree
-// and after Finish, and the bound is not slack by more than the joins.
+// per sub-tree for the split where it joins its predecessor — the sections
+// Finish hands out are the arrays the constructor allocated, cut at the
+// front by no more than the joins; the pending stack stays a few node
+// fan-outs deep per level of the open path; and Finish itself allocates
+// nothing that scales with the tree.
 func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, syms := range []string{"ab", "ACGT", "abcdefghijklmnopqrstuvwxyz"} {
@@ -312,40 +325,84 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		}
 		term := append(data, alphabet.Terminator)
 		subs := subTreesOf(term)
-
-		// A first, unsized stream stands in for core's counting pass.
-		count := NewFlatBuilder(term, 0)
-		internal := len(subs)
-		for _, sub := range subs {
-			nodes, err := count.AddSubTree(sub.label, sub.l, sub.lcp)
-			if err != nil {
-				t.Fatal(err)
+		stream := func(fb *FlatBuilder) (internal int) {
+			for _, sub := range subs {
+				nodes, err := fb.AddSubTree(sub.label, sub.l, sub.lcp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				internal += int(nodes) - len(sub.l)
 			}
-			internal += int(nodes) - len(sub.l)
+			return internal
 		}
 
-		fb := NewFlatBuilder(term, internal)
-		caps := func() [4]int {
-			return [4]int{cap(fb.done), cap(fb.childIDs), cap(fb.leafIdx), cap(fb.leafData)}
+		// A first stream stands in for core's counting pass — and, sized for
+		// no internal node at all, takes the regrowth path the whole way.
+		under := newBuilder(t, term, 0)
+		internal := len(subs) + stream(under)
+		want, err := under.Finish()
+		if err != nil {
+			t.Fatalf("%q: under-sized build: %v", syms, err)
 		}
-		before := caps()
-		for _, sub := range subs {
-			if _, err := fb.AddSubTree(sub.label, sub.l, sub.lcp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fl, err := fb.Finish()
+		ft, err := NewFlatTree(term, want.Nodes, want.Sym, nil, want.LeafIdx, want.LeafData, want.NLeaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after := caps(); after != before {
-			t.Errorf("%q: table capacities grew from %v to %v", syms, before, after)
+		if err := ValidateView(ft); err != nil {
+			t.Fatalf("%q: under-sized build: %v", syms, err)
 		}
-		if len(fb.done) > internal || len(fb.done) < internal-len(subs) {
-			t.Errorf("%q: %d internal nodes, bound %d over %d sub-trees", syms, len(fb.done), internal, len(subs))
+
+		// AllocsPerRun calls its function once to warm up.
+		const runs = 2
+		var builders [runs + 1]*FlatBuilder
+		var ends [runs + 1][4]*byte
+		last := func(b []byte) *byte { return &b[:cap(b)][cap(b)-1] }
+		for i := range builders {
+			fb := newBuilder(t, term, internal)
+			ends[i] = [4]*byte{last(fb.nodes), last(fb.sym), last(fb.leafIdx), last(fb.leafData)}
+			stream(fb)
+			// The open path is as deep as the stream ever made it; a level
+			// holds at most one node's children, less the one still open.
+			if limit := (len(syms) + 1) * cap(fb.frames); cap(fb.pending) > 2*limit {
+				t.Errorf("%q: pending stack grew to %d records under a path of ≤ %d frames", syms, cap(fb.pending), cap(fb.frames))
+			}
+			builders[i] = fb
+		}
+		var fl *Flat
+		next := 0
+		perFinish := testing.AllocsPerRun(runs, func() {
+			if fl, err = builders[next].Finish(); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if perFinish > 2 {
+			t.Errorf("%q: Finish allocated %.0f objects", syms, perFinish)
+		}
+		if got := [4]*byte{last(fl.Nodes), last(fl.Sym), last(fl.LeafIdx), last(fl.LeafData)}; got != ends[runs] {
+			t.Errorf("%q: Finish handed out sections that are not the arrays NewFlatBuilder allocated", syms)
+		}
+		if nInt := int(fl.NNodes - fl.NLeaves); nInt-1 > internal || nInt-1 < internal-len(subs) {
+			t.Errorf("%q: %d internal nodes, bound %d over %d sub-trees", syms, nInt-1, internal, len(subs))
+		}
+		if !bytes.Equal(fl.Nodes, want.Nodes) || !bytes.Equal(fl.Sym, want.Sym) {
+			t.Errorf("%q: the under-sized build's sections differ from the sized build's", syms)
 		}
 		if cap(fl.Dense) != 0 {
 			t.Errorf("%q: a %d-byte dense section allocated; the layout has none", syms, cap(fl.Dense))
+		}
+	}
+}
+
+// TestFlatBuilderRefusesOversizedTree: node ids are 31 bits, and the
+// constructor is where the tables are allocated, so it is where a bound
+// past that is refused — before any allocation, which is what lets this
+// test ask for two billion nodes.
+func TestFlatBuilderRefusesOversizedTree(t *testing.T) {
+	term := append([]byte("abab"), alphabet.Terminator)
+	for _, internal := range []int{math.MaxInt32 - len(term), math.MaxInt32, math.MaxInt64 - 1, -1} {
+		if _, err := NewFlatBuilder(term, internal); err == nil {
+			t.Errorf("NewFlatBuilder accepted a bound of %d internal nodes over %d bytes", internal, len(term))
 		}
 	}
 }

@@ -154,10 +154,14 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 // ValidateView checks a flat tree's records against the invariants its
 // accessors otherwise only clamp — the structural half of era.Verify, after
 // the checksums have vouched for the bytes. One pass over the internal
-// records in id order, each checking its children:
+// records in id order — parents come before their children — each checking
+// its children:
 //
 //  1. the child runs tile the id space: every internal id but the root and
-//     every leaf id is in exactly one parent's run, runs in BFS order;
+//     every leaf id is in exactly one parent's run, internal runs strictly
+//     after their parent and inside the internal ids, leaf runs inside the
+//     leaf ids — what the reader relies on, in whatever order a writer
+//     numbered the nodes;
 //  2. every internal node other than the root has ≥ 2 children, and sibling
 //     edges start with strictly increasing symbols across the two runs;
 //  3. edge windows lie in S, start with the symbol sym records, and are
@@ -188,7 +192,8 @@ func ValidateView(t *FlatTree) error {
 	}
 
 	u32 := func(r []byte, off int) int64 { return int64(binary.LittleEndian.Uint32(r[off:])) }
-	nextInt, nextLeaf := int64(1), int64(t.nInt)
+	claimed := make([]uint64, (int(t.nNodes)+63)/64) // ids some run holds
+	nClaimed := int64(0)
 	for u := int32(0); u < t.nInt; u++ {
 		r := t.rec(u)
 		rank, leafCount := u32(r, 16), u32(r, 20)
@@ -196,9 +201,6 @@ func ValidateView(t *FlatTree) error {
 		ci, cl := int64(binary.LittleEndian.Uint16(r[24:])), int64(binary.LittleEndian.Uint16(r[26:]))
 		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || leafCount != n) {
 			return fmt.Errorf("suffixtree: root record has a label, or not every leaf below it")
-		}
-		if int64(u) >= nextInt {
-			return fmt.Errorf("suffixtree: internal node %d is in no parent's child run", u)
 		}
 		if leafCount < 1 || rank+leafCount > n {
 			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, leafCount, n)
@@ -215,13 +217,17 @@ func ValidateView(t *FlatTree) error {
 		if ci+cl < 2 && (u != 0 || ci+cl < 1) {
 			return fmt.Errorf("suffixtree: internal node %d has %d children", u, ci+cl)
 		}
-		if (ci > 0 && cs != nextInt) || nextInt+ci > int64(t.nInt) {
-			return fmt.Errorf("suffixtree: node %d: internal child run [%d,+%d) where id %d is next", u, cs, ci, nextInt)
+		if ci > 0 && (cs <= int64(u) || cs+ci > int64(t.nInt)) {
+			return fmt.Errorf("suffixtree: node %d: internal child run [%d,+%d) is not after it and inside the %d internal ids", u, cs, ci, t.nInt)
 		}
-		if (cl > 0 && ls != nextLeaf) || nextLeaf+cl > int64(t.nNodes) {
-			return fmt.Errorf("suffixtree: node %d: leaf child run [%d,+%d) where id %d is next", u, ls, cl, nextLeaf)
+		if cl > 0 && (ls < int64(t.nInt) || ls+cl > int64(t.nNodes)) {
+			return fmt.Errorf("suffixtree: node %d: leaf child run [%d,+%d) is outside the leaf ids [%d,%d)", u, ls, cl, t.nInt, t.nNodes)
 		}
-		i, ie, l, le := nextInt, nextInt+ci, nextLeaf, nextLeaf+cl
+		if !claimRun(claimed, cs, ci) || !claimRun(claimed, ls, cl) {
+			return fmt.Errorf("suffixtree: node %d: a child run holds a node that an earlier run holds", u)
+		}
+		nClaimed += ci + cl
+		i, ie, l, le := cs, cs+ci, ls, ls+cl
 		leafEnd := rank + leafCount
 		prevSym := -1
 		for i < ie || l < le {
@@ -271,10 +277,22 @@ func ValidateView(t *FlatTree) error {
 		if rank != leafEnd {
 			return fmt.Errorf("suffixtree: node %d: children hold %d of its %d leaves", u, rank-(leafEnd-leafCount), leafCount)
 		}
-		nextInt, nextLeaf = ie, le
 	}
-	if nextInt != int64(t.nInt) || nextLeaf != int64(t.nNodes) {
-		return fmt.Errorf("suffixtree: child runs end at ids %d and %d of %d and %d: nodes unreachable from the root", nextInt, nextLeaf, t.nInt, t.nNodes)
+	if nClaimed != int64(t.nNodes)-1 {
+		// No id is in two runs, so some are in none.
+		return fmt.Errorf("suffixtree: child runs hold %d of the %d nodes below the root: nodes unreachable from it", nClaimed, t.nNodes-1)
 	}
 	return nil
+}
+
+// claimRun marks ids [lo, lo+n) in the bitset and reports whether all of
+// them were free.
+func claimRun(bits []uint64, lo, n int64) bool {
+	free := true
+	for id := lo; id < lo+n; id++ {
+		m := uint64(1) << (id & 63)
+		free = free && bits[id>>6]&m == 0
+		bits[id>>6] |= m
+	}
+	return free
 }
