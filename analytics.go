@@ -457,7 +457,7 @@ func (x *Index) minDocOffset(pattern []byte, doc int) int {
 // the path and slicing it would copy O(n) bytes per L-mer. A non-nil stop
 // predicate (ctxStop) abandons the walk early; the caller re-checks its
 // context afterwards and discards the partial aggregate.
-func collectPrefixCounts(v suffixtree.View, data []byte, L int, stop func() bool, add func(label []byte, count int)) {
+func collectPrefixCounts(v *suffixtree.FlatTree, data []byte, L int, stop func() bool, add func(label []byte, count int)) {
 	suffixtree.PrefixLoci(v, int32(L), func(node int32) bool {
 		if stop != nil && stop() {
 			return false

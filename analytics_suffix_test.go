@@ -209,7 +209,7 @@ func TestAnalyticsCostPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mono, err := BuildCorpus(docs, &Config{Target: TargetFlat})
+		mono, err := BuildCorpus(docs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestAnalyticsCostPins(t *testing.T) {
 		if n != 128<<10 {
 			continue
 		}
-		sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3, Build: &Config{Target: TargetFlat}})
+		sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +394,7 @@ func TestWalkAllocationsDoNotScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := BuildCorpus(docs, &Config{Target: TargetFlat})
+		x, err := BuildCorpus(docs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

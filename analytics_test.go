@@ -151,8 +151,8 @@ func analyticsQuerySet(numDocs int) []Query {
 }
 
 // TestAnalyticsDifferential pins every analytics op byte-identical across
-// the four layers — heap monolithic, v4 file-backed monolithic, sharded,
-// and live after appends and deletes — against the naive scan oracle; its
+// the four layers — monolithic as built and as reopened from its mapped file,
+// sharded, and live after appends and deletes — against the naive scan oracle; its
 // periodic sub-test (testPeriodicAnalytics) adds the corpora on which a
 // suffix order must not be had by comparing suffixes.
 func TestAnalyticsDifferential(t *testing.T) {
@@ -164,20 +164,20 @@ func TestAnalyticsDifferential(t *testing.T) {
 		[]byte("TGGTGGTGGTGCGGTGATGGTGC"),
 	}
 
-	heap, err := BuildCorpus(docs, nil)
+	mono, err := BuildCorpus(docs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	v4path := filepath.Join(t.TempDir(), "analytics.idx")
-	if err := WriteFileV4(v4path, heap); err != nil {
+	path := filepath.Join(t.TempDir(), "analytics.idx")
+	if err := mono.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := OpenIndex(v4path)
+	mapped, err := OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flat.Close()
+	defer mapped.Close()
 
 	sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
 	if err != nil {
@@ -224,8 +224,8 @@ func TestAnalyticsDifferential(t *testing.T) {
 		name string
 		q    Queryable
 	}{
-		{"heap", heap},
-		{"v4-mono", flat},
+		{"mono", mono},
+		{"mapped-mono", mapped},
 		{"sharded", sx},
 		{"live", lx},
 	}

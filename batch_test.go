@@ -33,29 +33,16 @@ func randomOps(data []byte, n int, seed int64) []Op {
 	return ops
 }
 
-// batchLayouts serves the same string through every batch-capable layout:
-// the heap tree a default build produces, the direct-built flat layout
-// (TargetFlat, no heap tree ever existed), and the FlatTree over a mapped v4
-// file. The batch suite runs against each, so the prefix-resumed descent is
-// exercised over the flat layout — not just the heap path it was first
-// written for.
+// batchLayouts serves the same string as built and as reopened from its
+// mapped file, so the batch suite runs its prefix-resumed descent over both.
 func batchLayouts(t *testing.T, data []byte, cfg *Config) map[string]Queryable {
 	t.Helper()
-	build := func(target BuildTarget) *Index {
-		c := Config{}
-		if cfg != nil {
-			c = *cfg
-		}
-		c.Target = target
-		idx, err := Build(data, &c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
+	built, err := Build(data, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	heap := build(TargetHeap)
-	p := filepath.Join(t.TempDir(), "batch.v4.idx")
-	if err := WriteFileV4(p, heap); err != nil {
+	p := filepath.Join(t.TempDir(), "batch.idx")
+	if err := built.WriteFile(p); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := OpenIndex(p)
@@ -63,45 +50,18 @@ func batchLayouts(t *testing.T, data []byte, cfg *Config) map[string]Queryable {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mapped.Close() })
-	return map[string]Queryable{"heap": heap, "direct-flat": build(TargetFlat), "mapped-v4": mapped}
+	return map[string]Queryable{"built": built, "mapped": mapped}
 }
 
+// TestBatchMatchesSingleQueries holds Batch, op by op, to a scan of the
+// string.
 func TestBatchMatchesSingleQueries(t *testing.T) {
 	data := workload.MustGenerate(workload.DNA, 4000, 3)
 	data = data[:len(data)-1]
 	ops := randomOps(data, 300, 17)
+	oracle := newScanOracle([][]byte{data})
 	for name, idx := range batchLayouts(t, data, &Config{MemoryBudget: 64 * 1024}) {
-		results := idx.Batch(ops)
-		if len(results) != len(ops) {
-			t.Fatalf("%s: got %d results for %d ops", name, len(results), len(ops))
-		}
-		for i, op := range ops {
-			r := results[i]
-			if r.Found != idx.Contains(op.Pattern) {
-				t.Fatalf("%s op %d (%s %q): Found = %v, want %v", name, i, op.Kind, op.Pattern, r.Found, idx.Contains(op.Pattern))
-			}
-			if op.Kind == OpContains {
-				continue
-			}
-			if want := idx.Count(op.Pattern); r.Count != want && r.Found {
-				t.Fatalf("%s op %d (%s %q): Count = %d, want %d", name, i, op.Kind, op.Pattern, r.Count, want)
-			}
-			if op.Kind != OpOccurrences {
-				continue
-			}
-			want, _ := idx.Occurrences(op.Pattern)
-			if op.MaxOccurrences > 0 && len(want) > op.MaxOccurrences {
-				want = want[:op.MaxOccurrences]
-			}
-			if len(r.Occurrences) != len(want) {
-				t.Fatalf("%s op %d (%q, max %d): Occurrences = %v, want %v", name, i, op.Pattern, op.MaxOccurrences, r.Occurrences, want)
-			}
-			for j := range want {
-				if r.Occurrences[j] != want[j] {
-					t.Fatalf("%s op %d (%q): Occurrences = %v, want %v", name, i, op.Pattern, r.Occurrences, want)
-				}
-			}
-		}
+		oracle.assertAnswersLike(t, name, idx, nil, ops)
 	}
 }
 
@@ -216,40 +176,6 @@ func TestPersistNamedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadV1Index pins backward compatibility: indexes written by the
-// version-1 format (no name blocks) still load, with the empty name.
-func TestReadV1Index(t *testing.T) {
-	idx, err := Build([]byte("GATTACA"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := idx.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v2 stream as v1: patch the version field and drop the two
-	// name blocks (corpus name and alphabet name) that follow it, plus the
-	// trailing checksum footer (v1 files predate both).
-	raw := v2.Bytes()
-	nameLen := binary.LittleEndian.Uint32(raw[8:12])
-	aNameLen := binary.LittleEndian.Uint32(raw[12+nameLen : 16+nameLen])
-	body := 16 + int(nameLen) + int(aNameLen)
-	var v1 bytes.Buffer
-	v1.Write(raw[0:4]) // magic
-	binary.Write(&v1, binary.LittleEndian, uint32(1))
-	v1.Write(raw[body : len(raw)-8])
-	got, err := ReadIndex(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != "" {
-		t.Errorf("v1 index Name = %q, want empty", got.Name())
-	}
-	if got.Count([]byte("TA")) != idx.Count([]byte("TA")) {
-		t.Error("v1 index answers differ")
-	}
-}
-
 // TestReadIndexCorruptHeader pins that hostile or truncated length fields
 // fail cleanly instead of attempting giant allocations.
 func TestReadIndexCorruptHeader(t *testing.T) {
@@ -262,16 +188,13 @@ func TestReadIndexCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	corrupt := func(off int) []byte {
+	// The header's length and count fields (u64 each): image, meta, string,
+	// documents, nodes, leaf index, leaf data, leaves. The header CRC is
+	// restamped so the field itself is what the reader refuses.
+	for _, off := range []int{16, 32, 48, 64, 80, 104, 120, 128} {
 		c := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint32(c[off:], 0xFFFFFFFF)
-		return c
-	}
-	// v2 length-field offsets for this index (unnamed, alphabet name "DNA",
-	// 4 symbols, 1 document): nameLen at 8, aNameLen at 12, alphaLen at 19,
-	// nDocs at 27, dataLen at 35.
-	for _, off := range []int{8, 12, 19, 27, 35} {
-		if _, err := ReadIndex(bytes.NewReader(corrupt(off))); err == nil {
+		binary.LittleEndian.PutUint64(c[off:], 0xFFFFFFFFFFFF)
+		if _, err := ReadIndex(bytes.NewReader(fixV4HeaderCRC(c))); err == nil {
 			t.Errorf("corrupt length at offset %d accepted", off)
 		}
 	}

@@ -4,29 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sync"
 	"sync/atomic"
 )
 
-// Checksum plumbing shared by the persisted formats. Every format carries
-// CRC32C (Castagnoli) coverage of its payload bytes:
-//
-//   - v4 images store per-section checksums plus a whole-header checksum in
-//     the header (persist_v4.go). The header is verified at OpenIndex; the
-//     sections — the whole mapped file — are verified lazily, once, before
-//     the first query touches them (eagerly via VerifyChecksums), so opening
-//     stays O(header).
-//   - v2/v3 streams end with an 8-byte footer (magic + CRC32C of every
-//     preceding byte), verified as the stream is read. Files written before
-//     the footer existed end exactly at their payload and are accepted
-//     unverified.
+// Checksum plumbing of the persisted images. Everything on disk carries
+// CRC32C (Castagnoli) coverage of its payload bytes: index images store
+// per-section checksums plus a whole-header checksum in the header
+// (persist_v4.go). The header is verified at OpenIndex; the sections — the
+// whole mapped file — are verified lazily, once, before the first query
+// touches them (eagerly via VerifyChecksums), so opening stays O(header). A
+// live manifest, small and read whole, ends with an 8-byte footer instead.
 //
 // Checksum coverage is integrity, not authentication: it turns silent disk
 // or transport corruption into a load-time or first-touch error instead of
 // a wrong answer.
 
-// indexFooterMagic introduces the v2/v3 trailing checksum footer ("ERCK").
+// indexFooterMagic introduces the live manifest's trailing checksum footer
+// ("ERCK").
 const indexFooterMagic = 0x4b435245
 
 // ErrCorruptIndex reports an index whose stored checksums failed to verify.
@@ -86,8 +81,8 @@ func (c *checkState) verify() error {
 func (x *Index) healthy() bool { return x.ck == nil || x.ck.verify() == nil }
 
 // CheckErr verifies the index's checksums (once; later calls are a single
-// atomic load) and returns the verdict. Indexes without stored checksums —
-// heap-built, or files from before the checksummed format — return nil.
+// atomic load) and returns the verdict. An index built in this process, not
+// opened from a file, has no stored checksums and returns nil.
 func (x *Index) CheckErr() error {
 	if x.ck == nil {
 		return nil
@@ -110,55 +105,3 @@ func (sx *ShardedIndex) CheckErr() error {
 
 // VerifyChecksums eagerly verifies every shard of the index.
 func (sx *ShardedIndex) VerifyChecksums() error { return sx.CheckErr() }
-
-// crcWriter hashes everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// crcTailReader hashes a stream as it is read, excluding the newest 8 bytes
-// (the candidate footer). It sits beneath any buffering, so read-ahead
-// cannot desynchronize the hash from the byte positions: at EOF, crc covers
-// everything but the final 8 bytes, which sit in tail.
-type crcTailReader struct {
-	r    io.Reader
-	crc  uint32
-	tail [8]byte
-	tlen int
-}
-
-func (c *crcTailReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.absorb(p[:n])
-	}
-	return n, err
-}
-
-func (c *crcTailReader) absorb(b []byte) {
-	if c.tlen+len(b) <= len(c.tail) {
-		copy(c.tail[c.tlen:], b)
-		c.tlen += len(b)
-		return
-	}
-	spill := c.tlen + len(b) - len(c.tail)
-	if spill >= c.tlen {
-		c.crc = crc32.Update(c.crc, castagnoli, c.tail[:c.tlen])
-		c.crc = crc32.Update(c.crc, castagnoli, b[:spill-c.tlen])
-		copy(c.tail[:], b[len(b)-len(c.tail):])
-		c.tlen = len(c.tail)
-		return
-	}
-	c.crc = crc32.Update(c.crc, castagnoli, c.tail[:spill])
-	copy(c.tail[:], c.tail[spill:c.tlen])
-	rem := c.tlen - spill
-	copy(c.tail[rem:], b)
-	c.tlen = rem + len(b)
-}

@@ -5,10 +5,8 @@
 //
 //	era build -in genome.seq -out genome.idx -mem 67108864 -mode serial
 //	era build -gen dna -n 500000 -out dna.idx
-//	era build -gen dna -n 500000 -out dna.v4.idx   (direct-to-v4, no heap tree)
 //	era shard -in corpus.txt -shards 4 -out corpus.idx
 //	era shard -gen english -n 2000000 -docs 64 -shards 8 -out text.idx
-//	era compact -in dna.idx -out dna.v4.idx
 //	era query -index dna.idx -pattern GGTGATG
 //	era stats -index dna.idx
 //	era serve -addr :8329 dna.idx genome.idx
@@ -16,16 +14,16 @@
 //	era serve -addr :8329 -live corpus.live/
 //
 // shard splits a document corpus at document boundaries into size-balanced
-// shards and persists one sharded index file (format v3); serve loads it
-// like any other index and answers the same JSON queries, fanned out and
-// merged across the shards.
+// shards and persists one sharded index file; serve loads it like any other
+// index and answers the same JSON queries, fanned out and merged across the
+// shards.
 //
-// compact rewrites an index file (v1/v2/v3, or a current v4) as format v4,
-// the mmap-native layout: serve opens v4 files zero-copy in O(header) time,
-// so startup is milliseconds regardless of index size and concurrent server
-// processes share one page-cache copy. A v4 image written before the compact
-// node layout (8-byte leaf records) is refused like everywhere else — no
-// reader for it is kept; rebuild it from its source.
+// build and shard write the one index file format, the mmap-native image:
+// serve opens it zero-copy in O(header) time, so startup is milliseconds
+// regardless of index size and concurrent server processes share one
+// page-cache copy. A file in an earlier format (v1–v3, or an image written
+// before the compact node layout) is refused by name everywhere — no reader
+// for it is kept; rebuild it from its source.
 //
 // serve drains gracefully on SIGTERM/SIGINT (http.Server.Shutdown), then
 // closes the engine so mapped indexes unmap only after the last in-flight
@@ -76,8 +74,6 @@ func main() {
 		build(os.Args[2:])
 	case "shard":
 		shard(os.Args[2:])
-	case "compact":
-		compact(os.Args[2:])
 	case "query":
 		query(os.Args[2:])
 	case "stats":
@@ -96,10 +92,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   era build -in FILE | -gen KIND -n N [-out FILE] [-mem BYTES] [-mode serial|shared-disk|shared-nothing] [-workers N] [-skipseek]
-            (-out ending in .v4 or .v4.idx builds the mmap-native image directly, skipping the heap tree)
   era shard -in FILE | -gen KIND -n N -docs D [-shards K] [-out FILE] [-name NAME] [-mem BYTES] [-workers N]
-  era compact -in FILE [-out FILE] [-verify]
-            (FILE: v1/v2/v3 or a current v4; a v4 image that predates the compact node layout must be rebuilt)
   era query -index FILE -pattern P [-max N]
   era stats -index FILE
   era verify FILE|LIVEDIR ...
@@ -107,73 +100,6 @@ func usage() {
   era route -replicas URL,URL,... [-addr HOST:PORT] [-corpus NAME] [-replication N] [-vnodes N]
             [-timeout D] [-attempt D] [-retries N] [-hedge D] [-strict] [-check D] [-maxpat N]`)
 	os.Exit(2)
-}
-
-// compact converts an index file to v4, the mmap-native layout OpenIndex
-// serves zero-copy.
-func compact(args []string) {
-	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	var (
-		in     = fs.String("in", "", "index file to convert (v1/v2/v3, or a current v4)")
-		out    = fs.String("out", "", "output v4 index file (default: IN with a .v4.idx suffix)")
-		verify = fs.Bool("verify", true, "reopen the output and spot-check answers against the input")
-	)
-	fs.Parse(args)
-	if *in == "" {
-		fatal(fmt.Errorf("-in is required"))
-	}
-	if *out == "" {
-		*out = strings.TrimSuffix(*in, filepath.Ext(*in)) + ".v4.idx"
-	}
-	if err := runCompact(*in, *out, *verify); err != nil {
-		fatal(err)
-	}
-}
-
-// runCompact is compact behind its flags.
-func runCompact(in, out string, verify bool) error {
-	src, err := era.OpenIndex(in)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	start := time.Now()
-	if err := era.WriteFileV4(out, src); err != nil {
-		return err
-	}
-	inSize := int64(-1)
-	if inInfo, err := os.Stat(in); err == nil {
-		inSize = inInfo.Size() // the input may have been renamed away since OpenIndex
-	}
-	outInfo, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compacted %s (%d bytes) to %s (%d bytes, format v4) in %v\n",
-		in, inSize, out, outInfo.Size(), time.Since(start).Round(time.Millisecond))
-	if !verify {
-		return nil
-	}
-	dst, err := era.OpenIndex(out)
-	if err != nil {
-		return fmt.Errorf("verify: %w", err)
-	}
-	defer dst.Close()
-	if dst.Len() != src.Len() || dst.NumDocs() != src.NumDocs() {
-		return fmt.Errorf("verify: output Len/NumDocs %d/%d differ from input %d/%d", dst.Len(), dst.NumDocs(), src.Len(), src.NumDocs())
-	}
-	// Spot-check: probe substrings sampled across the corpus through
-	// both indexes; the differential test suite pins full equality.
-	probe := []byte("era-verify-probe")
-	checks := 0
-	for _, pat := range [][]byte{probe[:4], probe, []byte("a"), []byte("AC"), []byte("the")} {
-		if src.Count(pat) != dst.Count(pat) || src.Contains(pat) != dst.Contains(pat) {
-			return fmt.Errorf("verify: answers diverge for pattern %q", pat)
-		}
-		checks++
-	}
-	fmt.Printf("verified %d spot probes identical; open is zero-copy (%d mapped bytes)\n", checks, dst.MappedBytes())
-	return nil
 }
 
 func serve(args []string) {
@@ -258,7 +184,7 @@ func serve(args []string) {
 
 	// Graceful shutdown: SIGTERM/SIGINT stops accepting, drains in-flight
 	// requests within the -drain budget, and only then closes the engine —
-	// mapped v4 indexes must not unmap under a live query. Benchmarks and
+	// mapped indexes must not unmap under a live query. Benchmarks and
 	// rolling deploys rely on this to terminate without dropping replies.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -333,15 +259,6 @@ func build(args []string) {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-	// A .v4 output selects direct-to-v4 construction: the build emits the
-	// mmap-native sections straight from the sorted suffixes — no heap tree,
-	// no flattening pass — and the file is byte-identical to building a heap
-	// index and compacting it.
-	toV4 := strings.HasSuffix(*out, ".v4") || strings.HasSuffix(*out, ".v4.idx")
-	if toV4 {
-		cfg.Target = era.TargetFlat
-	}
-
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	idx, err := era.Build(data, cfg)
@@ -353,15 +270,9 @@ func build(args []string) {
 	if *name == "" {
 		base := filepath.Base(*out)
 		*name = strings.TrimSuffix(base, filepath.Ext(base))
-		*name = strings.TrimSuffix(*name, ".v4") // idx.v4.idx → idx
 	}
 	idx.SetName(*name)
-	if toV4 {
-		err = era.WriteFileV4(*out, idx)
-	} else {
-		err = idx.WriteFile(*out)
-	}
-	if err != nil {
+	if err := idx.WriteFile(*out); err != nil {
 		fatal(err)
 	}
 	s := idx.Stats()
@@ -372,7 +283,7 @@ func build(args []string) {
 		float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(after.HeapSys-after.HeapReleased)/(1<<20))
 }
 
-// shard builds a document-aligned sharded index (format v3). Documents come
+// shard builds a document-aligned sharded index. Documents come
 // from -in (one per line) or -gen (generated symbols sliced into -docs
 // equal documents); each shard is built with the parallel shared-disk path.
 func shard(args []string) {
@@ -388,7 +299,7 @@ func shard(args []string) {
 		name     = fs.String("name", "", "corpus name stored in the index (default: -out base name)")
 		mem      = fs.Int64("mem", 64<<20, "per-shard construction memory budget in bytes")
 		workers  = fs.Int("workers", 4, "cores per shard build")
-		splitdir = fs.String("splitdir", "", "additionally write each shard as a standalone v4 index NAME~i.idx under this directory, for era route replicas")
+		splitdir = fs.String("splitdir", "", "additionally write each shard as a standalone index NAME~i.idx under this directory, for era route replicas")
 	)
 	fs.Parse(args)
 
@@ -443,7 +354,7 @@ func shard(args []string) {
 			i, firstDoc, firstDoc+sh.NumDocs()-1, sh.Len()-1, sh.TreeNodes())
 	}
 	if *splitdir != "" {
-		// One standalone v4 file per shard, named NAME~i — the shard-family
+		// One standalone file per shard, named NAME~i — the shard-family
 		// convention era route discovers. Replicas load whichever files the
 		// router's placement assigns them (or all of them; the ring decides
 		// who is actually queried).
@@ -455,7 +366,7 @@ func shard(args []string) {
 			shardName := fmt.Sprintf("%s~%d", *name, i)
 			sh.SetName(shardName)
 			path := filepath.Join(*splitdir, shardName+".idx")
-			if err := era.WriteFileV4(path, sh); err != nil {
+			if err := sh.WriteFile(path); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("  wrote %s\n", path)

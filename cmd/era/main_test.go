@@ -1,26 +1,37 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"era"
 )
 
-// TestCompactRefusesOldLayout: `era compact -in` on a v4 image written before
-// the compact node layout says so and writes nothing; on a current image it
-// is the identity conversion it always was.
-func TestCompactRefusesOldLayout(t *testing.T) {
+// TestBuildAndShardWriteMappedImages: whatever the output is called, `era
+// build` and `era shard` write the one index file format, so the file opens
+// memory-mapped — a monolithic index from build, a sharded one from shard.
+func TestBuildAndShardWriteMappedImages(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "out.v4.idx")
-	err := runCompact(filepath.Join("..", "..", "testdata", "old-layout", "mono.idx"), out, true)
-	if err == nil || !strings.Contains(err.Error(), "predates the compact node layout") || !strings.Contains(err.Error(), "rebuilt") {
-		t.Fatalf("compact of an old-layout image: %v, want a refusal that says it must be rebuilt", err)
+	mono := filepath.Join(dir, "x.idx")
+	build([]string{"-gen", "dna", "-n", "4000", "-out", mono})
+	q, err := era.OpenIndex(mono)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("compact of an old-layout image left an output file (%v)", err)
+	defer q.Close()
+	if _, ok := q.(*era.Index); !ok || q.MappedBytes() == 0 || q.Name() != "x" {
+		t.Fatalf("era build wrote %T %q with %d mapped bytes, want a mapped *era.Index named x", q, q.Name(), q.MappedBytes())
 	}
-	if err := runCompact(filepath.Join("..", "..", "testdata", "fixtures", "mono.idx"), out, true); err != nil {
-		t.Fatalf("compact of a current image: %v", err)
+
+	sharded := filepath.Join(dir, "s.idx")
+	shard([]string{"-gen", "dna", "-n", "4000", "-docs", "8", "-shards", "3", "-workers", "2", "-out", sharded})
+	sq, err := era.OpenIndex(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sq.Close()
+	sx, ok := sq.(*era.ShardedIndex)
+	if !ok || sq.MappedBytes() == 0 || sx.NumShards() != 3 {
+		t.Fatalf("era shard wrote %T with %d mapped bytes, want a mapped *era.ShardedIndex of 3 shards", sq, sq.MappedBytes())
 	}
 }

@@ -120,10 +120,9 @@ func (lx *LiveIndex) compactLocked() error {
 
 // buildTier folds the documents of the given tiers — all of them, or only
 // the survivors — into one sealed tier (nil when none qualifies) through the
-// single ERA build a seal or compaction pays: straight to the flat v4
-// sections, never through a heap tree. The tier is the heap-resident flat
+// single ERA build a seal or compaction pays. The tier is the heap-resident
 // index itself, or in directory mode the next tier file, written from the
-// already-encoded sections and mapped back in.
+// sections it holds and mapped back in.
 func (lx *LiveIndex) buildTier(from []*tierState, liveOnly bool) (*tierState, error) {
 	var (
 		docs  [][]byte
@@ -150,7 +149,6 @@ func (lx *LiveIndex) buildTier(from []*tierState, liveOnly bool) (*tierState, er
 	}
 	bcfg := lx.buildConfig()
 	bcfg.Alphabet = lx.alpha
-	bcfg.Target = TargetFlat
 	idx, err := build(docs, &bcfg)
 	if err != nil {
 		return nil, err
@@ -216,7 +214,7 @@ func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := idx.WriteToV4(f); err != nil {
+	if _, err := idx.WriteTo(f); err != nil {
 		f.Close()
 		lx.fs.Remove(tmp)
 		return nil, err

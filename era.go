@@ -49,22 +49,15 @@ const (
 	SharedNothing
 )
 
-// BuildTarget selects the in-memory layout a build materializes.
+// BuildTarget is a one-valued vestige: every build emits the mmap-native flat
+// sections straight from the sorted-suffix sub-trees, and the index queries
+// through the same zero-copy FlatTree that serves mapped files. The type, its
+// value and Config.Target stay only because benchmark/ spells them (as it does
+// suffixtree.Flat.Dense); ROADMAP item 6 removes both.
 type BuildTarget int
 
-const (
-	// TargetHeap assembles the classic pointer-based heap tree (the layout
-	// v1–v3 files serialize). The default.
-	TargetHeap BuildTarget = iota
-	// TargetFlat emits the mmap-native flat sections directly from the
-	// sorted-suffix sub-trees — no intermediate heap tree is ever built, so
-	// the construction memory peak drops to roughly the encoded image size.
-	// The resulting index queries through the same zero-copy FlatTree that
-	// serves mapped v4 files, and WriteToV4 reuses the already-encoded
-	// sections instead of flattening. The image is byte-identical to
-	// building a heap tree and flattening it.
-	TargetFlat
-)
+// TargetFlat is the only build target, and the zero value.
+const TargetFlat BuildTarget = 0
 
 // Config tunes a build. The zero value (or a nil pointer) selects sensible
 // defaults: automatic alphabet detection, a 64 MB budget, serial execution.
@@ -84,8 +77,7 @@ type Config struct {
 	// DiskModel overrides the simulated storage cost model (defaults to
 	// sim.DefaultModel, a 2011 SATA-class disk).
 	DiskModel *sim.CostModel
-	// Target selects the index layout to build: TargetHeap (default) or
-	// TargetFlat for direct-to-v4 emission.
+	// Target has one legal value, the zero one (see BuildTarget).
 	Target BuildTarget
 }
 
@@ -108,18 +100,15 @@ type BuildStats struct {
 // Once built (or read back), an Index is immutable apart from SetName and
 // safe for concurrent queries from any number of goroutines.
 //
-// The tree behind an Index is one of two layouts sharing the
-// suffixtree.View query surface: the heap layout a build produces (and v1–v3
-// files deserialize into), or the zero-copy flat layout viewed straight out
-// of a memory-mapped format-v4 file (see OpenIndex and `era compact`). Every
-// query answers identically over either.
+// The tree behind an Index is the flat layout of the index file format: a
+// build encodes its sections on the heap, OpenIndex views them straight out of
+// the memory-mapped file, and WriteTo writes the sections it holds.
 type Index struct {
 	name    string
-	tree    suffixtree.View
+	tree    *suffixtree.FlatTree
 	data    []byte
 	alpha   *alphabet.Alphabet
-	docEnds []int32          // exclusive end offset per document (corpus indexes)
-	flat    *suffixtree.Flat // encoded sections when built with TargetFlat
+	docEnds []int32 // exclusive end offset per document (corpus indexes)
 	stats   BuildStats
 	mp      *mapping    // non-nil when the index views a mapped v4 file
 	ck      *checkState // non-nil when the image carries stored checksums
@@ -159,6 +148,9 @@ func BuildCorpus(docs [][]byte, cfg *Config) (*Index, error) {
 
 func build(docs [][]byte, cfgp *Config) (*Index, error) {
 	cfg := cfgp.withDefaults()
+	if cfg.Target != TargetFlat {
+		return nil, fmt.Errorf("era: unknown build target %d", cfg.Target)
+	}
 
 	var total int
 	for _, d := range docs {
@@ -199,78 +191,47 @@ func build(docs [][]byte, cfgp *Config) (*Index, error) {
 	opts := core.Options{
 		MemoryBudget: cfg.MemoryBudget,
 		SkipSeek:     cfg.SkipSeek,
+		AssembleFlat: true,
 	}
-	switch cfg.Target {
-	case TargetHeap:
-		opts.Assemble = true
-	case TargetFlat:
-		opts.AssembleFlat = true
-	default:
-		return nil, fmt.Errorf("era: unknown build target %d", cfg.Target)
-	}
-
-	idx := &Index{data: data, alpha: alpha, docEnds: docEnds}
+	var fl *suffixtree.Flat
+	var st core.Stats
 	switch cfg.Mode {
 	case Serial:
 		res, err := core.BuildSerial(f, opts)
 		if err != nil {
 			return nil, err
 		}
-		if err := idx.adoptResult(res.Tree, res.Flat, res.Stats); err != nil {
-			return nil, err
-		}
+		fl, st = res.Flat, res.Stats
 	case SharedDisk:
 		res, err := core.BuildParallel(f, core.ParallelOptions{Options: opts, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
-		if err := idx.adoptResult(res.Tree, res.Flat, res.Stats); err != nil {
-			return nil, err
-		}
+		fl, st = res.Flat, res.Stats
 	case SharedNothing:
 		res, err := core.BuildDistributed(f, core.DistributedOptions{Options: opts, Nodes: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
-		if err := idx.adoptResult(res.Tree, res.Flat, res.Stats); err != nil {
-			return nil, err
-		}
+		fl, st = res.Flat, res.Stats
 	default:
 		return nil, fmt.Errorf("era: unknown mode %d", cfg.Mode)
 	}
-	return idx, nil
-}
-
-// adoptResult installs a build driver's output — a heap tree or directly
-// emitted flat sections, whichever the target asked for — as the index's
-// query view.
-func (x *Index) adoptResult(t *suffixtree.Tree, fl *suffixtree.Flat, s core.Stats) error {
-	switch {
-	case fl != nil:
-		ft, err := suffixtree.NewFlatTree(x.data, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
-		if err != nil {
-			return fmt.Errorf("era: viewing direct-built flat sections: %w", err)
-		}
-		x.tree, x.flat = ft, fl
-		x.stats = statsOf(s, int64(fl.NNodes-1))
-	case t != nil:
-		x.tree = t
-		x.stats = statsOf(s, int64(t.NumNodes()-1))
-	default:
-		return fmt.Errorf("era: build produced no tree")
+	tree, err := suffixtree.NewFlatTree(data, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
+	if err != nil {
+		return nil, fmt.Errorf("era: viewing the built sections: %w", err)
 	}
-	return nil
-}
-
-func statsOf(s core.Stats, treeNodes int64) BuildStats {
-	return BuildStats{
-		ModeledTime: s.VirtualTime,
-		Scans:       s.Scans,
-		Prefixes:    s.Prefixes,
-		Groups:      s.Groups,
-		SubTrees:    s.SubTrees,
-		TreeNodes:   treeNodes,
-	}
+	return &Index{
+		tree: tree, data: data, alpha: alpha, docEnds: docEnds,
+		stats: BuildStats{
+			ModeledTime: st.VirtualTime,
+			Scans:       st.Scans,
+			Prefixes:    st.Prefixes,
+			Groups:      st.Groups,
+			SubTrees:    st.SubTrees,
+			TreeNodes:   int64(fl.NNodes - 1),
+		},
+	}, nil
 }
 
 // detectAlphabet picks a predefined alphabet covering the data, or derives

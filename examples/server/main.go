@@ -51,7 +51,7 @@ func main() {
 	}
 
 	// A corpus too big for one index shards at document boundaries (as
-	// `era shard` would); it persists as one v3 file, loads as one catalog
+	// `era shard` would); it persists as one file, loads as one catalog
 	// entry, and answers the same JSON queries — fan-out and merge across
 	// the shards included, with answers identical to a monolithic index.
 	sharded, err := era.BuildShardedCorpus([][]byte{

@@ -58,7 +58,7 @@ func TestRegenerateFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	mono.SetName("fixture-mono")
-	if err := WriteFileV4(filepath.Join(dir, "mono.idx"), mono); err != nil {
+	if err := mono.WriteFile(filepath.Join(dir, "mono.idx")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,7 +67,7 @@ func TestRegenerateFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded.SetName("fixture-sharded")
-	if err := WriteFileV4(filepath.Join(dir, "sharded.idx"), sharded); err != nil {
+	if err := sharded.WriteFile(filepath.Join(dir, "sharded.idx")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,7 +121,7 @@ func TestCommittedImagesServed(t *testing.T) {
 	}
 	mono.SetName("fixture-mono")
 	var fresh bytes.Buffer
-	if _, err := mono.WriteToV4(&fresh); err != nil {
+	if _, err := mono.WriteTo(&fresh); err != nil {
 		t.Fatal(err)
 	}
 	// The live fixture holds documents 0 and 2: document 1 was deleted.
@@ -160,6 +160,16 @@ func TestCommittedImagesServed(t *testing.T) {
 				}
 				defer q.Close()
 				assertSameAnswers(t, mono, q, shardTestPatterns(docs, 5))
+				// A writer emits the sections it holds, so an opened image —
+				// however its nodes are numbered — writes back byte for byte.
+				back := filepath.Join(t.TempDir(), name)
+				if err := q.WriteFile(back); err != nil {
+					t.Fatal(err)
+				}
+				want, _ := os.ReadFile(filepath.Join(dir, name))
+				if got, _ := os.ReadFile(back); !bytes.Equal(got, want) {
+					t.Errorf("%s written back is %d bytes, not the %d it was opened from", name, len(got), len(want))
+				}
 			}
 			lx, err := NewLive("", &LiveConfig{Dir: copyLiveFixture(t, filepath.Join(dir, "live"))})
 			if err != nil {

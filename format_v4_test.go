@@ -10,7 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,10 +74,100 @@ func diffPatterns(docs [][]byte) [][]byte {
 	return pats
 }
 
-// openedFormats builds the corpus once and returns it opened through every
-// serving path: the in-memory monolith, the in-memory sharded index, and
-// the four persisted forms (v2 mono, v3 sharded, v4 mapped mono, v4 mapped
-// sharded).
+// scanOracle answers the membership queries by scanning the terminated
+// concatenation of the documents. It is the reference the differential suites
+// hold every layer to: it shares nothing with the tree, its builder or its
+// reader.
+type scanOracle struct {
+	global  []byte // the documents concatenated, terminator appended
+	docEnds []int  // exclusive end of each document in global
+}
+
+func newScanOracle(docs [][]byte) *scanOracle {
+	o := &scanOracle{}
+	for _, d := range docs {
+		o.global = append(o.global, d...)
+		o.docEnds = append(o.docEnds, len(o.global))
+	}
+	o.global = append(o.global, '$')
+	return o
+}
+
+// occurrences returns the offsets of p in ascending order; the empty pattern
+// occurs at every position of the string.
+func (o *scanOracle) occurrences(p []byte) []int {
+	var occ []int
+	for i := 0; i < len(o.global) && i+len(p) <= len(o.global); i++ {
+		if bytes.HasPrefix(o.global[i:], p) {
+			occ = append(occ, i)
+		}
+	}
+	return occ
+}
+
+// docOccurrences returns the occurrences of p that lie inside one document,
+// by document and offset.
+func (o *scanOracle) docOccurrences(p []byte) []DocHit {
+	var hits []DocHit
+	start := 0
+	for d, end := range o.docEnds {
+		for i := start; i < end && i+len(p) <= end; i++ {
+			if bytes.HasPrefix(o.global[i:], p) {
+				hits = append(hits, DocHit{Doc: d, Offset: i - start})
+			}
+		}
+		start = end
+	}
+	return hits
+}
+
+// result is what Batch owes for a membership op.
+func (o *scanOracle) result(op Op) Result {
+	occ := o.occurrences(op.Pattern)
+	r := Result{Found: len(occ) > 0}
+	if !r.Found || op.Kind == OpContains {
+		return r
+	}
+	r.Count = len(occ)
+	if op.Kind == OpOccurrences {
+		if op.MaxOccurrences > 0 && len(occ) > op.MaxOccurrences {
+			occ = occ[:op.MaxOccurrences]
+		}
+		r.Occurrences = occ
+	}
+	return r
+}
+
+// assertAnswersLike holds q to the oracle over pats: Contains, Count,
+// Occurrences, DocOccurrences and a Batch of ops.
+func (o *scanOracle) assertAnswersLike(t *testing.T, name string, q Queryable, pats [][]byte, ops []Op) {
+	t.Helper()
+	for _, p := range pats {
+		want := o.occurrences(p)
+		if got := q.Contains(p); got != (len(want) > 0) {
+			t.Fatalf("%s: Contains(%q) = %v, the scan finds %d", name, p, got, len(want))
+		}
+		if got := q.Count(p); got != len(want) {
+			t.Fatalf("%s: Count(%q) = %d, want %d", name, p, got, len(want))
+		}
+		if got, _ := q.Occurrences(p); !slices.Equal(got, want) {
+			t.Fatalf("%s: Occurrences(%q) = %v, want %v", name, p, got, want)
+		}
+		wantHits := o.docOccurrences(p)
+		if got, _ := q.DocOccurrences(p); !slices.Equal(got, wantHits) {
+			t.Fatalf("%s: DocOccurrences(%q) = %v, want %v", name, p, got, wantHits)
+		}
+	}
+	for i, g := range q.Batch(ops) {
+		if w := o.result(ops[i]); g.Found != w.Found || g.Count != w.Count || !slices.Equal(g.Occurrences, w.Occurrences) {
+			t.Fatalf("%s: Batch op %d (%s %q max %d) = %+v, want %+v", name, i, ops[i].Kind, ops[i].Pattern, ops[i].MaxOccurrences, g, w)
+		}
+	}
+}
+
+// openedFormats builds the corpus once and returns it through every serving
+// path: the built monolith and sharded index, and both reopened from their
+// mapped files.
 func openedFormats(t *testing.T) map[string]Queryable {
 	t.Helper()
 	docs := diffCorpus()
@@ -93,45 +183,32 @@ func openedFormats(t *testing.T) map[string]Queryable {
 	sharded.SetName("diff")
 
 	dir := t.TempDir()
-	write := func(name string, save func(string) error) string {
-		p := filepath.Join(dir, name)
-		if err := save(p); err != nil {
+	out := map[string]Queryable{"built-mono": mono, "built-sharded": sharded}
+	for name, q := range map[string]Queryable{"mapped-mono": mono, "mapped-sharded": sharded} {
+		p := filepath.Join(dir, name+".idx")
+		if err := q.WriteFile(p); err != nil {
 			t.Fatalf("writing %s: %v", name, err)
 		}
-		return p
-	}
-	v2 := write("v2.idx", mono.WriteFile)
-	v3 := write("v3.idx", sharded.WriteFile)
-	v4m := write("v4m.idx", func(p string) error { return WriteFileV4(p, mono) })
-	v4s := write("v4s.idx", func(p string) error { return WriteFileV4(p, sharded) })
-
-	out := map[string]Queryable{"heap-mono": mono, "heap-sharded": sharded}
-	for name, p := range map[string]string{"v2": v2, "v3": v3, "v4-mono": v4m, "v4-sharded": v4s} {
-		q, err := OpenIndex(p)
+		m, err := OpenIndex(p)
 		if err != nil {
 			t.Fatalf("OpenIndex(%s): %v", name, err)
 		}
-		t.Cleanup(func() { q.Close() })
-		out[name] = q
-	}
-	if got := out["v4-mono"].MappedBytes(); got == 0 {
-		t.Fatal("v4 monolithic index reports 0 mapped bytes — mmap path not taken")
-	}
-	if got := out["v4-sharded"].MappedBytes(); got == 0 {
-		t.Fatal("v4 sharded index reports 0 mapped bytes — mmap path not taken")
+		t.Cleanup(func() { m.Close() })
+		if m.MappedBytes() == 0 {
+			t.Fatalf("%s reports 0 mapped bytes — mmap path not taken", name)
+		}
+		out[name] = m
 	}
 	return out
 }
 
-// TestFormatsDifferential pins every query kind byte-identical across the
-// heap monolith (the reference), the sharded fan-out, and all persisted
-// formats including the zero-copy mapped v4 layouts.
+// TestFormatsDifferential pins every membership query kind, on the built
+// indexes, the sharded fan-out and the zero-copy mapped files, to a scan of
+// the corpus.
 func TestFormatsDifferential(t *testing.T) {
-	idx := openedFormats(t)
-	ref := idx["heap-mono"]
 	docs := diffCorpus()
+	oracle := newScanOracle(docs)
 	pats := diffPatterns(docs)
-
 	var ops []Op
 	for i, p := range pats {
 		switch i % 4 {
@@ -145,55 +222,56 @@ func TestFormatsDifferential(t *testing.T) {
 			ops = append(ops, Op{Kind: OpOccurrences, Pattern: p, MaxOccurrences: 5})
 		}
 	}
-	wantBatch := ref.Batch(ops)
-
-	for name, q := range idx {
-		if name == "heap-mono" {
-			continue
+	for name, q := range openedFormats(t) {
+		if q.Len() != len(oracle.global) || q.NumDocs() != len(docs) {
+			t.Fatalf("%s: Len/NumDocs %d/%d, want %d/%d", name, q.Len(), q.NumDocs(), len(oracle.global), len(docs))
 		}
-		if q.Len() != ref.Len() || q.NumDocs() != ref.NumDocs() {
-			t.Fatalf("%s: Len/NumDocs %d/%d, want %d/%d", name, q.Len(), q.NumDocs(), ref.Len(), ref.NumDocs())
-		}
-		for _, p := range pats {
-			if got, want := q.Contains(p), ref.Contains(p); got != want {
-				t.Fatalf("%s: Contains(%q) = %v, want %v", name, p, got, want)
-			}
-			if got, want := q.Count(p), ref.Count(p); got != want {
-				t.Fatalf("%s: Count(%q) = %d, want %d", name, p, got, want)
-			}
-			gotOcc, _ := q.Occurrences(p)
-			wantOcc, _ := ref.Occurrences(p)
-			if !reflect.DeepEqual(gotOcc, wantOcc) && !(len(gotOcc) == 0 && len(wantOcc) == 0) {
-				t.Fatalf("%s: Occurrences(%q) = %v, want %v", name, p, gotOcc, wantOcc)
-			}
-			gotHits, _ := q.DocOccurrences(p)
-			wantHits, _ := ref.DocOccurrences(p)
-			if !reflect.DeepEqual(gotHits, wantHits) && !(len(gotHits) == 0 && len(wantHits) == 0) {
-				t.Fatalf("%s: DocOccurrences(%q) = %v, want %v", name, p, gotHits, wantHits)
-			}
-		}
-		gotBatch := q.Batch(ops)
-		for i := range wantBatch {
-			g, w := gotBatch[i], wantBatch[i]
-			if g.Found != w.Found || g.Count != w.Count || len(g.Occurrences) != len(w.Occurrences) {
-				t.Fatalf("%s: Batch op %d = %+v, want %+v", name, i, g, w)
-			}
-			for j := range w.Occurrences {
-				if g.Occurrences[j] != w.Occurrences[j] {
-					t.Fatalf("%s: Batch op %d occ[%d] = %d, want %d", name, i, j, g.Occurrences[j], w.Occurrences[j])
-				}
-			}
-		}
+		oracle.assertAnswersLike(t, name, q, pats, ops)
 	}
 }
 
-// TestDirectV4ByteIdentical is the direct-to-v4 acceptance pin: building
-// with TargetFlat — which never materializes the heap tree — must serialize
-// to exactly the bytes of building the heap tree and flattening it, for
-// every driver and worker count. Grafting order varies with workers and
-// differs from the builder's global label order, so this also locks in the
-// canonical edge re-basing that makes the image a pure function of tree
-// shape and string.
+// suffixArraySections is the image's independent oracle: SA-IS and Kasai
+// share no code with vertical partitioning, the elastic range or the group
+// sorts, and their suffix and LCP arrays over the terminated corpus, streamed
+// as one sub-tree under the empty prefix, must produce the sections of any ERA
+// build of it.
+func suffixArraySections(t *testing.T, data []byte) *suffixtree.Flat {
+	t.Helper()
+	sa, err := suffixarray.Build(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := suffixtree.NewFlatBuilder(data, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fb.AddSubTree(nil, sa, suffixarray.LCP(data, sa)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// assertSectionsEqual compares a build's sections with the oracle's.
+func assertSectionsEqual(t *testing.T, label string, got suffixtree.Flat, want *suffixtree.Flat) {
+	t.Helper()
+	if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
+		t.Fatalf("%s: %d nodes / %d leaves, the suffix array's tree has %d / %d", label, got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
+	}
+	if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) ||
+		!bytes.Equal(got.LeafIdx, want.LeafIdx) || !bytes.Equal(got.LeafData, want.LeafData) {
+		t.Fatalf("%s: the ERA build's sections differ from the suffix array's", label)
+	}
+}
+
+// TestDirectV4ByteIdentical pins the image as a pure function of the string:
+// every driver and worker count must emit the sections the suffix array
+// spells, and serialize to the same bytes. Sub-trees complete in an order that
+// varies with the workers and differs from the global label order, so this
+// also locks in the canonical edge re-basing.
 func TestDirectV4ByteIdentical(t *testing.T) {
 	corpora := [][][]byte{
 		diffCorpus(),
@@ -201,38 +279,31 @@ func TestDirectV4ByteIdentical(t *testing.T) {
 		{[]byte("TGGTGGTGGTGCGGTGATGGTGC"), []byte("AAAA"), []byte("C")},
 	}
 	for ci, docs := range corpora {
-		heap, err := BuildCorpus(docs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap.SetName("direct")
-		var want bytes.Buffer
-		if _, err := heap.WriteToV4(&want); err != nil {
-			t.Fatal(err)
-		}
-
+		var serial *Index
+		var image []byte
 		check := func(label string, cfg *Config) {
-			cfg.Target = TargetFlat
+			label = fmt.Sprintf("corpus %d %s", ci, label)
 			idx, err := BuildCorpus(docs, cfg)
 			if err != nil {
-				t.Fatalf("corpus %d %s: %v", ci, label, err)
+				t.Fatalf("%s: %v", label, err)
 			}
 			idx.SetName("direct")
-			if idx.flat == nil {
-				t.Fatalf("corpus %d %s: TargetFlat build did not retain flat sections", ci, label)
-			}
 			var got bytes.Buffer
-			if _, err := idx.WriteToV4(&got); err != nil {
-				t.Fatalf("corpus %d %s: %v", ci, label, err)
+			if _, err := idx.WriteTo(&got); err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("corpus %d %s: direct v4 image differs from flattened heap image (%d vs %d bytes)",
-					ci, label, got.Len(), want.Len())
+			if serial == nil {
+				assertSectionsEqual(t, label, idx.tree.Sections(), suffixArraySections(t, idx.data))
+				serial, image = idx, got.Bytes()
+				return
+			}
+			if !bytes.Equal(got.Bytes(), image) {
+				t.Fatalf("%s: image differs from the serial build's (%d vs %d bytes)", label, got.Len(), len(image))
 			}
 			// Modeled time and scan counts are per-driver; the tree-shape
-			// stats must match the heap build exactly.
-			if gw, ww := idx.Stats(), heap.Stats(); gw.TreeNodes != ww.TreeNodes || gw.SubTrees != ww.SubTrees {
-				t.Fatalf("corpus %d %s: stats %+v, want %+v", ci, label, gw, ww)
+			// stats must match the serial build exactly.
+			if gw, ww := idx.Stats(), serial.Stats(); gw.TreeNodes != ww.TreeNodes || gw.SubTrees != ww.SubTrees {
+				t.Fatalf("%s: stats %+v, want %+v", label, gw, ww)
 			}
 		}
 		check("serial", &Config{})
@@ -245,14 +316,8 @@ func TestDirectV4ByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFlatImageAgainstSuffixArray is the image's independent oracle. The
-// heap path and the direct path share one encoder (Flatten feeds FlatBuilder
-// too), so their byte-identity says nothing about the stream ERA hands it;
-// SA-IS and Kasai share no code with vertical partitioning, the elastic
-// range or the group sorts. Their suffix and LCP arrays over the terminated
-// corpus, streamed as one sub-tree under the empty prefix, must produce the
-// sections of the ERA build — at a budget that makes ERA cut the same
-// corpus into many sub-trees.
+// TestFlatImageAgainstSuffixArray holds the ERA build to suffixArraySections
+// at a budget that makes ERA cut the same corpus into many sub-trees.
 func TestFlatImageAgainstSuffixArray(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -264,48 +329,24 @@ func TestFlatImageAgainstSuffixArray(t *testing.T) {
 		{"empty-docs", shardEmptyDocsCorpus()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			idx, err := BuildCorpus(c.docs, &Config{Target: TargetFlat, MemoryBudget: 4 * 1024})
+			idx, err := BuildCorpus(c.docs, &Config{MemoryBudget: 4 * 1024})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if idx.Stats().SubTrees < 2 {
 				t.Fatalf("ERA built %d sub-tree: nothing for the assembly to join", idx.Stats().SubTrees)
 			}
-			sa, err := suffixarray.Build(idx.data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb, err := suffixtree.NewFlatBuilder(idx.data, len(idx.data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fb.AddSubTree(nil, sa, suffixarray.LCP(idx.data, sa)); err != nil {
-				t.Fatal(err)
-			}
-			want, err := fb.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := idx.flat
-			if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
-				t.Fatalf("%d nodes / %d leaves, the suffix array's tree has %d / %d", got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
-			}
-			if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) ||
-				!bytes.Equal(got.LeafIdx, want.LeafIdx) || !bytes.Equal(got.LeafData, want.LeafData) {
-				t.Error("the ERA build's sections differ from the suffix array's")
-			}
+			assertSectionsEqual(t, c.name, idx.tree.Sections(), suffixArraySections(t, idx.data))
 		})
 	}
 }
 
-// TestV4WriteToRoundTrip checks that a mapped index persists itself back as
-// a v4 image through the generic WriteTo/WriteFile path and reopens
-// identically — the property that lets `era serve` machinery stay
-// format-blind.
+// TestV4WriteToRoundTrip checks that a mapped index persists itself back
+// through WriteFile and reopens identically.
 func TestV4WriteToRoundTrip(t *testing.T) {
 	idx := openedFormats(t)
 	dir := t.TempDir()
-	for _, name := range []string{"v4-mono", "v4-sharded"} {
+	for _, name := range []string{"mapped-mono", "mapped-sharded"} {
 		p := filepath.Join(dir, name+"-copy.idx")
 		if err := idx[name].WriteFile(p); err != nil {
 			t.Fatalf("%s: WriteFile: %v", name, err)
@@ -343,7 +384,7 @@ func TestOpenIndexV4AllocsIndependentOfSize(t *testing.T) {
 		}
 		idx.SetName(fmt.Sprintf("alloc-%d", n))
 		paths[i] = filepath.Join(dir, fmt.Sprintf("alloc-%d.idx", n))
-		if err := WriteFileV4(paths[i], idx); err != nil {
+		if err := idx.WriteFile(paths[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,7 +422,7 @@ func v4TestImage(t testing.TB, sharded bool) []byte {
 			t.Fatal(err)
 		}
 		sx.SetName("fuzz4")
-		if _, err := sx.WriteToV4(&buf); err != nil {
+		if _, err := sx.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -390,7 +431,7 @@ func v4TestImage(t testing.TB, sharded bool) []byte {
 			t.Fatal(err)
 		}
 		idx.SetName("fuzz4")
-		if _, err := idx.WriteToV4(&buf); err != nil {
+		if _, err := idx.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -532,12 +573,6 @@ func fixV4HeaderCRC(b []byte) []byte {
 // field is in range, so the query paths clamp nothing — and era.Verify
 // reports them.
 func TestVerifyChecksTreeStructure(t *testing.T) {
-	// restamp recomputes the node section's checksum after a record edit, so
-	// the structure pass is what sees it.
-	restamp := func(img []byte) {
-		nodesOff, symOff := binary.LittleEndian.Uint64(img[72:]), binary.LittleEndian.Uint64(img[88:])
-		binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*3:], crc32.Checksum(img[nodesOff:symOff], castagnoli))
-	}
 	// withRun returns the record of the first internal node below the root
 	// that has a child run of the kind whose count sits at offset cnt.
 	withRun := func(t *testing.T, s *v4sections, cnt int) (id uint32, rec []byte) {
@@ -560,7 +595,7 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 			a := append([]byte(nil), leaves[:8]...)
 			copy(leaves[:8], leaves[8:16])
 			copy(leaves[8:16], a)
-			restamp(img)
+			restampV4Nodes(img)
 		}},
 		// One more node than the tree has: the section windows (and their
 		// checksums) run to the next section's start, so the padding supplies
@@ -574,14 +609,14 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 		{"doubly-claimed-run", "an earlier run holds", func(t *testing.T, img []byte, s *v4sections) {
 			_, r := withRun(t, s, 26)
 			copy(r[12:16], s.nodes[12:16])
-			restamp(img)
+			restampV4Nodes(img)
 		}},
 		// A node is its own first internal child: the one shape a descent
 		// could follow forever, which is why the reader clamps it.
 		{"run-at-its-parent", "is not after it", func(t *testing.T, img []byte, s *v4sections) {
 			id, r := withRun(t, s, 24)
 			binary.LittleEndian.PutUint32(r[8:], id)
-			restamp(img)
+			restampV4Nodes(img)
 		}},
 		// The root lets go of its first internal child, which no run holds
 		// any more. Its sibling speaks first: it now stands where the
@@ -590,7 +625,7 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 			r := s.nodes[:32]
 			binary.LittleEndian.PutUint32(r[8:], binary.LittleEndian.Uint32(r[8:])+1)
 			binary.LittleEndian.PutUint16(r[24:], binary.LittleEndian.Uint16(r[24:])-1)
-			restamp(img)
+			restampV4Nodes(img)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -600,32 +635,46 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.mutate(t, img, s)
-			p := filepath.Join(t.TempDir(), c.name+".idx")
-			if err := os.WriteFile(p, fixV4HeaderCRC(img), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := Verify(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), c.want) {
-				t.Fatalf("Verify: problems %q, want one naming the %s", rep.Problems, c.want)
-			}
-			// Opening does not run the structure pass: whatever the image
-			// answers, it answers without a panic or a hang.
-			q, err := OpenIndex(p)
-			if err != nil {
-				return
-			}
-			defer q.Close()
-			for _, pat := range diffPatterns(diffCorpus()) {
-				q.Count(pat)
-				q.Occurrences(pat)
-				q.DocOccurrences(pat)
-			}
-			q.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
+			assertVerifyRefuses(t, img, c.want)
 		})
 	}
+}
+
+// restampV4Nodes recomputes the node section's checksum after a test edited a
+// record, so the structure pass is what sees the edit.
+func restampV4Nodes(img []byte) {
+	nodesOff, symOff := binary.LittleEndian.Uint64(img[72:]), binary.LittleEndian.Uint64(img[88:])
+	binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*3:], crc32.Checksum(img[nodesOff:symOff], castagnoli))
+}
+
+// assertVerifyRefuses writes img, its header CRC restamped, to a file and
+// requires Verify to report a problem that says want. Opening does not run the
+// structure pass: whatever the image answers, it answers without a panic or a
+// hang.
+func assertVerifyRefuses(t *testing.T, img []byte, want string) {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "refused.idx")
+	if err := os.WriteFile(p, fixV4HeaderCRC(img), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+		t.Fatalf("Verify: problems %q, want one that says %q", rep.Problems, want)
+	}
+	q, err := OpenIndex(p)
+	if err != nil {
+		return
+	}
+	defer q.Close()
+	for _, pat := range diffPatterns(diffCorpus()) {
+		q.Count(pat)
+		q.Occurrences(pat)
+		q.DocOccurrences(pat)
+	}
+	q.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
 }
 
 // TestOldLayoutImageRefused: the images under testdata/old-layout were
@@ -684,7 +733,7 @@ func TestOldLayoutImageRefused(t *testing.T) {
 }
 
 // TestFlatImageBytesPerSymbol pins what the compact layout is for: a
-// TargetFlat image costs at most 45 bytes per indexed symbol on disk, DNA
+// image costs at most 45 bytes per indexed symbol on disk, DNA
 // and English alike (the layout before it cost 63 and 76).
 func TestFlatImageBytesPerSymbol(t *testing.T) {
 	if testing.Short() {
@@ -693,12 +742,12 @@ func TestFlatImageBytesPerSymbol(t *testing.T) {
 	const n = 128 << 10
 	for _, kind := range []workload.Kind{workload.DNA, workload.English} {
 		data := workload.MustGenerate(kind, n, 7)
-		idx, err := Build(data[:len(data)-1], &Config{Target: TargetFlat})
+		idx, err := Build(data[:len(data)-1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := filepath.Join(t.TempDir(), string(kind)+".idx")
-		if err := WriteFileV4(p, idx); err != nil {
+		if err := idx.WriteFile(p); err != nil {
 			t.Fatal(err)
 		}
 		info, err := os.Stat(p)

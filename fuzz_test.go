@@ -73,12 +73,6 @@ func FuzzBuildQuery(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Build(%q): %v", data, err)
 		}
-		// The same build emitted directly to the flat layout must answer
-		// identically (it descends with the word-at-a-time compare).
-		flat, err := Build(data, &Config{MemoryBudget: 4 * 1024, Target: TargetFlat})
-		if err != nil {
-			t.Fatalf("Build(%q, TargetFlat): %v", data, err)
-		}
 
 		// The oracle: a naive O(n²) suffix tree over the same string.
 		terminated := append(append([]byte(nil), data...), alphabet.Terminator)
@@ -106,27 +100,14 @@ func FuzzBuildQuery(f *testing.F) {
 				t.Errorf("Occurrences(%q): %d offsets, oracle has %d (data %q)", p, len(gotOcc), len(wantOcc), data)
 			}
 
-			if got := flat.Contains(p); got != wantContains {
-				t.Errorf("flat Contains(%q) = %v, oracle says %v (data %q)", p, got, wantContains, data)
-			}
-			if got := flat.Count(p); got != wantCount {
-				t.Errorf("flat Count(%q) = %d, oracle says %d (data %q)", p, got, wantCount, data)
-			}
-			if got, _ := flat.Occurrences(p); len(got) != len(wantOcc) {
-				t.Errorf("flat Occurrences(%q): %d offsets, oracle has %d (data %q)", p, len(got), len(wantOcc), data)
-			}
-
-			// The batched path must agree with the single-query path on both
-			// layouts.
-			for _, q := range []*Index{idx, flat} {
-				res := q.Batch([]Op{
-					{Kind: OpContains, Pattern: p},
-					{Kind: OpCount, Pattern: p},
-					{Kind: OpOccurrences, Pattern: p},
-				})
-				if res[0].Found != wantContains || res[1].Count != wantCount || len(res[2].Occurrences) != len(wantOcc) {
-					t.Errorf("Batch(%q) = %+v, oracle: found %v count %d occ %d", p, res, wantContains, wantCount, len(wantOcc))
-				}
+			// The batched path must agree with the single-query path.
+			res := idx.Batch([]Op{
+				{Kind: OpContains, Pattern: p},
+				{Kind: OpCount, Pattern: p},
+				{Kind: OpOccurrences, Pattern: p},
+			})
+			if res[0].Found != wantContains || res[1].Count != wantCount || len(res[2].Occurrences) != len(wantOcc) {
+				t.Errorf("Batch(%q) = %+v, oracle: found %v count %d occ %d", p, res, wantContains, wantCount, len(wantOcc))
 			}
 		}
 
@@ -145,7 +126,7 @@ func FuzzBuildQuery(f *testing.F) {
 			t.Errorf("empty LRS but %q repeats symbols", data)
 		}
 
-		// The analytics plans, on both layouts, against the naive scan
+		// The analytics plans against the naive scan
 		// oracles (data is the single document, so it is the whole virtual
 		// global string).
 		analytics := []Query{
@@ -163,14 +144,12 @@ func FuzzBuildQuery(f *testing.F) {
 		}
 		for _, q := range analytics {
 			want := naiveAnswer([][]byte{data}, q)
-			for _, x := range []*Index{idx, flat} {
-				got, err := x.Analytics(context.Background(), q)
-				if err != nil {
-					t.Fatalf("Analytics(%s %+v): %v (data %q)", q.Kind, q, err, data)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("Analytics(%s %+v) = %+v, oracle %+v (data %q)", q.Kind, q, got, want, data)
-				}
+			got, err := idx.Analytics(context.Background(), q)
+			if err != nil {
+				t.Fatalf("Analytics(%s %+v): %v (data %q)", q.Kind, q, err, data)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Analytics(%s %+v) = %+v, oracle %+v (data %q)", q.Kind, q, got, want, data)
 			}
 		}
 	})

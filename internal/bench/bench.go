@@ -158,8 +158,6 @@ var All = []Experiment{
 	{"fig13", "Fig. 13", "shared-nothing weak scalability, DNA", RunFig13},
 	{"scaling", "Fig. 12 (repro)", "scale-out: chunked VP + work-stealing scheduler", RunScaling},
 	{"shardq", "§1 (serving)", "sharded corpus query throughput vs shard count", RunShardQ},
-	{"qbench", "§1 (serving)", "query layouts: heap tree vs mmap-native v4", RunQBench},
-	{"httpq", "§1 (serving)", "HTTP serving under N clients: heap vs mmap", RunHTTPQ},
 	{"routed", "§1 (serving)", "fault-tolerant routed serving over N replicas", RunRouted},
 	{"livemix", "§1 (serving)", "live corpus: append/delete/compact vs rebuild", RunLiveMix},
 	{"analytics", "§1 (serving)", "analytics ops across layers: topk/lrs/lcs/docfreq/mismatch", RunAnalytics},

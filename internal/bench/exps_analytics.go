@@ -12,10 +12,10 @@ import (
 	"era/internal/workload"
 )
 
-// analyticsSetup builds one DNA corpus four ways — heap-resident monolithic,
-// v4 file-backed monolithic, sharded, and live grown through interleaved
-// appends and deletes — so the analytics executors can be raced against each
-// other on identical logical content.
+// analyticsSetup builds one DNA corpus three ways — monolithic and served
+// from its mapped file, sharded, and live grown through interleaved appends
+// and deletes — so the analytics executors can be raced against each other on
+// identical logical content.
 func analyticsSetup(s Scale) (layers []era.Queryable, names []string, docs [][]byte, cleanup func(), err error) {
 	n := s.GB(1)
 	data, err := workload.Generate(workload.DNA, n, 90210)
@@ -28,18 +28,18 @@ func analyticsSetup(s Scale) (layers []era.Queryable, names []string, docs [][]b
 		return nil, nil, nil, nil, err
 	}
 
-	heap, err := era.BuildCorpus(docs, nil)
+	mono, err := era.BuildCorpus(docs, nil)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	heap.SetName("analytics")
+	mono.SetName("analytics")
 
 	dir, err := os.MkdirTemp("", "era-analytics")
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	path := filepath.Join(dir, "analytics.idx")
-	if err := era.WriteFileV4(path, heap); err != nil {
+	if err := mono.WriteFile(path); err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, nil, nil, err
 	}
@@ -99,18 +99,18 @@ func analyticsSetup(s Scale) (layers []era.Queryable, names []string, docs [][]b
 		mapped.Close()
 		os.RemoveAll(dir)
 	}
-	return []era.Queryable{heap, mapped, sharded, lx},
-		[]string{"heap", "v4", "sharded", "live"}, docs, cleanup, nil
+	return []era.Queryable{mapped, sharded, lx},
+		[]string{"mono", "sharded", "live"}, docs, cleanup, nil
 }
 
-// RunAnalytics races the five analytics ops across the four serving layers.
+// RunAnalytics races the five analytics ops across the three serving layers.
 // Wall columns are host-dependent and gated by the CI bench-smoke compare;
 // the "identical" column is the deterministic contract — every layer's
 // Answer must be byte-identical (reflect.DeepEqual) for every op, which is
 // the bench-side restatement of TestAnalyticsDifferential.
 func RunAnalytics(s Scale) (*Table, error) {
-	t := &Table{ID: "analytics", Paper: "§1 (serving)", Title: "analytics ops: heap vs mmap-v4 vs sharded vs live; DNA, 48 documents",
-		Header: []string{"op", "wall-heap(ms)", "wall-v4(ms)", "wall-sharded(ms)", "wall-live(ms)", "identical"}}
+	t := &Table{ID: "analytics", Paper: "§1 (serving)", Title: "analytics ops: monolithic vs sharded vs live; DNA, 48 documents",
+		Header: []string{"op", "wall-mono(ms)", "wall-sharded(ms)", "wall-live(ms)", "identical"}}
 
 	layers, names, docs, cleanup, err := analyticsSetup(s)
 	if err != nil {
@@ -167,6 +167,6 @@ func RunAnalytics(s Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("workload: %d rounds per cell over a %d-symbol corpus; wall cells are host-dependent (lower is better; CI gates 25%%)", rounds, s.GB(1)),
-		"identical = every layer's Answer is reflect.DeepEqual to the heap executor's, including the live layer built through appends+deletes")
+		"identical = every layer's Answer is reflect.DeepEqual to the monolithic executor's, including the live layer built through appends+deletes")
 	return t, nil
 }

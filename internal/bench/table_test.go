@@ -65,8 +65,8 @@ func TestByIDCoversAll(t *testing.T) {
 			t.Errorf("%s has no runner", e.ID)
 		}
 	}
-	if len(All) != 22 {
-		t.Errorf("expected 22 experiments (every paper table and figure, the scale-out repro, and the serving scenarios shardq/qbench/httpq/routed/livemix/analytics), got %d", len(All))
+	if len(All) != 20 {
+		t.Errorf("expected 20 experiments (every paper table and figure, the scale-out repro, and the serving scenarios shardq/routed/livemix/analytics), got %d", len(All))
 	}
 	if _, err := ByID("fig99"); err == nil {
 		t.Error("unknown experiment accepted")

@@ -278,7 +278,9 @@ func (e *Engine) LoadFile(path string) (string, error) {
 // serve the healthy catalog and report exactly which files need attention.
 // A file whose content is damaged (as opposed to being unreadable at the
 // filesystem level) is additionally quarantined: renamed *.quarantine so
-// the next startup does not trip over it again, and listed in Stats.
+// the next startup does not trip over it again, and listed in Stats. A file
+// refused as old (era.ErrMustRebuild) is intact: it is reported with the
+// rebuild message and stays where it is.
 func (e *Engine) LoadDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -295,7 +297,7 @@ func (e *Engine) LoadDir(dir string) ([]string, error) {
 		path := filepath.Join(dir, ent.Name())
 		name, err := e.LoadFile(path)
 		if err != nil {
-			if !os.IsNotExist(err) && !os.IsPermission(err) {
+			if !os.IsNotExist(err) && !os.IsPermission(err) && !errors.Is(err, era.ErrMustRebuild) {
 				if rerr := os.Rename(path, path+".quarantine"); rerr == nil {
 					e.noteQuarantine(ent.Name())
 					err = fmt.Errorf("%w (quarantined as %s)", err, ent.Name()+".quarantine")

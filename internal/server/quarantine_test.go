@@ -13,8 +13,9 @@ import (
 )
 
 // TestQuarantineServesHealthyCatalog pins the startup contract: a damaged
-// file in the index directory is renamed aside and reported, and the rest of
-// the catalog loads and serves.
+// file in the index directory is renamed aside and reported, a file that is
+// intact but in a format no longer read is reported with the rebuild message
+// and left in place, and the rest of the catalog loads and serves.
 func TestQuarantineServesHealthyCatalog(t *testing.T) {
 	dir := t.TempDir()
 	healthy := buildIndex(t, "healthy", 2000, 1)
@@ -33,11 +34,32 @@ func TestQuarantineServesHealthyCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Two intact files nothing reads any more: an image from before the
+	// compact node layout, and a v2 header (all of a v2 file that is looked at).
+	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "old-layout", "mono.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := []byte{'I', 'A', 'R', 'E', 2, 0, 0, 0}
+	for name, b := range map[string][]byte{"old.idx": old, "v2.idx": v2} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	e := NewEngine(128)
 	defer e.Close()
 	names, err := e.LoadDir(dir)
 	if err == nil || !strings.Contains(err.Error(), "quarantined as corrupt.idx.quarantine") {
 		t.Fatalf("LoadDir error = %v, want a quarantine report for corrupt.idx", err)
+	}
+	if !errors.Is(err, era.ErrMustRebuild) || !strings.Contains(err.Error(), "format v2") || !strings.Contains(err.Error(), "predates the compact node layout") {
+		t.Fatalf("LoadDir error = %v, want rebuild reports for old.idx and v2.idx", err)
+	}
+	for _, name := range []string{"old.idx", "v2.idx"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("%s is intact and must stay in place: %v", name, err)
+		}
 	}
 	if len(names) != 1 || names[0] != "healthy" {
 		t.Fatalf("loaded %v, want [healthy]", names)

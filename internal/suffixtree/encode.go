@@ -2,10 +2,7 @@ package suffixtree
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
-
-	"era/internal/seq"
 )
 
 // Serialization format (little endian):
@@ -16,8 +13,10 @@ import (
 //	nNodes  uint32
 //	nodes   nNodes × 6 × int32 (start, end, parent, firstChild, nextSib, suffix)
 //
-// The string itself is not serialized; the reader supplies it. This mirrors
-// the paper's layout where the tree and the string are separate disk files.
+// The string itself is not serialized. This mirrors the paper's layout where
+// the tree and the string are separate disk files. Nothing reads the stream
+// back: the builders write finished sub-trees through it so the simulated
+// disk is charged for their bytes.
 const (
 	magic   = 0x45524154 // "ERAT"
 	version = 1
@@ -57,51 +56,4 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// Read deserializes a tree previously written with WriteTo. The supplied
-// string must have the same length as the one the tree was built over.
-func Read(r io.Reader, s seq.String) (*Tree, error) {
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("suffixtree: reading header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != magic {
-		return nil, fmt.Errorf("suffixtree: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
-		return nil, fmt.Errorf("suffixtree: unsupported version %d", v)
-	}
-	if l := binary.LittleEndian.Uint32(hdr[8:]); int(l) != s.Len() {
-		return nil, fmt.Errorf("suffixtree: tree built over string of length %d, got %d", l, s.Len())
-	}
-	nNodes := binary.LittleEndian.Uint32(hdr[12:])
-	if nNodes == 0 {
-		return nil, fmt.Errorf("suffixtree: tree with zero nodes (missing root)")
-	}
-
-	// nNodes comes from the (possibly corrupt) file: grow the node array as
-	// nodes actually arrive, so a hostile count fails on the missing bytes
-	// instead of demanding one giant up-front allocation. The clamp happens
-	// in uint32 — converting first would go negative on 32-bit ints.
-	preAlloc := nNodes
-	if preAlloc > 1<<20 {
-		preAlloc = 1 << 20
-	}
-	t := &Tree{s: s, nodes: make([]node, 0, preAlloc)}
-	buf := make([]byte, NodeSize)
-	for i := uint32(0); i < nNodes; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("suffixtree: reading node %d: %w", i, err)
-		}
-		t.nodes = append(t.nodes, node{
-			start:      int32(binary.LittleEndian.Uint32(buf[0:])),
-			end:        int32(binary.LittleEndian.Uint32(buf[4:])),
-			parent:     int32(binary.LittleEndian.Uint32(buf[8:])),
-			firstChild: int32(binary.LittleEndian.Uint32(buf[12:])),
-			nextSib:    int32(binary.LittleEndian.Uint32(buf[16:])),
-			suffix:     int32(binary.LittleEndian.Uint32(buf[20:])),
-		})
-	}
-	return t, nil
 }

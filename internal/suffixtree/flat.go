@@ -151,6 +151,15 @@ func NewFlatTree(data, nodes, sym, dense, leafIdx, leafData []byte, nLeaves int3
 // Data returns the underlying string bytes (terminator included).
 func (t *FlatTree) Data() []byte { return t.data }
 
+// Sections returns the encoded sections the tree views — what NewFlatTree
+// was given — so a writer emits the image it holds instead of re-encoding it.
+func (t *FlatTree) Sections() Flat {
+	return Flat{
+		Nodes: t.nodes, Sym: t.sym, LeafIdx: t.leafIdx, LeafData: t.leafData,
+		NNodes: t.nNodes, NLeaves: t.nLeaves,
+	}
+}
+
 // Root returns the root node id (always 0).
 func (t *FlatTree) Root() int32 { return 0 }
 

@@ -384,10 +384,10 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	return f, nil
 }
 
-// Flatten encodes any tree view over data into the flat sections — the
-// v2/v3 → v4 conversion heart: the heap tree a builder produced (or another
-// FlatTree being re-written) is read back as the sorted suffix stream it
-// spells, one pre-order walk, and fed to the same FlatBuilder the direct
+// Flatten encodes any tree view over data into the flat sections — how the
+// tests put a reference heap tree beside the layout that serves: the heap tree
+// a builder produced (or another FlatTree) is read back as the sorted suffix
+// stream it spells, one pre-order walk, and fed to the same FlatBuilder the direct
 // builds use. The image is therefore a function of the string and the tree's
 // leaf order and branching depths alone; edge windows come out canonical
 // whichever way the source tree based them. The tree must be complete: one

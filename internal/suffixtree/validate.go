@@ -20,20 +20,6 @@ import (
 // exactly Len(S) leaves whose offsets are a permutation of 0..Len(S)-1.
 // Sub-trees (one S-prefix) are validated with full=false.
 func (t *Tree) Validate(full bool) error {
-	return t.validate(full, true)
-}
-
-// ValidateLinks checks everything Validate does except re-spelling the edge
-// labels against S (invariant 4's per-leaf path check), which can cost
-// O(n²) on deeply repetitive strings. What remains is O(nodes): link
-// consistency, edge ranges, child ordering, leaf offsets — every invariant
-// a query walk relies on to not crash. Readers of persisted trees use it to
-// reject corrupt files at load time.
-func (t *Tree) ValidateLinks(full bool) error {
-	return t.validate(full, false)
-}
-
-func (t *Tree) validate(full, spells bool) error {
 	n := t.s.Len()
 	seen := make([]bool, len(t.nodes))
 	var leafOffsets []int32
@@ -92,10 +78,8 @@ func (t *Tree) validate(full, spells bool) error {
 				return fmt.Errorf("suffixtree: leaf %d for suffix %d has path length %d, expected %d",
 					u, o, f.depth, n-int(o))
 			}
-			if spells {
-				if err := t.checkPathSpells(u, o); err != nil {
-					return err
-				}
+			if err := t.checkPathSpells(u, o); err != nil {
+				return err
 			}
 			leafOffsets = append(leafOffsets, o)
 		case u != t.Root() && nchild < 2:
@@ -172,8 +156,9 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 //     leaf blocks — so the leaf records' suffixes are those entries, permuted;
 //  5. the leaf blocks hold every suffix of S exactly once.
 //
-// It does not re-spell edge labels beyond their first symbol (see
-// Tree.ValidateLinks). Corrupt input yields an error, never a panic.
+// It does not re-spell edge labels beyond their first symbol, which can cost
+// O(n²) on deeply repetitive strings. Corrupt input yields an error, never a
+// panic.
 func ValidateView(t *FlatTree) error {
 	n := int64(len(t.data))
 	if int64(t.nLeaves) != n {

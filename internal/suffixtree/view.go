@@ -1,18 +1,20 @@
 package suffixtree
 
-// View is the layout-agnostic query surface of a suffix tree: everything the
-// era query layer (query.go, shard.go, internal/server) needs to answer
-// Contains/Count/Occurrences/DocOccurrences/Batch and the repeat queries,
-// with no commitment to how nodes are stored. Two layouts implement it:
+// View is the layout-agnostic query surface of a suffix tree: Contains/Count/
+// Occurrences, the prefix-resumable descent and the repeat queries, with no
+// commitment to how nodes are stored. It is the seam the walks (walk.go) and
+// Flatten share between two layouts:
 //
-//   - *Tree, the mutable heap layout every builder produces (sibling-linked
-//     nodes, edge offsets into a seq.String);
-//   - *FlatTree, the immutable mmap-native layout of persist format v4
+//   - *FlatTree, the immutable mmap-native layout of the index file format
 //     (child runs contiguous and sorted by first symbol, O(1) subtree leaf
-//     counts, delta-varint leaf blocks) — see flat.go.
+//     counts, delta-varint leaf blocks) — see flat.go. It is the only layout
+//     the era package serves from, and it holds it concretely;
+//   - *Tree, the mutable heap layout construction, the competitor builders
+//     and the test oracles work on (sibling-linked nodes, edge offsets into a
+//     seq.String) — a reference, not a serving path.
 //
-// The differential tests in flat_test.go and the era-level format suite pin
-// the two layouts to byte-identical answers.
+// The differential tests in flat_test.go pin the two layouts to byte-identical
+// answers.
 type View interface {
 	// Root returns the root node id.
 	Root() int32

@@ -605,7 +605,7 @@ func (lx *LiveIndex) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileV4(path, idx)
+	return idx.WriteFile(path)
 }
 
 // Close stops the background compactor, seals any pending memtable in

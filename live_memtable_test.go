@@ -280,10 +280,9 @@ func TestLiveRecoveryBuildsNothing(t *testing.T) {
 }
 
 // TestLiveTierImagesAreDirectBuilds pins what seals and compactions put on
-// disk now that neither flattens a heap tree: a sealed tier is byte-equal to
-// the v4 image of a direct-to-flat build over the memtable's documents
-// (tombstoned ones included — seals do not filter), and a compacted tier to
-// one over the survivors.
+// disk: a sealed tier is byte-equal to the image of a build over the
+// memtable's documents (tombstoned ones included — seals do not filter), and
+// a compacted tier to one over the survivors.
 func TestLiveTierImagesAreDirectBuilds(t *testing.T) {
 	dir := t.TempDir()
 	lx, err := NewLive("images", neverSeal(dir))
@@ -306,13 +305,13 @@ func TestLiveTierImagesAreDirectBuilds(t *testing.T) {
 
 	wantImage := func(docs [][]byte) []byte {
 		t.Helper()
-		idx, err := BuildCorpus(docs, &Config{Target: TargetFlat})
+		idx, err := BuildCorpus(docs, nil)
 		if err != nil {
 			t.Fatalf("reference build: %v", err)
 		}
 		path := filepath.Join(t.TempDir(), "want.idx")
-		if err := WriteFileV4(path, idx); err != nil {
-			t.Fatalf("WriteFileV4: %v", err)
+		if err := idx.WriteFile(path); err != nil {
+			t.Fatalf("WriteFile: %v", err)
 		}
 		buf, err := os.ReadFile(path)
 		if err != nil {

@@ -1,532 +1,97 @@
 package era
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
-
-	"era/internal/alphabet"
-	"era/internal/seq"
-	"era/internal/suffixtree"
 )
 
-// Index file format (little endian):
+// There is one index file format: the page-aligned, offset-based image
+// persist_v4.go specifies (the version field says 4). Every writer emits it —
+// a monolithic image for an Index, one image of per-shard payloads for a
+// ShardedIndex, a frozen monolithic copy for a LiveIndex — and OpenIndex
+// serves it zero-copy via mmap; ReadIndex / ReadQueryable accept the same
+// bytes from a stream by buffering them (correct, but without the zero-copy
+// property).
 //
-//	magic     uint32 'ERAI'
-//	version   uint32 2
-//	nameLen   uint32, corpus name bytes    (version ≥ 2 only)
-//	aNameLen  uint32, alphabet name bytes  (version ≥ 2 only)
-//	alphaLen  uint32, alphabet symbols
-//	nDocs     uint32, doc end offsets (uint32 each)
-//	dataLen   uint32, string bytes (terminator included)
-//	tree      suffixtree serialization
+// The formats before it (v1 and v2 node-record streams, the v3 sharded
+// manifest) have no reader any more, and neither has a v4 image from before
+// the compact node layout: each is recognised by its header and refused with
+// ErrMustRebuild.
 //
-// Version 1 files (written before indexes carried names) are identical
-// minus the two name blocks; ReadIndex accepts both and gives v1 indexes
-// the empty corpus name and the alphabet name "stored". The query server
-// falls back to the file's base name then, so old index files stay
-// hot-loadable.
-//
-// Version 3 is the sharded corpus format: a manifest referencing per-shard
-// v2 payloads embedded in the same stream (so WriteTo/ReadQueryable work on
-// any io.Writer/Reader and a .idx file stays one self-contained artifact):
-//
-//	magic     uint32 'ERAI'
-//	version   uint32 3
-//	nameLen   uint32, corpus name bytes
-//	nShards   uint32
-//	nShards × payloadLen uint32
-//	nShards × payload (a complete v2 index stream of payloadLen bytes)
-//
-// Everything read from disk is treated as untrusted: name/shard-count
+// Everything read from disk is treated as untrusted: name and shard-count
 // fields are bounded before allocation, doc-end invariants are validated
-// against the string, and the tree's link structure is checked before any
-// query may walk it — a corrupt or hostile file fails with an error, never
-// a panic at query time.
-// Version 4 is the mmap-native flat layout; its page-aligned, offset-based
-// image is specified and implemented in persist_v4.go. OpenIndex serves v4
-// files zero-copy via mmap; ReadIndex/ReadQueryable accept v4 streams by
-// buffering them (correct, but without the zero-copy property), and a v3
-// manifest may embed v4 monolithic payloads (a shard written back from a
-// mapped index). `era compact` converts v1/v2/v3 files to v4.
+// against the string, and the tree view clamps every id and offset — a
+// corrupt or hostile file fails with an error, never a panic at query time.
 const (
-	indexMagic     = 0x45524149
-	indexVersion   = 2
-	shardedVersion = 3
+	indexMagic = 0x45524149
 	// maxNameLen bounds the corpus and alphabet name fields. WriteTo
-	// enforces it so every written index is readable; ReadIndex enforces it
+	// enforces it so every written index is readable; the readers enforce it
 	// so a corrupt or hostile length field fails cleanly instead of
 	// demanding a giant allocation.
 	maxNameLen = 64 << 10
-	// maxShards bounds the v3 manifest's shard count on read.
-	maxShards = 1 << 12
 )
 
-// WriteTo serializes the index (name, string, document map and tree) so it
-// can be reopened with ReadIndex without rebuilding. It satisfies
-// io.WriterTo. Heap-backed indexes write the v2 node-record stream;
-// flat-backed indexes (opened from a v4 file) write a v4 image — both
-// reopen through the same readers. Use WriteToV4 to force the mmap-native
-// format regardless of backing.
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	if _, flat := x.tree.(*suffixtree.FlatTree); flat {
-		return x.writeV4Mono(w)
+// ErrMustRebuild is wrapped by every refusal of an index file that is intact
+// but in a layout this package no longer reads: a v1–v3 file, or a v4 image
+// written before the compact node layout. Nothing is wrong with the bytes, so
+// a serving layer reports such a file and leaves it where it is (damaged
+// files are renamed aside); the remedy is to build the index again.
+var ErrMustRebuild = errors.New("era: index must be rebuilt")
+
+// checkIndexHeader vets the first 8 bytes of an index file: the magic, and a
+// version this package reads.
+func checkIndexHeader(hdr []byte) error {
+	if len(hdr) < 8 {
+		return fmt.Errorf("era: reading index header: %w", io.ErrUnexpectedEOF)
 	}
-	if len(x.name) > maxNameLen || len(x.alpha.Name()) > maxNameLen {
-		return 0, fmt.Errorf("era: index name longer than %d bytes", maxNameLen)
+	if m := binary.LittleEndian.Uint32(hdr); m != indexMagic {
+		return fmt.Errorf("era: bad index magic %#x", m)
 	}
-	// Everything below the footer streams through cw, so the trailing
-	// checksum covers the complete v2 payload.
-	cw := &crcWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	var total int64
-	put32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		n, err := bw.Write(b[:])
-		total += int64(n)
-		return err
+	switch v := binary.LittleEndian.Uint32(hdr[4:]); {
+	case v == flatVersion:
+		return nil
+	case v >= 1 && v < flatVersion:
+		return fmt.Errorf("%w: format v%d is no longer read — rebuild it from its source (this package reads and writes v%d only)", ErrMustRebuild, v, flatVersion)
+	default:
+		return fmt.Errorf("era: unsupported index version %d", v)
 	}
-	if err := put32(indexMagic); err != nil {
-		return total, err
-	}
-	if err := put32(indexVersion); err != nil {
-		return total, err
-	}
-	if err := put32(uint32(len(x.name))); err != nil {
-		return total, err
-	}
-	n0, err := bw.WriteString(x.name)
-	total += int64(n0)
-	if err != nil {
-		return total, err
-	}
-	if err := put32(uint32(len(x.alpha.Name()))); err != nil {
-		return total, err
-	}
-	n0, err = bw.WriteString(x.alpha.Name())
-	total += int64(n0)
-	if err != nil {
-		return total, err
-	}
-	syms := x.alpha.Symbols()
-	if err := put32(uint32(len(syms))); err != nil {
-		return total, err
-	}
-	n, err := bw.Write(syms)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	if err := put32(uint32(len(x.docEnds))); err != nil {
-		return total, err
-	}
-	for _, e := range x.docEnds {
-		if err := put32(uint32(e)); err != nil {
-			return total, err
-		}
-	}
-	if err := put32(uint32(len(x.data))); err != nil {
-		return total, err
-	}
-	n, err = bw.Write(x.data)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	if err := bw.Flush(); err != nil {
-		return total, err
-	}
-	// The flat-backed case returned above, so the tree is the heap layout.
-	tn, err := x.tree.(*suffixtree.Tree).WriteTo(cw)
-	total += tn
-	if err != nil {
-		return total, err
-	}
-	var foot [8]byte
-	binary.LittleEndian.PutUint32(foot[:], indexFooterMagic)
-	binary.LittleEndian.PutUint32(foot[4:], cw.crc)
-	fn, err := w.Write(foot[:])
-	total += int64(fn)
-	return total, err
 }
 
-// WriteTo serializes the sharded index as a format-v3 stream: the shard
-// manifest followed by each shard's complete v2 payload. It satisfies
-// io.WriterTo; reopen with OpenIndex or ReadQueryable.
-func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
-	if len(sx.name) > maxNameLen {
-		return 0, fmt.Errorf("era: index name longer than %d bytes", maxNameLen)
+// ReadQueryable deserializes an index stream written by WriteTo —
+// monolithic or sharded — by buffering it whole; OpenIndex on a file path
+// maps it instead.
+func ReadQueryable(r io.Reader) (Queryable, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, 8); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("era: reading index header: %w", err)
 	}
-	// Like maxNameLen, the shard bound holds on write as well as read, so
-	// every file this writer produces is one the reader accepts.
-	if len(sx.shards) > maxShards {
-		return 0, fmt.Errorf("era: %d shards exceed the format limit of %d", len(sx.shards), maxShards)
-	}
-	// The manifest carries every payload's length before the payloads
-	// themselves, but buffering the serialized shards would transiently
-	// double the corpus in memory — the very thing sharding exists to
-	// avoid. So every shard pays a counting pass first, then streams
-	// (Index.WriteTo is deterministic, so the two passes agree). The old
-	// seek-and-backpatch fast path is gone: bytes patched after the fact
-	// would not flow through the stream checksum the footer promises.
-	lens := make([]uint32, len(sx.shards))
-	for i, sh := range sx.shards {
-		var sc countingWriter
-		if _, err := sh.WriteTo(&sc); err != nil {
-			return 0, fmt.Errorf("era: sizing shard %d: %w", i, err)
-		}
-		if sc.n > int64(^uint32(0)) {
-			return 0, fmt.Errorf("era: shard %d payload of %d bytes exceeds the format's 4 GiB shard limit; rebuild with more shards", i, sc.n)
-		}
-		lens[i] = uint32(sc.n)
-	}
-	cw := &crcWriter{w: w}
-	var total int64
-	put32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		n, err := cw.Write(b[:])
-		total += int64(n)
-		return err
-	}
-	for _, v := range []uint32{indexMagic, shardedVersion, uint32(len(sx.name))} {
-		if err := put32(v); err != nil {
-			return total, err
-		}
-	}
-	n, err := io.WriteString(cw, sx.name)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	if err := put32(uint32(len(sx.shards))); err != nil {
-		return total, err
-	}
-	for _, l := range lens {
-		if err := put32(l); err != nil {
-			return total, err
-		}
-	}
-	for i, sh := range sx.shards {
-		pn, err := sh.WriteTo(cw)
-		total += pn
-		if err != nil {
-			return total, fmt.Errorf("era: writing shard %d payload: %w", i, err)
-		}
-		if pn != int64(lens[i]) {
-			return total, fmt.Errorf("era: shard %d payload wrote %d bytes, sized %d", i, pn, lens[i])
-		}
-	}
-	var foot [8]byte
-	binary.LittleEndian.PutUint32(foot[:], indexFooterMagic)
-	binary.LittleEndian.PutUint32(foot[4:], cw.crc)
-	fn, err := w.Write(foot[:])
-	total += int64(fn)
-	return total, err
-}
-
-// countingWriter counts bytes without storing them.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-func get32(br *bufio.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(br, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func getString(br *bufio.Reader) (string, error) {
-	n, err := get32(br)
-	if err != nil {
-		return "", err
-	}
-	if n > maxNameLen {
-		return "", fmt.Errorf("era: corrupt index: name field of %d bytes", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// readHeader consumes and checks the magic, returning the format version.
-func readHeader(br *bufio.Reader) (uint32, error) {
-	m, err := get32(br)
-	if err != nil {
-		return 0, fmt.Errorf("era: reading index header: %w", err)
-	}
-	if m != indexMagic {
-		return 0, fmt.Errorf("era: bad index magic %#x", m)
-	}
-	v, err := get32(br)
-	if err != nil {
-		return 0, err
-	}
-	if v < 1 || v > flatVersion {
-		return 0, fmt.Errorf("era: unsupported index version %d", v)
-	}
-	return v, nil
-}
-
-// readV4Stream buffers the remainder of a v4 stream (the 8 header bytes
-// already consumed) and parses the image in place. Streams cannot be
-// mmap'd, so this path trades the zero-copy property for generality —
-// OpenIndex on a file path keeps it.
-func readV4Stream(br *bufio.Reader) (Queryable, error) {
-	rest, err := io.ReadAll(br)
-	if err != nil {
+	if err := checkIndexHeader(buf.Bytes()); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 8+len(rest))
-	buf = binary.LittleEndian.AppendUint32(buf, indexMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, flatVersion)
-	buf = append(buf, rest...)
-	return parseV4(buf, nil)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return parseV4(buf.Bytes(), nil)
 }
 
-// ReadIndex deserializes a monolithic index written with Index.WriteTo
-// (format v1, v2, or a monolithic v4 image). For streams that may also hold
-// a sharded index, use ReadQueryable. The stream is consumed to its end so
-// the trailing checksum footer (when present) can be verified.
+// ReadIndex deserializes a monolithic index written with Index.WriteTo. For
+// streams that may also hold a sharded index, use ReadQueryable.
 func ReadIndex(r io.Reader) (*Index, error) {
-	cr := &crcTailReader{r: r}
-	br := bufio.NewReader(cr)
-	v, err := readHeader(br)
+	q, err := ReadQueryable(r)
 	if err != nil {
 		return nil, err
 	}
-	switch v {
-	case shardedVersion:
-		return nil, fmt.Errorf("era: index is a sharded (v3) corpus; read it with ReadQueryable or OpenIndex")
-	case flatVersion:
-		// v4 images checksum through their header, not a stream footer.
-		q, err := readV4Stream(br)
-		if err != nil {
-			return nil, err
-		}
-		idx, ok := q.(*Index)
-		if !ok {
-			return nil, fmt.Errorf("era: index is a sharded (v4) corpus; read it with ReadQueryable or OpenIndex")
-		}
-		return idx, nil
-	}
-	idx, err := readMonolithic(br, v)
-	if err != nil {
-		return nil, err
-	}
-	if err := verifyStreamFooter(br, cr); err != nil {
-		return nil, err
+	idx, ok := q.(*Index)
+	if !ok {
+		return nil, fmt.Errorf("era: index is a sharded corpus; read it with ReadQueryable or OpenIndex")
 	}
 	return idx, nil
-}
-
-// ReadQueryable deserializes any index stream — monolithic (v1/v2),
-// sharded (v3), or a v4 image — written by Index.WriteTo,
-// ShardedIndex.WriteTo, or the WriteToV4 variants. Like ReadIndex, it
-// consumes the stream to its end to verify the trailing checksum footer.
-func ReadQueryable(r io.Reader) (Queryable, error) {
-	cr := &crcTailReader{r: r}
-	br := bufio.NewReader(cr)
-	v, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	var q Queryable
-	switch v {
-	case shardedVersion:
-		q, err = readSharded(br)
-	case flatVersion:
-		return readV4Stream(br)
-	default:
-		q, err = readMonolithic(br, v)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := verifyStreamFooter(br, cr); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// verifyStreamFooter runs after a v1–v3 payload parsed cleanly: it drains
-// the stream and checks what trails the payload. Zero trailing bytes is a
-// file from before the checksummed format, accepted unverified; otherwise
-// the trailer must be exactly the 8-byte footer whose CRC32C matches every
-// preceding byte.
-func verifyStreamFooter(br *bufio.Reader, cr *crcTailReader) error {
-	trailing, err := io.Copy(io.Discard, br)
-	if err != nil {
-		return err
-	}
-	if trailing == 0 {
-		return nil
-	}
-	if trailing != 8 || cr.tlen != 8 || binary.LittleEndian.Uint32(cr.tail[:]) != indexFooterMagic {
-		return fmt.Errorf("era: corrupt index: %d trailing bytes are not a checksum footer", trailing)
-	}
-	want := binary.LittleEndian.Uint32(cr.tail[4:])
-	if cr.crc != want {
-		return fmt.Errorf("era: corrupt index: stream checksum mismatch (stored %#08x, computed %#08x)", want, cr.crc)
-	}
-	return nil
-}
-
-// readMonolithic reads a v1/v2 index body (header already consumed),
-// validating every disk-sourced invariant the query paths rely on.
-func readMonolithic(br *bufio.Reader, v uint32) (*Index, error) {
-	var name string
-	alphaName := "stored"
-	var err error
-	if v >= 2 {
-		if name, err = getString(br); err != nil {
-			return nil, err
-		}
-		if alphaName, err = getString(br); err != nil {
-			return nil, err
-		}
-	}
-	// The remaining length fields also come from the (possibly corrupt)
-	// file, so nothing is allocated proportionally to them up front:
-	// symbols are bounded by the alphabet invariant, and doc ends / string
-	// bytes are read incrementally so a truncated or hostile header fails
-	// on the missing bytes instead of attempting a giant allocation.
-	nSyms, err := get32(br)
-	if err != nil {
-		return nil, err
-	}
-	if nSyms > 256 {
-		return nil, fmt.Errorf("era: corrupt index: alphabet of %d symbols", nSyms)
-	}
-	syms := make([]byte, nSyms)
-	if _, err := io.ReadFull(br, syms); err != nil {
-		return nil, err
-	}
-	alpha, err := alphabet.New(alphaName, syms)
-	if err != nil {
-		return nil, err
-	}
-	nDocs, err := get32(br)
-	if err != nil {
-		return nil, err
-	}
-	if nDocs == 0 {
-		// Every index holds at least one document; docOf and the
-		// document-scoped queries index docEnds unconditionally.
-		return nil, fmt.Errorf("era: corrupt index: zero documents")
-	}
-	docEnds := make([]int32, 0, min(nDocs, 1<<16))
-	for i := uint32(0); i < nDocs; i++ {
-		e, err := get32(br)
-		if err != nil {
-			return nil, err
-		}
-		docEnds = append(docEnds, int32(e))
-	}
-	dataLen, err := get32(br)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, 0, min(dataLen, 1<<24))
-	var chunk [64 << 10]byte
-	for uint32(len(data)) < dataLen {
-		want := dataLen - uint32(len(data))
-		if want > uint32(len(chunk)) {
-			want = uint32(len(chunk))
-		}
-		if _, err := io.ReadFull(br, chunk[:want]); err != nil {
-			return nil, err
-		}
-		data = append(data, chunk[:want]...)
-	}
-	// docEnds invariants: monotone non-decreasing (empty documents are
-	// legal), within the content (the final byte is the terminator, not
-	// part of any document), and covering it exactly. docOf's binary
-	// search, DocOccurrences and LongestCommonSubstring all assume these;
-	// violating values from a corrupt file made them panic or silently
-	// mis-attribute hits before they were checked here.
-	prev := int32(0)
-	for i, e := range docEnds {
-		if e < prev || int(e) > len(data)-1 {
-			return nil, fmt.Errorf("era: corrupt index: doc end %d of document %d outside [%d, %d]", e, i, prev, len(data)-1)
-		}
-		prev = e
-	}
-	if int(docEnds[len(docEnds)-1]) != len(data)-1 {
-		return nil, fmt.Errorf("era: corrupt index: documents cover %d bytes of a %d-byte string", docEnds[len(docEnds)-1], len(data)-1)
-	}
-	mem, err := seq.NewMem(alpha, data)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := suffixtree.Read(br, mem)
-	if err != nil {
-		return nil, err
-	}
-	// A structurally broken tree (dangling links, cycles, out-of-range
-	// offsets) would crash the first query that walks it; reject it at
-	// load time instead. ValidateLinks is O(nodes) — it skips only the
-	// edge-label respelling, which can be quadratic on repetitive strings.
-	if err := tree.ValidateLinks(true); err != nil {
-		return nil, fmt.Errorf("era: corrupt index: %w", err)
-	}
-	return &Index{name: name, tree: tree, data: data, alpha: alpha, docEnds: docEnds}, nil
-}
-
-// readSharded reads the v3 manifest and its embedded shard payloads
-// (header already consumed).
-func readSharded(br *bufio.Reader) (*ShardedIndex, error) {
-	name, err := getString(br)
-	if err != nil {
-		return nil, err
-	}
-	nShards, err := get32(br)
-	if err != nil {
-		return nil, err
-	}
-	if nShards == 0 || nShards > maxShards {
-		return nil, fmt.Errorf("era: corrupt index: shard count %d outside [1, %d]", nShards, maxShards)
-	}
-	lens := make([]uint32, nShards)
-	for i := range lens {
-		if lens[i], err = get32(br); err != nil {
-			return nil, err
-		}
-	}
-	shards := make([]*Index, nShards)
-	for i := range shards {
-		lr := io.LimitReader(br, int64(lens[i]))
-		idx, err := ReadIndex(lr)
-		if err != nil {
-			return nil, fmt.Errorf("era: shard %d of %d: %w", i, nShards, err)
-		}
-		// Align on the next payload regardless of how far the shard
-		// reader's internal buffering drained the limited window.
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, err
-		}
-		shards[i] = idx
-	}
-	// newShardedIndex re-derives and validates the fan-out metadata (shard
-	// alphabets equal, every shard non-empty) from the payloads themselves,
-	// so a manifest cannot smuggle inconsistent shards past the reader.
-	sx, err := newShardedIndex(name, shards)
-	if err != nil {
-		return nil, fmt.Errorf("era: corrupt index: %w", err)
-	}
-	return sx, nil
 }
 
 // WriteFile saves the index to path.
@@ -534,9 +99,15 @@ func (x *Index) WriteFile(path string) error {
 	return writeFile(path, x)
 }
 
-// WriteFile saves the sharded index to path (format v3, one file).
+// WriteFile saves the sharded index to path as one file.
 func (sx *ShardedIndex) WriteFile(path string) error {
 	return writeFile(path, sx)
+}
+
+// WriteFileV4 is q.WriteFile(path): every index writes the one format. It
+// stays for callers written when there was a choice.
+func WriteFileV4(path string, q Queryable) error {
+	return q.WriteFile(path)
 }
 
 func writeFile(path string, w io.WriterTo) error {
@@ -551,18 +122,17 @@ func writeFile(path string, w io.WriterTo) error {
 	return f.Close()
 }
 
-// OpenIndex reads an index file written by WriteFile (or WriteTo): a
-// monolithic *Index for v1/v2 files, a *ShardedIndex for v3 files, and
-// either for v4 files. Indexes saved without a name adopt the file's base
-// name (extension stripped), so every index loaded from disk is
-// addressable.
+// OpenIndex opens an index file written by WriteFile (or WriteTo): an
+// *Index for a monolithic image, a *ShardedIndex for a sharded one, and a
+// *LiveIndex for a live directory's manifest. Indexes saved without a name
+// adopt the file's base name (extension stripped), so every index loaded from
+// disk is addressable.
 //
-// v4 files are memory-mapped, not deserialized: open cost is O(header)
+// The file is memory-mapped, not deserialized: open cost is O(header)
 // regardless of index size, the heap holds only the view structs, and every
 // process opening the same file shares one page-cache copy. Call Close on
-// the returned index to release the mapping (a no-op for v1–v3 files); do
-// not truncate or rewrite a v4 file in place while an open index serves it
-// — replace-by-rename instead.
+// the returned index to release the mapping; do not truncate or rewrite the
+// file in place while an open index serves it — replace-by-rename instead.
 func OpenIndex(path string) (Queryable, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -570,32 +140,15 @@ func OpenIndex(path string) (Queryable, error) {
 	}
 	var sniff [12]byte
 	n, _ := io.ReadFull(f, sniff[:])
-	if n >= 8 &&
-		binary.LittleEndian.Uint32(sniff[0:]) == indexMagic &&
-		binary.LittleEndian.Uint32(sniff[4:]) == flatVersion {
-		f.Close()
-		if n >= 12 && binary.LittleEndian.Uint32(sniff[8:]) == 2 {
-			// A live manifest: open the whole tier directory it describes.
-			return OpenLive(path, nil)
-		}
-		return openMappedV4(path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	defer f.Close()
-	idx, err := ReadQueryable(f)
-	if err != nil {
-		// ReadQueryable errors already carry the package prefix.
+	f.Close()
+	if err := checkIndexHeader(sniff[:min(n, 8)]); err != nil {
+		// checkIndexHeader errors already carry the package prefix.
 		return nil, fmt.Errorf("reading index %s: %w", path, err)
 	}
-	adoptBaseName(idx, path)
-	return idx, nil
-}
-
-// openMappedV4 maps a v4 index file and wraps its sections zero-copy.
-func openMappedV4(path string) (Queryable, error) {
+	if n == len(sniff) && binary.LittleEndian.Uint32(sniff[8:]) == 2 {
+		// A live manifest: open the whole tier directory it describes.
+		return OpenLive(path, nil)
+	}
 	m, err := openMapping(path)
 	if err != nil {
 		return nil, err
@@ -605,14 +158,9 @@ func openMappedV4(path string) (Queryable, error) {
 		m.Close()
 		return nil, fmt.Errorf("reading index %s: %w", path, err)
 	}
-	adoptBaseName(idx, path)
-	return idx, nil
-}
-
-// adoptBaseName names an unnamed index after its file.
-func adoptBaseName(idx Queryable, path string) {
 	if idx.Name() == "" {
 		base := filepath.Base(path)
 		idx.SetName(strings.TrimSuffix(base, filepath.Ext(base)))
 	}
+	return idx, nil
 }

@@ -2,7 +2,6 @@ package era
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,12 +11,13 @@ import (
 	"era/internal/suffixtree"
 )
 
-// Format v4 is the mmap-native index layout: a page-aligned, little-endian,
-// offset-based image whose sections are directly usable as the query-time
-// data structures. OpenIndex on a v4 file maps it and wraps the sections in
-// a suffixtree.FlatTree view — O(header) work, no per-node deserialization,
-// no whole-tree copy — so startup cost is independent of index size and
-// concurrent serving processes share one page-cache copy of the file.
+// Format v4 — the only index file format — is the mmap-native layout: a
+// page-aligned, little-endian, offset-based image whose sections are directly
+// usable as the query-time data structures. OpenIndex maps the file and wraps
+// the sections in a suffixtree.FlatTree view — O(header) work, no per-node
+// deserialization, no whole-tree copy — so startup cost is independent of
+// index size and concurrent serving processes share one page-cache copy of
+// the file.
 //
 // Monolithic image (kind 0):
 //
@@ -68,17 +68,16 @@ import (
 //
 // The version field has stayed 4 since the tree sections were 32-byte records
 // for every node and 1 KiB dense tables. Such an image lacks flags bit 1
-// (the oldest lack bit 0 too) and is refused at open (errOldLayout) — its
-// sections would mis-read as the compact layout, and no reader for them is
-// kept: rebuild the index, or re-run the `era compact` that produced it from
-// its v1–v3 source.
+// (the oldest lack bit 0 too) and is refused at open (errOldLayout, an
+// ErrMustRebuild) — its sections would mis-read as the compact layout, and no
+// reader for them is kept.
 //
 // Sharded image (kind 1): header + meta (name only) + a table of
 // (payloadOff, payloadLen) u64 pairs + the payloads, each payload a complete
 // page-aligned monolithic v4 image. One mapping serves every shard.
 //
-// Like v1–v3, everything read from a v4 file is untrusted: the section table
-// is bounds- and alignment-checked at open (misaligned or truncated sections
+// Everything read from an index file is untrusted: the section table is
+// bounds- and alignment-checked at open (misaligned or truncated sections
 // are errors), and the FlatTree clamps every id and offset at access time,
 // so a corrupt file degrades to wrong answers — never a panic, a runaway
 // walk, or a fault past the mapping.
@@ -105,12 +104,13 @@ const (
 	// v4CRCTableOff / v4HeaderCRCOff locate the checksum block fields.
 	v4CRCTableOff  = 152
 	v4HeaderCRCOff = 184
-	// maxV4Shards bounds the shard table on read, mirroring maxShards.
+	// maxV4Shards bounds a build's shard count, and the shard and tier tables
+	// on read.
 	maxV4Shards = 1 << 12
 )
 
 // errOldLayout refuses a v4 image written before the compact node layout.
-var errOldLayout = errors.New("era: index image predates the compact node layout (8-byte leaf records) and must be rebuilt")
+var errOldLayout = fmt.Errorf("%w: the v4 image predates the compact node layout (8-byte leaf records)", ErrMustRebuild)
 
 // v4align rounds n up to the page boundary.
 func v4align(n int64) int64 {
@@ -345,8 +345,10 @@ var hostLittleEndian = func() bool {
 
 // docEndsView interprets the docEnds section as []int32 — zero-copy on
 // little-endian hosts with an aligned base (the mmap case), copied
-// otherwise — and validates the same invariants readMonolithic enforces for
-// v1/v2 files: monotone, inside the content, covering it exactly.
+// otherwise — and validates the invariants docOf's binary search,
+// DocOccurrences and LongestCommonSubstring assume: monotone non-decreasing
+// (empty documents are legal), inside the content (the final byte is the
+// terminator, not part of any document), covering it exactly.
 func docEndsView(sec []byte, nDocs, dataLen int) ([]int32, error) {
 	var ends []int32
 	if hostLittleEndian && nDocs > 0 && uintptr(unsafe.Pointer(&sec[0]))%4 == 0 {
@@ -513,7 +515,7 @@ type v4MonoLayout struct {
 	imageLen                              int64
 }
 
-func planV4Mono(metaLen, dataLen, nDocs int64, f *suffixtree.Flat) v4MonoLayout {
+func planV4Mono(metaLen, dataLen, nDocs int64, f suffixtree.Flat) v4MonoLayout {
 	var l v4MonoLayout
 	l.metaLen = metaLen
 	l.dataOff = v4align(v4HeaderLenCk + metaLen)
@@ -526,29 +528,21 @@ func planV4Mono(metaLen, dataLen, nDocs int64, f *suffixtree.Flat) v4MonoLayout 
 	return l
 }
 
-// writeV4Mono streams one monolithic image: header, meta, then the page-
+// WriteTo serializes the index (name, string, document map and the tree
+// sections it holds) as one monolithic image: header, meta, then the page-
 // aligned sections. The layout is computed up front, so any io.Writer works
-// (no seeking) and the byte stream is deterministic.
-func (x *Index) writeV4Mono(w io.Writer) (int64, error) {
+// (no seeking) and the byte stream is deterministic: an opened image writes
+// back byte for byte. It satisfies io.WriterTo; reopen with OpenIndex for the
+// zero-copy path, or ReadIndex from a stream.
+func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := x.CheckErr(); err != nil {
 		return 0, err // never re-serialize a mapped image that fails its checksums
 	}
-	f := x.flat // TargetFlat builds already hold the encoded sections
-	if f == nil {
-		var err error
-		if f, err = suffixtree.Flatten(x.tree, x.data); err != nil {
-			return 0, fmt.Errorf("era: flattening index %q: %w", x.name, err)
-		}
-	}
-	return x.writeV4MonoWith(w, f)
-}
-
-// writeV4MonoWith is writeV4Mono over an already-flattened tree.
-func (x *Index) writeV4MonoWith(w io.Writer, f *suffixtree.Flat) (int64, error) {
 	if len(x.name) > maxNameLen || len(x.alpha.Name()) > maxNameLen {
 		return 0, fmt.Errorf("era: index name longer than %d bytes", maxNameLen)
 	}
 	meta := v4MetaMono(x.name, x.alpha)
+	f := x.tree.Sections()
 	l := planV4Mono(int64(len(meta)), int64(len(x.data)), int64(len(x.docEnds)), f)
 
 	hdr := make([]byte, v4HeaderLenCk)
@@ -609,29 +603,21 @@ func (x *Index) writeV4MonoWith(w io.Writer, f *suffixtree.Flat) (int64, error) 
 	return p.off, p.err
 }
 
-// WriteToV4 serializes the index as a format-v4 (mmap-native) image. Reopen
-// with OpenIndex for the zero-copy path; `era compact` is the CLI face of
-// this conversion.
-func (x *Index) WriteToV4(w io.Writer) (int64, error) {
-	return x.writeV4Mono(w)
-}
-
-// WriteToV4 serializes the sharded index as one format-v4 sharded image:
-// shard payloads are complete page-aligned monolithic images, so OpenIndex
-// serves every shard from a single mapping.
-func (sx *ShardedIndex) WriteToV4(w io.Writer) (int64, error) {
+// WriteTo serializes the sharded index as one sharded image: shard payloads
+// are complete page-aligned monolithic images, so OpenIndex serves every shard
+// from a single mapping. It satisfies io.WriterTo.
+func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
+	if err := sx.CheckErr(); err != nil {
+		return 0, err
+	}
 	if len(sx.name) > maxNameLen {
 		return 0, fmt.Errorf("era: index name longer than %d bytes", maxNameLen)
 	}
 	if len(sx.shards) > maxV4Shards {
 		return 0, fmt.Errorf("era: %d shards exceed the format limit of %d", len(sx.shards), maxV4Shards)
 	}
-	// Payload sizes come from each shard's deterministic layout plan, so
-	// the whole image streams without seeking. Each shard is flattened
-	// twice — once here for sizing, once in the write loop — rather than
-	// held: keeping every shard's sections live at once would transiently
-	// double the corpus in memory, the very thing sharding exists to avoid
-	// (the v3 writer makes the same trade on non-seekable destinations).
+	// Payload sizes come from each shard's deterministic layout plan over
+	// the sections it holds, so the whole image streams without seeking.
 	meta := make([]byte, 0, 4+len(sx.name))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(sx.name)))
 	meta = append(meta, sx.name...)
@@ -640,12 +626,8 @@ func (sx *ShardedIndex) WriteToV4(w io.Writer) (int64, error) {
 	firstPayloadOff := v4align(tableOff + int64(16*len(sx.shards)))
 	off := firstPayloadOff
 	for i, sh := range sx.shards {
-		f, err := suffixtree.Flatten(sh.tree, sh.data)
-		if err != nil {
-			return 0, fmt.Errorf("era: flattening shard %d: %w", i, err)
-		}
 		metaLen := int64(len(v4MetaMono(sh.name, sh.alpha)))
-		l := planV4Mono(metaLen, int64(len(sh.data)), int64(len(sh.docEnds)), f)
+		l := planV4Mono(metaLen, int64(len(sh.data)), int64(len(sh.docEnds)), sh.tree.Sections())
 		table[2*i] = off
 		table[2*i+1] = l.imageLen
 		off = v4align(off + l.imageLen)
@@ -683,7 +665,7 @@ func (sx *ShardedIndex) WriteToV4(w io.Writer) (int64, error) {
 		if p.err != nil {
 			return p.off, p.err
 		}
-		n, err := sh.writeV4Mono(p.w) // re-flattens; Flatten is deterministic
+		n, err := sh.WriteTo(p.w)
 		p.off += n
 		if err != nil {
 			return p.off, fmt.Errorf("era: writing shard %d payload: %w", i, err)
@@ -694,31 +676,6 @@ func (sx *ShardedIndex) WriteToV4(w io.Writer) (int64, error) {
 	}
 	return p.off, p.err
 }
-
-// WriteFileV4 saves any index — monolithic or sharded, heap- or mmap-backed
-// — to path as a format-v4 image.
-func WriteFileV4(path string, q Queryable) error {
-	switch v := q.(type) {
-	case *Index:
-		return writeFile(path, writerToFunc(v.WriteToV4))
-	case *ShardedIndex:
-		return writeFile(path, writerToFunc(v.WriteToV4))
-	case *LiveIndex:
-		// A live index exports as a frozen point-in-time monolithic image;
-		// its own durability lives in the tier directory.
-		idx, err := v.Frozen()
-		if err != nil {
-			return err
-		}
-		return writeFile(path, writerToFunc(idx.WriteToV4))
-	}
-	return fmt.Errorf("era: cannot write %T as v4", q)
-}
-
-// writerToFunc adapts a WriteTo-shaped method to io.WriterTo.
-type writerToFunc func(io.Writer) (int64, error)
-
-func (f writerToFunc) WriteTo(w io.Writer) (int64, error) { return f(w) }
 
 // Live manifest image (kind 2) — written by LiveIndex in directory mode.
 // The manifest is a catalog, not a servable index: it names the sealed tier

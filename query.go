@@ -375,8 +375,6 @@ func (x *Index) LongestCommonSubstring(a, b int) ([]byte, int, int, error) {
 // in d ("slack": max over its leaves in d of docEnd − leafOffset; −1 when d
 // has no leaf below). A node's path label occurs inside document d exactly
 // when its depth ≤ slack[d]. fn is invoked post-order on internal nodes.
-// Traversal goes through the layout-agnostic ForEachChild, so it runs
-// unmodified over the heap tree and the mapped flat layout.
 func (x *Index) walkDocSlacks(fn func(node, depth int32, slack []int32)) {
 	t := x.tree
 	nd := len(x.docEnds)

@@ -42,7 +42,7 @@ import (
 // for concurrent queries.
 //
 // MappedBytes/ResidentBytes/Close expose the open/close lifecycle of
-// indexes backed by memory-mapped v4 files: heap-resident indexes report 0
+// indexes backed by memory-mapped files: heap-resident indexes report 0
 // mapped bytes and Close is a no-op, so callers can treat every Queryable
 // uniformly. Close must only run once no queries are in flight.
 type Queryable interface {
@@ -73,7 +73,7 @@ var (
 // each an independent Index over a contiguous run of documents. Queries fan
 // out to all shards concurrently and merge (through view); answers are
 // byte-identical to the monolithic Index over the same corpus. Build with
-// BuildShardedCorpus or reopen with OpenIndex (format v3).
+// BuildShardedCorpus or reopen with OpenIndex.
 type ShardedIndex struct {
 	name   string
 	shards []*Index
@@ -123,10 +123,10 @@ func BuildShardedCorpus(docs [][]byte, cfg *ShardConfig) (*ShardedIndex, error) 
 	if shards > len(docs) {
 		shards = len(docs)
 	}
-	// The v3 persistence format caps the shard count; clamping here keeps
+	// The file format caps the shard count; clamping here keeps
 	// every buildable index writable instead of failing after the build.
-	if shards > maxShards {
-		shards = maxShards
+	if shards > maxV4Shards {
+		shards = maxV4Shards
 	}
 
 	// One alphabet for every shard (and equal to what the monolithic build

@@ -29,16 +29,15 @@ func (r *VerifyReport) problem(format string, args ...any) {
 // OK reports whether verification found no problems.
 func (r *VerifyReport) OK() bool { return len(r.Problems) == 0 }
 
-// Verify checks every stored checksum reachable from path — an index file
-// of any format, or a live directory (its manifest, every sealed tier, and
-// the write-ahead log) — and, behind the checksums, the structure of every v4
-// tree image (suffixtree.ValidateView: each node in exactly one parent's
-// child run, leaf records and leaf blocks the same permutation of the
-// suffixes), without modifying anything on disk. Unlike opening
-// a live directory, Verify never truncates a torn WAL tail or quarantines a
-// damaged tier; it only reports. The returned error covers being unable to
-// start (path unreadable); verification failures land in
-// VerifyReport.Problems.
+// Verify checks every stored checksum reachable from path — an index file,
+// or a live directory (its manifest, every sealed tier, and the write-ahead
+// log) — and, behind the checksums, the structure of every tree image
+// (suffixtree.ValidateView: each node in exactly one parent's child run, leaf
+// records and leaf blocks the same permutation of the suffixes), without
+// modifying anything on disk. Unlike opening a live directory, Verify never
+// truncates a torn WAL tail or quarantines a damaged tier; it only reports.
+// The returned error covers being unable to start (path unreadable);
+// verification failures land in VerifyReport.Problems.
 func Verify(path string) (*VerifyReport, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -54,16 +53,14 @@ func Verify(path string) (*VerifyReport, error) {
 }
 
 // verifyMono checks one opened monolithic index: its stored checksums, then —
-// once those vouch for the bytes — the structure of a flat tree image, which
-// the query paths only ever clamp.
+// once those vouch for the bytes — the structure of the tree image, which the
+// query paths only ever clamp.
 func verifyMono(x *Index) error {
 	if err := x.VerifyChecksums(); err != nil {
 		return err
 	}
-	if ft, ok := x.tree.(*suffixtree.FlatTree); ok {
-		if err := suffixtree.ValidateView(ft); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorruptIndex, err)
-		}
+	if err := suffixtree.ValidateView(x.tree); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorruptIndex, err)
 	}
 	return nil
 }
@@ -78,10 +75,6 @@ func verifyIndexFile(path string) (*VerifyReport, error) {
 	defer q.Close()
 	switch x := q.(type) {
 	case *Index:
-		if x.ck == nil {
-			rep.note("opened cleanly; no stored section checksums (pre-checksum format, stream footer verified at read where present)")
-			return rep, nil
-		}
 		if err := verifyMono(x); err != nil {
 			rep.problem("%v", err)
 			return rep, nil
