@@ -30,11 +30,11 @@ import (
 // (suffixtree.LongestRepeated, PrefixLoci). Every partitioned layer answers
 // them from the suffixes of the virtual global string in lexicographic order
 // with the LCP between neighbours — SA-IS + Kasai over the materialized
-// string (suffixOrderAnswer): lrs is the first maximum of that LCP
+// string (SuffixOrderAnswer): lrs is the first maximum of that LCP
 // (repeatScan), topk a run-length count of LCP ≥ L into a bounded selection
 // (topScan, topSelection). The in-process executor (analytics_live.go) and
-// the router, which holds the fetched bytes but no trees (cluster_support.go,
-// lrs only), run the same code.
+// the router, which holds the fetched bytes but no trees, call the same
+// function.
 //
 // Answer identity across layers is the package discipline: every analytics
 // answer is a pure function of the virtual global string and the document
@@ -257,7 +257,7 @@ func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 	switch q.Kind {
 	case OpTopK:
 		sel := topSelection{k: q.K}
-		collectPrefixCounts(x.tree, x.data, q.MinLen, stop, sel.offer)
+		eachLMer(x.tree, x.data, q.MinLen, stop, sel.offer)
 		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
@@ -448,7 +448,7 @@ func (x *Index) minDocOffset(pattern []byte, doc int) int {
 	return best
 }
 
-// collectPrefixCounts enumerates, in lexicographic order, every distinct
+// eachLMer enumerates, in lexicographic order, every distinct
 // length-L content substring (windows containing the terminator are skipped)
 // with its occurrence count — the depth-L loci walk with O(1)-amortized
 // subtree counts. A label is the L bytes at the locus's first suffix, viewed
@@ -457,7 +457,7 @@ func (x *Index) minDocOffset(pattern []byte, doc int) int {
 // the path and slicing it would copy O(n) bytes per L-mer. A non-nil stop
 // predicate (ctxStop) abandons the walk early; the caller re-checks its
 // context afterwards and discards the partial aggregate.
-func collectPrefixCounts(v *suffixtree.FlatTree, data []byte, L int, stop func() bool, add func(label []byte, count int)) {
+func eachLMer(v *suffixtree.FlatTree, data []byte, L int, stop func() bool, add func(label []byte, count int)) {
 	suffixtree.PrefixLoci(v, int32(L), func(node int32) bool {
 		if stop != nil && stop() {
 			return false
@@ -549,9 +549,10 @@ func (t *topSelection) answer() Answer {
 	return Answer{Found: true, Top: top, Count: len(top)}
 }
 
-// The two consumers below are fed the suffixes of a terminated text in
-// lexicographic order, each with its offset and the LCP it shares with the
-// suffix before it (content bytes only: the unique terminator never matches).
+// The two consumers below are fed the suffixes of a text in lexicographic
+// order, each with its offset, the LCP it shares with the suffix before it
+// and the content bytes it has left before the next barrier (a gap or the end
+// of the text); the LCP never reaches past a barrier.
 
 // repeatScan is the lrs consumer: the longest repeated substring is as long
 // as the largest LCP between neighbouring suffixes, the first pair reaching
@@ -564,7 +565,7 @@ type repeatScan struct {
 	prev int   // the previous suffix
 }
 
-func (r *repeatScan) add(off, lcp int) {
+func (r *repeatScan) add(off, lcp, _ int) {
 	switch {
 	case lcp > r.best:
 		r.best, r.open = lcp, true
@@ -593,13 +594,13 @@ func (r *repeatScan) answer(text []byte) Answer {
 // window (and break every run: their LCP with anything is below l).
 type topScan struct {
 	l            int
-	text         []byte // the scanned text, terminator last
+	text         []byte // the scanned text
 	sel          topSelection
 	start, count int // the current run: its first suffix and its size
 }
 
-func (t *topScan) add(off, lcp int) {
-	if off+t.l > len(t.text)-1 {
+func (t *topScan) add(off, lcp, room int) {
+	if room < t.l {
 		return
 	}
 	if t.count > 0 && lcp >= t.l {
@@ -623,11 +624,41 @@ func (t *topScan) answer() Answer {
 	return t.sel.answer()
 }
 
-// suffixOrderAnswer answers lrs or topk over a materialized, terminated
-// text: SA-IS for the suffix order, Kasai for the neighbour LCPs, one pass
-// of the op's consumer. O(n) time and about 37 bytes per symbol whatever the
-// text looks like.
-func suffixOrderAnswer(ctx context.Context, text []byte, q Query) (Answer, error) {
+// SuffixOrderAnswer answers lrs or topk over the content the runs hold
+// (ascending, non-overlapping; offsets in the answer are the runs' own): SA-IS
+// for the suffix order, Kasai for the neighbour LCPs, one pass of the op's
+// consumer. O(n) time and about 37 bytes per symbol whatever the content looks
+// like. Runs that abut are one stretch of text, and that — every in-process
+// partitioned layer, a router with all its shards — is the exact answer over
+// their concatenation. Where two runs leave a gap (a shard nobody could
+// fetch) the answer is over what is there: no window and no occurrence of a
+// repeat reaches across a gap, counts and repeats add up across the stretches.
+func SuffixOrderAnswer(ctx context.Context, q Query, runs []Run) (Answer, error) {
+	// One text: a gap is a terminator byte, which no content holds, so a match
+	// can run up to one but never over it; the byte below closes the text, the
+	// unique smallest last symbol SA-IS needs. ends[g] is where stretch g's
+	// barrier sits and shift[g] what turns a text position inside it into a
+	// global offset.
+	n := 1
+	for _, r := range runs {
+		n += len(r.Data) + 1
+	}
+	text := make([]byte, 0, n)
+	var ends, shift []int
+	for i, r := range runs {
+		gap := i > 0 && runs[i-1].Off+len(runs[i-1].Data) != r.Off
+		if gap {
+			ends = append(ends, len(text))
+			text = append(text, alphabet.Terminator)
+		}
+		if i == 0 || gap {
+			shift = append(shift, r.Off-len(text))
+		}
+		text = append(text, r.Data...)
+	}
+	ends = append(ends, len(text))
+	text = append(text, alphabet.Terminator-1)
+
 	sa, err := suffixarray.Build(text)
 	if err != nil {
 		return Answer{}, err
@@ -647,34 +678,21 @@ func suffixOrderAnswer(ctx context.Context, text []byte, q Query) (Answer, error
 		if stop != nil && stop() {
 			return Answer{}, ctx.Err()
 		}
-		add(int(o), int(lcp[i]))
+		g := 0
+		if len(ends) > 1 {
+			g = sort.SearchInts(ends, int(o))
+		}
+		room := ends[g] - int(o)
+		add(int(o), min(int(lcp[i]), room), room)
 	}
 	if q.Kind == OpTopK {
 		return top.answer(), nil
 	}
-	return rep.answer(text), nil
-}
-
-// topAnswer ranks the aggregated substring counts: count descending, then
-// pattern ascending; the top k entries win.
-func topAnswer(agg map[string]int, k int) Answer {
-	entries := make([]TopEntry, 0, len(agg))
-	for s, c := range agg {
-		entries = append(entries, TopEntry{Pattern: []byte(s), Count: c})
+	ans := rep.answer(text)
+	for j, o := range ans.Occurrences {
+		ans.Occurrences[j] = o + shift[sort.SearchInts(ends, o)]
 	}
-	if len(entries) == 0 {
-		return Answer{}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return bytes.Compare(entries[i].Pattern, entries[j].Pattern) < 0
-	})
-	if len(entries) > k {
-		entries = entries[:k]
-	}
-	return Answer{Found: true, Top: entries, Count: len(entries)}
+	return ans, nil
 }
 
 // docFreqAnswer aggregates per-document stats for a pattern set through any
@@ -739,7 +757,7 @@ func hammingAtMost(a, b []byte, k int) bool {
 // is the global window offset and window its bytes, valid only during the
 // call. Windows touching the virtual terminator are excluded — analytics
 // windows are content-only.
-func (ss *stitchString) crossingWindows(m int, fn func(start int, window []byte)) {
+func (ss *Stitch) crossingWindows(m int, fn func(start int, window []byte)) {
 	ss.eachRegion(m, ss.totalLen-1, func(off int, data []byte, from, limit int) bool {
 		for s := from; s < limit && s+m <= len(data); s++ {
 			fn(off+s, data[s:s+m])
@@ -779,10 +797,12 @@ func windowHashes(s []byte, m int) []uint64 {
 	return out
 }
 
-// lcsTwoStrings computes the canonical longest-common-substring answer for
+// LCSTwoStrings computes the canonical longest-common-substring answer for
 // two raw document byte strings: longest first, lexicographically smallest
-// among equals, with the smallest occurrence offset in each document.
-func lcsTwoStrings(A, B []byte) (label []byte, offA, offB int) {
+// among equals, with the smallest occurrence offset in each document (-1, -1
+// when the documents share nothing). The partitioned layers — in process and,
+// over the two documents it fetched, the router — answer lcs with it.
+func LCSTwoStrings(A, B []byte) (label []byte, offA, offB int) {
 	maxLen := len(A)
 	if len(B) < maxLen {
 		maxLen = len(B)

@@ -38,9 +38,10 @@ func (s *liveSnapshot) checkErr() error {
 // the stitched scans see only live content — the virtual global string is
 // assembled from live segments, so a `$`-window, junction or uncovered-run
 // scan touches no tombstoned byte and no tier tree at all. lrs and topk do
-// not fan out at all: they are read off the suffix array of the materialized
-// virtual string (suffixOrderAnswer), which is linear on any input and has
-// junctions, tombstones and the memtable already resolved.
+// not fan out at all: they are read off the suffix array of the virtual
+// string laid out from the live segments (SuffixOrderAnswer), which is linear
+// on any input and has junctions, tombstones and the memtable already
+// resolved.
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, s.numDocs); err != nil {
 		return Answer{}, err
@@ -53,9 +54,9 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	}
 	switch q.Kind {
 	case OpTopK, OpLongestRepeat:
-		return suffixOrderAnswer(ctx, s.globalSlice(nil, 0, s.totalLen), q)
+		return SuffixOrderAnswer(ctx, q, s.segs)
 	case OpCommonSubstring:
-		label, offA, offB := lcsTwoStrings(s.docBytes(q.DocA), s.docBytes(q.DocB))
+		label, offA, offB := LCSTwoStrings(s.docBytes(q.DocA), s.docBytes(q.DocB))
 		return Answer{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
 	case OpDocFreq:
 		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, func(p []byte) ([]DocHit, error) {
@@ -72,8 +73,7 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 }
 
 func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
-	m := len(q.Pattern)
-	perTier := make([][]int, len(s.tiers))
+	parts := make([]Part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		raw := suffixtree.MismatchSearch(t.h.idx.tree, t.h.idx.data, q.Pattern, q.K, alphabet.Terminator, ctxStop(ctx))
 		occ := make([]int, len(raw))
@@ -81,20 +81,10 @@ func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
 			occ[j] = int(o)
 		}
 		sort.Ints(occ)
-		if t.nDead == 0 {
-			for j := range occ {
-				occ[j] += t.gStart[0]
-			}
-			perTier[i] = occ
-		} else {
-			perTier[i] = t.translate(occ, m, 0)
+		if t.nDead > 0 {
+			occ = t.translate(occ, len(q.Pattern), 0)
 		}
+		parts[i] = Part{Off: t.shift(), Count: len(occ), Occurrences: occ}
 	})
-	var crossing []int
-	s.stitch.crossingWindows(m, func(start int, window []byte) {
-		if hammingAtMost(window, q.Pattern, q.K) {
-			crossing = append(crossing, start)
-		}
-	})
-	return mismatchAnswer(mergeOccurrences(perTier, crossing, 0), q.MaxOccurrences)
+	return s.stitch.Merge(q, parts)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -12,9 +13,31 @@ import (
 // document bytes — no trees, no hashing, no stitching. Every layer's
 // Analytics must be byte-identical to these: the answers are pure functions
 // of the virtual global string (the documents' concatenation) and the
-// document cuts. The oracles share only the canonical ranking/packaging
-// helpers (topAnswer, mismatchAnswer) with the real executors; every count
-// and candidate is derived independently.
+// document cuts. The oracles share only the packaging helper mismatchAnswer
+// with the real executors; every count, candidate and rank is derived
+// independently.
+
+// topAnswer ranks aggregated substring counts the canonical way: count
+// descending, then pattern ascending; the top k entries win.
+func topAnswer(agg map[string]int, k int) Answer {
+	entries := make([]TopEntry, 0, len(agg))
+	for s, c := range agg {
+		entries = append(entries, TopEntry{Pattern: []byte(s), Count: c})
+	}
+	if len(entries) == 0 {
+		return Answer{}
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Count != entries[j].Count {
+			return entries[i].Count > entries[j].Count
+		}
+		return bytes.Compare(entries[i].Pattern, entries[j].Pattern) < 0
+	})
+	if len(entries) > k {
+		entries = entries[:k]
+	}
+	return Answer{Found: true, Top: entries, Count: len(entries)}
+}
 
 func naiveTopK(global []byte, L, k int) Answer {
 	agg := map[string]int{}

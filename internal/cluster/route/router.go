@@ -16,6 +16,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,10 +36,11 @@ import (
 // it gains. The membership ops of a request reach each shard as one
 // /v1/batch sub-request (a single query is the one-op case). Per-shard
 // sub-requests carry per-attempt deadlines, retry with full-jitter backoff
-// across the surviving owners, and optionally hedge the first attempt;
-// answers merge with the same boundary-stitch logic the in-process
-// partitioned executor uses (era.Stitch and friends), so junction-crossing
-// matches are never lost.
+// across the surviving owners, and optionally hedge the first attempt. The
+// router is transport and policy only: what it fetched — per-shard answers,
+// or bytes — goes to the merge the in-process partitioned executor runs
+// (era.Stitch.Merge, era.SuffixOrderAnswer), so junction-crossing matches are
+// never lost and no merge rule is spelled here.
 //
 // Degradation is explicit: when every replica of a shard is unreachable
 // the router answers from the surviving shards with "partial": true — or
@@ -76,9 +78,9 @@ type RouterConfig struct {
 	// (default Timeout / (Retries+2), so the retry budget fits the request
 	// deadline). It applies to cheap sub-requests — membership queries,
 	// content slices — where abandoning a slow replica for a retry is
-	// cheaper than waiting. Expensive analytics sub-requests (a depth-L
-	// census, a full-shard walk) legitimately run for seconds, so they get
-	// the full remaining request budget per attempt instead: retrying those
+	// cheaper than waiting. Expensive analytics sub-requests (a full-shard
+	// walk) legitimately run for seconds, so they get the full remaining
+	// request budget per attempt instead: retrying those
 	// on a deadline would abandon working replicas and resubmit the same
 	// heavy work, a self-amplifying overload. Their retries still fire on
 	// fast failures (refused connections, 5xx, torn bodies).
@@ -225,46 +227,65 @@ func (rt *Router) Placement() map[string][]string {
 	return out
 }
 
-// Refresh discovers the shard topology: it lists /v1/indexes on the
-// replicas, groups names of the form "corpus~N", verifies the family is
-// contiguous from 0, computes each shard's global offsets, assigns owners
-// from the ring, and prefetches the junction stitch windows. Serving
-// continues on the previous topology until the swap at the end.
+// Refresh discovers the shard topology: it lists /v1/indexes on every
+// replica — a replica need only load the shards placed on it — unions the
+// listings by name, refusing a shard two replicas describe differently,
+// groups names of the form "corpus~N", verifies the family is contiguous from
+// 0, computes each shard's global offsets, assigns owners from the ring (an
+// owner that answered and does not list the shard is no candidate for it),
+// and prefetches the junction stitch windows. Serving continues on the
+// previous topology until the swap at the end.
 func (rt *Router) Refresh(ctx context.Context) error {
-	var infos []wireIndexInfo
-	var lastErr error
-	for _, base := range rt.cfg.Replicas {
-		var listing struct {
-			Indexes []wireIndexInfo `json:"indexes"`
-		}
-		err := rt.doJSON(ctx, []string{base}, false, http.MethodGet, "/v1/indexes", nil, &listing)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		infos = listing.Indexes
-		lastErr = nil
-		break
+	listings := make([]map[string]wireIndexInfo, len(rt.cfg.Replicas)) // nil: unreachable
+	errs := make([]error, len(rt.cfg.Replicas))
+	var wg sync.WaitGroup
+	for r, base := range rt.cfg.Replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var listing struct {
+				Indexes []wireIndexInfo `json:"indexes"`
+			}
+			if errs[r] = rt.doJSON(ctx, []string{base}, false, http.MethodGet, "/v1/indexes", nil, &listing); errs[r] != nil {
+				return
+			}
+			listings[r] = make(map[string]wireIndexInfo, len(listing.Indexes))
+			for _, info := range listing.Indexes {
+				listings[r][info.Name] = info
+			}
+		}()
 	}
-	if lastErr != nil {
-		return fmt.Errorf("cluster: topology discovery failed on every replica: %w", lastErr)
+	wg.Wait()
+	if !slices.ContainsFunc(errs, func(e error) bool { return e == nil }) {
+		return fmt.Errorf("cluster: topology discovery failed on every replica: %w", errors.Join(errs...))
+	}
+	holds := func(base, shard string) bool { // false only when base answered without it
+		l := listings[slices.Index(rt.cfg.Replicas, base)]
+		_, ok := l[shard]
+		return l == nil || ok
 	}
 
 	byFamily := map[string]map[int]wireIndexInfo{}
-	for _, info := range infos {
-		tilde := strings.LastIndexByte(info.Name, '~')
-		if tilde < 1 {
-			continue
+	for r, listing := range listings {
+		for _, info := range listing {
+			tilde := strings.LastIndexByte(info.Name, '~')
+			if tilde < 1 {
+				continue
+			}
+			n, err := strconv.Atoi(info.Name[tilde+1:])
+			if err != nil || n < 0 {
+				continue
+			}
+			fam := info.Name[:tilde]
+			if byFamily[fam] == nil {
+				byFamily[fam] = map[int]wireIndexInfo{}
+			}
+			if prev, ok := byFamily[fam][n]; ok && prev != info {
+				return fmt.Errorf("cluster: replicas disagree on shard %s: %s lists %d symbols in %d documents, another replica %d in %d",
+					info.Name, rt.cfg.Replicas[r], info.Symbols, info.Documents, prev.Symbols, prev.Documents)
+			}
+			byFamily[fam][n] = info
 		}
-		n, err := strconv.Atoi(info.Name[tilde+1:])
-		if err != nil || n < 0 {
-			continue
-		}
-		fam := info.Name[:tilde]
-		if byFamily[fam] == nil {
-			byFamily[fam] = map[int]wireIndexInfo{}
-		}
-		byFamily[fam][n] = info
 	}
 	corpus := rt.cfg.Corpus
 	if corpus == "" {
@@ -295,7 +316,14 @@ func (rt *Router) Refresh(ctx context.Context) error {
 			Docs:     info.Documents,
 			OffStart: topo.totalLen,
 			DocStart: topo.numDocs,
-			Owners:   rt.ring.Owners(info.Name, rt.cfg.Replication),
+		}
+		for _, o := range rt.ring.Owners(info.Name, rt.cfg.Replication) {
+			if holds(o, info.Name) {
+				sh.Owners = append(sh.Owners, o)
+			}
+		}
+		if len(sh.Owners) == 0 {
+			return fmt.Errorf("cluster: none of the replicas the ring places shard %s on has it loaded", info.Name)
 		}
 		name, err := json.Marshal(info.Name)
 		if err != nil {
@@ -430,7 +458,7 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 	if !heavy {
 		// Heavy sub-requests keep the caller's deadline: the end-to-end
 		// budget already bounds them, and a tighter per-attempt cutoff would
-		// abandon a replica mid-census just to resubmit the same work.
+		// abandon a replica mid-walk just to resubmit the same work.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 		defer cancel()
@@ -631,21 +659,16 @@ func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op server.Query
 	return resp, err
 }
 
-func (rt *Router) shardPrefixCounts(ctx context.Context, sh *shardInfo, minLen int) (map[string]int, error) {
-	var resp struct {
-		Counts map[string]int `json:"counts"`
-	}
-	err := rt.doJSON(ctx, sh.Owners, true, http.MethodPost, "/v1/internal/prefixcounts",
-		map[string]any{"index": sh.Name, "min_len": minLen}, &resp)
-	return resp.Counts, err
-}
-
 // shardSlice fetches local content [lo, hi) of one shard.
 func (rt *Router) shardSlice(ctx context.Context, sh *shardInfo, lo, hi int) ([]byte, error) {
 	if lo == hi {
 		return nil, nil
 	}
-	return rt.doBytes(ctx, sh.Owners, fmt.Sprintf("/v1/indexes/%s/slice?lo=%d&hi=%d", sh.Name, lo, hi))
+	part, err := rt.doBytes(ctx, sh.Owners, fmt.Sprintf("/v1/indexes/%s/slice?lo=%d&hi=%d", sh.Name, lo, hi))
+	if err == nil && len(part) != hi-lo {
+		return nil, fmt.Errorf("cluster: shard %s returned %d bytes for a %d-byte slice", sh.Name, len(part), hi-lo)
+	}
+	return part, err
 }
 
 // globalSlice materializes global virtual-string bytes [lo, hi), spanning
@@ -676,9 +699,6 @@ func (rt *Router) globalSlice(ctx context.Context, topo *topology, lo, hi int) (
 		part, err := rt.shardSlice(ctx, sh, a-shLo, b-shLo)
 		if err != nil {
 			return nil, err
-		}
-		if len(part) != b-a {
-			return nil, fmt.Errorf("cluster: shard %s returned %d bytes for a %d-byte slice", sh.Name, len(part), b-a)
 		}
 		out = append(out, part...)
 	}
@@ -734,7 +754,7 @@ func (rt *Router) fetchStitch(ctx context.Context, topo *topology, m int) (st *e
 }
 
 // ---------------------------------------------------------------------------
-// Routed execution: fan-out and stitch-aware merging per op kind.
+// Routed execution: fan the op out, hand what came back to the merge.
 
 // errShardDown marks a shard whose every replica failed; the caller decides
 // between partial degradation and strict refusal.
@@ -792,16 +812,12 @@ func (rt *Router) degrade(topo *topology, dead []bool) (partial bool, err error)
 // routed executor.
 func (rt *Router) analytic(ctx context.Context, topo *topology, op era.Op) (res era.Result, partial bool, err error) {
 	switch op.Kind {
-	case era.OpTopK:
-		return rt.topK(ctx, topo, op)
-	case era.OpLongestRepeat:
-		return rt.longestRepeat(ctx, topo, op)
+	case era.OpTopK, era.OpLongestRepeat:
+		return rt.suffixOrder(ctx, topo, op)
 	case era.OpCommonSubstring:
 		return rt.commonSubstring(ctx, topo, op)
-	case era.OpDocFreq:
-		return rt.docFreq(ctx, topo, op)
-	case era.OpMismatch:
-		return rt.mismatch(ctx, topo, op)
+	case era.OpDocFreq, era.OpMismatch:
+		return rt.merged(ctx, topo, op)
 	}
 	return era.Result{}, false, &routeError{status: http.StatusBadRequest, msg: fmt.Sprintf("unsupported op kind %v", op.Kind)}
 }
@@ -864,11 +880,11 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 	return n, nil
 }
 
-// membership answers contains/count/occurrences ops — one from /v1/query,
-// the membership ops of a /v1/batch, the counts topK re-verifies with — the
-// way the in-process executor's batch does: every shard gets the ops as one
-// /v1/batch sub-request per chunk, and each op's per-shard answers merge with
-// its junction-crossing matches. Sub-requests keep the client's occurrence cap:
+// membership answers contains/count/occurrences ops — one from /v1/query, or
+// the membership ops of a /v1/batch — the way the in-process executor's batch
+// does: every shard gets the ops as one /v1/batch sub-request per chunk, and
+// each op's per-shard answers go to the merge it calls (era.Stitch.Merge)
+// with the junction windows. Sub-requests keep the client's occurrence cap:
 // shards cover ascending disjoint ranges, so the merged first-Max needs at
 // most the first Max from each shard. A shard that is down is down for every
 // op of the chunk, so partial is per op but uniform within a chunk. A
@@ -927,63 +943,39 @@ func (rt *Router) membership(ctx context.Context, topo *topology, ops []era.Op) 
 			return nil, nil, err
 		}
 
+		parts := make([]era.Part, 0, len(topo.shards))
 		for oi := range cops {
-			op, res := &cops[oi], &results[lo+oi]
-			partial[lo+oi] = chunkPartial
-			found, count := false, 0
-			var lists [][]int
+			parts = parts[:0]
 			for i, answers := range perShard {
-				if answers == nil {
-					continue // shard is down
-				}
-				// A replica sends count and occurrences only for the kinds
-				// that have them.
-				a := &answers[oi]
-				found = found || a.Found
-				count += a.Count
-				if len(a.Occurrences) > 0 {
-					for j := range a.Occurrences {
-						a.Occurrences[j] += topo.shards[i].OffStart
-					}
-					lists = append(lists, a.Occurrences)
+				if answers != nil { // nil: the shard is down
+					a := &answers[oi]
+					parts = append(parts, era.Part{Off: topo.shards[i].OffStart, Found: a.Found, Count: a.Count, Occurrences: a.Occurrences})
 				}
 			}
-			if op.Kind == era.OpContains && found {
-				res.Found = true
-				continue
-			}
-			st, stPartial, err := rt.stitchFor(ctx, topo, len(op.Pattern))
+			st, stPartial, err := rt.stitchFor(ctx, topo, len(cops[oi].Pattern))
 			if err != nil {
 				return nil, nil, err
 			}
-			partial[lo+oi] = chunkPartial || stPartial
-			if op.Kind == era.OpContains {
-				res.Found = len(st.CrossingOccurrences(op.Pattern, 1)) > 0
-				continue
-			}
-			crossing := st.CrossingOccurrences(op.Pattern, 0)
-			count += len(crossing)
-			res.Found, res.Count = count > 0, count
-			if op.Kind == era.OpOccurrences {
-				res.Occurrences = era.MergeOccurrences(lists, crossing, op.MaxOccurrences)
-			}
+			results[lo+oi], partial[lo+oi] = st.Merge(cops[oi], parts), chunkPartial || stPartial
 		}
 		lo += n
 	}
 	return results, partial, nil
 }
 
-// topK aggregates exact global substring counts: every shard's full
-// depth-L census (per-shard top-k alone cannot be merged exactly — a
-// globally frequent substring can rank below k in every shard) plus the
-// junction-crossing windows, ranked with the shared canonical tie-break
-// and re-verified against the routed Count.
-func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	perShard := make([]map[string]int, len(topo.shards))
+// suffixOrder answers lrs and topk the way the in-process partitioned layers
+// do, from the suffix order of the corpus itself: every shard's content is
+// fetched, and what arrived goes to era.SuffixOrderAnswer. No per-shard answer
+// bounds either op — a repeat or a window may straddle a cut, and a substring
+// frequent overall can rank below k in every shard — so this costs O(corpus)
+// on the wire per call, as it costs the in-process layers O(corpus) of memory.
+// A dead shard is a gap between the runs, which no window or occurrence spans.
+func (rt *Router) suffixOrder(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
+	runs := make([]era.Run, len(topo.shards))
 	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-		counts, cerr := rt.shardPrefixCounts(ctx, sh, op.MinLen)
-		perShard[i] = counts
-		return cerr
+		data, err := rt.shardSlice(ctx, sh, 0, sh.Symbols-1)
+		runs[i] = era.Run{Off: sh.OffStart, Data: data}
+		return err
 	})
 	if err != nil {
 		return era.Result{}, false, err
@@ -992,126 +984,14 @@ func (rt *Router) topK(ctx context.Context, topo *topology, op era.Op) (era.Resu
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	agg := map[string]int{}
-	for _, m := range perShard {
-		for s, c := range m {
-			agg[s] += c
+	live := runs[:0]
+	for i, r := range runs {
+		if !dead[i] {
+			live = append(live, r)
 		}
 	}
-	st, stPartial, serr := rt.stitchFor(ctx, topo, op.MinLen)
-	if serr != nil {
-		return era.Result{}, false, serr
-	}
-	partial = partial || stPartial
-	st.CrossingWindows(op.MinLen, func(_ int, window []byte) {
-		agg[string(window)]++
-	})
-	ans := era.TopAnswer(agg, op.K)
-	if !partial {
-		// Same insurance as liveSnapshot.topK: the ranked counts must agree
-		// with the authoritative global Count; a disagreement (unreachable
-		// while the aggregation is exact) triggers a full re-count.
-		ranked := make([][]byte, len(ans.Top))
-		for i, e := range ans.Top {
-			ranked[i] = e.Pattern
-		}
-		counts, cerr := rt.routedCounts(ctx, topo, ranked)
-		if cerr != nil {
-			return ans, true, nil
-		}
-		agree := true
-		for i, e := range ans.Top {
-			agree = agree && counts[i] == e.Count
-		}
-		if !agree {
-			all := make([][]byte, 0, len(agg))
-			for s := range agg {
-				all = append(all, []byte(s))
-			}
-			if counts, cerr = rt.routedCounts(ctx, topo, all); cerr != nil {
-				return ans, true, nil
-			}
-			for i, p := range all {
-				agg[string(p)] = counts[i]
-			}
-			ans = era.TopAnswer(agg, op.K)
-		}
-	}
-	return ans, partial, nil
-}
-
-// routedCounts is the membership count fan-out reused by topK's re-verify:
-// all patterns ride one count sub-batch per shard.
-func (rt *Router) routedCounts(ctx context.Context, topo *topology, patterns [][]byte) ([]int, error) {
-	ops := make([]era.Op, len(patterns))
-	for i, p := range patterns {
-		ops[i] = era.Op{Kind: era.OpCount, Pattern: p}
-	}
-	res, partial, err := rt.membership(ctx, topo, ops)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(res))
-	for i, r := range res {
-		if partial[i] {
-			return nil, errShardDown
-		}
-		counts[i] = r.Count
-	}
-	return counts, nil
-}
-
-// longestRepeat answers lrs from the fully materialized virtual string, the
-// way the in-process partitioned executor does — the answer may straddle
-// shard cuts, so no per-shard answer bounds it. Only when the corpus cannot
-// be fetched are the shards asked for their own tree answers, which power
-// the degraded path.
-func (rt *Router) longestRepeat(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	content, cerr := rt.globalSlice(ctx, topo, 0, topo.totalLen-1)
-	if cerr == nil {
-		label, occ, lerr := era.LongestRepeatContent(ctx, content)
-		if lerr != nil {
-			return era.Result{}, false, lerr
-		}
-		return era.Result{Found: label != nil, Pattern: label, Occurrences: occ, Count: len(occ)}, false, nil
-	}
-	if ctx.Err() != nil {
-		return era.Result{}, false, ctx.Err()
-	}
-	if rt.cfg.Strict {
-		return era.Result{}, false, fmt.Errorf("%w: content fetch: %v", errShardDown, cerr)
-	}
-	resps := make([]server.QueryResponse, len(topo.shards))
-	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "lrs"})
-		resps[i] = r
-		return qerr
-	})
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	// Degraded: the best within-shard answer among the survivors — never a
-	// fabricated cross-junction repeat. Canonical tie-break: longest, then
-	// lexicographically smallest.
-	var best []byte
-	bestAt := -1
-	for i, r := range resps {
-		if dead[i] || r.Pattern == "" {
-			continue
-		}
-		lbl := []byte(r.Pattern)
-		if best == nil || len(lbl) > len(best) || (len(lbl) == len(best) && bytes.Compare(lbl, best) < 0) {
-			best, bestAt = lbl, i
-		}
-	}
-	if best == nil {
-		return era.Result{}, true, nil
-	}
-	occ := make([]int, len(resps[bestAt].Occurrences))
-	for j, o := range resps[bestAt].Occurrences {
-		occ[j] = o + topo.shards[bestAt].OffStart
-	}
-	return era.Result{Found: true, Pattern: best, Occurrences: occ, Count: len(occ)}, true, nil
+	res, err := era.SuffixOrderAnswer(ctx, op, live)
+	return res, partial, err
 }
 
 // commonSubstring answers lcs: both documents in one shard delegate to that
@@ -1158,18 +1038,19 @@ func (rt *Router) commonSubstring(ctx context.Context, topo *topology, op era.Op
 	return era.Result{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, false, nil
 }
 
-// docFreq sums per-shard document-frequency stats element-wise: shard cuts
-// are document-aligned, so no occurrence is double-counted or lost.
-func (rt *Router) docFreq(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	pats := make([]string, len(op.Patterns))
-	for i, p := range op.Patterns {
-		pats[i] = string(p)
+// merged answers docfreq and mismatch: every shard answers the op over its
+// own documents and the answers go to era.Stitch.Merge with the junction
+// windows (of which docfreq, with no pattern of its own, needs none). Like
+// membership sub-requests, these keep the client's occurrence cap.
+func (rt *Router) merged(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
+	qop := server.QueryOp{Op: op.Kind.String(), Pattern: string(op.Pattern), K: op.K, Max: op.MaxOccurrences}
+	for _, p := range op.Patterns {
+		qop.Patterns = append(qop.Patterns, string(p))
 	}
 	resps := make([]server.QueryResponse, len(topo.shards))
-	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "docfreq", Patterns: pats})
-		resps[i] = r
-		return qerr
+	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) (err error) {
+		resps[i], err = rt.shardQuery(ctx, sh, qop)
+		return err
 	})
 	if err != nil {
 		return era.Result{}, false, err
@@ -1178,69 +1059,18 @@ func (rt *Router) docFreq(ctx context.Context, topo *topology, op era.Op) (era.R
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	res := era.Result{Stats: make([]era.PatternStat, len(op.Patterns))}
+	parts := make([]era.Part, 0, len(topo.shards))
 	for i, r := range resps {
-		if dead[i] {
-			continue
-		}
-		for j, s := range r.Stats {
-			if j >= len(res.Stats) {
-				break
-			}
-			res.Stats[j].Docs += s.Docs
-			res.Stats[j].Count += s.Count
+		if !dead[i] {
+			a := fromWire(op.Kind, r)
+			parts = append(parts, era.Part{Off: topo.shards[i].OffStart, Found: a.Found, Count: a.Count, Occurrences: a.Occurrences, Stats: a.Stats})
 		}
 	}
-	for _, s := range res.Stats {
-		res.Count += s.Count
-		if s.Count > 0 {
-			res.Found = true
-		}
-	}
-	return res, partial, nil
-}
-
-// mismatch merges per-shard bounded-branching matches with the
-// Hamming-scanned junction windows, same ascending interleave as
-// occurrences.
-func (rt *Router) mismatch(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	resps := make([]server.QueryResponse, len(topo.shards))
-	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-		// Max 0: the merge needs every within-shard match to cap globally.
-		r, qerr := rt.shardQuery(ctx, sh, server.QueryOp{Op: "mismatch", Pattern: string(op.Pattern), K: op.K})
-		resps[i] = r
-		return qerr
-	})
+	st, stPartial, err := rt.stitchFor(ctx, topo, len(op.Pattern))
 	if err != nil {
 		return era.Result{}, false, err
 	}
-	partial, err := rt.degrade(topo, dead)
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	perShard := make([][]int, 0, len(topo.shards))
-	for i, r := range resps {
-		if dead[i] || len(r.Occurrences) == 0 {
-			continue
-		}
-		occ := make([]int, len(r.Occurrences))
-		for j, o := range r.Occurrences {
-			occ[j] = o + topo.shards[i].OffStart
-		}
-		perShard = append(perShard, occ)
-	}
-	st, stPartial, serr := rt.stitchFor(ctx, topo, len(op.Pattern))
-	if serr != nil {
-		return era.Result{}, false, serr
-	}
-	var crossing []int
-	st.CrossingWindows(len(op.Pattern), func(start int, window []byte) {
-		if era.HammingAtMost(window, op.Pattern, op.K) {
-			crossing = append(crossing, start)
-		}
-	})
-	merged := era.MergeOccurrences(perShard, crossing, 0)
-	return era.MismatchAnswer(merged, op.MaxOccurrences), partial || stPartial, nil
+	return st.Merge(op, parts), partial || stPartial, nil
 }
 
 // shardOfDoc resolves a global document ordinal to (shard index, local

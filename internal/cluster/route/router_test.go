@@ -10,7 +10,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"slices"
+	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,10 +37,30 @@ type routedCluster struct {
 	numDocs int
 
 	mono    *httptest.Server
+	engines []*server.Engine // the replicas' own
 	proxies []*FaultProxy
 	fronts  []string
 	rt      *Router
 	routed  *httptest.Server
+
+	// deadShard, when set, names a shard no replica answers for: a request
+	// addressing it is dropped behind every fault proxy, so exactly that
+	// shard is down whatever the ring placed where.
+	deadShard atomic.Pointer[string]
+}
+
+// killable drops the requests that address the cluster's dead shard.
+func (tc *routedCluster) killable(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dead := tc.deadShard.Load(); dead != nil {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			if strings.Contains(r.URL.Path, "/"+*dead+"/") || bytes.Contains(body, []byte(`"`+*dead+`"`)) {
+				panic(http.ErrAbortHandler)
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // routedTestDocs builds a deterministic corpus whose adjacent documents
@@ -62,6 +87,14 @@ func routedTestDocs(t *testing.T, nDocs int, seed int64) [][]byte {
 }
 
 func newRoutedCluster(t *testing.T, shards, replicas int, tweak func(cfg *RouterConfig)) *routedCluster {
+	t.Helper()
+	return newPlacedCluster(t, shards, replicas, tweak, nil)
+}
+
+// newPlacedCluster is newRoutedCluster with a say in which replica loads
+// which shard: holds(fronts, r, shard) false leaves the shard off the replica
+// behind fronts[r] (nil loads every shard everywhere).
+func newPlacedCluster(t *testing.T, shards, replicas int, tweak func(cfg *RouterConfig), holds func(fronts []string, r int, shard string) bool) *routedCluster {
 	t.Helper()
 	quiet := log.New(io.Discard, "", 0)
 	tc := &routedCluster{t: t, docs: routedTestDocs(t, 24, 11)}
@@ -98,18 +131,24 @@ func newRoutedCluster(t *testing.T, shards, replicas int, tweak func(cfg *Router
 
 	for r := 0; r < replicas; r++ {
 		eng := server.NewEngine(64)
-		for _, sh := range shardIdx {
-			if err := eng.Load(sh); err != nil {
-				t.Fatal(err)
-			}
-		}
-		backend := httptest.NewServer(server.NewHandlerOpts(eng, server.Options{ErrLog: quiet}))
+		backend := httptest.NewServer(tc.killable(server.NewHandlerOpts(eng, server.Options{ErrLog: quiet})))
 		t.Cleanup(backend.Close)
 		proxy := NewFaultProxy(backend.URL)
 		front := httptest.NewServer(proxy)
 		t.Cleanup(front.Close)
+		tc.engines = append(tc.engines, eng)
 		tc.proxies = append(tc.proxies, proxy)
 		tc.fronts = append(tc.fronts, front.URL)
+	}
+	for r, eng := range tc.engines {
+		for _, sh := range shardIdx {
+			if holds != nil && !holds(tc.fronts, r, sh.Name()) {
+				continue
+			}
+			if err := eng.Load(sh); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	cfg := RouterConfig{
@@ -453,6 +492,89 @@ func TestRoutedPartialAndStrict(t *testing.T) {
 	if tc.rt.shardDown.Load() == 0 {
 		t.Error("router exhausted a shard's replicas but the shard_down counter is zero")
 	}
+
+	// What a degraded lrs / topk says: the answer over the shards that are
+	// left — one run with shard 0 down, two with shard 1 down — in corpus
+	// offsets, with no window and no occurrence across the hole.
+	tc.readmitAll()
+	edges := append(append([]int{0}, tc.bounds...), len(tc.concat))
+	for dead := 0; dead <= 1; dead++ {
+		name := fmt.Sprintf("corpus~%d", dead)
+		tc.deadShard.Store(&name)
+		var runs []era.Run
+		for i := 0; i+1 < len(edges); i++ {
+			if i != dead {
+				runs = append(runs, era.Run{Off: edges[i], Data: tc.concat[edges[i]:edges[i+1]]})
+			}
+		}
+		for _, op := range []era.Op{{Kind: era.OpLongestRepeat}, {Kind: era.OpTopK, K: 5, MinLen: 4}, {Kind: era.OpTopK, K: 3, MinLen: 8}} {
+			want := server.ToWire(op, naiveOverRuns(op, runs))
+			want.Partial = true
+			body, _ := json.Marshal(qreq(server.QueryOp{Op: op.Kind.String(), K: op.K, MinLen: op.MinLen}))
+			status, resp := postRaw(t, tc.routed.URL, "/v1/analytics", body)
+			var got server.QueryResponse
+			if err := json.Unmarshal(resp, &got); status != http.StatusOK || err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s down, %s: status %d, err %v\n got %s\nwant %+v", name, body, status, err, resp, want)
+			}
+		}
+		tc.deadShard.Store(nil)
+		tc.readmitAll()
+	}
+}
+
+// naiveOverRuns is the window-counting oracle for a degraded lrs or topk:
+// every window and every occurrence lies inside one run, offsets are the
+// corpus's.
+func naiveOverRuns(op era.Op, runs []era.Run) era.Result {
+	windows := func(m int) map[string][]int {
+		at := map[string][]int{}
+		for _, r := range runs {
+			for i := 0; i+m <= len(r.Data); i++ {
+				at[string(r.Data[i:i+m])] = append(at[string(r.Data[i:i+m])], r.Off+i)
+			}
+		}
+		return at
+	}
+	if op.Kind == era.OpTopK {
+		var top []era.TopEntry
+		for w, at := range windows(op.MinLen) {
+			top = append(top, era.TopEntry{Pattern: []byte(w), Count: len(at)})
+		}
+		sort.Slice(top, func(i, j int) bool {
+			if top[i].Count != top[j].Count {
+				return top[i].Count > top[j].Count
+			}
+			return bytes.Compare(top[i].Pattern, top[j].Pattern) < 0
+		})
+		top = top[:min(len(top), op.K)]
+		return era.Result{Found: len(top) > 0, Top: top, Count: len(top)}
+	}
+	// A repeat of length m has one of length m−1 inside it: search the length.
+	repeats := func(m int) (best string, at []int) {
+		for w, p := range windows(m) {
+			if len(p) > 1 && (best == "" || w < best) {
+				best, at = w, p
+			}
+		}
+		return best, at
+	}
+	lo, hi := 0, 0 // a repeat of length lo exists, none longer than hi
+	for _, r := range runs {
+		hi = max(hi, len(r.Data))
+	}
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if w, _ := repeats(mid); w != "" {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	if lo == 0 {
+		return era.Result{}
+	}
+	w, at := repeats(lo)
+	return era.Result{Found: true, Pattern: []byte(w), Occurrences: at, Count: len(at)}
 }
 
 // TestRoutedHedge pins tail-latency bounding: with the primary owner of
@@ -629,6 +751,11 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 		t.Errorf("routed listing wrong: %s", b)
 	}
 
+	// The replicas' census endpoint went with the routed topk that used it.
+	if s, b := postRaw(t, tc.fronts[0], "/v1/internal/prefixcounts", []byte(`{"index":"corpus~0","min_len":4}`)); s != http.StatusNotFound {
+		t.Errorf("POST /v1/internal/prefixcounts on a replica = %d (%s), want 404", s, b)
+	}
+
 	tc.check(t, "/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: string(tc.concat[5:12])}))
 	var metrics struct {
 		Requests    int64           `json:"requests"`
@@ -671,6 +798,71 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("query with no topology = %d, want 503", status)
 	}
+}
+
+// TestRoutedRefreshUnionsListings pins discovery over replicas that load only
+// what the ring places on them (the deployment `era shard -splitdir` is for):
+// no single replica lists the whole family, the union does, and the routed
+// answers are the monolithic ones. Two replicas describing one shard name
+// differently is an error, never a merge.
+func TestRoutedRefreshUnionsListings(t *testing.T) {
+	owners := func(fronts []string, shard string) []string {
+		ring := NewRing(64)
+		for _, f := range fronts {
+			ring.Add(f)
+		}
+		return ring.Owners(shard, 2)
+	}
+	tc := newPlacedCluster(t, 3, 3, func(cfg *RouterConfig) {
+		// Discovery used to stop at the first replica that answered: put one
+		// that lacks a shard first.
+		fronts := cfg.Replicas
+		lacks := slices.IndexFunc(fronts, func(f string) bool { return !slices.Contains(owners(fronts, "corpus~0"), f) })
+		cfg.Replicas = append([]string{fronts[lacks]}, slices.Delete(slices.Clone(fronts), lacks, lacks+1)...)
+	}, func(fronts []string, r int, shard string) bool {
+		return slices.Contains(owners(fronts, shard), fronts[r])
+	})
+	for shard, placed := range tc.rt.Placement() {
+		if want := owners(tc.fronts, shard); !reflect.DeepEqual(placed, want) {
+			t.Errorf("%s placed on %v, the ring says %v", shard, placed, want)
+		}
+	}
+	for _, c := range tc.faultChecks() {
+		tc.check(t, c.path, c.req)
+	}
+
+	// The one replica the ring keeps corpus~1 off loads another build of it.
+	other, err := era.BuildCorpus(tc.docs[:3], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.SetName("corpus~1")
+	stray := slices.IndexFunc(tc.fronts, func(f string) bool { return !slices.Contains(owners(tc.fronts, "corpus~1"), f) })
+	if err := tc.engines[stray].Load(other); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := tc.rt.Refresh(ctx); err == nil || !strings.Contains(err.Error(), "disagree on shard corpus~1") {
+		t.Errorf("Refresh over two builds of corpus~1 = %v, want a disagreement error", err)
+	}
+	tc.check(t, "/v1/query", qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])})) // the old topology still serves
+
+	// An owner that answers without a shard is no candidate for it; with no
+	// owner left the family is not servable.
+	tc.engines[stray].Unload("corpus~1")
+	for i, f := range tc.fronts {
+		if i != stray && f == owners(tc.fronts, "corpus~1")[0] {
+			tc.engines[i].Unload("corpus~1")
+		}
+	}
+	if err := tc.rt.Refresh(ctx); err != nil {
+		t.Fatalf("Refresh with corpus~1 on one of its two owners: %v", err)
+	}
+	if placed, want := tc.rt.Placement()["corpus~1"], owners(tc.fronts, "corpus~1")[1:]; !reflect.DeepEqual(placed, want) {
+		t.Errorf("corpus~1 placed on %v with only %v holding it", placed, want)
+	}
+	tc.check(t, "/v1/analytics", qreq(server.QueryOp{Op: "lrs"}))
 }
 
 // replicaRequests arms every proxy with a zero delay — a fault that changes

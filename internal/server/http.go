@@ -17,7 +17,6 @@
 //
 //	GET  /v1/indexes/{name}/slice?lo=&hi=  raw content bytes [lo,hi) (octet-stream)
 //	GET  /v1/indexes/{name}/doc/{ord}      one document's raw content (octet-stream)
-//	POST /v1/internal/prefixcounts         every length-L substring with its count
 //
 // Live (mutable) indexes additionally accept:
 //
@@ -298,6 +297,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 			h.writeError(w, http.StatusBadRequest, "lo and hi must be integers")
 			return
 		}
+		// b views the index's own bytes; release runs after the body is written.
 		b, err := slicer.ContentSlice(lo, hi)
 		if err != nil {
 			h.writeError(w, http.StatusBadRequest, err.Error())
@@ -330,41 +330,6 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 			return
 		}
 		h.writeBytes(w, b)
-	})
-	mux.HandleFunc("POST /v1/internal/prefixcounts", func(w http.ResponseWriter, r *http.Request) {
-		// The router's exact top-k merge needs every length-L substring of
-		// each shard with its count — a globally frequent substring can rank
-		// below k in every shard, so per-shard top-k answers cannot be
-		// merged exactly.
-		var req prefixCountsRequest
-		if !h.readJSON(w, r, &req) {
-			return
-		}
-		if req.MinLen < 1 {
-			h.writeError(w, http.StatusBadRequest, fmt.Sprintf("min_len %d < 1", req.MinLen))
-			return
-		}
-		idx, release, err := engine.Acquire(req.Index)
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		defer release()
-		counter, ok := idx.(interface {
-			PrefixCounts(ctx context.Context, L int) (map[string]int, error)
-		})
-		if !ok {
-			h.writeError(w, http.StatusBadRequest, "index does not serve prefix counts")
-			return
-		}
-		ctx, cancel := h.queryCtx(r)
-		defer cancel()
-		counts, err := counter.PrefixCounts(ctx, req.MinLen)
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		h.writeJSON(w, http.StatusOK, prefixCountsResponse{Counts: counts})
 	})
 	return h.recoverPanics(mux)
 }
@@ -420,15 +385,6 @@ func (h *api) writeBytes(w http.ResponseWriter, b []byte) {
 	if _, err := w.Write(b); err != nil {
 		h.logf("server: writing content bytes: %v", err)
 	}
-}
-
-type prefixCountsRequest struct {
-	Index  string `json:"index"`
-	MinLen int    `json:"min_len"`
-}
-
-type prefixCountsResponse struct {
-	Counts map[string]int `json:"counts"`
 }
 
 // metricsResponse is the /metricz payload: engine counters, per-op latency

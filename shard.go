@@ -19,8 +19,8 @@ import (
 // What lives here is the build (cuts, one alphabet, per-shard construction),
 // the shard layout persistence addresses, the lifecycle, and the two pieces
 // of the merge every partitioned layer — in-process and routed — shares:
-// the junction stitch scan (stitchString) and the ascending interleave
-// (mergeOccurrences). The fan-out → stitch → merge executor itself is the
+// the junction stitch scan and the merge of per-partition answers
+// (Stitch.Merge). The fan-out → stitch → merge executor itself is the
 // snapshot executor in tombstone.go / analytics_live.go: a sharded index is
 // its zero-tombstone case, one clean tier per shard, and every query method
 // below is a delegation to that view.
@@ -318,30 +318,95 @@ func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) 
 	return sx.view.analytics(ctx, q)
 }
 
-// stitchString abstracts the virtual global string a segmented index serves:
-// totalLen counts the concatenated content plus the single terminator,
-// bounds are the ascending interior junction offsets no single tree sees
-// across (live-segment boundaries for a snapshot — which are the shard
-// boundaries of a ShardedIndex — and shard boundaries for the router), and
-// slice materializes any [lo, hi) window of the virtual string. uncovered
-// lists, ascending, the runs between junctions that no tree indexes at all
-// (a live snapshot's unsealed documents; nil everywhere else): the scan that
-// recovers junction-crossing matches answers for their interiors too, over
-// the bytes in place. It exists so the stitch scan is written once and shared
-// by every segmented implementation.
-type stitchString struct {
+// Stitch is the virtual global string a partitioned corpus serves, reduced to
+// what merging per-partition answers needs: totalLen counts the concatenated
+// content plus the single terminator, bounds are the ascending interior
+// junction offsets no single tree sees across (live-segment boundaries for a
+// snapshot — which are the shard boundaries of a ShardedIndex — and shard
+// boundaries for the router, which builds one from replica metadata and
+// fetched windows), and slice materializes any [lo, hi) window of the virtual
+// string. uncovered lists, ascending, the runs between junctions that no tree
+// indexes at all (a live snapshot's unsealed documents; nil everywhere else):
+// the scan that recovers junction-crossing matches answers for their
+// interiors too, over the bytes in place. The stitch scan and the merge below
+// are written once and every partitioned layer, in-process and routed, calls
+// them.
+type Stitch struct {
 	totalLen  int
 	bounds    []int
 	slice     func(buf []byte, lo, hi int) []byte
-	uncovered []stitchRun
+	uncovered []Run
 }
 
-// stitchRun is a run of the virtual string viewed in place: data starts at
-// global offset off and spans from one junction (or end of string) to the
-// next.
-type stitchRun struct {
-	off  int
-	data []byte
+// NewStitch assembles a Stitch. slice must return the window [lo, hi) of the
+// virtual string, reusing buf when convenient (it is never retained across
+// calls).
+func NewStitch(totalLen int, bounds []int, slice func(buf []byte, lo, hi int) []byte) *Stitch {
+	return &Stitch{totalLen: totalLen, bounds: bounds, slice: slice}
+}
+
+// Run is a stretch of the virtual string viewed in place: Data starts at
+// global offset Off.
+type Run struct {
+	Off  int
+	Data []byte
+}
+
+// Part is one partition's own answer to an op, handed to Merge: offsets are
+// local to the partition's first byte, which sits at global offset Off. A
+// partition that could not answer is simply not among the parts.
+type Part struct {
+	Off         int
+	Found       bool
+	Count       int
+	Occurrences []int         // ascending; capped no tighter than the op's own cap
+	Stats       []PatternStat // docfreq
+}
+
+// Merge folds the partitions' answers to one contains / count / occurrences /
+// mismatch / docfreq op (parts in ascending Off order) into the answer over
+// the virtual string. Document stats add up element-wise — cuts are document
+// aligned. Everything else adds what no partition can see, the matches the
+// stitch scan finds across junctions and in uncovered runs (Hamming matches
+// for mismatch): found if anyone found it, counts sum, offsets interleave
+// ascending under the op's cap. Nothing found is the zero Result.
+func (ss *Stitch) Merge(op Op, parts []Part) Result {
+	var res Result
+	if op.Kind == OpDocFreq {
+		res.Stats = make([]PatternStat, len(op.Patterns))
+		for _, p := range parts {
+			for j, st := range p.Stats[:min(len(p.Stats), len(res.Stats))] {
+				res.Stats[j].Docs += st.Docs
+				res.Stats[j].Count += st.Count
+				res.Count += st.Count
+			}
+		}
+		res.Found = res.Count > 0
+		return res
+	}
+	for i := range parts {
+		res.Found = res.Found || parts[i].Found
+		res.Count += parts[i].Count
+	}
+	var crossing []int
+	switch op.Kind {
+	case OpContains:
+		return Result{Found: res.Found || len(ss.crossingOccurrences(op.Pattern, 1)) > 0}
+	case OpMismatch:
+		ss.crossingWindows(len(op.Pattern), func(start int, window []byte) {
+			if hammingAtMost(window, op.Pattern, op.K) {
+				crossing = append(crossing, start)
+			}
+		})
+	default:
+		crossing = ss.crossingOccurrences(op.Pattern, 0)
+	}
+	res.Count += len(crossing)
+	res.Found = res.Count > 0
+	if res.Found && op.Kind != OpCount {
+		res.Occurrences = mergeOccurrences(parts, crossing, op.MaxOccurrences)
+	}
+	return res
 }
 
 // eachMatch calls fn with the start of every occurrence of pattern in data
@@ -370,13 +435,13 @@ func eachMatch(data, pattern []byte, fn func(j int) bool) {
 // covered are skipped, so a match spanning several tiny segments is seen
 // once. end clips the windows: totalLen, or totalLen−1 to keep the
 // terminator out. fn returning false ends the visit.
-func (ss *stitchString) eachRegion(m, end int, fn func(off int, data []byte, from, limit int) bool) {
+func (ss *Stitch) eachRegion(m, end int, fn func(off int, data []byte, from, limit int) bool) {
 	runs := ss.uncovered
 	// inside visits the uncovered runs starting before global offset b: what
 	// starts in them sorts before anything crossing b.
 	inside := func(b int) bool {
-		for ; len(runs) > 0 && runs[0].off < b; runs = runs[1:] {
-			if !fn(runs[0].off, runs[0].data, 0, len(runs[0].data)) {
+		for ; len(runs) > 0 && runs[0].Off < b; runs = runs[1:] {
+			if !fn(runs[0].Off, runs[0].Data, 0, len(runs[0].Data)) {
 				return false
 			}
 		}
@@ -404,7 +469,7 @@ func (ss *stitchString) eachRegion(m, end int, fn func(off int, data []byte, fro
 // crossingOccurrences returns the sorted global start offsets of the pattern
 // occurrences no per-segment tree can see: those that cross a junction and
 // those inside an uncovered run. max > 0 caps the number returned.
-func (ss *stitchString) crossingOccurrences(pattern []byte, max int) []int {
+func (ss *Stitch) crossingOccurrences(pattern []byte, max int) []int {
 	var out []int
 	more := func() bool { return max <= 0 || len(out) < max }
 	ss.eachRegion(len(pattern), ss.totalLen, func(off int, data []byte, from, limit int) bool {
@@ -420,22 +485,24 @@ func (ss *stitchString) crossingOccurrences(pattern []byte, max int) []int {
 	return out
 }
 
-// mergeOccurrences merges per-shard occurrence lists (each sorted, and in
-// globally ascending shard order since shards cover disjoint ascending byte
-// ranges) with the sorted crossing list: the k-way merge degenerates to a
-// concatenation plus one interleave pass. max > 0 caps the output length.
-func mergeOccurrences(perShard [][]int, crossing []int, max int) []int {
+// mergeOccurrences merges the parts' occurrence lists (each sorted and local
+// to its part; the parts cover disjoint ascending byte ranges) with the sorted
+// global crossing list into a fresh list of global offsets: the k-way merge
+// degenerates to a concatenation plus one interleave pass. max > 0 caps the
+// output length.
+func mergeOccurrences(parts []Part, crossing []int, max int) []int {
 	n := len(crossing)
-	for _, s := range perShard {
-		n += len(s)
+	for i := range parts {
+		n += len(parts[i].Occurrences)
 	}
 	if max > 0 && n > max {
 		n = max
 	}
 	out := make([]int, 0, n)
 	ci := 0
-	for _, s := range perShard {
-		for _, o := range s {
+	for i := range parts {
+		for _, o := range parts[i].Occurrences {
+			o += parts[i].Off
 			for ci < len(crossing) && crossing[ci] < o {
 				out = append(out, crossing[ci])
 				ci++

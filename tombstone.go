@@ -15,7 +15,9 @@ import (
 // doc-occurrences / batch (here) and the analytics ops (analytics_live.go)
 // over a sequence of tiers, each an ordinary Index, by fan-out → stitch →
 // merge (lrs and topk excepted: they read the suffix array of the virtual
-// string, globalSlice below). It is written once and serves both partitioned layers: a LiveIndex
+// string, SuffixOrderAnswer over segs). The merge itself is Stitch.Merge in
+// shard.go, which the cluster router calls too. The executor is written once
+// and serves both partitioned layers: a LiveIndex
 // (live.go) publishes a fresh snapshot per mutation, with per-tier
 // bookkeeping that maps tier-local suffix tree answers onto the virtual
 // global string of live documents; a ShardedIndex (shard.go) holds one
@@ -27,7 +29,7 @@ import (
 // monotonically increasing ids. Documents live in tiers, each an ordinary
 // Index over a contiguous run of ids, followed by the unsealed memtable
 // extents, which have no index at all: their live bytes are uncovered runs of
-// the virtual string, answered by the stitch scan in place (stitchString in
+// the virtual string, answered by the stitch scan in place (Stitch in
 // shard.go). Deletes are per-document tombstones. The query surface must
 // answer exactly as a from-scratch BuildCorpus over the surviving documents
 // (in id order) would. Over clean tiers that is plain document-aligned
@@ -40,7 +42,7 @@ import (
 //   - Live documents adjacent in the virtual string may sit in different
 //     tiers or be separated by tombstones within one tier, so matches
 //     crossing those junctions are recovered by the same stitch scan
-//     sharding uses (stitchString in shard.go).
+//     sharding uses (Stitch in shard.go).
 
 // tierHandle owns the lifecycle of one tier's Index. Snapshots sharing a
 // tier each hold a reference; the mutator holds one while the tier is part
@@ -144,6 +146,16 @@ func (t *liveTier) translate(occ []int, m, max int) []int {
 	return out
 }
 
+// shift is what makes the offsets in the tier's answers global (Part.Off): a
+// clean tier's local→global map is one constant shift, and a tombstoned
+// tier's answers went through translate and are global already.
+func (t *liveTier) shift() int {
+	if t.nDead == 0 {
+		return t.gStart[0]
+	}
+	return 0
+}
+
 // liveSnapshot is the immutable query view of a LiveIndex at one mutation
 // epoch. Queries acquire a reference, read, and release; the mutator swaps
 // in a new snapshot per mutation and releases its ownership of the old one.
@@ -155,7 +167,7 @@ type liveSnapshot struct {
 	// segs are the maximal runs of consecutive live documents, each viewing
 	// its tier's data in place: the units the virtual global string is
 	// assembled from. Zero-width runs (all-empty documents) are omitted.
-	segs []stitchRun
+	segs []Run
 	// docStart[ord] is the global offset of live document ord's first byte;
 	// docStart[numDocs] closes the last one.
 	docStart  []int
@@ -164,7 +176,7 @@ type liveSnapshot struct {
 	alpha     *alphabet.Alphabet
 	treeNodes int64
 	mapped    int64
-	stitch    stitchString
+	stitch    Stitch
 	refs      atomic.Int64
 }
 
@@ -177,7 +189,7 @@ type liveSnapshot struct {
 func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapshot {
 	s := &liveSnapshot{alpha: alpha}
 	s.refs.Store(1) // the owner (current-snapshot) reference
-	var uncovered []stitchRun
+	var uncovered []Run
 	off, ord := 0, 0
 	for _, st := range states {
 		de := st.docEnds
@@ -199,7 +211,7 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 		runLo, runOff, start := -1, 0, 0
 		endRun := func() {
 			if runLo >= 0 && start > runLo {
-				run := stitchRun{off: runOff, data: st.data[runLo:start]}
+				run := Run{Off: runOff, Data: st.data[runLo:start]}
 				s.segs = append(s.segs, run)
 				if t == nil {
 					uncovered = append(uncovered, run)
@@ -252,9 +264,9 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 	s.numDocs = ord
 	bounds := make([]int, 0, len(s.segs))
 	for i := 1; i < len(s.segs); i++ {
-		bounds = append(bounds, s.segs[i].off)
+		bounds = append(bounds, s.segs[i].Off)
 	}
-	s.stitch = stitchString{totalLen: s.totalLen, bounds: bounds, slice: s.globalSlice, uncovered: uncovered}
+	s.stitch = Stitch{totalLen: s.totalLen, bounds: bounds, slice: s.globalSlice, uncovered: uncovered}
 	return s
 }
 
@@ -292,11 +304,11 @@ func (s *liveSnapshot) globalSlice(buf []byte, lo, hi int) []byte {
 	if end == s.totalLen {
 		end-- // the terminator is appended below, not stored in any tier
 	}
-	i := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].off > lo }) - 1
+	i := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].Off > lo }) - 1
 	for off := lo; off < end; i++ {
 		seg := &s.segs[i]
-		content := seg.data
-		from := off - seg.off
+		content := seg.Data
+		from := off - seg.Off
 		take := len(content) - from
 		if off+take > end {
 			take = end - off
@@ -357,21 +369,16 @@ func (s *liveSnapshot) contains(p []byte) bool {
 	if bytes.IndexByte(p, alphabet.Terminator) >= 0 {
 		return s.tailMatch(p) >= 0
 	}
-	found := make([]bool, len(s.tiers))
+	parts := make([]Part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		if t.nDead == 0 {
-			found[i] = t.h.idx.Contains(p)
+			parts[i].Found = t.h.idx.Contains(p)
 		} else {
 			occ, _ := t.h.idx.Occurrences(p) // boolean path keeps degrading silently
-			found[i] = len(t.translate(occ, len(p), 1)) > 0
+			parts[i].Found = len(t.translate(occ, len(p), 1)) > 0
 		}
 	})
-	for _, f := range found {
-		if f {
-			return true
-		}
-	}
-	return len(s.stitch.crossingOccurrences(p, 1)) > 0
+	return s.stitch.Merge(Op{Kind: OpContains, Pattern: p}, parts).Found
 }
 
 func (s *liveSnapshot) count(p []byte) int {
@@ -384,20 +391,16 @@ func (s *liveSnapshot) count(p []byte) int {
 		}
 		return 0
 	}
-	counts := make([]int, len(s.tiers))
+	parts := make([]Part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		if t.nDead == 0 {
-			counts[i] = t.h.idx.Count(p)
+			parts[i].Count = t.h.idx.Count(p)
 		} else {
 			occ, _ := t.h.idx.Occurrences(p) // count path keeps degrading silently
-			counts[i] = len(t.translate(occ, len(p), 0))
+			parts[i].Count = len(t.translate(occ, len(p), 0))
 		}
 	})
-	total := len(s.stitch.crossingOccurrences(p, 0))
-	for _, c := range counts {
-		total += c
-	}
-	return total
+	return s.stitch.Merge(Op{Kind: OpCount, Pattern: p}, parts).Count
 }
 
 func (s *liveSnapshot) occurrences(p []byte) []int {
@@ -414,20 +417,15 @@ func (s *liveSnapshot) occurrences(p []byte) []int {
 		}
 		return []int{}
 	}
-	perTier := make([][]int, len(s.tiers))
+	parts := make([]Part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		occ, _ := t.h.idx.Occurrences(p) // LiveIndex.Occurrences surfaced checkErr already
-		if t.nDead == 0 {
-			// A clean tier's local→global map is one constant shift.
-			for j := range occ {
-				occ[j] += t.gStart[0]
-			}
-			perTier[i] = occ
-		} else {
-			perTier[i] = t.translate(occ, len(p), 0)
+		if t.nDead > 0 {
+			occ = t.translate(occ, len(p), 0)
 		}
+		parts[i] = Part{Off: t.shift(), Occurrences: occ}
 	})
-	return mergeOccurrences(perTier, s.stitch.crossingOccurrences(p, 0), 0)
+	return mergeOccurrences(parts, s.stitch.crossingOccurrences(p, 0), 0)
 }
 
 func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
@@ -467,8 +465,8 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 	// Uncovered runs follow every tier and answer for themselves: a match
 	// inside one is a hit unless it straddles a document boundary.
 	for _, r := range s.stitch.uncovered {
-		eachMatch(r.data, p, func(j int) bool {
-			g := r.off + j
+		eachMatch(r.Data, p, func(j int) bool {
+			g := r.Off + j
 			ord := sort.Search(s.numDocs, func(i int) bool { return s.docStart[i+1] > g })
 			if g+len(p) <= s.docStart[ord+1] {
 				out = append(out, DocHit{Doc: ord, Offset: g - s.docStart[ord]})
@@ -481,9 +479,9 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 
 // batch answers many queries over one snapshot: every tier serves the whole
 // op list as one sub-batch (reusing Index.Batch's prefix-resumed descents),
-// tier sub-batches run concurrently, the stitch scans overlap them, and
-// per-op answers merge identically to the monolithic index, occurrence
-// order and truncation included. Tiers with tombstones answer through full
+// tier sub-batches run concurrently, and per-op answers merge (Stitch.Merge)
+// identically to the monolithic index, occurrence order and truncation
+// included. Tiers with tombstones answer through full
 // occurrence enumeration plus translate, so their counts and lists reflect
 // only live matches.
 func (s *liveSnapshot) batch(ops []Op) []Result {
@@ -528,25 +526,6 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 	}
 
 	perTier := make([][]Result, len(s.tiers))
-	var crossing [][]int
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		// Stitch scans overlap the tier descents; they touch only the
-		// junction windows and uncovered runs of the immutable tier data.
-		defer wg.Done()
-		crossing = make([][]int, len(ops))
-		for oi, op := range ops {
-			if class[oi] != opNormal {
-				continue
-			}
-			limit := 0
-			if op.Kind == OpContains {
-				limit = 1
-			}
-			crossing[oi] = s.stitch.crossingOccurrences(op.Pattern, limit)
-		}
-	}()
 	s.fanOut(func(i int, t *liveTier) {
 		if t.nDead == 0 {
 			perTier[i] = t.h.idx.Batch(clean)
@@ -574,8 +553,8 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 		}
 		perTier[i] = res
 	})
-	wg.Wait()
 
+	parts := make([]Part, len(s.tiers))
 	for oi := range ops {
 		op := &ops[oi]
 		r := &results[oi]
@@ -621,41 +600,13 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 			}
 			continue
 		}
-		cross := crossing[oi]
-		r.Found = len(cross) > 0
-		for i := range s.tiers {
-			if perTier[i][oi].Found {
-				r.Found = true
-			}
+		// Per-tier batch results carry tier-local offsets over shared backing
+		// arrays; the merge reads them and writes a fresh list.
+		for i, t := range s.tiers {
+			a := &perTier[i][oi]
+			parts[i] = Part{Off: t.shift(), Found: a.Found, Count: a.Count, Occurrences: a.Occurrences}
 		}
-		if op.Kind == OpContains || !r.Found {
-			continue
-		}
-		r.Count = len(cross)
-		for i := range s.tiers {
-			r.Count += perTier[i][oi].Count
-		}
-		if op.Kind == OpOccurrences {
-			lists := make([][]int, 0, len(s.tiers))
-			for i, t := range s.tiers {
-				occ := perTier[i][oi].Occurrences
-				if len(occ) == 0 {
-					continue
-				}
-				if t.nDead == 0 {
-					// Batch results carry tier-local offsets over shared
-					// backing arrays; translate into fresh lists.
-					g := make([]int, len(occ))
-					for j, o := range occ {
-						g[j] = o + t.gStart[0]
-					}
-					lists = append(lists, g)
-				} else {
-					lists = append(lists, occ) // already global and private
-				}
-			}
-			r.Occurrences = mergeOccurrences(lists, cross, op.MaxOccurrences)
-		}
+		*r = s.stitch.Merge(*op, parts)
 	}
 	return results
 }
@@ -668,8 +619,8 @@ func (s *liveSnapshot) docBytes(ord int) []byte {
 	if lo == hi {
 		return nil // empty documents sit in no segment
 	}
-	seg := &s.segs[sort.Search(len(s.segs), func(j int) bool { return s.segs[j].off > lo })-1]
-	return seg.data[lo-seg.off : hi-seg.off]
+	seg := &s.segs[sort.Search(len(s.segs), func(j int) bool { return s.segs[j].Off > lo })-1]
+	return seg.Data[lo-seg.Off : hi-seg.Off]
 }
 
 // liveDocs returns the surviving documents in id order; the slices view tier
