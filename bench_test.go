@@ -1,110 +1,16 @@
 package era_test
 
-// One testing.B benchmark per table and figure of the paper's evaluation
-// (§6). Each iteration regenerates the experiment's full sweep at Small
-// scale and reports the headline series as custom metrics, so
-// `go test -bench . -benchmem` reproduces every result in one run.
-// cmd/era-bench prints the full tables (use -scale medium/large for bigger
-// runs).
+// Wall-clock benchmarks of the public API. The paper's tables and figures
+// are regenerated in modeled time by cmd/era-bench (gated in CI, see README
+// "Testing conventions"), not here.
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"era"
-	"era/internal/bench"
 	"era/internal/workload"
 )
-
-// runExperiment executes one experiment per b.N iteration and publishes the
-// last row's timing cells as metrics.
-func runExperiment(b *testing.B, id string, metricCols map[string]int) {
-	b.Helper()
-	e, err := bench.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last *bench.Table
-	for i := 0; i < b.N; i++ {
-		t, err := e.Run(bench.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	if last == nil || len(last.Rows) == 0 {
-		b.Fatal("empty experiment table")
-	}
-	row := last.Rows[len(last.Rows)-1]
-	for name, col := range metricCols {
-		if col < len(row) {
-			if v, err := strconv.ParseFloat(row[col], 64); err == nil {
-				b.ReportMetric(v, name)
-			}
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	runExperiment(b, "table2", map[string]int{"ERA-ms": 5})
-}
-
-func BenchmarkFig7a(b *testing.B) {
-	runExperiment(b, "fig7a", map[string]int{"str-ms": 1, "strmem-ms": 2})
-}
-
-func BenchmarkFig7b(b *testing.B) {
-	runExperiment(b, "fig7b", map[string]int{"str-ms": 1, "strmem-ms": 2})
-}
-
-func BenchmarkFig8a(b *testing.B) {
-	runExperiment(b, "fig8a", map[string]int{"R16-ms": 1, "R32-ms": 2})
-}
-
-func BenchmarkFig8b(b *testing.B) {
-	runExperiment(b, "fig8b", map[string]int{"R32-ms": 1, "R256-ms": 4})
-}
-
-func BenchmarkFig9a(b *testing.B) {
-	runExperiment(b, "fig9a", map[string]int{"nogroup-ms": 1, "group-ms": 2})
-}
-
-func BenchmarkFig9b(b *testing.B) {
-	runExperiment(b, "fig9b", map[string]int{"elastic-ms": 1, "static16-ms": 2})
-}
-
-func BenchmarkFig10a(b *testing.B) {
-	runExperiment(b, "fig10a", map[string]int{"WF-ms": 1, "ERA-ms": 4})
-}
-
-func BenchmarkFig10b(b *testing.B) {
-	runExperiment(b, "fig10b", map[string]int{"WF-ms": 1, "ERA-ms": 3})
-}
-
-func BenchmarkFig11a(b *testing.B) {
-	runExperiment(b, "fig11a", map[string]int{"DNA-ms": 1, "protein-ms": 2})
-}
-
-func BenchmarkFig11b(b *testing.B) {
-	runExperiment(b, "fig11b", map[string]int{"DNA-ms": 1, "protein-ms": 2})
-}
-
-func BenchmarkFig12a(b *testing.B) {
-	runExperiment(b, "fig12a", map[string]int{"WF-ms": 1, "ERA-ms": 2})
-}
-
-func BenchmarkFig12b(b *testing.B) {
-	runExperiment(b, "fig12b", map[string]int{"noseek-ms": 2, "withseek-ms": 3})
-}
-
-func BenchmarkTable3(b *testing.B) {
-	runExperiment(b, "table3", map[string]int{"WF-ms": 1, "ERA-ms": 2})
-}
-
-func BenchmarkFig13(b *testing.B) {
-	runExperiment(b, "fig13", map[string]int{"WF-ms": 2, "ERA-ms": 3})
-}
 
 // BenchmarkBuildSerial measures the real wall-clock cost of the public API
 // build on a DNA megabase — the library-user view rather than the paper

@@ -6,22 +6,16 @@
 //	era-bench -list
 //	era-bench -exp fig10a
 //	era-bench -exp all -scale medium
-//	era-bench -exp fig10a,scaling -json BENCH_3.json
 //	era-bench -exp scaling -workers 1,2,4,8
-//	era-bench -exp fig10a,scaling -json BENCH_new.json -compare BENCH_3.json
+//	era-bench -exp all -scale small -json BENCH_new.json -compare BENCH_23.json
 //
-// Times are virtual (a deterministic disk/cluster cost model prices the
-// real counted work), so output is machine-independent; see EXPERIMENTS.md
-// for the comparison against the paper's reported results. The -json mode
-// additionally writes a machine-readable record of every run — scenario,
-// regenerated table (virtual times), wall time and allocation counts — so
-// the repository's perf trajectory can be tracked across PRs (the CI
-// uploads one BENCH_<n>.json per run).
-//
-// -compare diffs the fresh run against a committed record: virtual-time
-// table cells must match exactly (they are deterministic, so any drift is a
-// real behavior change), while wall-time cells and the per-experiment wall
-// clock tolerate -tolerance percent of regression (wall is host-dependent).
+// Every cell is virtual time or a count (a deterministic disk/cluster cost
+// model prices the real counted work), so output is identical on every host
+// and at every GOMAXPROCS. -json writes the regenerated tables as a
+// machine-readable record; -compare requires the fresh run to equal a
+// committed record cell for cell and note for note — any drift is a
+// behavior change (README "Testing conventions" says how to re-record).
+// Wall time and memory are measured by benchmark/, not here.
 package main
 
 import (
@@ -29,8 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -38,38 +31,29 @@ import (
 	"era/internal/bench"
 )
 
-// jsonReport is the -json file layout. Wall time and allocations are
-// machine-dependent (unlike the virtual times inside the tables), so the
-// host context is recorded alongside.
+// jsonReport is the -json file layout.
 type jsonReport struct {
 	Schema      int              `json:"schema"`
 	Scale       string           `json:"scale"`
 	Unit        int              `json:"unit"` // symbols per paper-GB
-	GoVersion   string           `json:"go_version"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
 type jsonExperiment struct {
-	ID         string       `json:"id"`
-	Paper      string       `json:"paper"`
-	Title      string       `json:"title"`
-	WallMillis float64      `json:"wall_ms"`
-	Allocs     uint64       `json:"allocs"`
-	AllocBytes uint64       `json:"alloc_bytes"`
-	Table      *bench.Table `json:"table"`
+	ID    string       `json:"id"`
+	Paper string       `json:"paper"`
+	Title string       `json:"title"`
+	Table *bench.Table `json:"table"`
 }
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment ids (see -list), comma-separated, or 'all'")
-		scale     = flag.String("scale", "small", "workload scale: small, medium or large")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		jsonPath  = flag.String("json", "", "also write a machine-readable report (e.g. BENCH_3.json)")
-		workers   = flag.String("workers", "", "worker-count sweep for the scaling experiment (e.g. 1,2,4,8)")
-		compare   = flag.String("compare", "", "diff this run against a previous -json record; exit non-zero on regression")
-		tolerance = flag.Float64("tolerance", 25, "allowed wall-time regression in percent for -compare")
+		exp      = flag.String("exp", "all", "experiment ids (see -list), comma-separated, or 'all'")
+		scale    = flag.String("scale", "small", "workload scale: small, medium or large")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		jsonPath = flag.String("json", "", "also write a machine-readable report (e.g. BENCH_new.json)")
+		workers  = flag.String("workers", "", "worker-count sweep for the scaling experiment (e.g. 1,2,4,8)")
+		compare  = flag.String("compare", "", "require this run to equal a previous -json record; exit non-zero on any difference")
 	)
 	flag.Parse()
 
@@ -106,37 +90,18 @@ func main() {
 		}
 	}
 
-	report := jsonReport{
-		Schema:    2,
-		Scale:     sc.Name,
-		Unit:      sc.Unit,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
+	report := jsonReport{Schema: 3, Scale: sc.Name, Unit: sc.Unit}
 
 	fmt.Printf("scale=%s (1 paper-GB = %d symbols)\n\n", sc.Name, sc.Unit)
 	for _, e := range exps {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		start := time.Now()
 		tbl, err := e.Run(sc)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
 		tbl.Fprint(os.Stdout)
-		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, wall.Round(time.Millisecond))
-		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID:         e.ID,
-			Paper:      e.Paper,
-			Title:      e.Title,
-			WallMillis: float64(wall) / float64(time.Millisecond),
-			Allocs:     after.Mallocs - before.Mallocs,
-			AllocBytes: after.TotalAlloc - before.TotalAlloc,
-			Table:      tbl,
-		})
+		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		report.Experiments = append(report.Experiments, jsonExperiment{ID: e.ID, Paper: e.Paper, Title: e.Title, Table: tbl})
 	}
 
 	if *jsonPath != "" {
@@ -152,129 +117,72 @@ func main() {
 	}
 
 	if *compare != "" {
-		if err := compareReports(report, *compare, *tolerance); err != nil {
+		buf, err := os.ReadFile(*compare)
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("no regression against %s (wall tolerance %.0f%%)\n", *compare, *tolerance)
+		var recorded jsonReport
+		if err := json.Unmarshal(buf, &recorded); err != nil {
+			fatal(fmt.Errorf("%s: %w", *compare, err))
+		}
+		if problems := diffReports(recorded, report, *compare); len(problems) > 0 {
+			fatal(fmt.Errorf("run differs from %s:\n  %s", *compare, strings.Join(problems, "\n  ")))
+		}
+		fmt.Printf("identical to %s\n", *compare)
 	}
 }
 
-// compareReports diffs the fresh report against a stored record. Experiments
-// present in both are checked: deterministic table cells must match exactly;
-// wall clocks are host-dependent, so they are first normalized by the two
-// runs' total wall over the compared experiments (a uniformly slower or
-// faster host cancels out) and then checked per scenario against the
-// tolerance — what fails the gate is one scenario's *share* of the run
-// regressing, not the host being slow.
-func compareReports(fresh jsonReport, path string, tolerance float64) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// diffReports lists every difference between the fresh report and the
+// recorded one (named name in messages). Every experiment that ran must be
+// in the record and equal it; recorded experiments that did not run are not
+// a difference, so a single experiment can be compared on its own.
+func diffReports(recorded, fresh jsonReport, name string) []string {
+	if recorded.Scale != fresh.Scale || recorded.Unit != fresh.Unit {
+		return []string{fmt.Sprintf("scale %s/%d does not match this run's %s/%d", recorded.Scale, recorded.Unit, fresh.Scale, fresh.Unit)}
 	}
-	var old jsonReport
-	if err := json.Unmarshal(buf, &old); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	byID := map[string]*bench.Table{}
+	for _, e := range recorded.Experiments {
+		byID[e.ID] = e.Table
 	}
-	if old.Scale != fresh.Scale || old.Unit != fresh.Unit {
-		return fmt.Errorf("%s: scale %s/%d does not match this run's %s/%d", path, old.Scale, old.Unit, fresh.Scale, fresh.Unit)
-	}
-	oldByID := map[string]jsonExperiment{}
-	for _, e := range old.Experiments {
-		oldByID[e.ID] = e
-	}
-	// Host-speed normalization factor: the median per-scenario wall ratio.
-	// The typical scenario defines how fast this host is relative to the
-	// recorder's; scenarios above that baseline by more than the tolerance
-	// regressed relative to the rest of the run. The median keeps the
-	// estimate honest from both sides: a dominant scenario's regression
-	// cannot inflate the factor and hide itself (the flaw of a mean), and
-	// one lucky fast scenario cannot drag every other budget down with it
-	// (the flaw of the min, which turned scheduler jitter into gate
-	// failures).
-	compared := 0
-	var ratios []float64
-	for _, ne := range fresh.Experiments {
-		oe, ok := oldByID[ne.ID]
-		if !ok {
+	var problems []string
+	for _, e := range fresh.Experiments {
+		old, ok := byID[e.ID]
+		if !ok || old == nil {
+			problems = append(problems, fmt.Sprintf("%s: not in %s — re-record", e.ID, name))
 			continue
 		}
-		compared++
-		if oe.WallMillis > wallCellFloorMS && ne.WallMillis > 0 {
-			ratios = append(ratios, ne.WallMillis/oe.WallMillis)
-		}
+		problems = append(problems, diffTables(e.ID, old, e.Table)...)
 	}
-	if compared == 0 {
-		return fmt.Errorf("%s: no overlapping experiments to compare", path)
-	}
-	hostFactor := 1.0
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		hostFactor = ratios[len(ratios)/2]
-	}
-
-	var problems []string
-	for _, ne := range fresh.Experiments {
-		oe, ok := oldByID[ne.ID]
-		if !ok {
-			continue // new scenario; nothing to diff against
-		}
-		if want := oe.WallMillis * hostFactor; oe.WallMillis > 0 && ne.WallMillis > want*(1+tolerance/100) {
-			problems = append(problems, fmt.Sprintf("%s: wall %.1fms regressed >%.0f%% over recorded %.1fms (host-normalized %.1fms)",
-				ne.ID, ne.WallMillis, tolerance, oe.WallMillis, want))
-		}
-		problems = append(problems, diffTables(ne.ID, oe.Table, ne.Table, tolerance, hostFactor)...)
-	}
-	if len(problems) > 0 {
-		return fmt.Errorf("regressions vs %s:\n  %s", path, strings.Join(problems, "\n  "))
-	}
-	return nil
+	return problems
 }
 
-// wallCellFloorMS is the smallest host-normalized wall cell worth gating on:
-// below it, scheduler jitter dwarfs any real signal at small scales.
-const wallCellFloorMS = 10
-
-// diffTables compares two regenerated tables cell by cell. Virtual-time
-// cells are deterministic and must match exactly; cells under a column
-// whose header mentions "wall" are host-dependent and only checked for
-// >tolerance% regression after host-speed normalization — except memory
-// cells ("mem" in the header), which are bytes, not time: they do not
-// shrink on a faster host, so they are gated against the raw tolerance.
-func diffTables(id string, old, fresh *bench.Table, tolerance, hostFactor float64) []string {
-	if old == nil || fresh == nil {
-		return nil
+// diffTables compares two regenerated tables: header, row count, every
+// row's width and cells, and the notes (several carry counts) must be equal.
+func diffTables(id string, old, fresh *bench.Table) []string {
+	if !slices.Equal(old.Header, fresh.Header) {
+		return []string{fmt.Sprintf("%s: header %q != recorded %q", id, fresh.Header, old.Header)}
 	}
-	if len(old.Rows) != len(fresh.Rows) || strings.Join(old.Header, "|") != strings.Join(fresh.Header, "|") {
-		return []string{fmt.Sprintf("%s: table layout changed (%d×%d vs %d×%d)", id,
-			len(old.Rows), len(old.Header), len(fresh.Rows), len(fresh.Header))}
+	if len(old.Rows) != len(fresh.Rows) {
+		return []string{fmt.Sprintf("%s: %d rows != recorded %d", id, len(fresh.Rows), len(old.Rows))}
 	}
 	var problems []string
-	for r := range fresh.Rows {
-		for c := range fresh.Rows[r] {
-			if c >= len(old.Rows[r]) || c >= len(fresh.Header) {
-				continue // ragged row; the header row defines the comparable width
+	for r, row := range fresh.Rows {
+		if len(row) != len(old.Rows[r]) {
+			problems = append(problems, fmt.Sprintf("%s row %d: %d cells != recorded %d", id, r, len(row), len(old.Rows[r])))
+			continue
+		}
+		for c, nv := range row {
+			if ov := old.Rows[r][c]; nv != ov {
+				problems = append(problems, fmt.Sprintf("%s row %d col %q: %s != recorded %s", id, r, fresh.Header[c], nv, ov))
 			}
-			ov, nv := old.Rows[r][c], fresh.Rows[r][c]
-			if h := strings.ToLower(fresh.Header[c]); strings.Contains(h, "wall") {
-				of, err1 := strconv.ParseFloat(ov, 64)
-				nf, err2 := strconv.ParseFloat(nv, 64)
-				if err1 == nil && err2 == nil && of > 0 {
-					factor := hostFactor
-					if strings.Contains(h, "mem") {
-						factor = 1.0
-					}
-					want := of * factor
-					if nf > want*(1+tolerance/100) && nf > wallCellFloorMS {
-						problems = append(problems, fmt.Sprintf("%s row %d: wall %sms regressed >%.0f%% over recorded %sms (host-normalized %.1fms)",
-							id, r, nv, tolerance, ov, want))
-					}
-				}
-				continue
-			}
-			if ov != nv {
-				problems = append(problems, fmt.Sprintf("%s row %d col %q: %s != recorded %s (virtual times are deterministic; this is a behavior change)",
-					id, r, fresh.Header[c], nv, ov))
-			}
+		}
+	}
+	if len(old.Notes) != len(fresh.Notes) {
+		return append(problems, fmt.Sprintf("%s: %d notes != recorded %d", id, len(fresh.Notes), len(old.Notes)))
+	}
+	for i, n := range fresh.Notes {
+		if n != old.Notes[i] {
+			problems = append(problems, fmt.Sprintf("%s note %d: %q != recorded %q", id, i, n, old.Notes[i]))
 		}
 	}
 	return problems

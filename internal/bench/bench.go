@@ -5,10 +5,12 @@
 //
 // Scaling: the paper's sizes are expressed in "paper gigabytes"; a Scale
 // maps one paper-GB to a laptop-sized symbol count while preserving every
-// memory:string ratio, which is what the algorithms are sensitive to. Times
-// reported are virtual (the sim.CostModel prices the real counted work), so
-// runs are deterministic and machine-independent; EXPERIMENTS.md compares
-// the resulting shapes against the paper's reported minutes.
+// memory:string ratio, which is what the algorithms are sensitive to. Every
+// cell is virtual time or a count (the sim.CostModel prices the real counted
+// work), so tables are deterministic and machine-independent: cmd/era-bench
+// gates them by equality against the committed record, and the shape tests
+// in bench_test.go compare them with the paper's claims. Wall time, memory
+// and the serving layers are measured by benchmark/, not here.
 package bench
 
 import (
@@ -31,10 +33,10 @@ type Scale struct {
 	Unit int
 }
 
-// Predefined scales. Small keeps the full (non -short) test run and
-// `go test -bench .` tolerable; Medium is the default for cmd/era-bench;
-// Large stresses the simulator. The shape tests in bench_test.go hold at
-// every scale; bigger scales separate the competitors more cleanly.
+// Predefined scales. Small keeps the full (non -short) test run and the CI
+// gate tolerable and is cmd/era-bench's default; Medium and Large stress the
+// simulator. The shape tests in bench_test.go hold at every scale; bigger
+// scales separate the competitors more cleanly.
 var (
 	Small  = Scale{Name: "small", Unit: 24 * 1024}
 	Medium = Scale{Name: "medium", Unit: 192 * 1024}
@@ -157,10 +159,6 @@ var All = []Experiment{
 	{"table3", "Table 3", "shared-nothing strong scalability, genome", RunTable3},
 	{"fig13", "Fig. 13", "shared-nothing weak scalability, DNA", RunFig13},
 	{"scaling", "Fig. 12 (repro)", "scale-out: chunked VP + work-stealing scheduler", RunScaling},
-	{"shardq", "§1 (serving)", "sharded corpus query throughput vs shard count", RunShardQ},
-	{"routed", "§1 (serving)", "fault-tolerant routed serving over N replicas", RunRouted},
-	{"livemix", "§1 (serving)", "live corpus: append/delete/compact vs rebuild", RunLiveMix},
-	{"analytics", "§1 (serving)", "analytics ops across layers: topk/lrs/lcs/docfreq/mismatch", RunAnalytics},
 }
 
 // ByID finds an experiment.

@@ -53,6 +53,7 @@ func TestAllExperimentsRunAtSmallScale(t *testing.T) {
 			if len(tbl.Rows) == 0 {
 				t.Fatal("empty table")
 			}
+			assertModeled(t, tbl)
 			if testing.Verbose() {
 				tbl.Fprint(os.Stderr)
 				t.Logf("%s took %v", e.ID, time.Since(start))
@@ -93,9 +94,9 @@ func TestShapeFig9bElasticCompetitive(t *testing.T) {
 	}
 	// At 1000:1 scale compression the simulated block geometry makes the
 	// tail rounds that static ranges grind through nearly free, which mutes
-	// the paper's 46-240% elastic advantage (see EXPERIMENTS.md). What must
-	// still hold: the untuned elastic range stays within a small margin of
-	// the best hand-tuned static range at every size.
+	// the paper's 46-240% elastic advantage. What must still hold: the
+	// untuned elastic range stays within a small margin of the best
+	// hand-tuned static range at every size.
 	tbl := runExp(t, "fig9b")
 	for i := range tbl.Rows {
 		if r := cell(t, tbl, i, 4); r < 0.8 {

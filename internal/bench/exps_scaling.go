@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"era/internal/core"
 	"era/internal/workload"
@@ -20,12 +19,10 @@ var ScalingWorkers = []int{1, 2, 4, 8}
 // Table 3 convention) so every worker count builds the identical group set
 // and the sweep isolates scheduling and the chunked VP scans; what limits
 // scaling is the shared disk arm, exactly the Fig. 12 saturation story.
-// Modeled times (virtual, machine-independent) carry the speedup columns;
-// wall is the real elapsed time of the goroutine run and depends on the
-// host's cores.
+// Every column is modeled (virtual, machine-independent) time.
 func RunScaling(s Scale) (*Table, error) {
 	t := &Table{ID: "scaling", Paper: "Fig. 12 (repro)", Title: "scale-out; chunked VP + work-stealing scheduler; skewed English text; fixed memory per core",
-		Header: []string{"workers", "wall(ms)", "buildmem-wall(MB)", "SD-modeled(ms)", "SD-VP(ms)", "SD-speedup", "SN-modeled(ms)", "SN-speedup"}}
+		Header: []string{"workers", "SD-modeled(ms)", "SD-VP(ms)", "SD-speedup", "SN-modeled(ms)", "SN-speedup"}}
 	n := s.GB(4)
 	perCore := int64(s.GB(4))
 	var baseSD, baseSN float64
@@ -34,13 +31,7 @@ func RunScaling(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The SD build assembles the flat image directly (the production v4
-		// path), and the cell around it reports total bytes allocated — the
-		// build-memory column the direct-to-v4 work targets. It is a wall
-		// cell: allocation totals shift with runtime versions and scheduling,
-		// so CI gates regressions instead of demanding byte equality.
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+		// The SD build assembles the flat image directly (the production path).
 		er, err := core.BuildParallel(f, core.ParallelOptions{
 			Options: core.Options{MemoryBudget: perCore * int64(w), AssembleFlat: true},
 			Workers: w,
@@ -48,8 +39,6 @@ func RunScaling(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		runtime.ReadMemStats(&m1)
-		buildMB := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
 		f2, err := s.dataset(workload.English, n, 12003)
 		if err != nil {
 			return nil, err
@@ -65,15 +54,14 @@ func RunScaling(s Scale) (*Table, error) {
 		if baseSD == 0 {
 			baseSD, baseSN = sd, sn
 		}
-		t.AddRow(itoa(w), ms(er.WallTime), fmt.Sprintf("%.1f", buildMB), ms(er.ModeledTime), ms(er.VPTime),
+		t.AddRow(itoa(w), ms(er.ModeledTime), ms(er.VPTime),
 			fmt.Sprintf("%.2f", baseSD/sd),
 			ms(dr.VPTime+dr.ConstructionTime),
 			fmt.Sprintf("%.2f", baseSN/sn))
 	}
 	t.Notes = append(t.Notes,
 		"SD = shared disk (one arm serializes all workers' I/O), SN = shared nothing (local copies; excl. broadcast)",
-		"speedups are over modeled (virtual) time, deterministic across machines; wall is host-dependent",
-		"VP counting scans are chunked across workers; SD saturates at the disk bound (the Fig. 12 story), SN scales with the slowest node",
-		"buildmem is total bytes allocated across the SD direct-to-flat build (host-dependent; CI gates regressions like wall time)")
+		"speedups are over modeled (virtual) time, deterministic across machines",
+		"VP counting scans are chunked across workers; SD saturates at the disk bound (the Fig. 12 story), SN scales with the slowest node")
 	return t, nil
 }

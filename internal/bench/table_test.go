@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -65,10 +66,37 @@ func TestByIDCoversAll(t *testing.T) {
 			t.Errorf("%s has no runner", e.ID)
 		}
 	}
-	if len(All) != 20 {
-		t.Errorf("expected 20 experiments (every paper table and figure, the scale-out repro, and the serving scenarios shardq/routed/livemix/analytics), got %d", len(All))
+	if len(All) != 16 {
+		t.Errorf("expected 16 experiments (every paper table and figure plus the scale-out repro), got %d", len(All))
 	}
 	if _, err := ByID("fig99"); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// assertModeled fails if the table has a column measured on the host:
+// cmd/era-bench gates every cell by equality, so a wall-clock cell would
+// fail it on an unchanged binary. Wall time belongs to benchmark/.
+func assertModeled(t *testing.T, tbl *Table) {
+	t.Helper()
+	for _, h := range tbl.Header {
+		if strings.Contains(strings.ToLower(h), "wall") {
+			t.Errorf("%s: column %q is host-dependent; every cell must be modeled", tbl.ID, h)
+		}
+	}
+}
+
+func TestEveryCellIsModeled(t *testing.T) {
+	assertModeled(t, runExp(t, "table2")) // the rest run under TestAllExperimentsRunAtSmallScale
+}
+
+// TestTablesRepeat pins the property the exact gate rests on: a second run
+// emits the same table, including the one experiment that runs real
+// goroutines under a work-stealing scheduler.
+func TestTablesRepeat(t *testing.T) {
+	for _, id := range []string{"table2", "scaling"} {
+		if a, b := runExp(t, id), runExp(t, id); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two runs differ:\n%+v\n%+v", id, a, b)
+		}
 	}
 }

@@ -31,7 +31,6 @@ type DistributedResult struct {
 	VPTime           time.Duration // chunked vertical partitioning
 	ConstructionTime time.Duration // slowest node under the modeled LPT schedule
 	TotalTime        time.Duration // everything
-	WallTime         time.Duration
 	Nodes            []WorkerStats
 }
 
@@ -94,12 +93,10 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 	res.Stats.MinRange = int(^uint(0) >> 1)
 
 	jobs := scheduleGroups(groups)
-	start := time.Now()
 	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options, assemble, assembleFlat)
 	if err != nil {
 		return nil, err
 	}
-	res.WallTime = time.Since(start)
 
 	cpu, io, ws, byGi := foldRuns(jobs, runs, opts.Nodes, &res.Stats)
 	res.Nodes = ws

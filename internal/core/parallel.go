@@ -36,7 +36,6 @@ type ParallelResult struct {
 	Stats       Stats            // aggregate counters (scans etc. summed)
 	ModeledTime time.Duration    // virtual completion incl. VP and contention
 	VPTime      time.Duration
-	WallTime    time.Duration // real elapsed time of the goroutine run
 	Workers     []WorkerStats
 }
 
@@ -95,12 +94,10 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 	res.Stats.MinRange = int(^uint(0) >> 1)
 
 	jobs := scheduleGroups(groups)
-	start := time.Now()
 	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options, assemble, assembleFlat)
 	if err != nil {
 		return nil, err
 	}
-	res.WallTime = time.Since(start)
 
 	cpu, io, ws, byGi := foldRuns(jobs, runs, opts.Workers, &res.Stats)
 

@@ -90,7 +90,7 @@ var flatCorpora = [][]byte{
 }
 
 // TestFlatTreeDifferential pins the two layouts to identical answers for
-// every query the View interface exposes, over fixed corpora and random
+// every query both layouts answer, over fixed corpora and random
 // strings on small alphabets (which stress branchy nodes and deep repeats).
 func TestFlatTreeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -1,9 +1,9 @@
 package suffixtree
 
-// View is the layout-agnostic query surface of a suffix tree: Contains/Count/
-// Occurrences, the prefix-resumable descent and the repeat queries, with no
-// commitment to how nodes are stored. It is the seam the walks (walk.go) and
-// Flatten share between two layouts:
+// View is what the layout-agnostic walks (walk.go) and Flatten need of a
+// suffix tree: node identity, edge labels, children in first-symbol order and
+// the leaves below a node, with no commitment to how nodes are stored. Two
+// layouts implement it:
 //
 //   - *FlatTree, the immutable mmap-native layout of the index file format
 //     (child runs contiguous and sorted by first symbol, O(1) subtree leaf
@@ -13,8 +13,9 @@ package suffixtree
 //     and the test oracles work on (sibling-linked nodes, edge offsets into a
 //     seq.String) — a reference, not a serving path.
 //
-// The differential tests in flat_test.go pin the two layouts to byte-identical
-// answers.
+// The queries (Find, Count, Occurrences, the repeat queries) are methods of
+// both concrete types, not of the interface; the differential tests in
+// flat_test.go pin the two layouts to byte-identical answers.
 type View interface {
 	// Root returns the root node id.
 	Root() int32
@@ -22,8 +23,6 @@ type View interface {
 	NumNodes() int
 	// EdgeStart returns the start offset of u's edge label in S.
 	EdgeStart(u int32) int32
-	// EdgeEnd returns the end offset of u's edge label in S.
-	EdgeEnd(u int32) int32
 	// EdgeLen returns the length of u's edge label.
 	EdgeLen(u int32) int32
 	// IsLeaf reports whether u has no children.
@@ -33,30 +32,11 @@ type View interface {
 	// ForEachChild calls fn for every child of u in sibling (first-symbol)
 	// order, stopping early if fn returns false.
 	ForEachChild(u int32, fn func(c int32) bool)
-	// Find matches pattern from the root; see Tree.Find.
-	Find(pattern []byte) (Locus, bool)
-	// MatchTrace is the prefix-resumable descent; see Tree.MatchTrace.
-	MatchTrace(pattern []byte, from int, trace []Locus) int
-	// Contains reports whether pattern occurs in S.
-	Contains(pattern []byte) bool
-	// Count returns the number of occurrences of pattern in S.
-	Count(pattern []byte) int
-	// Occurrences returns the start offsets of every occurrence of pattern,
-	// in lexicographic suffix order.
-	Occurrences(pattern []byte) []int32
-	// CountLeaves returns the number of leaves below u.
-	CountLeaves(u int32) int
 	// Leaves returns the suffix offsets of the leaves below u in
 	// lexicographic order.
 	Leaves(u int32) []int32
 	// PathLabel materializes the concatenated edge labels from the root to u.
 	PathLabel(u int32) []byte
-	// LongestRepeatedSubstring returns the longest substring of S occurring
-	// at least twice, with its occurrence offsets.
-	LongestRepeatedSubstring() ([]byte, []int32)
-	// MaximalRepeats visits internal nodes by label length and occurrence
-	// count; see Tree.MaximalRepeats.
-	MaximalRepeats(minLen int32, minOcc int, fn func(node int32, depth int32, occ int) bool)
 }
 
 var (

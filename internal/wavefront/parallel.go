@@ -19,7 +19,6 @@ type ParallelResult struct {
 	VPTime           time.Duration
 	TransferTime     time.Duration // shared-nothing only
 	ConstructionTime time.Duration
-	WallTime         time.Duration
 }
 
 // BuildParallel runs PWaveFront on a shared-memory, shared-disk machine:
@@ -105,7 +104,6 @@ func parallel(f *seq.File, opts Options, workers int, sharedNothing bool) (*Para
 
 	perWorker := make([]*workerOut, workers)
 	errs := make([]error, workers)
-	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -115,7 +113,6 @@ func parallel(f *seq.File, opts Options, workers int, sharedNothing bool) (*Para
 		}(w)
 	}
 	wg.Wait()
-	res.WallTime = time.Since(start)
 
 	cpu := make([]time.Duration, workers)
 	io := make([]time.Duration, workers)

@@ -215,7 +215,7 @@ func MustGenerate(k Kind, n int, seed int64) []byte {
 // SliceDocs cuts a generated string (terminator already stripped) into
 // exactly nDocs contiguous, non-empty, near-equal documents — the
 // synthetic stand-in for a document corpus. `era shard -gen` and the
-// shardq serving benchmark share it so their corpora cannot drift apart.
+// repository benchmark share it so their corpora cannot drift apart.
 func SliceDocs(data []byte, nDocs int) ([][]byte, error) {
 	if nDocs < 1 || nDocs > len(data) {
 		return nil, fmt.Errorf("workload: %d documents outside [1, %d]", nDocs, len(data))
