@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"era/internal/alphabet"
-	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 )
 
@@ -627,7 +626,7 @@ func (t *topScan) answer() Answer {
 // SuffixOrderAnswer answers lrs or topk over the content the runs hold
 // (ascending, non-overlapping; offsets in the answer are the runs' own): SA-IS
 // for the suffix order, Kasai for the neighbour LCPs, one pass of the op's
-// consumer. O(n) time and about 37 bytes per symbol whatever the content looks
+// consumer. O(n) time and about 14 bytes per symbol whatever the content looks
 // like. Runs that abut are one stretch of text, and that — every in-process
 // partitioned layer, a router with all its shards — is the exact answer over
 // their concatenation. Where two runs leave a gap (a shard nobody could
@@ -659,14 +658,13 @@ func SuffixOrderAnswer(ctx context.Context, q Query, runs []Run) (Answer, error)
 	ends = append(ends, len(text))
 	text = append(text, alphabet.Terminator-1)
 
-	sa, err := suffixarray.Build(text)
+	sa, lcp, err := suffixOrder(text)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return Answer{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return Answer{}, err
-	}
-	lcp := suffixarray.LCP(text, sa)
 	var rep repeatScan
 	top := topScan{l: q.MinLen, text: text, sel: topSelection{k: q.K}}
 	add := rep.add

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -250,13 +249,10 @@ func TestPartitionedSuffixOrderAnswers(t *testing.T) {
 // TestAnalyticsCostPins pins the two allocation costs this layer was
 // rewritten for: mono topk reads L bytes per distinct L-mer rather than
 // copying a suffix, so its allocation does not grow with the corpus; and
-// partitioned lrs allocates one suffix array's worth (text, SA-IS working
-// set, LCP: about 37 B per symbol) where its window-hash search allocated
-// 1600.
+// partitioned lrs allocates one suffix array's worth (text, suffix array,
+// LCP and its scratch: about 14 B per symbol) where its window-hash search
+// allocated 1600.
 func TestAnalyticsCostPins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a 128 Ki-symbol corpus three ways")
-	}
 	ctx := context.Background()
 	topk := Query{Kind: OpTopK, K: 16, MinLen: 8}
 	var monoAlloc []uint64
@@ -291,8 +287,8 @@ func TestAnalyticsCostPins(t *testing.T) {
 		if want, _ := mono.Analytics(ctx, Query{Kind: OpLongestRepeat}); !reflect.DeepEqual(ans, want) {
 			t.Errorf("sharded lrs differs from mono: %+v vs %+v", ans, want)
 		}
-		if perSym := float64(lrsAlloc) / float64(n); perSym >= 48 {
-			t.Errorf("3-shard lrs over %d symbols allocated %d B = %.1f B/symbol, want < 48", n, lrsAlloc, perSym)
+		if perSym := float64(lrsAlloc) / float64(n); perSym >= 16 {
+			t.Errorf("3-shard lrs over %d symbols allocated %d B = %.1f B/symbol, want < 16 (14.3 measured)", n, lrsAlloc, perSym)
 		}
 	}
 	if small, large := monoAlloc[0], monoAlloc[1]; large > small+small/4+4096 {
@@ -360,35 +356,20 @@ const periodicAnalyticsBound = 5 * time.Second
 // testPeriodicAnalytics is TestAnalyticsDifferential's periodic-corpus case:
 // on text where every suffix repeats for as long as the text lasts, lrs and
 // topk on the sharded and the tombstoned live layer answer as the monolithic
-// index does, in time that does not depend on the repeat length.
+// index does, in time that does not depend on the repeat length. Every index
+// here fits the default budget and is built from a suffix array; one smaller
+// period-7 corpus is also built by ERA (asked for by mode — its work grows
+// with the square of the repeat length, which is why it stays small) and must
+// answer the same.
 func testPeriodicAnalytics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds 64 KiB periodic corpora")
-	}
-	kinds := []string{"one-symbol", "period-2", "period-7"}
-	// Building a periodic monolithic index is the slow part (ERA is quadratic
-	// in the repeat length): the three references build side by side while
-	// this goroutine sets up the partitioned layers, and every timed call
-	// runs after all of them are done.
+	queries := []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 5, MinLen: 8}, {Kind: OpTopK, K: 64, MinLen: 3}}
 	rng := rand.New(rand.NewSource(41))
-	corpora := make([][][]byte, len(kinds))
-	monos := make([]*Index, len(kinds))
-	errs := make([]error, len(kinds))
-	var wg sync.WaitGroup
-	for i, kind := range kinds {
-		corpora[i] = cutDocs(suffixCorpus(kind, 64<<10, rng), 16, false, rng)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			monos[i], errs[i] = BuildCorpus(corpora[i], nil)
-		}()
-	}
-	type layer struct {
-		name string
-		q    Queryable
-	}
-	layers := make([][]layer, len(kinds))
-	for i, docs := range corpora {
+	for _, kind := range []string{"one-symbol", "period-2", "period-7"} {
+		docs := cutDocs(suffixCorpus(kind, 64<<10, rng), 16, false, rng)
+		mono, err := BuildCorpus(docs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -410,16 +391,12 @@ func testPeriodicAnalytics(t *testing.T) {
 		if !reflect.DeepEqual(live, docs) {
 			t.Fatal("the live index's survivors are not the sharded corpus")
 		}
-		layers[i] = []layer{{"sharded", sx}, {"live", lx}}
-	}
-	wg.Wait()
-	for i, kind := range kinds {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		for _, l := range layers[i] {
-			for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 5, MinLen: 8}, {Kind: OpTopK, K: 64, MinLen: 3}} {
-				want, err := monos[i].Analytics(context.Background(), q)
+		for _, l := range []struct {
+			name string
+			q    Queryable
+		}{{"sharded", sx}, {"live", lx}} {
+			for _, q := range queries {
+				want, err := mono.Analytics(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -437,6 +414,25 @@ func testPeriodicAnalytics(t *testing.T) {
 					t.Errorf("%s, %s: Analytics(%s) took %v, bound %v", kind, l.name, q.Kind, took, periodicAnalyticsBound)
 				}
 			}
+		}
+	}
+
+	docs := cutDocs(suffixCorpus("period-7", 8<<10, rng), 4, false, rng)
+	mono, err := BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byERA, err := BuildCorpus(docs, &Config{Mode: SharedDisk, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mono.Stats().InMemory || byERA.Stats().InMemory {
+		t.Fatalf("builders: zero Config in memory = %v, SharedDisk in memory = %v", mono.Stats().InMemory, byERA.Stats().InMemory)
+	}
+	for _, q := range queries {
+		want, _ := mono.Analytics(context.Background(), q)
+		if got, err := byERA.Analytics(context.Background(), q); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("period-7 by ERA: Analytics(%s) = %+v, %v; the suffix-array build answers %+v", q.Kind, got, err, want)
 		}
 	}
 }

@@ -26,6 +26,23 @@ func BenchmarkBuildSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildInMemory is the same megabase built by the other builder:
+// at the default budget it fits as a suffix array.
+func BenchmarkBuildInMemory(b *testing.B) {
+	data := mustDNA(1 << 20)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := era.Build(data, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !idx.Stats().InMemory {
+			b.Fatal("the default budget sent 1 Mi symbols to ERA")
+		}
+	}
+}
+
 // BenchmarkQuery measures pattern search on a prebuilt megabase index.
 func BenchmarkQuery(b *testing.B) {
 	data := mustDNA(1 << 20)

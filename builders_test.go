@@ -1,0 +1,251 @@
+package era
+
+import (
+	"bytes"
+	"math"
+	"runtime"
+	"testing"
+
+	"era/internal/alphabet"
+	"era/internal/workload"
+)
+
+// eraBudget is tight enough that ERA cuts even these small corpora into many
+// sub-trees, and — being a budget — it is also what sends a serial build of
+// more than eraBudget/inMemoryBytesPerSymbol symbols to ERA.
+const eraBudget = 4 * 1024
+
+// forceERA returns the Config that builds an n-symbol terminated string with
+// ERA at eraBudget: serially where the budget alone says so, and through the
+// one-worker shared-disk driver where the string would fit it as a suffix
+// array.
+func forceERA(n int) *Config {
+	cfg := &Config{MemoryBudget: eraBudget}
+	if inMemoryBytesPerSymbol*int64(n) <= eraBudget {
+		cfg.Mode, cfg.Workers = SharedDisk, 1
+	}
+	return cfg
+}
+
+// assertBuildersAgree builds docs in memory and with every ERA driver and
+// holds the ERA builds to the suffix-array build's sections and serialized
+// image, byte for byte. The two builders share no code below
+// suffixtree.FlatBuilder, so each is the other's oracle.
+func assertBuildersAgree(t *testing.T, docs [][]byte, alpha *alphabet.Alphabet) {
+	t.Helper()
+	image := func(idx *Index) []byte {
+		idx.SetName("agree")
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	mem, err := BuildCorpus(docs, &Config{Alphabet: alpha})
+	if err != nil {
+		t.Fatalf("in-memory build: %v", err)
+	}
+	if st := mem.Stats(); !st.InMemory || st.SubTrees != 1 || st.Scans != 0 || st.Groups != 0 || st.ModeledTime != 0 {
+		t.Fatalf("in-memory build of %d symbols reports %+v", mem.Len(), st)
+	}
+	want, wantImage := mem.tree.Sections(), image(mem)
+
+	type driver struct {
+		label string
+		cfg   Config
+	}
+	drivers := []driver{
+		{"shared-disk-1", Config{Mode: SharedDisk, Workers: 1}},
+		{"shared-disk-2", Config{Mode: SharedDisk, Workers: 2}},
+		{"shared-disk-4", Config{Mode: SharedDisk, Workers: 4}},
+		{"shared-nothing-2", Config{Mode: SharedNothing, Workers: 2}},
+	}
+	if forceERA(mem.Len()).Mode == Serial {
+		drivers = append(drivers, driver{"serial", Config{}})
+	}
+	for _, d := range drivers {
+		// The parallel drivers split the budget between their workers.
+		d.cfg.MemoryBudget, d.cfg.Alphabet = eraBudget*int64(max(d.cfg.Workers, 1)), alpha
+		idx, err := BuildCorpus(docs, &d.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", d.label, err)
+		}
+		if st := idx.Stats(); st.InMemory || st.Scans == 0 || st.TreeNodes != mem.Stats().TreeNodes {
+			t.Fatalf("%s: not an ERA build of the same tree: %+v", d.label, st)
+		}
+		assertSectionsEqual(t, d.label, idx.tree.Sections(), &want)
+		if !bytes.Equal(image(idx), wantImage) {
+			t.Fatalf("%s: serialized image differs from the in-memory build's", d.label)
+		}
+	}
+}
+
+// TestBuildersAgree is the differential between the two builders over the
+// inputs that have broken one or the other before: every alphabet class,
+// periodic text, empty documents, the smallest corpus there is, and documents
+// that end in the alphabet's smallest symbol (the one the terminator ranks
+// just below).
+func TestBuildersAgree(t *testing.T) {
+	gen := func(kind workload.Kind, n, docs int) [][]byte {
+		data := workload.MustGenerate(kind, n, 29)
+		out, err := workload.SliceDocs(data[:n], docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	custom, err := alphabet.New("punct", []byte("%&*+z"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		alpha *alphabet.Alphabet
+		docs  [][]byte
+	}{
+		{"dna", nil, gen(workload.DNA, 3000, 7)},
+		{"protein", nil, gen(workload.Protein, 3000, 5)},
+		{"english", nil, gen(workload.English, 3000, 3)},
+		{"custom-detected", nil, [][]byte{[]byte("%&%&*z+%%&"), []byte("z*+%"), []byte("%")}},
+		{"custom-fixed", custom, [][]byte{bytes.Repeat([]byte("+%z&*%"), 80), []byte("%%")}},
+		{"period-1", nil, [][]byte{bytes.Repeat([]byte("A"), 500), []byte("AAA")}},
+		{"period-2", nil, [][]byte{bytes.Repeat([]byte("AC"), 300), bytes.Repeat([]byte("CA"), 40)}},
+		{"period-7", nil, [][]byte{bytes.Repeat([]byte("ACGTTGA"), 100), []byte("ACGTTGAACG")}},
+		{"empty-docs", nil, shardEmptyDocsCorpus()},
+		{"one-byte", nil, [][]byte{[]byte("A")}},
+		{"ends-in-smallest", nil, [][]byte{[]byte("CGTA"), []byte("TTAA"), []byte("A"), bytes.Repeat([]byte("GA"), 200)}},
+	} {
+		t.Run(c.name, func(t *testing.T) { assertBuildersAgree(t, c.docs, c.alpha) })
+	}
+}
+
+// FuzzBuildersAgree cuts fuzzer-chosen text over a fuzzer-chosen alphabet
+// into documents (empty ones included) and holds every ERA driver to the
+// in-memory build's bytes.
+func FuzzBuildersAgree(f *testing.F) {
+	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), byte(0), uint16(0))
+	f.Add([]byte("GATTACAGATTACA"), byte(0), uint16(0b1000001))
+	f.Add([]byte("mississippi"), byte(2), uint16(0b11))
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 0, 0}, byte(3), uint16(0b10101))
+	f.Add(bytes.Repeat([]byte{0}, 400), byte(0), uint16(1<<9))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 3, 2, 0}, 60), byte(1), uint16(0))
+	f.Fuzz(func(t *testing.T, core []byte, alphaSel byte, cuts uint16) {
+		if len(core) == 0 || len(core) > 2048 {
+			t.Skip()
+		}
+		syms := fuzzAlphabets[int(alphaSel)%len(fuzzAlphabets)]
+		data := make([]byte, len(core))
+		for i, b := range core {
+			data[i] = syms[int(b)%len(syms)]
+		}
+		// Bit i%16 of cuts ends a document before position i, and an empty
+		// one follows it where i is even.
+		var docs [][]byte
+		start := 0
+		for i := range data {
+			if cuts>>(i%16)&1 != 0 {
+				docs = append(docs, data[start:i])
+				if i%2 == 0 {
+					docs = append(docs, nil)
+				}
+				start = i
+			}
+		}
+		docs = append(docs, data[start:])
+		assertBuildersAgree(t, docs, nil)
+	})
+}
+
+// TestBudgetPicksTheBuilder pins the regime rule at its boundary, in both
+// directions: a serial build whose suffix-array working set is exactly the
+// budget runs in memory, one byte less of budget runs ERA, and a parallel
+// mode runs ERA however much budget there is.
+func TestBudgetPicksTheBuilder(t *testing.T) {
+	data := workload.MustGenerate(workload.DNA, 2000, 13)
+	n := int64(len(data)) // terminated length: Build appends what the slice below drops
+	data = data[:len(data)-1]
+	for _, c := range []struct {
+		name     string
+		cfg      Config
+		inMemory bool
+	}{
+		{"exact fit", Config{MemoryBudget: inMemoryBytesPerSymbol * n}, true},
+		{"one byte short", Config{MemoryBudget: inMemoryBytesPerSymbol*n - 1}, false},
+		{"default budget", Config{}, true},
+		{"shared-disk at the default budget", Config{Mode: SharedDisk}, false},
+		{"shared-nothing at the default budget", Config{Mode: SharedNothing, Workers: 2}, false},
+	} {
+		idx, err := Build(data, &c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := idx.Stats().InMemory; got != c.inMemory {
+			t.Errorf("%s: built in memory = %v, want %v (%d symbols, budget %d)", c.name, got, c.inMemory, n, c.cfg.MemoryBudget)
+		}
+	}
+}
+
+// TestBenchmarkBuildCellsRunERA holds the two configurations the repository
+// benchmark's build workload measures (benchmark/build.go: serial at 4 bytes
+// of budget per symbol, SharedDisk on every core at 64 MiB) to the builder
+// they exist to measure.
+func TestBenchmarkBuildCellsRunERA(t *testing.T) {
+	n := 512 << 10
+	if testing.Short() {
+		n = 64 << 10 // the budget scales with it, so the rule sees the same ratio
+	}
+	data := workload.MustGenerate(workload.DNA, n, 42)
+	docs, err := workload.SliceDocs(data[:n], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]*Config{
+		"serial": {MemoryBudget: 4 * int64(n)},
+		"par":    {Mode: SharedDisk, Workers: runtime.NumCPU(), MemoryBudget: 64 << 20},
+	} {
+		idx, err := BuildCorpus(docs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := idx.Stats(); st.InMemory || st.Scans == 0 {
+			t.Errorf("%s cell: %+v, want an ERA build", name, st)
+		}
+	}
+}
+
+// TestInMemoryWorkingSetFitsItsConstant measures what the fit rule promises,
+// at a size where the kernel's fixed costs (2 KiB of byte buckets, allocator
+// size classes; internal/suffixarray pins those at 4 Ki) no longer show: the
+// suffix order of n symbols allocates at most inMemoryBytesPerSymbol·n bytes,
+// and not so much less that the constant turns inputs away for nothing.
+func TestInMemoryWorkingSetFitsItsConstant(t *testing.T) {
+	const n = 1 << 20
+	for name, text := range map[string][]byte{
+		"dna":      workload.MustGenerate(workload.DNA, n, 5),
+		"english":  workload.MustGenerate(workload.English, n, 5),
+		"period-7": append(bytes.Repeat([]byte("ACGTTGA"), n/7+1)[:n], alphabet.Terminator),
+	} {
+		got := allocatedBy(func() {
+			if _, _, err := suffixOrder(text); err != nil {
+				t.Error(err)
+			}
+		})
+		if perSym := float64(got) / float64(len(text)); perSym <= inMemoryBytesPerSymbol-2 || perSym > inMemoryBytesPerSymbol {
+			t.Errorf("%s: the suffix order of %d symbols allocated %.2f B/symbol, the fit rule assumes (%d, %d]",
+				name, n, perSym, inMemoryBytesPerSymbol-2, inMemoryBytesPerSymbol)
+		}
+	}
+}
+
+// TestCorpusSizeGuard: a corpus whose terminated length overflows the
+// index's int32 offsets is refused at the entry point, by size alone.
+func TestCorpusSizeGuard(t *testing.T) {
+	if err := checkCorpusSize(math.MaxInt32 - 1); err != nil {
+		t.Errorf("the largest corpus whose terminator still has an int32 offset was refused: %v", err)
+	}
+	for _, total := range []int64{math.MaxInt32, math.MaxInt32 + 1, 1 << 40} {
+		if err := checkCorpusSize(total); err == nil {
+			t.Errorf("a corpus of %d bytes was admitted", total)
+		}
+	}
+}

@@ -277,8 +277,12 @@ func build(args []string) {
 	}
 	s := idx.Stats()
 	fmt.Printf("indexed %d symbols (alphabet %s) into %s as %q\n", idx.Len()-1, idx.Alphabet().Name(), *out, *name)
-	fmt.Printf("modeled time %v, %d scans, %d prefixes, %d virtual trees, %d sub-trees, %d tree nodes\n",
-		s.ModeledTime, s.Scans, s.Prefixes, s.Groups, s.SubTrees, s.TreeNodes)
+	if s.InMemory {
+		fmt.Printf("built in-memory (suffix array): the input fits the %d-byte budget, %d tree nodes\n", *mem, s.TreeNodes)
+	} else {
+		fmt.Printf("modeled time %v, %d scans, %d prefixes, %d virtual trees, %d sub-trees, %d tree nodes\n",
+			s.ModeledTime, s.Scans, s.Prefixes, s.Groups, s.SubTrees, s.TreeNodes)
+	}
 	fmt.Printf("build allocated %.1f MB total, heap high-water %.1f MB\n",
 		float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(after.HeapSys-after.HeapReleased)/(1<<20))
 }

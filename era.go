@@ -25,6 +25,7 @@ package era
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"era/internal/alphabet"
@@ -32,6 +33,7 @@ import (
 	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
+	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 )
 
@@ -67,8 +69,17 @@ type Config struct {
 	Alphabet *alphabet.Alphabet
 	// MemoryBudget bounds construction memory in bytes (default 64 MB).
 	// The resulting tree itself is held in memory for querying.
+	//
+	// The budget also says which regime the input is in. ERA is the
+	// out-of-core builder; when Mode is Serial and the whole input fits the
+	// budget as a suffix array (14 bytes per symbol), the tree is built in
+	// memory from that array instead — same image, byte for byte, in linear
+	// time and without the scans. A budget below that, or a parallel Mode,
+	// runs ERA. BuildStats.InMemory reports which one ran.
 	MemoryBudget int64
 	// Mode selects serial, shared-disk parallel or shared-nothing parallel.
+	// Naming a parallel mode asks for that §5 architecture and always runs
+	// ERA, whatever the budget.
 	Mode Mode
 	// Workers is the core/node count for the parallel modes (default 4).
 	Workers int
@@ -83,6 +94,11 @@ type Config struct {
 
 // BuildStats summarizes the accounted construction work.
 type BuildStats struct {
+	// InMemory reports that the input fit the budget and the tree was built
+	// from a suffix array rather than by ERA (see Config.MemoryBudget).
+	// Nothing is modeled on that path: ModeledTime, Scans, Prefixes and
+	// Groups are zero and SubTrees is 1.
+	InMemory bool
 	// ModeledTime is the virtual end-to-end time under the disk model.
 	ModeledTime time.Duration
 	// Scans is the number of sequential passes over the input.
@@ -128,9 +144,17 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Build constructs a suffix tree index over data using the ERA algorithm
-// under the configured memory budget. The input must not contain the
-// terminator byte '$'; one is appended internally.
+// inMemoryBytesPerSymbol is what the suffix-array builder holds per symbol of
+// the terminated string besides the string and the image: the suffix array,
+// the LCP array and the array the LCP pass ranks over, four bytes each, and
+// under two for SA-IS's LMS bits and bucket arrays
+// (TestInMemoryWorkingSetFitsItsConstant measures it).
+const inMemoryBytesPerSymbol = 14
+
+// Build constructs a suffix tree index over data under the configured memory
+// budget: by the ERA algorithm, or from a suffix array when the input is
+// small enough for the budget to hold one (see Config.MemoryBudget). The
+// input must not contain the terminator byte '$'; one is appended internally.
 func Build(data []byte, cfg *Config) (*Index, error) {
 	return build([][]byte{data}, cfg)
 }
@@ -146,15 +170,27 @@ func BuildCorpus(docs [][]byte, cfg *Config) (*Index, error) {
 	return build(docs, cfg)
 }
 
+// checkCorpusSize refuses a corpus whose terminated concatenation has offsets
+// an int32 cannot hold, which is what document ends, suffixes and node ids are.
+func checkCorpusSize(total int64) error {
+	if total+1 > math.MaxInt32 {
+		return fmt.Errorf("era: a corpus of %d bytes exceeds the index's 32-bit offsets (at most %d)", total, math.MaxInt32-1)
+	}
+	return nil
+}
+
 func build(docs [][]byte, cfgp *Config) (*Index, error) {
 	cfg := cfgp.withDefaults()
 	if cfg.Target != TargetFlat {
 		return nil, fmt.Errorf("era: unknown build target %d", cfg.Target)
 	}
 
-	var total int
+	var total int64
 	for _, d := range docs {
-		total += len(d)
+		total += int64(len(d))
+	}
+	if err := checkCorpusSize(total); err != nil {
+		return nil, err
 	}
 	data := make([]byte, 0, total+1)
 	docEnds := make([]int32, len(docs))
@@ -178,6 +214,55 @@ func build(docs [][]byte, cfgp *Config) (*Index, error) {
 		}
 	}
 
+	var fl *suffixtree.Flat
+	var stats BuildStats
+	var err error
+	if cfg.Mode == Serial && inMemoryBytesPerSymbol*int64(len(data)) <= cfg.MemoryBudget {
+		fl, err = buildInMemory(alpha, data)
+		stats = BuildStats{InMemory: true, SubTrees: 1}
+	} else {
+		fl, stats, err = buildERA(alpha, data, &cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	tree, err := suffixtree.NewFlatTree(data, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
+	if err != nil {
+		return nil, fmt.Errorf("era: viewing the built sections: %w", err)
+	}
+	stats.TreeNodes = int64(fl.NNodes - 1)
+	return &Index{tree: tree, data: data, alpha: alpha, docEnds: docEnds, stats: stats}, nil
+}
+
+// suffixOrder returns the suffix array of the terminated text and the LCP
+// of each suffix with its predecessor: the kernel of the in-memory builder
+// and of the partitioned lrs / topk (SuffixOrderAnswer).
+func suffixOrder(text []byte) (sa, lcp []int32, err error) {
+	if sa, err = suffixarray.Build(text); err != nil {
+		return nil, nil, err
+	}
+	return sa, suffixarray.LCP(text, sa), nil
+}
+
+// buildInMemory is the builder for inputs the budget can hold whole: the
+// suffix tree of data is the one sub-tree under the empty prefix, and its
+// sorted suffixes and their LCPs are the suffix array's. It shares nothing
+// with ERA below suffixtree.FlatBuilder, which emits the same sections from
+// either.
+func buildInMemory(alpha *alphabet.Alphabet, data []byte) (*suffixtree.Flat, error) {
+	if err := alpha.Validate(data); err != nil {
+		return nil, err
+	}
+	sa, lcp, err := suffixOrder(data)
+	if err != nil {
+		return nil, err
+	}
+	return suffixtree.FlatFromSuffixArray(data, sa, lcp)
+}
+
+// buildERA publishes data on a simulated disk and runs the paper's algorithm
+// over it in the configured architecture.
+func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config) (*suffixtree.Flat, BuildStats, error) {
 	model := sim.DefaultModel()
 	if cfg.DiskModel != nil {
 		model = *cfg.DiskModel
@@ -185,7 +270,7 @@ func build(docs [][]byte, cfgp *Config) (*Index, error) {
 	disk := diskio.NewDisk(model)
 	f, err := seq.Publish(disk, "input.seq", alpha, data)
 	if err != nil {
-		return nil, err
+		return nil, BuildStats{}, err
 	}
 
 	opts := core.Options{
@@ -199,38 +284,30 @@ func build(docs [][]byte, cfgp *Config) (*Index, error) {
 	case Serial:
 		res, err := core.BuildSerial(f, opts)
 		if err != nil {
-			return nil, err
+			return nil, BuildStats{}, err
 		}
 		fl, st = res.Flat, res.Stats
 	case SharedDisk:
 		res, err := core.BuildParallel(f, core.ParallelOptions{Options: opts, Workers: cfg.Workers})
 		if err != nil {
-			return nil, err
+			return nil, BuildStats{}, err
 		}
 		fl, st = res.Flat, res.Stats
 	case SharedNothing:
 		res, err := core.BuildDistributed(f, core.DistributedOptions{Options: opts, Nodes: cfg.Workers})
 		if err != nil {
-			return nil, err
+			return nil, BuildStats{}, err
 		}
 		fl, st = res.Flat, res.Stats
 	default:
-		return nil, fmt.Errorf("era: unknown mode %d", cfg.Mode)
+		return nil, BuildStats{}, fmt.Errorf("era: unknown mode %d", cfg.Mode)
 	}
-	tree, err := suffixtree.NewFlatTree(data, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
-	if err != nil {
-		return nil, fmt.Errorf("era: viewing the built sections: %w", err)
-	}
-	return &Index{
-		tree: tree, data: data, alpha: alpha, docEnds: docEnds,
-		stats: BuildStats{
-			ModeledTime: st.VirtualTime,
-			Scans:       st.Scans,
-			Prefixes:    st.Prefixes,
-			Groups:      st.Groups,
-			SubTrees:    st.SubTrees,
-			TreeNodes:   int64(fl.NNodes - 1),
-		},
+	return fl, BuildStats{
+		ModeledTime: st.VirtualTime,
+		Scans:       st.Scans,
+		Prefixes:    st.Prefixes,
+		Groups:      st.Groups,
+		SubTrees:    st.SubTrees,
 	}, nil
 }
 

@@ -51,8 +51,12 @@ func main() {
 			log.Fatal(err)
 		}
 		s := idx.Stats()
-		fmt.Printf("%-18s modeled %10v  scans %4d  virtual trees %3d  sub-trees %4d\n",
-			cfg.name, s.ModeledTime, s.Scans, s.Groups, s.SubTrees)
+		if s.InMemory { // not at this budget: a fifth of the string holds no suffix array
+			fmt.Printf("%-18s in-memory (suffix array)\n", cfg.name)
+		} else {
+			fmt.Printf("%-18s modeled %10v  scans %4d  virtual trees %3d  sub-trees %4d\n",
+				cfg.name, s.ModeledTime, s.Scans, s.Groups, s.SubTrees)
+		}
 
 		if cfg.mode == era.Serial {
 			// Query the serial index.

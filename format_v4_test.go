@@ -279,7 +279,7 @@ func TestDirectV4ByteIdentical(t *testing.T) {
 		{[]byte("TGGTGGTGGTGCGGTGATGGTGC"), []byte("AAAA"), []byte("C")},
 	}
 	for ci, docs := range corpora {
-		var serial *Index
+		var first, firstERA *Index
 		var image []byte
 		check := func(label string, cfg *Config) {
 			label = fmt.Sprintf("corpus %d %s", ci, label)
@@ -292,21 +292,34 @@ func TestDirectV4ByteIdentical(t *testing.T) {
 			if _, err := idx.WriteTo(&got); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if serial == nil {
+			if first == nil {
 				assertSectionsEqual(t, label, idx.tree.Sections(), suffixArraySections(t, idx.data))
-				serial, image = idx, got.Bytes()
+				first, image = idx, got.Bytes()
 				return
 			}
 			if !bytes.Equal(got.Bytes(), image) {
-				t.Fatalf("%s: image differs from the serial build's (%d vs %d bytes)", label, got.Len(), len(image))
+				t.Fatalf("%s: image differs from the first build's (%d vs %d bytes)", label, got.Len(), len(image))
 			}
-			// Modeled time and scan counts are per-driver; the tree-shape
-			// stats must match the serial build exactly.
-			if gw, ww := idx.Stats(), serial.Stats(); gw.TreeNodes != ww.TreeNodes || gw.SubTrees != ww.SubTrees {
-				t.Fatalf("%s: stats %+v, want %+v", label, gw, ww)
+			// Modeled time and scan counts are per-driver; the node count
+			// must match every build exactly, and the sub-tree count — the
+			// vertical partitioning's outcome — every other ERA driver's.
+			if gw, ww := idx.Stats(), first.Stats(); gw.TreeNodes != ww.TreeNodes {
+				t.Fatalf("%s: stats %+v, want %d tree nodes", label, gw, ww.TreeNodes)
+			}
+			if idx.Stats().InMemory {
+				t.Fatalf("%s: a parallel mode was not built by ERA", label)
+			}
+			if firstERA == nil {
+				firstERA = idx
+			}
+			if gw, ww := idx.Stats(), firstERA.Stats(); gw.SubTrees != ww.SubTrees {
+				t.Fatalf("%s: stats %+v, want %d sub-trees", label, gw, ww.SubTrees)
 			}
 		}
-		check("serial", &Config{})
+		check("in-memory", &Config{})
+		if !first.Stats().InMemory {
+			t.Fatalf("corpus %d: the zero Config ran ERA over %d symbols", ci, first.Len())
+		}
 		for w := 1; w <= 8; w++ {
 			check(fmt.Sprintf("shared-disk-%d", w), &Config{Mode: SharedDisk, Workers: w})
 		}
@@ -317,21 +330,27 @@ func TestDirectV4ByteIdentical(t *testing.T) {
 }
 
 // TestFlatImageAgainstSuffixArray holds the ERA build to suffixArraySections
-// at a budget that makes ERA cut the same corpus into many sub-trees.
+// at a budget that makes ERA cut the same corpus into many sub-trees. The
+// budget is also what keeps a serial build with ERA; the empty-docs corpus is
+// small enough to fit it as a suffix array, so there the mode asks for ERA.
 func TestFlatImageAgainstSuffixArray(t *testing.T) {
 	for _, c := range []struct {
 		name string
+		mode Mode
 		docs [][]byte
 	}{
-		{"diff-corpus", diffCorpus()},
-		{"periodic", [][]byte{bytes.Repeat([]byte("ACGT"), 300), bytes.Repeat([]byte("AC"), 500), []byte("ACGTACG")}},
-		{"one-symbol", [][]byte{bytes.Repeat([]byte("A"), 700), []byte("AAA")}},
-		{"empty-docs", shardEmptyDocsCorpus()},
+		{"diff-corpus", Serial, diffCorpus()},
+		{"periodic", Serial, [][]byte{bytes.Repeat([]byte("ACGT"), 300), bytes.Repeat([]byte("AC"), 500), []byte("ACGTACG")}},
+		{"one-symbol", Serial, [][]byte{bytes.Repeat([]byte("A"), 700), []byte("AAA")}},
+		{"empty-docs", SharedDisk, shardEmptyDocsCorpus()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			idx, err := BuildCorpus(c.docs, &Config{MemoryBudget: 4 * 1024})
+			idx, err := BuildCorpus(c.docs, &Config{MemoryBudget: 4 * 1024, Mode: c.mode, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if idx.Stats().InMemory {
+				t.Fatalf("%d symbols at a 4 KiB budget were not built by ERA", idx.Len())
 			}
 			if idx.Stats().SubTrees < 2 {
 				t.Fatalf("ERA built %d sub-tree: nothing for the assembly to join", idx.Stats().SubTrees)
@@ -736,9 +755,6 @@ func TestOldLayoutImageRefused(t *testing.T) {
 // image costs at most 45 bytes per indexed symbol on disk, DNA
 // and English alike (the layout before it cost 63 and 76).
 func TestFlatImageBytesPerSymbol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds two 128 Ki corpora")
-	}
 	const n = 128 << 10
 	for _, kind := range []workload.Kind{workload.DNA, workload.English} {
 		data := workload.MustGenerate(kind, n, 7)

@@ -68,10 +68,15 @@ func FuzzBuildQuery(f *testing.F) {
 		}
 
 		// A tight budget forces real vertical partitioning even on small
-		// fuzz inputs.
-		idx, err := Build(data, &Config{MemoryBudget: 4 * 1024})
+		// fuzz inputs (and forceERA keeps the ones that fit even that budget
+		// as a suffix array with ERA; FuzzBuildersAgree holds the in-memory
+		// builder to ERA's bytes, and so to this oracle).
+		idx, err := Build(data, forceERA(len(data)+1))
 		if err != nil {
 			t.Fatalf("Build(%q): %v", data, err)
+		}
+		if idx.Stats().InMemory {
+			t.Fatalf("Build(%q) did not run ERA", data)
 		}
 
 		// The oracle: a naive O(n²) suffix tree over the same string.

@@ -2,7 +2,10 @@ package suffixarray
 
 import (
 	"bytes"
+	stdsa "index/suffixarray"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -166,4 +169,118 @@ func equal32(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// FuzzBuildLCP holds Build and LCP to two references that share nothing with
+// them or with each other: suffixes sorted by comparing them, with their LCPs
+// counted symbol by symbol, and the standard library's suffix array, asked
+// where windows of the text occur.
+func FuzzBuildLCP(f *testing.F) {
+	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), byte(4))
+	f.Add([]byte("mississippi"), byte(26))
+	f.Add(bytes.Repeat([]byte{0}, 300), byte(1))
+	f.Add(bytes.Repeat([]byte{0, 1}, 200), byte(2))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 3, 2, 0}, 70), byte(4))
+	f.Add([]byte{3, 2, 1, 0, 0, 1, 2, 3, 3, 3, 0, 0, 0, 1}, byte(200))
+	f.Add([]byte{}, byte(0))
+	f.Fuzz(func(t *testing.T, core []byte, sigma byte) {
+		if len(core) > 4096 {
+			t.Skip()
+		}
+		// Up to 219 symbols above the terminator '$'.
+		k := int(sigma)%219 + 1
+		s := make([]byte, len(core)+1)
+		for i, c := range core {
+			s[i] = '%' + c%byte(k)
+		}
+		s[len(core)] = '$'
+
+		sa, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naiveSA(s)
+		if !equal32(sa, want) {
+			t.Fatalf("Build(%q) = %v, sorting the suffixes gives %v", s, sa, want)
+		}
+		if got, want := LCP(s, sa), naiveLCP(s, want); !equal32(got, want) {
+			t.Fatalf("LCP(%q) = %v, counting gives %v", s, got, want)
+		}
+
+		std := stdsa.New(s)
+		for i := 0; i < len(s); i += len(s)/8 + 1 {
+			for _, m := range []int{1, 2, 5, len(s) - i} {
+				p := s[i:min(i+m, len(s))]
+				lo := sort.Search(len(sa), func(r int) bool { return bytes.Compare(s[sa[r]:], p) >= 0 })
+				hi := lo + sort.Search(len(sa)-lo, func(r int) bool { return !bytes.HasPrefix(s[sa[lo+r]:], p) })
+				got := make([]int, 0, hi-lo)
+				for _, o := range sa[lo:hi] {
+					got = append(got, int(o))
+				}
+				slices.Sort(got)
+				want := std.Lookup(p, -1)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%q occurs at %v by this suffix array of %q, at %v by index/suffixarray", p, got, s, want)
+				}
+			}
+		}
+	})
+}
+
+// benchTexts are the shapes the allocation pin and the benchmark run over:
+// the two ends of the paper's alphabets, and text where every suffix repeats
+// to the end.
+func benchTexts(n int) map[string][]byte {
+	return map[string][]byte{
+		"dna":      workload.MustGenerate(workload.DNA, n, 42),
+		"english":  workload.MustGenerate(workload.English, n, 42),
+		"period-7": append(bytes.Repeat([]byte("ACGTTGA"), n/7+1)[:n], '$'),
+	}
+}
+
+// TestAllocationPerSymbol pins what the package doc promises: Build and LCP
+// together allocate at most 16 bytes per symbol beyond the text — the two
+// results, LCP's scratch array, and under a byte of SA-IS state at scale
+// (the 4 Ki figure carries 2 KiB of byte buckets and the allocator's
+// size-class rounding).
+func TestAllocationPerSymbol(t *testing.T) {
+	for _, n := range []int{4 << 10, 1 << 20} {
+		for name, s := range benchTexts(n) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sa, err := Build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lcp := LCP(s, sa)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(lcp)
+			perSym := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(s))
+			t.Logf("%s, %d symbols: %.2f B/symbol", name, n, perSym)
+			if perSym > 16 {
+				t.Errorf("%s, %d symbols: Build + LCP allocated %.2f B/symbol, want ≤ 16", name, n, perSym)
+			}
+		}
+	}
+}
+
+var sink []int32
+
+// BenchmarkBuildLCP is the kernel as the in-memory builder and the
+// partitioned analytics run it: the suffix array and its LCP array.
+func BenchmarkBuildLCP(b *testing.B) {
+	for name, s := range benchTexts(1 << 20) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(s)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sa, err := Build(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = LCP(s, sa)
+			}
+		})
+	}
 }

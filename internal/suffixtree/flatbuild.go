@@ -384,6 +384,35 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	return f, nil
 }
 
+// FlatFromSuffixArray builds the sections of the whole tree at once from the
+// suffix array of data and its LCP array (lcp[i] between sa[i-1] and sa[i]):
+// the suffix tree of data is the one sub-tree under the empty prefix. The
+// internal nodes below the root are the LCP intervals of positive depth, and
+// one rightmost-path pass over lcp counts them — an interval opens where the
+// LCP rises above every depth still open — so the builder allocates the
+// sections at their final size.
+func FlatFromSuffixArray(data []byte, sa, lcp []int32) (*Flat, error) {
+	internal := 0
+	var open []int32 // depths of the open intervals, ascending
+	for _, l := range lcp[min(1, len(lcp)):] {
+		for len(open) > 0 && open[len(open)-1] > l {
+			open = open[:len(open)-1]
+		}
+		if l > 0 && (len(open) == 0 || open[len(open)-1] < l) {
+			open = append(open, l)
+			internal++
+		}
+	}
+	b, err := NewFlatBuilder(data, internal)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := b.AddSubTree(nil, sa, lcp); err != nil {
+		return nil, err
+	}
+	return b.Finish()
+}
+
 // Flatten encodes any tree view over data into the flat sections — how the
 // tests put a reference heap tree beside the layout that serves: the heap tree
 // a builder produced (or another FlatTree) is read back as the sorted suffix

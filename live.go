@@ -124,8 +124,11 @@ type LiveConfig struct {
 	// Dir is the live directory holding the manifest (live.idx) and sealed
 	// tier files. Empty keeps every tier heap-resident and volatile.
 	Dir string
-	// Build configures memtable and compaction builds. Nil uses the package
-	// defaults (parallel shared-disk construction, inferred alphabet).
+	// Build configures memtable and compaction builds. Nil is the zero
+	// Config: inferred alphabet, and the 64 MB default budget, which a seal
+	// or compaction of up to about 4.7 M symbols fits as a suffix array and
+	// is therefore built in memory; past that, or at a smaller budget, or
+	// with a parallel Mode named here, ERA builds it (Config.MemoryBudget).
 	// Setting Build.Alphabet fixes the alphabet: appends with bytes outside
 	// it are rejected instead of widening the inferred union.
 	Build *Config
@@ -314,7 +317,7 @@ func (lx *LiveIndex) buildConfig() Config {
 	if lx.cfg.Build != nil {
 		return *lx.cfg.Build
 	}
-	return Config{Mode: SharedDisk}
+	return Config{}
 }
 
 // publishLocked derives a fresh snapshot from the current tier stack and

@@ -89,14 +89,16 @@ type ShardConfig struct {
 	// Shards is the number of document-aligned shards (capped at the
 	// document count; default 4).
 	Shards int
-	// Build configures each shard's construction. nil selects the parallel
-	// shared-disk path with default budget and workers.
+	// Build configures each shard's construction. nil is the zero Config:
+	// each shard that fits the 64 MB default budget as a suffix array is
+	// built in memory, a larger one by serial ERA; name a parallel Mode to
+	// build every shard with that architecture (Config.MemoryBudget).
 	Build *Config
 }
 
 // BuildShardedCorpus splits docs at document boundaries into cfg.Shards
 // contiguous, greedily size-balanced runs and builds one Index per run
-// (using the parallel shared-disk builder unless cfg.Build says otherwise).
+// (as cfg.Build says; the zero Config when it says nothing).
 // The resulting ShardedIndex answers every query exactly as the monolithic
 // BuildCorpus index over the same docs would.
 func BuildShardedCorpus(docs [][]byte, cfg *ShardConfig) (*ShardedIndex, error) {
@@ -111,11 +113,7 @@ func BuildShardedCorpus(docs [][]byte, cfg *ShardConfig) (*ShardedIndex, error) 
 		}
 		if cfg.Build != nil {
 			buildCfg = *cfg.Build
-		} else {
-			buildCfg.Mode = SharedDisk
 		}
-	} else {
-		buildCfg.Mode = SharedDisk
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("era: shard count %d < 1", shards)
