@@ -19,21 +19,21 @@ import (
 // these): top-k most frequent substrings of a length, longest repeated
 // substring, longest common substring across documents, document-frequency
 // stats for a pattern set, and k-mismatch search via bounded-branching
-// descent. There are two in-process executors: Index.Analytics walks one
-// tree, and liveSnapshot.analytics (analytics_live.go) merges tiers — it is
-// what both LiveIndex.Analytics and ShardedIndex.Analytics run, a sharded
-// index being the zero-tombstone case. Dispatch and parameter validation
-// live here, once.
+// descent. There are three in-process executors: Index.Analytics walks one
+// tree; ShardedIndex.Analytics (shard.go) asks the shards that hold the
+// answer — each an Index.Analytics over its range of the suffix order — and
+// merges with MergeShards, which the cluster router calls too; and
+// liveSnapshot.analytics (analytics_live.go) merges the tiers of a
+// LiveIndex. Dispatch and parameter validation live here, once.
 //
-// The monolithic index answers lrs and topk with its own O(nodes) walks
-// (suffixtree.LongestRepeated, PrefixLoci). Every partitioned layer answers
-// them from the suffixes of the virtual global string in lexicographic order
-// with the LCP between neighbours — SA-IS + Kasai over the materialized
-// string (SuffixOrderAnswer): lrs is the first maximum of that LCP
-// (repeatScan), topk a run-length count of LCP ≥ L into a bounded selection
-// (topScan, topSelection). The in-process executor (analytics_live.go) and
-// the router, which holds the fetched bytes but no trees, call the same
-// function.
+// The whole and the sharded index answer lrs and topk with tree walks
+// (suffixtree.LongestRepeated, PrefixLoci). The live index, whose tiers cut
+// the corpus at document boundaries and whose memtable has no tree at all,
+// answers them from the suffixes of its virtual global string in
+// lexicographic order with the LCP between neighbours — SA-IS + Kasai over
+// the materialized string (suffixOrderAnswer): lrs is the first maximum of
+// that LCP (repeatScan), topk a run-length count of LCP ≥ L into a bounded
+// selection (topScan, topSelection).
 //
 // Answer identity across layers is the package discipline: every analytics
 // answer is a pure function of the virtual global string and the document
@@ -242,6 +242,12 @@ func (q *Query) AppendFingerprint(b []byte) []byte {
 // walks (topk enumeration, the lrs tree walk, the mismatch descent) poll ctx
 // periodically, so a canceled or expired context abandons the work and
 // returns ctx's error instead of pinning the worker until completion.
+//
+// An index whose tree holds one range of the suffix order (Range) answers
+// topk, lrs, mismatch and docfreq over its range, the per-shard answers
+// MergeShards takes — a docfreq document counts where its first occurrence
+// of the pattern is held, so the shards' counts add up — and lcs over the two
+// whole documents, which it holds (LCSTwoStrings).
 func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, len(x.docEnds)); err != nil {
 		return Answer{}, err
@@ -276,9 +282,17 @@ func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 		sort.Ints(out)
 		return Answer{Found: true, Pattern: lbl, Occurrences: out, Count: len(out)}, nil
 	case OpCommonSubstring:
+		if x.partial() {
+			label, offA, offB := LCSTwoStrings(x.docBytes(q.DocA), x.docBytes(q.DocB))
+			return Answer{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
+		}
 		return x.commonSubstring(ctx, q.DocA, q.DocB)
 	case OpDocFreq:
-		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, x.DocOccurrences))
+		var counts func([]byte, DocHit) bool
+		if x.partial() {
+			counts = x.holdsFirst
+		}
+		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, x.DocOccurrences), counts)
 	case OpMismatch:
 		occ := suffixtree.MismatchSearch(x.tree, x.data, q.Pattern, q.K, alphabet.Terminator, stop)
 		if err := ctx.Err(); err != nil {
@@ -429,6 +443,27 @@ func (x *Index) commonSubstring(ctx context.Context, a, b int) (Answer, error) {
 	}
 	offA, offB := x.minDocOffset(label, a), x.minDocOffset(label, b)
 	return Answer{Found: true, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
+}
+
+// docBytes returns document ord's content, viewed in place.
+func (x *Index) docBytes(ord int) []byte {
+	start := 0
+	if ord > 0 {
+		start = int(x.docEnds[ord-1])
+	}
+	return x.data[start:x.docEnds[ord]]
+}
+
+// holdsFirst reports whether hit — the first occurrence of p in its document
+// that this range index holds — is the document's first occurrence of p at
+// all: whether this index, of the shards whose ranges p's suffixes straddle,
+// is the one that counts the document in docfreq. When every suffix that
+// begins with p is in the range the answer is yes without looking.
+func (x *Index) holdsFirst(p []byte, hit DocHit) bool {
+	if bytes.Compare(p, x.lo) >= 0 && (len(x.hi) == 0 || (bytes.Compare(p, x.hi) < 0 && !bytes.HasPrefix(x.hi, p))) {
+		return true
+	}
+	return bytes.Index(x.docBytes(hit.Doc)[:hit.Offset+len(p)-1], p) < 0
 }
 
 // minDocOffset returns the smallest non-crossing occurrence offset of
@@ -623,39 +658,22 @@ func (t *topScan) answer() Answer {
 	return t.sel.answer()
 }
 
-// SuffixOrderAnswer answers lrs or topk over the content the runs hold
-// (ascending, non-overlapping; offsets in the answer are the runs' own): SA-IS
-// for the suffix order, Kasai for the neighbour LCPs, one pass of the op's
-// consumer. O(n) time and about 14 bytes per symbol whatever the content looks
-// like. Runs that abut are one stretch of text, and that — every in-process
-// partitioned layer, a router with all its shards — is the exact answer over
-// their concatenation. Where two runs leave a gap (a shard nobody could
-// fetch) the answer is over what is there: no window and no occurrence of a
-// repeat reaches across a gap, counts and repeats add up across the stretches.
-func SuffixOrderAnswer(ctx context.Context, q Query, runs []Run) (Answer, error) {
-	// One text: a gap is a terminator byte, which no content holds, so a match
-	// can run up to one but never over it; the byte below closes the text, the
-	// unique smallest last symbol SA-IS needs. ends[g] is where stretch g's
-	// barrier sits and shift[g] what turns a text position inside it into a
-	// global offset.
+// suffixOrderAnswer answers lrs or topk over the text the segments spell one
+// after the other from offset 0 — a live snapshot's segs, the virtual global
+// string: SA-IS for the suffix order, Kasai for the neighbour LCPs, one pass
+// of the op's consumer. O(n) time and about 14 bytes per symbol whatever the
+// content looks like.
+func suffixOrderAnswer(ctx context.Context, q Query, segs []run) (Answer, error) {
 	n := 1
-	for _, r := range runs {
-		n += len(r.Data) + 1
+	for _, r := range segs {
+		n += len(r.Data)
 	}
 	text := make([]byte, 0, n)
-	var ends, shift []int
-	for i, r := range runs {
-		gap := i > 0 && runs[i-1].Off+len(runs[i-1].Data) != r.Off
-		if gap {
-			ends = append(ends, len(text))
-			text = append(text, alphabet.Terminator)
-		}
-		if i == 0 || gap {
-			shift = append(shift, r.Off-len(text))
-		}
+	for _, r := range segs {
 		text = append(text, r.Data...)
 	}
-	ends = append(ends, len(text))
+	// The byte below the terminator closes the text: the unique smallest last
+	// symbol SA-IS needs, so no match runs over it.
 	text = append(text, alphabet.Terminator-1)
 
 	sa, lcp, err := suffixOrder(text)
@@ -676,26 +694,19 @@ func SuffixOrderAnswer(ctx context.Context, q Query, runs []Run) (Answer, error)
 		if stop != nil && stop() {
 			return Answer{}, ctx.Err()
 		}
-		g := 0
-		if len(ends) > 1 {
-			g = sort.SearchInts(ends, int(o))
-		}
-		room := ends[g] - int(o)
-		add(int(o), min(int(lcp[i]), room), room)
+		add(int(o), int(lcp[i]), n-1-int(o))
 	}
 	if q.Kind == OpTopK {
 		return top.answer(), nil
 	}
-	ans := rep.answer(text)
-	for j, o := range ans.Occurrences {
-		ans.Occurrences[j] = o + shift[sort.SearchInts(ends, o)]
-	}
-	return ans, nil
+	return rep.answer(text), nil
 }
 
 // docFreqAnswer aggregates per-document stats for a pattern set through any
-// layer's DocOccurrences (whose cross-layer identity is already pinned).
-func docFreqAnswer(patterns [][]byte, docOcc func([]byte) ([]DocHit, error)) (Answer, error) {
+// layer's DocOccurrences (whose cross-layer identity is already pinned). A
+// non-nil counts decides, from its first hit, whether a document is counted
+// (Index.holdsFirst); nil counts every document with a hit.
+func docFreqAnswer(patterns [][]byte, docOcc func([]byte) ([]DocHit, error), counts func([]byte, DocHit) bool) (Answer, error) {
 	ans := Answer{Stats: make([]PatternStat, len(patterns))}
 	for i, p := range patterns {
 		hits, err := docOcc(p)
@@ -707,7 +718,9 @@ func docFreqAnswer(patterns [][]byte, docOcc func([]byte) ([]DocHit, error)) (An
 		last := -1
 		for _, h := range hits {
 			if h.Doc != last {
-				st.Docs++
+				if counts == nil || counts(p, h) {
+					st.Docs++
+				}
 				last = h.Doc
 			}
 		}
@@ -755,7 +768,7 @@ func hammingAtMost(a, b []byte, k int) bool {
 // is the global window offset and window its bytes, valid only during the
 // call. Windows touching the virtual terminator are excluded — analytics
 // windows are content-only.
-func (ss *Stitch) crossingWindows(m int, fn func(start int, window []byte)) {
+func (ss *stitch) crossingWindows(m int, fn func(start int, window []byte)) {
 	ss.eachRegion(m, ss.totalLen-1, func(off int, data []byte, from, limit int) bool {
 		for s := from; s < limit && s+m <= len(data); s++ {
 			fn(off+s, data[s:s+m])
@@ -798,8 +811,8 @@ func windowHashes(s []byte, m int) []uint64 {
 // LCSTwoStrings computes the canonical longest-common-substring answer for
 // two raw document byte strings: longest first, lexicographically smallest
 // among equals, with the smallest occurrence offset in each document (-1, -1
-// when the documents share nothing). The partitioned layers — in process and,
-// over the two documents it fetched, the router — answer lcs with it.
+// when the documents share nothing). The live index and every shard of a
+// prefix-partitioned one answer lcs with it.
 func LCSTwoStrings(A, B []byte) (label []byte, offA, offB int) {
 	maxLen := len(A)
 	if len(B) < maxLen {

@@ -39,7 +39,7 @@ func (s *liveSnapshot) checkErr() error {
 // assembled from live segments, so a `$`-window, junction or uncovered-run
 // scan touches no tombstoned byte and no tier tree at all. lrs and topk do
 // not fan out at all: they are read off the suffix array of the virtual
-// string laid out from the live segments (SuffixOrderAnswer), which is linear
+// string laid out from the live segments (suffixOrderAnswer), which is linear
 // on any input and has junctions, tombstones and the memtable already
 // resolved.
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
@@ -54,14 +54,14 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	}
 	switch q.Kind {
 	case OpTopK, OpLongestRepeat:
-		return SuffixOrderAnswer(ctx, q, s.segs)
+		return suffixOrderAnswer(ctx, q, s.segs)
 	case OpCommonSubstring:
 		label, offA, offB := LCSTwoStrings(s.docBytes(q.DocA), s.docBytes(q.DocB))
 		return Answer{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
 	case OpDocFreq:
 		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, func(p []byte) ([]DocHit, error) {
 			return s.docOccurrences(p), nil
-		}))
+		}), nil)
 	case OpMismatch:
 		ans := s.mismatch(ctx, q)
 		if err := ctx.Err(); err != nil {
@@ -73,7 +73,7 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 }
 
 func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
-	parts := make([]Part, len(s.tiers))
+	parts := make([]part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		raw := suffixtree.MismatchSearch(t.h.idx.tree, t.h.idx.data, q.Pattern, q.K, alphabet.Terminator, ctxStop(ctx))
 		occ := make([]int, len(raw))
@@ -84,7 +84,7 @@ func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
 		if t.nDead > 0 {
 			occ = t.translate(occ, len(q.Pattern), 0)
 		}
-		parts[i] = Part{Off: t.shift(), Count: len(occ), Occurrences: occ}
+		parts[i] = part{Off: t.shift(), Count: len(occ), Occurrences: occ}
 	})
-	return s.stitch.Merge(q, parts)
+	return s.stitch.merge(q, parts)
 }

@@ -13,8 +13,10 @@ import (
 	"era/internal/workload"
 )
 
-// Tests for the suffix-order lrs / topk executor of the partitioned layers
-// (SuffixOrderAnswer, analytics.go) and the cost pins of the analytics walks.
+// Tests for the partitioned lrs / topk — the live index's suffix-order
+// executor (suffixOrderAnswer, analytics.go) and the sharded index's merge of
+// per-shard tree answers (MergeShards) — and the cost pins of the analytics
+// walks.
 
 // suffixCorpus returns n bytes of one of the inputs that stress a suffix
 // order: random text, periodic texts (every suffix repeats for as long as the
@@ -118,45 +120,6 @@ func tombstonedLive(t *testing.T, docs [][]byte, memtable bool) (*LiveIndex, [][
 	return lx, live
 }
 
-// naiveRunsTopK and naiveRunsLRS are the oracles for SuffixOrderAnswer over
-// runs with gaps between them: every window and every occurrence lies inside
-// one run, counts and repeats add up across runs, offsets are global.
-func naiveRunsTopK(runs []Run, L, k int) Answer {
-	agg := map[string]int{}
-	for _, r := range runs {
-		for i := 0; i+L <= len(r.Data); i++ {
-			agg[string(r.Data[i:i+L])]++
-		}
-	}
-	return topAnswer(agg, k)
-}
-
-func naiveRunsLRS(runs []Run) Answer {
-	longest := 0
-	for _, r := range runs {
-		longest = max(longest, len(r.Data))
-	}
-	for m := longest; m >= 1; m-- {
-		pos := map[string][]int{}
-		for _, r := range runs {
-			for i := 0; i+m <= len(r.Data); i++ {
-				w := string(r.Data[i : i+m])
-				pos[w] = append(pos[w], r.Off+i)
-			}
-		}
-		best := ""
-		for w, p := range pos {
-			if len(p) >= 2 && (best == "" || w < best) {
-				best = w
-			}
-		}
-		if best != "" {
-			return Answer{Found: true, Pattern: []byte(best), Occurrences: pos[best], Count: len(pos[best])}
-		}
-	}
-	return Answer{}
-}
-
 // requireSuffixOrderAnswers checks lrs and a spread of topk queries on a
 // partitioned layer against the monolithic index over the same documents.
 func requireSuffixOrderAnswers(t *testing.T, label string, mono *Index, got Queryable) {
@@ -181,9 +144,9 @@ func requireSuffixOrderAnswers(t *testing.T, label string, mono *Index, got Quer
 // monolithic index — itself pinned to the naive oracles here — over random
 // and periodic corpora, document counts below and above the shard count,
 // empty documents, and a live index whose every tier carries tombstones,
-// with and without a tombstoned memtable behind the tiers. The exported entry
-// point the router hands its fetched bytes to answers the same lrs and topk,
-// and over two runs with a gap what naiveRunsLRS / naiveRunsTopK spell.
+// with and without a tombstoned memtable behind the tiers. The suffix-order
+// executor itself answers the same lrs and topk whether the string comes as
+// one segment or several.
 func TestPartitionedSuffixOrderAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ctx := context.Background()
@@ -219,26 +182,15 @@ func TestPartitionedSuffixOrderAnswers(t *testing.T) {
 				t.Fatalf("%s: mono topk differs from the naive oracle", kind)
 			}
 			requireSuffixOrderAnswers(t, fmt.Sprintf("%s, live (memtable %v)", kind, memtable), mono, lx)
-			// The router's entry point over fetched bytes: one run, or several
-			// that abut, is the same exact answer; with a gap between two runs no
-			// window and no occurrence spans it, and offsets stay the corpus's.
 			a, b := len(global)/3, len(global)/2
-			whole := []Run{{Off: 0, Data: global}}
-			abutting := []Run{{Off: 0, Data: global[:a]}, {Off: a, Data: global[a:b]}, {Off: b}, {Off: b, Data: global[b:]}}
-			gapped := []Run{{Off: 0, Data: global[:a]}, {Off: b, Data: global[b:]}}
+			whole := []run{{Off: 0, Data: global}}
+			cut := []run{{Off: 0, Data: global[:a]}, {Off: a, Data: global[a:b]}, {Off: b, Data: global[b:]}}
 			for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 5, MinLen: 4}, {Kind: OpTopK, K: MaxTopK, MinLen: 2}} {
 				want, _ := mono.Analytics(ctx, q)
-				for name, runs := range map[string][]Run{"one run": whole, "abutting runs": abutting} {
-					if got, err := SuffixOrderAnswer(ctx, q, runs); err != nil || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: SuffixOrderAnswer(%s, %s) = %+v, %v; want %+v", kind, q.Kind, name, got, err, want)
+				for name, segs := range map[string][]run{"one segment": whole, "three segments": cut} {
+					if got, err := suffixOrderAnswer(ctx, q, segs); err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: suffixOrderAnswer(%s, %s) = %+v, %v; want %+v", kind, q.Kind, name, got, err, want)
 					}
-				}
-				want = naiveRunsLRS(gapped)
-				if q.Kind == OpTopK {
-					want = naiveRunsTopK(gapped, q.MinLen, q.K)
-				}
-				if got, err := SuffixOrderAnswer(ctx, q, gapped); err != nil || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: SuffixOrderAnswer(%s k=%d L=%d, two runs) = %+v, %v; want %+v", kind, q.Kind, q.K, q.MinLen, got, err, want)
 				}
 			}
 			lx.Close()

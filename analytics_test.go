@@ -3,6 +3,7 @@ package era
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -175,9 +176,12 @@ func analyticsQuerySet(numDocs int) []Query {
 
 // TestAnalyticsDifferential pins every analytics op byte-identical across
 // the four layers — monolithic as built and as reopened from its mapped file,
-// sharded, and live after appends and deletes — against the naive scan oracle; its
-// periodic sub-test (testPeriodicAnalytics) adds the corpora on which a
-// suffix order must not be had by comparing suffixes.
+// sharded into K ∈ {1, 2, 3, 5, 8} prefix ranges, and live after appends and
+// deletes — against the naive scan oracle, and the sharded layer again over
+// corpora whose cuts are awkward (one document, periodic text, an empty
+// document, more shards than DNA has symbols); its periodic sub-test
+// (testPeriodicAnalytics) adds the corpora on which a suffix order must not
+// be had by comparing suffixes.
 func TestAnalyticsDifferential(t *testing.T) {
 	docs := [][]byte{
 		[]byte("GATTACAGATTACAGGTT"),
@@ -201,11 +205,6 @@ func TestAnalyticsDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
-
-	sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The live index accumulates the same corpus through appends interleaved
 	// with extra documents that are then deleted, so the surviving corpus —
@@ -243,27 +242,45 @@ func TestAnalyticsDifferential(t *testing.T) {
 		t.Fatalf("live NumDocs = %d, want %d", lx.NumDocs(), len(docs))
 	}
 
-	layers := []struct {
+	type layer struct {
 		name string
 		q    Queryable
-	}{
-		{"mono", mono},
-		{"mapped-mono", mapped},
-		{"sharded", sx},
-		{"live", lx},
 	}
-
-	for _, q := range analyticsQuerySet(len(docs)) {
-		want := naiveAnswer(docs, q)
-		for _, layer := range layers {
-			got, err := layer.q.Analytics(context.Background(), q)
+	shardedLayers := func(docs [][]byte) []layer {
+		var out []layer
+		for _, k := range []int{1, 2, 3, 5, 8} {
+			sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: k})
 			if err != nil {
-				t.Fatalf("%s: Analytics(%s %+v): %v", layer.name, q.Kind, q, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Analytics(%s %+v)\n got %+v\nwant %+v", layer.name, q.Kind, q, got, want)
+			out = append(out, layer{fmt.Sprintf("sharded-%d", k), sx})
+		}
+		return out
+	}
+	layers := append([]layer{{"mono", mono}, {"mapped-mono", mapped}, {"live", lx}}, shardedLayers(docs)...)
+	check := func(docs [][]byte, layers []layer) {
+		t.Helper()
+		for _, q := range analyticsQuerySet(len(docs)) {
+			want := naiveAnswer(docs, q)
+			for _, l := range layers {
+				got, err := l.q.Analytics(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: Analytics(%s %+v): %v", l.name, q.Kind, q, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Analytics(%s %+v)\n got %+v\nwant %+v", l.name, q.Kind, q, got, want)
+				}
 			}
 		}
+	}
+	check(docs, layers)
+	for _, awkward := range [][][]byte{
+		{[]byte("GATTACAGATTACAGGTTCCCGATTACACCCTTGTTTTGGTTAACC")},
+		{bytes.Repeat([]byte("GATTACA"), 12), bytes.Repeat([]byte("TG"), 20)},
+		{[]byte("GATTACAGATTACAGGTT"), nil, []byte("CCCGATTACACCCTTG")},
+		{[]byte("ACGTAC"), []byte("GTACGT"), []byte("TTGACA")},
+	} {
+		check(awkward, shardedLayers(awkward))
 	}
 
 	// Periodic corpora, far too long for the naive oracles: the partitioned

@@ -29,8 +29,9 @@ func forceERA(n int) *Config {
 
 // assertBuildersAgree builds docs in memory and with every ERA driver and
 // holds the ERA builds to the suffix-array build's sections and serialized
-// image, byte for byte. The two builders share no code below
-// suffixtree.FlatBuilder, so each is the other's oracle.
+// image, byte for byte — the whole tree, and the shard images of the corpus
+// cut into K ∈ {2, 3, 5, 8} prefix ranges. The two builders share no code
+// below suffixtree.AssembleShards, so each is the other's oracle.
 func assertBuildersAgree(t *testing.T, docs [][]byte, alpha *alphabet.Alphabet) {
 	t.Helper()
 	image := func(idx *Index) []byte {
@@ -54,6 +55,21 @@ func assertBuildersAgree(t *testing.T, docs [][]byte, alpha *alphabet.Alphabet) 
 		label string
 		cfg   Config
 	}
+	shardImages := func(label string, cfg *Config) map[int][][]byte {
+		out := map[int][][]byte{}
+		for _, k := range []int{2, 3, 5, 8} {
+			sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: k, Build: cfg})
+			if err != nil {
+				t.Fatalf("%s, %d shards: %v", label, k, err)
+			}
+			for i := 0; i < sx.NumShards(); i++ {
+				sh, _ := sx.Shard(i)
+				out[k] = append(out[k], image(sh))
+			}
+		}
+		return out
+	}
+	wantShards := shardImages("in-memory", &Config{Alphabet: alpha})
 	drivers := []driver{
 		{"shared-disk-1", Config{Mode: SharedDisk, Workers: 1}},
 		{"shared-disk-2", Config{Mode: SharedDisk, Workers: 2}},
@@ -76,6 +92,16 @@ func assertBuildersAgree(t *testing.T, docs [][]byte, alpha *alphabet.Alphabet) 
 		assertSectionsEqual(t, d.label, idx.tree.Sections(), &want)
 		if !bytes.Equal(image(idx), wantImage) {
 			t.Fatalf("%s: serialized image differs from the in-memory build's", d.label)
+		}
+		for k, imgs := range shardImages(d.label, &d.cfg) {
+			if len(imgs) != len(wantShards[k]) {
+				t.Fatalf("%s: %d shards asked for, %d built, %d in memory", d.label, k, len(imgs), len(wantShards[k]))
+			}
+			for i, img := range imgs {
+				if !bytes.Equal(img, wantShards[k][i]) {
+					t.Fatalf("%s: shard %d of %d: image differs from the in-memory build's", d.label, i, k)
+				}
+			}
 		}
 	}
 }
@@ -113,6 +139,7 @@ func TestBuildersAgree(t *testing.T) {
 		{"period-7", nil, [][]byte{bytes.Repeat([]byte("ACGTTGA"), 100), []byte("ACGTTGAACG")}},
 		{"empty-docs", nil, shardEmptyDocsCorpus()},
 		{"one-byte", nil, [][]byte{[]byte("A")}},
+		{"one-doc", nil, gen(workload.DNA, 2000, 1)},
 		{"ends-in-smallest", nil, [][]byte{[]byte("CGTA"), []byte("TTAA"), []byte("A"), bytes.Repeat([]byte("GA"), 200)}},
 	} {
 		t.Run(c.name, func(t *testing.T) { assertBuildersAgree(t, c.docs, c.alpha) })

@@ -13,10 +13,10 @@
 //	era serve -addr :8329 -dir indexes/
 //	era serve -addr :8329 -live corpus.live/
 //
-// shard splits a document corpus at document boundaries into size-balanced
-// shards and persists one sharded index file; serve loads it like any other
-// index and answers the same JSON queries, fanned out and merged across the
-// shards.
+// shard builds a document corpus once and cuts its suffix order into
+// prefix ranges of about equal size, one tree each over all of S, and
+// persists one sharded index file; serve loads it like any other index and
+// answers the same JSON queries, each from the shards whose ranges own it.
 //
 // build and shard write the one index file format, the mmap-native image:
 // serve opens it zero-copy in O(header) time, so startup is milliseconds
@@ -98,7 +98,7 @@ func usage() {
   era verify FILE|LIVEDIR ...
   era serve [-addr HOST:PORT] [-cache N] [-dir DIR] [-live DIR] [-drain DURATION] [-timeout DURATION] [INDEX.idx ...]
   era route -replicas URL,URL,... [-addr HOST:PORT] [-corpus NAME] [-replication N] [-vnodes N]
-            [-timeout D] [-attempt D] [-retries N] [-hedge D] [-strict] [-check D] [-maxpat N]`)
+            [-timeout D] [-attempt D] [-retries N] [-hedge D] [-strict] [-check D]`)
 	os.Exit(2)
 }
 
@@ -287,9 +287,10 @@ func build(args []string) {
 		float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(after.HeapSys-after.HeapReleased)/(1<<20))
 }
 
-// shard builds a document-aligned sharded index. Documents come
-// from -in (one per line) or -gen (generated symbols sliced into -docs
-// equal documents); each shard is built with the parallel shared-disk path.
+// shard builds a prefix-partitioned sharded index. Documents come from -in
+// (one per line) or -gen (generated symbols sliced into -docs equal
+// documents); the corpus is built once with the parallel shared-disk path
+// and its suffix order cut into -shards ranges.
 func shard(args []string) {
 	fs := flag.NewFlagSet("shard", flag.ExitOnError)
 	var (
@@ -298,11 +299,11 @@ func shard(args []string) {
 		n        = fs.Int("n", 1<<20, "symbols to generate with -gen")
 		nDocs    = fs.Int("docs", 64, "documents to slice a generated corpus into")
 		seed     = fs.Int64("seed", 42, "generator seed")
-		shards   = fs.Int("shards", 4, "number of document-aligned shards")
+		shards   = fs.Int("shards", 4, "number of prefix ranges the suffix order is cut into")
 		out      = fs.String("out", "index.idx", "output index file")
 		name     = fs.String("name", "", "corpus name stored in the index (default: -out base name)")
-		mem      = fs.Int64("mem", 64<<20, "per-shard construction memory budget in bytes")
-		workers  = fs.Int("workers", 4, "cores per shard build")
+		mem      = fs.Int64("mem", 64<<20, "construction memory budget of the one build, in bytes")
+		workers  = fs.Int("workers", 4, "cores of the one build")
 		splitdir = fs.String("splitdir", "", "additionally write each shard as a standalone index NAME~i.idx under this directory, for era route replicas")
 	)
 	fs.Parse(args)
@@ -352,11 +353,7 @@ func shard(args []string) {
 	}
 	fmt.Printf("sharded %d documents (%d symbols, alphabet %s) into %s as %q\n",
 		sx.NumDocs(), sx.Len()-1, sx.Alphabet().Name(), *out, *name)
-	for i := 0; i < sx.NumShards(); i++ {
-		sh, firstDoc := sx.Shard(i)
-		fmt.Printf("  shard %d: docs %d–%d, %d symbols, %d tree nodes\n",
-			i, firstDoc, firstDoc+sh.NumDocs()-1, sh.Len()-1, sh.TreeNodes())
-	}
+	printShards(sx)
 	if *splitdir != "" {
 		// One standalone file per shard, named NAME~i — the shard-family
 		// convention era route discovers. Replicas load whichever files the
@@ -380,8 +377,8 @@ func shard(args []string) {
 
 // routeCmd runs the stateless cluster router (see internal/cluster/route):
 // consistent-hash placement of corpus shards over `era serve` replicas,
-// health-checked fan-out with retries and hedging, and stitch-aware merges
-// that answer byte-identically to one monolithic index.
+// health-checked routing of each op to the shards that own it, with retries
+// and hedging, answering byte-identically to one monolithic index.
 func routeCmd(args []string) {
 	fs := flag.NewFlagSet("route", flag.ExitOnError)
 	var (
@@ -396,7 +393,6 @@ func routeCmd(args []string) {
 		hedge       = fs.Duration("hedge", 0, "hedged-read delay: fire a second copy of a slow first attempt (0 disables)")
 		strict      = fs.Bool("strict", false, "refuse degraded answers with 503 instead of flagging partial:true")
 		check       = fs.Duration("check", time.Second, "health probe interval")
-		maxpat      = fs.Int("maxpat", 64, "junction window half-width prefetched at startup")
 		drain       = fs.Duration("drain", 15*time.Second, "graceful shutdown drain budget on SIGTERM/SIGINT")
 	)
 	fs.Parse(args)
@@ -419,7 +415,6 @@ func routeCmd(args []string) {
 		Retries:        *retries,
 		HedgeDelay:     *hedge,
 		Strict:         *strict,
-		MaxPattern:     *maxpat,
 		ErrLog:         log.Default(),
 	})
 	if err != nil {
@@ -505,19 +500,21 @@ func stats(args []string) {
 	fmt.Printf("documents: %d\n", idx.NumDocs())
 	switch x := idx.(type) {
 	case *era.Index:
+		scope := ""
+		if lo, hi := x.Range(); len(lo)+len(hi) > 0 {
+			// A split shard file: its tree holds one range of the suffix order.
+			fmt.Printf("shard of a prefix-partitioned corpus: %s\n", shardRange(x))
+			scope = " in its range"
+		}
 		lrs, occ := x.LongestRepeatedSubstring()
 		show := lrs
 		if len(show) > 60 {
 			show = show[:60]
 		}
-		fmt.Printf("longest repeated substring: %d symbols (%q...), %d occurrences\n", len(lrs), show, len(occ))
+		fmt.Printf("longest repeated substring%s: %d symbols (%q...), %d occurrences\n", scope, len(lrs), show, len(occ))
 	case *era.ShardedIndex:
 		fmt.Printf("shards: %d (%d tree nodes total)\n", x.NumShards(), x.TreeNodes())
-		for i := 0; i < x.NumShards(); i++ {
-			sh, firstDoc := x.Shard(i)
-			fmt.Printf("  shard %d: docs %d–%d, %d symbols, %d tree nodes\n",
-				i, firstDoc, firstDoc+sh.NumDocs()-1, sh.Len()-1, sh.TreeNodes())
-		}
+		printShards(x)
 	case *era.LiveIndex:
 		s := x.Stats()
 		fmt.Printf("live index: %d sealed tiers, %d memtable docs, %d tombstones pending compaction\n",
@@ -530,6 +527,26 @@ func stats(args []string) {
 				strings.Join(s.Quarantined, ", "))
 		}
 	}
+}
+
+// printShards lists each shard's key range — its part of the suffix order —
+// and its share of the suffixes.
+func printShards(sx *era.ShardedIndex) {
+	for i := 0; i < sx.NumShards(); i++ {
+		sh, _ := sx.Shard(i)
+		fmt.Printf("  shard %d: %s\n", i, shardRange(sh))
+	}
+}
+
+// shardRange describes a shard's key range and its share of the suffixes.
+func shardRange(sh *era.Index) string {
+	lo, hi := sh.Range()
+	end := fmt.Sprintf("%q", hi)
+	if len(hi) == 0 {
+		end = "end"
+	}
+	return fmt.Sprintf("keys [%q, %s), %d suffixes (%.1f%%), %d tree nodes",
+		lo, end, sh.Suffixes(), 100*float64(sh.Suffixes())/float64(sh.Len()), sh.TreeNodes())
 }
 
 // verify checks the stored checksums of index files and live directories

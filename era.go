@@ -125,9 +125,13 @@ type Index struct {
 	data    []byte
 	alpha   *alphabet.Alphabet
 	docEnds []int32 // exclusive end offset per document (corpus indexes)
-	stats   BuildStats
-	mp      *mapping    // non-nil when the index views a mapped v4 file
-	ck      *checkState // non-nil when the image carries stored checksums
+	// lo and hi bound the part of the suffix order the tree holds, the
+	// suffixes s with lo ≤ s < hi (Range); both are empty for the whole.
+	lo, hi []byte
+	stats  BuildStats
+	mp     *mapping    // non-nil when the index views a mapped v4 file
+	ck     *checkState // non-nil when the image carries stored checksums
+	hdrCRC uint32      // the opened image's header checksum (Fingerprint)
 }
 
 func (c *Config) withDefaults() Config {
@@ -179,7 +183,22 @@ func checkCorpusSize(total int64) error {
 	return nil
 }
 
-func build(docs [][]byte, cfgp *Config) (*Index, error) {
+// build is the whole-tree case of buildShards.
+func build(docs [][]byte, cfg *Config) (*Index, error) {
+	shards, err := buildShards(docs, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return shards[0], nil
+}
+
+// buildShards runs one construction over the corpus — the suffix-array
+// builder or ERA, as the Config picks — and cuts its sorted suffix stream
+// into k prefix ranges of the suffix order (suffixtree.AssembleShards; k is
+// capped at the suffix count), one Index per range. Every range views the one
+// string and document map: a shard's tree holds its range, but it answers
+// over all of S.
+func buildShards(docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
 	cfg := cfgp.withDefaults()
 	if cfg.Target != TargetFlat {
 		return nil, fmt.Errorf("era: unknown build target %d", cfg.Target)
@@ -214,29 +233,34 @@ func build(docs [][]byte, cfgp *Config) (*Index, error) {
 		}
 	}
 
-	var fl *suffixtree.Flat
+	var shards []suffixtree.Shard
 	var stats BuildStats
 	var err error
 	if cfg.Mode == Serial && inMemoryBytesPerSymbol*int64(len(data)) <= cfg.MemoryBudget {
-		fl, err = buildInMemory(alpha, data)
+		shards, err = buildInMemory(alpha, data, k)
 		stats = BuildStats{InMemory: true, SubTrees: 1}
 	} else {
-		fl, stats, err = buildERA(alpha, data, &cfg)
+		shards, stats, err = buildERA(alpha, data, &cfg, k)
 	}
 	if err != nil {
 		return nil, err
 	}
-	tree, err := suffixtree.NewFlatTree(data, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
-	if err != nil {
-		return nil, fmt.Errorf("era: viewing the built sections: %w", err)
+	out := make([]*Index, len(shards))
+	for i, sh := range shards {
+		tree, err := suffixtree.NewFlatTree(data, sh.Nodes, sh.Sym, nil, sh.LeafIdx, sh.LeafData, sh.NLeaves)
+		if err != nil {
+			return nil, fmt.Errorf("era: viewing the built sections: %w", err)
+		}
+		st := stats
+		st.TreeNodes = int64(sh.NNodes - 1)
+		out[i] = &Index{tree: tree, data: data, alpha: alpha, docEnds: docEnds, lo: sh.Lo, hi: sh.Hi, stats: st}
 	}
-	stats.TreeNodes = int64(fl.NNodes - 1)
-	return &Index{tree: tree, data: data, alpha: alpha, docEnds: docEnds, stats: stats}, nil
+	return out, nil
 }
 
 // suffixOrder returns the suffix array of the terminated text and the LCP
 // of each suffix with its predecessor: the kernel of the in-memory builder
-// and of the partitioned lrs / topk (SuffixOrderAnswer).
+// and of the live index's lrs / topk (suffixOrderAnswer).
 func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 	if sa, err = suffixarray.Build(text); err != nil {
 		return nil, nil, err
@@ -245,11 +269,10 @@ func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 }
 
 // buildInMemory is the builder for inputs the budget can hold whole: the
-// suffix tree of data is the one sub-tree under the empty prefix, and its
-// sorted suffixes and their LCPs are the suffix array's. It shares nothing
-// with ERA below suffixtree.FlatBuilder, which emits the same sections from
-// either.
-func buildInMemory(alpha *alphabet.Alphabet, data []byte) (*suffixtree.Flat, error) {
+// sorted suffix stream of data is its suffix array with the LCP array. It
+// shares nothing with ERA below suffixtree.AssembleShards, which emits the
+// same sections from either.
+func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int) ([]suffixtree.Shard, error) {
 	if err := alpha.Validate(data); err != nil {
 		return nil, err
 	}
@@ -257,12 +280,12 @@ func buildInMemory(alpha *alphabet.Alphabet, data []byte) (*suffixtree.Flat, err
 	if err != nil {
 		return nil, err
 	}
-	return suffixtree.FlatFromSuffixArray(data, sa, lcp)
+	return suffixtree.AssembleShards(data, []suffixtree.SortedRun{{Suffixes: sa, LCP: lcp}}, k)
 }
 
 // buildERA publishes data on a simulated disk and runs the paper's algorithm
 // over it in the configured architecture.
-func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config) (*suffixtree.Flat, BuildStats, error) {
+func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config, k int) ([]suffixtree.Shard, BuildStats, error) {
 	model := sim.DefaultModel()
 	if cfg.DiskModel != nil {
 		model = *cfg.DiskModel
@@ -277,8 +300,9 @@ func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config) (*suffixtree.F
 		MemoryBudget: cfg.MemoryBudget,
 		SkipSeek:     cfg.SkipSeek,
 		AssembleFlat: true,
+		Shards:       k,
 	}
-	var fl *suffixtree.Flat
+	var shards []suffixtree.Shard
 	var st core.Stats
 	switch cfg.Mode {
 	case Serial:
@@ -286,23 +310,23 @@ func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config) (*suffixtree.F
 		if err != nil {
 			return nil, BuildStats{}, err
 		}
-		fl, st = res.Flat, res.Stats
+		shards, st = res.Shards, res.Stats
 	case SharedDisk:
 		res, err := core.BuildParallel(f, core.ParallelOptions{Options: opts, Workers: cfg.Workers})
 		if err != nil {
 			return nil, BuildStats{}, err
 		}
-		fl, st = res.Flat, res.Stats
+		shards, st = res.Shards, res.Stats
 	case SharedNothing:
 		res, err := core.BuildDistributed(f, core.DistributedOptions{Options: opts, Nodes: cfg.Workers})
 		if err != nil {
 			return nil, BuildStats{}, err
 		}
-		fl, st = res.Flat, res.Stats
+		shards, st = res.Shards, res.Stats
 	default:
 		return nil, BuildStats{}, fmt.Errorf("era: unknown mode %d", cfg.Mode)
 	}
-	return fl, BuildStats{
+	return shards, BuildStats{
 		ModeledTime: st.VirtualTime,
 		Scans:       st.Scans,
 		Prefixes:    st.Prefixes,
@@ -322,8 +346,8 @@ func detectAlphabet(data []byte) (*alphabet.Alphabet, error) {
 }
 
 // alphabetFromSeen resolves the byte-presence set to a predefined or custom
-// alphabet; BuildShardedCorpus uses it to detect one alphabet over all
-// documents without concatenating them.
+// alphabet; a live index uses it to keep one alphabet over documents it never
+// concatenates.
 func alphabetFromSeen(seen *[256]bool) (*alphabet.Alphabet, error) {
 	distinct := make([]byte, 0, 64)
 	for b := 0; b < 256; b++ {
@@ -372,6 +396,23 @@ func (x *Index) NumDocs() int { return len(x.docEnds) }
 // Unlike Stats — which only a fresh build populates — this is also valid
 // for indexes reopened with ReadIndex.
 func (x *Index) TreeNodes() int64 { return int64(x.tree.NumNodes() - 1) }
+
+// Range reports the part of the suffix order the index's tree holds: the
+// suffixes s with lo ≤ s < hi, an empty hi being the end of the order. Both
+// are empty for an index over every suffix; a shard of a ShardedIndex, or a
+// split file `era shard -splitdir` writes, holds one range. Such an index
+// still carries all of S and every document, so what it answers from S alone
+// (lcs, the documents) is the corpus's; what it answers from its tree
+// (membership, topk, lrs, mismatch, docfreq) covers its range only.
+func (x *Index) Range() (lo, hi []byte) { return x.lo, x.hi }
+
+// Suffixes returns the number of suffixes the tree holds: Len() for an
+// index over the whole order, its range's share for a shard.
+func (x *Index) Suffixes() int { return x.tree.NumLeaves() }
+
+// partial reports whether the tree holds one range of the suffix order
+// rather than all of it.
+func (x *Index) partial() bool { return len(x.lo) > 0 || len(x.hi) > 0 }
 
 // MappedBytes returns the size of the memory-mapped file backing this index,
 // or 0 for heap-resident indexes.

@@ -50,10 +50,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A corpus too big for one index shards at document boundaries (as
-	// `era shard` would); it persists as one file, loads as one catalog
-	// entry, and answers the same JSON queries — fan-out and merge across
-	// the shards included, with answers identical to a monolithic index.
+	// A corpus too big for one index is cut into prefix ranges of its
+	// suffix order (as `era shard` would); it persists as one file, loads as
+	// one catalog entry, and answers the same JSON queries — each from the
+	// shards that own it, with answers identical to a monolithic index.
 	sharded, err := era.BuildShardedCorpus([][]byte{
 		[]byte("GATTACAGATTACA"),
 		[]byte("CATTAGACATTAGA"),

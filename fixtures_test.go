@@ -2,9 +2,11 @@ package era
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -111,8 +113,10 @@ func TestRegenerateFixtures(t *testing.T) {
 // byte for byte (a stale fixture fails here, not at the next format change);
 // testdata/bfs-numbered was written before node ids followed completion
 // order — same records, same sections, same byte count, other numbering —
-// and must keep verifying and answering, since nothing in the format says
-// which order a writer numbered the nodes in.
+// and its mono.idx and live directory must keep verifying and answering,
+// since nothing in the format says which order a writer numbered the nodes
+// in. (Its sharded.idx is cut at document boundaries, which is refused:
+// TestDocumentAlignedImageRefused.)
 func TestCommittedImagesServed(t *testing.T) {
 	docs := fixtureDocs()
 	mono, err := BuildCorpus(docs, nil)
@@ -133,10 +137,11 @@ func TestCommittedImagesServed(t *testing.T) {
 	for _, c := range []struct {
 		dir     string
 		current bool
-	}{{"fixtures", true}, {"bfs-numbered", false}} {
+		images  []string
+	}{{"fixtures", true, []string{"mono.idx", "sharded.idx"}}, {"bfs-numbered", false, []string{"mono.idx"}}} {
 		t.Run(c.dir, func(t *testing.T) {
 			dir := filepath.Join("testdata", c.dir)
-			for _, name := range []string{"mono.idx", "sharded.idx", "live"} {
+			for _, name := range append(c.images, "live") {
 				rep, err := Verify(filepath.Join(dir, name))
 				if err != nil {
 					t.Fatal(err)
@@ -153,7 +158,7 @@ func TestCommittedImagesServed(t *testing.T) {
 				t.Errorf("mono.idx: %d bytes against a fresh image's %d, byte-identical: %v, want %v",
 					len(img), fresh.Len(), same, c.current)
 			}
-			for _, name := range []string{"mono.idx", "sharded.idx"} {
+			for _, name := range c.images {
 				q, err := OpenIndex(filepath.Join(dir, name))
 				if err != nil {
 					t.Fatal(err)
@@ -181,5 +186,36 @@ func TestCommittedImagesServed(t *testing.T) {
 			}
 			assertSameAnswers(t, live, lx, shardTestPatterns([][]byte{docs[0], docs[2]}, 5))
 		})
+	}
+}
+
+// TestDocumentAlignedImageRefused: testdata/bfs-numbered/sharded.idx was
+// written when shards were runs of documents, each a whole tree over its own
+// documents. No reader for that layout is kept — its shards are not ranges of
+// the suffix order, so the merge would be wrong — and every entry point
+// refuses it with ErrMustRebuild, saying why: open, read from a stream and
+// verify.
+func TestDocumentAlignedImageRefused(t *testing.T) {
+	const want = "cut at document boundaries"
+	p := filepath.Join("testdata", "bfs-numbered", "sharded.idx")
+	if q, err := OpenIndex(p); err == nil {
+		q.Close()
+		t.Error("OpenIndex accepted a document-aligned sharded image")
+	} else if !errors.Is(err, ErrMustRebuild) || !strings.Contains(err.Error(), want) {
+		t.Errorf("OpenIndex: %v, want an ErrMustRebuild that says the image is %s", err, want)
+	}
+	buf, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadQueryable(bytes.NewReader(buf)); !errors.Is(err, ErrMustRebuild) || !strings.Contains(err.Error(), want) {
+		t.Errorf("ReadQueryable: %v, want an ErrMustRebuild that says the image is %s", err, want)
+	}
+	rep, err := Verify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+		t.Errorf("Verify: problems %q, want one that says the image is %s", rep.Problems, want)
 	}
 }

@@ -233,19 +233,19 @@ func TestFormatsDifferential(t *testing.T) {
 // suffixArraySections is the image's independent oracle: SA-IS and Kasai
 // share no code with vertical partitioning, the elastic range or the group
 // sorts, and their suffix and LCP arrays over the terminated corpus, streamed
-// as one sub-tree under the empty prefix, must produce the sections of any ERA
-// build of it.
+// as one run into a builder sized loosely, must produce the sections of any
+// ERA build of it.
 func suffixArraySections(t *testing.T, data []byte) *suffixtree.Flat {
 	t.Helper()
 	sa, err := suffixarray.Build(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := suffixtree.NewFlatBuilder(data, len(data))
+	fb, err := suffixtree.NewFlatBuilder(data, len(data), len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fb.AddSubTree(nil, sa, suffixarray.LCP(data, sa)); err != nil {
+	if err := fb.AddRun(sa, suffixarray.LCP(data, sa)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fb.Finish()
@@ -775,5 +775,101 @@ func TestFlatImageBytesPerSymbol(t *testing.T) {
 		} else {
 			t.Logf("%s: %.2f B per symbol", kind, per)
 		}
+	}
+}
+
+// TestRangeImages pins the prefix-range layout: a shard's image round-trips
+// with its range, its fingerprint is the header checksum whether computed or
+// stored, and era.Verify checks that the tree holds exactly the suffixes of
+// the range its meta states. A range flag on a whole image, a whole image's
+// leaf count on a range image, and a sharded image whose ranges do not tile
+// the suffix order are refused at open.
+func TestRangeImages(t *testing.T) {
+	docs := diffCorpus()
+	mono, err := BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, q interface{ WriteFile(string) error }) string {
+		p := filepath.Join(dir, name)
+		if err := q.WriteFile(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for i := 0; i < sx.NumShards(); i++ {
+		sh, _ := sx.Shard(i)
+		p := write(fmt.Sprintf("shard%d.idx", i), sh)
+		rep, err := Verify(p)
+		if err != nil || !rep.OK() {
+			t.Fatalf("Verify(shard %d): %v, %v", i, rep, err)
+		}
+		q, err := OpenIndex(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := q.(*Index)
+		lo, hi := back.Range()
+		if wlo, whi := sh.Range(); !bytes.Equal(lo, wlo) || !bytes.Equal(hi, whi) || len(lo)+len(hi) == 0 {
+			t.Errorf("shard %d reopened with range [%q, %q), built with [%q, %q)", i, lo, hi, wlo, whi)
+		}
+		if back.Fingerprint() != sh.Fingerprint() {
+			t.Errorf("shard %d: stored fingerprint %08x, computed %08x", i, back.Fingerprint(), sh.Fingerprint())
+		}
+		q.Close()
+
+		// The same tree under another shard's range: its checksums are good,
+		// its leaves are not that range's suffixes.
+		other, _ := sx.Shard((i + 1) % sx.NumShards())
+		bad := *sh
+		bad.lo, bad.hi = other.Range()
+		if rep, err := Verify(write("misranged.idx", &bad)); err != nil || rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), "in range") {
+			t.Errorf("Verify of shard %d under shard %d's range: %v, %v; want a range problem", i, (i+1)%sx.NumShards(), rep, err)
+		}
+	}
+	if first, _ := sx.Shard(0); mono.Fingerprint() == first.Fingerprint() {
+		t.Error("the whole image and a shard fingerprint alike")
+	}
+
+	refused := func(name string, img []byte) {
+		t.Helper()
+		if _, err := ReadQueryable(bytes.NewReader(fixV4HeaderCRC(img))); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	var whole bytes.Buffer
+	if _, err := mono.WriteTo(&whole); err != nil {
+		t.Fatal(err)
+	}
+	img := whole.Bytes()
+	binary.LittleEndian.PutUint32(img[12:], binary.LittleEndian.Uint32(img[12:])|v4FlagRange)
+	refused("a whole image flagged as a range", img)
+
+	sh, _ := sx.Shard(1)
+	var part bytes.Buffer
+	if _, err := sh.WriteTo(&part); err != nil {
+		t.Fatal(err)
+	}
+	img = part.Bytes()
+	binary.LittleEndian.PutUint32(img[12:], binary.LittleEndian.Uint32(img[12:])&^v4FlagRange)
+	refused("a range image without its flag", img)
+
+	var sharded bytes.Buffer
+	if _, err := sx.WriteTo(&sharded); err != nil {
+		t.Fatal(err)
+	}
+	img = sharded.Bytes()
+	table := binary.LittleEndian.Uint64(img[40:])
+	swapped := append([]byte(nil), img[table:table+16]...)
+	copy(img[table:table+16], img[table+16:table+32])
+	copy(img[table+16:table+32], swapped)
+	binary.LittleEndian.PutUint32(img[v4CRCTableOff+4:], crcPadded(img[table:table+16*uint64(sx.NumShards())], int64(v4align(int64(table)+16*int64(sx.NumShards()))-int64(table))))
+	if _, err := ReadQueryable(bytes.NewReader(fixV4HeaderCRC(img))); err == nil || !strings.Contains(err.Error(), "range") {
+		t.Errorf("a sharded image with two shards swapped: %v, want a range error", err)
 	}
 }

@@ -159,3 +159,104 @@ func FuzzBuildQuery(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShardedAgainstMono cuts fuzzer-chosen text into documents (empty ones
+// included), shards it into K prefix ranges, and holds a fuzzer-chosen
+// stream of ops — every kind, on patterns cut from the text and on proper
+// prefixes of the shard keys, which two shards share — to the monolithic
+// index: Batch (analytics ops ride along), Analytics, and the single-pattern
+// calls, DeepEqual.
+func FuzzShardedAgainstMono(f *testing.F) {
+	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), byte(3), []byte{0, 1, 1, 2, 2, 5, 3, 7, 4, 0, 5, 9, 6, 2, 7, 3})
+	f.Add([]byte("GATTACAGATTACA"), byte(8), []byte{3, 0, 3, 1, 4, 4, 6, 6, 7, 1, 2, 0})
+	f.Add(bytes.Repeat([]byte("ACGTTGA"), 30), byte(5), []byte{11, 2, 19, 4, 4, 0, 14, 8, 23, 1})
+	f.Add([]byte("mississippi"), byte(0x22), []byte{1, 1, 2, 3, 5, 7, 6, 1, 3, 6})
+	f.Add(bytes.Repeat([]byte{0}, 200), byte(0x14), []byte{3, 2, 4, 0, 2, 1, 11, 4})
+	f.Fuzz(func(t *testing.T, core []byte, kSel byte, script []byte) {
+		if len(core) == 0 || len(core) > 2048 || len(script) > 64 {
+			t.Skip()
+		}
+		syms := fuzzAlphabets[int(kSel>>4)%len(fuzzAlphabets)]
+		k := 1 + int(kSel&15)
+		data := make([]byte, len(core))
+		var docs [][]byte
+		start := 0
+		for i, b := range core {
+			data[i] = syms[int(b)%len(syms)]
+			if b%11 == 0 && i > 0 { // a document ends before i; every second cut adds an empty one
+				docs = append(docs, data[start:i])
+				if b%2 == 0 {
+					docs = append(docs, nil)
+				}
+				start = i
+			}
+		}
+		docs = append(docs, data[start:])
+		mono, err := BuildCorpus(docs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := keyPatterns(sx)
+		pattern := func(a, b byte) []byte {
+			if b&1 == 0 && len(keys) > 0 {
+				return keys[int(b>>1)%len(keys)]
+			}
+			off := int(b>>1) % len(data)
+			return data[off:min(off+1+int(a>>3)%8, len(data))]
+		}
+		var ops []Op
+		for i := 0; i+1 < len(script); i += 2 {
+			a, b := script[i], script[i+1]
+			p := pattern(a, b)
+			op := Op{Kind: OpKind(a % 8), Pattern: p}
+			switch op.Kind {
+			case OpOccurrences:
+				op.MaxOccurrences = int(b) % 4
+			case OpTopK:
+				op.Pattern, op.K, op.MinLen = nil, 1+int(b)%8, 1+int(a>>3)%6
+			case OpLongestRepeat:
+				op.Pattern = nil
+			case OpCommonSubstring:
+				op.Pattern, op.DocA, op.DocB = nil, int(a>>3)%len(docs), int(b)%len(docs)
+				if op.DocA == op.DocB {
+					continue
+				}
+			case OpDocFreq:
+				op.Pattern, op.Patterns = nil, [][]byte{p, pattern(b, a)}
+				if len(op.Patterns[0]) == 0 || len(op.Patterns[1]) == 0 {
+					continue
+				}
+			case OpMismatch:
+				op.K, op.MaxOccurrences = int(b)%3, int(a>>3)%3
+				if len(p) == 0 {
+					continue
+				}
+			}
+			ops = append(ops, op)
+		}
+		got, want := sx.Batch(ops), mono.Batch(ops)
+		for i, op := range ops {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("K=%d, op %d (%s %q k=%d L=%d): got %+v, want %+v (docs %q)", k, i, op.Kind, op.Pattern, op.K, op.MinLen, got[i], want[i], docs)
+			}
+			if op.Kind.IsAnalytic() {
+				if a, err := sx.Analytics(context.Background(), op); err != nil || !reflect.DeepEqual(a, want[i]) {
+					t.Fatalf("K=%d, Analytics(%s): %+v, %v; want %+v (docs %q)", k, op.Kind, a, err, want[i], docs)
+				}
+				continue
+			}
+			if c := sx.Count(op.Pattern); c != mono.Count(op.Pattern) {
+				t.Fatalf("K=%d, Count(%q) = %d, want %d", k, op.Pattern, c, mono.Count(op.Pattern))
+			}
+			gotHits, _ := sx.DocOccurrences(op.Pattern)
+			wantHits, _ := mono.DocOccurrences(op.Pattern)
+			if !reflect.DeepEqual(gotHits, wantHits) {
+				t.Fatalf("K=%d, DocOccurrences(%q) = %v, want %v", k, op.Pattern, gotHits, wantHits)
+			}
+		}
+	})
+}

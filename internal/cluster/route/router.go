@@ -1,9 +1,10 @@
 // Package route is the fault-tolerant serving tier over `era serve`
 // replicas: consistent-hash shard placement, active health checking,
-// retries with jittered backoff, hedged reads, stitch-aware merging, and
-// explicit partial-answer degradation. It complements the sibling package
-// cluster (the §5 shared-nothing construction simulation): cluster builds
-// indexes across nodes, route serves them.
+// retries with jittered backoff, hedged reads, owner routing over
+// prefix-partitioned shards, and explicit partial-answer degradation. It
+// complements the sibling package cluster (the §5 shared-nothing
+// construction simulation): cluster builds indexes across nodes, route
+// serves them.
 package route
 
 import (
@@ -17,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,25 +28,28 @@ import (
 	"era/internal/server"
 )
 
-// Router serves a sharded corpus from per-shard monolithic indexes hosted
-// on `era serve` replicas, answering byte-identically to one big index.
-// Placement is a consistent-hash ring with virtual nodes: each shard's
-// replica set is the first Replication distinct nodes clockwise from the
-// shard name's hash, so adding a replica moves only the shards on the arcs
-// it gains. The membership ops of a request reach each shard as one
-// /v1/batch sub-request (a single query is the one-op case). Per-shard
-// sub-requests carry per-attempt deadlines, retry with full-jitter backoff
-// across the surviving owners, and optionally hedge the first attempt. The
-// router is transport and policy only: what it fetched — per-shard answers,
-// or bytes — goes to the merge the in-process partitioned executor runs
-// (era.Stitch.Merge, era.SuffixOrderAnswer), so junction-crossing matches are
-// never lost and no merge rule is spelled here.
+// Router serves a corpus from its prefix-partitioned shards — each an
+// `era shard -splitdir` file whose tree holds one range of the suffix order
+// over all of S — hosted on `era serve` replicas, answering byte-identically
+// to one big index. Placement is a consistent-hash ring with virtual nodes:
+// each shard's replica set is the first Replication distinct nodes clockwise
+// from the shard name's hash, so adding a replica moves only the shards on
+// the arcs it gains. A membership op goes to the shards that own its pattern
+// (era.Owners) — one, unless the pattern is a proper prefix of a shard key —
+// and the ops of a request reach each shard they touch as one /v1/batch
+// sub-request; topk, lrs and mismatch ask every shard, docfreq its patterns'
+// owners, lcs any one shard. Per-shard sub-requests carry per-attempt
+// deadlines, retry with full-jitter backoff across the surviving owners, and
+// optionally hedge the first attempt. The router is transport and policy
+// only: what the shards answer goes to the merge the in-process sharded
+// index runs (era.MergeShards), so no merge rule is spelled here.
 //
 // Degradation is explicit: when every replica of a shard is unreachable
-// the router answers from the surviving shards with "partial": true — or
-// refuses with 503 in strict mode — instead of hanging, erroring the whole
-// request, or silently returning a wrong answer dressed up as a complete
-// one.
+// the ops that shard owns are answered from the shards that are left with
+// "partial": true — or refused with 503 in strict mode — instead of hanging,
+// erroring the whole request, or silently returning a wrong answer dressed
+// up as a complete one; ops the dead shard does not own are unaffected.
+
 type Router struct {
 	cfg     RouterConfig
 	ring    *Ring
@@ -76,8 +79,8 @@ type RouterConfig struct {
 	Timeout time.Duration
 	// AttemptTimeout bounds one sub-request attempt against one replica
 	// (default Timeout / (Retries+2), so the retry budget fits the request
-	// deadline). It applies to cheap sub-requests — membership queries,
-	// content slices — where abandoning a slow replica for a retry is
+	// deadline). It applies to cheap sub-requests — membership queries and
+	// listings — where abandoning a slow replica for a retry is
 	// cheaper than waiting. Expensive analytics sub-requests (a full-shard
 	// walk) legitimately run for seconds, so they get the full remaining
 	// request budget per attempt instead: retrying those
@@ -96,11 +99,6 @@ type RouterConfig struct {
 	// Strict refuses degraded answers: a shard with no reachable replica
 	// fails the request with 503 instead of flagging "partial": true.
 	Strict bool
-	// MaxPattern is the junction-window half-width prefetched at Refresh
-	// (default 64): crossing scans for patterns up to this length are
-	// served from cache without touching replicas. Longer patterns fall
-	// back to live fetches.
-	MaxPattern int
 	// Backoff jitters the sleep between retry attempts; the zero value
 	// defaults to base 10ms, cap 250ms.
 	Backoff Backoff
@@ -115,14 +113,10 @@ type RouterConfig struct {
 	ErrLog *log.Logger
 }
 
-// shardInfo is one shard of the served corpus with its global placement.
+// shardInfo is one shard of the served corpus.
 type shardInfo struct {
-	Name     string
-	Symbols  int // indexed length incl. terminator
-	Docs     int
-	OffStart int // global content offset of the shard's first byte
-	DocStart int // global ordinal of the shard's first document
-	Owners   []string
+	Name   string
+	Owners []string
 	// batchHead is the constant head of a /v1/batch sub-request body for
 	// this shard: `{"index":"<name>","ops":`.
 	batchHead []byte
@@ -133,15 +127,9 @@ type shardInfo struct {
 type topology struct {
 	corpus   string
 	shards   []shardInfo
-	totalLen int // content + the single virtual terminator
+	keys     [][]byte // keys[i]: shard i's lower key, the era.Owners cuts
+	totalLen int      // every shard's: each holds all of S, terminator included
 	numDocs  int
-	bounds   []int // interior junction offsets, ascending
-
-	// stitch is the junction-scan view over the windows prefetched at
-	// refresh, good for patterns up to MaxPattern; nil when a prefetch failed
-	// (every pattern then takes the live fetch). It is immutable, so all
-	// requests share it.
-	stitch *era.Stitch
 }
 
 // NewRouter builds a router over the replica set; call Refresh before
@@ -169,9 +157,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = cfg.Timeout / time.Duration(cfg.Retries+2)
-	}
-	if cfg.MaxPattern <= 0 {
-		cfg.MaxPattern = 64
 	}
 	if cfg.Backoff.Base <= 0 {
 		cfg.Backoff = Backoff{Base: 10 * time.Millisecond, Cap: 250 * time.Millisecond, Rand: cfg.Backoff.Rand}
@@ -229,11 +214,11 @@ func (rt *Router) Placement() map[string][]string {
 
 // Refresh discovers the shard topology: it lists /v1/indexes on every
 // replica — a replica need only load the shards placed on it — unions the
-// listings by name, refusing a shard two replicas describe differently,
-// groups names of the form "corpus~N", verifies the family is contiguous from
-// 0, computes each shard's global offsets, assigns owners from the ring (an
-// owner that answered and does not list the shard is no candidate for it),
-// and prefetches the junction stitch windows. Serving continues on the
+// listings by name, refusing a shard two replicas describe differently
+// (counts, range or image fingerprint), groups names of the form "corpus~N",
+// verifies that the family is contiguous from 0 and tiles the suffix order
+// of one corpus, and assigns owners from the ring (an owner that answered and
+// does not list the shard is no candidate for it). Serving continues on the
 // previous topology until the swap at the end.
 func (rt *Router) Refresh(ctx context.Context) error {
 	listings := make([]map[string]wireIndexInfo, len(rt.cfg.Replicas)) // nil: unreachable
@@ -281,8 +266,8 @@ func (rt *Router) Refresh(ctx context.Context) error {
 				byFamily[fam] = map[int]wireIndexInfo{}
 			}
 			if prev, ok := byFamily[fam][n]; ok && prev != info {
-				return fmt.Errorf("cluster: replicas disagree on shard %s: %s lists %d symbols in %d documents, another replica %d in %d",
-					info.Name, rt.cfg.Replicas[r], info.Symbols, info.Documents, prev.Symbols, prev.Documents)
+				return fmt.Errorf("cluster: replicas disagree on shard %s: %s lists %v, another replica %v",
+					info.Name, rt.cfg.Replicas[r], info, prev)
 			}
 			byFamily[fam][n] = info
 		}
@@ -301,22 +286,16 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		return fmt.Errorf("cluster: no shards named %s~N on the replicas", corpus)
 	}
 
-	topo := &topology{corpus: corpus}
+	topo := &topology{corpus: corpus, totalLen: family[0].Symbols, numDocs: family[0].Documents}
 	for i := 0; i < len(family); i++ {
 		info, ok := family[i]
 		if !ok {
 			return fmt.Errorf("cluster: shard family %s has %d members but %s~%d is missing", corpus, len(family), corpus, i)
 		}
-		if info.Symbols < 1 {
-			return fmt.Errorf("cluster: shard %s reports %d symbols", info.Name, info.Symbols)
+		if err := checkMember(corpus, family, i); err != nil {
+			return err
 		}
-		sh := shardInfo{
-			Name:     info.Name,
-			Symbols:  info.Symbols,
-			Docs:     info.Documents,
-			OffStart: topo.totalLen,
-			DocStart: topo.numDocs,
-		}
+		sh := shardInfo{Name: info.Name}
 		for _, o := range rt.ring.Owners(info.Name, rt.cfg.Replication) {
 			if holds(o, info.Name) {
 				sh.Owners = append(sh.Owners, o)
@@ -331,32 +310,52 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		}
 		sh.batchHead = append(append([]byte(`{"index":`), name...), `,"ops":`...)
 		topo.shards = append(topo.shards, sh)
-		topo.totalLen += info.Symbols - 1 // per-shard terminators are not global bytes
-		topo.numDocs += info.Documents
+		topo.keys = append(topo.keys, []byte(info.Range.Lo))
 	}
-	topo.totalLen++ // the single virtual terminator
-	for _, sh := range topo.shards[1:] {
-		topo.bounds = append(topo.bounds, sh.OffStart)
+	if last := family[len(family)-1]; last.Range.Hi != "" {
+		return fmt.Errorf("cluster: shard family %s stops short of the end of the suffix order: %s ends at %q", corpus, last.Name, last.Range.Hi)
 	}
-
-	// Prefetch the junction windows at the MaxPattern half-width; a failure
-	// here is tolerable (live fetches cover it), so errors only log.
-	if st, missing, err := rt.fetchStitch(ctx, topo, rt.cfg.MaxPattern); err != nil || missing {
-		rt.logf("cluster: junction prefetch incomplete; crossing scans will fetch live")
-	} else {
-		topo.stitch = st
-	}
-
 	rt.topo.Store(topo)
 	return nil
 }
 
+// checkMember holds shard i of a family to the rest: one corpus (symbols,
+// documents, alphabet) and, from shard 0 on, ranges that abut. A whole-corpus
+// image beside others is a family cut at document boundaries (or two builds
+// mixed), which no router merge answers correctly.
+func checkMember(corpus string, family map[int]wireIndexInfo, i int) error {
+	info, first := family[i], family[0]
+	if info.Symbols < 1 || info.Symbols != first.Symbols || info.Documents != first.Documents || info.Alphabet != first.Alphabet {
+		return fmt.Errorf("cluster: shard family %s is not one corpus: %s indexes %d symbols in %d documents (%s), %s %d in %d (%s)",
+			corpus, info.Name, info.Symbols, info.Documents, info.Alphabet, first.Name, first.Symbols, first.Documents, first.Alphabet)
+	}
+	if len(family) > 1 && info.Range == (server.KeyRange{}) {
+		return fmt.Errorf("cluster: shard family %s must be rebuilt: %s is a whole-corpus image among %d shards, which is what a family cut at document boundaries is — rebuild it as prefix ranges (era shard -splitdir)",
+			corpus, info.Name, len(family))
+	}
+	var prevHi, prevLo server.Text
+	if i > 0 {
+		prevHi, prevLo = family[i-1].Range.Hi, family[i-1].Range.Lo
+	}
+	if info.Range.Lo != prevHi || (i > 0 && (prevHi == "" || info.Range.Lo <= prevLo)) {
+		return fmt.Errorf("cluster: shard family %s is not contiguous: %s starts its range at %q where the shard before ends at %q", corpus, info.Name, info.Range.Lo, prevHi)
+	}
+	return nil
+}
+
 // wireIndexInfo is the subset of the replica /v1/indexes entry the router
-// needs.
+// needs: comparable, so two replicas' listings of one shard compare whole.
 type wireIndexInfo struct {
-	Name      string `json:"name"`
-	Symbols   int    `json:"symbols"`
-	Documents int    `json:"documents"`
+	Name        string          `json:"name"`
+	Symbols     int             `json:"symbols"`
+	Documents   int             `json:"documents"`
+	Alphabet    string          `json:"alphabet"`
+	Range       server.KeyRange `json:"range"` // zero for a whole-corpus image
+	Fingerprint string          `json:"fingerprint"`
+}
+
+func (w wireIndexInfo) String() string {
+	return fmt.Sprintf("%d symbols in %d documents (%s), range [%q, %q), fingerprint %s", w.Symbols, w.Documents, w.Alphabet, w.Range.Lo, w.Range.Hi, w.Fingerprint)
 }
 
 // ---------------------------------------------------------------------------
@@ -487,15 +486,6 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 		// replica and a deterministic client error.
 		report(true)
 		return &routeError{status: resp.StatusCode, msg: wireErrMsg(body, resp.StatusCode)}
-	}
-	// The application-level length frame catches torn bodies whose transfer
-	// framing was rewritten to look consistent (a proxy or middlebox that
-	// recomputed Content-Length over a truncated payload).
-	if want := resp.Header.Get("X-Era-Content-Length"); want != "" {
-		if n, perr := strconv.Atoi(want); perr == nil && n != len(body) {
-			report(false)
-			return fmt.Errorf("cluster: %s sent %d of %d framed bytes", base, len(body), n)
-		}
 	}
 	if decode != nil {
 		if err := decode(body); err != nil {
@@ -632,22 +622,10 @@ func (rt *Router) doJSON(ctx context.Context, owners []string, heavy bool, metho
 	})
 }
 
-// doBytes runs one octet-stream GET through doShard.
-func (rt *Router) doBytes(ctx context.Context, owners []string, path string) ([]byte, error) {
-	var out []byte
-	err := rt.doShard(ctx, owners, false, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, base+path, nil)
-	}, func(body []byte) error {
-		out = body
-		return nil
-	})
-	return out, err
-}
-
 // ---------------------------------------------------------------------------
-// Shard data access: sub-queries, content slices, stitch construction.
+// Shard sub-queries.
 
-func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op server.QueryOp) (server.QueryResponse, error) {
+func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op server.WireOp) (server.QueryResponse, error) {
 	path, heavy := "/v1/query", false
 	if kind, err := era.ParseOpKind(op.Op); err == nil && kind.IsAnalytic() {
 		// Analytics walks a whole shard; its runtime is the corpus's, not
@@ -655,136 +633,48 @@ func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op server.Query
 		path, heavy = "/v1/analytics", true
 	}
 	var resp server.QueryResponse
-	err := rt.doJSON(ctx, sh.Owners, heavy, http.MethodPost, path, server.QueryRequest{Index: sh.Name, QueryOp: op}, &resp)
+	err := rt.doJSON(ctx, sh.Owners, heavy, http.MethodPost, path, server.WireQuery{Index: sh.Name, WireOp: op}, &resp)
 	return resp, err
 }
 
-// shardSlice fetches local content [lo, hi) of one shard.
-func (rt *Router) shardSlice(ctx context.Context, sh *shardInfo, lo, hi int) ([]byte, error) {
-	if lo == hi {
-		return nil, nil
-	}
-	part, err := rt.doBytes(ctx, sh.Owners, fmt.Sprintf("/v1/indexes/%s/slice?lo=%d&hi=%d", sh.Name, lo, hi))
-	if err == nil && len(part) != hi-lo {
-		return nil, fmt.Errorf("cluster: shard %s returned %d bytes for a %d-byte slice", sh.Name, len(part), hi-lo)
-	}
-	return part, err
-}
-
-// globalSlice materializes global virtual-string bytes [lo, hi), spanning
-// shards as needed; position totalLen-1 is the virtual terminator, which no
-// replica stores, so it is synthesized.
-func (rt *Router) globalSlice(ctx context.Context, topo *topology, lo, hi int) ([]byte, error) {
-	if lo < 0 || hi < lo || hi > topo.totalLen {
-		return nil, fmt.Errorf("cluster: global slice [%d, %d) out of range [0, %d]", lo, hi, topo.totalLen)
-	}
-	needTerm := hi == topo.totalLen
-	if needTerm {
-		hi--
-	}
-	out := make([]byte, 0, hi-lo+1)
-	for i := range topo.shards {
-		sh := &topo.shards[i]
-		shLo, shHi := sh.OffStart, sh.OffStart+sh.Symbols-1
-		a, b := lo, hi
-		if a < shLo {
-			a = shLo
-		}
-		if b > shHi {
-			b = shHi
-		}
-		if a >= b {
-			continue
-		}
-		part, err := rt.shardSlice(ctx, sh, a-shLo, b-shLo)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-	}
-	if needTerm {
-		out = append(out, era.TerminatorByte)
-	}
-	return out, nil
-}
-
-// stitchFor returns the junction-scan view for pattern length m: the one
-// prefetched at refresh when it covers m, a live fetch otherwise.
-func (rt *Router) stitchFor(ctx context.Context, topo *topology, m int) (st *era.Stitch, partial bool, err error) {
-	if topo.stitch != nil && m <= rt.cfg.MaxPattern {
-		return topo.stitch, false, nil
-	}
-	return rt.fetchStitch(ctx, topo, m)
-}
-
-// fetchStitch assembles the junction-scan view for patterns up to length m:
-// every junction's stitch window is fetched up front, and junctions whose
-// bytes are unreachable — their shard is down — are dropped with
-// partial=true rather than scanned against fabricated bytes. The returned
-// Stitch serves slices purely from the fetched windows, so the scan itself
-// cannot fail midway.
-func (rt *Router) fetchStitch(ctx context.Context, topo *topology, m int) (st *era.Stitch, partial bool, err error) {
-	var bounds, los []int
-	var wins [][]byte
-	if m >= 2 {
-		for _, b := range topo.bounds {
-			lo, hi := max(b-m+1, 0), min(b+m-1, topo.totalLen)
-			data, werr := rt.globalSlice(ctx, topo, lo, hi)
-			if werr != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, false, cerr
-				}
-				partial = true
-				continue
-			}
-			bounds, los, wins = append(bounds, b), append(los, lo), append(wins, data)
-		}
-	}
-	return era.NewStitch(topo.totalLen, bounds, func(_ []byte, lo, hi int) []byte {
-		// Windows ascend at both ends, so the first one ending at or past hi
-		// is the one that covers [lo, hi) if any does.
-		j := sort.Search(len(wins), func(j int) bool { return los[j]+len(wins[j]) >= hi })
-		if j < len(wins) && lo >= los[j] {
-			return wins[j][lo-los[j] : hi-los[j]]
-		}
-		// Unreachable by construction; returning an empty window of the
-		// right length keeps the scan crash-free if it ever isn't.
-		return make([]byte, hi-lo)
-	}), partial, nil
-}
-
 // ---------------------------------------------------------------------------
-// Routed execution: fan the op out, hand what came back to the merge.
+// Routed execution: send each op to the shards that own it, hand what came
+// back to the merge.
 
 // errShardDown marks a shard whose every replica failed; the caller decides
 // between partial degradation and strict refusal.
 var errShardDown = errors.New("cluster: shard unavailable")
 
-// fanOut runs fn for every shard concurrently; dead[i] reports a shard whose
-// every replica failed, a 4xx from any shard aborts with that error.
-func (rt *Router) fanOut(ctx context.Context, topo *topology, fn func(i int, sh *shardInfo) error) (dead []bool, err error) {
+// fanOut runs fn for the given shards concurrently; dead[i] reports a shard
+// i whose every replica failed. A client error (4xx) from any shard aborts
+// with that error — the one naming the earliest client op when several do.
+func (rt *Router) fanOut(ctx context.Context, topo *topology, shards []int, fn func(i int) error) (dead []bool, err error) {
 	errs := make([]error, len(topo.shards))
 	var wg sync.WaitGroup
-	for i := range topo.shards {
+	for _, i := range shards {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(i, &topo.shards[i])
-		}(i)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
 	dead = make([]bool, len(topo.shards))
 	for i, e := range errs {
-		if e == nil {
-			continue
+		switch {
+		case e == nil:
+		case clientErr(e):
+			if err == nil || opIndex(e) < opIndex(err) {
+				err = e
+			}
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		default:
+			dead[i] = true
 		}
-		if clientErr(e) {
-			return nil, e
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		dead[i] = true
+	}
+	if err != nil {
+		return nil, err
 	}
 	return dead, nil
 }
@@ -808,18 +698,73 @@ func (rt *Router) degrade(topo *topology, dead []bool) (partial bool, err error)
 	return true, nil
 }
 
-// analytic answers one planned and validated analytics op through its
-// routed executor.
+// analytic answers one planned and validated analytics op: lcs on any one
+// shard, every other kind on the shards era.AnalyticsShards names, merged by
+// era.MergeShards — which asks the membership path for the facts across the
+// cuts no shard holds (the count of a boundary L-mer, the occurrences of a
+// repeat that straddles a cut).
 func (rt *Router) analytic(ctx context.Context, topo *topology, op era.Op) (res era.Result, partial bool, err error) {
-	switch op.Kind {
-	case era.OpTopK, era.OpLongestRepeat:
-		return rt.suffixOrder(ctx, topo, op)
-	case era.OpCommonSubstring:
+	if op.Kind == era.OpCommonSubstring {
 		return rt.commonSubstring(ctx, topo, op)
-	case era.OpDocFreq, era.OpMismatch:
-		return rt.merged(ctx, topo, op)
 	}
-	return era.Result{}, false, &routeError{status: http.StatusBadRequest, msg: fmt.Sprintf("unsupported op kind %v", op.Kind)}
+	qop := server.WireOp{Op: op.Kind.String(), Pattern: server.Text(op.Pattern), K: op.K, Max: op.MaxOccurrences, MinLen: op.MinLen}
+	for _, p := range op.Patterns {
+		qop.Patterns = append(qop.Patterns, server.Text(p))
+	}
+	var asked []int
+	for i, a := range era.AnalyticsShards(op, topo.keys) {
+		if a {
+			asked = append(asked, i)
+		}
+	}
+	resps := make([]server.QueryResponse, len(topo.shards))
+	dead, err := rt.fanOut(ctx, topo, asked, func(i int) (err error) {
+		resps[i], err = rt.shardQuery(ctx, &topo.shards[i], qop)
+		return err
+	})
+	if err != nil {
+		return era.Result{}, false, err
+	}
+	if partial, err = rt.degrade(topo, dead); err != nil {
+		return era.Result{}, false, err
+	}
+	parts := make([]*era.Answer, len(topo.shards))
+	for _, i := range asked {
+		if !dead[i] {
+			a := fromWire(op.Kind, resps[i])
+			parts[i] = &a
+		}
+	}
+	res, err = era.MergeShards(op, topo.keys, parts, func(m era.Op) (era.Result, error) {
+		r, p, err := rt.membership(ctx, topo, []era.Op{m})
+		if err != nil {
+			return era.Result{}, err
+		}
+		partial = partial || p[0]
+		return r[0], nil
+	})
+	return res, partial, err
+}
+
+// commonSubstring answers lcs on one shard — every shard holds both
+// documents — the first one that answers, in shard order.
+func (rt *Router) commonSubstring(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
+	qop := server.WireOp{Op: op.Kind.String(), DocA: op.DocA, DocB: op.DocB}
+	var errs []error
+	for i := range topo.shards {
+		resp, err := rt.shardQuery(ctx, &topo.shards[i], qop)
+		if err == nil {
+			return fromWire(op.Kind, resp), false, nil
+		}
+		if clientErr(err) || ctx.Err() != nil {
+			return era.Result{}, false, err
+		}
+		errs = append(errs, err)
+	}
+	if rt.cfg.Strict {
+		return era.Result{}, false, fmt.Errorf("%w: every shard: %v", errShardDown, errors.Join(errs...))
+	}
+	return era.Result{OffsetA: -1, OffsetB: -1}, true, nil
 }
 
 // A membership sub-batch is cut at whichever budget fills first. The byte
@@ -841,6 +786,15 @@ type opError struct {
 
 func (e *opError) Error() string { return server.OpPrefix(e.op) + e.err.Error() }
 func (e *opError) Unwrap() error { return e.err }
+
+// opIndex is the op a client error names, or -1 when it names none.
+func opIndex(err error) int {
+	var oe *opError
+	if errors.As(err, &oe) {
+		return oe.op
+	}
+	return -1
+}
 
 // memberAnswer is what the merge reads of a replica's answer to one
 // membership op (server.QueryResponse without the pointer fields).
@@ -866,7 +820,7 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 			buf.WriteByte(',')
 		}
 		op := &ops[n]
-		if err := enc.Encode(server.QueryOp{Op: op.Kind.String(), Pattern: string(op.Pattern), Max: op.MaxOccurrences}); err != nil {
+		if err := enc.Encode(server.WireOp{Op: op.Kind.String(), Pattern: server.Text(op.Pattern), Max: op.MaxOccurrences}); err != nil {
 			return 0, err
 		}
 		buf.Truncate(buf.Len() - 1) // Encode's newline
@@ -881,47 +835,95 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 }
 
 // membership answers contains/count/occurrences ops — one from /v1/query, or
-// the membership ops of a /v1/batch — the way the in-process executor's batch
-// does: every shard gets the ops as one /v1/batch sub-request per chunk, and
-// each op's per-shard answers go to the merge it calls (era.Stitch.Merge)
-// with the junction windows. Sub-requests keep the client's occurrence cap:
-// shards cover ascending disjoint ranges, so the merged first-Max needs at
-// most the first Max from each shard. A shard that is down is down for every
-// op of the chunk, so partial is per op but uniform within a chunk. A
-// replica's 400 comes back as an opError naming the op it was about.
+// the membership ops of a /v1/batch — the way the in-process sharded index's
+// Batch does: each op goes to the shards that own its pattern, every shard
+// the request touches gets the ops it owns as one /v1/batch sub-request per
+// chunk, and an op's owners' answers go to era.MergeShards. Sub-requests keep
+// the client's occurrence cap: the merged first-Max needs at most the first
+// Max from each owner. A shard that is down marks partial exactly the ops it
+// owns. A replica's 400 comes back as an opError naming the client's op.
 func (rt *Router) membership(ctx context.Context, topo *topology, ops []era.Op) (results []era.Result, partial []bool, err error) {
+	// No terminator gate here (the trees answer patterns holding it as the
+	// whole index does): a pattern containing the terminator byte is outside
+	// every replica's alphabet, so its op fails the sub-batch with a 400.
+	owners := make([][2]int, len(ops))
+	own := make([][]int, len(topo.shards)) // own[s]: the ops shard s owns, ascending
+	var touched []int
+	for i := range ops {
+		first, last := era.Owners(topo.keys, ops[i].Pattern)
+		owners[i] = [2]int{first, last}
+		for s := first; s <= last; s++ {
+			if len(own[s]) == 0 {
+				touched = append(touched, s)
+			}
+			own[s] = append(own[s], i)
+		}
+	}
+	answers := make([][]era.Result, len(topo.shards)) // aligned with own
+	dead, err := rt.fanOut(ctx, topo, touched, func(s int) (err error) {
+		answers[s], err = rt.memberShard(ctx, &topo.shards[s], ops, own[s])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
 	results = make([]era.Result, len(ops))
 	partial = make([]bool, len(ops))
-	var chunk bytes.Buffer
-	for lo := 0; lo < len(ops); {
-		n, err := encodeChunk(&chunk, ops[lo:])
-		if err != nil {
-			return nil, nil, err
+	parts := make([]*era.Answer, len(topo.shards))
+	next := make([]int, len(topo.shards)) // the next answer of each shard's
+	var down []string
+	for i, op := range ops {
+		first, last := owners[i][0], owners[i][1]
+		for s := first; s <= last; s++ {
+			parts[s] = nil
+			if dead[s] {
+				partial[i] = true
+				down = append(down, topo.shards[s].Name)
+				continue
+			}
+			parts[s] = &answers[s][next[s]]
+			next[s]++
 		}
-		cops := ops[lo : lo+n]
+		results[i], _ = era.MergeShards(op, topo.keys, parts[first:last+1], nil)
+	}
+	if len(down) > 0 && rt.cfg.Strict {
+		slices.Sort(down)
+		return nil, nil, fmt.Errorf("%w: %s", errShardDown, strings.Join(slices.Compact(down), ", "))
+	}
+	return results, partial, nil
+}
 
-		// No terminator gate here (in process, liveSnapshot.tailMatch keeps
-		// such patterns away from the trees): a pattern containing the
-		// terminator byte is outside every replica's alphabet, so its op fails
-		// the sub-batch with a 400 before any shard can report a phantom match
-		// against its own local terminator.
-		perShard := make([][]memberAnswer, len(topo.shards))
-		dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-			body := make([]byte, 0, len(sh.batchHead)+chunk.Len()+1)
-			body = append(append(append(body, sh.batchHead...), chunk.Bytes()...), '}')
-			return rt.doShard(ctx, sh.Owners, false, jsonRequest(http.MethodPost, "/v1/batch", body), func(raw []byte) error {
-				var resp struct {
-					Results []memberAnswer `json:"results"`
-				}
-				if err := json.Unmarshal(raw, &resp); err != nil {
-					return err
-				}
-				if len(resp.Results) != n {
-					return fmt.Errorf("%d results for a %d-op sub-batch", len(resp.Results), n)
-				}
-				perShard[i] = resp.Results
-				return nil
-			})
+// memberShard sends one shard the ops it owns (ops[own[j]]), cut into
+// chunks, and returns its answers in that order.
+func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op, own []int) ([]era.Result, error) {
+	sub := make([]era.Op, len(own))
+	for j, i := range own {
+		sub[j] = ops[i]
+	}
+	out := make([]era.Result, 0, len(sub))
+	var chunk bytes.Buffer
+	for lo := 0; lo < len(sub); {
+		n, err := encodeChunk(&chunk, sub[lo:])
+		if err != nil {
+			return nil, err
+		}
+		body := make([]byte, 0, len(sh.batchHead)+chunk.Len()+1)
+		body = append(append(append(body, sh.batchHead...), chunk.Bytes()...), '}')
+		err = rt.doShard(ctx, sh.Owners, false, jsonRequest(http.MethodPost, "/v1/batch", body), func(raw []byte) error {
+			var resp struct {
+				Results []memberAnswer `json:"results"`
+			}
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				return err
+			}
+			if len(resp.Results) != n {
+				return fmt.Errorf("%d results for a %d-op sub-batch", len(resp.Results), n)
+			}
+			for _, a := range resp.Results {
+				out = append(out, era.Result{Found: a.Found, Count: a.Count, Occurrences: a.Occurrences})
+			}
+			return nil
 		})
 		if err != nil {
 			var re *routeError
@@ -931,156 +933,16 @@ func (rt *Router) membership(ctx context.Context, topo *topology, ops []era.Op) 
 				pos, msg, ok := server.SplitOpError(re.msg)
 				switch {
 				case n == 1:
-					err = &opError{op: lo, err: err}
+					err = &opError{op: own[lo], err: err}
 				case ok && pos < n:
-					err = &opError{op: lo + pos, err: &routeError{status: re.status, msg: msg}}
+					err = &opError{op: own[lo+pos], err: &routeError{status: re.status, msg: msg}}
 				}
 			}
-			return nil, nil, err
-		}
-		chunkPartial, err := rt.degrade(topo, dead)
-		if err != nil {
-			return nil, nil, err
-		}
-
-		parts := make([]era.Part, 0, len(topo.shards))
-		for oi := range cops {
-			parts = parts[:0]
-			for i, answers := range perShard {
-				if answers != nil { // nil: the shard is down
-					a := &answers[oi]
-					parts = append(parts, era.Part{Off: topo.shards[i].OffStart, Found: a.Found, Count: a.Count, Occurrences: a.Occurrences})
-				}
-			}
-			st, stPartial, err := rt.stitchFor(ctx, topo, len(cops[oi].Pattern))
-			if err != nil {
-				return nil, nil, err
-			}
-			results[lo+oi], partial[lo+oi] = st.Merge(cops[oi], parts), chunkPartial || stPartial
+			return nil, err
 		}
 		lo += n
 	}
-	return results, partial, nil
-}
-
-// suffixOrder answers lrs and topk the way the in-process partitioned layers
-// do, from the suffix order of the corpus itself: every shard's content is
-// fetched, and what arrived goes to era.SuffixOrderAnswer. No per-shard answer
-// bounds either op — a repeat or a window may straddle a cut, and a substring
-// frequent overall can rank below k in every shard — so this costs O(corpus)
-// on the wire per call, as it costs the in-process layers O(corpus) of memory.
-// A dead shard is a gap between the runs, which no window or occurrence spans.
-func (rt *Router) suffixOrder(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	runs := make([]era.Run, len(topo.shards))
-	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) error {
-		data, err := rt.shardSlice(ctx, sh, 0, sh.Symbols-1)
-		runs[i] = era.Run{Off: sh.OffStart, Data: data}
-		return err
-	})
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	partial, err := rt.degrade(topo, dead)
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	live := runs[:0]
-	for i, r := range runs {
-		if !dead[i] {
-			live = append(live, r)
-		}
-	}
-	res, err := era.SuffixOrderAnswer(ctx, op, live)
-	return res, partial, err
-}
-
-// commonSubstring answers lcs: both documents in one shard delegate to that
-// shard's tree executor; documents in different shards fetch their raw
-// bytes and run the canonical hash search — either path is a pure function
-// of the two documents' contents, so the answers coincide.
-func (rt *Router) commonSubstring(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	si, la := shardOfDoc(topo, op.DocA)
-	sj, lb := shardOfDoc(topo, op.DocB)
-	if si == sj {
-		resp, err := rt.shardQuery(ctx, &topo.shards[si], server.QueryOp{Op: "lcs", DocA: la, DocB: lb})
-		if err == nil {
-			return fromWire(era.OpCommonSubstring, resp), false, nil
-		}
-		if clientErr(err) || ctx.Err() != nil {
-			return era.Result{}, false, err
-		}
-		if rt.cfg.Strict {
-			return era.Result{}, false, fmt.Errorf("%w: %s: %v", errShardDown, topo.shards[si].Name, err)
-		}
-		return era.Result{OffsetA: -1, OffsetB: -1}, true, nil
-	}
-	var docA, docB []byte
-	fetch := func(s, ord int, out *[]byte) error {
-		b, err := rt.doBytes(ctx, topo.shards[s].Owners, fmt.Sprintf("/v1/indexes/%s/doc/%d", topo.shards[s].Name, ord))
-		*out = b
-		return err
-	}
-	errA := fetch(si, la, &docA)
-	errB := fetch(sj, lb, &docB)
-	for _, ferr := range []error{errA, errB} {
-		if ferr == nil {
-			continue
-		}
-		if clientErr(ferr) || ctx.Err() != nil {
-			return era.Result{}, false, ferr
-		}
-		if rt.cfg.Strict {
-			return era.Result{}, false, fmt.Errorf("%w: %v", errShardDown, ferr)
-		}
-		return era.Result{OffsetA: -1, OffsetB: -1}, true, nil
-	}
-	label, offA, offB := era.LCSTwoStrings(docA, docB)
-	return era.Result{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, false, nil
-}
-
-// merged answers docfreq and mismatch: every shard answers the op over its
-// own documents and the answers go to era.Stitch.Merge with the junction
-// windows (of which docfreq, with no pattern of its own, needs none). Like
-// membership sub-requests, these keep the client's occurrence cap.
-func (rt *Router) merged(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	qop := server.QueryOp{Op: op.Kind.String(), Pattern: string(op.Pattern), K: op.K, Max: op.MaxOccurrences}
-	for _, p := range op.Patterns {
-		qop.Patterns = append(qop.Patterns, string(p))
-	}
-	resps := make([]server.QueryResponse, len(topo.shards))
-	dead, err := rt.fanOut(ctx, topo, func(i int, sh *shardInfo) (err error) {
-		resps[i], err = rt.shardQuery(ctx, sh, qop)
-		return err
-	})
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	partial, err := rt.degrade(topo, dead)
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	parts := make([]era.Part, 0, len(topo.shards))
-	for i, r := range resps {
-		if !dead[i] {
-			a := fromWire(op.Kind, r)
-			parts = append(parts, era.Part{Off: topo.shards[i].OffStart, Found: a.Found, Count: a.Count, Occurrences: a.Occurrences, Stats: a.Stats})
-		}
-	}
-	st, stPartial, err := rt.stitchFor(ctx, topo, len(op.Pattern))
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	return st.Merge(op, parts), partial || stPartial, nil
-}
-
-// shardOfDoc resolves a global document ordinal to (shard index, local
-// ordinal).
-func shardOfDoc(topo *topology, doc int) (int, int) {
-	i := sort.Search(len(topo.shards), func(j int) bool { return topo.shards[j].DocStart > doc }) - 1
-	if i < 0 {
-		i = 0
-	}
-	return i, doc - topo.shards[i].DocStart
+	return out, nil
 }
 
 // fromWire converts a replica's wire response back to the library result.
@@ -1200,7 +1062,7 @@ func (rt *Router) Handler() http.Handler {
 		}}})
 	})
 
-	serveOps := func(w http.ResponseWriter, r *http.Request, index string, qops []server.QueryOp, batch bool) {
+	serveOps := func(w http.ResponseWriter, r *http.Request, index string, qops []server.WireOp, batch bool) {
 		topo := rt.topo.Load()
 		if topo == nil {
 			writeErr(w, http.StatusServiceUnavailable, "router has no topology yet")
@@ -1304,7 +1166,7 @@ func (rt *Router) Handler() http.Handler {
 	}
 	single := func(analyticsOnly bool) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			var req server.QueryRequest
+			var req server.WireQuery
 			if !readJSON(w, r, &req) {
 				return
 			}
@@ -1317,13 +1179,13 @@ func (rt *Router) Handler() http.Handler {
 					return
 				}
 			}
-			serveOps(w, r, req.Index, []server.QueryOp{req.QueryOp}, false)
+			serveOps(w, r, req.Index, []server.WireOp{req.WireOp}, false)
 		}
 	}
 	mux.HandleFunc("POST /v1/query", single(false))
 	mux.HandleFunc("POST /v1/analytics", single(true))
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req server.BatchRequest
+		var req server.WireBatch
 		if !readJSON(w, r, &req) {
 			return
 		}

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"era"
 	"era/internal/server"
@@ -32,8 +33,9 @@ import (
 type routedCluster struct {
 	t       *testing.T
 	docs    [][]byte
-	concat  []byte // global content, no terminator
-	bounds  []int  // interior shard junction offsets
+	concat  []byte   // global content, no terminator
+	joins   []int    // interior document junction offsets in concat
+	keys    [][]byte // keys[i]: shard i's lower key, the cut before it
 	numDocs int
 
 	mono    *httptest.Server
@@ -55,7 +57,7 @@ func (tc *routedCluster) killable(next http.Handler) http.Handler {
 		if dead := tc.deadShard.Load(); dead != nil {
 			body, _ := io.ReadAll(r.Body)
 			r.Body = io.NopCloser(bytes.NewReader(body))
-			if strings.Contains(r.URL.Path, "/"+*dead+"/") || bytes.Contains(body, []byte(`"`+*dead+`"`)) {
+			if bytes.Contains(body, []byte(`"`+*dead+`"`)) {
 				panic(http.ErrAbortHandler)
 			}
 		}
@@ -86,6 +88,21 @@ func routedTestDocs(t *testing.T, nDocs int, seed int64) [][]byte {
 	return docs
 }
 
+// routedTextDocs builds UTF-8 text whose words carry accents, so that shard
+// keys — and the key prefixes, boundary L-mers and repeats the router asks
+// the replicas about — can end inside a character.
+func routedTextDocs(nDocs int, seed int64) [][]byte {
+	words := strings.Fields("café cafe crème creme déjà deja élan naïve naive über uber façade facade año ano señor señora €uro — «dit» smörgåsbord ñandú")
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([][]byte, nDocs)
+	for i := range docs {
+		for n := 2 + rng.Intn(30); n > 0; n-- {
+			docs[i] = append(append(docs[i], words[rng.Intn(len(words))]...), '_') // a custom alphabet ranks above '$'
+		}
+	}
+	return docs
+}
+
 func newRoutedCluster(t *testing.T, shards, replicas int, tweak func(cfg *RouterConfig)) *routedCluster {
 	t.Helper()
 	return newPlacedCluster(t, shards, replicas, tweak, nil)
@@ -96,12 +113,22 @@ func newRoutedCluster(t *testing.T, shards, replicas int, tweak func(cfg *Router
 // behind fronts[r] (nil loads every shard everywhere).
 func newPlacedCluster(t *testing.T, shards, replicas int, tweak func(cfg *RouterConfig), holds func(fronts []string, r int, shard string) bool) *routedCluster {
 	t.Helper()
-	quiet := log.New(io.Discard, "", 0)
-	tc := &routedCluster{t: t, docs: routedTestDocs(t, 24, 11)}
-	tc.concat = bytes.Join(tc.docs, nil)
-	tc.numDocs = len(tc.docs)
+	return newCorpusCluster(t, routedTestDocs(t, 24, 11), shards, replicas, tweak, holds)
+}
 
-	mono, err := era.BuildCorpus(tc.docs, nil)
+// newCorpusCluster is newPlacedCluster over a corpus of the caller's.
+func newCorpusCluster(t *testing.T, docs [][]byte, shards, replicas int, tweak func(cfg *RouterConfig), holds func(fronts []string, r int, shard string) bool) *routedCluster {
+	t.Helper()
+	quiet := log.New(io.Discard, "", 0)
+	tc := &routedCluster{t: t, docs: docs, concat: bytes.Join(docs, nil), numDocs: len(docs)}
+	off := 0
+	for _, d := range docs[:len(docs)-1] {
+		if off += len(d); off > 0 && off < len(tc.concat) && (len(tc.joins) == 0 || tc.joins[len(tc.joins)-1] != off) {
+			tc.joins = append(tc.joins, off)
+		}
+	}
+
+	mono, err := era.BuildCorpus(docs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +140,17 @@ func newPlacedCluster(t *testing.T, shards, replicas int, tweak func(cfg *Router
 	tc.mono = httptest.NewServer(server.NewHandlerOpts(monoEng, server.Options{ErrLog: quiet}))
 	t.Cleanup(tc.mono.Close)
 
-	sx, err := era.BuildShardedCorpus(tc.docs, &era.ShardConfig{Shards: shards})
+	sx, err := era.BuildShardedCorpus(docs, &era.ShardConfig{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shardIdx := make([]*era.Index, sx.NumShards())
-	off := 0
 	for i := range shardIdx {
 		sh, _ := sx.Shard(i)
 		sh.SetName(fmt.Sprintf("corpus~%d", i))
 		shardIdx[i] = sh
-		if i < sx.NumShards()-1 {
-			off += sh.Len() - 1
-			tc.bounds = append(tc.bounds, off)
-		}
+		lo, _ := sh.Range()
+		tc.keys = append(tc.keys, lo)
 	}
 
 	for r := 0; r < replicas; r++ {
@@ -179,6 +203,43 @@ func newPlacedCluster(t *testing.T, shards, replicas int, tweak func(cfg *Router
 	return tc
 }
 
+// keyPrefixes returns non-empty proper prefixes of the shard keys — the
+// patterns whose suffixes two shards share — and the keys themselves: the
+// short ones and the longest, for a periodic corpus's keys run long.
+func (tc *routedCluster) keyPrefixes() []string {
+	var out []string
+	for _, key := range tc.keys[1:] {
+		for l := 1; l <= len(key); l++ {
+			if p := string(key[:l]); (l <= 4 || l >= len(key)-1) && !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+// ownedBy returns a 10-byte pattern of the corpus whose suffixes shard i
+// alone holds, or "" when there is none.
+func (tc *routedCluster) ownedBy(i int) string {
+	for off := 0; off+10 <= len(tc.concat); off++ {
+		if first, last := era.Owners(tc.keys, tc.concat[off:off+10]); first == i && last == i {
+			return string(tc.concat[off : off+10])
+		}
+	}
+	return ""
+}
+
+// around returns the bytes of concat within r of offset at, clipped.
+func (tc *routedCluster) around(at, r int) string {
+	return string(tc.concat[max(at-r, 0):min(at+r, len(tc.concat))])
+}
+
+// window returns m bytes of concat from offset off, clipped to the corpus.
+func (tc *routedCluster) window(off, m int) string {
+	off = min(off, max(len(tc.concat)-m, 0))
+	return string(tc.concat[off:min(off+m, len(tc.concat))])
+}
+
 func postRaw(t *testing.T, base, path string, body []byte) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
@@ -195,10 +256,12 @@ func postRaw(t *testing.T, base, path string, body []byte) (int, []byte) {
 
 // check sends one request to both deployments and requires identical status
 // — and, on success, byte-identical bodies. Every routed request must also
-// finish within the client deadline plus at most one attempt budget.
+// finish within the client deadline plus at most one attempt budget. The
+// request's patterns travel as Text, so one that ends inside a character
+// arrives as it is.
 func (tc *routedCluster) check(t *testing.T, path string, req any) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(wire(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +281,33 @@ func (tc *routedCluster) check(t *testing.T, path string, req any) {
 	}
 }
 
+// wire spells a QueryRequest or BatchRequest with Text patterns.
+func wire(req any) any {
+	op := func(q server.QueryOp) server.WireOp {
+		w := server.WireOp{Op: q.Op, Pattern: server.Text(q.Pattern), Max: q.Max, K: q.K, MinLen: q.MinLen, DocA: q.DocA, DocB: q.DocB}
+		for _, p := range q.Patterns {
+			w.Patterns = append(w.Patterns, server.Text(p))
+		}
+		return w
+	}
+	switch r := req.(type) {
+	case server.QueryRequest:
+		return server.WireQuery{Index: r.Index, WireOp: op(r.QueryOp)}
+	case server.BatchRequest:
+		b := server.WireBatch{Index: r.Index}
+		for _, q := range r.Ops {
+			b.Ops = append(b.Ops, op(q))
+		}
+		return b
+	}
+	return req
+}
+
+// absent returns a pattern of corpus bytes that the corpus does not hold.
+func (tc *routedCluster) absent() string {
+	return strings.Repeat(string(tc.concat[:1]), len(tc.concat))
+}
+
 type routedCheck struct {
 	path string
 	req  any // server.QueryRequest, or server.BatchRequest on /v1/batch
@@ -232,85 +322,109 @@ func breq(ops ...server.QueryOp) server.BatchRequest {
 }
 
 // faultBatch is the /v1/batch case run under every fault, against a dead
-// shard and under hedging: a junction-crossing count, capped occurrences, a
-// membership op after an analytics op (sub-batch and client positions
-// differ), one analytics op.
+// shard and under hedging: a junction-crossing count, a count of a proper
+// prefix of a key (two owners), capped occurrences, a membership op after an
+// analytics op (sub-batch and client positions differ), one analytics op.
 func (tc *routedCluster) faultBatch() server.BatchRequest {
-	b := tc.bounds[0]
 	return breq(
-		server.QueryOp{Op: "count", Pattern: string(tc.concat[b-4 : b+4])},
-		server.QueryOp{Op: "occurrences", Pattern: string(tc.concat[10:12]), Max: 3},
-		server.QueryOp{Op: "docfreq", Patterns: []string{string(tc.concat[100:110])}},
-		server.QueryOp{Op: "contains", Pattern: string(tc.concat[100:110])},
+		server.QueryOp{Op: "count", Pattern: tc.around(tc.joins[0], 4)},
+		server.QueryOp{Op: "count", Pattern: tc.keyPrefixes()[0]},
+		server.QueryOp{Op: "occurrences", Pattern: tc.window(10, 2), Max: 3},
+		server.QueryOp{Op: "docfreq", Patterns: []string{tc.window(100, 10)}},
+		server.QueryOp{Op: "contains", Pattern: tc.window(100, 10)},
 	)
 }
 
-// membershipChecks exercises present, absent, junction-crossing, empty and
-// terminator-containing patterns through /v1/query.
+// membershipChecks exercises present, absent, junction-crossing, key-prefix,
+// empty and terminator-containing patterns through /v1/query.
 func (tc *routedCluster) membershipChecks() []routedCheck {
-	present := string(tc.concat[100:110])
-	short := string(tc.concat[10:12])
-	absent := "ACGTACGTACGTACGTACGTAA"
+	present := tc.window(100, 10)
+	short := tc.window(10, 2)
+	absent := tc.absent()
 	tail := string(tc.concat[len(tc.concat)-3:]) + "$"
 	var out []routedCheck
-	pats := []string{present, absent, short, "$", "$A", tail}
-	for _, b := range tc.bounds {
-		pats = append(pats, string(tc.concat[b-4:b+4]), string(tc.concat[b-1:b+1]))
+	pats := append([]string{present, absent, short, "$", "$A", tail}, tc.keyPrefixes()...)
+	for _, b := range tc.joins {
+		pats = append(pats, tc.around(b, 4), tc.around(b, 1))
 	}
 	for _, p := range pats {
 		out = append(out,
 			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: p})},
 			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: p})},
 			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: p})},
+			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: p, Max: 3})},
 		)
 	}
 	out = append(out,
 		routedCheck{"/v1/query", qreq(server.QueryOp{Op: "count"})},                                    // empty pattern
 		routedCheck{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Max: 5})},                      // empty pattern, capped
-		routedCheck{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: short, Max: 7})},      // capped
 		routedCheck{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: present, Max: 1000})}, // cap above count
 	)
 	return out
 }
 
-// analyticsChecks exercises all five analytics ops through /v1/analytics.
+// analyticsChecks exercises all five analytics ops through /v1/analytics,
+// aimed at the cuts: topk at lengths below the longest key (whose boundary
+// L-mers two shards share), docfreq and mismatch over key prefixes.
 func (tc *routedCluster) analyticsChecks() []routedCheck {
-	present := tc.concat[100:110]
+	present := []byte(tc.window(100, 10))
 	mutated := append([]byte(nil), present...)
-	if mutated[4] == 'A' {
-		mutated[4] = 'C'
-	} else {
-		mutated[4] = 'A'
+	for _, c := range tc.concat { // another byte of the corpus
+		if c != present[4] {
+			mutated[4] = c
+			break
+		}
 	}
-	crossing := string(tc.concat[tc.bounds[0]-4 : tc.bounds[0]+4])
-	return []routedCheck{
-		{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 5, MinLen: 4})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 3, MinLen: 8})},
+	patterns := append([]string{string(present), tc.absent()}, tc.keyPrefixes()...)
+	if len(tc.joins) > 0 {
+		patterns = append(patterns, tc.around(tc.joins[0], 4))
+	}
+	out := []routedCheck{
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lrs"})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: 1})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs - 1})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 3, DocB: 3})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{string(present), crossing, "ACGTACGTACGTACGTACGTAA"}})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: tc.numDocs - 1, DocB: tc.numDocs / 2})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: patterns})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: string(mutated), K: 1})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: string(mutated), K: 2, Max: 4})},
 	}
+	lengths := []int{1, 2, 3, 4, 6, 8}
+	for _, key := range tc.keys[1:] {
+		lengths = append(lengths, len(key)-1, len(key), len(key)+1)
+	}
+	slices.Sort(lengths)
+	for _, l := range slices.Compact(lengths) {
+		if l < 1 {
+			continue
+		}
+		out = append(out,
+			routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 3, MinLen: l})},
+			routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 64, MinLen: l})},
+		)
+	}
+	for _, p := range tc.keyPrefixes() {
+		out = append(out, routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: p, K: 1, Max: 5})})
+	}
+	return out
 }
 
 // faultChecks is the representative subset run under every injected fault:
-// at least one op of every kind, junction-crossing membership included.
+// at least one op of every kind, junction-crossing and key-prefix membership
+// included.
 func (tc *routedCluster) faultChecks() []routedCheck {
-	b := tc.bounds[0]
+	b := tc.joins[0]
 	return []routedCheck{
-		{"/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: string(tc.concat[100:110])})},
-		{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[b-4 : b+4])})},
-		{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: string(tc.concat[b-2 : b+2])})},
+		{"/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: tc.window(100, 10)})},
+		{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: tc.around(b, 4)})},
+		{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: tc.around(b, 2)})},
+		{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: tc.keyPrefixes()[0], Max: 9})},
 		{"/v1/query", qreq(server.QueryOp{Op: "count"})},
 		{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: "$"})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 5, MinLen: 4})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lrs"})},
 		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs - 1})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{string(tc.concat[100:110])}})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: string(tc.concat[50:58]), K: 1})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{tc.window(100, 10), tc.keyPrefixes()[0]}})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: tc.window(50, 8), K: 1})},
 		{"/v1/batch", tc.faultBatch()},
 		// An empty or '$' pattern anywhere fails the batch, as on the mono server.
 		{"/v1/batch", breq(server.QueryOp{Op: "contains", Pattern: "A"}, server.QueryOp{Op: "count"})},
@@ -331,22 +445,50 @@ func (tc *routedCluster) readmitAll() {
 
 // TestRoutedDifferential is the tentpole acceptance test: with replication
 // factor 2, the routed deployment answers membership and all five analytics
-// ops byte-identically to the monolithic index — on a healthy cluster and
-// with the fault proxy injecting every failure mode against each replica in
-// turn. Error statuses agree too, and no request overruns the client
-// deadline by more than one attempt budget.
+// ops byte-identically to the monolithic index — over K ∈ {1, 2, 3, 5, 8}
+// prefix-range shards of corpora whose cuts are awkward (UTF-8 text among
+// them, whose keys end inside a character), on a healthy cluster, and with
+// the fault proxy injecting every failure mode against each replica in turn.
+// Error statuses agree too, and no request overruns the client deadline by
+// more than one attempt budget.
 func TestRoutedDifferential(t *testing.T) {
-	tc := newRoutedCluster(t, 3, 3, nil)
-
-	t.Run("healthy", func(t *testing.T) {
-		for _, c := range append(tc.membershipChecks(), tc.analyticsChecks()...) {
-			tc.check(t, c.path, c.req)
+	dna := workload.MustGenerate(workload.DNA, 1200, 3)
+	dna = dna[:len(dna)-1]
+	midChar := false // a text key ends inside a character
+	for _, c := range []struct {
+		name string
+		docs [][]byte
+	}{
+		{"docs", routedTestDocs(t, 24, 11)},
+		{"one-doc", [][]byte{dna}}, // no document cut could split it
+		{"periodic", [][]byte{bytes.Repeat([]byte("ACGTTGA"), 60), bytes.Repeat([]byte("AC"), 100)}},
+		{"empty-doc", [][]byte{dna[:500], nil, dna[500:]}},
+		{"utf8", routedTextDocs(24, 5)},
+	} {
+		for _, k := range []int{1, 2, 3, 5, 8} { // 5 and 8 exceed DNA's σ
+			t.Run(fmt.Sprintf("%s-%d", c.name, k), func(t *testing.T) {
+				tc := newCorpusCluster(t, c.docs, k, 2, nil, nil)
+				for _, key := range tc.keys {
+					midChar = midChar || !utf8.Valid(key)
+				}
+				for _, c := range append(tc.membershipChecks(), tc.analyticsChecks()...) {
+					tc.check(t, c.path, c.req)
+				}
+			})
 		}
+	}
+	if !midChar {
+		t.Error("no shard key of the UTF-8 corpus ends inside a character")
+	}
+
+	tc := newRoutedCluster(t, 3, 3, nil)
+	t.Run("healthy", func(t *testing.T) {
 		// A batch mixing membership and analytics ops in one request.
 		tc.check(t, "/v1/batch", server.BatchRequest{Index: "corpus", Ops: []server.QueryOp{
-			{Op: "contains", Pattern: string(tc.concat[100:110])},
-			{Op: "count", Pattern: string(tc.concat[tc.bounds[0]-3 : tc.bounds[0]+3])},
-			{Op: "occurrences", Pattern: string(tc.concat[10:12]), Max: 3},
+			{Op: "contains", Pattern: tc.window(100, 10)},
+			{Op: "count", Pattern: tc.around(tc.joins[0], 3)},
+			{Op: "count", Pattern: tc.keyPrefixes()[0]},
+			{Op: "occurrences", Pattern: tc.window(10, 2), Max: 3},
 			{Op: "topk", K: 3, MinLen: 4},
 			{Op: "lrs"},
 		}})
@@ -390,10 +532,15 @@ func TestRoutedDifferential(t *testing.T) {
 	}
 }
 
-// TestRoutedPartialAndStrict kills every replica of one shard and pins the
-// degradation contract: the default router answers 200 with "partial": true
-// for every op kind — within the deadline, never a hang — and a strict
-// router refuses with 503.
+// TestRoutedPartialAndStrict kills both replicas of one shard at a time and
+// pins the degradation contract: an op that a dead shard owns — a
+// membership op or docfreq whose patterns' suffixes the shard holds, and
+// topk, lrs and mismatch, which ask every shard — answers 200 with
+// "partial": true within the deadline, never a hang, and a strict router
+// refuses it with 503; every other op, lcs included (it falls over to a live
+// shard, if the ring placed any shard off the two), answers byte-equal to the
+// monolithic server on both routers. A
+// degraded lrs / topk is the answer over the suffixes the live shards hold.
 func TestRoutedPartialAndStrict(t *testing.T) {
 	tc := newRoutedCluster(t, 3, 3, nil)
 	strict, err := NewRouter(RouterConfig{
@@ -418,74 +565,139 @@ func TestRoutedPartialAndStrict(t *testing.T) {
 	strictFront := httptest.NewServer(strict.Handler())
 	defer strictFront.Close()
 
-	// Kill shard corpus~0: every owner's proxy drops every request.
-	owners := tc.rt.Placement()["corpus~0"]
-	if len(owners) != 2 {
-		t.Fatalf("corpus~0 has %d owners, want 2", len(owners))
+	// One pattern owned by each shard alone, and a proper key prefix, owned
+	// by two.
+	owned := func(p string) (int, int) { return era.Owners(tc.keys, []byte(p)) }
+	var pats []string
+	for i := range tc.keys {
+		if p := tc.ownedBy(i); p != "" {
+			pats = append(pats, p)
+		}
+	}
+	if len(pats) != len(tc.keys) {
+		t.Fatalf("found single-owner patterns for %d of %d shards", len(pats), len(tc.keys))
+	}
+	pats = append(pats, tc.keyPrefixes()[0])
+	var checks []routedCheck
+	var batch []server.QueryOp
+	for _, p := range pats {
+		checks = append(checks,
+			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: p})},
+			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: p})},
+			routedCheck{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: p, Max: 4})},
+			routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{p}})},
+		)
+		batch = append(batch, server.QueryOp{Op: "count", Pattern: p}, server.QueryOp{Op: "docfreq", Patterns: []string{p}})
+	}
+	checks = append(checks,
+		routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 5, MinLen: 4})},
+		routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "lrs"})},
+		routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: tc.window(50, 8), K: 1})},
+		routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs - 1})},
+		routedCheck{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 1, DocB: 2})},
+		routedCheck{"/v1/batch", breq(append(batch, server.QueryOp{Op: "lcs", DocA: 0, DocB: 1})...)},
+	)
+	// partialIf says whether an op degrades with the dead shards down.
+	partialIf := func(op server.QueryOp, dead []bool) bool {
+		switch op.Op {
+		case "lcs": // any live shard answers it
+			return !slices.Contains(dead, false)
+		case "topk", "lrs", "mismatch":
+			return true
+		}
+		pats := op.Patterns
+		if len(pats) == 0 {
+			pats = []string{op.Pattern}
+		}
+		for _, p := range pats {
+			if first, last := owned(p); slices.Contains(dead[first:last+1], true) {
+				return true
+			}
+		}
+		return false
 	}
 	frontIdx := map[string]int{}
 	for i, f := range tc.fronts {
 		frontIdx[f] = i
 	}
-	for _, o := range owners {
-		tc.proxies[frontIdx[o]].Set(FaultDrop, -1)
+	type flagged struct {
+		Partial bool `json:"partial"`
 	}
-	defer tc.readmitAll()
-
-	checks := []routedCheck{
-		{"/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: string(tc.concat[100:110])})},
-		{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])})},
-		{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: string(tc.concat[10:12])})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "topk", K: 5, MinLen: 4})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "lrs"})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs - 1})}, // doc 0 lives in the dead shard
-		{"/v1/analytics", qreq(server.QueryOp{Op: "docfreq", Patterns: []string{string(tc.concat[100:110])}})},
-		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: string(tc.concat[50:58]), K: 1})},
-		{"/v1/batch", tc.faultBatch()},
-	}
-	for _, c := range checks {
-		body, _ := json.Marshal(c.req)
-		start := time.Now()
-		status, resp := postRaw(t, tc.routed.URL, c.path, body)
-		elapsed := time.Since(start)
-		if limit := tc.rt.cfg.Timeout + tc.rt.cfg.AttemptTimeout; elapsed > limit {
-			t.Errorf("%s %s: degraded answer took %v (> %v)", c.path, body, elapsed, limit)
+	for kill := range tc.keys {
+		owners := tc.rt.Placement()[fmt.Sprintf("corpus~%d", kill)]
+		if len(owners) != 2 {
+			t.Fatalf("corpus~%d has %d owners, want 2", kill, len(owners))
 		}
-		if status != http.StatusOK {
-			t.Errorf("%s %s: degraded status %d (%s), want 200 partial", c.path, body, status, resp)
-			continue
+		for _, o := range owners {
+			tc.proxies[frontIdx[o]].Set(FaultDrop, -1)
 		}
-		type flagged struct {
-			Partial bool `json:"partial"`
+		// Every shard whose two replicas are these two is down with it.
+		dead := make([]bool, len(tc.keys))
+		for i := range dead {
+			placed := tc.rt.Placement()[fmt.Sprintf("corpus~%d", i)]
+			dead[i] = !slices.ContainsFunc(placed, func(o string) bool { return !slices.Contains(owners, o) })
 		}
-		var out struct {
-			flagged
-			Results []flagged `json:"results"`
-		}
-		if err := json.Unmarshal(resp, &out); err != nil {
-			t.Fatalf("%s %s: %v in %s", c.path, body, err, resp)
-		}
-		answers := []flagged{out.flagged}
-		if br, ok := c.req.(server.BatchRequest); ok {
-			// The shard is down for the whole sub-batch: every op is partial.
-			if answers = out.Results; len(answers) != len(br.Ops) {
-				t.Errorf("%s %s: %d results for %d ops: %s", c.path, body, len(answers), len(br.Ops), resp)
+		for _, c := range checks {
+			body, _ := json.Marshal(c.req)
+			var ops []server.QueryOp
+			if br, ok := c.req.(server.BatchRequest); ok {
+				ops = br.Ops
+			} else {
+				ops = []server.QueryOp{c.req.(server.QueryRequest).QueryOp}
+			}
+			want := make([]bool, len(ops))
+			anyPartial := false
+			for i, op := range ops {
+				want[i] = partialIf(op, dead)
+				anyPartial = anyPartial || want[i]
+			}
+			if !anyPartial {
+				tc.check(t, c.path, c.req)
+				if s, b := postRaw(t, strictFront.URL, c.path, body); s != http.StatusOK {
+					t.Errorf("shard %d down, %s %s: strict router answered %d (%s) for ops the shard does not own", kill, c.path, body, s, b)
+				}
+				continue
+			}
+			start := time.Now()
+			status, resp := postRaw(t, tc.routed.URL, c.path, body)
+			if limit := tc.rt.cfg.Timeout + tc.rt.cfg.AttemptTimeout; time.Since(start) > limit {
+				t.Errorf("%s %s: degraded answer took %v (> %v)", c.path, body, time.Since(start), limit)
+			}
+			if status != http.StatusOK {
+				t.Errorf("shard %d down, %s %s: degraded status %d (%s), want 200 partial", kill, c.path, body, status, resp)
+				continue
+			}
+			var out struct {
+				flagged
+				Results []flagged `json:"results"`
+			}
+			if err := json.Unmarshal(resp, &out); err != nil {
+				t.Fatalf("%s %s: %v in %s", c.path, body, err, resp)
+			}
+			got := []flagged{out.flagged}
+			if len(ops) > 1 || c.path == "/v1/batch" {
+				got = out.Results
+			}
+			if len(got) != len(ops) {
+				t.Fatalf("%s %s: %d results for %d ops: %s", c.path, body, len(got), len(ops), resp)
+			}
+			for i := range ops {
+				if got[i].Partial != want[i] {
+					t.Errorf("shard %d down (dead %v), %s op %d %+v: partial %v, want %v", kill, dead, c.path, i, ops[i], got[i].Partial, want[i])
+				}
+			}
+			// Strict mode refuses the same requests outright.
+			if s, b := postRaw(t, strictFront.URL, c.path, body); s != http.StatusServiceUnavailable {
+				t.Errorf("shard %d down, %s %s: strict router answered %d (%s), want 503", kill, c.path, body, s, b)
 			}
 		}
-		for _, a := range answers {
-			if !a.Partial {
-				t.Errorf("%s %s: dead shard but partial not set: %s", c.path, body, resp)
-				break
+		tc.readmitAll()
+		for _, o := range owners {
+			for k := 0; k < strict.healthy.OKThreshold; k++ {
+				strict.healthy.Report(o, true)
 			}
 		}
-
-		// Strict mode refuses the same requests outright.
-		sStatus, sResp := postRaw(t, strictFront.URL, c.path, body)
-		if sStatus != http.StatusServiceUnavailable {
-			t.Errorf("%s %s: strict router answered %d (%s), want 503", c.path, body, sStatus, sResp)
-		}
 	}
-
 	if tc.rt.partials.Load() == 0 {
 		t.Error("router served degraded answers but the partials counter is zero")
 	}
@@ -493,28 +705,20 @@ func TestRoutedPartialAndStrict(t *testing.T) {
 		t.Error("router exhausted a shard's replicas but the shard_down counter is zero")
 	}
 
-	// What a degraded lrs / topk says: the answer over the shards that are
-	// left — one run with shard 0 down, two with shard 1 down — in corpus
-	// offsets, with no window and no occurrence across the hole.
-	tc.readmitAll()
-	edges := append(append([]int{0}, tc.bounds...), len(tc.concat))
-	for dead := 0; dead <= 1; dead++ {
-		name := fmt.Sprintf("corpus~%d", dead)
-		tc.deadShard.Store(&name)
-		var runs []era.Run
-		for i := 0; i+1 < len(edges); i++ {
-			if i != dead {
-				runs = append(runs, era.Run{Off: edges[i], Data: tc.concat[edges[i]:edges[i+1]]})
-			}
+	// What a degraded lrs / topk says, with exactly one shard down.
+	for dead := -1; dead < len(tc.keys); dead++ {
+		if dead >= 0 {
+			name := fmt.Sprintf("corpus~%d", dead)
+			tc.deadShard.Store(&name)
 		}
-		for _, op := range []era.Op{{Kind: era.OpLongestRepeat}, {Kind: era.OpTopK, K: 5, MinLen: 4}, {Kind: era.OpTopK, K: 3, MinLen: 8}} {
-			want := server.ToWire(op, naiveOverRuns(op, runs))
-			want.Partial = true
+		for _, op := range []era.Op{{Kind: era.OpLongestRepeat}, {Kind: era.OpTopK, K: 5, MinLen: 2}, {Kind: era.OpTopK, K: 3, MinLen: 8}} {
+			want := server.ToWire(op, naiveOverLive(op, tc.concat, tc.keys, dead))
+			want.Partial = dead >= 0
 			body, _ := json.Marshal(qreq(server.QueryOp{Op: op.Kind.String(), K: op.K, MinLen: op.MinLen}))
 			status, resp := postRaw(t, tc.routed.URL, "/v1/analytics", body)
 			var got server.QueryResponse
 			if err := json.Unmarshal(resp, &got); status != http.StatusOK || err != nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("%s down, %s: status %d, err %v\n got %s\nwant %+v", name, body, status, err, resp, want)
+				t.Errorf("shard %d down, %s: status %d, err %v\n got %s\nwant %+v", dead, body, status, err, resp, want)
 			}
 		}
 		tc.deadShard.Store(nil)
@@ -522,23 +726,39 @@ func TestRoutedPartialAndStrict(t *testing.T) {
 	}
 }
 
-// naiveOverRuns is the window-counting oracle for a degraded lrs or topk:
-// every window and every occurrence lies inside one run, offsets are the
-// corpus's.
-func naiveOverRuns(op era.Op, runs []era.Run) era.Result {
-	windows := func(m int) map[string][]int {
-		at := map[string][]int{}
-		for _, r := range runs {
-			for i := 0; i+m <= len(r.Data); i++ {
-				at[string(r.Data[i:i+m])] = append(at[string(r.Data[i:i+m])], r.Off+i)
-			}
+// naiveOverLive is the oracle for lrs and topk over the suffixes of every
+// shard but dead (-1: every shard; keys are the shards' lower keys). topk
+// counts the L-mers those suffixes begin with; lrs is the longest prefix two
+// of them adjacent in the suffix order share — adjacent with no dead range
+// between them, the smallest first among equals — and its occurrences are
+// the live suffixes that begin with it.
+func naiveOverLive(op era.Op, concat []byte, keys [][]byte, dead int) era.Result {
+	text := append(slices.Clone(concat), '$')
+	var live []int // the live suffixes, in suffix order
+	order := make([]int, len(text))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return bytes.Compare(text[order[a]:], text[order[b]:]) < 0 })
+	var adjacent []bool // adjacent[j]: live[j-1] and live[j] are neighbours in the whole order
+	prev := -2
+	for r, s := range order {
+		if owner, _ := era.Owners(keys, text[s:]); owner != dead {
+			live = append(live, s)
+			adjacent = append(adjacent, prev == r-1)
+			prev = r
 		}
-		return at
 	}
 	if op.Kind == era.OpTopK {
+		counts := map[string]int{}
+		for _, s := range live {
+			if s+op.MinLen <= len(concat) {
+				counts[string(text[s:s+op.MinLen])]++
+			}
+		}
 		var top []era.TopEntry
-		for w, at := range windows(op.MinLen) {
-			top = append(top, era.TopEntry{Pattern: []byte(w), Count: len(at)})
+		for w, n := range counts {
+			top = append(top, era.TopEntry{Pattern: []byte(w), Count: n})
 		}
 		sort.Slice(top, func(i, j int) bool {
 			if top[i].Count != top[j].Count {
@@ -549,32 +769,28 @@ func naiveOverRuns(op era.Op, runs []era.Run) era.Result {
 		top = top[:min(len(top), op.K)]
 		return era.Result{Found: len(top) > 0, Top: top, Count: len(top)}
 	}
-	// A repeat of length m has one of length m−1 inside it: search the length.
-	repeats := func(m int) (best string, at []int) {
-		for w, p := range windows(m) {
-			if len(p) > 1 && (best == "" || w < best) {
-				best, at = w, p
-			}
+	var label []byte
+	for j := 1; j < len(live); j++ {
+		a, b := text[live[j-1]:], text[live[j]:]
+		l := 0
+		for l < len(a) && l < len(b) && a[l] == b[l] {
+			l++
 		}
-		return best, at
-	}
-	lo, hi := 0, 0 // a repeat of length lo exists, none longer than hi
-	for _, r := range runs {
-		hi = max(hi, len(r.Data))
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if w, _ := repeats(mid); w != "" {
-			lo = mid
-		} else {
-			hi = mid - 1
+		if adjacent[j] && l > len(label) {
+			label = b[:l]
 		}
 	}
-	if lo == 0 {
+	if len(label) == 0 {
 		return era.Result{}
 	}
-	w, at := repeats(lo)
-	return era.Result{Found: true, Pattern: []byte(w), Occurrences: at, Count: len(at)}
+	var at []int
+	for _, s := range live {
+		if bytes.HasPrefix(text[s:], label) {
+			at = append(at, s)
+		}
+	}
+	sort.Ints(at)
+	return era.Result{Found: true, Pattern: label, Occurrences: at, Count: len(at)}
 }
 
 // TestRoutedHedge pins tail-latency bounding: with the primary owner of
@@ -586,23 +802,14 @@ func TestRoutedHedge(t *testing.T) {
 		cfg.AttemptTimeout = 3 * time.Second
 		cfg.Timeout = 10 * time.Second
 	})
-	// Slow one replica: every shard it fronts as primary now hedges.
-	slow := -1
-	for _, owners := range tc.rt.Placement() {
-		for i, f := range tc.fronts {
-			if owners[0] == f {
-				slow = i
-			}
-		}
-	}
-	if slow < 0 {
-		t.Fatal("no replica is primary for any shard")
-	}
+	// Slow the primary of the shard the query asks: every shard it fronts as
+	// primary now hedges.
+	slow := slices.Index(tc.fronts, tc.rt.Placement()["corpus~0"][0])
 	tc.proxies[slow].Delay = 2 * time.Second
 	tc.proxies[slow].Set(FaultDelay, -1)
 	defer tc.readmitAll()
 
-	body, _ := json.Marshal(qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])}))
+	body, _ := json.Marshal(qreq(server.QueryOp{Op: "count", Pattern: tc.ownedBy(0)}))
 	start := time.Now()
 	status, resp := postRaw(t, tc.routed.URL, "/v1/query", body)
 	elapsed := time.Since(start)
@@ -653,7 +860,7 @@ func TestRoutedHedgeLoserKeepsPrimaryHealthy(t *testing.T) {
 	}
 	defer tc.readmitAll()
 
-	req := qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])})
+	req := qreq(server.QueryOp{Op: "count", Pattern: tc.ownedBy(0)})
 	for call := 1; call <= 6; call++ {
 		hedges := tc.rt.hedges.Load()
 		tc.check(t, "/v1/query", req)
@@ -691,7 +898,7 @@ func TestRoutedHedgeFastFailDegrades(t *testing.T) {
 	}
 	defer tc.readmitAll()
 
-	body, _ := json.Marshal(qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])}))
+	body, _ := json.Marshal(qreq(server.QueryOp{Op: "count", Pattern: tc.ownedBy(0)}))
 	start := time.Now()
 	status, resp := postRaw(t, tc.routed.URL, "/v1/query", body)
 	elapsed := time.Since(start)
@@ -717,9 +924,9 @@ func TestRoutedHedgeFastFailDegrades(t *testing.T) {
 func TestRoutedMetricsAndProbes(t *testing.T) {
 	tc := newRoutedCluster(t, 2, 2, nil)
 
-	get := func(path string) (int, []byte) {
+	getFrom := func(base, path string) (int, []byte) {
 		t.Helper()
-		resp, err := http.Get(tc.routed.URL + path)
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -727,6 +934,7 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, b
 	}
+	get := func(path string) (int, []byte) { return getFrom(tc.routed.URL, path) }
 	if s, _ := get("/healthz"); s != http.StatusOK {
 		t.Errorf("/healthz = %d", s)
 	}
@@ -754,6 +962,25 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	// The replicas' census endpoint went with the routed topk that used it.
 	if s, b := postRaw(t, tc.fronts[0], "/v1/internal/prefixcounts", []byte(`{"index":"corpus~0","min_len":4}`)); s != http.StatusNotFound {
 		t.Errorf("POST /v1/internal/prefixcounts on a replica = %d (%s), want 404", s, b)
+	}
+	// So did the byte endpoints the router fetched corpus content through.
+	for _, path := range []string{"/v1/indexes/corpus~0/slice?lo=0&hi=8", "/v1/indexes/corpus~0/doc/0"} {
+		if s, _ := getFrom(tc.fronts[0], path); s != http.StatusNotFound {
+			t.Errorf("GET %s on a replica = %d, want 404", path, s)
+		}
+	}
+	// A replica lists each shard's range and fingerprint.
+	var replicaListing struct {
+		Indexes []wireIndexInfo `json:"indexes"`
+	}
+	_, b = getFrom(tc.fronts[0], "/v1/indexes")
+	if err := json.Unmarshal(b, &replicaListing); err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range replicaListing.Indexes {
+		if len(info.Fingerprint) != 8 || (info.Range == server.KeyRange{}) {
+			t.Errorf("replica lists %s without its range or fingerprint: %s", info.Name, b)
+		}
 	}
 
 	tc.check(t, "/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: string(tc.concat[5:12])}))
@@ -831,11 +1058,10 @@ func TestRoutedRefreshUnionsListings(t *testing.T) {
 		tc.check(t, c.path, c.req)
 	}
 
-	// The one replica the ring keeps corpus~1 off loads another build of it.
-	other, err := era.BuildCorpus(tc.docs[:3], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The one replica the ring keeps corpus~1 off loads another build of it:
+	// one symbol differs, and nothing else /v1/indexes lists — symbols,
+	// documents, alphabet, range — tells the two apart but the fingerprint.
+	other := otherBuild(t, tc.docs, 3, 1)
 	other.SetName("corpus~1")
 	stray := slices.IndexFunc(tc.fronts, func(f string) bool { return !slices.Contains(owners(tc.fronts, "corpus~1"), f) })
 	if err := tc.engines[stray].Load(other); err != nil {
@@ -865,6 +1091,104 @@ func TestRoutedRefreshUnionsListings(t *testing.T) {
 	tc.check(t, "/v1/analytics", qreq(server.QueryOp{Op: "lrs"}))
 }
 
+// otherBuild returns shard i of a k-shard build of a corpus that differs
+// from docs in one symbol and agrees with it on the shard's range, symbol
+// and document counts and alphabet.
+func otherBuild(t *testing.T, docs [][]byte, k, i int) *era.Index {
+	t.Helper()
+	shard := func(docs [][]byte) *era.Index {
+		sx, err := era.BuildShardedCorpus(docs, &era.ShardConfig{Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, _ := sx.Shard(i)
+		return sh
+	}
+	want := shard(docs)
+	wlo, whi := want.Range()
+	last := len(docs) - 1
+	for pos := len(docs[last]) - 1; pos >= 0; pos-- {
+		for _, c := range []byte("ACGT") {
+			if docs[last][pos] == c {
+				continue
+			}
+			mutated := slices.Clone(docs)
+			mutated[last] = slices.Clone(docs[last])
+			mutated[last][pos] = c
+			got := shard(mutated)
+			if lo, hi := got.Range(); bytes.Equal(lo, wlo) && bytes.Equal(hi, whi) && got.Alphabet().Name() == want.Alphabet().Name() {
+				return got
+			}
+		}
+	}
+	t.Fatal("no one-symbol change keeps the shard's range")
+	return nil
+}
+
+// TestRoutedRefreshRefusesFamilies pins what Refresh will not serve as one
+// corpus, each with the reason named: replicas that list one shard with
+// different ranges, a family whose ranges leave a gap or stop short of the
+// end of the suffix order, members of different corpora, and a whole image
+// among range images — a family cut at document boundaries.
+func TestRoutedRefreshRefusesFamilies(t *testing.T) {
+	docs := routedTestDocs(t, 24, 11)
+	build := func(docs [][]byte, k int) []*era.Index {
+		sx, err := era.BuildShardedCorpus(docs, &era.ShardConfig{Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]*era.Index, k)
+		for i := range out {
+			out[i], _ = sx.Shard(i)
+			out[i].SetName(fmt.Sprintf("corpus~%d", i))
+		}
+		return out
+	}
+	three, four := build(docs, 3), build(docs, 4)
+	gap := build(docs, 4)[2] // a range of the 4-shard build where the 3-shard build's second goes
+	gap.SetName("corpus~1")
+	shorter := build(docs[1:], 3)
+	whole, err := era.BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole.SetName("corpus~0")
+	quiet := log.New(io.Discard, "", 0)
+	for _, c := range []struct {
+		name     string
+		replicas [][]*era.Index
+		want     string
+	}{
+		{"ranges disagree", [][]*era.Index{three, {three[0], four[1], three[2]}}, "disagree on shard corpus~1"},
+		{"gap", [][]*era.Index{{three[0], gap, three[2]}}, "not contiguous"},
+		{"short of the end", [][]*era.Index{three[:2]}, "stops short of the end"},
+		{"two corpora", [][]*era.Index{{three[0], shorter[1], shorter[2]}}, "not one corpus"},
+		{"whole among ranges", [][]*era.Index{{whole, three[1], three[2]}}, "must be rebuilt"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var fronts []string
+			for _, loads := range c.replicas {
+				eng := server.NewEngine(8)
+				for _, idx := range loads {
+					if err := eng.Load(idx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				srv := httptest.NewServer(server.NewHandlerOpts(eng, server.Options{ErrLog: quiet}))
+				defer srv.Close()
+				fronts = append(fronts, srv.URL)
+			}
+			rt, err := NewRouter(RouterConfig{Replicas: fronts, Corpus: "corpus", ErrLog: quiet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Refresh(context.Background()); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Refresh = %v, want an error saying %q", err, c.want)
+			}
+		})
+	}
+}
+
 // replicaRequests arms every proxy with a zero delay — a fault that changes
 // nothing but is counted — and returns a func reading the number of HTTP
 // requests the replicas have received since.
@@ -884,39 +1208,64 @@ func (tc *routedCluster) replicaRequests() func() int {
 }
 
 // TestRoutedBatchSubBatches pins the batch execution model: the membership
-// ops of a request reach each shard as one sub-request per chunk, not one
-// per op, and a request cut into several chunks still answers byte-equal to
+// ops of a request reach each shard that owns one of them as one
+// sub-request per chunk of the ops it owns — not one per op, and not every
+// shard — and a request cut into several chunks still answers byte-equal to
 // the monolithic server.
 func TestRoutedBatchSubBatches(t *testing.T) {
 	const shards = 3
 	tc := newRoutedCluster(t, shards, 3, nil)
 	defer tc.readmitAll()
 	requests := tc.replicaRequests()
+	// subRequests is what a batch of ops should cost: per shard, one request
+	// per chunk of the ops it owns.
+	subRequests := func(ops []server.QueryOp) int {
+		owned := make([]int, shards)
+		for _, op := range ops {
+			first, last := era.Owners(tc.keys, []byte(op.Pattern))
+			for s := first; s <= last; s++ {
+				owned[s]++
+			}
+		}
+		n := 0
+		for _, o := range owned {
+			n += (o + maxChunkOps - 1) / maxChunkOps
+		}
+		return n
+	}
 
-	// Patterns up to MaxPattern long: junction windows come from the
-	// refresh-time prefetch, so sub-batches are the only replica traffic.
 	rng := rand.New(rand.NewSource(5))
 	kinds := []string{"contains", "count", "occurrences"}
-	ops := make([]server.QueryOp, maxChunkOps+88)
+	ops := make([]server.QueryOp, 4*maxChunkOps) // some shard owns more than one chunk's worth
 	for i := range ops {
 		at, m := rng.Intn(len(tc.concat)-40), 2+rng.Intn(30)
 		if i%5 == 0 {
-			at = tc.bounds[i%len(tc.bounds)] - 1 - rng.Intn(m-1) // crosses a junction
+			at = tc.joins[i%len(tc.joins)] - 1 - rng.Intn(m-1) // crosses a junction
 		}
-		ops[i] = server.QueryOp{Op: kinds[i%3], Pattern: string(tc.concat[at : at+m]), Max: i % 4}
+		ops[i] = server.QueryOp{Op: kinds[i%3], Pattern: string(tc.concat[max(at, 0) : max(at, 0)+m]), Max: i % 4}
 	}
+	ops[7].Pattern = tc.keyPrefixes()[0] // two owners
 
 	tc.check(t, "/v1/batch", breq(ops[:32]...))
-	if got := requests(); got != shards {
-		t.Errorf("a 32-op batch over %d shards made %d replica requests, want one per shard", shards, got)
+	if got, want := requests(), subRequests(ops[:32]); got != want || want > shards {
+		t.Errorf("a 32-op batch over %d shards made %d replica requests, want %d, one per shard it touches", shards, got, want)
 	}
+	one := slices.IndexFunc(ops, func(op server.QueryOp) bool {
+		first, last := era.Owners(tc.keys, []byte(op.Pattern))
+		return first == last
+	})
+	single := requests()
+	tc.check(t, "/v1/query", qreq(ops[one]))
+	if got := requests() - single; got != 1 {
+		t.Errorf("a single-owner op made %d replica requests, want 1", got)
+	}
+	before := requests()
 	tc.check(t, "/v1/batch", breq(ops...))
-	if got := requests(); got != 3*shards {
-		t.Errorf("a %d-op batch (chunk budget %d ops) made %d replica requests, want two per shard", len(ops), maxChunkOps, got-shards)
+	if got, want := requests()-before, subRequests(ops); got != want || want <= shards {
+		t.Errorf("a %d-op batch (chunk budget %d ops) made %d replica requests, want %d", len(ops), maxChunkOps, got, want)
 	}
 
-	// The byte budget cuts too: patterns this long also take the live
-	// junction fetch.
+	// The byte budget cuts too.
 	long := make([]server.QueryOp, 96)
 	for i := range long {
 		at := rng.Intn(len(tc.concat) - 3000)
@@ -925,10 +1274,11 @@ func TestRoutedBatchSubBatches(t *testing.T) {
 	var buf bytes.Buffer
 	planned := make([]era.Op, len(long))
 	for i := range long {
-		var err error
-		if planned[i], err = long[i].Plan(); err != nil {
+		kind, err := era.ParseOpKind(long[i].Op)
+		if err != nil {
 			t.Fatal(err)
 		}
+		planned[i] = era.Op{Kind: kind, Pattern: []byte(long[i].Pattern), MaxOccurrences: long[i].Max}
 	}
 	if n, err := encodeChunk(&buf, planned); err != nil || n == 0 || n == len(planned) || buf.Len() > maxChunkBytes {
 		t.Fatalf("encodeChunk took %d of %d ops in %d bytes (err %v), want a cut under %d bytes", n, len(planned), buf.Len(), err, maxChunkBytes)

@@ -24,8 +24,9 @@ type DistributedOptions struct {
 // the paper's Table 3 separates: string transfer, vertical partitioning
 // (chunked across the nodes), and tree construction.
 type DistributedResult struct {
-	Tree             *suffixtree.Tree // assembled tree when Options.Assemble
-	Flat             *suffixtree.Flat // flat sections when Options.AssembleFlat
+	Tree             *suffixtree.Tree   // assembled tree when Options.Assemble
+	Flat             *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
+	Shards           []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
 	Stats            Stats
 	TransferTime     time.Duration // broadcast of S to all nodes
 	VPTime           time.Duration // chunked vertical partitioning
@@ -125,11 +126,11 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 		for gi := range byGi {
 			subs = append(subs, runs[byGi[gi]].flatSubs...)
 		}
-		fl, err := assembleFlatSubs(raw, subs)
+		shards, err := assembleFlatSubs(raw, subs, opts.Shards)
 		if err != nil {
 			return nil, fmt.Errorf("core: assembling flat image: %w", err)
 		}
-		res.Flat = fl
+		res.Shards, res.Flat = shards, wholeFlat(shards)
 	}
 
 	res.ConstructionTime = sim.CombineSharedNothing(cpu, io)

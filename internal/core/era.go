@@ -59,6 +59,11 @@ type Options struct {
 	// byte-identical to flattening the tree Assemble would have produced.
 	// Mutually exclusive with Assemble and WriteTrees; requires ERa-str+mem.
 	AssembleFlat bool
+	// Shards is how many prefix ranges of the suffix order AssembleFlat cuts
+	// the tree into, each an image of its own (Result.Shards) — what
+	// era.BuildShardedCorpus serves; 0 and 1 are the one whole tree, which
+	// Result.Flat also holds.
+	Shards int
 	// WriteTrees serializes every finished sub-tree to the disk (charged
 	// I/O), as the real system does.
 	WriteTrees bool
@@ -87,8 +92,9 @@ type Stats struct {
 
 // Result of a serial ERA build.
 type Result struct {
-	Tree   *suffixtree.Tree // assembled tree when Options.Assemble
-	Flat   *suffixtree.Flat // flat sections when Options.AssembleFlat
+	Tree   *suffixtree.Tree   // assembled tree when Options.Assemble
+	Flat   *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
+	Shards []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
 	Groups []Group
 	Stats  Stats
 
@@ -167,11 +173,12 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fl, err := assembleFlatSubs(raw, res.flatSubs)
+		shards, err := assembleFlatSubs(raw, res.flatSubs, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
-		res.Flat, res.flatSubs = fl, nil
+		res.Shards, res.flatSubs = shards, nil
+		res.Flat = wholeFlat(shards)
 	}
 
 	res.Stats.VirtualTime = clock.Now()

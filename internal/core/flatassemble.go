@@ -13,13 +13,11 @@ import (
 // S-prefix label (arena-backed by VerticalPartition, immutable for the
 // build's lifetime) plus private copies of the sorted occurrence list and
 // its LCP array — the prepare pools recycle the originals on the worker's
-// next group — and the number of branch nodes the sub-tree has, which sizes
-// the assembly.
+// next group.
 type flatSub struct {
-	label    []byte
-	l        []int32
-	lcp      []int32
-	branches int64
+	label []byte
+	l     []int32
+	lcp   []int32
 }
 
 // collectFlatSub snapshots one prepared sub-tree for direct flat assembly.
@@ -40,20 +38,21 @@ func collectFlatSub(n int32, p Prepared, clock *sim.Clock, model sim.CostModel, 
 	if _, err := fillLCP(p, lcp); err != nil {
 		return flatSub{}, 0, err
 	}
-	nodes, err := countSubTreeNodes(n, l, lcp, scratch)
+	nodes, err := countSubTreeNodes(n, int32(len(p.Prefix.Label)), l, lcp, scratch)
 	if err != nil {
 		return flatSub{}, 0, fmt.Errorf("core: prefix %q: %w", p.Prefix.Label, err)
 	}
 	clock.Advance(model.CPUTime(int64(2 * m)))
-	return flatSub{label: p.Prefix.Label, l: l, lcp: lcp, branches: nodes - int64(m)}, nodes, nil
+	return flatSub{label: p.Prefix.Label, l: l, lcp: lcp}, nodes, nil
 }
 
 // countSubTreeNodes replays FromSortedSuffixes' rightmost-path walk over the
 // depths alone: the returned count is exactly the node count of the heap
 // sub-tree the same inputs would materialize (every suffix adds a leaf, and
 // every branch landing inside an edge adds one split node), with the same
-// malformed-input rejections, at no tree cost.
-func countSubTreeNodes(n int32, l, lcp []int32, scratch *[]int32) (int64, error) {
+// malformed-input rejections — and an LCP shorter than the sub-tree's prefix
+// label, which its suffixes all share — at no tree cost.
+func countSubTreeNodes(n, labelLen int32, l, lcp []int32, scratch *[]int32) (int64, error) {
 	if l[0] < 0 || l[0] >= n {
 		return 0, fmt.Errorf("suffix %d outside the %d-byte string", l[0], n)
 	}
@@ -63,6 +62,9 @@ func countSubTreeNodes(n int32, l, lcp []int32, scratch *[]int32) (int64, error)
 		off := lcp[i]
 		if off >= n-l[i] {
 			return 0, fmt.Errorf("lcp %d ≥ suffix length %d at entry %d (suffixes not distinct?)", off, n-l[i], i)
+		}
+		if off < labelLen {
+			return 0, fmt.Errorf("lcp %d below the prefix length at entry %d", off, i)
 		}
 		for len(stack) > 0 && stack[len(stack)-1] > off {
 			stack = stack[:len(stack)-1]
@@ -82,29 +84,32 @@ func countSubTreeNodes(n int32, l, lcp []int32, scratch *[]int32) (int64, error)
 	return nodes, nil
 }
 
-// assembleFlatSubs sorts the collected sub-trees by label and streams them
-// through a FlatBuilder over the raw string bytes. The labels are unique and
-// prefix-free (they partition the suffix set), so the order is total and the
-// emitted image is identical whichever worker of whichever driver collected
-// which group — the flat counterpart of grafting in global group order. The
-// builder is sized from the counts collectFlatSub took: every sub-tree's own
-// branch nodes, plus at most one split where it joins its predecessor.
-func assembleFlatSubs(raw []byte, subs []flatSub) (*suffixtree.Flat, error) {
+// assembleFlatSubs sorts the collected sub-trees by label and hands them, as
+// the sorted suffix stream they concatenate to, to the one assembly that cuts
+// it into k prefix ranges (suffixtree.AssembleShards; k ≤ 1 is the whole
+// tree). The labels are unique and prefix-free (they partition the suffix
+// set), so the order is total and the emitted images are identical whichever
+// worker of whichever driver collected which group — the flat counterpart of
+// grafting in global group order — and the LCP across each join is the
+// labels' common prefix.
+func assembleFlatSubs(raw []byte, subs []flatSub, k int) ([]suffixtree.Shard, error) {
 	sort.Slice(subs, func(a, b int) bool { return bytes.Compare(subs[a].label, subs[b].label) < 0 })
-	internal := int64(len(subs))
-	for _, s := range subs {
-		internal += s.branches
-	}
-	fb, err := suffixtree.NewFlatBuilder(raw, int(internal))
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range subs {
-		if _, err := fb.AddSubTree(s.label, s.l, s.lcp); err != nil {
-			return nil, err
+	runs := make([]suffixtree.SortedRun, len(subs))
+	for i, s := range subs {
+		if i > 0 {
+			prev := subs[i-1].label
+			c := 0
+			for c < len(prev) && c < len(s.label) && prev[c] == s.label[c] {
+				c++
+			}
+			if c == len(prev) || c == len(s.label) {
+				return nil, fmt.Errorf("core: sub-tree labels %q and %q are not prefix-free", prev, s.label)
+			}
+			s.lcp[0] = int32(c)
 		}
+		runs[i] = suffixtree.SortedRun{Suffixes: s.l, LCP: s.lcp}
 	}
-	return fb.Finish()
+	return suffixtree.AssembleShards(raw, runs, k)
 }
 
 // validateFlatOptions rejects option combinations the direct-to-flat path
@@ -123,4 +128,12 @@ func validateFlatOptions(opts Options) error {
 		return fmt.Errorf("core: AssembleFlat requires the ERa-str+mem method")
 	}
 	return nil
+}
+
+// wholeFlat is the image of the whole tree when the assembly made one.
+func wholeFlat(shards []suffixtree.Shard) *suffixtree.Flat {
+	if len(shards) != 1 {
+		return nil
+	}
+	return shards[0].Flat
 }

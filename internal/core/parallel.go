@@ -31,10 +31,11 @@ type WorkerStats struct {
 
 // ParallelResult reports a parallel build.
 type ParallelResult struct {
-	Tree        *suffixtree.Tree // assembled tree when Options.Assemble
-	Flat        *suffixtree.Flat // flat sections when Options.AssembleFlat
-	Stats       Stats            // aggregate counters (scans etc. summed)
-	ModeledTime time.Duration    // virtual completion incl. VP and contention
+	Tree        *suffixtree.Tree   // assembled tree when Options.Assemble
+	Flat        *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
+	Shards      []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
+	Stats       Stats              // aggregate counters (scans etc. summed)
+	ModeledTime time.Duration      // virtual completion incl. VP and contention
 	VPTime      time.Duration
 	Workers     []WorkerStats
 }
@@ -121,11 +122,11 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 		for gi := range byGi {
 			subs = append(subs, runs[byGi[gi]].flatSubs...)
 		}
-		fl, err := assembleFlatSubs(raw, subs)
+		shards, err := assembleFlatSubs(raw, subs, opts.Shards)
 		if err != nil {
 			return nil, fmt.Errorf("core: assembling flat image: %w", err)
 		}
-		res.Flat = fl
+		res.Shards, res.Flat = shards, wholeFlat(shards)
 	}
 
 	if opts.SkipSeek && opts.Workers > 1 {

@@ -164,7 +164,7 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := assembleFlatSubs(raw, collected.flatSubs); err != nil {
+		if _, err := assembleFlatSubs(raw, collected.flatSubs, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

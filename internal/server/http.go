@@ -12,11 +12,10 @@
 //	POST /v1/analytics        one analytics query: {"index","op",...per-op params}
 //	POST /v1/batch            many queries: {"index","ops":[{"op",...},...]}
 //
-// Shard-serving endpoints, consumed by the cluster router (internal/cluster)
-// against replicas holding monolithic shard indexes:
-//
-//	GET  /v1/indexes/{name}/slice?lo=&hi=  raw content bytes [lo,hi) (octet-stream)
-//	GET  /v1/indexes/{name}/doc/{ord}      one document's raw content (octet-stream)
+// The index metadata of a shard — a split file whose tree holds one range of
+// the suffix order — carries its range and the image's fingerprint: the
+// cluster router (internal/cluster/route) routes each op to the shards whose
+// ranges own it, and refuses replicas that disagree on either.
 //
 // Live (mutable) indexes additionally accept:
 //
@@ -184,7 +183,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 		h.writeJSON(w, http.StatusOK, deleteResponse{Deleted: deleted, ID: id})
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
+		var req WireQuery
 		if !h.readJSON(w, r, &req) {
 			return
 		}
@@ -210,7 +209,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 		h.writeJSON(w, http.StatusOK, ToWire(op, res[0]))
 	})
 	mux.HandleFunc("POST /v1/analytics", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
+		var req WireQuery
 		if !h.readJSON(w, r, &req) {
 			return
 		}
@@ -241,7 +240,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 		h.writeJSON(w, http.StatusOK, ToWire(op, res[0]))
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
+		var req WireBatch
 		if !h.readJSON(w, r, &req) {
 			return
 		}
@@ -276,60 +275,6 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 			wire[i] = ToWire(ops[i], res)
 		}
 		h.writeJSON(w, http.StatusOK, map[string]any{"results": wire})
-	})
-	mux.HandleFunc("GET /v1/indexes/{name}/slice", func(w http.ResponseWriter, r *http.Request) {
-		idx, release, err := engine.Acquire(r.PathValue("name"))
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		defer release()
-		slicer, ok := idx.(interface {
-			ContentSlice(lo, hi int) ([]byte, error)
-		})
-		if !ok {
-			h.writeError(w, http.StatusBadRequest, "index does not serve raw content slices")
-			return
-		}
-		lo, err1 := strconv.Atoi(r.URL.Query().Get("lo"))
-		hi, err2 := strconv.Atoi(r.URL.Query().Get("hi"))
-		if err1 != nil || err2 != nil {
-			h.writeError(w, http.StatusBadRequest, "lo and hi must be integers")
-			return
-		}
-		// b views the index's own bytes; release runs after the body is written.
-		b, err := slicer.ContentSlice(lo, hi)
-		if err != nil {
-			h.writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		h.writeBytes(w, b)
-	})
-	mux.HandleFunc("GET /v1/indexes/{name}/doc/{ord}", func(w http.ResponseWriter, r *http.Request) {
-		idx, release, err := engine.Acquire(r.PathValue("name"))
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		defer release()
-		reader, ok := idx.(interface {
-			DocBytes(ord int) ([]byte, error)
-		})
-		if !ok {
-			h.writeError(w, http.StatusBadRequest, "index does not serve raw documents")
-			return
-		}
-		ord, err := strconv.Atoi(r.PathValue("ord"))
-		if err != nil {
-			h.writeError(w, http.StatusBadRequest, "document ordinal must be an integer")
-			return
-		}
-		b, err := reader.DocBytes(ord)
-		if err != nil {
-			h.writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		h.writeBytes(w, b)
 	})
 	return h.recoverPanics(mux)
 }
@@ -369,22 +314,6 @@ func (h *api) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
 		return r.Context(), func() {}
 	}
 	return context.WithTimeout(r.Context(), h.timeout)
-}
-
-// writeBytes serves raw index content; the explicit Content-Length means a
-// truncated transfer surfaces as a client-side read error instead of a
-// silently short body. X-Era-Content-Length is the application-level length
-// frame: unlike Content-Length it survives proxies that rewrite the
-// transfer framing, so a router can detect a torn body that arrived with an
-// internally consistent (but wrong) Content-Length.
-func (h *api) writeBytes(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.Header().Set("X-Era-Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(b); err != nil {
-		h.logf("server: writing content bytes: %v", err)
-	}
 }
 
 // metricsResponse is the /metricz payload: engine counters, per-op latency
@@ -488,24 +417,26 @@ func (h *api) writeQueryError(w http.ResponseWriter, err error) {
 	h.writeError(w, status, err.Error())
 }
 
-// QueryOp is the wire form of one operation. Membership ops (contains,
-// count, occurrences) use op/pattern/max; the analytics ops add their own
-// parameters — topk: k + min_len; lcs: doc_a + doc_b; docfreq: patterns;
-// mismatch: pattern + k. Per-op validation happens in the engine
-// (era.Query.Validate) against the target index, so a pattern-less op is
-// not rejected here for having no pattern.
-type QueryOp struct {
-	Op       string   `json:"op"`
-	Pattern  string   `json:"pattern,omitempty"`
-	Max      int      `json:"max,omitempty"`
-	K        int      `json:"k,omitempty"`
-	MinLen   int      `json:"min_len,omitempty"`
-	DocA     int      `json:"doc_a,omitempty"`
-	DocB     int      `json:"doc_b,omitempty"`
-	Patterns []string `json:"patterns,omitempty"`
+// WireOp is the wire form of one operation, as the handlers read it and the
+// cluster router writes it. Membership ops (contains, count, occurrences) use
+// op/pattern/max; the analytics ops add their own parameters — topk: k +
+// min_len; lcs: doc_a + doc_b; docfreq: patterns; mismatch: pattern + k.
+// Per-op validation happens in the engine (era.Query.Validate) against the
+// target index, so a pattern-less op is not rejected here for having no
+// pattern. The patterns are Text: the router asks about prefixes of shard
+// keys, which may end inside a character, and they must arrive as sent.
+type WireOp struct {
+	Op       string `json:"op"`
+	Pattern  Text   `json:"pattern,omitempty"`
+	Max      int    `json:"max,omitempty"`
+	K        int    `json:"k,omitempty"`
+	MinLen   int    `json:"min_len,omitempty"`
+	DocA     int    `json:"doc_a,omitempty"`
+	DocB     int    `json:"doc_b,omitempty"`
+	Patterns []Text `json:"patterns,omitempty"`
 }
 
-func (q *QueryOp) Plan() (era.Op, error) {
+func (q *WireOp) Plan() (era.Op, error) {
 	kind, err := era.ParseOpKind(q.Op)
 	if err != nil {
 		return era.Op{}, err
@@ -529,6 +460,32 @@ func (q *QueryOp) Plan() (era.Op, error) {
 		}
 	}
 	return op, nil
+}
+
+// WireQuery is the body of /v1/query and /v1/analytics; WireBatch of
+// /v1/batch.
+type WireQuery struct {
+	Index string `json:"index"`
+	WireOp
+}
+
+type WireBatch struct {
+	Index string   `json:"index"`
+	Ops   []WireOp `json:"ops"`
+}
+
+// QueryOp, QueryRequest and BatchRequest are the same bodies as a Go client
+// spells them, with string patterns: json.Marshal writes those as UTF-8, a
+// byte that is not becoming U+FFFD.
+type QueryOp struct {
+	Op       string   `json:"op"`
+	Pattern  string   `json:"pattern,omitempty"`
+	Max      int      `json:"max,omitempty"`
+	K        int      `json:"k,omitempty"`
+	MinLen   int      `json:"min_len,omitempty"`
+	DocA     int      `json:"doc_a,omitempty"`
+	DocB     int      `json:"doc_b,omitempty"`
+	Patterns []string `json:"patterns,omitempty"`
 }
 
 type QueryRequest struct {
@@ -563,9 +520,9 @@ func SplitOpError(msg string) (op int, rest string, ok bool) {
 }
 
 // appendRequest carries documents for a live index; like patterns, they
-// travel as JSON strings (the indexed alphabets are printable bytes).
+// travel as Text.
 type appendRequest struct {
-	Docs []string `json:"docs"`
+	Docs []Text `json:"docs"`
 }
 
 type appendResponse struct {
@@ -586,7 +543,7 @@ type QueryResponse struct {
 	Count       *int       `json:"count,omitempty"`
 	Occurrences []int      `json:"occurrences,omitempty"`
 	Truncated   bool       `json:"truncated,omitempty"`
-	Pattern     string     `json:"pattern,omitempty"`
+	Pattern     Text       `json:"pattern,omitempty"`
 	Top         []WireTop  `json:"top,omitempty"`
 	OffsetA     *int       `json:"offset_a,omitempty"`
 	OffsetB     *int       `json:"offset_b,omitempty"`
@@ -599,8 +556,8 @@ type QueryResponse struct {
 
 // WireTop is one ranked entry of a topk answer.
 type WireTop struct {
-	Pattern string `json:"pattern"`
-	Count   int    `json:"count"`
+	Pattern Text `json:"pattern"`
+	Count   int  `json:"count"`
 }
 
 // WireStat is one pattern's document-frequency stats, positionally aligned
@@ -628,12 +585,12 @@ func ToWire(op era.Op, res era.Result) QueryResponse {
 		out.Count = &c
 		out.Top = make([]WireTop, len(res.Top))
 		for i, e := range res.Top {
-			out.Top[i] = WireTop{Pattern: string(e.Pattern), Count: e.Count}
+			out.Top[i] = WireTop{Pattern: Text(e.Pattern), Count: e.Count}
 		}
 	case era.OpLongestRepeat:
 		c := res.Count
 		out.Count = &c
-		out.Pattern = string(res.Pattern)
+		out.Pattern = Text(res.Pattern)
 		if res.Found {
 			out.Occurrences = res.Occurrences
 			if out.Occurrences == nil {
@@ -643,7 +600,7 @@ func ToWire(op era.Op, res era.Result) QueryResponse {
 	case era.OpCommonSubstring:
 		c := res.Count
 		out.Count = &c
-		out.Pattern = string(res.Pattern)
+		out.Pattern = Text(res.Pattern)
 		a, b := res.OffsetA, res.OffsetB
 		out.OffsetA, out.OffsetB = &a, &b
 	case era.OpDocFreq:
@@ -673,16 +630,35 @@ type indexInfo struct {
 	Documents int    `json:"documents"`
 	Alphabet  string `json:"alphabet"`
 	TreeNodes int64  `json:"tree_nodes"`
+	// Range is the part of the suffix order the index's tree holds, absent
+	// for an index over every suffix; Fingerprint is the v4 header checksum
+	// of a monolithic image (era.Index.Fingerprint), in hex.
+	Range       *KeyRange `json:"range,omitempty"`
+	Fingerprint string    `json:"fingerprint,omitempty"`
+}
+
+// KeyRange is a shard's part of the suffix order on the wire: the suffixes s
+// with Lo ≤ s < Hi, an empty Hi being the end of the order (era.Index.Range).
+type KeyRange struct {
+	Lo Text `json:"lo"`
+	Hi Text `json:"hi"`
 }
 
 func describe(name string, idx era.Queryable) indexInfo {
-	return indexInfo{
+	info := indexInfo{
 		Name:      name,
 		Symbols:   idx.Len(),
 		Documents: idx.NumDocs(),
 		Alphabet:  idx.Alphabet().Name(),
 		TreeNodes: idx.TreeNodes(),
 	}
+	if x, ok := idx.(*era.Index); ok {
+		info.Fingerprint = fmt.Sprintf("%08x", x.Fingerprint())
+		if lo, hi := x.Range(); len(lo)+len(hi) > 0 {
+			info.Range = &KeyRange{Lo: Text(lo), Hi: Text(hi)}
+		}
+	}
+	return info
 }
 
 func (h *api) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {

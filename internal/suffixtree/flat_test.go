@@ -115,7 +115,7 @@ func TestFlatTreeDifferential(t *testing.T) {
 		if tree.NumNodes() != flat.NumNodes() {
 			t.Fatalf("corpus %d: node counts %d != %d", ci, tree.NumNodes(), flat.NumNodes())
 		}
-		if err := ValidateView(flat); err != nil {
+		if err := ValidateView(flat, nil, nil); err != nil {
 			t.Fatalf("corpus %d: %v", ci, err)
 		}
 
@@ -286,7 +286,7 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 			t.Fatalf("node %d lists %d children", u, kids)
 		}
 	}
-	_ = ValidateView(ft)
+	_ = ValidateView(ft, nil, nil)
 }
 
 // TestFlatTreeCorruptNoPanic drives every query over systematically
@@ -295,7 +295,7 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 // truncated leaf data.
 func TestFlatTreeCorruptNoPanic(t *testing.T) {
 	_, flat, term := buildBoth(t, []byte("abracadabra.arcana.abracadabra"))
-	if err := ValidateView(flat); err != nil {
+	if err := ValidateView(flat, nil, nil); err != nil {
 		t.Fatalf("the uncorrupted tree: %v", err)
 	}
 	values := []uint32{0, 1, 0x7fffffff, 0xffffffff, 0x00010001, uint32(flat.nInt), uint32(flat.nInt) - 1,
@@ -310,7 +310,7 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err) // record values are never a shape error
 			}
-			if ValidateView(ft) == nil && !bytes.Equal(nodes, flat.nodes) {
+			if ValidateView(ft, nil, nil) == nil && !bytes.Equal(nodes, flat.nodes) {
 				t.Errorf("ValidateView accepted %#x at offset %d of the %d-byte records", v, off, size)
 			}
 			exerciseCorrupt(t, ft, term)
@@ -328,7 +328,7 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ValidateView(ft) == nil {
+		if ValidateView(ft, nil, nil) == nil {
 			t.Errorf("ValidateView accepted a sym section of all %#x", v)
 		}
 		exerciseCorrupt(t, ft, term)

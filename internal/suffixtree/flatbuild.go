@@ -1,21 +1,19 @@
 package suffixtree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// FlatBuilder assembles the flat (format v4) sections directly from the
-// sorted-suffix sub-trees that ERA's group assembly produces: no
-// intermediate heap Tree is materialized. Sub-trees stream in by strictly
-// increasing prefix label; because the label set is prefix-free,
-// concatenating their occurrence lists yields the full suffix array of S,
-// and one rightmost-path stack pass over that stream builds the suffix tree
-// — the classic sorted-suffix construction (ERA's BuildSubTree, §4.2.2),
-// with the LCP at each sub-tree boundary recovered from the labels
-// themselves.
+// FlatBuilder assembles the flat (format v4) sections directly from a sorted
+// suffix stream — the suffix array of S with its LCPs, or ERA's sub-trees in
+// label order, whose occurrence lists concatenate to it — with no
+// intermediate heap Tree: one rightmost-path stack pass over the stream
+// builds the suffix tree, the classic sorted-suffix construction (ERA's
+// BuildSubTree, §4.2.2). The stream may be a contiguous range of the suffix
+// order rather than all of it; the tree then holds exactly those suffixes
+// (AssembleShards).
 //
 // Every record is written once, into the image's own sections. A node is
 // final when the rightmost path leaves it, but where it goes is its parent's
@@ -30,15 +28,14 @@ import (
 // ids in one pass. Besides the sections the builder holds only the open
 // rightmost path and the finished children of its nodes.
 type FlatBuilder struct {
-	data []byte
-	n    int32
-
-	prevLabel []byte
+	data   []byte
+	n      int32 // len(data)
+	leaves int32 // the suffixes the tree holds: n, or a range's worth
 
 	frames []fbFrame
 
 	// nodes and sym are the image's sections, sized for intCap internal
-	// records and n leaf records. The last nInt internal slots and the last
+	// records and leaves leaf records. The last nInt internal slots and the last
 	// nLeafRecs leaf slots are written.
 	nodes     []byte
 	sym       []byte
@@ -95,20 +92,22 @@ func (n *fbRec) put(r []byte) {
 }
 
 // NewFlatBuilder starts a direct flat build over data (the terminated
-// string S). Every suffix of data becomes a leaf, and internal is an upper
-// bound on the internal nodes below the root — every AddSubTree creates at
-// most one more than its sub-tree has branch nodes, which ERA's assembly
-// has counted by then — so the image's node and symbol sections and the leaf
-// blocks are allocated here, once, and Finish hands out those same arrays.
-// (A stream that exceeds the bound still builds; it only reallocates.) A
-// tree whose ids would not fit the layout's 31 bits is refused before
-// anything is allocated.
-func NewFlatBuilder(data []byte, internal int) (*FlatBuilder, error) {
+// string S) of a tree holding leaves of its suffixes — all len(data) of them,
+// or one range of the suffix order. internal is an upper bound on the
+// internal nodes below the root (AssembleShards counts them exactly), so the
+// image's node and symbol sections and the leaf blocks are allocated here,
+// once, and Finish hands out those same arrays. (A stream that exceeds the
+// bound still builds; it only reallocates.) A tree whose ids would not fit
+// the layout's 31 bits is refused before anything is allocated.
+func NewFlatBuilder(data []byte, leaves, internal int) (*FlatBuilder, error) {
 	n := len(data)
-	if internal < 0 || int64(internal) >= math.MaxInt32-int64(n) { // internal + the root + n leaves
-		return nil, fmt.Errorf("suffixtree: %d internal nodes over a %d-byte string exceed the flat layout's bounds", internal, n)
+	if leaves < 1 || leaves > n {
+		return nil, fmt.Errorf("suffixtree: a tree of %d leaves over a %d-byte string", leaves, n)
 	}
-	blocks := (n + flatLeafBlock - 1) / flatLeafBlock
+	if internal < 0 || int64(internal) >= math.MaxInt32-int64(leaves) { // internal + the root + the leaves
+		return nil, fmt.Errorf("suffixtree: %d internal nodes over %d leaves exceed the flat layout's bounds", internal, leaves)
+	}
+	blocks := (leaves + flatLeafBlock - 1) / flatLeafBlock
 	// A block opens with a suffix (< n) and continues with zigzag deltas
 	// (< 2n); both fit the varint width of 2n.
 	var scratch [binary.MaxVarintLen64]byte
@@ -117,71 +116,47 @@ func NewFlatBuilder(data []byte, internal int) (*FlatBuilder, error) {
 	return &FlatBuilder{
 		data:     data,
 		n:        int32(n),
-		nodes:    make([]byte, FlatNodesLen(int64(intCap), int64(n))),
-		sym:      make([]byte, intCap+n),
+		leaves:   int32(leaves),
+		nodes:    make([]byte, FlatNodesLen(int64(intCap), int64(leaves))),
+		sym:      make([]byte, intCap+leaves),
 		intCap:   int32(intCap),
 		leafIdx:  make([]byte, 0, 4*blocks),
-		leafData: make([]byte, 0, n*leafWidth),
+		leafData: make([]byte, 0, leaves*leafWidth),
 	}, nil
 }
 
-// AddSubTree streams one prepared sub-tree into the builder: suffixes is the
-// lexicographically sorted occurrence list of the S-prefix label, and lcp[i]
-// is the LCP of suffixes[i-1] and suffixes[i] measured from the suffix start
-// (always ≥ len(label); lcp[0] is ignored). Sub-trees must arrive in
-// strictly increasing label order over a prefix-free label set — exactly
-// what ERA's vertical partitioning emits once sorted. The return value is
-// the node count of the equivalent standalone heap sub-tree (leaves plus
-// intra-sub-tree branch nodes, the local root excluded), matching what the
-// heap path's accounting records per sub-tree.
-func (b *FlatBuilder) AddSubTree(label []byte, suffixes, lcp []int32) (int64, error) {
-	if len(suffixes) == 0 {
-		return 0, fmt.Errorf("suffixtree: flat build: empty sub-tree %q", label)
-	}
+// AddRun streams the tree's next suffixes, in lexicographic order: lcp[i] is
+// the longest common prefix of suffixes[i] and the suffix streamed before it
+// (for i = 0, the last one an earlier AddRun streamed). The tree's first
+// suffix hangs off the root whatever its lcp says — the suffix before it in
+// the order, if any, belongs to another range.
+func (b *FlatBuilder) AddRun(suffixes, lcp []int32) error {
 	if len(lcp) != len(suffixes) {
-		return 0, fmt.Errorf("suffixtree: flat build: %d suffixes but %d lcp entries", len(suffixes), len(lcp))
+		return fmt.Errorf("suffixtree: flat build: %d suffixes but %d lcp entries", len(suffixes), len(lcp))
 	}
-	boundary := int32(0)
-	if b.nLeaves > 0 {
-		c := commonPrefixLen(b.prevLabel, label)
-		if c == len(b.prevLabel) || c == len(label) || bytes.Compare(b.prevLabel, label) >= 0 {
-			return 0, fmt.Errorf("suffixtree: flat build: label %q must follow %q in strict prefix-free order", label, b.prevLabel)
+	for i, suf := range suffixes {
+		off := lcp[i]
+		if b.nLeaves == 0 {
+			off = 0
 		}
-		boundary = int32(c)
-	}
-	b.prevLabel = append(b.prevLabel[:0], label...)
-	if _, err := b.add(suffixes[0], boundary); err != nil {
-		return 0, fmt.Errorf("suffixtree: flat build: sub-tree %q: %w", label, err)
-	}
-	nodes := int64(len(suffixes))
-	for i := 1; i < len(suffixes); i++ {
-		if lcp[i] < int32(len(label)) {
-			return 0, fmt.Errorf("suffixtree: flat build: sub-tree %q: lcp %d below the prefix length", label, lcp[i])
-		}
-		split, err := b.add(suffixes[i], lcp[i])
-		if err != nil {
-			return 0, fmt.Errorf("suffixtree: flat build: sub-tree %q: %w", label, err)
-		}
-		if split {
-			nodes++
+		if err := b.add(suf, off); err != nil {
+			return fmt.Errorf("suffixtree: flat build: %w", err)
 		}
 	}
-	return nodes, nil
+	return nil
 }
 
-// add appends the next suffix in global lexicographic order, branching off
-// the rightmost path at string depth offset (the LCP with the previous
-// suffix). It reports whether the branch split an edge — i.e. created a new
-// internal node, mirroring what SplitEdge would have done on the heap.
-func (b *FlatBuilder) add(suf, offset int32) (split bool, err error) {
+// add appends the next suffix in lexicographic order, branching off the
+// rightmost path at string depth offset (the LCP with the previous suffix).
+func (b *FlatBuilder) add(suf, offset int32) error {
 	if suf < 0 || suf >= b.n {
-		return false, fmt.Errorf("suffixtree: suffix %d outside the %d-byte string", suf, b.n)
+		return fmt.Errorf("suffixtree: suffix %d outside the %d-byte string", suf, b.n)
 	}
 	if offset >= b.n-suf {
-		return false, fmt.Errorf("suffixtree: lcp %d ≥ suffix length %d (suffixes not distinct?)", offset, b.n-suf)
+		return fmt.Errorf("suffixtree: lcp %d ≥ suffix length %d (suffixes not distinct?)", offset, b.n-suf)
 	}
-	if b.nLeaves == b.n {
-		return false, fmt.Errorf("suffixtree: more than %d suffixes of a %d-byte string (suffixes not distinct?)", b.n, b.n)
+	if b.nLeaves == b.leaves {
+		return fmt.Errorf("suffixtree: more than the %d suffixes the tree was sized for (suffixes not distinct?)", b.leaves)
 	}
 	for len(b.frames) > 0 && b.frames[len(b.frames)-1].botDepth > offset {
 		f := b.frames[len(b.frames)-1]
@@ -199,33 +174,32 @@ func (b *FlatBuilder) add(suf, offset int32) (split bool, err error) {
 				leafStart: f.leafStart, childBase: f.childBase, suffix: -1}
 			f.start += d
 			if err := b.complete(f); err != nil {
-				return false, err
+				return err
 			}
 			b.frames = append(b.frames, m)
-			split = true
 			break
 		}
 		if err := b.complete(f); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if len(b.frames) > 0 {
 		top := &b.frames[len(b.frames)-1]
 		if top.botDepth != offset {
-			return split, fmt.Errorf("suffixtree: lcp %d underruns the rightmost path (depth %d)", offset, top.botDepth)
+			return fmt.Errorf("suffixtree: lcp %d underruns the rightmost path (depth %d)", offset, top.botDepth)
 		}
 		if top.suffix >= 0 {
-			return split, fmt.Errorf("suffixtree: lcp %d spans a whole suffix (suffixes not distinct?)", offset)
+			return fmt.Errorf("suffixtree: lcp %d spans a whole suffix (suffixes not distinct?)", offset)
 		}
 	} else if offset != 0 {
-		return split, fmt.Errorf("suffixtree: lcp %d underruns the rightmost path", offset)
+		return fmt.Errorf("suffixtree: lcp %d underruns the rightmost path", offset)
 	}
 	b.emitLeaf(suf)
 	b.frames = append(b.frames, fbFrame{
 		start: suf + offset, end: b.n, botDepth: b.n - suf,
 		leafStart: b.nLeaves - 1, childBase: int32(len(b.pending)), suffix: suf,
 	})
-	return split, nil
+	return nil
 }
 
 // complete closes the bottom node of a popped frame: its children leave the
@@ -268,10 +242,10 @@ func (b *FlatBuilder) writeKids(rec *fbRec, kids []fbRec) error {
 		return err
 	}
 	b.nInt += rec.ci
-	b.nLeafRecs += rec.cl // add admits at most n leaves, so the leaf table cannot overflow
+	b.nLeafRecs += rec.cl // add admits at most leaves leaves, so the leaf table cannot overflow
 	rec.cs, rec.ls = b.nInt, b.nLeafRecs
 	// The runs' first slots, and the leaf table behind the internal one.
-	i, l := int(b.intCap-b.nInt), int(b.n-b.nLeafRecs)
+	i, l := int(b.intCap-b.nInt), int(b.leaves-b.nLeafRecs)
 	leaves, leafSym := b.nodes[int(b.intCap)*flatNodeSize:], b.sym[b.intCap:]
 	for k := range kids {
 		c := &kids[k]
@@ -298,13 +272,13 @@ func (b *FlatBuilder) reserve(k int32) error {
 	if need <= int64(b.intCap) {
 		return nil
 	}
-	limit := math.MaxInt32 - int64(b.n)
+	limit := math.MaxInt32 - int64(b.leaves)
 	if need > limit {
-		return fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", need+int64(b.n))
+		return fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", need+int64(b.leaves))
 	}
 	grown := min(max(2*int64(b.intCap), need), limit)
-	nodes := make([]byte, FlatNodesLen(grown, int64(b.n)))
-	sym := make([]byte, grown+int64(b.n))
+	nodes := make([]byte, FlatNodesLen(grown, int64(b.leaves)))
+	sym := make([]byte, grown+int64(b.leaves))
 	// The written internal records and the leaf table behind them are one
 	// window of each section.
 	used := int(b.intCap - b.nInt)
@@ -346,9 +320,8 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 			return nil, err
 		}
 	}
-	if b.nLeaves != b.n {
-		// The image indexes every suffix of data; the reader holds it to that.
-		return nil, fmt.Errorf("suffixtree: flat build found %d leaves over a %d-byte string", b.nLeaves, b.n)
+	if b.nLeaves != b.leaves {
+		return nil, fmt.Errorf("suffixtree: flat build found %d of the %d leaves it was sized for", b.nLeaves, b.leaves)
 	}
 	root := fbRec{suffix: -1, leafCount: b.nLeaves}
 	if err := b.writeKids(&root, b.pending); err != nil {
@@ -361,14 +334,14 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	gap := int(b.intCap - b.nInt)
 	root.put(b.nodes[gap*flatNodeSize:])
 
-	nn := b.nInt + b.n
+	nn := b.nInt + b.leaves
 	f := &Flat{
 		Nodes:    b.nodes[gap*flatNodeSize:],
 		Sym:      b.sym[gap:],
 		LeafIdx:  b.leafIdx,
 		LeafData: b.leafData,
 		NNodes:   nn,
-		NLeaves:  b.n,
+		NLeaves:  b.leaves,
 	}
 	for r := f.Nodes[:int(b.nInt)*flatNodeSize]; len(r) > 0; r = r[flatNodeSize:] {
 		var cs, ls uint32 // an empty run is stored as id 0
@@ -384,35 +357,6 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	return f, nil
 }
 
-// FlatFromSuffixArray builds the sections of the whole tree at once from the
-// suffix array of data and its LCP array (lcp[i] between sa[i-1] and sa[i]):
-// the suffix tree of data is the one sub-tree under the empty prefix. The
-// internal nodes below the root are the LCP intervals of positive depth, and
-// one rightmost-path pass over lcp counts them — an interval opens where the
-// LCP rises above every depth still open — so the builder allocates the
-// sections at their final size.
-func FlatFromSuffixArray(data []byte, sa, lcp []int32) (*Flat, error) {
-	internal := 0
-	var open []int32 // depths of the open intervals, ascending
-	for _, l := range lcp[min(1, len(lcp)):] {
-		for len(open) > 0 && open[len(open)-1] > l {
-			open = open[:len(open)-1]
-		}
-		if l > 0 && (len(open) == 0 || open[len(open)-1] < l) {
-			open = append(open, l)
-			internal++
-		}
-	}
-	b, err := NewFlatBuilder(data, internal)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := b.AddSubTree(nil, sa, lcp); err != nil {
-		return nil, err
-	}
-	return b.Finish()
-}
-
 // Flatten encodes any tree view over data into the flat sections — how the
 // tests put a reference heap tree beside the layout that serves: the heap tree
 // a builder produced (or another FlatTree) is read back as the sorted suffix
@@ -425,7 +369,7 @@ func Flatten(v View, data []byte) (*Flat, error) {
 	if v.NumNodes() < 1 {
 		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
 	}
-	b, err := NewFlatBuilder(data, max(v.NumNodes()-1-len(data), 0))
+	b, err := NewFlatBuilder(data, len(data), max(v.NumNodes()-1-len(data), 0))
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +385,7 @@ func Flatten(v View, data []byte) (*Flat, error) {
 			afterLeaf, lcp = false, depth-v.EdgeLen(id)
 		}
 		if v.IsLeaf(id) {
-			_, err = b.add(v.Suffix(id), lcp)
+			err = b.add(v.Suffix(id), lcp)
 			afterLeaf = true
 		}
 		return true

@@ -92,76 +92,53 @@ func TestFindSym(t *testing.T) {
 	}
 }
 
-// newBuilder is NewFlatBuilder for bounds that are known to fit the layout.
+// newBuilder is NewFlatBuilder of a whole tree for bounds that are known to
+// fit the layout.
 func newBuilder(t testing.TB, term []byte, internal int) *FlatBuilder {
 	t.Helper()
-	fb, err := NewFlatBuilder(term, internal)
+	fb, err := NewFlatBuilder(term, len(term), internal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fb
 }
 
-// builderSub is one prepared sub-tree as group assembly would hand it over.
-type builderSub struct {
-	label []byte
-	l     []int32
-	lcp   []int32
-}
-
-// subTreesOf splits the terminated string's suffixes into a prefix-free set
-// of sorted-suffix sub-trees: symbols occurring once get a length-1 label,
-// the rest split into length-2 labels — so consecutive labels share prefixes
-// and the builder's boundary-LCP recovery is exercised, not just the
-// boundary-at-depth-0 case.
-func subTreesOf(term []byte) []builderSub {
-	n := int32(len(term))
-	sa := make([]int32, n)
+// sortedRuns splits the terminated string's sorted suffix stream the way
+// ERA's sub-trees split it: symbols occurring once get a run of their own,
+// the rest one run per 2-symbol prefix — so runs join at LCP 1 as well as at
+// LCP 0, and a run's first LCP is the one across the join.
+func sortedRuns(term []byte) []SortedRun {
+	sa := make([]int32, len(term))
 	for i := range sa {
 		sa[i] = int32(i)
 	}
 	sort.Slice(sa, func(a, b int) bool { return bytes.Compare(term[sa[a]:], term[sa[b]:]) < 0 })
-
-	byteLCP := func(a, b int32) int32 {
-		return int32(commonPrefixLenGeneric(term[a:], term[b:]))
+	prefix := func(i int) []byte {
+		o := sa[i]
+		if (i > 0 && term[sa[i-1]] == term[o]) || (i+1 < len(sa) && term[sa[i+1]] == term[o]) {
+			return term[o : o+2]
+		}
+		return term[o : o+1]
 	}
-	var subs []builderSub
-	for i := 0; i < len(sa); {
-		j := i
-		for j < len(sa) && term[sa[j]] == term[sa[i]] {
-			j++
+	var runs []SortedRun
+	for i := range sa {
+		lcp := int32(0)
+		if i > 0 {
+			lcp = int32(commonPrefixLenGeneric(term[sa[i-1]:], term[sa[i]:]))
 		}
-		labelLen := int32(1)
-		if j-i > 1 {
-			labelLen = 2
+		if i == 0 || !bytes.Equal(prefix(i), prefix(i-1)) {
+			runs = append(runs, SortedRun{})
 		}
-		for k := i; k < j; {
-			m := k
-			for m < j && bytes.Equal(term[sa[m]:sa[m]+labelLen], term[sa[k]:sa[k]+labelLen]) {
-				m++
-			}
-			sub := builderSub{label: append([]byte(nil), term[sa[k]:sa[k]+labelLen]...)}
-			for p := k; p < m; p++ {
-				sub.l = append(sub.l, sa[p])
-				if p == k {
-					sub.lcp = append(sub.lcp, 0)
-				} else {
-					sub.lcp = append(sub.lcp, byteLCP(sa[p-1], sa[p]))
-				}
-			}
-			subs = append(subs, sub)
-			k = m
-		}
-		i = j
+		r := &runs[len(runs)-1]
+		r.Suffixes, r.LCP = append(r.Suffixes, sa[i]), append(r.LCP, lcp)
 	}
-	return subs
+	return runs
 }
 
 // TestFlatBuilderDifferential is the byte-identity pin at the section level:
-// streaming prefix-free sub-trees through FlatBuilder must emit exactly the
-// bytes Flatten produces from the heap tree over the same string, and the
-// per-sub-tree node counts must match what FromSortedSuffixes would have
-// materialized.
+// streaming the sorted runs through FlatBuilder — one AddRun each, and
+// AssembleShards into one whole tree — must emit exactly the bytes Flatten
+// produces from the heap tree over the same string.
 func TestFlatBuilderDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	corpora := append([][]byte(nil), flatCorpora...)
@@ -186,63 +163,59 @@ func TestFlatBuilderDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
+		runs := sortedRuns(term)
 		fb := newBuilder(t, term, len(term))
-		for _, sub := range subTreesOf(term) {
-			nodes, err := fb.AddSubTree(sub.label, sub.l, sub.lcp)
-			if err != nil {
-				t.Fatalf("corpus %d: AddSubTree(%q): %v", ci, sub.label, err)
-			}
-			ref, err := FromSortedSuffixes(tree.s, sub.l, sub.lcp)
-			if err != nil {
-				t.Fatalf("corpus %d: FromSortedSuffixes(%q): %v", ci, sub.label, err)
-			}
-			if wantNodes := int64(ref.NumNodes() - 1); nodes != wantNodes {
-				t.Fatalf("corpus %d: sub-tree %q node count %d, heap %d", ci, sub.label, nodes, wantNodes)
+		for _, r := range runs {
+			if err := fb.AddRun(r.Suffixes, r.LCP); err != nil {
+				t.Fatalf("corpus %d: AddRun: %v", ci, err)
 			}
 		}
-		got, err := fb.Finish()
+		streamed, err := fb.Finish()
 		if err != nil {
 			t.Fatalf("corpus %d: Finish: %v", ci, err)
 		}
-		if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
-			t.Fatalf("corpus %d: %d nodes/%d leaves, want %d/%d", ci, got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
+		whole, err := AssembleShards(term, runs, 1)
+		if err != nil {
+			t.Fatalf("corpus %d: AssembleShards: %v", ci, err)
 		}
-		for _, s := range []struct {
-			name      string
-			got, want []byte
-		}{
-			{"nodes", got.Nodes, want.Nodes},
-			{"sym", got.Sym, want.Sym},
-			{"leafIdx", got.LeafIdx, want.LeafIdx},
-			{"leafData", got.LeafData, want.LeafData},
-		} {
-			if !bytes.Equal(s.got, s.want) {
-				t.Fatalf("corpus %d: section %s differs (%d vs %d bytes)", ci, s.name, len(s.got), len(s.want))
+		if len(whole) != 1 || len(whole[0].Lo) != 0 || len(whole[0].Hi) != 0 {
+			t.Fatalf("corpus %d: one shard asked for, %d assembled (first range [%q, %q))", ci, len(whole), whole[0].Lo, whole[0].Hi)
+		}
+		for name, got := range map[string]*Flat{"streamed": streamed, "assembled": whole[0].Flat} {
+			if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
+				t.Fatalf("corpus %d, %s: %d nodes/%d leaves, want %d/%d", ci, name, got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
+			}
+			for _, s := range []struct {
+				name      string
+				got, want []byte
+			}{
+				{"nodes", got.Nodes, want.Nodes},
+				{"sym", got.Sym, want.Sym},
+				{"leafIdx", got.LeafIdx, want.LeafIdx},
+				{"leafData", got.LeafData, want.LeafData},
+			} {
+				if !bytes.Equal(s.got, s.want) {
+					t.Fatalf("corpus %d, %s: section %s differs (%d vs %d bytes)", ci, name, s.name, len(s.got), len(s.want))
+				}
 			}
 		}
 	}
 }
 
-// TestFlatBuilderSingleSubTree covers the degenerate stream: the whole
-// suffix set as one sub-tree rooted at the terminator-less... — i.e. one
-// prefix covering one suffix, plus a full-alphabet sweep with every suffix
-// in its own singleton sub-tree (labels = the suffixes' minimal distinct
-// prefixes would not be prefix-free, so singleton labels only arise for
-// unique first symbols; this exercises that path).
+// TestFlatBuilderSingleSubTree covers the degenerate stream: every suffix in
+// a run of its own (all first symbols distinct), each a one-suffix AddRun.
 func TestFlatBuilderSingleSubTree(t *testing.T) {
 	term := append([]byte("zyxw"), alphabet.Terminator)
-	// All first symbols distinct: five singleton sub-trees with 1-byte labels.
 	fb := newBuilder(t, term, len(term))
-	subs := subTreesOf(term)
-	if len(subs) != 5 {
-		t.Fatalf("expected 5 singleton sub-trees, got %d", len(subs))
+	runs := sortedRuns(term)
+	if len(runs) != 5 {
+		t.Fatalf("expected 5 singleton runs, got %d", len(runs))
 	}
-	for _, sub := range subs {
-		if len(sub.l) != 1 {
-			t.Fatalf("sub-tree %q has %d suffixes, want 1", sub.label, len(sub.l))
+	for _, r := range runs {
+		if len(r.Suffixes) != 1 {
+			t.Fatalf("run %v has %d suffixes, want 1", r.Suffixes, len(r.Suffixes))
 		}
-		if _, err := fb.AddSubTree(sub.label, sub.l, sub.lcp); err != nil {
+		if err := fb.AddRun(r.Suffixes, r.LCP); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,9 +237,10 @@ func TestFlatBuilderSingleSubTree(t *testing.T) {
 	}
 }
 
-// TestFlatBuilderErrors pins the malformed-input diagnostics: out-of-order
-// or non-prefix-free labels, undersized LCPs, duplicate suffixes, and the
-// empty stream must all error — never emit a silently wrong image.
+// TestFlatBuilderErrors pins the malformed-input diagnostics: mismatched
+// LCPs, duplicate or out-of-range suffixes, more suffixes than the tree was
+// sized for, an LCP the rightmost path cannot hold, and a stream that ends
+// short must all error — never emit a silently wrong image.
 func TestFlatBuilderErrors(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
 	fresh := func() *FlatBuilder { return newBuilder(t, term, len(term)) }
@@ -274,48 +248,45 @@ func TestFlatBuilderErrors(t *testing.T) {
 	if _, err := fresh().Finish(); err == nil {
 		t.Error("Finish on an empty stream succeeded")
 	}
-	if _, err := fresh().AddSubTree([]byte("a"), nil, nil); err == nil {
-		t.Error("empty sub-tree accepted")
-	}
-	if _, err := fresh().AddSubTree([]byte("a"), []int32{0, 2}, []int32{0}); err == nil {
+	if err := fresh().AddRun([]int32{0, 2}, []int32{0}); err == nil {
 		t.Error("lcp length mismatch accepted")
 	}
-	if _, err := fresh().AddSubTree([]byte("a"), []int32{0, 2}, []int32{0, 0}); err == nil {
-		t.Error("lcp below the prefix length accepted")
-	}
-	if _, err := fresh().AddSubTree([]byte("a"), []int32{0, 0}, []int32{0, 5}); err == nil {
+	if err := fresh().AddRun([]int32{0, 0}, []int32{0, 5}); err == nil {
 		t.Error("duplicate suffix accepted")
 	}
-	if _, err := fresh().AddSubTree([]byte("a"), []int32{9}, []int32{0}); err == nil {
+	if err := fresh().AddRun([]int32{9}, []int32{0}); err == nil {
 		t.Error("out-of-range suffix accepted")
 	}
-
-	// "abab"+terminator: suffixes starting with b are {3 "b$", 1 "bab$"},
-	// with a, suffixes {2 "ab$", 0 "abab$"}.
+	// "abab"+terminator in order: 4 "$", 2 "ab$", 0 "abab$", 3 "b$", 1 "bab$".
+	if err := fresh().AddRun([]int32{4, 2, 0}, []int32{0, 0, 3}); err == nil {
+		t.Error("an lcp past the rightmost path accepted")
+	}
 	b := fresh()
-	if _, err := b.AddSubTree([]byte("b"), []int32{3, 1}, []int32{0, 1}); err != nil {
+	if err := b.AddRun([]int32{4, 2, 0}, []int32{0, 0, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AddSubTree([]byte("a"), []int32{2, 0}, []int32{0, 2}); err == nil {
-		t.Error("out-of-order label accepted")
+	if _, err := b.Finish(); err == nil {
+		t.Error("Finish with 3 of 5 suffixes succeeded")
 	}
-	b = fresh()
-	if _, err := b.AddSubTree([]byte("a"), []int32{2, 0}, []int32{0, 2}); err != nil {
+	part, err := NewFlatBuilder(term, 2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AddSubTree([]byte("ab"), []int32{2, 0}, []int32{0, 2}); err == nil {
-		t.Error("non-prefix-free label accepted")
+	if err := part.AddRun([]int32{2, 0, 3}, []int32{0, 2, 0}); err == nil {
+		t.Error("a third suffix accepted by a tree sized for two")
+	}
+	for _, leaves := range []int{0, len(term) + 1} {
+		if _, err := NewFlatBuilder(term, leaves, 1); err == nil {
+			t.Errorf("NewFlatBuilder accepted a tree of %d leaves over %d bytes", leaves, len(term))
+		}
 	}
 }
 
 // TestFlatBuilderTablesNeverGrow pins the sizing contract of NewFlatBuilder:
-// given the internal-node bound ERA's assembly computes — every sub-tree's
-// branch nodes (the node count AddSubTree reports, less its leaves) plus one
-// per sub-tree for the split where it joins its predecessor — the sections
-// Finish hands out are the arrays the constructor allocated, cut at the
-// front by no more than the joins; the pending stack stays a few node
-// fan-outs deep per level of the open path; and Finish itself allocates
-// nothing that scales with the tree.
+// given the exact internal-node count (what AssembleShards counts from the
+// LCPs), the sections Finish hands out are the arrays the constructor
+// allocated; the pending stack stays a few node fan-outs deep per level of the
+// open path; and Finish itself allocates nothing that scales with the tree.
 func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, syms := range []string{"ab", "ACGT", "abcdefghijklmnopqrstuvwxyz"} {
@@ -324,22 +295,19 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 			data[i] = syms[rng.Intn(len(syms))]
 		}
 		term := append(data, alphabet.Terminator)
-		subs := subTreesOf(term)
-		stream := func(fb *FlatBuilder) (internal int) {
-			for _, sub := range subs {
-				nodes, err := fb.AddSubTree(sub.label, sub.l, sub.lcp)
-				if err != nil {
+		runs := sortedRuns(term)
+		stream := func(fb *FlatBuilder) {
+			for _, r := range runs {
+				if err := fb.AddRun(r.Suffixes, r.LCP); err != nil {
 					t.Fatal(err)
 				}
-				internal += int(nodes) - len(sub.l)
 			}
-			return internal
 		}
 
-		// A first stream stands in for core's counting pass — and, sized for
-		// no internal node at all, takes the regrowth path the whole way.
+		// Sized for no internal node at all, a first stream takes the regrowth
+		// path the whole way, and tells the count.
 		under := newBuilder(t, term, 0)
-		internal := len(subs) + stream(under)
+		stream(under)
 		want, err := under.Finish()
 		if err != nil {
 			t.Fatalf("%q: under-sized build: %v", syms, err)
@@ -348,14 +316,15 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateView(ft); err != nil {
+		if err := ValidateView(ft, nil, nil); err != nil {
 			t.Fatalf("%q: under-sized build: %v", syms, err)
 		}
+		internal := int(want.NNodes-want.NLeaves) - 1
 
 		// AllocsPerRun calls its function once to warm up.
-		const runs = 2
-		var builders [runs + 1]*FlatBuilder
-		var ends [runs + 1][4]*byte
+		const runCount = 2
+		var builders [runCount + 1]*FlatBuilder
+		var ends [runCount + 1][4]*byte
 		last := func(b []byte) *byte { return &b[:cap(b)][cap(b)-1] }
 		for i := range builders {
 			fb := newBuilder(t, term, internal)
@@ -370,7 +339,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		}
 		var fl *Flat
 		next := 0
-		perFinish := testing.AllocsPerRun(runs, func() {
+		perFinish := testing.AllocsPerRun(runCount, func() {
 			if fl, err = builders[next].Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -379,11 +348,11 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if perFinish > 2 {
 			t.Errorf("%q: Finish allocated %.0f objects", syms, perFinish)
 		}
-		if got := [4]*byte{last(fl.Nodes), last(fl.Sym), last(fl.LeafIdx), last(fl.LeafData)}; got != ends[runs] {
+		if got := [4]*byte{last(fl.Nodes), last(fl.Sym), last(fl.LeafIdx), last(fl.LeafData)}; got != ends[runCount] {
 			t.Errorf("%q: Finish handed out sections that are not the arrays NewFlatBuilder allocated", syms)
 		}
-		if nInt := int(fl.NNodes - fl.NLeaves); nInt-1 > internal || nInt-1 < internal-len(subs) {
-			t.Errorf("%q: %d internal nodes, bound %d over %d sub-trees", syms, nInt-1, internal, len(subs))
+		if len(fl.Nodes) != cap(fl.Nodes) || len(fl.Sym) != cap(fl.Sym) {
+			t.Errorf("%q: an exact count left %d node and %d symbol bytes unused", syms, cap(fl.Nodes)-len(fl.Nodes), cap(fl.Sym)-len(fl.Sym))
 		}
 		if !bytes.Equal(fl.Nodes, want.Nodes) || !bytes.Equal(fl.Sym, want.Sym) {
 			t.Errorf("%q: the under-sized build's sections differ from the sized build's", syms)
@@ -401,7 +370,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 func TestFlatBuilderRefusesOversizedTree(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
 	for _, internal := range []int{math.MaxInt32 - len(term), math.MaxInt32, math.MaxInt64 - 1, -1} {
-		if _, err := NewFlatBuilder(term, internal); err == nil {
+		if _, err := NewFlatBuilder(term, len(term), internal); err == nil {
 			t.Errorf("NewFlatBuilder accepted a bound of %d internal nodes over %d bytes", internal, len(term))
 		}
 	}

@@ -154,24 +154,35 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 //  4. subtree leaf ranges nest: children partition their parent's range in
 //     symbol order, and the leaf with rank r is the r-th entry of the varint
 //     leaf blocks — so the leaf records' suffixes are those entries, permuted;
-//  5. the leaf blocks hold every suffix of S exactly once.
+//  5. the leaf blocks hold every suffix of S in the prefix range [lo, hi)
+//     exactly once, and no other (InRange; empty lo and hi: every suffix).
 //
 // It does not re-spell edge labels beyond their first symbol, which can cost
 // O(n²) on deeply repetitive strings. Corrupt input yields an error, never a
 // panic.
-func ValidateView(t *FlatTree) error {
+func ValidateView(t *FlatTree, lo, hi []byte) error {
 	n := int64(len(t.data))
-	if int64(t.nLeaves) != n {
-		return fmt.Errorf("suffixtree: %d leaves over a %d-byte string", t.nLeaves, n)
+	want := n
+	if len(lo) > 0 || len(hi) > 0 {
+		want = 0
+		for o := range t.data {
+			if InRange(t.data[o:], lo, hi) {
+				want++
+			}
+		}
 	}
+	if int64(t.nLeaves) != want {
+		return fmt.Errorf("suffixtree: %d leaves where the %d-byte string has %d suffixes in range", t.nLeaves, n, want)
+	}
+	leaves := int64(t.nLeaves)
 	ranks := t.appendLeafRange(make([]int32, 0, t.nLeaves), 0, int(t.nLeaves))
 	if len(ranks) != int(t.nLeaves) {
 		return fmt.Errorf("suffixtree: leaf blocks decode %d of %d leaves", len(ranks), t.nLeaves)
 	}
 	present := make([]bool, n)
 	for r, o := range ranks {
-		if o < 0 || int64(o) >= n || present[o] {
-			return fmt.Errorf("suffixtree: leaf rank %d holds suffix %d, out of range or indexed twice", r, o)
+		if o < 0 || int64(o) >= n || present[o] || !InRange(t.data[o:], lo, hi) {
+			return fmt.Errorf("suffixtree: leaf rank %d holds suffix %d: out of range, or indexed twice", r, o)
 		}
 		present[o] = true
 	}
@@ -184,11 +195,11 @@ func ValidateView(t *FlatTree) error {
 		rank, leafCount := u32(r, 16), u32(r, 20)
 		cs, ls := u32(r, 8), u32(r, 12)
 		ci, cl := int64(binary.LittleEndian.Uint16(r[24:])), int64(binary.LittleEndian.Uint16(r[26:]))
-		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || leafCount != n) {
+		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || leafCount != leaves) {
 			return fmt.Errorf("suffixtree: root record has a label, or not every leaf below it")
 		}
-		if leafCount < 1 || rank+leafCount > n {
-			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, leafCount, n)
+		if leafCount < 1 || rank+leafCount > leaves {
+			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, leafCount, leaves)
 		}
 		// A canonical edge ends at first suffix + depth; the parent checked
 		// that u's starts at first suffix + parent depth, before its end.

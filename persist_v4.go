@@ -41,7 +41,11 @@ import (
 //	             the header carries the checksum block below; bit 1,
 //	             required on monolithic images: the tree sections are the
 //	             compact layout of suffixtree.FlatTree — narrow leaf
-//	             records, no dense child tables)
+//	             records, no dense child tables; bit 2, the prefix-range
+//	             layout: on a monolithic image, the tree holds the suffixes
+//	             of one range [lo, hi) of the suffix order and the meta ends
+//	             with its two keys; required on sharded images, whose
+//	             payloads are such ranges, contiguous)
 //	16  imageLen u64  total image bytes (truncation check)
 //	24  metaOff  u64
 //	32  metaLen  u64
@@ -72,9 +76,25 @@ import (
 // ErrMustRebuild) — its sections would mis-read as the compact layout, and no
 // reader for them is kept.
 //
+// A range image (flags bit 2) has one field more than the meta above, and
+// one invariant less: nLeaves is the number of suffixes in the range, not
+// dataLen. Its meta continues
+//
+//	loLen u32 + lo, hiLen u32 + hi
+//
+// (an empty lo is the start of the suffix order, an empty hi its end; not
+// both: that range is the whole tree, which is written without the flag).
+// The data and docEnds sections hold all of S and every document, as in any
+// monolithic image.
+//
 // Sharded image (kind 1): header + meta (name only) + a table of
 // (payloadOff, payloadLen) u64 pairs + the payloads, each payload a complete
-// page-aligned monolithic v4 image. One mapping serves every shard.
+// page-aligned monolithic v4 image — a range image, the ranges contiguous in
+// table order from the start of the suffix order to its end (or one whole
+// image). One mapping serves every shard. Sharded images from before the
+// prefix-range layout cut at document boundaries and lack flags bit 2; they
+// are refused (errDocAligned, an ErrMustRebuild), and no reader for them is
+// kept.
 //
 // Everything read from an index file is untrusted: the section table is
 // bounds- and alignment-checked at open (misaligned or truncated sections
@@ -101,6 +121,9 @@ const (
 	// compact flat layout; every image this package writes carries it and the
 	// reader requires it.
 	v4FlagCompact = 1 << 1
+	// v4FlagRange marks the prefix-range layout: a monolithic image whose tree
+	// holds one range of the suffix order, or a sharded image made of them.
+	v4FlagRange = 1 << 2
 	// v4CRCTableOff / v4HeaderCRCOff locate the checksum block fields.
 	v4CRCTableOff  = 152
 	v4HeaderCRCOff = 184
@@ -111,6 +134,10 @@ const (
 
 // errOldLayout refuses a v4 image written before the compact node layout.
 var errOldLayout = fmt.Errorf("%w: the v4 image predates the compact node layout (8-byte leaf records)", ErrMustRebuild)
+
+// errDocAligned refuses a sharded image written before shards were prefix
+// ranges of the suffix order.
+var errDocAligned = fmt.Errorf("%w: the sharded image is cut at document boundaries, which predates prefix-range shards", ErrMustRebuild)
 
 // v4align rounds n up to the page boundary.
 func v4align(n int64) int64 {
@@ -128,6 +155,8 @@ type v4sections struct {
 	nNodes            int64
 	imageLen          int64
 	ck                *checkState
+	ranged            bool   // flags bit 2: the tree holds one range of the suffix order
+	hdrCRC            uint32 // the header's own checksum (Index.Fingerprint)
 }
 
 // crcPadded is the CRC32C of b followed by zeros up to total bytes — the
@@ -185,7 +214,7 @@ func parseV4Mono(buf []byte, mp *mapping) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, alphaName, syms, err := parseV4Meta(s.meta, true)
+	name, alphaName, syms, keys, err := parseV4Meta(s.meta, true, s.ranged)
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +236,11 @@ func parseV4Mono(buf []byte, mp *mapping) (*Index, error) {
 		data:    s.data,
 		alpha:   alpha,
 		docEnds: docEnds,
+		lo:      keys[0],
+		hi:      keys[1],
 		mp:      mp,
 		ck:      s.ck,
+		hdrCRC:  s.hdrCRC,
 	}, nil
 }
 
@@ -247,6 +279,8 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 	if flags&v4FlagCompact == 0 {
 		return nil, errOldLayout
 	}
+	s.ranged = flags&v4FlagRange != 0
+	s.hdrCRC = binary.LittleEndian.Uint32(img[v4HeaderCRCOff:])
 	if s.meta, err = sliceV4(img, u64(24), u64(32), 1, "meta"); err != nil {
 		return nil, err
 	}
@@ -269,9 +303,10 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 		return nil, fmt.Errorf("era: corrupt index: node count %d", s.nNodes)
 	}
 	s.nLeaves = u64(128)
-	// Every suffix of S is a leaf, so the leaf count — which decides where the
-	// internal records end — is not a free field.
-	if s.nLeaves != dataLen || s.nLeaves >= s.nNodes {
+	// Every suffix of S is a leaf — every suffix of the range, in a range
+	// image — so the leaf count, which decides where the internal records
+	// end, is not a free field.
+	if (s.nLeaves != dataLen && !s.ranged) || s.nLeaves < 1 || s.nLeaves > dataLen || s.nLeaves >= s.nNodes {
 		return nil, fmt.Errorf("era: corrupt index: %d leaves and %d nodes over a %d-byte string", s.nLeaves, s.nNodes, dataLen)
 	}
 	if s.nodes, err = sliceV4(img, u64(72), suffixtree.FlatNodesLen(s.nNodes-s.nLeaves, s.nLeaves), v4Page, "nodes"); err != nil {
@@ -299,41 +334,50 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 	return s, nil
 }
 
-// parseV4Meta unpacks the meta section: name, and (for monolithic images)
-// alphabet name and symbols.
-func parseV4Meta(meta []byte, mono bool) (name, alphaName string, syms []byte, err error) {
-	next := func() ([]byte, error) {
+// parseV4Meta unpacks the meta section: name, and for monolithic images the
+// alphabet name and symbols, then — for a range image — the range's keys
+// (viewed in place; empty for the whole tree).
+func parseV4Meta(meta []byte, mono, ranged bool) (name, alphaName string, syms []byte, keys [2][]byte, err error) {
+	next := func(limit int64) ([]byte, error) {
 		if len(meta) < 4 {
 			return nil, fmt.Errorf("era: corrupt index: truncated meta section")
 		}
 		n := binary.LittleEndian.Uint32(meta)
 		meta = meta[4:]
-		if n > maxNameLen || int64(n) > int64(len(meta)) {
+		if int64(n) > limit || int64(n) > int64(len(meta)) {
 			return nil, fmt.Errorf("era: corrupt index: meta field of %d bytes", n)
 		}
-		f := meta[:n]
+		f := meta[:n:n]
 		meta = meta[n:]
 		return f, nil
 	}
-	b, err := next()
+	fail := func(err error) (string, string, []byte, [2][]byte, error) { return "", "", nil, [2][]byte{}, err }
+	b, err := next(maxNameLen)
 	if err != nil {
-		return "", "", nil, err
+		return fail(err)
 	}
 	name = string(b)
 	if !mono {
-		return name, "", nil, nil
+		return name, "", nil, keys, nil
 	}
-	if b, err = next(); err != nil {
-		return "", "", nil, err
+	if b, err = next(maxNameLen); err != nil {
+		return fail(err)
 	}
 	alphaName = string(b)
-	if syms, err = next(); err != nil {
-		return "", "", nil, err
+	if syms, err = next(256); err != nil {
+		return fail(err)
 	}
-	if len(syms) > 256 {
-		return "", "", nil, fmt.Errorf("era: corrupt index: alphabet of %d symbols", len(syms))
+	if ranged {
+		for i := range keys {
+			if keys[i], err = next(int64(len(meta))); err != nil {
+				return fail(err)
+			}
+		}
+		if len(keys[0]) == 0 && len(keys[1]) == 0 {
+			return fail(fmt.Errorf("era: corrupt index: a range image whose range is the whole suffix order"))
+		}
 	}
-	return name, alphaName, append([]byte(nil), syms...), nil
+	return name, alphaName, append([]byte(nil), syms...), keys, nil
 }
 
 // hostLittleEndian reports whether int32 slices can view little-endian bytes
@@ -415,7 +459,7 @@ func parseV4Sharded(buf []byte, mp *mapping) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, _, _, err := parseV4Meta(meta, false)
+	name, _, _, _, err := parseV4Meta(meta, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -456,6 +500,10 @@ func parseV4Sharded(buf []byte, mp *mapping) (*ShardedIndex, error) {
 		}
 		shards[i] = idx
 	}
+	// Checked after the payloads, so that an image older still says why.
+	if binary.LittleEndian.Uint32(buf[12:])&v4FlagRange == 0 {
+		return nil, errDocAligned
+	}
 	sx, err := newShardedIndex(name, shards)
 	if err != nil {
 		return nil, fmt.Errorf("era: corrupt index: %w", err)
@@ -494,16 +542,21 @@ func (p *padWriter) padTo(target int64) {
 	}
 }
 
-// v4MetaMono packs the monolithic meta section.
-func v4MetaMono(name string, alpha *alphabet.Alphabet) []byte {
-	syms := alpha.Symbols()
-	meta := make([]byte, 0, 12+len(name)+len(alpha.Name())+len(syms))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(name)))
-	meta = append(meta, name...)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(alpha.Name())))
-	meta = append(meta, alpha.Name()...)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(syms)))
-	meta = append(meta, syms...)
+// v4Meta packs the monolithic meta section: name, alphabet, and for a range
+// image the range's two keys.
+func (x *Index) v4Meta() []byte {
+	syms := x.alpha.Symbols()
+	meta := make([]byte, 0, 20+len(x.name)+len(x.alpha.Name())+len(syms)+len(x.lo)+len(x.hi))
+	for _, f := range [][]byte{[]byte(x.name), []byte(x.alpha.Name()), syms} {
+		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(f)))
+		meta = append(meta, f...)
+	}
+	if x.partial() {
+		for _, key := range [][]byte{x.lo, x.hi} {
+			meta = binary.LittleEndian.AppendUint32(meta, uint32(len(key)))
+			meta = append(meta, key...)
+		}
+	}
 	return meta
 }
 
@@ -528,28 +581,39 @@ func planV4Mono(metaLen, dataLen, nDocs int64, f suffixtree.Flat) v4MonoLayout {
 	return l
 }
 
-// WriteTo serializes the index (name, string, document map and the tree
-// sections it holds) as one monolithic image: header, meta, then the page-
-// aligned sections. The layout is computed up front, so any io.Writer works
-// (no seeking) and the byte stream is deterministic: an opened image writes
-// back byte for byte. It satisfies io.WriterTo; reopen with OpenIndex for the
-// zero-copy path, or ReadIndex from a stream.
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	if err := x.CheckErr(); err != nil {
-		return 0, err // never re-serialize a mapped image that fails its checksums
-	}
-	if len(x.name) > maxNameLen || len(x.alpha.Name()) > maxNameLen {
-		return 0, fmt.Errorf("era: index name longer than %d bytes", maxNameLen)
-	}
-	meta := v4MetaMono(x.name, x.alpha)
+// v4Image is one monolithic image laid out: its header, checksums filled
+// in, and its seven sections in file order, secs[i] starting at offs[i] and
+// padded up to offs[i+1] (offs[7] is the image length).
+type v4Image struct {
+	hdr  []byte
+	secs [7][]byte
+	offs [8]int64
+}
+
+// v4Image lays out the index's image: what WriteTo writes, and what
+// Fingerprint reads the header checksum of.
+func (x *Index) v4Image() v4Image {
+	meta := x.v4Meta()
 	f := x.tree.Sections()
 	l := planV4Mono(int64(len(meta)), int64(len(x.data)), int64(len(x.docEnds)), f)
-
-	hdr := make([]byte, v4HeaderLenCk)
+	de := make([]byte, 4*len(x.docEnds))
+	for i, e := range x.docEnds {
+		binary.LittleEndian.PutUint32(de[i*4:], uint32(e))
+	}
+	img := v4Image{
+		hdr:  make([]byte, v4HeaderLenCk),
+		secs: [7][]byte{meta, x.data, de, f.Nodes, f.Sym, f.LeafIdx, f.LeafData},
+		offs: [8]int64{v4HeaderLenCk, l.dataOff, l.docEndsOff, l.nodesOff, l.symOff, l.leafIdxOff, l.leafDataOff, l.imageLen},
+	}
+	flags := uint32(v4FlagChecksums | v4FlagCompact)
+	if x.partial() {
+		flags |= v4FlagRange
+	}
+	hdr := img.hdr
 	binary.LittleEndian.PutUint32(hdr[0:], indexMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], flatVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], 0) // monolithic
-	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums|v4FlagCompact)
+	binary.LittleEndian.PutUint32(hdr[12:], flags)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(l.imageLen))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(v4HeaderLenCk))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(meta)))
@@ -565,42 +629,48 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[112:], uint64(l.leafDataOff))
 	binary.LittleEndian.PutUint64(hdr[120:], uint64(len(f.LeafData)))
 	binary.LittleEndian.PutUint64(hdr[128:], uint64(f.NLeaves))
-
-	de := make([]byte, 4*len(x.docEnds))
-	for i, e := range x.docEnds {
-		binary.LittleEndian.PutUint32(de[i*4:], uint32(e))
-	}
 	// Section window checksums, each covering the section and its trailing
 	// page padding so every image byte past the header is accounted for.
-	for i, c := range [7]uint32{
-		crcPadded(meta, l.dataOff-v4HeaderLenCk),
-		crcPadded(x.data, l.docEndsOff-l.dataOff),
-		crcPadded(de, l.nodesOff-l.docEndsOff),
-		crcPadded(f.Nodes, l.symOff-l.nodesOff),
-		crcPadded(f.Sym, l.leafIdxOff-l.symOff),
-		crcPadded(f.LeafIdx, l.leafDataOff-l.leafIdxOff),
-		crcPadded(f.LeafData, l.imageLen-l.leafDataOff),
-	} {
-		binary.LittleEndian.PutUint32(hdr[v4CRCTableOff+4*i:], c)
+	for i, sec := range img.secs {
+		binary.LittleEndian.PutUint32(hdr[v4CRCTableOff+4*i:], crcPadded(sec, img.offs[i+1]-img.offs[i]))
 	}
 	binary.LittleEndian.PutUint32(hdr[v4HeaderCRCOff:], crc32.Checksum(hdr[:v4HeaderCRCOff], castagnoli))
+	return img
+}
 
+// WriteTo serializes the index (name, string, document map and the tree
+// sections it holds) as one monolithic image: header, meta, then the page-
+// aligned sections. The layout is computed up front, so any io.Writer works
+// (no seeking) and the byte stream is deterministic: an opened image writes
+// back byte for byte. It satisfies io.WriterTo; reopen with OpenIndex for the
+// zero-copy path, or ReadIndex from a stream.
+func (x *Index) WriteTo(w io.Writer) (int64, error) {
+	if err := x.CheckErr(); err != nil {
+		return 0, err // never re-serialize a mapped image that fails its checksums
+	}
+	if len(x.name) > maxNameLen || len(x.alpha.Name()) > maxNameLen {
+		return 0, fmt.Errorf("era: index name longer than %d bytes", maxNameLen)
+	}
+	img := x.v4Image()
 	p := &padWriter{w: w}
-	p.write(hdr)
-	p.write(meta)
-	p.padTo(l.dataOff)
-	p.write(x.data)
-	p.padTo(l.docEndsOff)
-	p.write(de)
-	p.padTo(l.nodesOff)
-	p.write(f.Nodes)
-	p.padTo(l.symOff)
-	p.write(f.Sym)
-	p.padTo(l.leafIdxOff)
-	p.write(f.LeafIdx)
-	p.padTo(l.leafDataOff)
-	p.write(f.LeafData)
+	p.write(img.hdr)
+	for i, sec := range img.secs {
+		p.padTo(img.offs[i])
+		p.write(sec)
+	}
 	return p.off, p.err
+}
+
+// Fingerprint identifies the index's image: the CRC32C its v4 header ends
+// with, which covers every section's checksum, so two images — two
+// replicas' copies of one shard — fingerprint alike exactly when their bytes
+// are alike, barring a CRC collision. An opened image reports the checksum it
+// stores; a built one lays itself out to compute it, O(image).
+func (x *Index) Fingerprint() uint32 {
+	if x.ck != nil {
+		return x.hdrCRC
+	}
+	return binary.LittleEndian.Uint32(x.v4Image().hdr[v4HeaderCRCOff:])
 }
 
 // WriteTo serializes the sharded index as one sharded image: shard payloads
@@ -626,7 +696,7 @@ func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	firstPayloadOff := v4align(tableOff + int64(16*len(sx.shards)))
 	off := firstPayloadOff
 	for i, sh := range sx.shards {
-		metaLen := int64(len(v4MetaMono(sh.name, sh.alpha)))
+		metaLen := int64(len(sh.v4Meta()))
 		l := planV4Mono(metaLen, int64(len(sh.data)), int64(len(sh.docEnds)), sh.tree.Sections())
 		table[2*i] = off
 		table[2*i+1] = l.imageLen
@@ -643,7 +713,7 @@ func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[0:], indexMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], flatVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], 1) // sharded
-	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums)
+	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums|v4FlagRange)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(imageLen))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(v4HeaderLenCk))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(meta)))

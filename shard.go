@@ -4,37 +4,37 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 
 	"era/internal/alphabet"
 )
 
-// This file implements document-aligned corpus sharding: one huge corpus is
-// split at document boundaries into K shards, each built as an independent
-// Index, and the full query API is answered by fanning out to the shards and
-// merging. The ERA paper exists because one string can outgrow one machine
-// (§1, §6); a ShardedIndex is the serving-side counterpart — it lets the
-// query layer scale past what one suffix tree can hold, while staying
-// answer-for-answer identical to the monolithic index over the same corpus.
+// This file implements prefix-partitioned corpus sharding, the serving half
+// of the paper's shared-nothing architecture (§5): the suffix order of one
+// corpus is cut into K contiguous ranges, and each shard's tree holds one
+// range — ERA's S-prefix sub-trees are independent (§4.1), so a range needs
+// nothing from the others to be a correct suffix tree of its suffixes. Every
+// shard carries all of S and the document map, as §5 broadcasts S to every
+// node: edge labels are read from S, and so are the answers (lcs, document
+// stats) that need whole documents.
 //
-// What lives here is the build (cuts, one alphabet, per-shard construction),
-// the shard layout persistence addresses, the lifecycle, and the two pieces
-// of the merge every partitioned layer — in-process and routed — shares:
-// the junction stitch scan and the merge of per-partition answers
-// (Stitch.Merge). The fan-out → stitch → merge executor itself is the
-// snapshot executor in tombstone.go / analytics_live.go: a sharded index is
-// its zero-tombstone case, one clean tier per shard, and every query method
-// below is a delegation to that view.
+// A shard's range is [lo, hi) over suffixes, and the lower keys are the cuts:
+// keys[i] is the shortest prefix of shard i's first suffix that the suffix
+// before it lacks (suffixtree.AssembleShards). Owners maps a pattern to the
+// shards whose ranges meet the suffixes that begin with it — one shard,
+// unless the pattern is a proper prefix of a key. So a membership op is
+// answered by its owners alone and their answers add up: counts sum,
+// occurrence lists merge ascending (offsets are the corpus's already; there
+// is no junction to stitch and no offset to shift). The analytics ops that
+// look at the whole order — topk, lrs, mismatch — ask every shard and merge
+// the per-shard tree answers; the only facts no single shard sees are the
+// K−1 LCPs across the cuts and the L-mers that are proper prefixes of a key,
+// and the keys plus a count on the owners settle both (MergeShards).
 //
-// Identity with the monolithic index is exact, not approximate. Matches
-// fully inside one shard are found by that shard's tree and translated to
-// global offsets. Matches that cross a shard boundary — which exist in the
-// monolithic concatenation, since documents are concatenated without
-// separators — cannot be seen by any shard; they are recovered by a stitch
-// scan over the (at most |P|−1 bytes wide) candidate window around each
-// boundary against the virtual global string. Shard cuts are document
-// aligned, so document-scoped answers (DocOccurrences) never need stitching:
-// a boundary-crossing match is by construction a document-crossing match,
-// which the generalized-suffix-tree discipline excludes anyway.
+// The merge is written once, here, and the cluster router calls it too: it
+// holds the same keys (each replica lists its shard's range) and asks the
+// same owners over the network.
 
 // Queryable is the query surface shared by Index and ShardedIndex: the
 // engine in internal/server, the CLI and persistence address both through
@@ -69,155 +69,103 @@ var (
 	_ Queryable = (*ShardedIndex)(nil)
 )
 
-// ShardedIndex is a corpus index split at document boundaries into shards,
-// each an independent Index over a contiguous run of documents. Queries fan
-// out to all shards concurrently and merge (through view); answers are
-// byte-identical to the monolithic Index over the same corpus. Build with
-// BuildShardedCorpus or reopen with OpenIndex.
+// ShardedIndex is a corpus index whose suffix order is cut into shards, each
+// an Index whose tree holds one contiguous range of it (Index.Range) over the
+// whole corpus. Every query goes to the shards that own its answer and their
+// answers merge; answers are byte-identical to the monolithic Index over the
+// same corpus. Build with BuildShardedCorpus or reopen with OpenIndex.
 type ShardedIndex struct {
 	name   string
 	shards []*Index
+	keys   [][]byte // keys[i] is shard i's lower key; keys[0] is empty
 	mp     *mapping // non-nil when all shards view one mapped v4 file
-	// view is the partitioned executor (tombstone.go) over the shards: one
-	// clean tier per shard. It is built once and never released — the shards'
-	// lifecycle is sx.mp's, not the tier handles'.
-	view *liveSnapshot
 }
 
-// ShardConfig tunes BuildShardedCorpus beyond the per-shard build Config.
+// ShardConfig tunes BuildShardedCorpus beyond the build Config.
 type ShardConfig struct {
-	// Shards is the number of document-aligned shards (capped at the
-	// document count; default 4).
+	// Shards is the number of prefix ranges the suffix order is cut into
+	// (default 4, capped at the suffix count: the corpus length plus one).
 	Shards int
-	// Build configures each shard's construction. nil is the zero Config:
-	// each shard that fits the 64 MB default budget as a suffix array is
-	// built in memory, a larger one by serial ERA; name a parallel Mode to
-	// build every shard with that architecture (Config.MemoryBudget).
+	// Build configures the one construction over the whole corpus; nil is
+	// the zero Config, which builds a corpus that fits the 64 MB default
+	// budget as a suffix array in memory and a larger one by serial ERA. Name
+	// a parallel Mode to build with that architecture (Config.MemoryBudget is
+	// the budget of the one build).
 	Build *Config
 }
 
-// BuildShardedCorpus splits docs at document boundaries into cfg.Shards
-// contiguous, greedily size-balanced runs and builds one Index per run
-// (as cfg.Build says; the zero Config when it says nothing).
-// The resulting ShardedIndex answers every query exactly as the monolithic
-// BuildCorpus index over the same docs would.
+// BuildShardedCorpus builds docs once — the whole corpus, as cfg.Build says —
+// and cuts the sorted suffix stream of that construction into cfg.Shards
+// prefix ranges of about equal size, one tree each, at the cuts with the
+// shortest keys nearby (suffixtree.AssembleShards). The resulting
+// ShardedIndex answers every query exactly as the monolithic BuildCorpus
+// index over the same docs would.
 func BuildShardedCorpus(docs [][]byte, cfg *ShardConfig) (*ShardedIndex, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("era: empty corpus")
 	}
 	shards := 4
-	var buildCfg Config
+	var buildCfg *Config
 	if cfg != nil {
 		if cfg.Shards != 0 {
 			shards = cfg.Shards
 		}
-		if cfg.Build != nil {
-			buildCfg = *cfg.Build
-		}
+		buildCfg = cfg.Build
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("era: shard count %d < 1", shards)
 	}
-	if shards > len(docs) {
-		shards = len(docs)
-	}
-	// The file format caps the shard count; clamping here keeps
-	// every buildable index writable instead of failing after the build.
-	if shards > maxV4Shards {
-		shards = maxV4Shards
-	}
-
-	// One alphabet for every shard (and equal to what the monolithic build
-	// would detect), or per-shard detection could disagree across cuts.
-	if buildCfg.Alphabet == nil {
-		var seen [256]bool
-		for i, d := range docs {
-			for _, b := range d {
-				if b == alphabet.Terminator {
-					return nil, fmt.Errorf("era: document %d contains the reserved terminator byte %q", i, alphabet.Terminator)
-				}
-				seen[b] = true
-			}
-		}
-		alpha, err := alphabetFromSeen(&seen)
-		if err != nil {
-			return nil, err
-		}
-		buildCfg.Alphabet = alpha
-	}
-
-	sizes := make([]int, len(docs))
-	for i, d := range docs {
-		sizes[i] = len(d)
-	}
-	cuts := shardCuts(sizes, shards)
-
-	built := make([]*Index, len(cuts))
-	for i, c := range cuts {
-		idx, err := build(docs[c[0]:c[1]], &buildCfg)
-		if err != nil {
-			return nil, fmt.Errorf("era: building shard %d (docs %d–%d): %w", i, c[0], c[1]-1, err)
-		}
-		built[i] = idx
+	// The file format caps the shard count; clamping here keeps every
+	// buildable index writable instead of failing after the build.
+	built, err := buildShards(docs, buildCfg, min(shards, maxV4Shards))
+	if err != nil {
+		return nil, err
 	}
 	return newShardedIndex("", built)
 }
 
-// shardCuts splits the document sizes into k contiguous runs, greedily
-// balancing run byte sizes while leaving at least one document per
-// remaining shard. k must be in [1, len(sizes)].
-func shardCuts(sizes []int, k int) [][2]int {
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	cuts := make([][2]int, 0, k)
-	start, remaining := 0, total
-	for s := 0; s < k; s++ {
-		left := k - s
-		if left == 1 {
-			cuts = append(cuts, [2]int{start, len(sizes)})
-			break
-		}
-		target := remaining / left
-		end := start + 1
-		acc := sizes[start]
-		for end < len(sizes)-(left-1) {
-			next := sizes[end]
-			// Take the next document while it keeps the run at or closer to
-			// the target than stopping would.
-			if acc+next <= target || acc+next-target < target-acc {
-				acc += next
-				end++
-			} else {
-				break
-			}
-		}
-		cuts = append(cuts, [2]int{start, end})
-		remaining -= acc
-		start = end
-	}
-	return cuts
-}
-
-// newShardedIndex validates that already-built shards form one coherent
-// corpus and derives the query view over them.
+// newShardedIndex checks that the shards tile the suffix order of one corpus
+// — ranges contiguous from its start to its end, one string length, document
+// count and alphabet — and collects their keys.
 func newShardedIndex(name string, shards []*Index) (*ShardedIndex, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("era: sharded index with zero shards")
 	}
-	alpha := shards[0].alpha
-	states := make([]*tierState, len(shards))
+	first := shards[0]
+	keys := make([][]byte, len(shards))
 	for i, sh := range shards {
-		if sh.NumDocs() == 0 {
-			return nil, fmt.Errorf("era: shard %d holds no documents", i)
+		if sh.Len() != first.Len() || sh.NumDocs() != first.NumDocs() ||
+			sh.alpha.Name() != first.alpha.Name() || !bytes.Equal(sh.alpha.Symbols(), first.alpha.Symbols()) {
+			return nil, fmt.Errorf("era: shard %d indexes %d symbols in %d documents (%s), shard 0 %d in %d (%s): not one corpus",
+				i, sh.Len(), sh.NumDocs(), sh.alpha.Name(), first.Len(), first.NumDocs(), first.alpha.Name())
 		}
-		if sh.alpha.Name() != alpha.Name() || !bytes.Equal(sh.alpha.Symbols(), alpha.Symbols()) {
-			return nil, fmt.Errorf("era: shard %d alphabet %s differs from shard 0 alphabet %s", i, sh.alpha.Name(), alpha.Name())
+		var prevHi []byte
+		if i > 0 {
+			prevHi = shards[i-1].hi
 		}
-		states[i] = sealedTier(sh, "", nil, make([]bool, sh.NumDocs()), 0)
+		if (i > 0 && (len(prevHi) == 0 || bytes.Compare(keys[i-1], sh.lo) >= 0)) || !bytes.Equal(prevHi, sh.lo) {
+			return nil, fmt.Errorf("era: shard %d starts its range at %q where the one before ends at %q", i, sh.lo, prevHi)
+		}
+		keys[i] = sh.lo
 	}
-	return &ShardedIndex{name: name, shards: shards, view: newLiveSnapshot(states, alpha)}, nil
+	if last := shards[len(shards)-1]; len(last.hi) != 0 {
+		return nil, fmt.Errorf("era: the last shard's range ends at %q, short of the end of the suffix order", last.hi)
+	}
+	return &ShardedIndex{name: name, shards: shards, keys: keys}, nil
+}
+
+// Owners returns the shards [first, last] of a prefix-partitioned corpus
+// whose ranges meet the suffixes that begin with p, where keys[i] is shard
+// i's lower key, ascending from the empty one. That is one shard, unless p
+// is a proper prefix of a key: the suffixes that begin with p then straddle
+// the cut the key marks.
+func Owners(keys [][]byte, p []byte) (first, last int) {
+	first = max(sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], p) > 0 })-1, 0)
+	last = first
+	for last+1 < len(keys) && bytes.HasPrefix(keys[last+1], p) {
+		last++
+	}
+	return first, last
 }
 
 // Name returns the corpus name (see Index.Name).
@@ -227,26 +175,33 @@ func (sx *ShardedIndex) Name() string { return sx.name }
 func (sx *ShardedIndex) SetName(name string) { sx.name = name }
 
 // Alphabet returns the alphabet shared by every shard.
-func (sx *ShardedIndex) Alphabet() *alphabet.Alphabet { return sx.view.alpha }
+func (sx *ShardedIndex) Alphabet() *alphabet.Alphabet { return sx.shards[0].alpha }
 
-// Len returns the indexed string length including the terminator, as the
-// monolithic index over the same corpus would report it.
-func (sx *ShardedIndex) Len() int { return sx.view.totalLen }
+// Len returns the indexed string length including the terminator — every
+// shard's, since every shard holds all of S.
+func (sx *ShardedIndex) Len() int { return sx.shards[0].Len() }
 
-// NumDocs returns the total document count across shards.
-func (sx *ShardedIndex) NumDocs() int { return sx.view.numDocs }
+// NumDocs returns the document count.
+func (sx *ShardedIndex) NumDocs() int { return sx.shards[0].NumDocs() }
 
 // NumShards returns the shard count.
 func (sx *ShardedIndex) NumShards() int { return len(sx.shards) }
 
-// Shard returns the i-th shard's index and the global index of its first
-// document (shards hold contiguous document runs).
-func (sx *ShardedIndex) Shard(i int) (*Index, int) { return sx.shards[i], sx.view.tiers[i].docBase }
+// Shard returns the i-th shard's index, whose Range is its part of the
+// suffix order, and 0: every shard starts at the corpus's first document.
+func (sx *ShardedIndex) Shard(i int) (*Index, int) { return sx.shards[i], 0 }
 
 // TreeNodes returns the summed node count of the shard trees (roots
-// excluded). Sharding changes the tree decomposition, so this differs from
-// the monolithic tree's count; it is reported for capacity accounting.
-func (sx *ShardedIndex) TreeNodes() int64 { return sx.view.treeNodes }
+// excluded). Cutting the order changes the tree decomposition — a node the
+// cut splits appears in both shards — so this differs from the monolithic
+// tree's count; it is reported for capacity accounting.
+func (sx *ShardedIndex) TreeNodes() int64 {
+	var n int64
+	for _, sh := range sx.shards {
+		n += sh.TreeNodes()
+	}
+	return n
+}
 
 // MappedBytes returns the size of the mapping shared by the shards, or 0
 // when the shards are heap-resident.
@@ -275,104 +230,198 @@ func (sx *ShardedIndex) Close() error {
 	return sx.mp.Close()
 }
 
-// Contains reports whether pattern occurs in the sharded corpus, exactly as
-// the monolithic Index.Contains would (boundary-crossing matches included).
-func (sx *ShardedIndex) Contains(pattern []byte) bool { return sx.view.contains(pattern) }
+// owners is Owners over the index's own keys.
+func (sx *ShardedIndex) owners(p []byte) (int, int) { return Owners(sx.keys, p) }
 
-// Count returns the number of occurrences of pattern across the corpus,
-// identical to the monolithic count (crossing matches included).
-func (sx *ShardedIndex) Count(pattern []byte) int { return sx.view.count(pattern) }
+// Contains reports whether pattern occurs in the corpus, exactly as the
+// monolithic Index.Contains would: whether one of its owners holds it.
+func (sx *ShardedIndex) Contains(pattern []byte) bool {
+	return sx.Batch([]Op{{Kind: OpContains, Pattern: pattern}})[0].Found
+}
 
-// Occurrences returns the global start offsets of every occurrence of
-// pattern, sorted ascending — byte-identical to the monolithic index. A
-// corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
+// Count returns the number of occurrences of pattern in the corpus: the sum
+// of its owners' counts.
+func (sx *ShardedIndex) Count(pattern []byte) int {
+	return sx.Batch([]Op{{Kind: OpCount, Pattern: pattern}})[0].Count
+}
+
+// Occurrences returns the start offsets of every occurrence of pattern,
+// sorted ascending — its owners' lists merged, byte-identical to the
+// monolithic index. A corrupt shard surfaces ErrCorruptIndex instead of a
+// silently short list.
 func (sx *ShardedIndex) Occurrences(pattern []byte) ([]int, error) {
 	if err := sx.CheckErr(); err != nil {
 		return nil, err
 	}
-	return sx.view.occurrences(pattern), nil
+	occ := sx.Batch([]Op{{Kind: OpOccurrences, Pattern: pattern}})[0].Occurrences
+	if occ == nil {
+		occ = []int{} // Index.Occurrences answers nothing with an empty list
+	}
+	return occ, nil
 }
 
 // DocOccurrences returns per-document occurrences, identical to the
-// monolithic index: shard cuts are document-aligned, so a boundary-crossing
-// match is a document-crossing match, which is excluded on both sides. A
+// monolithic index: its owners' hits merged in (document, offset) order. A
 // corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
 func (sx *ShardedIndex) DocOccurrences(pattern []byte) ([]DocHit, error) {
 	if err := sx.CheckErr(); err != nil {
 		return nil, err
 	}
-	return sx.view.docOccurrences(pattern), nil
+	first, last := sx.owners(pattern)
+	var out []DocHit
+	for _, sh := range sx.shards[first : last+1] {
+		hits, _ := sh.DocOccurrences(pattern) // CheckErr vouched for every shard
+		if out == nil {
+			out = hits
+		} else {
+			out = append(out, hits...)
+		}
+	}
+	if first < last {
+		slices.SortFunc(out, func(a, b DocHit) int {
+			if a.Doc != b.Doc {
+				return a.Doc - b.Doc
+			}
+			return a.Offset - b.Offset
+		})
+	}
+	return out, nil
 }
 
-// Batch answers many queries in one call: every shard serves the whole op
-// list as one sub-batch (reusing Index.Batch's prefix-resumed descents).
-// Results are identical to the monolithic Index.Batch, occurrence order and
-// truncation included.
-func (sx *ShardedIndex) Batch(ops []Op) []Result { return sx.view.batch(ops) }
+// Batch answers many queries in one call: each membership op goes to its
+// owners, every shard serving the ops it owns as one sub-batch (reusing
+// Index.Batch's prefix-resumed descents), and an op with several owners
+// merges their answers. Results are identical to the monolithic Index.Batch,
+// occurrence order and truncation included.
+func (sx *ShardedIndex) Batch(ops []Op) []Result {
+	results := make([]Result, len(ops))
+	if len(ops) == 0 {
+		return results
+	}
+	sub := make([][]Op, len(sx.shards))
+	at := make([][]int, len(sx.shards)) // at[s][j]: the op sub[s][j] is
+	answered := make([]bool, len(ops))
+	for i, op := range ops {
+		if op.Kind.IsAnalytic() {
+			// Analytics plans dispatch through the sharded executor; a
+			// malformed plan leaves the zero Answer.
+			if a, err := sx.Analytics(context.Background(), op); err == nil {
+				results[i] = a
+			}
+			continue
+		}
+		first, last := sx.owners(op.Pattern)
+		for s := first; s <= last; s++ {
+			sub[s], at[s] = append(sub[s], op), append(at[s], i)
+		}
+	}
+	for s, sops := range sub {
+		if len(sops) == 0 {
+			continue
+		}
+		for j, r := range sx.shards[s].Batch(sops) {
+			i := at[s][j]
+			if answered[i] {
+				r = mergeParts(ops[i], []*Answer{&results[i], &r})
+			}
+			results[i], answered[i] = r, true
+		}
+	}
+	return results
+}
 
 // Analytics answers one analytics query against the sharded index,
-// byte-identically to the monolithic executor over the same corpus.
+// byte-identically to the monolithic executor over the same corpus: lcs on
+// any one shard (each holds every document), docfreq on its patterns' owners,
+// and topk, lrs and mismatch on every shard, merged (MergeShards).
 func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) {
-	return sx.view.analytics(ctx, q)
+	if err := q.Validate(nil, sx.NumDocs()); err != nil {
+		return Answer{}, err
+	}
+	if err := sx.CheckErr(); err != nil {
+		return Answer{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Answer{}, err
+	}
+	switch q.Kind {
+	case OpContains, OpCount, OpOccurrences:
+		return sx.Batch([]Query{q})[0], nil
+	case OpCommonSubstring:
+		return sx.shards[0].Analytics(ctx, q)
+	}
+	asked := AnalyticsShards(q, sx.keys)
+	parts := make([]*Answer, len(sx.shards))
+	for i, sh := range sx.shards {
+		if !asked[i] {
+			continue
+		}
+		a, err := sh.Analytics(ctx, q)
+		if err != nil {
+			return Answer{}, err
+		}
+		parts[i] = &a
+	}
+	return MergeShards(q, sx.keys, parts, func(op Op) (Result, error) {
+		return sx.Batch([]Op{op})[0], nil
+	})
 }
 
-// Stitch is the virtual global string a partitioned corpus serves, reduced to
-// what merging per-partition answers needs: totalLen counts the concatenated
-// content plus the single terminator, bounds are the ascending interior
-// junction offsets no single tree sees across (live-segment boundaries for a
-// snapshot — which are the shard boundaries of a ShardedIndex — and shard
-// boundaries for the router, which builds one from replica metadata and
-// fetched windows), and slice materializes any [lo, hi) window of the virtual
-// string. uncovered lists, ascending, the runs between junctions that no tree
-// indexes at all (a live snapshot's unsealed documents; nil everywhere else):
-// the scan that recovers junction-crossing matches answers for their
-// interiors too, over the bytes in place. The stitch scan and the merge below
-// are written once and every partitioned layer, in-process and routed, calls
-// them.
-type Stitch struct {
-	totalLen  int
-	bounds    []int
-	slice     func(buf []byte, lo, hi int) []byte
-	uncovered []Run
+// AnalyticsShards reports which shards of a prefix-partitioned corpus an
+// analytics query asks, for MergeShards: a docfreq query its patterns'
+// owners, topk, lrs and mismatch every shard. (lcs is one shard's answer
+// alone: any shard holds both documents.)
+func AnalyticsShards(q Query, keys [][]byte) []bool {
+	asked := make([]bool, len(keys))
+	if q.Kind != OpDocFreq {
+		for i := range asked {
+			asked[i] = true
+		}
+		return asked
+	}
+	for _, p := range q.Patterns {
+		first, last := Owners(keys, p)
+		for i := first; i <= last; i++ {
+			asked[i] = true
+		}
+	}
+	return asked
 }
 
-// NewStitch assembles a Stitch. slice must return the window [lo, hi) of the
-// virtual string, reusing buf when convenient (it is never retained across
-// calls).
-func NewStitch(totalLen int, bounds []int, slice func(buf []byte, lo, hi int) []byte) *Stitch {
-	return &Stitch{totalLen: totalLen, bounds: bounds, slice: slice}
+// MergeShards folds the answers the shards of a prefix-partitioned corpus
+// gave to q — parts[i] is shard i's own answer, nil where shard i was not
+// asked or could not answer — into the answer over the whole corpus; keys
+// are the shards' lower keys. Membership ops and mismatch add up: found if a
+// shard found it, counts sum, offsets merge ascending under the op's cap. So
+// do docfreq stats, pattern by pattern: a pattern's documents are the union
+// of its owners', and each owner counts the documents whose first occurrence
+// it holds (Index.Analytics), a share of that union. topk and lrs take the
+// per-shard tree answers plus what no shard sees, which member — a
+// membership op answered over the whole corpus by its owners — supplies:
+// the counts of the L-mers that are proper prefixes of a key (whose
+// occurrences straddle a cut), and the occurrences of a repeat that does. A
+// shard left out is left out of the answer: what is merged is the answer
+// over the shards that are there.
+func MergeShards(q Query, keys [][]byte, parts []*Answer, member func(Op) (Result, error)) (Answer, error) {
+	switch q.Kind {
+	case OpTopK:
+		return mergeTop(q, keys, parts, member)
+	case OpLongestRepeat:
+		return mergeRepeat(keys, parts, member)
+	}
+	return mergeParts(q, parts), nil
 }
 
-// Run is a stretch of the virtual string viewed in place: Data starts at
-// global offset Off.
-type Run struct {
-	Off  int
-	Data []byte
-}
-
-// Part is one partition's own answer to an op, handed to Merge: offsets are
-// local to the partition's first byte, which sits at global offset Off. A
-// partition that could not answer is simply not among the parts.
-type Part struct {
-	Off         int
-	Found       bool
-	Count       int
-	Occurrences []int         // ascending; capped no tighter than the op's own cap
-	Stats       []PatternStat // docfreq
-}
-
-// Merge folds the partitions' answers to one contains / count / occurrences /
-// mismatch / docfreq op (parts in ascending Off order) into the answer over
-// the virtual string. Document stats add up element-wise — cuts are document
-// aligned. Everything else adds what no partition can see, the matches the
-// stitch scan finds across junctions and in uncovered runs (Hamming matches
-// for mismatch): found if anyone found it, counts sum, offsets interleave
-// ascending under the op's cap. Nothing found is the zero Result.
-func (ss *Stitch) Merge(op Op, parts []Part) Result {
-	var res Result
+// mergeParts adds up the answers several shards gave to one membership,
+// mismatch or docfreq op.
+func mergeParts(op Op, parts []*Answer) Answer {
+	var res Answer
 	if op.Kind == OpDocFreq {
 		res.Stats = make([]PatternStat, len(op.Patterns))
 		for _, p := range parts {
+			if p == nil {
+				continue
+			}
 			for j, st := range p.Stats[:min(len(p.Stats), len(res.Stats))] {
 				res.Stats[j].Docs += st.Docs
 				res.Stats[j].Count += st.Count
@@ -382,143 +431,118 @@ func (ss *Stitch) Merge(op Op, parts []Part) Result {
 		res.Found = res.Count > 0
 		return res
 	}
-	for i := range parts {
-		res.Found = res.Found || parts[i].Found
-		res.Count += parts[i].Count
+	var only *Answer
+	n, total := 0, 0
+	for _, p := range parts {
+		if p != nil {
+			only, n, total = p, n+1, total+len(p.Occurrences)
+			res.Found = res.Found || p.Found
+			res.Count += p.Count
+		}
 	}
-	var crossing []int
-	switch op.Kind {
-	case OpContains:
-		return Result{Found: res.Found || len(ss.crossingOccurrences(op.Pattern, 1)) > 0}
-	case OpMismatch:
-		ss.crossingWindows(len(op.Pattern), func(start int, window []byte) {
-			if hammingAtMost(window, op.Pattern, op.K) {
-				crossing = append(crossing, start)
+	if n == 1 {
+		return *only
+	}
+	if res.Found && (op.Kind == OpOccurrences || op.Kind == OpMismatch) {
+		occ := make([]int, 0, total)
+		for _, p := range parts {
+			if p != nil {
+				occ = append(occ, p.Occurrences...)
 			}
-		})
-	default:
-		crossing = ss.crossingOccurrences(op.Pattern, 0)
-	}
-	res.Count += len(crossing)
-	res.Found = res.Count > 0
-	if res.Found && op.Kind != OpCount {
-		res.Occurrences = mergeOccurrences(parts, crossing, op.MaxOccurrences)
+		}
+		slices.Sort(occ)
+		if op.MaxOccurrences > 0 && len(occ) > op.MaxOccurrences {
+			occ = occ[:op.MaxOccurrences]
+		}
+		res.Occurrences = occ
 	}
 	return res
 }
 
-// eachMatch calls fn with the start of every occurrence of pattern in data
-// (overlapping ones included), ascending, until fn returns false.
-func eachMatch(data, pattern []byte, fn func(j int) bool) {
-	for j := 0; j < len(data); j++ {
-		rel := bytes.Index(data[j:], pattern)
-		if rel < 0 {
-			return
-		}
-		j += rel
-		if !fn(j) {
-			return
+// mergeTop merges the shards' top-k lists. An L-mer that is not a proper
+// prefix of a key has all its occurrences in one shard, so that shard's
+// count is exact; the boundary L-mers — prefixes of a key, at most one per
+// cut — are counted over the whole corpus instead. Dropping a boundary
+// L-mer from a shard's list loses nothing: its exact count is at least the
+// shard's, so it still ranks above whatever the shard's list left out.
+func mergeTop(q Query, keys [][]byte, parts []*Answer, member func(Op) (Result, error)) (Answer, error) {
+	var boundary [][]byte
+	for _, key := range keys[min(1, len(keys)):] {
+		if len(key) > q.MinLen && (len(boundary) == 0 || !bytes.Equal(boundary[len(boundary)-1], key[:q.MinLen])) {
+			boundary = append(boundary, key[:q.MinLen])
 		}
 	}
-}
-
-// eachRegion visits, in ascending order, every stretch of the virtual string
-// in which a length-m match or window no per-segment tree can see may start:
-// the stitch window around each junction — one ≤ 2(m−1)-byte slice,
-// materialized once, no per-byte segment lookups — and each uncovered run,
-// in place. fn receives the stretch's global offset, its bytes, and the range
-// [from, limit) of starts that belong to it; whether start+m still fits in
-// the bytes is the caller's check. At a junction only starts before it cross
-// it (they always end after it), and starts an earlier junction already
-// covered are skipped, so a match spanning several tiny segments is seen
-// once. end clips the windows: totalLen, or totalLen−1 to keep the
-// terminator out. fn returning false ends the visit.
-func (ss *Stitch) eachRegion(m, end int, fn func(off int, data []byte, from, limit int) bool) {
-	runs := ss.uncovered
-	// inside visits the uncovered runs starting before global offset b: what
-	// starts in them sorts before anything crossing b.
-	inside := func(b int) bool {
-		for ; len(runs) > 0 && runs[0].Off < b; runs = runs[1:] {
-			if !fn(runs[0].Off, runs[0].Data, 0, len(runs[0].Data)) {
-				return false
+	isBoundary := func(p []byte) bool {
+		return slices.ContainsFunc(boundary, func(b []byte) bool { return bytes.Equal(b, p) })
+	}
+	var top []TopEntry
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for _, e := range p.Top {
+			if !isBoundary(e.Pattern) {
+				top = append(top, e)
 			}
 		}
-		return true
 	}
-	var win []byte
-	next := 0 // first start not yet covered by a junction
-	for _, b := range ss.bounds {
-		if m < 2 {
-			break // one byte crosses nothing
+	for _, b := range boundary {
+		r, err := member(Op{Kind: OpCount, Pattern: b})
+		if err != nil {
+			return Answer{}, err
 		}
-		if !inside(b) {
-			return
+		if r.Count > 0 {
+			top = append(top, TopEntry{Pattern: bytes.Clone(b), Count: r.Count})
 		}
-		winLo := max(b-m+1, 0)
-		win = ss.slice(win, winLo, min(b+m-1, end))
-		if !fn(winLo, win, max(next-winLo, 0), b-winLo) {
-			return
-		}
-		next = b
 	}
-	inside(ss.totalLen)
-}
-
-// crossingOccurrences returns the sorted global start offsets of the pattern
-// occurrences no per-segment tree can see: those that cross a junction and
-// those inside an uncovered run. max > 0 caps the number returned.
-func (ss *Stitch) crossingOccurrences(pattern []byte, max int) []int {
-	var out []int
-	more := func() bool { return max <= 0 || len(out) < max }
-	ss.eachRegion(len(pattern), ss.totalLen, func(off int, data []byte, from, limit int) bool {
-		eachMatch(data[from:], pattern, func(j int) bool {
-			if from+j >= limit {
-				return false
-			}
-			out = append(out, off+from+j)
-			return more()
-		})
-		return more()
+	if len(top) == 0 {
+		return Answer{}, nil
+	}
+	slices.SortFunc(top, func(a, b TopEntry) int {
+		if a.Count != b.Count {
+			return b.Count - a.Count
+		}
+		return bytes.Compare(a.Pattern, b.Pattern)
 	})
-	return out
+	top = top[:min(len(top), q.K)]
+	return Answer{Found: true, Top: top, Count: len(top)}, nil
 }
 
-// mergeOccurrences merges the parts' occurrence lists (each sorted and local
-// to its part; the parts cover disjoint ascending byte ranges) with the sorted
-// global crossing list into a fresh list of global offsets: the k-way merge
-// degenerates to a concatenation plus one interleave pass. max > 0 caps the
-// output length.
-func mergeOccurrences(parts []Part, crossing []int, max int) []int {
-	n := len(crossing)
-	for i := range parts {
-		n += len(parts[i].Occurrences)
-	}
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]int, 0, n)
-	ci := 0
-	for i := range parts {
-		for _, o := range parts[i].Occurrences {
-			o += parts[i].Off
-			for ci < len(crossing) && crossing[ci] < o {
-				out = append(out, crossing[ci])
-				ci++
-				if max > 0 && len(out) == max {
-					return out
-				}
-			}
-			out = append(out, o)
-			if max > 0 && len(out) == max {
-				return out
-			}
+// mergeRepeat merges the shards' longest repeats. The longest repeated
+// substring is as long as the largest LCP of neighbouring suffixes; a shard
+// sees the neighbours inside its range, and the LCP across each cut is its
+// key less the last symbol (a pair only when both shards answered). Of the
+// candidates that long, the smallest wins, and its occurrences are those of
+// its owner — or, when it is a proper prefix of a key, every owner's.
+func mergeRepeat(keys [][]byte, parts []*Answer, member func(Op) (Result, error)) (Answer, error) {
+	var label []byte
+	consider := func(l []byte) {
+		if len(l) > len(label) || (len(l) == len(label) && bytes.Compare(l, label) < 0) {
+			label = l
 		}
 	}
-	for ; ci < len(crossing); ci++ {
-		out = append(out, crossing[ci])
-		if max > 0 && len(out) == max {
-			return out
+	for _, p := range parts {
+		if p != nil && p.Found {
+			consider(p.Pattern)
 		}
 	}
-	return out
+	for i := 1; i < len(keys); i++ {
+		if parts[i-1] != nil && parts[i] != nil {
+			consider(keys[i][:len(keys[i])-1])
+		}
+	}
+	if len(label) == 0 {
+		return Answer{}, nil
+	}
+	var occ []int
+	if first, last := Owners(keys, label); first == last && parts[first] != nil && bytes.Equal(parts[first].Pattern, label) {
+		occ = parts[first].Occurrences
+	} else {
+		r, err := member(Op{Kind: OpOccurrences, Pattern: label})
+		if err != nil {
+			return Answer{}, err
+		}
+		occ = r.Occurrences
+	}
+	return Answer{Found: true, Pattern: bytes.Clone(label), Occurrences: occ, Count: len(occ)}, nil
 }

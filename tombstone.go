@@ -10,30 +10,26 @@ import (
 	"era/internal/alphabet"
 )
 
-// This file is the in-process partitioned executor: the immutable,
-// reference-counted snapshot that answers contains / count / occurrences /
-// doc-occurrences / batch (here) and the analytics ops (analytics_live.go)
-// over a sequence of tiers, each an ordinary Index, by fan-out → stitch →
-// merge (lrs and topk excepted: they read the suffix array of the virtual
-// string, SuffixOrderAnswer over segs). The merge itself is Stitch.Merge in
-// shard.go, which the cluster router calls too. The executor is written once
-// and serves both partitioned layers: a LiveIndex
-// (live.go) publishes a fresh snapshot per mutation, with per-tier
-// bookkeeping that maps tier-local suffix tree answers onto the virtual
-// global string of live documents; a ShardedIndex (shard.go) holds one
-// snapshot for life over its shards — the zero-tombstone case, where every
-// tier takes the nDead == 0 fast path and the local→global map is a
-// constant shift. The executor never learns which of the two it serves.
+// This file is the live index's executor: the immutable, reference-counted
+// snapshot that answers contains / count / occurrences / doc-occurrences /
+// batch (here) and the analytics ops (analytics_live.go) over a sequence of
+// tiers, each an ordinary Index over a contiguous run of documents, by
+// fan-out → stitch → merge (lrs and topk excepted: they read the suffix array
+// of the virtual string, suffixOrderAnswer over segs). A LiveIndex (live.go)
+// publishes a fresh snapshot per mutation, with per-tier bookkeeping that maps
+// tier-local suffix tree answers onto the virtual global string of live
+// documents. (A ShardedIndex cuts the suffix order instead of the documents,
+// so its shards need no stitch: shard.go.)
 //
 // The model: a live corpus is a sequence of documents identified by stable,
 // monotonically increasing ids. Documents live in tiers, each an ordinary
 // Index over a contiguous run of ids, followed by the unsealed memtable
 // extents, which have no index at all: their live bytes are uncovered runs of
-// the virtual string, answered by the stitch scan in place (Stitch in
-// shard.go). Deletes are per-document tombstones. The query surface must
-// answer exactly as a from-scratch BuildCorpus over the surviving documents
-// (in id order) would. Over clean tiers that is plain document-aligned
-// sharding; tombstones add two wrinkles:
+// the virtual string, answered by the stitch scan in place (stitch, below).
+// Deletes are per-document tombstones. The query surface must answer exactly
+// as a from-scratch BuildCorpus over the surviving documents (in id order)
+// would. Over clean tiers that is plain document-aligned partitioning;
+// tombstones add two wrinkles:
 //
 //   - A tombstoned document leaves its bytes in the tier (rebuilding the
 //     tier per delete would be re-derivation, the very cost this subsystem
@@ -41,8 +37,8 @@ import (
 //     when it starts in a live document and ends before the next dead one.
 //   - Live documents adjacent in the virtual string may sit in different
 //     tiers or be separated by tombstones within one tier, so matches
-//     crossing those junctions are recovered by the same stitch scan
-//     sharding uses (Stitch in shard.go).
+//     crossing those junctions are recovered by the stitch scan over the
+//     junction windows.
 
 // tierHandle owns the lifecycle of one tier's Index. Snapshots sharing a
 // tier each hold a reference; the mutator holds one while the tier is part
@@ -146,7 +142,7 @@ func (t *liveTier) translate(occ []int, m, max int) []int {
 	return out
 }
 
-// shift is what makes the offsets in the tier's answers global (Part.Off): a
+// shift is what makes the offsets in the tier's answers global (part.Off): a
 // clean tier's local→global map is one constant shift, and a tombstoned
 // tier's answers went through translate and are global already.
 func (t *liveTier) shift() int {
@@ -167,7 +163,7 @@ type liveSnapshot struct {
 	// segs are the maximal runs of consecutive live documents, each viewing
 	// its tier's data in place: the units the virtual global string is
 	// assembled from. Zero-width runs (all-empty documents) are omitted.
-	segs []Run
+	segs []run
 	// docStart[ord] is the global offset of live document ord's first byte;
 	// docStart[numDocs] closes the last one.
 	docStart  []int
@@ -176,7 +172,7 @@ type liveSnapshot struct {
 	alpha     *alphabet.Alphabet
 	treeNodes int64
 	mapped    int64
-	stitch    Stitch
+	stitch    stitch
 	refs      atomic.Int64
 }
 
@@ -189,7 +185,7 @@ type liveSnapshot struct {
 func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapshot {
 	s := &liveSnapshot{alpha: alpha}
 	s.refs.Store(1) // the owner (current-snapshot) reference
-	var uncovered []Run
+	var uncovered []run
 	off, ord := 0, 0
 	for _, st := range states {
 		de := st.docEnds
@@ -211,10 +207,10 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 		runLo, runOff, start := -1, 0, 0
 		endRun := func() {
 			if runLo >= 0 && start > runLo {
-				run := Run{Off: runOff, Data: st.data[runLo:start]}
-				s.segs = append(s.segs, run)
+				seg := run{Off: runOff, Data: st.data[runLo:start]}
+				s.segs = append(s.segs, seg)
 				if t == nil {
-					uncovered = append(uncovered, run)
+					uncovered = append(uncovered, seg)
 				}
 			}
 			runLo = -1
@@ -266,7 +262,7 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 	for i := 1; i < len(s.segs); i++ {
 		bounds = append(bounds, s.segs[i].Off)
 	}
-	s.stitch = Stitch{totalLen: s.totalLen, bounds: bounds, slice: s.globalSlice, uncovered: uncovered}
+	s.stitch = stitch{totalLen: s.totalLen, bounds: bounds, segs: s.segs, uncovered: uncovered}
 	return s
 }
 
@@ -293,33 +289,6 @@ func (s *liveSnapshot) release() {
 			t.h.release()
 		}
 	}
-}
-
-// globalSlice copies the bytes [lo, hi) of the virtual global string — the
-// live documents concatenated in id order, with the single terminator at the
-// end — into buf, walking whole segments rather than one byte at a time.
-func (s *liveSnapshot) globalSlice(buf []byte, lo, hi int) []byte {
-	buf = buf[:0]
-	end := hi
-	if end == s.totalLen {
-		end-- // the terminator is appended below, not stored in any tier
-	}
-	i := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].Off > lo }) - 1
-	for off := lo; off < end; i++ {
-		seg := &s.segs[i]
-		content := seg.Data
-		from := off - seg.Off
-		take := len(content) - from
-		if off+take > end {
-			take = end - off
-		}
-		buf = append(buf, content[from:from+take]...)
-		off += take
-	}
-	if hi == s.totalLen {
-		buf = append(buf, alphabet.Terminator)
-	}
-	return buf
 }
 
 // fanOut runs f(i, tier) for every tier, concurrently when there are
@@ -356,7 +325,7 @@ func (s *liveSnapshot) tailMatch(p []byte) int {
 		return -1
 	}
 	off := s.totalLen - len(p)
-	if !bytes.Equal(s.globalSlice(nil, off, s.totalLen), p) {
+	if !bytes.Equal(s.stitch.slice(nil, off, s.totalLen), p) {
 		return -1
 	}
 	return off
@@ -369,7 +338,7 @@ func (s *liveSnapshot) contains(p []byte) bool {
 	if bytes.IndexByte(p, alphabet.Terminator) >= 0 {
 		return s.tailMatch(p) >= 0
 	}
-	parts := make([]Part, len(s.tiers))
+	parts := make([]part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		if t.nDead == 0 {
 			parts[i].Found = t.h.idx.Contains(p)
@@ -378,7 +347,7 @@ func (s *liveSnapshot) contains(p []byte) bool {
 			parts[i].Found = len(t.translate(occ, len(p), 1)) > 0
 		}
 	})
-	return s.stitch.Merge(Op{Kind: OpContains, Pattern: p}, parts).Found
+	return s.stitch.merge(Op{Kind: OpContains, Pattern: p}, parts).Found
 }
 
 func (s *liveSnapshot) count(p []byte) int {
@@ -391,7 +360,7 @@ func (s *liveSnapshot) count(p []byte) int {
 		}
 		return 0
 	}
-	parts := make([]Part, len(s.tiers))
+	parts := make([]part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		if t.nDead == 0 {
 			parts[i].Count = t.h.idx.Count(p)
@@ -400,7 +369,7 @@ func (s *liveSnapshot) count(p []byte) int {
 			parts[i].Count = len(t.translate(occ, len(p), 0))
 		}
 	})
-	return s.stitch.Merge(Op{Kind: OpCount, Pattern: p}, parts).Count
+	return s.stitch.merge(Op{Kind: OpCount, Pattern: p}, parts).Count
 }
 
 func (s *liveSnapshot) occurrences(p []byte) []int {
@@ -417,13 +386,13 @@ func (s *liveSnapshot) occurrences(p []byte) []int {
 		}
 		return []int{}
 	}
-	parts := make([]Part, len(s.tiers))
+	parts := make([]part, len(s.tiers))
 	s.fanOut(func(i int, t *liveTier) {
 		occ, _ := t.h.idx.Occurrences(p) // LiveIndex.Occurrences surfaced checkErr already
 		if t.nDead > 0 {
 			occ = t.translate(occ, len(p), 0)
 		}
-		parts[i] = Part{Off: t.shift(), Occurrences: occ}
+		parts[i] = part{Off: t.shift(), Occurrences: occ}
 	})
 	return mergeOccurrences(parts, s.stitch.crossingOccurrences(p, 0), 0)
 }
@@ -479,7 +448,7 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 
 // batch answers many queries over one snapshot: every tier serves the whole
 // op list as one sub-batch (reusing Index.Batch's prefix-resumed descents),
-// tier sub-batches run concurrently, and per-op answers merge (Stitch.Merge)
+// tier sub-batches run concurrently, and per-op answers merge (stitch.merge)
 // identically to the monolithic index, occurrence order and truncation
 // included. Tiers with tombstones answer through full
 // occurrence enumeration plus translate, so their counts and lists reflect
@@ -554,7 +523,7 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 		perTier[i] = res
 	})
 
-	parts := make([]Part, len(s.tiers))
+	parts := make([]part, len(s.tiers))
 	for oi := range ops {
 		op := &ops[oi]
 		r := &results[oi]
@@ -604,9 +573,9 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 		// arrays; the merge reads them and writes a fresh list.
 		for i, t := range s.tiers {
 			a := &perTier[i][oi]
-			parts[i] = Part{Off: t.shift(), Found: a.Found, Count: a.Count, Occurrences: a.Occurrences}
+			parts[i] = part{Off: t.shift(), Found: a.Found, Count: a.Count, Occurrences: a.Occurrences}
 		}
-		*r = s.stitch.Merge(*op, parts)
+		*r = s.stitch.merge(*op, parts)
 	}
 	return results
 }
@@ -631,4 +600,212 @@ func (s *liveSnapshot) liveDocs() [][]byte {
 		docs[ord] = s.docBytes(ord)
 	}
 	return docs
+}
+
+// stitch is the virtual global string a live snapshot serves, reduced to
+// what merging per-tier answers needs: totalLen counts the concatenated live
+// content plus the single terminator, bounds are the ascending interior
+// junction offsets no single tier tree sees across (live-segment boundaries),
+// and segs are the snapshot's segments, which slice reads any [lo, hi) window
+// of the string from. uncovered lists, ascending, the runs between junctions
+// that no tree indexes at all (the unsealed documents): the scan that recovers
+// junction-crossing matches answers for their interiors too, over the bytes
+// in place.
+type stitch struct {
+	totalLen  int
+	bounds    []int
+	segs      []run
+	uncovered []run
+}
+
+// slice copies the bytes [lo, hi) of the virtual global string — the
+// live documents concatenated in id order, with the single terminator at the
+// end — into buf, walking whole segments rather than one byte at a time.
+func (ss *stitch) slice(buf []byte, lo, hi int) []byte {
+	buf = buf[:0]
+	end := hi
+	if end == ss.totalLen {
+		end-- // the terminator is appended below, not stored in any tier
+	}
+	i := sort.Search(len(ss.segs), func(j int) bool { return ss.segs[j].Off > lo }) - 1
+	for off := lo; off < end; i++ {
+		seg := &ss.segs[i]
+		content := seg.Data
+		from := off - seg.Off
+		take := len(content) - from
+		if off+take > end {
+			take = end - off
+		}
+		buf = append(buf, content[from:from+take]...)
+		off += take
+	}
+	if hi == ss.totalLen {
+		buf = append(buf, alphabet.Terminator)
+	}
+	return buf
+}
+
+// run is a stretch of the virtual string viewed in place: Data starts at
+// global offset Off.
+type run struct {
+	Off  int
+	Data []byte
+}
+
+// part is one tier's own answer to an op, handed to merge: offsets are local
+// to the tier's first byte, which sits at global offset Off.
+type part struct {
+	Off         int
+	Found       bool
+	Count       int
+	Occurrences []int // ascending; capped no tighter than the op's own cap
+}
+
+// merge folds the tiers' answers to one contains / count / occurrences /
+// mismatch op (parts in ascending Off order) into the answer over the virtual
+// string, adding what no tier can see: the matches the stitch scan finds
+// across junctions and in uncovered runs (Hamming matches for mismatch).
+// Found if anyone found it, counts sum, offsets interleave ascending under the
+// op's cap; nothing found is the zero Result.
+func (ss *stitch) merge(op Op, parts []part) Result {
+	var res Result
+	for i := range parts {
+		res.Found = res.Found || parts[i].Found
+		res.Count += parts[i].Count
+	}
+	var crossing []int
+	switch op.Kind {
+	case OpContains:
+		return Result{Found: res.Found || len(ss.crossingOccurrences(op.Pattern, 1)) > 0}
+	case OpMismatch:
+		ss.crossingWindows(len(op.Pattern), func(start int, window []byte) {
+			if hammingAtMost(window, op.Pattern, op.K) {
+				crossing = append(crossing, start)
+			}
+		})
+	default:
+		crossing = ss.crossingOccurrences(op.Pattern, 0)
+	}
+	res.Count += len(crossing)
+	res.Found = res.Count > 0
+	if res.Found && op.Kind != OpCount {
+		res.Occurrences = mergeOccurrences(parts, crossing, op.MaxOccurrences)
+	}
+	return res
+}
+
+// eachMatch calls fn with the start of every occurrence of pattern in data
+// (overlapping ones included), ascending, until fn returns false.
+func eachMatch(data, pattern []byte, fn func(j int) bool) {
+	for j := 0; j < len(data); j++ {
+		rel := bytes.Index(data[j:], pattern)
+		if rel < 0 {
+			return
+		}
+		j += rel
+		if !fn(j) {
+			return
+		}
+	}
+}
+
+// eachRegion visits, in ascending order, every stretch of the virtual string
+// in which a length-m match or window no per-segment tree can see may start:
+// the stitch window around each junction — one ≤ 2(m−1)-byte slice,
+// materialized once, no per-byte segment lookups — and each uncovered run,
+// in place. fn receives the stretch's global offset, its bytes, and the range
+// [from, limit) of starts that belong to it; whether start+m still fits in
+// the bytes is the caller's check. At a junction only starts before it cross
+// it (they always end after it), and starts an earlier junction already
+// covered are skipped, so a match spanning several tiny segments is seen
+// once. end clips the windows: totalLen, or totalLen−1 to keep the
+// terminator out. fn returning false ends the visit.
+func (ss *stitch) eachRegion(m, end int, fn func(off int, data []byte, from, limit int) bool) {
+	runs := ss.uncovered
+	// inside visits the uncovered runs starting before global offset b: what
+	// starts in them sorts before anything crossing b.
+	inside := func(b int) bool {
+		for ; len(runs) > 0 && runs[0].Off < b; runs = runs[1:] {
+			if !fn(runs[0].Off, runs[0].Data, 0, len(runs[0].Data)) {
+				return false
+			}
+		}
+		return true
+	}
+	var win []byte
+	next := 0 // first start not yet covered by a junction
+	for _, b := range ss.bounds {
+		if m < 2 {
+			break // one byte crosses nothing
+		}
+		if !inside(b) {
+			return
+		}
+		winLo := max(b-m+1, 0)
+		win = ss.slice(win, winLo, min(b+m-1, end))
+		if !fn(winLo, win, max(next-winLo, 0), b-winLo) {
+			return
+		}
+		next = b
+	}
+	inside(ss.totalLen)
+}
+
+// crossingOccurrences returns the sorted global start offsets of the pattern
+// occurrences no per-segment tree can see: those that cross a junction and
+// those inside an uncovered run. max > 0 caps the number returned.
+func (ss *stitch) crossingOccurrences(pattern []byte, max int) []int {
+	var out []int
+	more := func() bool { return max <= 0 || len(out) < max }
+	ss.eachRegion(len(pattern), ss.totalLen, func(off int, data []byte, from, limit int) bool {
+		eachMatch(data[from:], pattern, func(j int) bool {
+			if from+j >= limit {
+				return false
+			}
+			out = append(out, off+from+j)
+			return more()
+		})
+		return more()
+	})
+	return out
+}
+
+// mergeOccurrences merges the parts' occurrence lists (each sorted and local
+// to its part; the parts cover disjoint ascending byte ranges) with the sorted
+// global crossing list into a fresh list of global offsets: the k-way merge
+// degenerates to a concatenation plus one interleave pass. max > 0 caps the
+// output length.
+func mergeOccurrences(parts []part, crossing []int, max int) []int {
+	n := len(crossing)
+	for i := range parts {
+		n += len(parts[i].Occurrences)
+	}
+	if max > 0 && n > max {
+		n = max
+	}
+	out := make([]int, 0, n)
+	ci := 0
+	for i := range parts {
+		for _, o := range parts[i].Occurrences {
+			o += parts[i].Off
+			for ci < len(crossing) && crossing[ci] < o {
+				out = append(out, crossing[ci])
+				ci++
+				if max > 0 && len(out) == max {
+					return out
+				}
+			}
+			out = append(out, o)
+			if max > 0 && len(out) == max {
+				return out
+			}
+		}
+	}
+	for ; ci < len(crossing); ci++ {
+		out = append(out, crossing[ci])
+		if max > 0 && len(out) == max {
+			return out
+		}
+	}
+	return out
 }

@@ -59,7 +59,7 @@ func verifyMono(x *Index) error {
 	if err := x.VerifyChecksums(); err != nil {
 		return err
 	}
-	if err := suffixtree.ValidateView(x.tree); err != nil {
+	if err := suffixtree.ValidateView(x.tree, x.lo, x.hi); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorruptIndex, err)
 	}
 	return nil
