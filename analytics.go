@@ -33,7 +33,9 @@ import (
 // lexicographic order with the LCP between neighbours — SA-IS + Kasai over
 // the materialized string (suffixOrderAnswer): lrs is the first maximum of
 // that LCP (repeatScan), topk a run-length count of LCP ≥ L into a bounded
-// selection (topScan, topSelection).
+// selection (topScan, topSelection). lcs is one algorithm on every layer: the
+// same kernel over the two documents alone (commonSubstring), so its cost is
+// theirs, never the corpus's.
 //
 // Answer identity across layers is the package discipline: every analytics
 // answer is a pure function of the virtual global string and the document
@@ -247,7 +249,7 @@ func (q *Query) AppendFingerprint(b []byte) []byte {
 // topk, lrs, mismatch and docfreq over its range, the per-shard answers
 // MergeShards takes — a docfreq document counts where its first occurrence
 // of the pattern is held, so the shards' counts add up — and lcs over the two
-// whole documents, which it holds (LCSTwoStrings).
+// whole documents, which it holds (commonSubstring).
 func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, len(x.docEnds)); err != nil {
 		return Answer{}, err
@@ -282,11 +284,7 @@ func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 		sort.Ints(out)
 		return Answer{Found: true, Pattern: lbl, Occurrences: out, Count: len(out)}, nil
 	case OpCommonSubstring:
-		if x.partial() {
-			label, offA, offB := LCSTwoStrings(x.docBytes(q.DocA), x.docBytes(q.DocB))
-			return Answer{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
-		}
-		return x.commonSubstring(ctx, q.DocA, q.DocB)
+		return commonSubstring(ctx, x.docBytes(q.DocA), x.docBytes(q.DocB))
 	case OpDocFreq:
 		var counts func([]byte, DocHit) bool
 		if x.partial() {
@@ -346,103 +344,37 @@ func ctxDocOcc(ctx context.Context, docOcc func([]byte) ([]DocHit, error)) func(
 	}
 }
 
-// commonSubstring finds the longest substring occurring (non-crossing) in
-// both documents a and b: one post-order pass computing, per internal node,
-// the per-document slack (the largest depth at which the node still has a
-// non-crossing occurrence in the document); the answer length is the
-// maximum over nodes of min(depth, slackA, slackB), which also covers
-// answers whose locus lies mid-edge. Only the two requested documents are
-// tracked, so corpora of any document count are supported.
-func (x *Index) commonSubstring(ctx context.Context, a, b int) (Answer, error) {
-	stop := ctxStop(ctx)
-	t := x.tree
-	n := t.NumNodes()
-	sa := make([]int32, n)
-	sb := make([]int32, n)
-	contentEnd := x.docEnds[len(x.docEnds)-1]
-	type frame struct {
-		id      int32
-		depth   int32
-		visited bool
+// commonSubstring answers lcs for documents a and b from the suffix order of
+// a '$' b '#' (suffixOrder). Both separators rank below every alphabet symbol
+// and occur once, so no LCP between neighbours runs over one. The answer is as
+// long as the largest LCP of neighbours that start on different sides of the
+// '$', and the first such pair in suffix order names the smallest label of
+// that length; its offsets are its first occurrence in each document. The
+// cost is the two documents, whatever the corpus around them.
+func commonSubstring(ctx context.Context, a, b []byte) (Answer, error) {
+	text := make([]byte, 0, len(a)+len(b)+2)
+	text = append(text, a...)
+	text = append(text, alphabet.Terminator)
+	text = append(text, b...)
+	text = append(text, alphabet.Terminator-1)
+	sa, lcp, err := suffixOrder(text)
+	if err == nil {
+		err = ctx.Err()
 	}
-	var bestLen int32
-	var cands []int32
-	stack := []frame{{t.Root(), 0, false}}
-	// One closure each over loop state: a literal at the call site would
-	// escape through the View interface and allocate per internal node.
-	var f frame
-	push := func(c int32) bool {
-		stack = append(stack, frame{c, f.depth + t.EdgeLen(c), false})
-		return true
+	if err != nil {
+		return Answer{}, err
 	}
-	fold := func(c int32) bool {
-		if sa[c] > sa[f.id] {
-			sa[f.id] = sa[c]
-		}
-		if sb[c] > sb[f.id] {
-			sb[f.id] = sb[c]
-		}
-		return true
-	}
-	budget := 2 * n
-	for len(stack) > 0 && budget > 0 {
-		if stop != nil && stop() {
-			return Answer{}, ctx.Err()
-		}
-		budget--
-		f = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !f.visited {
-			stack = append(stack, frame{f.id, f.depth, true})
-			t.ForEachChild(f.id, push)
-			continue
-		}
-		sa[f.id], sb[f.id] = -1, -1
-		if t.IsLeaf(f.id) {
-			if o := t.Suffix(f.id); o >= 0 && o < contentEnd {
-				doc, _ := x.docOf(o)
-				if doc == a {
-					sa[f.id] = x.docEnds[doc] - o
-				}
-				if doc == b {
-					sb[f.id] = x.docEnds[doc] - o
-				}
-			}
-			continue
-		}
-		t.ForEachChild(f.id, fold)
-		if f.id == t.Root() {
-			continue
-		}
-		v := f.depth
-		if sa[f.id] < v {
-			v = sa[f.id]
-		}
-		if sb[f.id] < v {
-			v = sb[f.id]
-		}
-		if v > bestLen {
-			bestLen, cands = v, cands[:0]
-		}
-		if v == bestLen && v > 0 {
-			cands = append(cands, f.id)
+	best, at := 0, 0
+	for i := 1; i < len(sa); i++ {
+		if int(lcp[i]) > best && (int(sa[i-1]) < len(a)) != (int(sa[i]) < len(a)) {
+			best, at = int(lcp[i]), int(sa[i])
 		}
 	}
-	if bestLen == 0 {
+	if best == 0 {
 		return Answer{OffsetA: -1, OffsetB: -1}, nil
 	}
-	var label []byte
-	for _, id := range cands {
-		l := t.PathLabel(id)
-		if int32(len(l)) > bestLen {
-			l = l[:bestLen]
-		}
-		if label == nil || bytes.Compare(l, label) < 0 {
-			label = l
-		}
-	}
-	offA, offB := x.minDocOffset(label, a), x.minDocOffset(label, b)
-	return Answer{Found: true, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
+	label := bytes.Clone(text[at : at+best])
+	return Answer{Found: true, Pattern: label, OffsetA: bytes.Index(a, label), OffsetB: bytes.Index(b, label), Count: best}, nil
 }
 
 // docBytes returns document ord's content, viewed in place.
@@ -464,22 +396,6 @@ func (x *Index) holdsFirst(p []byte, hit DocHit) bool {
 		return true
 	}
 	return bytes.Index(x.docBytes(hit.Doc)[:hit.Offset+len(p)-1], p) < 0
-}
-
-// minDocOffset returns the smallest non-crossing occurrence offset of
-// pattern inside document doc, or -1.
-func (x *Index) minDocOffset(pattern []byte, doc int) int {
-	best := -1
-	for _, o := range x.tree.Occurrences(pattern) {
-		d, start := x.docOf(o)
-		if d != doc || int(o)+len(pattern) > int(x.docEnds[d]) {
-			continue
-		}
-		if off := int(o) - start; best < 0 || off < best {
-			best = off
-		}
-	}
-	return best
 }
 
 // eachLMer enumerates, in lexicographic order, every distinct
@@ -775,94 +691,4 @@ func (ss *stitch) crossingWindows(m int, fn func(start int, window []byte)) {
 		}
 		return true
 	})
-}
-
-// The rolling-hash helper below powers the partitioned executors' longest
-// common substring of two documents: candidate lengths binary-search over
-// window-hash tables of the two raw byte strings, with every hash hit
-// verified byte-for-byte before it counts, so collisions cost time, never
-// correctness.
-
-const hashBase = 1099511628211 // FNV prime; any odd multiplier works
-
-// windowHashes returns the rolling polynomial hash of every length-m window
-// of s (len(s)-m+1 of them).
-func windowHashes(s []byte, m int) []uint64 {
-	if m <= 0 || m > len(s) {
-		return nil
-	}
-	var pow uint64 = 1
-	for i := 1; i < m; i++ {
-		pow *= hashBase
-	}
-	out := make([]uint64, len(s)-m+1)
-	var h uint64
-	for i := 0; i < m; i++ {
-		h = h*hashBase + uint64(s[i])
-	}
-	out[0] = h
-	for i := m; i < len(s); i++ {
-		h = (h-uint64(s[i-m])*pow)*hashBase + uint64(s[i])
-		out[i-m+1] = h
-	}
-	return out
-}
-
-// LCSTwoStrings computes the canonical longest-common-substring answer for
-// two raw document byte strings: longest first, lexicographically smallest
-// among equals, with the smallest occurrence offset in each document (-1, -1
-// when the documents share nothing). The live index and every shard of a
-// prefix-partitioned one answer lcs with it.
-func LCSTwoStrings(A, B []byte) (label []byte, offA, offB int) {
-	maxLen := len(A)
-	if len(B) < maxLen {
-		maxLen = len(B)
-	}
-	common := func(m int) bool {
-		ha := windowHashes(A, m)
-		byHash := make(map[uint64][]int32, len(ha))
-		for i, h := range ha {
-			byHash[h] = append(byHash[h], int32(i))
-		}
-		for j, h := range windowHashes(B, m) {
-			for _, i := range byHash[h] {
-				if bytes.Equal(B[j:j+m], A[i:int(i)+m]) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	best := 0
-	l, r := 1, maxLen
-	for l <= r {
-		mid := (l + r) / 2
-		if common(mid) {
-			best = mid
-			l = mid + 1
-		} else {
-			r = mid - 1
-		}
-	}
-	if best == 0 {
-		return nil, -1, -1
-	}
-	ha := windowHashes(A, best)
-	byHash := make(map[uint64][]int32, len(ha))
-	for i, h := range ha {
-		byHash[h] = append(byHash[h], int32(i))
-	}
-	for j, h := range windowHashes(B, best) {
-		for _, i := range byHash[h] {
-			if bytes.Equal(B[j:j+best], A[i:int(i)+best]) {
-				w := A[i : int(i)+best]
-				if label == nil || bytes.Compare(w, label) < 0 {
-					label = w
-				}
-			}
-		}
-	}
-	offA = bytes.Index(A, label)
-	offB = bytes.Index(B, label)
-	return append([]byte(nil), label...), offA, offB
 }

@@ -37,11 +37,11 @@ func (s *liveSnapshot) checkErr() error {
 // start in a live document and stay inside its live run (translate), and
 // the stitched scans see only live content — the virtual global string is
 // assembled from live segments, so a `$`-window, junction or uncovered-run
-// scan touches no tombstoned byte and no tier tree at all. lrs and topk do
-// not fan out at all: they are read off the suffix array of the virtual
-// string laid out from the live segments (suffixOrderAnswer), which is linear
-// on any input and has junctions, tombstones and the memtable already
-// resolved.
+// scan touches no tombstoned byte and no tier tree at all. lrs, topk and lcs
+// do not fan out at all: lrs and topk are read off the suffix array of the
+// virtual string laid out from the live segments (suffixOrderAnswer), which is
+// linear on any input and has junctions, tombstones and the memtable already
+// resolved, and lcs off that of its two documents (commonSubstring).
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, s.numDocs); err != nil {
 		return Answer{}, err
@@ -56,8 +56,7 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	case OpTopK, OpLongestRepeat:
 		return suffixOrderAnswer(ctx, q, s.segs)
 	case OpCommonSubstring:
-		label, offA, offB := LCSTwoStrings(s.docBytes(q.DocA), s.docBytes(q.DocB))
-		return Answer{Found: label != nil, Pattern: label, OffsetA: offA, OffsetB: offB, Count: len(label)}, nil
+		return commonSubstring(ctx, s.docBytes(q.DocA), s.docBytes(q.DocB))
 	case OpDocFreq:
 		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, func(p []byte) ([]DocHit, error) {
 			return s.docOccurrences(p), nil

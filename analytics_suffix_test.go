@@ -392,7 +392,7 @@ func testPeriodicAnalytics(t *testing.T) {
 // TestWalkAllocationsDoNotScale pins the read-side walks' allocation count:
 // one hoisted child callback per walk, not one closure per visited node.
 func TestWalkAllocationsDoNotScale(t *testing.T) {
-	var allocs [2][3]float64
+	var allocs [2][2]float64
 	for i, n := range []int{2 << 10, 16 << 10} {
 		data := workload.MustGenerate(workload.DNA, n, 11)
 		docs, err := workload.SliceDocs(data[:n], 4)
@@ -407,17 +407,48 @@ func TestWalkAllocationsDoNotScale(t *testing.T) {
 		allocs[i][1] = testing.AllocsPerRun(3, func() {
 			suffixtree.PrefixLoci(x.tree, 6, func(int32) bool { return true })
 		})
-		allocs[i][2] = testing.AllocsPerRun(3, func() {
-			if _, err := x.commonSubstring(context.Background(), 0, 3); err != nil {
-				t.Error(err)
-			}
-		})
 	}
-	for j, name := range []string{"LongestRepeated", "PrefixLoci", "commonSubstring"} {
+	for j, name := range []string{"LongestRepeated", "PrefixLoci"} {
 		// Stacks and result slices may grow a few more times on the larger
 		// tree; a closure per node would add thousands.
 		if small, large := allocs[0][j], allocs[1][j]; large > small+16 {
 			t.Errorf("%s: %.0f allocations on the 2 Ki-symbol tree, %.0f on the 16 Ki one", name, small, large)
 		}
+	}
+}
+
+// TestLCSAllocationFollowsTheDocuments pins lcs to its two documents: the
+// same pair inside a 2 Ki- and a 64 Ki-symbol corpus costs the same bytes
+// (within 2×) and objects (within 4), and answers the same.
+func TestLCSAllocationFollowsTheDocuments(t *testing.T) {
+	data := workload.MustGenerate(workload.DNA, 64<<10, 29)
+	pair := [][]byte{data[:768], data[768:1536]}
+	q := Query{Kind: OpCommonSubstring, DocA: 0, DocB: 1}
+	var bytesOf, objectsOf [2]float64
+	var answers [2]Answer
+	for i, n := range []int{2 << 10, 64 << 10} {
+		docs := append([][]byte{}, pair...)
+		for off := 1536; off < n; off += 512 {
+			docs = append(docs, data[off:min(off+512, n)])
+		}
+		x, err := BuildCorpus(docs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if answers[i], err = x.Analytics(context.Background(), q); err != nil {
+				t.Error(err)
+			}
+		}
+		run()
+		bytesOf[i] = float64(allocatedBy(run))
+		objectsOf[i] = testing.AllocsPerRun(3, run)
+	}
+	if !reflect.DeepEqual(answers[0], answers[1]) || !answers[0].Found {
+		t.Errorf("one pair, two corpora: lcs %+v and %+v", answers[0], answers[1])
+	}
+	if bytesOf[1] > 2*bytesOf[0] || objectsOf[1] > objectsOf[0]+4 {
+		t.Errorf("lcs of two 768-byte documents: %.0f B in %.0f objects in a 2 Ki corpus, %.0f B in %.0f in a 64 Ki one: it grows with the corpus",
+			bytesOf[0], objectsOf[0], bytesOf[1], objectsOf[1])
 	}
 }

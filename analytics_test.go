@@ -147,8 +147,8 @@ func naiveAnswer(docs [][]byte, q Query) Answer {
 }
 
 // analyticsQuerySet is the differential workload: every op kind, several
-// parameterizations each, including absent patterns and both document-pair
-// orders.
+// parameterizations each, including absent patterns, and lcs over every
+// ordered document pair.
 func analyticsQuerySet(numDocs int) []Query {
 	qs := []Query{
 		{Kind: OpTopK, K: 1, MinLen: 2},
@@ -164,7 +164,7 @@ func analyticsQuerySet(numDocs int) []Query {
 		{Kind: OpMismatch, Pattern: []byte("TTAA"), K: 1, MaxOccurrences: 3},
 		{Kind: OpMismatch, Pattern: []byte("NOPE"), K: 0},
 	}
-	for a := 0; a < numDocs && a < 3; a++ {
+	for a := 0; a < numDocs; a++ {
 		for b := 0; b < numDocs; b++ {
 			if a != b {
 				qs = append(qs, Query{Kind: OpCommonSubstring, DocA: a, DocB: b})
@@ -179,7 +179,9 @@ func analyticsQuerySet(numDocs int) []Query {
 // sharded into K ∈ {1, 2, 3, 5, 8} prefix ranges, and live after appends and
 // deletes — against the naive scan oracle, and the sharded layer again over
 // corpora whose cuts are awkward (one document, periodic text, an empty
-// document, more shards than DNA has symbols); its periodic sub-test
+// document, more shards than DNA has symbols). The corpus carries the lcs
+// edge pairs: an empty document, two identical documents, a document inside
+// another and two that share nothing. Its periodic sub-test
 // (testPeriodicAnalytics) adds the corpora on which a suffix order must not
 // be had by comparing suffixes.
 func TestAnalyticsDifferential(t *testing.T) {
@@ -189,6 +191,11 @@ func TestAnalyticsDifferential(t *testing.T) {
 		[]byte("TTTTGGTTAACC"),
 		[]byte("ACGTACGTACGTGATT"),
 		[]byte("TGGTGGTGGTGCGGTGATGGTGC"),
+		nil,                          // empty: lcs with it finds nothing
+		[]byte("GATTACAGATTACAGGTT"), // document 0 again: lcs is all of it
+		[]byte("CCGATTACAC"),         // inside document 1
+		[]byte("AAAAAAA"),
+		[]byte("CCGGCCG"), // shares nothing with the one before
 	}
 
 	mono, err := BuildCorpus(docs, nil)
@@ -233,6 +240,12 @@ func TestAnalyticsDifferential(t *testing.T) {
 	appendOne(docs[3])
 	dead = append(dead, appendOne(extra[2]))
 	appendOne(docs[4])
+	appendOne(docs[5])
+	appendOne(docs[6])
+	dead = append(dead, appendOne(extra[0]))
+	for _, d := range docs[7:] {
+		appendOne(d)
+	}
 	for _, id := range dead {
 		if ok, err := lx.Delete(id); err != nil || !ok {
 			t.Fatalf("Delete(%d) = %v, %v", id, ok, err)

@@ -55,7 +55,8 @@ const (
 // sections straight from the sorted-suffix sub-trees, and the index queries
 // through the same zero-copy FlatTree that serves mapped files. The type, its
 // value and Config.Target stay only because benchmark/ spells them (as it does
-// suffixtree.Flat.Dense); ROADMAP item 6 removes both.
+// suffixtree.Flat.Dense): ROADMAP item 1 has benchmark/ stop spelling them,
+// and item 8(b) then deletes both.
 type BuildTarget int
 
 // TargetFlat is the only build target, and the zero value.

@@ -746,8 +746,9 @@ func (rt *Router) analytic(ctx context.Context, topo *topology, op era.Op) (res 
 	return res, partial, err
 }
 
-// commonSubstring answers lcs on one shard — every shard holds both
-// documents — the first one that answers, in shard order.
+// commonSubstring answers lcs on one shard — the answer is the suffix order
+// of the two documents alone, and every shard holds both — the first one that
+// answers, in shard order.
 func (rt *Router) commonSubstring(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
 	qop := server.WireOp{Op: op.Kind.String(), DocA: op.DocA, DocB: op.DocB}
 	var errs []error

@@ -15,7 +15,7 @@ import (
 // ERa-str, Fig. 7).
 //
 // The sub-tree hangs below a fresh root whose single outgoing edge starts
-// with the S-prefix; Graft assembles sub-trees under the top trie.
+// with the S-prefix.
 func BuildSubTree(view seq.String, clock *sim.Clock, model sim.CostModel, p Prepared) (*suffixtree.Tree, error) {
 	m := len(p.L)
 	if m == 0 {
@@ -36,8 +36,8 @@ func BuildSubTree(view seq.String, clock *sim.Clock, model sim.CostModel, p Prep
 
 // buildSubTreeInto is BuildSubTree recycling a caller-owned tree and LCP
 // scratch: the tree is Reset and rebuilt in place, so only callers that drop
-// each sub-tree after accounting (no grafting, no collection) may use it.
-// Accounting is identical to BuildSubTree.
+// each sub-tree after accounting may use it. Accounting is identical to
+// BuildSubTree.
 func buildSubTreeInto(tree *suffixtree.Tree, lcp []int32, view seq.String, clock *sim.Clock, model sim.CostModel, p Prepared) (*suffixtree.Tree, error) {
 	m := len(p.L)
 	if m == 0 {

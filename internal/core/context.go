@@ -45,8 +45,8 @@ type buildContext struct {
 	// Collect-scan scratch: the streaming window buffer.
 	collectBuf []byte
 
-	// Sub-tree materialization: a recycled arena-backed tree — used only
-	// when finished sub-trees are dropped after accounting — plus the LCP
+	// Sub-tree materialization: a recycled arena-backed tree — every
+	// ERa-str+mem sub-tree is dropped after accounting — plus the LCP
 	// scratch feeding FromSortedSuffixesInto and the depth stack the
 	// direct-to-flat collect path replays node counts on.
 	tree         *suffixtree.Tree

@@ -24,7 +24,6 @@ type DistributedOptions struct {
 // the paper's Table 3 separates: string transfer, vertical partitioning
 // (chunked across the nodes), and tree construction.
 type DistributedResult struct {
-	Tree             *suffixtree.Tree   // assembled tree when Options.Assemble
 	Flat             *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
 	Shards           []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
 	Stats            Stats
@@ -50,10 +49,6 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 	if err := validateFlatOptions(opts.Options); err != nil {
 		return nil, err
 	}
-	assemble, assembleFlat := opts.Assemble, opts.AssembleFlat
-	// Nodes collect sub-trees (or their sorted-suffix inputs); the master
-	// assembles.
-	opts.Assemble, opts.AssembleFlat = false, false
 	model := f.Disk().Model()
 
 	// Broadcast S to every node (§5: "during initialization the input
@@ -94,7 +89,7 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 	res.Stats.MinRange = int(^uint(0) >> 1)
 
 	jobs := scheduleGroups(groups)
-	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options, assemble, assembleFlat)
+	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -102,22 +97,7 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 	cpu, io, ws, byGi := foldRuns(jobs, runs, opts.Nodes, &res.Stats)
 	res.Nodes = ws
 
-	if assemble {
-		view, err := f.View()
-		if err != nil {
-			return nil, err
-		}
-		res.Tree = suffixtree.New(view)
-		for gi := range byGi {
-			for ti, st := range runs[byGi[gi]].trees {
-				if err := res.Tree.Graft(st); err != nil {
-					return nil, fmt.Errorf("core: assembling sub-tree %d of group %d: %w", ti, gi, err)
-				}
-			}
-		}
-	}
-
-	if assembleFlat {
+	if opts.AssembleFlat {
 		raw, err := f.Disk().Bytes(f.Name())
 		if err != nil {
 			return nil, err

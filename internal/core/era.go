@@ -50,14 +50,12 @@ type Options struct {
 	NoGrouping bool
 	// Method selects ERa-str+mem (default) or ERa-str.
 	Method Method
-	// Assemble grafts all sub-trees under the top trie into one queryable
-	// tree. Requires memory for the whole tree, so benchmarks leave it off.
-	Assemble bool
-	// AssembleFlat emits the mmap-native flat (format v4) sections directly
-	// from group assembly: no intermediate heap tree is ever materialized,
-	// cutting the build memory peak and the flatten copy. The image is
-	// byte-identical to flattening the tree Assemble would have produced.
-	// Mutually exclusive with Assemble and WriteTrees; requires ERa-str+mem.
+	// AssembleFlat emits the mmap-native flat (format v4) sections of the
+	// whole tree directly from the groups' sorted suffixes: no heap tree is
+	// ever materialized. The image is byte-identical to flattening the
+	// suffix tree of S. Off, every sub-tree is accounted and dropped — the
+	// paper's experiments measure construction, not the tree. Mutually
+	// exclusive with WriteTrees; requires ERa-str+mem.
 	AssembleFlat bool
 	// Shards is how many prefix ranges of the suffix order AssembleFlat cuts
 	// the tree into, each an image of its own (Result.Shards) — what
@@ -92,19 +90,14 @@ type Stats struct {
 
 // Result of a serial ERA build.
 type Result struct {
-	Tree   *suffixtree.Tree   // assembled tree when Options.Assemble
 	Flat   *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
 	Shards []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
 	Groups []Group
 	Stats  Stats
 
-	// collect asks processGroup to retain finished sub-trees so a parallel
-	// master can assemble them; collectFlat retains the sorted-suffix inputs
-	// instead, for direct flat assembly.
-	collect     bool
-	subTrees    []*suffixtree.Tree
-	collectFlat bool
-	flatSubs    []flatSub
+	// flatSubs are the sorted-suffix inputs processGroup retains under
+	// Options.AssembleFlat, for the one flat assembly.
+	flatSubs []flatSub
 }
 
 // BuildSerial runs serial ERA (§4) over the on-disk string f.
@@ -152,15 +145,6 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 	res.Stats.Groups = vstats.Groups
 	res.Stats.MinRange = int(^uint(0) >> 1)
 
-	if opts.Assemble {
-		view, err := f.View()
-		if err != nil {
-			return nil, err
-		}
-		res.Tree = suffixtree.New(view)
-	}
-	res.collectFlat = opts.AssembleFlat
-
 	ctx := new(buildContext)
 	for gi, g := range groups {
 		if err := processGroup(ctx, f, sc, clock, clock, model, layout, opts, g, gi, res); err != nil {
@@ -192,23 +176,23 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 }
 
 // processGroup runs one virtual tree end to end: collect occurrence lists
-// (one scan shared by the group), prepare or branch, materialize, serialize,
-// and optionally graft. gi is the group's global index — sub-tree file names
-// derive from it alone, so serialized output is identical whichever worker
-// of whichever driver processes the group. CPU work is charged to cpuClock
-// and serialized-tree writes to ioClock (the serial driver passes the same
-// clock twice); the scanner carries its own clock.
+// (one scan shared by the group), prepare or branch, then either retain the
+// sorted suffixes for the flat assembly (Options.AssembleFlat) or materialize
+// each sub-tree, serialize it if asked, and drop it. gi is the group's global
+// index — sub-tree file names derive from it alone, so serialized output is
+// identical whichever worker of whichever driver processes the group. CPU
+// work is charged to cpuClock and serialized-tree writes to ioClock (the
+// serial driver passes the same clock twice); the scanner carries its own
+// clock.
 //
-// When sub-trees are dropped right after accounting (no assembly, no
-// collection) the ERa-str+mem path recycles the context's arena-backed tree
-// across sub-trees instead of allocating a fresh one each time.
+// A dropped ERa-str+mem sub-tree is built into the context's arena-backed
+// tree, recycled across sub-trees instead of allocated fresh each time.
 func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioClock *sim.Clock, model sim.CostModel,
 	layout MemoryLayout, opts Options, g Group, gi int, res *Result) error {
 
 	if ctx == nil {
 		ctx = new(buildContext)
 	}
-	discard := res.Tree == nil && !res.collect && !res.collectFlat
 
 	account := func(t *suffixtree.Tree, ti int) error {
 		res.Stats.SubTrees++
@@ -219,14 +203,6 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 			if _, err := t.WriteTo(w); err != nil {
 				return fmt.Errorf("serializing %s: %w", name, err)
 			}
-		}
-		if res.Tree != nil {
-			if err := res.Tree.Graft(t); err != nil {
-				return fmt.Errorf("grafting sub-tree %d of group %d: %w", ti, gi, err)
-			}
-		}
-		if res.collect {
-			res.subTrees = append(res.subTrees, t)
 		}
 		return nil
 	}
@@ -250,7 +226,11 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 				}
 			}
 		}
-		if discard {
+		var flatSlab []int32
+		if opts.AssembleFlat {
+			// One slab per group backs every sub-tree's L / LCP copy.
+			flatSlab = make([]int32, 2*g.Freq)
+		} else {
 			// Pre-size the recycled tree once from the group's leaf count
 			// (≤ 2·leaves nodes plus the local root across all sub-trees).
 			if ctx.tree == nil {
@@ -258,13 +238,8 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 			}
 			ctx.tree.EnsureCap(2*int(g.Freq) + 1)
 		}
-		var flatSlab []int32
-		if res.collectFlat {
-			// One slab per group backs every sub-tree's L / LCP copy.
-			flatSlab = make([]int32, 2*g.Freq)
-		}
 		for ti, p := range prepared {
-			if res.collectFlat {
+			if opts.AssembleFlat {
 				fs, nodes, err := collectFlatSub(int32(f.Len()), p, cpuClock, model, &ctx.depthScratch, flatSlab[:2*len(p.L)])
 				flatSlab = flatSlab[2*len(p.L):]
 				if err != nil {
@@ -275,12 +250,7 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 				res.flatSubs = append(res.flatSubs, fs)
 				continue
 			}
-			var t *suffixtree.Tree
-			if discard {
-				t, err = buildSubTreeInto(ctx.tree, ctx.lcpBuf(len(p.L)), view, cpuClock, model, p)
-			} else {
-				t, err = BuildSubTree(view, cpuClock, model, p)
-			}
+			t, err := buildSubTreeInto(ctx.tree, ctx.lcpBuf(len(p.L)), view, cpuClock, model, p)
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,63 @@ func buildOracle(t testing.TB, a *alphabet.Alphabet, data []byte) *suffixtree.Tr
 	return tr
 }
 
+// oracleFlat is the image of the Ukkonen tree of data: what a flat-assembled
+// ERA build must equal byte for byte.
+func oracleFlat(t testing.TB, a *alphabet.Alphabet, data []byte) *suffixtree.Flat {
+	t.Helper()
+	fl, err := suffixtree.Flatten(buildOracle(t, a, data), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// requireStrMatchesStrMem builds every group of data's vertical partition by
+// both methods — ERa-str (GroupBranch) and ERa-str+mem (GroupPrepare +
+// BuildSubTree) — and requires the same sub-trees. ERa-str keeps heap
+// sub-trees for the Fig. 7 comparison and has no flat assembly, so this is how
+// it inherits the oracle check ERa-str+mem's image passes.
+func requireStrMatchesStrMem(t *testing.T, a *alphabet.Alphabet, data []byte, budget int64) {
+	t.Helper()
+	model := sim.DefaultModel()
+	f := publish(t, a, data)
+	layout, err := PlanMemory(budget, 0, a.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, clock := matcherScanner(t, f)
+	groups, _, err := VerticalPartition(f, sc, clock, model, layout.FM, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := f.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi, g := range groups {
+		branched, _, err := GroupBranch(nil, f, view, sc, clock, model, g, layout.RSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, _, err := GroupPrepare(nil, f, sc, clock, model, g, layout.RSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(branched) != len(prepared) {
+			t.Fatalf("group %d: ERa-str built %d sub-trees, ERa-str+mem %d", gi, len(branched), len(prepared))
+		}
+		for i, p := range prepared {
+			built, err := BuildSubTree(view, clock, model, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !treesEqual(branched[i], built) {
+				t.Fatalf("group %d: the ERa-str sub-tree of %q differs from ERa-str+mem's", gi, p.Prefix.Label)
+			}
+		}
+	}
+}
+
 // treesEqual compares two trees structurally via DFS signatures.
 func treesEqual(a, b *suffixtree.Tree) bool {
 	type sig struct {
@@ -69,7 +127,7 @@ func treesEqual(a, b *suffixtree.Tree) bool {
 func testOptions(budget int64) Options {
 	return Options{
 		MemoryBudget: budget,
-		Assemble:     true,
+		AssembleFlat: true,
 		Validate:     true,
 	}
 }
@@ -81,11 +139,8 @@ func TestBuildSerialPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Tree.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if !treesEqual(res.Tree, buildOracle(t, alphabet.DNA, data)) {
-		t.Error("assembled ERA tree differs from Ukkonen oracle")
+	if !reflect.DeepEqual(res.Flat, oracleFlat(t, alphabet.DNA, data)) {
+		t.Error("ERA image differs from the Ukkonen oracle's")
 	}
 }
 
@@ -157,11 +212,8 @@ func TestBuildSerialMatchesOracleAcrossWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := res.Tree.Validate(true); err != nil {
-				t.Fatal(err)
-			}
-			if !treesEqual(res.Tree, buildOracle(t, a, data)) {
-				t.Error("assembled ERA tree differs from Ukkonen oracle")
+			if !reflect.DeepEqual(res.Flat, oracleFlat(t, a, data)) {
+				t.Error("ERA image differs from the Ukkonen oracle's")
 			}
 			if res.Stats.Groups <= 1 {
 				t.Errorf("expected multiple groups under a tight budget, got %d", res.Stats.Groups)
@@ -170,31 +222,27 @@ func TestBuildSerialMatchesOracleAcrossWorkloads(t *testing.T) {
 	}
 }
 
+// TestBuildSerialStrMethodMatchesOracle holds ERa-str to ERa-str+mem sub-tree
+// by sub-tree, and ERa-str+mem's image to the oracle's.
 func TestBuildSerialStrMethodMatchesOracle(t *testing.T) {
 	data := workload.MustGenerate(workload.DNA, 2000, 5)
-	f := publish(t, alphabet.DNA, data)
-	opts := testOptions(32 * 1024)
-	opts.Method = Str
-	res, err := BuildSerial(f, opts)
+	requireStrMatchesStrMem(t, alphabet.DNA, data, 32*1024)
+	res, err := BuildSerial(publish(t, alphabet.DNA, data), testOptions(32*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Tree.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if !treesEqual(res.Tree, buildOracle(t, alphabet.DNA, data)) {
-		t.Error("ERa-str tree differs from Ukkonen oracle")
+	if !reflect.DeepEqual(res.Flat, oracleFlat(t, alphabet.DNA, data)) {
+		t.Error("ERA image differs from the Ukkonen oracle's")
 	}
 }
 
 func TestBuildSerialVariants(t *testing.T) {
 	data := workload.MustGenerate(workload.DNA, 2500, 3)
-	oracle := buildOracle(t, alphabet.DNA, data)
+	oracle := oracleFlat(t, alphabet.DNA, data)
 	variants := map[string]func(*Options){
 		"no-grouping":  func(o *Options) { o.NoGrouping = true },
 		"skip-seek":    func(o *Options) { o.SkipSeek = true },
 		"static-range": func(o *Options) { o.StaticRange = 16 },
-		"write-trees":  func(o *Options) { o.WriteTrees = true },
 		"tiny-memory":  func(o *Options) { o.MemoryBudget = 8 * 1024 },
 		"big-memory":   func(o *Options) { o.MemoryBudget = 1 << 20 },
 	}
@@ -208,14 +256,38 @@ func TestBuildSerialVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := res.Tree.Validate(true); err != nil {
-				t.Fatal(err)
-			}
-			if !treesEqual(res.Tree, oracle) {
-				t.Error("tree differs from oracle")
+			if !reflect.DeepEqual(res.Flat, oracle) {
+				t.Error("image differs from the oracle's")
 			}
 		})
 	}
+	// WriteTrees serializes heap sub-trees, so it builds no image: it must do
+	// the same work as the flat build, plus one charged file per sub-tree.
+	t.Run("write-trees", func(t *testing.T) {
+		flat, err := BuildSerial(publish(t, alphabet.DNA, data), testOptions(32*1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := publish(t, alphabet.DNA, data)
+		res, err := BuildSerial(f, Options{MemoryBudget: 32 * 1024, WriteTrees: true, Validate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Flat != nil {
+			t.Error("a WriteTrees build returned an image")
+		}
+		got, want := res.Stats, flat.Stats
+		got.VirtualTime, want.VirtualTime = 0, 0
+		if got != want {
+			t.Errorf("counters differ from the flat build:\n got %+v\nwant %+v", got, want)
+		}
+		if res.Stats.VirtualTime <= flat.Stats.VirtualTime {
+			t.Errorf("writing the sub-trees charged nothing: %v vs %v", res.Stats.VirtualTime, flat.Stats.VirtualTime)
+		}
+		if size, err := f.Disk().FileSize("trees/g0000-p00.st"); err != nil || size == 0 {
+			t.Errorf("first sub-tree file: %d bytes, %v", size, err)
+		}
+	})
 }
 
 func TestBuildSerialQuick(t *testing.T) {
@@ -234,9 +306,6 @@ func TestBuildSerialQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Tree.Validate(true) != nil {
-			return false
-		}
 		m, err := seq.NewMem(alphabet.DNA, data)
 		if err != nil {
 			return false
@@ -245,7 +314,8 @@ func TestBuildSerialQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return treesEqual(res.Tree, oracle)
+		want, err := suffixtree.Flatten(oracle, data)
+		return err == nil && reflect.DeepEqual(res.Flat, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

@@ -89,9 +89,8 @@ func countSubTreeNodes(n, labelLen int32, l, lcp []int32, scratch *[]int32) (int
 // it into k prefix ranges (suffixtree.AssembleShards; k ≤ 1 is the whole
 // tree). The labels are unique and prefix-free (they partition the suffix
 // set), so the order is total and the emitted images are identical whichever
-// worker of whichever driver collected which group — the flat counterpart of
-// grafting in global group order — and the LCP across each join is the
-// labels' common prefix.
+// worker of whichever driver collected which group, and the LCP across each
+// join is the labels' common prefix.
 func assembleFlatSubs(raw []byte, subs []flatSub, k int) ([]suffixtree.Shard, error) {
 	sort.Slice(subs, func(a, b int) bool { return bytes.Compare(subs[a].label, subs[b].label) < 0 })
 	runs := make([]suffixtree.SortedRun, len(subs))
@@ -117,9 +116,6 @@ func assembleFlatSubs(raw []byte, subs []flatSub, k int) ([]suffixtree.Shard, er
 func validateFlatOptions(opts Options) error {
 	if !opts.AssembleFlat {
 		return nil
-	}
-	if opts.Assemble {
-		return fmt.Errorf("core: Assemble and AssembleFlat are mutually exclusive")
 	}
 	if opts.WriteTrees {
 		return fmt.Errorf("core: AssembleFlat cannot serialize heap sub-trees (WriteTrees)")

@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"era/internal/alphabet"
 	"era/internal/seq"
 	"era/internal/sim"
-	"era/internal/ukkonen"
 	"era/internal/workload"
 )
 
@@ -305,37 +305,25 @@ func TestMatcherPrimitivesAllocFree(t *testing.T) {
 // sub-tree in one round; the re-queue must not overwrite edges still being
 // processed (the seed's round loop appended into the array it was
 // iterating, duplicating edges, corrupting sub-trees and eventually running
-// past the end of the string). The Str build must agree with Ukkonen and
-// with ERa-str+mem node for node.
+// past the end of the string). The Str build must agree with ERa-str+mem sub-tree
+// for sub-tree, and ERa-str+mem with Ukkonen.
 func TestStrMethodDeepRepeats(t *testing.T) {
 	data := workload.MustGenerate(workload.Genome, 4000, 7)
-	f := publish(t, alphabet.DNA, data)
+	requireStrMatchesStrMem(t, alphabet.DNA, data, 64*1024)
 	// The Ukkonen comparison below is the full correctness check; the
 	// per-suffix Validate pass would only repeat it much more slowly.
-	opts := Options{MemoryBudget: 64 * 1024, Method: Str, Assemble: true}
-	res, err := BuildSerial(f, opts)
+	res, err := BuildSerial(publish(t, alphabet.DNA, data), Options{MemoryBudget: 64 * 1024, AssembleFlat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := seq.NewMem(alphabet.DNA, data)
+	if !reflect.DeepEqual(res.Flat, oracleFlat(t, alphabet.DNA, data)) {
+		t.Error("ERa-str+mem image differs from the Ukkonen oracle's on deep repeats")
+	}
+	str, err := BuildSerial(publish(t, alphabet.DNA, data), Options{MemoryBudget: 64 * 1024, Method: Str})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := ukkonen.Build(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !treesEqual(res.Tree, oracle) {
-		t.Error("ERa-str tree differs from Ukkonen oracle on deep repeats")
-	}
-
-	f2 := publish(t, alphabet.DNA, data)
-	opts2 := Options{MemoryBudget: 64 * 1024}
-	res2, err := BuildSerial(f2, opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.TreeNodes != res2.Stats.TreeNodes {
-		t.Errorf("ERa-str built %d nodes, ERa-str+mem %d; the two methods must build the same tree", res.Stats.TreeNodes, res2.Stats.TreeNodes)
+	if str.Stats.TreeNodes != res.Stats.TreeNodes {
+		t.Errorf("ERa-str built %d nodes, ERa-str+mem %d; the two methods must build the same tree", str.Stats.TreeNodes, res.Stats.TreeNodes)
 	}
 }

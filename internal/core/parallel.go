@@ -31,7 +31,6 @@ type WorkerStats struct {
 
 // ParallelResult reports a parallel build.
 type ParallelResult struct {
-	Tree        *suffixtree.Tree   // assembled tree when Options.Assemble
 	Flat        *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
 	Shards      []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
 	Stats       Stats              // aggregate counters (scans etc. summed)
@@ -50,7 +49,7 @@ type ParallelResult struct {
 // per-worker demands with the single-disk serialization bound
 // (sim.CombineSharedDisk), and — matching the Fig. 12(b) observation —
 // charges extra arm travel when several workers run the seek optimization
-// concurrently. Trees, serialized sub-trees and every Stats counter except
+// concurrently. Images, serialized sub-trees and every Stats counter except
 // the modeled times are byte-identical across worker counts.
 func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 	if opts.Workers < 1 {
@@ -59,10 +58,6 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 	if err := validateFlatOptions(opts.Options); err != nil {
 		return nil, err
 	}
-	assemble, assembleFlat := opts.Assemble, opts.AssembleFlat
-	// Workers collect sub-trees (or their sorted-suffix inputs); the master
-	// assembles.
-	opts.Assemble, opts.AssembleFlat = false, false
 	perCore := opts.MemoryBudget / int64(opts.Workers)
 	model := f.Disk().Model()
 
@@ -95,29 +90,14 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 	res.Stats.MinRange = int(^uint(0) >> 1)
 
 	jobs := scheduleGroups(groups)
-	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options, assemble, assembleFlat)
+	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options)
 	if err != nil {
 		return nil, err
 	}
 
 	cpu, io, ws, byGi := foldRuns(jobs, runs, opts.Workers, &res.Stats)
 
-	if assemble {
-		view, err := f.View()
-		if err != nil {
-			return nil, err
-		}
-		res.Tree = suffixtree.New(view)
-		for gi := range byGi {
-			for ti, st := range runs[byGi[gi]].trees {
-				if err := res.Tree.Graft(st); err != nil {
-					return nil, fmt.Errorf("core: assembling sub-tree %d of group %d: %w", ti, gi, err)
-				}
-			}
-		}
-	}
-
-	if assembleFlat {
+	if opts.AssembleFlat {
 		var subs []flatSub
 		for gi := range byGi {
 			subs = append(subs, runs[byGi[gi]].flatSubs...)

@@ -152,7 +152,7 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected := &Result{collectFlat: true}
+	collected := new(Result)
 	ctx := new(buildContext)
 	for gi, g := range res.Groups {
 		if err := processGroup(ctx, f, sc, clock, clock, sim.DefaultModel(), layout, opts, g, gi, collected); err != nil {

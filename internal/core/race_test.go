@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,11 +12,11 @@ import (
 // TestConcurrentParallelBuilds exercises the goroutine-parallel build paths
 // under the race detector (CI runs this suite with -race): several
 // BuildParallel and BuildDistributed runs execute at once, each itself
-// spawning workers, and every resulting tree must match the serial build on
-// the same input.
+// spawning workers, and every resulting image must match the Ukkonen
+// oracle's.
 func TestConcurrentParallelBuilds(t *testing.T) {
 	data := workload.MustGenerate(workload.DNA, 4000, 13)
-	want := buildOracle(t, alphabet.DNA, data)
+	want := oracleFlat(t, alphabet.DNA, data)
 
 	const builds = 4
 	var wg sync.WaitGroup
@@ -32,7 +33,7 @@ func TestConcurrentParallelBuilds(t *testing.T) {
 				errc <- err
 				return
 			}
-			if !treesEqual(res.Tree, want) {
+			if !reflect.DeepEqual(res.Flat, want) {
 				t.Errorf("parallel build with %d workers diverged from oracle", workers)
 			}
 		}(2 + i)
@@ -43,7 +44,7 @@ func TestConcurrentParallelBuilds(t *testing.T) {
 				errc <- err
 				return
 			}
-			if !treesEqual(res.Tree, want) {
+			if !reflect.DeepEqual(res.Flat, want) {
 				t.Errorf("distributed build with %d nodes diverged from oracle", nodes)
 			}
 		}(2 + i)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"era/internal/sim"
-	"era/internal/suffixtree"
 )
 
 // This file schedules virtual-tree groups onto workers. The old drivers
@@ -27,9 +26,9 @@ import (
 // handle is private (cross-worker interference is folded in analytically),
 // so the measured (cpu, io) deltas are identical whichever worker runs the
 // group, in whatever order. Sub-tree names derive from the global group
-// index and assembly grafts in global group order, so trees, serialized
-// output and aggregate Stats are byte-identical across worker counts — and
-// match the serial build.
+// index and the flat assembly orders sub-trees by label, so images,
+// serialized output and aggregate Stats are byte-identical across worker
+// counts — and match the serial build.
 
 // groupJob is one queue entry: a group, its original index (naming, stats
 // and assembly order) and its estimated cost (queue order).
@@ -67,7 +66,6 @@ type groupRun struct {
 	cpu, io  time.Duration
 	seeks    int64
 	stats    Stats
-	trees    []*suffixtree.Tree
 	flatSubs []flatSub
 }
 
@@ -75,7 +73,7 @@ type groupRun struct {
 // workers pull the next-costliest remaining group (work stealing via a
 // shared cursor). Results land in queue order; runs[i] belongs to jobs[i].
 func runGroupQueue(ctxs []*buildContext, jobs []groupJob, model sim.CostModel,
-	layout MemoryLayout, opts Options, collect, collectFlat bool) ([]groupRun, error) {
+	layout MemoryLayout, opts Options) ([]groupRun, error) {
 
 	runs := make([]groupRun, len(jobs))
 	errs := make([]error, len(ctxs))
@@ -90,7 +88,7 @@ func runGroupQueue(ctxs []*buildContext, jobs []groupJob, model sim.CostModel,
 				if i >= len(jobs) {
 					return
 				}
-				if err := runGroupOn(ctxs[w], jobs[i], model, layout, opts, collect, collectFlat, &runs[i]); err != nil {
+				if err := runGroupOn(ctxs[w], jobs[i], model, layout, opts, &runs[i]); err != nil {
 					errs[w] = fmt.Errorf("group %d: %w", jobs[i].gi, err)
 					return
 				}
@@ -109,13 +107,13 @@ func runGroupQueue(ctxs []*buildContext, jobs []groupJob, model sim.CostModel,
 // runGroupOn builds one group on a worker context, measuring its demands as
 // deltas of the worker's clocks and counters.
 func runGroupOn(ctx *buildContext, job groupJob, model sim.CostModel,
-	layout MemoryLayout, opts Options, collect, collectFlat bool, out *groupRun) error {
+	layout MemoryLayout, opts Options, out *groupRun) error {
 
 	cpu0, io0 := ctx.cpu.Now(), ctx.io.Now()
 	scan0 := ctx.sc.Stats()
 	seeks0 := ctx.f.Disk().Stats().Seeks
 
-	gres := &Result{collect: collect, collectFlat: collectFlat}
+	gres := new(Result)
 	gres.Stats.MinRange = int(^uint(0) >> 1)
 	if err := processGroup(ctx, ctx.f, ctx.sc, ctx.cpu, ctx.io, model, layout, opts, job.g, job.gi, gres); err != nil {
 		return err
@@ -132,7 +130,6 @@ func runGroupOn(ctx *buildContext, job groupJob, model sim.CostModel,
 	out.io = ctx.io.Now() - io0
 	out.seeks = ctx.f.Disk().Stats().Seeks - seeks0
 	out.stats = gres.Stats
-	out.trees = gres.subTrees
 	out.flatSubs = gres.flatSubs
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -39,8 +40,8 @@ func schedulerInputs() map[string]struct {
 
 // TestParallelDeterministicAcrossWorkerCounts is the scheduler's contract:
 // with the per-worker memory share held constant, every worker count 1–8
-// must produce a tree byte-identical to the serial build and identical work
-// counters — whichever worker pulled which group from the queue. (The
+// must produce an image byte-identical to the serial build's — which is the
+// Ukkonen oracle's — and identical work counters — whichever worker pulled which group from the queue. (The
 // shared-memory driver divides its budget by the worker count, so the test
 // scales the total to keep the per-core share — and with it the group set —
 // fixed.)
@@ -57,6 +58,9 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(serial.Flat, oracleFlat(t, in.a, in.data)) {
+				t.Fatal("serial image differs from the Ukkonen oracle's")
+			}
 
 			var ref Stats
 			for _, workers := range counts {
@@ -65,8 +69,8 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if !treesEqual(res.Tree, serial.Tree) {
-					t.Errorf("workers=%d: tree differs from serial build", workers)
+				if !reflect.DeepEqual(res.Flat, serial.Flat) {
+					t.Errorf("workers=%d: image differs from the serial build's", workers)
 				}
 				if res.Stats.VirtualTime <= 0 || res.Stats.VPTime <= 0 {
 					t.Errorf("workers=%d: missing modeled times %+v", workers, res.Stats)
@@ -109,14 +113,17 @@ func TestDistributedDeterministicAcrossNodeCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(serial.Flat, oracleFlat(t, in.a, in.data)) {
+				t.Fatal("serial image differs from the Ukkonen oracle's")
+			}
 			var ref Stats
 			for _, nodes := range counts {
 				res, err := BuildDistributed(publish(t, in.a, in.data), DistributedOptions{Options: testOptions(perNode), Nodes: nodes})
 				if err != nil {
 					t.Fatalf("nodes=%d: %v", nodes, err)
 				}
-				if !treesEqual(res.Tree, serial.Tree) {
-					t.Errorf("nodes=%d: tree differs from serial build", nodes)
+				if !reflect.DeepEqual(res.Flat, serial.Flat) {
+					t.Errorf("nodes=%d: image differs from the serial build's", nodes)
 				}
 				got := workCounters(res.Stats)
 				if ref == (Stats{}) {
@@ -167,7 +174,7 @@ func TestSchedulerBalancesSkew(t *testing.T) {
 // result slices under real contention.
 func TestWorkQueueRace(t *testing.T) {
 	data := workload.MustGenerate(workload.DNA, 4000, 21)
-	want := buildOracle(t, alphabet.DNA, data)
+	want := oracleFlat(t, alphabet.DNA, data)
 
 	const builds = 3
 	var wg sync.WaitGroup
@@ -181,7 +188,7 @@ func TestWorkQueueRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !treesEqual(res.Tree, want) {
+			if !reflect.DeepEqual(res.Flat, want) {
 				t.Error("parallel build under queue contention diverged from oracle")
 			}
 		}()
@@ -192,7 +199,7 @@ func TestWorkQueueRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !treesEqual(res.Tree, want) {
+			if !reflect.DeepEqual(res.Flat, want) {
 				t.Error("distributed build under queue contention diverged from oracle")
 			}
 		}()

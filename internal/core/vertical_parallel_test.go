@@ -9,7 +9,6 @@ import (
 	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
-	"era/internal/suffixtree"
 	"era/internal/workload"
 )
 
@@ -144,17 +143,7 @@ func TestChunkedScanSeamsAtTightBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Flat images, not treesEqual: that materializes a path label per
-		// node, which is quadratic at this size.
-		wantFlat, err := suffixtree.Flatten(want.Tree, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotFlat, err := suffixtree.Flatten(got.Tree, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotFlat, wantFlat) {
+		if !reflect.DeepEqual(got.Flat, want.Flat) {
 			t.Errorf("%s: shared-disk tree at %d B budget differs from the serial tree", in.a.Name(), opts.MemoryBudget)
 		}
 	}

@@ -517,24 +517,15 @@ func (lx *LiveIndex) ResidentBytes() int64 {
 	return n
 }
 
-// Contains reports whether the pattern occurs in the live corpus.
+// Contains reports whether the pattern occurs in the live corpus: a one-op
+// Batch.
 func (lx *LiveIndex) Contains(p []byte) bool {
-	s := lx.acquire()
-	if s == nil {
-		return false
-	}
-	defer s.release()
-	return s.contains(p)
+	return lx.Batch([]Op{{Kind: OpContains, Pattern: p}})[0].Found
 }
 
-// Count returns the number of occurrences of the pattern.
+// Count returns the number of occurrences of the pattern: a one-op Batch.
 func (lx *LiveIndex) Count(p []byte) int {
-	s := lx.acquire()
-	if s == nil {
-		return 0
-	}
-	defer s.release()
-	return s.count(p)
+	return lx.Batch([]Op{{Kind: OpCount, Pattern: p}})[0].Count
 }
 
 // Occurrences returns the ascending global offsets of every occurrence. A
@@ -549,7 +540,11 @@ func (lx *LiveIndex) Occurrences(p []byte) ([]int, error) {
 	if err := s.checkErr(); err != nil {
 		return nil, err
 	}
-	return s.occurrences(p), nil
+	occ := s.batch([]Op{{Kind: OpOccurrences, Pattern: p}})[0].Occurrences
+	if occ == nil {
+		occ = []int{} // Index.Occurrences answers nothing with an empty list
+	}
+	return occ, nil
 }
 
 // DocOccurrences returns per-document hits, sorted by (Doc, Offset), with

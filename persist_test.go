@@ -60,7 +60,7 @@ func TestReadIndexValidBaseline(t *testing.T) {
 
 // TestReadIndexRejectsCorruptDocEnds pins the bugfix: docEnds read from
 // disk are validated, so non-monotone values, offsets past the string, or a
-// zero document count fail with a clean error instead of making docOf,
+// zero document count fail with a clean error instead of making docBytes,
 // DocOccurrences or LongestCommonSubstring panic or mis-attribute hits.
 func TestReadIndexRejectsCorruptDocEnds(t *testing.T) {
 	raw, nDocsOff, docEndsOff := persistTestIndex(t)

@@ -389,8 +389,8 @@ var hostLittleEndian = func() bool {
 
 // docEndsView interprets the docEnds section as []int32 — zero-copy on
 // little-endian hosts with an aligned base (the mmap case), copied
-// otherwise — and validates the invariants docOf's binary search,
-// DocOccurrences and LongestCommonSubstring assume: monotone non-decreasing
+// otherwise — and validates the invariants document slicing (docBytes) and
+// DocOccurrences (docHits) assume: monotone non-decreasing
 // (empty documents are legal), inside the content (the final byte is the
 // terminator, not part of any document), covering it exactly.
 func docEndsView(sec []byte, nDocs, dataLen int) ([]int32, error) {

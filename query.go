@@ -250,38 +250,36 @@ type DocHit struct {
 // tree discipline when documents are concatenated without separators). A
 // corrupt index surfaces ErrCorruptIndex instead of silently answering empty.
 func (x *Index) DocOccurrences(pattern []byte) ([]DocHit, error) {
-	if err := x.CheckErr(); err != nil {
+	occ, err := x.Occurrences(pattern)
+	if err != nil {
 		return nil, err
 	}
-	occ := x.tree.Occurrences(pattern)
-	hits := make([]DocHit, 0, len(occ))
-	for _, o := range occ {
-		if o >= x.docEnds[len(x.docEnds)-1] {
-			continue // the terminator's own suffix
-		}
-		doc, start := x.docOf(o)
-		if int(o)+len(pattern) <= int(x.docEnds[doc]) {
-			hits = append(hits, DocHit{Doc: doc, Offset: int(o) - start})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Doc != hits[j].Doc {
-			return hits[i].Doc < hits[j].Doc
-		}
-		return hits[i].Offset < hits[j].Offset
-	})
-	return hits, nil
+	return x.docHits(occ, len(pattern)), nil
 }
 
-// docOf returns the document containing absolute offset o and the
-// document's start offset.
-func (x *Index) docOf(o int32) (int, int) {
-	d := sort.Search(len(x.docEnds), func(i int) bool { return x.docEnds[i] > o })
-	start := 0
-	if d > 0 {
-		start = int(x.docEnds[d-1])
+// docHits cuts the ascending global offsets of an m-byte pattern's
+// occurrences into per-document hits, in (document, offset) order, dropping
+// the matches that cross a document's end and the terminator's own suffix.
+func (x *Index) docHits(occ []int, m int) []DocHit {
+	hits := make([]DocHit, 0, len(occ))
+	d := 0
+	for _, o := range occ {
+		// The first document ending after o; occ ascends, so d only advances.
+		for d < len(x.docEnds) && int(x.docEnds[d]) <= o {
+			d++
+		}
+		if d == len(x.docEnds) {
+			break
+		}
+		if o+m <= int(x.docEnds[d]) {
+			start := 0
+			if d > 0 {
+				start = int(x.docEnds[d-1])
+			}
+			hits = append(hits, DocHit{Doc: d, Offset: o - start})
+		}
 	}
-	return d, start
+	return hits
 }
 
 // LongestRepeatedSubstring returns the longest substring occurring at least
@@ -331,102 +329,19 @@ func (x *Index) Repeats(minLen, minOcc int) []Repeat {
 }
 
 // LongestCommonSubstring returns the longest substring common to documents
-// a and b of a corpus index, with one occurrence offset in each. Crossing
-// matches are excluded. Corpus indexes with more than 64 documents are not
-// supported by this query.
+// a and b of a corpus index, with its first occurrence offset in each —
+// OpCommonSubstring's answer, of which it is a shorthand. Crossing matches are
+// excluded. Documents that share nothing answer nil, 0, 0.
 func (x *Index) LongestCommonSubstring(a, b int) ([]byte, int, int, error) {
-	if len(x.docEnds) > 64 {
-		return nil, 0, 0, fmt.Errorf("era: LongestCommonSubstring supports at most 64 documents, corpus has %d", len(x.docEnds))
-	}
 	if a < 0 || a >= len(x.docEnds) || b < 0 || b >= len(x.docEnds) {
 		return nil, 0, 0, fmt.Errorf("era: document index out of range")
 	}
 	if err := x.CheckErr(); err != nil {
 		return nil, 0, 0, err
 	}
-	best, bestDepth := int32(-1), int32(0)
-	x.walkDocSlacks(func(node, depth int32, slack []int32) {
-		if depth > bestDepth && slack[a] >= depth && slack[b] >= depth {
-			best, bestDepth = node, depth
-		}
-	})
-	if best < 0 {
-		return nil, 0, 0, nil
+	ans, err := commonSubstring(context.Background(), x.docBytes(a), x.docBytes(b))
+	if err != nil || !ans.Found {
+		return nil, 0, 0, err
 	}
-	label := x.tree.PathLabel(best)
-	offA, offB := -1, -1
-	for _, l := range x.tree.Leaves(best) {
-		doc, start := x.docOf(l)
-		if int(l)+len(label) > int(x.docEnds[doc]) {
-			continue
-		}
-		if doc == a && offA < 0 {
-			offA = int(l) - start
-		}
-		if doc == b && offB < 0 {
-			offB = int(l) - start
-		}
-	}
-	return label, offA, offB, nil
-}
-
-// walkDocSlacks computes, for every internal node and document d, the
-// largest path depth at which the node still has a non-crossing occurrence
-// in d ("slack": max over its leaves in d of docEnd − leafOffset; −1 when d
-// has no leaf below). A node's path label occurs inside document d exactly
-// when its depth ≤ slack[d]. fn is invoked post-order on internal nodes.
-func (x *Index) walkDocSlacks(fn func(node, depth int32, slack []int32)) {
-	t := x.tree
-	nd := len(x.docEnds)
-	type frame struct {
-		id      int32
-		depth   int32
-		visited bool
-	}
-	slacks := make(map[int32][]int32)
-	stack := []frame{{t.Root(), 0, false}}
-	// A valid tree pops each node twice (pre + post). A corrupt flat layout
-	// can encode overlapping child runs (a DAG), which would re-expand
-	// shared subtrees exponentially; the budget keeps the walk linear —
-	// wrong answers on a corrupt file are acceptable, runaway walks are not.
-	budget := 2 * t.NumNodes()
-	for len(stack) > 0 && budget > 0 {
-		budget--
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !f.visited {
-			stack = append(stack, frame{f.id, f.depth, true})
-			t.ForEachChild(f.id, func(c int32) bool {
-				stack = append(stack, frame{c, f.depth + t.EdgeLen(c), false})
-				return true
-			})
-			continue
-		}
-		s := make([]int32, nd)
-		for i := range s {
-			s[i] = -1
-		}
-		if t.IsLeaf(f.id) {
-			if o := t.Suffix(f.id); o >= 0 && o < x.docEnds[nd-1] {
-				doc, _ := x.docOf(o)
-				s[doc] = x.docEnds[doc] - o
-			}
-		} else {
-			t.ForEachChild(f.id, func(c int32) bool {
-				cs := slacks[c]
-				if cs == nil {
-					return true // corrupt flat layout: child never visited
-				}
-				for i := range s {
-					if cs[i] > s[i] {
-						s[i] = cs[i]
-					}
-				}
-				delete(slacks, c)
-				return true
-			})
-			fn(f.id, f.depth, s)
-		}
-		slacks[f.id] = s
-	}
+	return ans.Pattern, ans.OffsetA, ans.OffsetB, nil
 }

@@ -261,31 +261,15 @@ func (sx *ShardedIndex) Occurrences(pattern []byte) ([]int, error) {
 }
 
 // DocOccurrences returns per-document occurrences, identical to the
-// monolithic index: its owners' hits merged in (document, offset) order. A
-// corrupt shard surfaces ErrCorruptIndex instead of a silently short list.
+// monolithic index: its owners' merged Occurrences, already ascending, cut
+// into documents. A corrupt shard surfaces ErrCorruptIndex instead of a
+// silently short list.
 func (sx *ShardedIndex) DocOccurrences(pattern []byte) ([]DocHit, error) {
-	if err := sx.CheckErr(); err != nil {
+	occ, err := sx.Occurrences(pattern)
+	if err != nil {
 		return nil, err
 	}
-	first, last := sx.owners(pattern)
-	var out []DocHit
-	for _, sh := range sx.shards[first : last+1] {
-		hits, _ := sh.DocOccurrences(pattern) // CheckErr vouched for every shard
-		if out == nil {
-			out = hits
-		} else {
-			out = append(out, hits...)
-		}
-	}
-	if first < last {
-		slices.SortFunc(out, func(a, b DocHit) int {
-			if a.Doc != b.Doc {
-				return a.Doc - b.Doc
-			}
-			return a.Offset - b.Offset
-		})
-	}
-	return out, nil
+	return sx.shards[0].docHits(occ, len(pattern)), nil
 }
 
 // Batch answers many queries in one call: each membership op goes to its
@@ -332,8 +316,9 @@ func (sx *ShardedIndex) Batch(ops []Op) []Result {
 
 // Analytics answers one analytics query against the sharded index,
 // byte-identically to the monolithic executor over the same corpus: lcs on
-// any one shard (each holds every document), docfreq on its patterns' owners,
-// and topk, lrs and mismatch on every shard, merged (MergeShards).
+// any one shard (it reads only its two documents, and every shard holds them
+// all), docfreq on its patterns' owners, and topk, lrs and mismatch on every
+// shard, merged (MergeShards).
 func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, sx.NumDocs()); err != nil {
 		return Answer{}, err
@@ -370,7 +355,7 @@ func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) 
 // AnalyticsShards reports which shards of a prefix-partitioned corpus an
 // analytics query asks, for MergeShards: a docfreq query its patterns'
 // owners, topk, lrs and mismatch every shard. (lcs is one shard's answer
-// alone: any shard holds both documents.)
+// alone: it is the suffix order of its two documents, which any shard holds.)
 func AnalyticsShards(q Query, keys [][]byte) []bool {
 	asked := make([]bool, len(keys))
 	if q.Kind != OpDocFreq {

@@ -11,11 +11,12 @@ import (
 )
 
 // This file is the live index's executor: the immutable, reference-counted
-// snapshot that answers contains / count / occurrences / doc-occurrences /
-// batch (here) and the analytics ops (analytics_live.go) over a sequence of
-// tiers, each an ordinary Index over a contiguous run of documents, by
-// fan-out → stitch → merge (lrs and topk excepted: they read the suffix array
-// of the virtual string, suffixOrderAnswer over segs). A LiveIndex (live.go)
+// snapshot that answers batch — contains, count and occurrences are one-op
+// batches — and doc-occurrences (here) and the analytics ops
+// (analytics_live.go) over a sequence of tiers, each an ordinary Index over a
+// contiguous run of documents, by fan-out → stitch → merge (lrs, topk and lcs
+// excepted: they read a suffix array of the bytes they need, the virtual
+// string or the two documents). A LiveIndex (live.go)
 // publishes a fresh snapshot per mutation, with per-tier bookkeeping that maps
 // tier-local suffix tree answers onto the virtual global string of live
 // documents. (A ShardedIndex cuts the suffix order instead of the documents,
@@ -329,72 +330,6 @@ func (s *liveSnapshot) tailMatch(p []byte) int {
 		return -1
 	}
 	return off
-}
-
-func (s *liveSnapshot) contains(p []byte) bool {
-	if len(p) == 0 {
-		return true
-	}
-	if bytes.IndexByte(p, alphabet.Terminator) >= 0 {
-		return s.tailMatch(p) >= 0
-	}
-	parts := make([]part, len(s.tiers))
-	s.fanOut(func(i int, t *liveTier) {
-		if t.nDead == 0 {
-			parts[i].Found = t.h.idx.Contains(p)
-		} else {
-			occ, _ := t.h.idx.Occurrences(p) // boolean path keeps degrading silently
-			parts[i].Found = len(t.translate(occ, len(p), 1)) > 0
-		}
-	})
-	return s.stitch.merge(Op{Kind: OpContains, Pattern: p}, parts).Found
-}
-
-func (s *liveSnapshot) count(p []byte) int {
-	if len(p) == 0 {
-		return s.totalLen
-	}
-	if bytes.IndexByte(p, alphabet.Terminator) >= 0 {
-		if s.tailMatch(p) >= 0 {
-			return 1
-		}
-		return 0
-	}
-	parts := make([]part, len(s.tiers))
-	s.fanOut(func(i int, t *liveTier) {
-		if t.nDead == 0 {
-			parts[i].Count = t.h.idx.Count(p)
-		} else {
-			occ, _ := t.h.idx.Occurrences(p) // count path keeps degrading silently
-			parts[i].Count = len(t.translate(occ, len(p), 0))
-		}
-	})
-	return s.stitch.merge(Op{Kind: OpCount, Pattern: p}, parts).Count
-}
-
-func (s *liveSnapshot) occurrences(p []byte) []int {
-	if len(p) == 0 {
-		out := make([]int, s.totalLen)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	if bytes.IndexByte(p, alphabet.Terminator) >= 0 {
-		if off := s.tailMatch(p); off >= 0 {
-			return []int{off}
-		}
-		return []int{}
-	}
-	parts := make([]part, len(s.tiers))
-	s.fanOut(func(i int, t *liveTier) {
-		occ, _ := t.h.idx.Occurrences(p) // LiveIndex.Occurrences surfaced checkErr already
-		if t.nDead > 0 {
-			occ = t.translate(occ, len(p), 0)
-		}
-		parts[i] = part{Off: t.shift(), Occurrences: occ}
-	})
-	return mergeOccurrences(parts, s.stitch.crossingOccurrences(p, 0), 0)
 }
 
 func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
