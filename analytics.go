@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"era/internal/alphabet"
+	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 )
 
@@ -31,9 +34,10 @@ import (
 // the corpus at document boundaries and whose memtable has no tree at all,
 // answers them from the suffixes of its virtual global string in
 // lexicographic order with the LCP between neighbours — SA-IS + Kasai over
-// the materialized string (suffixOrderAnswer): lrs is the first maximum of
-// that LCP (repeatScan), topk a run-length count of LCP ≥ L into a bounded
-// selection (topScan, topSelection). lcs is one algorithm on every layer: the
+// the materialized string, in memory one call leaves to the next
+// (suffixOrderAnswer): lrs is the first maximum of that LCP (repeatScan), topk
+// a run-length count of LCP ≥ L into a bounded selection (topScan,
+// topSelection). lcs is one algorithm on every layer: the
 // same kernel over the two documents alone (commonSubstring), so its cost is
 // theirs, never the corpus's.
 //
@@ -577,28 +581,33 @@ func (t *topScan) answer() Answer {
 // suffixOrderAnswer answers lrs or topk over the text the segments spell one
 // after the other from offset 0 — a live snapshot's segs, the virtual global
 // string: SA-IS for the suffix order, Kasai for the neighbour LCPs, one pass
-// of the op's consumer. O(n) time and about 14 bytes per symbol whatever the
-// content looks like.
+// of the op's consumer. O(n) time whatever the content looks like, in 9¼
+// bytes per symbol that one call leaves to the next (suffixSorters), so a
+// call allocates what its answer holds.
 func suffixOrderAnswer(ctx context.Context, q Query, segs []run) (Answer, error) {
 	n := 1
 	for _, r := range segs {
 		n += len(r.Data)
 	}
-	text := make([]byte, 0, n)
+	z := suffixSorters.Get().(*suffixSorter)
+	defer suffixSorters.Put(z)
+	text := slices.Grow(z.text[:0], n)
 	for _, r := range segs {
 		text = append(text, r.Data...)
 	}
 	// The byte below the terminator closes the text: the unique smallest last
 	// symbol SA-IS needs, so no match runs over it.
 	text = append(text, alphabet.Terminator-1)
+	z.text = text
 
-	sa, lcp, err := suffixOrder(text)
+	sa, plcp, err := z.Sort(text)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		return Answer{}, err
 	}
+	// Both consumers copy what they keep of text, which the next call reuses.
 	var rep repeatScan
 	top := topScan{l: q.MinLen, text: text, sel: topSelection{k: q.K}}
 	add := rep.add
@@ -606,16 +615,26 @@ func suffixOrderAnswer(ctx context.Context, q Query, segs []run) (Answer, error)
 		add = top.add
 	}
 	stop := ctxStop(ctx)
-	for i, o := range sa {
+	for _, o := range sa {
 		if stop != nil && stop() {
 			return Answer{}, ctx.Err()
 		}
-		add(int(o), int(lcp[i]), n-1-int(o))
+		add(int(o), int(plcp[o]), n-1-int(o))
 	}
 	if q.Kind == OpTopK {
 		return top.answer(), nil
 	}
 	return rep.answer(text), nil
+}
+
+// suffixSorters holds the memory of finished suffixOrderAnswer calls for the
+// next ones: the laid-out text and a suffixarray.Sorter, one per call running
+// at once.
+var suffixSorters = sync.Pool{New: func() any { return new(suffixSorter) }}
+
+type suffixSorter struct {
+	text []byte
+	suffixarray.Sorter
 }
 
 // docFreqAnswer aggregates per-document stats for a pattern set through any

@@ -40,8 +40,9 @@ func (s *liveSnapshot) checkErr() error {
 // scan touches no tombstoned byte and no tier tree at all. lrs, topk and lcs
 // do not fan out at all: lrs and topk are read off the suffix array of the
 // virtual string laid out from the live segments (suffixOrderAnswer), which is
-// linear on any input and has junctions, tombstones and the memtable already
-// resolved, and lcs off that of its two documents (commonSubstring).
+// linear on any input, has junctions, tombstones and the memtable already
+// resolved and is sorted in memory one call leaves to the next, and lcs off
+// that of its two documents (commonSubstring).
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, s.numDocs); err != nil {
 		return Answer{}, err

@@ -260,8 +260,10 @@ func buildShards(docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
 }
 
 // suffixOrder returns the suffix array of the terminated text and the LCP
-// of each suffix with its predecessor: the kernel of the in-memory builder
-// and of the live index's lrs / topk (suffixOrderAnswer).
+// of each suffix with its predecessor, both in rank order and freshly
+// allocated: the kernel of the in-memory builder and of lcs
+// (commonSubstring). The live index's lrs / topk sort in memory kept between
+// calls (suffixOrderAnswer).
 func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 	if sa, err = suffixarray.Build(text); err != nil {
 		return nil, nil, err

@@ -2,6 +2,7 @@ package era
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -346,7 +347,8 @@ func TestLiveRaceStress(t *testing.T) {
 	appended := map[uint64][]byte{}
 	deleted := map[uint64]bool{}
 	done := make(chan struct{})
-	var wg sync.WaitGroup
+	// The queriers run until the mutators have finished: one group for each.
+	var wg, queriers sync.WaitGroup
 
 	for a := 0; a < appenders; a++ {
 		wg.Add(1)
@@ -400,9 +402,9 @@ func TestLiveRaceStress(t *testing.T) {
 		}
 	}()
 	for q := 0; q < 4; q++ {
-		wg.Add(1)
+		queriers.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer queriers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -432,15 +434,25 @@ func TestLiveRaceStress(t *testing.T) {
 					t.Errorf("Batch self-inconsistent: %d occ, count %d", len(res[0].Occurrences), res[0].Count)
 					return
 				}
+				// lrs and topk sort in memory the queriers pass each other
+				// (suffixSorters) while seals and compactions retire tiers.
+				lrs, err := lx.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
+				if err != nil || (lrs.Found && (len(lrs.Pattern) == 0 || lrs.Count < 2 || len(lrs.Occurrences) != lrs.Count)) {
+					t.Errorf("lrs self-inconsistent: %d-byte pattern, %d occ, count %d, %v", len(lrs.Pattern), len(lrs.Occurrences), lrs.Count, err)
+					return
+				}
+				top, err := lx.Analytics(context.Background(), Query{Kind: OpTopK, K: 4, MinLen: 3})
+				if err != nil || len(top.Top) != top.Count || (len(top.Top) > 0 && len(top.Top[0].Pattern) != 3) {
+					t.Errorf("topk self-inconsistent: %+v, %v", top, err)
+					return
+				}
 			}
 		}(int64(900 + q))
 	}
 
-	wg.Add(-4) // queriers run until mutators finish; rebalance the wait
 	wg.Wait()
 	close(done)
-	wg.Add(4)
-	wg.Wait()
+	queriers.Wait()
 	if t.Failed() {
 		lx.Close()
 		return
