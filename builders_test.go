@@ -2,8 +2,12 @@ package era
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"era/internal/alphabet"
@@ -181,6 +185,109 @@ func FuzzBuildersAgree(f *testing.F) {
 		docs = append(docs, data[start:])
 		assertBuildersAgree(t, docs, nil)
 	})
+}
+
+// TestLeafSectionIsTheSuffixArray holds the image's leaf section to an oracle
+// that shares nothing with either builder — the suffix array by sort.Slice
+// and bytes.Compare over the terminated corpus — on DNA, English, periodic
+// text, one document and a corpus with empty documents, for the in-memory
+// build, ERA serially at a tight budget, shared-disk on 1, 2 and 4 workers
+// and shared-nothing on 2, and the range shards of K ∈ {1, 2, 3, 5}: the
+// leaf sections, in shard order, are that array, and every probe's
+// occurrences, in suffix order, are its interval of it.
+func TestLeafSectionIsTheSuffixArray(t *testing.T) {
+	gen := func(kind workload.Kind, n, docs int) [][]byte {
+		data := workload.MustGenerate(kind, n, 31)
+		out, err := workload.SliceDocs(data[:n], docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var withEmpty [][]byte
+	for i, d := range gen(workload.DNA, 900, 30) {
+		withEmpty = append(withEmpty, nil, d)
+		if i%3 == 0 {
+			withEmpty = append(withEmpty, nil)
+		}
+	}
+	for name, docs := range map[string][][]byte{
+		"dna":          gen(workload.DNA, 3000, 7),
+		"english":      gen(workload.English, 3000, 3),
+		"period-7":     {bytes.Repeat([]byte("ACGTTGA"), 100), []byte("ACGTTGAACG")},
+		"one document": gen(workload.DNA, 2000, 1),
+		"empty docs":   withEmpty,
+	} {
+		t.Run(name, func(t *testing.T) {
+			text := append(bytes.Join(docs, nil), alphabet.Terminator)
+			sa := make([]int32, len(text))
+			for i := range sa {
+				sa[i] = int32(i)
+			}
+			sort.Slice(sa, func(a, b int) bool { return bytes.Compare(text[sa[a]:], text[sa[b]:]) < 0 })
+			var probes [][]byte
+			for i := 0; i < len(text); i += 1 + len(text)/97 {
+				for _, l := range []int{1, 2, 3, 5, 8, 13, 40} {
+					probes = append(probes, text[i:min(i+l, len(text))])
+				}
+			}
+			probes = append(probes, nil, []byte("zz"), []byte("ACGTTGAACGT"))
+			interval := func(p []byte) []int32 {
+				lo := sort.Search(len(sa), func(r int) bool { return bytes.Compare(text[sa[r]:], p) >= 0 })
+				n := sort.Search(len(sa)-lo, func(k int) bool { return !bytes.HasPrefix(text[sa[lo+k]:], p) })
+				return sa[lo : lo+n]
+			}
+			check := func(label string, trees []*Index) {
+				t.Helper()
+				var leaves []int32
+				for _, x := range trees {
+					f := x.tree.Sections()
+					for sec := f.Nodes[(f.NNodes-f.NLeaves)*32:]; len(sec) > 0; sec = sec[4:] {
+						leaves = append(leaves, int32(binary.LittleEndian.Uint32(sec)))
+					}
+				}
+				if !slices.Equal(leaves, sa) {
+					t.Fatalf("%s: the leaf sections are not the suffix array", label)
+				}
+				for _, p := range probes {
+					var occ []int32
+					for _, x := range trees {
+						occ = append(occ, x.tree.Occurrences(p)...)
+					}
+					if want := interval(p); !slices.Equal(occ, want) && len(occ)+len(want) > 0 {
+						t.Fatalf("%s: Occurrences(%q) = %v, the suffix array's interval %v", label, p, occ, want)
+					}
+				}
+			}
+			for _, c := range []struct {
+				label string
+				cfg   *Config
+			}{
+				{"in-memory", &Config{}},
+				{"serial", &Config{MemoryBudget: eraBudget}},
+				{"shared-disk-1", &Config{Mode: SharedDisk, Workers: 1, MemoryBudget: eraBudget}},
+				{"shared-disk-2", &Config{Mode: SharedDisk, Workers: 2, MemoryBudget: 2 * eraBudget}},
+				{"shared-disk-4", &Config{Mode: SharedDisk, Workers: 4, MemoryBudget: 4 * eraBudget}},
+				{"shared-nothing-2", &Config{Mode: SharedNothing, Workers: 2, MemoryBudget: 2 * eraBudget}},
+			} {
+				idx, err := BuildCorpus(docs, c.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", c.label, err)
+				}
+				if st := idx.Stats(); st.InMemory != (c.label == "in-memory") {
+					t.Fatalf("%s: %d symbols built in memory: %v", c.label, idx.Len(), st.InMemory)
+				}
+				check(c.label, []*Index{idx})
+			}
+			for _, k := range []int{1, 2, 3, 5} {
+				sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%d shards", k), sx.shards)
+			}
+		})
+	}
 }
 
 // TestBudgetPicksTheBuilder pins the regime rule at its boundary, in both

@@ -55,8 +55,9 @@ const (
 // sections straight from the sorted-suffix sub-trees, and the index queries
 // through the same zero-copy FlatTree that serves mapped files. The type, its
 // value and Config.Target stay only because benchmark/ spells them (as it does
-// suffixtree.Flat.Dense): ROADMAP item 1 has benchmark/ stop spelling them,
-// and item 8(b) then deletes both.
+// suffixtree.Flat's always-empty Dense, LeafIdx and LeafData, and the dense,
+// leafIdx and leafData parameters of suffixtree.NewFlatTree): ROADMAP item 1
+// has benchmark/ stop spelling them, and item 8(b) then deletes them all.
 type BuildTarget int
 
 // TargetFlat is the only build target, and the zero value.
@@ -248,7 +249,7 @@ func buildShards(docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
 	}
 	out := make([]*Index, len(shards))
 	for i, sh := range shards {
-		tree, err := suffixtree.NewFlatTree(data, sh.Nodes, sh.Sym, nil, sh.LeafIdx, sh.LeafData, sh.NLeaves)
+		tree, err := suffixtree.NewFlatTree(data, sh.Nodes, sh.Sym, nil, nil, nil, sh.NLeaves)
 		if err != nil {
 			return nil, fmt.Errorf("era: viewing the built sections: %w", err)
 		}

@@ -108,15 +108,11 @@ func TestRegenerateFixtures(t *testing.T) {
 	}
 }
 
-// TestCommittedImagesServed holds the committed images to what a build of
-// their corpus answers today. testdata/fixtures is what this tree writes,
-// byte for byte (a stale fixture fails here, not at the next format change),
-// a mono, a sharded and a live image; testdata/bfs-numbered/mono.idx was
-// written before node ids followed completion order — same records, same
-// sections, same byte count, other numbering — and must keep verifying and
-// answering, since nothing in the format says which order a writer numbered
-// the nodes in. (Its sharded.idx is cut at document boundaries, which is
-// refused: TestDocumentAlignedImageRefused.)
+// TestCommittedImagesServed holds the committed images under
+// testdata/fixtures to what a build of their corpus answers today, and to
+// what this tree writes, byte for byte (a stale fixture fails here, not at
+// the next format change): a mono, a sharded and a live image. The images
+// every reader refuses are TestMustRebuildImagesRefused's.
 func TestCommittedImagesServed(t *testing.T) {
 	docs := fixtureDocs()
 	mono, err := BuildCorpus(docs, nil)
@@ -134,95 +130,123 @@ func TestCommittedImagesServed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, c := range []struct {
-		dir           string
-		current, live bool
-		images        []string
-	}{{"fixtures", true, true, []string{"mono.idx", "sharded.idx"}}, {"bfs-numbered", false, false, []string{"mono.idx"}}} {
-		t.Run(c.dir, func(t *testing.T) {
-			dir := filepath.Join("testdata", c.dir)
-			verified := c.images
-			if c.live {
-				verified = append(verified, "live")
-			}
-			for _, name := range verified {
-				rep, err := Verify(filepath.Join(dir, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.OK() {
-					t.Errorf("Verify(%s): %v", name, rep.Problems)
-				}
-			}
-			img, err := os.ReadFile(filepath.Join(dir, "mono.idx"))
+	t.Run("fixtures", func(t *testing.T) {
+		dir := filepath.Join("testdata", "fixtures")
+		images := []string{"mono.idx", "sharded.idx"}
+		for _, name := range append(images, "live") {
+			rep, err := Verify(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if same := bytes.Equal(img, fresh.Bytes()); len(img) != fresh.Len() || same != c.current {
-				t.Errorf("mono.idx: %d bytes against a fresh image's %d, byte-identical: %v, want %v",
-					len(img), fresh.Len(), same, c.current)
+			if !rep.OK() {
+				t.Errorf("Verify(%s): %v", name, rep.Problems)
 			}
-			for _, name := range c.images {
-				q, err := OpenIndex(filepath.Join(dir, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer q.Close()
-				assertSameAnswers(t, mono, q, shardTestPatterns(docs, 5))
-				// A writer emits the sections it holds, so an opened image —
-				// however its nodes are numbered — writes back byte for byte.
-				back := filepath.Join(t.TempDir(), name)
-				if err := q.WriteFile(back); err != nil {
-					t.Fatal(err)
-				}
-				want, _ := os.ReadFile(filepath.Join(dir, name))
-				if got, _ := os.ReadFile(back); !bytes.Equal(got, want) {
-					t.Errorf("%s written back is %d bytes, not the %d it was opened from", name, len(got), len(want))
-				}
-			}
-			if !c.live {
-				return
-			}
-			lx, err := NewLive("", &LiveConfig{Dir: copyLiveFixture(t, filepath.Join(dir, "live"))})
+		}
+		if img, err := os.ReadFile(filepath.Join(dir, "mono.idx")); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(img, fresh.Bytes()) {
+			t.Errorf("mono.idx: %d bytes that are not the %d a fresh build writes", len(img), fresh.Len())
+		}
+		for _, name := range images {
+			q, err := OpenIndex(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer lx.Close()
-			if q := lx.Stats().Quarantined; len(q) != 0 {
-				t.Fatalf("the live fixture's tier was quarantined: %v", q)
+			defer q.Close()
+			assertSameAnswers(t, mono, q, shardTestPatterns(docs, 5))
+			// A writer emits the sections it holds, so an opened image writes
+			// back byte for byte.
+			back := filepath.Join(t.TempDir(), name)
+			if err := q.WriteFile(back); err != nil {
+				t.Fatal(err)
 			}
-			assertSameAnswers(t, live, lx, shardTestPatterns([][]byte{docs[0], docs[2]}, 5))
-		})
-	}
+			want, _ := os.ReadFile(filepath.Join(dir, name))
+			if got, _ := os.ReadFile(back); !bytes.Equal(got, want) {
+				t.Errorf("%s written back is %d bytes, not the %d it was opened from", name, len(got), len(want))
+			}
+		}
+		lx, err := NewLive("", &LiveConfig{Dir: copyLiveFixture(t, filepath.Join(dir, "live"))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lx.Close()
+		if q := lx.Stats().Quarantined; len(q) != 0 {
+			t.Fatalf("the live fixture's tier was quarantined: %v", q)
+		}
+		assertSameAnswers(t, live, lx, shardTestPatterns([][]byte{docs[0], docs[2]}, 5))
+	})
 }
 
-// TestDocumentAlignedImageRefused: testdata/bfs-numbered/sharded.idx was
-// written when shards were runs of documents, each a whole tree over its own
-// documents. No reader for that layout is kept — its shards are not ranges of
-// the suffix order, so the merge would be wrong — and every entry point
-// refuses it with ErrMustRebuild, saying why: open, read from a stream and
-// verify.
-func TestDocumentAlignedImageRefused(t *testing.T) {
-	const want = "cut at document boundaries"
-	p := filepath.Join("testdata", "bfs-numbered", "sharded.idx")
-	if q, err := OpenIndex(p); err == nil {
-		q.Close()
-		t.Error("OpenIndex accepted a document-aligned sharded image")
-	} else if !errors.Is(err, ErrMustRebuild) || !strings.Contains(err.Error(), want) {
-		t.Errorf("OpenIndex: %v, want an ErrMustRebuild that says the image is %s", err, want)
+// TestMustRebuildImagesRefused: testdata/must-rebuild holds the committed
+// images of every older tree layout, one refusal generation —
+//
+//   - leaf-records/: written before the leaves were the suffix array (8-byte
+//     leaf records beside delta-varint leaf blocks; no flag bit 3): a mono, a
+//     prefix-range sharded and a live image, the fixtures of their day;
+//   - bfs-numbered/: the same layout with node ids numbered breadth-first,
+//     and a sharded image cut at document boundaries (no flag bit 2 either);
+//   - old-layout/: written before the compact node layout (32-byte records
+//     for every node, dense tables; no flag bit 1), a mono and a live image.
+//
+// No reader for any of them is kept. Every way in refuses each file with an
+// ErrMustRebuild that says why — open, read from a stream and verify — never
+// mis-reading it as this layout; a live directory holding such a tier
+// quarantines it and serves what its WAL holds.
+func TestMustRebuildImagesRefused(t *testing.T) {
+	const want = "predates rank-ordered leaves"
+	dir := filepath.Join("testdata", "must-rebuild")
+	for _, name := range []string{
+		"leaf-records/mono.idx", "leaf-records/sharded.idx",
+		"bfs-numbered/mono.idx", "bfs-numbered/sharded.idx",
+		"old-layout/mono.idx",
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := filepath.Join(dir, name)
+			if q, err := OpenIndex(p); err == nil {
+				q.Close()
+				t.Error("OpenIndex accepted the image")
+			} else if !errors.Is(err, ErrMustRebuild) || !strings.Contains(err.Error(), want) {
+				t.Errorf("OpenIndex: %v, want an ErrMustRebuild that says the image %s", err, want)
+			}
+			buf, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadQueryable(bytes.NewReader(buf)); !errors.Is(err, ErrMustRebuild) || !strings.Contains(err.Error(), want) {
+				t.Errorf("ReadQueryable: %v, want an ErrMustRebuild that says the image %s", err, want)
+			}
+			rep, err := Verify(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+				t.Errorf("Verify: problems %q, want one that says the image %s", rep.Problems, want)
+			}
+		})
 	}
-	buf, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadQueryable(bytes.NewReader(buf)); !errors.Is(err, ErrMustRebuild) || !strings.Contains(err.Error(), want) {
-		t.Errorf("ReadQueryable: %v, want an ErrMustRebuild that says the image is %s", err, want)
-	}
-	rep, err := Verify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
-		t.Errorf("Verify: problems %q, want one that says the image is %s", rep.Problems, want)
+	for _, name := range []string{"leaf-records/live", "old-layout/live"} {
+		t.Run(name, func(t *testing.T) {
+			live := copyLiveFixture(t, filepath.Join(dir, name))
+			rep, err := Verify(live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+				t.Errorf("Verify: problems %q, want one that says the tier %s", rep.Problems, want)
+			}
+			lx, err := NewLive("", &LiveConfig{Dir: live})
+			if err != nil {
+				t.Fatalf("opening a live directory with a tier to rebuild: %v", err)
+			}
+			defer lx.Close()
+			if q := lx.Stats().Quarantined; len(q) != 1 || q[0] != fmt.Sprintf(liveTierPattern, 0) {
+				t.Fatalf("Quarantined = %v, want the old tier", q)
+			}
+			// The directory's third document was unsealed, in the WAL only: it
+			// is what survives, and it still answers.
+			if got := lx.Count(fixtureDocs()[2]); got != 1 {
+				t.Errorf("the WAL's document answers %d times after the old tier was quarantined, want 1", got)
+			}
+		})
 	}
 }

@@ -261,8 +261,7 @@ func assertSectionsEqual(t *testing.T, label string, got suffixtree.Flat, want *
 	if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
 		t.Fatalf("%s: %d nodes / %d leaves, the suffix array's tree has %d / %d", label, got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
 	}
-	if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) ||
-		!bytes.Equal(got.LeafIdx, want.LeafIdx) || !bytes.Equal(got.LeafData, want.LeafData) {
+	if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) {
 		t.Fatalf("%s: the ERA build's sections differ from the suffix array's", label)
 	}
 }
@@ -496,6 +495,8 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[32:], 1<<40)
 			return b
 		}},
+		// The header fields of the leaf block sections went with them; what
+		// was the leafIdx offset is a reserved zero now.
 		{"leafidx-misaligned", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[96:], binary.LittleEndian.Uint64(b[96:])+4)
 			return b
@@ -511,7 +512,11 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 			return b
 		}},
 		{"compact-flag-clear", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[12:], v4FlagChecksums)
+			binary.LittleEndian.PutUint32(b[12:], v4FlagChecksums|v4FlagRankLeaves)
+			return b
+		}},
+		{"rank-leaves-flag-clear", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[12:], v4FlagChecksums|v4FlagCompact)
 			return b
 		}},
 		{"checksum-flag-clear", func(b []byte) []byte {
@@ -593,58 +598,71 @@ func fixV4HeaderCRC(b []byte) []byte {
 // reports them.
 func TestVerifyChecksTreeStructure(t *testing.T) {
 	// withRun returns the record of the first internal node below the root
-	// that has a child run of the kind whose count sits at offset cnt.
-	withRun := func(t *testing.T, s *v4sections, cnt int) (id uint32, rec []byte) {
+	// that has internal children.
+	withRun := func(t *testing.T, s *v4sections) (id uint32, rec []byte) {
 		for u := int64(1); u < s.nNodes-s.nLeaves; u++ {
-			if r := s.nodes[u*32 : u*32+32]; binary.LittleEndian.Uint16(r[cnt:]) > 0 {
+			if r := s.nodes[u*32 : u*32+32]; binary.LittleEndian.Uint16(r[24:]) > 0 {
 				return uint32(u), r
 			}
 		}
-		t.Fatal("no internal node below the root has such a run")
+		t.Fatal("no internal node below the root has internal children")
 		return 0, nil
 	}
 	for _, c := range []struct {
 		name, want string
-		mutate     func(t *testing.T, img []byte, s *v4sections)
+		mutate     func(t *testing.T, img []byte, s *v4sections) []byte
 	}{
-		// The root's leaf children are the first leaf records; it has the
-		// terminator's leaf and, in this corpus, the documents' last symbols.
-		{"swapped-leaves", "leaf", func(t *testing.T, img []byte, s *v4sections) {
-			leaves := s.nodes[(s.nNodes-s.nLeaves)*32:]
-			a := append([]byte(nil), leaves[:8]...)
-			copy(leaves[:8], leaves[8:16])
-			copy(leaves[8:16], a)
-			restampV4Nodes(img)
+		// The first two suffixes of the suffix array trade places: the
+		// terminator's, a leaf of the root, and the first of the root's
+		// internal child for the corpus's smallest symbol.
+		{"swapped-leaves", "not based on its first suffix", func(t *testing.T, img []byte, s *v4sections) []byte {
+			sa := s.nodes[(s.nNodes-s.nLeaves)*32:]
+			a := append([]byte(nil), sa[:4]...)
+			copy(sa[:4], sa[4:8])
+			copy(sa[4:8], a)
+			return restampV4(img, 3)
 		}},
-		// One more node than the tree has: the section windows (and their
-		// checksums) run to the next section's start, so the padding supplies
-		// a record and a symbol, and only the structure pass sees that the
-		// leaf ids no longer begin where the child runs say.
-		{"one-node-more", "child run", func(t *testing.T, img []byte, s *v4sections) {
+		// One more node than the tree has, and a byte more of image for its
+		// symbol: the node section's window (and its checksum) runs to the
+		// next section's start, so the padding supplies a record, and only
+		// the structure pass sees that the suffix array no longer begins where
+		// it did — its tail is zero padding, suffix 0 over and over.
+		{"one-node-more", "indexed twice", func(t *testing.T, img []byte, s *v4sections) []byte {
 			binary.LittleEndian.PutUint64(img[80:], uint64(s.nNodes)+1)
+			img = append(img, 0)
+			binary.LittleEndian.PutUint64(img[16:], uint64(len(img)))
+			return restampV4(img, 4)
 		}},
-		// Two parents claim the same leaves: a node below the root points its
-		// leaf run at the root's.
-		{"doubly-claimed-run", "an earlier run holds", func(t *testing.T, img []byte, s *v4sections) {
-			_, r := withRun(t, s, 26)
-			copy(r[12:16], s.nodes[12:16])
-			restampV4Nodes(img)
+		// Two parents claim the same run: the sibling after a node with
+		// internal children points its run at that node's, which lies after
+		// both of them.
+		{"doubly-claimed-run", "an earlier run holds", func(t *testing.T, img []byte, s *v4sections) []byte {
+			for u := int64(1); u+1 < s.nNodes-s.nLeaves; u++ {
+				r, next := s.nodes[u*32:u*32+32], s.nodes[u*32+32:u*32+64]
+				if binary.LittleEndian.Uint16(r[24:]) > 0 && int64(binary.LittleEndian.Uint32(r[8:])) > u+1 {
+					copy(next[8:12], r[8:12])
+					copy(next[24:26], r[24:26])
+					return restampV4(img, 3)
+				}
+			}
+			t.Fatal("no node with internal children has a sibling after it")
+			return nil
 		}},
 		// A node is its own first internal child: the one shape a descent
 		// could follow forever, which is why the reader clamps it.
-		{"run-at-its-parent", "is not after it", func(t *testing.T, img []byte, s *v4sections) {
-			id, r := withRun(t, s, 24)
+		{"run-at-its-parent", "is not after it", func(t *testing.T, img []byte, s *v4sections) []byte {
+			id, r := withRun(t, s)
 			binary.LittleEndian.PutUint32(r[8:], id)
-			restampV4Nodes(img)
+			return restampV4(img, 3)
 		}},
 		// The root lets go of its first internal child, which no run holds
-		// any more. Its sibling speaks first: it now stands where the
-		// orphan's leaves are expected.
-		{"unclaimed-id", "not based on its first suffix", func(t *testing.T, img []byte, s *v4sections) {
+		// any more. Its ranks speak first: they now read as leaf children of
+		// the root, all with the one first symbol.
+		{"unclaimed-id", "not in strictly increasing symbol order", func(t *testing.T, img []byte, s *v4sections) []byte {
 			r := s.nodes[:32]
 			binary.LittleEndian.PutUint32(r[8:], binary.LittleEndian.Uint32(r[8:])+1)
 			binary.LittleEndian.PutUint16(r[24:], binary.LittleEndian.Uint16(r[24:])-1)
-			restampV4Nodes(img)
+			return restampV4(img, 3)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -653,17 +671,21 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.mutate(t, img, s)
-			assertVerifyRefuses(t, img, c.want)
+			assertVerifyRefuses(t, c.mutate(t, img, s), c.want)
 		})
 	}
 }
 
-// restampV4Nodes recomputes the node section's checksum after a test edited a
-// record, so the structure pass is what sees the edit.
-func restampV4Nodes(img []byte) {
-	nodesOff, symOff := binary.LittleEndian.Uint64(img[72:]), binary.LittleEndian.Uint64(img[88:])
-	binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*3:], crc32.Checksum(img[nodesOff:symOff], castagnoli))
+// restampV4 recomputes the checksum of section i (3 nodes, 4 sym, the last)
+// of a monolithic image after a test edited it, so the structure pass is what
+// sees the edit.
+func restampV4(img []byte, i int) []byte {
+	start, end := binary.LittleEndian.Uint64(img[24+16*i:]), binary.LittleEndian.Uint64(img[16:])
+	if i < 4 {
+		end = binary.LittleEndian.Uint64(img[24+16*(i+1):])
+	}
+	binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*i:], crc32.Checksum(img[start:end], castagnoli))
+	return img
 }
 
 // assertVerifyRefuses writes img, its header CRC restamped, to a file and
@@ -696,67 +718,13 @@ func assertVerifyRefuses(t *testing.T, img []byte, want string) {
 	q.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
 }
 
-// TestOldLayoutImageRefused: the images under testdata/old-layout were
-// written by the commit before the compact node layout (32-byte records for
-// every node, 1 KiB dense tables; same version field). Every way in must
-// refuse them by name — never mis-read them as the new records — and a live
-// directory holding such a tier must quarantine it and keep serving. (No old
-// sharded image is kept: one would also be cut at document boundaries, which
-// is refused on its own, TestDocumentAlignedImageRefused.)
-func TestOldLayoutImageRefused(t *testing.T) {
-	const want = "predates the compact node layout"
-	old := filepath.Join("testdata", "old-layout")
-	p := filepath.Join(old, "mono.idx")
-	if q, err := OpenIndex(p); err == nil {
-		q.Close()
-		t.Error("OpenIndex accepted an old-layout image")
-	} else if !strings.Contains(err.Error(), want) {
-		t.Errorf("OpenIndex: %v, want an error that says the image %s", err, want)
-	}
-	buf, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadQueryable(bytes.NewReader(buf)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("ReadQueryable: %v, want an error that says the image %s", err, want)
-	}
-	rep, err := Verify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
-		t.Errorf("Verify: problems %q, want one that says the image %s", rep.Problems, want)
-	}
-
-	dir := copyLiveFixture(t, filepath.Join(old, "live"))
-	rep, err = Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
-		t.Errorf("Verify(live): problems %q, want one that says the tier %s", rep.Problems, want)
-	}
-	lx, err := NewLive("", &LiveConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("opening a live directory with an old-layout tier: %v", err)
-	}
-	defer lx.Close()
-	if q := lx.Stats().Quarantined; len(q) != 1 || q[0] != fmt.Sprintf(liveTierPattern, 0) {
-		t.Fatalf("Quarantined = %v, want the old-layout tier", q)
-	}
-	// The fixture's third document was unsealed, in the WAL only: it is what
-	// survives, and it still answers.
-	if got := lx.Count([]byte("ACGTACGT")); got == 0 {
-		t.Error("the WAL's document does not answer after the old tier was quarantined")
-	}
-}
-
-// TestFlatImageBytesPerSymbol pins what the compact layout is for: a
-// image costs at most 45 bytes per indexed symbol on disk, DNA
-// and English alike (the layout before it cost 63 and 76).
+// TestFlatImageBytesPerSymbol pins what the layout is for: an image of
+// 128 Ki symbols costs at most 33 bytes per symbol on disk for DNA and 27 for
+// English (the layout with 8-byte leaf records and leaf blocks cost 39.5 and
+// 33.2, the one before it 63 and 76).
 func TestFlatImageBytesPerSymbol(t *testing.T) {
 	const n = 128 << 10
-	for _, kind := range []workload.Kind{workload.DNA, workload.English} {
+	for kind, limit := range map[workload.Kind]float64{workload.DNA: 33, workload.English: 27} {
 		data := workload.MustGenerate(kind, n, 7)
 		idx, err := Build(data[:len(data)-1], nil)
 		if err != nil {
@@ -770,8 +738,8 @@ func TestFlatImageBytesPerSymbol(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if per := float64(info.Size()) / float64(idx.Len()); per > 45 {
-			t.Errorf("%s: %d-byte image over %d symbols = %.1f B per symbol, want ≤ 45", kind, info.Size(), idx.Len(), per)
+		if per := float64(info.Size()) / float64(idx.Len()); per > limit {
+			t.Errorf("%s: %d-byte image over %d symbols = %.1f B per symbol, want ≤ %.0f", kind, info.Size(), idx.Len(), per, limit)
 		} else {
 			t.Logf("%s: %.2f B per symbol", kind, per)
 		}

@@ -136,7 +136,7 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	perSym := float64(after.TotalAlloc-before.TotalAlloc) / n
-	image := len(res.Flat.Nodes) + len(res.Flat.Sym) + len(res.Flat.LeafIdx) + len(res.Flat.LeafData)
+	image := len(res.Flat.Nodes) + len(res.Flat.Sym)
 	t.Logf("%.1f B allocated per symbol, %.1f B of image per symbol", perSym, float64(image)/n)
 	if perSym > 145 {
 		t.Errorf("a %d-symbol flat build allocated %.1f B per symbol, want ≤ 145", n, perSym)

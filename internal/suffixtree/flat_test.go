@@ -3,6 +3,7 @@ package suffixtree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -36,7 +37,7 @@ func buildBoth(t testing.TB, data []byte) (*Tree, *FlatTree, []byte) {
 	if err != nil {
 		t.Fatalf("Flatten: %v", err)
 	}
-	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, f.LeafIdx, f.LeafData, f.NLeaves)
+	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, nil, nil, f.NLeaves)
 	if err != nil {
 		t.Fatalf("NewFlatTree: %v", err)
 	}
@@ -157,12 +158,11 @@ func TestFlatTreeDifferential(t *testing.T) {
 			}
 			if wantOK && len(p) > 0 {
 				// The locus labels must spell the same string even though the
-				// node ids differ across layouts.
+				// node ids differ across layouts, and end as deep into the edge.
 				wl := append(tree.PathLabel(tree.Parent(wantLoc.Node)), tree.Label(wantLoc.Node)[:wantLoc.Depth]...)
 				gl := flat.PathLabel(gotLoc.Node)
-				gd := flat.Depth(gotLoc.Node) - flat.EdgeLen(gotLoc.Node) + gotLoc.Depth
-				if !bytes.Equal(wl, gl[:min(int(gd), len(gl))]) {
-					t.Fatalf("corpus %d: Find(%q) locus labels diverge: %q vs %q", ci, p, wl, gl)
+				if !bytes.Equal(wl, gl[:min(len(p), len(gl))]) || gotLoc.Depth != wantLoc.Depth {
+					t.Fatalf("corpus %d: Find(%q) loci diverge: %q at %d vs %q at %d", ci, p, wl, wantLoc.Depth, gl, gotLoc.Depth)
 				}
 			}
 		}
@@ -239,8 +239,7 @@ func TestFlatTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(f2.Nodes, flat.nodes) || !bytes.Equal(f2.Sym, flat.sym) ||
-		!bytes.Equal(f2.LeafIdx, flat.leafIdx) || !bytes.Equal(f2.LeafData, flat.leafData) {
+	if !bytes.Equal(f2.Nodes, flat.nodes) || !bytes.Equal(f2.Sym, flat.sym) {
 		t.Fatal("re-flattening a FlatTree changed the encoded sections")
 	}
 }
@@ -279,7 +278,8 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 		ft.Depth(u)
 		ft.Suffix(u)
 		ft.IsLeaf(u)
-		ft.EdgeLen(u)
+		ft.Edge(u, -1)
+		ft.Edge(u, 1<<30)
 		FirstLeaf(ft, u)
 		kids := 0
 		ft.ForEachChild(u, func(c int32) bool {
@@ -295,71 +295,127 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 	_ = ValidateView(ft, nil, nil)
 }
 
+// saOff returns the byte offset of leaf rank r's suffix in the node section.
+func (t *FlatTree) saOff(r int) int { return int(t.nInt)*flatNodeSize + r*flatLeafSize }
+
+// seamNodes returns the first internal node below the root that has internal
+// children, and the first that has leaf children.
+func (t *FlatTree) seamNodes(tb testing.TB) (withRun, withGap int32) {
+	tb.Helper()
+	withRun, withGap = -1, -1
+	for u := int32(1); u < t.nInt; u++ {
+		if _, ci := t.kids(t.rec(u), u); ci > 0 && withRun < 0 {
+			withRun = u
+		}
+		lo, hi := t.ranks(t.rec(u))
+		if withGap < 0 && hi-lo >= 2 && int(hi-lo) > t.internalRanks(u) {
+			withGap = u
+		}
+	}
+	if withRun < 0 || withGap < 0 {
+		tb.Fatal("the tree has no internal node with internal children, or none with leaf children")
+	}
+	return withRun, withGap
+}
+
+// internalRanks counts the ranks u's internal children hold.
+func (t *FlatTree) internalRanks(u int32) int {
+	is, ic := t.kids(t.rec(u), u)
+	held := 0
+	for c := is; c < is+ic; c++ {
+		lo, hi := t.ranks(t.rec(c))
+		held += int(hi - lo)
+	}
+	return held
+}
+
 // TestFlatTreeCorruptNoPanic drives every query over systematically
-// corrupted records — every field of the first internal records, both fields
-// of the first leaf records, the symbol section — and over
-// truncated leaf data.
+// corrupted records — every field of the first internal records, the first
+// suffixes, the symbol section — and over the seams of the suffix-array
+// layout: a suffix past S, two equal suffixes, a leaf range past the suffix
+// array, a range whose suffixes are out of order under their node. Nothing
+// may panic or run away, and ValidateView must report every corruption that
+// changed a byte.
 func TestFlatTreeCorruptNoPanic(t *testing.T) {
 	_, flat, term := buildBoth(t, []byte("abracadabra.arcana.abracadabra"))
 	if err := ValidateView(flat, nil, nil); err != nil {
 		t.Fatalf("the uncorrupted tree: %v", err)
 	}
+	check := func(what string, nodes, sym []byte) {
+		t.Helper()
+		ft, err := NewFlatTree(term, nodes, sym, nil, nil, nil, flat.nLeaves)
+		if err != nil {
+			t.Fatal(err) // record values are never a shape error
+		}
+		if ValidateView(ft, nil, nil) == nil && (!bytes.Equal(nodes, flat.nodes) || !bytes.Equal(sym, flat.sym)) {
+			t.Errorf("ValidateView accepted %s", what)
+		}
+		exerciseCorrupt(t, ft, term)
+	}
 	values := []uint32{0, 1, 0x7fffffff, 0xffffffff, 0x00010001, uint32(flat.nInt), uint32(flat.nInt) - 1,
-		uint32(flat.NumNodes()), uint32(flat.NumNodes()) - 1, uint32(len(term))}
+		uint32(flat.NumNodes()), uint32(flat.NumNodes()) - 1, uint32(len(term)), uint32(flat.nLeaves) - 1}
 	corrupt := func(size, base, off int) {
 		for _, v := range values {
 			nodes := append([]byte(nil), flat.nodes...)
 			for ni := 0; ni < 5 && base+(ni+1)*size <= len(nodes); ni++ {
 				binary.LittleEndian.PutUint32(nodes[base+ni*size+off:], v)
 			}
-			ft, err := NewFlatTree(term, nodes, flat.sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves)
-			if err != nil {
-				t.Fatal(err) // record values are never a shape error
-			}
-			if ValidateView(ft, nil, nil) == nil && !bytes.Equal(nodes, flat.nodes) {
-				t.Errorf("ValidateView accepted %#x at offset %d of the %d-byte records", v, off, size)
-			}
-			exerciseCorrupt(t, ft, term)
+			check(fmt.Sprintf("%#x at offset %d of the %d-byte entries", v, off, size), nodes, flat.sym)
 		}
 	}
 	for off := 0; off < flatNodeSize; off += 4 {
 		corrupt(flatNodeSize, 0, off)
 	}
-	for off := 0; off < flatLeafSize; off += 4 {
-		corrupt(flatLeafSize, flat.leafBase, off)
-	}
+	corrupt(flatLeafSize, flat.saOff(0), 0)
 	for _, v := range []byte{0, 1, 7, 0xff} {
-		sym := bytes.Repeat([]byte{v}, len(flat.sym))
-		ft, err := NewFlatTree(term, flat.nodes, sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ValidateView(ft, nil, nil) == nil {
-			t.Errorf("ValidateView accepted a sym section of all %#x", v)
-		}
-		exerciseCorrupt(t, ft, term)
+		check(fmt.Sprintf("a sym section of all %#x", v), flat.nodes, bytes.Repeat([]byte{v}, len(flat.sym)))
 	}
-	// Truncated/garbage leaf data must decode to short (never panicking)
-	// results.
-	for cut := 0; cut < len(flat.leafData); cut += 7 {
-		ft, err := NewFlatTree(term, flat.nodes, flat.sym, nil, flat.leafIdx, flat.leafData[:cut], flat.nLeaves)
-		if err == nil {
-			exerciseCorrupt(t, ft, term)
-		}
+
+	// The seams of the suffix-array layout, one at a time.
+	_, gap := flat.seamNodes(t)
+	lo, hi := flat.ranks(flat.rec(gap))
+	seams := map[string]func(nodes []byte){
+		"a suffix past S": func(nodes []byte) {
+			binary.LittleEndian.PutUint32(nodes[flat.saOff(int(lo)):], uint32(len(term)))
+		},
+		"two equal suffixes": func(nodes []byte) {
+			copy(nodes[flat.saOff(int(lo)):flat.saOff(int(lo)+1)], nodes[flat.saOff(int(hi)-1):])
+		},
+		"a leaf range past the suffix array": func(nodes []byte) {
+			binary.LittleEndian.PutUint32(nodes[int(gap)*flatNodeSize+16:], uint32(flat.nLeaves)-1)
+		},
+		"an unsorted range under a node": func(nodes []byte) {
+			a, b := nodes[flat.saOff(int(lo)):flat.saOff(int(lo)+1)], nodes[flat.saOff(int(hi)-1):flat.saOff(int(hi))]
+			var tmp [flatLeafSize]byte
+			copy(tmp[:], a)
+			copy(a, b)
+			copy(b, tmp[:])
+		},
 	}
-	// The internal-node count is what the leaf count leaves of the symbol
-	// section; a node section that does not hold exactly those records is a
-	// shape error, not something to clamp.
+	for what, mutate := range seams {
+		nodes := append([]byte(nil), flat.nodes...)
+		mutate(nodes)
+		check(what, nodes, flat.sym)
+	}
+
+	// The internal-node count is the length of the symbol section and the
+	// leaf count what the node section holds past those records; a node
+	// section that does not hold exactly that is a shape error, not
+	// something to clamp, and so are child tables or leaf blocks.
 	for _, d := range []int32{-1, 1} {
-		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves+d); err == nil {
+		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, nil, nil, flat.nLeaves+d); err == nil {
 			t.Errorf("NewFlatTree accepted %d leaves for a section of %d", flat.nLeaves+d, flat.nLeaves)
 		}
 	}
-	if _, err := NewFlatTree(term, flat.nodes[:len(flat.nodes)-flatLeafSize], flat.sym, nil, flat.leafIdx, flat.leafData, flat.nLeaves); err == nil {
-		t.Error("NewFlatTree accepted a node section one leaf record short")
+	if _, err := NewFlatTree(term, flat.nodes[:len(flat.nodes)-flatLeafSize], flat.sym, nil, nil, nil, flat.nLeaves); err == nil {
+		t.Error("NewFlatTree accepted a node section one leaf short")
 	}
-	if _, err := NewFlatTree(term, flat.nodes, flat.sym, make([]byte, 256), flat.leafIdx, flat.leafData, flat.nLeaves); err == nil {
-		t.Error("NewFlatTree accepted a dense-table section; the layout has none")
+	for i, extra := range [3][]byte{make([]byte, 256), {0}, {0}} {
+		secs := [3][]byte{}
+		secs[i] = extra
+		if _, err := NewFlatTree(term, flat.nodes, flat.sym, secs[0], secs[1], secs[2], flat.nLeaves); err == nil {
+			t.Errorf("NewFlatTree accepted a dense, leafIdx or leafData section (%d); the layout has none", i)
+		}
 	}
 }
 
@@ -373,41 +429,35 @@ func FuzzFlatTreeSections(f *testing.F) {
 	patch := func(sec byte, off int, v uint32) []byte {
 		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{sec}, uint32(off)), v)
 	}
-	nInt, nNodes := uint32(flat.nInt), uint32(flat.nNodes)
+	nInt := uint32(flat.nInt)
+	suffix := func(r int32) uint32 { return binary.LittleEndian.Uint32(flat.nodes[flat.saOff(int(r)):]) }
+	run, gap := flat.seamNodes(f)
+	lo, hi := flat.ranks(flat.rec(gap))
 	f.Add([]byte(nil), int8(0))
-	// The seams of the two-run layout: an internal child run reaching into
-	// the leaf ids, a leaf run past the last node, a depth past the edge's
-	// end, a leaf edge starting past S, and an internal-node count that
-	// disagrees with the section length.
-	f.Add(append(patch(0, 8, nInt-1), patch(0, 24, 0x00010004)...), int8(0))
-	f.Add(append(patch(0, 12, nNodes-1), patch(0, 24, 0x00040001)...), int8(0))
+	// The seams of the layout: an internal child run reaching past the
+	// internal ids, a depth past the edge's end, a suffix past S (and one
+	// that is negative as an int32), two equal suffixes, a leaf range past
+	// the suffix array, a range whose suffixes are out of order under their
+	// node, and leaf counts that disagree with the section length.
+	f.Add(append(patch(0, 8, nInt-1), patch(0, 24, 4)...), int8(0))
 	f.Add(patch(0, flatNodeSize+28, 0x7fffffff), int8(0))
-	f.Add(patch(0, flat.leafBase, 0xffffffff), int8(0))
-	f.Add(patch(0, flat.leafBase+4, uint32(len(term))+7), int8(0))
+	f.Add(patch(0, flat.saOff(0), uint32(len(term))+7), int8(0))
+	f.Add(patch(0, flat.saOff(int(lo)), 0xffffffff), int8(0))
+	f.Add(patch(0, flat.saOff(int(lo)), suffix(hi-1)), int8(0))
+	f.Add(patch(0, int(gap)*flatNodeSize+16, uint32(flat.nLeaves)-1), int8(0))
+	f.Add(append(patch(0, flat.saOff(int(lo)), suffix(hi-1)), patch(0, flat.saOff(int(hi)-1), suffix(lo))...), int8(0))
 	f.Add([]byte(nil), int8(1))
 	f.Add([]byte(nil), int8(-4))
-	// What ValidateView's first check refuses and the reader has to survive:
-	// a leaf run two parents claim, a node that is its own first internal
-	// child (the cycle the cs <= u clamp exists for), and an internal id the
-	// root's run no longer reaches.
-	withRun := func(cnt int) int {
-		for u := 1; u < int(flat.nInt); u++ {
-			if binary.LittleEndian.Uint16(flat.rec(int32(u))[cnt:]) > 0 {
-				return u
-			}
-		}
-		f.Fatal("no internal node below the root has such a run")
-		return 0
-	}
+	// What ValidateView's run check refuses and the reader has to survive: a
+	// node that is its own first internal child (the cycle the cs <= u clamp
+	// exists for), a run two parents claim, and an internal id the root's run
+	// no longer reaches.
 	root := flat.rec(0)
-	f.Add(patch(0, withRun(26)*flatNodeSize+12, binary.LittleEndian.Uint32(root[12:])), int8(0))
-	f.Add(patch(0, withRun(24)*flatNodeSize+8, uint32(withRun(24))), int8(0))
-	f.Add(append(patch(0, 8, binary.LittleEndian.Uint32(root[8:])+1), patch(0, 24, binary.LittleEndian.Uint32(root[24:])-1)...), int8(0))
+	f.Add(patch(0, int(run)*flatNodeSize+8, uint32(run)), int8(0))
+	f.Add(patch(0, int(run)*flatNodeSize+8, binary.LittleEndian.Uint32(root[8:])), int8(0))
+	f.Add(append(patch(0, 8, binary.LittleEndian.Uint32(root[8:])+1), patch(0, 24, uint32(binary.LittleEndian.Uint16(root[24:]))-1)...), int8(0))
 	f.Fuzz(func(t *testing.T, patches []byte, leafSkew int8) {
-		secs := [4][]byte{
-			append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...),
-			append([]byte(nil), flat.leafIdx...), append([]byte(nil), flat.leafData...),
-		}
+		secs := [2][]byte{append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...)}
 		for ; len(patches) >= 9; patches = patches[9:] {
 			sec := secs[int(patches[0])%len(secs)]
 			var v [4]byte
@@ -416,7 +466,7 @@ func FuzzFlatTreeSections(f *testing.F) {
 				copy(sec[off%len(sec):], v[:])
 			}
 		}
-		ft, err := NewFlatTree(term, secs[0], secs[1], nil, secs[2], secs[3], flat.nLeaves+int32(leafSkew))
+		ft, err := NewFlatTree(term, secs[0], secs[1], nil, nil, nil, flat.nLeaves+int32(leafSkew))
 		if err != nil {
 			return
 		}

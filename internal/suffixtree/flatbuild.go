@@ -15,18 +15,19 @@ import (
 // order rather than all of it; the tree then holds exactly those suffixes
 // (AssembleShards).
 //
-// Every record is written once, into the image's own sections. A node is
+// Every record is written once, into the image's own sections. A leaf is its
+// suffix array entry, written at its rank as it arrives. An internal node is
 // final when the rightmost path leaves it, but where it goes is its parent's
 // decision — siblings must be contiguous — so it waits on the pending stack
-// until the parent completes, which then writes all its children as one
-// internal run and one leaf run. Both tables fill from the back: a parent
-// completes after its children, so it lands in front of them, and every
-// child run lies strictly after its parent — the order the reader's descent
-// relies on to terminate. Ids are therefore handed out in reverse completion
-// order, counted from the end of the tables while the stream runs (the
-// tables' used length is not known until it ends); Finish turns those into
-// ids in one pass. Besides the sections the builder holds only the open
-// rightmost path and the finished children of its nodes.
+// until the parent completes, which then writes all its internal children as
+// one run. The records fill from the back: a parent completes after its
+// children, so it lands in front of them, and every child run lies strictly
+// after its parent — the order the reader's descent relies on to terminate.
+// Ids are therefore handed out in reverse completion order, counted from the
+// end of the records while the stream runs (their used length is not known
+// until it ends); Finish turns those into ids in one pass. Besides the
+// sections the builder holds only the open rightmost path and the finished
+// internal children of its nodes.
 type FlatBuilder struct {
 	data   []byte
 	n      int32 // len(data)
@@ -34,27 +35,23 @@ type FlatBuilder struct {
 
 	frames []fbFrame
 
-	// nodes and sym are the image's sections, sized for intCap internal
-	// records and leaves leaf records. The last nInt internal slots and the last
-	// nLeafRecs leaf slots are written.
-	nodes     []byte
-	sym       []byte
-	intCap    int32
-	nInt      int32
-	nLeafRecs int32
+	// nodes and sym are the image's sections: room for intCap internal
+	// records with the suffix array behind them, and their first symbols. The
+	// last nInt record slots are written, and the first nLeaves suffixes.
+	nodes  []byte
+	sym    []byte
+	intCap int32
+	nInt   int32
 
-	// pending holds the finished children of every open frame, stacked
-	// region over region.
+	// pending holds the finished internal children of every open frame,
+	// stacked region over region.
 	pending []fbRec
 
-	nLeaves  int32 // leaves streamed so far, in lexicographic order
-	leafIdx  []byte
-	leafData []byte
-	prevLeaf int32
+	nLeaves int32 // leaves streamed so far, in lexicographic order
 }
 
 // fbFrame is one edge of the open rightmost path. The node at the edge's
-// bottom is still growing; its children collected so far live in
+// bottom is still growing; its internal children collected so far live in
 // pending[childBase:].
 type fbFrame struct {
 	start, end int32 // edge label window in data
@@ -64,30 +61,26 @@ type fbFrame struct {
 	suffix     int32 // leaf frames: the suffix; split-created frames: -1
 }
 
-// fbRec is one finished node on the pending stack: a leaf (suffix ≥ 0, with
-// start its edge start) or an internal node whose children are already in
-// the tables.
+// fbRec is one finished internal node on the pending stack, its children
+// already in the records.
 type fbRec struct {
 	start, end int32 // edge label window in data
-	suffix     int32 // the leaf's suffix; -1 for an internal node
 	depth      int32 // string depth at the bottom of the edge
 	leafStart  int32 // rank of the subtree's first leaf
 	leafCount  int32
-	cs, ci     int32 // internal child run: first record counted from the table's end, count
-	ls, cl     int32 // leaf child run, likewise
+	cs, ci     int32 // internal child run: first record counted from the end, count
 }
 
-// put encodes an internal node's record into r. The child-run fields still
-// count from the end of their tables; Finish rewrites them as ids.
+// put encodes the node's record into r, a slot no record was written to: the
+// reserved fields stay zero. The child run still counts from the end of the
+// records; Finish rewrites it as an id.
 func (n *fbRec) put(r []byte) {
 	binary.LittleEndian.PutUint32(r[0:], uint32(n.start))
 	binary.LittleEndian.PutUint32(r[4:], uint32(n.end))
 	binary.LittleEndian.PutUint32(r[8:], uint32(n.cs))
-	binary.LittleEndian.PutUint32(r[12:], uint32(n.ls))
 	binary.LittleEndian.PutUint32(r[16:], uint32(n.leafStart))
 	binary.LittleEndian.PutUint32(r[20:], uint32(n.leafCount))
 	binary.LittleEndian.PutUint16(r[24:], uint16(n.ci))
-	binary.LittleEndian.PutUint16(r[26:], uint16(n.cl))
 	binary.LittleEndian.PutUint32(r[28:], uint32(n.depth))
 }
 
@@ -95,10 +88,10 @@ func (n *fbRec) put(r []byte) {
 // string S) of a tree holding leaves of its suffixes — all len(data) of them,
 // or one range of the suffix order. internal is an upper bound on the
 // internal nodes below the root (AssembleShards counts them exactly), so the
-// image's node and symbol sections and the leaf blocks are allocated here,
-// once, and Finish hands out those same arrays. (A stream that exceeds the
-// bound still builds; it only reallocates.) A tree whose ids would not fit
-// the layout's 31 bits is refused before anything is allocated.
+// image's node and symbol sections are allocated here, once, and Finish hands
+// out those same arrays. (A stream that exceeds the bound still builds; it
+// only reallocates.) A tree whose ids would not fit the layout's 31 bits is
+// refused before anything is allocated.
 func NewFlatBuilder(data []byte, leaves, internal int) (*FlatBuilder, error) {
 	n := len(data)
 	if leaves < 1 || leaves > n {
@@ -107,21 +100,14 @@ func NewFlatBuilder(data []byte, leaves, internal int) (*FlatBuilder, error) {
 	if internal < 0 || int64(internal) >= math.MaxInt32-int64(leaves) { // internal + the root + the leaves
 		return nil, fmt.Errorf("suffixtree: %d internal nodes over %d leaves exceed the flat layout's bounds", internal, leaves)
 	}
-	blocks := (leaves + flatLeafBlock - 1) / flatLeafBlock
-	// A block opens with a suffix (< n) and continues with zigzag deltas
-	// (< 2n); both fit the varint width of 2n.
-	var scratch [binary.MaxVarintLen64]byte
-	leafWidth := binary.PutUvarint(scratch[:], 2*uint64(n))
 	intCap := internal + 1
 	return &FlatBuilder{
-		data:     data,
-		n:        int32(n),
-		leaves:   int32(leaves),
-		nodes:    make([]byte, FlatNodesLen(int64(intCap), int64(leaves))),
-		sym:      make([]byte, intCap+leaves),
-		intCap:   int32(intCap),
-		leafIdx:  make([]byte, 0, 4*blocks),
-		leafData: make([]byte, 0, leaves*leafWidth),
+		data:   data,
+		n:      int32(n),
+		leaves: int32(leaves),
+		nodes:  make([]byte, FlatNodesLen(int64(intCap), int64(leaves))),
+		sym:    make([]byte, intCap),
+		intCap: int32(intCap),
 	}, nil
 }
 
@@ -168,7 +154,7 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 		if pd < offset {
 			// The branch lands inside f's edge: split it. The upper part m
 			// keeps f's label base and subtree bookkeeping; f's completed
-			// bottom becomes m's first pending child.
+			// bottom becomes m's first child.
 			d := offset - pd
 			m := fbFrame{start: f.start, end: f.start + d, botDepth: offset,
 				leafStart: f.leafStart, childBase: f.childBase, suffix: -1}
@@ -194,7 +180,9 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 	} else if offset != 0 {
 		return fmt.Errorf("suffixtree: lcp %d underruns the rightmost path", offset)
 	}
-	b.emitLeaf(suf)
+	// The leaf's one field, at its rank: the suffix array is stream order.
+	binary.LittleEndian.PutUint32(b.nodes[int(b.intCap)*flatNodeSize+int(b.nLeaves)*flatLeafSize:], uint32(suf))
+	b.nLeaves++
 	b.frames = append(b.frames, fbFrame{
 		start: suf + offset, end: b.n, botDepth: b.n - suf,
 		leafStart: b.nLeaves - 1, childBase: int32(len(b.pending)), suffix: suf,
@@ -202,21 +190,19 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 	return nil
 }
 
-// complete closes the bottom node of a popped frame: its children leave the
-// pending stack for the tables, and the node itself takes their place, as a
-// child of the frame below.
+// complete closes the bottom node of a popped frame. A leaf is already
+// written; an internal node's children leave the pending stack for the
+// records, and the node itself takes their place, as a child of the frame
+// below.
 func (b *FlatBuilder) complete(f fbFrame) error {
 	kids := b.pending[f.childBase:]
 	if f.suffix >= 0 {
 		if len(kids) != 0 {
 			return fmt.Errorf("suffixtree: flat build attached %d children below a leaf (suffixes not distinct?)", len(kids))
 		}
-		// A leaf's edge starts at suffix + parent depth: splits above it
-		// have moved start there by now.
-		b.pending = append(b.pending, fbRec{start: f.start, suffix: f.suffix})
 		return nil
 	}
-	rec := fbRec{start: f.start, end: f.end, suffix: -1, depth: f.botDepth,
+	rec := fbRec{start: f.start, end: f.end, depth: f.botDepth,
 		leafStart: f.leafStart, leafCount: b.nLeaves - f.leafStart}
 	if err := b.writeKids(&rec, kids); err != nil {
 		return err
@@ -225,48 +211,34 @@ func (b *FlatBuilder) complete(f fbFrame) error {
 	return nil
 }
 
-// writeKids writes the finished children of a completing node — in sibling
-// order, as the stream delivered them — in front of everything the two
-// tables hold, and records the two runs in rec.
+// writeKids writes the finished internal children of a completing node — in
+// sibling order, as the stream delivered them — in front of every record
+// written so far, and records the run in rec.
 func (b *FlatBuilder) writeKids(rec *fbRec, kids []fbRec) error {
 	if len(kids) > flatMaxKids {
 		return fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(kids))
 	}
-	for i := range kids {
-		if kids[i].suffix >= 0 {
-			rec.cl++
-		}
+	rec.ci = int32(len(kids))
+	if rec.ci == 0 {
+		return nil // an empty run is stored as id 0
 	}
-	rec.ci = int32(len(kids)) - rec.cl
 	if err := b.reserve(rec.ci); err != nil {
 		return err
 	}
 	b.nInt += rec.ci
-	b.nLeafRecs += rec.cl // add admits at most leaves leaves, so the leaf table cannot overflow
-	rec.cs, rec.ls = b.nInt, b.nLeafRecs
-	// The runs' first slots, and the leaf table behind the internal one.
-	i, l := int(b.intCap-b.nInt), int(b.leaves-b.nLeafRecs)
-	leaves, leafSym := b.nodes[int(b.intCap)*flatNodeSize:], b.sym[b.intCap:]
+	rec.cs = b.nInt
+	i := int(b.intCap - b.nInt) // the run's first slot
 	for k := range kids {
-		c := &kids[k]
-		if c.suffix >= 0 {
-			r := leaves[l*flatLeafSize:]
-			binary.LittleEndian.PutUint32(r[0:], uint32(c.start))
-			binary.LittleEndian.PutUint32(r[4:], uint32(c.suffix))
-			leafSym[l] = b.data[c.start]
-			l++
-		} else {
-			c.put(b.nodes[i*flatNodeSize:])
-			b.sym[i] = b.data[c.start]
-			i++
-		}
+		kids[k].put(b.nodes[(i+k)*flatNodeSize:])
+		b.sym[i+k] = b.data[kids[k].start]
 	}
 	return nil
 }
 
 // reserve makes room for k more internal records. Within the bound
-// NewFlatBuilder was given it does nothing; past it the tables move to
-// larger arrays, keeping their distance from the end.
+// NewFlatBuilder was given it does nothing; past it the sections move to
+// larger arrays, the written records keeping their distance from the end of
+// the records.
 func (b *FlatBuilder) reserve(k int32) error {
 	need := int64(b.nInt) + int64(k)
 	if need <= int64(b.intCap) {
@@ -278,9 +250,9 @@ func (b *FlatBuilder) reserve(k int32) error {
 	}
 	grown := min(max(2*int64(b.intCap), need), limit)
 	nodes := make([]byte, FlatNodesLen(grown, int64(b.leaves)))
-	sym := make([]byte, grown+int64(b.leaves))
-	// The written internal records and the leaf table behind them are one
-	// window of each section.
+	sym := make([]byte, grown)
+	// The written records and the suffix array behind them are one window of
+	// the node section.
 	used := int(b.intCap - b.nInt)
 	copy(nodes[(int(grown)-int(b.nInt))*flatNodeSize:], b.nodes[used*flatNodeSize:])
 	copy(sym[int(grown)-int(b.nInt):], b.sym[used:])
@@ -288,27 +260,10 @@ func (b *FlatBuilder) reserve(k int32) error {
 	return nil
 }
 
-// emitLeaf appends the next leaf (in lexicographic order, which is exactly
-// stream order) to the delta-varint blocks — the final encoding, written
-// once.
-func (b *FlatBuilder) emitLeaf(suf int32) {
-	var scratch [binary.MaxVarintLen64]byte
-	if b.nLeaves%flatLeafBlock == 0 {
-		b.leafIdx = binary.LittleEndian.AppendUint32(b.leafIdx, uint32(len(b.leafData)))
-		m := binary.PutUvarint(scratch[:], uint64(uint32(suf)))
-		b.leafData = append(b.leafData, scratch[:m]...)
-	} else {
-		m := binary.PutUvarint(scratch[:], zigzag32(suf-b.prevLeaf))
-		b.leafData = append(b.leafData, scratch[:m]...)
-	}
-	b.prevLeaf = suf
-	b.nLeaves++
-}
-
 // Finish closes the stream: the open path completes, the root takes the
 // slot in front of everything written, the unused front of the internal
-// bound is cut off by re-slicing, and the child-run fields — counted from
-// the end of the tables until now — become ids.
+// bound is cut off by re-slicing, and the child runs — counted from the end
+// of the records until now — become ids.
 func (b *FlatBuilder) Finish() (*Flat, error) {
 	if b.nLeaves == 0 {
 		return nil, fmt.Errorf("suffixtree: flat build of an empty tree")
@@ -323,7 +278,7 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	if b.nLeaves != b.leaves {
 		return nil, fmt.Errorf("suffixtree: flat build found %d of the %d leaves it was sized for", b.nLeaves, b.leaves)
 	}
-	root := fbRec{suffix: -1, leafCount: b.nLeaves}
+	root := fbRec{leafCount: b.nLeaves}
 	if err := b.writeKids(&root, b.pending); err != nil {
 		return nil, err
 	}
@@ -334,25 +289,16 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	gap := int(b.intCap - b.nInt)
 	root.put(b.nodes[gap*flatNodeSize:])
 
-	nn := b.nInt + b.leaves
 	f := &Flat{
-		Nodes:    b.nodes[gap*flatNodeSize:],
-		Sym:      b.sym[gap:],
-		LeafIdx:  b.leafIdx,
-		LeafData: b.leafData,
-		NNodes:   nn,
-		NLeaves:  b.leaves,
+		Nodes:   b.nodes[gap*flatNodeSize:],
+		Sym:     b.sym[gap:],
+		NNodes:  b.nInt + b.leaves,
+		NLeaves: b.leaves,
 	}
 	for r := f.Nodes[:int(b.nInt)*flatNodeSize]; len(r) > 0; r = r[flatNodeSize:] {
-		var cs, ls uint32 // an empty run is stored as id 0
 		if binary.LittleEndian.Uint16(r[24:]) > 0 {
-			cs = uint32(b.nInt) - binary.LittleEndian.Uint32(r[8:])
+			binary.LittleEndian.PutUint32(r[8:], uint32(b.nInt)-binary.LittleEndian.Uint32(r[8:]))
 		}
-		if binary.LittleEndian.Uint16(r[26:]) > 0 {
-			ls = uint32(nn) - binary.LittleEndian.Uint32(r[12:])
-		}
-		binary.LittleEndian.PutUint32(r[8:], cs)
-		binary.LittleEndian.PutUint32(r[12:], ls)
 	}
 	return f, nil
 }
@@ -377,12 +323,12 @@ func Flatten(v View, data []byte) (*Flat, error) {
 	// common ancestor of that leaf and the next: its parent's depth is their
 	// LCP.
 	afterLeaf, lcp := true, int32(0)
-	Walk(v, v.Root(), func(id, depth int32) bool {
+	Walk(v, v.Root(), func(id, _, parentDepth int32) bool {
 		if err != nil {
 			return false
 		}
 		if afterLeaf {
-			afterLeaf, lcp = false, depth-v.EdgeLen(id)
+			afterLeaf, lcp = false, parentDepth
 		}
 		if v.IsLeaf(id) {
 			err = b.add(v.Suffix(id), lcp)

@@ -191,8 +191,6 @@ func TestFlatBuilderDifferential(t *testing.T) {
 			}{
 				{"nodes", got.Nodes, want.Nodes},
 				{"sym", got.Sym, want.Sym},
-				{"leafIdx", got.LeafIdx, want.LeafIdx},
-				{"leafData", got.LeafData, want.LeafData},
 			} {
 				if !bytes.Equal(s.got, s.want) {
 					t.Fatalf("corpus %d, %s: section %s differs (%d vs %d bytes)", ci, name, s.name, len(s.got), len(s.want))
@@ -223,7 +221,7 @@ func TestFlatBuilderSingleSubTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFlatTree(term, got.Nodes, got.Sym, nil, got.LeafIdx, got.LeafData, got.NLeaves)
+	ft, err := NewFlatTree(term, got.Nodes, got.Sym, nil, nil, nil, got.NLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +310,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: under-sized build: %v", syms, err)
 		}
-		ft, err := NewFlatTree(term, want.Nodes, want.Sym, nil, want.LeafIdx, want.LeafData, want.NLeaves)
+		ft, err := NewFlatTree(term, want.Nodes, want.Sym, nil, nil, nil, want.NLeaves)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,11 +322,11 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		// AllocsPerRun calls its function once to warm up.
 		const runCount = 2
 		var builders [runCount + 1]*FlatBuilder
-		var ends [runCount + 1][4]*byte
+		var ends [runCount + 1][2]*byte
 		last := func(b []byte) *byte { return &b[:cap(b)][cap(b)-1] }
 		for i := range builders {
 			fb := newBuilder(t, term, internal)
-			ends[i] = [4]*byte{last(fb.nodes), last(fb.sym), last(fb.leafIdx), last(fb.leafData)}
+			ends[i] = [2]*byte{last(fb.nodes), last(fb.sym)}
 			stream(fb)
 			// The open path is as deep as the stream ever made it; a level
 			// holds at most one node's children, less the one still open.
@@ -348,7 +346,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if perFinish > 2 {
 			t.Errorf("%q: Finish allocated %.0f objects", syms, perFinish)
 		}
-		if got := [4]*byte{last(fl.Nodes), last(fl.Sym), last(fl.LeafIdx), last(fl.LeafData)}; got != ends[runCount] {
+		if got := [2]*byte{last(fl.Nodes), last(fl.Sym)}; got != ends[runCount] {
 			t.Errorf("%q: Finish handed out sections that are not the arrays NewFlatBuilder allocated", syms)
 		}
 		if len(fl.Nodes) != cap(fl.Nodes) || len(fl.Sym) != cap(fl.Sym) {
@@ -357,8 +355,8 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if !bytes.Equal(fl.Nodes, want.Nodes) || !bytes.Equal(fl.Sym, want.Sym) {
 			t.Errorf("%q: the under-sized build's sections differ from the sized build's", syms)
 		}
-		if cap(fl.Dense) != 0 {
-			t.Errorf("%q: a %d-byte dense section allocated; the layout has none", syms, cap(fl.Dense))
+		if n := cap(fl.Dense) + cap(fl.LeafIdx) + cap(fl.LeafData); n != 0 {
+			t.Errorf("%q: %d bytes of dense tables or leaf blocks allocated; the layout has none", syms, n)
 		}
 	}
 }

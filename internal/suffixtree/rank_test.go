@@ -22,7 +22,7 @@ import (
 func rankImages(t testing.TB, a *alphabet.Alphabet, term []byte) map[string]*suffixtree.FlatTree {
 	t.Helper()
 	view := func(fl *suffixtree.Flat) *suffixtree.FlatTree {
-		ft, err := suffixtree.NewFlatTree(term, fl.Nodes, fl.Sym, nil, fl.LeafIdx, fl.LeafData, fl.NLeaves)
+		ft, err := suffixtree.NewFlatTree(term, fl.Nodes, fl.Sym, nil, nil, nil, fl.NLeaves)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestAssembleShards(t *testing.T) {
 			}
 			rank, prevCut := 0, 0
 			for i, sh := range shards {
-				ft, err := NewFlatTree(term, sh.Nodes, sh.Sym, nil, sh.LeafIdx, sh.LeafData, sh.NLeaves)
+				ft, err := NewFlatTree(term, sh.Nodes, sh.Sym, nil, nil, nil, sh.NLeaves)
 				if err != nil {
 					t.Fatal(err)
 				}

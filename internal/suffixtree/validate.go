@@ -137,29 +137,32 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 
 // ValidateView checks a flat tree's records against the invariants its
 // accessors otherwise only clamp — the structural half of era.Verify, after
-// the checksums have vouched for the bytes. One pass over the internal
-// records in id order — parents come before their children — each checking
-// its children:
+// the checksums have vouched for the bytes:
 //
-//  1. the child runs tile the id space: every internal id but the root and
-//     every leaf id is in exactly one parent's run, internal runs strictly
-//     after their parent and inside the internal ids, leaf runs inside the
-//     leaf ids — what the reader relies on, in whatever order a writer
-//     numbered the nodes;
-//  2. every internal node other than the root has ≥ 2 children, and sibling
-//     edges start with strictly increasing symbols across the two runs;
-//  3. edge windows lie in S, start with the symbol sym records, and are
-//     canonical: an internal edge ends at first-leaf suffix + depth — the
-//     depth its record stores — and a leaf's starts at suffix + parent depth;
-//  4. subtree leaf ranges nest: children partition their parent's range in
-//     symbol order, and the leaf with rank r is the r-th entry of the varint
-//     leaf blocks — so the leaf records' suffixes are those entries, permuted;
-//  5. the leaf blocks hold every suffix of S in the prefix range [lo, hi)
-//     exactly once, and no other (InRange; empty lo and hi: every suffix).
+//  1. the suffix array is a permutation of the suffixes of S in the prefix
+//     range [lo, hi), each exactly once (InRange; empty lo and hi: every
+//     suffix) — one bitmap;
+//  2. the internal child runs tile the internal ids: every one but the root
+//     is in exactly one parent's run, which lies strictly after the parent
+//     and inside the internal ids — what the descent relies on to terminate,
+//     in whatever order a writer numbered the nodes — and the reserved fields
+//     are zero;
+//  3. subtree leaf ranges nest: the root's is every rank, and a node's
+//     internal children hold disjoint ranges inside it, in rank order; the
+//     ranks between them are its leaf children;
+//  4. inside every node's range, S[SA[r] + depth] ascends: over the node's
+//     children in rank order — internal ones and leaves — the first symbol at
+//     the node's depth strictly increases (what the child lookup's search of
+//     a gap relies on), and every node but the root has ≥ 2 children;
+//  5. edge windows lie in S and are canonical: an internal edge starts at its
+//     first suffix + its parent's depth, with the symbol sym records, and
+//     ends at first suffix + the depth its record stores; a leaf's suffix
+//     runs past its parent's depth.
 //
-// It does not re-spell edge labels beyond their first symbol, which can cost
-// O(n²) on deeply repetitive strings. Corrupt input yields an error, never a
-// panic.
+// It is one pass over the internal records in id order — parents come before
+// their children — and one over the suffix array, O(nodes). It does not
+// re-spell edge labels beyond their first symbol, which can cost O(n²) on
+// deeply repetitive strings. Corrupt input yields an error, never a panic.
 func ValidateView(t *FlatTree, lo, hi []byte) error {
 	n := int64(len(t.data))
 	want := n
@@ -175,108 +178,98 @@ func ValidateView(t *FlatTree, lo, hi []byte) error {
 		return fmt.Errorf("suffixtree: %d leaves where the %d-byte string has %d suffixes in range", t.nLeaves, n, want)
 	}
 	leaves := int64(t.nLeaves)
-	ranks := t.appendLeafRange(make([]int32, 0, t.nLeaves), 0, int(t.nLeaves))
-	if len(ranks) != int(t.nLeaves) {
-		return fmt.Errorf("suffixtree: leaf blocks decode %d of %d leaves", len(ranks), t.nLeaves)
-	}
-	present := make([]bool, n)
-	for r, o := range ranks {
-		if o < 0 || int64(o) >= n || present[o] || !InRange(t.data[o:], lo, hi) {
-			return fmt.Errorf("suffixtree: leaf rank %d holds suffix %d: out of range, or indexed twice", r, o)
+	u32 := func(r []byte, off int) int64 { return int64(binary.LittleEndian.Uint32(r[off:])) }
+	sa := func(r int64) int64 { return u32(t.sa, int(r)*flatLeafSize) }
+	present := make([]uint64, (n+63)/64)
+	for r := int64(0); r < leaves; r++ {
+		o := sa(r)
+		if o >= n || !claimRun(present, o, 1) || !InRange(t.data[o:], lo, hi) {
+			return fmt.Errorf("suffixtree: leaf rank %d holds suffix %d: outside the string or the range, or indexed twice", r, o)
 		}
-		present[o] = true
 	}
 
-	u32 := func(r []byte, off int) int64 { return int64(binary.LittleEndian.Uint32(r[off:])) }
-	claimed := make([]uint64, (int(t.nNodes)+63)/64) // ids some run holds
+	claimed := make([]uint64, (int(t.nInt)+63)/64) // internal ids some run holds
 	nClaimed := int64(0)
 	for u := int32(0); u < t.nInt; u++ {
 		r := t.rec(u)
-		rank, leafCount := u32(r, 16), u32(r, 20)
-		cs, ls := u32(r, 8), u32(r, 12)
-		ci, cl := int64(binary.LittleEndian.Uint16(r[24:])), int64(binary.LittleEndian.Uint16(r[26:]))
-		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || leafCount != leaves) {
-			return fmt.Errorf("suffixtree: root record has a label, or not every leaf below it")
+		rank, count, depth := u32(r, 16), u32(r, 20), u32(r, 28)
+		cs, ci := u32(r, 8), int64(binary.LittleEndian.Uint16(r[24:]))
+		if u32(r, 12) != 0 || binary.LittleEndian.Uint16(r[26:]) != 0 {
+			return fmt.Errorf("suffixtree: node %d: nonzero reserved fields", u)
 		}
-		if leafCount < 1 || rank+leafCount > leaves {
-			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, leafCount, leaves)
+		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || count != leaves || depth != 0) {
+			return fmt.Errorf("suffixtree: root record has a label, a depth, or not every leaf below it")
+		}
+		if count < 1 || rank+count > leaves {
+			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, count, leaves)
 		}
 		// A canonical edge ends at first suffix + depth; the parent checked
 		// that u's starts at first suffix + parent depth, before its end.
-		depth, want := u32(r, 28), u32(r, 4)-int64(ranks[rank])
-		if u == 0 {
-			want = 0
-		}
-		if depth != want {
-			return fmt.Errorf("suffixtree: node %d: depth %d on an edge ending %d past its first suffix", u, depth, want)
-		}
-		if ci+cl < 2 && (u != 0 || ci+cl < 1) {
-			return fmt.Errorf("suffixtree: internal node %d has %d children", u, ci+cl)
+		if u != 0 && depth != u32(r, 4)-sa(rank) {
+			return fmt.Errorf("suffixtree: node %d: depth %d on an edge ending %d past its first suffix", u, depth, u32(r, 4)-sa(rank))
 		}
 		if ci > 0 && (cs <= int64(u) || cs+ci > int64(t.nInt)) {
 			return fmt.Errorf("suffixtree: node %d: internal child run [%d,+%d) is not after it and inside the %d internal ids", u, cs, ci, t.nInt)
 		}
-		if cl > 0 && (ls < int64(t.nInt) || ls+cl > int64(t.nNodes)) {
-			return fmt.Errorf("suffixtree: node %d: leaf child run [%d,+%d) is outside the leaf ids [%d,%d)", u, ls, cl, t.nInt, t.nNodes)
-		}
-		if !claimRun(claimed, cs, ci) || !claimRun(claimed, ls, cl) {
+		if !claimRun(claimed, cs, ci) {
 			return fmt.Errorf("suffixtree: node %d: a child run holds a node that an earlier run holds", u)
 		}
-		nClaimed += ci + cl
-		i, ie, l, le := cs, cs+ci, ls, ls+cl
-		leafEnd := rank + leafCount
-		prevSym := -1
-		for i < ie || l < le {
-			c := l
-			if l == le || (i < ie && t.sym[i] < t.sym[l]) {
-				c = i
-				i++
-			} else {
-				l++
+		nClaimed += ci
+
+		// The children in rank order: the leaves before each internal child,
+		// the child, and the leaves after the last.
+		next, end := rank, rank+count
+		prevSym, kids := -1, 0
+		child := func(c int64, sym int) error {
+			if sym <= prevSym {
+				return fmt.Errorf("suffixtree: children of node %d not in strictly increasing symbol order at child %d", u, c)
 			}
-			sym := t.sym[c]
-			if int(sym) <= prevSym {
-				return fmt.Errorf("suffixtree: children of node %d not in strictly increasing symbol order", u)
-			}
-			prevSym = int(sym)
-			if rank >= leafEnd {
-				return fmt.Errorf("suffixtree: node %d: children hold more than its %d leaves", u, leafCount)
-			}
-			var es int64
-			if c < int64(t.nInt) {
-				rc := t.rec(int32(c))
-				var ee int64
-				es, ee = u32(rc, 0), u32(rc, 4)
-				if es >= ee || ee > n || es != int64(ranks[rank])+depth {
-					return fmt.Errorf("suffixtree: node %d: edge [%d,%d) under depth %d is not based on its first suffix %d", c, es, ee, depth, ranks[rank])
-				}
-				if u32(rc, 16) != rank {
-					return fmt.Errorf("suffixtree: node %d: leaf range starts at %d where rank %d is next", c, u32(rc, 16), rank)
-				}
-				rank += u32(rc, 20)
-			} else {
-				lr := t.nodes[t.leafBase+int(c-int64(t.nInt))*flatLeafSize:]
-				var suf int64
-				es, suf = u32(lr, 0), u32(lr, 4)
-				if es != suf+depth || es >= n {
-					return fmt.Errorf("suffixtree: leaf %d for suffix %d: edge starts at %d under depth %d", c, suf, es, depth)
-				}
-				if int64(ranks[rank]) != suf {
-					return fmt.Errorf("suffixtree: leaf %d for suffix %d is not the leaf of rank %d", c, suf, rank)
-				}
-				rank++
-			}
-			if t.data[es] != sym {
-				return fmt.Errorf("suffixtree: node %d: edge starts with %q, sym records %q", c, t.data[es], sym)
-			}
+			prevSym, kids = sym, kids+1
+			return nil
 		}
-		if rank != leafEnd {
-			return fmt.Errorf("suffixtree: node %d: children hold %d of its %d leaves", u, rank-(leafEnd-leafCount), leafCount)
+		leavesTo := func(to int64) error {
+			for ; next < to; next++ {
+				p := sa(next) + depth
+				if p >= n {
+					return fmt.Errorf("suffixtree: leaf rank %d: suffix %d ends above its parent %d of depth %d", next, sa(next), u, depth)
+				}
+				if err := child(int64(t.nInt)+next, int(t.data[p])); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for c := cs; c < cs+ci; c++ {
+			rc := t.rec(int32(c))
+			s, k := u32(rc, 16), u32(rc, 20)
+			if s < next || k < 1 || s+k > end {
+				return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) does not nest in its parent's [%d,%d) after rank %d", c, s, k, rank, end, next)
+			}
+			if err := leavesTo(s); err != nil {
+				return err
+			}
+			es, ee := u32(rc, 0), u32(rc, 4)
+			if es >= ee || ee > n || es != sa(s)+depth {
+				return fmt.Errorf("suffixtree: node %d: edge [%d,%d) under depth %d is not based on its first suffix %d", c, es, ee, depth, sa(s))
+			}
+			if t.data[es] != t.sym[c] {
+				return fmt.Errorf("suffixtree: node %d: edge starts with %q, sym records %q", c, t.data[es], t.sym[c])
+			}
+			if err := child(c, int(t.sym[c])); err != nil {
+				return err
+			}
+			next = s + k
+		}
+		if err := leavesTo(end); err != nil {
+			return err
+		}
+		if kids < 2 && u != 0 {
+			return fmt.Errorf("suffixtree: internal node %d has %d children", u, kids)
 		}
 	}
-	if nClaimed != int64(t.nNodes)-1 {
+	if nClaimed != int64(t.nInt)-1 {
 		// No id is in two runs, so some are in none.
-		return fmt.Errorf("suffixtree: child runs hold %d of the %d nodes below the root: nodes unreachable from it", nClaimed, t.nNodes-1)
+		return fmt.Errorf("suffixtree: child runs hold %d of the %d internal nodes below the root: nodes unreachable from it", nClaimed, t.nInt-1)
 	}
 	return nil
 }

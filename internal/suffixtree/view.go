@@ -6,9 +6,10 @@ package suffixtree
 // layouts implement it:
 //
 //   - *FlatTree, the immutable mmap-native layout of the index file format
-//     (child runs contiguous and sorted by first symbol, O(1) subtree leaf
-//     counts, delta-varint leaf blocks) — see flat.go. It is the only layout
-//     the era package serves from, and it holds it concretely;
+//     (internal child runs contiguous and sorted by first symbol, O(1)
+//     subtree leaf counts, the leaves as the suffix array) — see flat.go. It
+//     is the only layout the era package serves from, and it holds it
+//     concretely;
 //   - *Tree, the mutable heap layout construction, the competitor builders
 //     and the test oracles work on (sibling-linked nodes, edge offsets into a
 //     seq.String) — a reference, not a serving path.
@@ -21,10 +22,11 @@ type View interface {
 	Root() int32
 	// NumNodes returns the number of nodes including the root.
 	NumNodes() int
-	// EdgeStart returns the start offset of u's edge label in S.
-	EdgeStart(u int32) int32
-	// EdgeLen returns the length of u's edge label.
-	EdgeLen(u int32) int32
+	// Edge returns the window S[start:end) that labels the edge into u, whose
+	// parent sits at string depth parentDepth. A walk carries that depth: the
+	// flat layout stores no edge for a leaf, whose label runs from its
+	// suffix + parentDepth to the end of S.
+	Edge(u, parentDepth int32) (start, end int32)
 	// IsLeaf reports whether u has no children.
 	IsLeaf(u int32) bool
 	// Suffix returns the suffix offset for a leaf, or -1 for internal nodes.
@@ -43,6 +45,12 @@ var (
 	_ View = (*Tree)(nil)
 	_ View = (*FlatTree)(nil)
 )
+
+// Edge returns u's edge label window; the heap layout stores it for every
+// node, so the parent's depth is not needed.
+func (t *Tree) Edge(u, _ int32) (start, end int32) {
+	return t.nodes[u].start, t.nodes[u].end
+}
 
 // ForEachChild calls fn for every child of u in sibling order, stopping
 // early if fn returns false. It is the traversal primitive shared with the

@@ -22,15 +22,16 @@ package suffixtree
 // node; every walk here hoists one closure over loop state instead.
 
 // Walk visits every node reachable from u in depth-first pre-order, children
-// in first-symbol order; fn receives the node id and its string depth. If fn
-// returns false the subtree below the node is skipped.
-func Walk(v View, u int32, fn func(id, depth int32) bool) {
-	type frame struct{ id, depth int32 }
+// in first-symbol order; fn receives the node id, its string depth and its
+// parent's (u hangs at depth 0). If fn returns false the subtree below the
+// node is skipped.
+func Walk(v View, u int32, fn func(id, depth, parentDepth int32) bool) {
+	type frame struct{ id, parentDepth int32 }
 	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{u, v.EdgeLen(u)})
+	stack = append(stack, frame{u, 0})
 	var depth int32 // string depth of the node being expanded
 	push := func(c int32) bool {
-		stack = append(stack, frame{c, depth + v.EdgeLen(c)})
+		stack = append(stack, frame{c, depth})
 		return true
 	}
 	budget := v.NumNodes()
@@ -38,11 +39,12 @@ func Walk(v View, u int32, fn func(id, depth int32) bool) {
 		budget--
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !fn(f.id, f.depth) {
+		s, e := v.Edge(f.id, f.parentDepth)
+		depth = f.parentDepth + e - s
+		if !fn(f.id, depth, f.parentDepth) {
 			continue
 		}
 		mark := len(stack)
-		depth = f.depth
 		v.ForEachChild(f.id, push)
 		// Children were pushed in sibling order; reverse the run so the
 		// first sibling pops first.
@@ -95,24 +97,27 @@ func LeafCounts(v View) []int32 {
 }
 
 // FirstLeaf returns the suffix offset of the lexicographically first leaf
-// below u (u's own when it is a leaf), by descending first children; -1 for
-// an id outside the tree. The path label of u is S[o : o+depth(u)] for that
-// offset o, so a caller that needs only a prefix of the label reads it out
-// of S in place. Both layouts of View (view.go) resolve without allocating.
+// below u (u's own when it is a leaf); -1 for an id outside the tree. The
+// path label of u is S[o : o+depth(u)] for that offset o, so a caller that
+// needs only a prefix of the label reads it out of S in place. Both layouts
+// of View (view.go) resolve without allocating: the flat one reads the
+// suffix array at the first rank of u's leaf range, the heap one descends
+// first children.
 func FirstLeaf(v View, u int32) int32 {
 	switch t := v.(type) {
 	case *FlatTree:
 		if !t.valid(u) {
 			return -1
 		}
-		for u < t.nInt {
-			// Internal child runs lie after their parent, so this terminates.
-			if u = t.firstChild(u); u == None {
-				return -1 // a corrupt record: an internal node without children
+		r := u - t.nInt
+		if u < t.nInt {
+			lo, hi := t.ranks(t.rec(u))
+			if lo == hi {
+				return -1 // a corrupt record: an internal node without leaves
 			}
+			r = lo
 		}
-		_, suf := t.leaf(u)
-		return suf
+		return t.suffixAt(r)
 	case *Tree:
 		if u < 0 || int(u) >= len(t.nodes) {
 			return -1
@@ -135,7 +140,7 @@ func LongestRepeated(v View, stop func() bool) ([]byte, []int32) {
 	root := v.Root()
 	best, bestDepth := None, int32(0)
 	stopped := false
-	Walk(v, root, func(id, depth int32) bool {
+	Walk(v, root, func(id, depth, _ int32) bool {
 		if stop != nil && stop() {
 			stopped = true
 			return false
@@ -160,7 +165,7 @@ func LongestRepeated(v View, stop func() bool) ([]byte, []int32) {
 func VisitRepeats(v View, minLen int32, minOcc int, fn func(node int32, depth int32, occ int) bool) {
 	counts := LeafCounts(v)
 	root := v.Root()
-	Walk(v, root, func(id, depth int32) bool {
+	Walk(v, root, func(id, depth, _ int32) bool {
 		if id == root || v.IsLeaf(id) {
 			return true
 		}
@@ -182,7 +187,7 @@ func PrefixLoci(v View, L int32, fn func(node int32) bool) {
 	}
 	root := v.Root()
 	stopped := false
-	Walk(v, root, func(id, depth int32) bool {
+	Walk(v, root, func(id, depth, _ int32) bool {
 		if stopped {
 			return false
 		}
@@ -215,8 +220,11 @@ func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop fun
 	// Nodes entered across all branches, bounding corrupt-layout cycles
 	// (a zero-length child edge would otherwise recurse forever).
 	budget := v.NumNodes() * (k + 2)
-	var walk func(u int32, epos int32, pi, mis int)
-	walk = func(u int32, epos int32, pi, mis int) {
+	// walk matches on along the rest of u's edge, S[es:ee), with pi pattern
+	// symbols behind it — which is also the string depth, the depth every
+	// child of u hangs at.
+	var walk func(u, es, ee int32, pi, mis int)
+	walk = func(u, es, ee int32, pi, mis int) {
 		if budget <= 0 {
 			return
 		}
@@ -225,19 +233,19 @@ func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop fun
 			return
 		}
 		budget--
-		for {
+		for ; ; es++ {
 			if pi == m {
 				out = append(out, v.Leaves(u)...)
 				return
 			}
-			if epos == v.EdgeLen(u) {
+			if es >= ee {
 				v.ForEachChild(u, func(c int32) bool {
-					walk(c, 0, pi, mis)
+					cs, ce := v.Edge(c, int32(pi))
+					walk(c, cs, ce, pi, mis)
 					return true
 				})
 				return
 			}
-			es := v.EdgeStart(u) + epos
 			if int(es) >= len(s) {
 				return
 			}
@@ -251,11 +259,9 @@ func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop fun
 					return
 				}
 			}
-			epos++
 			pi++
 		}
 	}
-	root := v.Root()
-	walk(root, v.EdgeLen(root), 0, 0)
+	walk(v.Root(), 0, 0, 0, 0) // the root's edge is empty
 	return out
 }

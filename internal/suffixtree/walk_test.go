@@ -45,7 +45,7 @@ func TestWalkAllocsDoNotScaleWithNodes(t *testing.T) {
 			data[j] = "ACGT"[rng.Intn(4)]
 		}
 		_, flat, _ := buildBoth(t, data)
-		allocs[i][0] = testing.AllocsPerRun(3, func() { Walk(flat, flat.Root(), func(_, _ int32) bool { return true }) })
+		allocs[i][0] = testing.AllocsPerRun(3, func() { Walk(flat, flat.Root(), func(_, _, _ int32) bool { return true }) })
 		allocs[i][1] = testing.AllocsPerRun(3, func() { LeafCounts(flat) })
 	}
 	for j, name := range []string{"Walk", "LeafCounts"} {

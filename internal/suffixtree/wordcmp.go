@@ -22,6 +22,15 @@ func commonPrefixLenGeneric(a, b []byte) int {
 // purego build tag. The caller guarantees 0 ≤ cs and cs+cc ≤ len(sym).
 func findSymGeneric(sym []byte, cs, cc int32, b byte) int32 {
 	run := sym[cs : cs+cc]
+	if j := symRank(run, b); int(j) < len(run) && run[j] == b {
+		return j
+	}
+	return -1
+}
+
+// symRank returns how many bytes of the sorted run are below b: where b is,
+// or would be, in it.
+func symRank(run []byte, b byte) int32 {
 	lo, hi := 0, len(run)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -31,8 +40,5 @@ func findSymGeneric(sym []byte, cs, cc int32, b byte) int32 {
 			hi = mid
 		}
 	}
-	if lo < len(run) && run[lo] == b {
-		return int32(lo)
-	}
-	return -1
+	return int32(lo)
 }

@@ -54,6 +54,10 @@ func crashScript() []crashStep {
 		{kind: "compact"},
 		a("CTGA"), // id 8; the thresholds again, after the explicit compaction
 		{kind: "seal"},
+		del(7),
+		a("GGCC"), // id 9
+		{kind: "seal"},
+		{kind: "compact"}, // the tombstone of a sealed document dropped
 	}
 }
 
@@ -140,7 +144,7 @@ func TestCrashPointMatrix(t *testing.T) {
 	if inflight != nil {
 		t.Fatal("rehearsal run hit an error with no fault armed")
 	}
-	if len(acked.docs) != 5 { // 9 appended, 4 deleted
+	if len(acked.docs) != 5 { // 10 appended, 5 deleted
 		t.Fatalf("rehearsal survivors = %d, want 5 (script did not complete)", len(acked.docs))
 	}
 	if err := lx.Close(); err != nil {

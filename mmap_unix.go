@@ -20,8 +20,8 @@ type mapping struct {
 
 // openMapping maps path read-only. The suffix tree descent touches nodes in
 // an essentially random order, so the mapping is advised MADV_RANDOM up
-// front; the sequential sections (the string, the leaf blocks) are still
-// read-ahead-friendly once resident.
+// front; the sequential reads (the string, a window of the suffix array) are
+// still read-ahead-friendly once resident.
 func openMapping(path string) (*mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {

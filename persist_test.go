@@ -112,8 +112,7 @@ func TestReadIndexRejectsCorruptTree(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			raw, _, _ := persistTestIndex(t)
 			img := corrupt(raw, int(binary.LittleEndian.Uint64(raw[72:]))+c.off, c.v)
-			restampV4Nodes(img)
-			assertVerifyRefuses(t, img, c.want)
+			assertVerifyRefuses(t, restampV4(img, 3), c.want)
 		})
 	}
 }

@@ -27,40 +27,39 @@ import (
 //	data      the string S, terminator included           (page-aligned)
 //	docEnds   nDocs × u32 exclusive document ends         (page-aligned)
 //	nodes     (nNodes − nLeaves) × 32-byte internal records,
-//	          then nLeaves × 8-byte leaf records          (page-aligned)
-//	sym       nNodes × 1 byte first edge symbols          (page-aligned)
-//	leafIdx   per-block u32 offsets into leafData         (page-aligned)
-//	leafData  delta-varint leaf blocks                    (page-aligned)
+//	          then the suffix array, nLeaves × u32        (page-aligned)
+//	sym       (nNodes − nLeaves) × 1 byte first edge
+//	          symbols of the internal nodes               (page-aligned)
 //
 // Header fields (little endian):
 //
 //	0   magic    u32 'ERAI'
 //	4   version  u32 = 4
 //	8   kind     u32: 0 monolithic, 1 sharded
-//	12  flags    u32 (bit 0, required on monolithic and sharded images:
-//	             the header carries the checksum block below; bit 1,
-//	             required on monolithic images: the tree sections are the
-//	             compact layout of suffixtree.FlatTree — narrow leaf
-//	             records, no dense child tables; bit 2, the prefix-range
-//	             layout: on a monolithic image, the tree holds the suffixes
-//	             of one range [lo, hi) of the suffix order and the meta ends
-//	             with its two keys; required on sharded images, whose
-//	             payloads are such ranges, contiguous)
+//	12  flags    u32 (bit 0, required: the header carries the checksum
+//	             block below; bits 1 and 3, required on monolithic and
+//	             sharded images: the tree sections are the layout of
+//	             suffixtree.FlatTree — no dense child tables (bit 1), and
+//	             leaf ids that are ranks, so the leaves are the suffix array
+//	             (bit 3); bit 2, the prefix-range layout: on a monolithic
+//	             image, the tree holds the suffixes of one range [lo, hi) of
+//	             the suffix order and the meta ends with its two keys;
+//	             required on sharded images, whose payloads are such ranges,
+//	             contiguous)
 //	16  imageLen u64  total image bytes (truncation check)
 //	24  metaOff  u64
 //	32  metaLen  u64
 //	40.. kind-specific fields. Monolithic: dataOff, dataLen, docEndsOff,
-//	    nDocs, nodesOff, nNodes, symOff, leafIdxOff, leafIdxLen,
-//	    leafDataOff, leafDataLen, nLeaves (u64 each, through byte 136; the
-//	    rest of the fixed header is zero). Sharded: shard table offset,
-//	    shard count.
+//	    nDocs, nodesOff, nNodes, symOff (u64 each, through byte 96), four
+//	    reserved zero u64s, nLeaves (bytes 128–136); the rest of the fixed
+//	    header is zero too. Sharded: shard table offset, shard count.
 //
 // The checksum block (flags bit 0) grows the header to v4HeaderLenCk bytes:
 //
 //	152  8 × u32 CRC32C, one per section window in file order; each window
 //	     runs from its section's start to the next section's start (trailing
 //	     page padding included), the last to imageLen. Monolithic images
-//	     have seven sections; the eighth slot is zero. Sharded images use
+//	     have five sections; the other slots are zero. Sharded images use
 //	     slot 0 for meta and slot 1 for the shard table window; payloads
 //	     carry their own checksums.
 //	184  u32 CRC32C of header bytes [0, 184)
@@ -70,11 +69,13 @@ import (
 // lazily — once, before the first query touches the image — so opening a
 // mapped file stays O(header).
 //
-// The version field has stayed 4 since the tree sections were 32-byte records
-// for every node and 1 KiB dense tables. Such an image lacks flags bit 1
-// (the oldest lack bit 0 too) and is refused at open (errOldLayout, an
-// ErrMustRebuild) — its sections would mis-read as the compact layout, and no
-// reader for them is kept.
+// The version field has stayed 4 through three tree layouts: 32-byte records
+// for every node with 1 KiB dense tables, then 8-byte leaf records beside
+// delta-varint leaf blocks, then this one. An image of either older layout
+// lacks flags bit 3 (the oldest lack bits 1 and 0 too), and so does every
+// sharded image of them — the document-aligned ones lack bit 2 as well. All
+// are refused at open with one error (errOldLayout, an ErrMustRebuild): their
+// sections would mis-read as this layout, and no reader for them is kept.
 //
 // A range image (flags bit 2) has one field more than the meta above, and
 // one invariant less: nLeaves is the number of suffixes in the range, not
@@ -91,10 +92,7 @@ import (
 // (payloadOff, payloadLen) u64 pairs + the payloads, each payload a complete
 // page-aligned monolithic v4 image — a range image, the ranges contiguous in
 // table order from the start of the suffix order to its end (or one whole
-// image). One mapping serves every shard. Sharded images from before the
-// prefix-range layout cut at document boundaries and lack flags bit 2; they
-// are refused (errDocAligned, an ErrMustRebuild), and no reader for them is
-// kept.
+// image). One mapping serves every shard.
 //
 // Everything read from an index file is untrusted: the section table is
 // bounds- and alignment-checked at open (misaligned or truncated sections
@@ -117,10 +115,13 @@ const (
 	// v4FlagChecksums marks a header that carries the checksum block (a
 	// trailing footer, for live manifests).
 	v4FlagChecksums = 1 << 0
-	// v4FlagCompact marks a monolithic image whose tree sections are the
-	// compact flat layout; every image this package writes carries it and the
-	// reader requires it.
-	v4FlagCompact = 1 << 1
+	// v4FlagCompact marks tree sections without dense child tables, and
+	// v4FlagRankLeaves ones whose leaf ids are ranks — the leaf section is
+	// the suffix array. Every image this package writes carries both
+	// (v4Layout) and the reader requires them.
+	v4FlagCompact    = 1 << 1
+	v4FlagRankLeaves = 1 << 3
+	v4Layout         = v4FlagCompact | v4FlagRankLeaves
 	// v4FlagRange marks the prefix-range layout: a monolithic image whose tree
 	// holds one range of the suffix order, or a sharded image made of them.
 	v4FlagRange = 1 << 2
@@ -132,12 +133,9 @@ const (
 	maxV4Shards = 1 << 12
 )
 
-// errOldLayout refuses a v4 image written before the compact node layout.
-var errOldLayout = fmt.Errorf("%w: the v4 image predates the compact node layout (8-byte leaf records)", ErrMustRebuild)
-
-// errDocAligned refuses a sharded image written before shards were prefix
-// ranges of the suffix order.
-var errDocAligned = fmt.Errorf("%w: the sharded image is cut at document boundaries, which predates prefix-range shards", ErrMustRebuild)
+// errOldLayout refuses a v4 image written before the leaves were the suffix
+// array: with 8-byte leaf records, or older still.
+var errOldLayout = fmt.Errorf("%w: the v4 image predates rank-ordered leaves", ErrMustRebuild)
 
 // v4align rounds n up to the page boundary.
 func v4align(n int64) int64 {
@@ -146,17 +144,16 @@ func v4align(n int64) int64 {
 
 // v4sections is the resolved section table of one monolithic image.
 type v4sections struct {
-	meta              []byte
-	data              []byte
-	docEnds           []byte
-	nodes, sym        []byte
-	leafIdx, leafData []byte
-	nDocs, nLeaves    int64
-	nNodes            int64
-	imageLen          int64
-	ck                *checkState
-	ranged            bool   // flags bit 2: the tree holds one range of the suffix order
-	hdrCRC            uint32 // the header's own checksum (Index.Fingerprint)
+	meta           []byte
+	data           []byte
+	docEnds        []byte
+	nodes, sym     []byte
+	nDocs, nLeaves int64
+	nNodes         int64
+	imageLen       int64
+	ck             *checkState
+	ranged         bool   // flags bit 2: the tree holds one range of the suffix order
+	hdrCRC         uint32 // the header's own checksum (Index.Fingerprint)
 }
 
 // crcPadded is the CRC32C of b followed by zeros up to total bytes — the
@@ -194,6 +191,25 @@ func v4HeaderChecks(buf []byte) ([8]uint32, error) {
 	return crcs, nil
 }
 
+// v4CheckedFlags reads the flags of a monolithic or sharded header and
+// verifies its checksums, refusing an image without the flags in want as one
+// that predates this layout. An image without the checksum block is old
+// whatever else it says; with it, the header is vouched for before its layout
+// flags are believed, so a damaged flag is damage, not age.
+func v4CheckedFlags(img []byte, want uint32) (crcs [8]uint32, flags uint32, err error) {
+	flags = binary.LittleEndian.Uint32(img[12:])
+	if flags&v4FlagChecksums == 0 {
+		return crcs, flags, errOldLayout
+	}
+	if crcs, err = v4HeaderChecks(img); err != nil {
+		return crcs, flags, err
+	}
+	if flags&want != want {
+		return crcs, flags, errOldLayout
+	}
+	return crcs, flags, nil
+}
+
 // sliceV4 bounds-checks one section against the image and its required
 // alignment, returning the window.
 func sliceV4(buf []byte, off, length, align int64, name string) ([]byte, error) {
@@ -226,7 +242,7 @@ func parseV4Mono(buf []byte, mp *mapping) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := suffixtree.NewFlatTree(s.data, s.nodes, s.sym, nil, s.leafIdx, s.leafData, int32(s.nLeaves))
+	tree, err := suffixtree.NewFlatTree(s.data, s.nodes, s.sym, nil, nil, nil, int32(s.nLeaves))
 	if err != nil {
 		return nil, fmt.Errorf("era: corrupt index: %w", err)
 	}
@@ -265,19 +281,9 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 		return nil, fmt.Errorf("era: corrupt index: image length %d outside the %d available bytes (truncated file?)", s.imageLen, len(buf))
 	}
 	img := buf[:s.imageLen]
-	// Every compact-layout image carries the checksum block, so an image
-	// without it is old whatever else it says; with it, the header is vouched
-	// for before its layout flag is believed.
-	flags := binary.LittleEndian.Uint32(buf[12:])
-	if flags&v4FlagChecksums == 0 {
-		return nil, errOldLayout
-	}
-	crcs, err := v4HeaderChecks(img)
+	crcs, flags, err := v4CheckedFlags(img, v4Layout)
 	if err != nil {
 		return nil, err
-	}
-	if flags&v4FlagCompact == 0 {
-		return nil, errOldLayout
 	}
 	s.ranged = flags&v4FlagRange != 0
 	s.hdrCRC = binary.LittleEndian.Uint32(img[v4HeaderCRCOff:])
@@ -312,17 +318,16 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 	if s.nodes, err = sliceV4(img, u64(72), suffixtree.FlatNodesLen(s.nNodes-s.nLeaves, s.nLeaves), v4Page, "nodes"); err != nil {
 		return nil, err
 	}
-	if s.sym, err = sliceV4(img, u64(88), s.nNodes, v4Page, "sym"); err != nil {
+	if s.sym, err = sliceV4(img, u64(88), s.nNodes-s.nLeaves, v4Page, "sym"); err != nil {
 		return nil, err
 	}
-	if s.leafIdx, err = sliceV4(img, u64(96), u64(104), v4Page, "leafIdx"); err != nil {
-		return nil, err
+	for off := 96; off < v4HeaderLen; off += 8 {
+		if off != 128 && u64(off) != 0 {
+			return nil, fmt.Errorf("era: corrupt index: nonzero reserved header field at byte %d", off)
+		}
 	}
-	if s.leafData, err = sliceV4(img, u64(112), u64(120), v4Page, "leafData"); err != nil {
-		return nil, err
-	}
-	names := [7]string{"meta", "data", "docEnds", "nodes", "sym", "leafIdx", "leafData"}
-	bounds := [8]int64{u64(24), u64(40), u64(56), u64(72), u64(88), u64(96), u64(112), s.imageLen}
+	names := [5]string{"meta", "data", "docEnds", "nodes", "sym"}
+	bounds := [6]int64{u64(24), u64(40), u64(56), u64(72), u64(88), s.imageLen}
 	s.ck = &checkState{}
 	for i, name := range names {
 		start, end := bounds[i], bounds[i+1]
@@ -446,12 +451,9 @@ func parseV4Sharded(buf []byte, mp *mapping) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("era: corrupt index: image length %d outside the %d available bytes (truncated file?)", imageLen, len(buf))
 	}
 	img := buf[:imageLen]
-	if binary.LittleEndian.Uint32(buf[12:])&v4FlagChecksums == 0 {
-		return nil, errOldLayout // from before checksums: so are its payloads
-	}
 	// The outer windows are header-sized; verify them eagerly. Payloads are
 	// monolithic images whose own checksums verify lazily.
-	crcs, err := v4HeaderChecks(img)
+	crcs, _, err := v4CheckedFlags(img, v4Layout|v4FlagRange)
 	if err != nil {
 		return nil, err
 	}
@@ -499,10 +501,6 @@ func parseV4Sharded(buf []byte, mp *mapping) (*ShardedIndex, error) {
 			return nil, fmt.Errorf("era: shard %d of %d: %w", i, nShards, err)
 		}
 		shards[i] = idx
-	}
-	// Checked after the payloads, so that an image older still says why.
-	if binary.LittleEndian.Uint32(buf[12:])&v4FlagRange == 0 {
-		return nil, errDocAligned
 	}
 	sx, err := newShardedIndex(name, shards)
 	if err != nil {
@@ -564,7 +562,6 @@ func (x *Index) v4Meta() []byte {
 type v4MonoLayout struct {
 	metaLen                               int64
 	dataOff, docEndsOff, nodesOff, symOff int64
-	leafIdxOff, leafDataOff               int64
 	imageLen                              int64
 }
 
@@ -575,19 +572,17 @@ func planV4Mono(metaLen, dataLen, nDocs int64, f suffixtree.Flat) v4MonoLayout {
 	l.docEndsOff = v4align(l.dataOff + dataLen)
 	l.nodesOff = v4align(l.docEndsOff + nDocs*4)
 	l.symOff = v4align(l.nodesOff + int64(len(f.Nodes)))
-	l.leafIdxOff = v4align(l.symOff + int64(len(f.Sym)))
-	l.leafDataOff = v4align(l.leafIdxOff + int64(len(f.LeafIdx)))
-	l.imageLen = l.leafDataOff + int64(len(f.LeafData))
+	l.imageLen = l.symOff + int64(len(f.Sym))
 	return l
 }
 
 // v4Image is one monolithic image laid out: its header, checksums filled
-// in, and its seven sections in file order, secs[i] starting at offs[i] and
-// padded up to offs[i+1] (offs[7] is the image length).
+// in, and its five sections in file order, secs[i] starting at offs[i] and
+// padded up to offs[i+1] (offs[5] is the image length).
 type v4Image struct {
 	hdr  []byte
-	secs [7][]byte
-	offs [8]int64
+	secs [5][]byte
+	offs [6]int64
 }
 
 // v4Image lays out the index's image: what WriteTo writes, and what
@@ -602,10 +597,10 @@ func (x *Index) v4Image() v4Image {
 	}
 	img := v4Image{
 		hdr:  make([]byte, v4HeaderLenCk),
-		secs: [7][]byte{meta, x.data, de, f.Nodes, f.Sym, f.LeafIdx, f.LeafData},
-		offs: [8]int64{v4HeaderLenCk, l.dataOff, l.docEndsOff, l.nodesOff, l.symOff, l.leafIdxOff, l.leafDataOff, l.imageLen},
+		secs: [5][]byte{meta, x.data, de, f.Nodes, f.Sym},
+		offs: [6]int64{v4HeaderLenCk, l.dataOff, l.docEndsOff, l.nodesOff, l.symOff, l.imageLen},
 	}
-	flags := uint32(v4FlagChecksums | v4FlagCompact)
+	flags := uint32(v4FlagChecksums | v4Layout)
 	if x.partial() {
 		flags |= v4FlagRange
 	}
@@ -624,10 +619,6 @@ func (x *Index) v4Image() v4Image {
 	binary.LittleEndian.PutUint64(hdr[72:], uint64(l.nodesOff))
 	binary.LittleEndian.PutUint64(hdr[80:], uint64(f.NNodes))
 	binary.LittleEndian.PutUint64(hdr[88:], uint64(l.symOff))
-	binary.LittleEndian.PutUint64(hdr[96:], uint64(l.leafIdxOff))
-	binary.LittleEndian.PutUint64(hdr[104:], uint64(len(f.LeafIdx)))
-	binary.LittleEndian.PutUint64(hdr[112:], uint64(l.leafDataOff))
-	binary.LittleEndian.PutUint64(hdr[120:], uint64(len(f.LeafData)))
 	binary.LittleEndian.PutUint64(hdr[128:], uint64(f.NLeaves))
 	// Section window checksums, each covering the section and its trailing
 	// page padding so every image byte past the header is accounted for.
@@ -713,7 +704,7 @@ func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[0:], indexMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], flatVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], 1) // sharded
-	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums|v4FlagRange)
+	binary.LittleEndian.PutUint32(hdr[12:], v4FlagChecksums|v4Layout|v4FlagRange)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(imageLen))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(v4HeaderLenCk))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(meta)))

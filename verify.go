@@ -32,8 +32,9 @@ func (r *VerifyReport) OK() bool { return len(r.Problems) == 0 }
 // Verify checks every stored checksum reachable from path — an index file,
 // or a live directory (its manifest, every sealed tier, and the write-ahead
 // log) — and, behind the checksums, the structure of every tree image
-// (suffixtree.ValidateView: each node in exactly one parent's child run, leaf
-// records and leaf blocks the same permutation of the suffixes), without
+// (suffixtree.ValidateView: the leaf section a permutation of the suffixes,
+// each internal node in exactly one parent's child run, leaf ranges nested,
+// siblings' first symbols ascending), without
 // modifying anything on disk. Unlike opening a live directory, Verify never
 // truncates a torn WAL tail or quarantines a damaged tier; it only reports.
 // The returned error covers being unable to start (path unreadable);
