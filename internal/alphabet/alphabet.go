@@ -88,7 +88,8 @@ func MustNew(name string, symbols []byte) *Alphabet {
 
 // Predefined alphabets matching the paper's datasets.
 var (
-	// DNA is the 4-symbol nucleotide alphabet (2 bits/symbol packed).
+	// DNA is the 4-symbol nucleotide alphabet. The paper packs it at 2 bits
+	// per symbol; here the terminator takes a code of its own, so Bits is 3.
 	DNA = MustNew("DNA", []byte("ACGT"))
 	// Protein is the 20-symbol amino-acid alphabet (5 bits/symbol packed).
 	Protein = MustNew("Protein", []byte("ACDEFGHIKLMNPQRSTVWY"))

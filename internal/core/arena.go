@@ -46,13 +46,26 @@ func (a *byteArena) grab(n int) []byte {
 // the end of S is zero-padded to the stride; it ends at the unique
 // terminator, so the padding can never decide a comparison between two
 // chunks of a well-formed string.
+//
+// The first growth takes at least the bytes the memory plan grants R (plan).
+// An elastic round's slots·rng never exceeds them, so after it only a round
+// the plan does not bound — the collect round's singleton slots, a static
+// range, the one-symbol floor — can grow the buffer again.
 type chunkBuf struct {
-	buf []byte // slots·rng bytes, then keyBytes-1 of slack for the last key load
-	rng int
+	buf  []byte // slots·rng bytes, then keyBytes-1 of slack for the last key load
+	rng  int
+	plan int // R's bytes under the memory plan (see planFor)
 }
 
 // keyBytes is the number of leading symbols an area sort packs into one key.
 const keyBytes = 8
+
+// planFor sets the plan to rCap, the R of the memory plan, clipped to what
+// active leaves can fetch from a string of n symbols — all of it each —
+// so a small input is not handed the whole of R.
+func (c *chunkBuf) planFor(rCap int64, active, n int) {
+	c.plan = int(min(rCap, int64(active)*int64(n)))
+}
 
 // reset sizes the buffer for slots chunks of width rng, reusing the backing
 // array when it is large enough. Prior contents are dead: the caller
@@ -60,7 +73,7 @@ const keyBytes = 8
 func (c *chunkBuf) reset(slots, rng int) {
 	need := slots*rng + keyBytes - 1
 	if cap(c.buf) < need {
-		c.buf = make([]byte, need)
+		c.buf = make([]byte, max(need, c.plan+keyBytes-1))
 	}
 	c.buf = c.buf[:need]
 	c.rng = rng

@@ -79,6 +79,7 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 	n := f.Len()
 	stats := PrepareStats{MinRange: int(^uint(0) >> 1)}
 
+	ctx.chunks.planFor(rCap, activeUpfront(group), n)
 	rng1 := roundRange(rCap, staticRange, activeUpfront(group), n)
 	occs, captured, err := CollectWithFill(ctx, f, sc, clock, model, group, rng1)
 	if err != nil {
@@ -122,11 +123,10 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 	var cpuSeq, cpuRand int64
 
 	// Round-loop scratch, reused every round (and across groups via the
-	// context). For this builder a fillReq's idx is the occurrence's
-	// appearance rank, which identifies the chunk slot.
-	fills, heap, reqs := ctx.fills, ctx.heap, ctx.reqs
+	// context): the fill schedule's positions and the merge heap.
+	offs, heap := ctx.offs, ctx.heap
 	chunks := &ctx.chunks
-	defer func() { ctx.fills, ctx.heap, ctx.reqs = fills[:0], heap[:0], reqs }()
+	defer func() { ctx.offs, ctx.heap = offs[:0], heap[:0] }()
 	firstRound := true
 
 	for {
@@ -159,11 +159,13 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 			// One sequential pass fetches the next chunk for every
 			// unresolved suffix of every sub-tree in the group. Every open
 			// edge's occurrences are in appearance order, so the schedule
-			// is a k-way merge of per-edge runs.
-			if cap(fills) < activeTotal {
-				fills = make([]fillReq, 0, activeTotal)
+			// is a k-way merge of per-edge runs; fill i lands in slot i,
+			// which the merge records under the occurrence's appearance
+			// rank as it goes.
+			if cap(offs) < activeTotal {
+				offs = make([]int32, 0, activeTotal)
 			}
-			fills = fills[:0]
+			offs = offs[:0]
 			heap = heap[:0]
 			for si, st := range subs {
 				for ei, oe := range st.open {
@@ -175,24 +177,23 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 			heap.init()
 			for len(heap) > 0 {
 				hd := heap[0]
-				oe := &subs[hd.sub].open[hd.a]
-				fills = append(fills, fillReq{int32(hd.pos), hd.sub, oe.ranks[hd.b]})
+				st := subs[hd.sub]
+				oe := &st.open[hd.a]
+				st.slots[oe.ranks[hd.b]] = int32(len(offs))
+				offs = append(offs, int32(hd.pos))
 				if nb := hd.b + 1; int(nb) < len(oe.occs) {
 					heap.replaceMin(mergeHead{pos: int(oe.occs[nb]) + int(oe.depth), sub: hd.sub, a: hd.a, b: nb})
 				} else {
 					heap = heap.popMin()
 				}
 			}
-			cpuSeq += int64(len(fills))
+			cpuSeq += int64(len(offs))
 
-			var read int64
-			if reqs, read, err = fetchRound(sc, chunks, reqs, fills, rng, n); err != nil {
+			read, err := fetchRound(sc, chunks, offs, rng, n)
+			if err != nil {
 				return nil, stats, fmt.Errorf("core: group of %q: %w", group.Prefixes[0].Label, err)
 			}
 			stats.SymbolsRead += read
-			for i, fl := range fills {
-				subs[fl.sub].slots[fl.idx] = int32(i)
-			}
 		}
 
 		// Process every open edge against its chunks. All of this phase's

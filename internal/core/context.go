@@ -10,10 +10,12 @@ import (
 // buildContext is the reusable state of one construction worker. Everything
 // a group build needs beyond its inputs lives here — the rolling-code window
 // counter, the round-loop scratch, the collect-scan buffers and a recycled
-// sub-tree — so the steady state allocates nothing per round and only
-// per-group bookkeeping per group. The serial driver owns one context; the
-// parallel drivers create one per worker and keep it across vertical
-// partitioning and every group the worker pulls from the queue.
+// sub-tree. Each array grows to the largest group or area the worker meets
+// and R to the memory plan's size, after which a round allocates nothing,
+// not even a regrowth of R, and a group only per-group bookkeeping. The
+// serial driver owns one context; the parallel drivers create one per worker
+// and keep it across vertical partitioning and every group the worker pulls
+// from the queue.
 //
 // A context is single-threaded: it must only ever be used by one goroutine
 // at a time.
@@ -33,12 +35,13 @@ type buildContext struct {
 	vc *vertCounter
 
 	// Round-loop scratch shared by GroupPrepare and GroupBranch, and the
-	// area-sort scratch of GroupPrepare's rounds. chunks is array R: the
-	// collect scan fills it for round one, and each later round — the
+	// area-sort scratch of GroupPrepare's rounds. offs is the fill schedule:
+	// the string position of each fill, in the order the fetch writes them
+	// into R. chunks is array R, allocated once at the memory plan's size:
+	// the collect scan fills it for round one, and each later round — the
 	// previous round's chunks being dead by then — refills it.
-	fills       []fillReq
+	offs        []int32
 	heap        fillHeap
-	reqs        []seq.BatchRequest
 	chunks      chunkBuf
 	sortScratch sortScratch
 
@@ -76,16 +79,6 @@ type buildContext struct {
 	i32Slab    []int32
 	bSlab      []BEntry
 	defSlab    []bool
-}
-
-// fillReq is one entry of a round's fill schedule: fetch the next chunk for
-// entry idx of sub-tree sub starting at string offset pos. idx is the
-// current index within the sub-tree arrays for GroupPrepare and the
-// occurrence's appearance rank for GroupBranch.
-type fillReq struct {
-	pos int32
-	sub int32
-	idx int32
 }
 
 // scanBuf returns the reusable collect-scan buffer of at least n bytes.

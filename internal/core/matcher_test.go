@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"era/internal/alphabet"
@@ -203,9 +204,11 @@ func TestCollectTrieMatchesMap(t *testing.T) {
 }
 
 // TestRoundLoopsSteadyStateAllocFree pins the arena-backed round loops:
-// extra rounds must not cost extra allocations. The same group is prepared
-// with a wide and a narrow static range; the narrow run does many times the
-// rounds, and the allocation difference per extra round must be ≈ 0.
+// extra rounds must not cost extra allocations, or extra bytes. The same
+// group is prepared with a wide and a narrow static range; the narrow run
+// does many times the rounds, and the allocation difference per extra round
+// must be ≈ 0. Then the elastic range must allocate the bytes a static one
+// does: R is sized once, from the plan.
 func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is load-sensitive")
@@ -218,36 +221,48 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := groups[0]
+	// The largest group whose prefixes all recur: with no singleton slot the
+	// collect round asks R for at most rCap, so an R sized by each round's
+	// need would grow again in a later round.
+	var g Group
 	for _, cand := range groups {
-		if cand.Freq > g.Freq {
+		recur := true
+		for _, p := range cand.Prefixes {
+			recur = recur && p.Freq > 1
+		}
+		if recur && cand.Freq > g.Freq {
 			g = cand
 		}
+	}
+	if g.Freq < 256 {
+		t.Fatalf("test setup: the largest group of recurring prefixes has %d leaves", g.Freq)
 	}
 	view, err := f.View()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	measure := func(name string, static int) (float64, int) {
-		var rounds int
-		allocs := testing.AllocsPerRun(3, func() {
+	const rCap = 50000 // no multiple of the leaf counts: slots·range moves from round to round
+	var rounds int
+	run := func(name string, static int) func() {
+		return func() {
 			scR, clockR := matcherScanner(t, f)
+			var stats PrepareStats
+			var err error
 			switch name {
 			case "prepare":
-				_, stats, err := GroupPrepare(nil, f, scR, clockR, model, g, 1<<20, static)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rounds = stats.Rounds
+				_, stats, err = GroupPrepare(nil, f, scR, clockR, model, g, rCap, static)
 			case "branch":
-				_, stats, err := GroupBranch(nil, f, view, scR, clockR, model, g, 1<<20, static)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rounds = stats.Rounds
+				_, stats, err = GroupBranch(nil, f, view, scR, clockR, model, g, rCap, static)
 			}
-		})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = stats.Rounds
+		}
+	}
+	measure := func(name string, static int) (float64, int) {
+		allocs := testing.AllocsPerRun(3, run(name, static))
 		return allocs, rounds
 	}
 
@@ -266,25 +281,51 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 			t.Errorf("%s: %.2f allocations per extra round (wide %0.f over %d rounds, narrow %0.f over %d rounds); round loop must be allocation-free in the steady state",
 				name, perRound, aWide, rWide, aNarrow, rNarrow)
 		}
+
+		// Bytes, which an object count cannot see: R is allocated once, at
+		// the plan's rCap, so the elastic range — whose slots·range moves by
+		// a few bytes from round to round as leaves resolve — allocates
+		// what a static range pinned at its round-one width does. An R
+		// regrown whenever a round needs a little more reallocates all of
+		// it each time.
+		static := bytesPerRun(3, run(name, roundRange(rCap, 0, int(g.Freq), len(data))))
+		staticRounds := rounds
+		elastic := bytesPerRun(3, run(name, 0))
+		t.Logf("%s: static range %.0f B per run over %d rounds, elastic %.0f B over %d rounds", name, static, staticRounds, elastic, rounds)
+		if elastic > static+rCap/2 {
+			t.Errorf("%s: the elastic range allocated %.0f B per run, the static %.0f B; R must be allocated once, at the plan's %d bytes",
+				name, elastic, static, rCap)
+		}
 	}
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean growth of
+// TotalAlloc over runs calls of f, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestMatcherPrimitivesAllocFree pins the reusable building blocks at zero
-// steady-state allocations once warm: the chunk buffer's reset/fill cycle,
-// batch-request reuse, and the dense counter's per-round table reuse.
+// steady-state allocations once warm: the chunk buffer's reset/fill cycle
+// and the dense counter's per-round table reuse.
 func TestMatcherPrimitivesAllocFree(t *testing.T) {
 	var chunks chunkBuf
-	var reqs []seq.BatchRequest
 	chunks.reset(64, 256)
-	reqs = seq.GrowBatch(reqs, 64)
 	if n := testing.AllocsPerRun(50, func() {
 		chunks.reset(64, 256)
 		for i := 0; i < 64; i++ {
 			chunks.fill(i, 200)
 		}
-		reqs = seq.GrowBatch(reqs, 64)
 	}); n != 0 {
-		t.Errorf("chunk buffer/batch round cycle allocates %v times per round, want 0", n)
+		t.Errorf("chunk buffer round cycle allocates %v times per round, want 0", n)
 	}
 
 	vc := newVertCounter(alphabet.DNA)

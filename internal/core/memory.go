@@ -40,10 +40,13 @@ const AccountedNodeSize = 13
 // "almost 40% of the available memory" in the paper's accounting).
 const entryBytes = 13
 
-// PlanMemory computes the §4.4 allocation for a budget. rSize == 0 selects
-// the paper's tuned defaults relative to the budget: the Fig. 8 experiments
-// pick R = 32 MB for DNA and 256 MB for protein/English under a 1 GB
-// budget, i.e. budget/32 for 2-bit alphabets and budget/4 for 5-bit ones.
+// PlanMemory computes the §4.4 allocation for a budget. rSize == 0 selects a
+// default relative to the budget: budget/32 when alphaBits ≤ 2 and budget/4
+// otherwise. The split follows the paper's tuned defaults — the Fig. 8
+// experiments pick R = 32 MB for 2-bit DNA and 256 MB for protein/English
+// under a 1 GB budget — but alphaBits is the packed width with the
+// terminator's code (alphabet.Alphabet.Bits), 3 for DNA, so every
+// predefined alphabet, DNA included, gets budget/4.
 func PlanMemory(budget int64, rSize int64, alphaBits uint) (MemoryLayout, error) {
 	if budget < 1024 {
 		return MemoryLayout{}, fmt.Errorf("core: memory budget %d bytes is too small", budget)

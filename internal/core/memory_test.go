@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"era/internal/alphabet"
 )
 
 func TestPlanMemoryLayout(t *testing.T) {
@@ -37,6 +39,22 @@ func TestPlanMemoryLayout(t *testing.T) {
 	}
 	if lo.RSize != 12345 {
 		t.Errorf("override RSize = %d", lo.RSize)
+	}
+}
+
+// TestPlanMemoryPredefinedAlphabets pins the R every predefined alphabet gets
+// by default: the budget/32 branch is for 2-bit codes, and DNA's four
+// symbols plus the terminator take 3 bits, so DNA gets budget/4 like the
+// 5-bit alphabets.
+func TestPlanMemoryPredefinedAlphabets(t *testing.T) {
+	for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein, alphabet.English} {
+		l, err := PlanMemory(1<<20, 0, a.Bits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.RSize != 1<<20/4 {
+			t.Errorf("%s (%d bits): RSize = %d, want %d", a.Name(), a.Bits(), l.RSize, 1<<20/4)
+		}
 	}
 }
 

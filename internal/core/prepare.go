@@ -121,9 +121,9 @@ func (st *subState) markDone(i int32) {
 // pins it (the Fig. 9(b) ablation).
 //
 // A non-nil ctx supplies the round-loop scratch (fill schedule, merge heap,
-// batch requests, chunk arena), so consecutive groups on one worker share it
-// and the steady state allocates nothing per round; nil uses throwaway
-// scratch with identical behavior.
+// R sized once from rCap), so consecutive groups on one worker share it and
+// the steady state allocates nothing per round; nil uses throwaway scratch
+// with identical behavior.
 func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel,
 	group Group, rCap int64, staticRange int) ([]Prepared, PrepareStats, error) {
 
@@ -131,6 +131,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		ctx = new(buildContext)
 	}
 	n := f.Len()
+	ctx.chunks.planFor(rCap, activeUpfront(group), n)
 	stats := PrepareStats{MinRange: int(^uint(0) >> 1)}
 
 	// Round-1 range from the known group frequency (the occurrence count
@@ -216,10 +217,10 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	cpuOps = 0
 
 	// Round-loop scratch, reused every round (and, through the context,
-	// across groups): the fill schedule, the merge heap, the batch requests
-	// and the chunk buffer. Once sized, the loop allocates nothing.
-	fills, heap, reqs := ctx.fills, ctx.heap, ctx.reqs
-	defer func() { ctx.fills, ctx.heap, ctx.reqs = fills[:0], heap[:0], reqs }()
+	// across groups): the fill schedule's positions, the merge heap and the
+	// chunk buffer. Once sized, the loop allocates nothing.
+	offs, heap := ctx.offs, ctx.heap
+	defer func() { ctx.offs, ctx.heap = offs[:0], heap[:0] }()
 
 	for {
 		activeTotal := 0
@@ -253,12 +254,14 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		// sub-tree are visited via I in appearance order (increasing
 		// position), so each sub-tree contributes one already-sorted run; a
 		// k-way heap merge unions the runs into one sequential pass without
-		// re-sorting them. The schedule has exactly activeTotal entries, a
-		// count that only falls from round to round.
-		if cap(fills) < activeTotal {
-			fills = make([]fillReq, 0, activeTotal)
+		// re-sorting them. The schedule is the positions alone, exactly
+		// activeTotal of them, a count that only falls from round to round:
+		// fill i lands in slot i of R, which the merge writes into the
+		// leaf's R entry as it goes.
+		if cap(offs) < activeTotal {
+			offs = make([]int32, 0, activeTotal)
 		}
-		fills = fills[:0]
+		offs = offs[:0]
 		heap = heap[:0]
 		for si, st := range subs {
 			if r := st.nextActive(0); r >= 0 {
@@ -269,23 +272,21 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		for len(heap) > 0 {
 			hd := heap[0]
 			st := subs[hd.sub]
-			fills = append(fills, fillReq{int32(hd.pos), hd.sub, st.I[hd.a]})
+			st.R[st.I[hd.a]] = int32(len(offs))
+			offs = append(offs, int32(hd.pos))
 			if r := st.nextActive(int(hd.a) + 1); r >= 0 {
 				heap.replaceMin(mergeHead{pos: int(st.L[st.I[r]]) + starts[hd.sub], sub: hd.sub, a: int32(r)})
 			} else {
 				heap = heap.popMin()
 			}
 		}
-		cpuOps += int64(len(fills))
+		cpuOps += int64(len(offs))
 
-		var read int64
-		if reqs, read, err = fetchRound(sc, chunks, reqs, fills, rng, n); err != nil {
+		read, err := fetchRound(sc, chunks, offs, rng, n)
+		if err != nil {
 			return nil, stats, fmt.Errorf("core: group of %q: %w", group.Prefixes[0].Label, err)
 		}
 		stats.SymbolsRead += read
-		for i, fl := range fills {
-			subs[fl.sub].R[fl.idx] = int32(i)
-		}
 
 		// Per sub-tree: sort active areas, split them, and extend B.
 		for si, st := range subs {
@@ -320,33 +321,29 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 }
 
 // fetchRound runs one fill round for either horizontal builder: it sizes
-// chunks for the schedule, fetches rng symbols (fewer where S ends) at every
-// scheduled position in one sequential pass, fill i into slot i, and returns
-// the regrown batch with the number of symbols read. FetchBatch overwrites
-// each destination fully and fill zero-pads the rest of the slot, so reusing
-// the buffer across rounds is safe: prior rounds' chunks are dead (active
-// leaves are refilled every round, retired ones never read again).
-func fetchRound(sc *seq.Scanner, chunks *chunkBuf, reqs []seq.BatchRequest, fills []fillReq, rng, n int) ([]seq.BatchRequest, int64, error) {
-	chunks.reset(len(fills), rng)
-	reqs = seq.GrowBatch(reqs, len(fills))
-	for i, fl := range fills {
-		want := min(rng, n-int(fl.pos))
-		if want <= 0 {
-			// Cannot happen for an unresolved suffix: the unique terminator
-			// forces divergence before the suffix ends.
-			return reqs, 0, fmt.Errorf("entry %d of sub-tree %d exhausted at %d (string length %d)", fl.idx, fl.sub, fl.pos, n)
-		}
-		reqs[i] = seq.BatchRequest{Off: int(fl.pos), Dst: chunks.fill(i, want)}
-	}
+// chunks for the schedule offs (ascending string positions), fetches rng
+// symbols (fewer where S ends) at every position straight into R in one
+// sequential pass, fill i into slot i, and returns the number of symbols
+// read. The fetch writes each slot's symbols and the clipped slots are
+// zero-padded here, so reusing the buffer across rounds is safe: prior
+// rounds' chunks are dead (active leaves are refilled every round, retired
+// ones never read again). A position at or past the end of S — impossible
+// for an unresolved suffix, whose unique terminator forces divergence
+// before it ends — fails the fetch.
+func fetchRound(sc *seq.Scanner, chunks *chunkBuf, offs []int32, rng, n int) (int64, error) {
+	chunks.reset(len(offs), rng)
 	sc.Reset()
-	if err := sc.FetchBatch(reqs); err != nil {
-		return reqs, 0, err
+	if err := sc.FetchStrided(offs, chunks.buf, rng); err != nil {
+		return 0, err
 	}
-	var read int64
-	for i := range reqs {
-		read += int64(reqs[i].Got)
+	// The positions ascend, so the slots S clips are the schedule's last.
+	read := int64(len(offs)) * int64(rng)
+	for i := len(offs) - 1; i >= 0 && n-int(offs[i]) < rng; i-- {
+		want := n - int(offs[i])
+		clear(chunks.buf[i*rng+want : (i+1)*rng])
+		read -= int64(rng - want)
 	}
-	return reqs, read, nil
+	return read, nil
 }
 
 // roundRange computes the per-leaf fetch width: the elastic |R|/|L'| of
@@ -496,9 +493,10 @@ type areaRec struct {
 	idx int32
 }
 
-// sortScratch is sortArea's working memory, grown to the largest area sorted
-// so far and shared by every sub-tree a build context prepares, so the round
-// loop stays allocation-free in the steady state.
+// sortScratch is sortArea's working memory — the sort records and one
+// column the permutation passes through, 20 bytes per element of the largest
+// area sorted so far — shared by every sub-tree a build context prepares, so
+// the round loop stays allocation-free in the steady state.
 type sortScratch struct {
 	recs []areaRec
 	perm []int32
@@ -511,23 +509,21 @@ func (st *subState) sortArea(ch *chunkBuf, scr *sortScratch, i, j int) {
 	m := j - i
 	if cap(scr.recs) < m {
 		scr.recs = make([]areaRec, m)
-		scr.perm = make([]int32, 3*m)
+		scr.perm = make([]int32, m)
 	}
 	recs := scr.recs[:m]
 	for k := range recs {
 		recs[k] = areaRec{ch.key(st.R[i+k], 0), int32(i + k)}
 	}
 	ch.sortRecs(recs, st.R, 0)
-	// Apply the permutation to L, P, R.
-	permL, permP, permR := scr.perm[:m], scr.perm[m:2*m], scr.perm[2*m:3*m]
-	for k, rec := range recs {
-		permL[k] = st.L[rec.idx]
-		permP[k] = st.P[rec.idx]
-		permR[k] = st.R[rec.idx]
+	// Apply the permutation to L, P and R, one column at a time.
+	perm := scr.perm[:m]
+	for _, col := range [...][]int32{st.L, st.P, st.R} {
+		for k, rec := range recs {
+			perm[k] = col[rec.idx]
+		}
+		copy(col[i:j], perm)
 	}
-	copy(st.L[i:j], permL)
-	copy(st.P[i:j], permP)
-	copy(st.R[i:j], permR)
 	for x := i; x < j; x++ {
 		st.I[st.P[x]] = int32(x)
 	}

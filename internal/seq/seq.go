@@ -218,70 +218,53 @@ func (s *Scanner) Fetch(dst []byte, off int) (int, error) {
 	return got, nil
 }
 
-// BatchRequest asks FetchBatch to fill Dst with the symbols of S starting
-// at Off. Got is set to the number of symbols delivered (short only at the
-// end of the string).
-type BatchRequest struct {
-	Off int
-	Dst []byte
-	Got int
-}
-
-// GrowBatch returns a request slice of length n backed by the capacity of
-// reqs when it suffices, allocating only on growth. Every element is zeroed
-// so offsets, buffers and Got counts cannot leak between rounds; callers
-// that refill the same batch every round (the construction round loops) are
-// allocation-free in the steady state.
-func GrowBatch(reqs []BatchRequest, n int) []BatchRequest {
-	if cap(reqs) < n {
-		return make([]BatchRequest, n)
-	}
-	reqs = reqs[:n]
-	clear(reqs)
-	return reqs
-}
-
-// FetchBatch fills every request in one sequential pass over S. Requests
-// must be sorted by Off. This is how the R buffer of the paper's
+// FetchStrided fills one strided buffer in a single sequential pass over S:
+// request i receives the min(stride, Len()−offs[i]) symbols starting at
+// offs[i] into buf[i·stride:], and the rest of its slot is left untouched.
+// Offsets must be sorted. This is how the R buffer of the paper's
 // SubTreePrepare is populated: as the scan streams past, every leaf whose
 // window overlaps the current block receives its symbols — windows may
 // overlap freely and may be much larger than the input buffer. With
 // skipping enabled, stretches of S needed by no request are jumped (§4.4).
-func (s *Scanner) FetchBatch(reqs []BatchRequest) error {
-	if len(reqs) == 0 {
+//
+// No per-request state is kept. The windows cover S contiguously from the
+// first one's start up to pos, apart from skipped stretches that lie wholly
+// before every incomplete request, so request i has received
+// clamp(pos−offs[i], 0, want_i) symbols at any moment.
+func (s *Scanner) FetchStrided(offs []int32, buf []byte, stride int) error {
+	if len(offs) == 0 {
 		return nil
 	}
 	n := s.f.n
-	for i := range reqs {
-		if reqs[i].Off < 0 || reqs[i].Off >= n {
-			return fmt.Errorf("seq: batch request %d at %d outside string of length %d", i, reqs[i].Off, n)
+	if stride < 1 || len(buf) < len(offs)*stride {
+		return fmt.Errorf("seq: %d strided requests of %d symbols need %d bytes, buffer has %d", len(offs), stride, len(offs)*stride, len(buf))
+	}
+	for i, o := range offs {
+		if o < 0 || int(o) >= n {
+			return fmt.Errorf("seq: strided request %d at %d outside string of length %d", i, o, n)
 		}
-		if i > 0 && reqs[i].Off < reqs[i-1].Off {
-			return fmt.Errorf("seq: batch requests not sorted at %d", i)
-		}
-		reqs[i].Got = 0
-		if want := n - reqs[i].Off; len(reqs[i].Dst) > want {
-			reqs[i].Dst = reqs[i].Dst[:want]
+		if i > 0 && o < offs[i-1] {
+			return fmt.Errorf("seq: strided requests not sorted at %d", i)
 		}
 	}
+	// end returns the string offset one past the last symbol request i wants.
+	end := func(i int) int64 { return int64(min(int(offs[i])+stride, n)) }
 
 	head := 0 // first incomplete request
-	pos := int64(reqs[0].Off)
+	pos := int64(offs[0])
 	blk := int64(s.model.BlockSize)
 	if s.skip {
 		pos = pos / blk * blk
 	} else {
 		pos = 0
 	}
-	for head < len(reqs) {
-		// If nothing active needs the gap ahead, jump or read through.
-		if next := int64(reqs[head].Off) + int64(reqs[head].Got); next > pos {
-			if s.skip && next-pos >= s.skipMin {
-				target := next / blk * blk
-				s.r.Skip(target - pos)
-				s.stats.Skips++
-				pos = target
-			}
+	for head < len(offs) {
+		// If nothing incomplete needs the gap ahead, jump or read through.
+		if next := int64(offs[head]); s.skip && next-pos >= s.skipMin {
+			target := next / blk * blk
+			s.r.Skip(target - pos)
+			s.stats.Skips++
+			pos = target
 		}
 		// With skipping enabled, read only the blocks that requests still
 		// need — the point of the §4.4 optimization is to fetch nothing
@@ -291,49 +274,33 @@ func (s *Scanner) FetchBatch(reqs []BatchRequest) error {
 		if s.skip {
 			// Cover from pos to the furthest byte needed by any request
 			// whose window begins in this buffer, in whole blocks.
+			bufEnd := pos + int64(len(s.buf))
 			needEnd := pos + blk
-			for i := head; i < len(reqs); i++ {
-				off := int64(reqs[i].Off)
-				if off >= pos+int64(len(s.buf)) {
-					break
-				}
-				if e := off + int64(len(reqs[i].Dst)); e > needEnd {
-					needEnd = e
-				}
+			for i := head; i < len(offs) && int64(offs[i]) < bufEnd; i++ {
+				needEnd = max(needEnd, end(i))
 			}
-			if needEnd > pos+int64(len(s.buf)) {
-				needEnd = pos + int64(len(s.buf))
-			}
-			w := (needEnd - pos + blk - 1) / blk * blk
-			win = s.buf[:w]
+			needEnd = min(needEnd, bufEnd)
+			win = s.buf[:(needEnd-pos+blk-1)/blk*blk]
 		}
 		m, err := s.r.ReadAt(win, pos)
 		if m == 0 {
 			if err != nil {
-				return fmt.Errorf("seq: batch read at %d: %w", pos, err)
+				return fmt.Errorf("seq: strided read at %d: %w", pos, err)
 			}
-			return fmt.Errorf("seq: batch read at %d: no data", pos)
+			return fmt.Errorf("seq: strided read at %d: no data", pos)
 		}
 		s.stats.Refills++
 		s.stats.BytesFetched += int64(m)
 		w0, w1 := pos, pos+int64(m)
 
-		for i := head; i < len(reqs); i++ {
-			off := int64(reqs[i].Off)
-			if off >= w1 {
-				break
+		for i := head; i < len(offs) && int64(offs[i]) < w1; i++ {
+			off := int64(offs[i])
+			from, to := max(off, w0), min(end(i), w1)
+			if from < to {
+				copy(buf[i*stride+int(from-off):], s.buf[from-w0:to-w0])
 			}
-			from := off + int64(reqs[i].Got)
-			if from >= w1 || reqs[i].Got == len(reqs[i].Dst) {
-				continue
-			}
-			if from < w0 {
-				return fmt.Errorf("seq: batch window passed request %d (from %d, window %d)", i, from, w0)
-			}
-			c := copy(reqs[i].Dst[reqs[i].Got:], s.buf[from-w0:m])
-			reqs[i].Got += c
 		}
-		for head < len(reqs) && reqs[head].Got == len(reqs[head].Dst) {
+		for head < len(offs) && end(head) <= w1 {
 			head++
 		}
 		pos = w1

@@ -200,31 +200,32 @@ func buildSubTree(f *seq.File, view seq.String, sc *seq.Scanner, clock *sim.Cloc
 	rounds := 0
 	var symbolsRead int64
 	var cpuSeq, cpuRand int64
+	// The tiles of one round share one buffer, tile i at i·rng; the work list
+	// only shrinks, so it is sized once.
+	offs := make([]int32, len(work))
+	tiles := make([]byte, len(work)*rng)
 
 	for len(work) > 0 {
 		rounds++
 		// Fetch every unresolved suffix's tile in one sequential pass
 		// (appearance order keeps the requests sorted).
-		reqs := make([]seq.BatchRequest, len(work))
+		offs = offs[:len(work)]
 		for i, w := range work {
-			want := rng
-			if int(w.pos)+int(w.depth)+want > int(n) {
-				want = int(n) - int(w.pos) - int(w.depth)
-			}
-			reqs[i] = seq.BatchRequest{Off: int(w.pos) + int(w.depth), Dst: make([]byte, want)}
+			offs[i] = w.pos + w.depth
 		}
 		sc.Reset()
-		if err := sc.FetchBatch(reqs); err != nil {
+		if err := sc.FetchStrided(offs, tiles, rng); err != nil {
 			return nil, rounds, symbolsRead, err
 		}
 
 		next := work[:0]
 		for i, w := range work {
-			tile := reqs[i].Dst[:reqs[i].Got]
-			symbolsRead += int64(reqs[i].Got)
+			got := min(rng, int(n-offs[i]))
+			tile := tiles[i*rng : i*rng+got]
+			symbolsRead += int64(got)
 			done, nd, ops := advance(t, view, w, tile, n)
 			cpuRand += ops
-			cpuSeq += int64(reqs[i].Got)
+			cpuSeq += int64(got)
 			if !done {
 				next = append(next, pending{pos: w.pos, depth: nd})
 			}
