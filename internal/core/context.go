@@ -9,13 +9,13 @@ import (
 
 // buildContext is the reusable state of one construction worker. Everything
 // a group build needs beyond its inputs lives here — the rolling-code window
-// counter, the round-loop scratch, the collect-scan buffers and a recycled
-// sub-tree. Each array grows to the largest group or area the worker meets
-// and R to the memory plan's size, after which a round allocates nothing,
-// not even a regrowth of R, and a group only per-group bookkeeping. The
-// serial driver owns one context; the parallel drivers create one per worker
-// and keep it across vertical partitioning and every group the worker pulls
-// from the queue.
+// counter, the round-loop scratch, the collect-scan buffers, the windows
+// the sub-trees are written into and a recycled sub-tree. Each array grows
+// to the largest group or area the worker meets and R to the memory plan's
+// size, after which a round allocates nothing, not even a regrowth of R, and
+// a group only per-group bookkeeping. The serial driver owns one context;
+// the parallel drivers create one per worker and keep it across vertical
+// partitioning and every group the worker pulls from the queue.
 //
 // A context is single-threaded: it must only ever be used by one goroutine
 // at a time.
@@ -49,36 +49,42 @@ type buildContext struct {
 	collectBuf []byte
 
 	// Sub-tree materialization: a recycled arena-backed tree — every
-	// ERa-str+mem sub-tree is dropped after accounting — plus the LCP
-	// scratch feeding FromSortedSuffixesInto and the depth stack the
-	// direct-to-flat collect path replays node counts on.
+	// ERa-str+mem sub-tree is dropped after accounting — and the depth stack
+	// a flat build replays each sub-tree's node count on.
 	tree         *suffixtree.Tree
-	lcp          []int32
 	depthScratch []int32
+
+	// The windows the groups write their sub-trees into. A flat build sets
+	// order to the build's one suffix order, shared by every worker (each
+	// prefix's window sits at its Rank, and workers write disjoint
+	// windows); a build that drops its sub-trees leaves it empty, and the
+	// windows come from winSlab instead, laid out in group order and reused
+	// by the next group.
+	order   suffixOrder
+	winSlab []int32
 
 	// Per-group pooled storage — the remaining per-group allocations the
 	// ROADMAP flagged after PR 3: the collect matcher (root table + trie
-	// blocks), the occurrence list headers and their slab, each prefix's
-	// first chunk slot, and the subState headers with their
-	// P/I/area/R/B/defined backing. Carved per group, reused across every
-	// group a worker processes, so the steady state allocates nothing per
-	// group either. The pooled outputs (CollectWithFill's occs and
-	// chunks, GroupPrepare's []Prepared with its L and B) stay valid
-	// only until the next CollectWithFill/GroupPrepare on the same context —
-	// exactly the lifetime processGroup gives them.
+	// blocks), the per-prefix headers of the SA and LCP windows, each
+	// prefix's first chunk slot, and the subState headers with their P/I/R
+	// and area backing. Carved per group, reused across every group a worker
+	// processes, so the steady state allocates nothing per group either.
+	// The pooled outputs (CollectWithFill's occs and chunks, GroupPrepare's
+	// []Prepared) stay valid only until the next CollectWithFill/GroupPrepare
+	// on the same context — exactly the lifetime processGroup gives them;
+	// windows of order are the build's output and stay.
 	cm         *collectMatcher
 	lengthsBuf []int
 	lengthSeen []bool
 	occLists   [][]int32
-	occSlab    []int32
+	lcpLists   [][]int32
 	slotBase   []int32
 	subStates  []subState
 	subPtrs    []*subState
 	startsBuf  []int
 	prepBuf    []Prepared
 	i32Slab    []int32
-	bSlab      []BEntry
-	defSlab    []bool
+	areaSlab   []byte
 }
 
 // scanBuf returns the reusable collect-scan buffer of at least n bytes.
@@ -87,14 +93,6 @@ func (ctx *buildContext) scanBuf(n int) []byte {
 		ctx.collectBuf = make([]byte, n)
 	}
 	return ctx.collectBuf[:n]
-}
-
-// lcpBuf returns the reusable LCP scratch of length n.
-func (ctx *buildContext) lcpBuf(n int) []int32 {
-	if cap(ctx.lcp) < n {
-		ctx.lcp = make([]int32, n)
-	}
-	return ctx.lcp[:n]
 }
 
 // newWorkerContext gives a shared-disk worker its private handle onto the

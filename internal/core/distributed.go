@@ -32,6 +32,8 @@ type DistributedResult struct {
 	ConstructionTime time.Duration // slowest node under the modeled LPT schedule
 	TotalTime        time.Duration // everything
 	Nodes            []WorkerStats
+
+	order suffixOrder // what the groups wrote and the assembly read, under Options.AssembleFlat
 }
 
 // BuildDistributed runs ERA on a simulated shared-nothing cluster: the
@@ -82,6 +84,12 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 	}
 
 	res := &DistributedResult{TransferTime: transfer, VPTime: vpTime}
+	// Every node writes its groups' windows of the one suffix order: the
+	// simulated cluster shares the process, as a real one would share the
+	// shards' output files.
+	if res.order, err = newSuffixOrder(opts.Options, groups, f.Len(), ctxs...); err != nil {
+		return nil, err
+	}
 	res.Stats.VPTime = vpTime
 	res.Stats.VPIterations = vstats.Iterations
 	res.Stats.Prefixes = vstats.Prefixes
@@ -94,7 +102,7 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 		return nil, err
 	}
 
-	cpu, io, ws, byGi := foldRuns(jobs, runs, opts.Nodes, &res.Stats)
+	cpu, io, ws := foldRuns(jobs, runs, opts.Nodes, &res.Stats)
 	res.Nodes = ws
 
 	if opts.AssembleFlat {
@@ -102,15 +110,9 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*DistributedResult,
 		if err != nil {
 			return nil, err
 		}
-		var subs []flatSub
-		for gi := range byGi {
-			subs = append(subs, runs[byGi[gi]].flatSubs...)
+		if res.Shards, res.Flat, err = res.order.assemble(raw, opts.Shards); err != nil {
+			return nil, err
 		}
-		shards, err := assembleFlatSubs(raw, subs, opts.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("core: assembling flat image: %w", err)
-		}
-		res.Shards, res.Flat = shards, wholeFlat(shards)
 	}
 
 	res.ConstructionTime = sim.CombineSharedNothing(cpu, io)

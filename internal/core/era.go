@@ -95,9 +95,7 @@ type Result struct {
 	Groups []Group
 	Stats  Stats
 
-	// flatSubs are the sorted-suffix inputs processGroup retains under
-	// Options.AssembleFlat, for the one flat assembly.
-	flatSubs []flatSub
+	order suffixOrder // what the groups wrote and the assembly read, under Options.AssembleFlat
 }
 
 // BuildSerial runs serial ERA (§4) over the on-disk string f.
@@ -139,13 +137,16 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 	vpTime := clock.Now()
 
 	res := &Result{Groups: groups}
+	ctx := new(buildContext)
+	if res.order, err = newSuffixOrder(opts, groups, f.Len(), ctx); err != nil {
+		return nil, err
+	}
 	res.Stats.VPTime = vpTime
 	res.Stats.VPIterations = vstats.Iterations
 	res.Stats.Prefixes = vstats.Prefixes
 	res.Stats.Groups = vstats.Groups
 	res.Stats.MinRange = int(^uint(0) >> 1)
 
-	ctx := new(buildContext)
 	for gi, g := range groups {
 		if err := processGroup(ctx, f, sc, clock, clock, model, layout, opts, g, gi, res); err != nil {
 			return nil, err
@@ -157,12 +158,9 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		shards, err := assembleFlatSubs(raw, res.flatSubs, opts.Shards)
-		if err != nil {
+		if res.Shards, res.Flat, err = res.order.assemble(raw, opts.Shards); err != nil {
 			return nil, err
 		}
-		res.Shards, res.flatSubs = shards, nil
-		res.Flat = wholeFlat(shards)
 	}
 
 	res.Stats.VirtualTime = clock.Now()
@@ -176,14 +174,15 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 }
 
 // processGroup runs one virtual tree end to end: collect occurrence lists
-// (one scan shared by the group), prepare or branch, then either retain the
-// sorted suffixes for the flat assembly (Options.AssembleFlat) or materialize
-// each sub-tree, serialize it if asked, and drop it. gi is the group's global
-// index — sub-tree file names derive from it alone, so serialized output is
-// identical whichever worker of whichever driver processes the group. CPU
-// work is charged to cpuClock and serialized-tree writes to ioClock (the
-// serial driver passes the same clock twice); the scanner carries its own
-// clock.
+// (one scan shared by the group), prepare or branch, then either count the
+// nodes of each sub-tree its windows of the suffix order now hold
+// (Options.AssembleFlat: the assembly reads the windows where they are) or
+// materialize each sub-tree, serialize it if asked, and drop it. gi is the
+// group's global index — sub-tree file names derive from it alone, so
+// serialized output is identical whichever worker of whichever driver
+// processes the group. CPU work is charged to cpuClock and serialized-tree
+// writes to ioClock (the serial driver passes the same clock twice); the
+// scanner carries its own clock.
 //
 // A dropped ERa-str+mem sub-tree is built into the context's arena-backed
 // tree, recycled across sub-trees instead of allocated fresh each time.
@@ -226,11 +225,7 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 				}
 			}
 		}
-		var flatSlab []int32
-		if opts.AssembleFlat {
-			// One slab per group backs every sub-tree's L / LCP copy.
-			flatSlab = make([]int32, 2*g.Freq)
-		} else {
+		if !opts.AssembleFlat {
 			// Pre-size the recycled tree once from the group's leaf count
 			// (≤ 2·leaves nodes plus the local root across all sub-trees).
 			if ctx.tree == nil {
@@ -240,17 +235,19 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 		}
 		for ti, p := range prepared {
 			if opts.AssembleFlat {
-				fs, nodes, err := collectFlatSub(int32(f.Len()), p, cpuClock, model, &ctx.depthScratch, flatSlab[:2*len(p.L)])
-				flatSlab = flatSlab[2*len(p.L):]
+				// The node count and the one-stack-pass charge (2m
+				// sequential node touches) materializing the sub-tree
+				// would give, so Stats and modeled times match either way.
+				nodes, err := countSubTreeNodes(int32(f.Len()), p, &ctx.depthScratch)
 				if err != nil {
 					return err
 				}
+				cpuClock.Advance(model.CPUTime(int64(2 * len(p.L))))
 				res.Stats.SubTrees++
 				res.Stats.TreeNodes += nodes
-				res.flatSubs = append(res.flatSubs, fs)
 				continue
 			}
-			t, err := buildSubTreeInto(ctx.tree, ctx.lcpBuf(len(p.L)), view, cpuClock, model, p)
+			t, err := buildSubTreeInto(ctx.tree, cpuClock, model, p)
 			if err != nil {
 				return err
 			}
@@ -304,6 +301,12 @@ func CollectOccurrences(f *seq.File, sc *seq.Scanner, clock *sim.Clock, model si
 // (Σ_{k<i} Freq_k) + j, so the slots need no table; captured is the total
 // number of symbols captured.
 //
+// Each prefix's occurrences are appended straight into its window of the
+// suffix array: in a flat build, the window at the prefix's Rank in the
+// context's suffix order, which prepare then sorts in place; otherwise one
+// of the windows a pooled slab holds in group order. ctx.lcpLists gets the
+// LCP windows beside them, for GroupPrepare.
+//
 // The group's prefix-free label set resolves through a shortest-match code
 // trie (collectMatcher) whose first levels are collapsed into one rolling
 // root-table probe. The
@@ -311,9 +314,9 @@ func CollectOccurrences(f *seq.File, sc *seq.Scanner, clock *sim.Clock, model si
 // of any length and needs no fallback; the original map scan below remains
 // as the reference the equivalence tests replay, with identical probe and
 // capture accounting. A non-nil ctx supplies the reusable scan and chunk
-// buffers, the recycled matcher, and the pooled occurrence lists (nil
-// allocates throwaway ones, so only the occurrences survive); the pooled
-// outputs are valid until the next CollectWithFill on the same ctx.
+// buffers, the recycled matcher, and the pooled windows (nil allocates
+// throwaway ones, so only the occurrences survive); the pooled outputs are
+// valid until the next CollectWithFill on the same ctx.
 func CollectWithFill(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, g Group, rng int) (occs [][]int32, captured int64, err error) {
 	if ctx == nil {
 		ctx = new(buildContext) // throwaway: the pools below start empty
@@ -341,23 +344,31 @@ func CollectWithFill(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim
 	sort.Ints(lengths)
 	ctx.lengthsBuf = lengths
 
-	// Occurrence lists carved from a pooled slab: each prefix's list gets
-	// exactly its frequency in capacity, so the scan's appends never
-	// reallocate and consecutive groups reuse one backing array. The same
-	// running offset is the prefix's first chunk slot.
-	occs = growOccLists(ctx.occLists, len(g.Prefixes))
-	ctx.occLists = occs
-	if cap(ctx.occSlab) < int(total) {
-		ctx.occSlab = make([]int32, total)
+	// Each prefix's list is its window, exactly its frequency in capacity,
+	// so the scan's appends never reallocate. The running offset in group
+	// order is the prefix's first chunk slot, and its window in the slab.
+	occs = growLists(ctx.occLists, len(g.Prefixes))
+	lcps := growLists(ctx.lcpLists, len(g.Prefixes))
+	ctx.occLists, ctx.lcpLists = occs, lcps
+	sa, lcp := ctx.order.sa, ctx.order.lcp
+	if sa == nil {
+		if cap(ctx.winSlab) < 2*int(total) {
+			ctx.winSlab = make([]int32, 2*total)
+		}
+		sa, lcp = ctx.winSlab[:total], ctx.winSlab[total:2*total]
 	}
-	oSlab := ctx.occSlab[:cap(ctx.occSlab)]
 	if cap(ctx.slotBase) < len(g.Prefixes) {
 		ctx.slotBase = make([]int32, len(g.Prefixes))
 	}
 	base := ctx.slotBase[:len(g.Prefixes)]
 	pos := 0
 	for i, p := range g.Prefixes {
-		occs[i] = oSlab[pos : pos : pos+int(p.Freq)]
+		at := pos
+		if ctx.order.sa != nil {
+			at = int(p.Rank)
+		}
+		occs[i] = sa[at : at : at+int(p.Freq)]
+		lcps[i] = lcp[at : at+int(p.Freq)]
 		base[i] = int32(pos)
 		pos += int(p.Freq)
 	}
@@ -390,8 +401,8 @@ func growClearBool(s []bool, n int) []bool {
 	return s
 }
 
-// growOccLists resizes the pooled occurrence-list headers.
-func growOccLists(s [][]int32, n int) [][]int32 {
+// growLists resizes pooled window headers.
+func growLists(s [][]int32, n int) [][]int32 {
 	if cap(s) < n {
 		return make([][]int32, n)
 	}

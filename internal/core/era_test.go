@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,9 +146,10 @@ func TestBuildSerialPaperExample(t *testing.T) {
 }
 
 // TestSubTreePreparePaperTrace replays Example 2 of the paper: the L and B
-// arrays of T_TG. Our canonical order ranks '$' below the alphabet (the
-// paper ranks it last), so the expected arrays are the example's recomputed
-// under that order; the offsets are identical.
+// arrays of T_TG. B's offsets are the LCP window and its triplets' symbols
+// are S at L[i-1] and L[i] plus the offset. Our canonical order ranks '$'
+// below the alphabet (the paper ranks it last), so the expected arrays are
+// the example's recomputed under that order; the offsets are identical.
 func TestSubTreePreparePaperTrace(t *testing.T) {
 	data := []byte("TGGTGGTGGTGCGGTGATGGTGC$")
 	f := publish(t, alphabet.DNA, data)
@@ -176,7 +178,11 @@ func TestSubTreePreparePaperTrace(t *testing.T) {
 	if !equal32(p.L, wantL) {
 		t.Errorf("L = %v, want %v", p.L, wantL)
 	}
-	wantB := []BEntry{
+	type triplet struct {
+		c1, c2 byte
+		offset int32
+	}
+	wantB := []triplet{
 		{},            // B[0] unused
 		{'A', 'C', 2}, // S14 | S20
 		{'$', 'G', 3}, // S20 | S9   (paper: (G,$,3) under $-last order)
@@ -185,10 +191,40 @@ func TestSubTreePreparePaperTrace(t *testing.T) {
 		{'C', 'G', 5}, // S6  | S3
 		{'C', 'G', 8}, // S3  | S0
 	}
+	if len(p.LCP) != len(wantB) {
+		t.Fatalf("LCP window holds %d entries, want %d", len(p.LCP), len(wantB))
+	}
 	for i := 1; i < len(wantB); i++ {
-		if p.B[i] != wantB[i] {
-			t.Errorf("B[%d] = (%c,%c,%d), want (%c,%c,%d)", i,
-				p.B[i].C1, p.B[i].C2, p.B[i].Offset, wantB[i].C1, wantB[i].C2, wantB[i].Offset)
+		off := p.LCP[i]
+		got := triplet{data[p.L[i-1]+off], data[p.L[i]+off], off}
+		if got != wantB[i] {
+			t.Errorf("B[%d] = (%c,%c,%d), want (%c,%c,%d)", i, got.c1, got.c2, got.offset, wantB[i].c1, wantB[i].c2, wantB[i].offset)
+		}
+	}
+	view, err := f.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyPrepared(view, p); err != nil {
+		t.Errorf("VerifyPrepared: %v", err)
+	}
+	// VerifyPrepared refuses an offset one short (the symbols there are
+	// equal), one long (they differ before it), undefined, or past S's end,
+	// and a window out of order.
+	for _, c := range []struct {
+		name string
+		mod  func(l, lcp []int32)
+	}{
+		{"short", func(_, lcp []int32) { lcp[6]-- }},
+		{"long", func(_, lcp []int32) { lcp[3]++ }},
+		{"undefined", func(_, lcp []int32) { lcp[4] = 0 }},
+		{"past-end", func(_, lcp []int32) { lcp[2] = 30 }},
+		{"out-of-order", func(l, _ []int32) { l[5], l[6] = l[6], l[5] }},
+	} {
+		bad := Prepared{Prefix: p.Prefix, L: slices.Clone(p.L), LCP: slices.Clone(p.LCP)}
+		c.mod(bad.L, bad.LCP)
+		if VerifyPrepared(view, bad) == nil {
+			t.Errorf("VerifyPrepared accepted a window with the %s mutation", c.name)
 		}
 	}
 	if stats.Rounds != 2 {

@@ -3,68 +3,109 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
-	"era/internal/sim"
 	"era/internal/suffixtree"
 )
 
-// flatSub is one collected sub-tree awaiting direct-to-flat assembly: the
-// S-prefix label (arena-backed by VerticalPartition, immutable for the
-// build's lifetime) plus private copies of the sorted occurrence list and
-// its LCP array — the prepare pools recycle the originals on the worker's
-// next group.
-type flatSub struct {
-	label []byte
-	l     []int32
-	lcp   []int32
+// suffixOrder is what a flat build writes its sub-trees into: the suffix
+// array of S and its LCP array. Each prefix's sub-tree is the window
+// [Rank, Rank+Freq) of both — its suffixes are exactly that contiguous range
+// of the order — and the LCP at a window's start, the join with the window
+// before it, is the two labels' common prefix. The workers of either
+// parallel driver write disjoint windows of the same two arrays.
+type suffixOrder struct {
+	sa, lcp []int32
+	windows []Prefix // every prefix, in rank order
 }
 
-// collectFlatSub snapshots one prepared sub-tree for direct flat assembly.
-// It charges the same one-stack-pass CPU cost (2m sequential node touches)
-// that materializing the heap sub-tree charges, so modeled times are
-// identical whichever layout a build targets, and returns the node count
-// the equivalent heap sub-tree would have had (leaves plus split-created
-// branch nodes, local root excluded) so Stats.TreeNodes stays identical
-// too. The copies go into buf, 2·len(p.L) entries the caller carves from one
-// slab per group.
-func collectFlatSub(n int32, p Prepared, clock *sim.Clock, model sim.CostModel, scratch *[]int32, buf []int32) (flatSub, int64, error) {
-	m := len(p.L)
-	if m == 0 {
-		return flatSub{}, 0, fmt.Errorf("core: prefix %q has no occurrences", p.Prefix.Label)
+// newSuffixOrder gives every prefix of groups its Rank in the suffix order
+// of an n-symbol string, allocates the order, writes every window's join and
+// hands the order to ctxs — under opts.AssembleFlat; otherwise it returns
+// the zero order, and each context takes its windows from its own slab. The
+// labels are prefix-free and their frequencies count every suffix, so in
+// label order the windows tile [0, n); it checks both, which the assembly
+// relies on.
+func newSuffixOrder(opts Options, groups []Group, n int, ctxs ...*buildContext) (suffixOrder, error) {
+	if !opts.AssembleFlat {
+		return suffixOrder{}, nil
 	}
-	l, lcp := buf[:m:m], buf[m:2*m:2*m]
-	copy(l, p.L)
-	if _, err := fillLCP(p, lcp); err != nil {
-		return flatSub{}, 0, err
+	var ps []*Prefix
+	var total int64
+	for _, g := range groups {
+		for i := range g.Prefixes {
+			ps = append(ps, &g.Prefixes[i])
+			total += g.Prefixes[i].Freq
+		}
 	}
-	nodes, err := countSubTreeNodes(n, int32(len(p.Prefix.Label)), l, lcp, scratch)
+	if total != int64(n) {
+		return suffixOrder{}, fmt.Errorf("core: the sub-tree labels cover %d of %d suffixes", total, n)
+	}
+	slices.SortFunc(ps, func(a, b *Prefix) int { return bytes.Compare(a.Label, b.Label) })
+	ord := suffixOrder{sa: make([]int32, n), lcp: make([]int32, n), windows: make([]Prefix, len(ps))}
+	var rank int64
+	for i, p := range ps {
+		if i > 0 {
+			prev := ps[i-1].Label
+			c := commonPrefix(prev, p.Label)
+			if c == len(prev) {
+				return suffixOrder{}, fmt.Errorf("core: sub-tree labels %q and %q are not prefix-free", prev, p.Label)
+			}
+			ord.lcp[rank] = int32(c)
+		}
+		p.Rank = rank
+		ord.windows[i] = *p
+		rank += p.Freq
+	}
+	for _, ctx := range ctxs {
+		ctx.order = ord
+	}
+	return ord, nil
+}
+
+// assemble cuts the suffix order into k prefix ranges, each a tree of its
+// own (suffixtree.AssembleShards; k ≤ 1 is the whole tree, which whole also
+// returns).
+func (o suffixOrder) assemble(raw []byte, k int) (shards []suffixtree.Shard, whole *suffixtree.Flat, err error) {
+	shards, err = suffixtree.AssembleShards(raw, []suffixtree.SortedRun{{Suffixes: o.sa, LCP: o.lcp}}, k)
 	if err != nil {
-		return flatSub{}, 0, fmt.Errorf("core: prefix %q: %w", p.Prefix.Label, err)
+		return nil, nil, fmt.Errorf("core: assembling flat image: %w", err)
 	}
-	clock.Advance(model.CPUTime(int64(2 * m)))
-	return flatSub{label: p.Prefix.Label, l: l, lcp: lcp}, nodes, nil
+	if len(shards) == 1 {
+		whole = shards[0].Flat
+	}
+	return shards, whole, nil
+}
+
+func commonPrefix(a, b []byte) int {
+	c := 0
+	for c < len(a) && c < len(b) && a[c] == b[c] {
+		c++
+	}
+	return c
 }
 
 // countSubTreeNodes replays FromSortedSuffixes' rightmost-path walk over the
-// depths alone: the returned count is exactly the node count of the heap
-// sub-tree the same inputs would materialize (every suffix adds a leaf, and
-// every branch landing inside an edge adds one split node), with the same
+// depths of one prepared sub-tree of a flat build: the returned count is
+// exactly the node count of the heap sub-tree the same windows would
+// materialize (every suffix adds a leaf, and every branch landing inside an
+// edge adds one split node; the local root is excluded), with the same
 // malformed-input rejections — and an LCP shorter than the sub-tree's prefix
-// label, which its suffixes all share — at no tree cost.
-func countSubTreeNodes(n, labelLen int32, l, lcp []int32, scratch *[]int32) (int64, error) {
-	if l[0] < 0 || l[0] >= n {
-		return 0, fmt.Errorf("suffix %d outside the %d-byte string", l[0], n)
+// label, which its suffixes all share — at no tree cost. LCP[0] is not read.
+func countSubTreeNodes(n int32, p Prepared, scratch *[]int32) (int64, error) {
+	l, lcp, labelLen := p.L, p.LCP, int32(len(p.Prefix.Label))
+	if len(l) == 0 || l[0] < 0 || l[0] >= n {
+		return 0, fmt.Errorf("core: prefix %q: no suffix, or one outside the %d-byte string", p.Prefix.Label, n)
 	}
 	stack := append((*scratch)[:0], n-l[0])
 	nodes := int64(len(l))
 	for i := 1; i < len(l); i++ {
 		off := lcp[i]
 		if off >= n-l[i] {
-			return 0, fmt.Errorf("lcp %d ≥ suffix length %d at entry %d (suffixes not distinct?)", off, n-l[i], i)
+			return 0, fmt.Errorf("core: prefix %q: lcp %d ≥ suffix length %d at entry %d (suffixes not distinct?)", p.Prefix.Label, off, n-l[i], i)
 		}
 		if off < labelLen {
-			return 0, fmt.Errorf("lcp %d below the prefix length at entry %d", off, i)
+			return 0, fmt.Errorf("core: prefix %q: lcp %d below the prefix length at entry %d", p.Prefix.Label, off, i)
 		}
 		for len(stack) > 0 && stack[len(stack)-1] > off {
 			stack = stack[:len(stack)-1]
@@ -84,33 +125,6 @@ func countSubTreeNodes(n, labelLen int32, l, lcp []int32, scratch *[]int32) (int
 	return nodes, nil
 }
 
-// assembleFlatSubs sorts the collected sub-trees by label and hands them, as
-// the sorted suffix stream they concatenate to, to the one assembly that cuts
-// it into k prefix ranges (suffixtree.AssembleShards; k ≤ 1 is the whole
-// tree). The labels are unique and prefix-free (they partition the suffix
-// set), so the order is total and the emitted images are identical whichever
-// worker of whichever driver collected which group, and the LCP across each
-// join is the labels' common prefix.
-func assembleFlatSubs(raw []byte, subs []flatSub, k int) ([]suffixtree.Shard, error) {
-	sort.Slice(subs, func(a, b int) bool { return bytes.Compare(subs[a].label, subs[b].label) < 0 })
-	runs := make([]suffixtree.SortedRun, len(subs))
-	for i, s := range subs {
-		if i > 0 {
-			prev := subs[i-1].label
-			c := 0
-			for c < len(prev) && c < len(s.label) && prev[c] == s.label[c] {
-				c++
-			}
-			if c == len(prev) || c == len(s.label) {
-				return nil, fmt.Errorf("core: sub-tree labels %q and %q are not prefix-free", prev, s.label)
-			}
-			s.lcp[0] = int32(c)
-		}
-		runs[i] = suffixtree.SortedRun{Suffixes: s.l, LCP: s.lcp}
-	}
-	return suffixtree.AssembleShards(raw, runs, k)
-}
-
 // validateFlatOptions rejects option combinations the direct-to-flat path
 // cannot honor.
 func validateFlatOptions(opts Options) error {
@@ -124,12 +138,4 @@ func validateFlatOptions(opts Options) error {
 		return fmt.Errorf("core: AssembleFlat requires the ERa-str+mem method")
 	}
 	return nil
-}
-
-// wholeFlat is the image of the whole tree when the assembly made one.
-func wholeFlat(shards []suffixtree.Shard) *suffixtree.Flat {
-	if len(shards) != 1 {
-		return nil
-	}
-	return shards[0].Flat
 }

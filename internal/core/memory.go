@@ -16,14 +16,16 @@ import (
 // a retrieved-data area (input buffer BS, next-symbols buffer R, trie), a
 // processing area (arrays L, B — with I, A, P overlapping the tree area),
 // and the suffix-tree area MTS, from which the maximum sub-tree frequency
-// FM follows (Eq. 1).
+// FM follows (Eq. 1). Here L and B are the sub-tree's windows of the suffix
+// array and its LCP array, a flat build's output (entryBytes lists what a
+// worker holds per leaf).
 type MemoryLayout struct {
 	Budget   int64 // total bytes available
 	RSize    int64 // next-symbols buffer R
 	InputBuf int64 // string input buffer BS
 	TrieArea int64 // top trie connecting sub-trees
 	TreeArea int64 // MTS: sub-tree area (≈60% of what remains)
-	ProcArea int64 // processing area (L and B)
+	ProcArea int64 // processing area (L and B; P, I, area and R's slots)
 	FM       int64 // max leaves per virtual tree: MTS / (2·NodeSize)
 }
 
@@ -37,7 +39,11 @@ const AccountedNodeSize = 13
 
 // entryBytes is the accounted per-leaf cost of the processing arrays
 // (L, B and the overlapped I, A, P are Θ(1) words per leaf; L+B alone are
-// "almost 40% of the available memory" in the paper's accounting).
+// "almost 40% of the available memory" in the paper's accounting). It stays
+// the paper's constant, so group and scan counts match the evaluation's;
+// what a worker holds per leaf is L and LCP (4 B each, the windows of the
+// suffix order), P, I and the R slot (4 B each), an area flag (1 B) and a
+// schedule position (4 B per active leaf) — see TestPrepareWorkingSetPerLeaf.
 const entryBytes = 13
 
 // PlanMemory computes the §4.4 allocation for a budget. rSize == 0 selects a

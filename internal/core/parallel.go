@@ -37,6 +37,8 @@ type ParallelResult struct {
 	ModeledTime time.Duration      // virtual completion incl. VP and contention
 	VPTime      time.Duration
 	Workers     []WorkerStats
+
+	order suffixOrder // what the groups wrote and the assembly read, under Options.AssembleFlat
 }
 
 // BuildParallel runs ERA on a shared-memory, shared-disk machine. Every
@@ -83,6 +85,9 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 	}
 
 	res := &ParallelResult{VPTime: vpTime}
+	if res.order, err = newSuffixOrder(opts.Options, groups, f.Len(), ctxs...); err != nil {
+		return nil, err
+	}
 	res.Stats.VPTime = vpTime
 	res.Stats.VPIterations = vstats.Iterations
 	res.Stats.Prefixes = vstats.Prefixes
@@ -95,18 +100,12 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
 		return nil, err
 	}
 
-	cpu, io, ws, byGi := foldRuns(jobs, runs, opts.Workers, &res.Stats)
+	cpu, io, ws := foldRuns(jobs, runs, opts.Workers, &res.Stats)
 
 	if opts.AssembleFlat {
-		var subs []flatSub
-		for gi := range byGi {
-			subs = append(subs, runs[byGi[gi]].flatSubs...)
+		if res.Shards, res.Flat, err = res.order.assemble(raw, opts.Shards); err != nil {
+			return nil, err
 		}
-		shards, err := assembleFlatSubs(raw, subs, opts.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("core: assembling flat image: %w", err)
-		}
-		res.Shards, res.Flat = shards, wholeFlat(shards)
 	}
 
 	if opts.SkipSeek && opts.Workers > 1 {

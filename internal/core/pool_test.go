@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"era/internal/alphabet"
-	"era/internal/seq"
 	"era/internal/sim"
 	"era/internal/workload"
 )
@@ -52,7 +51,7 @@ func TestPerGroupPooledAllocs(t *testing.T) {
 
 // TestPooledCollectMatchesFresh pins the recycled collect matcher and the
 // pooled subState slabs to the exact outputs of the fresh-allocation path:
-// same occurrence lists, same prepared L/B arrays, same clock accounting.
+// same occurrence lists, same prepared L/LCP arrays, same clock accounting.
 func TestPooledCollectMatchesFresh(t *testing.T) {
 	model := sim.DefaultModel()
 	data := workload.MustGenerate(workload.English, 12000, 23)
@@ -92,7 +91,7 @@ func TestPooledCollectMatchesFresh(t *testing.T) {
 			if string(pooled[i].Prefix.Label) != string(fresh[i].Prefix.Label) {
 				t.Fatalf("group %d sub %d: prefix %q != %q", gi, i, pooled[i].Prefix.Label, fresh[i].Prefix.Label)
 			}
-			if len(pooled[i].L) != len(fresh[i].L) || len(pooled[i].B) != len(fresh[i].B) {
+			if len(pooled[i].L) != len(fresh[i].L) || len(pooled[i].LCP) != len(fresh[i].LCP) {
 				t.Fatalf("group %d sub %d: array sizes diverge", gi, i)
 			}
 			for j := range fresh[i].L {
@@ -100,9 +99,9 @@ func TestPooledCollectMatchesFresh(t *testing.T) {
 					t.Fatalf("group %d sub %d: L[%d] = %d != %d", gi, i, j, pooled[i].L[j], fresh[i].L[j])
 				}
 			}
-			for j := 1; j < len(fresh[i].B); j++ {
-				if pooled[i].B[j] != fresh[i].B[j] {
-					t.Fatalf("group %d sub %d: B[%d] = %+v != %+v", gi, i, j, pooled[i].B[j], fresh[i].B[j])
+			for j := 1; j < len(fresh[i].LCP); j++ {
+				if pooled[i].LCP[j] != fresh[i].LCP[j] {
+					t.Fatalf("group %d sub %d: LCP[%d] = %d != %d", gi, i, j, pooled[i].LCP[j], fresh[i].LCP[j])
 				}
 			}
 		}
@@ -116,11 +115,20 @@ func TestPooledCollectMatchesFresh(t *testing.T) {
 //     the flat assembly grew its columns by append and R was a table of slice
 //     headers, ≈ 120 while every leaf took a 32-byte record, 59.4 while every
 //     fill took a 40-byte request record and R was regrown to each round's
-//     need, 53.3 now (30.2 of it the image); the bound is 58, 9 % above;
+//     need, 53.3 while B, its defined flags and a copy of every group's L
+//     and LCP sat beside the suffix order, 47.4 now. Array by array: the
+//     image 30.3, the suffix array and its LCP 8.0, the largest group's
+//     P/I/R-slot, area flags and fill schedule 4.7, its sort scratch 1.4, R
+//     1.0, the VP counter 0.8, the collect-scan window 0.6, the rest 0.6.
+//     The bound is 52, 10 % above;
 //   - SharedDisk with two workers at the default 64 MiB, the shape of the
 //     benchmark's parallel cell — one group, a worker's 32 MiB share holding
-//     the whole tree: 118.9 with the request records, 107.7 now, 32 of it
-//     the 8 MiB R the plan gives a worker; the bound is 115, 7 % above.
+//     the whole tree: 118.9 with the request records, 107.7 with B and the
+//     copies, 91.7 now. The image 30.3, the 8 MiB R the plan gives a worker
+//     32.0, P/I/R-slot 12.0, the suffix array and its LCP 8.0, the sort
+//     scratch 5.4, the area flags 1.0, the scanners 1.0, the fill schedule
+//     0.8 (its second round's active leaves), the rest 1.2. The bound is 99,
+//     8 % above.
 //
 // The assembly alone — builder tables sized once from the collected counts,
 // plus the sections — must stay within a handful of allocations however many
@@ -143,8 +151,8 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 	}) / n
 	image := len(res.Flat.Nodes) + len(res.Flat.Sym)
 	t.Logf("serial: %.1f B allocated per symbol, %.1f B of image per symbol", perSym, float64(image)/n)
-	if perSym > 58 {
-		t.Errorf("a %d-symbol serial flat build allocated %.1f B per symbol, want ≤ 58", n, perSym)
+	if perSym > 52 {
+		t.Errorf("a %d-symbol serial flat build allocated %.1f B per symbol, want ≤ 52", n, perSym)
 	}
 	var pres *ParallelResult
 	par := bytesPerRun(1, func() {
@@ -154,38 +162,22 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 		}
 	}) / n
 	t.Logf("SharedDisk: %.1f B allocated per symbol, %d groups", par, pres.Stats.Groups)
-	if par > 115 {
-		t.Errorf("a %d-symbol SharedDisk flat build allocated %.1f B per symbol, want ≤ 115", n, par)
+	if par > 99 {
+		t.Errorf("a %d-symbol SharedDisk flat build allocated %.1f B per symbol, want ≤ 99", n, par)
 	}
 
-	// Re-collect the sub-trees and count the assembly's allocations.
-	clock := new(sim.Clock)
-	sc, err := f.NewScanner(clock, seq.ScannerConfig{BufSize: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := PlanMemory(opts.MemoryBudget, 0, f.Alphabet().Bits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	collected := new(Result)
-	ctx := new(buildContext)
-	for gi, g := range res.Groups {
-		if err := processGroup(ctx, f, sc, clock, clock, sim.DefaultModel(), layout, opts, g, gi, collected); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Assemble the build's suffix order again and count the allocations.
 	raw, err := f.Disk().Bytes(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := assembleFlatSubs(raw, collected.flatSubs, 1); err != nil {
+		if _, _, err := res.order.assemble(raw, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%d sub-trees assembled in %.0f allocations", len(collected.flatSubs), allocs)
+	t.Logf("%d sub-trees assembled in %.0f allocations", res.Stats.SubTrees, allocs)
 	if allocs > 40 { // growing the tables by append would take well over a hundred
-		t.Errorf("assembling %d sub-trees took %.0f allocations; the builder's tables must be sized once, not grown", len(collected.flatSubs), allocs)
+		t.Errorf("assembling %d sub-trees took %.0f allocations; the builder's tables must be sized once, not grown", res.Stats.SubTrees, allocs)
 	}
 }

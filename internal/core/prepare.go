@@ -9,21 +9,17 @@ import (
 	"era/internal/sim"
 )
 
-// BEntry is one branching triplet of array B (§4.2.2): the branches to
-// leaves L[i-1] and L[i] share Offset symbols from the suffix start, then
-// continue with symbols C1 and C2 respectively.
-type BEntry struct {
-	C1, C2 byte
-	Offset int32
-}
-
-// Prepared is the output of SubTreePrepare for one S-prefix: the leaf
-// positions in lexicographic suffix order and the branching information,
-// from which BuildSubTree materializes the sub-tree in one batch pass.
+// Prepared is the output of SubTreePrepare for one S-prefix, {Prefix, L,
+// LCP}: L is the leaf positions in lexicographic suffix order — the
+// prefix's window of the suffix array — and LCP[i] is the offset at which
+// the branches to leaves L[i-1] and L[i] part, array B of §4.2.2 (its
+// triplets' symbols C1 < C2 are S[L[i-1]+LCP[i]] and S[L[i]+LCP[i]]), from
+// which BuildSubTree materializes the sub-tree in one batch pass. LCP[0] is
+// not prepare's: in a flat build it is the join with the window before.
 type Prepared struct {
 	Prefix Prefix
 	L      []int32
-	B      []BEntry // B[0] is unused
+	LCP    []int32
 }
 
 // PrepareStats counts the work of the preparation step for one group.
@@ -35,54 +31,60 @@ type PrepareStats struct {
 }
 
 // subState is the working state of Algorithm SubTreePrepare for one
-// sub-tree. The four auxiliary arrays mirror the paper exactly:
+// sub-tree. L and LCP are the sub-tree's windows of the output; the
+// auxiliary arrays mirror the paper:
 //
 //	L    current order of leaf positions (progressively lex-sorted)
+//	LCP  array B: the branching offset of each index and its predecessor,
+//	     0 while unknown (every offset is at least the label length, ≥ 1),
+//	     negated from the round the pair diverges until the define pass
 //	P    appearance rank of the leaf at each current index
 //	I    appearance rank → current index (-1 once done); lets one
 //	     sequential pass of S fill R in string order
-//	area active-area id per index (-1 once done); equal adjacent ids form
-//	     one active area
+//	area one flag byte per index: areaOpen where an active area starts,
+//	     areaDone once the index is retired, 0 inside an area — so an area
+//	     runs from an index that is not done to the next flagged one
 //	R    slot, in the round's chunk buffer, of the next symbols fetched
 //	     this round per index (stale once the index is done)
-//	B    branching triplets; defined[i] tracks which are known
 type subState struct {
-	prefix  Prefix
-	L       []int32
-	P       []int32
-	I       []int32
-	area    []int32
-	R       []int32
-	B       []BEntry
-	defined []bool
-	pending int // undefined B entries
-	active  int // indices not yet done
+	prefix Prefix
+	L      []int32
+	LCP    []int32
+	P      []int32
+	I      []int32
+	area   []byte
+	R      []int32
+	active int // indices not yet done
 }
 
-// init (re)points a subState at the auxiliary arrays for a fresh prepare. The
-// backing slices come from pooled slabs holding a previous group's values:
-// every element the algorithm reads is (re)written here. The collect scan
-// left occurrence i's round-one chunk in slot slot0+i.
-func (st *subState) init(prefix Prefix, occ []int32, areaID, slot0 int32, p, i32, area, r []int32, b []BEntry, defined []bool) {
+// The flags of subState.area.
+const (
+	areaOpen byte = 1 // the index starts an active area
+	areaDone byte = 2 // the index is retired
+)
+
+// init (re)points a subState at its windows and the auxiliary arrays for a
+// fresh prepare. The backing slices come from pooled slabs holding a
+// previous group's values: every element the algorithm reads is (re)written
+// here. The collect scan left occurrence i's round-one chunk in slot
+// slot0+i.
+func (st *subState) init(prefix Prefix, occ, lcp []int32, slot0 int32, p, i32, r []int32, area []byte) {
 	m := len(occ)
 	st.prefix = prefix
-	st.L = occ
-	st.P, st.I, st.area = p, i32, area
-	st.R, st.B, st.defined = r, b, defined
-	st.pending = m - 1
+	st.L, st.LCP = occ, lcp
+	st.P, st.I, st.area, st.R = p, i32, area, r
 	st.active = m
 	for i := 0; i < m; i++ {
 		st.P[i] = int32(i)
 		st.I[i] = int32(i)
-		st.area[i] = areaID
 		st.R[i] = slot0 + int32(i)
-		st.B[i] = BEntry{}
-		st.defined[i] = false
 	}
+	clear(area)
+	clear(lcp[1:])
 	if m == 1 {
 		// A single leaf needs no branching information.
 		st.I[0] = -1
-		st.area[0] = -1
+		st.area[0] = areaDone
 		st.active = 0
 	}
 }
@@ -103,11 +105,11 @@ func (st *subState) nextActive(r int) int {
 // markDone retires index i: its branch is fully separated from both
 // neighbours (Proposition 1, case 1 — the path to this leaf is unique).
 func (st *subState) markDone(i int32) {
-	if st.area[i] < 0 {
+	if st.area[i] == areaDone {
 		return
 	}
 	st.I[st.P[i]] = -1
-	st.area[i] = -1
+	st.area[i] = areaDone
 	st.active--
 }
 
@@ -147,8 +149,8 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 
 	// subState headers and their auxiliary arrays come from the context's
 	// pooled slabs (fresh per-call allocations when ctx was nil): one int32
-	// slab backs every P/I/area/R, one slab each backs B and defined.
-	var nextArea int32
+	// slab backs every P/I/R and one byte slab every area. L and LCP are the
+	// windows the collect scan carved.
 	nSubs := len(group.Prefixes)
 	if cap(ctx.subStates) < nSubs {
 		ctx.subStates = make([]subState, nSubs)
@@ -164,17 +166,14 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	for i := range occs {
 		M += len(occs[i])
 	}
-	if cap(ctx.i32Slab) < 4*M {
-		ctx.i32Slab = make([]int32, 4*M)
+	if cap(ctx.i32Slab) < 3*M {
+		ctx.i32Slab = make([]int32, 3*M)
 	}
-	if cap(ctx.bSlab) < M {
-		ctx.bSlab = make([]BEntry, M)
+	if cap(ctx.areaSlab) < M {
+		ctx.areaSlab = make([]byte, M)
 	}
-	if cap(ctx.defSlab) < M {
-		ctx.defSlab = make([]bool, M)
-	}
-	i32 := ctx.i32Slab[:4*M]
-	bsl, dsl := ctx.bSlab[:cap(ctx.bSlab)], ctx.defSlab[:cap(ctx.defSlab)]
+	i32, areas := ctx.i32Slab[:3*M], ctx.areaSlab[:M]
+	lcps := ctx.lcpLists
 	posI, pos := 0, 0
 	for i, p := range group.Prefixes {
 		if int64(len(occs[i])) != p.Freq {
@@ -182,12 +181,10 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		}
 		m := len(occs[i])
 		subs[i] = &states[i]
-		subs[i].init(p, occs[i], nextArea, int32(pos),
-			i32[posI:posI+m], i32[posI+m:posI+2*m], i32[posI+2*m:posI+3*m], i32[posI+3*m:posI+4*m],
-			bsl[pos:pos+m], dsl[pos:pos+m])
-		posI += 4 * m
+		subs[i].init(p, occs[i], lcps[i], int32(pos),
+			i32[posI:posI+m], i32[posI+m:posI+2*m], i32[posI+2*m:posI+3*m], areas[pos:pos+m])
+		posI += 3 * m
 		pos += m
-		nextArea++
 	}
 
 	// start is the global offset within every suffix of the symbols already
@@ -205,7 +202,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		starts[i] = len(st.prefix.Label)
 		// The chunks captured by the collect scan are round one.
 		if st.active > 0 {
-			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[i], &nextArea)
+			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[i])
 			if err != nil {
 				return nil, stats, err
 			}
@@ -290,7 +287,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 
 		// Per sub-tree: sort active areas, split them, and extend B.
 		for si, st := range subs {
-			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[si], &nextArea)
+			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[si])
 			if err != nil {
 				return nil, stats, err
 			}
@@ -301,10 +298,10 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		cpuOps = 0
 	}
 
-	// The output rides the pooled storage too (L is the collect slab's
-	// occurrence list, B the pooled triplet slab): valid until the next
-	// GroupPrepare/CollectWithFill on this context, which is exactly the
-	// window processGroup consumes it in.
+	// The output is the sub-trees' windows: of the build's suffix order,
+	// where they stay, or of the pooled slab, valid until the next
+	// GroupPrepare/CollectWithFill on this context — exactly the span
+	// processGroup consumes them in.
 	out := ctx.prepBuf
 	if cap(out) < len(subs) {
 		out = make([]Prepared, len(subs))
@@ -312,7 +309,7 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	out = out[:len(subs)]
 	ctx.prepBuf = out
 	for i, st := range subs {
-		out[i] = Prepared{Prefix: st.prefix, L: st.L, B: st.B}
+		out[i] = Prepared{Prefix: st.prefix, L: st.L, LCP: st.LCP}
 	}
 	if stats.MinRange > stats.MaxRange {
 		stats.MinRange = 0
@@ -381,13 +378,15 @@ func activeUpfront(g Group) int {
 // round performs lines 13–23 of Algorithm SubTreePrepare for one sub-tree:
 // lexicographically reorder every active area by the chunks fetched into ch
 // (maintaining I and P), split areas whose chunks diverge, define the newly
-// determined B entries, and retire indices separated from both neighbours.
+// determined branching offsets, and retire indices separated from both
+// neighbours.
 // start is the offset within every suffix of the chunks' first symbol and n
 // is |S|: the chunk of index i is clipped to n-L[i]-start symbols when fewer
 // than the round's range remain. It returns the number of symbol operations
 // performed, for CPU accounting.
-func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int, nextArea *int32) (int64, error) {
+func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int) (int64, error) {
 	m := len(st.L)
+	lcp := st.LCP
 	var ops int64
 	width := func(i int) int {
 		return min(ch.rng, n-int(st.L[i])-start)
@@ -396,12 +395,12 @@ func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int, nextArea
 	// Reorder active areas (lines 13–15).
 	i := 0
 	for i < m {
-		if st.area[i] < 0 {
+		if st.area[i] == areaDone {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < m && st.area[j] == st.area[i] {
+		for j < m && st.area[j] == 0 {
 			j++
 		}
 		if j-i > 1 {
@@ -409,8 +408,8 @@ func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int, nextArea
 		}
 		// Split into new areas by equal chunks: one comparison per adjacent
 		// pair of the (now sorted) area. A pair that diverges also yields
-		// its branching triplet (lines 16–23); it is written here, while
-		// both chunks are at hand, and taken up by the pass below.
+		// its branching offset (lines 16–23), written here negated and
+		// taken up by the pass below.
 		var adjacent int64
 		k := i
 		for k < j {
@@ -420,7 +419,7 @@ func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int, nextArea
 				cs := ch.lcp(st.R[e-1], st.R[e], min(wa, wb))
 				ops += int64(cs + 1) // the B pass's look at the pair
 				if cs < wa && cs < wb {
-					st.B[e] = BEntry{C1: ch.at(st.R[e-1], cs), C2: ch.at(st.R[e], cs), Offset: int32(start + cs)}
+					lcp[e] = -int32(start + cs)
 					if wa != wb {
 						adjacent++
 					} else {
@@ -436,30 +435,26 @@ func (st *subState) round(ch *chunkBuf, scr *sortScratch, n, start int, nextArea
 				}
 				adjacent += int64(wa) // equal: still together, next round extends the window
 			}
-			id := *nextArea
-			*nextArea++
-			for x := k; x < e; x++ {
-				st.area[x] = id
-			}
+			st.area[k] = areaOpen
 			k = e
 		}
 		ops += adjacent + sortCharge(j-i, adjacent)
 		i = j
 	}
 
-	// Define B entries (lines 16–23): an undefined entry lies inside an
-	// area the pass above just compared, and holds a triplet (C1 ≠ C2) exactly
-	// when its pair diverged this round.
+	// Define the offsets (lines 16–23): an entry is negative exactly when
+	// its pair diverged this round. The pass ascends, so lcp[i-1] > 0
+	// counts this round's entries too and lcp[i+1] > 0 only earlier
+	// rounds': an index is retired once, when its second side parts.
 	for i := 1; i < m; i++ {
-		if st.defined[i] || st.B[i].C1 == st.B[i].C2 {
+		if lcp[i] >= 0 {
 			continue
 		}
-		st.defined[i] = true
-		st.pending--
-		if i == 1 || st.defined[i-1] {
+		lcp[i] = -lcp[i]
+		if i == 1 || lcp[i-1] > 0 {
 			st.markDone(int32(i - 1))
 		}
-		if i == m-1 || st.defined[i+1] {
+		if i == m-1 || lcp[i+1] > 0 {
 			st.markDone(int32(i))
 		}
 	}

@@ -26,9 +26,9 @@ import (
 // handle is private (cross-worker interference is folded in analytically),
 // so the measured (cpu, io) deltas are identical whichever worker runs the
 // group, in whatever order. Sub-tree names derive from the global group
-// index and the flat assembly orders sub-trees by label, so images,
-// serialized output and aggregate Stats are byte-identical across worker
-// counts — and match the serial build.
+// index and every sub-tree is written to its label's window of the suffix
+// order, so images, serialized output and aggregate Stats are
+// byte-identical across worker counts — and match the serial build.
 
 // groupJob is one queue entry: a group, its original index (naming, stats
 // and assembly order) and its estimated cost (queue order).
@@ -63,10 +63,9 @@ func scheduleGroups(groups []Group) []groupJob {
 // Stats field holds only this group's share (scans, rounds, symbols, ranges,
 // sub-trees, nodes, bytes, skips).
 type groupRun struct {
-	cpu, io  time.Duration
-	seeks    int64
-	stats    Stats
-	flatSubs []flatSub
+	cpu, io time.Duration
+	seeks   int64
+	stats   Stats
 }
 
 // runGroupQueue drains the job queue with one goroutine per context: idle
@@ -130,16 +129,14 @@ func runGroupOn(ctx *buildContext, job groupJob, model sim.CostModel,
 	out.io = ctx.io.Now() - io0
 	out.seeks = ctx.f.Disk().Stats().Seeks - seeks0
 	out.stats = gres.Stats
-	out.flatSubs = gres.flatSubs
 	return nil
 }
 
 // foldRuns aggregates the per-group results: Stats sums (in original group
 // order), the deterministic modeled LPT assignment of measured demands onto
-// workers, and per-worker WorkerStats. byGi maps a group's original index to
-// its queue position.
-func foldRuns(jobs []groupJob, runs []groupRun, workers int, agg *Stats) (cpu, io []time.Duration, ws []WorkerStats, byGi []int) {
-	byGi = make([]int, len(jobs))
+// workers, and per-worker WorkerStats.
+func foldRuns(jobs []groupJob, runs []groupRun, workers int, agg *Stats) (cpu, io []time.Duration, ws []WorkerStats) {
+	byGi := make([]int, len(jobs))
 	for qi, job := range jobs {
 		byGi[job.gi] = qi
 	}
@@ -180,5 +177,5 @@ func foldRuns(jobs []groupJob, runs []groupRun, workers int, agg *Stats) (cpu, i
 		ws[w].Groups++
 		ws[w].SubTrees += runs[i].stats.SubTrees
 	}
-	return cpu, io, ws, byGi
+	return cpu, io, ws
 }

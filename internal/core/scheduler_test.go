@@ -302,7 +302,7 @@ func TestRecycledSubTreeMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := buildSubTreeInto(recycled, ctx.lcpBuf(len(p.L)), view, reusedClock, model, p)
+			got, err := buildSubTreeInto(recycled, reusedClock, model, p)
 			if err != nil {
 				t.Fatal(err)
 			}

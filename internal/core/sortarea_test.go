@@ -50,7 +50,7 @@ func newAreaFixture(rnd *rand.Rand, text []byte, positions []int32, rng int) *ar
 	}
 	st := &subState{
 		L: slices.Clone(positions), P: make([]int32, m), I: make([]int32, m),
-		area: make([]int32, m), R: make([]int32, m),
+		area: make([]byte, m), R: make([]int32, m),
 	}
 	for i, r := range rnd.Perm(m) {
 		st.P[i] = int32(r)
@@ -197,8 +197,7 @@ func TestSortChargeIgnoresTheKernel(t *testing.T) {
 			}
 			prepare := func() *areaFixture {
 				fx := newAreaFixture(rand.New(rand.NewSource(int64(rng))), text, positions, rng)
-				fx.st.B, fx.st.defined = make([]BEntry, m), make([]bool, m)
-				fx.st.pending, fx.st.active = m-1, m
+				fx.st.LCP, fx.st.active = make([]int32, m), m
 				return fx
 			}
 			a, b := prepare(), prepare()
@@ -216,17 +215,16 @@ func TestSortChargeIgnoresTheKernel(t *testing.T) {
 			}
 
 			var scr sortScratch
-			areaA, areaB := int32(1), int32(1)
-			opsA, errA := a.st.round(&a.ch, &scr, len(text), 0, &areaA)
-			opsB, errB := b.st.round(&b.ch, &scr, len(text), 0, &areaB)
+			opsA, errA := a.st.round(&a.ch, &scr, len(text), 0)
+			opsB, errB := b.st.round(&b.ch, &scr, len(text), 0)
 			if errA != nil || errB != nil {
 				t.Fatalf("%s rng %d: round failed: %v / %v", name, rng, errA, errB)
 			}
 			if opsA != opsB {
 				t.Errorf("%s rng %d: %d ops with the packed-key kernel, %d after the stable reference", name, rng, opsA, opsB)
 			}
-			if !slices.Equal(a.st.L, b.st.L) || !slices.Equal(a.st.B, b.st.B) || !slices.Equal(a.st.area, b.st.area) {
-				t.Errorf("%s rng %d: the two kernels left different L / B / areas", name, rng)
+			if !slices.Equal(a.st.L, b.st.L) || !slices.Equal(a.st.LCP, b.st.LCP) || !slices.Equal(a.st.area, b.st.area) {
+				t.Errorf("%s rng %d: the two kernels left different L / LCP / areas", name, rng)
 			}
 		}
 	}

@@ -9,10 +9,14 @@ import (
 	"era/internal/sim"
 )
 
-// Prefix is a variable-length S-prefix with its frequency in S (§2).
+// Prefix is a variable-length S-prefix with its frequency in S (§2) and, in
+// a flat build, the window of the suffix order its sub-tree occupies: the
+// suffixes under the label are ranks [Rank, Rank+Freq) of the suffix array
+// of S (newSuffixOrder).
 type Prefix struct {
 	Label []byte
 	Freq  int64
+	Rank  int64
 }
 
 // Group is a virtual tree: a set of S-prefixes whose sub-trees are built
