@@ -179,7 +179,8 @@ func analyticsQuerySet(numDocs int) []Query {
 // sharded into K ∈ {1, 2, 3, 5, 8} prefix ranges, and live after appends and
 // deletes — against the naive scan oracle, and the sharded layer again over
 // corpora whose cuts are awkward (one document, periodic text, an empty
-// document, more shards than DNA has symbols). The corpus carries the lcs
+// document, more shards than DNA has symbols) and on every layer again over
+// the high-byte corpus whose root fills its child count. The corpus carries the lcs
 // edge pairs: an empty document, two identical documents, a document inside
 // another and two that share nothing. Its periodic sub-test
 // (testPeriodicAnalytics) adds the corpora on which a suffix order must not
@@ -224,14 +225,7 @@ func TestAnalyticsDifferential(t *testing.T) {
 	defer lx.Close()
 	extra := [][]byte{[]byte("AAAAACCCCC"), []byte("GGGGTTTTAA"), []byte("CAGTCAGT")}
 	var dead []uint64
-	appendOne := func(d []byte) uint64 {
-		t.Helper()
-		ids, err := lx.Append([][]byte{d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ids[0]
-	}
+	appendOne := func(d []byte) uint64 { return appendOneTo(t, lx, d) }
 	appendOne(docs[0])
 	dead = append(dead, appendOne(extra[0]))
 	appendOne(docs[1])
@@ -296,9 +290,45 @@ func TestAnalyticsDifferential(t *testing.T) {
 		check(awkward, shardedLayers(awkward))
 	}
 
+	// The high-byte corpus, whose root fills its child count, on every
+	// layer: built, mapped, live over several tiers, and sharded.
+	high := highByteCorpus()
+	hm, err := BuildCorpus(high, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpath := filepath.Join(t.TempDir(), "high.idx")
+	if err := hm.WriteFile(hpath); err != nil {
+		t.Fatal(err)
+	}
+	hmapped, err := OpenIndex(hpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hmapped.Close()
+	hl, err := NewLive("analytics-high", &LiveConfig{Dir: t.TempDir(), MemtableMaxDocs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hl.Close()
+	for _, d := range high {
+		appendOneTo(t, hl, d)
+	}
+	check(high, append([]layer{{"high-mono", hm}, {"high-mapped", hmapped}, {"high-live", hl}}, shardedLayers(high)...))
+
 	// Periodic corpora, far too long for the naive oracles: the partitioned
 	// layers against the monolithic index, inside a time bound.
 	t.Run("periodic", testPeriodicAnalytics)
+}
+
+// appendOneTo appends one document to lx and returns its id.
+func appendOneTo(t *testing.T, lx *LiveIndex, d []byte) uint64 {
+	t.Helper()
+	ids, err := lx.Append([][]byte{d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
 }
 
 // TestAnalyticsBatchDispatch pins the mutual dispatch: an analytics op

@@ -242,7 +242,7 @@ func TestLeafSectionIsTheSuffixArray(t *testing.T) {
 				var leaves []int32
 				for _, x := range trees {
 					f := x.tree.Sections()
-					for sec := f.Nodes[(f.NNodes-f.NLeaves)*32:]; len(sec) > 0; sec = sec[4:] {
+					for sec := f.Nodes[len(f.Nodes)-int(f.NLeaves)*4:]; len(sec) > 0; sec = sec[4:] {
 						leaves = append(leaves, int32(binary.LittleEndian.Uint32(sec)))
 					}
 				}

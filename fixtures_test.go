@@ -180,6 +180,9 @@ func TestCommittedImagesServed(t *testing.T) {
 // TestMustRebuildImagesRefused: testdata/must-rebuild holds the committed
 // images of every older tree layout, one refusal generation —
 //
+//   - full-records/: written while internal records were 32 bytes and stated
+//     their edges (no flag bit 4): a mono, a prefix-range sharded and a live
+//     image, the fixtures of their day;
 //   - leaf-records/: written before the leaves were the suffix array (8-byte
 //     leaf records beside delta-varint leaf blocks; no flag bit 3): a mono, a
 //     prefix-range sharded and a live image, the fixtures of their day;
@@ -193,9 +196,10 @@ func TestCommittedImagesServed(t *testing.T) {
 // mis-reading it as this layout; a live directory holding such a tier
 // quarantines it and serves what its WAL holds.
 func TestMustRebuildImagesRefused(t *testing.T) {
-	const want = "predates rank-ordered leaves"
+	const want = "predates the current tree layout"
 	dir := filepath.Join("testdata", "must-rebuild")
 	for _, name := range []string{
+		"full-records/mono.idx", "full-records/sharded.idx",
 		"leaf-records/mono.idx", "leaf-records/sharded.idx",
 		"bfs-numbered/mono.idx", "bfs-numbered/sharded.idx",
 		"old-layout/mono.idx",
@@ -224,7 +228,7 @@ func TestMustRebuildImagesRefused(t *testing.T) {
 			}
 		})
 	}
-	for _, name := range []string{"leaf-records/live", "old-layout/live"} {
+	for _, name := range []string{"full-records/live", "leaf-records/live", "old-layout/live"} {
 		t.Run(name, func(t *testing.T) {
 			live := copyLiveFixture(t, filepath.Join(dir, name))
 			rep, err := Verify(live)

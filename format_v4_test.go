@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"era/internal/alphabet"
 	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 	"era/internal/workload"
@@ -43,6 +44,36 @@ func diffCorpus() [][]byte {
 	}
 	return docs
 }
+
+// highByteCorpus is the corpus that fills the layout's widest fields: every
+// symbol an alphabet allows — each byte above the terminator, 0x80–0xff
+// included — twice, ascending and descending, so each heads an internal node
+// and the root holds the most internal children a count byte ever does; and
+// documents of a few high bytes with an accented word planted, whose deep
+// repeats branch below the root.
+func highByteCorpus() [][]byte {
+	var up []byte
+	for b := int(alphabet.Terminator) + 1; b <= 0xff; b++ {
+		up = append(up, byte(b))
+	}
+	down := slices.Clone(up)
+	slices.Reverse(down)
+	docs := [][]byte{up, down}
+	rng := rand.New(rand.NewSource(80))
+	for i := 0; i < 4; i++ {
+		d := make([]byte, 80+rng.Intn(80))
+		for j := range d {
+			d[j] = byte(0xa0 + rng.Intn(5))
+		}
+		copy(d[len(d)/2:], "caf\xc3\xa9")
+		docs = append(docs, d)
+	}
+	return docs
+}
+
+// highByteRootRun is the internal child count of highByteCorpus's root: one
+// per symbol above the terminator.
+const highByteRootRun = 0xff - int(alphabet.Terminator)
 
 // diffPatterns derives the query set: corpus substrings of assorted lengths
 // (including windows straddling document boundaries), misses, the empty
@@ -168,9 +199,8 @@ func (o *scanOracle) assertAnswersLike(t *testing.T, name string, q Queryable, p
 // openedFormats builds the corpus once and returns it through every serving
 // path: the built monolith and sharded index, and both reopened from their
 // mapped files.
-func openedFormats(t *testing.T) map[string]Queryable {
+func openedFormats(t *testing.T, docs [][]byte) map[string]Queryable {
 	t.Helper()
-	docs := diffCorpus()
 	mono, err := BuildCorpus(docs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -204,29 +234,41 @@ func openedFormats(t *testing.T) map[string]Queryable {
 
 // TestFormatsDifferential pins every membership query kind, on the built
 // indexes, the sharded fan-out and the zero-copy mapped files, to a scan of
-// the corpus.
+// the corpus — the DNA-ish one, and the high-byte one whose root fills its
+// child count — and holds every path to the built monolith's answers.
 func TestFormatsDifferential(t *testing.T) {
-	docs := diffCorpus()
-	oracle := newScanOracle(docs)
-	pats := diffPatterns(docs)
-	var ops []Op
-	for i, p := range pats {
-		switch i % 4 {
-		case 0:
-			ops = append(ops, Op{Kind: OpContains, Pattern: p})
-		case 1:
-			ops = append(ops, Op{Kind: OpCount, Pattern: p})
-		case 2:
-			ops = append(ops, Op{Kind: OpOccurrences, Pattern: p})
-		case 3:
-			ops = append(ops, Op{Kind: OpOccurrences, Pattern: p, MaxOccurrences: 5})
-		}
-	}
-	for name, q := range openedFormats(t) {
-		if q.Len() != len(oracle.global) || q.NumDocs() != len(docs) {
-			t.Fatalf("%s: Len/NumDocs %d/%d, want %d/%d", name, q.Len(), q.NumDocs(), len(oracle.global), len(docs))
-		}
-		oracle.assertAnswersLike(t, name, q, pats, ops)
+	for name, docs := range map[string][][]byte{"dna": diffCorpus(), "high-bytes": highByteCorpus()} {
+		t.Run(name, func(t *testing.T) {
+			oracle := newScanOracle(docs)
+			pats := diffPatterns(docs)
+			var ops []Op
+			for i, p := range pats {
+				switch i % 4 {
+				case 0:
+					ops = append(ops, Op{Kind: OpContains, Pattern: p})
+				case 1:
+					ops = append(ops, Op{Kind: OpCount, Pattern: p})
+				case 2:
+					ops = append(ops, Op{Kind: OpOccurrences, Pattern: p})
+				case 3:
+					ops = append(ops, Op{Kind: OpOccurrences, Pattern: p, MaxOccurrences: 5})
+				}
+			}
+			formats := openedFormats(t, docs)
+			for path, q := range formats {
+				if q.Len() != len(oracle.global) || q.NumDocs() != len(docs) {
+					t.Fatalf("%s: Len/NumDocs %d/%d, want %d/%d", path, q.Len(), q.NumDocs(), len(oracle.global), len(docs))
+				}
+				oracle.assertAnswersLike(t, path, q, pats, ops)
+				assertSameAnswers(t, formats["built-mono"], q, pats)
+			}
+			if name == "high-bytes" {
+				f := formats["mapped-mono"].(*Index).tree.Sections()
+				if got := int(f.Sym[len(f.Sym)/2]); got != highByteRootRun {
+					t.Fatalf("the root holds %d internal children, want %d", got, highByteRootRun)
+				}
+			}
+		})
 	}
 }
 
@@ -362,7 +404,7 @@ func TestFlatImageAgainstSuffixArray(t *testing.T) {
 // TestV4WriteToRoundTrip checks that a mapped index persists itself back
 // through WriteFile and reopens identically.
 func TestV4WriteToRoundTrip(t *testing.T) {
-	idx := openedFormats(t)
+	idx := openedFormats(t, diffCorpus())
 	dir := t.TempDir()
 	for _, name := range []string{"mapped-mono", "mapped-sharded"} {
 		p := filepath.Join(dir, name+"-copy.idx")
@@ -597,12 +639,17 @@ func fixV4HeaderCRC(b []byte) []byte {
 // field is in range, so the query paths clamp nothing — and era.Verify
 // reports them.
 func TestVerifyChecksTreeStructure(t *testing.T) {
+	// The records are 16 bytes: leafStart, leafCount, depth, childStart; the
+	// symbol section holds the first symbols, then the child counts.
+	const recSize = 16
+	rec := func(s *v4sections, u int64) []byte { return s.nodes[u*recSize : u*recSize+recSize] }
+	counts := func(s *v4sections) []byte { return s.sym[s.nNodes-s.nLeaves:] }
 	// withRun returns the record of the first internal node below the root
 	// that has internal children.
-	withRun := func(t *testing.T, s *v4sections) (id uint32, rec []byte) {
+	withRun := func(t *testing.T, s *v4sections) (id uint32, r []byte) {
 		for u := int64(1); u < s.nNodes-s.nLeaves; u++ {
-			if r := s.nodes[u*32 : u*32+32]; binary.LittleEndian.Uint16(r[24:]) > 0 {
-				return uint32(u), r
+			if counts(s)[u] > 0 {
+				return uint32(u), rec(s, u)
 			}
 		}
 		t.Fatal("no internal node below the root has internal children")
@@ -614,22 +661,24 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 	}{
 		// The first two suffixes of the suffix array trade places: the
 		// terminator's, a leaf of the root, and the first of the root's
-		// internal child for the corpus's smallest symbol.
-		{"swapped-leaves", "not based on its first suffix", func(t *testing.T, img []byte, s *v4sections) []byte {
-			sa := s.nodes[(s.nNodes-s.nLeaves)*32:]
+		// internal child for the corpus's smallest symbol, whose edge now
+		// starts with the terminator.
+		{"swapped-leaves", "does not start its edge", func(t *testing.T, img []byte, s *v4sections) []byte {
+			sa := s.nodes[(s.nNodes-s.nLeaves)*recSize:]
 			a := append([]byte(nil), sa[:4]...)
 			copy(sa[:4], sa[4:8])
 			copy(sa[4:8], a)
 			return restampV4(img, 3)
 		}},
-		// One more node than the tree has, and a byte more of image for its
-		// symbol: the node section's window (and its checksum) runs to the
-		// next section's start, so the padding supplies a record, and only
-		// the structure pass sees that the suffix array no longer begins where
-		// it did — its tail is zero padding, suffix 0 over and over.
+		// One more node than the tree has, and two bytes more of image for
+		// its symbol and count: the node section's window (and its checksum)
+		// runs to the next section's start, so the padding supplies a record,
+		// and only the structure pass sees that the suffix array no longer
+		// begins where it did — its tail is zero padding, suffix 0 over and
+		// over.
 		{"one-node-more", "indexed twice", func(t *testing.T, img []byte, s *v4sections) []byte {
 			binary.LittleEndian.PutUint64(img[80:], uint64(s.nNodes)+1)
-			img = append(img, 0)
+			img = append(img, 0, 0)
 			binary.LittleEndian.PutUint64(img[16:], uint64(len(img)))
 			return restampV4(img, 4)
 		}},
@@ -638,11 +687,11 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 		// both of them.
 		{"doubly-claimed-run", "an earlier run holds", func(t *testing.T, img []byte, s *v4sections) []byte {
 			for u := int64(1); u+1 < s.nNodes-s.nLeaves; u++ {
-				r, next := s.nodes[u*32:u*32+32], s.nodes[u*32+32:u*32+64]
-				if binary.LittleEndian.Uint16(r[24:]) > 0 && int64(binary.LittleEndian.Uint32(r[8:])) > u+1 {
-					copy(next[8:12], r[8:12])
-					copy(next[24:26], r[24:26])
-					return restampV4(img, 3)
+				r, next := rec(s, u), rec(s, u+1)
+				if counts(s)[u] > 0 && int64(binary.LittleEndian.Uint32(r[12:])) > u+1 {
+					copy(next[12:16], r[12:16])
+					counts(s)[u+1] = counts(s)[u]
+					return restampV4(restampV4(img, 3), 4)
 				}
 			}
 			t.Fatal("no node with internal children has a sibling after it")
@@ -652,17 +701,17 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 		// could follow forever, which is why the reader clamps it.
 		{"run-at-its-parent", "is not after it", func(t *testing.T, img []byte, s *v4sections) []byte {
 			id, r := withRun(t, s)
-			binary.LittleEndian.PutUint32(r[8:], id)
+			binary.LittleEndian.PutUint32(r[12:], id)
 			return restampV4(img, 3)
 		}},
 		// The root lets go of its first internal child, which no run holds
 		// any more. Its ranks speak first: they now read as leaf children of
 		// the root, all with the one first symbol.
 		{"unclaimed-id", "not in strictly increasing symbol order", func(t *testing.T, img []byte, s *v4sections) []byte {
-			r := s.nodes[:32]
-			binary.LittleEndian.PutUint32(r[8:], binary.LittleEndian.Uint32(r[8:])+1)
-			binary.LittleEndian.PutUint16(r[24:], binary.LittleEndian.Uint16(r[24:])-1)
-			return restampV4(img, 3)
+			r := rec(s, 0)
+			binary.LittleEndian.PutUint32(r[12:], binary.LittleEndian.Uint32(r[12:])+1)
+			counts(s)[0]--
+			return restampV4(restampV4(img, 3), 4)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -719,12 +768,14 @@ func assertVerifyRefuses(t *testing.T, img []byte, want string) {
 }
 
 // TestFlatImageBytesPerSymbol pins what the layout is for: an image of
-// 128 Ki symbols costs at most 33 bytes per symbol on disk for DNA and 27 for
-// English (the layout with 8-byte leaf records and leaf blocks cost 39.5 and
-// 33.2, the one before it 63 and 76).
+// 128 Ki symbols costs at most 20.5 bytes per symbol on disk for DNA and 17
+// for English — 19.54 and 16.10 measured, with 16-byte internal records and
+// two symbol bytes per internal node (the 32-byte records that stated their
+// edges cost 31.55 and 25.24, the layout with 8-byte leaf records and leaf blocks
+// 39.5 and 33.2, the one before it 63 and 76).
 func TestFlatImageBytesPerSymbol(t *testing.T) {
 	const n = 128 << 10
-	for kind, limit := range map[workload.Kind]float64{workload.DNA: 33, workload.English: 27} {
+	for kind, limit := range map[workload.Kind]float64{workload.DNA: 20.5, workload.English: 17} {
 		data := workload.MustGenerate(kind, n, 7)
 		idx, err := Build(data[:len(data)-1], nil)
 		if err != nil {
@@ -739,7 +790,7 @@ func TestFlatImageBytesPerSymbol(t *testing.T) {
 			t.Fatal(err)
 		}
 		if per := float64(info.Size()) / float64(idx.Len()); per > limit {
-			t.Errorf("%s: %d-byte image over %d symbols = %.1f B per symbol, want ≤ %.0f", kind, info.Size(), idx.Len(), per, limit)
+			t.Errorf("%s: %d-byte image over %d symbols = %.2f B per symbol, want ≤ %.1f", kind, info.Size(), idx.Len(), per, limit)
 		} else {
 			t.Logf("%s: %.2f B per symbol", kind, per)
 		}

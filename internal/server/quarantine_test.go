@@ -35,9 +35,9 @@ func TestQuarantineServesHealthyCatalog(t *testing.T) {
 	}
 
 	// Two intact files nothing reads any more: an image from before the
-	// leaves were the suffix array, and a v2 header (all of a v2 file that is
-	// looked at).
-	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "must-rebuild", "leaf-records", "mono.idx"))
+	// internal records were 16 bytes, and a v2 header (all of a v2 file that
+	// is looked at).
+	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "must-rebuild", "full-records", "mono.idx"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestQuarantineServesHealthyCatalog(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "quarantined as corrupt.idx.quarantine") {
 		t.Fatalf("LoadDir error = %v, want a quarantine report for corrupt.idx", err)
 	}
-	if !errors.Is(err, era.ErrMustRebuild) || !strings.Contains(err.Error(), "format v2") || !strings.Contains(err.Error(), "predates rank-ordered leaves") {
+	if !errors.Is(err, era.ErrMustRebuild) || !strings.Contains(err.Error(), "format v2") || !strings.Contains(err.Error(), "predates the current tree layout") {
 		t.Fatalf("LoadDir error = %v, want rebuild reports for old.idx and v2.idx", err)
 	}
 	for _, name := range []string{"old.idx", "v2.idx"} {

@@ -36,42 +36,47 @@ import (
 //     its parent. FlatBuilder numbers in reverse completion order — a node's
 //     children are written when it completes, in front of everything written
 //     before — so a whole subtree is one window of records behind its root.
-//   - Every internal edge window is canonical: re-based onto the subtree's
-//     lexicographically first suffix o, it ends at o + depth. The path label
-//     of a node is therefore one slice of S, S[end−depth:end) — no
-//     parent-chain walk and no parent pointers.
+//   - No internal node stores its edge: every edge is canonical, a window
+//     of S based on the lexicographically first suffix o below the node, so
+//     under a parent of string depth d it is S[o+d : o+depth), and the path
+//     label of a node is S[o : o+depth) — o is the suffix array at the first
+//     rank of the node's leaf range. No parent-chain walk, no parent
+//     pointers, and the descent, which knows the depth it stands at, reads
+//     o only where it compares a label past its first symbol.
 //
 // A FlatTree built over untrusted bytes (a corrupt or hostile index file)
 // never panics: every access clamps ids, ranks and offsets to the section
 // bounds — internal child runs lie strictly after their parent and inside the
-// internal ids, leaf ranges inside the suffix array, suffixes and edge
-// offsets inside S — so a corrupt file can answer wrongly, but cannot loop,
-// over-read, or crash the process. NewFlatTree validates only section shapes
-// (O(1)); the per-access guards carry the rest, and ValidateView is the full
-// structural check.
+// internal ids, leaf ranges inside the suffix array, suffixes, depths and
+// edge offsets inside S — so a corrupt file can answer wrongly, but cannot
+// loop, over-read, or crash the process. NewFlatTree validates only section
+// shapes (O(1)); the per-access guards carry the rest, and ValidateView is
+// the full structural check.
 //
 // Internal record (flatNodeSize bytes, little endian), ids [0, nInt):
 //
-//	off  0  start      uint32  edge label = S[start:end)
-//	off  4  end        uint32
-//	off  8  childStart uint32  first internal child id (0 when there is none)
-//	off 12  reserved   uint32  zero
-//	off 16  leafStart  uint32  rank of the subtree's first leaf
-//	off 20  leafCount  uint32  leaves in the subtree
-//	off 24  nInternal  uint16  internal children
-//	off 26  reserved   uint16  zero
-//	off 28  depth      uint32  string depth at the bottom of the edge
+//	off  0  leafStart  uint32  rank of the subtree's first leaf
+//	off  4  leafCount  uint32  leaves in the subtree
+//	off  8  depth      uint32  string depth at the bottom of the edge
+//	off 12  childStart uint32  first internal child id (0 when there is none)
 //
-// 32 bytes, so a record never straddles a cache line. Behind the internal
-// records, in the same section, the suffix array (flatLeafSize bytes per
-// leaf, in rank order):
+// 16 bytes, so four records share a cache line. Behind the internal records,
+// in the same section, the suffix array (flatLeafSize bytes per leaf, in rank
+// order):
 //
 //	off  0  suffix     uint32  the suffix offset of leaf nInt + rank
+//
+// The symbol section holds two bytes per internal node: nInt first symbols of
+// the edge labels (zero for the root), then nInt internal child counts —
+// the run at childStart holds. A count is a byte: sibling edges start with
+// distinct symbols, and below a string that ends in a unique terminator one
+// of them is that terminator's leaf (FlatBuilder refuses a longer run).
 type FlatTree struct {
 	data    []byte // S including the terminator
 	nodes   []byte // nInt internal records, then the suffix array
 	sa      []byte // the suffix array: the window of nodes behind the records
-	sym     []byte // nInt bytes: first symbol of each internal node's edge label
+	sym     []byte // the symbol section: first symbols, then child counts
+	counts  []byte // the internal child counts: the window of sym behind the first symbols
 	nInt    int32  // internal nodes, the root included
 	nNodes  int32
 	nLeaves int32
@@ -79,18 +84,20 @@ type FlatTree struct {
 
 const (
 	// flatNodeSize is the bytes per internal node record.
-	flatNodeSize = 32
+	flatNodeSize = 16
 	// flatLeafSize is the bytes per leaf: its suffix.
 	flatLeafSize = 4
 	// flatMaxKids bounds a node's children: sibling edges start with distinct
 	// byte symbols.
 	flatMaxKids = 256
+	// flatMaxRun bounds a node's internal children: the count is one byte.
+	flatMaxRun = 255
 )
 
 // Flat holds the encoded sections of a flattened tree, ready to be written
 // as the tree part of a v4 index file (or handed straight to NewFlatTree):
 // Nodes is the internal records with the suffix array behind them, Sym the
-// internal nodes' first symbols.
+// internal nodes' first symbols followed by their internal child counts.
 type Flat struct {
 	Nodes []byte
 	Sym   []byte
@@ -111,17 +118,21 @@ func FlatNodesLen(nInt, nLeaves int64) int64 {
 	return nInt*flatNodeSize + nLeaves*flatLeafSize
 }
 
+// FlatSymLen is the byte length of the symbol section of a tree with nInt
+// internal nodes: a first symbol and a child count each.
+func FlatSymLen(nInt int64) int64 { return 2 * nInt }
+
 // NewFlatTree wraps pre-encoded sections (typically windows of one mapped
-// file) as a queryable tree over data. The internal-node count is the length
-// of sym; the node section must hold exactly that many records and the
+// file) as a queryable tree over data. The internal-node count is half the
+// length of sym; the node section must hold exactly that many records and the
 // nLeaves entries of the suffix array, and dense, leafIdx and leafData must
 // be empty (see Flat.Dense). Validation is O(1) — section shapes only; field
 // values inside the records are clamped at access time, so corrupt bytes
 // degrade to wrong answers, never to panics or runaway loops.
 func NewFlatTree(data, nodes, sym, dense, leafIdx, leafData []byte, nLeaves int32) (*FlatTree, error) {
-	nInt := len(sym)
-	if nInt < 1 || nLeaves < 1 || int64(nInt)+int64(nLeaves) > math.MaxInt32 {
-		return nil, fmt.Errorf("suffixtree: %d internal nodes and %d leaves", nInt, nLeaves)
+	nInt := len(sym) / 2
+	if len(sym)%2 != 0 || nInt < 1 || nLeaves < 1 || int64(nInt)+int64(nLeaves) > math.MaxInt32 {
+		return nil, fmt.Errorf("suffixtree: a %d-byte symbol section and %d leaves", len(sym), nLeaves)
 	}
 	if want := FlatNodesLen(int64(nInt), int64(nLeaves)); int64(len(nodes)) != want {
 		return nil, fmt.Errorf("suffixtree: flat node section of %d bytes, want %d for %d internal nodes and %d leaves", len(nodes), want, nInt, nLeaves)
@@ -130,7 +141,7 @@ func NewFlatTree(data, nodes, sym, dense, leafIdx, leafData []byte, nLeaves int3
 		return nil, fmt.Errorf("suffixtree: %d bytes of child tables or leaf blocks in a layout without them", n)
 	}
 	return &FlatTree{
-		data: data, nodes: nodes, sa: nodes[nInt*flatNodeSize:], sym: sym,
+		data: data, nodes: nodes, sa: nodes[nInt*flatNodeSize:], sym: sym, counts: sym[nInt:],
 		nInt: int32(nInt), nNodes: int32(nInt) + nLeaves, nLeaves: nLeaves,
 	}, nil
 }
@@ -180,23 +191,27 @@ func (t *FlatTree) symAt(r, d int32) int {
 	return int(t.data[p])
 }
 
-// edge returns internal node u's edge label offsets clamped to the string
-// bounds, so the descent loops can index data without further checks.
-func (t *FlatTree) edge(u int32) (int32, int32) {
-	n := int32(len(t.data))
-	w := binary.LittleEndian.Uint64(t.rec(u))
-	cs := int32(uint32(w))
-	ce := int32(uint32(w >> 32))
-	if uint32(cs) > uint32(n) {
-		cs = n // negative or past the string: unsigned compare catches both
-	}
-	if uint32(ce) > uint32(n) {
-		ce = n
-	}
-	if ce < cs {
-		ce = cs
-	}
-	return cs, ce
+// depthOf returns the string depth the internal record r stores, clamped to
+// |S|.
+func (t *FlatTree) depthOf(r []byte) int32 {
+	return int32(min(binary.LittleEndian.Uint32(r[8:]), uint32(len(t.data))))
+}
+
+// span returns the window [o+from, o+to) of S, clamped to the string; o,
+// from and to must be in [0, |S|].
+func (t *FlatTree) span(o, from, to int32) (int32, int32) {
+	n := uint32(len(t.data))
+	s := min(uint32(o)+uint32(from), n)
+	return int32(s), int32(max(min(uint32(o)+uint32(to), n), s))
+}
+
+// edge returns the edge of internal node u (record r) below a parent of
+// string depth d ∈ [0, |S|]: its first suffix + d to first suffix + its
+// depth, clamped to the string, so the descent loops can index data without
+// further checks.
+func (t *FlatTree) edge(r []byte, d int32) (int32, int32) {
+	lo, _ := t.ranks(r)
+	return t.span(t.suffixAt(lo), d, t.depthOf(r))
 }
 
 // leafEdge returns the edge of leaf rank r below a node of string depth d:
@@ -208,15 +223,15 @@ func (t *FlatTree) leafEdge(r, d int32) (int32, int32) {
 }
 
 // Edge returns the window of S that labels the edge into u, whose parent
-// sits at string depth parentDepth: an internal node's record states it, a
-// leaf's runs from its suffix + parentDepth to |S|. Invalid ids yield an
-// empty window.
+// sits at string depth parentDepth: it runs from u's first suffix +
+// parentDepth to that suffix + u's depth — for a leaf, to |S|. Invalid ids
+// yield an empty window.
 func (t *FlatTree) Edge(u, parentDepth int32) (start, end int32) {
 	switch {
 	case !t.valid(u):
 		return 0, 0
 	case u < t.nInt:
-		return t.edge(u)
+		return t.edge(t.rec(u), min(max(parentDepth, 0), int32(len(t.data))))
 	}
 	return t.leafEdge(u-t.nInt, parentDepth)
 }
@@ -226,8 +241,8 @@ func (t *FlatTree) Edge(u, parentDepth int32) (start, end int32) {
 // after u and inside the internal ids — the invariant that makes every
 // descent terminate.
 func (t *FlatTree) kids(r []byte, u int32) (cs, ci int32) {
-	cs = int32(binary.LittleEndian.Uint32(r[8:]))
-	ci = int32(binary.LittleEndian.Uint16(r[24:]))
+	cs = int32(binary.LittleEndian.Uint32(r[12:]))
+	ci = int32(t.counts[u])
 	if cs <= u || cs > t.nInt-ci {
 		ci = 0
 	}
@@ -237,8 +252,8 @@ func (t *FlatTree) kids(r []byte, u int32) (cs, ci int32) {
 // ranks returns the leaf range [lo, hi) of the internal node whose record is
 // r, clamped to the suffix array.
 func (t *FlatTree) ranks(r []byte) (lo, hi int32) {
-	ls := binary.LittleEndian.Uint32(r[16:])
-	lc := binary.LittleEndian.Uint32(r[20:])
+	w := binary.LittleEndian.Uint64(r)
+	ls, lc := uint32(w), uint32(w>>32)
 	if ls >= uint32(t.nLeaves) {
 		return 0, 0
 	}
@@ -253,8 +268,8 @@ func (t *FlatTree) Depth(u int32) int32 {
 }
 
 // pathWindow returns the window of S that spells u's path label: from the
-// lexicographically first suffix below u to the end of u's (canonical) edge.
-// Invalid ids and corrupt records yield an empty window.
+// lexicographically first suffix o below u to o + u's depth, clamped to the
+// string. Invalid ids yield an empty window.
 func (t *FlatTree) pathWindow(u int32) (o, e int32) {
 	if !t.valid(u) {
 		return 0, 0
@@ -262,12 +277,7 @@ func (t *FlatTree) pathWindow(u int32) (o, e int32) {
 	if u >= t.nInt {
 		return t.suffixAt(u - t.nInt), int32(len(t.data))
 	}
-	_, e = t.edge(u)
-	d := int32(binary.LittleEndian.Uint32(t.rec(u)[28:]))
-	if d < 0 || d > e {
-		return 0, 0
-	}
-	return e - d, e
+	return t.edge(t.rec(u), 0)
 }
 
 // IsLeaf reports whether u is a leaf: the id alone decides.
@@ -324,17 +334,20 @@ func (t *FlatTree) ForEachChild(u int32, fn func(c int32) bool) {
 }
 
 // child returns the child of internal node u (record r, string depth d)
-// whose edge label starts with b, with that edge's window of S; c is None
-// when there is none. An internal child is a word-parallel scan of the packed
-// first symbols of the internal run. A leaf child lies in the gap of u's leaf
-// range between the internal children that bracket b — a few ranks, whose
-// first symbols S[SA[r] + d] ascend — and is binary-searched there.
-func (t *FlatTree) child(r []byte, u, d int32, b byte) (c, cs, ce int32) {
+// whose edge label starts with b, with the first rank of its leaf range and
+// its string depth; c is None when there is none. An internal child is a
+// word-parallel scan of the packed first symbols of the internal run. A leaf
+// child lies in the gap of u's leaf range between the internal children that
+// bracket b — a few ranks, whose first symbols S[SA[r] + d] ascend — and is
+// binary-searched there. The child's edge is S[SA[lo]+d : SA[lo]+depth), and
+// a caller that needs more of it than the first symbol reads SA[lo] itself.
+func (t *FlatTree) child(r []byte, u, d int32, b byte) (c, lo, depth int32) {
 	is, ic := t.kids(r, u)
 	if ic > 0 {
 		if j := findSym(t.sym, is, ic, b); j >= 0 {
-			cs, ce = t.edge(is + j)
-			return is + j, cs, ce
+			rc := t.rec(is + j)
+			lo, _ = t.ranks(rc)
+			return is + j, lo, t.depthOf(rc)
 		}
 	}
 	lo, hi := t.ranks(r)
@@ -361,8 +374,7 @@ func (t *FlatTree) child(r []byte, u, d int32, b byte) (c, cs, ce int32) {
 	if lo >= end || t.symAt(lo, d) != int(b) {
 		return None, 0, 0
 	}
-	cs, ce = t.leafEdge(lo, d)
-	return t.nInt + lo, cs, ce
+	return t.nInt + lo, lo, int32(len(t.data)) - t.suffixAt(lo)
 }
 
 // Find matches pattern from the root and returns the locus where the match
@@ -375,22 +387,26 @@ func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
 	r := t.rec(cur)
 	i := 0
 	for i < len(pattern) {
-		c, cs, ce := t.child(r, cur, int32(i), pattern[i])
+		d := int32(i)
+		c, lo, depth := t.child(r, cur, d, pattern[i])
 		if c == None {
 			return Locus{}, false
 		}
 		// The child lookup already matched the first edge symbol, so the
 		// label compare starts one byte in — and single-symbol edges, the
-		// common case near the root, skip it entirely.
-		k := 1
-		if ce-cs > 1 && len(pattern)-i > 1 {
-			k += commonPrefixLen(t.data[cs+1:ce], pattern[i+1:])
+		// common case near the root, skip it, and the read of the child's
+		// first suffix, entirely.
+		k := int32(1)
+		if depth-d > 1 && len(pattern)-i > 1 {
+			if cs, ce := t.span(t.suffixAt(lo), d, depth); ce-cs > 1 {
+				k += int32(commonPrefixLen(t.data[cs+1:ce], pattern[i+1:]))
+			}
 		}
-		i += k
+		i += int(k)
 		if i == len(pattern) {
-			return Locus{Node: c, Depth: int32(k)}, true
+			return Locus{Node: c, Depth: k}, true
 		}
-		if int32(k) < ce-cs || c >= t.nInt {
+		if k < depth-d || c >= t.nInt {
 			return Locus{}, false // mismatch inside the edge, or past a leaf
 		}
 		cur, r = c, t.rec(c)
@@ -423,17 +439,23 @@ func (t *FlatTree) MatchTrace(pattern []byte, from int, trace []Locus) int {
 			if cur >= t.nInt {
 				return i // a leaf has no children
 			}
-			c, ccs, cce := t.child(t.rec(cur), cur, int32(i), pattern[i])
+			d := int32(i)
+			c, lo, cd := t.child(t.rec(cur), cur, d, pattern[i])
 			if c == None {
 				return i
 			}
-			cur, cs, ce = c, ccs, cce
 			// The child lookup matched the first edge symbol; record it and
-			// move on — single-symbol edges never reach the label compare.
+			// move on — single-symbol edges never reach the label compare,
+			// nor the read of the child's first suffix.
+			cur = c
 			trace[i] = Locus{Node: cur, Depth: 1}
 			i++
 			depth = 1
-			if i >= len(pattern) || depth >= ce-cs {
+			cs, ce = 0, 0 // nothing left on a single-symbol edge
+			if i < len(pattern) && cd-d > 1 {
+				cs, ce = t.span(t.suffixAt(lo), d, cd)
+			}
+			if depth >= ce-cs {
 				continue
 			}
 		}

@@ -371,37 +371,70 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 		check(fmt.Sprintf("a sym section of all %#x", v), flat.nodes, bytes.Repeat([]byte{v}, len(flat.sym)))
 	}
 
-	// The seams of the suffix-array layout, one at a time.
-	_, gap := flat.seamNodes(t)
+	// The seams of the layout, one at a time: the suffix array's, and those
+	// of the edges the records no longer state.
+	run, gap := flat.seamNodes(t)
 	lo, hi := flat.ranks(flat.rec(gap))
-	seams := map[string]func(nodes []byte){
-		"a suffix past S": func(nodes []byte) {
+	kid, _ := flat.kids(flat.rec(run), run)
+	childless := int32(-1)
+	for u := flat.nInt - 1; u > 0 && childless < 0; u-- {
+		if flat.counts[u] == 0 {
+			childless = u
+		}
+	}
+	setDepth := func(nodes []byte, u int32, d uint32) {
+		binary.LittleEndian.PutUint32(nodes[int(u)*flatNodeSize+8:], d)
+	}
+	seams := map[string]func(nodes, sym []byte){
+		"a suffix past S": func(nodes, _ []byte) {
 			binary.LittleEndian.PutUint32(nodes[flat.saOff(int(lo)):], uint32(len(term)))
 		},
-		"two equal suffixes": func(nodes []byte) {
+		"two equal suffixes": func(nodes, _ []byte) {
 			copy(nodes[flat.saOff(int(lo)):flat.saOff(int(lo)+1)], nodes[flat.saOff(int(hi)-1):])
 		},
-		"a leaf range past the suffix array": func(nodes []byte) {
-			binary.LittleEndian.PutUint32(nodes[int(gap)*flatNodeSize+16:], uint32(flat.nLeaves)-1)
+		"a leaf range past the suffix array": func(nodes, _ []byte) {
+			binary.LittleEndian.PutUint32(nodes[int(gap)*flatNodeSize:], uint32(flat.nLeaves)-1)
 		},
-		"an unsorted range under a node": func(nodes []byte) {
+		"an unsorted range under a node": func(nodes, _ []byte) {
 			a, b := nodes[flat.saOff(int(lo)):flat.saOff(int(lo)+1)], nodes[flat.saOff(int(hi)-1):flat.saOff(int(hi))]
 			var tmp [flatLeafSize]byte
 			copy(tmp[:], a)
 			copy(a, b)
 			copy(b, tmp[:])
 		},
+		"a child at its parent's depth": func(nodes, _ []byte) {
+			setDepth(nodes, kid, uint32(flat.depthOf(flat.rec(run))))
+		},
+		"a child above its parent's depth": func(nodes, _ []byte) {
+			setDepth(nodes, kid, uint32(flat.depthOf(flat.rec(run)))-1)
+		},
+		"a depth that runs the first suffix past S": func(nodes, _ []byte) {
+			setDepth(nodes, gap, uint32(len(term)))
+		},
+		"a first symbol that is not the child's": func(_, sym []byte) {
+			sym[kid]++
+		},
+		"a count where childStart is unused": func(_, sym []byte) {
+			sym[int(flat.nInt)+int(childless)] = 1
+		},
+		"a count byte whose run reaches past the internal ids": func(_, sym []byte) {
+			sym[int(flat.nInt)+int(run)] = 0xff
+		},
+		"a symbol on the root": func(_, sym []byte) {
+			sym[0] = 'a'
+		},
 	}
 	for what, mutate := range seams {
-		nodes := append([]byte(nil), flat.nodes...)
-		mutate(nodes)
-		check(what, nodes, flat.sym)
+		nodes, sym := append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...)
+		mutate(nodes, sym)
+		check(what, nodes, sym)
 	}
 
-	// The internal-node count is the length of the symbol section and the
-	// leaf count what the node section holds past those records; a node
-	// section that does not hold exactly that is a shape error, not
-	// something to clamp, and so are child tables or leaf blocks.
+	// The internal-node count is half the length of the symbol section and
+	// the leaf count what the node section holds past those records; a node
+	// section that does not hold exactly that, or a symbol section of odd
+	// length, is a shape error, not something to clamp, and so are child
+	// tables or leaf blocks.
 	for _, d := range []int32{-1, 1} {
 		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, nil, nil, flat.nLeaves+d); err == nil {
 			t.Errorf("NewFlatTree accepted %d leaves for a section of %d", flat.nLeaves+d, flat.nLeaves)
@@ -409,6 +442,9 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 	}
 	if _, err := NewFlatTree(term, flat.nodes[:len(flat.nodes)-flatLeafSize], flat.sym, nil, nil, nil, flat.nLeaves); err == nil {
 		t.Error("NewFlatTree accepted a node section one leaf short")
+	}
+	if _, err := NewFlatTree(term, flat.nodes, append(flat.sym[:len(flat.sym):len(flat.sym)], 0), nil, nil, nil, flat.nLeaves); err == nil {
+		t.Error("NewFlatTree accepted a symbol section of odd length")
 	}
 	for i, extra := range [3][]byte{make([]byte, 256), {0}, {0}} {
 		secs := [3][]byte{}
@@ -421,42 +457,61 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 
 // FuzzFlatTreeSections mutates the sections of a small valid tree — 9-byte
 // patches of (section, offset, value), plus a skew of the leaf count that
-// decides where the internal records end — and requires the reader to refuse
-// the shape or answer every query without panicking, within the step bounds
-// exerciseCorrupt checks.
+// decides where the internal records end and one of the symbol section's
+// length, which decides where the child counts start — and requires the
+// reader to refuse the shape or answer every query without panicking, within
+// the step bounds exerciseCorrupt checks.
 func FuzzFlatTreeSections(f *testing.F) {
 	_, flat, term := buildBoth(f, []byte("abracadabra.arcana.abracadabra"))
 	patch := func(sec byte, off int, v uint32) []byte {
 		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{sec}, uint32(off)), v)
 	}
+	// count patches internal node u's child count to c, leaving the three
+	// bytes behind it as they are.
+	count := func(u int32, c byte) []byte {
+		var w [4]byte
+		copy(w[:], flat.counts[u:])
+		w[0] = c
+		return patch(1, int(flat.nInt+u), binary.LittleEndian.Uint32(w[:]))
+	}
 	nInt := uint32(flat.nInt)
 	suffix := func(r int32) uint32 { return binary.LittleEndian.Uint32(flat.nodes[flat.saOff(int(r)):]) }
 	run, gap := flat.seamNodes(f)
 	lo, hi := flat.ranks(flat.rec(gap))
-	f.Add([]byte(nil), int8(0))
+	kid, _ := flat.kids(flat.rec(run), run)
+	runDepth := uint32(flat.depthOf(flat.rec(run)))
+	f.Add([]byte(nil), int8(0), int8(0))
 	// The seams of the layout: an internal child run reaching past the
-	// internal ids, a depth past the edge's end, a suffix past S (and one
-	// that is negative as an int32), two equal suffixes, a leaf range past
-	// the suffix array, a range whose suffixes are out of order under their
-	// node, and leaf counts that disagree with the section length.
-	f.Add(append(patch(0, 8, nInt-1), patch(0, 24, 4)...), int8(0))
-	f.Add(patch(0, flatNodeSize+28, 0x7fffffff), int8(0))
-	f.Add(patch(0, flat.saOff(0), uint32(len(term))+7), int8(0))
-	f.Add(patch(0, flat.saOff(int(lo)), 0xffffffff), int8(0))
-	f.Add(patch(0, flat.saOff(int(lo)), suffix(hi-1)), int8(0))
-	f.Add(patch(0, int(gap)*flatNodeSize+16, uint32(flat.nLeaves)-1), int8(0))
-	f.Add(append(patch(0, flat.saOff(int(lo)), suffix(hi-1)), patch(0, flat.saOff(int(hi)-1), suffix(lo))...), int8(0))
-	f.Add([]byte(nil), int8(1))
-	f.Add([]byte(nil), int8(-4))
+	// internal ids, by its start or by a count byte, a child depth at or
+	// above its parent's, a depth that runs the first suffix past S, a
+	// suffix past S (and one that is negative as an int32), two equal
+	// suffixes, a leaf range past the suffix array, a range whose suffixes
+	// are out of order under their node, leaf counts that disagree with the
+	// section length, and symbol sections of odd length.
+	f.Add(append(patch(0, 12, nInt-1), count(0, 4)...), int8(0), int8(0))
+	f.Add(count(run, 0xff), int8(0), int8(0))
+	f.Add(patch(0, int(kid)*flatNodeSize+8, runDepth), int8(0), int8(0))
+	f.Add(patch(0, int(kid)*flatNodeSize+8, runDepth-1), int8(0), int8(0))
+	f.Add(patch(0, flatNodeSize+8, 0x7fffffff), int8(0), int8(0))
+	f.Add(patch(0, int(gap)*flatNodeSize+8, uint32(len(term))), int8(0), int8(0))
+	f.Add(patch(0, flat.saOff(0), uint32(len(term))+7), int8(0), int8(0))
+	f.Add(patch(0, flat.saOff(int(lo)), 0xffffffff), int8(0), int8(0))
+	f.Add(patch(0, flat.saOff(int(lo)), suffix(hi-1)), int8(0), int8(0))
+	f.Add(patch(0, int(gap)*flatNodeSize, uint32(flat.nLeaves)-1), int8(0), int8(0))
+	f.Add(append(patch(0, flat.saOff(int(lo)), suffix(hi-1)), patch(0, flat.saOff(int(hi)-1), suffix(lo))...), int8(0), int8(0))
+	f.Add([]byte(nil), int8(1), int8(0))
+	f.Add([]byte(nil), int8(-4), int8(0))
+	f.Add([]byte(nil), int8(0), int8(1))
+	f.Add([]byte(nil), int8(0), int8(-1))
 	// What ValidateView's run check refuses and the reader has to survive: a
 	// node that is its own first internal child (the cycle the cs <= u clamp
 	// exists for), a run two parents claim, and an internal id the root's run
 	// no longer reaches.
 	root := flat.rec(0)
-	f.Add(patch(0, int(run)*flatNodeSize+8, uint32(run)), int8(0))
-	f.Add(patch(0, int(run)*flatNodeSize+8, binary.LittleEndian.Uint32(root[8:])), int8(0))
-	f.Add(append(patch(0, 8, binary.LittleEndian.Uint32(root[8:])+1), patch(0, 24, uint32(binary.LittleEndian.Uint16(root[24:]))-1)...), int8(0))
-	f.Fuzz(func(t *testing.T, patches []byte, leafSkew int8) {
+	f.Add(patch(0, int(run)*flatNodeSize+12, uint32(run)), int8(0), int8(0))
+	f.Add(patch(0, int(run)*flatNodeSize+12, binary.LittleEndian.Uint32(root[12:])), int8(0), int8(0))
+	f.Add(append(patch(0, 12, binary.LittleEndian.Uint32(root[12:])+1), count(0, flat.counts[0]-1)...), int8(0), int8(0))
+	f.Fuzz(func(t *testing.T, patches []byte, leafSkew, symSkew int8) {
 		secs := [2][]byte{append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...)}
 		for ; len(patches) >= 9; patches = patches[9:] {
 			sec := secs[int(patches[0])%len(secs)]
@@ -465,6 +520,11 @@ func FuzzFlatTreeSections(f *testing.F) {
 			if off := int(binary.LittleEndian.Uint32(patches[1:5])); len(sec) > 0 {
 				copy(sec[off%len(sec):], v[:])
 			}
+		}
+		if symSkew < 0 {
+			secs[1] = secs[1][:max(len(secs[1])+int(symSkew), 0)]
+		} else {
+			secs[1] = append(secs[1], make([]byte, symSkew)...)
 		}
 		ft, err := NewFlatTree(term, secs[0], secs[1], nil, nil, nil, flat.nLeaves+int32(leafSkew))
 		if err != nil {

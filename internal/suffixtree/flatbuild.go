@@ -36,8 +36,9 @@ type FlatBuilder struct {
 	frames []fbFrame
 
 	// nodes and sym are the image's sections: room for intCap internal
-	// records with the suffix array behind them, and their first symbols. The
-	// last nInt record slots are written, and the first nLeaves suffixes.
+	// records with the suffix array behind them, and intCap first symbols
+	// followed by intCap child counts. The last nInt record, symbol and count
+	// slots are written, and the first nLeaves suffixes.
 	nodes  []byte
 	sym    []byte
 	intCap int32
@@ -54,34 +55,34 @@ type FlatBuilder struct {
 // bottom is still growing; its internal children collected so far live in
 // pending[childBase:].
 type fbFrame struct {
-	start, end int32 // edge label window in data
-	botDepth   int32 // string depth at the bottom of the edge
-	leafStart  int32 // rank of the bottom subtree's first leaf
-	childBase  int32 // pending length when the frame opened
-	suffix     int32 // leaf frames: the suffix; split-created frames: -1
+	start     int32 // where the edge label starts in data: its first suffix + the parent's depth
+	botDepth  int32 // string depth at the bottom of the edge
+	leafStart int32 // rank of the bottom subtree's first leaf
+	childBase int32 // pending length when the frame opened
+	suffix    int32 // leaf frames: the suffix; split-created frames: -1
 }
 
 // fbRec is one finished internal node on the pending stack, its children
 // already in the records.
 type fbRec struct {
-	start, end int32 // edge label window in data
-	depth      int32 // string depth at the bottom of the edge
-	leafStart  int32 // rank of the subtree's first leaf
-	leafCount  int32
-	cs, ci     int32 // internal child run: first record counted from the end, count
+	start     int32 // where the edge label starts in data: its first symbol
+	depth     int32 // string depth at the bottom of the edge
+	leafStart int32 // rank of the subtree's first leaf
+	leafCount int32
+	cs, ci    int32 // internal child run: first record counted from the end, count
 }
 
-// put encodes the node's record into r, a slot no record was written to: the
-// reserved fields stay zero. The child run still counts from the end of the
-// records; Finish rewrites it as an id.
-func (n *fbRec) put(r []byte) {
-	binary.LittleEndian.PutUint32(r[0:], uint32(n.start))
-	binary.LittleEndian.PutUint32(r[4:], uint32(n.end))
-	binary.LittleEndian.PutUint32(r[8:], uint32(n.cs))
-	binary.LittleEndian.PutUint32(r[16:], uint32(n.leafStart))
-	binary.LittleEndian.PutUint32(r[20:], uint32(n.leafCount))
-	binary.LittleEndian.PutUint16(r[24:], uint16(n.ci))
-	binary.LittleEndian.PutUint32(r[28:], uint32(n.depth))
+// put encodes the node into record slot i: its record, its first symbol and
+// its child count. The child run still counts from the end of the records;
+// Finish rewrites it as an id.
+func (b *FlatBuilder) put(n *fbRec, i int, sym byte) {
+	r := b.nodes[i*flatNodeSize:]
+	binary.LittleEndian.PutUint32(r[0:], uint32(n.leafStart))
+	binary.LittleEndian.PutUint32(r[4:], uint32(n.leafCount))
+	binary.LittleEndian.PutUint32(r[8:], uint32(n.depth))
+	binary.LittleEndian.PutUint32(r[12:], uint32(n.cs))
+	b.sym[i] = sym
+	b.sym[int(b.intCap)+i] = byte(n.ci)
 }
 
 // NewFlatBuilder starts a direct flat build over data (the terminated
@@ -106,7 +107,7 @@ func NewFlatBuilder(data []byte, leaves, internal int) (*FlatBuilder, error) {
 		n:      int32(n),
 		leaves: int32(leaves),
 		nodes:  make([]byte, FlatNodesLen(int64(intCap), int64(leaves))),
-		sym:    make([]byte, intCap),
+		sym:    make([]byte, FlatSymLen(int64(intCap))),
 		intCap: int32(intCap),
 	}, nil
 }
@@ -156,7 +157,7 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 			// keeps f's label base and subtree bookkeeping; f's completed
 			// bottom becomes m's first child.
 			d := offset - pd
-			m := fbFrame{start: f.start, end: f.start + d, botDepth: offset,
+			m := fbFrame{start: f.start, botDepth: offset,
 				leafStart: f.leafStart, childBase: f.childBase, suffix: -1}
 			f.start += d
 			if err := b.complete(f); err != nil {
@@ -184,7 +185,7 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 	binary.LittleEndian.PutUint32(b.nodes[int(b.intCap)*flatNodeSize+int(b.nLeaves)*flatLeafSize:], uint32(suf))
 	b.nLeaves++
 	b.frames = append(b.frames, fbFrame{
-		start: suf + offset, end: b.n, botDepth: b.n - suf,
+		start: suf + offset, botDepth: b.n - suf,
 		leafStart: b.nLeaves - 1, childBase: int32(len(b.pending)), suffix: suf,
 	})
 	return nil
@@ -202,7 +203,7 @@ func (b *FlatBuilder) complete(f fbFrame) error {
 		}
 		return nil
 	}
-	rec := fbRec{start: f.start, end: f.end, depth: f.botDepth,
+	rec := fbRec{start: f.start, depth: f.botDepth,
 		leafStart: f.leafStart, leafCount: b.nLeaves - f.leafStart}
 	if err := b.writeKids(&rec, kids); err != nil {
 		return err
@@ -215,8 +216,8 @@ func (b *FlatBuilder) complete(f fbFrame) error {
 // sibling order, as the stream delivered them — in front of every record
 // written so far, and records the run in rec.
 func (b *FlatBuilder) writeKids(rec *fbRec, kids []fbRec) error {
-	if len(kids) > flatMaxKids {
-		return fmt.Errorf("suffixtree: node has %d children, beyond the flat layout's limit", len(kids))
+	if len(kids) > flatMaxRun {
+		return fmt.Errorf("suffixtree: node has %d internal children, beyond the flat layout's limit of %d", len(kids), flatMaxRun)
 	}
 	rec.ci = int32(len(kids))
 	if rec.ci == 0 {
@@ -229,8 +230,7 @@ func (b *FlatBuilder) writeKids(rec *fbRec, kids []fbRec) error {
 	rec.cs = b.nInt
 	i := int(b.intCap - b.nInt) // the run's first slot
 	for k := range kids {
-		kids[k].put(b.nodes[(i+k)*flatNodeSize:])
-		b.sym[i+k] = b.data[kids[k].start]
+		b.put(&kids[k], i+k, b.data[kids[k].start])
 	}
 	return nil
 }
@@ -250,20 +250,23 @@ func (b *FlatBuilder) reserve(k int32) error {
 	}
 	grown := min(max(2*int64(b.intCap), need), limit)
 	nodes := make([]byte, FlatNodesLen(grown, int64(b.leaves)))
-	sym := make([]byte, grown)
+	sym := make([]byte, FlatSymLen(grown))
 	// The written records and the suffix array behind them are one window of
-	// the node section.
-	used := int(b.intCap - b.nInt)
-	copy(nodes[(int(grown)-int(b.nInt))*flatNodeSize:], b.nodes[used*flatNodeSize:])
-	copy(sym[int(grown)-int(b.nInt):], b.sym[used:])
+	// the node section; the written symbols and counts end their halves of
+	// the symbol section.
+	used, to := int(b.intCap-b.nInt), int(grown)-int(b.nInt)
+	copy(nodes[to*flatNodeSize:], b.nodes[used*flatNodeSize:])
+	copy(sym[to:], b.sym[used:b.intCap])
+	copy(sym[int(grown)+to:], b.sym[int(b.intCap)+used:])
 	b.nodes, b.sym, b.intCap = nodes, sym, int32(grown)
 	return nil
 }
 
 // Finish closes the stream: the open path completes, the root takes the
 // slot in front of everything written, the unused front of the internal
-// bound is cut off by re-slicing, and the child runs — counted from the end
-// of the records until now — become ids.
+// bound is cut off by re-slicing (the counts move up against the symbols
+// when there is one), and the child runs — counted from the end of the
+// records until now — become ids.
 func (b *FlatBuilder) Finish() (*Flat, error) {
 	if b.nLeaves == 0 {
 		return nil, fmt.Errorf("suffixtree: flat build of an empty tree")
@@ -286,18 +289,22 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 		return nil, err
 	}
 	b.nInt++
-	gap := int(b.intCap - b.nInt)
-	root.put(b.nodes[gap*flatNodeSize:])
+	gap, nInt := int(b.intCap-b.nInt), int(b.nInt)
+	b.put(&root, gap, 0)
+	if gap > 0 {
+		copy(b.sym[b.intCap:], b.sym[int(b.intCap)+gap:])
+	}
 
 	f := &Flat{
 		Nodes:   b.nodes[gap*flatNodeSize:],
-		Sym:     b.sym[gap:],
+		Sym:     b.sym[gap : int(b.intCap)+nInt],
 		NNodes:  b.nInt + b.leaves,
 		NLeaves: b.leaves,
 	}
-	for r := f.Nodes[:int(b.nInt)*flatNodeSize]; len(r) > 0; r = r[flatNodeSize:] {
-		if binary.LittleEndian.Uint16(r[24:]) > 0 {
-			binary.LittleEndian.PutUint32(r[8:], uint32(b.nInt)-binary.LittleEndian.Uint32(r[8:]))
+	counts := f.Sym[nInt:]
+	for u, r := 0, f.Nodes; u < nInt; u, r = u+1, r[flatNodeSize:] {
+		if counts[u] > 0 {
+			binary.LittleEndian.PutUint32(r[12:], uint32(b.nInt)-binary.LittleEndian.Uint32(r[12:]))
 		}
 	}
 	return f, nil

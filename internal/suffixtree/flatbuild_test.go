@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"era/internal/alphabet"
@@ -371,5 +373,77 @@ func TestFlatBuilderRefusesOversizedTree(t *testing.T) {
 		if _, err := NewFlatBuilder(term, len(term), internal); err == nil {
 			t.Errorf("NewFlatBuilder accepted a bound of %d internal nodes over %d bytes", internal, len(term))
 		}
+	}
+}
+
+// sortedStream returns the suffixes of data that start before limit, in
+// lexicographic order, with their LCPs: a range of data's suffix order when
+// limit leaves suffixes out.
+func sortedStream(data []byte, limit int) (sa, lcp []int32) {
+	sa = make([]int32, limit)
+	for i := range sa {
+		sa[i] = int32(i)
+	}
+	sort.Slice(sa, func(a, b int) bool { return bytes.Compare(data[sa[a]:], data[sa[b]:]) < 0 })
+	lcp = make([]int32, limit)
+	for i := 1; i < limit; i++ {
+		lcp[i] = int32(commonPrefixLenGeneric(data[sa[i-1]:], data[sa[i]:]))
+	}
+	return sa, lcp
+}
+
+// TestFlatBuilderWideRuns pins the child count's byte: every byte value
+// 1–255 twice below a unique terminator 0 gives the root 255 internal
+// children, the most a count holds, and the tree serves and validates; a
+// 256th — every byte value twice, in a range of the suffix order that leaves
+// out the suffixes no terminator ends — is refused, not wrapped to 0.
+func TestFlatBuilderWideRuns(t *testing.T) {
+	var up []byte
+	for b := 1; b <= 255; b++ {
+		up = append(up, byte(b))
+	}
+	down := bytes.Clone(up)
+	slices.Reverse(down)
+	term := append(append(bytes.Clone(up), down...), 0)
+	sa, lcp := sortedStream(term, len(term))
+	fb := newBuilder(t, term, len(term))
+	if err := fb.AddRun(sa, lcp); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, nil, nil, f.NLeaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateView(ft, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ci := ft.kids(ft.rec(0), 0); ci != flatMaxRun {
+		t.Fatalf("the root has %d internal children, want %d", ci, flatMaxRun)
+	}
+	for i := 0; i+2 <= len(term); i++ {
+		if got := ft.Count(term[i : i+2]); got != 1 {
+			t.Fatalf("Count(%q) = %d, want 1", term[i:i+2], got)
+		}
+	}
+	if got := ft.Count(up[7:8]); got != 2 {
+		t.Fatalf("Count(%q) = %d, want 2", up[7:8], got)
+	}
+
+	wide := append(append([]byte{0}, up...), append([]byte{0xff}, append(down, 0)...)...)
+	wide = append(wide, wide...)
+	sa, lcp = sortedStream(wide, len(wide)/2)
+	over, err := NewFlatBuilder(wide, len(sa), len(sa))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := over.AddRun(sa, lcp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := over.Finish(); err == nil || !strings.Contains(err.Error(), "internal children") {
+		t.Fatalf("Finish of a root with 256 internal children: %v, want a refusal", err)
 	}
 }

@@ -1,7 +1,5 @@
 package suffixtree
 
-import "encoding/binary"
-
 // RankCursor reads a flat tree back as its sorted suffix stream: Next returns
 // the leaves in rank (lexicographic) order — the suffix array, read straight
 // from the leaf section — each with its LCP with the leaf before it: the
@@ -34,13 +32,12 @@ func NewRankCursor(t *FlatTree) RankCursor {
 
 // open pushes a frame for internal node u, whose leaf range is cut off at
 // end (its parent's). The node's string depth is the one its record stores,
-// which pathWindow reads too (a corrupt record's negative depth reads as 0).
+// which pathWindow reads too (clamped to |S|).
 func (t *FlatTree) open(stack []rankFrame, u, end int32) []rankFrame {
 	r := t.rec(u)
 	i, ci := t.kids(r, u)
 	_, hi := t.ranks(r)
-	depth := max(int32(binary.LittleEndian.Uint32(r[28:])), 0)
-	return append(stack, rankFrame{i: i, ie: i + ci, end: min(hi, end), depth: depth})
+	return append(stack, rankFrame{i: i, ie: i + ci, end: min(hi, end), depth: t.depthOf(r)})
 }
 
 // Next returns the next suffix in rank order and its LCP with the one before;

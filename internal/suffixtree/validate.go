@@ -145,8 +145,8 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 //  2. the internal child runs tile the internal ids: every one but the root
 //     is in exactly one parent's run, which lies strictly after the parent
 //     and inside the internal ids — what the descent relies on to terminate,
-//     in whatever order a writer numbered the nodes — and the reserved fields
-//     are zero;
+//     in whatever order a writer numbered the nodes — and a child count is
+//     zero exactly where the record's childStart is;
 //  3. subtree leaf ranges nest: the root's is every rank, and a node's
 //     internal children hold disjoint ranges inside it, in rank order; the
 //     ranks between them are its leaf children;
@@ -154,10 +154,11 @@ func (t *Tree) checkPathSpells(leaf int32, o int32) error {
 //     children in rank order — internal ones and leaves — the first symbol at
 //     the node's depth strictly increases (what the child lookup's search of
 //     a gap relies on), and every node but the root has ≥ 2 children;
-//  5. edge windows lie in S and are canonical: an internal edge starts at its
-//     first suffix + its parent's depth, with the symbol sym records, and
-//     ends at first suffix + the depth its record stores; a leaf's suffix
-//     runs past its parent's depth.
+//  5. edges are non-empty windows of S: a child's depth is strictly greater
+//     than its parent's, a node's first suffix + its depth stays inside S,
+//     the symbol sym records for a child is its first suffix's at the
+//     parent's depth, and a leaf's suffix runs past its parent's depth. The
+//     root has depth 0 and no symbol.
 //
 // It is one pass over the internal records in id order — parents come before
 // their children — and one over the suffix array, O(nodes). It does not
@@ -192,21 +193,19 @@ func ValidateView(t *FlatTree, lo, hi []byte) error {
 	nClaimed := int64(0)
 	for u := int32(0); u < t.nInt; u++ {
 		r := t.rec(u)
-		rank, count, depth := u32(r, 16), u32(r, 20), u32(r, 28)
-		cs, ci := u32(r, 8), int64(binary.LittleEndian.Uint16(r[24:]))
-		if u32(r, 12) != 0 || binary.LittleEndian.Uint16(r[26:]) != 0 {
-			return fmt.Errorf("suffixtree: node %d: nonzero reserved fields", u)
-		}
-		if u == 0 && (u32(r, 0) != u32(r, 4) || rank != 0 || count != leaves || depth != 0) {
-			return fmt.Errorf("suffixtree: root record has a label, a depth, or not every leaf below it")
+		rank, count, depth, cs := u32(r, 0), u32(r, 4), u32(r, 8), u32(r, 12)
+		ci := int64(t.counts[u])
+		if u == 0 && (rank != 0 || count != leaves || depth != 0 || t.sym[0] != 0) {
+			return fmt.Errorf("suffixtree: root record has a depth, a symbol, or not every leaf below it")
 		}
 		if count < 1 || rank+count > leaves {
 			return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) of %d leaves", u, rank, count, leaves)
 		}
-		// A canonical edge ends at first suffix + depth; the parent checked
-		// that u's starts at first suffix + parent depth, before its end.
-		if u != 0 && depth != u32(r, 4)-sa(rank) {
-			return fmt.Errorf("suffixtree: node %d: depth %d on an edge ending %d past its first suffix", u, depth, u32(r, 4)-sa(rank))
+		if sa(rank)+depth > n {
+			return fmt.Errorf("suffixtree: node %d: depth %d runs its first suffix %d past the %d-byte string", u, depth, sa(rank), n)
+		}
+		if (ci == 0) != (cs == 0) {
+			return fmt.Errorf("suffixtree: node %d: %d internal children from childStart %d: a count is zero exactly where childStart is", u, ci, cs)
 		}
 		if ci > 0 && (cs <= int64(u) || cs+ci > int64(t.nInt)) {
 			return fmt.Errorf("suffixtree: node %d: internal child run [%d,+%d) is not after it and inside the %d internal ids", u, cs, ci, t.nInt)
@@ -241,19 +240,18 @@ func ValidateView(t *FlatTree, lo, hi []byte) error {
 		}
 		for c := cs; c < cs+ci; c++ {
 			rc := t.rec(int32(c))
-			s, k := u32(rc, 16), u32(rc, 20)
+			s, k := u32(rc, 0), u32(rc, 4)
 			if s < next || k < 1 || s+k > end {
 				return fmt.Errorf("suffixtree: node %d: leaf range [%d,+%d) does not nest in its parent's [%d,%d) after rank %d", c, s, k, rank, end, next)
 			}
 			if err := leavesTo(s); err != nil {
 				return err
 			}
-			es, ee := u32(rc, 0), u32(rc, 4)
-			if es >= ee || ee > n || es != sa(s)+depth {
-				return fmt.Errorf("suffixtree: node %d: edge [%d,%d) under depth %d is not based on its first suffix %d", c, es, ee, depth, sa(s))
+			if d := u32(rc, 8); d <= depth {
+				return fmt.Errorf("suffixtree: node %d: depth %d at or above its parent's %d", c, d, depth)
 			}
-			if t.data[es] != t.sym[c] {
-				return fmt.Errorf("suffixtree: node %d: edge starts with %q, sym records %q", c, t.data[es], t.sym[c])
+			if p := sa(s) + depth; p >= n || t.data[p] != t.sym[c] {
+				return fmt.Errorf("suffixtree: node %d: its first suffix %d does not start its edge under depth %d with the %q sym records", c, sa(s), depth, t.sym[c])
 			}
 			if err := child(c, int(t.sym[c])); err != nil {
 				return err

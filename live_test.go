@@ -209,6 +209,33 @@ func TestLiveDifferential(t *testing.T) {
 	if lx.Epoch() == 0 {
 		t.Fatalf("Epoch() = 0 after mutations")
 	}
+
+	// The high-byte corpus, whose root fills its child count, through seals,
+	// a tombstone and a compaction of a live index of its own.
+	hx, err := NewLive("high-bytes", &LiveConfig{MemtableMaxDocs: 2, MaxTiers: 3})
+	if err != nil {
+		t.Fatalf("NewLive: %v", err)
+	}
+	defer hx.Close()
+	ho := &liveOracle{}
+	high := highByteCorpus()
+	for i := 0; i < len(high); i += 2 {
+		ids, err := hx.Append(high[i:min(i+2, len(high))])
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		ho.append(ids, high[i:min(i+2, len(high))])
+		checkLive(t, hx, ho, rng)
+	}
+	if ok, err := hx.Delete(ho.ids[2]); err != nil || !ok {
+		t.Fatalf("Delete(%d) = (%v, %v)", ho.ids[2], ok, err)
+	}
+	ho.delete(ho.ids[2])
+	checkLive(t, hx, ho, rng)
+	if err := hx.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	checkLive(t, hx, ho, rng)
 }
 
 // TestLiveDifferentialDir runs the differential check in directory mode,

@@ -104,9 +104,9 @@ func TestReadIndexRejectsCorruptTree(t *testing.T) {
 		v    uint32
 		want string
 	}{
-		{"child-out-of-range", 8, 1 << 20, "child run"}, // first internal child far past the nodes
-		{"negative-child", 8, 0x80000001, "child run"},
-		{"edge-past-string", 32 + 4, 1 << 28, "edge"}, // node 1's end offset
+		{"child-out-of-range", 12, 1 << 20, "child run"}, // first internal child far past the nodes
+		{"negative-child", 12, 0x80000001, "child run"},
+		{"edge-past-string", 16 + 8, 1 << 28, "past the"}, // node 1's depth: its edge runs past S
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

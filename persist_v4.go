@@ -26,10 +26,11 @@ import (
 //	          nSyms u32 + symbols
 //	data      the string S, terminator included           (page-aligned)
 //	docEnds   nDocs × u32 exclusive document ends         (page-aligned)
-//	nodes     (nNodes − nLeaves) × 32-byte internal records,
+//	nodes     (nNodes − nLeaves) × 16-byte internal records,
 //	          then the suffix array, nLeaves × u32        (page-aligned)
 //	sym       (nNodes − nLeaves) × 1 byte first edge
-//	          symbols of the internal nodes               (page-aligned)
+//	          symbols of the internal nodes, then as many
+//	          internal child counts                       (page-aligned)
 //
 // Header fields (little endian):
 //
@@ -37,15 +38,17 @@ import (
 //	4   version  u32 = 4
 //	8   kind     u32: 0 monolithic, 1 sharded
 //	12  flags    u32 (bit 0, required: the header carries the checksum
-//	             block below; bits 1 and 3, required on monolithic and
+//	             block below; bits 1, 3 and 4, required on monolithic and
 //	             sharded images: the tree sections are the layout of
-//	             suffixtree.FlatTree — no dense child tables (bit 1), and
-//	             leaf ids that are ranks, so the leaves are the suffix array
-//	             (bit 3); bit 2, the prefix-range layout: on a monolithic
-//	             image, the tree holds the suffixes of one range [lo, hi) of
-//	             the suffix order and the meta ends with its two keys;
-//	             required on sharded images, whose payloads are such ranges,
-//	             contiguous)
+//	             suffixtree.FlatTree — no dense child tables (bit 1), leaf
+//	             ids that are ranks, so the leaves are the suffix array
+//	             (bit 3), and 16-byte internal records with no edge offsets,
+//	             each edge derived from the suffix array, beside a child
+//	             count byte in sym (bit 4); bit 2, the prefix-range
+//	             layout: on a monolithic image, the tree holds the suffixes
+//	             of one range [lo, hi) of the suffix order and the meta ends
+//	             with its two keys; required on sharded images, whose
+//	             payloads are such ranges, contiguous)
 //	16  imageLen u64  total image bytes (truncation check)
 //	24  metaOff  u64
 //	32  metaLen  u64
@@ -69,13 +72,15 @@ import (
 // lazily — once, before the first query touches the image — so opening a
 // mapped file stays O(header).
 //
-// The version field has stayed 4 through three tree layouts: 32-byte records
+// The version field has stayed 4 through four tree layouts: 32-byte records
 // for every node with 1 KiB dense tables, then 8-byte leaf records beside
-// delta-varint leaf blocks, then this one. An image of either older layout
-// lacks flags bit 3 (the oldest lack bits 1 and 0 too), and so does every
-// sharded image of them — the document-aligned ones lack bit 2 as well. All
-// are refused at open with one error (errOldLayout, an ErrMustRebuild): their
-// sections would mis-read as this layout, and no reader for them is kept.
+// delta-varint leaf blocks, then 32-byte internal records that stated their
+// edges over the suffix array, then this one. An image of any older layout
+// lacks flags bit 4 (the older ones bit 3, the oldest bits 1 and 0 too), and
+// so does every sharded image of them — the document-aligned ones lack bit 2
+// as well. All are refused at open with one error (errOldLayout, an
+// ErrMustRebuild): their sections would mis-read as this layout, and no
+// reader for them is kept.
 //
 // A range image (flags bit 2) has one field more than the meta above, and
 // one invariant less: nLeaves is the number of suffixes in the range, not
@@ -115,13 +120,16 @@ const (
 	// v4FlagChecksums marks a header that carries the checksum block (a
 	// trailing footer, for live manifests).
 	v4FlagChecksums = 1 << 0
-	// v4FlagCompact marks tree sections without dense child tables, and
+	// v4FlagCompact marks tree sections without dense child tables,
 	// v4FlagRankLeaves ones whose leaf ids are ranks — the leaf section is
-	// the suffix array. Every image this package writes carries both
-	// (v4Layout) and the reader requires them.
-	v4FlagCompact    = 1 << 1
-	v4FlagRankLeaves = 1 << 3
-	v4Layout         = v4FlagCompact | v4FlagRankLeaves
+	// the suffix array — and v4FlagHalfRecords ones whose internal records
+	// are 16 bytes, with edges derived from the suffix array and the child
+	// counts in the symbol section. Every image this package writes carries
+	// all three (v4Layout) and the reader requires them.
+	v4FlagCompact     = 1 << 1
+	v4FlagRankLeaves  = 1 << 3
+	v4FlagHalfRecords = 1 << 4
+	v4Layout          = v4FlagCompact | v4FlagRankLeaves | v4FlagHalfRecords
 	// v4FlagRange marks the prefix-range layout: a monolithic image whose tree
 	// holds one range of the suffix order, or a sharded image made of them.
 	v4FlagRange = 1 << 2
@@ -133,9 +141,9 @@ const (
 	maxV4Shards = 1 << 12
 )
 
-// errOldLayout refuses a v4 image written before the leaves were the suffix
-// array: with 8-byte leaf records, or older still.
-var errOldLayout = fmt.Errorf("%w: the v4 image predates rank-ordered leaves", ErrMustRebuild)
+// errOldLayout refuses a v4 image of an older tree layout: with 32-byte
+// internal records, 8-byte leaf records, or older still.
+var errOldLayout = fmt.Errorf("%w: the v4 image predates the current tree layout", ErrMustRebuild)
 
 // v4align rounds n up to the page boundary.
 func v4align(n int64) int64 {
@@ -318,7 +326,7 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 	if s.nodes, err = sliceV4(img, u64(72), suffixtree.FlatNodesLen(s.nNodes-s.nLeaves, s.nLeaves), v4Page, "nodes"); err != nil {
 		return nil, err
 	}
-	if s.sym, err = sliceV4(img, u64(88), s.nNodes-s.nLeaves, v4Page, "sym"); err != nil {
+	if s.sym, err = sliceV4(img, u64(88), suffixtree.FlatSymLen(s.nNodes-s.nLeaves), v4Page, "sym"); err != nil {
 		return nil, err
 	}
 	for off := 96; off < v4HeaderLen; off += 8 {

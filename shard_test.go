@@ -200,8 +200,9 @@ func assertShardedAnalytics(t *testing.T, mono *Index, sx *ShardedIndex, cov *cu
 // around every cut, for every K; DNA cut into more shards than it has
 // symbols; one document (which no document cut could split); periodic text,
 // whose LCPs are equal across a whole cut window; a corpus with an empty
-// document; and small texts cut so finely that the longest repeat straddles a
-// cut. The run must meet the cases no single shard answers: an lrs across a
+// document; small texts cut so finely that the longest repeat straddles a
+// cut; and bytes ≥ 0x80 with every symbol an alphabet allows under the root,
+// whose keys end mid-character and whose root fills its child count. The run must meet the cases no single shard answers: an lrs across a
 // cut, a boundary L-mer in a topk, and a docfreq whose documents two shards
 // share.
 func TestShardedDifferential(t *testing.T) {
@@ -229,6 +230,7 @@ func TestShardedDifferential(t *testing.T) {
 		{"periodic", [][]byte{bytes.Repeat([]byte("ACGTTGA"), 150), bytes.Repeat([]byte("AC"), 200)}, awkward},
 		{"empty-doc", [][]byte{dna[:700], nil, dna[700:1500]}, awkward},
 		{"tiny", [][]byte{[]byte("GATTACAGATTACA"), []byte("TTAGGG")}, awkward},
+		{"high-bytes", highByteCorpus(), awkward},
 	} {
 		mono, err := BuildCorpus(tc.docs, nil)
 		if err != nil {
