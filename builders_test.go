@@ -9,8 +9,10 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"era/internal/alphabet"
+	"era/internal/suffixtree"
 	"era/internal/workload"
 )
 
@@ -242,7 +244,7 @@ func TestLeafSectionIsTheSuffixArray(t *testing.T) {
 				var leaves []int32
 				for _, x := range trees {
 					f := x.tree.Sections()
-					for sec := f.Nodes[len(f.Nodes)-int(f.NLeaves)*4:]; len(sec) > 0; sec = sec[4:] {
+					for sec := f.LeafData; len(sec) > 0; sec = sec[4:] {
 						leaves = append(leaves, int32(binary.LittleEndian.Uint32(sec)))
 					}
 				}
@@ -288,6 +290,88 @@ func TestLeafSectionIsTheSuffixArray(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardsShareOneSuffixArray pins the hand-over: every builder — in
+// memory, ERA serially, on the shared-disk workers and on the shared-nothing
+// nodes — writes the suffix array once, and the leaf sections of the trees it
+// cuts are that array's consecutive windows, not copies: each starts where the
+// one before it ends, and all of them lie inside the first one's capacity,
+// which no slice stretches past its own allocation.
+func TestShardsShareOneSuffixArray(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("a big-endian host encodes the suffix array into its leaf sections")
+	}
+	data := workload.MustGenerate(workload.DNA, 3000, 37)
+	docs, err := workload.SliceDocs(data[:3000], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label string
+		cfg   *Config
+	}{
+		{"in-memory", nil},
+		{"serial", &Config{MemoryBudget: eraBudget}},
+		{"shared-disk-2", &Config{Mode: SharedDisk, Workers: 2, MemoryBudget: 2 * eraBudget}},
+		{"shared-nothing-2", &Config{Mode: SharedNothing, Workers: 2, MemoryBudget: 2 * eraBudget}},
+	} {
+		for _, k := range []int{1, 3} {
+			sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: k, Build: c.cfg})
+			if err != nil {
+				t.Fatalf("%s, %d shards: %v", c.label, k, err)
+			}
+			if st := sx.shards[0].Stats(); st.InMemory != (c.cfg == nil) {
+				t.Fatalf("%s: built in memory = %v", c.label, st.InMemory)
+			}
+			addr := func(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+			first := sx.shards[0].tree.Sections().LeafData
+			next, end := addr(first), addr(first)+uintptr(cap(first))
+			for i, sh := range sx.shards {
+				leaves := sh.tree.Sections().LeafData
+				if addr(leaves) != next || next+uintptr(len(leaves)) > end {
+					t.Fatalf("%s, %d shards: shard %d's leaf section is not the next window of shard 0's suffix array", c.label, k, i)
+				}
+				next += uintptr(len(leaves))
+			}
+			if got := next - addr(first); got != uintptr(4*len(data)) {
+				t.Fatalf("%s, %d shards: the leaf sections span %d bytes, want %d", c.label, k, got, 4*len(data))
+			}
+		}
+	}
+}
+
+// TestInMemoryBuildHoldsOneSuffixArray pins what the hand-over saves: the
+// in-memory builder of 1 Mi DNA symbols allocates what its suffix order does
+// (the suffix array and the LCP array, and SA-IS's and Kasai's scratch), plus
+// the node and symbol sections its internal node count sizes, plus 1 % — less
+// than the 4 B/symbol a copy of the suffix array into the image would take.
+func TestInMemoryBuildHoldsOneSuffixArray(t *testing.T) {
+	const n = 1 << 20
+	text := workload.MustGenerate(workload.DNA, n, 5)
+	order := allocatedBy(func() {
+		if _, _, err := suffixOrder(text); err != nil {
+			t.Error(err)
+		}
+	})
+	var shards []suffixtree.Shard
+	got := allocatedBy(func() {
+		var err error
+		if shards, err = buildInMemory(alphabet.DNA, text, 1); err != nil {
+			t.Error(err)
+		}
+	})
+	if len(shards) != 1 {
+		t.Fatalf("%d trees built, want 1", len(shards))
+	}
+	nInt := int64(shards[0].NNodes - shards[0].NLeaves)
+	sections := uint64(suffixtree.FlatNodesLen(nInt) + suffixtree.FlatSymLen(nInt))
+	if limit := (order + sections) * 101 / 100; got > limit {
+		t.Errorf("an in-memory build of %d symbols allocated %d bytes, want ≤ %d: its suffix order's %d, %d of node and symbol sections and 1 %%",
+			len(text), got, limit, order, sections)
+	}
+	t.Logf("%.2f B/symbol allocated: %.2f the suffix order, %.2f the node and symbol sections",
+		float64(got)/float64(len(text)), float64(order)/float64(len(text)), float64(sections)/float64(len(text)))
 }
 
 // TestBudgetPicksTheBuilder pins the regime rule at its boundary, in both

@@ -55,9 +55,10 @@ const (
 // sections straight from the sorted-suffix sub-trees, and the index queries
 // through the same zero-copy FlatTree that serves mapped files. The type, its
 // value and Config.Target stay only because benchmark/ spells them (as it does
-// suffixtree.Flat's always-empty Dense, LeafIdx and LeafData, and the dense,
-// leafIdx and leafData parameters of suffixtree.NewFlatTree): ROADMAP item 1
-// has benchmark/ stop spelling them, and item 8(b) then deletes them all.
+// suffixtree.Flat's always-empty Dense and LeafIdx, and the dense and leafIdx
+// parameters of suffixtree.NewFlatTree; Flat.LeafData is the leaf section,
+// the suffix array): ROADMAP item 1 has benchmark/ stop spelling them, and
+// item 9(a) then deletes them all.
 type BuildTarget int
 
 // TargetFlat is the only build target, and the zero value.
@@ -249,7 +250,7 @@ func buildShards(docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
 	}
 	out := make([]*Index, len(shards))
 	for i, sh := range shards {
-		tree, err := suffixtree.NewFlatTree(data, sh.Nodes, sh.Sym, nil, nil, nil, sh.NLeaves)
+		tree, err := suffixtree.NewFlatTree(data, sh.Nodes, sh.Sym, nil, nil, sh.LeafData, sh.NLeaves)
 		if err != nil {
 			return nil, fmt.Errorf("era: viewing the built sections: %w", err)
 		}
@@ -273,7 +274,8 @@ func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 }
 
 // buildInMemory is the builder for inputs the budget can hold whole: the
-// sorted suffix stream of data is its suffix array with the LCP array. It
+// sorted suffix stream of data is its suffix array with the LCP array, and
+// that suffix array becomes the leaf sections of the trees as it is. It
 // shares nothing with ERA below suffixtree.AssembleShards, which emits the
 // same sections from either.
 func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int) ([]suffixtree.Shard, error) {
@@ -284,7 +286,7 @@ func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int) ([]suffixtree.S
 	if err != nil {
 		return nil, err
 	}
-	return suffixtree.AssembleShards(data, []suffixtree.SortedRun{{Suffixes: sa, LCP: lcp}}, k)
+	return suffixtree.AssembleShards(data, sa, lcp, k)
 }
 
 // buildERA publishes data on a simulated disk and runs the paper's algorithm

@@ -180,6 +180,9 @@ func TestCommittedImagesServed(t *testing.T) {
 // TestMustRebuildImagesRefused: testdata/must-rebuild holds the committed
 // images of every older tree layout, one refusal generation —
 //
+//   - half-records/: written while the suffix array sat behind the 16-byte
+//     internal records in the node section (no flag bit 5): a mono, a
+//     prefix-range sharded and a live image, the fixtures of their day;
 //   - full-records/: written while internal records were 32 bytes and stated
 //     their edges (no flag bit 4): a mono, a prefix-range sharded and a live
 //     image, the fixtures of their day;
@@ -199,6 +202,7 @@ func TestMustRebuildImagesRefused(t *testing.T) {
 	const want = "predates the current tree layout"
 	dir := filepath.Join("testdata", "must-rebuild")
 	for _, name := range []string{
+		"half-records/mono.idx", "half-records/sharded.idx",
 		"full-records/mono.idx", "full-records/sharded.idx",
 		"leaf-records/mono.idx", "leaf-records/sharded.idx",
 		"bfs-numbered/mono.idx", "bfs-numbered/sharded.idx",
@@ -228,7 +232,7 @@ func TestMustRebuildImagesRefused(t *testing.T) {
 			}
 		})
 	}
-	for _, name := range []string{"full-records/live", "leaf-records/live", "old-layout/live"} {
+	for _, name := range []string{"half-records/live", "full-records/live", "leaf-records/live", "old-layout/live"} {
 		t.Run(name, func(t *testing.T) {
 			live := copyLiveFixture(t, filepath.Join(dir, name))
 			rep, err := Verify(live)

@@ -275,19 +275,19 @@ func TestFormatsDifferential(t *testing.T) {
 // suffixArraySections is the image's independent oracle: SA-IS and Kasai
 // share no code with vertical partitioning, the elastic range or the group
 // sorts, and their suffix and LCP arrays over the terminated corpus, streamed
-// as one run into a builder sized loosely, must produce the sections of any
-// ERA build of it.
+// into a builder sized loosely, must produce the sections of any ERA build of
+// it.
 func suffixArraySections(t *testing.T, data []byte) *suffixtree.Flat {
 	t.Helper()
 	sa, err := suffixarray.Build(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := suffixtree.NewFlatBuilder(data, len(data), len(data))
+	fb, err := suffixtree.NewFlatBuilder(data, sa, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.AddRun(sa, suffixarray.LCP(data, sa)); err != nil {
+	if err := fb.Stream(suffixarray.LCP(data, sa)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fb.Finish()
@@ -303,7 +303,7 @@ func assertSectionsEqual(t *testing.T, label string, got suffixtree.Flat, want *
 	if got.NNodes != want.NNodes || got.NLeaves != want.NLeaves {
 		t.Fatalf("%s: %d nodes / %d leaves, the suffix array's tree has %d / %d", label, got.NNodes, got.NLeaves, want.NNodes, want.NLeaves)
 	}
-	if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) {
+	if !bytes.Equal(got.Nodes, want.Nodes) || !bytes.Equal(got.Sym, want.Sym) || !bytes.Equal(got.LeafData, want.LeafData) {
 		t.Fatalf("%s: the ERA build's sections differ from the suffix array's", label)
 	}
 }
@@ -537,14 +537,35 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[32:], 1<<40)
 			return b
 		}},
-		// The header fields of the leaf block sections went with them; what
-		// was the leafIdx offset is a reserved zero now.
-		{"leafidx-misaligned", func(b []byte) []byte {
+		// The leaf section: misaligned, past the image, over the records
+		// behind it; and the reserved field behind its offset.
+		{"misaligned-leaves", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[96:], binary.LittleEndian.Uint64(b[96:])+4)
 			return b
 		}},
-		// The leaf count decides where the internal records end, so it is
-		// pinned to the one value it can have: a leaf per symbol of S.
+		{"leaves-past-image", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[96:], uint64(v4align(int64(len(b)))))
+			return b
+		}},
+		{"leaves-overlap-nodes", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[96:], binary.LittleEndian.Uint64(b[72:]))
+			return b
+		}},
+		{"nodes-overlap-leaves", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[72:], binary.LittleEndian.Uint64(b[96:]))
+			return b
+		}},
+		{"reserved-104", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[104:], 1)
+			return b
+		}},
+		{"reserved-120", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[120:], v4Page)
+			return b
+		}},
+		// The leaf count decides the leaf section's length and how many
+		// nodes are internal, so it is pinned to the one value it can have: a
+		// leaf per symbol of S.
 		{"leaves-past-nodes", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[128:], binary.LittleEndian.Uint64(b[80:]))
 			return b
@@ -559,6 +580,10 @@ func TestV4RejectsCorruptImages(t *testing.T) {
 		}},
 		{"rank-leaves-flag-clear", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[12:], v4FlagChecksums|v4FlagCompact)
+			return b
+		}},
+		{"leaf-section-flag-clear", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[12:], v4FlagChecksums|v4Layout&^v4FlagLeafSection)
 			return b
 		}},
 		{"checksum-flag-clear", func(b []byte) []byte {
@@ -664,23 +689,23 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 		// internal child for the corpus's smallest symbol, whose edge now
 		// starts with the terminator.
 		{"swapped-leaves", "does not start its edge", func(t *testing.T, img []byte, s *v4sections) []byte {
-			sa := s.nodes[(s.nNodes-s.nLeaves)*recSize:]
+			sa := s.leaves
 			a := append([]byte(nil), sa[:4]...)
 			copy(sa[:4], sa[4:8])
 			copy(sa[4:8], a)
-			return restampV4(img, 3)
+			return restampV4(img, "leaves")
 		}},
 		// One more node than the tree has, and two bytes more of image for
 		// its symbol and count: the node section's window (and its checksum)
 		// runs to the next section's start, so the padding supplies a record,
-		// and only the structure pass sees that the suffix array no longer
-		// begins where it did — its tail is zero padding, suffix 0 over and
-		// over.
-		{"one-node-more", "indexed twice", func(t *testing.T, img []byte, s *v4sections) []byte {
+		// and only the structure pass sees that the symbol section no longer
+		// splits where it did — the first symbols take in the root's child
+		// count, and every count reads its successor's, the root's included.
+		{"one-node-more", "not in strictly increasing symbol order", func(t *testing.T, img []byte, s *v4sections) []byte {
 			binary.LittleEndian.PutUint64(img[80:], uint64(s.nNodes)+1)
 			img = append(img, 0, 0)
 			binary.LittleEndian.PutUint64(img[16:], uint64(len(img)))
-			return restampV4(img, 4)
+			return restampV4(img, "sym")
 		}},
 		// Two parents claim the same run: the sibling after a node with
 		// internal children points its run at that node's, which lies after
@@ -691,7 +716,7 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 				if counts(s)[u] > 0 && int64(binary.LittleEndian.Uint32(r[12:])) > u+1 {
 					copy(next[12:16], r[12:16])
 					counts(s)[u+1] = counts(s)[u]
-					return restampV4(restampV4(img, 3), 4)
+					return restampV4(restampV4(img, "nodes"), "sym")
 				}
 			}
 			t.Fatal("no node with internal children has a sibling after it")
@@ -702,7 +727,7 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 		{"run-at-its-parent", "is not after it", func(t *testing.T, img []byte, s *v4sections) []byte {
 			id, r := withRun(t, s)
 			binary.LittleEndian.PutUint32(r[12:], id)
-			return restampV4(img, 3)
+			return restampV4(img, "nodes")
 		}},
 		// The root lets go of its first internal child, which no run holds
 		// any more. Its ranks speak first: they now read as leaf children of
@@ -711,7 +736,7 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 			r := rec(s, 0)
 			binary.LittleEndian.PutUint32(r[12:], binary.LittleEndian.Uint32(r[12:])+1)
 			counts(s)[0]--
-			return restampV4(restampV4(img, 3), 4)
+			return restampV4(restampV4(img, "nodes"), "sym")
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -725,16 +750,21 @@ func TestVerifyChecksTreeStructure(t *testing.T) {
 	}
 }
 
-// restampV4 recomputes the checksum of section i (3 nodes, 4 sym, the last)
-// of a monolithic image after a test edited it, so the structure pass is what
-// sees the edit.
-func restampV4(img []byte, i int) []byte {
-	start, end := binary.LittleEndian.Uint64(img[24+16*i:]), binary.LittleEndian.Uint64(img[16:])
-	if i < 4 {
-		end = binary.LittleEndian.Uint64(img[24+16*(i+1):])
+// restampV4 recomputes the checksum of the named section of a monolithic
+// image after a test edited it, so the structure pass is what sees the edit.
+func restampV4(img []byte, name string) []byte {
+	for i, sec := range v4MonoSections {
+		if sec.name != name {
+			continue
+		}
+		start, end := binary.LittleEndian.Uint64(img[sec.off:]), binary.LittleEndian.Uint64(img[16:])
+		if i+1 < len(v4MonoSections) {
+			end = binary.LittleEndian.Uint64(img[v4MonoSections[i+1].off:])
+		}
+		binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*sec.slot:], crc32.Checksum(img[start:end], castagnoli))
+		return img
 	}
-	binary.LittleEndian.PutUint32(img[v4CRCTableOff+4*i:], crc32.Checksum(img[start:end], castagnoli))
-	return img
+	panic("no section " + name)
 }
 
 // assertVerifyRefuses writes img, its header CRC restamped, to a file and
@@ -769,10 +799,11 @@ func assertVerifyRefuses(t *testing.T, img []byte, want string) {
 
 // TestFlatImageBytesPerSymbol pins what the layout is for: an image of
 // 128 Ki symbols costs at most 20.5 bytes per symbol on disk for DNA and 17
-// for English — 19.54 and 16.10 measured, with 16-byte internal records and
-// two symbol bytes per internal node (the 32-byte records that stated their
-// edges cost 31.55 and 25.24, the layout with 8-byte leaf records and leaf blocks
-// 39.5 and 33.2, the one before it 63 and 76).
+// for English — 19.57 and 16.13 measured, with 16-byte internal records, two
+// symbol bytes per internal node and the suffix array in a section of its own
+// (19.54 and 16.10 with it behind the records; the 32-byte records that
+// stated their edges cost 31.55 and 25.24, the layout with 8-byte leaf records
+// and leaf blocks 39.5 and 33.2, the one before it 63 and 76).
 func TestFlatImageBytesPerSymbol(t *testing.T) {
 	const n = 128 << 10
 	for kind, limit := range map[workload.Kind]float64{workload.DNA: 20.5, workload.English: 17} {

@@ -65,9 +65,10 @@ func newSuffixOrder(opts Options, groups []Group, n int, ctxs ...*buildContext) 
 
 // assemble cuts the suffix order into k prefix ranges, each a tree of its
 // own (suffixtree.AssembleShards; k ≤ 1 is the whole tree, which whole also
-// returns).
+// returns). The trees' leaf sections are windows of o.sa, which the build
+// owns and nothing writes after its groups.
 func (o suffixOrder) assemble(raw []byte, k int) (shards []suffixtree.Shard, whole *suffixtree.Flat, err error) {
-	shards, err = suffixtree.AssembleShards(raw, []suffixtree.SortedRun{{Suffixes: o.sa, LCP: o.lcp}}, k)
+	shards, err = suffixtree.AssembleShards(raw, o.sa, o.lcp, k)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: assembling flat image: %w", err)
 	}

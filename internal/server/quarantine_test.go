@@ -35,9 +35,9 @@ func TestQuarantineServesHealthyCatalog(t *testing.T) {
 	}
 
 	// Two intact files nothing reads any more: an image from before the
-	// internal records were 16 bytes, and a v2 header (all of a v2 file that
-	// is looked at).
-	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "must-rebuild", "full-records", "mono.idx"))
+	// suffix array was a section of its own, and a v2 header (all of a v2
+	// file that is looked at).
+	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "must-rebuild", "half-records", "mono.idx"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,8 @@ import (
 //	off  8  depth      uint32  string depth at the bottom of the edge
 //	off 12  childStart uint32  first internal child id (0 when there is none)
 //
-// 16 bytes, so four records share a cache line. Behind the internal records,
-// in the same section, the suffix array (flatLeafSize bytes per leaf, in rank
+// 16 bytes, so four records share a cache line. The leaf section is the
+// suffix array, a section of its own (flatLeafSize bytes per leaf, in rank
 // order):
 //
 //	off  0  suffix     uint32  the suffix offset of leaf nInt + rank
@@ -73,8 +73,8 @@ import (
 // of them is that terminator's leaf (FlatBuilder refuses a longer run).
 type FlatTree struct {
 	data    []byte // S including the terminator
-	nodes   []byte // nInt internal records, then the suffix array
-	sa      []byte // the suffix array: the window of nodes behind the records
+	nodes   []byte // the nInt internal records
+	sa      []byte // the leaf section: the suffix array
 	sym     []byte // the symbol section: first symbols, then child counts
 	counts  []byte // the internal child counts: the window of sym behind the first symbols
 	nInt    int32  // internal nodes, the root included
@@ -96,15 +96,18 @@ const (
 
 // Flat holds the encoded sections of a flattened tree, ready to be written
 // as the tree part of a v4 index file (or handed straight to NewFlatTree):
-// Nodes is the internal records with the suffix array behind them, Sym the
-// internal nodes' first symbols followed by their internal child counts.
+// Nodes is the internal records, Sym the internal nodes' first symbols
+// followed by their internal child counts, and LeafData the leaf section —
+// the suffix array, nLeaves little-endian u32s in rank order. A builder hands
+// out the suffix array it was given as LeafData rather than a copy of it
+// (FlatBuilder), so it is a view of that array's memory wherever the host's
+// byte order allows.
 type Flat struct {
 	Nodes []byte
 	Sym   []byte
-	// Dense, LeafIdx and LeafData are always empty: the layout has no child
-	// lookup tables, and no leaf blocks beside the suffix array. The fields
-	// (and NewFlatTree's dense, leafIdx and leafData parameters) stay for
-	// callers written against them.
+	// Dense and LeafIdx are always empty: the layout has no child lookup
+	// tables and no leaf index. The fields (and NewFlatTree's dense and
+	// leafIdx parameters) stay for callers written against them.
 	Dense    []byte
 	LeafIdx  []byte
 	LeafData []byte
@@ -113,10 +116,8 @@ type Flat struct {
 }
 
 // FlatNodesLen is the byte length of the node section of a tree with nInt
-// internal nodes and nLeaves leaves.
-func FlatNodesLen(nInt, nLeaves int64) int64 {
-	return nInt*flatNodeSize + nLeaves*flatLeafSize
-}
+// internal nodes.
+func FlatNodesLen(nInt int64) int64 { return nInt * flatNodeSize }
 
 // FlatSymLen is the byte length of the symbol section of a tree with nInt
 // internal nodes: a first symbol and a child count each.
@@ -124,24 +125,28 @@ func FlatSymLen(nInt int64) int64 { return 2 * nInt }
 
 // NewFlatTree wraps pre-encoded sections (typically windows of one mapped
 // file) as a queryable tree over data. The internal-node count is half the
-// length of sym; the node section must hold exactly that many records and the
-// nLeaves entries of the suffix array, and dense, leafIdx and leafData must
-// be empty (see Flat.Dense). Validation is O(1) — section shapes only; field
-// values inside the records are clamped at access time, so corrupt bytes
-// degrade to wrong answers, never to panics or runaway loops.
+// length of sym; the node section must hold exactly that many records, the
+// leaf section leafData exactly the nLeaves entries of the suffix array, and
+// dense and leafIdx must be empty (see Flat.Dense). Validation is O(1) —
+// section shapes only; field values inside the records are clamped at access
+// time, so corrupt bytes degrade to wrong answers, never to panics or runaway
+// loops.
 func NewFlatTree(data, nodes, sym, dense, leafIdx, leafData []byte, nLeaves int32) (*FlatTree, error) {
 	nInt := len(sym) / 2
 	if len(sym)%2 != 0 || nInt < 1 || nLeaves < 1 || int64(nInt)+int64(nLeaves) > math.MaxInt32 {
 		return nil, fmt.Errorf("suffixtree: a %d-byte symbol section and %d leaves", len(sym), nLeaves)
 	}
-	if want := FlatNodesLen(int64(nInt), int64(nLeaves)); int64(len(nodes)) != want {
-		return nil, fmt.Errorf("suffixtree: flat node section of %d bytes, want %d for %d internal nodes and %d leaves", len(nodes), want, nInt, nLeaves)
+	if want := FlatNodesLen(int64(nInt)); int64(len(nodes)) != want {
+		return nil, fmt.Errorf("suffixtree: flat node section of %d bytes, want %d for %d internal nodes", len(nodes), want, nInt)
 	}
-	if n := len(dense) + len(leafIdx) + len(leafData); n != 0 {
-		return nil, fmt.Errorf("suffixtree: %d bytes of child tables or leaf blocks in a layout without them", n)
+	if want := flatLeafSize * int64(nLeaves); int64(len(leafData)) != want {
+		return nil, fmt.Errorf("suffixtree: flat leaf section of %d bytes, want %d for %d leaves", len(leafData), want, nLeaves)
+	}
+	if n := len(dense) + len(leafIdx); n != 0 {
+		return nil, fmt.Errorf("suffixtree: %d bytes of child tables or a leaf index in a layout without them", n)
 	}
 	return &FlatTree{
-		data: data, nodes: nodes, sa: nodes[nInt*flatNodeSize:], sym: sym, counts: sym[nInt:],
+		data: data, nodes: nodes, sa: leafData, sym: sym, counts: sym[nInt:],
 		nInt: int32(nInt), nNodes: int32(nInt) + nLeaves, nLeaves: nLeaves,
 	}, nil
 }
@@ -152,7 +157,7 @@ func (t *FlatTree) Data() []byte { return t.data }
 // Sections returns the encoded sections the tree views — what NewFlatTree
 // was given — so a writer emits the image it holds instead of re-encoding it.
 func (t *FlatTree) Sections() Flat {
-	return Flat{Nodes: t.nodes, Sym: t.sym, NNodes: t.nNodes, NLeaves: t.nLeaves}
+	return Flat{Nodes: t.nodes, Sym: t.sym, LeafData: t.sa, NNodes: t.nNodes, NLeaves: t.nLeaves}
 }
 
 // Root returns the root node id (always 0).

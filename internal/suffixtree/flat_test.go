@@ -37,7 +37,7 @@ func buildBoth(t testing.TB, data []byte) (*Tree, *FlatTree, []byte) {
 	if err != nil {
 		t.Fatalf("Flatten: %v", err)
 	}
-	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, nil, nil, f.NLeaves)
+	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, nil, f.LeafData, f.NLeaves)
 	if err != nil {
 		t.Fatalf("NewFlatTree: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestFlatTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(f2.Nodes, flat.nodes) || !bytes.Equal(f2.Sym, flat.sym) {
+	if !bytes.Equal(f2.Nodes, flat.nodes) || !bytes.Equal(f2.Sym, flat.sym) || !bytes.Equal(f2.LeafData, flat.sa) {
 		t.Fatal("re-flattening a FlatTree changed the encoded sections")
 	}
 }
@@ -295,8 +295,19 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 	_ = ValidateView(ft, nil, nil)
 }
 
-// saOff returns the byte offset of leaf rank r's suffix in the node section.
-func (t *FlatTree) saOff(r int) int { return int(t.nInt)*flatNodeSize + r*flatLeafSize }
+// flatSections is a tree's three sections, in the order the tests patch
+// them: the internal records, the symbol section and the leaf section.
+type flatSections [3][]byte
+
+// sections returns copies of t's sections.
+func (t *FlatTree) sections() flatSections {
+	return flatSections{bytes.Clone(t.nodes), bytes.Clone(t.sym), bytes.Clone(t.sa)}
+}
+
+// leaf returns the entry of leaf rank r in the leaf section.
+func (s flatSections) leaf(r int32) []byte {
+	return s[2][int(r)*flatLeafSize : int(r+1)*flatLeafSize]
+}
 
 // seamNodes returns the first internal node below the root that has internal
 // children, and the first that has leaf children.
@@ -341,34 +352,36 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 	if err := ValidateView(flat, nil, nil); err != nil {
 		t.Fatalf("the uncorrupted tree: %v", err)
 	}
-	check := func(what string, nodes, sym []byte) {
+	check := func(what string, s flatSections) {
 		t.Helper()
-		ft, err := NewFlatTree(term, nodes, sym, nil, nil, nil, flat.nLeaves)
+		ft, err := NewFlatTree(term, s[0], s[1], nil, nil, s[2], flat.nLeaves)
 		if err != nil {
 			t.Fatal(err) // record values are never a shape error
 		}
-		if ValidateView(ft, nil, nil) == nil && (!bytes.Equal(nodes, flat.nodes) || !bytes.Equal(sym, flat.sym)) {
+		if ValidateView(ft, nil, nil) == nil && (!bytes.Equal(s[0], flat.nodes) || !bytes.Equal(s[1], flat.sym) || !bytes.Equal(s[2], flat.sa)) {
 			t.Errorf("ValidateView accepted %s", what)
 		}
 		exerciseCorrupt(t, ft, term)
 	}
 	values := []uint32{0, 1, 0x7fffffff, 0xffffffff, 0x00010001, uint32(flat.nInt), uint32(flat.nInt) - 1,
 		uint32(flat.NumNodes()), uint32(flat.NumNodes()) - 1, uint32(len(term)), uint32(flat.nLeaves) - 1}
-	corrupt := func(size, base, off int) {
+	corrupt := func(sec, size, off int) {
 		for _, v := range values {
-			nodes := append([]byte(nil), flat.nodes...)
-			for ni := 0; ni < 5 && base+(ni+1)*size <= len(nodes); ni++ {
-				binary.LittleEndian.PutUint32(nodes[base+ni*size+off:], v)
+			s := flat.sections()
+			for ni := 0; ni < 5 && (ni+1)*size <= len(s[sec]); ni++ {
+				binary.LittleEndian.PutUint32(s[sec][ni*size+off:], v)
 			}
-			check(fmt.Sprintf("%#x at offset %d of the %d-byte entries", v, off, size), nodes, flat.sym)
+			check(fmt.Sprintf("%#x at offset %d of the %d-byte entries", v, off, size), s)
 		}
 	}
 	for off := 0; off < flatNodeSize; off += 4 {
-		corrupt(flatNodeSize, 0, off)
+		corrupt(0, flatNodeSize, off)
 	}
-	corrupt(flatLeafSize, flat.saOff(0), 0)
+	corrupt(2, flatLeafSize, 0)
 	for _, v := range []byte{0, 1, 7, 0xff} {
-		check(fmt.Sprintf("a sym section of all %#x", v), flat.nodes, bytes.Repeat([]byte{v}, len(flat.sym)))
+		s := flat.sections()
+		s[1] = bytes.Repeat([]byte{v}, len(flat.sym))
+		check(fmt.Sprintf("a sym section of all %#x", v), s)
 	}
 
 	// The seams of the layout, one at a time: the suffix array's, and those
@@ -385,79 +398,86 @@ func TestFlatTreeCorruptNoPanic(t *testing.T) {
 	setDepth := func(nodes []byte, u int32, d uint32) {
 		binary.LittleEndian.PutUint32(nodes[int(u)*flatNodeSize+8:], d)
 	}
-	seams := map[string]func(nodes, sym []byte){
-		"a suffix past S": func(nodes, _ []byte) {
-			binary.LittleEndian.PutUint32(nodes[flat.saOff(int(lo)):], uint32(len(term)))
+	seams := map[string]func(s flatSections){
+		"a suffix past S": func(s flatSections) {
+			binary.LittleEndian.PutUint32(s.leaf(lo), uint32(len(term)))
 		},
-		"two equal suffixes": func(nodes, _ []byte) {
-			copy(nodes[flat.saOff(int(lo)):flat.saOff(int(lo)+1)], nodes[flat.saOff(int(hi)-1):])
+		"two equal suffixes": func(s flatSections) {
+			copy(s.leaf(lo), s.leaf(hi-1))
 		},
-		"a leaf range past the suffix array": func(nodes, _ []byte) {
-			binary.LittleEndian.PutUint32(nodes[int(gap)*flatNodeSize:], uint32(flat.nLeaves)-1)
+		"a leaf range past the suffix array": func(s flatSections) {
+			binary.LittleEndian.PutUint32(s[0][int(gap)*flatNodeSize:], uint32(flat.nLeaves)-1)
 		},
-		"an unsorted range under a node": func(nodes, _ []byte) {
-			a, b := nodes[flat.saOff(int(lo)):flat.saOff(int(lo)+1)], nodes[flat.saOff(int(hi)-1):flat.saOff(int(hi))]
+		"an unsorted range under a node": func(s flatSections) {
+			a, b := s.leaf(lo), s.leaf(hi-1)
 			var tmp [flatLeafSize]byte
 			copy(tmp[:], a)
 			copy(a, b)
 			copy(b, tmp[:])
 		},
-		"a child at its parent's depth": func(nodes, _ []byte) {
-			setDepth(nodes, kid, uint32(flat.depthOf(flat.rec(run))))
+		"a child at its parent's depth": func(s flatSections) {
+			setDepth(s[0], kid, uint32(flat.depthOf(flat.rec(run))))
 		},
-		"a child above its parent's depth": func(nodes, _ []byte) {
-			setDepth(nodes, kid, uint32(flat.depthOf(flat.rec(run)))-1)
+		"a child above its parent's depth": func(s flatSections) {
+			setDepth(s[0], kid, uint32(flat.depthOf(flat.rec(run)))-1)
 		},
-		"a depth that runs the first suffix past S": func(nodes, _ []byte) {
-			setDepth(nodes, gap, uint32(len(term)))
+		"a depth that runs the first suffix past S": func(s flatSections) {
+			setDepth(s[0], gap, uint32(len(term)))
 		},
-		"a first symbol that is not the child's": func(_, sym []byte) {
-			sym[kid]++
+		"a first symbol that is not the child's": func(s flatSections) {
+			s[1][kid]++
 		},
-		"a count where childStart is unused": func(_, sym []byte) {
-			sym[int(flat.nInt)+int(childless)] = 1
+		"a count where childStart is unused": func(s flatSections) {
+			s[1][int(flat.nInt)+int(childless)] = 1
 		},
-		"a count byte whose run reaches past the internal ids": func(_, sym []byte) {
-			sym[int(flat.nInt)+int(run)] = 0xff
+		"a count byte whose run reaches past the internal ids": func(s flatSections) {
+			s[1][int(flat.nInt)+int(run)] = 0xff
 		},
-		"a symbol on the root": func(_, sym []byte) {
-			sym[0] = 'a'
+		"a symbol on the root": func(s flatSections) {
+			s[1][0] = 'a'
 		},
 	}
 	for what, mutate := range seams {
-		nodes, sym := append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...)
-		mutate(nodes, sym)
-		check(what, nodes, sym)
+		s := flat.sections()
+		mutate(s)
+		check(what, s)
 	}
 
-	// The internal-node count is half the length of the symbol section and
-	// the leaf count what the node section holds past those records; a node
-	// section that does not hold exactly that, or a symbol section of odd
-	// length, is a shape error, not something to clamp, and so are child
-	// tables or leaf blocks.
+	// The internal-node count is half the length of the symbol section; a
+	// node section that does not hold exactly that many records, a leaf
+	// section that does not hold exactly the leaf count's suffixes, or a
+	// symbol section of odd length is a shape error, not something to clamp,
+	// and so are child tables or a leaf index.
 	for _, d := range []int32{-1, 1} {
-		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, nil, nil, flat.nLeaves+d); err == nil {
-			t.Errorf("NewFlatTree accepted %d leaves for a section of %d", flat.nLeaves+d, flat.nLeaves)
+		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, nil, flat.sa, flat.nLeaves+d); err == nil {
+			t.Errorf("NewFlatTree accepted %d leaves for a leaf section of %d", flat.nLeaves+d, flat.nLeaves)
 		}
 	}
-	if _, err := NewFlatTree(term, flat.nodes[:len(flat.nodes)-flatLeafSize], flat.sym, nil, nil, nil, flat.nLeaves); err == nil {
-		t.Error("NewFlatTree accepted a node section one leaf short")
+	if _, err := NewFlatTree(term, flat.nodes[:len(flat.nodes)-flatNodeSize], flat.sym, nil, nil, flat.sa, flat.nLeaves); err == nil {
+		t.Error("NewFlatTree accepted a node section one record short")
 	}
-	if _, err := NewFlatTree(term, flat.nodes, append(flat.sym[:len(flat.sym):len(flat.sym)], 0), nil, nil, nil, flat.nLeaves); err == nil {
+	for _, sa := range [][]byte{flat.sa[:len(flat.sa)-flatLeafSize], append(bytes.Clone(flat.sa), 0, 0, 0, 0), append(bytes.Clone(flat.sa), 0), nil} {
+		if _, err := NewFlatTree(term, flat.nodes, flat.sym, nil, nil, sa, flat.nLeaves); err == nil {
+			t.Errorf("NewFlatTree accepted a %d-byte leaf section for %d leaves", len(sa), flat.nLeaves)
+		}
+	}
+	if _, err := NewFlatTree(term, flat.nodes, append(flat.sym[:len(flat.sym):len(flat.sym)], 0), nil, nil, flat.sa, flat.nLeaves); err == nil {
 		t.Error("NewFlatTree accepted a symbol section of odd length")
 	}
-	for i, extra := range [3][]byte{make([]byte, 256), {0}, {0}} {
-		secs := [3][]byte{}
-		secs[i] = extra
-		if _, err := NewFlatTree(term, flat.nodes, flat.sym, secs[0], secs[1], secs[2], flat.nLeaves); err == nil {
-			t.Errorf("NewFlatTree accepted a dense, leafIdx or leafData section (%d); the layout has none", i)
+	for i, extra := range [2][]byte{make([]byte, 256), {0}} {
+		tables := [2][]byte{}
+		tables[i] = extra
+		if _, err := NewFlatTree(term, flat.nodes, flat.sym, tables[0], tables[1], flat.sa, flat.nLeaves); err == nil {
+			t.Errorf("NewFlatTree accepted a dense or leafIdx section (%d); the layout has neither", i)
 		}
 	}
 }
 
 // FuzzFlatTreeSections mutates the sections of a small valid tree — 9-byte
-// patches of (section, offset, value), plus a skew of the leaf count that
-// decides where the internal records end and one of the symbol section's
+// patches of (section, offset, value), where the sections are the records,
+// the symbols, the leaves, and the dense and leafIdx tables the layout leaves
+// empty (a patch there gives them bytes), plus a skew of the leaf count that
+// the leaf section's length must match and one of the symbol section's
 // length, which decides where the child counts start — and requires the
 // reader to refuse the shape or answer every query without panicking, within
 // the step bounds exerciseCorrupt checks.
@@ -475,7 +495,8 @@ func FuzzFlatTreeSections(f *testing.F) {
 		return patch(1, int(flat.nInt+u), binary.LittleEndian.Uint32(w[:]))
 	}
 	nInt := uint32(flat.nInt)
-	suffix := func(r int32) uint32 { return binary.LittleEndian.Uint32(flat.nodes[flat.saOff(int(r)):]) }
+	suffix := func(r int32) uint32 { return binary.LittleEndian.Uint32(flat.sa[int(r)*flatLeafSize:]) }
+	saOff := func(r int32) int { return int(r) * flatLeafSize }
 	run, gap := flat.seamNodes(f)
 	lo, hi := flat.ranks(flat.rec(gap))
 	kid, _ := flat.kids(flat.rec(run), run)
@@ -487,22 +508,26 @@ func FuzzFlatTreeSections(f *testing.F) {
 	// suffix past S (and one that is negative as an int32), two equal
 	// suffixes, a leaf range past the suffix array, a range whose suffixes
 	// are out of order under their node, leaf counts that disagree with the
-	// section length, and symbol sections of odd length.
+	// leaf section's length, symbol sections of odd length, and a dense or
+	// leafIdx table with bytes in it.
 	f.Add(append(patch(0, 12, nInt-1), count(0, 4)...), int8(0), int8(0))
 	f.Add(count(run, 0xff), int8(0), int8(0))
 	f.Add(patch(0, int(kid)*flatNodeSize+8, runDepth), int8(0), int8(0))
 	f.Add(patch(0, int(kid)*flatNodeSize+8, runDepth-1), int8(0), int8(0))
 	f.Add(patch(0, flatNodeSize+8, 0x7fffffff), int8(0), int8(0))
 	f.Add(patch(0, int(gap)*flatNodeSize+8, uint32(len(term))), int8(0), int8(0))
-	f.Add(patch(0, flat.saOff(0), uint32(len(term))+7), int8(0), int8(0))
-	f.Add(patch(0, flat.saOff(int(lo)), 0xffffffff), int8(0), int8(0))
-	f.Add(patch(0, flat.saOff(int(lo)), suffix(hi-1)), int8(0), int8(0))
+	f.Add(patch(2, saOff(0), uint32(len(term))+7), int8(0), int8(0))
+	f.Add(patch(2, saOff(lo), 0xffffffff), int8(0), int8(0))
+	f.Add(patch(2, saOff(lo), suffix(hi-1)), int8(0), int8(0))
 	f.Add(patch(0, int(gap)*flatNodeSize, uint32(flat.nLeaves)-1), int8(0), int8(0))
-	f.Add(append(patch(0, flat.saOff(int(lo)), suffix(hi-1)), patch(0, flat.saOff(int(hi)-1), suffix(lo))...), int8(0), int8(0))
+	f.Add(append(patch(2, saOff(lo), suffix(hi-1)), patch(2, saOff(hi-1), suffix(lo))...), int8(0), int8(0))
 	f.Add([]byte(nil), int8(1), int8(0))
+	f.Add([]byte(nil), int8(-1), int8(0))
 	f.Add([]byte(nil), int8(-4), int8(0))
 	f.Add([]byte(nil), int8(0), int8(1))
 	f.Add([]byte(nil), int8(0), int8(-1))
+	f.Add(patch(3, 0, 0), int8(0), int8(0))
+	f.Add(patch(4, 0, 0), int8(0), int8(0))
 	// What ValidateView's run check refuses and the reader has to survive: a
 	// node that is its own first internal child (the cycle the cs <= u clamp
 	// exists for), a run two parents claim, and an internal id the root's run
@@ -512,13 +537,14 @@ func FuzzFlatTreeSections(f *testing.F) {
 	f.Add(patch(0, int(run)*flatNodeSize+12, binary.LittleEndian.Uint32(root[12:])), int8(0), int8(0))
 	f.Add(append(patch(0, 12, binary.LittleEndian.Uint32(root[12:])+1), count(0, flat.counts[0]-1)...), int8(0), int8(0))
 	f.Fuzz(func(t *testing.T, patches []byte, leafSkew, symSkew int8) {
-		secs := [2][]byte{append([]byte(nil), flat.nodes...), append([]byte(nil), flat.sym...)}
+		s := flat.sections()
+		secs := [5][]byte{s[0], s[1], s[2], nil, nil}
 		for ; len(patches) >= 9; patches = patches[9:] {
-			sec := secs[int(patches[0])%len(secs)]
-			var v [4]byte
-			copy(v[:], patches[5:9])
-			if off := int(binary.LittleEndian.Uint32(patches[1:5])); len(sec) > 0 {
-				copy(sec[off%len(sec):], v[:])
+			i := int(patches[0]) % len(secs)
+			if off := int(binary.LittleEndian.Uint32(patches[1:5])); len(secs[i]) > 0 {
+				copy(secs[i][off%len(secs[i]):], patches[5:9])
+			} else {
+				secs[i] = append(secs[i], patches[5:9]...)
 			}
 		}
 		if symSkew < 0 {
@@ -526,7 +552,7 @@ func FuzzFlatTreeSections(f *testing.F) {
 		} else {
 			secs[1] = append(secs[1], make([]byte, symSkew)...)
 		}
-		ft, err := NewFlatTree(term, secs[0], secs[1], nil, nil, nil, flat.nLeaves+int32(leafSkew))
+		ft, err := NewFlatTree(term, secs[0], secs[1], secs[3], secs[4], secs[2], flat.nLeaves+int32(leafSkew))
 		if err != nil {
 			return
 		}

@@ -7,38 +7,37 @@ import (
 )
 
 // FlatBuilder assembles the flat (format v4) sections directly from a sorted
-// suffix stream — the suffix array of S with its LCPs, or ERA's sub-trees in
-// label order, whose occurrence lists concatenate to it — with no
-// intermediate heap Tree: one rightmost-path stack pass over the stream
-// builds the suffix tree, the classic sorted-suffix construction (ERA's
-// BuildSubTree, §4.2.2). The stream may be a contiguous range of the suffix
-// order rather than all of it; the tree then holds exactly those suffixes
-// (AssembleShards).
+// suffix stream — a suffix array with its LCPs: of all of S, or of one
+// contiguous range of the suffix order, whose tree then holds exactly those
+// suffixes (AssembleShards) — with no intermediate heap Tree: one
+// rightmost-path stack pass over the stream builds the suffix tree, the
+// classic sorted-suffix construction (ERA's BuildSubTree, §4.2.2).
 //
-// Every record is written once, into the image's own sections. A leaf is its
-// suffix array entry, written at its rank as it arrives. An internal node is
-// final when the rightmost path leaves it, but where it goes is its parent's
-// decision — siblings must be contiguous — so it waits on the pending stack
-// until the parent completes, which then writes all its internal children as
-// one run. The records fill from the back: a parent completes after its
-// children, so it lands in front of them, and every child run lies strictly
-// after its parent — the order the reader's descent relies on to terminate.
-// Ids are therefore handed out in reverse completion order, counted from the
-// end of the records while the stream runs (their used length is not known
-// until it ends); Finish turns those into ids in one pass. Besides the
-// sections the builder holds only the open rightmost path and the finished
-// internal children of its nodes.
+// The suffix array is the leaf section: leaf nInt + r is the r-th suffix. The
+// builder takes the array it is handed as that section instead of copying it
+// (a view of its memory where the host is little-endian), so the stream only
+// checks each suffix. Every other record is written once, into the image's
+// own sections. An internal node is final when the rightmost path leaves it,
+// but where it goes is its parent's decision — siblings must be contiguous —
+// so it waits on the pending stack until the parent completes, which then
+// writes all its internal children as one run. The records fill from the
+// back: a parent completes after its children, so it lands in front of them,
+// and every child run lies strictly after its parent — the order the reader's
+// descent relies on to terminate. Ids are therefore handed out in reverse
+// completion order, counted from the end of the records while the stream runs
+// (their used length is not known until it ends); Finish turns those into ids
+// in one pass. Besides the sections the builder holds only the open rightmost
+// path and the finished internal children of its nodes.
 type FlatBuilder struct {
-	data   []byte
-	n      int32 // len(data)
-	leaves int32 // the suffixes the tree holds: n, or a range's worth
+	data []byte
+	n    int32   // len(data)
+	sa   []int32 // the suffixes the tree holds, in order: all n, or a range's worth
 
 	frames []fbFrame
 
 	// nodes and sym are the image's sections: room for intCap internal
-	// records with the suffix array behind them, and intCap first symbols
-	// followed by intCap child counts. The last nInt record, symbol and count
-	// slots are written, and the first nLeaves suffixes.
+	// records, and intCap first symbols followed by intCap child counts. The
+	// last nInt record, symbol and count slots are written.
 	nodes  []byte
 	sym    []byte
 	intCap int32
@@ -86,15 +85,17 @@ func (b *FlatBuilder) put(n *fbRec, i int, sym byte) {
 }
 
 // NewFlatBuilder starts a direct flat build over data (the terminated
-// string S) of a tree holding leaves of its suffixes — all len(data) of them,
-// or one range of the suffix order. internal is an upper bound on the
-// internal nodes below the root (AssembleShards counts them exactly), so the
-// image's node and symbol sections are allocated here, once, and Finish hands
-// out those same arrays. (A stream that exceeds the bound still builds; it
-// only reallocates.) A tree whose ids would not fit the layout's 31 bits is
-// refused before anything is allocated.
-func NewFlatBuilder(data []byte, leaves, internal int) (*FlatBuilder, error) {
-	n := len(data)
+// string S) of a tree whose leaves are the suffixes sa — all len(data) of
+// them, or one range of the suffix order — in lexicographic order. sa becomes
+// the tree's leaf section as it is, so the caller hands over an array it
+// owns: the image reads it for as long as it lives. internal is an upper
+// bound on the internal nodes below the root (AssembleShards counts them
+// exactly), so the image's node and symbol sections are allocated here, once,
+// and Finish hands out those same arrays. (A stream that exceeds the bound
+// still builds; it only reallocates.) A tree whose ids would not fit the
+// layout's 31 bits is refused before anything is allocated.
+func NewFlatBuilder(data []byte, sa []int32, internal int) (*FlatBuilder, error) {
+	n, leaves := len(data), len(sa)
 	if leaves < 1 || leaves > n {
 		return nil, fmt.Errorf("suffixtree: a tree of %d leaves over a %d-byte string", leaves, n)
 	}
@@ -105,25 +106,39 @@ func NewFlatBuilder(data []byte, leaves, internal int) (*FlatBuilder, error) {
 	return &FlatBuilder{
 		data:   data,
 		n:      int32(n),
-		leaves: int32(leaves),
-		nodes:  make([]byte, FlatNodesLen(int64(intCap), int64(leaves))),
+		sa:     sa,
+		nodes:  make([]byte, FlatNodesLen(int64(intCap))),
 		sym:    make([]byte, FlatSymLen(int64(intCap))),
 		intCap: int32(intCap),
 	}, nil
 }
 
-// AddRun streams the tree's next suffixes, in lexicographic order: lcp[i] is
-// the longest common prefix of suffixes[i] and the suffix streamed before it
-// (for i = 0, the last one an earlier AddRun streamed). The tree's first
-// suffix hangs off the root whatever its lcp says — the suffix before it in
-// the order, if any, belongs to another range.
-func (b *FlatBuilder) AddRun(suffixes, lcp []int32) error {
-	if len(lcp) != len(suffixes) {
-		return fmt.Errorf("suffixtree: flat build: %d suffixes but %d lcp entries", len(suffixes), len(lcp))
+// leafSection returns the suffix array sa as the leaf section: a view of its
+// own memory where the host's byte order is the layout's, else an encoded
+// copy.
+func leafSection(sa []int32) []byte {
+	if v := leafView(sa); v != nil {
+		return v
 	}
-	for i, suf := range suffixes {
+	b := make([]byte, flatLeafSize*len(sa))
+	for i, s := range sa {
+		binary.LittleEndian.PutUint32(b[i*flatLeafSize:], uint32(s))
+	}
+	return b
+}
+
+// Stream runs the tree's suffixes — the array NewFlatBuilder was handed —
+// through the builder, once: lcp[i] is the longest common prefix of sa[i]
+// and sa[i-1]. lcp[0] is not read: the tree's first suffix hangs off the
+// root, and the suffix before it in the order, if any, belongs to another
+// range.
+func (b *FlatBuilder) Stream(lcp []int32) error {
+	if len(lcp) != len(b.sa) {
+		return fmt.Errorf("suffixtree: flat build: %d suffixes but %d lcp entries", len(b.sa), len(lcp))
+	}
+	for i, suf := range b.sa {
 		off := lcp[i]
-		if b.nLeaves == 0 {
+		if i == 0 {
 			off = 0
 		}
 		if err := b.add(suf, off); err != nil {
@@ -141,9 +156,6 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 	}
 	if offset >= b.n-suf {
 		return fmt.Errorf("suffixtree: lcp %d ≥ suffix length %d (suffixes not distinct?)", offset, b.n-suf)
-	}
-	if b.nLeaves == b.leaves {
-		return fmt.Errorf("suffixtree: more than the %d suffixes the tree was sized for (suffixes not distinct?)", b.leaves)
 	}
 	for len(b.frames) > 0 && b.frames[len(b.frames)-1].botDepth > offset {
 		f := b.frames[len(b.frames)-1]
@@ -181,8 +193,7 @@ func (b *FlatBuilder) add(suf, offset int32) error {
 	} else if offset != 0 {
 		return fmt.Errorf("suffixtree: lcp %d underruns the rightmost path", offset)
 	}
-	// The leaf's one field, at its rank: the suffix array is stream order.
-	binary.LittleEndian.PutUint32(b.nodes[int(b.intCap)*flatNodeSize+int(b.nLeaves)*flatLeafSize:], uint32(suf))
+	// The leaf is its entry of the suffix array, already in place.
 	b.nLeaves++
 	b.frames = append(b.frames, fbFrame{
 		start: suf + offset, botDepth: b.n - suf,
@@ -244,16 +255,15 @@ func (b *FlatBuilder) reserve(k int32) error {
 	if need <= int64(b.intCap) {
 		return nil
 	}
-	limit := math.MaxInt32 - int64(b.leaves)
+	limit := math.MaxInt32 - int64(len(b.sa))
 	if need > limit {
-		return fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", need+int64(b.leaves))
+		return fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", need+int64(len(b.sa)))
 	}
 	grown := min(max(2*int64(b.intCap), need), limit)
-	nodes := make([]byte, FlatNodesLen(grown, int64(b.leaves)))
+	nodes := make([]byte, FlatNodesLen(grown))
 	sym := make([]byte, FlatSymLen(grown))
-	// The written records and the suffix array behind them are one window of
-	// the node section; the written symbols and counts end their halves of
-	// the symbol section.
+	// The written records end the node section; the written symbols and
+	// counts end their halves of the symbol section.
 	used, to := int(b.intCap-b.nInt), int(grown)-int(b.nInt)
 	copy(nodes[to*flatNodeSize:], b.nodes[used*flatNodeSize:])
 	copy(sym[to:], b.sym[used:b.intCap])
@@ -278,8 +288,8 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 			return nil, err
 		}
 	}
-	if b.nLeaves != b.leaves {
-		return nil, fmt.Errorf("suffixtree: flat build found %d of the %d leaves it was sized for", b.nLeaves, b.leaves)
+	if int(b.nLeaves) != len(b.sa) {
+		return nil, fmt.Errorf("suffixtree: flat build streamed %d of its %d leaves", b.nLeaves, len(b.sa))
 	}
 	root := fbRec{leafCount: b.nLeaves}
 	if err := b.writeKids(&root, b.pending); err != nil {
@@ -296,10 +306,11 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	}
 
 	f := &Flat{
-		Nodes:   b.nodes[gap*flatNodeSize:],
-		Sym:     b.sym[gap : int(b.intCap)+nInt],
-		NNodes:  b.nInt + b.leaves,
-		NLeaves: b.leaves,
+		Nodes:    b.nodes[gap*flatNodeSize:],
+		Sym:      b.sym[gap : int(b.intCap)+nInt],
+		LeafData: leafSection(b.sa),
+		NNodes:   b.nInt + b.nLeaves,
+		NLeaves:  b.nLeaves,
 	}
 	counts := f.Sym[nInt:]
 	for u, r := 0, f.Nodes; u < nInt; u, r = u+1, r[flatNodeSize:] {
@@ -313,38 +324,33 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 // Flatten encodes any tree view over data into the flat sections — how the
 // tests put a reference heap tree beside the layout that serves: the heap tree
 // a builder produced (or another FlatTree) is read back as the sorted suffix
-// stream it spells, one pre-order walk, and fed to the same FlatBuilder the direct
-// builds use. The image is therefore a function of the string and the tree's
-// leaf order and branching depths alone; edge windows come out canonical
-// whichever way the source tree based them. The tree must be complete: one
-// leaf per suffix of data.
+// stream it spells, one pre-order walk into a suffix array and its LCPs, and
+// assembled as the direct builds are (AssembleShards). The image is therefore
+// a function of the string and the tree's leaf order and branching depths
+// alone; edge windows come out canonical whichever way the source tree based
+// them. The tree must be complete: one leaf per suffix of data.
 func Flatten(v View, data []byte) (*Flat, error) {
 	if v.NumNodes() < 1 {
 		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
 	}
-	b, err := NewFlatBuilder(data, len(data), max(v.NumNodes()-1-len(data), 0))
-	if err != nil {
-		return nil, err
-	}
+	sa, lcps := make([]int32, 0, len(data)), make([]int32, 0, len(data))
 	// The first node the walk reaches after a leaf hangs off the lowest
 	// common ancestor of that leaf and the next: its parent's depth is their
 	// LCP.
 	afterLeaf, lcp := true, int32(0)
 	Walk(v, v.Root(), func(id, _, parentDepth int32) bool {
-		if err != nil {
-			return false
-		}
 		if afterLeaf {
 			afterLeaf, lcp = false, parentDepth
 		}
 		if v.IsLeaf(id) {
-			err = b.add(v.Suffix(id), lcp)
+			sa, lcps = append(sa, v.Suffix(id)), append(lcps, lcp)
 			afterLeaf = true
 		}
 		return true
 	})
+	shards, err := AssembleShards(data, sa, lcps, 1)
 	if err != nil {
 		return nil, fmt.Errorf("suffixtree: flatten: %w", err)
 	}
-	return b.Finish()
+	return shards[0].Flat, nil
 }

@@ -2,6 +2,7 @@ package suffixtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -94,53 +95,22 @@ func TestFindSym(t *testing.T) {
 	}
 }
 
-// newBuilder is NewFlatBuilder of a whole tree for bounds that are known to
-// fit the layout.
-func newBuilder(t testing.TB, term []byte, internal int) *FlatBuilder {
+// newBuilder is NewFlatBuilder of a tree over sa for bounds that are known
+// to fit the layout.
+func newBuilder(t testing.TB, term []byte, sa []int32, internal int) *FlatBuilder {
 	t.Helper()
-	fb, err := NewFlatBuilder(term, len(term), internal)
+	fb, err := NewFlatBuilder(term, sa, internal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fb
 }
 
-// sortedRuns splits the terminated string's sorted suffix stream the way
-// ERA's sub-trees split it: symbols occurring once get a run of their own,
-// the rest one run per 2-symbol prefix — so runs join at LCP 1 as well as at
-// LCP 0, and a run's first LCP is the one across the join.
-func sortedRuns(term []byte) []SortedRun {
-	sa := make([]int32, len(term))
-	for i := range sa {
-		sa[i] = int32(i)
-	}
-	sort.Slice(sa, func(a, b int) bool { return bytes.Compare(term[sa[a]:], term[sa[b]:]) < 0 })
-	prefix := func(i int) []byte {
-		o := sa[i]
-		if (i > 0 && term[sa[i-1]] == term[o]) || (i+1 < len(sa) && term[sa[i+1]] == term[o]) {
-			return term[o : o+2]
-		}
-		return term[o : o+1]
-	}
-	var runs []SortedRun
-	for i := range sa {
-		lcp := int32(0)
-		if i > 0 {
-			lcp = int32(commonPrefixLenGeneric(term[sa[i-1]:], term[sa[i]:]))
-		}
-		if i == 0 || !bytes.Equal(prefix(i), prefix(i-1)) {
-			runs = append(runs, SortedRun{})
-		}
-		r := &runs[len(runs)-1]
-		r.Suffixes, r.LCP = append(r.Suffixes, sa[i]), append(r.LCP, lcp)
-	}
-	return runs
-}
-
 // TestFlatBuilderDifferential is the byte-identity pin at the section level:
-// streaming the sorted runs through FlatBuilder — one AddRun each, and
-// AssembleShards into one whole tree — must emit exactly the bytes Flatten
-// produces from the heap tree over the same string.
+// streaming the suffix array and its LCPs through a FlatBuilder sized
+// loosely, and through AssembleShards into one whole tree, must emit exactly
+// the bytes Flatten produces from the heap tree over the same string — the
+// leaf section included, which is the suffix array each was handed.
 func TestFlatBuilderDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	corpora := append([][]byte(nil), flatCorpora...)
@@ -165,18 +135,16 @@ func TestFlatBuilderDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs := sortedRuns(term)
-		fb := newBuilder(t, term, len(term))
-		for _, r := range runs {
-			if err := fb.AddRun(r.Suffixes, r.LCP); err != nil {
-				t.Fatalf("corpus %d: AddRun: %v", ci, err)
-			}
+		sa, lcp := sortedStream(term, len(term))
+		fb := newBuilder(t, term, sa, len(term))
+		if err := fb.Stream(lcp); err != nil {
+			t.Fatalf("corpus %d: Stream: %v", ci, err)
 		}
 		streamed, err := fb.Finish()
 		if err != nil {
 			t.Fatalf("corpus %d: Finish: %v", ci, err)
 		}
-		whole, err := AssembleShards(term, runs, 1)
+		whole, err := AssembleShards(term, sa, lcp, 1)
 		if err != nil {
 			t.Fatalf("corpus %d: AssembleShards: %v", ci, err)
 		}
@@ -193,6 +161,7 @@ func TestFlatBuilderDifferential(t *testing.T) {
 			}{
 				{"nodes", got.Nodes, want.Nodes},
 				{"sym", got.Sym, want.Sym},
+				{"leaves", got.LeafData, want.LeafData},
 			} {
 				if !bytes.Equal(s.got, s.want) {
 					t.Fatalf("corpus %d, %s: section %s differs (%d vs %d bytes)", ci, name, s.name, len(s.got), len(s.want))
@@ -202,28 +171,27 @@ func TestFlatBuilderDifferential(t *testing.T) {
 	}
 }
 
-// TestFlatBuilderSingleSubTree covers the degenerate stream: every suffix in
-// a run of its own (all first symbols distinct), each a one-suffix AddRun.
+// TestFlatBuilderSingleSubTree covers the degenerate stream: every suffix
+// branches off the root (all first symbols distinct, every LCP 0), so the
+// tree is the root and its leaves.
 func TestFlatBuilderSingleSubTree(t *testing.T) {
 	term := append([]byte("zyxw"), alphabet.Terminator)
-	fb := newBuilder(t, term, len(term))
-	runs := sortedRuns(term)
-	if len(runs) != 5 {
-		t.Fatalf("expected 5 singleton runs, got %d", len(runs))
+	sa, lcp := sortedStream(term, len(term))
+	if slices.Max(lcp) != 0 {
+		t.Fatalf("LCPs %v, want all 0", lcp)
 	}
-	for _, r := range runs {
-		if len(r.Suffixes) != 1 {
-			t.Fatalf("run %v has %d suffixes, want 1", r.Suffixes, len(r.Suffixes))
-		}
-		if err := fb.AddRun(r.Suffixes, r.LCP); err != nil {
-			t.Fatal(err)
-		}
+	fb := newBuilder(t, term, sa, 0)
+	if err := fb.Stream(lcp); err != nil {
+		t.Fatal(err)
 	}
 	got, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFlatTree(term, got.Nodes, got.Sym, nil, nil, nil, got.NLeaves)
+	if got.NNodes != int32(len(term))+1 {
+		t.Fatalf("%d nodes, want the root and %d leaves", got.NNodes, len(term))
+	}
+	ft, err := NewFlatTree(term, got.Nodes, got.Sym, nil, nil, got.LeafData, got.NLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,45 +206,43 @@ func TestFlatBuilderSingleSubTree(t *testing.T) {
 }
 
 // TestFlatBuilderErrors pins the malformed-input diagnostics: mismatched
-// LCPs, duplicate or out-of-range suffixes, more suffixes than the tree was
-// sized for, an LCP the rightmost path cannot hold, and a stream that ends
-// short must all error — never emit a silently wrong image.
+// LCPs, duplicate or out-of-range suffixes, an LCP the rightmost path cannot
+// hold, and a Finish after a stream that failed or a second stream must all
+// error — never emit a silently wrong image.
 func TestFlatBuilderErrors(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
-	fresh := func() *FlatBuilder { return newBuilder(t, term, len(term)) }
+	fresh := func(sa ...int32) *FlatBuilder { return newBuilder(t, term, sa, len(term)) }
 
-	if _, err := fresh().Finish(); err == nil {
+	if _, err := fresh(4, 2, 0, 3, 1).Finish(); err == nil {
 		t.Error("Finish on an empty stream succeeded")
 	}
-	if err := fresh().AddRun([]int32{0, 2}, []int32{0}); err == nil {
+	if err := fresh(0, 2).Stream([]int32{0}); err == nil {
 		t.Error("lcp length mismatch accepted")
 	}
-	if err := fresh().AddRun([]int32{0, 0}, []int32{0, 5}); err == nil {
+	if err := fresh(0, 0).Stream([]int32{0, 5}); err == nil {
 		t.Error("duplicate suffix accepted")
 	}
-	if err := fresh().AddRun([]int32{9}, []int32{0}); err == nil {
+	if err := fresh(9).Stream([]int32{0}); err == nil {
 		t.Error("out-of-range suffix accepted")
 	}
 	// "abab"+terminator in order: 4 "$", 2 "ab$", 0 "abab$", 3 "b$", 1 "bab$".
-	if err := fresh().AddRun([]int32{4, 2, 0}, []int32{0, 0, 3}); err == nil {
+	b := fresh(4, 2, 0, 3, 1)
+	if err := b.Stream([]int32{0, 0, 3, 0, 1}); err == nil {
 		t.Error("an lcp past the rightmost path accepted")
 	}
-	b := fresh()
-	if err := b.AddRun([]int32{4, 2, 0}, []int32{0, 0, 2}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := b.Finish(); err == nil {
-		t.Error("Finish with 3 of 5 suffixes succeeded")
+		t.Error("Finish after a failed stream succeeded")
 	}
-	part, err := NewFlatBuilder(term, 2, 1)
-	if err != nil {
+	b = fresh(4, 2, 0, 3, 1)
+	if err := b.Stream([]int32{0, 0, 2, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.AddRun([]int32{2, 0, 3}, []int32{0, 2, 0}); err == nil {
-		t.Error("a third suffix accepted by a tree sized for two")
+	_ = b.Stream([]int32{0, 0, 2, 0, 1})
+	if _, err := b.Finish(); err == nil {
+		t.Error("Finish after a second stream succeeded")
 	}
 	for _, leaves := range []int{0, len(term) + 1} {
-		if _, err := NewFlatBuilder(term, leaves, 1); err == nil {
+		if _, err := NewFlatBuilder(term, make([]int32, leaves), 1); err == nil {
 			t.Errorf("NewFlatBuilder accepted a tree of %d leaves over %d bytes", leaves, len(term))
 		}
 	}
@@ -284,9 +250,11 @@ func TestFlatBuilderErrors(t *testing.T) {
 
 // TestFlatBuilderTablesNeverGrow pins the sizing contract of NewFlatBuilder:
 // given the exact internal-node count (what AssembleShards counts from the
-// LCPs), the sections Finish hands out are the arrays the constructor
-// allocated; the pending stack stays a few node fan-outs deep per level of the
-// open path; and Finish itself allocates nothing that scales with the tree.
+// LCPs), the node and symbol sections Finish hands out are the arrays the
+// constructor allocated, and the leaf section is the suffix array it was
+// handed — its memory, where the host allows a view, else its bytes; the
+// pending stack stays a few node fan-outs deep per level of the open path;
+// and Finish itself allocates nothing that scales with the tree.
 func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, syms := range []string{"ab", "ACGT", "abcdefghijklmnopqrstuvwxyz"} {
@@ -295,24 +263,22 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 			data[i] = syms[rng.Intn(len(syms))]
 		}
 		term := append(data, alphabet.Terminator)
-		runs := sortedRuns(term)
+		sa, lcp := sortedStream(term, len(term))
 		stream := func(fb *FlatBuilder) {
-			for _, r := range runs {
-				if err := fb.AddRun(r.Suffixes, r.LCP); err != nil {
-					t.Fatal(err)
-				}
+			if err := fb.Stream(lcp); err != nil {
+				t.Fatal(err)
 			}
 		}
 
 		// Sized for no internal node at all, a first stream takes the regrowth
 		// path the whole way, and tells the count.
-		under := newBuilder(t, term, 0)
+		under := newBuilder(t, term, sa, 0)
 		stream(under)
 		want, err := under.Finish()
 		if err != nil {
 			t.Fatalf("%q: under-sized build: %v", syms, err)
 		}
-		ft, err := NewFlatTree(term, want.Nodes, want.Sym, nil, nil, nil, want.NLeaves)
+		ft, err := NewFlatTree(term, want.Nodes, want.Sym, nil, nil, want.LeafData, want.NLeaves)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +293,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		var ends [runCount + 1][2]*byte
 		last := func(b []byte) *byte { return &b[:cap(b)][cap(b)-1] }
 		for i := range builders {
-			fb := newBuilder(t, term, internal)
+			fb := newBuilder(t, term, sa, internal)
 			ends[i] = [2]*byte{last(fb.nodes), last(fb.sym)}
 			stream(fb)
 			// The open path is as deep as the stream ever made it; a level
@@ -349,7 +315,17 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 			t.Errorf("%q: Finish allocated %.0f objects", syms, perFinish)
 		}
 		if got := [2]*byte{last(fl.Nodes), last(fl.Sym)}; got != ends[runCount] {
-			t.Errorf("%q: Finish handed out sections that are not the arrays NewFlatBuilder allocated", syms)
+			t.Errorf("%q: Finish handed out node and symbol sections that are not the arrays NewFlatBuilder allocated", syms)
+		}
+		if view := leafView(sa); view != nil && &fl.LeafData[0] != &view[0] {
+			t.Errorf("%q: the leaf section is not the suffix array the builder was handed", syms)
+		}
+		enc := make([]byte, 0, flatLeafSize*len(sa))
+		for _, suf := range sa {
+			enc = binary.LittleEndian.AppendUint32(enc, uint32(suf))
+		}
+		if !bytes.Equal(fl.LeafData, enc) {
+			t.Errorf("%q: the leaf section does not spell the suffix array", syms)
 		}
 		if len(fl.Nodes) != cap(fl.Nodes) || len(fl.Sym) != cap(fl.Sym) {
 			t.Errorf("%q: an exact count left %d node and %d symbol bytes unused", syms, cap(fl.Nodes)-len(fl.Nodes), cap(fl.Sym)-len(fl.Sym))
@@ -357,8 +333,8 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 		if !bytes.Equal(fl.Nodes, want.Nodes) || !bytes.Equal(fl.Sym, want.Sym) {
 			t.Errorf("%q: the under-sized build's sections differ from the sized build's", syms)
 		}
-		if n := cap(fl.Dense) + cap(fl.LeafIdx) + cap(fl.LeafData); n != 0 {
-			t.Errorf("%q: %d bytes of dense tables or leaf blocks allocated; the layout has none", syms, n)
+		if n := cap(fl.Dense) + cap(fl.LeafIdx); n != 0 {
+			t.Errorf("%q: %d bytes of dense tables or a leaf index allocated; the layout has neither", syms, n)
 		}
 	}
 }
@@ -370,7 +346,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 func TestFlatBuilderRefusesOversizedTree(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
 	for _, internal := range []int{math.MaxInt32 - len(term), math.MaxInt32, math.MaxInt64 - 1, -1} {
-		if _, err := NewFlatBuilder(term, len(term), internal); err == nil {
+		if _, err := NewFlatBuilder(term, make([]int32, len(term)), internal); err == nil {
 			t.Errorf("NewFlatBuilder accepted a bound of %d internal nodes over %d bytes", internal, len(term))
 		}
 	}
@@ -406,15 +382,15 @@ func TestFlatBuilderWideRuns(t *testing.T) {
 	slices.Reverse(down)
 	term := append(append(bytes.Clone(up), down...), 0)
 	sa, lcp := sortedStream(term, len(term))
-	fb := newBuilder(t, term, len(term))
-	if err := fb.AddRun(sa, lcp); err != nil {
+	fb := newBuilder(t, term, sa, len(term))
+	if err := fb.Stream(lcp); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, nil, nil, f.NLeaves)
+	ft, err := NewFlatTree(term, f.Nodes, f.Sym, nil, nil, f.LeafData, f.NLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +412,11 @@ func TestFlatBuilderWideRuns(t *testing.T) {
 	wide := append(append([]byte{0}, up...), append([]byte{0xff}, append(down, 0)...)...)
 	wide = append(wide, wide...)
 	sa, lcp = sortedStream(wide, len(wide)/2)
-	over, err := NewFlatBuilder(wide, len(sa), len(sa))
+	over, err := NewFlatBuilder(wide, sa, len(sa))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := over.AddRun(sa, lcp); err != nil {
+	if err := over.Stream(lcp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := over.Finish(); err == nil || !strings.Contains(err.Error(), "internal children") {

@@ -16,13 +16,13 @@ import (
 )
 
 // rankImages returns the tree of the terminated string term as each builder
-// images it: the suffix-array builder's one sorted run through AssembleShards,
+// images it: the suffix-array builder's suffix and LCP arrays through AssembleShards,
 // and ERA's sorted sub-trees under a budget small enough to split the string
 // into several groups (nil for the bare terminator, which ERA does not build).
 func rankImages(t testing.TB, a *alphabet.Alphabet, term []byte) map[string]*suffixtree.FlatTree {
 	t.Helper()
 	view := func(fl *suffixtree.Flat) *suffixtree.FlatTree {
-		ft, err := suffixtree.NewFlatTree(term, fl.Nodes, fl.Sym, nil, nil, nil, fl.NLeaves)
+		ft, err := suffixtree.NewFlatTree(term, fl.Nodes, fl.Sym, nil, nil, fl.LeafData, fl.NLeaves)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func rankImages(t testing.TB, a *alphabet.Alphabet, term []byte) map[string]*suf
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := suffixtree.AssembleShards(term, []suffixtree.SortedRun{{Suffixes: sa, LCP: suffixarray.LCP(term, sa)}}, 1)
+	shards, err := suffixtree.AssembleShards(term, sa, suffixarray.LCP(term, sa), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 
 // TestAssembleShards pins the one assembly both builders feed: for every k
 // the shards tile the suffix order — each tree holds exactly the suffixes of
-// its range (ValidateView against its keys), in order, and the concatenated
-// leaves are the suffix array — each lower key is the shortest prefix of the
+// its range (ValidateView against its keys), in order, and its leaf section
+// is its window of the suffix array it was handed, not a copy — each lower key is the shortest prefix of the
 // range's first suffix that the suffix before it lacks, and each cut sits at
 // the smallest LCP within n/(8k) of its target, nearest the target on ties.
 func TestAssembleShards(t *testing.T) {
@@ -35,14 +35,10 @@ func TestAssembleShards(t *testing.T) {
 		"two-bytes": []byte("AC"),
 	} {
 		term := append(slices.Clip(data), alphabet.Terminator)
-		runs := sortedRuns(term)
-		var sa, lcp []int32
-		for _, r := range runs {
-			sa, lcp = append(sa, r.Suffixes...), append(lcp, r.LCP...)
-		}
+		sa, lcp := sortedStream(term, len(term))
 		n := len(term)
 		for k := 1; k <= 9; k++ {
-			shards, err := AssembleShards(term, runs, k)
+			shards, err := AssembleShards(term, sa, lcp, k)
 			if err != nil {
 				t.Fatalf("%s, k=%d: %v", name, k, err)
 			}
@@ -51,9 +47,12 @@ func TestAssembleShards(t *testing.T) {
 			}
 			rank, prevCut := 0, 0
 			for i, sh := range shards {
-				ft, err := NewFlatTree(term, sh.Nodes, sh.Sym, nil, nil, nil, sh.NLeaves)
+				ft, err := NewFlatTree(term, sh.Nodes, sh.Sym, nil, nil, sh.LeafData, sh.NLeaves)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if view := leafView(sa[rank:]); view != nil && &sh.LeafData[0] != &view[0] {
+					t.Fatalf("%s, k=%d, shard %d: the leaf section is not ranks [%d, ...) of the suffix array it was handed", name, k, i, rank)
 				}
 				if err := ValidateView(ft, sh.Lo, sh.Hi); err != nil {
 					t.Fatalf("%s, k=%d, shard %d [%q, %q): %v", name, k, i, sh.Lo, sh.Hi, err)

@@ -118,3 +118,14 @@ func findSym(sym []byte, cs, cc int32, b byte) int32 {
 	}
 	return int32(base + bits.TrailingZeros64(m)>>3 - int(cs))
 }
+
+// leafView returns the little-endian bytes of sa's entries as a view of its
+// own memory — capacity included, so a window of one array is visibly a
+// window of it — or nil on a big-endian host, where the bytes differ.
+func leafView(sa []int32) []byte {
+	if !hostLE || cap(sa) == 0 {
+		return nil
+	}
+	all := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(sa))), flatLeafSize*cap(sa))
+	return all[:flatLeafSize*len(sa)]
+}

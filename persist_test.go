@@ -112,7 +112,7 @@ func TestReadIndexRejectsCorruptTree(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			raw, _, _ := persistTestIndex(t)
 			img := corrupt(raw, int(binary.LittleEndian.Uint64(raw[72:]))+c.off, c.v)
-			assertVerifyRefuses(t, restampV4(img, 3), c.want)
+			assertVerifyRefuses(t, restampV4(img, "nodes"), c.want)
 		})
 	}
 }
@@ -198,12 +198,22 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(corrupt(v4, 80, 1<<30))                 // hostile node count
 	f.Add(corrupt(v4, 128, 1<<30))                // hostile leaf count
 	f.Add(corrupt(v4s, 48, 1<<20))                // hostile shard count
-	// Valid sections, corrupted node payload: the reader accepts it (open is
-	// O(header) by design) and the query-time clamps must hold.
+	// The leaf section's seams, each behind a restamped header checksum so
+	// the section table is what refuses it.
+	leavesOff := binary.LittleEndian.Uint32(v4[96:])
+	f.Add(fixV4HeaderCRC(corrupt(v4, 96, leavesOff+4)))                                 // misaligned leaf section
+	f.Add(fixV4HeaderCRC(corrupt(v4, 96, uint32(v4align(int64(len(v4)))))))             // leaf section past the image
+	f.Add(fixV4HeaderCRC(corrupt(v4, 96, binary.LittleEndian.Uint32(v4[72:]))))         // leaf section over the records
+	f.Add(fixV4HeaderCRC(corrupt(v4, 104, 1)))                                          // a reserved field set
+	f.Add(fixV4HeaderCRC(corrupt(v4, 12, v4FlagChecksums|v4Layout&^v4FlagLeafSection))) // no leaf-section flag
+	f.Add(fixV4HeaderCRC(corrupt(v4, 128, binary.LittleEndian.Uint32(v4[128:])-1)))     // one leaf short
+	// Valid sections, corrupted node and leaf payloads: the reader accepts
+	// them (open is O(header) by design) and the query-time clamps must hold.
 	if nodesOff := binary.LittleEndian.Uint64(v4[72:]); int(nodesOff)+64 < len(v4) {
-		f.Add(corrupt(v4, int(nodesOff)+12, 0xFFFFFFF0)) // root leafChild
-		f.Add(corrupt(v4, int(nodesOff)+16, 0xFFFFFFF0)) // root leafStart
+		f.Add(corrupt(v4, int(nodesOff)+12, 0xFFFFFFF0)) // root childStart
+		f.Add(corrupt(v4, int(nodesOff), 0xFFFFFFF0))    // root leafStart
 	}
+	f.Add(corrupt(v4, int(leavesOff), 0xFFFFFFF0)) // a suffix past S
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 1<<16 {
 			t.Skip()

@@ -26,8 +26,10 @@ import (
 //	          nSyms u32 + symbols
 //	data      the string S, terminator included           (page-aligned)
 //	docEnds   nDocs × u32 exclusive document ends         (page-aligned)
-//	nodes     (nNodes − nLeaves) × 16-byte internal records,
-//	          then the suffix array, nLeaves × u32        (page-aligned)
+//	leaves    the suffix array, nLeaves × u32, in rank
+//	          order                                       (page-aligned)
+//	nodes     (nNodes − nLeaves) × 16-byte internal
+//	          records                                     (page-aligned)
 //	sym       (nNodes − nLeaves) × 1 byte first edge
 //	          symbols of the internal nodes, then as many
 //	          internal child counts                       (page-aligned)
@@ -38,33 +40,42 @@ import (
 //	4   version  u32 = 4
 //	8   kind     u32: 0 monolithic, 1 sharded
 //	12  flags    u32 (bit 0, required: the header carries the checksum
-//	             block below; bits 1, 3 and 4, required on monolithic and
+//	             block below; bits 1, 3, 4 and 5, required on monolithic and
 //	             sharded images: the tree sections are the layout of
 //	             suffixtree.FlatTree — no dense child tables (bit 1), leaf
 //	             ids that are ranks, so the leaves are the suffix array
-//	             (bit 3), and 16-byte internal records with no edge offsets,
+//	             (bit 3), 16-byte internal records with no edge offsets,
 //	             each edge derived from the suffix array, beside a child
-//	             count byte in sym (bit 4); bit 2, the prefix-range
-//	             layout: on a monolithic image, the tree holds the suffixes
-//	             of one range [lo, hi) of the suffix order and the meta ends
-//	             with its two keys; required on sharded images, whose
-//	             payloads are such ranges, contiguous)
+//	             count byte in sym (bit 4), and the suffix array in a leaf
+//	             section of its own, ahead of the records (bit 5); bit 2,
+//	             the prefix-range layout: on a monolithic image, the tree
+//	             holds the suffixes of one range [lo, hi) of the suffix order
+//	             and the meta ends with its two keys; required on sharded
+//	             images, whose payloads are such ranges, contiguous)
 //	16  imageLen u64  total image bytes (truncation check)
 //	24  metaOff  u64
 //	32  metaLen  u64
 //	40.. kind-specific fields. Monolithic: dataOff, dataLen, docEndsOff,
-//	    nDocs, nodesOff, nNodes, symOff (u64 each, through byte 96), four
-//	    reserved zero u64s, nLeaves (bytes 128–136); the rest of the fixed
-//	    header is zero too. Sharded: shard table offset, shard count.
+//	    nDocs, nodesOff, nNodes, symOff, leavesOff (u64 each, through byte
+//	    104), three reserved zero u64s, nLeaves (bytes 128–136); the rest of
+//	    the fixed header is zero too. The leaf section's length is nLeaves ×
+//	    4, the node section's (nNodes − nLeaves) × 16. Sharded: shard table
+//	    offset, shard count.
+//
+// The leaf section sits ahead of the records, so its offset depends only on
+// |S| and the document count: a writer can place the suffix array before it
+// knows how many internal nodes the tree has.
 //
 // The checksum block (flags bit 0) grows the header to v4HeaderLenCk bytes:
 //
-//	152  8 × u32 CRC32C, one per section window in file order; each window
-//	     runs from its section's start to the next section's start (trailing
-//	     page padding included), the last to imageLen. Monolithic images
-//	     have five sections; the other slots are zero. Sharded images use
-//	     slot 0 for meta and slot 1 for the shard table window; payloads
-//	     carry their own checksums.
+//	152  8 × u32 CRC32C, one per section window; each window runs from its
+//	     section's start to the next section's start in file order (trailing
+//	     page padding included), the last to imageLen. A section longer than
+//	     its window is refused. Monolithic images have six sections, in
+//	     slots 0–5: meta, data, docEnds, nodes, sym, then leaves (the newest
+//	     section takes the next free slot, not its file position); slots 6
+//	     and 7 are zero. Sharded images use slot 0 for meta and slot 1 for
+//	     the shard table window; payloads carry their own checksums.
 //	184  u32 CRC32C of header bytes [0, 184)
 //	188  4 zero bytes (verified; reserved)
 //
@@ -72,13 +83,15 @@ import (
 // lazily — once, before the first query touches the image — so opening a
 // mapped file stays O(header).
 //
-// The version field has stayed 4 through four tree layouts: 32-byte records
+// The version field has stayed 4 through five tree layouts: 32-byte records
 // for every node with 1 KiB dense tables, then 8-byte leaf records beside
 // delta-varint leaf blocks, then 32-byte internal records that stated their
-// edges over the suffix array, then this one. An image of any older layout
-// lacks flags bit 4 (the older ones bit 3, the oldest bits 1 and 0 too), and
-// so does every sharded image of them — the document-aligned ones lack bit 2
-// as well. All are refused at open with one error (errOldLayout, an
+// edges over the suffix array, then 16-byte internal records with the suffix
+// array behind them in the node section, then this one, whose suffix array is
+// a section of its own. An image of any older layout lacks flags bit 5 (the
+// older ones bit 4, older still bit 3, the oldest bits 1 and 0 too), and so
+// does every sharded image of them — the document-aligned ones lack bit 2 as
+// well. All are refused at open with one error (errOldLayout, an
 // ErrMustRebuild): their sections would mis-read as this layout, and no
 // reader for them is kept.
 //
@@ -121,15 +134,17 @@ const (
 	// trailing footer, for live manifests).
 	v4FlagChecksums = 1 << 0
 	// v4FlagCompact marks tree sections without dense child tables,
-	// v4FlagRankLeaves ones whose leaf ids are ranks — the leaf section is
-	// the suffix array — and v4FlagHalfRecords ones whose internal records
-	// are 16 bytes, with edges derived from the suffix array and the child
-	// counts in the symbol section. Every image this package writes carries
-	// all three (v4Layout) and the reader requires them.
+	// v4FlagRankLeaves ones whose leaf ids are ranks — the leaves are the
+	// suffix array — v4FlagHalfRecords ones whose internal records are 16
+	// bytes, with edges derived from the suffix array and the child counts in
+	// the symbol section, and v4FlagLeafSection ones whose suffix array is a
+	// section of its own, ahead of the records. Every image this package
+	// writes carries all four (v4Layout) and the reader requires them.
 	v4FlagCompact     = 1 << 1
 	v4FlagRankLeaves  = 1 << 3
 	v4FlagHalfRecords = 1 << 4
-	v4Layout          = v4FlagCompact | v4FlagRankLeaves | v4FlagHalfRecords
+	v4FlagLeafSection = 1 << 5
+	v4Layout          = v4FlagCompact | v4FlagRankLeaves | v4FlagHalfRecords | v4FlagLeafSection
 	// v4FlagRange marks the prefix-range layout: a monolithic image whose tree
 	// holds one range of the suffix order, or a sharded image made of them.
 	v4FlagRange = 1 << 2
@@ -141,8 +156,9 @@ const (
 	maxV4Shards = 1 << 12
 )
 
-// errOldLayout refuses a v4 image of an older tree layout: with 32-byte
-// internal records, 8-byte leaf records, or older still.
+// errOldLayout refuses a v4 image of an older tree layout: with the suffix
+// array behind the internal records, 32-byte internal records, 8-byte leaf
+// records, or older still.
 var errOldLayout = fmt.Errorf("%w: the v4 image predates the current tree layout", ErrMustRebuild)
 
 // v4align rounds n up to the page boundary.
@@ -155,6 +171,7 @@ type v4sections struct {
 	meta           []byte
 	data           []byte
 	docEnds        []byte
+	leaves         []byte
 	nodes, sym     []byte
 	nDocs, nLeaves int64
 	nNodes         int64
@@ -250,7 +267,7 @@ func parseV4Mono(buf []byte, mp *mapping) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := suffixtree.NewFlatTree(s.data, s.nodes, s.sym, nil, nil, nil, int32(s.nLeaves))
+	tree, err := suffixtree.NewFlatTree(s.data, s.nodes, s.sym, nil, nil, s.leaves, int32(s.nLeaves))
 	if err != nil {
 		return nil, fmt.Errorf("era: corrupt index: %w", err)
 	}
@@ -318,31 +335,42 @@ func parseV4Sections(buf []byte) (*v4sections, error) {
 	}
 	s.nLeaves = u64(128)
 	// Every suffix of S is a leaf — every suffix of the range, in a range
-	// image — so the leaf count, which decides where the internal records
-	// end, is not a free field.
+	// image — so the leaf count, which decides the length of the leaf
+	// section and how many of the nodes are internal, is not a free field.
 	if (s.nLeaves != dataLen && !s.ranged) || s.nLeaves < 1 || s.nLeaves > dataLen || s.nLeaves >= s.nNodes {
 		return nil, fmt.Errorf("era: corrupt index: %d leaves and %d nodes over a %d-byte string", s.nLeaves, s.nNodes, dataLen)
 	}
-	if s.nodes, err = sliceV4(img, u64(72), suffixtree.FlatNodesLen(s.nNodes-s.nLeaves, s.nLeaves), v4Page, "nodes"); err != nil {
+	if s.leaves, err = sliceV4(img, u64(96), s.nLeaves*4, v4Page, "leaves"); err != nil {
+		return nil, err
+	}
+	if s.nodes, err = sliceV4(img, u64(72), suffixtree.FlatNodesLen(s.nNodes-s.nLeaves), v4Page, "nodes"); err != nil {
 		return nil, err
 	}
 	if s.sym, err = sliceV4(img, u64(88), suffixtree.FlatSymLen(s.nNodes-s.nLeaves), v4Page, "sym"); err != nil {
 		return nil, err
 	}
-	for off := 96; off < v4HeaderLen; off += 8 {
+	for off := 104; off < v4HeaderLen; off += 8 {
 		if off != 128 && u64(off) != 0 {
 			return nil, fmt.Errorf("era: corrupt index: nonzero reserved header field at byte %d", off)
 		}
 	}
-	names := [5]string{"meta", "data", "docEnds", "nodes", "sym"}
-	bounds := [6]int64{u64(24), u64(40), u64(56), u64(72), u64(88), s.imageLen}
+	// Each checksum window runs from its section's start to the next
+	// section's, so the windows tile the image; a section longer than its
+	// window overlaps the next one.
+	secs := [len(v4MonoSections)][]byte{s.meta, s.data, s.docEnds, s.leaves, s.nodes, s.sym}
 	s.ck = &checkState{}
-	for i, name := range names {
-		start, end := bounds[i], bounds[i+1]
-		if start < 0 || end < start || end > s.imageLen {
-			return nil, fmt.Errorf("era: corrupt index: %s checksum window [%d, %d) outside the %d-byte image", name, start, end, s.imageLen)
+	for i, sec := range v4MonoSections {
+		start, end := u64(sec.off), s.imageLen
+		if i+1 < len(v4MonoSections) {
+			end = u64(v4MonoSections[i+1].off)
 		}
-		s.ck.secs = append(s.ck.secs, checkSection{name: name, data: img[start:end], want: crcs[i]})
+		if start < 0 || end < start || end > s.imageLen {
+			return nil, fmt.Errorf("era: corrupt index: %s checksum window [%d, %d) outside the %d-byte image", sec.name, start, end, s.imageLen)
+		}
+		if int64(len(secs[i])) > end-start {
+			return nil, fmt.Errorf("era: corrupt index: the %d-byte %s section overruns its window [%d, %d)", len(secs[i]), sec.name, start, end)
+		}
+		s.ck.secs = append(s.ck.secs, checkSection{name: sec.name, data: img[start:end], want: crcs[sec.slot]})
 	}
 	return s, nil
 }
@@ -566,31 +594,37 @@ func (x *Index) v4Meta() []byte {
 	return meta
 }
 
-// v4MonoLayout computes the section offsets of one monolithic image.
-type v4MonoLayout struct {
-	metaLen                               int64
-	dataOff, docEndsOff, nodesOff, symOff int64
-	imageLen                              int64
-}
+// v4MonoSections names a monolithic image's sections in file order, with the
+// header byte that holds each one's offset and its checksum slot. The leaf
+// section is the newest, so its offset and slot follow the others' in the
+// header.
+var v4MonoSections = [6]struct {
+	name      string
+	off, slot int
+}{{"meta", 24, 0}, {"data", 40, 1}, {"docEnds", 56, 2}, {"leaves", 96, 5}, {"nodes", 72, 3}, {"sym", 88, 4}}
 
-func planV4Mono(metaLen, dataLen, nDocs int64, f suffixtree.Flat) v4MonoLayout {
-	var l v4MonoLayout
-	l.metaLen = metaLen
-	l.dataOff = v4align(v4HeaderLenCk + metaLen)
-	l.docEndsOff = v4align(l.dataOff + dataLen)
-	l.nodesOff = v4align(l.docEndsOff + nDocs*4)
-	l.symOff = v4align(l.nodesOff + int64(len(f.Nodes)))
-	l.imageLen = l.symOff + int64(len(f.Sym))
-	return l
+// v4Offsets lays out the index's image, its meta metaLen bytes: the offsets
+// of its sections in file order, then the image length. Each section starts
+// on a page; the first, meta, right behind the header.
+func (x *Index) v4Offsets(metaLen int64) (offs [len(v4MonoSections) + 1]int64) {
+	f := x.tree.Sections()
+	lens := [...]int64{metaLen, int64(len(x.data)), 4 * int64(len(x.docEnds)), int64(len(f.LeafData)), int64(len(f.Nodes)), int64(len(f.Sym))}
+	off := int64(v4HeaderLenCk)
+	for i, n := range lens {
+		offs[i] = off
+		off = v4align(off + n)
+	}
+	offs[len(lens)] = offs[len(lens)-1] + lens[len(lens)-1]
+	return offs
 }
 
 // v4Image is one monolithic image laid out: its header, checksums filled
-// in, and its five sections in file order, secs[i] starting at offs[i] and
-// padded up to offs[i+1] (offs[5] is the image length).
+// in, and its sections in file order, secs[i] starting at offs[i] and padded
+// up to offs[i+1] (the last offset is the image length).
 type v4Image struct {
 	hdr  []byte
-	secs [5][]byte
-	offs [6]int64
+	secs [len(v4MonoSections)][]byte
+	offs [len(v4MonoSections) + 1]int64
 }
 
 // v4Image lays out the index's image: what WriteTo writes, and what
@@ -598,16 +632,16 @@ type v4Image struct {
 func (x *Index) v4Image() v4Image {
 	meta := x.v4Meta()
 	f := x.tree.Sections()
-	l := planV4Mono(int64(len(meta)), int64(len(x.data)), int64(len(x.docEnds)), f)
 	de := make([]byte, 4*len(x.docEnds))
 	for i, e := range x.docEnds {
 		binary.LittleEndian.PutUint32(de[i*4:], uint32(e))
 	}
 	img := v4Image{
 		hdr:  make([]byte, v4HeaderLenCk),
-		secs: [5][]byte{meta, x.data, de, f.Nodes, f.Sym},
-		offs: [6]int64{v4HeaderLenCk, l.dataOff, l.docEndsOff, l.nodesOff, l.symOff, l.imageLen},
+		secs: [...][]byte{meta, x.data, de, f.LeafData, f.Nodes, f.Sym},
+		offs: x.v4Offsets(int64(len(meta))),
 	}
+	imageLen := img.offs[len(img.secs)]
 	flags := uint32(v4FlagChecksums | v4Layout)
 	if x.partial() {
 		flags |= v4FlagRange
@@ -617,21 +651,18 @@ func (x *Index) v4Image() v4Image {
 	binary.LittleEndian.PutUint32(hdr[4:], flatVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], 0) // monolithic
 	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(l.imageLen))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(v4HeaderLenCk))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(imageLen))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(meta)))
-	binary.LittleEndian.PutUint64(hdr[40:], uint64(l.dataOff))
 	binary.LittleEndian.PutUint64(hdr[48:], uint64(len(x.data)))
-	binary.LittleEndian.PutUint64(hdr[56:], uint64(l.docEndsOff))
 	binary.LittleEndian.PutUint64(hdr[64:], uint64(len(x.docEnds)))
-	binary.LittleEndian.PutUint64(hdr[72:], uint64(l.nodesOff))
 	binary.LittleEndian.PutUint64(hdr[80:], uint64(f.NNodes))
-	binary.LittleEndian.PutUint64(hdr[88:], uint64(l.symOff))
 	binary.LittleEndian.PutUint64(hdr[128:], uint64(f.NLeaves))
-	// Section window checksums, each covering the section and its trailing
-	// page padding so every image byte past the header is accounted for.
-	for i, sec := range img.secs {
-		binary.LittleEndian.PutUint32(hdr[v4CRCTableOff+4*i:], crcPadded(sec, img.offs[i+1]-img.offs[i]))
+	// Section offsets, and window checksums, each covering the section and
+	// its trailing page padding so every image byte past the header is
+	// accounted for.
+	for i, sec := range v4MonoSections {
+		binary.LittleEndian.PutUint64(hdr[sec.off:], uint64(img.offs[i]))
+		binary.LittleEndian.PutUint32(hdr[v4CRCTableOff+4*sec.slot:], crcPadded(img.secs[i], img.offs[i+1]-img.offs[i]))
 	}
 	binary.LittleEndian.PutUint32(hdr[v4HeaderCRCOff:], crc32.Checksum(hdr[:v4HeaderCRCOff], castagnoli))
 	return img
@@ -695,11 +726,10 @@ func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	firstPayloadOff := v4align(tableOff + int64(16*len(sx.shards)))
 	off := firstPayloadOff
 	for i, sh := range sx.shards {
-		metaLen := int64(len(sh.v4Meta()))
-		l := planV4Mono(metaLen, int64(len(sh.data)), int64(len(sh.docEnds)), sh.tree.Sections())
+		imageLen := sh.v4Offsets(int64(len(sh.v4Meta())))[len(v4MonoSections)]
 		table[2*i] = off
-		table[2*i+1] = l.imageLen
-		off = v4align(off + l.imageLen)
+		table[2*i+1] = imageLen
+		off = v4align(off + imageLen)
 	}
 	imageLen := table[2*len(sx.shards)-2] + table[2*len(sx.shards)-1]
 	tb := make([]byte, 16*len(sx.shards))
