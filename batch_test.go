@@ -3,18 +3,23 @@ package era
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"era/internal/workload"
 )
 
-// randomOps draws a mixed pool of present and absent patterns over data.
+// randomOps draws a mixed pool of n present and absent patterns over data,
+// then adds a run of ops on the prefixes of data's first 48 symbols — one
+// locus where data repeats them (TestBatchMatchesSingleQueries plants
+// copies) — and one pattern past Batch's stack-held trace.
 func randomOps(data []byte, n int, seed int64) []Op {
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]Op, n)
+	ops := make([]Op, n, n+9)
 	for i := range ops {
 		var p []byte
 		switch i % 3 {
@@ -30,7 +35,21 @@ func randomOps(data []byte, n int, seed int64) []Op {
 		}
 		ops[i] = Op{Kind: OpKind(rng.Intn(3)), Pattern: p, MaxOccurrences: rng.Intn(4)}
 	}
-	return ops
+	// Nested prefixes with caps that grow and then shrink along the pattern
+	// order, a duplicate, and — sorting between them — a Contains and a miss
+	// ('#' sorts below every symbol of data).
+	miss := append(slices.Clone(data[:25]), '#')
+	return append(ops,
+		Op{Kind: OpOccurrences, Pattern: data[:20], MaxOccurrences: 2},
+		Op{Kind: OpOccurrences, Pattern: data[:40], MaxOccurrences: 1},
+		Op{Kind: OpContains, Pattern: data[:25]},
+		Op{Kind: OpOccurrences, Pattern: data[:30]},
+		Op{Kind: OpCount, Pattern: miss},
+		Op{Kind: OpOccurrences, Pattern: data[:40], MaxOccurrences: 3},
+		Op{Kind: OpOccurrences, Pattern: data[:22], MaxOccurrences: 4},
+		Op{Kind: OpOccurrences, Pattern: data[:20], MaxOccurrences: 2},
+		Op{Kind: OpOccurrences, Pattern: data[:70], MaxOccurrences: 1},
+	)
 }
 
 // batchLayouts serves the same string as built and as reopened from its
@@ -58,10 +77,113 @@ func batchLayouts(t *testing.T, data []byte, cfg *Config) map[string]Queryable {
 func TestBatchMatchesSingleQueries(t *testing.T) {
 	data := workload.MustGenerate(workload.DNA, 4000, 3)
 	data = data[:len(data)-1]
+	for _, at := range []int{900, 1700, 2500, 3300} {
+		copy(data[at:], data[:48]) // randomOps's nested prefixes share a locus
+	}
 	ops := randomOps(data, 300, 17)
 	oracle := newScanOracle([][]byte{data})
-	for name, idx := range batchLayouts(t, data, &Config{MemoryBudget: 64 * 1024}) {
+	layouts := batchLayouts(t, data, &Config{MemoryBudget: 64 * 1024})
+	ft := layouts["built"].(*Index).tree
+	short, _ := ft.Find(data[:20])
+	long, _ := ft.Find(data[:40])
+	if short.Node != long.Node || ft.CountLeaves(short.Node) <= 4 {
+		t.Fatalf("the nested prefixes land on nodes %d and %d, %d leaves", short.Node, long.Node, ft.CountLeaves(short.Node))
+	}
+	for name, idx := range layouts {
 		oracle.assertAnswersLike(t, name, idx, nil, ops)
+	}
+}
+
+// TestFirstOccurrencesIsTheSortedWindow holds the capped-occurrence kernel
+// to sort-then-truncate of each node's window of the suffix array, at every
+// node — the root and every leaf included — and at ids outside the tree.
+func TestFirstOccurrencesIsTheSortedWindow(t *testing.T) {
+	dna := workload.MustGenerate(workload.DNA, 2000, 5)
+	for name, docs := range map[string][][]byte{
+		"dna":        {dna[:len(dna)-1]},
+		"high-bytes": highByteCorpus(),
+		"periodic":   {bytes.Repeat([]byte("ACGTTGA"), 150), bytes.Repeat([]byte("AC"), 200)},
+	} {
+		x, err := BuildCorpus(docs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft := x.tree
+		all := make([]int, x.Len())
+		for i := range all {
+			all[i] = i
+		}
+		if got := ft.FirstOccurrences(ft.Root(), 0); !slices.Equal(got, all) {
+			t.Fatalf("%s: the root's occurrences are not every offset: %v", name, got)
+		}
+		for _, u := range []int32{-1, int32(ft.NumNodes()), math.MaxInt32} {
+			if got := ft.FirstOccurrences(u, 1); got != nil {
+				t.Fatalf("%s: invalid id %d answers %v", name, u, got)
+			}
+		}
+		for u := int32(0); u < int32(ft.NumNodes()); u++ {
+			var window []int
+			for _, s := range ft.Leaves(u) {
+				window = append(window, int(s))
+			}
+			slices.Sort(window)
+			n := len(window)
+			if ft.IsLeaf(u) && (n != 1 || window[0] != int(ft.Suffix(u))) {
+				t.Fatalf("%s: leaf %d's window is %v, its suffix %d", name, u, window, ft.Suffix(u))
+			}
+			for _, k := range []int{0, 1, 2, n - 1, n, n + 5} {
+				want := window
+				if k > 0 && k < n {
+					want = window[:k]
+				}
+				if got := ft.FirstOccurrences(u, k); !slices.Equal(got, want) {
+					t.Fatalf("%s: FirstOccurrences(%d, %d) = %v, want %v", name, u, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchAllocatesItsAnswers pins what a batch allocates: its []Result
+// and one list per distinct occurrence answer — no op order, descent trace,
+// count memo or copy of a whole suffix-array window.
+func TestBatchAllocatesItsAnswers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator changes allocation counts")
+	}
+	data := workload.MustGenerate(workload.DNA, 20000, 7)
+	data = data[:len(data)-1]
+	x, err := Build(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(ops []Op) float64 {
+		return testing.AllocsPerRun(50, func() { x.Batch(ops) })
+	}
+	member := make([]Op, 32)
+	for i := range member {
+		off := i * 601
+		member[i] = Op{Kind: OpKind(i % 2), Pattern: data[off : off+4+i%9]}
+	}
+	if got := allocs(member); got != 1 {
+		t.Errorf("a 32-op contains/count batch allocates %v objects, want 1", got)
+	}
+	// Distinct 2-mers are distinct loci of hundreds of leaves each; an op
+	// repeating one of them shares its list.
+	ops := member
+	for i, p := range []string{"AC", "CG", "GT", "TA"} {
+		ops = append(ops, Op{Kind: OpOccurrences, Pattern: []byte(p), MaxOccurrences: 8})
+		if got, want := allocs(ops), float64(i+2); got != want {
+			t.Errorf("%d distinct occurrence answers: %v allocations, want %v", i+1, got, want)
+		}
+	}
+	ops = append(ops, Op{Kind: OpOccurrences, Pattern: []byte("GT"), MaxOccurrences: 8})
+	if got := allocs(ops); got != 5 {
+		t.Errorf("a repeated occurrence answer: %v allocations, want 5", got)
+	}
+	one := []Op{{Kind: OpOccurrences, Pattern: data[100:103], MaxOccurrences: 16}}
+	if got := allocs(one); got != 2 {
+		t.Errorf("a capped Occurrences op allocates %v objects, want 2", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FlatTree is the immutable, mmap-native suffix tree layout behind persist
@@ -524,6 +525,63 @@ func (t *FlatTree) Leaves(u int32) []int32 {
 		out[k] = t.suffixAt(lo + int32(k))
 	}
 	return out
+}
+
+// FirstOccurrences returns the k smallest suffix offsets below u in ascending
+// order — all of them when k ≤ 0 or k ≥ the leaf count — reading u's window
+// of the leaf section in place: a k-entry max-heap keeps the smallest seen,
+// so a capped answer allocates its k ints and nothing else. Invalid ids and
+// empty windows answer nil.
+func (t *FlatTree) FirstOccurrences(u int32, k int) []int {
+	if !t.valid(u) {
+		return nil
+	}
+	lo, hi := u-t.nInt, u-t.nInt+1
+	if u < t.nInt {
+		lo, hi = t.ranks(t.rec(u))
+	}
+	n := int(hi - lo)
+	if n == 0 {
+		return nil
+	}
+	if k <= 0 || k > n {
+		k = n
+	}
+	h := make([]int, k)
+	for i := range h {
+		h[i] = int(t.suffixAt(lo + int32(i)))
+	}
+	if k < n {
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		for r := lo + int32(k); r < hi; r++ {
+			if s := int(t.suffixAt(r)); s < h[0] {
+				h[0] = s
+				siftDown(h, 0)
+			}
+		}
+	}
+	slices.Sort(h)
+	return h
+}
+
+// siftDown restores the max-heap order of h below i.
+func siftDown(h []int, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // PathLabel materializes the concatenated edge labels from the root to u.

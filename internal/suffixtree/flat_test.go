@@ -251,7 +251,10 @@ func TestFlatTreeRoundTrip(t *testing.T) {
 func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 	t.Helper()
 	for _, p := range [][]byte{nil, []byte("a"), []byte("abra"), []byte("zzz"), term} {
-		ft.Find(p)
+		if loc, ok := ft.Find(p); ok {
+			ft.FirstOccurrences(loc.Node, 0)
+			ft.FirstOccurrences(loc.Node, 2)
+		}
 		ft.Contains(p)
 		ft.Count(p)
 		ft.Occurrences(p)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"era/internal/suffixtree"
@@ -44,13 +45,11 @@ func (x *Index) Occurrences(pattern []byte) ([]int, error) {
 	if err := x.CheckErr(); err != nil {
 		return nil, err
 	}
-	occ := x.tree.Occurrences(pattern)
-	out := make([]int, len(occ))
-	for i, o := range occ {
-		out[i] = int(o)
+	loc, ok := x.tree.Find(pattern)
+	if !ok {
+		return []int{}, nil
 	}
-	sort.Ints(out)
-	return out, nil
+	return x.tree.FirstOccurrences(loc.Node, 0), nil
 }
 
 // OpKind selects the operation a query plan performs.
@@ -128,16 +127,23 @@ func ParseOpKind(s string) (OpKind, error) {
 // from the longest common prefix it shares with its predecessor, so a batch
 // of similar or duplicate patterns costs far less than one Find each.
 // Results are returned in the order of ops. Like the single-query methods,
-// Batch is safe for any number of concurrent callers on one Index. Ops
-// landing on the same tree locus share one Occurrences backing array —
-// treat returned Occurrences as read-only.
+// Batch is safe for any number of concurrent callers on one Index.
+//
+// A batch allocates its []Result and its occurrence lists and nothing else:
+// a count is read from the locus node's record, and a capped list is the
+// smallest offsets of the node's window of the suffix array, picked in place
+// (FlatTree.FirstOccurrences). Ops landing on the same tree locus may share
+// one Occurrences backing array — treat returned Occurrences as read-only.
 func (x *Index) Batch(ops []Op) []Result {
 	results := make([]Result, len(ops))
 	if len(ops) == 0 || !x.healthy() {
 		return results
 	}
 
-	order := make([]int, 0, len(ops))
+	// The op order and the descent trace live on the stack up to
+	// batchStackOps ops and pattern symbols; only longer ones allocate.
+	var orderBuf [batchStackOps]int
+	order := orderBuf[:0]
 	maxLen := 0
 	for i, op := range ops {
 		if op.Kind.IsAnalytic() {
@@ -149,23 +155,24 @@ func (x *Index) Batch(ops []Op) []Result {
 			continue
 		}
 		order = append(order, i)
-		if len(op.Pattern) > maxLen {
-			maxLen = len(op.Pattern)
-		}
+		maxLen = max(maxLen, len(op.Pattern))
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return bytes.Compare(ops[order[a]].Pattern, ops[order[b]].Pattern) < 0
+	slices.SortFunc(order, func(a, b int) int {
+		return bytes.Compare(ops[a].Pattern, ops[b].Pattern)
 	})
 
 	t := x.tree
-	trace := make([]suffixtree.Locus, maxLen)
+	var traceBuf [batchStackOps]suffixtree.Locus
+	trace := traceBuf[:]
+	if maxLen > len(trace) {
+		trace = make([]suffixtree.Locus, maxLen)
+	}
 	var prev []byte
 	prevMatched := 0
-	// Leaf counts and sorted occurrence lists below a locus node are shared
-	// by every op that lands on it; memoize them so duplicate
-	// Count/Occurrences patterns pay once.
-	var counts map[int32]int
-	var occLists map[int32][]int
+	// The occurrence list last picked and the locus it lists: ops on one
+	// locus are adjacent in pattern order (a found pattern sorting between
+	// two on one locus lands on it too), so one entry memoizes them all.
+	memoNode, memo := suffixtree.None, []int(nil)
 
 	for _, oi := range order {
 		op := &ops[oi]
@@ -173,10 +180,7 @@ func (x *Index) Batch(ops []Op) []Result {
 
 		// Longest prefix shared with the previous pattern whose trace is
 		// still valid (a failed match only vouches for its matched part).
-		l := lcp(p, prev)
-		if l > prevMatched {
-			l = prevMatched
-		}
+		l := min(lcp(p, prev), prevMatched)
 		matched := t.MatchTrace(p, l, trace)
 		prev, prevMatched = p, matched
 
@@ -192,39 +196,24 @@ func (x *Index) Batch(ops []Op) []Result {
 		if op.Kind == OpContains {
 			continue
 		}
-		if counts == nil {
-			counts = make(map[int32]int)
-		}
-		c, ok := counts[loc.Node]
-		if !ok {
-			c = t.CountLeaves(loc.Node)
-			counts[loc.Node] = c
-		}
-		r.Count = c
+		r.Count = t.CountLeaves(loc.Node)
 		if op.Kind == OpOccurrences {
-			if occLists == nil {
-				occLists = make(map[int32][]int)
+			want := r.Count
+			if op.MaxOccurrences > 0 {
+				want = min(want, op.MaxOccurrences)
 			}
-			out, ok := occLists[loc.Node]
-			if !ok {
-				occ := t.Leaves(loc.Node)
-				out = make([]int, len(occ))
-				for i, o := range occ {
-					out[i] = int(o)
-				}
-				sort.Ints(out)
-				occLists[loc.Node] = out
+			if memoNode != loc.Node || len(memo) < want {
+				memoNode, memo = loc.Node, t.FirstOccurrences(loc.Node, op.MaxOccurrences)
 			}
-			// The memoized slice is shared across results; ops only ever
-			// re-slice it, so every result views the same backing array.
-			if op.MaxOccurrences > 0 && len(out) > op.MaxOccurrences {
-				out = out[:op.MaxOccurrences]
-			}
-			r.Occurrences = out
+			r.Occurrences = memo[:want:want]
 		}
 	}
 	return results
 }
+
+// batchStackOps is how many ops, and how many pattern symbols, Batch orders
+// and traces in stack arrays before it allocates.
+const batchStackOps = 64
 
 // lcp returns the length of the longest common prefix of a and b.
 func lcp(a, b []byte) int {
@@ -314,14 +303,7 @@ func (x *Index) Repeats(minLen, minOcc int) []Repeat {
 	}
 	var out []Repeat
 	x.tree.MaximalRepeats(int32(minLen), minOcc, func(node int32, depth int32, occ int) bool {
-		label := x.tree.PathLabel(node)
-		leaves := x.tree.Leaves(node)
-		positions := make([]int, len(leaves))
-		for i, l := range leaves {
-			positions[i] = int(l)
-		}
-		sort.Ints(positions)
-		out = append(out, Repeat{Pattern: label, Occurrences: positions})
+		out = append(out, Repeat{Pattern: x.tree.PathLabel(node), Occurrences: x.tree.FirstOccurrences(node, 0)})
 		return true
 	})
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Pattern) > len(out[j].Pattern) })

@@ -236,12 +236,18 @@ func (sx *ShardedIndex) owners(p []byte) (int, int) { return Owners(sx.keys, p) 
 // Contains reports whether pattern occurs in the corpus, exactly as the
 // monolithic Index.Contains would: whether one of its owners holds it.
 func (sx *ShardedIndex) Contains(pattern []byte) bool {
+	if first, last := sx.owners(pattern); first == last {
+		return sx.shards[first].Contains(pattern)
+	}
 	return sx.Batch([]Op{{Kind: OpContains, Pattern: pattern}})[0].Found
 }
 
 // Count returns the number of occurrences of pattern in the corpus: the sum
 // of its owners' counts.
 func (sx *ShardedIndex) Count(pattern []byte) int {
+	if first, last := sx.owners(pattern); first == last {
+		return sx.shards[first].Count(pattern)
+	}
 	return sx.Batch([]Op{{Kind: OpCount, Pattern: pattern}})[0].Count
 }
 
