@@ -25,7 +25,7 @@ import (
 // descent. There are three in-process executors: Index.Analytics walks one
 // tree; ShardedIndex.Analytics (shard.go) asks the shards that hold the
 // answer — each an Index.Analytics over its range of the suffix order — and
-// merges with MergeShards, which the cluster router calls too; and
+// merges them (RouteOps, the executor the cluster router runs too); and
 // liveSnapshot.analytics (analytics_live.go) merges the tiers of a
 // LiveIndex. Dispatch and parameter validation live here, once.
 //
@@ -251,7 +251,7 @@ func (q *Query) AppendFingerprint(b []byte) []byte {
 //
 // An index whose tree holds one range of the suffix order (Range) answers
 // topk, lrs, mismatch and docfreq over its range, the per-shard answers
-// MergeShards takes — a docfreq document counts where its first occurrence
+// mergeShards takes — a docfreq document counts where its first occurrence
 // of the pattern is held, so the shards' counts add up — and lcs over the two
 // whole documents, which it holds (commonSubstring).
 func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {

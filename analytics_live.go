@@ -74,7 +74,8 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 
 func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
 	parts := make([]part, len(s.tiers))
-	s.fanOut(func(i int, t *liveTier) {
+	fanOut(len(s.tiers), func(i int) {
+		t := s.tiers[i]
 		raw := suffixtree.MismatchSearch(t.h.idx.tree, t.h.idx.data, q.Pattern, q.K, alphabet.Terminator, ctxStop(ctx))
 		occ := make([]int, len(raw))
 		for j, o := range raw {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,16 +306,18 @@ func TestAnalyticsCostPins(t *testing.T) {
 
 // countdownCtx reports no error for its first n Err calls and Canceled from
 // then on — a cancellation that lands while a walk is under way, whichever
-// goroutine schedule the test runs under.
+// goroutine schedule the test runs under. Like any context it may be polled
+// from several goroutines at once (the sharded layer walks its shards
+// concurrently), so the count is atomic.
 type countdownCtx struct {
 	context.Context
-	n int
+	n atomic.Int64
 }
 
 func (c *countdownCtx) Done() <-chan struct{} { return make(chan struct{}) }
 
 func (c *countdownCtx) Err() error {
-	if c.n--; c.n < 0 {
+	if c.n.Add(-1) < 0 {
 		return context.Canceled
 	}
 	return nil
@@ -347,12 +350,13 @@ func TestPartitionedAnalyticsCancelMidWalk(t *testing.T) {
 			// Four checks pass. Live, they are the entry check, the check after
 			// the sort and two polls, so the scan is 3·stopCheckInterval
 			// suffixes in when the next poll cancels it.
-			ctx := &countdownCtx{Context: context.Background(), n: 4}
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.n.Store(4)
 			ans, err := layer.q.Analytics(ctx, q)
 			if err != context.Canceled || ans.Found {
 				t.Errorf("%s %s canceled mid-walk: answer %+v, err %v; want context.Canceled", layer.name, q.Kind, ans, err)
 			}
-			if ctx.n >= 0 {
+			if ctx.n.Load() >= 0 {
 				t.Errorf("%s %s: the scan finished without polling its context to cancellation", layer.name, q.Kind)
 			}
 		}

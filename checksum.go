@@ -13,7 +13,7 @@ import (
 // per-section checksums plus a whole-header checksum in the header
 // (persist_v4.go). The header is verified at OpenIndex; the sections — the
 // whole mapped file — are verified lazily, once, before the first query
-// touches them (eagerly via VerifyChecksums), so opening stays O(header). A
+// touches them (eagerly via CheckErr), so opening stays O(header). A
 // live manifest, small and read whole, ends with an 8-byte footer instead.
 //
 // Checksum coverage is integrity, not authentication: it turns silent disk
@@ -90,9 +90,6 @@ func (x *Index) CheckErr() error {
 	return x.ck.verify()
 }
 
-// VerifyChecksums eagerly verifies every stored checksum of the index.
-func (x *Index) VerifyChecksums() error { return x.CheckErr() }
-
 // CheckErr verifies every shard's checksums and returns the first failure.
 func (sx *ShardedIndex) CheckErr() error {
 	for i, sh := range sx.shards {
@@ -102,6 +99,3 @@ func (sx *ShardedIndex) CheckErr() error {
 	}
 	return nil
 }
-
-// VerifyChecksums eagerly verifies every shard of the index.
-func (sx *ShardedIndex) VerifyChecksums() error { return sx.CheckErr() }

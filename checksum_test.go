@@ -40,9 +40,9 @@ func assertFlipSafe(t *testing.T, path string, oracle Queryable, pat []byte) str
 	var verr error
 	switch x := q.(type) {
 	case *Index:
-		verr = x.VerifyChecksums()
+		verr = x.CheckErr()
 	case *ShardedIndex:
-		verr = x.VerifyChecksums()
+		verr = x.CheckErr()
 	default:
 		t.Fatalf("unexpected index type %T", q)
 	}

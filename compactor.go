@@ -377,7 +377,7 @@ func (lx *LiveIndex) openLiveTier(path string, wantDocs int) (*Index, error) {
 		idx.Close()
 		return nil, fmt.Errorf("era: live tier %s holds %d documents, manifest says %d", path, idx.NumDocs(), wantDocs)
 	}
-	if err := idx.VerifyChecksums(); err != nil {
+	if err := idx.CheckErr(); err != nil {
 		idx.Close()
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 // Package route is the fault-tolerant serving tier over `era serve`
 // replicas: consistent-hash shard placement, active health checking,
-// retries with jittered backoff, hedged reads, owner routing over
-// prefix-partitioned shards, and explicit partial-answer degradation. It
-// complements the sibling package cluster (the §5 shared-nothing
-// construction simulation): cluster builds indexes across nodes, route
-// serves them.
+// retries with jittered backoff, hedged reads, and explicit partial-answer
+// degradation over prefix-partitioned shards. It carries requests only: which
+// shards an op asks and how their answers merge is era.RouteOps, the
+// executor the in-process sharded index runs too, so no routing or merge
+// rule is spelled here. It complements the sibling package cluster (the §5
+// shared-nothing construction simulation): cluster builds indexes across
+// nodes, route serves them.
 package route
 
 import (
@@ -34,21 +36,19 @@ import (
 // to one big index. Placement is a consistent-hash ring with virtual nodes:
 // each shard's replica set is the first Replication distinct nodes clockwise
 // from the shard name's hash, so adding a replica moves only the shards on
-// the arcs it gains. A membership op goes to the shards that own its pattern
-// (era.Owners) — one, unless the pattern is a proper prefix of a shard key —
-// and the ops of a request reach each shard they touch as one /v1/batch
-// sub-request; topk, lrs and mismatch ask every shard, docfreq its patterns'
-// owners, lcs any one shard. Per-shard sub-requests carry per-attempt
-// deadlines, retry with full-jitter backoff across the surviving owners, and
-// optionally hedge the first attempt. The router is transport and policy
-// only: what the shards answer goes to the merge the in-process sharded
-// index runs (era.MergeShards), so no merge rule is spelled here.
+// the arcs it gains. A request's ops go to era.RouteOps, which decides the
+// shards each op asks and merges their answers; the router's ask carries a
+// shard's membership ops as /v1/batch sub-requests (one per chunk) and an
+// analytics op as a /v1/analytics one. Per-shard sub-requests carry
+// per-attempt deadlines, retry with full-jitter backoff across the surviving
+// owners, and optionally hedge the first attempt.
 //
-// Degradation is explicit: when every replica of a shard is unreachable
-// the ops that shard owns are answered from the shards that are left with
-// "partial": true — or refused with 503 in strict mode — instead of hanging,
-// erroring the whole request, or silently returning a wrong answer dressed
-// up as a complete one; ops the dead shard does not own are unaffected.
+// Degradation is explicit: a shard whose every replica is unreachable is
+// era.ErrShardDown to the executor, which answers the ops that needed it
+// from the shards that are left with "partial": true — or the router refuses
+// the request with 503 in strict mode — instead of hanging, erroring the
+// whole request, or silently returning a wrong answer dressed up as a
+// complete one; ops the dead shard does not own are unaffected.
 
 type Router struct {
 	cfg     RouterConfig
@@ -127,7 +127,7 @@ type shardInfo struct {
 type topology struct {
 	corpus   string
 	shards   []shardInfo
-	keys     [][]byte // keys[i]: shard i's lower key, the era.Owners cuts
+	keys     [][]byte // keys[i]: shard i's lower key, what era.RouteOps routes by
 	totalLen int      // every shard's: each holds all of S, terminator included
 	numDocs  int
 }
@@ -623,149 +623,45 @@ func (rt *Router) doJSON(ctx context.Context, owners []string, heavy bool, metho
 }
 
 // ---------------------------------------------------------------------------
-// Shard sub-queries.
+// Shard sub-queries: the ask era.RouteOps routes through.
 
-func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op server.WireOp) (server.QueryResponse, error) {
-	path, heavy := "/v1/query", false
-	if kind, err := era.ParseOpKind(op.Op); err == nil && kind.IsAnalytic() {
-		// Analytics walks a whole shard; its runtime is the corpus's, not
-		// the network's, so it keeps the full request budget per attempt.
-		path, heavy = "/v1/analytics", true
+// askShard answers ops on one shard for era.RouteOps: a lone analytics op
+// through the shard's /v1/analytics, any other ops through memberShard's
+// /v1/batch sub-requests. A client error (4xx) is the request's, named by its
+// op where the replica says which; any other failure that is not the
+// request's own end means every replica of the shard failed, era.ErrShardDown.
+func (rt *Router) askShard(ctx context.Context, sh *shardInfo, ops []era.Op) ([]era.Result, error) {
+	var out []era.Result
+	var err error
+	if len(ops) == 1 && ops[0].Kind.IsAnalytic() {
+		var a era.Result
+		if a, err = rt.shardQuery(ctx, sh, ops[0]); clientErr(err) {
+			err = &era.OpError{Op: 0, Err: err}
+		}
+		out = []era.Result{a}
+	} else {
+		out, err = rt.memberShard(ctx, sh, ops)
+	}
+	if err != nil && !clientErr(err) && ctx.Err() == nil {
+		err = fmt.Errorf("%w: %w", era.ErrShardDown, err)
+	}
+	return out, err
+}
+
+// shardQuery asks one shard one analytics op. Analytics walks a whole shard;
+// its runtime is the corpus's, not the network's, so it keeps the full
+// request budget per attempt.
+func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op era.Op) (era.Result, error) {
+	qop := server.WireOp{Op: op.Kind.String(), DocA: op.DocA, DocB: op.DocB}
+	if op.Kind != era.OpCommonSubstring {
+		qop = server.WireOp{Op: op.Kind.String(), Pattern: server.Text(op.Pattern), K: op.K, Max: op.MaxOccurrences, MinLen: op.MinLen}
+		for _, p := range op.Patterns {
+			qop.Patterns = append(qop.Patterns, server.Text(p))
+		}
 	}
 	var resp server.QueryResponse
-	err := rt.doJSON(ctx, sh.Owners, heavy, http.MethodPost, path, server.WireQuery{Index: sh.Name, WireOp: op}, &resp)
-	return resp, err
-}
-
-// ---------------------------------------------------------------------------
-// Routed execution: send each op to the shards that own it, hand what came
-// back to the merge.
-
-// errShardDown marks a shard whose every replica failed; the caller decides
-// between partial degradation and strict refusal.
-var errShardDown = errors.New("cluster: shard unavailable")
-
-// fanOut runs fn for the given shards concurrently; dead[i] reports a shard
-// i whose every replica failed. A client error (4xx) from any shard aborts
-// with that error — the one naming the earliest client op when several do.
-func (rt *Router) fanOut(ctx context.Context, topo *topology, shards []int, fn func(i int) error) (dead []bool, err error) {
-	errs := make([]error, len(topo.shards))
-	var wg sync.WaitGroup
-	for _, i := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}()
-	}
-	wg.Wait()
-	dead = make([]bool, len(topo.shards))
-	for i, e := range errs {
-		switch {
-		case e == nil:
-		case clientErr(e):
-			if err == nil || opIndex(e) < opIndex(err) {
-				err = e
-			}
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
-		default:
-			dead[i] = true
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return dead, nil
-}
-
-// degrade folds a fan-out's dead shards into the answer policy: strict mode
-// refuses, otherwise the caller proceeds without those shards and the
-// answer is flagged partial.
-func (rt *Router) degrade(topo *topology, dead []bool) (partial bool, err error) {
-	var names []string
-	for i, d := range dead {
-		if d {
-			names = append(names, topo.shards[i].Name)
-		}
-	}
-	if len(names) == 0 {
-		return false, nil
-	}
-	if rt.cfg.Strict {
-		return false, fmt.Errorf("%w: %s", errShardDown, strings.Join(names, ", "))
-	}
-	return true, nil
-}
-
-// analytic answers one planned and validated analytics op: lcs on any one
-// shard, every other kind on the shards era.AnalyticsShards names, merged by
-// era.MergeShards — which asks the membership path for the facts across the
-// cuts no shard holds (the count of a boundary L-mer, the occurrences of a
-// repeat that straddles a cut).
-func (rt *Router) analytic(ctx context.Context, topo *topology, op era.Op) (res era.Result, partial bool, err error) {
-	if op.Kind == era.OpCommonSubstring {
-		return rt.commonSubstring(ctx, topo, op)
-	}
-	qop := server.WireOp{Op: op.Kind.String(), Pattern: server.Text(op.Pattern), K: op.K, Max: op.MaxOccurrences, MinLen: op.MinLen}
-	for _, p := range op.Patterns {
-		qop.Patterns = append(qop.Patterns, server.Text(p))
-	}
-	var asked []int
-	for i, a := range era.AnalyticsShards(op, topo.keys) {
-		if a {
-			asked = append(asked, i)
-		}
-	}
-	resps := make([]server.QueryResponse, len(topo.shards))
-	dead, err := rt.fanOut(ctx, topo, asked, func(i int) (err error) {
-		resps[i], err = rt.shardQuery(ctx, &topo.shards[i], qop)
-		return err
-	})
-	if err != nil {
-		return era.Result{}, false, err
-	}
-	if partial, err = rt.degrade(topo, dead); err != nil {
-		return era.Result{}, false, err
-	}
-	parts := make([]*era.Answer, len(topo.shards))
-	for _, i := range asked {
-		if !dead[i] {
-			a := fromWire(op.Kind, resps[i])
-			parts[i] = &a
-		}
-	}
-	res, err = era.MergeShards(op, topo.keys, parts, func(m era.Op) (era.Result, error) {
-		r, p, err := rt.membership(ctx, topo, []era.Op{m})
-		if err != nil {
-			return era.Result{}, err
-		}
-		partial = partial || p[0]
-		return r[0], nil
-	})
-	return res, partial, err
-}
-
-// commonSubstring answers lcs on one shard — the answer is the suffix order
-// of the two documents alone, and every shard holds both — the first one that
-// answers, in shard order.
-func (rt *Router) commonSubstring(ctx context.Context, topo *topology, op era.Op) (era.Result, bool, error) {
-	qop := server.WireOp{Op: op.Kind.String(), DocA: op.DocA, DocB: op.DocB}
-	var errs []error
-	for i := range topo.shards {
-		resp, err := rt.shardQuery(ctx, &topo.shards[i], qop)
-		if err == nil {
-			return fromWire(op.Kind, resp), false, nil
-		}
-		if clientErr(err) || ctx.Err() != nil {
-			return era.Result{}, false, err
-		}
-		errs = append(errs, err)
-	}
-	if rt.cfg.Strict {
-		return era.Result{}, false, fmt.Errorf("%w: every shard: %v", errShardDown, errors.Join(errs...))
-	}
-	return era.Result{OffsetA: -1, OffsetB: -1}, true, nil
+	err := rt.doJSON(ctx, sh.Owners, true, http.MethodPost, "/v1/analytics", server.WireQuery{Index: sh.Name, WireOp: qop}, &resp)
+	return fromWire(resp), err
 }
 
 // A membership sub-batch is cut at whichever budget fills first. The byte
@@ -777,25 +673,6 @@ const (
 	maxChunkOps   = 512
 	maxChunkBytes = 256 << 10
 )
-
-// opError attributes a client error to one op of a multi-op call, by its
-// position in the ops the call was handed.
-type opError struct {
-	op  int
-	err error
-}
-
-func (e *opError) Error() string { return server.OpPrefix(e.op) + e.err.Error() }
-func (e *opError) Unwrap() error { return e.err }
-
-// opIndex is the op a client error names, or -1 when it names none.
-func opIndex(err error) int {
-	var oe *opError
-	if errors.As(err, &oe) {
-		return oe.op
-	}
-	return -1
-}
 
 // memberAnswer is what the merge reads of a replica's answer to one
 // membership op (server.QueryResponse without the pointer fields).
@@ -835,77 +712,18 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 	return n, nil
 }
 
-// membership answers contains/count/occurrences ops — one from /v1/query, or
-// the membership ops of a /v1/batch — the way the in-process sharded index's
-// Batch does: each op goes to the shards that own its pattern, every shard
-// the request touches gets the ops it owns as one /v1/batch sub-request per
-// chunk, and an op's owners' answers go to era.MergeShards. Sub-requests keep
-// the client's occurrence cap: the merged first-Max needs at most the first
-// Max from each owner. A shard that is down marks partial exactly the ops it
-// owns. A replica's 400 comes back as an opError naming the client's op.
-func (rt *Router) membership(ctx context.Context, topo *topology, ops []era.Op) (results []era.Result, partial []bool, err error) {
-	// No terminator gate here (the trees answer patterns holding it as the
-	// whole index does): a pattern containing the terminator byte is outside
-	// every replica's alphabet, so its op fails the sub-batch with a 400.
-	owners := make([][2]int, len(ops))
-	own := make([][]int, len(topo.shards)) // own[s]: the ops shard s owns, ascending
-	var touched []int
-	for i := range ops {
-		first, last := era.Owners(topo.keys, ops[i].Pattern)
-		owners[i] = [2]int{first, last}
-		for s := first; s <= last; s++ {
-			if len(own[s]) == 0 {
-				touched = append(touched, s)
-			}
-			own[s] = append(own[s], i)
-		}
-	}
-	answers := make([][]era.Result, len(topo.shards)) // aligned with own
-	dead, err := rt.fanOut(ctx, topo, touched, func(s int) (err error) {
-		answers[s], err = rt.memberShard(ctx, &topo.shards[s], ops, own[s])
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	results = make([]era.Result, len(ops))
-	partial = make([]bool, len(ops))
-	parts := make([]*era.Answer, len(topo.shards))
-	next := make([]int, len(topo.shards)) // the next answer of each shard's
-	var down []string
-	for i, op := range ops {
-		first, last := owners[i][0], owners[i][1]
-		for s := first; s <= last; s++ {
-			parts[s] = nil
-			if dead[s] {
-				partial[i] = true
-				down = append(down, topo.shards[s].Name)
-				continue
-			}
-			parts[s] = &answers[s][next[s]]
-			next[s]++
-		}
-		results[i], _ = era.MergeShards(op, topo.keys, parts[first:last+1], nil)
-	}
-	if len(down) > 0 && rt.cfg.Strict {
-		slices.Sort(down)
-		return nil, nil, fmt.Errorf("%w: %s", errShardDown, strings.Join(slices.Compact(down), ", "))
-	}
-	return results, partial, nil
-}
-
-// memberShard sends one shard the ops it owns (ops[own[j]]), cut into
-// chunks, and returns its answers in that order.
-func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op, own []int) ([]era.Result, error) {
-	sub := make([]era.Op, len(own))
-	for j, i := range own {
-		sub[j] = ops[i]
-	}
-	out := make([]era.Result, 0, len(sub))
+// memberShard sends one shard membership ops, cut into chunks, and returns
+// its answers in order. Sub-requests keep the client's occurrence cap: the
+// merged first-Max needs at most the first Max from each owner. No
+// terminator gate here (the trees answer patterns holding it as the whole
+// index does): a pattern containing the terminator byte is outside every
+// replica's alphabet, so its op fails the sub-batch with a 400, which comes
+// back as an era.OpError naming the op.
+func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op) ([]era.Result, error) {
+	out := make([]era.Result, 0, len(ops))
 	var chunk bytes.Buffer
-	for lo := 0; lo < len(sub); {
-		n, err := encodeChunk(&chunk, sub[lo:])
+	for lo := 0; lo < len(ops); {
+		n, err := encodeChunk(&chunk, ops[lo:])
 		if err != nil {
 			return nil, err
 		}
@@ -934,9 +752,9 @@ func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op, 
 				pos, msg, ok := server.SplitOpError(re.msg)
 				switch {
 				case n == 1:
-					err = &opError{op: own[lo], err: err}
+					err = &era.OpError{Op: lo, Err: err}
 				case ok && pos < n:
-					err = &opError{op: own[lo+pos], err: &routeError{status: re.status, msg: msg}}
+					err = &era.OpError{Op: lo + pos, Err: &routeError{status: re.status, msg: msg}}
 				}
 			}
 			return nil, err
@@ -947,7 +765,7 @@ func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op, 
 }
 
 // fromWire converts a replica's wire response back to the library result.
-func fromWire(kind era.OpKind, w server.QueryResponse) era.Result {
+func fromWire(w server.QueryResponse) era.Result {
 	res := era.Result{Found: w.Found, Occurrences: w.Occurrences}
 	if w.Count != nil {
 		res.Count = *w.Count
@@ -1002,8 +820,6 @@ func (rt *Router) Handler() http.Handler {
 		switch {
 		case errors.As(err, &re):
 			writeErr(w, re.status, re.msg)
-		case errors.Is(err, errShardDown):
-			writeErr(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
 			writeErr(w, http.StatusGatewayTimeout, "routed query deadline exceeded")
 		case errors.Is(err, context.Canceled):
@@ -1086,69 +902,51 @@ func (rt *Router) Handler() http.Handler {
 			fail(w, err)
 		}
 		ops := make([]era.Op, len(qops))
-		var member []int // positions of the membership ops
 		for i := range qops {
 			op, err := qops[i].Plan()
+			if err == nil && op.Kind.IsAnalytic() {
+				// Analytics parameters are validated against the global
+				// corpus (the replicas would validate against their local
+				// shard — a global document ordinal can be perfectly valid and
+				// still exceed every shard's count).
+				err = op.Validate(nil, topo.numDocs)
+			}
 			if err != nil {
 				failOp(i, &routeError{status: http.StatusBadRequest, msg: err.Error()})
 				return
 			}
 			ops[i] = op
-			if !op.Kind.IsAnalytic() {
-				member = append(member, i)
-				continue
+		}
+		res, partial, down, err := era.RouteOps(ctx, topo.keys, ops, func(ctx context.Context, s int, sub []era.Op) ([]era.Result, error) {
+			return rt.askShard(ctx, &topo.shards[s], sub)
+		})
+		if err != nil {
+			var oe *era.OpError
+			if errors.As(err, &oe) {
+				failOp(oe.Op, oe.Err)
+			} else {
+				fail(w, err)
 			}
-			// Analytics parameters are validated against the global corpus
-			// (the replicas would validate against their local shard — a
-			// global document ordinal can be perfectly valid and still exceed
-			// every shard's count).
-			if err := op.Validate(nil, topo.numDocs); err != nil {
-				failOp(i, &routeError{status: http.StatusBadRequest, msg: err.Error()})
-				return
+			return
+		}
+		if down != nil && rt.cfg.Strict {
+			var names []string
+			for s, e := range down {
+				if e != nil {
+					names = append(names, topo.shards[s].Name)
+				}
 			}
+			slices.Sort(names)
+			writeErr(w, http.StatusServiceUnavailable, "cluster: shard unavailable: "+strings.Join(names, ", "))
+			return
 		}
 		wire := make([]server.QueryResponse, len(ops))
-		answer := func(i int, res era.Result, partial bool) {
-			if partial {
+		for i := range ops {
+			if partial[i] {
 				rt.partials.Add(1)
 			}
-			wire[i] = server.ToWire(ops[i], res)
-			wire[i].Partial = partial
-		}
-		// The membership ops of the request go first, together; an analytics
-		// op then runs its own routed executor.
-		if len(member) > 0 {
-			mops := ops
-			if len(member) < len(ops) {
-				mops = make([]era.Op, len(member))
-				for j, i := range member {
-					mops[j] = ops[i]
-				}
-			}
-			res, partial, err := rt.membership(ctx, topo, mops)
-			if err != nil {
-				var oe *opError
-				if errors.As(err, &oe) {
-					failOp(member[oe.op], oe.err)
-				} else {
-					fail(w, err)
-				}
-				return
-			}
-			for j, i := range member {
-				answer(i, res[j], partial[j])
-			}
-		}
-		for i, op := range ops {
-			if !op.Kind.IsAnalytic() {
-				continue
-			}
-			res, partial, err := rt.analytic(ctx, topo, op)
-			if err != nil {
-				failOp(i, err)
-				return
-			}
-			answer(i, res, partial)
+			wire[i] = server.ToWire(ops[i], res[i])
+			wire[i].Partial = partial[i]
 		}
 		if batch {
 			writeJSON(w, http.StatusOK, map[string]any{"results": wire})

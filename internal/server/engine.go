@@ -624,81 +624,61 @@ func (e *Engine) batchEntry(ctx context.Context, ent *catalogEntry, ops []era.Op
 		return a, nil
 	}
 
-	if e.cache == nil {
-		results := make([]era.Result, len(ops))
-		var memberOps []era.Op
-		var memberAt []int
-		for i, op := range ops {
-			if !sane(op) {
-				continue
-			}
-			if op.Kind.IsAnalytic() {
-				a, err := runAnalytic(op)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = a
-				continue
-			}
-			memberOps = append(memberOps, op)
-			memberAt = append(memberAt, i)
-		}
-		for j, r := range ent.idx.Batch(memberOps) {
-			results[memberAt[j]] = r
-		}
-		return results, nil
-	}
-
+	// With the cache off (nil) no key is built, got or put.
 	results := make([]era.Result, len(ops))
-	keys := make([]string, len(ops))
-	var missOps []era.Op
-	var missAt []int
-	var analyticAt []int
-	var hits int64
-	for i, op := range ops {
-		if !sane(op) {
-			continue // results[i] stays the zero Result: not found
-		}
-		keys[i] = cacheKey(prefix, op)
-		if r, ok := e.cache.get(keys[i]); ok {
-			results[i] = r
-			hits++
-			continue
-		}
-		if op.Kind.IsAnalytic() {
-			analyticAt = append(analyticAt, i)
-			continue
-		}
-		missOps = append(missOps, op)
-		missAt = append(missAt, i)
+	var keys []string
+	if e.cache != nil {
+		keys = make([]string, len(ops))
 	}
-	e.cacheHits.Add(hits)
-	e.cacheMisses.Add(int64(len(missOps) + len(analyticAt)))
 	// The cache is bounded in entries, so huge answer payloads (an
 	// unlimited-max query on a frequent pattern can return O(corpus)
 	// offsets; a low-min_len top-k can rank O(corpus) candidates) would
 	// make its memory unbounded; serve them uncached.
-	cachePut := func(key string, r era.Result) {
-		if len(r.Occurrences) <= maxCachedOccurrences &&
+	cachePut := func(i int, r era.Result) {
+		if e.cache != nil && len(r.Occurrences) <= maxCachedOccurrences &&
 			len(r.Top) <= maxCachedOccurrences &&
 			len(r.Stats) <= maxCachedOccurrences {
-			e.cache.put(key, r)
+			e.cache.put(keys[i], r)
 		}
 	}
-	if len(missOps)+len(analyticAt) == 0 {
-		return results, nil
-	}
-	for _, i := range analyticAt {
-		a, err := runAnalytic(ops[i])
+	var missOps []era.Op
+	var missAt []int
+	var hits, misses int64
+	for i, op := range ops {
+		if !sane(op) {
+			continue // results[i] stays the zero Result: not found
+		}
+		if e.cache != nil {
+			keys[i] = cacheKey(prefix, op)
+			if r, ok := e.cache.get(keys[i]); ok {
+				results[i] = r
+				hits++
+				continue
+			}
+			misses++
+		}
+		if !op.Kind.IsAnalytic() {
+			missOps = append(missOps, op)
+			missAt = append(missAt, i)
+			continue
+		}
+		a, err := runAnalytic(op)
 		if err != nil {
 			return nil, err
 		}
 		results[i] = a
-		cachePut(keys[i], a)
+		cachePut(i, a)
 	}
-	for j, r := range ent.idx.Batch(missOps) {
-		results[missAt[j]] = r
-		cachePut(keys[missAt[j]], r)
+	e.cacheHits.Add(hits)
+	e.cacheMisses.Add(misses)
+	if len(missOps) > 0 {
+		for j, r := range ent.idx.Batch(missOps) {
+			results[missAt[j]] = r
+			cachePut(missAt[j], r)
+		}
+	}
+	if misses == 0 {
+		return results, nil
 	}
 	// Re-check after the puts: a Load/Unload that retired this entry — or a
 	// mutation that moved a live index past the epoch these results were

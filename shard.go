@@ -3,9 +3,11 @@ package era
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"era/internal/alphabet"
 )
@@ -30,11 +32,11 @@ import (
 // look at the whole order — topk, lrs, mismatch — ask every shard and merge
 // the per-shard tree answers; the only facts no single shard sees are the
 // K−1 LCPs across the cuts and the L-mers that are proper prefixes of a key,
-// and the keys plus a count on the owners settle both (MergeShards).
+// and the keys plus a count on the owners settle both (mergeShards).
 //
-// The merge is written once, here, and the cluster router calls it too: it
-// holds the same keys (each replica lists its shard's range) and asks the
-// same owners over the network.
+// Routing and merge are written once, here (RouteOps), and the cluster
+// router runs them too: it holds the same keys (each replica lists its
+// shard's range) and asks the same owners over the network.
 
 // Queryable is the query surface shared by Index and ShardedIndex: the
 // engine in internal/server, the CLI and persistence address both through
@@ -278,53 +280,42 @@ func (sx *ShardedIndex) DocOccurrences(pattern []byte) ([]DocHit, error) {
 	return sx.shards[0].docHits(occ, len(pattern)), nil
 }
 
-// Batch answers many queries in one call: each membership op goes to its
-// owners, every shard serving the ops it owns as one sub-batch (reusing
-// Index.Batch's prefix-resumed descents), and an op with several owners
-// merges their answers. Results are identical to the monolithic Index.Batch,
-// occurrence order and truncation included.
+// Batch answers many queries in one call through RouteOps: every shard
+// serves the membership ops it owns as one sub-batch (reusing Index.Batch's
+// prefix-resumed descents), and an op with several owners merges their
+// answers. Results are identical to the monolithic Index.Batch, occurrence
+// order and truncation included; like it, an analytics op that does not
+// validate, or any op of a batch a corrupt shard fails, answers the zero
+// Result.
 func (sx *ShardedIndex) Batch(ops []Op) []Result {
+	invalid := func(op Op) bool { return op.Kind.IsAnalytic() && op.Validate(nil, sx.NumDocs()) != nil }
+	routed, at := ops, []int(nil) // at[j]: the op routed[j] is, when some are left out
+	if slices.ContainsFunc(ops, invalid) {
+		routed = nil
+		for i, op := range ops {
+			if !invalid(op) {
+				routed, at = append(routed, op), append(at, i)
+			}
+		}
+	}
+	answers, _, _, err := RouteOps(context.Background(), sx.keys, routed, sx.ask)
+	if at == nil && err == nil {
+		return answers
+	}
 	results := make([]Result, len(ops))
-	if len(ops) == 0 {
-		return results
-	}
-	sub := make([][]Op, len(sx.shards))
-	at := make([][]int, len(sx.shards)) // at[s][j]: the op sub[s][j] is
-	answered := make([]bool, len(ops))
-	for i, op := range ops {
-		if op.Kind.IsAnalytic() {
-			// Analytics plans dispatch through the sharded executor; a
-			// malformed plan leaves the zero Answer.
-			if a, err := sx.Analytics(context.Background(), op); err == nil {
-				results[i] = a
-			}
-			continue
-		}
-		first, last := sx.owners(op.Pattern)
-		for s := first; s <= last; s++ {
-			sub[s], at[s] = append(sub[s], op), append(at[s], i)
-		}
-	}
-	for s, sops := range sub {
-		if len(sops) == 0 {
-			continue
-		}
-		for j, r := range sx.shards[s].Batch(sops) {
-			i := at[s][j]
-			if answered[i] {
-				r = mergeParts(ops[i], []*Answer{&results[i], &r})
-			}
-			results[i], answered[i] = r, true
+	if err == nil {
+		for j, r := range answers {
+			results[at[j]] = r
 		}
 	}
 	return results
 }
 
-// Analytics answers one analytics query against the sharded index,
-// byte-identically to the monolithic executor over the same corpus: lcs on
-// any one shard (it reads only its two documents, and every shard holds them
-// all), docfreq on its patterns' owners, and topk, lrs and mismatch on every
-// shard, merged (MergeShards).
+// Analytics answers one analytics query against the sharded index through
+// RouteOps, byte-identically to the monolithic executor over the same
+// corpus: lcs on the first shard (it reads only its two documents, and every
+// shard holds them all), docfreq on its patterns' owners, and topk, lrs and
+// mismatch on every shard, merged (mergeShards).
 func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, sx.NumDocs()); err != nil {
 		return Answer{}, err
@@ -335,51 +326,303 @@ func (sx *ShardedIndex) Analytics(ctx context.Context, q Query) (Answer, error) 
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	switch q.Kind {
-	case OpContains, OpCount, OpOccurrences:
-		return sx.Batch([]Query{q})[0], nil
-	case OpCommonSubstring:
-		return sx.shards[0].Analytics(ctx, q)
+	res, _, _, err := RouteOps(ctx, sx.keys, []Query{q}, sx.ask)
+	if err != nil {
+		return Answer{}, err
 	}
-	asked := AnalyticsShards(q, sx.keys)
-	parts := make([]*Answer, len(sx.shards))
-	for i, sh := range sx.shards {
-		if !asked[i] {
-			continue
-		}
-		a, err := sh.Analytics(ctx, q)
-		if err != nil {
-			return Answer{}, err
-		}
-		parts[i] = &a
-	}
-	return MergeShards(q, sx.keys, parts, func(op Op) (Result, error) {
-		return sx.Batch([]Op{op})[0], nil
-	})
+	return res[0], nil
 }
 
-// AnalyticsShards reports which shards of a prefix-partitioned corpus an
-// analytics query asks, for MergeShards: a docfreq query its patterns'
-// owners, topk, lrs and mismatch every shard. (lcs is one shard's answer
-// alone: it is the suffix order of its two documents, which any shard holds.)
-func AnalyticsShards(q Query, keys [][]byte) []bool {
-	asked := make([]bool, len(keys))
-	if q.Kind != OpDocFreq {
-		for i := range asked {
-			asked[i] = true
+// ask is RouteOps's ask in process: a lone analytics op goes to shard s's
+// executor, any other ops to its Batch. A shard's error, a corrupt one's
+// included, fails the call.
+func (sx *ShardedIndex) ask(ctx context.Context, s int, ops []Op) ([]Result, error) {
+	if len(ops) == 1 && ops[0].Kind.IsAnalytic() {
+		a, err := sx.shards[s].Analytics(ctx, ops[0])
+		if err != nil {
+			return nil, err
 		}
-		return asked
+		return []Result{a}, nil
 	}
-	for _, p := range q.Patterns {
-		first, last := Owners(keys, p)
-		for i := first; i <= last; i++ {
-			asked[i] = true
+	return sx.shards[s].Batch(ops), nil
+}
+
+// ErrShardDown marks a shard none of whose copies could answer: an ask
+// error wrapping it leaves RouteOps to answer the shard's ops from the
+// shards that are left, flagged partial.
+var ErrShardDown = errors.New("era: shard unavailable")
+
+// OpError attributes an error to one op of a multi-op call, by its position
+// in the ops the call was handed.
+type OpError struct {
+	Op  int
+	Err error
+}
+
+func (e *OpError) Error() string { return fmt.Sprintf("op %d: %v", e.Op, e.Err) }
+func (e *OpError) Unwrap() error { return e.Err }
+
+// RouteOps answers ops over a prefix-partitioned corpus whose shards' lower
+// keys are keys, asking shard s through ask. It is the one routing and merge
+// rule of the partitioned callers: ShardedIndex asks its shards in process,
+// the cluster router over the network.
+//
+// A membership op goes to its owners (Owners): every shard the ops touch is
+// asked once, with the ops it owns in caller order, and an op's owners'
+// answers add up. lcs asks the shards in order until one answers; every other
+// analytics op asks the shards analyticsShards names with the lone op, and
+// mergeShards folds their answers, the membership lookups it needs routed
+// the same way. Shards are asked concurrently when several are touched.
+//
+// An ask error wrapping ErrShardDown marks shard s down: the ops that needed
+// it are answered from the shards that are left, partial[i] flags each of
+// them, and down[s] keeps the error; down is nil unless some answer is
+// partial. An error wrapping *OpError names a position in the ops handed to
+// ask and comes back naming the caller's position. Any other error, and a
+// done ctx, fails the call.
+func RouteOps(ctx context.Context, keys [][]byte, ops []Op, ask func(ctx context.Context, s int, ops []Op) ([]Result, error)) (results []Result, partial []bool, down []error, err error) {
+	r := &opRouter{ctx: ctx, keys: keys, ask: ask}
+	results, partial, err = r.route(ops)
+	return results, partial, r.down, err
+}
+
+// opRouter is one RouteOps call; down is shared by the nested calls its
+// merges make.
+type opRouter struct {
+	ctx  context.Context
+	keys [][]byte
+	ask  func(ctx context.Context, s int, ops []Op) ([]Result, error)
+	down []error
+}
+
+// route answers ops: the membership ops together, then each analytics op.
+func (r *opRouter) route(ops []Op) (results []Result, partial []bool, err error) {
+	results, partial = make([]Result, len(ops)), make([]bool, len(ops))
+	if err := r.members(ops, results, partial); err != nil {
+		return nil, nil, err
+	}
+	for i, op := range ops {
+		if op.Kind.IsAnalytic() {
+			if results[i], partial[i], err = r.analytic(op); err != nil {
+				return nil, nil, callerOp(err, []int{i})
+			}
+		}
+	}
+	return results, partial, nil
+}
+
+// members answers the membership ops of ops into results: each touched
+// shard is asked for the ops it owns, and each op merges its owners'
+// answers.
+func (r *opRouter) members(ops []Op, results []Result, partial []bool) error {
+	var own [][]int // own[s]: the positions of the ops shard s owns
+	var touched []int
+	for i, op := range ops {
+		if op.Kind.IsAnalytic() {
+			continue
+		}
+		if own == nil {
+			own, touched = make([][]int, len(r.keys)), make([]int, 0, len(r.keys))
+		}
+		first, last := Owners(r.keys, op.Pattern)
+		for s := first; s <= last; s++ {
+			if len(own[s]) == 0 {
+				touched = append(touched, s)
+			}
+			own[s] = append(own[s], i)
+		}
+	}
+	if len(touched) == 0 {
+		return nil
+	}
+	answers, err := r.askAll(touched, own, func(s int) []Op {
+		if len(own[s]) == len(ops) {
+			return ops
+		}
+		sub := make([]Op, len(own[s]))
+		for j, i := range own[s] {
+			sub[j] = ops[i]
+		}
+		return sub
+	})
+	if err != nil {
+		return err
+	}
+	parts := make([]*Answer, len(r.keys))
+	next := make([]int, len(r.keys)) // the next answer of each shard's
+	for i, op := range ops {
+		if op.Kind.IsAnalytic() {
+			continue
+		}
+		first, last := Owners(r.keys, op.Pattern)
+		for s := first; s <= last; s++ {
+			parts[s] = nil
+			if answers[s] == nil {
+				partial[i] = true
+				continue
+			}
+			parts[s] = &answers[s][next[s]]
+			next[s]++
+		}
+		results[i] = mergeParts(op, parts[first:last+1])
+	}
+	return nil
+}
+
+// analytic answers one analytics op: lcs from the first shard that answers,
+// any other kind from the shards analyticsShards names, merged.
+func (r *opRouter) analytic(q Op) (Result, bool, error) {
+	lone := []Op{q}
+	if q.Kind == OpCommonSubstring {
+		downs := make([]error, len(r.keys))
+		for s := range r.keys {
+			a, err := r.ask(r.ctx, s, lone)
+			if err == nil && len(a) != 1 {
+				err = fmt.Errorf("era: shard %d answered %d results to one op", s, len(a))
+			}
+			switch {
+			case err == nil:
+				return a[0], false, nil
+			case r.ctx.Err() != nil:
+				return Result{}, false, r.ctx.Err()
+			case !errors.Is(err, ErrShardDown):
+				return Result{}, false, err
+			}
+			downs[s] = err
+		}
+		for s, err := range downs {
+			r.markDown(s, err)
+		}
+		return Result{OffsetA: -1, OffsetB: -1}, true, nil
+	}
+	asked := analyticsShards(q, r.keys)
+	answers, err := r.askAll(asked, nil, func(int) []Op { return lone })
+	if err != nil {
+		return Result{}, false, err
+	}
+	partial := false
+	parts := make([]*Answer, len(r.keys))
+	for _, s := range asked {
+		if answers[s] == nil {
+			partial = true
+		} else {
+			parts[s] = &answers[s][0]
+		}
+	}
+	res, err := mergeShards(q, r.keys, parts, func(m Op) (Result, error) {
+		res, p, err := r.route([]Op{m})
+		if err != nil {
+			return Result{}, err
+		}
+		partial = partial || p[0]
+		return res[0], nil
+	})
+	return res, partial, err
+}
+
+// askAll asks each shard of shards for its ops, concurrently when there are
+// several, and returns answers[s], aligned with ops(s) — nil for a shard that
+// is down, which it marks. An *OpError from shard s is moved to own[s]'s
+// position when own is given; when several shards fail the call, the error
+// naming the earliest op wins.
+func (r *opRouter) askAll(shards []int, own [][]int, ops func(s int) []Op) ([][]Result, error) {
+	answers := make([][]Result, len(r.keys))
+	errs := make([]error, len(r.keys))
+	fanOut(len(shards), func(j int) {
+		s := shards[j]
+		sub := ops(s)
+		answers[s], errs[s] = r.ask(r.ctx, s, sub)
+		if errs[s] == nil && len(answers[s]) != len(sub) {
+			errs[s] = fmt.Errorf("era: shard %d answered %d results to %d ops", s, len(answers[s]), len(sub))
+		}
+	})
+	var failed error
+	for s, err := range errs {
+		switch {
+		case err == nil:
+		case r.ctx.Err() != nil:
+			return nil, r.ctx.Err()
+		case errors.Is(err, ErrShardDown):
+			answers[s] = nil
+			r.markDown(s, err)
+		default:
+			if own != nil {
+				err = callerOp(err, own[s])
+			}
+			if failed == nil || opPosition(err) < opPosition(failed) {
+				failed = err
+			}
+		}
+	}
+	if failed != nil {
+		return nil, failed
+	}
+	return answers, nil
+}
+
+func (r *opRouter) markDown(s int, err error) {
+	if r.down == nil {
+		r.down = make([]error, len(r.keys))
+	}
+	r.down[s] = err
+}
+
+// callerOp moves an *OpError naming position j of the ops an ask was handed
+// to at[j], the caller's position of that op.
+func callerOp(err error, at []int) error {
+	var oe *OpError
+	if errors.As(err, &oe) && oe.Op >= 0 && oe.Op < len(at) {
+		return &OpError{Op: at[oe.Op], Err: oe.Err}
+	}
+	return err
+}
+
+// opPosition is the op an error names, or -1 when it names none.
+func opPosition(err error) int {
+	var oe *OpError
+	if errors.As(err, &oe) {
+		return oe.Op
+	}
+	return -1
+}
+
+// fanOut runs f(j) for every j < n, concurrently when there are several.
+// Each call must confine its writes to its own slots.
+func fanOut(n int, f func(j int)) {
+	if n == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for j := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(j)
+		}()
+	}
+	wg.Wait()
+}
+
+// analyticsShards names the shards of a prefix-partitioned corpus an
+// analytics query asks, in order, for mergeShards: a docfreq query its
+// patterns' owners, topk, lrs and mismatch every shard. (lcs is one shard's
+// answer alone: it is the suffix order of its two documents, which any shard
+// holds.)
+func analyticsShards(q Query, keys [][]byte) []int {
+	asked := make([]int, 0, len(keys))
+	for s := range keys {
+		if q.Kind != OpDocFreq || slices.ContainsFunc(q.Patterns, func(p []byte) bool {
+			first, last := Owners(keys, p)
+			return first <= s && s <= last
+		}) {
+			asked = append(asked, s)
 		}
 	}
 	return asked
 }
 
-// MergeShards folds the answers the shards of a prefix-partitioned corpus
+// mergeShards folds the answers the shards of a prefix-partitioned corpus
 // gave to q — parts[i] is shard i's own answer, nil where shard i was not
 // asked or could not answer — into the answer over the whole corpus; keys
 // are the shards' lower keys. Membership ops and mismatch add up: found if a
@@ -393,7 +636,7 @@ func AnalyticsShards(q Query, keys [][]byte) []bool {
 // occurrences straddle a cut), and the occurrences of a repeat that does. A
 // shard left out is left out of the answer: what is merged is the answer
 // over the shards that are there.
-func MergeShards(q Query, keys [][]byte, parts []*Answer, member func(Op) (Result, error)) (Answer, error) {
+func mergeShards(q Query, keys [][]byte, parts []*Answer, member func(Op) (Result, error)) (Answer, error) {
 	switch q.Kind {
 	case OpTopK:
 		return mergeTop(q, keys, parts, member)

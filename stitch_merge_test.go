@@ -123,7 +123,7 @@ func TestStitchMergeAbsentParts(t *testing.T) {
 	}
 }
 
-// TestMergeShardsAbsentParts pins MergeShards the way the router drives it
+// TestMergeShardsAbsentParts pins mergeShards the way RouteOps drives it
 // when a shard is down: the parts are the answers of a ShardedIndex's shards,
 // each absent in turn, and member answers over the shards that are left. The
 // merge must then answer over the suffixes the surviving ranges hold, as an
@@ -182,12 +182,12 @@ func TestMergeShardsAbsentParts(t *testing.T) {
 					parts[s] = &a
 				}
 			}
-			return MergeShards(op, sx.keys, parts, nil)
+			return mergeShards(op, sx.keys, parts, nil)
 		}
 		for _, q := range queries {
 			parts := make([]*Answer, sx.NumShards())
-			for s, asked := range AnalyticsShards(q, sx.keys) {
-				if asked && s != absent {
+			for _, s := range analyticsShards(q, sx.keys) {
+				if s != absent {
 					a, err := sx.shards[s].Analytics(ctx, q)
 					if err != nil {
 						t.Fatal(err)
@@ -195,7 +195,7 @@ func TestMergeShardsAbsentParts(t *testing.T) {
 					parts[s] = &a
 				}
 			}
-			got, err := MergeShards(q, sx.keys, parts, member)
+			got, err := mergeShards(q, sx.keys, parts, member)
 			if err != nil {
 				t.Fatal(err)
 			}

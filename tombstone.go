@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"era/internal/alphabet"
@@ -292,27 +291,6 @@ func (s *liveSnapshot) release() {
 	}
 }
 
-// fanOut runs f(i, tier) for every tier, concurrently when there are
-// several. Each invocation must confine its writes to per-tier slots.
-func (s *liveSnapshot) fanOut(f func(i int, t *liveTier)) {
-	if len(s.tiers) == 0 {
-		return
-	}
-	if len(s.tiers) == 1 {
-		f(0, s.tiers[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for i, t := range s.tiers {
-		wg.Add(1)
-		go func(i int, t *liveTier) {
-			defer wg.Done()
-			f(i, t)
-		}(i, t)
-	}
-	wg.Wait()
-}
-
 // tailMatch resolves patterns containing the terminator byte. The virtual
 // string holds exactly one '$', at its very end, so such a pattern can match
 // only with '$' as its last byte, at offset totalLen−|P| — the tier trees
@@ -339,7 +317,8 @@ func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
 		return []DocHit{}
 	}
 	perTier := make([][]DocHit, len(s.tiers))
-	s.fanOut(func(i int, t *liveTier) {
+	fanOut(len(s.tiers), func(i int) {
+		t := s.tiers[i]
 		hits, _ := t.h.idx.DocOccurrences(p) // LiveIndex.DocOccurrences surfaced checkErr already
 		if t.nDead == 0 {
 			for j := range hits {
@@ -430,7 +409,8 @@ func (s *liveSnapshot) batch(ops []Op) []Result {
 	}
 
 	perTier := make([][]Result, len(s.tiers))
-	s.fanOut(func(i int, t *liveTier) {
+	fanOut(len(s.tiers), func(i int) {
+		t := s.tiers[i]
 		if t.nDead == 0 {
 			perTier[i] = t.h.idx.Batch(clean)
 			return

@@ -57,7 +57,7 @@ func Verify(path string) (*VerifyReport, error) {
 // once those vouch for the bytes — the structure of the tree image, which the
 // query paths only ever clamp.
 func verifyMono(x *Index) error {
-	if err := x.VerifyChecksums(); err != nil {
+	if err := x.CheckErr(); err != nil {
 		return err
 	}
 	if err := suffixtree.ValidateView(x.tree, x.lo, x.hi); err != nil {
