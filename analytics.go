@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -582,15 +583,15 @@ func (t *topScan) answer() Answer {
 // after the other from offset 0 — a live snapshot's segs, the virtual global
 // string: SA-IS for the suffix order, Kasai for the neighbour LCPs, one pass
 // of the op's consumer. O(n) time whatever the content looks like, in 9¼
-// bytes per symbol that one call leaves to the next (suffixSorters), so a
-// call allocates what its answer holds.
-func suffixOrderAnswer(ctx context.Context, q Query, segs []run) (Answer, error) {
+// bytes per symbol that one call leaves to the next (sorters), so a call
+// allocates what its answer holds.
+func suffixOrderAnswer(ctx context.Context, q Query, segs []run, sorters *sorterCache) (Answer, error) {
 	n := 1
 	for _, r := range segs {
 		n += len(r.Data)
 	}
-	z := suffixSorters.Get().(*suffixSorter)
-	defer suffixSorters.Put(z)
+	z := sorters.get()
+	defer sorters.put(z)
 	text := slices.Grow(z.text[:0], n)
 	for _, r := range segs {
 		text = append(text, r.Data...)
@@ -627,14 +628,40 @@ func suffixOrderAnswer(ctx context.Context, q Query, segs []run) (Answer, error)
 	return rep.answer(text), nil
 }
 
-// suffixSorters holds the memory of finished suffixOrderAnswer calls for the
-// next ones: the laid-out text and a suffixarray.Sorter, one per call running
-// at once.
-var suffixSorters = sync.Pool{New: func() any { return new(suffixSorter) }}
+// sorterCache holds the memory of one live index's finished
+// suffixOrderAnswer calls for the next ones: the laid-out text and a
+// suffixarray.Sorter, one per call running at once, at most GOMAXPROCS of
+// them kept. Unlike a sync.Pool it is not emptied by garbage collection, so
+// whether a call sorts in kept memory or allocates it afresh does not depend
+// on when the collector last ran; the memory goes when the index does.
+type sorterCache struct {
+	mu   sync.Mutex
+	free []*suffixSorter
+}
 
 type suffixSorter struct {
 	text []byte
 	suffixarray.Sorter
+}
+
+func (c *sorterCache) get() *suffixSorter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.free)
+	if n == 0 {
+		return new(suffixSorter)
+	}
+	z := c.free[n-1]
+	c.free = c.free[:n-1]
+	return z
+}
+
+func (c *sorterCache) put(z *suffixSorter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.free) < runtime.GOMAXPROCS(0) {
+		c.free = append(c.free, z)
+	}
 }
 
 // docFreqAnswer aggregates per-document stats for a pattern set through any

@@ -41,8 +41,8 @@ func (s *liveSnapshot) checkErr() error {
 // do not fan out at all: lrs and topk are read off the suffix array of the
 // virtual string laid out from the live segments (suffixOrderAnswer), which is
 // linear on any input, has junctions, tombstones and the memtable already
-// resolved and is sorted in memory one call leaves to the next, and lcs off
-// that of its two documents (commonSubstring).
+// resolved and is sorted in memory one call leaves to the next (sorters), and
+// lcs off that of its two documents (commonSubstring).
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, s.numDocs); err != nil {
 		return Answer{}, err
@@ -55,7 +55,7 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	}
 	switch q.Kind {
 	case OpTopK, OpLongestRepeat:
-		return suffixOrderAnswer(ctx, q, s.segs)
+		return suffixOrderAnswer(ctx, q, s.segs, s.sorters)
 	case OpCommonSubstring:
 		return commonSubstring(ctx, s.docBytes(q.DocA), s.docBytes(q.DocB))
 	case OpDocFreq:

@@ -190,10 +190,11 @@ func TestPartitionedSuffixOrderAnswers(t *testing.T) {
 			for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 5, MinLen: 4}, {Kind: OpTopK, K: MaxTopK, MinLen: 2}} {
 				want, _ := mono.Analytics(ctx, q)
 				for name, segs := range map[string][]run{"one segment": whole, "three segments": cut} {
-					got, err := suffixOrderAnswer(ctx, q, segs)
+					var sorters sorterCache
+					got, err := suffixOrderAnswer(ctx, q, segs, &sorters)
 					// The next call lays other bytes out in the memory this one
 					// sorted in; the answer must hold none of it.
-					if _, err := suffixOrderAnswer(ctx, q, other); err != nil {
+					if _, err := suffixOrderAnswer(ctx, q, other, &sorters); err != nil {
 						t.Fatal(err)
 					}
 					if err != nil || !reflect.DeepEqual(got, want) {
@@ -248,8 +249,7 @@ func analyticsLive(t *testing.T, docs, extra [][]byte) *LiveIndex {
 // 14 B per symbol) per call, so none of the three grows with the corpus — at
 // 128 Ki symbols each allocates at most a quarter more than at 32 Ki, plus
 // 4 KiB. Each cost is the least of a few calls: the first live call sizes the
-// memory the later ones reuse, and the race detector's sync.Pool drops a
-// quarter of what it is handed.
+// memory the later ones reuse.
 func TestAnalyticsCostPins(t *testing.T) {
 	ctx := context.Background()
 	topk := Query{Kind: OpTopK, K: 16, MinLen: 8}

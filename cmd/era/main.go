@@ -50,11 +50,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -97,7 +99,7 @@ func usage() {
   era stats -index FILE
   era verify FILE|LIVEDIR ...
   era serve [-addr HOST:PORT] [-cache N] [-dir DIR] [-live DIR] [-drain DURATION] [-timeout DURATION] [INDEX.idx ...]
-  era route -replicas URL,URL,... [-addr HOST:PORT] [-corpus NAME] [-replication N] [-vnodes N]
+  era route -replicas URL,URL,... [-addr HOST:PORT] [-corpus NAME] [-replication N]
             [-timeout D] [-attempt D] [-retries N] [-hedge D] [-strict] [-check D]`)
 	os.Exit(2)
 }
@@ -356,9 +358,9 @@ func shard(args []string) {
 	printShards(sx)
 	if *splitdir != "" {
 		// One standalone file per shard, named NAME~i — the shard-family
-		// convention era route discovers. Replicas load whichever files the
-		// router's placement assigns them (or all of them; the ring decides
-		// who is actually queried).
+		// convention era route discovers. Each replica loads whichever of
+		// them it should serve; the router asks a shard of the replicas
+		// that list it.
 		if err := os.MkdirAll(*splitdir, 0o755); err != nil {
 			fatal(err)
 		}
@@ -375,8 +377,8 @@ func shard(args []string) {
 	}
 }
 
-// routeCmd runs the stateless cluster router (see internal/cluster/route):
-// consistent-hash placement of corpus shards over `era serve` replicas,
+// routeCmd runs the stateless cluster router (see internal/cluster/route)
+// over `era serve` replicas, each loading some of a corpus's shards:
 // health-checked routing of each op to the shards that own it, with retries
 // and hedging, answering byte-identically to one monolithic index.
 func routeCmd(args []string) {
@@ -386,7 +388,6 @@ func routeCmd(args []string) {
 		replicas    = fs.String("replicas", "", "comma-separated base URLs of era serve replicas (required)")
 		corpus      = fs.String("corpus", "", "shard family to serve (NAME for shards NAME~0..K-1); empty auto-detects")
 		replication = fs.Int("replication", 2, "replicas per shard")
-		vnodes      = fs.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 		timeout     = fs.Duration("timeout", 10*time.Second, "end-to-end budget per client request")
 		attempt     = fs.Duration("attempt", 0, "per-attempt sub-request deadline (default timeout/(retries+2))")
 		retries     = fs.Int("retries", 2, "additional attempts per failed sub-request")
@@ -409,7 +410,6 @@ func routeCmd(args []string) {
 		Replicas:       bases,
 		Corpus:         *corpus,
 		Replication:    *replication,
-		VNodes:         *vnodes,
 		Timeout:        *timeout,
 		AttemptTimeout: *attempt,
 		Retries:        *retries,
@@ -427,8 +427,12 @@ func routeCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	for shard, owners := range rt.Placement() {
-		log.Printf("shard %s -> %v", shard, owners)
+	placement, under := rt.Placement(), rt.UnderReplicated()
+	for _, shard := range slices.Sorted(maps.Keys(placement)) {
+		log.Printf("shard %s -> %v", shard, placement[shard])
+		if slices.Contains(under, shard) {
+			log.Printf("warning: shard %s is listed by fewer replicas than -replication: losing %v leaves its ops partial", shard, placement[shard])
+		}
 	}
 	rt.Health().Start()
 	defer rt.Health().Stop()

@@ -1,12 +1,12 @@
 // Package route is the fault-tolerant serving tier over `era serve`
-// replicas: consistent-hash shard placement, active health checking,
-// retries with jittered backoff, hedged reads, and explicit partial-answer
-// degradation over prefix-partitioned shards. It carries requests only: which
-// shards an op asks and how their answers merge is era.RouteOps, the
-// executor the in-process sharded index runs too, so no routing or merge
-// rule is spelled here. It complements the sibling package cluster (the §5
-// shared-nothing construction simulation): cluster builds indexes across
-// nodes, route serves them.
+// replicas: shard placement read from the replicas' own listings, active
+// health checking, retries with jittered backoff, hedged reads, and explicit
+// partial-answer degradation over prefix-partitioned shards. It carries
+// requests only: which shards an op asks and how their answers merge is
+// era.RouteOps, the executor the in-process sharded index runs too, so no
+// routing or merge rule is spelled here. It complements the sibling package
+// cluster (the §5 shared-nothing construction simulation): cluster builds
+// indexes across nodes, route serves them.
 package route
 
 import (
@@ -33,15 +33,15 @@ import (
 // Router serves a corpus from its prefix-partitioned shards — each an
 // `era shard -splitdir` file whose tree holds one range of the suffix order
 // over all of S — hosted on `era serve` replicas, answering byte-identically
-// to one big index. Placement is a consistent-hash ring with virtual nodes:
-// each shard's replica set is the first Replication distinct nodes clockwise
-// from the shard name's hash, so adding a replica moves only the shards on
-// the arcs it gains. A request's ops go to era.RouteOps, which decides the
-// shards each op asks and merges their answers; the router's ask carries a
-// shard's membership ops as /v1/batch sub-requests (one per chunk) and an
-// analytics op as a /v1/analytics one. Per-shard sub-requests carry
-// per-attempt deadlines, retry with full-jitter backoff across the surviving
-// owners, and optionally hedge the first attempt.
+// to one big index. Placement is what the replicas list: shard i's owners are
+// the replicas whose /v1/indexes names it at the last Refresh, in Replicas
+// order rotated to start at replica i mod len(Replicas) so the primaries
+// spread, at most Replication of them. A request's ops go to era.RouteOps,
+// which decides the shards each op asks and merges their answers; the
+// router's ask carries a shard's membership ops as /v1/batch sub-requests
+// (one per chunk) and an analytics op as a /v1/analytics one. Per-shard
+// sub-requests carry per-attempt deadlines, retry with full-jitter backoff
+// across the surviving owners, and optionally hedge the first attempt.
 //
 // Degradation is explicit: a shard whose every replica is unreachable is
 // era.ErrShardDown to the executor, which answers the ops that needed it
@@ -49,10 +49,8 @@ import (
 // the request with 503 in strict mode — instead of hanging, erroring the
 // whole request, or silently returning a wrong answer dressed up as a
 // complete one; ops the dead shard does not own are unaffected.
-
 type Router struct {
 	cfg     RouterConfig
-	ring    *Ring
 	topo    atomic.Pointer[topology]
 	healthy *Health
 
@@ -70,11 +68,10 @@ type RouterConfig struct {
 	// Corpus names the shard family to serve ("x" serves shards "x~0",
 	// "x~1", ...). Empty auto-detects, requiring exactly one family.
 	Corpus string
-	// Replication is how many replicas each shard is placed on (default 2,
-	// capped at len(Replicas)).
+	// Replication is how many replicas each shard is asked on (default 2,
+	// capped at len(Replicas)); a shard fewer replicas list is asked on
+	// those.
 	Replication int
-	// VNodes is the virtual-node count per replica on the ring (default 64).
-	VNodes int
 	// Timeout bounds one client request end to end (default 10s).
 	Timeout time.Duration
 	// AttemptTimeout bounds one sub-request attempt against one replica
@@ -138,14 +135,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one replica")
 	}
+	for i, r := range cfg.Replicas {
+		if slices.Contains(cfg.Replicas[:i], r) {
+			return nil, fmt.Errorf("cluster: replica %s is listed twice", r)
+		}
+	}
 	if cfg.Replication <= 0 {
 		cfg.Replication = 2
 	}
 	if cfg.Replication > len(cfg.Replicas) {
 		cfg.Replication = len(cfg.Replicas)
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
@@ -164,16 +163,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Transport: newTransport()}
 	}
-	ring := NewRing(cfg.VNodes)
-	for _, r := range cfg.Replicas {
-		ring.Add(r)
-	}
 	h := cfg.Health
 	if h == nil {
 		h = NewHealth(cfg.Replicas)
 		h.Client = cfg.Client
 	}
-	return &Router{cfg: cfg, ring: ring, healthy: h}, nil
+	return &Router{cfg: cfg, healthy: h}, nil
 }
 
 // idleConnsPerReplica is how many idle connections the router's own
@@ -197,9 +192,8 @@ func newTransport() *http.Transport {
 // loop (and tests can drive it synchronously).
 func (rt *Router) Health() *Health { return rt.healthy }
 
-// Placement returns shard name → replica set for the current topology;
-// provisioning tooling uses it to decide which replica loads which shard
-// files.
+// Placement returns shard name → the replicas it is asked on, in the order
+// they are tried, for the current topology.
 func (rt *Router) Placement() map[string][]string {
 	topo := rt.topo.Load()
 	if topo == nil {
@@ -212,14 +206,30 @@ func (rt *Router) Placement() map[string][]string {
 	return out
 }
 
+// UnderReplicated names, sorted, the shards of the current topology that are
+// asked on fewer than Replication replicas: fewer replicas list them.
+func (rt *Router) UnderReplicated() []string {
+	var out []string
+	if topo := rt.topo.Load(); topo != nil {
+		for _, sh := range topo.shards {
+			if len(sh.Owners) < rt.cfg.Replication {
+				out = append(out, sh.Name)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // Refresh discovers the shard topology: it lists /v1/indexes on every
-// replica — a replica need only load the shards placed on it — unions the
+// replica — a replica need only load some of the shards — unions the
 // listings by name, refusing a shard two replicas describe differently
 // (counts, range or image fingerprint), groups names of the form "corpus~N",
 // verifies that the family is contiguous from 0 and tiles the suffix order
-// of one corpus, and assigns owners from the ring (an owner that answered and
-// does not list the shard is no candidate for it). Serving continues on the
-// previous topology until the swap at the end.
+// of one corpus, and makes the replicas that list a shard its owners (see
+// Router). A replica that does not answer is asked for nothing until a later
+// Refresh lists it. Serving continues on the previous topology until the swap
+// at the end.
 func (rt *Router) Refresh(ctx context.Context) error {
 	listings := make([]map[string]wireIndexInfo, len(rt.cfg.Replicas)) // nil: unreachable
 	errs := make([]error, len(rt.cfg.Replicas))
@@ -244,12 +254,6 @@ func (rt *Router) Refresh(ctx context.Context) error {
 	if !slices.ContainsFunc(errs, func(e error) bool { return e == nil }) {
 		return fmt.Errorf("cluster: topology discovery failed on every replica: %w", errors.Join(errs...))
 	}
-	holds := func(base, shard string) bool { // false only when base answered without it
-		l := listings[slices.Index(rt.cfg.Replicas, base)]
-		_, ok := l[shard]
-		return l == nil || ok
-	}
-
 	byFamily := map[string]map[int]wireIndexInfo{}
 	for r, listing := range listings {
 		for _, info := range listing {
@@ -296,13 +300,11 @@ func (rt *Router) Refresh(ctx context.Context) error {
 			return err
 		}
 		sh := shardInfo{Name: info.Name}
-		for _, o := range rt.ring.Owners(info.Name, rt.cfg.Replication) {
-			if holds(o, info.Name) {
-				sh.Owners = append(sh.Owners, o)
+		for k := 0; k < len(listings) && len(sh.Owners) < rt.cfg.Replication; k++ {
+			r := (i + k) % len(listings)
+			if _, ok := listings[r][info.Name]; ok {
+				sh.Owners = append(sh.Owners, rt.cfg.Replicas[r])
 			}
-		}
-		if len(sh.Owners) == 0 {
-			return fmt.Errorf("cluster: none of the replicas the ring places shard %s on has it loaded", info.Name)
 		}
 		name, err := json.Marshal(info.Name)
 		if err != nil {
@@ -378,7 +380,7 @@ func clientErr(err error) bool {
 }
 
 // candidates orders a shard's owners for attempting: healthy owners first
-// (in ring preference order), ejected ones after — if the checker has
+// (in placement order), ejected ones after — if the checker has
 // ejected everyone, the requests themselves get to discover a recovery.
 func (rt *Router) candidates(owners []string) []string {
 	out := make([]string, 0, len(owners))
@@ -855,14 +857,15 @@ func (rt *Router) Handler() http.Handler {
 			shards = len(topo.shards)
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"requests":    rt.requests.Load(),
-			"retries":     rt.retries.Load(),
-			"hedges":      rt.hedges.Load(),
-			"partials":    rt.partials.Load(),
-			"shard_down":  rt.shardDown.Load(),
-			"shards":      shards,
-			"replicas":    rt.healthy.Snapshot(),
-			"replication": rt.cfg.Replication,
+			"requests":         rt.requests.Load(),
+			"retries":          rt.retries.Load(),
+			"hedges":           rt.hedges.Load(),
+			"partials":         rt.partials.Load(),
+			"shard_down":       rt.shardDown.Load(),
+			"shards":           shards,
+			"under_replicated": len(rt.UnderReplicated()),
+			"replicas":         rt.healthy.Snapshot(),
+			"replication":      rt.cfg.Replication,
 		})
 	})
 	mux.HandleFunc("GET /v1/indexes", func(w http.ResponseWriter, r *http.Request) {

@@ -27,9 +27,9 @@ import (
 
 // routedCluster is the differential harness: one monolithic reference
 // server over the whole corpus, and a routed deployment — every shard
-// loaded on every replica (the ring decides which owners are actually
-// queried), each replica fronted by a FaultProxy so the tests can inject
-// network failures between router and replica.
+// loaded on every replica unless the test says otherwise, each replica
+// fronted by a FaultProxy so the tests can inject network failures between
+// router and replica.
 type routedCluster struct {
 	t       *testing.T
 	docs    [][]byte
@@ -47,7 +47,7 @@ type routedCluster struct {
 
 	// deadShard, when set, names a shard no replica answers for: a request
 	// addressing it is dropped behind every fault proxy, so exactly that
-	// shard is down whatever the ring placed where.
+	// shard is down whatever its placement.
 	deadShard atomic.Pointer[string]
 }
 
@@ -538,8 +538,7 @@ func TestRoutedDifferential(t *testing.T) {
 // topk, lrs and mismatch, which ask every shard — answers 200 with
 // "partial": true within the deadline, never a hang, and a strict router
 // refuses it with 503; every other op, lcs included (it falls over to a live
-// shard, if the ring placed any shard off the two), answers byte-equal to the
-// monolithic server on both routers. A
+// shard), answers byte-equal to the monolithic server on both routers. A
 // degraded lrs / topk is the answer over the suffixes the live shards hold.
 func TestRoutedPartialAndStrict(t *testing.T) {
 	tc := newRoutedCluster(t, 3, 3, nil)
@@ -984,18 +983,34 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	}
 
 	tc.check(t, "/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: string(tc.concat[5:12])}))
-	var metrics struct {
-		Requests    int64           `json:"requests"`
-		Replication int             `json:"replication"`
-		Shards      int             `json:"shards"`
-		Replicas    map[string]bool `json:"replicas"`
+	type metricz struct {
+		Requests        int64           `json:"requests"`
+		Replication     int             `json:"replication"`
+		Shards          int             `json:"shards"`
+		UnderReplicated *int            `json:"under_replicated"`
+		Replicas        map[string]bool `json:"replicas"`
 	}
+	var metrics metricz
 	_, b = get("/metricz")
 	if err := json.Unmarshal(b, &metrics); err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Requests < 1 || metrics.Replication != 2 || metrics.Shards != 2 || len(metrics.Replicas) != 2 {
+	if metrics.Requests < 1 || metrics.Replication != 2 || metrics.Shards != 2 || len(metrics.Replicas) != 2 ||
+		metrics.UnderReplicated == nil || *metrics.UnderReplicated != 0 {
 		t.Errorf("metricz wrong: %s", b)
+	}
+	// One replica alone holding a shard leaves that shard under-replicated.
+	tc.engines[1].Unload("corpus~1")
+	if err := tc.rt.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	metrics = metricz{}
+	_, b = get("/metricz")
+	if err := json.Unmarshal(b, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if metrics.UnderReplicated == nil || *metrics.UnderReplicated != 1 {
+		t.Errorf("metricz with corpus~1 on one replica: %s, want under_replicated 1", b)
 	}
 
 	// A router with no reachable replicas never gets a topology: not ready,
@@ -1027,44 +1042,40 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	}
 }
 
-// TestRoutedRefreshUnionsListings pins discovery over replicas that load only
-// what the ring places on them (the deployment `era shard -splitdir` is for):
-// no single replica lists the whole family, the union does, and the routed
-// answers are the monolithic ones. Two replicas describing one shard name
+// TestRoutedRefreshUnionsListings pins discovery over replicas that each load
+// some of the shards — the deployment `era shard -splitdir` is for, placed as
+// the README places it: replica r loads corpus~r and corpus~(r+1)%3. No
+// single replica lists the whole family, the union does, and a shard is asked
+// of exactly the replicas that list it, so losing any one replica leaves every
+// answer the monolithic one. Two replicas describing one shard name
 // differently is an error, never a merge.
 func TestRoutedRefreshUnionsListings(t *testing.T) {
-	owners := func(fronts []string, shard string) []string {
-		ring := NewRing(64)
-		for _, f := range fronts {
-			ring.Add(f)
-		}
-		return ring.Owners(shard, 2)
-	}
-	tc := newPlacedCluster(t, 3, 3, func(cfg *RouterConfig) {
-		// Discovery used to stop at the first replica that answered: put one
-		// that lacks a shard first.
-		fronts := cfg.Replicas
-		lacks := slices.IndexFunc(fronts, func(f string) bool { return !slices.Contains(owners(fronts, "corpus~0"), f) })
-		cfg.Replicas = append([]string{fronts[lacks]}, slices.Delete(slices.Clone(fronts), lacks, lacks+1)...)
-	}, func(fronts []string, r int, shard string) bool {
-		return slices.Contains(owners(fronts, shard), fronts[r])
+	tc := newPlacedCluster(t, 3, 3, nil, func(fronts []string, r int, shard string) bool {
+		return shard == fmt.Sprintf("corpus~%d", r) || shard == fmt.Sprintf("corpus~%d", (r+1)%3)
 	})
-	for shard, placed := range tc.rt.Placement() {
-		if want := owners(tc.fronts, shard); !reflect.DeepEqual(placed, want) {
-			t.Errorf("%s placed on %v, the ring says %v", shard, placed, want)
+	for i := range 3 {
+		// Rotated to start at replica i: replica i+1 does not list corpus~i.
+		shard, want := fmt.Sprintf("corpus~%d", i), []string{tc.fronts[i], tc.fronts[(i+2)%3]}
+		if placed := tc.rt.Placement()[shard]; !reflect.DeepEqual(placed, want) {
+			t.Errorf("%s placed on %v, want its listers %v", shard, placed, want)
 		}
 	}
-	for _, c := range tc.faultChecks() {
-		tc.check(t, c.path, c.req)
+	for r := range tc.proxies {
+		t.Run(fmt.Sprintf("drop-replica%d", r), func(t *testing.T) {
+			tc.proxies[r].Set(FaultDrop, -1)
+			defer tc.readmitAll()
+			for _, c := range tc.faultChecks() {
+				tc.check(t, c.path, c.req) // byte-equal to mono: never "partial"
+			}
+		})
 	}
 
-	// The one replica the ring keeps corpus~1 off loads another build of it:
-	// one symbol differs, and nothing else /v1/indexes lists — symbols,
+	// Replica 2, which does not list corpus~1, loads another build of it: one
+	// symbol differs, and nothing else /v1/indexes lists — symbols,
 	// documents, alphabet, range — tells the two apart but the fingerprint.
 	other := otherBuild(t, tc.docs, 3, 1)
 	other.SetName("corpus~1")
-	stray := slices.IndexFunc(tc.fronts, func(f string) bool { return !slices.Contains(owners(tc.fronts, "corpus~1"), f) })
-	if err := tc.engines[stray].Load(other); err != nil {
+	if err := tc.engines[2].Load(other); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -1074,21 +1085,46 @@ func TestRoutedRefreshUnionsListings(t *testing.T) {
 	}
 	tc.check(t, "/v1/query", qreq(server.QueryOp{Op: "count", Pattern: string(tc.concat[100:110])})) // the old topology still serves
 
-	// An owner that answers without a shard is no candidate for it; with no
-	// owner left the family is not servable.
-	tc.engines[stray].Unload("corpus~1")
-	for i, f := range tc.fronts {
-		if i != stray && f == owners(tc.fronts, "corpus~1")[0] {
-			tc.engines[i].Unload("corpus~1")
-		}
-	}
+	// A replica that answers without a shard is never asked for it.
+	tc.engines[2].Unload("corpus~1")
+	tc.engines[1].Unload("corpus~1")
 	if err := tc.rt.Refresh(ctx); err != nil {
-		t.Fatalf("Refresh with corpus~1 on one of its two owners: %v", err)
+		t.Fatalf("Refresh with corpus~1 on one replica: %v", err)
 	}
-	if placed, want := tc.rt.Placement()["corpus~1"], owners(tc.fronts, "corpus~1")[1:]; !reflect.DeepEqual(placed, want) {
+	if placed, want := tc.rt.Placement()["corpus~1"], tc.fronts[:1]; !reflect.DeepEqual(placed, want) {
 		t.Errorf("corpus~1 placed on %v with only %v holding it", placed, want)
 	}
 	tc.check(t, "/v1/analytics", qreq(server.QueryOp{Op: "lrs"}))
+}
+
+// TestRoutedRefreshSkipsUnreachable pins that a replica which does not answer
+// Refresh is asked for nothing — no guess at what it holds — and that Refresh
+// still succeeds over the others; a later Refresh it answers places it again.
+func TestRoutedRefreshSkipsUnreachable(t *testing.T) {
+	tc := newRoutedCluster(t, 3, 3, nil)
+	full := tc.rt.Placement()
+	tc.proxies[1].Set(FaultDrop, -1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := tc.rt.Refresh(ctx); err != nil {
+		t.Fatalf("Refresh with replica 1 unreachable: %v", err)
+	}
+	for shard, placed := range tc.rt.Placement() {
+		if slices.Contains(placed, tc.fronts[1]) {
+			t.Errorf("%s placed on %v, which includes the unreachable replica", shard, placed)
+		}
+	}
+	for _, c := range tc.faultChecks() {
+		tc.check(t, c.path, c.req)
+	}
+
+	tc.readmitAll()
+	if err := tc.rt.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if placed := tc.rt.Placement(); !reflect.DeepEqual(placed, full) {
+		t.Errorf("after readmission placement is %v, want %v", placed, full)
+	}
 }
 
 // otherBuild returns shard i of a k-shard build of a corpus that differs
@@ -1129,7 +1165,8 @@ func otherBuild(t *testing.T, docs [][]byte, k, i int) *era.Index {
 // corpus, each with the reason named: replicas that list one shard with
 // different ranges, a family whose ranges leave a gap or stop short of the
 // end of the suffix order, members of different corpora, and a whole image
-// among range images — a family cut at document boundaries.
+// among range images — a family cut at document boundaries. NewRouter
+// refuses a replica URL listed twice, naming it.
 func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 	docs := routedTestDocs(t, 24, 11)
 	build := func(docs [][]byte, k int) []*era.Index {
@@ -1157,13 +1194,15 @@ func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		replicas [][]*era.Index
+		twice    bool // list the first replica's URL again
 		want     string
 	}{
-		{"ranges disagree", [][]*era.Index{three, {three[0], four[1], three[2]}}, "disagree on shard corpus~1"},
-		{"gap", [][]*era.Index{{three[0], gap, three[2]}}, "not contiguous"},
-		{"short of the end", [][]*era.Index{three[:2]}, "stops short of the end"},
-		{"two corpora", [][]*era.Index{{three[0], shorter[1], shorter[2]}}, "not one corpus"},
-		{"whole among ranges", [][]*era.Index{{whole, three[1], three[2]}}, "must be rebuilt"},
+		{"ranges disagree", [][]*era.Index{three, {three[0], four[1], three[2]}}, false, "disagree on shard corpus~1"},
+		{"gap", [][]*era.Index{{three[0], gap, three[2]}}, false, "not contiguous"},
+		{"short of the end", [][]*era.Index{three[:2]}, false, "stops short of the end"},
+		{"two corpora", [][]*era.Index{{three[0], shorter[1], shorter[2]}}, false, "not one corpus"},
+		{"whole among ranges", [][]*era.Index{{whole, three[1], three[2]}}, false, "must be rebuilt"},
+		{"duplicate replica", [][]*era.Index{three, three}, true, "is listed twice"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var fronts []string
@@ -1178,12 +1217,15 @@ func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 				defer srv.Close()
 				fronts = append(fronts, srv.URL)
 			}
-			rt, err := NewRouter(RouterConfig{Replicas: fronts, Corpus: "corpus", ErrLog: quiet})
-			if err != nil {
-				t.Fatal(err)
+			if c.twice {
+				fronts = append(fronts, fronts[0])
 			}
-			if err := rt.Refresh(context.Background()); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("Refresh = %v, want an error saying %q", err, c.want)
+			rt, err := NewRouter(RouterConfig{Replicas: fronts, Corpus: "corpus", ErrLog: quiet})
+			if err == nil {
+				err = rt.Refresh(context.Background())
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) || c.twice && !strings.Contains(err.Error(), fronts[0]) {
+				t.Errorf("NewRouter + Refresh = %v, want an error saying %q", err, c.want)
 			}
 		})
 	}

@@ -47,6 +47,7 @@ type LiveIndex struct {
 	snap     atomic.Pointer[liveSnapshot]
 	epoch    atomic.Uint64
 	closedFl atomic.Bool
+	sorters  sorterCache // lrs / topk sort memory, kept from call to call
 
 	mu          sync.Mutex
 	alpha       *alphabet.Alphabet
@@ -325,6 +326,7 @@ func (lx *LiveIndex) buildConfig() Config {
 // their acquired snapshot until they return. Caller holds mu.
 func (lx *LiveIndex) publishLocked() {
 	s := newLiveSnapshot(slices.Concat(lx.sealed, lx.mem), lx.alpha)
+	s.sorters = &lx.sorters
 	if old := lx.snap.Swap(s); old != nil {
 		old.release()
 	}

@@ -462,7 +462,7 @@ func TestLiveRaceStress(t *testing.T) {
 					return
 				}
 				// lrs and topk sort in memory the queriers pass each other
-				// (suffixSorters) while seals and compactions retire tiers.
+				// (sorterCache) while seals and compactions retire tiers.
 				lrs, err := lx.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
 				if err != nil || (lrs.Found && (len(lrs.Pattern) == 0 || lrs.Count < 2 || len(lrs.Occurrences) != lrs.Count)) {
 					t.Errorf("lrs self-inconsistent: %d-byte pattern, %d occ, count %d, %v", len(lrs.Pattern), len(lrs.Occurrences), lrs.Count, err)

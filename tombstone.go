@@ -173,6 +173,7 @@ type liveSnapshot struct {
 	treeNodes int64
 	mapped    int64
 	stitch    stitch
+	sorters   *sorterCache // the index's, shared by all its snapshots
 	refs      atomic.Int64
 }
 
