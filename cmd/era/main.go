@@ -173,9 +173,26 @@ func serve(args []string) {
 	}
 
 	log.Printf("serving %d indexes on %s", len(engine.Names()), *addr)
+	h := server.NewHandlerOpts(engine, server.Options{ErrLog: log.Default(), QueryTimeout: *timeout})
+	// Fail /readyz first on the signal: routers eject this replica and stop
+	// sending new traffic while the in-flight requests drain. Only after the
+	// drain does the engine close — mapped indexes must not unmap under a
+	// live query.
+	listenAndDrain(*addr, h, *drain, func() { engine.SetReady(false) })
+	if err := engine.Close(); err != nil {
+		log.Printf("closing engine: %v", err)
+	}
+	log.Printf("shut down cleanly")
+}
+
+// listenAndDrain serves h on addr until SIGTERM/SIGINT, then runs onSignal
+// (if any), stops accepting, and drains in-flight requests within the drain
+// budget. Benchmarks and rolling deploys rely on this to terminate without
+// dropping replies.
+func listenAndDrain(addr string, h http.Handler, drain time.Duration, onSignal func()) {
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: server.NewHandlerOpts(engine, server.Options{ErrLog: log.Default(), QueryTimeout: *timeout}),
+		Addr:    addr,
+		Handler: h,
 		// Bound header dribble and idle keep-alives so stalled clients
 		// cannot park goroutines and fds forever. No WriteTimeout: large
 		// occurrence responses on slow links are legitimate.
@@ -183,11 +200,6 @@ func serve(args []string) {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	// Graceful shutdown: SIGTERM/SIGINT stops accepting, drains in-flight
-	// requests within the -drain budget, and only then closes the engine —
-	// mapped indexes must not unmap under a live query. Benchmarks and
-	// rolling deploys rely on this to terminate without dropping replies.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -196,21 +208,17 @@ func serve(args []string) {
 	case err := <-errc:
 		fatal(err)
 	case <-ctx.Done():
-		stop()
-		// Fail /readyz first: routers eject this replica and stop sending new
-		// traffic while the in-flight requests drain below.
-		engine.SetReady(false)
-		log.Printf("signal received; draining for up to %v", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(dctx); err != nil {
-			log.Printf("drain incomplete: %v", err)
-			srv.Close()
-		}
-		if err := engine.Close(); err != nil {
-			log.Printf("closing engine: %v", err)
-		}
-		log.Printf("shut down cleanly")
+	}
+	stop()
+	if onSignal != nil {
+		onSignal()
+	}
+	log.Printf("signal received; draining for up to %v", drain)
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(dctx); err != nil {
+		log.Printf("drain incomplete: %v", err)
+		srv.Close()
 	}
 }
 
@@ -438,31 +446,8 @@ func routeCmd(args []string) {
 	defer rt.Health().Stop()
 
 	log.Printf("routing over %d replicas on %s (replication %d)", len(bases), *addr, *replication)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received; draining for up to %v", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(dctx); err != nil {
-			log.Printf("drain incomplete: %v", err)
-			srv.Close()
-		}
-		log.Printf("shut down cleanly")
-	}
+	listenAndDrain(*addr, rt.Handler(), *drain, nil)
+	log.Printf("shut down cleanly")
 }
 
 func query(args []string) {

@@ -110,13 +110,28 @@ func main() {
 		"index": "genomes", "op": "occurrences", "pattern": "ATTA", "max": 5,
 	})
 
-	// The repeated query is answered from the LRU cache — /v1/stats shows
-	// the hit.
+	// The repeated query is answered from the LRU cache — the engine
+	// counters in /metricz show the hit.
 	post(base+"/v1/query", map[string]any{
 		"index": "dna", "op": "count", "pattern": "TG",
 	})
-	fmt.Println("\n-- GET /v1/stats --")
-	get(base + "/v1/stats")
+	fmt.Println("\n-- GET /metricz: the engine counters --")
+	resp, err := http.Get(base + "/metricz")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var metrics struct {
+		Engine server.Stats `json:"engine"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
+		log.Fatal(err)
+	}
+	out, err := json.MarshalIndent(metrics.Engine, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(string(out))
 }
 
 func get(url string) {

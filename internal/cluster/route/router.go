@@ -3,10 +3,12 @@
 // health checking, retries with jittered backoff, hedged reads, and explicit
 // partial-answer degradation over prefix-partitioned shards. It carries
 // requests only: which shards an op asks and how their answers merge is
-// era.RouteOps, the executor the in-process sharded index runs too, so no
-// routing or merge rule is spelled here. It complements the sibling package
-// cluster (the §5 shared-nothing construction simulation): cluster builds
-// indexes across nodes, route serves them.
+// era.RouteOps, the executor the in-process sharded index runs too, and the
+// HTTP front end is the replica's own (server.NewHandlerOpts, with the
+// Router as its server.Backend), so no routing or merge rule and no request
+// surface is spelled here. It complements the sibling package cluster (the
+// §5 shared-nothing construction simulation): cluster builds indexes across
+// nodes, route serves them.
 package route
 
 import (
@@ -54,7 +56,6 @@ type Router struct {
 	topo    atomic.Pointer[topology]
 	healthy *Health
 
-	requests  atomic.Int64
 	retries   atomic.Int64
 	hedges    atomic.Int64
 	partials  atomic.Int64
@@ -123,6 +124,7 @@ type shardInfo struct {
 // refreshes swap the pointer.
 type topology struct {
 	corpus   string
+	alphabet string
 	shards   []shardInfo
 	keys     [][]byte // keys[i]: shard i's lower key, what era.RouteOps routes by
 	totalLen int      // every shard's: each holds all of S, terminator included
@@ -290,7 +292,7 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		return fmt.Errorf("cluster: no shards named %s~N on the replicas", corpus)
 	}
 
-	topo := &topology{corpus: corpus, totalLen: family[0].Symbols, numDocs: family[0].Documents}
+	topo := &topology{corpus: corpus, alphabet: family[0].Alphabet, totalLen: family[0].Symbols, numDocs: family[0].Documents}
 	for i := 0; i < len(family); i++ {
 		info, ok := family[i]
 		if !ok {
@@ -363,20 +365,11 @@ func (w wireIndexInfo) String() string {
 // ---------------------------------------------------------------------------
 // Sub-request plumbing: candidate selection, retries, hedging.
 
-// routeError is an HTTP-level failure from a replica (or synthesized by the
-// router); transport failures travel as ordinary errors.
-type routeError struct {
-	status int
-	msg    string
-}
-
-func (e *routeError) Error() string { return e.msg }
-
 // clientErr reports a deterministic client error (4xx): retrying it on
 // another replica cannot change the answer.
 func clientErr(err error) bool {
-	var re *routeError
-	return errors.As(err, &re) && re.status >= 400 && re.status < 500
+	var se *server.StatusError
+	return errors.As(err, &se) && se.Status >= 400 && se.Status < 500
 }
 
 // candidates orders a shard's owners for attempting: healthy owners first
@@ -442,7 +435,7 @@ func (rt *Router) doShard(ctx context.Context, owners []string, heavy bool, buil
 }
 
 // attempt is one bounded round trip to one replica, reporting the outcome
-// to the health checker. 4xx statuses are surfaced as routeErrors and count
+// to the health checker. 4xx statuses are surfaced as server.StatusErrors and count
 // as replica-healthy (the replica answered; the request was wrong).
 func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build func(base string) (*http.Request, error), decode func(body []byte) error) error {
 	// An attempt abandoned by its caller — the losing arm of a hedge, a
@@ -481,13 +474,13 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 	}
 	if resp.StatusCode >= 500 {
 		report(false)
-		return &routeError{status: resp.StatusCode, msg: wireErrMsg(body, resp.StatusCode)}
+		return &server.StatusError{Status: resp.StatusCode, Msg: wireErrMsg(body, resp.StatusCode)}
 	}
 	if resp.StatusCode >= 400 {
 		// The replica answered; the request was wrong. That is a healthy
 		// replica and a deterministic client error.
 		report(true)
-		return &routeError{status: resp.StatusCode, msg: wireErrMsg(body, resp.StatusCode)}
+		return &server.StatusError{Status: resp.StatusCode, Msg: wireErrMsg(body, resp.StatusCode)}
 	}
 	if decode != nil {
 		if err := decode(body); err != nil {
@@ -747,16 +740,11 @@ func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op) 
 			return nil
 		})
 		if err != nil {
-			var re *routeError
-			if errors.As(err, &re) && re.status == http.StatusBadRequest {
-				// The replica names the op by its sub-batch position, and a
-				// sub-batch of one not at all.
-				pos, msg, ok := server.SplitOpError(re.msg)
-				switch {
-				case n == 1:
-					err = &era.OpError{Op: lo, Err: err}
-				case ok && pos < n:
-					err = &era.OpError{Op: lo + pos, Err: &routeError{status: re.status, msg: msg}}
+			// The replica names the op by its sub-batch position.
+			var se *server.StatusError
+			if errors.As(err, &se) && se.Status == http.StatusBadRequest {
+				if pos, msg, ok := server.SplitOpError(se.Msg); ok && pos < n {
+					err = &era.OpError{Op: lo + pos, Err: &server.StatusError{Status: se.Status, Msg: msg}}
 				}
 			}
 			return nil, err
@@ -797,211 +785,130 @@ func fromWire(w server.QueryResponse) era.Result {
 }
 
 // ---------------------------------------------------------------------------
-// HTTP front end.
+// The backend of the HTTP front end (server.Backend).
 
-// Handler returns the router's HTTP API: the same /v1/query, /v1/analytics
-// and /v1/batch surface as a replica (so clients cannot tell a router from
-// a monolithic server except by the partial field), plus its own probes and
-// metrics.
+// Handler returns the router's HTTP API: the replica's own handler serving
+// the router as its backend, so clients cannot tell a router from a
+// monolithic server except by the partial field.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, status int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(v); err != nil {
-			rt.logf("cluster: encoding response: %v", err)
+	return server.NewHandlerOpts(rt, server.Options{ErrLog: rt.cfg.ErrLog, QueryTimeout: rt.cfg.Timeout})
+}
+
+// Ready reports whether the router has a topology and a healthy replica.
+func (rt *Router) Ready() bool {
+	if rt.topo.Load() == nil {
+		return false
+	}
+	for _, ok := range rt.healthy.Snapshot() {
+		if ok {
+			return true
 		}
 	}
-	writeErr := func(w http.ResponseWriter, status int, msg string) {
-		writeJSON(w, status, map[string]string{"error": msg})
+	return false
+}
+
+// Names lists the routed corpus, once a topology is known.
+func (rt *Router) Names() []string {
+	if topo := rt.topo.Load(); topo != nil {
+		return []string{topo.corpus}
 	}
-	fail := func(w http.ResponseWriter, err error) {
-		var re *routeError
-		switch {
-		case errors.As(err, &re):
-			writeErr(w, re.status, re.msg)
-		case errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, http.StatusGatewayTimeout, "routed query deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			writeErr(w, http.StatusServiceUnavailable, "request canceled")
-		default:
+	return nil
+}
+
+// routedInfo is the routed corpus's listing entry.
+type routedInfo struct {
+	Name      string `json:"name"`
+	Symbols   int    `json:"symbols"`
+	Documents int    `json:"documents"`
+	Alphabet  string `json:"alphabet"`
+	Shards    int    `json:"shards"`
+}
+
+// Describe is the listing entry of the routed corpus.
+func (rt *Router) Describe(name string) (any, bool) {
+	topo := rt.topo.Load()
+	if topo == nil || name != topo.corpus {
+		return nil, false
+	}
+	return routedInfo{Name: topo.corpus, Symbols: topo.totalLen, Documents: topo.numDocs, Alphabet: topo.alphabet, Shards: len(topo.shards)}, true
+}
+
+// Answer answers ops over the routed corpus through era.RouteOps, each shard
+// asked through askShard. Analytics parameters are validated here, against
+// the global document count; the replicas validate membership patterns.
+// Without a topology, and in strict mode when a shard is down, it refuses
+// with 503; a fan-out that failed otherwise is 502.
+func (rt *Router) Answer(ctx context.Context, index string, ops []era.Op) ([]era.Result, []bool, error) {
+	topo := rt.topo.Load()
+	if topo == nil {
+		return nil, nil, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: "router has no topology yet"}
+	}
+	if index != topo.corpus {
+		return nil, nil, fmt.Errorf("%w: no index named %q routed (serving %q)", server.ErrUnknownIndex, index, topo.corpus)
+	}
+	for i, op := range ops {
+		if op.Kind.IsAnalytic() {
+			if err := op.Validate(nil, topo.numDocs); err != nil {
+				return nil, nil, &era.OpError{Op: i, Err: err}
+			}
+		}
+	}
+	res, partial, down, err := era.RouteOps(ctx, topo.keys, ops, func(ctx context.Context, s int, sub []era.Op) ([]era.Result, error) {
+		return rt.askShard(ctx, &topo.shards[s], sub)
+	})
+	if err != nil {
+		var se *server.StatusError
+		if !errors.As(err, &se) && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 			// Whatever broke the fan-out was replica-side or network-side.
-			writeErr(w, http.StatusBadGateway, err.Error())
+			err = &server.StatusError{Status: http.StatusBadGateway, Msg: err.Error()}
+		}
+		return nil, nil, err
+	}
+	if down != nil && rt.cfg.Strict {
+		var names []string
+		for s, e := range down {
+			if e != nil {
+				names = append(names, topo.shards[s].Name)
+			}
+		}
+		slices.Sort(names)
+		return nil, nil, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: "cluster: shard unavailable: " + strings.Join(names, ", ")}
+	}
+	for _, p := range partial {
+		if p {
+			rt.partials.Add(1)
 		}
 	}
+	return res, partial, nil
+}
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		topo := rt.topo.Load()
-		anyHealthy := false
-		for _, ok := range rt.healthy.Snapshot() {
-			if ok {
-				anyHealthy = true
-				break
-			}
-		}
-		if topo == nil || !anyHealthy {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]bool{"ready": false})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
-	})
-	mux.HandleFunc("GET /metricz", func(w http.ResponseWriter, r *http.Request) {
-		topo := rt.topo.Load()
-		shards := 0
-		if topo != nil {
-			shards = len(topo.shards)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"requests":         rt.requests.Load(),
-			"retries":          rt.retries.Load(),
-			"hedges":           rt.hedges.Load(),
-			"partials":         rt.partials.Load(),
-			"shard_down":       rt.shardDown.Load(),
-			"shards":           shards,
-			"under_replicated": len(rt.UnderReplicated()),
-			"replicas":         rt.healthy.Snapshot(),
-			"replication":      rt.cfg.Replication,
-		})
-	})
-	mux.HandleFunc("GET /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
-		topo := rt.topo.Load()
-		if topo == nil {
-			writeJSON(w, http.StatusOK, map[string]any{"indexes": []any{}})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"indexes": []map[string]any{{
-			"name":      topo.corpus,
-			"symbols":   topo.totalLen,
-			"documents": topo.numDocs,
-			"shards":    len(topo.shards),
-		}}})
-	})
+// AppendDocs refuses: a routed corpus is a set of static shard images.
+func (rt *Router) AppendDocs(index string, docs [][]byte) ([]uint64, error) {
+	return nil, fmt.Errorf("%w: %q is routed over static shards", server.ErrNotMutable, index)
+}
 
-	serveOps := func(w http.ResponseWriter, r *http.Request, index string, qops []server.WireOp, batch bool) {
-		topo := rt.topo.Load()
-		if topo == nil {
-			writeErr(w, http.StatusServiceUnavailable, "router has no topology yet")
-			return
-		}
-		if index != topo.corpus {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("no index named %q routed (serving %q)", index, topo.corpus))
-			return
-		}
-		rt.requests.Add(1)
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.Timeout)
-		defer cancel()
-		// failOp reports op i's failure; like the replica API, a batch names
-		// the op a client error is about by its position in the request.
-		failOp := func(i int, err error) {
-			var re *routeError
-			if batch && errors.As(err, &re) && clientErr(err) {
-				err = &routeError{status: re.status, msg: server.OpPrefix(i) + re.msg}
-			}
-			fail(w, err)
-		}
-		ops := make([]era.Op, len(qops))
-		for i := range qops {
-			op, err := qops[i].Plan()
-			if err == nil && op.Kind.IsAnalytic() {
-				// Analytics parameters are validated against the global
-				// corpus (the replicas would validate against their local
-				// shard — a global document ordinal can be perfectly valid and
-				// still exceed every shard's count).
-				err = op.Validate(nil, topo.numDocs)
-			}
-			if err != nil {
-				failOp(i, &routeError{status: http.StatusBadRequest, msg: err.Error()})
-				return
-			}
-			ops[i] = op
-		}
-		res, partial, down, err := era.RouteOps(ctx, topo.keys, ops, func(ctx context.Context, s int, sub []era.Op) ([]era.Result, error) {
-			return rt.askShard(ctx, &topo.shards[s], sub)
-		})
-		if err != nil {
-			var oe *era.OpError
-			if errors.As(err, &oe) {
-				failOp(oe.Op, oe.Err)
-			} else {
-				fail(w, err)
-			}
-			return
-		}
-		if down != nil && rt.cfg.Strict {
-			var names []string
-			for s, e := range down {
-				if e != nil {
-					names = append(names, topo.shards[s].Name)
-				}
-			}
-			slices.Sort(names)
-			writeErr(w, http.StatusServiceUnavailable, "cluster: shard unavailable: "+strings.Join(names, ", "))
-			return
-		}
-		wire := make([]server.QueryResponse, len(ops))
-		for i := range ops {
-			if partial[i] {
-				rt.partials.Add(1)
-			}
-			wire[i] = server.ToWire(ops[i], res[i])
-			wire[i].Partial = partial[i]
-		}
-		if batch {
-			writeJSON(w, http.StatusOK, map[string]any{"results": wire})
-			return
-		}
-		writeJSON(w, http.StatusOK, wire[0])
+// DeleteDoc refuses like AppendDocs.
+func (rt *Router) DeleteDoc(index string, id uint64) (bool, error) {
+	return false, fmt.Errorf("%w: %q is routed over static shards", server.ErrNotMutable, index)
+}
+
+// Metrics is the router's part of /metricz: its fan-out counters, the
+// topology's shard count and under-replicated shards, and replica health.
+func (rt *Router) Metrics() map[string]any {
+	shards := 0
+	if topo := rt.topo.Load(); topo != nil {
+		shards = len(topo.shards)
 	}
-	readJSON := func(w http.ResponseWriter, r *http.Request, dst any) bool {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(dst); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-			return false
-		}
-		return true
+	return map[string]any{
+		"retries":          rt.retries.Load(),
+		"hedges":           rt.hedges.Load(),
+		"partials":         rt.partials.Load(),
+		"shard_down":       rt.shardDown.Load(),
+		"shards":           shards,
+		"under_replicated": len(rt.UnderReplicated()),
+		"replicas":         rt.healthy.Snapshot(),
+		"replication":      rt.cfg.Replication,
 	}
-	single := func(analyticsOnly bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			var req server.WireQuery
-			if !readJSON(w, r, &req) {
-				return
-			}
-			if analyticsOnly {
-				// Same surface discipline as the replica API (an unknown op
-				// falls through to Plan's own parse error).
-				if kind, err := era.ParseOpKind(req.Op); err == nil && !kind.IsAnalytic() {
-					writeErr(w, http.StatusBadRequest,
-						fmt.Sprintf("op %q is a membership query, not an analytics op; use /v1/query", req.Op))
-					return
-				}
-			}
-			serveOps(w, r, req.Index, []server.WireOp{req.WireOp}, false)
-		}
-	}
-	mux.HandleFunc("POST /v1/query", single(false))
-	mux.HandleFunc("POST /v1/analytics", single(true))
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req server.WireBatch
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if len(req.Ops) == 0 {
-			writeErr(w, http.StatusBadRequest, "batch has no ops")
-			return
-		}
-		if len(req.Ops) > server.MaxBatchOps {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch of %d ops exceeds the limit of %d", len(req.Ops), server.MaxBatchOps))
-			return
-		}
-		serveOps(w, r, req.Index, req.Ops, true)
-	})
-	return mux
 }
 
 func (rt *Router) logf(format string, args ...any) {

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -918,8 +917,9 @@ func TestRoutedHedgeFastFailDegrades(t *testing.T) {
 	}
 }
 
-// TestRoutedMetricsAndProbes covers the router's own surface: /healthz,
-// /readyz before and after topology load, /v1/indexes, and /metricz.
+// TestRoutedMetricsAndProbes covers the router's surface beyond queries:
+// /healthz, /readyz before and after topology load, /v1/indexes and
+// /v1/indexes/{name}, the refused mutations, and /metricz.
 func TestRoutedMetricsAndProbes(t *testing.T) {
 	tc := newRoutedCluster(t, 2, 2, nil)
 
@@ -941,21 +941,27 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 		t.Errorf("/readyz with topology and healthy replicas = %d", s)
 	}
 	var listing struct {
-		Indexes []struct {
-			Name      string `json:"name"`
-			Symbols   int    `json:"symbols"`
-			Documents int    `json:"documents"`
-			Shards    int    `json:"shards"`
-		} `json:"indexes"`
+		Indexes []routedInfo `json:"indexes"`
 	}
 	_, b := get("/v1/indexes")
 	if err := json.Unmarshal(b, &listing); err != nil {
 		t.Fatal(err)
 	}
-	if len(listing.Indexes) != 1 || listing.Indexes[0].Name != "corpus" ||
-		listing.Indexes[0].Symbols != len(tc.concat)+1 ||
-		listing.Indexes[0].Documents != tc.numDocs || listing.Indexes[0].Shards != 2 {
-		t.Errorf("routed listing wrong: %s", b)
+	want := routedInfo{Name: "corpus", Symbols: len(tc.concat) + 1, Documents: tc.numDocs, Alphabet: "DNA", Shards: 2}
+	if len(listing.Indexes) != 1 || listing.Indexes[0] != want {
+		t.Errorf("routed listing wrong: %s, want the one entry %+v", b, want)
+	}
+	var entry routedInfo
+	if s, b := get("/v1/indexes/corpus"); s != http.StatusOK || json.Unmarshal(b, &entry) != nil || entry != want {
+		t.Errorf("GET /v1/indexes/corpus = %d %s, want %+v", s, b, want)
+	}
+	if s, b := get("/v1/indexes/corpus~0"); s != http.StatusNotFound {
+		t.Errorf("GET /v1/indexes/corpus~0 on the router = %d (%s), want 404", s, b)
+	}
+	// A routed corpus is static shard images: mutations are refused as a
+	// replica refuses them for a static index.
+	if s, b := postRaw(t, tc.routed.URL, "/v1/indexes/corpus/docs", []byte(`{"docs":["ACGT"]}`)); s != http.StatusBadRequest {
+		t.Errorf("POST /v1/indexes/corpus/docs on the router = %d (%s), want 400", s, b)
 	}
 
 	// The replicas' census endpoint went with the routed topk that used it.
@@ -984,18 +990,20 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 
 	tc.check(t, "/v1/query", qreq(server.QueryOp{Op: "contains", Pattern: string(tc.concat[5:12])}))
 	type metricz struct {
-		Requests        int64           `json:"requests"`
-		Replication     int             `json:"replication"`
-		Shards          int             `json:"shards"`
-		UnderReplicated *int            `json:"under_replicated"`
-		Replicas        map[string]bool `json:"replicas"`
+		Ops             map[string]server.HistSnapshot `json:"ops"`
+		Panics          *int64                         `json:"panics"`
+		Replication     int                            `json:"replication"`
+		Shards          int                            `json:"shards"`
+		UnderReplicated *int                           `json:"under_replicated"`
+		Replicas        map[string]bool                `json:"replicas"`
 	}
 	var metrics metricz
 	_, b = get("/metricz")
 	if err := json.Unmarshal(b, &metrics); err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Requests < 1 || metrics.Replication != 2 || metrics.Shards != 2 || len(metrics.Replicas) != 2 ||
+	if metrics.Ops["query"].Count < 1 || metrics.Panics == nil || *metrics.Panics != 0 ||
+		metrics.Replication != 2 || metrics.Shards != 2 || len(metrics.Replicas) != 2 ||
 		metrics.UnderReplicated == nil || *metrics.UnderReplicated != 0 {
 		t.Errorf("metricz wrong: %s", b)
 	}
@@ -1328,10 +1336,11 @@ func TestRoutedBatchSubBatches(t *testing.T) {
 	tc.check(t, "/v1/batch", breq(long...))
 }
 
-// TestRoutedBatchErrorPosition pins the position a batch error names: the
-// client's op index, as on the monolithic server — whether the router caught
-// the op itself (unknown op, analytics parameters) or a replica rejected it
-// inside a sub-batch, where analytics ops ahead of it shift its position.
+// TestRoutedBatchErrorPosition pins the error a batch gets: the monolithic
+// server's, byte for byte, which names the client's op index at its head —
+// whether the router caught the op itself (unknown op, analytics parameters)
+// or a replica rejected it inside a sub-batch, where analytics ops ahead of
+// it shift its position, and in a batch of one op too.
 func TestRoutedBatchErrorPosition(t *testing.T) {
 	tc := newRoutedCluster(t, 3, 3, nil)
 	ok := server.QueryOp{Op: "count", Pattern: "AC"}
@@ -1348,23 +1357,43 @@ func TestRoutedBatchErrorPosition(t *testing.T) {
 		{"sub-batch of one", []server.QueryOp{lrs, lrs, {Op: "count"}}, 2},
 		{"analytics parameters", []server.QueryOp{ok, {Op: "topk", K: 0, MinLen: 4}, ok}, 1},
 		{"first op", []server.QueryOp{{Op: "count"}, ok}, 0},
+		{"batch of one op", []server.QueryOp{{Op: "count", Pattern: "AxC"}}, 0},
 	}
-	marker := regexp.MustCompile(`op (\d+): `)
 	for _, c := range cases {
 		body, err := json.Marshal(breq(c.ops...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, side := range []struct{ name, url string }{{"routed", tc.routed.URL}, {"mono", tc.mono.URL}} {
-			status, resp := postRaw(t, side.url, "/v1/batch", body)
-			if status != http.StatusBadRequest {
-				t.Errorf("%s: %s answered %d (%s), want 400", c.name, side.name, status, resp)
-				continue
-			}
-			m := marker.FindSubmatch(resp)
-			if m == nil || string(m[1]) != fmt.Sprint(c.want) {
-				t.Errorf("%s: %s error %s does not name op %d", c.name, side.name, resp, c.want)
-			}
+		rs, rb := postRaw(t, tc.routed.URL, "/v1/batch", body)
+		ms, mb := postRaw(t, tc.mono.URL, "/v1/batch", body)
+		if rs != http.StatusBadRequest || ms != http.StatusBadRequest {
+			t.Errorf("%s: routed answered %d (%s), mono %d (%s), want 400 from both", c.name, rs, rb, ms, mb)
+			continue
+		}
+		if !bytes.Equal(rb, mb) {
+			t.Errorf("%s: error bodies differ:\n  routed %s\n  mono   %s", c.name, rb, mb)
+		}
+		if head := fmt.Sprintf(`{"error":"op %d: `, c.want); !bytes.HasPrefix(mb, []byte(head)) {
+			t.Errorf("%s: error %s does not name op %d at its head", c.name, mb, c.want)
+		}
+	}
+	// A single op's error names no op, and reads the same on both.
+	for _, c := range []routedCheck{
+		{"/v1/query", qreq(server.QueryOp{Op: "count", Pattern: "AxC"})},
+		{"/v1/query", qreq(server.QueryOp{Op: "contains"})},
+		{"/v1/query", qreq(server.QueryOp{Op: "occurrences", Pattern: "AC", Max: -1})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "count", Pattern: "AC"})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "mismatch", Pattern: "AC", K: 9})},
+		{"/v1/analytics", qreq(server.QueryOp{Op: "lcs", DocA: 0, DocB: tc.numDocs})},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, rb := postRaw(t, tc.routed.URL, c.path, body)
+		ms, mb := postRaw(t, tc.mono.URL, c.path, body)
+		if rs != http.StatusBadRequest || ms != http.StatusBadRequest || !bytes.Equal(rb, mb) || bytes.Contains(mb, []byte("op 0")) {
+			t.Errorf("%s %s: routed %d %s, mono %d %s, want one 400 body naming no op", c.path, body, rs, rb, ms, mb)
 		}
 	}
 }

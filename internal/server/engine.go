@@ -33,10 +33,6 @@ import (
 // error is a server-side problem and surfaces as 500.
 var ErrUnknownIndex = errors.New("unknown index")
 
-// ErrBadPattern reports a pattern BatchChecked rejected against the target
-// index's alphabet. The HTTP layer maps it to 400.
-var ErrBadPattern = errors.New("invalid pattern")
-
 // ErrNotMutable reports a mutation addressed to a static (snapshot) index.
 // Only live indexes (era.LiveIndex, or anything else implementing Mutable)
 // accept appends and deletes. The HTTP layer maps it to 400.
@@ -542,38 +538,36 @@ func (e *Engine) Acquire(index string) (era.Queryable, func(), error) {
 	return ent.idx, ent.release, nil
 }
 
-// BatchChecked is Batch with per-op plan validation (era.Query.Validate):
-// each op's own requirements are enforced — membership ops need a non-empty
-// pattern inside the index's alphabet, analytics ops check their own
-// parameters (k, min_len, document ordinals) and pattern-less ops are not
-// rejected for having no pattern. Failures come back wrapping ErrBadPattern
-// and name the op for multi-op batches. Validation and execution use one
-// catalog snapshot, so a concurrent hot reload cannot slip a pattern past a
-// check made against a different index's alphabet. The HTTP layer serves
-// through this; Batch keeps the lenient library semantics.
+// Answer is Batch with per-op plan validation (era.Query.Validate), the
+// HTTP handler's Backend method: each op's own requirements are enforced —
+// membership ops need a non-empty pattern inside the index's alphabet,
+// analytics ops check their own parameters (k, min_len, document ordinals)
+// and pattern-less ops are not rejected for having no pattern. A failure
+// comes back as an *era.OpError naming the op and wrapping
+// era.ErrInvalidQuery. Validation and execution use one catalog snapshot, so
+// a concurrent hot reload cannot slip a pattern past a check made against a
+// different index's alphabet. Batch keeps the lenient library semantics. An
+// engine answers in full: partial is always nil.
 //
 // ctx is honored by the analytics executors (their long walks poll it
 // periodically), so a canceled request or an expired server deadline
 // abandons the work and surfaces ctx's error instead of running to
 // completion against a client that already hung up.
-func (e *Engine) BatchChecked(ctx context.Context, index string, ops []era.Op) ([]era.Result, error) {
+func (e *Engine) Answer(ctx context.Context, index string, ops []era.Op) (results []era.Result, partial []bool, err error) {
 	ent, err := e.acquireEntry(index)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer ent.release()
 	a := ent.idx.Alphabet()
 	numDocs := ent.idx.NumDocs()
 	for i, op := range ops {
-		prefix := ""
-		if len(ops) > 1 {
-			prefix = OpPrefix(i)
-		}
 		if err := op.Validate(a, numDocs); err != nil {
-			return nil, fmt.Errorf("server: %w: %s%v", ErrBadPattern, prefix, err)
+			return nil, nil, &era.OpError{Op: i, Err: err}
 		}
 	}
-	return e.batchEntry(ctx, ent, ops)
+	results, err = e.batchEntry(ctx, ent, ops)
+	return results, nil, err
 }
 
 // batchEntry answers ops against one resolved catalog entry; the caller

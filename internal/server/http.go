@@ -1,12 +1,16 @@
-// JSON-over-HTTP front end for the query engine.
+// JSON-over-HTTP front end for a Backend: the query engine of `era serve`,
+// or the cluster router of `era route` (internal/cluster/route), which serves
+// the same surface over a corpus's shards.
 //
 // Endpoints:
 //
 //	GET  /healthz             liveness probe (the process is up)
-//	GET  /readyz              readiness probe (the engine wants traffic)
-//	GET  /metricz             per-op latency histograms + per-index memory
-//	GET  /v1/stats            engine counters (queries, cache hits/misses)
-//	GET  /v1/indexes          loaded indexes with summary metadata
+//	GET  /readyz              readiness probe (the backend wants traffic)
+//	GET  /metricz             per-op latency histograms, recovered panics and
+//	                          the backend's fields: an engine's counters
+//	                          ("engine") and per-index memory ("indexes"), a
+//	                          router's retries, hedges, partials and placement
+//	GET  /v1/indexes          served indexes with summary metadata
 //	GET  /v1/indexes/{name}   one index's metadata
 //	POST /v1/query            one query: {"index","op","pattern"[,"max"]}
 //	POST /v1/analytics        one analytics query: {"index","op",...per-op params}
@@ -14,8 +18,8 @@
 //
 // The index metadata of a shard — a split file whose tree holds one range of
 // the suffix order — carries its range and the image's fingerprint: the
-// cluster router (internal/cluster/route) routes each op to the shards whose
-// ranges own it, and refuses replicas that disagree on either.
+// cluster router routes each op to the shards whose ranges own it, and
+// refuses replicas that disagree on either.
 //
 // Live (mutable) indexes additionally accept:
 //
@@ -28,10 +32,12 @@
 //
 // Error discipline: 400 for requests the client got wrong (bad JSON, bad
 // op, empty pattern, bytes outside the target index's alphabet — the error
-// names the offending byte), 404 only for an unknown index name, 500 for
-// anything else the engine reports. Response-encoding failures cannot be
-// surfaced to the client (the status line is gone); they go to the
-// handler's error log.
+// names the offending byte, and a batch's error names its op as "op N: "),
+// 404 only for an unknown index name, a StatusError's own status (the
+// router's 502 for a failed fan-out, 503 with no topology or in strict
+// mode), 504 past the query timeout, 500 for anything else the backend
+// reports. Response-encoding failures cannot be surfaced to the client (the
+// status line is gone); they go to the handler's error log.
 package server
 
 import (
@@ -65,19 +71,45 @@ const maxAppendBytes = 16 << 20
 // MaxAppendDocs bounds the documents in one append request.
 const MaxAppendDocs = 10000
 
-// NewHandler returns the HTTP API over engine, logging server-side
-// failures (e.g. response encoding errors) to the process-default logger.
-func NewHandler(engine *Engine) http.Handler {
-	return NewHandlerOpts(engine, Options{})
+// Backend is what the HTTP API serves: everything the handler asks of the
+// thing behind it. *Engine implements it over its catalog, and the cluster
+// router (internal/cluster/route) over its shard topology, so a router and a
+// replica share one request surface.
+type Backend interface {
+	// Ready reports whether the backend wants new traffic (/readyz).
+	Ready() bool
+	// Names lists the indexes served, and Describe one index's listing entry
+	// (/v1/indexes and /v1/indexes/{name}).
+	Names() []string
+	Describe(name string) (any, bool)
+	// Answer answers ops against the index named index. partial[i] marks a
+	// degraded answer to op i; a nil partial marks none. An error naming one
+	// op wraps *era.OpError with the op's position.
+	Answer(ctx context.Context, index string, ops []era.Op) (results []era.Result, partial []bool, err error)
+	AppendDocs(index string, docs [][]byte) ([]uint64, error)
+	DeleteDoc(index string, id uint64) (bool, error)
+	// Metrics is the backend's own part of /metricz, a fresh map the
+	// handler adds its ops and panics to.
+	Metrics() map[string]any
 }
 
-// NewHandlerWithLog is NewHandler with an explicit error log; nil falls
-// back to the process-default logger.
-func NewHandlerWithLog(engine *Engine, errLog *log.Logger) http.Handler {
-	return NewHandlerOpts(engine, Options{ErrLog: errLog})
+// StatusError is an error answered with its own HTTP status: a backend's
+// failure that no sentinel of this package names, such as a cluster router's
+// fan-out failure (502) or a replica's 4xx relayed as it came.
+type StatusError struct {
+	Status int
+	Msg    string
 }
 
-// Options tunes the HTTP handler beyond its engine.
+func (e *StatusError) Error() string { return e.Msg }
+
+// NewHandler returns the HTTP API over b, logging server-side failures (e.g.
+// response encoding errors) to the process-default logger.
+func NewHandler(b Backend) http.Handler {
+	return NewHandlerOpts(b, Options{})
+}
+
+// Options tunes the HTTP handler beyond its backend.
 type Options struct {
 	// ErrLog receives server-side failures (response-encoding errors,
 	// recovered panics); nil falls back to the process-default logger.
@@ -91,8 +123,8 @@ type Options struct {
 }
 
 // NewHandlerOpts is NewHandler with explicit Options.
-func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
-	h := &api{engine: engine, errLog: opts.ErrLog, timeout: opts.QueryTimeout}
+func NewHandlerOpts(b Backend, opts Options) http.Handler {
+	h := &api{b: b, errLog: opts.ErrLog, timeout: opts.QueryTimeout}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		h.writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -101,7 +133,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 		// Readiness is the router's ejection signal: alive-but-draining (or
 		// a fully quarantined catalog) answers 503 so new traffic routes to
 		// healthy replicas, while /healthz above keeps reporting liveness.
-		if !engine.Ready() {
+		if !b.Ready() {
 			h.writeJSON(w, http.StatusServiceUnavailable, map[string]bool{"ready": false})
 			return
 		}
@@ -110,27 +142,23 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 	mux.HandleFunc("GET /metricz", func(w http.ResponseWriter, r *http.Request) {
 		h.writeJSON(w, http.StatusOK, h.metricz())
 	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		h.writeJSON(w, http.StatusOK, engine.Stats())
-	})
 	mux.HandleFunc("GET /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
-		names := engine.Names()
-		infos := make([]indexInfo, 0, len(names))
-		for _, name := range names {
-			if idx, ok := engine.Get(name); ok {
-				infos = append(infos, describe(name, idx))
+		infos := []any{}
+		for _, name := range b.Names() {
+			if info, ok := b.Describe(name); ok {
+				infos = append(infos, info)
 			}
 		}
 		h.writeJSON(w, http.StatusOK, map[string]any{"indexes": infos})
 	})
 	mux.HandleFunc("GET /v1/indexes/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		idx, ok := engine.Get(name)
+		info, ok := b.Describe(name)
 		if !ok {
 			h.writeError(w, http.StatusNotFound, fmt.Sprintf("no index named %q loaded", name))
 			return
 		}
-		h.writeJSON(w, http.StatusOK, describe(name, idx))
+		h.writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("POST /v1/indexes/{name}/docs", func(w http.ResponseWriter, r *http.Request) {
 		var req appendRequest
@@ -159,7 +187,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 			docs[i] = []byte(d)
 		}
 		start := time.Now()
-		ids, err := engine.AppendDocs(r.PathValue("name"), docs)
+		ids, err := b.AppendDocs(r.PathValue("name"), docs)
 		h.metrics.append.observe(time.Since(start))
 		if err != nil {
 			h.writeQueryError(w, err)
@@ -174,7 +202,7 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 			return
 		}
 		start := time.Now()
-		deleted, err := engine.DeleteDoc(r.PathValue("name"), id)
+		deleted, err := b.DeleteDoc(r.PathValue("name"), id)
 		h.metrics.delete.observe(time.Since(start))
 		if err != nil {
 			h.writeQueryError(w, err)
@@ -182,63 +210,33 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 		}
 		h.writeJSON(w, http.StatusOK, deleteResponse{Deleted: deleted, ID: id})
 	})
-	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req WireQuery
-		if !h.readJSON(w, r, &req) {
-			return
+	single := func(analytics bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			var req WireQuery
+			if !h.readJSON(w, r, &req) {
+				return
+			}
+			op, err := req.Plan()
+			if err != nil {
+				h.writeError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			hist := &h.metrics.query
+			if analytics {
+				if !op.Kind.IsAnalytic() {
+					h.writeError(w, http.StatusBadRequest,
+						fmt.Sprintf("op %q is a membership query, not an analytics op; use /v1/query", req.Op))
+					return
+				}
+				// Analytics latencies differ by orders of magnitude between
+				// kinds, so one shared histogram would hide all of them.
+				hist = h.metrics.analyticsHist(op.Kind)
+			}
+			h.answer(w, r, req.Index, []era.Op{op}, hist, false)
 		}
-		op, err := req.Plan()
-		if err != nil {
-			h.writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ctx, cancel := h.queryCtx(r)
-		defer cancel()
-		// The histogram times the engine work only (not body decode or
-		// response encode), so it reflects index latency, not client I/O.
-		start := time.Now()
-		// BatchChecked validates the pattern against the target index's
-		// alphabet on the same catalog snapshot it answers from, so a
-		// concurrent hot reload cannot desynchronize check and answer.
-		res, err := engine.BatchChecked(ctx, req.Index, []era.Op{op})
-		h.metrics.query.observe(time.Since(start))
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		h.writeJSON(w, http.StatusOK, ToWire(op, res[0]))
-	})
-	mux.HandleFunc("POST /v1/analytics", func(w http.ResponseWriter, r *http.Request) {
-		var req WireQuery
-		if !h.readJSON(w, r, &req) {
-			return
-		}
-		op, err := req.Plan()
-		if err != nil {
-			h.writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if !op.Kind.IsAnalytic() {
-			h.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("op %q is a membership query, not an analytics op; use /v1/query", req.Op))
-			return
-		}
-		ctx, cancel := h.queryCtx(r)
-		defer cancel()
-		// Same checked path as /v1/query — one catalog snapshot for
-		// validation and execution, fingerprint-keyed caching — plus a
-		// per-op-kind histogram: analytics latencies differ by orders of
-		// magnitude between kinds, so one shared histogram would hide all
-		// of them.
-		start := time.Now()
-		res, err := engine.BatchChecked(ctx, req.Index, []era.Op{op})
-		h.metrics.analyticsHist(op.Kind).observe(time.Since(start))
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		h.writeJSON(w, http.StatusOK, ToWire(op, res[0]))
-	})
+	}
+	mux.HandleFunc("POST /v1/query", single(false))
+	mux.HandleFunc("POST /v1/analytics", single(true))
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req WireBatch
 		if !h.readJSON(w, r, &req) {
@@ -261,26 +259,44 @@ func NewHandlerOpts(engine *Engine, opts Options) http.Handler {
 			}
 			ops[i] = op
 		}
-		ctx, cancel := h.queryCtx(r)
-		defer cancel()
-		start := time.Now()
-		results, err := engine.BatchChecked(ctx, req.Index, ops)
-		h.metrics.batch.observe(time.Since(start))
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		wire := make([]QueryResponse, len(results))
-		for i, res := range results {
-			wire[i] = ToWire(ops[i], res)
-		}
-		h.writeJSON(w, http.StatusOK, map[string]any{"results": wire})
+		h.answer(w, r, req.Index, ops, &h.metrics.batch, true)
 	})
 	return h.recoverPanics(mux)
 }
 
+// answer has the backend answer ops under the request's budget and writes
+// the results: the lone result of /v1/query and /v1/analytics, the results
+// array of a batch. The histogram times the backend's work only (not body
+// decode or response encode), so it reflects index latency, not client I/O.
+// A batch error names its op; a single op's error does not.
+func (h *api) answer(w http.ResponseWriter, r *http.Request, index string, ops []era.Op, hist *latencyHist, batch bool) {
+	ctx, cancel := h.queryCtx(r)
+	defer cancel()
+	start := time.Now()
+	res, partial, err := h.b.Answer(ctx, index, ops)
+	hist.observe(time.Since(start))
+	if err != nil {
+		var oe *era.OpError
+		if !batch && errors.As(err, &oe) {
+			err = oe.Err
+		}
+		h.writeQueryError(w, err)
+		return
+	}
+	wire := make([]QueryResponse, len(ops))
+	for i := range ops {
+		wire[i] = ToWire(ops[i], res[i])
+		wire[i].Partial = partial != nil && partial[i]
+	}
+	if !batch {
+		h.writeJSON(w, http.StatusOK, &wire[0])
+		return
+	}
+	h.writeJSON(w, http.StatusOK, map[string]any{"results": wire})
+}
+
 // recoverPanics is the outermost middleware: a panicking handler must cost
-// one 500, not the replica. The recovered value and stack go to the error
+// one 500, not the process. The recovered value and stack go to the error
 // log, and the panics counter surfaces in /metricz so a crash-looping
 // request pattern is visible from outside.
 func (h *api) recoverPanics(next http.Handler) http.Handler {
@@ -316,64 +332,26 @@ func (h *api) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), h.timeout)
 }
 
-// metricsResponse is the /metricz payload: engine counters, per-op latency
-// distributions, and per-index memory accounting (mapped_bytes > 0 marks a
-// zero-copy v4 index; resident_bytes is how much of it the page cache
-// currently holds, -1 when the platform cannot tell).
-type metricsResponse struct {
-	Engine  Stats                   `json:"engine"`
-	Ops     map[string]HistSnapshot `json:"ops"`
-	Indexes []indexMemInfo          `json:"indexes"`
-	Panics  int64                   `json:"panics"`
-}
-
-type indexMemInfo struct {
-	indexInfo
-	MappedBytes   int64    `json:"mapped_bytes"`
-	ResidentBytes int64    `json:"resident_bytes"`
-	Quarantined   []string `json:"quarantined_tiers,omitempty"` // live indexes: tier files renamed aside at load
-}
-
-func (h *api) metricz() metricsResponse {
-	names := h.engine.Names()
-	infos := make([]indexMemInfo, 0, len(names))
-	for _, name := range names {
-		idx, ok := h.engine.Get(name)
-		if !ok {
-			continue
-		}
-		info := indexMemInfo{
-			indexInfo:     describe(name, idx),
-			MappedBytes:   idx.MappedBytes(),
-			ResidentBytes: idx.ResidentBytes(),
-		}
-		if live, ok := idx.(interface{ Stats() era.LiveStats }); ok {
-			info.Quarantined = live.Stats().Quarantined
-		}
-		infos = append(infos, info)
+// metricz is the /metricz payload: the handler's per-op latency
+// distributions and recovered panics, beside the backend's own fields.
+func (h *api) metricz() map[string]any {
+	ops := map[string]HistSnapshot{
+		"query":  h.metrics.query.snapshot(),
+		"batch":  h.metrics.batch.snapshot(),
+		"append": h.metrics.append.snapshot(),
+		"delete": h.metrics.delete.snapshot(),
 	}
-	return metricsResponse{
-		Engine: h.engine.Stats(),
-		Ops: func() map[string]HistSnapshot {
-			ops := map[string]HistSnapshot{
-				"query":  h.metrics.query.snapshot(),
-				"batch":  h.metrics.batch.snapshot(),
-				"append": h.metrics.append.snapshot(),
-				"delete": h.metrics.delete.snapshot(),
-			}
-			for k := era.OpTopK; k <= era.OpMismatch; k++ {
-				ops["analytics:"+k.String()] = h.metrics.analyticsHist(k).snapshot()
-			}
-			return ops
-		}(),
-		Indexes: infos,
-		Panics:  h.panics.Load(),
+	for k := era.OpTopK; k <= era.OpMismatch; k++ {
+		ops["analytics:"+k.String()] = h.metrics.analyticsHist(k).snapshot()
 	}
+	out := h.b.Metrics()
+	out["ops"], out["panics"] = ops, h.panics.Load()
+	return out
 }
 
 // api carries the handler's dependencies; the mux closures share one.
 type api struct {
-	engine  *Engine
+	b       Backend
 	errLog  *log.Logger
 	metrics opMetrics
 	timeout time.Duration // per-request query budget; 0 means unbounded
@@ -388,16 +366,20 @@ func (h *api) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// writeQueryError maps an engine query error to a status: 404 only when
-// the index name is unknown (a client addressing problem), 400 for a
-// rejected pattern, 503 with Retry-After for append backpressure, 500
-// otherwise — an internal failure must not masquerade as "not found".
+// writeQueryError maps a backend error to a status: a StatusError's own, 404
+// only when the index name is unknown (a client addressing problem), 400 for
+// a rejected query or mutation, 503 with Retry-After for append
+// backpressure, 500 otherwise — an internal failure must not masquerade as
+// "not found".
 func (h *api) writeQueryError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
+	var se *StatusError
 	switch {
+	case errors.As(err, &se):
+		status = se.Status
 	case errors.Is(err, ErrUnknownIndex):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrBadPattern),
+	case errors.Is(err, era.ErrInvalidQuery),
 		errors.Is(err, ErrNotMutable),
 		errors.Is(err, ErrBadDocument):
 		status = http.StatusBadRequest
@@ -659,6 +641,49 @@ func describe(name string, idx era.Queryable) indexInfo {
 		}
 	}
 	return info
+}
+
+// Describe is the listing entry of the index named name.
+func (e *Engine) Describe(name string) (any, bool) {
+	idx, ok := e.Get(name)
+	if !ok {
+		return nil, false
+	}
+	return describe(name, idx), true
+}
+
+// indexMemInfo is an index's /metricz entry: its listing plus memory
+// accounting (mapped_bytes > 0 marks a zero-copy image; resident_bytes is
+// how much of it the page cache currently holds, -1 when the platform cannot
+// tell).
+type indexMemInfo struct {
+	indexInfo
+	MappedBytes   int64    `json:"mapped_bytes"`
+	ResidentBytes int64    `json:"resident_bytes"`
+	Quarantined   []string `json:"quarantined_tiers,omitempty"` // live indexes: tier files renamed aside at load
+}
+
+// Metrics is the engine's part of /metricz: its counters (Stats) and each
+// index's memory.
+func (e *Engine) Metrics() map[string]any {
+	names := e.Names()
+	infos := make([]indexMemInfo, 0, len(names))
+	for _, name := range names {
+		idx, ok := e.Get(name)
+		if !ok {
+			continue
+		}
+		info := indexMemInfo{
+			indexInfo:     describe(name, idx),
+			MappedBytes:   idx.MappedBytes(),
+			ResidentBytes: idx.ResidentBytes(),
+		}
+		if live, ok := idx.(interface{ Stats() era.LiveStats }); ok {
+			info.Quarantined = live.Stats().Quarantined
+		}
+		infos = append(infos, info)
+	}
+	return map[string]any{"engine": e.Stats(), "indexes": infos}
 }
 
 func (h *api) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {

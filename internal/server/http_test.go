@@ -136,17 +136,27 @@ func TestHTTPIndexListingAndHealth(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	// The engine counters are /metricz's "engine" object; /v1/stats, which
+	// repeated it, is gone.
+	resp, err = http.Get(ts.URL + "/metricz")
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/stats: %v %v", resp.StatusCode, err)
+		t.Fatalf("GET /metricz: %v %v", resp.StatusCode, err)
 	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var m metricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Indexes != 1 {
-		t.Errorf("stats = %+v", st)
+	if m.Engine.Indexes != 1 {
+		t.Errorf("metricz engine = %+v", m.Engine)
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/stats = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -349,8 +359,8 @@ func TestHTTPPatternValidation(t *testing.T) {
 }
 
 // TestHTTPQueryErrorStatusMapping pins the 404/500 split: only the
-// unknown-index sentinel is a 404; any other engine failure is a 500, not
-// masqueraded as "not found".
+// unknown-index sentinel is a 404; any other backend failure is a 500, not
+// masqueraded as "not found", unless it carries its own status.
 func TestHTTPQueryErrorStatusMapping(t *testing.T) {
 	h := &api{}
 	rec := httptest.NewRecorder()
@@ -359,9 +369,14 @@ func TestHTTPQueryErrorStatusMapping(t *testing.T) {
 		t.Errorf("unknown-index error: status %d, want 404", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	h.writeQueryError(rec, fmt.Errorf("wrapped: %w", ErrBadPattern))
+	h.writeQueryError(rec, &era.OpError{Op: 2, Err: fmt.Errorf("wrapped: %w", era.ErrInvalidQuery)})
 	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad-pattern error: status %d, want 400", rec.Code)
+		t.Errorf("invalid-query error: status %d, want 400", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	h.writeQueryError(rec, &StatusError{Status: http.StatusBadGateway, Msg: "fan-out failed"})
+	if rec.Code != http.StatusBadGateway {
+		t.Errorf("status error: status %d, want 502", rec.Code)
 	}
 	rec = httptest.NewRecorder()
 	h.writeQueryError(rec, errors.New("disk exploded"))

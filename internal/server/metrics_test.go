@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,9 +34,18 @@ func v4Fixture(t *testing.T, name string) string {
 	return p
 }
 
+// metricsResponse is an engine's /metricz: the handler's ops and panics
+// beside the engine's counters and per-index memory.
+type metricsResponse struct {
+	Engine  Stats                   `json:"engine"`
+	Ops     map[string]HistSnapshot `json:"ops"`
+	Indexes []indexMemInfo          `json:"indexes"`
+	Panics  int64                   `json:"panics"`
+}
+
 // TestMetricz drives queries over a mapped v4 index and checks the
-// /metricz payload: per-op latency histograms populate and the index's
-// mapped byte count is visible.
+// /metricz payload: its one shape, per-op latency histograms populate and
+// the index's mapped byte count is visible.
 func TestMetricz(t *testing.T) {
 	engine := NewEngine(16)
 	if _, err := engine.LoadFile(v4Fixture(t, "mz")); err != nil {
@@ -65,9 +78,27 @@ func TestMetricz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mres.Body.Close()
-	var m metricsResponse
-	if err := json.NewDecoder(mres.Body).Decode(&m); err != nil {
+	raw, err := io.ReadAll(mres.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// One shape: the handler's ops and panics beside the engine's fields,
+	// every one of them at the top level and nothing else there.
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	if keys := slices.Sorted(maps.Keys(top)); !slices.Equal(keys, []string{"engine", "indexes", "ops", "panics"}) {
+		t.Errorf("metricz has top-level fields %v, want engine, indexes, ops, panics", keys)
+	}
+	var m metricsResponse
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Panics != 0 {
+		t.Errorf("panics = %d with none recovered", m.Panics)
 	}
 	if m.Ops["query"].Count != 5 {
 		t.Errorf("query histogram count = %d, want 5", m.Ops["query"].Count)
