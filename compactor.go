@@ -3,6 +3,7 @@ package era
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"time"
 )
@@ -205,38 +206,52 @@ func (lx *LiveIndex) compactLoop() {
 	}
 }
 
-// writeTierFile writes idx as a v4 tier file (tmp+fsync+rename) and maps it
-// back in, returning the mapped replacement.
-func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
+// publishFile makes file in the live directory hold what write writes,
+// durably and atomically: Create a tmp beside it, write, Sync, Close, Rename
+// it over file, SyncDir — the tmp removed on any failure before the rename.
+func (lx *LiveIndex) publishFile(file string, write func(io.Writer) error) error {
 	path := filepath.Join(lx.dir, file)
 	tmp := path + ".tmp"
 	f, err := lx.fs.Create(tmp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if _, err := idx.WriteTo(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		lx.fs.Remove(tmp)
-		return nil, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		lx.fs.Remove(tmp)
-		return nil, err
+		return err
 	}
 	if err := f.Close(); err != nil {
 		lx.fs.Remove(tmp)
-		return nil, err
+		return err
 	}
 	if err := lx.fs.Rename(tmp, path); err != nil {
 		lx.fs.Remove(tmp)
+		return err
+	}
+	if err := lx.fs.SyncDir(lx.dir); err != nil {
+		return fmt.Errorf("era: syncing live directory after publishing %s: %w", file, err)
+	}
+	return nil
+}
+
+// writeTierFile writes idx as a v4 tier file (publishFile) and maps it back
+// in, returning the mapped replacement.
+func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
+	// The manifest written next will point at the tier, so publishFile makes
+	// its directory entry durable first.
+	if err := lx.publishFile(file, func(w io.Writer) error {
+		_, err := idx.WriteTo(w)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	// The rename published the tier; the manifest written next will point at
-	// it, so the directory entry must actually be durable first.
-	if err := lx.fs.SyncDir(lx.dir); err != nil {
-		return nil, fmt.Errorf("era: syncing live directory after tier publish: %w", err)
-	}
+	path := filepath.Join(lx.dir, file)
 	opened, err := OpenIndex(path)
 	if err != nil {
 		return nil, fmt.Errorf("era: reopening sealed tier: %w", err)
@@ -249,7 +264,7 @@ func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
 	return mono, nil
 }
 
-// writeManifestLocked swaps the manifest (tmp+fsync+rename). Caller holds
+// writeManifestLocked swaps the manifest (publishFile). Caller holds
 // mu; the manifest records the sealed tiers only. It refuses to run while
 // the memtable holds documents: the manifest's nextID would then cover their
 // ids, and WAL replay — which skips records below nextID as already sealed —
@@ -272,36 +287,13 @@ func (lx *LiveIndex) writeManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(lx.dir, liveManifestName)
-	tmp := path + ".tmp"
-	f, err := lx.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := lx.fs.Rename(tmp, path); err != nil {
-		lx.fs.Remove(tmp)
-		return err
-	}
 	// Callers rotate the WAL only after the manifest swap is fully durable,
-	// which includes the directory entry — surface the fsync failure.
-	if err := lx.fs.SyncDir(lx.dir); err != nil {
-		return fmt.Errorf("era: syncing live directory after manifest swap: %w", err)
-	}
-	return nil
+	// which includes the directory entry: publishFile surfaces its fsync
+	// failure.
+	return lx.publishFile(liveManifestName, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }
 
 // loadManifest restores the sealed tier stack from a manifest file, mapping

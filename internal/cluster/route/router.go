@@ -2,13 +2,14 @@
 // replicas: shard placement read from the replicas' own listings, active
 // health checking, retries with jittered backoff, hedged reads, and explicit
 // partial-answer degradation over prefix-partitioned shards. It carries
-// requests only: which shards an op asks and how their answers merge is
-// era.RouteOps, the executor the in-process sharded index runs too, and the
-// HTTP front end is the replica's own (server.NewHandlerOpts, with the
-// Router as its server.Backend), so no routing or merge rule and no request
-// surface is spelled here. It complements the sibling package cluster (the
-// §5 shared-nothing construction simulation): cluster builds indexes across
-// nodes, route serves them.
+// requests only: it validates ops as a replica does, which shards an op asks
+// and how their answers merge is era.RouteOps, the executor the in-process
+// sharded index runs too, and the HTTP front end is the replica's own
+// (server.NewHandlerOpts, with the Router as its server.Backend), so no
+// validation, routing or merge rule and no request surface is spelled here.
+// It complements the sibling package cluster (the §5 shared-nothing
+// construction simulation): cluster builds indexes across nodes, route
+// serves them.
 package route
 
 import (
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"era"
+	"era/internal/alphabet"
 	"era/internal/server"
 )
 
@@ -38,12 +40,13 @@ import (
 // to one big index. Placement is what the replicas list: shard i's owners are
 // the replicas whose /v1/indexes names it at the last Refresh, in Replicas
 // order rotated to start at replica i mod len(Replicas) so the primaries
-// spread, at most Replication of them. A request's ops go to era.RouteOps,
-// which decides the shards each op asks and merges their answers; the
-// router's ask carries a shard's membership ops as /v1/batch sub-requests
-// (one per chunk) and an analytics op as a /v1/analytics one. Per-shard
-// sub-requests carry per-attempt deadlines, retry with full-jitter backoff
-// across the surviving owners, and optionally hedge the first attempt.
+// spread, at most Replication of them. A request's ops are validated as a
+// replica validates them, against the alphabet the shards list, and go to
+// era.RouteOps, which decides the shards each op asks and merges their
+// answers; the router asks a shard every op it is asked as /v1/batch
+// sub-requests, one per chunk. Per-shard sub-requests carry per-attempt
+// deadlines, retry with full-jitter backoff across the surviving owners, and
+// optionally hedge the first attempt.
 //
 // Degradation is explicit: a shard whose every replica is unreachable is
 // era.ErrShardDown to the executor, which answers the ops that needed it
@@ -124,7 +127,7 @@ type shardInfo struct {
 // refreshes swap the pointer.
 type topology struct {
 	corpus   string
-	alphabet string
+	alpha    *alphabet.Alphabet // rebuilt from the listing, what ops are validated against
 	shards   []shardInfo
 	keys     [][]byte // keys[i]: shard i's lower key, what era.RouteOps routes by
 	totalLen int      // every shard's: each holds all of S, terminator included
@@ -243,7 +246,9 @@ func (rt *Router) Refresh(ctx context.Context) error {
 			var listing struct {
 				Indexes []wireIndexInfo `json:"indexes"`
 			}
-			if errs[r] = rt.doJSON(ctx, []string{base}, false, http.MethodGet, "/v1/indexes", nil, &listing); errs[r] != nil {
+			if errs[r] = rt.doShard(ctx, []string{base}, false, jsonRequest(http.MethodGet, "/v1/indexes", nil), func(body []byte) error {
+				return json.Unmarshal(body, &listing)
+			}); errs[r] != nil {
 				return
 			}
 			listings[r] = make(map[string]wireIndexInfo, len(listing.Indexes))
@@ -292,7 +297,7 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		return fmt.Errorf("cluster: no shards named %s~N on the replicas", corpus)
 	}
 
-	topo := &topology{corpus: corpus, alphabet: family[0].Alphabet, totalLen: family[0].Symbols, numDocs: family[0].Documents}
+	topo := &topology{corpus: corpus, totalLen: family[0].Symbols, numDocs: family[0].Documents}
 	for i := 0; i < len(family); i++ {
 		info, ok := family[i]
 		if !ok {
@@ -319,19 +324,25 @@ func (rt *Router) Refresh(ctx context.Context) error {
 	if last := family[len(family)-1]; last.Range.Hi != "" {
 		return fmt.Errorf("cluster: shard family %s stops short of the end of the suffix order: %s ends at %q", corpus, last.Name, last.Range.Hi)
 	}
+	var err error
+	if topo.alpha, err = alphabet.New(family[0].Alphabet, []byte(family[0].AlphabetSymbols)); err != nil {
+		return fmt.Errorf("cluster: shard family %s lists no usable alphabet: %w", corpus, err)
+	}
 	rt.topo.Store(topo)
 	return nil
 }
 
 // checkMember holds shard i of a family to the rest: one corpus (symbols,
-// documents, alphabet) and, from shard 0 on, ranges that abut. A whole-corpus
-// image beside others is a family cut at document boundaries (or two builds
-// mixed), which no router merge answers correctly.
+// documents, alphabet and its symbols) and, from shard 0 on, ranges that
+// abut. A whole-corpus image beside others is a family cut at document
+// boundaries (or two builds mixed), which no router merge answers correctly.
 func checkMember(corpus string, family map[int]wireIndexInfo, i int) error {
 	info, first := family[i], family[0]
-	if info.Symbols < 1 || info.Symbols != first.Symbols || info.Documents != first.Documents || info.Alphabet != first.Alphabet {
-		return fmt.Errorf("cluster: shard family %s is not one corpus: %s indexes %d symbols in %d documents (%s), %s %d in %d (%s)",
-			corpus, info.Name, info.Symbols, info.Documents, info.Alphabet, first.Name, first.Symbols, first.Documents, first.Alphabet)
+	if info.Symbols < 1 || info.Symbols != first.Symbols || info.Documents != first.Documents ||
+		info.Alphabet != first.Alphabet || info.AlphabetSymbols != first.AlphabetSymbols {
+		return fmt.Errorf("cluster: shard family %s is not one corpus: %s indexes %d symbols in %d documents (%s %q), %s %d in %d (%s %q)",
+			corpus, info.Name, info.Symbols, info.Documents, info.Alphabet, info.AlphabetSymbols,
+			first.Name, first.Symbols, first.Documents, first.Alphabet, first.AlphabetSymbols)
 	}
 	if len(family) > 1 && info.Range == (server.KeyRange{}) {
 		return fmt.Errorf("cluster: shard family %s must be rebuilt: %s is a whole-corpus image among %d shards, which is what a family cut at document boundaries is — rebuild it as prefix ranges (era shard -splitdir)",
@@ -350,16 +361,18 @@ func checkMember(corpus string, family map[int]wireIndexInfo, i int) error {
 // wireIndexInfo is the subset of the replica /v1/indexes entry the router
 // needs: comparable, so two replicas' listings of one shard compare whole.
 type wireIndexInfo struct {
-	Name        string          `json:"name"`
-	Symbols     int             `json:"symbols"`
-	Documents   int             `json:"documents"`
-	Alphabet    string          `json:"alphabet"`
-	Range       server.KeyRange `json:"range"` // zero for a whole-corpus image
-	Fingerprint string          `json:"fingerprint"`
+	Name            string          `json:"name"`
+	Symbols         int             `json:"symbols"`
+	Documents       int             `json:"documents"`
+	Alphabet        string          `json:"alphabet"`
+	AlphabetSymbols server.Text     `json:"alphabet_symbols"`
+	Range           server.KeyRange `json:"range"` // zero for a whole-corpus image
+	Fingerprint     string          `json:"fingerprint"`
 }
 
 func (w wireIndexInfo) String() string {
-	return fmt.Sprintf("%d symbols in %d documents (%s), range [%q, %q), fingerprint %s", w.Symbols, w.Documents, w.Alphabet, w.Range.Lo, w.Range.Hi, w.Fingerprint)
+	return fmt.Sprintf("%d symbols in %d documents (%s %q), range [%q, %q), fingerprint %s",
+		w.Symbols, w.Documents, w.Alphabet, w.AlphabetSymbols, w.Range.Lo, w.Range.Hi, w.Fingerprint)
 }
 
 // ---------------------------------------------------------------------------
@@ -482,13 +495,11 @@ func (rt *Router) attempt(ctx context.Context, base string, heavy bool, build fu
 		report(true)
 		return &server.StatusError{Status: resp.StatusCode, Msg: wireErrMsg(body, resp.StatusCode)}
 	}
-	if decode != nil {
-		if err := decode(body); err != nil {
-			// A 200 whose body does not parse is a torn response, not an
-			// answer; class it with the transport failures so it retries.
-			report(false)
-			return fmt.Errorf("cluster: decoding %s response: %w", base, err)
-		}
+	if err := decode(body); err != nil {
+		// A 200 whose body does not parse is a torn response, not an
+		// answer; class it with the transport failures so it retries.
+		report(false)
+		return fmt.Errorf("cluster: decoding %s response: %w", base, err)
 	}
 	report(true)
 	return nil
@@ -520,9 +531,6 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary string, heavy b
 	finish := func(o outcome) error {
 		if o.err != nil {
 			return o.err
-		}
-		if decode == nil {
-			return nil
 		}
 		return decode(o.body)
 	}
@@ -599,86 +607,89 @@ func jsonRequest(method, path string, payload []byte) func(base string) (*http.R
 	}
 }
 
-// doJSON runs one JSON round trip through doShard.
-func (rt *Router) doJSON(ctx context.Context, owners []string, heavy bool, method, path string, reqBody, out any) error {
-	var payload []byte
-	if reqBody != nil {
-		var err error
-		payload, err = json.Marshal(reqBody)
-		if err != nil {
-			return err
-		}
-	}
-	return rt.doShard(ctx, owners, heavy, jsonRequest(method, path, payload), func(body []byte) error {
-		if out == nil {
-			return nil
-		}
-		return json.Unmarshal(body, out)
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Shard sub-queries: the ask era.RouteOps routes through.
 
-// askShard answers ops on one shard for era.RouteOps: a lone analytics op
-// through the shard's /v1/analytics, any other ops through memberShard's
-// /v1/batch sub-requests. A client error (4xx) is the request's, named by its
-// op where the replica says which; any other failure that is not the
-// request's own end means every replica of the shard failed, era.ErrShardDown.
+// askShard answers ops on one shard for era.RouteOps as /v1/batch
+// sub-requests, one per chunk (encodeChunk). Sub-requests keep the client's
+// occurrence cap: the merged first-Max needs at most the first Max from each
+// owner. A chunk that holds an analytics op is heavy (see doShard): the op
+// walks the whole shard, so its runtime is the corpus's, not the network's.
+// A client error (4xx) comes back as the replica answered it — Answer
+// validated every op, so none is expected; any other failure that is not the
+// request's own end means every replica of the shard failed,
+// era.ErrShardDown.
 func (rt *Router) askShard(ctx context.Context, sh *shardInfo, ops []era.Op) ([]era.Result, error) {
-	var out []era.Result
-	var err error
-	if len(ops) == 1 && ops[0].Kind.IsAnalytic() {
-		var a era.Result
-		if a, err = rt.shardQuery(ctx, sh, ops[0]); clientErr(err) {
-			err = &era.OpError{Op: 0, Err: err}
+	out := make([]era.Result, 0, len(ops))
+	var chunk bytes.Buffer
+	for lo := 0; lo < len(ops); {
+		n, err := encodeChunk(&chunk, ops[lo:])
+		if err != nil {
+			return nil, err
 		}
-		out = []era.Result{a}
-	} else {
-		out, err = rt.memberShard(ctx, sh, ops)
+		heavy := slices.ContainsFunc(ops[lo:lo+n], func(op era.Op) bool { return op.Kind.IsAnalytic() })
+		body := make([]byte, 0, len(sh.batchHead)+chunk.Len()+1)
+		body = append(append(append(body, sh.batchHead...), chunk.Bytes()...), '}')
+		err = rt.doShard(ctx, sh.Owners, heavy, jsonRequest(http.MethodPost, "/v1/batch", body), func(raw []byte) error {
+			var resp struct {
+				Results []shardAnswer `json:"results"`
+			}
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				return err
+			}
+			if len(resp.Results) != n {
+				return fmt.Errorf("%d results for a %d-op sub-batch", len(resp.Results), n)
+			}
+			for i := range resp.Results {
+				out = append(out, resp.Results[i].result())
+			}
+			return nil
+		})
+		if err != nil {
+			if !clientErr(err) && ctx.Err() == nil {
+				err = fmt.Errorf("%w: %w", era.ErrShardDown, err)
+			}
+			return nil, err
+		}
+		lo += n
 	}
-	if err != nil && !clientErr(err) && ctx.Err() == nil {
-		err = fmt.Errorf("%w: %w", era.ErrShardDown, err)
-	}
-	return out, err
+	return out, nil
 }
 
-// shardQuery asks one shard one analytics op. Analytics walks a whole shard;
-// its runtime is the corpus's, not the network's, so it keeps the full
-// request budget per attempt.
-func (rt *Router) shardQuery(ctx context.Context, sh *shardInfo, op era.Op) (era.Result, error) {
-	qop := server.WireOp{Op: op.Kind.String(), DocA: op.DocA, DocB: op.DocB}
-	if op.Kind != era.OpCommonSubstring {
-		qop = server.WireOp{Op: op.Kind.String(), Pattern: server.Text(op.Pattern), K: op.K, Max: op.MaxOccurrences, MinLen: op.MinLen}
-		for _, p := range op.Patterns {
-			qop.Patterns = append(qop.Patterns, server.Text(p))
-		}
-	}
-	var resp server.QueryResponse
-	err := rt.doJSON(ctx, sh.Owners, true, http.MethodPost, "/v1/analytics", server.WireQuery{Index: sh.Name, WireOp: qop}, &resp)
-	return fromWire(resp), err
-}
-
-// A membership sub-batch is cut at whichever budget fills first. The byte
-// budget counts the ops as the router encodes them, so a sub-request stays
-// far under the replicas' 1 MiB body limit however a client body the router
-// admitted was spelled (an op over the budget on its own rides alone), and
-// the answers the router holds at once are those of one chunk.
+// A sub-batch is cut at whichever budget fills first. The byte budget counts
+// the ops as the router encodes them, so a sub-request stays far under the
+// replicas' 1 MiB body limit however a client body the router admitted was
+// spelled (an op over the budget on its own rides alone), and the answers
+// the router holds at once are those of one chunk.
 const (
 	maxChunkOps   = 512
 	maxChunkBytes = 256 << 10
 )
 
-// memberAnswer is what the merge reads of a replica's answer to one
-// membership op (server.QueryResponse without the pointer fields).
-type memberAnswer struct {
+// shardAnswer is a replica's answer to one op (server.ToWire) as the router
+// reads it back. A membership answer carries none of the analytics fields,
+// so it decodes with the pointer to them nil.
+type shardAnswer struct {
 	Found       bool  `json:"found"`
 	Count       int   `json:"count"`
 	Occurrences []int `json:"occurrences"`
+	*AnalyticsFields
+}
+
+// AnalyticsFields are an analytics answer's fields beyond shardAnswer's own.
+// It is exported because encoding/json cannot allocate an embedded pointer
+// to an unexported struct.
+type AnalyticsFields struct {
+	Pattern server.Text       `json:"pattern"`
+	Top     []server.WireTop  `json:"top"`
+	OffsetA int               `json:"offset_a"`
+	OffsetB int               `json:"offset_b"`
+	Stats   []server.WireStat `json:"stats"`
 }
 
 // encodeChunk writes the longest prefix of ops that fits the chunk budgets
-// into buf as a JSON array of wire ops and returns how many it took.
+// into buf as a JSON array of wire ops (server.WireOpOf) and returns how many
+// it took.
 func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 	buf.Reset()
 	buf.WriteByte('[')
@@ -692,8 +703,7 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 		if n > 0 {
 			buf.WriteByte(',')
 		}
-		op := &ops[n]
-		if err := enc.Encode(server.WireOp{Op: op.Kind.String(), Pattern: server.Text(op.Pattern), Max: op.MaxOccurrences}); err != nil {
+		if err := enc.Encode(server.WireOpOf(ops[n])); err != nil {
 			return 0, err
 		}
 		buf.Truncate(buf.Len() - 1) // Encode's newline
@@ -707,78 +717,27 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 	return n, nil
 }
 
-// memberShard sends one shard membership ops, cut into chunks, and returns
-// its answers in order. Sub-requests keep the client's occurrence cap: the
-// merged first-Max needs at most the first Max from each owner. No
-// terminator gate here (the trees answer patterns holding it as the whole
-// index does): a pattern containing the terminator byte is outside every
-// replica's alphabet, so its op fails the sub-batch with a 400, which comes
-// back as an era.OpError naming the op.
-func (rt *Router) memberShard(ctx context.Context, sh *shardInfo, ops []era.Op) ([]era.Result, error) {
-	out := make([]era.Result, 0, len(ops))
-	var chunk bytes.Buffer
-	for lo := 0; lo < len(ops); {
-		n, err := encodeChunk(&chunk, ops[lo:])
-		if err != nil {
-			return nil, err
-		}
-		body := make([]byte, 0, len(sh.batchHead)+chunk.Len()+1)
-		body = append(append(append(body, sh.batchHead...), chunk.Bytes()...), '}')
-		err = rt.doShard(ctx, sh.Owners, false, jsonRequest(http.MethodPost, "/v1/batch", body), func(raw []byte) error {
-			var resp struct {
-				Results []memberAnswer `json:"results"`
-			}
-			if err := json.Unmarshal(raw, &resp); err != nil {
-				return err
-			}
-			if len(resp.Results) != n {
-				return fmt.Errorf("%d results for a %d-op sub-batch", len(resp.Results), n)
-			}
-			for _, a := range resp.Results {
-				out = append(out, era.Result{Found: a.Found, Count: a.Count, Occurrences: a.Occurrences})
-			}
-			return nil
-		})
-		if err != nil {
-			// The replica names the op by its sub-batch position.
-			var se *server.StatusError
-			if errors.As(err, &se) && se.Status == http.StatusBadRequest {
-				if pos, msg, ok := server.SplitOpError(se.Msg); ok && pos < n {
-					err = &era.OpError{Op: lo + pos, Err: &server.StatusError{Status: se.Status, Msg: msg}}
-				}
-			}
-			return nil, err
-		}
-		lo += n
+// result is the library result a replica's answer stands for.
+func (a *shardAnswer) result() era.Result {
+	res := era.Result{Found: a.Found, Count: a.Count, Occurrences: a.Occurrences}
+	x := a.AnalyticsFields
+	if x == nil {
+		return res
 	}
-	return out, nil
-}
-
-// fromWire converts a replica's wire response back to the library result.
-func fromWire(w server.QueryResponse) era.Result {
-	res := era.Result{Found: w.Found, Occurrences: w.Occurrences}
-	if w.Count != nil {
-		res.Count = *w.Count
+	if x.Pattern != "" {
+		res.Pattern = []byte(x.Pattern)
 	}
-	if w.Pattern != "" {
-		res.Pattern = []byte(w.Pattern)
-	}
-	if w.OffsetA != nil {
-		res.OffsetA = *w.OffsetA
-	}
-	if w.OffsetB != nil {
-		res.OffsetB = *w.OffsetB
-	}
-	if len(w.Top) > 0 {
-		res.Top = make([]era.TopEntry, len(w.Top))
-		for i, t := range w.Top {
+	res.OffsetA, res.OffsetB = x.OffsetA, x.OffsetB
+	if len(x.Top) > 0 {
+		res.Top = make([]era.TopEntry, len(x.Top))
+		for i, t := range x.Top {
 			res.Top[i] = era.TopEntry{Pattern: []byte(t.Pattern), Count: t.Count}
 		}
 	}
-	if len(w.Stats) > 0 {
-		res.Stats = make([]era.PatternStat, len(w.Stats))
-		for i, s := range w.Stats {
-			res.Stats[i] = era.PatternStat{Docs: s.Docs, Count: s.Count}
+	if len(x.Stats) > 0 {
+		res.Stats = make([]era.PatternStat, len(x.Stats))
+		for i, st := range x.Stats {
+			res.Stats[i] = era.PatternStat{Docs: st.Docs, Count: st.Count}
 		}
 	}
 	return res
@@ -830,14 +789,16 @@ func (rt *Router) Describe(name string) (any, bool) {
 	if topo == nil || name != topo.corpus {
 		return nil, false
 	}
-	return routedInfo{Name: topo.corpus, Symbols: topo.totalLen, Documents: topo.numDocs, Alphabet: topo.alphabet, Shards: len(topo.shards)}, true
+	return routedInfo{Name: topo.corpus, Symbols: topo.totalLen, Documents: topo.numDocs, Alphabet: topo.alpha.Name(), Shards: len(topo.shards)}, true
 }
 
 // Answer answers ops over the routed corpus through era.RouteOps, each shard
-// asked through askShard. Analytics parameters are validated here, against
-// the global document count; the replicas validate membership patterns.
-// Without a topology, and in strict mode when a shard is down, it refuses
-// with 503; a fan-out that failed otherwise is 502.
+// asked through askShard. Every op is validated first, as Engine.Answer
+// validates it — against the alphabet the shards list and the corpus's
+// document count — so the first invalid op comes back as an *era.OpError
+// naming the client's position, before any sub-request. Without a topology,
+// and in strict mode when a shard is down, it refuses with 503; a fan-out
+// that failed otherwise is 502.
 func (rt *Router) Answer(ctx context.Context, index string, ops []era.Op) ([]era.Result, []bool, error) {
 	topo := rt.topo.Load()
 	if topo == nil {
@@ -847,10 +808,8 @@ func (rt *Router) Answer(ctx context.Context, index string, ops []era.Op) ([]era
 		return nil, nil, fmt.Errorf("%w: no index named %q routed (serving %q)", server.ErrUnknownIndex, index, topo.corpus)
 	}
 	for i, op := range ops {
-		if op.Kind.IsAnalytic() {
-			if err := op.Validate(nil, topo.numDocs); err != nil {
-				return nil, nil, &era.OpError{Op: i, Err: err}
-			}
+		if err := op.Validate(topo.alpha, topo.numDocs); err != nil {
+			return nil, nil, &era.OpError{Op: i, Err: err}
 		}
 	}
 	res, partial, down, err := era.RouteOps(ctx, topo.keys, ops, func(ctx context.Context, s int, sub []era.Op) ([]era.Result, error) {

@@ -1172,9 +1172,11 @@ func otherBuild(t *testing.T, docs [][]byte, k, i int) *era.Index {
 // TestRoutedRefreshRefusesFamilies pins what Refresh will not serve as one
 // corpus, each with the reason named: replicas that list one shard with
 // different ranges, a family whose ranges leave a gap or stop short of the
-// end of the suffix order, members of different corpora, and a whole image
-// among range images — a family cut at document boundaries. NewRouter
-// refuses a replica URL listed twice, naming it.
+// end of the suffix order, members of different corpora (custom alphabets of
+// one name whose symbols differ among them), a whole image among range
+// images — a family cut at document boundaries — and a listing without the
+// alphabet's symbols, which leaves no alphabet to validate ops against.
+// NewRouter refuses a replica URL listed twice, naming it.
 func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 	docs := routedTestDocs(t, 24, 11)
 	build := func(docs [][]byte, k int) []*era.Index {
@@ -1193,6 +1195,16 @@ func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 	gap := build(docs, 4)[2] // a range of the 4-shard build where the 3-shard build's second goes
 	gap.SetName("corpus~1")
 	shorter := build(docs[1:], 3)
+	// Two corpora over custom alphabets ("custom", auto-detected) of one
+	// length and document count, whose symbols differ.
+	recode := func(to string) [][]byte {
+		out := make([][]byte, len(docs))
+		for i, d := range docs {
+			out[i] = bytes.Map(func(r rune) rune { return rune(to[strings.IndexRune("ACGT", r)]) }, d)
+		}
+		return out
+	}
+	custom, otherCustom := build(recode("1234"), 3), build(recode("1235"), 3)
 	whole, err := era.BuildCorpus(docs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -1209,6 +1221,7 @@ func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 		{"gap", [][]*era.Index{{three[0], gap, three[2]}}, false, "not contiguous"},
 		{"short of the end", [][]*era.Index{three[:2]}, false, "stops short of the end"},
 		{"two corpora", [][]*era.Index{{three[0], shorter[1], shorter[2]}}, false, "not one corpus"},
+		{"two custom alphabets", [][]*era.Index{{custom[0], otherCustom[1], otherCustom[2]}}, false, "not one corpus"},
 		{"whole among ranges", [][]*era.Index{{whole, three[1], three[2]}}, false, "must be rebuilt"},
 		{"duplicate replica", [][]*era.Index{three, three}, true, "is listed twice"},
 	} {
@@ -1236,6 +1249,17 @@ func TestRoutedRefreshRefusesFamilies(t *testing.T) {
 				t.Errorf("NewRouter + Refresh = %v, want an error saying %q", err, c.want)
 			}
 		})
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"indexes":[{"name":"corpus~0","symbols":9,"documents":1,"alphabet":"DNA"}]}`)
+	}))
+	defer old.Close()
+	rt, err := NewRouter(RouterConfig{Replicas: []string{old.URL}, ErrLog: quiet})
+	if err == nil {
+		err = rt.Refresh(context.Background())
+	}
+	if err == nil || !strings.Contains(err.Error(), "shard family corpus lists no usable alphabet") {
+		t.Errorf("Refresh over a listing without alphabet_symbols = %v, want it refused naming the family", err)
 	}
 }
 
@@ -1337,10 +1361,11 @@ func TestRoutedBatchSubBatches(t *testing.T) {
 }
 
 // TestRoutedBatchErrorPosition pins the error a batch gets: the monolithic
-// server's, byte for byte, which names the client's op index at its head —
-// whether the router caught the op itself (unknown op, analytics parameters)
-// or a replica rejected it inside a sub-batch, where analytics ops ahead of
-// it shift its position, and in a batch of one op too.
+// server's, byte for byte, which names the client's first invalid op at its
+// head — the router validates every op as a replica does, patterns against
+// the alphabet the shards list included, before any sub-request — with
+// analytics ops around it, when a later op is invalid too, and in a batch of
+// one op.
 func TestRoutedBatchErrorPosition(t *testing.T) {
 	tc := newRoutedCluster(t, 3, 3, nil)
 	ok := server.QueryOp{Op: "count", Pattern: "AC"}
@@ -1358,6 +1383,7 @@ func TestRoutedBatchErrorPosition(t *testing.T) {
 		{"analytics parameters", []server.QueryOp{ok, {Op: "topk", K: 0, MinLen: 4}, ok}, 1},
 		{"first op", []server.QueryOp{{Op: "count"}, ok}, 0},
 		{"batch of one op", []server.QueryOp{{Op: "count", Pattern: "AxC"}}, 0},
+		{"bad pattern before bad parameters", []server.QueryOp{{Op: "contains", Pattern: "AxC"}, {Op: "topk", K: 0, MinLen: 4}}, 0},
 	}
 	for _, c := range cases {
 		body, err := json.Marshal(breq(c.ops...))

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -198,12 +199,8 @@ func (e *Engine) loadPath(idx era.Queryable, path string) error {
 	if e.closed {
 		return fmt.Errorf("server: engine is closed")
 	}
-	old := *e.catalog.Load()
-	next := make(map[string]*catalogEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	replaced := old[name]
+	next := maps.Clone(*e.catalog.Load())
+	replaced := next[name]
 	ent := newCatalogEntry(idx, e.nextEpoch.Add(1))
 	ent.path = path
 	if _, mutable := idx.(Mutable); mutable {
@@ -327,18 +324,10 @@ func (e *Engine) quarantineEntry(name string, ent *catalogEntry) {
 	if e.closed {
 		return
 	}
-	old := *e.catalog.Load()
-	if old[name] != ent {
+	if (*e.catalog.Load())[name] != ent {
 		return // replaced or unloaded since; nothing to do
 	}
-	next := make(map[string]*catalogEntry, len(old)-1)
-	for k, v := range old {
-		if k != name {
-			next[k] = v
-		}
-	}
-	e.catalog.Store(&next)
-	e.retireEntryLocked(ent)
+	e.dropLocked(name, ent)
 	if ent.path != "" {
 		if err := os.Rename(ent.path, ent.path+".quarantine"); err == nil {
 			e.quarantined = append(e.quarantined, filepath.Base(ent.path))
@@ -356,20 +345,20 @@ func (e *Engine) Unload(name string) bool {
 	if e.closed {
 		return false
 	}
-	old := *e.catalog.Load()
-	ent, ok := old[name]
-	if !ok {
-		return false
+	ent, ok := (*e.catalog.Load())[name]
+	if ok {
+		e.dropLocked(name, ent)
 	}
-	next := make(map[string]*catalogEntry, len(old)-1)
-	for k, v := range old {
-		if k != name {
-			next[k] = v
-		}
-	}
+	return ok
+}
+
+// dropLocked swaps in the catalog without name and retires ent, the entry
+// name held. Caller holds e.mu.
+func (e *Engine) dropLocked(name string, ent *catalogEntry) {
+	next := maps.Clone(*e.catalog.Load())
+	delete(next, name)
 	e.catalog.Store(&next)
 	e.retireEntryLocked(ent)
-	return true
 }
 
 // Close empties the catalog and closes every index the engine still holds —
@@ -523,19 +512,6 @@ func (e *Engine) acquireEntry(index string) (*catalogEntry, error) {
 		}
 		return ent, nil
 	}
-}
-
-// Acquire resolves a name to its index with an in-flight reference held,
-// going through the same first-touch corruption gate as query serving. The
-// caller must invoke the returned release exactly once when done; until
-// then the index cannot be retired out from under it. The shard-serving
-// endpoints use this to hand raw content bytes out safely.
-func (e *Engine) Acquire(index string) (era.Queryable, func(), error) {
-	ent, err := e.acquireEntry(index)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ent.idx, ent.release, nil
 }
 
 // Answer is Batch with per-op plan validation (era.Query.Validate), the

@@ -16,10 +16,12 @@
 //	POST /v1/analytics        one analytics query: {"index","op",...per-op params}
 //	POST /v1/batch            many queries: {"index","ops":[{"op",...},...]}
 //
-// The index metadata of a shard — a split file whose tree holds one range of
-// the suffix order — carries its range and the image's fingerprint: the
-// cluster router routes each op to the shards whose ranges own it, and
-// refuses replicas that disagree on either.
+// Every index's metadata names its alphabet and lists the alphabet's symbols
+// (alphabet_symbols); a shard's — a split file whose tree holds one range of
+// the suffix order — also carries its range and the image's fingerprint. The
+// cluster router rebuilds the alphabet to validate ops as a replica does,
+// routes each op to the shards whose ranges own it, and refuses replicas
+// that disagree on any of these.
 //
 // Live (mutable) indexes additionally accept:
 //
@@ -47,7 +49,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"regexp"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -254,7 +255,7 @@ func NewHandlerOpts(b Backend, opts Options) http.Handler {
 		for i, q := range req.Ops {
 			op, err := q.Plan()
 			if err != nil {
-				h.writeError(w, http.StatusBadRequest, OpPrefix(i)+err.Error())
+				h.writeError(w, http.StatusBadRequest, (&era.OpError{Op: i, Err: err}).Error())
 				return
 			}
 			ops[i] = op
@@ -403,10 +404,11 @@ func (h *api) writeQueryError(w http.ResponseWriter, err error) {
 // cluster router writes it. Membership ops (contains, count, occurrences) use
 // op/pattern/max; the analytics ops add their own parameters — topk: k +
 // min_len; lcs: doc_a + doc_b; docfreq: patterns; mismatch: pattern + k.
-// Per-op validation happens in the engine (era.Query.Validate) against the
-// target index, so a pattern-less op is not rejected here for having no
-// pattern. The patterns are Text: the router asks about prefixes of shard
-// keys, which may end inside a character, and they must arrive as sent.
+// Per-op validation happens in the Backend's Answer (era.Query.Validate)
+// against the target index, so a pattern-less op is not rejected here for
+// having no pattern. The patterns are Text: the router asks about prefixes
+// of shard keys, which may end inside a character, and they must arrive as
+// sent.
 type WireOp struct {
 	Op       string `json:"op"`
 	Pattern  Text   `json:"pattern,omitempty"`
@@ -418,7 +420,8 @@ type WireOp struct {
 	Patterns []Text `json:"patterns,omitempty"`
 }
 
-func (q *WireOp) Plan() (era.Op, error) {
+// Plan is the op q spells; WireOpOf is its inverse.
+func (q WireOp) Plan() (era.Op, error) {
 	kind, err := era.ParseOpKind(q.Op)
 	if err != nil {
 		return era.Op{}, err
@@ -442,6 +445,17 @@ func (q *WireOp) Plan() (era.Op, error) {
 		}
 	}
 	return op, nil
+}
+
+// WireOpOf is the wire form of op, as the cluster router sends it to a
+// replica: Plan gives op back.
+func WireOpOf(op era.Op) WireOp {
+	w := WireOp{Op: op.Kind.String(), Pattern: Text(op.Pattern), Max: op.MaxOccurrences,
+		K: op.K, MinLen: op.MinLen, DocA: op.DocA, DocB: op.DocB}
+	for _, p := range op.Patterns {
+		w.Patterns = append(w.Patterns, Text(p))
+	}
+	return w
 }
 
 // WireQuery is the body of /v1/query and /v1/analytics; WireBatch of
@@ -478,27 +492,6 @@ type QueryRequest struct {
 type BatchRequest struct {
 	Index string    `json:"index"`
 	Ops   []QueryOp `json:"ops"`
-}
-
-// OpPrefix is the marker a /v1/batch error names its offending op with.
-func OpPrefix(i int) string { return fmt.Sprintf("op %d: ", i) }
-
-var opMarker = regexp.MustCompile(`\bop (\d+): `)
-
-// SplitOpError is OpPrefix's inverse: it finds the first op marker in a
-// batch error message and returns the position with the marker removed.
-// The cluster router sends a client's ops to replicas in sub-batches, so a
-// position a replica reports has to be translated back to the client's own.
-func SplitOpError(msg string) (op int, rest string, ok bool) {
-	m := opMarker.FindStringSubmatchIndex(msg)
-	if m == nil {
-		return 0, msg, false
-	}
-	op, err := strconv.Atoi(msg[m[2]:m[3]])
-	if err != nil {
-		return 0, msg, false
-	}
-	return op, msg[:m[0]] + msg[m[1]:], true
 }
 
 // appendRequest carries documents for a live index; like patterns, they
@@ -611,7 +604,9 @@ type indexInfo struct {
 	Symbols   int    `json:"symbols"` // indexed length incl. terminator
 	Documents int    `json:"documents"`
 	Alphabet  string `json:"alphabet"`
-	TreeNodes int64  `json:"tree_nodes"`
+	// AlphabetSymbols are the alphabet's symbols, ascending.
+	AlphabetSymbols Text  `json:"alphabet_symbols"`
+	TreeNodes       int64 `json:"tree_nodes"`
 	// Range is the part of the suffix order the index's tree holds, absent
 	// for an index over every suffix; Fingerprint is the v4 header checksum
 	// of a monolithic image (era.Index.Fingerprint), in hex.
@@ -628,11 +623,12 @@ type KeyRange struct {
 
 func describe(name string, idx era.Queryable) indexInfo {
 	info := indexInfo{
-		Name:      name,
-		Symbols:   idx.Len(),
-		Documents: idx.NumDocs(),
-		Alphabet:  idx.Alphabet().Name(),
-		TreeNodes: idx.TreeNodes(),
+		Name:            name,
+		Symbols:         idx.Len(),
+		Documents:       idx.NumDocs(),
+		Alphabet:        idx.Alphabet().Name(),
+		AlphabetSymbols: Text(idx.Alphabet().Symbols()),
+		TreeNodes:       idx.TreeNodes(),
 	}
 	if x, ok := idx.(*era.Index); ok {
 		info.Fingerprint = fmt.Sprintf("%08x", x.Fingerprint())

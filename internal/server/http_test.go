@@ -126,7 +126,8 @@ func TestHTTPIndexListingAndHealth(t *testing.T) {
 	if len(listing.Indexes) != 1 || listing.Indexes[0].Name != "dna" {
 		t.Fatalf("indexes = %+v", listing.Indexes)
 	}
-	if listing.Indexes[0].Symbols != idx.Len() || listing.Indexes[0].TreeNodes != idx.TreeNodes() {
+	if listing.Indexes[0].Symbols != idx.Len() || listing.Indexes[0].TreeNodes != idx.TreeNodes() ||
+		listing.Indexes[0].AlphabetSymbols != "ACGT" {
 		t.Errorf("index info = %+v", listing.Indexes[0])
 	}
 
@@ -340,13 +341,6 @@ func TestHTTPPatternValidation(t *testing.T) {
 	msg, _ := out["error"].(string)
 	if !strings.Contains(msg, "op 1") {
 		t.Errorf("batch error does not name the op: %v", out)
-	}
-	// The router reads the position back out of the message.
-	if op, rest, ok := SplitOpError(msg); !ok || op != 1 || strings.Contains(rest, "op 1") || !strings.Contains(rest, "'z'") {
-		t.Errorf("SplitOpError(%q) = %d, %q, %v", msg, op, rest, ok)
-	}
-	if _, rest, ok := SplitOpError("no index named \"top 3: x\" loaded"); ok || rest == "" {
-		t.Errorf("SplitOpError found a marker in a message without one (%q)", rest)
 	}
 
 	// Unknown index outranks pattern validation: addressing comes first.

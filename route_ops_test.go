@@ -85,10 +85,9 @@ func (f *routeOpsFixture) needs(op Op, s int) bool {
 // real K=3 sharded index: with every shard up, the answers are the
 // monolithic index's; a shard that is down flags partial exactly the ops
 // that need it — a topk included when only its boundary count does — and is
-// named in down; an *OpError comes back at the caller's position; a done
-// context and any other error fail the call; lcs falls through to the next
-// shard; and the shards one call touches are asked concurrently, each first
-// for the membership ops it owns, in caller order.
+// named in down; a done context and any other error fail the call; lcs
+// falls through to the next shard; and the shards one call touches are asked
+// concurrently, each first for the membership ops it owns, in caller order.
 func TestRouteOps(t *testing.T) {
 	f := newRouteOpsFixture(t)
 	ctx := context.Background()
@@ -180,42 +179,6 @@ func TestRouteOps(t *testing.T) {
 		}
 		if seen[true] == 0 || seen[false] == 0 {
 			t.Fatalf("the corpus's keys give no topk both with and without a boundary count on a down shard: %v", seen)
-		}
-	})
-
-	t.Run("op-error", func(t *testing.T) {
-		bad := errors.New("rejected")
-		for s := range f.sx.keys {
-			var own []int // the caller's positions of the ops shard s owns
-			for i, op := range f.ops {
-				if !op.Kind.IsAnalytic() && f.needs(op, s) {
-					own = append(own, i)
-				}
-			}
-			for _, j := range []int{0, len(own) / 2, len(own) - 1} {
-				_, _, _, err := RouteOps(ctx, f.sx.keys, f.ops, func(ctx context.Context, sh int, ops []Op) ([]Result, error) {
-					if sh == s && !ops[0].Kind.IsAnalytic() {
-						return nil, fmt.Errorf("sub-batch: %w", &OpError{Op: j, Err: bad})
-					}
-					return f.sx.ask(ctx, sh, ops)
-				})
-				var oe *OpError
-				if !errors.As(err, &oe) || oe.Op != own[j] || !errors.Is(err, bad) {
-					t.Errorf("shard %d rejects its op %d: err %v, want op %d", s, j, err, own[j])
-				}
-			}
-		}
-		// An analytics op is asked alone: its position 0 is the caller's i.
-		i := slices.IndexFunc(f.ops, func(op Op) bool { return op.Kind == OpLongestRepeat })
-		_, _, _, err := RouteOps(ctx, f.sx.keys, f.ops, func(ctx context.Context, s int, ops []Op) ([]Result, error) {
-			if ops[0].Kind == OpLongestRepeat {
-				return nil, &OpError{Op: 0, Err: bad}
-			}
-			return f.sx.ask(ctx, s, ops)
-		})
-		var oe *OpError
-		if !errors.As(err, &oe) || oe.Op != i {
-			t.Errorf("lrs rejected: err %v, want op %d", err, i)
 		}
 	})
 

@@ -377,9 +377,8 @@ func (e *OpError) Unwrap() error { return e.Err }
 // An ask error wrapping ErrShardDown marks shard s down: the ops that needed
 // it are answered from the shards that are left, partial[i] flags each of
 // them, and down[s] keeps the error; down is nil unless some answer is
-// partial. An error wrapping *OpError names a position in the ops handed to
-// ask and comes back naming the caller's position. Any other error, and a
-// done ctx, fails the call.
+// partial. Any other error, and a done ctx, fails the call; of several asks
+// that fail it, the first in shard order comes back as it is.
 func RouteOps(ctx context.Context, keys [][]byte, ops []Op, ask func(ctx context.Context, s int, ops []Op) ([]Result, error)) (results []Result, partial []bool, down []error, err error) {
 	r := &opRouter{ctx: ctx, keys: keys, ask: ask}
 	results, partial, err = r.route(ops)
@@ -404,7 +403,7 @@ func (r *opRouter) route(ops []Op) (results []Result, partial []bool, err error)
 	for i, op := range ops {
 		if op.Kind.IsAnalytic() {
 			if results[i], partial[i], err = r.analytic(op); err != nil {
-				return nil, nil, callerOp(err, []int{i})
+				return nil, nil, err
 			}
 		}
 	}
@@ -435,7 +434,7 @@ func (r *opRouter) members(ops []Op, results []Result, partial []bool) error {
 	if len(touched) == 0 {
 		return nil
 	}
-	answers, err := r.askAll(touched, own, func(s int) []Op {
+	answers, err := r.askAll(touched, func(s int) []Op {
 		if len(own[s]) == len(ops) {
 			return ops
 		}
@@ -496,7 +495,7 @@ func (r *opRouter) analytic(q Op) (Result, bool, error) {
 		return Result{OffsetA: -1, OffsetB: -1}, true, nil
 	}
 	asked := analyticsShards(q, r.keys)
-	answers, err := r.askAll(asked, nil, func(int) []Op { return lone })
+	answers, err := r.askAll(asked, func(int) []Op { return lone })
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -522,10 +521,9 @@ func (r *opRouter) analytic(q Op) (Result, bool, error) {
 
 // askAll asks each shard of shards for its ops, concurrently when there are
 // several, and returns answers[s], aligned with ops(s) — nil for a shard that
-// is down, which it marks. An *OpError from shard s is moved to own[s]'s
-// position when own is given; when several shards fail the call, the error
-// naming the earliest op wins.
-func (r *opRouter) askAll(shards []int, own [][]int, ops func(s int) []Op) ([][]Result, error) {
+// is down, which it marks. A shard's other error fails the call, the first in
+// shard order.
+func (r *opRouter) askAll(shards []int, ops func(s int) []Op) ([][]Result, error) {
 	answers := make([][]Result, len(r.keys))
 	errs := make([]error, len(r.keys))
 	fanOut(len(shards), func(j int) {
@@ -536,7 +534,6 @@ func (r *opRouter) askAll(shards []int, own [][]int, ops func(s int) []Op) ([][]
 			errs[s] = fmt.Errorf("era: shard %d answered %d results to %d ops", s, len(answers[s]), len(sub))
 		}
 	})
-	var failed error
 	for s, err := range errs {
 		switch {
 		case err == nil:
@@ -546,16 +543,8 @@ func (r *opRouter) askAll(shards []int, own [][]int, ops func(s int) []Op) ([][]
 			answers[s] = nil
 			r.markDown(s, err)
 		default:
-			if own != nil {
-				err = callerOp(err, own[s])
-			}
-			if failed == nil || opPosition(err) < opPosition(failed) {
-				failed = err
-			}
+			return nil, err
 		}
-	}
-	if failed != nil {
-		return nil, failed
 	}
 	return answers, nil
 }
@@ -565,25 +554,6 @@ func (r *opRouter) markDown(s int, err error) {
 		r.down = make([]error, len(r.keys))
 	}
 	r.down[s] = err
-}
-
-// callerOp moves an *OpError naming position j of the ops an ask was handed
-// to at[j], the caller's position of that op.
-func callerOp(err error, at []int) error {
-	var oe *OpError
-	if errors.As(err, &oe) && oe.Op >= 0 && oe.Op < len(at) {
-		return &OpError{Op: at[oe.Op], Err: oe.Err}
-	}
-	return err
-}
-
-// opPosition is the op an error names, or -1 when it names none.
-func opPosition(err error) int {
-	var oe *OpError
-	if errors.As(err, &oe) {
-		return oe.Op
-	}
-	return -1
 }
 
 // fanOut runs f(j) for every j < n, concurrently when there are several.
