@@ -30,8 +30,9 @@ import (
 // liveSnapshot.analytics (analytics_live.go) merges the tiers of a
 // LiveIndex. Dispatch and parameter validation live here, once.
 //
-// The whole and the sharded index answer lrs and topk with tree walks
-// (suffixtree.LongestRepeated, PrefixLoci). The live index, whose tiers cut
+// The whole and the sharded index answer lrs and topk from the tree: lrs
+// with one pass over its internal records (suffixtree.LongestRepeated), topk
+// with a walk of the depth-L loci (PrefixLoci). The live index, whose tiers cut
 // the corpus at document boundaries and whose memtable has no tree at all,
 // answers them from the suffixes of its virtual global string in
 // lexicographic order with the LCP between neighbours — SA-IS + Kasai over

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"era/internal/alphabet"
 	"era/internal/suffixtree"
 	"era/internal/workload"
 )
@@ -454,9 +455,10 @@ func testPeriodicAnalytics(t *testing.T) {
 }
 
 // TestWalkAllocationsDoNotScale pins the read-side walks' allocation count:
-// one hoisted child callback per walk, not one closure per visited node.
+// no closure per visited node, and a mismatch search appends its loci's
+// windows of the suffix array to one answer rather than copying each.
 func TestWalkAllocationsDoNotScale(t *testing.T) {
-	var allocs [2][2]float64
+	var allocs [2][3]float64
 	for i, n := range []int{2 << 10, 16 << 10} {
 		data := workload.MustGenerate(workload.DNA, n, 11)
 		docs, err := workload.SliceDocs(data[:n], 4)
@@ -471,8 +473,11 @@ func TestWalkAllocationsDoNotScale(t *testing.T) {
 		allocs[i][1] = testing.AllocsPerRun(3, func() {
 			suffixtree.PrefixLoci(x.tree, 6, func(int32) bool { return true })
 		})
+		allocs[i][2] = testing.AllocsPerRun(3, func() {
+			suffixtree.MismatchSearch(x.tree, x.data, data[:8], 2, alphabet.Terminator, nil)
+		})
 	}
-	for j, name := range []string{"LongestRepeated", "PrefixLoci"} {
+	for j, name := range []string{"LongestRepeated", "PrefixLoci", "MismatchSearch"} {
 		// Stacks and result slices may grow a few more times on the larger
 		// tree; a closure per node would add thousands.
 		if small, large := allocs[0][j], allocs[1][j]; large > small+16 {

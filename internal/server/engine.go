@@ -54,10 +54,10 @@ var ErrSaturated = errors.New("too many appends in flight")
 // of the catalog.
 var ErrCorruptIndex = errors.New("index failed checksum verification")
 
-// DefaultMaxInflightAppends is the per-index append concurrency bound.
-// Appends serialize on the live index's internal mutex anyway; the bound
-// caps how deep that queue gets before clients are told to back off.
-const DefaultMaxInflightAppends = 8
+// MaxInflightAppends is the per-index append concurrency bound. Appends
+// serialize on the live index's internal mutex anyway; the bound caps how
+// deep that queue gets before clients are told to back off.
+const MaxInflightAppends = 8
 
 // Mutable is the mutation surface a live index exposes through the engine:
 // era.Queryable plus append/delete and a mutation epoch for cache keying.
@@ -78,11 +78,6 @@ type Engine struct {
 	mu      sync.Mutex // serializes catalog writers (Load/Unload/Close)
 
 	cache *queryCache
-
-	// MaxInflightAppends bounds concurrent appends per live index; at the
-	// bound AppendDocs rejects with ErrSaturated. Set it before the first
-	// Load; zero means DefaultMaxInflightAppends.
-	MaxInflightAppends int
 
 	queries       atomic.Int64
 	cacheHits     atomic.Int64
@@ -204,11 +199,7 @@ func (e *Engine) loadPath(idx era.Queryable, path string) error {
 	ent := newCatalogEntry(idx, e.nextEpoch.Add(1))
 	ent.path = path
 	if _, mutable := idx.(Mutable); mutable {
-		n := e.MaxInflightAppends
-		if n <= 0 {
-			n = DefaultMaxInflightAppends
-		}
-		ent.appendSem = make(chan struct{}, n)
+		ent.appendSem = make(chan struct{}, MaxInflightAppends)
 	}
 	next[name] = ent
 	e.catalog.Store(&next)

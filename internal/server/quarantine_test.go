@@ -161,27 +161,38 @@ func newBlockingLive(t *testing.T) *blockingLive {
 	}
 	// entered is buffered so appends after the gate opens don't block on an
 	// absent listener.
-	return &blockingLive{LiveIndex: lx, entered: make(chan struct{}, 8), gate: make(chan struct{})}
+	return &blockingLive{LiveIndex: lx, entered: make(chan struct{}, MaxInflightAppends), gate: make(chan struct{})}
 }
 
-// TestEngineAppendBackpressure pins the in-flight bound: with the single
-// append slot occupied, the next append rejects with ErrSaturated and the
-// rejection is counted; once the slot frees, appends proceed.
+// parkAppends starts MaxInflightAppends appends that block inside b until
+// its gate opens, and returns once every one holds an append slot; the
+// channel yields their errors.
+func parkAppends(e *Engine, b *blockingLive) <-chan error {
+	done := make(chan error, MaxInflightAppends)
+	for i := 0; i < MaxInflightAppends; i++ {
+		go func() {
+			_, err := e.AppendDocs("live", [][]byte{[]byte("GATTACA")})
+			done <- err
+		}()
+	}
+	for i := 0; i < MaxInflightAppends; i++ {
+		<-b.entered
+	}
+	return done
+}
+
+// TestEngineAppendBackpressure pins the in-flight bound: with every append
+// slot occupied, the next append rejects with ErrSaturated and the rejection
+// is counted; once the slots free, appends proceed.
 func TestEngineAppendBackpressure(t *testing.T) {
 	b := newBlockingLive(t)
 	e := NewEngine(128)
-	e.MaxInflightAppends = 1
 	if err := e.Load(b); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.AppendDocs("live", [][]byte{[]byte("GATTACA")})
-		done <- err
-	}()
-	<-b.entered // the slow append holds the only slot
+	done := parkAppends(e, b)
 
 	if _, err := e.AppendDocs("live", [][]byte{[]byte("CCCC")}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("append at the bound: %v, want ErrSaturated", err)
@@ -191,10 +202,12 @@ func TestEngineAppendBackpressure(t *testing.T) {
 	}
 
 	close(b.gate)
-	if err := <-done; err != nil {
-		t.Fatalf("parked append: %v", err)
+	for i := 0; i < MaxInflightAppends; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("parked append: %v", err)
+		}
 	}
-	// The slot is free again.
+	// The slots are free again.
 	if _, err := e.AppendDocs("live", [][]byte{[]byte("TTTT")}); err != nil {
 		t.Fatalf("append after drain: %v", err)
 	}
@@ -205,7 +218,6 @@ func TestEngineAppendBackpressure(t *testing.T) {
 func TestHTTPAppendSaturation(t *testing.T) {
 	b := newBlockingLive(t)
 	e := NewEngine(128)
-	e.MaxInflightAppends = 1
 	if err := e.Load(b); err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +225,12 @@ func TestHTTPAppendSaturation(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(e))
 	t.Cleanup(ts.Close)
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.AppendDocs("live", [][]byte{[]byte("GATTACA")})
-		done <- err
-	}()
-	<-b.entered
+	done := parkAppends(e, b)
 	defer func() {
 		close(b.gate)
-		<-done
+		for i := 0; i < MaxInflightAppends; i++ {
+			<-done
+		}
 	}()
 
 	resp, err := http.Post(ts.URL+"/v1/indexes/live/docs", "application/json",

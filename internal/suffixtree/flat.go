@@ -11,7 +11,10 @@ import (
 // format v4. Every section is a plain little-endian byte slice — typically a
 // window of one memory-mapped index file — so opening an index is O(header):
 // no node structs are materialized, no pointers fixed up, and concurrent
-// processes serving the same file share one page-cache copy.
+// processes serving the same file share one page-cache copy. It is the only
+// layout that serves: its queries are methods here, and the analytics walks
+// (walk.go) take it directly. The heap Tree is construction's layout and the
+// tests' reference, with queries and walks of its own.
 //
 // The layout is chosen for the descent and occurrence-listing hot paths, and
 // sized by what a node has to say:
@@ -300,14 +303,21 @@ func (t *FlatTree) Suffix(u int32) int32 {
 // CountLeaves returns the number of leaves below u — O(1) in the flat
 // layout: the subtree's leaf range is precomputed at encode time.
 func (t *FlatTree) CountLeaves(u int32) int {
-	if !t.valid(u) {
-		return 0
-	}
-	if u >= t.nInt {
-		return 1
-	}
-	lo, hi := t.ranks(t.rec(u))
+	lo, hi := t.leafRange(u)
 	return int(hi - lo)
+}
+
+// leafRange returns the ranks [lo, hi) of the leaves below u: a leaf's own
+// rank, or an internal node's range clamped to the suffix array. Invalid ids
+// have none.
+func (t *FlatTree) leafRange(u int32) (lo, hi int32) {
+	switch {
+	case !t.valid(u):
+		return 0, 0
+	case u < t.nInt:
+		return t.ranks(t.rec(u))
+	}
+	return u - t.nInt, u - t.nInt + 1
 }
 
 // ForEachChild calls fn for every child of u in first-symbol order — the
@@ -509,20 +519,15 @@ func (t *FlatTree) Occurrences(pattern []byte) []int32 {
 // Leaves returns the suffix offsets of the leaves below u in lexicographic
 // order: a leaf's own suffix, or an internal node's window of the suffix
 // array.
-func (t *FlatTree) Leaves(u int32) []int32 {
-	if !t.valid(u) {
-		return nil
-	}
-	lo, hi := u-t.nInt, u-t.nInt+1
-	if u < t.nInt {
-		lo, hi = t.ranks(t.rec(u))
-	}
-	if lo == hi {
-		return nil
-	}
-	out := make([]int32, hi-lo)
-	for k := range out {
-		out[k] = t.suffixAt(lo + int32(k))
+func (t *FlatTree) Leaves(u int32) []int32 { return t.appendLeaves(nil, u) }
+
+// appendLeaves appends the suffix offsets of the leaves below u to out, in
+// lexicographic order, growing out once.
+func (t *FlatTree) appendLeaves(out []int32, u int32) []int32 {
+	lo, hi := t.leafRange(u)
+	out = slices.Grow(out, int(hi-lo))
+	for r := lo; r < hi; r++ {
+		out = append(out, t.suffixAt(r))
 	}
 	return out
 }
@@ -533,13 +538,7 @@ func (t *FlatTree) Leaves(u int32) []int32 {
 // so a capped answer allocates its k ints and nothing else. Invalid ids and
 // empty windows answer nil.
 func (t *FlatTree) FirstOccurrences(u int32, k int) []int {
-	if !t.valid(u) {
-		return nil
-	}
-	lo, hi := u-t.nInt, u-t.nInt+1
-	if u < t.nInt {
-		lo, hi = t.ranks(t.rec(u))
-	}
+	lo, hi := t.leafRange(u)
 	n := int(hi - lo)
 	if n == 0 {
 		return nil
@@ -593,28 +592,4 @@ func (t *FlatTree) PathLabel(u int32) []byte {
 		return nil
 	}
 	return append([]byte(nil), t.data[o:e]...)
-}
-
-// WalkDFS visits every node reachable from u in depth-first order, children
-// in first-symbol order, exactly as the heap layout's WalkDFS does — both are
-// the shared Walk, whose NumNodes visit budget bounds it on corrupt files.
-func (t *FlatTree) WalkDFS(u int32, fn func(id, depth int32) bool) {
-	if t.valid(u) {
-		Walk(t, u, func(id, depth, _ int32) bool { return fn(id, depth) })
-	}
-}
-
-// LongestRepeatedSubstring returns the longest substring of S occurring at
-// least twice, with the offsets of its occurrences; ties break exactly as in
-// the heap layout — both delegate to the shared LongestRepeated.
-func (t *FlatTree) LongestRepeatedSubstring() ([]byte, []int32) {
-	return LongestRepeated(t, nil)
-}
-
-// MaximalRepeats calls fn for every internal node whose path label has
-// length ≥ minLen and occurs at least minOcc times; DFS order, subtree
-// skipped when fn returns false — identical semantics to the heap layout,
-// both delegating to the shared VisitRepeats.
-func (t *FlatTree) MaximalRepeats(minLen int32, minOcc int, fn func(node int32, depth int32, occ int) bool) {
-	VisitRepeats(t, minLen, minOcc, fn)
 }

@@ -192,7 +192,7 @@ func TestFlatTreeDifferential(t *testing.T) {
 
 		// Longest repeated substring: same label and occurrence set.
 		wl, wo := tree.LongestRepeatedSubstring()
-		gl, go_ := flat.LongestRepeatedSubstring()
+		gl, go_ := LongestRepeated(flat, nil)
 		if !bytes.Equal(wl, gl) {
 			t.Fatalf("corpus %d: LRS %q vs heap %q", ci, gl, wl)
 		}
@@ -216,7 +216,7 @@ func TestFlatTreeDifferential(t *testing.T) {
 			wr = append(wr, rep{depth, occ, string(tree.PathLabel(node))})
 			return true
 		})
-		flat.MaximalRepeats(2, 2, func(node, depth int32, occ int) bool {
+		VisitRepeats(flat, 2, 2, func(node, depth int32, occ int) bool {
 			gr = append(gr, rep{depth, occ, string(flat.PathLabel(node))})
 			return true
 		})
@@ -228,19 +228,6 @@ func TestFlatTreeDifferential(t *testing.T) {
 				t.Fatalf("corpus %d: MaximalRepeats[%d] = %+v, heap %+v", ci, i, gr[i], wr[i])
 			}
 		}
-	}
-}
-
-// TestFlatTreeRoundTrip re-flattens a FlatTree (the WriteFile path of a
-// mapped index) and checks the encoded sections are byte-identical.
-func TestFlatTreeRoundTrip(t *testing.T) {
-	_, flat, term := buildBoth(t, []byte("senselessness.and.sensibility"))
-	f2, err := Flatten(flat, term)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f2.Nodes, flat.nodes) || !bytes.Equal(f2.Sym, flat.sym) || !bytes.Equal(f2.LeafData, flat.sa) {
-		t.Fatal("re-flattening a FlatTree changed the encoded sections")
 	}
 }
 
@@ -262,12 +249,12 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 		ft.MatchTrace(p, 0, tr)
 	}
 	steps := 0
-	ft.WalkDFS(ft.Root(), func(_, _ int32) bool { steps++; return true })
+	Walk(ft, ft.Root(), func(_, _, _ int32) bool { steps++; return true })
 	if steps > ft.NumNodes() {
-		t.Fatalf("WalkDFS took %d steps over %d nodes", steps, ft.NumNodes())
+		t.Fatalf("Walk took %d steps over %d nodes", steps, ft.NumNodes())
 	}
-	ft.LongestRepeatedSubstring()
-	ft.MaximalRepeats(1, 2, func(_, _ int32, _ int) bool { return true })
+	LongestRepeated(ft, nil)
+	VisitRepeats(ft, 1, 2, func(_, _ int32, _ int) bool { return true })
 	leaves, cur := 0, NewRankCursor(ft)
 	for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
 		if leaves++; leaves > ft.NumNodes() {
@@ -564,10 +551,9 @@ func FuzzFlatTreeSections(f *testing.F) {
 }
 
 // TestFlattenAllocsDoNotScaleWithNodes pins Flatten's allocation count to its
-// handful of whole-tree arrays (plus their logarithmic regrowth): the child
-// callbacks escape through the View interface, so a closure literal per node
-// would make the count linear in the tree — 16× the nodes must cost nowhere
-// near 16× the objects.
+// handful of whole-tree arrays (plus their logarithmic regrowth): an
+// allocation per visited node would make the count linear in the tree — 16×
+// the nodes must cost nowhere near 16× the objects.
 func TestFlattenAllocsDoNotScaleWithNodes(t *testing.T) {
 	allocs := func(n int) (nodes int, perRun float64) {
 		rng := rand.New(rand.NewSource(5))

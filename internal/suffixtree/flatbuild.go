@@ -321,16 +321,16 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 	return f, nil
 }
 
-// Flatten encodes any tree view over data into the flat sections — how the
-// tests put a reference heap tree beside the layout that serves: the heap tree
-// a builder produced (or another FlatTree) is read back as the sorted suffix
-// stream it spells, one pre-order walk into a suffix array and its LCPs, and
-// assembled as the direct builds are (AssembleShards). The image is therefore
-// a function of the string and the tree's leaf order and branching depths
-// alone; edge windows come out canonical whichever way the source tree based
-// them. The tree must be complete: one leaf per suffix of data.
-func Flatten(v View, data []byte) (*Flat, error) {
-	if v.NumNodes() < 1 {
+// Flatten encodes a heap tree over data into the flat sections — how the
+// tests put a reference tree beside the layout that serves: the tree a
+// builder produced is read back as the sorted suffix stream it spells, one
+// pre-order walk into a suffix array and its LCPs, and assembled as the
+// direct builds are (AssembleShards). The image is therefore a function of
+// the string and the tree's leaf order and branching depths alone; edge
+// windows come out canonical whichever way the source tree based them. The
+// tree must be complete: one leaf per suffix of data.
+func Flatten(t *Tree, data []byte) (*Flat, error) {
+	if t.NumNodes() < 1 {
 		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
 	}
 	sa, lcps := make([]int32, 0, len(data)), make([]int32, 0, len(data))
@@ -338,12 +338,12 @@ func Flatten(v View, data []byte) (*Flat, error) {
 	// common ancestor of that leaf and the next: its parent's depth is their
 	// LCP.
 	afterLeaf, lcp := true, int32(0)
-	Walk(v, v.Root(), func(id, _, parentDepth int32) bool {
+	t.WalkDFS(t.Root(), func(id, depth int32) bool {
 		if afterLeaf {
-			afterLeaf, lcp = false, parentDepth
+			afterLeaf, lcp = false, depth-t.EdgeLen(id)
 		}
-		if v.IsLeaf(id) {
-			sa, lcps = append(sa, v.Suffix(id)), append(lcps, lcp)
+		if t.IsLeaf(id) {
+			sa, lcps = append(sa, t.Suffix(id)), append(lcps, lcp)
 			afterLeaf = true
 		}
 		return true

@@ -1,11 +1,14 @@
 package suffixtree
 
-// The methods in this file are pure reads: they never mutate the tree, its
-// node array, or the underlying string. Any number of goroutines may run
-// them concurrently on the same Tree (without synchronization) as long as no
-// goroutine mutates the tree via the builder API at the same time. The
-// concurrent query server (internal/server) and the Index.Batch fast path
-// rely on this.
+// The heap layout's queries: the descent (Find, MatchTrace), the answers
+// built on it, and the reference repeat walks. Nothing serves from a Tree —
+// the era package serves the flat layout (flat.go, walk.go) — so these are
+// what the differential tests hold the flat layout's answers to, and what
+// the construction packages' tests query.
+//
+// The methods are pure reads: they never mutate the tree, its node array, or
+// the underlying string. Any number of goroutines may run them concurrently
+// on the same Tree as long as none mutates it via the builder API.
 
 // Locus is the position reached by matching a pattern into the tree: the
 // node whose edge the match ends on, and how many symbols of that node's
@@ -111,18 +114,37 @@ func (t *Tree) Count(pattern []byte) int {
 }
 
 // LongestRepeatedSubstring returns the longest substring of S occurring at
-// least twice, with the offsets of its occurrences. Ties break toward the
-// lexicographically smallest. It is the path label of the deepest internal
-// node; see LongestRepeated for the shared implementation.
+// least twice, with the offsets of its occurrences: the path label of the
+// deepest internal node, ties broken toward the lexicographically smallest
+// (the first in pre-order). It is the reference the flat layout's
+// LongestRepeated is held to.
 func (t *Tree) LongestRepeatedSubstring() ([]byte, []int32) {
-	return LongestRepeated(t, nil)
+	best, bestDepth := None, int32(0)
+	t.WalkDFS(t.Root(), func(id, depth int32) bool {
+		if id != t.Root() && !t.IsLeaf(id) && depth > bestDepth {
+			best, bestDepth = id, depth
+		}
+		return true
+	})
+	if best == None {
+		return nil, nil
+	}
+	return t.PathLabel(best), t.Leaves(best)
 }
 
 // MaximalRepeats calls fn for every internal node whose path label has
 // length ≥ minLen and occurs at least minOcc times, passing the label depth
 // and occurrence count. Traversal order is DFS. If fn returns false the
-// subtree is skipped. Used by the time-series motif example; see
-// VisitRepeats for the shared implementation.
+// subtree is skipped. It is the reference the flat layout's VisitRepeats is
+// held to; each count walks the subtree, so it is for small trees.
 func (t *Tree) MaximalRepeats(minLen int32, minOcc int, fn func(node int32, depth int32, occ int) bool) {
-	VisitRepeats(t, minLen, minOcc, fn)
+	t.WalkDFS(t.Root(), func(id, depth int32) bool {
+		if id == t.Root() || t.IsLeaf(id) || depth < minLen {
+			return true
+		}
+		if occ := t.CountLeaves(id); occ >= minOcc {
+			return fn(id, depth, occ)
+		}
+		return true
+	})
 }

@@ -1,12 +1,11 @@
 package suffixtree
 
-// Layout-agnostic walk primitives over View. Everything here is written once
-// against the interface so the heap layout (*Tree) and the mmap-native flat
-// layout (*FlatTree) answer the analytics queries (era's query-plan executor)
-// through one implementation. Traversal order is pinned: children are visited
-// in first-symbol (sibling) order, so pre-order DFS enumerates path labels in
-// lexicographic order — every tie-break the era layer documents ("smallest
-// substring wins") falls out of that order for free.
+// The analytics walks over the serving layout, *FlatTree (era's query-plan
+// executor). Traversal order is pinned: children are visited in first-symbol
+// order, so pre-order DFS enumerates path labels in lexicographic order —
+// every tie-break the era layer documents ("smallest substring wins") falls
+// out of that order, or, where no walk is needed, out of leaf rank order,
+// which is the same order.
 //
 // FirstLeaf names a locus by its lexicographically first suffix, so the era
 // layer labels a locus with L bytes of S viewed in place rather than a
@@ -17,35 +16,30 @@ package suffixtree
 // exponentially. Wrong answers on a corrupt file are acceptable (the
 // checksum layer catches them before they are served); runaway walks are not.
 //
-// ForEachChild takes its callback through the View interface, so a closure
-// literal inside a walk's loop would escape and allocate once per visited
-// node; every walk here hoists one closure over loop state instead.
+// The heap layout (*Tree) has reference walks of its own (tree.go, query.go);
+// the differential tests hold the two implementations to identical answers.
 
 // Walk visits every node reachable from u in depth-first pre-order, children
 // in first-symbol order; fn receives the node id, its string depth and its
 // parent's (u hangs at depth 0). If fn returns false the subtree below the
 // node is skipped.
-func Walk(v View, u int32, fn func(id, depth, parentDepth int32) bool) {
+func Walk(t *FlatTree, u int32, fn func(id, depth, parentDepth int32) bool) {
 	type frame struct{ id, parentDepth int32 }
 	stack := make([]frame, 0, 64)
 	stack = append(stack, frame{u, 0})
-	var depth int32 // string depth of the node being expanded
-	push := func(c int32) bool {
-		stack = append(stack, frame{c, depth})
-		return true
-	}
-	budget := v.NumNodes()
-	for len(stack) > 0 && budget > 0 {
-		budget--
+	for budget := t.NumNodes(); len(stack) > 0 && budget > 0; budget-- {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		s, e := v.Edge(f.id, f.parentDepth)
-		depth = f.parentDepth + e - s
+		s, e := t.Edge(f.id, f.parentDepth)
+		depth := f.parentDepth + e - s
 		if !fn(f.id, depth, f.parentDepth) {
 			continue
 		}
 		mark := len(stack)
-		v.ForEachChild(f.id, push)
+		t.ForEachChild(f.id, func(c int32) bool {
+			stack = append(stack, frame{c, depth})
+			return true
+		})
 		// Children were pushed in sibling order; reverse the run so the
 		// first sibling pops first.
 		for i, j := mark, len(stack)-1; i < j; i, j = i+1, j-1 {
@@ -54,123 +48,58 @@ func Walk(v View, u int32, fn func(id, depth, parentDepth int32) bool) {
 	}
 }
 
-// LeafCounts returns, for every node id, the number of leaves in its
-// subtree, computed in one post-order pass (node ids are dense in
-// [0, NumNodes) for both layouts).
-func LeafCounts(v View) []int32 {
-	n := v.NumNodes()
-	counts := make([]int32, n)
-	type frame struct {
-		id      int32
-		visited bool
-	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{v.Root(), false})
-	push := func(c int32) bool {
-		stack = append(stack, frame{c, false})
-		return true
-	}
-	var sum int32
-	add := func(c int32) bool {
-		sum += counts[c]
-		return true
-	}
-	budget := 2 * n
-	for len(stack) > 0 && budget > 0 {
-		budget--
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !f.visited {
-			stack = append(stack, frame{f.id, true})
-			v.ForEachChild(f.id, push)
-			continue
-		}
-		if v.IsLeaf(f.id) {
-			counts[f.id] = 1
-			continue
-		}
-		sum = 0
-		v.ForEachChild(f.id, add)
-		counts[f.id] = sum
-	}
-	return counts
-}
-
 // FirstLeaf returns the suffix offset of the lexicographically first leaf
 // below u (u's own when it is a leaf); -1 for an id outside the tree. The
 // path label of u is S[o : o+depth(u)] for that offset o, so a caller that
-// needs only a prefix of the label reads it out of S in place. Both layouts
-// of View (view.go) resolve without allocating: the flat one reads the
-// suffix array at the first rank of u's leaf range, the heap one descends
-// first children.
-func FirstLeaf(v View, u int32) int32 {
-	switch t := v.(type) {
-	case *FlatTree:
-		if !t.valid(u) {
-			return -1
-		}
-		r := u - t.nInt
-		if u < t.nInt {
-			lo, hi := t.ranks(t.rec(u))
-			if lo == hi {
-				return -1 // a corrupt record: an internal node without leaves
-			}
-			r = lo
-		}
-		return t.suffixAt(r)
-	case *Tree:
-		if u < 0 || int(u) >= len(t.nodes) {
-			return -1
-		}
-		for c := t.nodes[u].firstChild; c != None; c = t.nodes[u].firstChild {
-			u = c
-		}
-		return t.nodes[u].suffix
+// needs only a prefix of the label reads it out of S in place. It reads the
+// suffix array at the first rank of u's leaf range, without allocating.
+func FirstLeaf(t *FlatTree, u int32) int32 {
+	lo, hi := t.leafRange(u)
+	if lo == hi {
+		return -1 // outside the tree, or a corrupt internal node without leaves
 	}
-	return -1
+	return t.suffixAt(lo)
 }
 
 // LongestRepeated returns the deepest internal node's path label — the
 // longest substring of S occurring at least twice — with the offsets of its
-// occurrences. Ties break toward the lexicographically smallest substring
-// (the first strictly-deeper internal node in pre-order). A non-nil stop is
-// polled once per visited node; when it reports true the walk abandons and
-// returns nil — the caller owns mapping that to a cancellation error.
-func LongestRepeated(v View, stop func() bool) ([]byte, []int32) {
-	root := v.Root()
-	best, bestDepth := None, int32(0)
-	stopped := false
-	Walk(v, root, func(id, depth, _ int32) bool {
+// occurrences. It reads the internal records once rather than walking: of
+// the deepest ones it keeps the smallest first leaf rank. Internal nodes of
+// equal depth have disjoint leaf ranges, so that is the lexicographically
+// smallest label, the first in pre-order. A non-nil stop is polled once per
+// record; when it reports true the pass abandons and returns nil — the
+// caller owns mapping that to a cancellation error.
+func LongestRepeated(t *FlatTree, stop func() bool) ([]byte, []int32) {
+	best, bestDepth, bestLo := None, int32(0), int32(0)
+	for u := int32(1); u < t.nInt; u++ {
 		if stop != nil && stop() {
-			stopped = true
-			return false
+			return nil, nil
 		}
-		if stopped {
-			return false
+		r := t.rec(u)
+		depth := t.depthOf(r)
+		if depth < bestDepth || depth == 0 {
+			continue
 		}
-		if id != root && !v.IsLeaf(id) && depth > bestDepth {
-			best, bestDepth = id, depth
+		if lo, _ := t.ranks(r); depth > bestDepth || lo < bestLo {
+			best, bestDepth, bestLo = u, depth, lo
 		}
-		return true
-	})
-	if stopped || best == None {
+	}
+	if best == None {
 		return nil, nil
 	}
-	return v.PathLabel(best), v.Leaves(best)
+	return t.PathLabel(best), t.Leaves(best)
 }
 
 // VisitRepeats calls fn for every internal node whose path label has length
 // ≥ minLen and occurs at least minOcc times, passing the label depth and
 // occurrence count; DFS order, subtree skipped when fn returns false.
-func VisitRepeats(v View, minLen int32, minOcc int, fn func(node int32, depth int32, occ int) bool) {
-	counts := LeafCounts(v)
-	root := v.Root()
-	Walk(v, root, func(id, depth, _ int32) bool {
-		if id == root || v.IsLeaf(id) {
+func VisitRepeats(t *FlatTree, minLen int32, minOcc int, fn func(node int32, depth int32, occ int) bool) {
+	Walk(t, t.Root(), func(id, depth, _ int32) bool {
+		if id == t.Root() || t.IsLeaf(id) || depth < minLen {
 			return true
 		}
-		if depth >= minLen && int(counts[id]) >= minOcc {
-			return fn(id, depth, int(counts[id]))
+		if occ := t.CountLeaves(id); occ >= minOcc {
+			return fn(id, depth, occ)
 		}
 		return true
 	})
@@ -181,13 +110,13 @@ func VisitRepeats(v View, minLen int32, minOcc int, fn func(node int32, depth in
 // whose string depth reaches L. The subtree below a locus is pruned (every
 // descendant shares the same length-L prefix), so the walk touches each
 // locus path once. fn returning false stops the walk.
-func PrefixLoci(v View, L int32, fn func(node int32) bool) {
+func PrefixLoci(t *FlatTree, L int32, fn func(node int32) bool) {
 	if L <= 0 {
 		return
 	}
-	root := v.Root()
+	root := t.Root()
 	stopped := false
-	Walk(v, root, func(id, depth, _ int32) bool {
+	Walk(t, root, func(id, depth, _ int32) bool {
 		if stopped {
 			return false
 		}
@@ -208,10 +137,11 @@ func PrefixLoci(v View, L int32, fn func(node int32) bool) {
 // child edge is tried, so the explored frontier is bounded by |Σ|^k · |P|
 // paths. Edges carrying the skip byte (the corpus terminator) are pruned —
 // a terminator is never content, so no window containing it can match.
-// A non-nil stop is polled once per entered node; true abandons the search
-// and returns what was found so far — the caller owns mapping that to a
-// cancellation error.
-func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop func() bool) []int32 {
+// Each matched locus appends its window of the suffix array to the answer in
+// place. A non-nil stop is polled once per entered node; true abandons the
+// search and returns what was found so far — the caller owns mapping that
+// to a cancellation error.
+func MismatchSearch(t *FlatTree, s []byte, pattern []byte, k int, skip byte, stop func() bool) []int32 {
 	m := len(pattern)
 	if m == 0 {
 		return nil
@@ -219,7 +149,7 @@ func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop fun
 	var out []int32
 	// Nodes entered across all branches, bounding corrupt-layout cycles
 	// (a zero-length child edge would otherwise recurse forever).
-	budget := v.NumNodes() * (k + 2)
+	budget := t.NumNodes() * (k + 2)
 	// walk matches on along the rest of u's edge, S[es:ee), with pi pattern
 	// symbols behind it — which is also the string depth, the depth every
 	// child of u hangs at.
@@ -235,12 +165,12 @@ func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop fun
 		budget--
 		for ; ; es++ {
 			if pi == m {
-				out = append(out, v.Leaves(u)...)
+				out = t.appendLeaves(out, u)
 				return
 			}
 			if es >= ee {
-				v.ForEachChild(u, func(c int32) bool {
-					cs, ce := v.Edge(c, int32(pi))
+				t.ForEachChild(u, func(c int32) bool {
+					cs, ce := t.Edge(c, int32(pi))
 					walk(c, cs, ce, pi, mis)
 					return true
 				})
@@ -262,6 +192,6 @@ func MismatchSearch(v View, s []byte, pattern []byte, k int, skip byte, stop fun
 			pi++
 		}
 	}
-	walk(v.Root(), 0, 0, 0, 0) // the root's edge is empty
+	walk(t.Root(), 0, 0, 0, 0) // the root's edge is empty
 	return out
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestFirstLeaf: FirstLeaf names every node's lexicographically first suffix
-// on both layouts, and answers -1 for an id outside the tree.
+// TestFirstLeaf: FirstLeaf names every node's lexicographically first suffix,
+// and answers -1 for an id outside the tree.
 func TestFirstLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inputs := [][]byte{[]byte("A"), []byte("AAAAAAAA"), []byte("TGGTGGTGGTGCGGTGATGGTGC"), []byte("ACACACACACAC")}
@@ -18,26 +18,24 @@ func TestFirstLeaf(t *testing.T) {
 		inputs = append(inputs, d)
 	}
 	for _, data := range inputs {
-		heap, flat, _ := buildBoth(t, data)
-		for name, v := range map[string]View{"heap": heap, "flat": flat} {
-			for u := int32(0); int(u) < v.NumNodes(); u++ {
-				if got, want := FirstLeaf(v, u), v.Leaves(u)[0]; got != want {
-					t.Fatalf("%q %s: FirstLeaf(%d) = %d, want %d", data, name, u, got, want)
-				}
+		_, flat, _ := buildBoth(t, data)
+		for u := int32(0); int(u) < flat.NumNodes(); u++ {
+			if got, want := FirstLeaf(flat, u), flat.Leaves(u)[0]; got != want {
+				t.Fatalf("%q: FirstLeaf(%d) = %d, want %d", data, u, got, want)
 			}
-			for _, u := range []int32{-1, int32(v.NumNodes())} {
-				if got := FirstLeaf(v, u); got != -1 {
-					t.Fatalf("%q %s: FirstLeaf(%d) = %d outside the tree, want -1", data, name, u, got)
-				}
+		}
+		for _, u := range []int32{-1, int32(flat.NumNodes())} {
+			if got := FirstLeaf(flat, u); got != -1 {
+				t.Fatalf("%q: FirstLeaf(%d) = %d outside the tree, want -1", data, u, got)
 			}
 		}
 	}
 }
 
-// TestWalkAllocsDoNotScaleWithNodes: Walk and LeafCounts hand ForEachChild
-// one hoisted callback, not a closure per node.
+// TestWalkAllocsDoNotScaleWithNodes: Walk hands ForEachChild one callback,
+// not a closure per node.
 func TestWalkAllocsDoNotScaleWithNodes(t *testing.T) {
-	var allocs [2][2]float64
+	var allocs [2]float64
 	for i, n := range []int{200, 3000} {
 		data := make([]byte, n)
 		rng := rand.New(rand.NewSource(9))
@@ -45,12 +43,9 @@ func TestWalkAllocsDoNotScaleWithNodes(t *testing.T) {
 			data[j] = "ACGT"[rng.Intn(4)]
 		}
 		_, flat, _ := buildBoth(t, data)
-		allocs[i][0] = testing.AllocsPerRun(3, func() { Walk(flat, flat.Root(), func(_, _, _ int32) bool { return true }) })
-		allocs[i][1] = testing.AllocsPerRun(3, func() { LeafCounts(flat) })
+		allocs[i] = testing.AllocsPerRun(3, func() { Walk(flat, flat.Root(), func(_, _, _ int32) bool { return true }) })
 	}
-	for j, name := range []string{"Walk", "LeafCounts"} {
-		if small, large := allocs[0][j], allocs[1][j]; large > small+8 {
-			t.Errorf("%s: %.0f allocations over 200 symbols, %.0f over 3000", name, small, large)
-		}
+	if small, large := allocs[0], allocs[1]; large > small+8 {
+		t.Errorf("Walk: %.0f allocations over 200 symbols, %.0f over 3000", small, large)
 	}
 }

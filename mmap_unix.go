@@ -19,9 +19,9 @@ type mapping struct {
 }
 
 // openMapping maps path read-only. The suffix tree descent touches nodes in
-// an essentially random order, so the mapping is advised MADV_RANDOM up
-// front; the sequential reads (the string, a window of the suffix array) are
-// still read-ahead-friendly once resident.
+// an essentially random order, so on Linux the mapping is advised
+// MADV_RANDOM up front (adviseRandom); the sequential reads (the string, a
+// window of the suffix array) are still read-ahead-friendly once resident.
 func openMapping(path string) (*mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -43,8 +43,7 @@ func openMapping(path string) (*mapping, error) {
 	if err != nil {
 		return nil, fmt.Errorf("era: mmap %s: %w", path, err)
 	}
-	// Advisory only — failure (e.g. an exotic filesystem) costs nothing.
-	_ = syscall.Madvise(b, syscall.MADV_RANDOM)
+	adviseRandom(b)
 	return &mapping{b: b, mapped: true}, nil
 }
 

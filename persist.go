@@ -94,12 +94,13 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return idx, nil
 }
 
-// WriteFile saves the index to path.
+// WriteFile saves the index to path, replacing any file there by rename.
 func (x *Index) WriteFile(path string) error {
 	return writeFile(path, x)
 }
 
-// WriteFile saves the sharded index to path as one file.
+// WriteFile saves the sharded index to path as one file, replacing any file
+// there by rename.
 func (sx *ShardedIndex) WriteFile(path string) error {
 	return writeFile(path, sx)
 }
@@ -110,16 +111,27 @@ func WriteFileV4(path string, q Queryable) error {
 	return q.WriteFile(path)
 }
 
+// writeFile writes w to path + ".tmp" and renames it over path, so a process
+// that has the old file mapped keeps reading the image it mapped; on any
+// failure the tmp file is removed and path is untouched. It does not sync:
+// readers are safe, a crash mid-write may lose the new file.
 func writeFile(path string, w io.WriterTo) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := w.WriteTo(f); err != nil {
-		f.Close()
-		return err
+	_, err = w.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // OpenIndex opens an index file written by WriteFile (or WriteTo): an
@@ -132,7 +144,8 @@ func writeFile(path string, w io.WriterTo) error {
 // regardless of index size, the heap holds only the view structs, and every
 // process opening the same file shares one page-cache copy. Call Close on
 // the returned index to release the mapping; do not truncate or rewrite the
-// file in place while an open index serves it — replace-by-rename instead.
+// file in place while an open index serves it — replace it by rename, as
+// WriteFile does.
 func OpenIndex(path string) (Queryable, error) {
 	f, err := os.Open(path)
 	if err != nil {

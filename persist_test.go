@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"era/internal/workload"
 )
 
 // persistTestIndex builds a small corpus index and returns its serialized
@@ -234,4 +236,55 @@ func FuzzReadIndex(f *testing.F) {
 			{Kind: OpOccurrences, Pattern: []byte("A"), MaxOccurrences: 3},
 		})
 	})
+}
+
+// TestWriteFileReplacesAMappedImage: WriteFile over the path of an open index
+// replaces the file by rename, so the open index keeps answering from the
+// image it mapped, the path then opens to the new index, and no tmp file is
+// left behind.
+func TestWriteFileReplacesAMappedImage(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.idx")
+	content := func(n int, seed int64) []byte {
+		data := workload.MustGenerate(workload.DNA, n, seed)
+		return data[:len(data)-1] // Build appends the terminator
+	}
+	small, err := Build(content(64<<10, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := small.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	open, err := OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Close()
+	pattern := []byte("GATTA")
+	want := open.Count(pattern)
+	if want != small.Count(pattern) || want == 0 {
+		t.Fatalf("the opened index counts %q %d times, the built one %d", pattern, want, small.Count(pattern))
+	}
+	large, err := Build(content(256<<10, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := large.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := open.Count(pattern); got != want {
+		t.Fatalf("after a rewrite of its file the open index counts %q %d times, want %d", pattern, got, want)
+	}
+	reopened, err := OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got, want := reopened.Count(pattern), large.Count(pattern); got != want {
+		t.Fatalf("the rewritten file counts %q %d times, the index written %d", pattern, got, want)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("the directory holds %v (%v), want only x.idx", entries, err)
+	}
 }

@@ -277,7 +277,7 @@ func (x *Index) LongestRepeatedSubstring() ([]byte, []int) {
 	if !x.healthy() {
 		return nil, []int{}
 	}
-	lbl, occ := x.tree.LongestRepeatedSubstring()
+	lbl, occ := suffixtree.LongestRepeated(x.tree, nil)
 	out := make([]int, len(occ))
 	for i, o := range occ {
 		out[i] = int(o)
@@ -302,7 +302,7 @@ func (x *Index) Repeats(minLen, minOcc int) []Repeat {
 		return nil
 	}
 	var out []Repeat
-	x.tree.MaximalRepeats(int32(minLen), minOcc, func(node int32, depth int32, occ int) bool {
+	suffixtree.VisitRepeats(x.tree, int32(minLen), minOcc, func(node int32, depth int32, occ int) bool {
 		out = append(out, Repeat{Pattern: x.tree.PathLabel(node), Occurrences: x.tree.FirstOccurrences(node, 0)})
 		return true
 	})

@@ -35,3 +35,9 @@ func residentBytes(b []byte) int64 {
 	}
 	return resident
 }
+
+// adviseRandom advises the mapping b MADV_RANDOM. Advisory only — failure
+// (e.g. an exotic filesystem) costs nothing.
+func adviseRandom(b []byte) {
+	_ = syscall.Madvise(b, syscall.MADV_RANDOM)
+}

@@ -9,3 +9,6 @@ func residentBytes(b []byte) int64 {
 	}
 	return -1
 }
+
+// adviseRandom is Linux-only; elsewhere the mapping keeps the default advice.
+func adviseRandom([]byte) {}
