@@ -352,7 +352,8 @@ func (lx *LiveIndex) loadManifest(path string) error {
 }
 
 // openLiveTier opens and fully validates one sealed tier file: it must be a
-// monolithic v4 image, hold exactly the manifest's document count, and pass
+// monolithic v4 image over the whole suffix order (not a shard's range of
+// it), hold exactly the manifest's document count, and pass
 // every stored checksum (verified eagerly here — a live tier's bytes feed
 // compaction, so corruption must surface at load, not mid-merge).
 func (lx *LiveIndex) openLiveTier(path string, wantDocs int) (*Index, error) {
@@ -368,6 +369,10 @@ func (lx *LiveIndex) openLiveTier(path string, wantDocs int) (*Index, error) {
 	if idx.NumDocs() != wantDocs {
 		idx.Close()
 		return nil, fmt.Errorf("era: live tier %s holds %d documents, manifest says %d", path, idx.NumDocs(), wantDocs)
+	}
+	if len(idx.lo)+len(idx.hi) > 0 {
+		idx.Close()
+		return nil, fmt.Errorf("era: live tier %s holds one range of the suffix order, not all of it", path)
 	}
 	if err := idx.CheckErr(); err != nil {
 		idx.Close()

@@ -104,7 +104,10 @@ type BuildStats struct {
 	InMemory bool
 	// ModeledTime is the virtual end-to-end time under the disk model.
 	ModeledTime time.Duration
-	// Scans is the number of sequential passes over the input.
+	// Scans is the number of sequential passes over the input: a Serial
+	// build counts its vertical partitioning and group scans, SharedDisk and
+	// SharedNothing their group scans only (their vertical partitioning is
+	// chunked across the workers and priced per round, not counted).
 	Scans int
 	// Prefixes and Groups are the vertical partitioning outcome.
 	Prefixes int
@@ -308,31 +311,22 @@ func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config, k int) ([]suff
 		AssembleFlat: true,
 		Shards:       k,
 	}
-	var shards []suffixtree.Shard
-	var st core.Stats
+	var res *core.Result
 	switch cfg.Mode {
 	case Serial:
-		res, err := core.BuildSerial(f, opts)
-		if err != nil {
-			return nil, BuildStats{}, err
-		}
-		shards, st = res.Shards, res.Stats
+		res, err = core.BuildSerial(f, opts)
 	case SharedDisk:
-		res, err := core.BuildParallel(f, core.ParallelOptions{Options: opts, Workers: cfg.Workers})
-		if err != nil {
-			return nil, BuildStats{}, err
-		}
-		shards, st = res.Shards, res.Stats
+		res, err = core.BuildParallel(f, core.ParallelOptions{Options: opts, Workers: cfg.Workers})
 	case SharedNothing:
-		res, err := core.BuildDistributed(f, core.DistributedOptions{Options: opts, Nodes: cfg.Workers})
-		if err != nil {
-			return nil, BuildStats{}, err
-		}
-		shards, st = res.Shards, res.Stats
+		res, err = core.BuildDistributed(f, core.DistributedOptions{Options: opts, Nodes: cfg.Workers})
 	default:
 		return nil, BuildStats{}, fmt.Errorf("era: unknown mode %d", cfg.Mode)
 	}
-	return shards, BuildStats{
+	if err != nil {
+		return nil, BuildStats{}, err
+	}
+	st := res.Stats
+	return res.Shards, BuildStats{
 		ModeledTime: st.VirtualTime,
 		Scans:       st.Scans,
 		Prefixes:    st.Prefixes,

@@ -50,13 +50,13 @@ func RunScaling(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sd, sn := float64(er.ModeledTime), float64(dr.VPTime+dr.ConstructionTime)
+		sd, sn := float64(er.Stats.VirtualTime), float64(dr.Stats.VirtualTime-dr.TransferTime)
 		if baseSD == 0 {
 			baseSD, baseSN = sd, sn
 		}
-		t.AddRow(itoa(w), ms(er.ModeledTime), ms(er.VPTime),
+		t.AddRow(itoa(w), ms(er.Stats.VirtualTime), ms(er.Stats.VPTime),
 			fmt.Sprintf("%.2f", baseSD/sd),
-			ms(dr.VPTime+dr.ConstructionTime),
+			ms(dr.Stats.VirtualTime-dr.TransferTime),
 			fmt.Sprintf("%.2f", baseSN/sn))
 	}
 	t.Notes = append(t.Notes,

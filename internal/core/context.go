@@ -13,25 +13,25 @@ import (
 // the sub-trees are written into and a recycled sub-tree. Each array grows
 // to the largest group or area the worker meets and R to the memory plan's
 // size, after which a round allocates nothing, not even a regrowth of R, and
-// a group only per-group bookkeeping. The serial driver owns one context;
-// the parallel drivers create one per worker and keep it across vertical
-// partitioning and every group the worker pulls from the queue.
+// a group only per-group bookkeeping. A build creates one per worker (a
+// serial build has one) and keeps it across vertical partitioning and every
+// group the worker pulls from the queue.
 //
 // A context is single-threaded: it must only ever be used by one goroutine
 // at a time.
 type buildContext struct {
-	// Worker plumbing, set by the parallel drivers (nil/zero for plain
-	// scratch contexts): a private handle onto the shared input bytes, the
-	// group-scan and chunked-VP scanners, and the worker's demand clocks.
+	// Worker plumbing, set by newNodeContext (nil/zero for plain scratch
+	// contexts): the worker's handle onto the input, the group-scan and
+	// chunked-VP scanners, and the worker's demand clocks.
 	f    *seq.File
-	sc   *seq.Scanner // group scans; charges io
+	sc   *seq.Scanner // group scans (and the serial VP's); charges io
 	vpsc *seq.Scanner // VP chunk scans; skip-enabled so a chunk opens with one positioning seek
 	cpu  *sim.Clock
 	io   *sim.Clock
 
-	// Rolling-code window counter: one per worker, reused across every VP
-	// iteration and available to the worker's later group rounds (its scan
-	// buffer doubles as the chunk-scan buffer).
+	// Rolling-code window counter of the chunked VP: one per worker, reused
+	// across every VP iteration (its scan buffer doubles as the chunk-scan
+	// buffer).
 	vc *vertCounter
 
 	// Round-loop scratch shared by GroupPrepare and GroupBranch, and the
@@ -106,25 +106,26 @@ func newWorkerContext(orig *seq.File, raw []byte, model sim.CostModel, layout Me
 	if err != nil {
 		return nil, err
 	}
-	return newNodeContext(f, layout, opts)
+	return newNodeContext(f, layout, opts, true)
 }
 
-// newNodeContext wraps a file that already lives on a private disk (a
-// shared-disk worker handle or a cluster node's local copy) in a worker
-// context with fresh demand clocks.
-func newNodeContext(f *seq.File, layout MemoryLayout, opts Options) (*buildContext, error) {
+// newNodeContext wraps a file on a disk of its own (f itself in a serial
+// build, a shared-disk worker's handle, a cluster node's local copy) in a
+// worker context with fresh demand clocks. chunked adds the counter and the
+// scanner of the chunked vertical partitioning, which the serial build does
+// not run.
+func newNodeContext(f *seq.File, layout MemoryLayout, opts Options, chunked bool) (*buildContext, error) {
 	ioClock, cpuClock := new(sim.Clock), new(sim.Clock)
 	sc, err := f.NewScanner(ioClock, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: opts.SkipSeek})
 	if err != nil {
 		return nil, err
 	}
-	vpsc, err := f.NewScanner(ioClock, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: true})
-	if err != nil {
-		return nil, err
+	ctx := &buildContext{f: f, sc: sc, cpu: cpuClock, io: ioClock}
+	if chunked {
+		if ctx.vpsc, err = f.NewScanner(ioClock, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: true}); err != nil {
+			return nil, err
+		}
+		ctx.vc = newVertCounter(f.Alphabet())
 	}
-	return &buildContext{
-		f: f, sc: sc, vpsc: vpsc,
-		cpu: cpuClock, io: ioClock,
-		vc: newVertCounter(f.Alphabet()),
-	}, nil
+	return ctx, nil
 }

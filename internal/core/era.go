@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
 	"era/internal/suffixtree"
@@ -72,9 +71,12 @@ type Options struct {
 
 // Stats aggregates the accounted work of a build.
 type Stats struct {
-	VirtualTime  time.Duration // modeled end-to-end time
-	VPTime       time.Duration // vertical partitioning portion
-	Scans        int           // sequential passes over S
+	VirtualTime time.Duration // modeled end-to-end time
+	VPTime      time.Duration // vertical partitioning portion
+	// Scans counts sequential passes over S: a serial build's VP and group
+	// scans, a parallel build's group scans only (its chunked VP scans are
+	// priced per round, not counted).
+	Scans        int
 	VPIterations int
 	Prefixes     int
 	Groups       int
@@ -88,29 +90,66 @@ type Stats struct {
 	SkipsTaken   int
 }
 
-// Result of a serial ERA build.
+// Result of an ERA build, whichever entry point ran it.
 type Result struct {
 	Flat   *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
 	Shards []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
 	Groups []Group
 	Stats  Stats
+	// Workers is each worker's accounted demand under the modeled LPT
+	// schedule: one per core of a shared-disk build, per node of a
+	// shared-nothing one, and one for a serial build.
+	Workers []WorkerStats
+	// TransferTime is the broadcast of S to the nodes of a shared-nothing
+	// build, zero otherwise. Stats.VirtualTime is TransferTime + Stats.VPTime
+	// + the group phase's completion.
+	TransferTime time.Duration
 
 	order suffixOrder // what the groups wrote and the assembly read, under Options.AssembleFlat
 }
 
-// BuildSerial runs serial ERA (§4) over the on-disk string f.
+// BuildSerial runs serial ERA (§4) over the on-disk string f: the pipeline
+// with one worker context over f itself, so f's disk counts the whole
+// build's traffic, partitioned by the reference VerticalPartition on that
+// context's group scanner.
 func BuildSerial(f *seq.File, opts Options) (*Result, error) {
-	clock := new(sim.Clock)
-	r, err := buildOn(f, opts, clock)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	model := f.Disk().Model()
+	return pipeline{
+		workers: 1,
+		budget:  opts.MemoryBudget,
+		context: func(_ int, layout MemoryLayout) (*buildContext, error) {
+			return newNodeContext(f, layout, opts, false)
+		},
+		partition: func(ctxs []*buildContext, fm int64, grouping bool) ([]Group, VerticalStats, time.Duration, error) {
+			ctx := ctxs[0]
+			groups, vstats, err := VerticalPartition(ctx.f, ctx.sc, ctx.cpu, model, fm, grouping)
+			return groups, vstats, ctx.cpu.Now() + ctx.io.Now(), err
+		},
+		combine: sim.CombineSharedDisk,
+	}.run(f, opts)
 }
 
-// buildOn is the reusable driver: it runs the full serial pipeline on the
-// given clock.
-func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
+// pipeline is the one ERA build behind every entry point: plan the memory,
+// set up one context per worker, partition vertically, give every prefix its
+// window of the suffix order, drain the cost-sorted group queue and assemble.
+// The serial, shared-disk and shared-nothing builds differ only in what the
+// fields supply.
+type pipeline struct {
+	workers  int
+	budget   int64         // each worker's memory share
+	transfer time.Duration // what it costs to get S to every worker first
+	// context sets up worker i's context.
+	context func(i int, layout MemoryLayout) (*buildContext, error)
+	// partition runs vertical partitioning on the contexts and returns its
+	// modeled time.
+	partition func(ctxs []*buildContext, fm int64, grouping bool) ([]Group, VerticalStats, time.Duration, error)
+	// combine folds the workers' group-phase demands into the phase's
+	// completion; it may price contention into io in place, and the
+	// workers' stats report what it priced.
+	combine func(cpu, io []time.Duration) time.Duration
+}
+
+func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
 	if opts.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("core: Options.MemoryBudget is required")
 	}
@@ -118,27 +157,24 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 		return nil, err
 	}
 	model := f.Disk().Model()
-	layout, err := PlanMemory(opts.MemoryBudget, opts.RSize, f.Alphabet().Bits())
+	layout, err := PlanMemory(p.budget, opts.RSize, f.Alphabet().Bits())
 	if err != nil {
 		return nil, err
 	}
-	sc, err := f.NewScanner(clock, seq.ScannerConfig{
-		BufSize:  int(layout.InputBuf),
-		SkipSeek: opts.SkipSeek,
-	})
+	ctxs := make([]*buildContext, p.workers)
+	for i := range ctxs {
+		if ctxs[i], err = p.context(i, layout); err != nil {
+			return nil, err
+		}
+	}
+	groups, vstats, vpTime, err := p.partition(ctxs, layout.FM, !opts.NoGrouping)
 	if err != nil {
 		return nil, err
 	}
 
-	groups, vstats, err := VerticalPartition(f, sc, clock, model, layout.FM, !opts.NoGrouping)
-	if err != nil {
-		return nil, err
-	}
-	vpTime := clock.Now()
-
-	res := &Result{Groups: groups}
-	ctx := new(buildContext)
-	if res.order, err = newSuffixOrder(opts, groups, f.Len(), ctx); err != nil {
+	res := &Result{Groups: groups, TransferTime: p.transfer}
+	// Every worker writes its groups' windows of the one suffix order.
+	if res.order, err = newSuffixOrder(opts, groups, f.Len(), ctxs...); err != nil {
 		return nil, err
 	}
 	res.Stats.VPTime = vpTime
@@ -146,12 +182,21 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 	res.Stats.Prefixes = vstats.Prefixes
 	res.Stats.Groups = vstats.Groups
 	res.Stats.MinRange = int(^uint(0) >> 1)
-
-	for gi, g := range groups {
-		if err := processGroup(ctx, f, sc, clock, clock, model, layout, opts, g, gi, res); err != nil {
-			return nil, err
-		}
+	// Only the serial VP scans through a group scanner; the chunked VP's
+	// rounds are priced, not counted.
+	for _, ctx := range ctxs {
+		st := ctx.sc.Stats()
+		res.Stats.Scans += st.Scans
+		res.Stats.BytesFetched += st.BytesFetched
+		res.Stats.SkipsTaken += st.Skips
 	}
+
+	jobs := scheduleGroups(groups)
+	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts)
+	if err != nil {
+		return nil, err
+	}
+	cpu, io, ws := foldRuns(jobs, runs, p.workers, &res.Stats)
 
 	if opts.AssembleFlat {
 		raw, err := f.Disk().Bytes(f.Name())
@@ -163,42 +208,36 @@ func buildOn(f *seq.File, opts Options, clock *sim.Clock) (*Result, error) {
 		}
 	}
 
-	res.Stats.VirtualTime = clock.Now()
-	res.Stats.Scans = sc.Stats().Scans
-	res.Stats.BytesFetched = sc.Stats().BytesFetched
-	res.Stats.SkipsTaken = sc.Stats().Skips
-	if res.Stats.MinRange > res.Stats.MaxRange {
-		res.Stats.MinRange = 0
+	groupTime := p.combine(cpu, io)
+	for w := range ws {
+		ws[w].IO = io[w]
 	}
+	res.Workers = ws
+	res.Stats.VirtualTime = p.transfer + vpTime + groupTime
 	return res, nil
 }
 
-// processGroup runs one virtual tree end to end: collect occurrence lists
-// (one scan shared by the group), prepare or branch, then either count the
-// nodes of each sub-tree its windows of the suffix order now hold
-// (Options.AssembleFlat: the assembly reads the windows where they are) or
-// materialize each sub-tree, serialize it if asked, and drop it. gi is the
-// group's global index — sub-tree file names derive from it alone, so
-// serialized output is identical whichever worker of whichever driver
-// processes the group. CPU work is charged to cpuClock and serialized-tree
-// writes to ioClock (the serial driver passes the same clock twice); the
-// scanner carries its own clock.
+// processGroup runs one virtual tree end to end on a worker context: collect
+// occurrence lists (one scan shared by the group), prepare or branch, then
+// either count the nodes of each sub-tree its windows of the suffix order
+// now hold (Options.AssembleFlat: the assembly reads the windows where they
+// are) or materialize each sub-tree, serialize it if asked, and drop it,
+// adding the group's counters to st. gi is the group's global index —
+// sub-tree file names derive from it alone, so serialized output is
+// identical whichever worker of whichever build processes the group. CPU
+// work is charged to the context's CPU clock and scans and serialized-tree
+// writes to its I/O clock.
 //
 // A dropped ERa-str+mem sub-tree is built into the context's arena-backed
 // tree, recycled across sub-trees instead of allocated fresh each time.
-func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioClock *sim.Clock, model sim.CostModel,
-	layout MemoryLayout, opts Options, g Group, gi int, res *Result) error {
-
-	if ctx == nil {
-		ctx = new(buildContext)
-	}
-
+func processGroup(ctx *buildContext, model sim.CostModel, layout MemoryLayout, opts Options, g Group, gi int, st *Stats) error {
+	f := ctx.f
 	account := func(t *suffixtree.Tree, ti int) error {
-		res.Stats.SubTrees++
-		res.Stats.TreeNodes += int64(t.NumNodes() - 1) // exclude the local root
+		st.SubTrees++
+		st.TreeNodes += int64(t.NumNodes() - 1) // exclude the local root
 		if opts.WriteTrees {
 			name := fmt.Sprintf("trees/g%04d-p%02d.st", gi, ti)
-			w := f.Disk().Create(name, ioClock)
+			w := f.Disk().Create(name, ctx.io)
 			if _, err := t.WriteTo(w); err != nil {
 				return fmt.Errorf("serializing %s: %w", name, err)
 			}
@@ -209,7 +248,7 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 	var pstats PrepareStats
 	switch opts.Method {
 	case StrMem:
-		prepared, ps, err := GroupPrepare(ctx, f, sc, cpuClock, model, g, layout.RSize, opts.StaticRange)
+		prepared, ps, err := GroupPrepare(ctx, f, ctx.sc, ctx.cpu, model, g, layout.RSize, opts.StaticRange)
 		if err != nil {
 			return err
 		}
@@ -242,12 +281,12 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 				if err != nil {
 					return err
 				}
-				cpuClock.Advance(model.CPUTime(int64(2 * len(p.L))))
-				res.Stats.SubTrees++
-				res.Stats.TreeNodes += nodes
+				ctx.cpu.Advance(model.CPUTime(int64(2 * len(p.L))))
+				st.SubTrees++
+				st.TreeNodes += nodes
 				continue
 			}
-			t, err := buildSubTreeInto(ctx.tree, cpuClock, model, p)
+			t, err := buildSubTreeInto(ctx.tree, ctx.cpu, model, p)
 			if err != nil {
 				return err
 			}
@@ -260,7 +299,7 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 		if err != nil {
 			return err
 		}
-		trees, ps, err := GroupBranch(ctx, f, view, sc, cpuClock, model, g, layout.RSize, opts.StaticRange)
+		trees, ps, err := GroupBranch(ctx, f, view, ctx.sc, ctx.cpu, model, g, layout.RSize, opts.StaticRange)
 		if err != nil {
 			return err
 		}
@@ -274,13 +313,13 @@ func processGroup(ctx *buildContext, f *seq.File, sc *seq.Scanner, cpuClock, ioC
 		return fmt.Errorf("core: unknown method %v", opts.Method)
 	}
 
-	res.Stats.Rounds += pstats.Rounds
-	res.Stats.SymbolsRead += pstats.SymbolsRead
-	if pstats.MinRange > 0 && pstats.MinRange < res.Stats.MinRange {
-		res.Stats.MinRange = pstats.MinRange
+	st.Rounds += pstats.Rounds
+	st.SymbolsRead += pstats.SymbolsRead
+	if pstats.MinRange > 0 && pstats.MinRange < st.MinRange {
+		st.MinRange = pstats.MinRange
 	}
-	if pstats.MaxRange > res.Stats.MaxRange {
-		res.Stats.MaxRange = pstats.MaxRange
+	if pstats.MaxRange > st.MaxRange {
+		st.MaxRange = pstats.MaxRange
 	}
 	return nil
 }
@@ -617,6 +656,3 @@ func collectScanMap(g Group, sc *seq.Scanner, clock *sim.Clock, model sim.CostMo
 	clock.Advance(model.CPUTime(probes + captured))
 	return captured, nil
 }
-
-// diskStats is a convenience re-export used by drivers.
-func diskStats(f *seq.File) diskio.Stats { return f.Disk().Stats() }

@@ -2,8 +2,10 @@
 // construction algorithm: vertical partitioning of the tree into
 // memory-bounded sub-trees grouped into virtual trees (§4.1), horizontal
 // level-by-level sub-tree construction with the elastic range (§4.2, §4.4),
-// batch tree materialization, and the serial, shared-memory parallel, and
-// shared-nothing parallel drivers (§5).
+// batch tree materialization, and one build pipeline — vertical
+// partitioning, a cost-sorted group queue drained by one context per worker,
+// assembly — behind three entry points: serial, shared-memory parallel and
+// shared-nothing parallel (§5).
 package core
 
 import (

@@ -6,7 +6,6 @@ import (
 
 	"era/internal/seq"
 	"era/internal/sim"
-	"era/internal/suffixtree"
 )
 
 // ParallelOptions configure the shared-memory, shared-disk parallel build
@@ -29,18 +28,6 @@ type WorkerStats struct {
 	SubTrees int
 }
 
-// ParallelResult reports a parallel build.
-type ParallelResult struct {
-	Flat        *suffixtree.Flat   // flat sections of the whole tree when Options.AssembleFlat
-	Shards      []suffixtree.Shard // flat sections per prefix range when Options.AssembleFlat
-	Stats       Stats              // aggregate counters (scans etc. summed)
-	ModeledTime time.Duration      // virtual completion incl. VP and contention
-	VPTime      time.Duration
-	Workers     []WorkerStats
-
-	order suffixOrder // what the groups wrote and the assembly read, under Options.AssembleFlat
-}
-
 // BuildParallel runs ERA on a shared-memory, shared-disk machine. Every
 // phase scales with the cores: vertical partitioning's counting scans are
 // chunked across the workers (one rolling-code counter each, merged dense
@@ -53,75 +40,39 @@ type ParallelResult struct {
 // charges extra arm travel when several workers run the seek optimization
 // concurrently. Images, serialized sub-trees and every Stats counter except
 // the modeled times are byte-identical across worker counts.
-func BuildParallel(f *seq.File, opts ParallelOptions) (*ParallelResult, error) {
+func BuildParallel(f *seq.File, opts ParallelOptions) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("core: Workers must be ≥ 1, got %d", opts.Workers)
-	}
-	if err := validateFlatOptions(opts.Options); err != nil {
-		return nil, err
-	}
-	perCore := opts.MemoryBudget / int64(opts.Workers)
-	model := f.Disk().Model()
-
-	// Vertical partitioning with the per-core FM (every core must fit its
-	// virtual trees in its own share), chunked across the workers.
-	layout, err := PlanMemory(perCore, opts.RSize, f.Alphabet().Bits())
-	if err != nil {
-		return nil, err
 	}
 	raw, err := f.Disk().Bytes(f.Name())
 	if err != nil {
 		return nil, err
 	}
-	ctxs := make([]*buildContext, opts.Workers)
-	for w := range ctxs {
-		if ctxs[w], err = newWorkerContext(f, raw, model, layout, opts.Options); err != nil {
-			return nil, err
-		}
-	}
-	groups, vstats, vpTime, err := verticalPartitionChunked(ctxs, f.Len(), model, layout.FM, !opts.NoGrouping, sim.CombineSharedDisk, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &ParallelResult{VPTime: vpTime}
-	if res.order, err = newSuffixOrder(opts.Options, groups, f.Len(), ctxs...); err != nil {
-		return nil, err
-	}
-	res.Stats.VPTime = vpTime
-	res.Stats.VPIterations = vstats.Iterations
-	res.Stats.Prefixes = vstats.Prefixes
-	res.Stats.Groups = vstats.Groups
-	res.Stats.MinRange = int(^uint(0) >> 1)
-
-	jobs := scheduleGroups(groups)
-	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts.Options)
-	if err != nil {
-		return nil, err
-	}
-
-	cpu, io, ws := foldRuns(jobs, runs, opts.Workers, &res.Stats)
-
-	if opts.AssembleFlat {
-		if res.Shards, res.Flat, err = res.order.assemble(raw, opts.Shards); err != nil {
-			return nil, err
-		}
-	}
-
-	if opts.SkipSeek && opts.Workers > 1 {
-		// Concurrent skip-seek patterns from independent cores swing the
-		// shared arm back and forth (§6.2): fine-grained skip-mode requests
-		// defeat the disk's readahead once they interleave with other cores'
-		// request streams, degrading each core's effective read bandwidth in
-		// proportion to its competitors. Sequential (no-seek) streams
-		// coexist via readahead and are not penalized.
-		for w := range io {
-			io[w] += io[w] * time.Duration(16*(opts.Workers-1)) / 100
-			ws[w].IO = io[w]
-		}
-	}
-	res.Workers = ws
-	res.ModeledTime = vpTime + sim.CombineSharedDisk(cpu, io)
-	res.Stats.VirtualTime = res.ModeledTime
-	return res, nil
+	model := f.Disk().Model()
+	return pipeline{
+		workers: opts.Workers,
+		// Every core must fit its virtual trees in its own share.
+		budget: opts.MemoryBudget / int64(opts.Workers),
+		context: func(_ int, layout MemoryLayout) (*buildContext, error) {
+			return newWorkerContext(f, raw, model, layout, opts.Options)
+		},
+		partition: func(ctxs []*buildContext, fm int64, grouping bool) ([]Group, VerticalStats, time.Duration, error) {
+			return verticalPartitionChunked(ctxs, f.Len(), model, fm, grouping, sim.CombineSharedDisk, nil)
+		},
+		combine: func(cpu, io []time.Duration) time.Duration {
+			if opts.SkipSeek && opts.Workers > 1 {
+				// Concurrent skip-seek patterns from independent cores swing
+				// the shared arm back and forth (§6.2): fine-grained
+				// skip-mode requests defeat the disk's readahead once they
+				// interleave with other cores' request streams, degrading
+				// each core's effective read bandwidth in proportion to its
+				// competitors. Sequential (no-seek) streams coexist via
+				// readahead and are not penalized.
+				for w := range io {
+					io[w] += io[w] * time.Duration(16*(opts.Workers-1)) / 100
+				}
+			}
+			return sim.CombineSharedDisk(cpu, io)
+		},
+	}.run(f, opts.Options)
 }

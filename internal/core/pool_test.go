@@ -117,12 +117,14 @@ func TestPooledCollectMatchesFresh(t *testing.T) {
 //     fill took a 40-byte request record and R was regrown to each round's
 //     need, 53.3 while B, its defined flags and a copy of every group's L
 //     and LCP sat beside the suffix order, 47.4 while internal records were
-//     32 bytes, 35.5 while the image copied the suffix array, 31.5 now.
-//     Array by array: the suffix array (the image's leaf section) and its
-//     LCP 8.0, the image's node and symbol sections 14.3, the largest
-//     group's P/I/R-slot, area flags and fill schedule 4.7, its sort scratch
-//     1.4, R 1.0, the VP counter 0.8, the collect-scan window 0.6, the rest
-//     0.7. The bound is 35, 11 % above;
+//     32 bytes, 35.5 while the image copied the suffix array, 31.5 while
+//     the serial build ran its groups in VP order, 31.7 now that it drains
+//     the cost-sorted queue (the context's prepare slabs and sort scratch
+//     regrow in another sequence). Array by array: the suffix array (the
+//     image's leaf section) and its LCP 8.0, the image's node and symbol
+//     sections 14.3, the largest group's P/I/R-slot, area flags and fill
+//     schedule 4.7, its sort scratch 1.4, R 1.0, the VP counter 0.8, the
+//     collect-scan window 0.6, the rest 0.9. The bound is 35, 10 % above;
 //   - SharedDisk with two workers at the default 64 MiB, the shape of the
 //     benchmark's parallel cell — one group, a worker's 32 MiB share holding
 //     the whole tree: 118.9 with the request records, 107.7 with B and the
@@ -157,7 +159,7 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 	if perSym > 35 {
 		t.Errorf("a %d-symbol serial flat build allocated %.1f B per symbol, want ≤ 35", n, perSym)
 	}
-	var pres *ParallelResult
+	var pres *Result
 	par := bytesPerRun(1, func() {
 		var err error
 		if pres, err = BuildParallel(f, ParallelOptions{Options: Options{MemoryBudget: 64 << 20, AssembleFlat: true}, Workers: 2}); err != nil {

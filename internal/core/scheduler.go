@@ -28,7 +28,8 @@ import (
 // group, in whatever order. Sub-tree names derive from the global group
 // index and every sub-tree is written to its label's window of the suffix
 // order, so images, serialized output and aggregate Stats are
-// byte-identical across worker counts — and match the serial build.
+// byte-identical across worker counts — and match the serial build, which
+// is this queue drained by one worker.
 
 // groupJob is one queue entry: a group, its original index (naming, stats
 // and assembly order) and its estimated cost (queue order).
@@ -112,23 +113,22 @@ func runGroupOn(ctx *buildContext, job groupJob, model sim.CostModel,
 	scan0 := ctx.sc.Stats()
 	seeks0 := ctx.f.Disk().Stats().Seeks
 
-	gres := new(Result)
-	gres.Stats.MinRange = int(^uint(0) >> 1)
-	if err := processGroup(ctx, ctx.f, ctx.sc, ctx.cpu, ctx.io, model, layout, opts, job.g, job.gi, gres); err != nil {
+	st := &out.stats
+	st.MinRange = int(^uint(0) >> 1)
+	if err := processGroup(ctx, model, layout, opts, job.g, job.gi, st); err != nil {
 		return err
 	}
 
 	scan1 := ctx.sc.Stats()
-	gres.Stats.Scans = scan1.Scans - scan0.Scans
-	gres.Stats.BytesFetched = scan1.BytesFetched - scan0.BytesFetched
-	gres.Stats.SkipsTaken = scan1.Skips - scan0.Skips
-	if gres.Stats.MinRange > gres.Stats.MaxRange {
-		gres.Stats.MinRange = 0
+	st.Scans = scan1.Scans - scan0.Scans
+	st.BytesFetched = scan1.BytesFetched - scan0.BytesFetched
+	st.SkipsTaken = scan1.Skips - scan0.Skips
+	if st.MinRange > st.MaxRange {
+		st.MinRange = 0
 	}
 	out.cpu = ctx.cpu.Now() - cpu0
 	out.io = ctx.io.Now() - io0
 	out.seeks = ctx.f.Disk().Stats().Seeks - seeks0
-	out.stats = gres.Stats
 	return nil
 }
 

@@ -83,15 +83,27 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 				}
 				// Against the serial reference: the construction counters
 				// must agree exactly (serial Scans/BytesFetched additionally
-				// include the VP passes, which the parallel drivers account
-				// per worker outside Stats, so those two are compared via
-				// the cross-worker check above instead).
+				// include the VP passes, which the chunked VP prices per
+				// round instead of counting, so those two are compared via
+				// the cross-worker check above instead, and Scans for one
+				// worker below).
 				if got.Prefixes != serial.Stats.Prefixes || got.Groups != serial.Stats.Groups ||
 					got.VPIterations != serial.Stats.VPIterations ||
 					got.SubTrees != serial.Stats.SubTrees || got.TreeNodes != serial.Stats.TreeNodes ||
 					got.Rounds != serial.Stats.Rounds || got.SymbolsRead != serial.Stats.SymbolsRead ||
 					got.MinRange != serial.Stats.MinRange || got.MaxRange != serial.Stats.MaxRange {
 					t.Errorf("workers=%d: counters differ from serial:\n got %+v\nwant %+v", workers, got, serial.Stats)
+				}
+				// The serial build is the queue's one-worker run: its group
+				// phase is modeled alike, and only its VP counts its passes.
+				// (VP times differ: the chunked VP prices its rounds.)
+				if workers == 1 {
+					if g, w := res.Stats.VirtualTime-res.Stats.VPTime, serial.Stats.VirtualTime-serial.Stats.VPTime; g != w {
+						t.Errorf("one worker: group phase modeled at %v, serial at %v", g, w)
+					}
+					if g := res.Stats.Scans + res.Stats.VPIterations; g != serial.Stats.Scans {
+						t.Errorf("one worker: %d group scans + %d VP passes, serial counts %d scans", res.Stats.Scans, res.Stats.VPIterations, serial.Stats.Scans)
+					}
 				}
 			}
 		})

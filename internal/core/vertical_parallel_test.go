@@ -41,7 +41,7 @@ func chunkedContexts(t testing.TB, a *alphabet.Alphabet, data []byte, workers in
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxs[w], err = newNodeContext(f, layout, Options{})
+		ctxs[w], err = newNodeContext(f, layout, Options{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

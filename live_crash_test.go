@@ -321,74 +321,109 @@ func TestFaultWALFailureRollsBack(t *testing.T) {
 	checkLive(t, lx2, o, rng)
 }
 
-// TestLiveQuarantineTier damages one sealed tier on disk and requires the
-// reopen to quarantine exactly that tier — renamed aside, reported in Stats
-// — while the surviving tier keeps answering byte-identically to an oracle
+// TestLiveQuarantineTier damages one sealed tier on disk — a flipped bit, or
+// a shard image of the same documents in its place — and requires Verify to
+// report it and the reopen to quarantine exactly that tier — renamed aside,
+// reported in Stats — while the surviving tier keeps answering byte-identically to an oracle
 // over its documents, and the following reopen comes up clean.
 func TestLiveQuarantineTier(t *testing.T) {
-	dir := t.TempDir()
-	lx, err := NewLive("quar", &LiveConfig{Dir: dir, MemtableMaxDocs: 2, MaxTiers: 8})
-	if err != nil {
-		t.Fatalf("NewLive: %v", err)
+	damages := []struct {
+		name   string
+		damage func(t *testing.T, victim string)
+	}{
+		{"bit-flip", func(t *testing.T, victim string) {
+			buf, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatalf("reading tier file: %v", err)
+			}
+			buf[len(buf)/2] ^= 0xff
+			if err := os.WriteFile(victim, buf, 0o644); err != nil {
+				t.Fatalf("corrupting tier file: %v", err)
+			}
+		}},
+		// A shard of the same documents: the document count and every
+		// checksum pass, but its tree holds one range of the suffix order.
+		{"range-image", func(t *testing.T, victim string) {
+			sx, err := BuildShardedCorpus([][]byte{[]byte("TTAA"), []byte("GGCC")}, &ShardConfig{Shards: 2})
+			if err != nil {
+				t.Fatalf("BuildShardedCorpus: %v", err)
+			}
+			sh, _ := sx.Shard(1)
+			if lo, _ := sh.Range(); len(lo) == 0 {
+				t.Fatal("test setup: shard 1 starts at the beginning of the suffix order")
+			}
+			if err := sh.WriteFile(victim); err != nil {
+				t.Fatalf("replacing tier file: %v", err)
+			}
+		}},
 	}
-	keep := [][]byte{[]byte("GATTACA"), []byte("CATTAG")}
-	if _, err := lx.Append(keep); err != nil { // ids 0,1 -> tier-000000
-		t.Fatalf("append: %v", err)
-	}
-	if _, err := lx.Append([][]byte{[]byte("TTAA"), []byte("GGCC")}); err != nil { // ids 2,3 -> tier-000001
-		t.Fatalf("append: %v", err)
-	}
-	if err := lx.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	for _, d := range damages {
+		t.Run(d.name, func(t *testing.T) {
+			dir := t.TempDir()
+			lx, err := NewLive("quar", &LiveConfig{Dir: dir, MemtableMaxDocs: 2, MaxTiers: 8})
+			if err != nil {
+				t.Fatalf("NewLive: %v", err)
+			}
+			keep := [][]byte{[]byte("GATTACA"), []byte("CATTAG")}
+			if _, err := lx.Append(keep); err != nil { // ids 0,1 -> tier-000000
+				t.Fatalf("append: %v", err)
+			}
+			if _, err := lx.Append([][]byte{[]byte("TTAA"), []byte("GGCC")}); err != nil { // ids 2,3 -> tier-000001
+				t.Fatalf("append: %v", err)
+			}
+			if err := lx.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	victim := filepath.Join(dir, fmt.Sprintf(liveTierPattern, 1))
-	buf, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatalf("reading tier file: %v", err)
-	}
-	buf[len(buf)/2] ^= 0xff
-	if err := os.WriteFile(victim, buf, 0o644); err != nil {
-		t.Fatalf("corrupting tier file: %v", err)
-	}
+			victim := filepath.Join(dir, fmt.Sprintf(liveTierPattern, 1))
+			d.damage(t, victim)
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if rep.OK() {
+				t.Fatalf("Verify reports the damaged directory healthy: %v", rep.Notes)
+			}
 
-	lx2, err := NewLive("", &LiveConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen over corrupt tier: %v", err)
-	}
-	st := lx2.Stats()
-	if len(st.Quarantined) != 1 || st.Quarantined[0] != filepath.Base(victim) {
-		t.Fatalf("Quarantined = %v, want [%s]", st.Quarantined, filepath.Base(victim))
-	}
-	if _, err := os.Stat(victim + ".quarantine"); err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
-	}
-	if _, err := os.Stat(victim); !os.IsNotExist(err) {
-		t.Fatalf("damaged tier still in place: %v", err)
-	}
-	o := &liveOracle{ids: []uint64{0, 1}, docs: keep}
-	rng := rand.New(rand.NewSource(3))
-	checkLive(t, lx2, o, rng)
-	// The id space keeps the hole: new appends never reuse the dropped ids.
-	ids, err := lx2.Append([][]byte{[]byte("ACGT")})
-	if err != nil || len(ids) != 1 || ids[0] < 4 {
-		t.Fatalf("append after quarantine: ids=%v err=%v, want a fresh id >= 4", ids, err)
-	}
-	o.append(ids, [][]byte{[]byte("ACGT")})
-	checkLive(t, lx2, o, rng)
-	if err := lx2.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+			lx2, err := NewLive("", &LiveConfig{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen over damaged tier: %v", err)
+			}
+			st := lx2.Stats()
+			if len(st.Quarantined) != 1 || st.Quarantined[0] != filepath.Base(victim) {
+				t.Fatalf("Quarantined = %v, want [%s]", st.Quarantined, filepath.Base(victim))
+			}
+			if _, err := os.Stat(victim + ".quarantine"); err != nil {
+				t.Fatalf("quarantine file missing: %v", err)
+			}
+			if _, err := os.Stat(victim); !os.IsNotExist(err) {
+				t.Fatalf("damaged tier still in place: %v", err)
+			}
+			o := &liveOracle{ids: []uint64{0, 1}, docs: keep}
+			rng := rand.New(rand.NewSource(3))
+			checkLive(t, lx2, o, rng)
+			// The id space keeps the hole: new appends never reuse the dropped ids.
+			ids, err := lx2.Append([][]byte{[]byte("ACGT")})
+			if err != nil || len(ids) != 1 || ids[0] < 4 {
+				t.Fatalf("append after quarantine: ids=%v err=%v, want a fresh id >= 4", ids, err)
+			}
+			o.append(ids, [][]byte{[]byte("ACGT")})
+			checkLive(t, lx2, o, rng)
+			if err := lx2.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	// The manifest was rewritten without the damaged tier: the next open is
-	// clean and still serves the survivors.
-	lx3, err := NewLive("", &LiveConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("second reopen: %v", err)
+			// The manifest was rewritten without the damaged tier: the next
+			// open is clean and still serves the survivors.
+			lx3, err := NewLive("", &LiveConfig{Dir: dir})
+			if err != nil {
+				t.Fatalf("second reopen: %v", err)
+			}
+			defer lx3.Close()
+			if q := lx3.Stats().Quarantined; len(q) != 0 {
+				t.Fatalf("second reopen still quarantining: %v", q)
+			}
+			checkLive(t, lx3, o, rng)
+		})
 	}
-	defer lx3.Close()
-	if q := lx3.Stats().Quarantined; len(q) != 0 {
-		t.Fatalf("second reopen still quarantining: %v", q)
-	}
-	checkLive(t, lx3, o, rng)
 }

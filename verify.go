@@ -124,6 +124,8 @@ func verifyLiveDir(dir string) (*VerifyReport, error) {
 			rep.problem("tier %s: not a monolithic index", mt.file)
 		case idx.NumDocs() != len(mt.ids):
 			rep.problem("tier %s: holds %d documents, manifest says %d", mt.file, idx.NumDocs(), len(mt.ids))
+		case len(idx.lo)+len(idx.hi) > 0:
+			rep.problem("tier %s: holds one range of the suffix order, not all of it", mt.file)
 		default:
 			if err := verifyMono(idx); err != nil {
 				rep.problem("tier %s: %v", mt.file, err)
