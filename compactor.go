@@ -1,9 +1,9 @@
 package era
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"time"
 )
@@ -12,9 +12,10 @@ import (
 // tier, compacting the sealed tier set back into one, and the manifest that
 // makes both durable.
 //
-// File discipline mirrors the serving path's hot-reload contract: tier
-// files and the manifest are written to a temporary name, fsynced, and
-// renamed into place — never rewritten. Replaced tier files are unlinked
+// File discipline is the one every index file follows: tier files and the
+// manifest are published by publishFile (persist.go) — written to a
+// temporary name, fsynced, renamed into place, the directory fsynced —
+// never rewritten. Replaced tier files are unlinked
 // immediately after the manifest swap; snapshots still reading them are
 // safe because their mmap keeps the inode alive until the last reference
 // drains (the tierHandle refcount closes the mapping, which releases the
@@ -206,52 +207,15 @@ func (lx *LiveIndex) compactLoop() {
 	}
 }
 
-// publishFile makes file in the live directory hold what write writes,
-// durably and atomically: Create a tmp beside it, write, Sync, Close, Rename
-// it over file, SyncDir — the tmp removed on any failure before the rename.
-func (lx *LiveIndex) publishFile(file string, write func(io.Writer) error) error {
-	path := filepath.Join(lx.dir, file)
-	tmp := path + ".tmp"
-	f, err := lx.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := lx.fs.Rename(tmp, path); err != nil {
-		lx.fs.Remove(tmp)
-		return err
-	}
-	if err := lx.fs.SyncDir(lx.dir); err != nil {
-		return fmt.Errorf("era: syncing live directory after publishing %s: %w", file, err)
-	}
-	return nil
-}
-
 // writeTierFile writes idx as a v4 tier file (publishFile) and maps it back
 // in, returning the mapped replacement.
 func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
 	// The manifest written next will point at the tier, so publishFile makes
 	// its directory entry durable first.
-	if err := lx.publishFile(file, func(w io.Writer) error {
-		_, err := idx.WriteTo(w)
-		return err
-	}); err != nil {
+	path := filepath.Join(lx.dir, file)
+	if err := publishFile(lx.fs, path, idx); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(lx.dir, file)
 	opened, err := OpenIndex(path)
 	if err != nil {
 		return nil, fmt.Errorf("era: reopening sealed tier: %w", err)
@@ -290,10 +254,7 @@ func (lx *LiveIndex) writeManifestLocked() error {
 	// Callers rotate the WAL only after the manifest swap is fully durable,
 	// which includes the directory entry: publishFile surfaces its fsync
 	// failure.
-	return lx.publishFile(liveManifestName, func(w io.Writer) error {
-		_, err := w.Write(buf)
-		return err
-	})
+	return publishFile(lx.fs, filepath.Join(lx.dir, liveManifestName), bytes.NewReader(buf))
 }
 
 // loadManifest restores the sealed tier stack from a manifest file, mapping
@@ -316,7 +277,7 @@ func (lx *LiveIndex) loadManifest(path string) error {
 		lx.name = m.name
 	}
 	for _, mt := range m.tiers {
-		idx, err := lx.openLiveTier(filepath.Join(lx.dir, mt.file), len(mt.ids))
+		idx, err := openLiveTier(filepath.Join(lx.dir, mt.file), len(mt.ids))
 		if err != nil {
 			// Move the damaged file aside (best-effort: if even the rename
 			// fails the manifest rewrite below still drops the reference)
@@ -355,8 +316,9 @@ func (lx *LiveIndex) loadManifest(path string) error {
 // monolithic v4 image over the whole suffix order (not a shard's range of
 // it), hold exactly the manifest's document count, and pass
 // every stored checksum (verified eagerly here — a live tier's bytes feed
-// compaction, so corruption must surface at load, not mid-merge).
-func (lx *LiveIndex) openLiveTier(path string, wantDocs int) (*Index, error) {
+// compaction, so corruption must surface at load, not mid-merge). Opening a
+// live directory and Verify both vet tiers through it.
+func openLiveTier(path string, wantDocs int) (*Index, error) {
 	q, err := OpenIndex(path)
 	if err != nil {
 		return nil, err

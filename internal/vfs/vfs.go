@@ -1,9 +1,11 @@
 // Package vfs is the filesystem seam for the durability-critical write
-// paths (live tiers, manifests, the WAL). Production code runs on the
-// passthrough OS implementation; fault-injection tests swap in FaultFS to
-// fail or truncate the Nth operation and to simulate crashes, which is the
-// only way the error and recovery paths in seal/compact/manifest-swap/WAL
-// code become testable.
+// paths: index files (every WriteFile, so era build, era shard and its split
+// files too), live tiers and manifests, all published by one
+// tmp-and-rename, and the WAL. Production code runs on the passthrough OS
+// implementation; fault-injection tests swap in FaultFS to fail or truncate
+// the Nth operation and to simulate crashes, which is the only way the
+// error and recovery paths in publish/seal/compact/manifest-swap/WAL code
+// become testable.
 //
 // The seam covers mutating operations and whole-file reads. Memory-mapped
 // reads (mmap of sealed v4 tiers) stay on the real OS: a mapping views real

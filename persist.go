@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"era/internal/vfs"
 )
 
 // There is one index file format: the page-aligned, offset-based image
@@ -94,44 +96,59 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return idx, nil
 }
 
-// WriteFile saves the index to path, replacing any file there by rename.
+// WriteFile saves the index to path durably (publishFile): a process that
+// has the old file mapped keeps reading the image it mapped, and after a
+// crash path holds the old image or the new one, never a torn one.
 func (x *Index) WriteFile(path string) error {
-	return writeFile(path, x)
+	return publishFile(vfs.OS, path, x)
 }
 
-// WriteFile saves the sharded index to path as one file, replacing any file
-// there by rename.
+// WriteFile saves the sharded index to path as one file, durably, as
+// Index.WriteFile does.
 func (sx *ShardedIndex) WriteFile(path string) error {
-	return writeFile(path, sx)
+	return publishFile(vfs.OS, path, sx)
 }
 
-// WriteFileV4 is q.WriteFile(path): every index writes the one format. It
-// stays for callers written when there was a choice.
+// WriteFileV4 is q.WriteFile(path): every index writes the one format,
+// durably. It stays for callers written when there was a choice.
 func WriteFileV4(path string, q Queryable) error {
 	return q.WriteFile(path)
 }
 
-// writeFile writes w to path + ".tmp" and renames it over path, so a process
-// that has the old file mapped keeps reading the image it mapped; on any
-// failure the tmp file is removed and path is untouched. It does not sync:
-// readers are safe, a crash mid-write may lose the new file.
-func writeFile(path string, w io.WriterTo) error {
+// publishFile is the one way a file reaches disk — index files, live tiers
+// and the live manifest: Create path + ".tmp", write w, Sync, Close, Rename
+// it over path, SyncDir its directory. The tmp is removed on any failure
+// before the rename, so path holds the old bytes or the new ones, never a
+// torn file; on nil return both the bytes and the directory entry naming
+// them are durable.
+func publishFile(fsys vfs.FS, path string, w io.WriterTo) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = w.WriteTo(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if _, err := w.WriteTo(f); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
 	}
-	if err == nil {
-		err = os.Rename(tmp, path)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
 	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := f.Close(); err != nil {
+		fsys.Remove(tmp)
+		return err
 	}
-	return err
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("era: syncing directory after publishing %s: %w", path, err)
+	}
+	return nil
 }
 
 // OpenIndex opens an index file written by WriteFile (or WriteTo): an

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"era/internal/vfs"
 	"era/internal/workload"
 )
 
@@ -286,5 +290,143 @@ func TestWriteFileReplacesAMappedImage(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
 		t.Fatalf("the directory holds %v (%v), want only x.idx", entries, err)
+	}
+}
+
+// imageFingerprints names the image q was opened from or would write: one
+// header CRC for a monolithic index, one per shard for a sharded one.
+func imageFingerprints(q Queryable) []uint32 {
+	switch x := q.(type) {
+	case *Index:
+		return []uint32{x.Fingerprint()}
+	case *ShardedIndex:
+		fps := make([]uint32, x.NumShards())
+		for i := range fps {
+			sh, _ := x.Shard(i)
+			fps[i] = sh.Fingerprint()
+		}
+		return fps
+	}
+	return nil
+}
+
+// TestWriteFileCrashPoints crashes publishFile — the one way an index file,
+// a live tier or a live manifest reaches disk — at each of its filesystem
+// operations in turn, clean kills and torn writes alternating, over an image
+// already at path. path must then open to the old image or the new one,
+// never fail, and a following fault-free WriteFile must land the new image
+// and leave no tmp file behind. A failed Sync must come back as the write's
+// error with the old image still at path and no tmp left.
+func TestWriteFileCrashPoints(t *testing.T) {
+	docs := func(seed int64) [][]byte {
+		data := workload.MustGenerate(workload.DNA, 4<<10, seed)
+		return [][]byte{data[:1500], data[1500 : len(data)-1]}
+	}
+	type image interface {
+		Queryable
+		io.WriterTo
+	}
+	kinds := []struct {
+		name  string
+		build func(docs [][]byte) (image, error)
+	}{
+		{"mono", func(docs [][]byte) (image, error) { return BuildCorpus(docs, nil) }},
+		{"sharded", func(docs [][]byte) (image, error) {
+			return BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			old, err := kind.build(docs(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, err := kind.build(docs(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldFP, nextFP := imageFingerprints(old), imageFingerprints(next)
+			withOld := func(t *testing.T) string {
+				path := filepath.Join(t.TempDir(), "x.idx")
+				if err := old.WriteFile(path); err != nil {
+					t.Fatalf("writing the old image: %v", err)
+				}
+				return path
+			}
+			// opens reports which image path opens to: true for the new one.
+			opens := func(t *testing.T, path string) bool {
+				t.Helper()
+				q, err := OpenIndex(path)
+				if err != nil {
+					t.Fatalf("path no longer opens: %v", err)
+				}
+				defer q.Close()
+				switch got := imageFingerprints(q); {
+				case slices.Equal(got, oldFP):
+					return false
+				case slices.Equal(got, nextFP):
+					return true
+				default:
+					t.Fatalf("path holds image %x, neither the old %x nor the new %x", got, oldFP, nextFP)
+					return false
+				}
+			}
+			noTmp := func(t *testing.T, path string) {
+				t.Helper()
+				if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+					t.Fatalf("%s.tmp left behind (stat: %v)", path, err)
+				}
+			}
+
+			rehearse := vfs.NewFault(nil)
+			path := withOld(t)
+			if err := publishFile(rehearse, path, next); err != nil {
+				t.Fatalf("rehearsal: %v", err)
+			}
+			if !opens(t, path) {
+				t.Fatal("rehearsal left the old image at path")
+			}
+			n := rehearse.Ops()
+			var sawOld, sawNew bool
+			for k := 1; k <= n; k++ {
+				t.Run(fmt.Sprintf("crash@%02d", k), func(t *testing.T) {
+					path := withOld(t)
+					ffs := vfs.NewFault(nil)
+					ffs.ShortCrashWrites(k%2 == 1)
+					ffs.CrashAt(k)
+					if err := publishFile(ffs, path, next); !errors.Is(err, vfs.ErrCrashed) {
+						t.Fatalf("publishFile crashed at op %d of %d returned %v", k, n, err)
+					}
+					if opens(t, path) {
+						sawNew = true
+					} else {
+						sawOld = true
+					}
+					if err := next.WriteFile(path); err != nil {
+						t.Fatalf("WriteFile after the crash: %v", err)
+					}
+					if !opens(t, path) {
+						t.Fatal("WriteFile after the crash left the old image at path")
+					}
+					noTmp(t, path)
+				})
+			}
+			if !sawOld || !sawNew {
+				t.Errorf("over %d crash points the old image survived: %v, the new one landed: %v; want both", n, sawOld, sawNew)
+			}
+
+			t.Run("sync-fails", func(t *testing.T) {
+				path := withOld(t)
+				ffs := vfs.NewFault(nil)
+				ffs.FailOp(vfs.OpSync, 1)
+				if err := publishFile(ffs, path, next); !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("publishFile with a failing Sync returned %v, want the injected fault", err)
+				}
+				if opens(t, path) {
+					t.Fatal("a write whose Sync failed replaced the old image")
+				}
+				noTmp(t, path)
+			})
+		})
 	}
 }

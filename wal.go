@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 
 	"era/internal/vfs"
 )
@@ -65,10 +66,19 @@ type wal struct {
 	err  error
 }
 
+// openWAL opens the log at path for appending, creating it if absent. An
+// append's fsync makes the record durable but not the directory entry that
+// names the log, so the directory is synced here: a fresh log's entry, and
+// one a crashed run created but never synced, outlive a power cut along with
+// every record appended to them.
 func openWAL(fs vfs.FS, path string) (*wal, error) {
 	f, err := fs.OpenAppend(path)
 	if err != nil {
 		return nil, err
+	}
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("era: syncing live directory after opening %s: %w", path, err)
 	}
 	fi, err := fs.Stat(path)
 	if err != nil {

@@ -5,7 +5,12 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+
+	"era/internal/vfs"
 )
 
 // TestWALEncodeDecode round-trips both record kinds through the codec.
@@ -181,4 +186,52 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("valid length %d, but %d records span %d bytes", valid, len(got), off)
 		}
 	})
+}
+
+// dirSyncRecorder is a vfs.FS that logs, in order, the logs it opens for
+// appending and the directories it syncs.
+type dirSyncRecorder struct {
+	vfs.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (r *dirSyncRecorder) record(op string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ops = append(r.ops, op)
+}
+
+func (r *dirSyncRecorder) OpenAppend(name string) (vfs.File, error) {
+	r.record("open-append " + name)
+	return r.FS.OpenAppend(name)
+}
+
+func (r *dirSyncRecorder) SyncDir(dir string) error {
+	r.record("syncdir " + dir)
+	return r.FS.SyncDir(dir)
+}
+
+// TestWALCreationSyncsDirectory: an append's fsync makes its record durable
+// but not the directory entry naming a log just created, so opening a fresh
+// live directory must sync the directory after it creates wal.log, before
+// NewLive returns and any append can be acknowledged.
+func TestWALCreationSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	rec := &dirSyncRecorder{FS: vfs.OS}
+	lx, err := NewLive("fresh", &LiveConfig{Dir: dir, fs: rec})
+	if err != nil {
+		t.Fatalf("NewLive: %v", err)
+	}
+	defer lx.Close()
+	rec.mu.Lock()
+	ops := slices.Clone(rec.ops)
+	rec.mu.Unlock()
+	created := slices.Index(ops, "open-append "+filepath.Join(dir, walName))
+	if created < 0 {
+		t.Fatalf("NewLive never opened %s: %q", walName, ops)
+	}
+	if !slices.Contains(ops[created+1:], "syncdir "+dir) {
+		t.Fatalf("the live directory is not synced after %s is created: %q", walName, ops)
+	}
 }
