@@ -155,7 +155,7 @@ func serve(args []string) {
 		log.Printf("loaded %s as %q (%d symbols, %d tree nodes)", path, name, idx.Len(), idx.TreeNodes())
 	}
 	if *live != "" {
-		lx, err := era.NewLive("", &era.LiveConfig{Dir: *live, Background: true})
+		lx, err := era.NewLive("", &era.LiveConfig{Dir: *live})
 		if err != nil {
 			fatal(err)
 		}
@@ -282,6 +282,9 @@ func build(args []string) {
 		*name = strings.TrimSuffix(base, filepath.Ext(base))
 	}
 	idx.SetName(*name)
+	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+		fatal(err)
+	}
 	if err := idx.WriteFile(*out); err != nil {
 		fatal(err)
 	}
@@ -358,6 +361,9 @@ func shard(args []string) {
 		*name = strings.TrimSuffix(base, filepath.Ext(base))
 	}
 	sx.SetName(*name)
+	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+		fatal(err)
+	}
 	if err := sx.WriteFile(*out); err != nil {
 		fatal(err)
 	}

@@ -14,7 +14,8 @@ import (
 // memory-mapped — a monolithic index from build, a sharded one from shard,
 // and with -splitdir one file per shard, whose tree holds the shard's range.
 func TestBuildAndShardWriteMappedImages(t *testing.T) {
-	dir := t.TempDir()
+	// Both commands create -out's directory.
+	dir := filepath.Join(t.TempDir(), "out")
 	mono := filepath.Join(dir, "x.idx")
 	build([]string{"-gen", "dna", "-n", "4000", "-out", mono})
 	q, err := era.OpenIndex(mono)
@@ -26,7 +27,7 @@ func TestBuildAndShardWriteMappedImages(t *testing.T) {
 		t.Fatalf("era build wrote %T %q with %d mapped bytes, want a mapped *era.Index named x", q, q.Name(), q.MappedBytes())
 	}
 
-	sharded := filepath.Join(dir, "s.idx")
+	sharded := filepath.Join(dir, "sharded", "s.idx")
 	split := filepath.Join(dir, "split")
 	shard([]string{"-gen", "dna", "-n", "4000", "-docs", "8", "-shards", "3", "-workers", "2", "-name", "s", "-splitdir", split, "-out", sharded})
 	sq, err := era.OpenIndex(sharded)

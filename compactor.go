@@ -2,9 +2,11 @@ package era
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 )
 
@@ -20,6 +22,10 @@ import (
 // safe because their mmap keeps the inode alive until the last reference
 // drains (the tierHandle refcount closes the mapping, which releases the
 // inode).
+//
+// A seal runs under LiveIndex.mu. A compaction holds compactMu, and mu only
+// to copy what it folds and to swap its tier in: mutations proceed while it
+// builds, and Close cancels the build.
 
 const (
 	// liveManifestName is the manifest file inside a live directory. Its
@@ -31,101 +37,126 @@ const (
 	liveTierPattern = "tier-%06d.tier"
 )
 
-// memFullLocked reports whether the memtable has reached a seal threshold.
-func (lx *LiveIndex) memFullLocked() bool {
-	docs, size := lx.memSizeLocked()
-	return docs >= lx.cfg.MemtableMaxDocs || size >= lx.cfg.MemtableMaxBytes
-}
-
 // Seal forces the memtable into a sealed tier (a v4 file in directory mode)
-// regardless of thresholds. A no-op when the memtable is empty.
-func (lx *LiveIndex) Seal() error {
+// regardless of thresholds, compacting if that brings the stack to MaxTiers.
+// A no-op when the memtable is empty.
+func (lx *LiveIndex) Seal() (err error) {
+	var full bool
+	defer func() { err = errors.Join(err, lx.compactIf(full)) }() // after mu is released
 	lx.mu.Lock()
 	defer lx.mu.Unlock()
 	if lx.closedFl.Load() {
 		return errLiveClosed
 	}
-	return lx.sealLocked()
+	full, err = lx.sealLocked()
+	return err
 }
 
 // Compact seals any pending memtable, then folds every sealed tier into
-// one, dropping tombstoned documents for good.
+// one, dropping tombstoned documents for good. A compaction already running
+// finishes first.
 func (lx *LiveIndex) Compact() error {
-	lx.mu.Lock()
-	defer lx.mu.Unlock()
-	if lx.closedFl.Load() {
-		return errLiveClosed
-	}
-	if err := lx.sealLocked(); err != nil {
+	lx.compactMu.Lock()
+	defer lx.compactMu.Unlock()
+	if err := lx.Seal(); err != nil {
 		return err
 	}
-	return lx.compactLocked()
+	return lx.compact()
+}
+
+// compactIf runs the compaction a seal that brought the stack to MaxTiers
+// (full) triggers; its caller waits for it. If one is already running it
+// returns at once, and the tiers sealed meanwhile wait for the next trigger.
+func (lx *LiveIndex) compactIf(full bool) error {
+	if !full || !lx.compactMu.TryLock() {
+		return nil
+	}
+	defer lx.compactMu.Unlock()
+	return lx.compact()
 }
 
 // sealLocked converts the memtable into a sealed tier — the one build its
 // documents get, tombstoned ones included (they are filtered at query time
-// like any tier's) — and publishes the new stack; at MaxTiers sealed tiers it
-// compacts. A failed build or tier write leaves the memtable serving as it
-// was. Caller holds mu.
-func (lx *LiveIndex) sealLocked() error {
+// like any tier's) — and publishes the new stack; full reports that it holds
+// MaxTiers tiers. A failed build or tier write leaves the memtable serving as
+// it was. A seal covers at most one memtable: nothing cancels it. Caller
+// holds mu.
+func (lx *LiveIndex) sealLocked() (full bool, err error) {
 	if len(lx.mem) == 0 {
-		return nil
+		return false, nil
 	}
 	start := time.Now()
-	st, err := lx.buildTier(lx.mem, false)
+	st, err := lx.buildTierLocked(lx.mem, false)(context.Background())
 	if err != nil {
-		return err
+		return false, err
 	}
 	lx.sealed = append(lx.sealed, st)
 	lx.mem = nil
 	errs := lx.commitTiersLocked()
 	lx.seals++
 	lx.mutPause += time.Since(start)
-	if len(lx.sealed) >= lx.cfg.MaxTiers {
-		if err := lx.compactLocked(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return len(lx.sealed) >= lx.cfg.MaxTiers, errors.Join(errs...)
 }
 
-// compactLocked merges the surviving documents of every sealed tier (ids
-// preserved) into one freshly built tier, swaps the manifest, and unlinks
-// the replaced tier files. Caller holds mu.
-func (lx *LiveIndex) compactLocked() error {
-	if len(lx.sealed) == 0 || (len(lx.sealed) == 1 && lx.sealed[0].nDead == 0) {
+// compact merges the surviving documents of every sealed tier (ids
+// preserved) into one freshly built tier, swaps the manifest, and unlinks the
+// replaced tier files. Caller holds compactMu and not mu, which compact takes
+// to copy what it folds and to swap the new tier in.
+func (lx *LiveIndex) compact() error {
+	lx.mu.Lock()
+	from := slices.Clone(lx.sealed)
+	if len(from) == 0 || (len(from) == 1 && from[0].nDead == 0) {
+		lx.mu.Unlock()
 		return nil
 	}
-	start := time.Now()
-	// The build copies the document bytes up front; the old tiers stay alive
-	// until the swap below.
-	st, err := lx.buildTier(lx.sealed, true)
+	build := lx.buildTierLocked(from, true)
+	lx.mu.Unlock()
+
+	// Only this swap and Close, which both hold compactMu, release the
+	// tiers whose mapped bytes the build reads.
+	st, err := build(lx.stop)
 	if err != nil {
 		return err
 	}
-	old := lx.sealed
-	lx.sealed = nil
+	lx.mu.Lock()
+	defer lx.mu.Unlock()
+	start := time.Now()
+	var head []*tierState
 	if st != nil {
-		lx.sealed = []*tierState{st}
-	}
-	errs := lx.commitTiersLocked()
-	for _, st := range old {
-		if st.h.file != "" {
-			lx.fs.Remove(filepath.Join(lx.dir, st.h.file))
+		// Deletes that landed during the build tombstone the new copies.
+		for _, t := range from {
+			for d, gone := range t.dead {
+				if gone {
+					if i := searchIDs(st.ids, t.ids[d]); i >= 0 {
+						st.dead[i] = true
+						st.nDead++
+					}
+				}
+			}
 		}
-		st.h.release()
+		head = []*tierState{st}
+	}
+	// Compactions are serialized and seals only append, so the folded tiers
+	// are still the head of the stack; the tiers sealed meanwhile follow.
+	lx.sealed = slices.Concat(head, lx.sealed[len(from):])
+	errs := lx.commitTiersLocked()
+	for _, t := range from {
+		if t.h.file != "" {
+			lx.fs.Remove(filepath.Join(lx.dir, t.h.file))
+		}
+		t.h.release()
 	}
 	lx.compactions++
 	lx.mutPause += time.Since(start)
 	return errors.Join(errs...)
 }
 
-// buildTier folds the documents of the given tiers — all of them, or only
-// the survivors — into one sealed tier (nil when none qualifies) through the
-// single ERA build a seal or compaction pays. The tier is the heap-resident
-// index itself, or in directory mode the next tier file, written from the
-// sections it holds and mapped back in.
-func (lx *LiveIndex) buildTier(from []*tierState, liveOnly bool) (*tierState, error) {
+// buildTierLocked copies out, under mu, what the one build a seal or
+// compaction pays needs: the documents of the given tiers (all, or only the
+// survivors), the alphabet and a reserved tier number. The build it returns
+// needs no lock (ctx stops ERA); its tier is the heap-resident index, or in
+// directory mode a tier file written from its sections and mapped back in.
+func (lx *LiveIndex) buildTierLocked(from []*tierState, liveOnly bool) func(ctx context.Context) (*tierState, error) {
 	var (
 		docs  [][]byte
 		ids   []uint64
@@ -138,7 +169,7 @@ func (lx *LiveIndex) buildTier(from []*tierState, liveOnly bool) (*tierState, er
 			if !liveOnly || !t.dead[d] {
 				docs = append(docs, t.data[start:end])
 				ids = append(ids, t.ids[d])
-				dead = append(dead, t.dead[d])
+				dead = append(dead, t.dead[d] && !liveOnly)
 			}
 			start = end
 		}
@@ -146,37 +177,40 @@ func (lx *LiveIndex) buildTier(from []*tierState, liveOnly bool) (*tierState, er
 			nDead += t.nDead
 		}
 	}
-	if len(docs) == 0 {
-		return nil, nil
-	}
 	bcfg := lx.buildConfig()
 	bcfg.Alphabet = lx.alpha
-	idx, err := build(docs, &bcfg)
-	if err != nil {
-		return nil, err
-	}
-	file := ""
-	if lx.dir != "" {
-		file = fmt.Sprintf(liveTierPattern, lx.tierSeq)
-		if idx, err = lx.writeTierFile(file, idx); err != nil {
-			return nil, err // the file never landed; the sequence number is reused
+	seq := lx.tierSeq
+	lx.tierSeq++
+	return func(ctx context.Context) (*tierState, error) {
+		if len(docs) == 0 {
+			return nil, nil
 		}
-		lx.tierSeq++
+		idx, err := build(ctx, docs, &bcfg)
+		if err != nil {
+			return nil, err
+		}
+		file := ""
+		if lx.dir != "" {
+			file = fmt.Sprintf(liveTierPattern, seq)
+			if idx, err = lx.writeTierFile(file, idx); err != nil {
+				return nil, err
+			}
+		}
+		return sealedTier(idx, file, ids, dead, nDead), nil
 	}
-	return sealedTier(idx, file, ids, dead, nDead), nil
 }
 
 // commitTiersLocked makes a changed sealed-tier stack durable and visible:
-// the manifest swap, the WAL rotation it licenses, and the new snapshot.
-// Caller holds mu, with the memtable already empty.
+// the manifest swap, the WAL rotation it licenses when the memtable is empty,
+// and the new snapshot. Caller holds mu.
 func (lx *LiveIndex) commitTiersLocked() (errs []error) {
 	if lx.dir != "" {
 		if err := lx.writeManifestLocked(); err != nil {
 			errs = append(errs, err)
-		} else if lx.wal != nil {
-			// The manifest now covers everything the log recorded; discard
-			// it. A lost rotate is harmless — replay skips covered records
-			// by id — but a rotate before a durable manifest would not be.
+		} else if lx.wal != nil && len(lx.mem) == 0 {
+			// With no document unsealed, the manifest covers everything the
+			// log recorded: discard it. A lost rotate is harmless (replay
+			// skips covered records by id); one before a durable manifest is not.
 			if err := lx.wal.rotate(); err != nil {
 				errs = append(errs, err)
 			}
@@ -184,27 +218,6 @@ func (lx *LiveIndex) commitTiersLocked() (errs []error) {
 	}
 	lx.publishLocked()
 	return errs
-}
-
-// compactLoop is the background maintenance goroutine (LiveConfig
-// Background): it seals (and transitively compacts) whenever Append kicks
-// it past a threshold, keeping the mutating call itself fast.
-func (lx *LiveIndex) compactLoop() {
-	defer close(lx.donec)
-	for {
-		select {
-		case <-lx.stopc:
-			return
-		case <-lx.kick:
-			lx.mu.Lock()
-			if !lx.closedFl.Load() && lx.memFullLocked() {
-				if err := lx.sealLocked(); err != nil && lx.bgErr == nil {
-					lx.bgErr = err
-				}
-			}
-			lx.mu.Unlock()
-		}
-	}
 }
 
 // writeTierFile writes idx as a v4 tier file (publishFile) and maps it back
@@ -228,16 +241,15 @@ func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
 	return mono, nil
 }
 
-// writeManifestLocked swaps the manifest (publishFile). Caller holds
-// mu; the manifest records the sealed tiers only. It refuses to run while
-// the memtable holds documents: the manifest's nextID would then cover their
-// ids, and WAL replay — which skips records below nextID as already sealed —
-// would silently drop the acknowledged batch.
+// writeManifestLocked swaps the manifest (publishFile). Caller holds mu; the
+// manifest records the sealed tiers, and as nextID the first unsealed id: WAL
+// replay skips the records below it as sealed and restores the memtable from
+// the rest.
 func (lx *LiveIndex) writeManifestLocked() error {
-	if n, _ := lx.memSizeLocked(); n > 0 {
-		return fmt.Errorf("era: internal: manifest write with %d unsealed documents would orphan their WAL records", n)
-	}
 	m := &liveManifest{name: lx.name, nextID: lx.nextID, tierSeq: lx.tierSeq}
+	if len(lx.mem) > 0 { // an extent holds at least the batch that made it
+		m.nextID = lx.mem[0].ids[0]
+	}
 	for _, st := range lx.sealed {
 		mt := liveManifestTier{file: st.h.file, ids: st.ids}
 		for i, d := range st.dead {

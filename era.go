@@ -24,6 +24,7 @@
 package era
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -166,7 +167,7 @@ const inMemoryBytesPerSymbol = 14
 // small enough for the budget to hold one (see Config.MemoryBudget). The
 // input must not contain the terminator byte '$'; one is appended internally.
 func Build(data []byte, cfg *Config) (*Index, error) {
-	return build([][]byte{data}, cfg)
+	return build(context.Background(), [][]byte{data}, cfg)
 }
 
 // BuildCorpus constructs a generalized suffix tree over a document corpus:
@@ -177,7 +178,7 @@ func BuildCorpus(docs [][]byte, cfg *Config) (*Index, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("era: empty corpus")
 	}
-	return build(docs, cfg)
+	return build(context.Background(), docs, cfg)
 }
 
 // checkCorpusSize refuses a corpus whose terminated concatenation has offsets
@@ -190,8 +191,8 @@ func checkCorpusSize(total int64) error {
 }
 
 // build is the whole-tree case of buildShards.
-func build(docs [][]byte, cfg *Config) (*Index, error) {
-	shards, err := buildShards(docs, cfg, 1)
+func build(ctx context.Context, docs [][]byte, cfg *Config) (*Index, error) {
+	shards, err := buildShards(ctx, docs, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +204,9 @@ func build(docs [][]byte, cfg *Config) (*Index, error) {
 // into k prefix ranges of the suffix order (suffixtree.AssembleShards; k is
 // capped at the suffix count), one Index per range. Every range views the one
 // string and document map: a shard's tree holds its range, but it answers
-// over all of S.
-func buildShards(docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
+// over all of S. An ERA build stops when ctx does (core.Options.Context); the
+// suffix-array builder, bounded by the budget, is not interrupted.
+func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
 	cfg := cfgp.withDefaults()
 	if cfg.Target != TargetFlat {
 		return nil, fmt.Errorf("era: unknown build target %d", cfg.Target)
@@ -246,7 +248,7 @@ func buildShards(docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
 		shards, err = buildInMemory(alpha, data, k)
 		stats = BuildStats{InMemory: true, SubTrees: 1}
 	} else {
-		shards, stats, err = buildERA(alpha, data, &cfg, k)
+		shards, stats, err = buildERA(ctx, alpha, data, &cfg, k)
 	}
 	if err != nil {
 		return nil, err
@@ -294,7 +296,7 @@ func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int) ([]suffixtree.S
 
 // buildERA publishes data on a simulated disk and runs the paper's algorithm
 // over it in the configured architecture.
-func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config, k int) ([]suffixtree.Shard, BuildStats, error) {
+func buildERA(ctx context.Context, alpha *alphabet.Alphabet, data []byte, cfg *Config, k int) ([]suffixtree.Shard, BuildStats, error) {
 	model := sim.DefaultModel()
 	if cfg.DiskModel != nil {
 		model = *cfg.DiskModel
@@ -310,6 +312,7 @@ func buildERA(alpha *alphabet.Alphabet, data []byte, cfg *Config, k int) ([]suff
 		SkipSeek:     cfg.SkipSeek,
 		AssembleFlat: true,
 		Shards:       k,
+		Context:      ctx,
 	}
 	var res *core.Result
 	switch cfg.Mode {

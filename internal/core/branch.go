@@ -130,6 +130,9 @@ func GroupBranch(ctx *buildContext, f *seq.File, view seq.String, sc *seq.Scanne
 	firstRound := true
 
 	for {
+		if err := stopped(ctx.stop); err != nil {
+			return nil, stats, err
+		}
 		activeTotal := 0
 		for _, st := range subs {
 			activeTotal += st.active

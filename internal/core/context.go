@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
@@ -28,6 +30,7 @@ type buildContext struct {
 	vpsc *seq.Scanner // VP chunk scans; skip-enabled so a chunk opens with one positioning seek
 	cpu  *sim.Clock
 	io   *sim.Clock
+	stop context.Context // Options.Context, checked once per pass and round
 
 	// Rolling-code window counter of the chunked VP: one per worker, reused
 	// across every VP iteration (its scan buffer doubles as the chunk-scan
@@ -120,7 +123,7 @@ func newNodeContext(f *seq.File, layout MemoryLayout, opts Options, chunked bool
 	if err != nil {
 		return nil, err
 	}
-	ctx := &buildContext{f: f, sc: sc, cpu: cpuClock, io: ioClock}
+	ctx := &buildContext{f: f, sc: sc, cpu: cpuClock, io: ioClock, stop: opts.Context}
 	if chunked {
 		if ctx.vpsc, err = f.NewScanner(ioClock, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: true}); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -67,6 +68,17 @@ type Options struct {
 	// Validate cross-checks every prepared sub-tree against the string
 	// (slow; tests only).
 	Validate bool
+	// Context stops the build with its error: Err (never Done) is read per VP
+	// pass, group pulled and round, and before the assembly. Nil never stops.
+	Context context.Context
+}
+
+// stopped is a build's one stop check; a nil context never stops.
+func stopped(c context.Context) error {
+	if c == nil {
+		return nil
+	}
+	return c.Err()
 }
 
 // Stats aggregates the accounted work of a build.
@@ -122,7 +134,7 @@ func BuildSerial(f *seq.File, opts Options) (*Result, error) {
 		},
 		partition: func(ctxs []*buildContext, fm int64, grouping bool) ([]Group, VerticalStats, time.Duration, error) {
 			ctx := ctxs[0]
-			groups, vstats, err := VerticalPartition(ctx.f, ctx.sc, ctx.cpu, model, fm, grouping)
+			groups, vstats, err := verticalPartition(ctx.stop, ctx.f, ctx.sc, ctx.cpu, model, fm, grouping)
 			return groups, vstats, ctx.cpu.Now() + ctx.io.Now(), err
 		},
 		combine: sim.CombineSharedDisk,
@@ -198,6 +210,9 @@ func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
 	}
 	cpu, io, ws := foldRuns(jobs, runs, p.workers, &res.Stats)
 
+	if err := stopped(opts.Context); err != nil {
+		return nil, err
+	}
 	if opts.AssembleFlat {
 		raw, err := f.Disk().Bytes(f.Name())
 		if err != nil {

@@ -220,6 +220,9 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	defer func() { ctx.offs, ctx.heap = offs[:0], heap[:0] }()
 
 	for {
+		if err := stopped(ctx.stop); err != nil {
+			return nil, stats, err
+		}
 		activeTotal := 0
 		for _, st := range subs {
 			activeTotal += st.active

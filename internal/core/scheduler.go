@@ -72,6 +72,7 @@ type groupRun struct {
 // runGroupQueue drains the job queue with one goroutine per context: idle
 // workers pull the next-costliest remaining group (work stealing via a
 // shared cursor). Results land in queue order; runs[i] belongs to jobs[i].
+// Once the build is stopped or a group fails, no worker pulls another.
 func runGroupQueue(ctxs []*buildContext, jobs []groupJob, model sim.CostModel,
 	layout MemoryLayout, opts Options) ([]groupRun, error) {
 
@@ -85,11 +86,14 @@ func runGroupQueue(ctxs []*buildContext, jobs []groupJob, model sim.CostModel,
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1) - 1)
-				if i >= len(jobs) {
+				if errs[w] = stopped(opts.Context); errs[w] != nil || i >= len(jobs) {
 					return
 				}
 				if err := runGroupOn(ctxs[w], jobs[i], model, layout, opts, &runs[i]); err != nil {
-					errs[w] = fmt.Errorf("group %d: %w", jobs[i].gi, err)
+					if errs[w] = stopped(opts.Context); errs[w] == nil {
+						errs[w] = fmt.Errorf("group %d: %w", jobs[i].gi, err)
+					}
+					cursor.Store(int64(len(jobs))) // the others pull no more
 					return
 				}
 			}

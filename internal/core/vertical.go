@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -47,6 +48,11 @@ type VerticalStats struct {
 // dense direct-indexed table (falling back to a hash map only when the
 // window is too wide to index densely).
 func VerticalPartition(f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, fm int64, grouping bool) ([]Group, VerticalStats, error) {
+	return verticalPartition(nil, f, sc, clock, model, fm, grouping)
+}
+
+// verticalPartition is VerticalPartition, checking stop before every pass.
+func verticalPartition(stop context.Context, f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim.CostModel, fm int64, grouping bool) ([]Group, VerticalStats, error) {
 	if fm < 1 {
 		return nil, VerticalStats{}, fmt.Errorf("core: FM %d < 1", fm)
 	}
@@ -68,6 +74,9 @@ func VerticalPartition(f *seq.File, sc *seq.Scanner, clock *sim.Clock, model sim
 	var labels byteArena // backs every prefix label; never reset
 	k := 1
 	for len(working) > 0 {
+		if err := stopped(stop); err != nil {
+			return nil, stats, err
+		}
 		stats.Iterations++
 		if cap(freqs) < len(working) {
 			freqs = make([]int64, len(working))

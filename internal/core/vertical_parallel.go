@@ -55,6 +55,9 @@ func verticalPartitionChunked(ctxs []*buildContext, n int, model sim.CostModel, 
 	var labels byteArena // backs every prefix label; never reset
 	k := 1
 	for len(working) > 0 {
+		if err := stopped(ctxs[0].stop); err != nil {
+			return nil, stats, vpTime, err
+		}
 		stats.Iterations++
 		if cap(freqs) < len(working) {
 			freqs = make([]int64, len(working))

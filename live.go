@@ -1,6 +1,7 @@
 package era
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -20,16 +21,18 @@ import (
 // indexed — an append costs a copy of its bytes, and queries scan the few
 // unsealed kilobytes in place — which seals into an immutable v4 tier once
 // full, through the one ERA build those documents ever get; deletes are
-// per-document tombstones filtered at query time; background compaction
-// folds the sealed tiers back into one. Every query surface of Queryable
+// per-document tombstones filtered at query time; compaction folds the
+// sealed tiers back into one. Every query surface of Queryable
 // answers byte-identically to a from-scratch BuildCorpus over the surviving
 // documents in append order — LiveIndex trades none of the package's answer
 // discipline for mutability.
 //
-// Concurrency: mutations serialize on an internal mutex; queries are
-// lock-free against an atomically published, reference-counted snapshot and
-// never block on (or are blocked by) mutations. Each mutation bumps Epoch,
-// which serving layers use to invalidate result caches.
+// Concurrency: mutations and seals serialize on an internal mutex; a
+// compaction builds outside it, so only the call that triggered it waits for
+// it, and Close cancels it. Queries are lock-free against an atomically
+// published, reference-counted snapshot and never block on (or are blocked
+// by) mutations. Each mutation bumps Epoch, which serving layers use to
+// invalidate result caches.
 //
 // Durability (directory mode, LiveConfig.Dir != ""): sealed tiers and the
 // manifest are written tmp+fsync+rename, never in place; every Append and
@@ -49,6 +52,10 @@ type LiveIndex struct {
 	closedFl atomic.Bool
 	sorters  sorterCache // lrs / topk sort memory, kept from call to call
 
+	stop      context.Context // a compaction builds under it; Close cancels it
+	cancel    context.CancelFunc
+	compactMu sync.Mutex // serializes compactions, and Close's release of tiers after them
+
 	mu          sync.Mutex
 	alpha       *alphabet.Alphabet
 	fixedAlpha  bool
@@ -62,13 +69,6 @@ type LiveIndex struct {
 	seals       int64
 	compactions int64
 	mutPause    time.Duration
-	bgErr       error
-
-	bg       bool
-	stopOnce sync.Once
-	kick     chan struct{}
-	stopc    chan struct{}
-	donec    chan struct{}
 }
 
 var _ Queryable = (*LiveIndex)(nil)
@@ -120,7 +120,7 @@ func (lx *LiveIndex) memSizeLocked() (docs int, size int64) {
 }
 
 // LiveConfig configures a LiveIndex. The zero value is usable: heap-only,
-// default thresholds, inline (foreground) sealing.
+// default thresholds.
 type LiveConfig struct {
 	// Dir is the live directory holding the manifest (live.idx) and sealed
 	// tier files. Empty keeps every tier heap-resident and volatile.
@@ -134,8 +134,8 @@ type LiveConfig struct {
 	// it are rejected instead of widening the inferred union.
 	Build *Config
 	// MemtableMaxDocs and MemtableMaxBytes are the seal thresholds; an
-	// append that leaves the memtable at or past either triggers a seal
-	// (inline, or via the background compactor). Defaults: 256 docs, 32 KiB.
+	// append that leaves the memtable at or past either seals it. Defaults:
+	// 256 docs, 32 KiB.
 	//
 	// The memtable has no index: every query scans its bytes. The thresholds
 	// therefore trade read latency against write work. BenchmarkLiveMemtableScan
@@ -147,12 +147,9 @@ type LiveConfig struct {
 	// dwarfs a small memtable's) and charges every read the longer scan.
 	MemtableMaxDocs  int
 	MemtableMaxBytes int64
-	// MaxTiers is the sealed-tier count that triggers compaction back into
-	// one tier. Default 8.
+	// MaxTiers is the sealed-tier count at which a seal triggers compaction
+	// back into one tier. Default 8.
 	MaxTiers int
-	// Background runs seal and compaction on a background goroutine kicked
-	// by Append instead of inline on the mutating call.
-	Background bool
 	// fs overrides the filesystem behind the durability paths (tier files,
 	// manifest, WAL); nil means the real OS. Unexported: only the
 	// fault-injection tests swap in vfs.FaultFS.
@@ -230,14 +227,8 @@ func NewLive(name string, cfg *LiveConfig) (*LiveIndex, error) {
 			lx.name = filepath.Base(lx.dir)
 		}
 	}
-	lx.kick = make(chan struct{}, 1)
-	lx.stopc = make(chan struct{})
-	lx.donec = make(chan struct{})
+	lx.stop, lx.cancel = context.WithCancel(context.Background())
 	lx.publishLocked()
-	if lx.cfg.Background {
-		lx.bg = true
-		go lx.compactLoop()
-	}
 	return lx, nil
 }
 
@@ -354,10 +345,16 @@ func (lx *LiveIndex) acquire() *liveSnapshot {
 // their buffers. A document containing the terminator byte '$', or — when
 // the alphabet was fixed via LiveConfig.Build — a byte outside it, rejects
 // the whole batch.
-func (lx *LiveIndex) Append(docs [][]byte) ([]uint64, error) {
+func (lx *LiveIndex) Append(docs [][]byte) (ids []uint64, err error) {
 	if len(docs) == 0 {
 		return nil, nil
 	}
+	var full bool
+	defer func() { // after mu is released
+		if cerr := lx.compactIf(full); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("era: append applied; compacting tiers: %w", cerr))
+		}
+	}()
 	lx.mu.Lock()
 	defer lx.mu.Unlock()
 	if lx.closedFl.Load() {
@@ -390,19 +387,14 @@ func (lx *LiveIndex) Append(docs [][]byte) ([]uint64, error) {
 			return nil, fmt.Errorf("era: append rejected; WAL write failed: %w", err)
 		}
 	}
-	ids := slices.Clone(lx.memAppendLocked(lx.nextID, docs))
+	ids = slices.Clone(lx.memAppendLocked(lx.nextID, docs))
 	lx.nextID += uint64(len(docs))
 	lx.seen, lx.alpha = seen, alpha
 	lx.publishLocked()
 	lx.epoch.Add(1)
 
-	if lx.memFullLocked() {
-		if lx.bg {
-			select {
-			case lx.kick <- struct{}{}:
-			default:
-			}
-		} else if err := lx.sealLocked(); err != nil {
+	if n, size := lx.memSizeLocked(); n >= lx.cfg.MemtableMaxDocs || size >= lx.cfg.MemtableMaxBytes {
+		if full, err = lx.sealLocked(); err != nil {
 			return ids, fmt.Errorf("era: append applied; sealing memtable: %w", err)
 		}
 	}
@@ -589,7 +581,7 @@ func (lx *LiveIndex) Frozen() (*Index, error) {
 	}
 	cfg := lx.buildConfig()
 	cfg.Alphabet = s.alpha
-	idx, err := build(docs, &cfg)
+	idx, err := build(context.Background(), docs, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -608,28 +600,23 @@ func (lx *LiveIndex) WriteFile(path string) error {
 	return idx.WriteFile(path)
 }
 
-// Close stops the background compactor, seals any pending memtable in
-// directory mode (so acknowledged appends survive), and releases ownership
-// of every tier. Tiers unmap once the last in-flight query drains; queries
-// arriving after Close answer empty. Close is idempotent.
+// Close cancels a running compaction and waits for it to stop, seals any
+// pending memtable in directory mode (so acknowledged appends survive;
+// Close never compacts), and releases ownership of every tier. Tiers unmap
+// once the last in-flight query drains; queries arriving after Close answer
+// empty. Close is idempotent.
 func (lx *LiveIndex) Close() error {
-	lx.stopOnce.Do(func() {
-		if lx.bg {
-			close(lx.stopc)
-			<-lx.donec
-		}
-	})
+	lx.cancel()
+	lx.compactMu.Lock() // the build reads the mapped tiers released below
+	defer lx.compactMu.Unlock()
 	lx.mu.Lock()
 	defer lx.mu.Unlock()
 	if lx.closedFl.Load() {
 		return nil
 	}
 	var errs []error
-	if lx.bgErr != nil {
-		errs = append(errs, lx.bgErr)
-	}
 	if lx.dir != "" && len(lx.mem) > 0 {
-		if err := lx.sealLocked(); err != nil {
+		if _, err := lx.sealLocked(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -659,7 +646,7 @@ type LiveStats struct {
 	DeadDocs      int           // tombstones not yet compacted away
 	Seals         int64         // memtable seals over the index's life
 	Compactions   int64         // full compactions over the index's life
-	MutationPause time.Duration // cumulative wall time mutations stalled on seal+compact
+	MutationPause time.Duration // cumulative wall time mutations stalled on seals and compaction swaps (not builds)
 	NextID        uint64        // the id the next appended document receives
 	Epoch         uint64        // current mutation epoch
 	Quarantined   []string      // tier files renamed *.quarantine at load for failing validation

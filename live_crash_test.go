@@ -21,15 +21,16 @@ import (
 
 // crashStep is one scripted mutation or maintenance call.
 type crashStep struct {
-	kind string // "append", "delete", "seal", "compact"
-	docs [][]byte
+	kind string   // "append", "delete", "seal", "compact"
+	docs [][]byte // appended; for "compact", while the compaction builds
 	id   uint64
 }
 
 // crashScript is the fixed mutation sequence the matrix replays. With
 // MemtableMaxDocs=2 and MaxTiers=2 it exercises every durability surface:
 // WAL appends and deletes, threshold seals, threshold and explicit
-// compactions, manifest swaps, and WAL rotations.
+// compactions, manifest swaps, WAL rotations, and a compaction that commits
+// while appended documents sit in the memtable.
 func crashScript() []crashStep {
 	a := func(docs ...string) crashStep {
 		s := crashStep{kind: "append"}
@@ -58,6 +59,11 @@ func crashScript() []crashStep {
 		a("GGCC"), // id 9
 		{kind: "seal"},
 		{kind: "compact"}, // the tombstone of a sealed document dropped
+		del(8),
+		// id 10 is appended while the compaction builds: the commit leaves it
+		// in the memtable, and the manifest's nextID stops below it.
+		{kind: "compact", docs: [][]byte{[]byte("TTTA")}},
+		a("ACGT"), // id 11; seal
 	}
 }
 
@@ -69,19 +75,23 @@ func crashScript() []crashStep {
 // script finished), and the id the next append would receive.
 func playCrashScript(lx *LiveIndex, script []crashStep) (acked *liveOracle, inflight *crashStep, nextID uint64) {
 	acked = &liveOracle{}
+	// appended plays one append step, reporting whether it returned cleanly.
+	appended := func(st *crashStep) bool {
+		ids, err := lx.Append(st.docs)
+		if ids != nil {
+			acked.append(ids, st.docs)
+			nextID = ids[len(ids)-1] + 1
+		}
+		if err != nil && ids == nil {
+			inflight = st
+		}
+		return err == nil
+	}
 	for i := range script {
 		st := &script[i]
 		switch st.kind {
 		case "append":
-			ids, err := lx.Append(st.docs)
-			if ids != nil {
-				acked.append(ids, st.docs)
-				nextID = ids[len(ids)-1] + 1
-			}
-			if err != nil {
-				if ids == nil {
-					inflight = st
-				}
+			if !appended(st) {
 				return
 			}
 		case "delete":
@@ -100,7 +110,19 @@ func playCrashScript(lx *LiveIndex, script []crashStep) (acked *liveOracle, infl
 				return
 			}
 		case "compact":
-			if lx.Compact() != nil {
+			if len(st.docs) > 0 {
+				// The compaction's tier is the first one created: Compact
+				// seals an empty memtable.
+				during := &crashStep{kind: "append", docs: st.docs}
+				hfs := lx.fs.(*hookFS)
+				hfs.onCreate = func(name string) {
+					if hfs.onCreate != nil && isTierTmp(name) {
+						hfs.onCreate = nil
+						appended(during)
+					}
+				}
+			}
+			if lx.Compact() != nil || inflight != nil {
 				return
 			}
 		}
@@ -127,7 +149,7 @@ func TestCrashPointMatrix(t *testing.T) {
 	cfg := func(dir string, ffs *vfs.FaultFS) *LiveConfig {
 		c := &LiveConfig{Dir: dir, MemtableMaxDocs: 2, MaxTiers: 2}
 		if ffs != nil {
-			c.fs = ffs
+			c.fs = &hookFS{FS: ffs}
 		}
 		return c
 	}
@@ -144,8 +166,8 @@ func TestCrashPointMatrix(t *testing.T) {
 	if inflight != nil {
 		t.Fatal("rehearsal run hit an error with no fault armed")
 	}
-	if len(acked.docs) != 5 { // 10 appended, 5 deleted
-		t.Fatalf("rehearsal survivors = %d, want 5 (script did not complete)", len(acked.docs))
+	if len(acked.docs) != 6 { // 12 appended, 6 deleted
+		t.Fatalf("rehearsal survivors = %d, want 6 (script did not complete)", len(acked.docs))
 	}
 	if err := lx.Close(); err != nil {
 		t.Fatalf("rehearsal Close: %v", err)

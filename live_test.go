@@ -356,13 +356,14 @@ func TestLiveMappedBytesBounded(t *testing.T) {
 }
 
 // TestLiveRaceStress hammers one live index with concurrent appenders, a
-// deleter, queriers, and the background compactor, then verifies the final
-// corpus against the oracle. Run with -race; queriers check internal
-// consistency of every answer (they cannot pin exact values mid-flight).
+// deleter and queriers while the appenders' seals trigger compactions that
+// build outside the mutex, then verifies the final corpus against the
+// oracle. Run with -race; queriers check internal consistency of every
+// answer (they cannot pin exact values mid-flight).
 func TestLiveRaceStress(t *testing.T) {
 	dir := t.TempDir()
 	lx, err := NewLive("stress", &LiveConfig{
-		Dir: dir, MemtableMaxDocs: 8, MaxTiers: 3, Background: true,
+		Dir: dir, MemtableMaxDocs: 8, MaxTiers: 3,
 	})
 	if err != nil {
 		t.Fatalf("NewLive: %v", err)
@@ -500,6 +501,9 @@ func TestLiveRaceStress(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	checkLive(t, lx, o, rng)
+	if c := lx.Stats().Compactions; c == 0 {
+		t.Fatal("no compaction ran: the mutators raced nothing")
+	}
 	if err := lx.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

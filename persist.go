@@ -120,30 +120,26 @@ func WriteFileV4(path string, q Queryable) error {
 // it over path, SyncDir its directory. The tmp is removed on any failure
 // before the rename, so path holds the old bytes or the new ones, never a
 // torn file; on nil return both the bytes and the directory entry naming
-// them are durable.
+// them are durable. Every error names path, not the tmp.
 func publishFile(fsys vfs.FS, path string, w io.WriterTo) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return err
+		return fmt.Errorf("era: publishing %s: %w", path, err)
 	}
-	if _, err := w.WriteTo(f); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	_, err = w.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if err == nil {
+		err = fsys.Rename(tmp, path)
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
+	if err != nil {
 		fsys.Remove(tmp)
-		return err
+		return fmt.Errorf("era: publishing %s: %w", path, err)
 	}
 	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("era: syncing directory after publishing %s: %w", path, err)

@@ -427,6 +427,21 @@ func TestWriteFileCrashPoints(t *testing.T) {
 				}
 				noTmp(t, path)
 			})
+
+			// The tmp is publishFile's own business: a failure to create it
+			// names the file the caller asked for.
+			t.Run("create-fails", func(t *testing.T) {
+				path := withOld(t)
+				ffs := vfs.NewFault(nil)
+				ffs.FailOp(vfs.OpCreate, 1)
+				err := publishFile(ffs, path, next)
+				if !errors.Is(err, vfs.ErrInjected) || !strings.Contains(err.Error(), path) || strings.Contains(err.Error(), path+".tmp") {
+					t.Fatalf("publishFile with a failing Create returned %v, want the injected fault naming %s and not its tmp", err, path)
+				}
+				if opens(t, path) {
+					t.Fatal("a write whose Create failed replaced the old image")
+				}
+			})
 		})
 	}
 }
