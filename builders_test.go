@@ -357,7 +357,7 @@ func TestInMemoryBuildHoldsOneSuffixArray(t *testing.T) {
 	var shards []suffixtree.Shard
 	got := allocatedBy(func() {
 		var err error
-		if shards, err = buildInMemory(alphabet.DNA, text, 1); err != nil {
+		if shards, err = buildInMemory(alphabet.DNA, text, 1, heapSink{}); err != nil {
 			t.Error(err)
 		}
 	})

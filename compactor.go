@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -15,9 +16,14 @@ import (
 // makes both durable.
 //
 // File discipline is the one every index file follows: tier files and the
-// manifest are published by publishFile (persist.go) — written to a
-// temporary name, fsynced, renamed into place, the directory fsynced —
-// never rewritten. Replaced tier files are unlinked
+// manifest are written to a temporary name, fsynced, renamed into place and
+// the directory fsynced (commitFile, persist.go), never rewritten. The
+// manifest is streamed (publishFile); a tier is built in its tmp file, which
+// is reserved and mapped at its final size so the build writes the string,
+// the suffix array and the records where they are published
+// (buildTierFile) — streamed from the heap only where blocks cannot be
+// reserved. A build that fails or is cancelled removes its tmp; what a crash
+// leaves, NewLive removes (sweep). Replaced tier files are unlinked
 // immediately after the manifest swap; snapshots still reading them are
 // safe because their mmap keeps the inode alive until the last reference
 // drains (the tierHandle refcount closes the mapping, which releases the
@@ -32,9 +38,11 @@ const (
 	// ".idx" suffix means Engine.LoadDir picks it up like any index file;
 	// OpenIndex recognizes the kind-2 header and opens the live directory.
 	liveManifestName = "live.idx"
-	// liveTierPattern names sealed tier files. The ".tier" suffix keeps
-	// LoadDir from double-loading them alongside the manifest.
+	// liveTierPattern names sealed tier files, and liveTierGlob matches
+	// them. The ".tier" suffix keeps LoadDir from double-loading them
+	// alongside the manifest.
 	liveTierPattern = "tier-%06d.tier"
+	liveTierGlob    = "tier-*.tier"
 )
 
 // Seal forces the memtable into a sealed tier (a v4 file in directory mode)
@@ -75,9 +83,9 @@ func (lx *LiveIndex) compactIf(full bool) error {
 	return lx.compact()
 }
 
-// sealLocked converts the memtable into a sealed tier — the one build its
-// documents get, tombstoned ones included (they are filtered at query time
-// like any tier's) — and publishes the new stack; full reports that it holds
+// sealLocked converts the memtable into a sealed tier — one build over its
+// documents, tombstoned ones included (they are filtered at query time like
+// any tier's) — and publishes the new stack; full reports that it holds
 // MaxTiers tiers. A failed build or tier write leaves the memtable serving as
 // it was. A seal covers at most one memtable: nothing cancels it. Caller
 // holds mu.
@@ -155,7 +163,8 @@ func (lx *LiveIndex) compact() error {
 // compaction pays needs: the documents of the given tiers (all, or only the
 // survivors), the alphabet and a reserved tier number. The build it returns
 // needs no lock (ctx stops ERA); its tier is the heap-resident index, or in
-// directory mode a tier file written from its sections and mapped back in.
+// directory mode a tier file the build writes in place (buildTierFile),
+// mapped back in.
 func (lx *LiveIndex) buildTierLocked(from []*tierState, liveOnly bool) func(ctx context.Context) (*tierState, error) {
 	var (
 		docs  [][]byte
@@ -185,16 +194,19 @@ func (lx *LiveIndex) buildTierLocked(from []*tierState, liveOnly bool) func(ctx 
 		if len(docs) == 0 {
 			return nil, nil
 		}
-		idx, err := build(ctx, docs, &bcfg)
-		if err != nil {
-			return nil, err
-		}
-		file := ""
-		if lx.dir != "" {
-			file = fmt.Sprintf(liveTierPattern, seq)
-			if idx, err = lx.writeTierFile(file, idx); err != nil {
+		if lx.dir == "" {
+			idx, err := build(ctx, docs, &bcfg)
+			if err != nil {
 				return nil, err
 			}
+			return sealedTier(idx, "", ids, dead, nDead), nil
+		}
+		// The manifest written next will point at the tier, so its
+		// directory entry is durable before the build returns.
+		file := fmt.Sprintf(liveTierPattern, seq)
+		idx, err := buildTierFile(ctx, lx.fs, filepath.Join(lx.dir, file), docs, &bcfg)
+		if err != nil {
+			return nil, err
 		}
 		return sealedTier(idx, file, ids, dead, nDead), nil
 	}
@@ -218,27 +230,6 @@ func (lx *LiveIndex) commitTiersLocked() (errs []error) {
 	}
 	lx.publishLocked()
 	return errs
-}
-
-// writeTierFile writes idx as a v4 tier file (publishFile) and maps it back
-// in, returning the mapped replacement.
-func (lx *LiveIndex) writeTierFile(file string, idx *Index) (*Index, error) {
-	// The manifest written next will point at the tier, so publishFile makes
-	// its directory entry durable first.
-	path := filepath.Join(lx.dir, file)
-	if err := publishFile(lx.fs, path, idx); err != nil {
-		return nil, err
-	}
-	opened, err := OpenIndex(path)
-	if err != nil {
-		return nil, fmt.Errorf("era: reopening sealed tier: %w", err)
-	}
-	mono, ok := opened.(*Index)
-	if !ok {
-		opened.Close()
-		return nil, fmt.Errorf("era: sealed tier %s is not a monolithic index", path)
-	}
-	return mono, nil
 }
 
 // writeManifestLocked swaps the manifest (publishFile). Caller holds mu; the
@@ -322,6 +313,49 @@ func (lx *LiveIndex) loadManifest(path string) error {
 		lx.writeManifestLocked()
 	}
 	return nil
+}
+
+// liveLeftover reports whether name, a file in a live directory whose
+// manifest lists the tier files in listed, is one a crash left behind: a tier
+// file the manifest does not list — published but never listed, or folded by
+// a compaction whose unlinks did not run — or a *.tmp, a publish that never
+// renamed. Quarantined tiers (*.quarantine) are neither.
+func liveLeftover(name string, listed map[string]bool) bool {
+	if strings.HasSuffix(name, ".tmp") {
+		return true
+	}
+	tier, _ := filepath.Match(liveTierGlob, name)
+	return tier && !listed[name]
+}
+
+// sweep removes the leftovers (liveLeftover) of the loaded manifest's
+// directory and syncs it, best-effort: a file it cannot remove is harmless,
+// and the next open tries again. Removing an unlisted tier loses nothing,
+// because the WAL rotates only after a manifest that lists a tier is
+// durable: until then the tier's documents are still in the log. A tier
+// whose quarantine rename failed keeps its name. Runs during NewLive, after
+// loadManifest and before any concurrency exists.
+func (lx *LiveIndex) sweep() {
+	keep := map[string]bool{}
+	for _, st := range lx.sealed {
+		keep[st.h.file] = true
+	}
+	for _, q := range lx.quarantined {
+		keep[q] = true
+	}
+	entries, err := lx.fs.ReadDir(lx.dir)
+	if err != nil {
+		return
+	}
+	removed := false
+	for _, e := range entries {
+		if !e.IsDir() && liveLeftover(e.Name(), keep) {
+			removed = lx.fs.Remove(filepath.Join(lx.dir, e.Name())) == nil || removed
+		}
+	}
+	if removed {
+		lx.fs.SyncDir(lx.dir)
+	}
 }
 
 // openLiveTier opens and fully validates one sealed tier file: it must be a

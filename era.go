@@ -24,6 +24,7 @@
 package era
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -190,9 +191,9 @@ func checkCorpusSize(total int64) error {
 	return nil
 }
 
-// build is the whole-tree case of buildShards.
+// build is the whole-tree case of buildShards, on the heap.
 func build(ctx context.Context, docs [][]byte, cfg *Config) (*Index, error) {
-	shards, err := buildShards(ctx, docs, cfg, 1)
+	shards, err := buildShards(ctx, docs, cfg, 1, heapSink{})
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +205,12 @@ func build(ctx context.Context, docs [][]byte, cfg *Config) (*Index, error) {
 // into k prefix ranges of the suffix order (suffixtree.AssembleShards; k is
 // capped at the suffix count), one Index per range. Every range views the one
 // string and document map: a shard's tree holds its range, but it answers
-// over all of S. An ERA build stops when ctx does (core.Options.Context); the
-// suffix-array builder, bounded by the budget, is not interrupted.
-func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int) ([]*Index, error) {
+// over all of S. The string, the suffix array and the tree sections are the
+// arrays sink hands out, in that order (a fileSink's are a mapped tier file's
+// sections; k is then 1). An ERA build stops when ctx does
+// (core.Options.Context); the suffix-array builder, bounded by the budget, is
+// not interrupted.
+func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int, sink imageSink) ([]*Index, error) {
 	cfg := cfgp.withDefaults()
 	if cfg.Target != TargetFlat {
 		return nil, fmt.Errorf("era: unknown build target %d", cfg.Target)
@@ -219,36 +223,39 @@ func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int) ([]*In
 	if err := checkCorpusSize(total); err != nil {
 		return nil, err
 	}
-	data := make([]byte, 0, total+1)
-	docEnds := make([]int32, len(docs))
 	for i, d := range docs {
-		for _, b := range d {
-			if b == alphabet.Terminator {
-				return nil, fmt.Errorf("era: document %d contains the reserved terminator byte %q", i, alphabet.Terminator)
-			}
+		if bytes.IndexByte(d, alphabet.Terminator) >= 0 {
+			return nil, fmt.Errorf("era: document %d contains the reserved terminator byte %q", i, alphabet.Terminator)
 		}
-		data = append(data, d...)
-		docEnds[i] = int32(len(data))
 	}
-	data = append(data, alphabet.Terminator)
-
 	alpha := cfg.Alphabet
 	if alpha == nil {
+		var seen [256]bool
+		markSeen(&seen, docs)
 		var err error
-		alpha, err = detectAlphabet(data[:len(data)-1])
-		if err != nil {
+		if alpha, err = alphabetFromSeen(&seen); err != nil {
 			return nil, err
 		}
 	}
+	data, err := sink.text(int(total)+1, len(docs), alpha)
+	if err != nil {
+		return nil, err
+	}
+	docEnds := make([]int32, len(docs))
+	off := 0
+	for i, d := range docs {
+		off += copy(data[off:], d)
+		docEnds[i] = int32(off)
+	}
+	data[off] = alphabet.Terminator
 
 	var shards []suffixtree.Shard
 	var stats BuildStats
-	var err error
 	if cfg.Mode == Serial && inMemoryBytesPerSymbol*int64(len(data)) <= cfg.MemoryBudget {
-		shards, err = buildInMemory(alpha, data, k)
+		shards, err = buildInMemory(alpha, data, k, sink)
 		stats = BuildStats{InMemory: true, SubTrees: 1}
 	} else {
-		shards, stats, err = buildERA(ctx, alpha, data, &cfg, k)
+		shards, stats, err = buildERA(ctx, alpha, data, &cfg, k, sink)
 	}
 	if err != nil {
 		return nil, err
@@ -268,9 +275,9 @@ func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int) ([]*In
 
 // suffixOrder returns the suffix array of the terminated text and the LCP
 // of each suffix with its predecessor, both in rank order and freshly
-// allocated: the kernel of the in-memory builder and of lcs
-// (commonSubstring). The live index's lrs / topk sort in memory kept between
-// calls (suffixOrderAnswer).
+// allocated: the kernel of lcs (commonSubstring), and what the in-memory
+// builder computes into its sink's suffix array. The live index's lrs / topk
+// sort in memory kept between calls (suffixOrderAnswer).
 func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 	if sa, err = suffixarray.Build(text); err != nil {
 		return nil, nil, err
@@ -279,24 +286,28 @@ func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 }
 
 // buildInMemory is the builder for inputs the budget can hold whole: the
-// sorted suffix stream of data is its suffix array with the LCP array, and
-// that suffix array becomes the leaf sections of the trees as it is. It
-// shares nothing with ERA below suffixtree.AssembleShards, which emits the
-// same sections from either.
-func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int) ([]suffixtree.Shard, error) {
+// sorted suffix stream of data is its suffix array, sorted into the array
+// sink hands out, with the LCP array, and that suffix array becomes the leaf
+// sections of the trees as it is. It shares nothing with ERA below
+// suffixtree.AssembleShards, which emits the same sections from either.
+func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int, sink imageSink) ([]suffixtree.Shard, error) {
 	if err := alpha.Validate(data); err != nil {
 		return nil, err
 	}
-	sa, lcp, err := suffixOrder(data)
+	sa, err := sink.Leaves(len(data))
 	if err != nil {
 		return nil, err
 	}
-	return suffixtree.AssembleShards(data, sa, lcp, k)
+	if err := suffixarray.BuildInto(data, sa); err != nil {
+		return nil, err
+	}
+	return suffixtree.AssembleShards(data, sa, suffixarray.LCP(data, sa), k, sink)
 }
 
 // buildERA publishes data on a simulated disk and runs the paper's algorithm
-// over it in the configured architecture.
-func buildERA(ctx context.Context, alpha *alphabet.Alphabet, data []byte, cfg *Config, k int) ([]suffixtree.Shard, BuildStats, error) {
+// over it in the configured architecture, its groups writing the suffix array
+// sink hands out and its assembly the tree sections.
+func buildERA(ctx context.Context, alpha *alphabet.Alphabet, data []byte, cfg *Config, k int, sink imageSink) ([]suffixtree.Shard, BuildStats, error) {
 	model := sim.DefaultModel()
 	if cfg.DiskModel != nil {
 		model = *cfg.DiskModel
@@ -312,6 +323,7 @@ func buildERA(ctx context.Context, alpha *alphabet.Alphabet, data []byte, cfg *C
 		SkipSeek:     cfg.SkipSeek,
 		AssembleFlat: true,
 		Shards:       k,
+		Sink:         sink,
 		Context:      ctx,
 	}
 	var res *core.Result
@@ -338,19 +350,9 @@ func buildERA(ctx context.Context, alpha *alphabet.Alphabet, data []byte, cfg *C
 	}, nil
 }
 
-// detectAlphabet picks a predefined alphabet covering the data, or derives
-// a custom one from its distinct bytes.
-func detectAlphabet(data []byte) (*alphabet.Alphabet, error) {
-	var seen [256]bool
-	for _, b := range data {
-		seen[b] = true
-	}
-	return alphabetFromSeen(&seen)
-}
-
-// alphabetFromSeen resolves the byte-presence set to a predefined or custom
-// alphabet; a live index uses it to keep one alphabet over documents it never
-// concatenates.
+// alphabetFromSeen resolves the byte-presence set (markSeen) to a predefined
+// or custom alphabet: a build's, before it places the string, and a live
+// index's over documents it never concatenates.
 func alphabetFromSeen(seen *[256]bool) (*alphabet.Alphabet, error) {
 	distinct := make([]byte, 0, 64)
 	for b := 0; b < 256; b++ {

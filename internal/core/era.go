@@ -62,6 +62,10 @@ type Options struct {
 	// era.BuildShardedCorpus serves; 0 and 1 are the one whole tree, which
 	// Result.Flat also holds.
 	Shards int
+	// Sink supplies, under AssembleFlat, the suffix array the groups write
+	// and the node and symbol sections of each assembled tree; nil allocates
+	// them (suffixtree.HeapSink).
+	Sink suffixtree.Sink
 	// WriteTrees serializes every finished sub-tree to the disk (charged
 	// I/O), as the real system does.
 	WriteTrees bool
@@ -218,7 +222,7 @@ func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res.Shards, res.Flat, err = res.order.assemble(raw, opts.Shards); err != nil {
+		if res.Shards, res.Flat, err = res.order.assemble(raw, opts.Shards, sinkOf(opts)); err != nil {
 			return nil, err
 		}
 	}

@@ -20,7 +20,8 @@ type suffixOrder struct {
 }
 
 // newSuffixOrder gives every prefix of groups its Rank in the suffix order
-// of an n-symbol string, allocates the order, writes every window's join and
+// of an n-symbol string, takes the suffix array from opts.Sink and allocates
+// the LCP array, writes every window's join and
 // hands the order to ctxs — under opts.AssembleFlat; otherwise it returns
 // the zero order, and each context takes its windows from its own slab. The
 // labels are prefix-free and their frequencies count every suffix, so in
@@ -42,7 +43,11 @@ func newSuffixOrder(opts Options, groups []Group, n int, ctxs ...*buildContext) 
 		return suffixOrder{}, fmt.Errorf("core: the sub-tree labels cover %d of %d suffixes", total, n)
 	}
 	slices.SortFunc(ps, func(a, b *Prefix) int { return bytes.Compare(a.Label, b.Label) })
-	ord := suffixOrder{sa: make([]int32, n), lcp: make([]int32, n), windows: make([]Prefix, len(ps))}
+	sa, err := sinkOf(opts).Leaves(n)
+	if err != nil {
+		return suffixOrder{}, err
+	}
+	ord := suffixOrder{sa: sa, lcp: make([]int32, n), windows: make([]Prefix, len(ps))}
 	var rank int64
 	for i, p := range ps {
 		if i > 0 {
@@ -63,12 +68,21 @@ func newSuffixOrder(opts Options, groups []Group, n int, ctxs ...*buildContext) 
 	return ord, nil
 }
 
+// sinkOf returns the sink a flat build writes its image into.
+func sinkOf(opts Options) suffixtree.Sink {
+	if opts.Sink == nil {
+		return suffixtree.HeapSink{}
+	}
+	return opts.Sink
+}
+
 // assemble cuts the suffix order into k prefix ranges, each a tree of its
 // own (suffixtree.AssembleShards; k ≤ 1 is the whole tree, which whole also
-// returns). The trees' leaf sections are windows of o.sa, which the build
-// owns and nothing writes after its groups.
-func (o suffixOrder) assemble(raw []byte, k int) (shards []suffixtree.Shard, whole *suffixtree.Flat, err error) {
-	shards, err = suffixtree.AssembleShards(raw, o.sa, o.lcp, k)
+// returns) whose records go where sink puts them. The trees' leaf sections
+// are windows of o.sa, which the build owns and nothing writes after its
+// groups.
+func (o suffixOrder) assemble(raw []byte, k int, sink suffixtree.Sink) (shards []suffixtree.Shard, whole *suffixtree.Flat, err error) {
+	shards, err = suffixtree.AssembleShards(raw, o.sa, o.lcp, k, sink)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: assembling flat image: %w", err)
 	}

@@ -177,7 +177,7 @@ func TestFlatBuildAllocatesItsOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, _, err := res.order.assemble(raw, 1); err != nil {
+		if _, _, err := res.order.assemble(raw, 1, sinkOf(Options{})); err != nil {
 			t.Fatal(err)
 		}
 	})

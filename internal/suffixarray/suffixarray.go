@@ -41,6 +41,20 @@ func Build(s []byte) ([]int32, error) {
 	return sa, nil
 }
 
+// BuildInto is Build writing the suffix array into sa, which must hold
+// exactly len(s) entries: memory the caller owns, such as the leaf section
+// of a mapped image.
+func BuildInto(s []byte, sa []int32) error {
+	if err := checkTerminated(s); err != nil {
+		return err
+	}
+	if len(sa) != len(s) {
+		return fmt.Errorf("suffixarray: %d entries for the suffix array of %d bytes", len(sa), len(s))
+	}
+	sais(s, sa, 256, nil, &spare{})
+	return nil
+}
+
 // checkTerminated reports why s cannot be sorted, if it cannot.
 func checkTerminated(s []byte) error {
 	n := len(s)

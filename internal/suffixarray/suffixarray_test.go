@@ -73,6 +73,16 @@ func TestBuildSmall(t *testing.T) {
 		if !equal32(got, want) {
 			t.Errorf("Build(%q) = %v, want %v", c, got, want)
 		}
+		into := make([]int32, len(s))
+		for i := range into {
+			into[i] = -7 // whatever the destination held before
+		}
+		if err := BuildInto(s, into); err != nil || !equal32(into, want) {
+			t.Errorf("BuildInto(%q) = %v (%v), want %v", c, into, err, want)
+		}
+		if err := BuildInto(s, into[1:]); err == nil {
+			t.Errorf("BuildInto(%q) into %d entries succeeded", c, len(into)-1)
+		}
 	}
 }
 

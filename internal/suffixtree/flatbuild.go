@@ -89,28 +89,36 @@ func (b *FlatBuilder) put(n *fbRec, i int, sym byte) {
 // them, or one range of the suffix order — in lexicographic order. sa becomes
 // the tree's leaf section as it is, so the caller hands over an array it
 // owns: the image reads it for as long as it lives. internal is an upper
-// bound on the internal nodes below the root (AssembleShards counts them
-// exactly), so the image's node and symbol sections are allocated here, once,
-// and Finish hands out those same arrays. (A stream that exceeds the bound
-// still builds; it only reallocates.) A tree whose ids would not fit the
-// layout's 31 bits is refused before anything is allocated.
+// bound on the internal nodes below the root, so the image's node and symbol
+// sections are allocated here, once, and Finish hands out those same arrays;
+// a stream that exceeds the bound fails. (AssembleShards counts the nodes
+// exactly and builds into its Sink's sections instead.) A tree whose ids
+// would not fit the layout's 31 bits is refused before anything is
+// allocated.
 func NewFlatBuilder(data []byte, sa []int32, internal int) (*FlatBuilder, error) {
-	n, leaves := len(data), len(sa)
+	if err := checkBounds(len(sa), len(data), internal); err != nil {
+		return nil, err
+	}
+	nodes, sym, _ := HeapSink{}.Tree(internal + 1)
+	return newFlatBuilder(data, sa, nodes, sym), nil
+}
+
+// checkBounds refuses a tree of leaves suffixes over an n-byte string, with
+// internal nodes below the root, that the layout cannot hold.
+func checkBounds(leaves, n, internal int) error {
 	if leaves < 1 || leaves > n {
-		return nil, fmt.Errorf("suffixtree: a tree of %d leaves over a %d-byte string", leaves, n)
+		return fmt.Errorf("suffixtree: a tree of %d leaves over a %d-byte string", leaves, n)
 	}
 	if internal < 0 || int64(internal) >= math.MaxInt32-int64(leaves) { // internal + the root + the leaves
-		return nil, fmt.Errorf("suffixtree: %d internal nodes over %d leaves exceed the flat layout's bounds", internal, leaves)
+		return fmt.Errorf("suffixtree: %d internal nodes over %d leaves exceed the flat layout's bounds", internal, leaves)
 	}
-	intCap := internal + 1
-	return &FlatBuilder{
-		data:   data,
-		n:      int32(n),
-		sa:     sa,
-		nodes:  make([]byte, FlatNodesLen(int64(intCap))),
-		sym:    make([]byte, FlatSymLen(int64(intCap))),
-		intCap: int32(intCap),
-	}, nil
+	return nil
+}
+
+// newFlatBuilder starts a build into the node and symbol sections given,
+// sized for len(sym)/2 internal records.
+func newFlatBuilder(data []byte, sa []int32, nodes, sym []byte) *FlatBuilder {
+	return &FlatBuilder{data: data, n: int32(len(data)), sa: sa, nodes: nodes, sym: sym, intCap: int32(len(sym) / 2)}
 }
 
 // leafSection returns the suffix array sa as the leaf section: a view of its
@@ -246,29 +254,13 @@ func (b *FlatBuilder) writeKids(rec *fbRec, kids []fbRec) error {
 	return nil
 }
 
-// reserve makes room for k more internal records. Within the bound
-// NewFlatBuilder was given it does nothing; past it the sections move to
-// larger arrays, the written records keeping their distance from the end of
-// the records.
+// reserve checks that k more internal records fit the bound the sections
+// were sized for. They never move — a Sink's may be a mapped file's — so a
+// stream past the bound is an error.
 func (b *FlatBuilder) reserve(k int32) error {
-	need := int64(b.nInt) + int64(k)
-	if need <= int64(b.intCap) {
-		return nil
+	if int64(b.nInt)+int64(k) > int64(b.intCap) {
+		return fmt.Errorf("suffixtree: flat build needs more than the %d internal nodes its sections hold", b.intCap)
 	}
-	limit := math.MaxInt32 - int64(len(b.sa))
-	if need > limit {
-		return fmt.Errorf("suffixtree: %d nodes exceed the flat layout's bounds", need+int64(len(b.sa)))
-	}
-	grown := min(max(2*int64(b.intCap), need), limit)
-	nodes := make([]byte, FlatNodesLen(grown))
-	sym := make([]byte, FlatSymLen(grown))
-	// The written records end the node section; the written symbols and
-	// counts end their halves of the symbol section.
-	used, to := int(b.intCap-b.nInt), int(grown)-int(b.nInt)
-	copy(nodes[to*flatNodeSize:], b.nodes[used*flatNodeSize:])
-	copy(sym[to:], b.sym[used:b.intCap])
-	copy(sym[int(grown)+to:], b.sym[int(b.intCap)+used:])
-	b.nodes, b.sym, b.intCap = nodes, sym, int32(grown)
 	return nil
 }
 
@@ -348,7 +340,7 @@ func Flatten(t *Tree, data []byte) (*Flat, error) {
 		}
 		return true
 	})
-	shards, err := AssembleShards(data, sa, lcps, 1)
+	shards, err := AssembleShards(data, sa, lcps, 1, HeapSink{})
 	if err != nil {
 		return nil, fmt.Errorf("suffixtree: flatten: %w", err)
 	}

@@ -144,7 +144,7 @@ func TestFlatBuilderDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus %d: Finish: %v", ci, err)
 		}
-		whole, err := AssembleShards(term, sa, lcp, 1)
+		whole, err := AssembleShards(term, sa, lcp, 1, HeapSink{})
 		if err != nil {
 			t.Fatalf("corpus %d: AssembleShards: %v", ci, err)
 		}
@@ -252,9 +252,10 @@ func TestFlatBuilderErrors(t *testing.T) {
 // given the exact internal-node count (what AssembleShards counts from the
 // LCPs), the node and symbol sections Finish hands out are the arrays the
 // constructor allocated, and the leaf section is the suffix array it was
-// handed — its memory, where the host allows a view, else its bytes; the
-// pending stack stays a few node fan-outs deep per level of the open path;
-// and Finish itself allocates nothing that scales with the tree.
+// handed — its memory, where the host allows a view, else its bytes; a bound
+// one short fails the build instead of moving the sections; the pending
+// stack stays a few node fan-outs deep per level of the open path; and
+// Finish itself allocates nothing that scales with the tree.
 func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, syms := range []string{"ab", "ACGT", "abcdefghijklmnopqrstuvwxyz"} {
@@ -270,22 +271,27 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 			}
 		}
 
-		// Sized for no internal node at all, a first stream takes the regrowth
-		// path the whole way, and tells the count.
-		under := newBuilder(t, term, sa, 0)
-		stream(under)
-		want, err := under.Finish()
+		// Sized loosely, a first stream tells the count.
+		loose := newBuilder(t, term, sa, len(term))
+		stream(loose)
+		want, err := loose.Finish()
 		if err != nil {
-			t.Fatalf("%q: under-sized build: %v", syms, err)
+			t.Fatalf("%q: loosely sized build: %v", syms, err)
 		}
 		ft, err := NewFlatTree(term, want.Nodes, want.Sym, nil, nil, want.LeafData, want.NLeaves)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := ValidateView(ft, nil, nil); err != nil {
-			t.Fatalf("%q: under-sized build: %v", syms, err)
+			t.Fatalf("%q: loosely sized build: %v", syms, err)
 		}
 		internal := int(want.NNodes-want.NLeaves) - 1
+		short := newBuilder(t, term, sa, internal-1)
+		if err := short.Stream(lcp); err == nil {
+			if _, err = short.Finish(); err == nil {
+				t.Fatalf("%q: a build sized one internal node short succeeded", syms)
+			}
+		}
 
 		// AllocsPerRun calls its function once to warm up.
 		const runCount = 2
@@ -331,7 +337,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 			t.Errorf("%q: an exact count left %d node and %d symbol bytes unused", syms, cap(fl.Nodes)-len(fl.Nodes), cap(fl.Sym)-len(fl.Sym))
 		}
 		if !bytes.Equal(fl.Nodes, want.Nodes) || !bytes.Equal(fl.Sym, want.Sym) {
-			t.Errorf("%q: the under-sized build's sections differ from the sized build's", syms)
+			t.Errorf("%q: the loosely sized build's sections differ from the exactly sized build's", syms)
 		}
 		if n := cap(fl.Dense) + cap(fl.LeafIdx); n != 0 {
 			t.Errorf("%q: %d bytes of dense tables or a leaf index allocated; the layout has neither", syms, n)

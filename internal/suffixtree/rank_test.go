@@ -32,7 +32,7 @@ func rankImages(t testing.TB, a *alphabet.Alphabet, term []byte) map[string]*suf
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := suffixtree.AssembleShards(term, sa, suffixarray.LCP(term, sa), 1)
+	shards, err := suffixtree.AssembleShards(term, sa, suffixarray.LCP(term, sa), 1, suffixtree.HeapSink{})
 	if err != nil {
 		t.Fatal(err)
 	}

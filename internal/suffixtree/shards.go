@@ -19,6 +19,29 @@ func InRange(s, lo, hi []byte) bool {
 	return bytes.Compare(s, lo) >= 0 && (len(hi) == 0 || bytes.Compare(s, hi) < 0)
 }
 
+// A Sink supplies the arrays a flat build writes its image into, each at its
+// final size: the suffix array, which becomes the leaf section, before the
+// sort writes it, and each tree's node and symbol sections once its internal
+// nodes are counted. HeapSink allocates them; a sink over a mapped file
+// hands out its sections, so the image is built where it is published.
+type Sink interface {
+	// Leaves returns room for the n-entry suffix array.
+	Leaves(n int) ([]int32, error)
+	// Tree returns the node and symbol sections of a tree with nInt internal
+	// nodes, the root included: FlatNodesLen(nInt) and FlatSymLen(nInt)
+	// bytes.
+	Tree(nInt int) (nodes, sym []byte, err error)
+}
+
+// HeapSink is the Sink that allocates every array.
+type HeapSink struct{}
+
+func (HeapSink) Leaves(n int) ([]int32, error) { return make([]int32, n), nil }
+
+func (HeapSink) Tree(nInt int) (nodes, sym []byte, err error) {
+	return make([]byte, FlatNodesLen(int64(nInt))), make([]byte, FlatSymLen(int64(nInt))), nil
+}
+
 // AssembleShards builds the suffix tree of data from its suffix array sa
 // and LCP array lcp (lcp[i] the longest common prefix of sa[i] and sa[i-1];
 // lcp[0] is not read) as k trees, each over one contiguous range of the
@@ -32,8 +55,9 @@ func InRange(s, lo, hi []byte) bool {
 // patterns are a proper prefix of one — those are the patterns whose
 // occurrences two shards share. Each tree is sized exactly before it is
 // built: its internal nodes are the LCP intervals of positive depth inside
-// its range, counted in one pass over the LCPs, not over any image.
-func AssembleShards(data []byte, sa, lcp []int32, k int) ([]Shard, error) {
+// its range, counted in one pass over the LCPs, not over any image, and its
+// node and symbol sections are the ones sink hands out for that count.
+func AssembleShards(data []byte, sa, lcp []int32, k int, sink Sink) ([]Shard, error) {
 	n := len(sa)
 	if n != len(data) || len(lcp) != n {
 		return nil, fmt.Errorf("suffixtree: %d suffixes and %d lcp entries over a %d-byte string", n, len(lcp), len(data))
@@ -60,10 +84,14 @@ func AssembleShards(data []byte, sa, lcp []int32, k int) ([]Shard, error) {
 				internal++
 			}
 		}
-		fb, err := NewFlatBuilder(data, sa[a:b], internal)
+		if err := checkBounds(b-a, n, internal); err != nil {
+			return nil, err
+		}
+		nodes, sym, err := sink.Tree(internal + 1)
 		if err != nil {
 			return nil, err
 		}
+		fb := newFlatBuilder(data, sa[a:b], nodes, sym)
 		if err := fb.Stream(lcp[a:b]); err != nil {
 			return nil, err
 		}

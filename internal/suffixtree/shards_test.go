@@ -9,10 +9,25 @@ import (
 	"era/internal/alphabet"
 )
 
+// recordSink is a HeapSink that remembers the tree sections it hands out,
+// short of the count by short records.
+type recordSink struct {
+	HeapSink
+	short int
+	trees [][2][]byte
+}
+
+func (r *recordSink) Tree(nInt int) (nodes, sym []byte, err error) {
+	nodes, sym, err = r.HeapSink.Tree(nInt - r.short)
+	r.trees = append(r.trees, [2][]byte{nodes, sym})
+	return nodes, sym, err
+}
+
 // TestAssembleShards pins the one assembly both builders feed: for every k
 // the shards tile the suffix order — each tree holds exactly the suffixes of
-// its range (ValidateView against its keys), in order, and its leaf section
-// is its window of the suffix array it was handed, not a copy — each lower key is the shortest prefix of the
+// its range (ValidateView against its keys), in order, its leaf section is
+// its window of the suffix array it was handed, not a copy, and its node and
+// symbol sections are the arrays its Sink handed out for the count — each lower key is the shortest prefix of the
 // range's first suffix that the suffix before it lacks, and each cut sits at
 // the smallest LCP within n/(8k) of its target, nearest the target on ties.
 func TestAssembleShards(t *testing.T) {
@@ -38,9 +53,18 @@ func TestAssembleShards(t *testing.T) {
 		sa, lcp := sortedStream(term, len(term))
 		n := len(term)
 		for k := 1; k <= 9; k++ {
-			shards, err := AssembleShards(term, sa, lcp, k)
+			sink := &recordSink{}
+			shards, err := AssembleShards(term, sa, lcp, k, sink)
 			if err != nil {
 				t.Fatalf("%s, k=%d: %v", name, k, err)
+			}
+			for i, sh := range shards {
+				if got := sink.trees[i]; len(sink.trees) != len(shards) || &sh.Nodes[0] != &got[0][0] || len(sh.Nodes) != len(got[0]) || &sh.Sym[0] != &got[1][0] || len(sh.Sym) != len(got[1]) {
+					t.Fatalf("%s, k=%d, shard %d: the node and symbol sections are not the arrays the sink handed out", name, k, i)
+				}
+			}
+			if _, err := AssembleShards(term, sa, lcp, k, &recordSink{short: 1}); err == nil {
+				t.Fatalf("%s, k=%d: an assembly into sections one record short of the count succeeded", name, k)
 			}
 			if len(shards) != min(k, n) {
 				t.Fatalf("%s, k=%d: %d shards over %d suffixes", name, k, len(shards), n)

@@ -19,6 +19,8 @@ const (
 	OpTruncate
 	OpSyncDir
 	OpOpenAppend
+	OpAllocate
+	OpMap
 )
 
 func (o Op) String() string {
@@ -39,6 +41,10 @@ func (o Op) String() string {
 		return "syncdir"
 	case OpOpenAppend:
 		return "open-append"
+	case OpAllocate:
+		return "allocate"
+	case OpMap:
+		return "map"
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
@@ -181,6 +187,8 @@ func (f *FaultFS) OpenAppend(name string) (File, error) {
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) { return f.Base.ReadFile(name) }
 
+func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) { return f.Base.ReadDir(name) }
+
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if _, err := f.step(OpRename, 0); err != nil {
 		return err
@@ -215,8 +223,8 @@ func (f *FaultFS) SyncDir(dir string) error {
 	return f.Base.SyncDir(dir)
 }
 
-// faultFile routes per-file writes and syncs through the parent's fault
-// schedule. Close is never failed: the interesting crash points are the
+// faultFile routes per-file writes, syncs, block reservations and mappings
+// through the parent's fault schedule. Close is never failed: the interesting crash points are the
 // data-moving operations, and a Close that fails after a crashed write adds
 // noise, not coverage.
 type faultFile struct {
@@ -244,6 +252,24 @@ func (ff *faultFile) Sync() error {
 		return err
 	}
 	return ff.f.Sync()
+}
+
+// Allocate and Map count as mutating operations: reserving blocks changes
+// the file, and a writable mapping is where a build's stores land. A crash
+// stops the build before either; stores through a mapping made before the
+// crash land only in a tmp file that is never renamed.
+func (ff *faultFile) Allocate(size int64) error {
+	if _, err := ff.fs.step(OpAllocate, 0); err != nil {
+		return err
+	}
+	return ff.f.Allocate(size)
+}
+
+func (ff *faultFile) Map(off int64, n int) ([]byte, error) {
+	if _, err := ff.fs.step(OpMap, 0); err != nil {
+		return nil, err
+	}
+	return ff.f.Map(off, n)
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }

@@ -62,6 +62,9 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := OS.SyncDir(dir); err != nil {
 		t.Fatalf("SyncDir: %v", err)
 	}
+	if es, err := OS.ReadDir(dir); err != nil || len(es) != 1 || es[0].Name() != "b.txt" {
+		t.Fatalf("ReadDir = %v, %v; want [b.txt]", es, err)
+	}
 	if err := OS.Remove(p2); err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +176,58 @@ func TestFaultFailOpOneShot(t *testing.T) {
 	}
 	if err := ffs.Rename(b, a); err != nil {
 		t.Fatalf("rename #3 (after one-shot): %v", err)
+	}
+}
+
+// TestAllocateAndMap pins the in-place write path: Allocate grows the file
+// with zeros, stores through a Map of it reach the file once synced, and
+// FaultFS counts, fails and crashes both operations. Where the platform
+// cannot reserve blocks, Allocate says so with errors.ErrUnsupported.
+func TestAllocateAndMap(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFault(nil)
+	p := filepath.Join(dir, "img")
+	f, err := ffs.Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	page := int64(os.Getpagesize())
+	if err := f.Allocate(2 * page); errors.Is(err, errors.ErrUnsupported) {
+		t.Skipf("no block reservation here: %v", err)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.Map(page, int(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(b, "mapped")
+	if err := Unmap(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(got)) != 2*page || string(got[page:page+6]) != "mapped" || got[0] != 0 {
+		t.Fatalf("the file holds %d bytes, %q at the mapped page", len(got), got[page:page+6])
+	}
+	if ffs.KindOps(OpAllocate) != 1 || ffs.KindOps(OpMap) != 1 {
+		t.Fatalf("counted %d allocations and %d mappings, want 1 and 1", ffs.KindOps(OpAllocate), ffs.KindOps(OpMap))
+	}
+	ffs.FailOp(OpMap, 2)
+	if _, err := f.Map(0, int(page)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("second Map: %v, want ErrInjected", err)
+	}
+	ffs.CrashAt(ffs.Ops() + 1)
+	if err := f.Allocate(3 * page); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Allocate at the crash point: %v, want ErrCrashed", err)
+	}
+	if fi, err := os.Stat(p); err != nil || fi.Size() != 2*page {
+		t.Fatalf("the crashed Allocate grew the file: %v %v", fi.Size(), err)
 	}
 }

@@ -20,9 +20,12 @@ import (
 // LSM-style tier stack. Appends land in an in-memory memtable that is never
 // indexed — an append costs a copy of its bytes, and queries scan the few
 // unsealed kilobytes in place — which seals into an immutable v4 tier once
-// full, through the one ERA build those documents ever get; deletes are
+// full: one build, from a suffix array when the build budget holds the
+// memtable (the default budget always does), by ERA otherwise; deletes are
 // per-document tombstones filtered at query time; compaction folds the
-// sealed tiers back into one. Every query surface of Queryable
+// sealed tiers back into one, rebuilding their surviving documents. In
+// directory mode each such build writes its tier straight into the tier's
+// file. Every query surface of Queryable
 // answers byte-identically to a from-scratch BuildCorpus over the surviving
 // documents in append order — LiveIndex trades none of the package's answer
 // discipline for mutability.
@@ -35,7 +38,7 @@ import (
 // invalidate result caches.
 //
 // Durability (directory mode, LiveConfig.Dir != ""): sealed tiers and the
-// manifest are written tmp+fsync+rename, never in place; every Append and
+// manifest are published tmp+fsync+rename, never rewritten; every Append and
 // Delete is fsynced to a write-ahead log (wal.log) before it acknowledges,
 // so even unsealed memtable contents survive a crash — reopening replays the
 // log tail. With Dir == "" the whole index is heap-resident and vanishes
@@ -143,8 +146,9 @@ type LiveConfig struct {
 	// (protein) per 32 KiB, growing linearly — 256 KiB costs 0.15–0.3 ms,
 	// 4 MiB 2–4 ms — and the 32 KiB default keeps it under one served point
 	// query (~50 µs). Raising MemtableMaxBytes seals, and later compacts,
-	// proportionally less often (each seal is one ERA build whose fixed cost
-	// dwarfs a small memtable's) and charges every read the longer scan.
+	// proportionally less often (each seal is a build, and a tier every
+	// query visits until the next compaction) and charges every read the
+	// longer scan.
 	MemtableMaxDocs  int
 	MemtableMaxBytes int64
 	// MaxTiers is the sealed-tier count at which a seal triggers compaction
@@ -180,8 +184,9 @@ func (c *LiveConfig) withLiveDefaults() LiveConfig {
 // otherwise the directory is initialized. A sealed tier that fails checksum
 // or shape validation is renamed aside (*.quarantine) and its documents
 // dropped; the rest of the corpus loads and serves (see LiveStats
-// Quarantined). name may be empty, in which case the manifest's saved name
-// or the directory base name is adopted.
+// Quarantined). What a crash left in the directory — tier files the manifest
+// does not list, *.tmp files — is removed. name may be empty, in which case
+// the manifest's saved name or the directory base name is adopted.
 func NewLive(name string, cfg *LiveConfig) (*LiveIndex, error) {
 	lx := &LiveIndex{name: name}
 	lx.cfg = cfg.withLiveDefaults()
@@ -210,6 +215,7 @@ func NewLive(name string, cfg *LiveConfig) (*LiveIndex, error) {
 			if err := lx.loadManifest(mpath); err != nil {
 				return nil, err
 			}
+			lx.sweep()
 		} else if !os.IsNotExist(err) {
 			return nil, err
 		} else if err := lx.writeManifestLocked(); err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // hookFS calls onCreate before each Create it passes on: the tests use it to
-// act at the point where a compaction publishes its tier.
+// act at the point where a compaction starts building its tier in its file.
 type hookFS struct {
 	vfs.FS
 	onCreate func(name string)
@@ -37,7 +37,8 @@ func isTierTmp(name string) bool {
 }
 
 // TestMutationsProceedDuringCompaction holds a compaction at the Create of
-// its tier file — after its build, before its swap — and requires an Append
+// its tier file — where its build into the file starts, outside the index's
+// mutex — and requires an Append
 // and the Delete of a document in one of the tiers being folded to return
 // meanwhile. The swap then tombstones the deleted document in the new tier,
 // so it stays gone, before and after reopen, and the mutation pause counts
@@ -128,7 +129,8 @@ func TestMutationsProceedDuringCompaction(t *testing.T) {
 // TestCloseCancelsCompaction closes a live index while it compacts the
 // repeat cliff's dup corpus (a random DNA document and its copy) by ERA, at a
 // budget too small for the suffix-array builder. Close stops the build
-// instead of waiting for it, and the reopened index still answers over both
+// instead of waiting for it, the build's tier file — mapped, half written —
+// is removed with it, and the reopened index still answers over both
 // documents from the tiers the compaction never replaced.
 func TestCloseCancelsCompaction(t *testing.T) {
 	n := 16 << 10
@@ -182,6 +184,9 @@ func TestCloseCancelsCompaction(t *testing.T) {
 	}
 	if closing > full/4 {
 		t.Fatalf("Close took %v during a compaction that takes %v uncancelled", closing, full)
+	}
+	if tmps := tmpFiles(t, dir); len(tmps) > 0 {
+		t.Fatalf("the cancelled in-place build left %v", tmps)
 	}
 	t.Logf("uncancelled compaction %v, Close during one %v", full, closing)
 

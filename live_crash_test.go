@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"era/internal/vfs"
@@ -130,6 +131,28 @@ func playCrashScript(lx *LiveIndex, script []crashStep) (acked *liveOracle, infl
 	return
 }
 
+// assertSwept requires a just-opened live directory to hold its manifest,
+// its WAL, the tiers the manifest lists and quarantined files, and nothing
+// else: whatever a crash left, the open removed.
+func assertSwept(t *testing.T, dir string, lx *LiveIndex) {
+	t.Helper()
+	keep := map[string]bool{liveManifestName: true, walName: true}
+	lx.mu.Lock()
+	for _, st := range lx.sealed {
+		keep[st.h.file] = true
+	}
+	lx.mu.Unlock()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !keep[e.Name()] && !strings.HasSuffix(e.Name(), ".quarantine") {
+			t.Errorf("the reopened directory holds %s, which its manifest does not list", e.Name())
+		}
+	}
+}
+
 func cloneOracle(o *liveOracle) *liveOracle {
 	c := &liveOracle{ids: append([]uint64(nil), o.ids...)}
 	for _, d := range o.docs {
@@ -143,7 +166,10 @@ func cloneOracle(o *liveOracle) *liveOracle {
 // reopens the directory and requires the recovered corpus to answer
 // byte-identically to a from-scratch build over the acknowledged mutations
 // (plus, at the implementation's option, the one mutation that was in flight
-// — durable-but-unacknowledged is allowed, lost-but-acknowledged never is).
+// — durable-but-unacknowledged is allowed, lost-but-acknowledged never is),
+// and the reopened directory to hold no file its manifest does not list
+// (assertSwept). The crash points include every block reservation and
+// mapping of the tiers built in place.
 func TestCrashPointMatrix(t *testing.T) {
 	script := crashScript()
 	cfg := func(dir string, ffs *vfs.FaultFS) *LiveConfig {
@@ -181,6 +207,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Fatalf("rehearsal reopen: %v", err)
 	}
 	checkLive(t, reopened, acked, rand.New(rand.NewSource(0)))
+	assertSwept(t, dir, reopened)
 	reopened.Close()
 
 	for k := 1; k <= n; k++ {
@@ -204,6 +231,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				t.Fatalf("reopen after crash: %v", err)
 			}
 			defer lx2.Close()
+			assertSwept(t, dir, lx2)
 
 			cand := acked
 			if inflight != nil && lx2.NumDocs() != len(acked.docs) {

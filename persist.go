@@ -115,19 +115,27 @@ func WriteFileV4(path string, q Queryable) error {
 	return q.WriteFile(path)
 }
 
-// publishFile is the one way a file reaches disk — index files, live tiers
-// and the live manifest: Create path + ".tmp", write w, Sync, Close, Rename
-// it over path, SyncDir its directory. The tmp is removed on any failure
-// before the rename, so path holds the old bytes or the new ones, never a
-// torn file; on nil return both the bytes and the directory entry naming
-// them are durable. Every error names path, not the tmp.
+// publishFile streams a file to disk — index files, the live manifest, and a
+// live tier where it cannot be built in place: Create path + ".tmp", write w,
+// then commitFile. A live tier built in place (fileSink) writes its tmp
+// through a mapping instead, and commits it the same way.
 func publishFile(fsys vfs.FS, path string, w io.WriterTo) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
+	f, err := fsys.Create(path + ".tmp")
 	if err != nil {
 		return fmt.Errorf("era: publishing %s: %w", path, err)
 	}
 	_, err = w.WriteTo(f)
+	return commitFile(fsys, f, path, err)
+}
+
+// commitFile finishes publishing path from f, its tmp, written unless err
+// says otherwise: Sync, Close, Rename it over path, SyncDir its directory.
+// The tmp is removed on any failure before the rename, so path holds the old
+// bytes or the new ones, never a torn file; on nil return both the bytes and
+// the directory entry naming them are durable. Every error names path, not
+// the tmp.
+func commitFile(fsys vfs.FS, f vfs.File, path string, err error) error {
+	tmp := path + ".tmp"
 	if err == nil {
 		err = f.Sync()
 	}

@@ -63,8 +63,10 @@ import (
 //	    offset, shard count.
 //
 // The leaf section sits ahead of the records, so its offset depends only on
-// |S| and the document count: a writer can place the suffix array before it
-// knows how many internal nodes the tree has.
+// |S| and the document count (and the meta's length): the in-place tier
+// writer (fileSink) maps it and sorts the suffix array into it before it
+// knows how many internal nodes the tree has, then grows the file for the
+// records once AssembleShards has counted them.
 //
 // The checksum block (flags bit 0) grows the header to v4HeaderLenCk bytes:
 //
@@ -578,15 +580,19 @@ func (p *padWriter) padTo(target int64) {
 
 // v4Meta packs the monolithic meta section: name, alphabet, and for a range
 // image the range's two keys.
-func (x *Index) v4Meta() []byte {
-	syms := x.alpha.Symbols()
-	meta := make([]byte, 0, 20+len(x.name)+len(x.alpha.Name())+len(syms)+len(x.lo)+len(x.hi))
-	for _, f := range [][]byte{[]byte(x.name), []byte(x.alpha.Name()), syms} {
+func (x *Index) v4Meta() []byte { return v4Meta(x.name, x.alpha, x.lo, x.hi) }
+
+// v4Meta packs the meta section of an image named name over alpha whose tree
+// holds the range [lo, hi) — the whole suffix order when both are empty.
+func v4Meta(name string, alpha *alphabet.Alphabet, lo, hi []byte) []byte {
+	syms := alpha.Symbols()
+	meta := make([]byte, 0, 20+len(name)+len(alpha.Name())+len(syms)+len(lo)+len(hi))
+	for _, f := range [][]byte{[]byte(name), []byte(alpha.Name()), syms} {
 		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(f)))
 		meta = append(meta, f...)
 	}
-	if x.partial() {
-		for _, key := range [][]byte{x.lo, x.hi} {
+	if len(lo) > 0 || len(hi) > 0 {
+		for _, key := range [][]byte{lo, hi} {
 			meta = binary.LittleEndian.AppendUint32(meta, uint32(len(key)))
 			meta = append(meta, key...)
 		}
@@ -603,12 +609,14 @@ var v4MonoSections = [6]struct {
 	off, slot int
 }{{"meta", 24, 0}, {"data", 40, 1}, {"docEnds", 56, 2}, {"leaves", 96, 5}, {"nodes", 72, 3}, {"sym", 88, 4}}
 
-// v4Offsets lays out the index's image, its meta metaLen bytes: the offsets
-// of its sections in file order, then the image length. Each section starts
-// on a page; the first, meta, right behind the header.
-func (x *Index) v4Offsets(metaLen int64) (offs [len(v4MonoSections) + 1]int64) {
-	f := x.tree.Sections()
-	lens := [...]int64{metaLen, int64(len(x.data)), 4 * int64(len(x.docEnds)), int64(len(f.LeafData)), int64(len(f.Nodes)), int64(len(f.Sym))}
+// v4Offsets lays out a monolithic image from its section lengths, given in
+// file order: the offsets of the sections, then the image length. Each section
+// starts on a page; the first, meta, right behind the header. It is the one
+// layout: WriteTo streams an index's sections to these offsets, and a
+// fileSink places each section there before the build writes it — the leaf
+// section's offset needs only the meta, data and docEnds lengths, so it is
+// placed before the records are counted.
+func v4Offsets(lens [len(v4MonoSections)]int64) (offs [len(v4MonoSections) + 1]int64) {
 	off := int64(v4HeaderLenCk)
 	for i, n := range lens {
 		offs[i] = off
@@ -616,6 +624,12 @@ func (x *Index) v4Offsets(metaLen int64) (offs [len(v4MonoSections) + 1]int64) {
 	}
 	offs[len(lens)] = offs[len(lens)-1] + lens[len(lens)-1]
 	return offs
+}
+
+// v4Offsets lays out the index's image, its meta metaLen bytes.
+func (x *Index) v4Offsets(metaLen int64) [len(v4MonoSections) + 1]int64 {
+	f := x.tree.Sections()
+	return v4Offsets([...]int64{metaLen, int64(len(x.data)), 4 * int64(len(x.docEnds)), int64(len(f.LeafData)), int64(len(f.Nodes)), int64(len(f.Sym))})
 }
 
 // v4Image is one monolithic image laid out: its header, checksums filled
@@ -627,8 +641,9 @@ type v4Image struct {
 	offs [len(v4MonoSections) + 1]int64
 }
 
-// v4Image lays out the index's image: what WriteTo writes, and what
-// Fingerprint reads the header checksum of.
+// v4Image lays out the index's image: what WriteTo writes, what a fileSink
+// writes the header, meta and document ends of around the sections built in
+// place, and what Fingerprint reads the header checksum of.
 func (x *Index) v4Image() v4Image {
 	meta := x.v4Meta()
 	f := x.tree.Sections()

@@ -119,7 +119,7 @@ func BuildShardedCorpus(docs [][]byte, cfg *ShardConfig) (*ShardedIndex, error) 
 	}
 	// The file format caps the shard count; clamping here keeps every
 	// buildable index writable instead of failing after the build.
-	built, err := buildShards(context.Background(), docs, buildCfg, min(shards, maxV4Shards))
+	built, err := buildShards(context.Background(), docs, buildCfg, min(shards, maxV4Shards), heapSink{})
 	if err != nil {
 		return nil, err
 	}

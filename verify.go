@@ -99,7 +99,8 @@ func verifyIndexFile(path string) (*VerifyReport, error) {
 
 // verifyLiveDir checks a live directory read-only: manifest parse (footer
 // included), every tier's shape and checksums, and a WAL scan that reports
-// — but does not truncate — a torn tail.
+// — but does not truncate — a torn tail. Files a crash left (liveLeftover)
+// are noted, not removed.
 func verifyLiveDir(dir string) (*VerifyReport, error) {
 	rep := &VerifyReport{Path: dir, Kind: "live"}
 	buf, err := os.ReadFile(filepath.Join(dir, liveManifestName))
@@ -112,6 +113,20 @@ func verifyLiveDir(dir string) (*VerifyReport, error) {
 		return rep, nil
 	}
 	rep.note("manifest: %d tiers, next id %d", len(m.tiers), m.nextID)
+	listed := map[string]bool{}
+	for _, mt := range m.tiers {
+		listed[mt.file] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		rep.problem("listing %s: %v", dir, err)
+	}
+	for _, e := range entries {
+		// What a crash left; harmless, and NewLive's sweep removes it.
+		if info, err := e.Info(); err == nil && !e.IsDir() && liveLeftover(e.Name(), listed) {
+			rep.note("leftover %s (%d bytes): no manifest lists it; the next open removes it", e.Name(), info.Size())
+		}
+	}
 	for _, mt := range m.tiers {
 		// The checks a reopen makes (openLiveTier), then the tree structure,
 		// which a reopen leaves to the query paths' clamps.
