@@ -72,8 +72,9 @@ type FaultFS struct {
 	Base FS
 
 	mu               sync.Mutex
-	ops              int // mutating operations observed
-	crashAt          int // 0 = disabled
+	ops              int  // mutating operations observed
+	opKinds          []Op // the kind of each, in order
+	crashAt          int  // 0 = disabled
 	shortCrashWrites bool
 	crashed          bool
 	failKind         Op
@@ -121,6 +122,14 @@ func (f *FaultFS) Ops() int {
 	return f.ops
 }
 
+// OpKinds returns the kind of each mutating operation observed so far, in
+// order: OpKinds()[n-1] is the operation CrashAt(n) fails.
+func (f *FaultFS) OpKinds() []Op {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]Op(nil), f.opKinds...)
+}
+
 // KindOps returns the number of operations of the given kind observed so
 // far. FailOp counts against the same per-kind counter, so
 // FailOp(kind, KindOps(kind)+n) fails the nth upcoming operation.
@@ -148,6 +157,7 @@ func (f *FaultFS) step(kind Op, writeLen int) (short int, err error) {
 		return 0, ErrCrashed
 	}
 	f.ops++
+	f.opKinds = append(f.opKinds, kind)
 	f.kindCounts[kind]++
 	if f.crashAt > 0 && f.ops >= f.crashAt {
 		f.crashed = true

@@ -162,71 +162,103 @@ func cloneOracle(o *liveOracle) *liveOracle {
 }
 
 // TestCrashPointMatrix kills the live index at every mutating filesystem
-// operation of the scripted run — clean failures and torn writes both — then
+// operation of the scripted run — a clean failure at each, and at each Write
+// also a torn write that lands half its buffer first — then
 // reopens the directory and requires the recovered corpus to answer
 // byte-identically to a from-scratch build over the acknowledged mutations
 // (plus, at the implementation's option, the one mutation that was in flight
 // — durable-but-unacknowledged is allowed, lost-but-acknowledged never is),
 // and the reopened directory to hold no file its manifest does not list
-// (assertSwept). The crash points include every block reservation and
-// mapping of the tiers built in place.
+// (assertSwept). The script runs on two filesystems: one where tiers are
+// built in place, so the crash points include every block reservation and
+// mapping, and one that cannot reserve blocks (noAllocFS), so every tier is
+// built on the heap and streamed, and the crash points include each of its
+// writes. Subtests are numbered across both, in-place points first.
 func TestCrashPointMatrix(t *testing.T) {
 	script := crashScript()
-	cfg := func(dir string, ffs *vfs.FaultFS) *LiveConfig {
+	type fsVariant struct {
+		name string
+		wrap func(*vfs.FaultFS) vfs.FS
+	}
+	variants := []fsVariant{
+		{"in-place", func(ffs *vfs.FaultFS) vfs.FS { return ffs }},
+		{"streamed", func(ffs *vfs.FaultFS) vfs.FS { return noAllocFS{ffs} }},
+	}
+	cfg := func(dir string, v fsVariant, ffs *vfs.FaultFS) *LiveConfig {
 		c := &LiveConfig{Dir: dir, MemtableMaxDocs: 2, MaxTiers: 2}
 		if ffs != nil {
-			c.fs = &hookFS{FS: ffs}
+			c.fs = &hookFS{FS: v.wrap(ffs)}
 		}
 		return c
 	}
 
-	// Rehearsal: a fault-free run through the same fs wrapper measures the
-	// crash-point space and pins the oracle for a completed script.
-	rehearse := vfs.NewFault(nil)
-	dir := t.TempDir()
-	lx, err := NewLive("crash", cfg(dir, rehearse))
-	if err != nil {
-		t.Fatalf("rehearsal NewLive: %v", err)
+	// The crash points: every operation killed cleanly, and every Write torn
+	// as well (a torn write of any other kind is the clean kill again).
+	type crashPoint struct {
+		fs    fsVariant
+		kinds []vfs.Op // the fault-free run's operations
+		op    int      // 1-based, as CrashAt takes it
+		torn  bool
 	}
-	acked, inflight, _ := playCrashScript(lx, script)
-	if inflight != nil {
-		t.Fatal("rehearsal run hit an error with no fault armed")
-	}
-	if len(acked.docs) != 6 { // 12 appended, 6 deleted
-		t.Fatalf("rehearsal survivors = %d, want 6 (script did not complete)", len(acked.docs))
-	}
-	if err := lx.Close(); err != nil {
-		t.Fatalf("rehearsal Close: %v", err)
-	}
-	n := rehearse.Ops()
-	if n < 20 {
-		t.Fatalf("rehearsal saw only %d mutating fs operations; the script no longer exercises the durability stack", n)
-	}
-	reopened, err := NewLive("", cfg(dir, nil))
-	if err != nil {
-		t.Fatalf("rehearsal reopen: %v", err)
-	}
-	checkLive(t, reopened, acked, rand.New(rand.NewSource(0)))
-	assertSwept(t, dir, reopened)
-	reopened.Close()
+	var points []crashPoint
+	for _, v := range variants {
+		// Rehearsal: a fault-free run through the same fs wrappers measures
+		// the crash-point space and pins the oracle for a completed script.
+		rehearse := vfs.NewFault(nil)
+		dir := t.TempDir()
+		lx, err := NewLive("crash", cfg(dir, v, rehearse))
+		if err != nil {
+			t.Fatalf("%s rehearsal NewLive: %v", v.name, err)
+		}
+		acked, inflight, _ := playCrashScript(lx, script)
+		if inflight != nil {
+			t.Fatalf("%s rehearsal run hit an error with no fault armed", v.name)
+		}
+		if len(acked.docs) != 6 { // 12 appended, 6 deleted
+			t.Fatalf("%s rehearsal survivors = %d, want 6 (script did not complete)", v.name, len(acked.docs))
+		}
+		if err := lx.Close(); err != nil {
+			t.Fatalf("%s rehearsal Close: %v", v.name, err)
+		}
+		kinds := rehearse.OpKinds()
+		if len(kinds) < 20 {
+			t.Fatalf("%s rehearsal saw only %d mutating fs operations; the script no longer exercises the durability stack", v.name, len(kinds))
+		}
+		reopened, err := NewLive("", cfg(dir, v, nil))
+		if err != nil {
+			t.Fatalf("%s rehearsal reopen: %v", v.name, err)
+		}
+		checkLive(t, reopened, acked, rand.New(rand.NewSource(0)))
+		assertSwept(t, dir, reopened)
+		reopened.Close()
 
-	for k := 1; k <= n; k++ {
+		for i, kind := range kinds {
+			points = append(points, crashPoint{fs: v, kinds: kinds, op: i + 1})
+			if kind == vfs.OpWrite {
+				points = append(points, crashPoint{fs: v, kinds: kinds, op: i + 1, torn: true})
+			}
+		}
+	}
+
+	for i, p := range points {
+		k := i + 1
 		t.Run(fmt.Sprintf("crash@%03d", k), func(t *testing.T) {
+			t.Logf("%s: crash at operation %d of %d (%s, torn=%v)", p.fs.name, p.op, len(p.kinds), p.kinds[p.op-1], p.torn)
 			dir := t.TempDir()
 			ffs := vfs.NewFault(nil)
-			ffs.ShortCrashWrites(k%2 == 1) // alternate clean kills and torn writes
-			ffs.CrashAt(k)
+			ffs.ShortCrashWrites(p.torn)
+			ffs.CrashAt(p.op)
 
 			acked := &liveOracle{}
 			var inflight *crashStep
 			var nextID uint64
-			lx, err := NewLive("crash", cfg(dir, ffs))
+			lx, err := NewLive("crash", cfg(dir, p.fs, ffs))
 			if err == nil {
 				acked, inflight, nextID = playCrashScript(lx, script)
 				lx.Close() // errors expected: the fs is dead
 			}
 
-			lx2, err := NewLive("", cfg(dir, nil))
+			lx2, err := NewLive("", cfg(dir, p.fs, nil))
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
 			}
