@@ -2,6 +2,7 @@ package era
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -357,7 +358,7 @@ func TestInMemoryBuildHoldsOneSuffixArray(t *testing.T) {
 	var shards []suffixtree.Shard
 	got := allocatedBy(func() {
 		var err error
-		if shards, err = buildInMemory(alphabet.DNA, text, 1, heapSink{}); err != nil {
+		if shards, err = buildInMemory(context.Background(), alphabet.DNA, text, 1, heapSink{}); err != nil {
 			t.Error(err)
 		}
 	})

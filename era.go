@@ -107,9 +107,10 @@ type BuildStats struct {
 	// ModeledTime is the virtual end-to-end time under the disk model.
 	ModeledTime time.Duration
 	// Scans is the number of sequential passes over the input: a Serial
-	// build counts its vertical partitioning and group scans, SharedDisk and
-	// SharedNothing their group scans only (their vertical partitioning is
-	// chunked across the workers and priced per round, not counted).
+	// build counts its vertical partitioning and group scans — its VP is the
+	// one-worker run, scanning through the build's one group scanner —
+	// SharedDisk and SharedNothing their group scans only (each worker's VP
+	// span is read by a scanner of its own, priced per round, not counted).
 	Scans int
 	// Prefixes and Groups are the vertical partitioning outcome.
 	Prefixes int
@@ -208,8 +209,9 @@ func build(ctx context.Context, docs [][]byte, cfg *Config) (*Index, error) {
 // over all of S. The string, the suffix array and the tree sections are the
 // arrays sink hands out, in that order (a fileSink's are a mapped tier file's
 // sections; k is then 1). An ERA build stops when ctx does
-// (core.Options.Context); the suffix-array builder, bounded by the budget, is
-// not interrupted.
+// (core.Options.Context); the suffix-array builder, bounded by the budget,
+// checks ctx after its sort and after the LCP pass, and its sort is not
+// interrupted.
 func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int, sink imageSink) ([]*Index, error) {
 	cfg := cfgp.withDefaults()
 	if cfg.Target != TargetFlat {
@@ -252,7 +254,7 @@ func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int, sink i
 	var shards []suffixtree.Shard
 	var stats BuildStats
 	if cfg.Mode == Serial && inMemoryBytesPerSymbol*int64(len(data)) <= cfg.MemoryBudget {
-		shards, err = buildInMemory(alpha, data, k, sink)
+		shards, err = buildInMemory(ctx, alpha, data, k, sink)
 		stats = BuildStats{InMemory: true, SubTrees: 1}
 	} else {
 		shards, stats, err = buildERA(ctx, alpha, data, &cfg, k, sink)
@@ -290,7 +292,7 @@ func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 // sink hands out, with the LCP array, and that suffix array becomes the leaf
 // sections of the trees as it is. It shares nothing with ERA below
 // suffixtree.AssembleShards, which emits the same sections from either.
-func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int, sink imageSink) ([]suffixtree.Shard, error) {
+func buildInMemory(ctx context.Context, alpha *alphabet.Alphabet, data []byte, k int, sink imageSink) ([]suffixtree.Shard, error) {
 	if err := alpha.Validate(data); err != nil {
 		return nil, err
 	}
@@ -301,7 +303,14 @@ func buildInMemory(alpha *alphabet.Alphabet, data []byte, k int, sink imageSink)
 	if err := suffixarray.BuildInto(data, sa); err != nil {
 		return nil, err
 	}
-	return suffixtree.AssembleShards(data, sa, suffixarray.LCP(data, sa), k, sink)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	lcp := suffixarray.LCP(data, sa)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return suffixtree.AssembleShards(data, sa, lcp, k, sink)
 }
 
 // buildERA publishes data on a simulated disk and runs the paper's algorithm

@@ -23,18 +23,17 @@ import (
 // at a time.
 type buildContext struct {
 	// Worker plumbing, set by newNodeContext (nil/zero for plain scratch
-	// contexts): the worker's handle onto the input, the group-scan and
-	// chunked-VP scanners, and the worker's demand clocks.
+	// contexts): the worker's handle onto the input, the group-scan and VP
+	// scanners, and the worker's demand clocks.
 	f    *seq.File
-	sc   *seq.Scanner // group scans (and the serial VP's); charges io
-	vpsc *seq.Scanner // VP chunk scans; skip-enabled so a chunk opens with one positioning seek
+	sc   *seq.Scanner // group scans; charges io
+	vpsc *seq.Scanner // VP span scans: sc itself in a serial build, a skip-enabled scanner of its own in a parallel one
 	cpu  *sim.Clock
 	io   *sim.Clock
 	stop context.Context // Options.Context, checked once per pass and round
 
-	// Rolling-code window counter of the chunked VP: one per worker, reused
-	// across every VP iteration (its scan buffer doubles as the chunk-scan
-	// buffer).
+	// Rolling-code window counter of the VP: one per worker, reused across
+	// every VP round (its scan buffer doubles as the span-scan buffer).
 	vc *vertCounter
 
 	// Round-loop scratch shared by GroupPrepare and GroupBranch, and the
@@ -101,7 +100,7 @@ func (ctx *buildContext) scanBuf(n int) []byte {
 // newWorkerContext gives a shared-disk worker its private handle onto the
 // input bytes (same backing array, separate simulated arm — cross-worker
 // interference is modeled analytically by sim.CombineSharedDisk) and wraps
-// it in a context.
+// it in a chunked context.
 func newWorkerContext(orig *seq.File, raw []byte, model sim.CostModel, layout MemoryLayout, opts Options) (*buildContext, error) {
 	disk := diskio.NewDisk(model)
 	disk.CreateFile(orig.Name(), raw)
@@ -109,26 +108,30 @@ func newWorkerContext(orig *seq.File, raw []byte, model sim.CostModel, layout Me
 	if err != nil {
 		return nil, err
 	}
-	return newNodeContext(f, layout, opts, true)
+	return newChunkContext(f, layout, opts)
 }
 
-// newNodeContext wraps a file on a disk of its own (f itself in a serial
-// build, a shared-disk worker's handle, a cluster node's local copy) in a
-// worker context with fresh demand clocks. chunked adds the counter and the
-// scanner of the chunked vertical partitioning, which the serial build does
-// not run.
-func newNodeContext(f *seq.File, layout MemoryLayout, opts Options, chunked bool) (*buildContext, error) {
+// newNodeContext wraps a file on a disk of its own in a worker context with
+// fresh demand clocks, whose VP scans run through the group scanner: a
+// serial build's context over f itself, whose Scans then count its VP passes.
+func newNodeContext(f *seq.File, layout MemoryLayout, opts Options) (*buildContext, error) {
 	ioClock, cpuClock := new(sim.Clock), new(sim.Clock)
 	sc, err := f.NewScanner(ioClock, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: opts.SkipSeek})
 	if err != nil {
 		return nil, err
 	}
-	ctx := &buildContext{f: f, sc: sc, cpu: cpuClock, io: ioClock, stop: opts.Context}
-	if chunked {
-		if ctx.vpsc, err = f.NewScanner(ioClock, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: true}); err != nil {
-			return nil, err
-		}
-		ctx.vc = newVertCounter(f.Alphabet())
+	return &buildContext{f: f, sc: sc, vpsc: sc, cpu: cpuClock, io: ioClock, stop: opts.Context, vc: newVertCounter(f.Alphabet())}, nil
+}
+
+// newChunkContext is newNodeContext with a VP scanner of its own, as every
+// worker of a parallel build (a shared-disk worker's handle, a cluster node's
+// local copy) has: skip-enabled, so a span opens with one positioning seek,
+// and apart from sc, so its VP rounds are priced, not counted among Scans.
+func newChunkContext(f *seq.File, layout MemoryLayout, opts Options) (*buildContext, error) {
+	ctx, err := newNodeContext(f, layout, opts)
+	if err != nil {
+		return nil, err
 	}
-	return ctx, nil
+	ctx.vpsc, err = f.NewScanner(ctx.io, seq.ScannerConfig{BufSize: int(layout.InputBuf), SkipSeek: true})
+	return ctx, err
 }

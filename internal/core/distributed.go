@@ -51,7 +51,7 @@ func BuildDistributed(f *seq.File, opts DistributedOptions) (*Result, error) {
 		budget:   opts.MemoryBudget,
 		transfer: cl.TransferTime(),
 		context: func(i int, layout MemoryLayout) (*buildContext, error) {
-			return newNodeContext(cl.Node(i), layout, opts.Options, true)
+			return newChunkContext(cl.Node(i), layout, opts.Options)
 		},
 		partition: func(ctxs []*buildContext, fm int64, grouping bool) ([]Group, VerticalStats, time.Duration, error) {
 			return verticalPartitionChunked(ctxs, f.Len(), model, fm, grouping, sim.CombineSharedNothing, mergeCost)

@@ -90,8 +90,10 @@ type Stats struct {
 	VirtualTime time.Duration // modeled end-to-end time
 	VPTime      time.Duration // vertical partitioning portion
 	// Scans counts sequential passes over S: a serial build's VP and group
-	// scans, a parallel build's group scans only (its chunked VP scans are
-	// priced per round, not counted).
+	// scans — its VP is the one-worker run, reading through the context's
+	// group scanner — and a parallel build's group scans only (each
+	// worker's VP span is read by a scanner of its own, priced per round,
+	// not counted).
 	Scans        int
 	VPIterations int
 	Prefixes     int
@@ -126,20 +128,18 @@ type Result struct {
 
 // BuildSerial runs serial ERA (§4) over the on-disk string f: the pipeline
 // with one worker context over f itself, so f's disk counts the whole
-// build's traffic, partitioned by the reference VerticalPartition on that
-// context's group scanner.
+// build's traffic, partitioned by the one-worker run of the VP, which scans
+// through that context's group scanner.
 func BuildSerial(f *seq.File, opts Options) (*Result, error) {
 	model := f.Disk().Model()
 	return pipeline{
 		workers: 1,
 		budget:  opts.MemoryBudget,
 		context: func(_ int, layout MemoryLayout) (*buildContext, error) {
-			return newNodeContext(f, layout, opts, false)
+			return newNodeContext(f, layout, opts)
 		},
 		partition: func(ctxs []*buildContext, fm int64, grouping bool) ([]Group, VerticalStats, time.Duration, error) {
-			ctx := ctxs[0]
-			groups, vstats, err := verticalPartition(ctx.stop, ctx.f, ctx.sc, ctx.cpu, model, fm, grouping)
-			return groups, vstats, ctx.cpu.Now() + ctx.io.Now(), err
+			return verticalPartitionChunked(ctxs, f.Len(), model, fm, grouping, sim.CombineSharedDisk, nil)
 		},
 		combine: sim.CombineSharedDisk,
 	}.run(f, opts)
@@ -198,8 +198,8 @@ func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
 	res.Stats.Prefixes = vstats.Prefixes
 	res.Stats.Groups = vstats.Groups
 	res.Stats.MinRange = int(^uint(0) >> 1)
-	// Only the serial VP scans through a group scanner; the chunked VP's
-	// rounds are priced, not counted.
+	// Only a serial build's VP scans through a group scanner; a parallel
+	// worker's VP spans are priced, not counted.
 	for _, ctx := range ctxs {
 		st := ctx.sc.Stats()
 		res.Stats.Scans += st.Scans

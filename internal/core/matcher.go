@@ -7,17 +7,18 @@ import (
 // This file implements the hash-free window matchers used by the
 // construction hot paths.
 //
-// VerticalPartition's fixed-length scan keeps the length-k window as a
-// packed integer of symbol rank codes, rolled forward by one shift-or per
-// position, and counts it with a single increment into a dense
-// direct-indexed table. CollectWithFill's variable-length, prefix-free label
-// sets resolve through a shortest-match code trie over the alphabet's packed
-// codes (alphabet.CodeTable): one dense child-array index per symbol,
-// stopping at the first mark — the trie is a few kilobytes, so probes stay
-// in cache regardless of label length and needs no fallback. The map-based
-// implementations remain in vertical.go / era.go — as the fallback for
-// vertical windows too wide to index densely, and as the references the
-// equivalence tests compare both paths against.
+// The vertical partitioning's fixed-length span scan (scanCountDenseChunk)
+// keeps the length-k window as a packed integer of symbol rank codes, rolled
+// forward by one shift-or per position, and counts it with a single
+// increment into a dense direct-indexed table. CollectWithFill's
+// variable-length, prefix-free label sets resolve through a shortest-match
+// code trie over the alphabet's packed codes (alphabet.CodeTable): one dense
+// child-array index per symbol, stopping at the first mark — the trie is a
+// few kilobytes, so probes stay in cache regardless of label length and
+// needs no fallback. The map-based scans remain, scanCountMap in vertical.go
+// and collectScanMap in era.go — the first as the fallback for vertical
+// windows too wide to index densely, both as the references the equivalence
+// tests compare the hash-free paths against.
 //
 // All sim.Clock accounting (window probes, captured symbols) is charged
 // exactly as in the map-based code, so virtual times and Stats counters are
@@ -53,13 +54,14 @@ func rankBits(size int) uint {
 	return bits
 }
 
-// vertCounter counts fixed-length windows for VerticalPartition. Window
+// vertCounter counts fixed-length windows for vertical partitioning. Window
 // codes pack the symbols' alphabet ranks — not the terminator-inclusive
 // packed codes — because no counted window can contain the terminator
 // (window starts are bounded by n-k), and the denser code keeps the count
 // table cache-resident for deeper refinement rounds. One instance serves
-// all rounds of a build: the count table and the scan buffer grow once and
-// are reused, so the per-round loop allocates nothing in the steady state.
+// all rounds of a worker's partitioning: the count table and the scan buffer
+// grow once and are reused, so the per-round loop allocates nothing in the
+// steady state.
 type vertCounter struct {
 	rcodes [256]int16 // symbol → alphabet rank, -1 if absent
 	bits   uint       // bits per rank code
@@ -102,7 +104,7 @@ func (vc *vertCounter) scanBuf(size int) []byte {
 }
 
 // packRanks folds a label into its rank-code window code (first symbol most
-// significant, matching the rolling shift-or of scanCountDense).
+// significant, matching the rolling shift-or of scanCountDenseChunk).
 func packRanks(vc *vertCounter, label []byte) int {
 	code := 0
 	for _, b := range label {

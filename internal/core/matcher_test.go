@@ -27,8 +27,8 @@ func matcherScanner(t testing.TB, f *seq.File) (*seq.Scanner, *sim.Clock) {
 	return sc, clock
 }
 
-// TestScanCountDenseMatchesMap compares the rolling-code dense counter
-// against the map scan: same frequencies, same tail, same clock, same
+// TestScanCountDenseMatchesMap compares the rolling-code dense counter, as
+// the one-worker VP round runs it, against the map scan: same frequencies, same tail, same clock, same
 // scanner traffic — across workloads, window lengths and string lengths
 // (including lengths around the chunking and tail boundaries).
 func TestScanCountDenseMatchesMap(t *testing.T) {
@@ -61,16 +61,18 @@ func TestScanCountDenseMatchesMap(t *testing.T) {
 				}
 
 				vc := newVertCounter(a)
-				counts := vc.table(k, len(data))
-				if counts == nil {
+				if vc.table(k, len(data)) == nil {
 					continue // too wide for the dense path at this size
 				}
 				freqsD := make([]int64, len(working))
 				freqsM := make([]int64, len(working))
 				// Fresh files: the simulated disk arm is stateful, so each
 				// run must see identical disk history for clocks to agree.
+				// The dense side is the VP's one-worker round: one span, all
+				// of S.
 				scD, clockD := matcherScanner(t, publish(t, a, data))
-				tailD, err := scanCountDense(vc, counts, scD, clockD, model, len(data), k, working, freqsD)
+				ctx := &buildContext{vpsc: scD, cpu: clockD, io: new(sim.Clock), vc: vc}
+				tailD, err := newVPRound(1).count([]*buildContext{ctx}, model, len(data), k, working, freqsD)
 				if err != nil {
 					t.Fatal(err)
 				}

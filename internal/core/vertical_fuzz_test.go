@@ -20,7 +20,9 @@ import (
 //  2. the prefixes are prefix-free and together cover every suffix exactly
 //     once (frequencies sum to |S|);
 //  3. grouping never builds a group above FM unless it is a single
-//     over-budget-resistant prefix (impossible by 1), and loses no prefix.
+//     over-budget-resistant prefix (impossible by 1), and loses no prefix;
+//  4. the chunked VP at 2 and 3 workers yields the one-worker run's groups
+//     and stats, and so meets 1–3 too.
 func FuzzVerticalPartition(f *testing.F) {
 	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), uint16(4))
 	f.Add([]byte("GATTACA"), uint16(1))
@@ -60,46 +62,69 @@ func FuzzVerticalPartition(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Collect all prefixes across groups.
-		var labels [][]byte
-		var total int64
-		for _, g := range groups {
-			var gf int64
-			for _, p := range g.Prefixes {
-				labels = append(labels, p.Label)
-				gf += p.Freq
-				if p.Freq > fm {
-					t.Errorf("prefix %q frequency %d exceeds FM %d", p.Label, p.Freq, fm)
-				}
-				if want := countSuffixesWith(data, p.Label); p.Freq != want {
-					t.Errorf("prefix %q frequency %d, naive count %d (S=%q)", p.Label, p.Freq, want, data)
-				}
-			}
-			if gf != g.Freq {
-				t.Errorf("group frequency %d != sum of members %d", g.Freq, gf)
-			}
-			if g.Freq > fm {
-				t.Errorf("group frequency %d exceeds FM %d", g.Freq, fm)
-			}
-			total += gf
-		}
-		if total != int64(len(data)) {
-			t.Errorf("frequencies sum to %d, want |S| = %d (every suffix covered exactly once)", total, len(data))
-		}
-		if stats.Prefixes != len(labels) {
-			t.Errorf("stats.Prefixes = %d, but %d labels reported", stats.Prefixes, len(labels))
-		}
+		checkPartition(t, data, fm, groups, stats)
 
-		// Prefix-freeness: no label may be a proper prefix of another (that
-		// would double-cover the longer label's suffixes).
-		for i, a := range labels {
-			for j, b := range labels {
-				if i != j && len(a) <= len(b) && bytes.Equal(a, b[:len(a)]) {
-					t.Errorf("labels %q and %q overlap", a, b)
-				}
+		// The chunked runs: every worker count partitions exactly like the
+		// one-worker run, and so meets the same oracle.
+		layout := MemoryLayout{InputBuf: 4096}
+		for _, workers := range []int{2, 3} {
+			ctxs := chunkedContexts(t, alphabet.DNA, data, workers, layout)
+			got, gotStats, _, err := verticalPartitionChunked(ctxs, len(data), sim.DefaultModel(), fm, true, sim.CombineSharedDisk, nil)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
 			}
+			if gotStats != stats {
+				t.Errorf("workers=%d: stats %+v, one worker %+v", workers, gotStats, stats)
+			}
+			requireSameGroups(t, workers, got, groups)
+			checkPartition(t, data, fm, got, gotStats)
 		}
 	})
+}
+
+// checkPartition holds one partitioning of data at fm to the invariants
+// FuzzVerticalPartition lists, counting every prefix naively.
+func checkPartition(t *testing.T, data []byte, fm int64, groups []Group, stats VerticalStats) {
+	t.Helper()
+	// Collect all prefixes across groups.
+	var labels [][]byte
+	var total int64
+	for _, g := range groups {
+		var gf int64
+		for _, p := range g.Prefixes {
+			labels = append(labels, p.Label)
+			gf += p.Freq
+			if p.Freq > fm {
+				t.Errorf("prefix %q frequency %d exceeds FM %d", p.Label, p.Freq, fm)
+			}
+			if want := countSuffixesWith(data, p.Label); p.Freq != want {
+				t.Errorf("prefix %q frequency %d, naive count %d (S=%q)", p.Label, p.Freq, want, data)
+			}
+		}
+		if gf != g.Freq {
+			t.Errorf("group frequency %d != sum of members %d", g.Freq, gf)
+		}
+		if g.Freq > fm {
+			t.Errorf("group frequency %d exceeds FM %d", g.Freq, fm)
+		}
+		total += gf
+	}
+	if total != int64(len(data)) {
+		t.Errorf("frequencies sum to %d, want |S| = %d (every suffix covered exactly once)", total, len(data))
+	}
+	if stats.Prefixes != len(labels) {
+		t.Errorf("stats.Prefixes = %d, but %d labels reported", stats.Prefixes, len(labels))
+	}
+
+	// Prefix-freeness: no label may be a proper prefix of another (that
+	// would double-cover the longer label's suffixes).
+	for i, a := range labels {
+		for j, b := range labels {
+			if i != j && len(a) <= len(b) && bytes.Equal(a, b[:len(a)]) {
+				t.Errorf("labels %q and %q overlap", a, b)
+			}
+		}
+	}
 }
 
 // countSuffixesWith counts the suffixes of terminated string s (its last

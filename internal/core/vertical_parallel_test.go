@@ -41,7 +41,7 @@ func chunkedContexts(t testing.TB, a *alphabet.Alphabet, data []byte, workers in
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxs[w], err = newNodeContext(f, layout, Options{}, true)
+		ctxs[w], err = newChunkContext(f, layout, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,5 +234,58 @@ func TestChunkedVPSharedNothingScales(t *testing.T) {
 	}
 	if times[4] >= times[1] {
 		t.Errorf("shared-nothing VP did not speed up: 1 worker %.0f, 4 workers %.0f", times[1], times[4])
+	}
+}
+
+// TestVerticalPartitionAllocs pins what vertical partitioning allocates,
+// worker contexts included, on 512 Ki DNA symbols at the FM of a 4 B/symbol
+// budget (three refinement rounds): 61 allocations at one worker — the
+// serial build's context and VP — and 87 at two, a shared-disk pair. The
+// bounds, 65 and 117, are the counts from before the serial build ran the
+// one-worker VP, when it had a refinement loop of its own and the chunked
+// VP allocated its per-worker slices every round.
+func TestVerticalPartitionAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is load-sensitive")
+	}
+	const n = 512 << 10
+	data := workload.MustGenerate(workload.DNA, n-1, 42) // + terminator = n
+	layout, err := PlanMemory(4*n, 0, alphabet.DNA.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := sim.DefaultModel()
+	for _, c := range []struct{ workers, bound int }{{1, 65}, {2, 117}} {
+		files := make([]*seq.File, c.workers)
+		for w := range files {
+			files[w] = publish(t, alphabet.DNA, data)
+		}
+		var rounds int
+		allocs := testing.AllocsPerRun(3, func() {
+			ctxs := make([]*buildContext, c.workers)
+			for w := range ctxs {
+				var err error
+				if c.workers == 1 {
+					ctxs[w], err = newNodeContext(files[w], layout, Options{})
+				} else {
+					ctxs[w], err = newChunkContext(files[w], layout, Options{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, vs, _, err := verticalPartitionChunked(ctxs, n, model, layout.FM, true, sim.CombineSharedDisk, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = vs.Iterations
+		})
+		t.Logf("workers=%d: %d rounds, %.0f allocations", c.workers, rounds, allocs)
+		if rounds != 3 {
+			t.Errorf("workers=%d: %d refinement rounds, want 3: the input no longer measures what the bound was set on", c.workers, rounds)
+		}
+		if allocs > float64(c.bound) {
+			t.Errorf("workers=%d: vertical partitioning took %.0f allocations, want ≤ %d", c.workers, allocs, c.bound)
+		}
 	}
 }

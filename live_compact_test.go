@@ -126,13 +126,22 @@ func TestMutationsProceedDuringCompaction(t *testing.T) {
 	checkLive(t, re, o, rand.New(rand.NewSource(2)))
 }
 
-// TestCloseCancelsCompaction closes a live index while it compacts the
+// TestCloseCancelsCompaction closes a live index while it compacts, once
+// per builder: the compaction returns context.Canceled instead of
+// committing, its tier tmp is removed, and the reopened index answers from
+// the tiers the compaction never replaced.
+func TestCloseCancelsCompaction(t *testing.T) {
+	t.Run("era", testCloseCancelsERACompaction)
+	t.Run("in-memory", testCloseCancelsInMemoryCompaction)
+}
+
+// testCloseCancelsERACompaction closes a live index while it compacts the
 // repeat cliff's dup corpus (a random DNA document and its copy) by ERA, at a
 // budget too small for the suffix-array builder. Close stops the build
 // instead of waiting for it, the build's tier file — mapped, half written —
 // is removed with it, and the reopened index still answers over both
 // documents from the tiers the compaction never replaced.
-func TestCloseCancelsCompaction(t *testing.T) {
+func testCloseCancelsERACompaction(t *testing.T) {
 	n := 16 << 10
 	if raceEnabled {
 		n = 8 << 10 // the uncancelled build runs under the race detector too
@@ -199,4 +208,66 @@ func TestCloseCancelsCompaction(t *testing.T) {
 		t.Fatalf("reopened with %d tiers, %d compactions; want the two sealed tiers", st.Tiers, st.Compactions)
 	}
 	checkLive(t, re, o, rand.New(rand.NewSource(4)))
+}
+
+// testCloseCancelsInMemoryCompaction closes a live index while a compaction
+// at the default budget — the suffix-array builder's — is held at the Create
+// of its tier tmp, then lets the build go on. Its sort runs to the end, but
+// the build stops after it with Close's cancellation instead of publishing
+// and committing the tier.
+func testCloseCancelsInMemoryCompaction(t *testing.T) {
+	dir := t.TempDir()
+	hfs := &hookFS{FS: vfs.OS}
+	lx, err := NewLive("held", &LiveConfig{Dir: dir, MemtableMaxDocs: 1, MaxTiers: 100, fs: hfs,
+		Build: &Config{Alphabet: alphabet.DNA}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &liveOracle{}
+	for seed := range int64(2) {
+		doc := workload.MustGenerate(workload.DNA, 4096, seed+5)
+		doc = doc[:len(doc)-1]
+		ids, err := lx.Append([][]byte{doc}) // each seals its own tier
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.append(ids, [][]byte{doc})
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hfs.onCreate = func(name string) {
+		if isTierTmp(name) {
+			once.Do(func() { close(entered); <-release })
+		}
+	}
+	defer once.Do(func() {}) // a failed test must not leave a later Create blocked
+	compacted := make(chan error, 1)
+	go func() { compacted <- lx.Compact() }()
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- lx.Close() }()
+	for lx.stop.Err() == nil { // until Close has cancelled the compaction
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-compacted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compact under Close returned %v, want context.Canceled", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if tmps := tmpFiles(t, dir); len(tmps) > 0 {
+		t.Fatalf("the cancelled in-memory build left %v", tmps)
+	}
+
+	re, err := NewLive("", &LiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Tiers != 2 || st.Compactions != 0 {
+		t.Fatalf("reopened with %d tiers, %d compactions; want the two sealed tiers", st.Tiers, st.Compactions)
+	}
+	checkLive(t, re, o, rand.New(rand.NewSource(5)))
 }
