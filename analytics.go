@@ -5,14 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"era/internal/alphabet"
-	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 )
 
@@ -36,10 +32,10 @@ import (
 // the corpus at document boundaries and whose memtable has no tree at all,
 // answers them from the suffixes of its virtual global string in
 // lexicographic order with the LCP between neighbours — SA-IS + Kasai over
-// the materialized string, in memory one call leaves to the next
-// (suffixOrderAnswer): lrs is the first maximum of that LCP (repeatScan), topk
-// a run-length count of LCP ≥ L into a bounded selection (topScan,
-// topSelection). lcs is one algorithm on every layer: the
+// the materialized string, sorted once per snapshot (textOrder) and read by
+// one pass of the op's consumer (suffixOrderAnswer): lrs is the first maximum
+// of that LCP (repeatScan), topk a run-length count of LCP ≥ L into a bounded
+// selection (topScan, topSelection). lcs is one algorithm on every layer: the
 // same kernel over the two documents alone (commonSubstring), so its cost is
 // theirs, never the corpus's.
 //
@@ -580,89 +576,55 @@ func (t *topScan) answer() Answer {
 	return t.sel.answer()
 }
 
-// suffixOrderAnswer answers lrs or topk over the text the segments spell one
-// after the other from offset 0 — a live snapshot's segs, the virtual global
-// string: SA-IS for the suffix order, Kasai for the neighbour LCPs, one pass
-// of the op's consumer. O(n) time whatever the content looks like, in 9¼
-// bytes per symbol that one call leaves to the next (sorters), so a call
-// allocates what its answer holds.
-func suffixOrderAnswer(ctx context.Context, q Query, segs []run, sorters *sorterCache) (Answer, error) {
+// textOrder is the suffix order of a text the segments of a live snapshot
+// spell one after the other from offset 0 — the virtual global string —
+// closed by the byte below the terminator: the unique smallest last symbol
+// SA-IS needs, so no match runs over it. sa and lcp are suffixOrder's.
+type textOrder struct {
+	text    []byte
+	sa, lcp []int32
+}
+
+// newTextOrder lays segs out and sorts them: SA-IS for the suffix order,
+// Kasai for the neighbour LCPs, O(n) time whatever the content looks like.
+func newTextOrder(segs []run) (*textOrder, error) {
 	n := 1
 	for _, r := range segs {
 		n += len(r.Data)
 	}
-	z := sorters.get()
-	defer sorters.put(z)
-	text := slices.Grow(z.text[:0], n)
+	text := make([]byte, 0, n)
 	for _, r := range segs {
 		text = append(text, r.Data...)
 	}
-	// The byte below the terminator closes the text: the unique smallest last
-	// symbol SA-IS needs, so no match runs over it.
 	text = append(text, alphabet.Terminator-1)
-	z.text = text
-
-	sa, plcp, err := z.Sort(text)
-	if err == nil {
-		err = ctx.Err()
-	}
+	sa, lcp, err := suffixOrder(text)
 	if err != nil {
-		return Answer{}, err
+		return nil, err
 	}
-	// Both consumers copy what they keep of text, which the next call reuses.
+	return &textOrder{text: text, sa: sa, lcp: lcp}, nil
+}
+
+// suffixOrderAnswer answers lrs or topk in one pass of the op's consumer over
+// o. Both consumers copy what they keep of o.text, which outlives the answer.
+func suffixOrderAnswer(ctx context.Context, q Query, o *textOrder) (Answer, error) {
 	var rep repeatScan
-	top := topScan{l: q.MinLen, text: text, sel: topSelection{k: q.K}}
+	top := topScan{l: q.MinLen, text: o.text, sel: topSelection{k: q.K}}
 	add := rep.add
 	if q.Kind == OpTopK {
 		add = top.add
 	}
 	stop := ctxStop(ctx)
-	for _, o := range sa {
+	last := len(o.text) - 1
+	for k, off := range o.sa {
 		if stop != nil && stop() {
 			return Answer{}, ctx.Err()
 		}
-		add(int(o), int(plcp[o]), n-1-int(o))
+		add(int(off), int(o.lcp[k]), last-int(off))
 	}
 	if q.Kind == OpTopK {
 		return top.answer(), nil
 	}
-	return rep.answer(text), nil
-}
-
-// sorterCache holds the memory of one live index's finished
-// suffixOrderAnswer calls for the next ones: the laid-out text and a
-// suffixarray.Sorter, one per call running at once, at most GOMAXPROCS of
-// them kept. Unlike a sync.Pool it is not emptied by garbage collection, so
-// whether a call sorts in kept memory or allocates it afresh does not depend
-// on when the collector last ran; the memory goes when the index does.
-type sorterCache struct {
-	mu   sync.Mutex
-	free []*suffixSorter
-}
-
-type suffixSorter struct {
-	text []byte
-	suffixarray.Sorter
-}
-
-func (c *sorterCache) get() *suffixSorter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.free)
-	if n == 0 {
-		return new(suffixSorter)
-	}
-	z := c.free[n-1]
-	c.free = c.free[:n-1]
-	return z
-}
-
-func (c *sorterCache) put(z *suffixSorter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.free) < runtime.GOMAXPROCS(0) {
-		c.free = append(c.free, z)
-	}
+	return rep.answer(o.text), nil
 }
 
 // docFreqAnswer aggregates per-document stats for a pattern set through any

@@ -39,10 +39,10 @@ func (s *liveSnapshot) checkErr() error {
 // assembled from live segments, so a `$`-window, junction or uncovered-run
 // scan touches no tombstoned byte and no tier tree at all. lrs, topk and lcs
 // do not fan out at all: lrs and topk are read off the suffix array of the
-// virtual string laid out from the live segments (suffixOrderAnswer), which is
-// linear on any input, has junctions, tombstones and the memtable already
-// resolved and is sorted in memory one call leaves to the next (sorters), and
-// lcs off that of its two documents (commonSubstring).
+// virtual string laid out from the live segments (textOrder), which is linear
+// on any input, has junctions, tombstones and the memtable already resolved
+// and is sorted once per snapshot (sorted), and lcs off that of its two
+// documents (commonSubstring).
 func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(nil, s.numDocs); err != nil {
 		return Answer{}, err
@@ -55,7 +55,11 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	}
 	switch q.Kind {
 	case OpTopK, OpLongestRepeat:
-		return suffixOrderAnswer(ctx, q, s.segs, s.sorters)
+		o, err := s.sorted(ctx)
+		if err != nil {
+			return Answer{}, err
+		}
+		return suffixOrderAnswer(ctx, q, o)
 	case OpCommonSubstring:
 		return commonSubstring(ctx, s.docBytes(q.DocA), s.docBytes(q.DocB))
 	case OpDocFreq:
@@ -70,6 +74,32 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 		return ans, nil
 	}
 	return s.batch([]Query{q})[0], nil
+}
+
+// sorted returns the suffix order of the snapshot's virtual string, sorting
+// it on the first call that needs it. Sorts run in the index's one sort slot,
+// so one sort is in flight per index, and the calls that wait for it take the
+// order it leaves; a call that waits gives up when ctx ends, sorting nothing.
+func (s *liveSnapshot) sorted(ctx context.Context) (*textOrder, error) {
+	if o := s.order.Load(); o != nil {
+		return o, nil
+	}
+	select {
+	case s.lx.sortSlot <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.lx.sortSlot }()
+	if o := s.order.Load(); o != nil {
+		return o, nil
+	}
+	o, err := newTextOrder(s.segs)
+	if err != nil {
+		return nil, err
+	}
+	s.lx.sorts.Add(1)
+	s.order.Store(o)
+	return o, nil
 }
 
 func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {

@@ -3,9 +3,11 @@ package era
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,8 +17,8 @@ import (
 	"era/internal/workload"
 )
 
-// Tests for the partitioned lrs / topk — the live index's suffix-order
-// executor (suffixOrderAnswer, analytics.go) and the sharded index's merge of
+// Tests for the partitioned lrs / topk — the live index's suffix order, one
+// per snapshot (textOrder and suffixOrderAnswer, analytics.go) and the sharded index's merge of
 // per-shard tree answers (MergeShards) — and the cost pins of the analytics
 // walks.
 
@@ -146,9 +148,9 @@ func requireSuffixOrderAnswers(t *testing.T, label string, mono *Index, got Quer
 // monolithic index — itself pinned to the naive oracles here — over random
 // and periodic corpora, document counts below and above the shard count,
 // empty documents, and a live index whose every tier carries tombstones,
-// with and without a tombstoned memtable behind the tiers. The suffix-order
-// executor itself answers the same lrs and topk whether the string comes as
-// one segment or several, and its answers outlive the next call.
+// with and without a tombstoned memtable behind the tiers. The suffix order
+// answers the same lrs and topk whether the string comes as one segment or
+// several, and no answer aliases the order its snapshot keeps.
 func TestPartitionedSuffixOrderAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ctx := context.Background()
@@ -187,20 +189,32 @@ func TestPartitionedSuffixOrderAnswers(t *testing.T) {
 			a, b := len(global)/3, len(global)/2
 			whole := []run{{Off: 0, Data: global}}
 			cut := []run{{Off: 0, Data: global[:a]}, {Off: a, Data: global[a:b]}, {Off: b, Data: global[b:]}}
-			other := []run{{Off: 0, Data: bytes.ToLower(global)}}
 			for _, q := range []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 5, MinLen: 4}, {Kind: OpTopK, K: MaxTopK, MinLen: 2}} {
 				want, _ := mono.Analytics(ctx, q)
 				for name, segs := range map[string][]run{"one segment": whole, "three segments": cut} {
-					var sorters sorterCache
-					got, err := suffixOrderAnswer(ctx, q, segs, &sorters)
-					// The next call lays other bytes out in the memory this one
-					// sorted in; the answer must hold none of it.
-					if _, err := suffixOrderAnswer(ctx, q, other, &sorters); err != nil {
+					o, err := newTextOrder(segs)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err != nil || !reflect.DeepEqual(got, want) {
+					if got, err := suffixOrderAnswer(ctx, q, o); err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: suffixOrderAnswer(%s, %s) = %+v, %v; want %+v", kind, q.Kind, name, got, err, want)
 					}
+				}
+				// Scribbling over an answer leaves the order the snapshot keeps
+				// as it was: the next call on it answers as before.
+				got, err := lx.Analytics(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clear(got.Pattern)
+				for i := range got.Occurrences {
+					got.Occurrences[i] = -1
+				}
+				for _, e := range got.Top {
+					clear(e.Pattern)
+				}
+				if again, err := lx.Analytics(ctx, q); err != nil || !reflect.DeepEqual(again, want) {
+					t.Fatalf("%s: live %s after its last answer was overwritten = %+v, %v; want %+v", kind, q.Kind, again, err, want)
 				}
 			}
 			lx.Close()
@@ -245,12 +259,12 @@ func analyticsLive(t *testing.T, docs, extra [][]byte) *LiveIndex {
 
 // TestAnalyticsCostPins pins the allocation costs this layer was rewritten
 // for: mono topk reads L bytes per distinct L-mer rather than copying a
-// suffix, and live lrs and topk sort the virtual string in memory an earlier
-// call left them rather than allocating a suffix array of the corpus (about
-// 14 B per symbol) per call, so none of the three grows with the corpus — at
-// 128 Ki symbols each allocates at most a quarter more than at 32 Ki, plus
-// 4 KiB. Each cost is the least of a few calls: the first live call sizes the
-// memory the later ones reuse.
+// suffix, and live lrs and topk read the suffix order their snapshot sorted
+// once rather than allocating a suffix array of the corpus (about 14 B per
+// symbol) per call, so none of the three grows with the corpus — at 128 Ki
+// symbols each allocates at most a quarter more than at 32 Ki, plus 4 KiB.
+// Each cost is the least of a few calls: the first live call sorts the order
+// the later ones read.
 func TestAnalyticsCostPins(t *testing.T) {
 	ctx := context.Background()
 	topk := Query{Kind: OpTopK, K: 16, MinLen: 8}
@@ -305,6 +319,81 @@ func TestAnalyticsCostPins(t *testing.T) {
 	}
 }
 
+// TestLiveAnalyticsSortsOncePerSnapshot: lrs and topk asked of one live
+// snapshot at once sort its suffix order once between them and answer as the
+// monolithic index does; a mutation's snapshot sorts its own on the next
+// call; and a call that waits for the index's sort slot gives up when its
+// context ends, sorting nothing.
+func TestLiveAnalyticsSortsOncePerSnapshot(t *testing.T) {
+	const n = 32 << 10
+	docs, err := workload.SliceDocs(workload.MustGenerate(workload.DNA, n, 3)[:n], 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := workload.MustGenerate(workload.DNA, 3*len(docs[0]), 4)[:3*len(docs[0])]
+	extra := [][]byte{more[:len(docs[0])], more[len(docs[0]) : 2*len(docs[0])]}
+	lx := analyticsLive(t, docs, extra)
+	defer lx.Close()
+	ctx := context.Background()
+	queries := []Query{{Kind: OpLongestRepeat}, {Kind: OpTopK, K: 16, MinLen: 8}}
+	// requireMono asks every query of lx as many times at once and holds each
+	// answer to the monolithic index over docs.
+	requireMono := func(label string, docs [][]byte, times int) {
+		t.Helper()
+		mono, err := BuildCorpus(docs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, q := range queries {
+			want, err := mono.Analytics(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range times {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if got, err := lx.Analytics(ctx, q); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: live %s = %+v, %v; the monolithic index answers %+v", label, q.Kind, got, err, want)
+					}
+				}()
+			}
+		}
+		close(start)
+		wg.Wait()
+	}
+
+	requireMono("one snapshot", docs, 8)
+	if got := lx.sorts.Load(); got != 1 {
+		t.Fatalf("8 lrs and 8 topk at once on one snapshot sorted %d times; want 1", got)
+	}
+	docs = append(docs, more[2*len(docs[0]):])
+	if _, err := lx.Append(docs[len(docs)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	requireMono("after an append", docs, 1)
+	if got := lx.sorts.Load(); got != 2 {
+		t.Fatalf("after an append, the next calls brought the sorts to %d; want 2", got)
+	}
+
+	if _, err := lx.Append([][]byte{docs[0]}); err != nil {
+		t.Fatal(err)
+	}
+	lx.sortSlot <- struct{}{}
+	wait, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if ans, err := lx.Analytics(wait, queries[0]); !errors.Is(err, context.DeadlineExceeded) || ans.Found {
+		t.Errorf("lrs waiting for a held sort slot: %+v, %v; want context.DeadlineExceeded", ans, err)
+	}
+	<-lx.sortSlot
+	if got := lx.sorts.Load(); got != 2 {
+		t.Errorf("a call that gave up waiting for the sort slot brought the sorts to %d; want 2", got)
+	}
+}
+
 // countdownCtx reports no error for its first n Err calls and Canceled from
 // then on — a cancellation that lands while a walk is under way, whichever
 // goroutine schedule the test runs under. Like any context it may be polled
@@ -348,9 +437,10 @@ func TestPartitionedAnalyticsCancelMidWalk(t *testing.T) {
 			if _, err := layer.q.Analytics(context.Background(), q); err != nil {
 				t.Fatalf("%s %s: %v", layer.name, q.Kind, err)
 			}
-			// Four checks pass. Live, they are the entry check, the check after
-			// the sort and two polls, so the scan is 3·stopCheckInterval
-			// suffixes in when the next poll cancels it.
+			// Four checks pass. Live, they are the entry check and three polls
+			// (the call above sorted the snapshot's order, so this one sorts
+			// nothing), so the scan is 4·stopCheckInterval suffixes in when
+			// the next poll cancels it.
 			ctx := &countdownCtx{Context: context.Background()}
 			ctx.n.Store(4)
 			ans, err := layer.q.Analytics(ctx, q)

@@ -277,9 +277,9 @@ func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int, sink i
 
 // suffixOrder returns the suffix array of the terminated text and the LCP
 // of each suffix with its predecessor, both in rank order and freshly
-// allocated: the kernel of lcs (commonSubstring), and what the in-memory
-// builder computes into its sink's suffix array. The live index's lrs / topk
-// sort in memory kept between calls (suffixOrderAnswer).
+// allocated: the kernel of lcs (commonSubstring) and of the live index's lrs /
+// topk (textOrder), and what the in-memory builder computes into its sink's
+// suffix array.
 func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 	if sa, err = suffixarray.Build(text); err != nil {
 		return nil, nil, err

@@ -1,12 +1,13 @@
 // Package suffixarray builds suffix arrays with the SA-IS induced-sorting
-// algorithm and longest-common-prefix arrays in text order (the Φ form of
-// Kasai's algorithm).
+// algorithm and longest-common-prefix arrays with the Φ form of Kasai's
+// algorithm.
 //
-// It is the construction kernel of era's in-memory builder and of the
-// partitioned lrs / topk analytics, the substrate for the B²ST baseline (which
-// sorts partitions into suffix arrays + LCP arrays and merges them, per Barsky
-// et al. CIKM'09 as summarized in §3 of the ERA paper) and the ground truth for
-// the lexicographic leaf order of every suffix tree builder.
+// It is the construction kernel of era's in-memory builder, of lcs and of the
+// live index's lrs / topk (one suffix order per snapshot), the substrate for
+// the B²ST baseline (which sorts partitions into suffix arrays + LCP arrays
+// and merges them, per Barsky et al. CIKM'09 as summarized in §3 of the ERA
+// paper) and the ground truth for the lexicographic leaf order of every suffix
+// tree builder.
 //
 // The input must end with a terminator byte that is strictly smaller than
 // every other symbol (package alphabet guarantees '$' ranks below all
@@ -17,10 +18,7 @@
 // output has no room to lend them — the reduced string and its suffix array
 // live inside the output — and LCP allocates its result and one more int32
 // per symbol: 12.2 to 13.2 bytes per symbol for the pair at 1 Mi symbols
-// (TestAllocationPerSymbol). A Sorter keeps all of that from one text to the
-// next and returns the LCPs in text order, which needs no second array: 8¼
-// bytes per symbol of the longest text it has sorted, and nothing per sort
-// (TestSorterReusesItsMemory).
+// (TestAllocationPerSymbol).
 package suffixarray
 
 import (
@@ -37,7 +35,7 @@ func Build(s []byte) ([]int32, error) {
 		return nil, err
 	}
 	sa := make([]int32, len(s))
-	sais(s, sa, 256, nil, &spare{})
+	sais(s, sa, 256, nil)
 	return sa, nil
 }
 
@@ -51,7 +49,7 @@ func BuildInto(s []byte, sa []int32) error {
 	if len(sa) != len(s) {
 		return fmt.Errorf("suffixarray: %d entries for the suffix array of %d bytes", len(sa), len(s))
 	}
-	sais(s, sa, 256, nil, &spare{})
+	sais(s, sa, 256, nil)
 	return nil
 }
 
@@ -73,74 +71,6 @@ func checkTerminated(s []byte) error {
 	return nil
 }
 
-// A Sorter sorts one text after another in memory it keeps: once it has
-// sorted a text as long as the next, Sort allocates nothing. The zero value
-// is ready to use; a Sorter is not safe for concurrent use.
-type Sorter struct {
-	sa, plcp []int32
-	words    []uint64
-}
-
-// Sort returns the suffix array of s and its LCP array in text order:
-// plcp[i] is the length of the common prefix of suffix i and the suffix ranked
-// just before it, 0 for the smallest. s must be terminated as Build requires.
-// Both slices are the Sorter's, valid until its next Sort.
-func (z *Sorter) Sort(s []byte) (sa, plcp []int32, err error) {
-	if err := checkTerminated(s); err != nil {
-		return nil, nil, err
-	}
-	n := len(s)
-	z.sa = grown(z.sa, n)
-	// plcp is free until the sort ends, so it lends the levels their buckets
-	// (256 pairs at the top); every level's LMS bits together take at most
-	// n/32 words plus one per level.
-	z.plcp = grown(z.plcp, max(n, 2*256))
-	z.words = grown(z.words, n/32+64)
-	sa, plcp = z.sa[:n], z.plcp[:n]
-	sais(s, sa, 256, nil, &spare{words: z.words, ints: z.plcp})
-	phiLCP(s, sa, plcp)
-	return sa, plcp, nil
-}
-
-// grown returns b with length n, reallocated only when its capacity is short.
-func grown[T int32 | uint64](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
-}
-
-// spare is memory a sort carves its per-level state from before it allocates
-// any: the LMS bits of every level, and the buckets of a level whose caller's
-// suffix array has no room to lend them. Build's is empty, a Sorter's the
-// arrays it keeps.
-type spare struct {
-	words []uint64
-	ints  []int32
-}
-
-// bits returns a cleared bitset of n bits.
-func (p *spare) bits(n int) bitset {
-	w := (n + 63) / 64
-	if len(p.words) < w {
-		return make(bitset, w)
-	}
-	b := bitset(p.words[:w:w])
-	p.words = p.words[w:]
-	clear(b)
-	return b
-}
-
-// buckets returns n int32s.
-func (p *spare) buckets(n int) []int32 {
-	if len(p.ints) < n {
-		return make([]int32, n)
-	}
-	b := p.ints[:n:n]
-	p.ints = p.ints[n:]
-	return b
-}
-
 // bitset marks the LMS positions of one level: the S-type suffixes (smaller
 // than their right neighbour) that follow an L-type one.
 type bitset []uint64
@@ -152,9 +82,9 @@ func (b bitset) get(i int) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 // smallest) into sa, which has len(s) entries. The top level runs over the
 // bytes themselves; every deeper level over a reduced string of int32 names
 // that occupies the tail of the caller's sa while its suffix array occupies
-// the head, and free is what the caller's sa has left between the two. A
-// level takes its LMS bits from p, and its buckets when free cannot hold them.
-func sais[T byte | int32](s []T, sa []int32, k int, free []int32, p *spare) {
+// the head, and free is what the caller's sa has left between the two: a
+// level's buckets when it can hold them.
+func sais[T byte | int32](s []T, sa []int32, k int, free []int32) {
 	n := len(s)
 	if n <= 2 {
 		// The terminator sorts first.
@@ -167,11 +97,11 @@ func sais[T byte | int32](s []T, sa []int32, k int, free []int32, p *spare) {
 	// count is the bucket sizes, computed once; ptr the bucket heads or
 	// tails the pass at hand advances.
 	if len(free) < 2*k {
-		free = p.buckets(2 * k)
+		free = make([]int32, 2*k)
 	}
 	count, ptr := free[:k], free[k:2*k]
 	clear(count)
-	lms := p.bits(n)
+	lms := make(bitset, (n+63)/64)
 	n1 := 0
 	count[s[n-1]]++
 	for i, sType := n-2, true; i >= 0; i-- { // s[n-2] is L-type, which marks the sentinel
@@ -229,7 +159,7 @@ func sais[T byte | int32](s []T, sa []int32, k int, free []int32, p *spare) {
 	// Step 3: the reduced string's suffix array, by recursion unless every
 	// name is already distinct.
 	if names < n1 {
-		sais(s1, sa1, names, sa[n1:n-n1], p)
+		sais(s1, sa1, names, sa[n1:n-n1])
 	} else {
 		for i, c := range s1 {
 			sa1[c] = int32(i)
@@ -345,18 +275,6 @@ func LCP(s []byte, sa []int32) []int32 {
 		return nil
 	}
 	phi := make([]int32, n)
-	phiLCP(s, sa, phi)
-	lcp := make([]int32, n)
-	for k, p := range sa {
-		lcp[k] = phi[p]
-	}
-	return lcp
-}
-
-// phiLCP writes into phi, in text order, the LCP of each suffix with its
-// predecessor in sa (0 for the first).
-func phiLCP(s []byte, sa, phi []int32) {
-	n := len(s)
 	phi[sa[0]] = -1
 	for k := 1; k < n; k++ {
 		phi[sa[k]] = sa[k-1]
@@ -377,4 +295,9 @@ func phiLCP(s []byte, sa, phi []int32) {
 			h--
 		}
 	}
+	lcp := make([]int32, n)
+	for k, p := range sa {
+		lcp[k] = phi[p]
+	}
+	return lcp
 }

@@ -194,8 +194,6 @@ func FuzzBuildLCP(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 3, 2, 0}, 70), byte(4))
 	f.Add([]byte{3, 2, 1, 0, 0, 1, 2, 3, 3, 3, 0, 0, 0, 1}, byte(200))
 	f.Add([]byte{}, byte(0))
-	// One Sorter sorts every input in turn, whatever the sizes before it.
-	var z Sorter
 	f.Fuzz(func(t *testing.T, core []byte, sigma byte) {
 		if len(core) > 4096 {
 			t.Skip()
@@ -219,18 +217,6 @@ func FuzzBuildLCP(f *testing.F) {
 		lcp := naiveLCP(s, want)
 		if got := LCP(s, sa); !equal32(got, lcp) {
 			t.Fatalf("LCP(%q) = %v, counting gives %v", s, got, lcp)
-		}
-		zsa, plcp, err := z.Sort(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equal32(zsa, want) {
-			t.Fatalf("Sorter.Sort(%q) = %v, sorting the suffixes gives %v", s, zsa, want)
-		}
-		for k, o := range want {
-			if plcp[o] != lcp[k] {
-				t.Fatalf("Sorter.Sort(%q): suffix %d has LCP %d with its predecessor, counting gives %d", s, o, plcp[o], lcp[k])
-			}
 		}
 
 		std := stdsa.New(s)
@@ -293,48 +279,6 @@ func TestAllocationPerSymbol(t *testing.T) {
 			if perSym > 16 {
 				t.Errorf("%s, %d symbols: Build + LCP allocated %.2f B/symbol, want ≤ 16", name, n, perSym)
 			}
-		}
-	}
-}
-
-// TestSorterReusesItsMemory: one Sorter sorts texts of every shape, growing
-// and shrinking, into Build's suffix array and LCP's array in text order; and
-// once it has sorted the longest, sorting any of them again allocates
-// nothing, the deepest SA-IS recursion included.
-func TestSorterReusesItsMemory(t *testing.T) {
-	var z Sorter
-	var texts [][]byte
-	for _, n := range []int{4 << 10, 64 << 10, 1 << 10} {
-		for _, s := range benchTexts(n) {
-			texts = append(texts, s)
-		}
-	}
-	texts = append(texts, []byte("$"), []byte("BANANA$"))
-	for _, s := range texts {
-		sa, plcp, err := z.Sort(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equal32(sa, want) {
-			t.Fatalf("%d symbols: Sorter.Sort's suffix array differs from Build's", len(s))
-		}
-		for k, l := range LCP(s, want) {
-			if plcp[want[k]] != l {
-				t.Fatalf("%d symbols: Sorter.Sort gives suffix %d an LCP of %d, LCP %d", len(s), want[k], plcp[want[k]], l)
-			}
-		}
-	}
-	for _, s := range texts {
-		if allocs := testing.AllocsPerRun(3, func() {
-			if _, _, err := z.Sort(s); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%d symbols: Sorter.Sort allocated %.0f times after sorting a longer text", len(s), allocs)
 		}
 	}
 }

@@ -53,7 +53,8 @@ type LiveIndex struct {
 	snap     atomic.Pointer[liveSnapshot]
 	epoch    atomic.Uint64
 	closedFl atomic.Bool
-	sorters  sorterCache // lrs / topk sort memory, kept from call to call
+	sortSlot chan struct{} // one snapshot's suffix order sorts at a time
+	sorts    atomic.Int64  // suffix orders sorted
 
 	stop      context.Context // a compaction builds under it; Close cancels it
 	cancel    context.CancelFunc
@@ -188,7 +189,7 @@ func (c *LiveConfig) withLiveDefaults() LiveConfig {
 // does not list, *.tmp files — is removed. name may be empty, in which case
 // the manifest's saved name or the directory base name is adopted.
 func NewLive(name string, cfg *LiveConfig) (*LiveIndex, error) {
-	lx := &LiveIndex{name: name}
+	lx := &LiveIndex{name: name, sortSlot: make(chan struct{}, 1)}
 	lx.cfg = cfg.withLiveDefaults()
 	lx.dir = lx.cfg.Dir
 	lx.fs = lx.cfg.fs
@@ -323,7 +324,7 @@ func (lx *LiveIndex) buildConfig() Config {
 // their acquired snapshot until they return. Caller holds mu.
 func (lx *LiveIndex) publishLocked() {
 	s := newLiveSnapshot(slices.Concat(lx.sealed, lx.mem), lx.alpha)
-	s.sorters = &lx.sorters
+	s.lx = lx
 	if old := lx.snap.Swap(s); old != nil {
 		old.release()
 	}

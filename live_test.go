@@ -462,8 +462,9 @@ func TestLiveRaceStress(t *testing.T) {
 					t.Errorf("Batch self-inconsistent: %d occ, count %d", len(res[0].Occurrences), res[0].Count)
 					return
 				}
-				// lrs and topk sort in memory the queriers pass each other
-				// (sorterCache) while seals and compactions retire tiers.
+				// lrs and topk share their snapshot's suffix order, sorted
+				// in the index's one sort slot, while seals and compactions
+				// retire tiers.
 				lrs, err := lx.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
 				if err != nil || (lrs.Found && (len(lrs.Pattern) == 0 || lrs.Count < 2 || len(lrs.Occurrences) != lrs.Count)) {
 					t.Errorf("lrs self-inconsistent: %d-byte pattern, %d occ, count %d, %v", len(lrs.Pattern), len(lrs.Occurrences), lrs.Count, err)

@@ -173,7 +173,8 @@ type liveSnapshot struct {
 	treeNodes int64
 	mapped    int64
 	stitch    stitch
-	sorters   *sorterCache // the index's, shared by all its snapshots
+	lx        *LiveIndex                // the index that published it: its sort slot
+	order     atomic.Pointer[textOrder] // the suffix order, once lrs / topk sorted it
 	refs      atomic.Int64
 }
 
