@@ -12,8 +12,17 @@ import (
 )
 
 // Tier maintenance for LiveIndex: sealing the memtable into an immutable
-// tier, compacting the sealed tier set back into one, and the manifest that
-// makes both durable.
+// tier, folding a run of sealed tiers into one, and the manifest that makes
+// both durable.
+//
+// The policy is size-tiered, as in an LSM tree (O'Neil et al., "The
+// Log-Structured Merge-Tree", 1996). A seal that fills the stack folds only
+// its newest run of tiers (foldStart), the run growing toward older tiers
+// while its live bytes reach the next older tier's; Compact folds them all.
+// With equal seals the stack behaves as a binary counter: a symbol is rebuilt
+// about once each time the tiers below it double, and about once per
+// doubling of the corpus a fold carries through the whole stack — that fold,
+// and the Append that waits for it, cost a rebuild of the corpus.
 //
 // File discipline is the one every index file follows: tier files and the
 // manifest are written to a temporary name, fsynced, renamed into place and
@@ -46,8 +55,8 @@ const (
 )
 
 // Seal forces the memtable into a sealed tier (a v4 file in directory mode)
-// regardless of thresholds, compacting if that brings the stack to MaxTiers.
-// A no-op when the memtable is empty.
+// regardless of thresholds, folding tiers if that brings the stack to
+// MaxTiers. A no-op when the memtable is empty.
 func (lx *LiveIndex) Seal() (err error) {
 	var full bool
 	defer func() { err = errors.Join(err, lx.compactIf(full)) }() // after mu is released
@@ -69,18 +78,18 @@ func (lx *LiveIndex) Compact() error {
 	if err := lx.Seal(); err != nil {
 		return err
 	}
-	return lx.compact()
+	return lx.compact(true)
 }
 
 // compactIf runs the compaction a seal that brought the stack to MaxTiers
 // (full) triggers; its caller waits for it. If one is already running it
-// returns at once, and the tiers sealed meanwhile wait for the next trigger.
+// returns at once: that one re-checks the stack after its swap.
 func (lx *LiveIndex) compactIf(full bool) error {
 	if !full || !lx.compactMu.TryLock() {
 		return nil
 	}
 	defer lx.compactMu.Unlock()
-	return lx.compact()
+	return lx.compact(false)
 }
 
 // sealLocked converts the memtable into a sealed tier — one build over its
@@ -102,20 +111,74 @@ func (lx *LiveIndex) sealLocked() (full bool, err error) {
 	lx.mem = nil
 	errs := lx.commitTiersLocked()
 	lx.seals++
+	symbols, _ := st.sizes()
+	lx.built += int64(symbols)
 	lx.mutPause += time.Since(start)
 	return len(lx.sealed) >= lx.cfg.MaxTiers, errors.Join(errs...)
 }
 
-// compact merges the surviving documents of every sealed tier (ids
-// preserved) into one freshly built tier, swaps the manifest, and unlinks the
-// replaced tier files. Caller holds compactMu and not mu, which compact takes
-// to copy what it folds and to swap the new tier in.
-func (lx *LiveIndex) compact() error {
+// compact folds every sealed tier (all) or the run foldStart picks, then
+// picks and folds again while the stack still holds MaxTiers tiers: tiers
+// sealed during a build found the compaction running and did not start one.
+// It stops re-checking once Close cancels, and after MaxTiers rounds, so
+// appends that seal as fast as folds build cannot hold the triggering call
+// for ever (the next seal triggers again). Caller holds compactMu and not mu.
+func (lx *LiveIndex) compact(all bool) error {
+	for round := 0; ; round++ {
+		folded, err := lx.fold(all)
+		if err != nil || !folded || round == lx.cfg.MaxTiers || lx.stop.Err() != nil {
+			return err
+		}
+		lx.mu.Lock()
+		full := len(lx.sealed) >= lx.cfg.MaxTiers
+		lx.mu.Unlock()
+		if !full {
+			return nil
+		}
+		all = false
+	}
+}
+
+// foldStart picks the run sealed[j:] a filled stack folds: starting from the
+// newest two tiers, the run grows toward older ones while its live bytes are
+// at least the next older tier's. A tier whose dead bytes are at least half
+// its bytes joins the run too, with every tier newer than it, so the run
+// stays contiguous: past a trigger no tier it saw is more than half dead, and
+// deleted bytes do not wait for a carry to reach them. Caller holds mu.
+func foldStart(sealed []*tierState) int {
+	live := func(t *tierState) int { _, n := t.sizes(); return n }
+	j := max(len(sealed)-2, 0)
+	run := 0
+	for _, t := range sealed[j:] {
+		run += live(t)
+	}
+	for j > 0 && run >= live(sealed[j-1]) {
+		j--
+		run += live(sealed[j])
+	}
+	for i, t := range sealed[:j] {
+		if total, n := t.sizes(); t.nDead > 0 && 2*(total-n) >= total {
+			return i
+		}
+	}
+	return j
+}
+
+// fold merges the surviving documents (ids preserved) of every sealed tier
+// (all) or of the run foldStart picks into one freshly built tier, swaps it
+// in for them, swaps the manifest, and unlinks the replaced tier files. It
+// reports whether it replaced anything. It takes mu to copy what it folds and
+// to swap the new tier in, and builds without it.
+func (lx *LiveIndex) fold(all bool) (bool, error) {
 	lx.mu.Lock()
-	from := slices.Clone(lx.sealed)
+	j := 0
+	if !all {
+		j = foldStart(lx.sealed)
+	}
+	from := slices.Clone(lx.sealed[j:])
 	if len(from) == 0 || (len(from) == 1 && from[0].nDead == 0) {
 		lx.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	build := lx.buildTierLocked(from, true)
 	lx.mu.Unlock()
@@ -124,12 +187,12 @@ func (lx *LiveIndex) compact() error {
 	// tiers whose mapped bytes the build reads.
 	st, err := build(lx.stop)
 	if err != nil {
-		return err
+		return false, err
 	}
 	lx.mu.Lock()
 	defer lx.mu.Unlock()
 	start := time.Now()
-	var head []*tierState
+	var mid []*tierState
 	if st != nil {
 		// Deletes that landed during the build tombstone the new copies.
 		for _, t := range from {
@@ -142,11 +205,15 @@ func (lx *LiveIndex) compact() error {
 				}
 			}
 		}
-		head = []*tierState{st}
+		mid = []*tierState{st}
+		symbols, _ := st.sizes()
+		lx.built += int64(symbols)
 	}
-	// Compactions are serialized and seals only append, so the folded tiers
-	// are still the head of the stack; the tiers sealed meanwhile follow.
-	lx.sealed = slices.Concat(head, lx.sealed[len(from):])
+	// Compactions are serialized and seals only append, so the folded run is
+	// still sealed[j:j+len(from)]: behind the older tiers it did not fold,
+	// ahead of the tiers sealed meanwhile. The new tier takes its place, so
+	// tiers keep holding contiguous, ascending id ranges.
+	lx.sealed = slices.Concat(lx.sealed[:j], mid, lx.sealed[j+len(from):])
 	errs := lx.commitTiersLocked()
 	for _, t := range from {
 		if t.h.file != "" {
@@ -156,7 +223,7 @@ func (lx *LiveIndex) compact() error {
 	}
 	lx.compactions++
 	lx.mutPause += time.Since(start)
-	return errors.Join(errs...)
+	return true, errors.Join(errs...)
 }
 
 // buildTierLocked copies out, under mu, what the one build a seal or

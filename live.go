@@ -22,10 +22,12 @@ import (
 // unsealed kilobytes in place — which seals into an immutable v4 tier once
 // full: one build, from a suffix array when the build budget holds the
 // memtable (the default budget always does), by ERA otherwise; deletes are
-// per-document tombstones filtered at query time; compaction folds the
-// sealed tiers back into one, rebuilding their surviving documents. In
-// directory mode each such build writes its tier straight into the tier's
-// file. Every query surface of Queryable
+// per-document tombstones filtered at query time; a seal that fills the stack
+// folds its newest run of tiers into one (size-tiered, as in an LSM tree: the
+// run grows toward older tiers while its live bytes reach the next one's, and
+// a tier at least half dead joins it), rebuilding their surviving documents,
+// and Compact folds every tier. In directory mode each such build writes its
+// tier straight into the tier's file. Every query surface of Queryable
 // answers byte-identically to a from-scratch BuildCorpus over the surviving
 // documents in append order — LiveIndex trades none of the package's answer
 // discipline for mutability.
@@ -72,6 +74,7 @@ type LiveIndex struct {
 
 	seals       int64
 	compactions int64
+	built       int64 // symbols built by seals and folds
 	mutPause    time.Duration
 }
 
@@ -152,8 +155,10 @@ type LiveConfig struct {
 	// longer scan.
 	MemtableMaxDocs  int
 	MemtableMaxBytes int64
-	// MaxTiers is the sealed-tier count at which a seal triggers compaction
-	// back into one tier. Default 8.
+	// MaxTiers is the sealed-tier count at which a seal folds the newest run
+	// of tiers into one, and the bound the fold keeps the stack below: it
+	// folds again while tiers sealed during its build leave MaxTiers.
+	// Default 8.
 	MaxTiers int
 	// fs overrides the filesystem behind the durability paths (tier files,
 	// manifest, WAL); nil means the real OS. Unexported: only the
@@ -652,7 +657,7 @@ type LiveStats struct {
 	LiveDocs      int           // surviving documents across all tiers
 	DeadDocs      int           // tombstones not yet compacted away
 	Seals         int64         // memtable seals over the index's life
-	Compactions   int64         // full compactions over the index's life
+	Compactions   int64         // folds of a run of sealed tiers (Compact's of all of them included) over the index's life
 	MutationPause time.Duration // cumulative wall time mutations stalled on seals and compaction swaps (not builds)
 	NextID        uint64        // the id the next appended document receives
 	Epoch         uint64        // current mutation epoch

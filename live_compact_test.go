@@ -3,6 +3,7 @@ package era
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -270,4 +271,249 @@ func testCloseCancelsInMemoryCompaction(t *testing.T) {
 		t.Fatalf("reopened with %d tiers, %d compactions; want the two sealed tiers", st.Tiers, st.Compactions)
 	}
 	checkLive(t, re, o, rand.New(rand.NewSource(5)))
+}
+
+// TestLiveIngestBuildsLogarithmically pins the work size-tiered folds do:
+// 4 MiB of DNA appended in 4 KiB documents at the default config builds at
+// most 4 symbols per symbol ingested, the seals' one included. Folding the
+// whole stack at every trigger built about 10.5 here, a ratio that grew
+// linearly with the corpus. Skipped under -short -race, where the 4 MiB
+// ingest is slow; CI runs it without the race detector.
+func TestLiveIngestBuildsLogarithmically(t *testing.T) {
+	if testing.Short() && raceEnabled {
+		t.Skip("4 MiB ingest under the race detector")
+	}
+	const total, docLen = 4 << 20, 4 << 10
+	corpus := workload.MustGenerate(workload.DNA, total, 1)
+	lx, err := NewLive("ingest", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lx.Close()
+	for off := 0; off < total; off += docLen {
+		if _, err := lx.Append([][]byte{corpus[off : off+docLen]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lx.mu.Lock()
+	built := lx.built
+	lx.mu.Unlock()
+	st := lx.Stats()
+	ratio := float64(built) / total
+	t.Logf("%d seals, %d folds, %d tiers: %.2f symbols built per symbol ingested", st.Seals, st.Compactions, st.Tiers, ratio)
+	if ratio > 4 {
+		t.Fatalf("ingest built %.2f symbols per symbol appended, want ≤ 4", ratio)
+	}
+}
+
+// heldFold is a directory-mode index whose seal-triggered fold is held at the
+// Create of its tier tmp, outside the index's mutex.
+type heldFold struct {
+	lx      *LiveIndex
+	o       *liveOracle
+	release func()
+	done    chan error // the triggering Append's error
+	seed    int64
+}
+
+// holdFold seals one single-document tier per entry of units, of that many
+// 64-symbol DNA blocks, into a directory-mode index at MaxTiers = len(units):
+// the last seal fills the stack, and the fold it triggers is held at the
+// Create of its tier tmp. It returns once the fold is held.
+func holdFold(t *testing.T, units []int) *heldFold {
+	t.Helper()
+	hfs := &hookFS{FS: vfs.OS}
+	lx, err := NewLive("held", &LiveConfig{Dir: t.TempDir(), MemtableMaxDocs: 1, MaxTiers: len(units), fs: hfs,
+		Build: &Config{Alphabet: alphabet.DNA}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lx.Close() })
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	h := &heldFold{lx: lx, o: &liveOracle{}, done: make(chan error, 1),
+		release: func() { once.Do(func() { close(release) }) }}
+	t.Cleanup(h.release) // a failed test must not leave the fold blocked
+	for _, u := range units[:len(units)-1] {
+		h.append(t, u)
+	}
+
+	// The last seal takes the next tier number and its fold the one after.
+	lx.mu.Lock()
+	fold := fmt.Sprintf(liveTierPattern, lx.tierSeq+1) + ".tmp"
+	lx.mu.Unlock()
+	var hold sync.Once // a streamed build creates its tmp a second time
+	hfs.onCreate = func(name string) {
+		if filepath.Base(name) == fold {
+			hold.Do(func() { close(entered); <-release })
+		}
+	}
+	last := h.doc(units[len(units)-1])
+	go func() {
+		_, err := lx.Append([][]byte{last})
+		h.done <- err
+	}()
+	<-entered
+	h.o.append([]uint64{lx.Stats().NextID - 1}, [][]byte{last})
+	return h
+}
+
+// doc returns a fresh document of units 64-symbol blocks.
+func (h *heldFold) doc(units int) []byte {
+	h.seed++
+	return workload.MustGenerate(workload.DNA, 64*units, h.seed)[:64*units]
+}
+
+// append appends one document of units blocks, which seals a tier, and fails
+// the test unless it returns within five seconds.
+func (h *heldFold) append(t *testing.T, units int) {
+	t.Helper()
+	d := h.doc(units)
+	type result struct {
+		ids []uint64
+		err error
+	}
+	c := make(chan result, 1)
+	go func() {
+		ids, err := h.lx.Append([][]byte{d})
+		c <- result{ids, err}
+	}()
+	select {
+	case r := <-c:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		h.o.append(r.ids, [][]byte{d})
+	case <-time.After(5 * time.Second):
+		t.Fatal("an Append did not return while a fold was held")
+	}
+}
+
+// finish releases the fold and waits for the Append that triggered it.
+func (h *heldFold) finish(t *testing.T) {
+	t.Helper()
+	h.release()
+	if err := <-h.done; err != nil {
+		t.Fatalf("the Append that triggered the fold: %v", err)
+	}
+}
+
+// TestSealsDuringPartialCompaction holds a partial fold — tiers of 32, 4, 2,
+// 1 and 1 blocks at MaxTiers 5 fold the newest four — while two appends seal
+// a tier each, then lets it swap. The stack must be the unfolded oldest tier,
+// then the new tier, then the two sealed meanwhile; tier id ranges ascend;
+// and the index answers as BuildCorpus over the survivors, before and after
+// reopen.
+func TestSealsDuringPartialCompaction(t *testing.T) {
+	h := holdFold(t, []int{32, 4, 2, 1, 1})
+	h.append(t, 1)
+	h.append(t, 1)
+	h.finish(t)
+
+	want := "[[0] [1 2 3 4] [5] [6]]"
+	if got := fmt.Sprint(sealedIDs(h.lx)); got != want {
+		t.Fatalf("after the fold the tiers hold ids %s, want %s", got, want)
+	}
+	if n := h.lx.Stats().Compactions; n != 1 {
+		t.Fatalf("%d folds, want 1: the stack the swap left is below MaxTiers", n)
+	}
+	assertIDsAscend(t, h.lx)
+	checkLive(t, h.lx, h.o, rand.New(rand.NewSource(1)))
+	dir := h.lx.dir
+	if err := h.lx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewLive("", &LiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := fmt.Sprint(sealedIDs(re)); got != want {
+		t.Fatalf("reopened with tiers holding ids %s, want %s", got, want)
+	}
+	checkLive(t, re, h.o, rand.New(rand.NewSource(2)))
+}
+
+// TestCompactionRefoldsAFullStack holds a fold of the newest two of tiers of
+// 4, 1 and 1 blocks at MaxTiers 3 while two appends seal a tier each, which
+// leaves the stack the swap makes at four tiers. The fold must re-check it
+// and fold again, so MaxTiers stays a bound on the stack once the triggering
+// Append returns.
+func TestCompactionRefoldsAFullStack(t *testing.T) {
+	h := holdFold(t, []int{4, 1, 1})
+	h.append(t, 1)
+	h.append(t, 1)
+	h.finish(t)
+
+	st := h.lx.Stats()
+	if st.Tiers >= 3 || st.Compactions != 2 {
+		t.Fatalf("%d tiers after %d folds; want fewer than MaxTiers (3) after 2: the swap's full stack re-folded", st.Tiers, st.Compactions)
+	}
+	assertIDsAscend(t, h.lx)
+	checkLive(t, h.lx, h.o, rand.New(rand.NewSource(3)))
+}
+
+// TestCompactionFoldsHalfDeadTiers deletes documents of the oldest tier — 8
+// of 64 symbols — behind three newer tiers of 32, and triggers a fold the
+// size rule keeps off the oldest tier. With more than half its bytes dead the
+// tier joins the run, and the deleted documents' bytes leave the stack; with
+// fewer, the fold leaves it and its tombstones alone.
+func TestCompactionFoldsHalfDeadTiers(t *testing.T) {
+	for _, tc := range []struct {
+		deleted int
+		tiers   int // after the fold
+		dead    int // documents still tombstoned after it
+	}{{5, 1, 0}, {3, 2, 3}} {
+		t.Run(fmt.Sprintf("deleted=%d", tc.deleted), func(t *testing.T) {
+			lx, err := NewLive("dead", &LiveConfig{MemtableMaxDocs: 100, MaxTiers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lx.Close()
+			o := &liveOracle{}
+			seal := func(n, size int) {
+				t.Helper()
+				var docs [][]byte
+				for range n {
+					d := workload.MustGenerate(workload.DNA, size, int64(len(o.docs)+len(docs)+1))
+					docs = append(docs, d[:size])
+				}
+				ids, err := lx.Append(docs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.append(ids, docs)
+				if err := lx.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seal(8, 64)
+			for id := range uint64(tc.deleted) {
+				if ok, err := lx.Delete(id); !ok || err != nil {
+					t.Fatalf("Delete(%d) = %v, %v", id, ok, err)
+				}
+				o.delete(id)
+			}
+			for range 3 {
+				seal(1, 32) // the third fills the stack: the run of 96 live bytes stops at the oldest tier
+			}
+
+			st := lx.Stats()
+			if st.Compactions != 1 || st.Tiers != tc.tiers || st.DeadDocs != tc.dead {
+				t.Fatalf("%d folds, %d tiers, %d dead documents; want 1 fold, %d tiers, %d dead",
+					st.Compactions, st.Tiers, st.DeadDocs, tc.tiers, tc.dead)
+			}
+			stacked, live := 0, len(o.global())-1
+			lx.mu.Lock()
+			for _, tier := range lx.sealed {
+				n, _ := tier.sizes()
+				stacked += n
+			}
+			lx.mu.Unlock()
+			if want := live + 64*tc.dead; stacked != want {
+				t.Fatalf("the stack holds %d bytes, want %d: %d live and the %d dead documents' %d", stacked, want, live, tc.dead, 64*tc.dead)
+			}
+			checkLive(t, lx, o, rand.New(rand.NewSource(4)))
+		})
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,9 +24,21 @@ import (
 // crashStep is one scripted mutation or maintenance call.
 type crashStep struct {
 	kind string   // "append", "delete", "seal", "compact"
-	docs [][]byte // appended; for "compact", while the compaction builds
+	docs [][]byte // appended; for "seal" and "compact", while the step's fold builds
 	id   uint64
 }
+
+// crashAppend and crashDelete are the script steps that append the given
+// documents as one batch and delete one id.
+func crashAppend(docs ...string) crashStep {
+	s := crashStep{kind: "append"}
+	for _, d := range docs {
+		s.docs = append(s.docs, []byte(d))
+	}
+	return s
+}
+
+func crashDelete(id uint64) crashStep { return crashStep{kind: "delete", id: id} }
 
 // crashScript is the fixed mutation sequence the matrix replays. With
 // MemtableMaxDocs=2 and MaxTiers=2 it exercises every durability surface:
@@ -33,14 +46,7 @@ type crashStep struct {
 // compactions, manifest swaps, WAL rotations, and a compaction that commits
 // while appended documents sit in the memtable.
 func crashScript() []crashStep {
-	a := func(docs ...string) crashStep {
-		s := crashStep{kind: "append"}
-		for _, d := range docs {
-			s.docs = append(s.docs, []byte(d))
-		}
-		return s
-	}
-	del := func(id uint64) crashStep { return crashStep{kind: "delete", id: id} }
+	a, del := crashAppend, crashDelete
 	return []crashStep{
 		a("GATTACA", "CAT"), // ids 0,1; seal
 		a(""),               // id 2 (empty documents are legal)
@@ -106,24 +112,36 @@ func playCrashScript(lx *LiveIndex, script []crashStep) (acked *liveOracle, infl
 				}
 				return
 			}
-		case "seal":
-			if lx.Seal() != nil {
-				return
-			}
-		case "compact":
+		case "seal", "compact":
 			if len(st.docs) > 0 {
-				// The compaction's tier is the first one created: Compact
-				// seals an empty memtable.
+				// The fold's tier is the next one numbered after a Compact,
+				// which seals an empty memtable, and the one after the seal's
+				// own after a Seal.
 				during := &crashStep{kind: "append", docs: st.docs}
 				hfs := lx.fs.(*hookFS)
+				lx.mu.Lock()
+				seq := lx.tierSeq
+				lx.mu.Unlock()
+				if st.kind == "seal" {
+					seq++
+				}
+				fold := fmt.Sprintf(liveTierPattern, seq) + ".tmp"
 				hfs.onCreate = func(name string) {
-					if hfs.onCreate != nil && isTierTmp(name) {
+					if hfs.onCreate != nil && filepath.Base(name) == fold {
 						hfs.onCreate = nil
 						appended(during)
 					}
 				}
 			}
-			if lx.Compact() != nil || inflight != nil {
+			maintain := lx.Compact
+			if st.kind == "seal" {
+				maintain = lx.Seal
+			}
+			err := maintain()
+			if hfs, ok := lx.fs.(*hookFS); ok {
+				hfs.onCreate = nil // a fold that never started must not fire it in Close
+			}
+			if err != nil || inflight != nil {
 				return
 			}
 		}
@@ -153,6 +171,32 @@ func assertSwept(t *testing.T, dir string, lx *LiveIndex) {
 	}
 }
 
+// sealedIDs returns the document ids of each sealed tier, oldest first.
+func sealedIDs(lx *LiveIndex) [][]uint64 {
+	lx.mu.Lock()
+	defer lx.mu.Unlock()
+	var ids [][]uint64
+	for _, st := range lx.sealed {
+		ids = append(ids, slices.Clone(st.ids))
+	}
+	return ids
+}
+
+// assertIDsAscend requires the sealed tiers to hold disjoint id ranges that
+// ascend through the stack, the model tombstone.go serves.
+func assertIDsAscend(t *testing.T, lx *LiveIndex) {
+	t.Helper()
+	var last int64 = -1
+	for i, ids := range sealedIDs(lx) {
+		for _, id := range ids {
+			if int64(id) <= last {
+				t.Fatalf("tier %d holds id %d after id %d: tiers %v", i, id, last, sealedIDs(lx))
+			}
+			last = int64(id)
+		}
+	}
+}
+
 func cloneOracle(o *liveOracle) *liveOracle {
 	c := &liveOracle{ids: append([]uint64(nil), o.ids...)}
 	for _, d := range o.docs {
@@ -175,7 +219,65 @@ func cloneOracle(o *liveOracle) *liveOracle {
 // built on the heap and streamed, and the crash points include each of its
 // writes. Subtests are numbered across both, in-place points first.
 func TestCrashPointMatrix(t *testing.T) {
-	script := crashScript()
+	runCrashMatrix(t, crashCase{script: crashScript(), memDocs: 2, maxTiers: 2, survivors: 6})
+}
+
+// partialFoldScript is a crash script whose folds after the first are
+// partial. At MemtableMaxDocs=2 and MaxTiers=3 its first fold takes the
+// whole stack; the second takes only the newest two tiers, while two
+// documents append and seal a tier behind them, so its swap replaces a run in
+// the middle of the stack; and the stack that leaves is full again, so the
+// fold re-checks it and folds its newest two tiers once more.
+func partialFoldScript() []crashStep {
+	a, del := crashAppend, crashDelete
+	return []crashStep{
+		a("GATT", "ACA"), // ids 0,1; seal: [7]
+		a("CAT", "TAG"),  // ids 2,3; seal: [7 6]
+		del(2),
+		a("GGCC", "AT"), // ids 4,5; seal: [7 3 6] -> the run 3+6 reaches 7: fold all: [16]
+		a("TTAC", "G"),  // ids 6,7; seal: [16 5]
+		del(6),
+		a("CCATA"), // id 8
+		// seal: [16 1 5] -> fold the newest two; ids 9,10 seal [4] behind
+		// them meanwhile: [16 6 4] -> full again: fold the newest two: [16 10]
+		{kind: "seal", docs: [][]byte{[]byte("GC"), []byte("TA")}},
+		del(0),
+		a("AC"), // id 11, left in the memtable
+	}
+}
+
+// TestCrashPointMatrixPartialFold runs the crash matrix over
+// partialFoldScript, so it kills a partial fold at each of its operations,
+// the middle-of-the-stack swap and the re-check's second fold included, and
+// requires every reopened stack to hold ascending id ranges.
+func TestCrashPointMatrixPartialFold(t *testing.T) {
+	runCrashMatrix(t, crashCase{
+		script: partialFoldScript(), memDocs: 2, maxTiers: 3, survivors: 9,
+		rehearsed: func(t *testing.T, lx *LiveIndex) {
+			got := fmt.Sprint(sealedIDs(lx))
+			if want := "[[0 1 3 4 5] [7 8 9 10]]"; got != want || lx.Stats().Compactions != 3 {
+				t.Fatalf("the script ends with tiers %s after %d folds, want %s after 3", got, lx.Stats().Compactions, want)
+			}
+		},
+		reopened: assertIDsAscend,
+	})
+}
+
+// crashCase is a script the crash matrix replays, the thresholds it runs at,
+// and the survivors a completed run leaves. rehearsed, if set, checks the
+// fault-free run before it closes, and reopened every reopened index.
+type crashCase struct {
+	script            []crashStep
+	memDocs, maxTiers int
+	survivors         int
+	rehearsed         func(t *testing.T, lx *LiveIndex)
+	reopened          func(t *testing.T, lx *LiveIndex)
+}
+
+// runCrashMatrix is the crash matrix TestCrashPointMatrix describes, over
+// one crashCase.
+func runCrashMatrix(t *testing.T, c crashCase) {
+	script := c.script
 	type fsVariant struct {
 		name string
 		wrap func(*vfs.FaultFS) vfs.FS
@@ -185,11 +287,11 @@ func TestCrashPointMatrix(t *testing.T) {
 		{"streamed", func(ffs *vfs.FaultFS) vfs.FS { return noAllocFS{ffs} }},
 	}
 	cfg := func(dir string, v fsVariant, ffs *vfs.FaultFS) *LiveConfig {
-		c := &LiveConfig{Dir: dir, MemtableMaxDocs: 2, MaxTiers: 2}
+		lc := &LiveConfig{Dir: dir, MemtableMaxDocs: c.memDocs, MaxTiers: c.maxTiers}
 		if ffs != nil {
-			c.fs = &hookFS{FS: v.wrap(ffs)}
+			lc.fs = &hookFS{FS: v.wrap(ffs)}
 		}
-		return c
+		return lc
 	}
 
 	// The crash points: every operation killed cleanly, and every Write torn
@@ -214,8 +316,11 @@ func TestCrashPointMatrix(t *testing.T) {
 		if inflight != nil {
 			t.Fatalf("%s rehearsal run hit an error with no fault armed", v.name)
 		}
-		if len(acked.docs) != 6 { // 12 appended, 6 deleted
-			t.Fatalf("%s rehearsal survivors = %d, want 6 (script did not complete)", v.name, len(acked.docs))
+		if len(acked.docs) != c.survivors {
+			t.Fatalf("%s rehearsal survivors = %d, want %d (script did not complete)", v.name, len(acked.docs), c.survivors)
+		}
+		if c.rehearsed != nil {
+			c.rehearsed(t, lx)
 		}
 		if err := lx.Close(); err != nil {
 			t.Fatalf("%s rehearsal Close: %v", v.name, err)
@@ -264,6 +369,9 @@ func TestCrashPointMatrix(t *testing.T) {
 			}
 			defer lx2.Close()
 			assertSwept(t, dir, lx2)
+			if c.reopened != nil {
+				c.reopened(t, lx2)
+			}
 
 			cand := acked
 			if inflight != nil && lx2.NumDocs() != len(acked.docs) {

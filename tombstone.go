@@ -89,6 +89,20 @@ func sealedTier(idx *Index, file string, ids []uint64, dead []bool, nDead int) *
 	return &tierState{h: newTierHandle(idx, file), data: idx.data, docEnds: idx.docEnds, ids: ids, dead: dead, nDead: nDead}
 }
 
+// sizes sums the bytes of the tier's documents (a sealed tier's data also
+// holds its terminator), and of its surviving ones. Caller holds
+// LiveIndex.mu.
+func (t *tierState) sizes() (total, live int) {
+	start := int32(0)
+	for d, end := range t.docEnds {
+		if !t.dead[d] {
+			live += int(end - start)
+		}
+		start = end
+	}
+	return int(start), live
+}
+
 // liveTier is a tier as one snapshot sees it: a private copy of the
 // tombstone flags (the mutator keeps flipping its own) plus the derived
 // translation tables from tier-local offsets to the snapshot's virtual
