@@ -46,7 +46,10 @@ const (
 	// Serial builds on one core.
 	Serial Mode = iota
 	// SharedDisk builds with Workers goroutines against one shared disk
-	// (the multicore desktop configuration of Fig. 12).
+	// (the multicore desktop configuration of Fig. 12). When vertical
+	// partitioning yields fewer groups than workers — a small input, or
+	// any input at a wide budget — the idle workers run the groups'
+	// prepare rounds beside the workers that own them.
 	SharedDisk
 	// SharedNothing builds on a simulated cluster of Workers nodes, each
 	// with a private copy of the input (Table 3, Fig. 13).
@@ -86,7 +89,9 @@ type Config struct {
 	// Naming a parallel mode asks for that §5 architecture and always runs
 	// ERA, whatever the budget.
 	Mode Mode
-	// Workers is the core/node count for the parallel modes (default 4).
+	// Workers is the core/node count for the parallel modes (default 4):
+	// how many cores a SharedDisk build may use, one group's rounds
+	// included, and how many nodes a SharedNothing build models.
 	Workers int
 	// SkipSeek enables the paper's §4.4 disk block-skipping optimization.
 	SkipSeek bool

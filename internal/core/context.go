@@ -13,14 +13,19 @@ import (
 // a group build needs beyond its inputs lives here — the rolling-code window
 // counter, the round-loop scratch, the collect-scan buffers, the windows
 // the sub-trees are written into and a recycled sub-tree. Each array grows
-// to the largest group or area the worker meets and R to the memory plan's
-// size, after which a round allocates nothing, not even a regrowth of R, and
-// a group only per-group bookkeeping. A build creates one per worker (a
-// serial build has one) and keeps it across vertical partitioning and every
-// group the worker pulls from the queue.
+// to the largest group the worker meets, R to the memory plan's size and the
+// area-sort scratch to its fixed size, after which a round allocates nothing,
+// not even a regrowth of R, and a group only per-group bookkeeping (and, when
+// the context has a crew, the crew's goroutines). A build creates one per
+// worker (a serial build has one) and keeps it across vertical partitioning
+// and every group the worker pulls from the queue.
 //
 // A context is single-threaded: it must only ever be used by one goroutine
-// at a time.
+// at a time. The one exception is its crew: while GroupPrepare runs a round,
+// the goroutines of the contexts lent to it (lendIdle) run sub-tree steps
+// beside the owner's — each on the sub-trees it pulled, in its own context's
+// sort scratch — and the owner waits for them before it touches the round's
+// state again.
 type buildContext struct {
 	// Worker plumbing, set by newNodeContext (nil/zero for plain scratch
 	// contexts): the worker's handle onto the input, the group-scan and VP
@@ -37,7 +42,8 @@ type buildContext struct {
 	vc *vertCounter
 
 	// Round-loop scratch shared by GroupPrepare and GroupBranch, and the
-	// area-sort scratch of GroupPrepare's rounds. offs is the fill schedule:
+	// area-sort scratch of GroupPrepare's rounds (a fixed 40 KiB; a context
+	// lent to another's crew sorts in its own). offs is the fill schedule:
 	// the string position of each fill, in the order the fetch writes them
 	// into R. chunks is array R, allocated once at the memory plan's size:
 	// the collect scan fills it for round one, and each later round — the
@@ -46,6 +52,11 @@ type buildContext struct {
 	heap        fillHeap
 	chunks      chunkBuf
 	sortScratch sortScratch
+
+	// The workers lent to this one (lendIdle) and the crew that runs
+	// GroupPrepare's rounds on their goroutines beside this one's.
+	crew   []*buildContext
+	rounds roundCrew
 
 	// Collect-scan scratch: the streaming window buffer.
 	collectBuf []byte

@@ -163,6 +163,10 @@ type pipeline struct {
 	// completion; it may price contention into io in place, and the
 	// workers' stats report what it priced.
 	combine func(cpu, io []time.Duration) time.Duration
+	// lend gives the workers a queue of fewer groups than workers leaves
+	// idle to the groups' prepare rounds (lendIdle): cores of one machine,
+	// not nodes.
+	lend bool
 }
 
 func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
@@ -208,7 +212,11 @@ func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
 	}
 
 	jobs := scheduleGroups(groups)
-	runs, err := runGroupQueue(ctxs, jobs, model, layout, opts)
+	owners := ctxs
+	if p.lend {
+		owners = lendIdle(ctxs, len(jobs))
+	}
+	runs, err := runGroupQueue(owners, jobs, model, layout, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -107,27 +107,42 @@ func BenchmarkRoundFill(b *testing.B) {
 }
 
 // BenchmarkSortArea is the kernel of a prepare round (§4.2.2 lines 13–15):
-// one 64 Ki-leaf active area of 32-symbol DNA chunks, as round one of a
-// wide-budget build meets it, sorted on packed keys.
+// one 64 Ki-leaf active area of 32-symbol chunks, sorted on packed keys after
+// in-place splits down to buckets. dna is round one of a wide-budget build on
+// random DNA (few ties); gattaca is one phase of a period-7 string, one tie
+// class as a repetitive input's areas are round after round; dup is a DNA
+// document followed by its copy, every chunk tied with its twin's.
 func BenchmarkSortArea(b *testing.B) {
 	const m, rng = 1 << 16, 32
-	data := workload.MustGenerate(workload.DNA, m+rng, 42)
-	var ch chunkBuf
-	ch.reset(m, rng)
-	pristine := &subState{L: make([]int32, m), P: make([]int32, m), R: make([]int32, m)}
-	for i := 0; i < m; i++ {
-		copy(ch.fill(i, rng), data[i:])
-		pristine.L[i], pristine.P[i], pristine.R[i] = int32(i), int32(i), int32(i)
-	}
-	st := &subState{L: make([]int32, m), P: make([]int32, m), R: make([]int32, m), I: make([]int32, m)}
-	var scr sortScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(st.L, pristine.L)
-		copy(st.P, pristine.P)
-		copy(st.R, pristine.R)
-		st.sortArea(&ch, &scr, 0, m)
+	for _, c := range []struct {
+		name   string
+		text   []byte
+		stride int
+	}{
+		{"dna", workload.MustGenerate(workload.DNA, m+rng, 42), 1},
+		{"gattaca", gattaca(7*m + rng), 7},
+		{"dup", dup(m/2 + rng), 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var ch chunkBuf
+			ch.reset(m, rng)
+			pristine := &subState{L: make([]int32, m), P: make([]int32, m), R: make([]int32, m)}
+			for i := 0; i < m; i++ {
+				pos := i * c.stride
+				copy(ch.fill(i, min(rng, len(c.text)-pos)), c.text[pos:])
+				pristine.L[i], pristine.P[i], pristine.R[i] = int32(pos), int32(i), int32(i)
+			}
+			st := &subState{L: make([]int32, m), P: make([]int32, m), R: make([]int32, m), I: make([]int32, m)}
+			var scr sortScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(st.L, pristine.L)
+				copy(st.P, pristine.P)
+				copy(st.R, pristine.R)
+				st.sortArea(&ch, &scr, 0, m)
+			}
+		})
 	}
 }
 

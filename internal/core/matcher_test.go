@@ -254,6 +254,11 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 			switch name {
 			case "prepare":
 				_, stats, err = GroupPrepare(nil, f, scR, clockR, model, g, rCap, static)
+			case "prepare, 2 helpers":
+				// The rounds fanned out to a crew of two lent contexts,
+				// whose goroutines start once per call.
+				fanned := &buildContext{crew: []*buildContext{{}, {}}}
+				_, stats, err = GroupPrepare(fanned, f, scR, clockR, model, g, rCap, static)
 			case "branch":
 				_, stats, err = GroupBranch(nil, f, view, scR, clockR, model, g, rCap, static)
 			}
@@ -272,7 +277,7 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 	// narrow run roughly triples the rounds. The map-based loops allocated
 	// ~2 per leaf per round (hundreds per round for this group), so the
 	// 2-per-round bound pins the regression with a wide margin.
-	for _, name := range []string{"prepare", "branch"} {
+	for _, name := range []string{"prepare", "prepare, 2 helpers", "branch"} {
 		aWide, rWide := measure(name, 9)
 		aNarrow, rNarrow := measure(name, 3)
 		if rNarrow <= rWide {

@@ -13,7 +13,9 @@ import (
 // the workers, exactly as in the Fig. 12 experiments.
 type ParallelOptions struct {
 	Options
-	// Workers is the number of cores. Each gets MemoryBudget/Workers.
+	// Workers is the number of cores. Each gets MemoryBudget/Workers, and
+	// each runs groups or, when there are fewer groups than cores, the
+	// prepare rounds of a group beside the worker that owns it.
 	Workers int
 }
 
@@ -34,23 +36,39 @@ type WorkerStats struct {
 // tables, max-chunk modeled time), and the groups then feed a shared
 // cost-sorted queue that idle workers pull from (LPT + work stealing) with
 // every worker reusing one persistent build context across all its groups.
-// Real goroutines do the real work; the modeled completion combines
+// A queue of g groups with w ≥ 2g workers would leave cores idle, so each
+// group's owner is lent ⌊w/g⌋−1 of them (lendIdle): their goroutines run
+// the group's per-sub-tree prepare rounds beside the owner's, each in its own
+// context's sort scratch, while the collect scan, the fill schedule and the
+// fetch stay with the owner. Their operations are charged to the owner, so
+// the lent workers change the wall time and nothing modeled. Real goroutines
+// do the real work; the modeled completion combines
 // per-worker demands with the single-disk serialization bound
 // (sim.CombineSharedDisk), and — matching the Fig. 12(b) observation —
 // charges extra arm travel when several workers run the seek optimization
 // concurrently. Images, serialized sub-trees and every Stats counter except
 // the modeled times are byte-identical across worker counts.
 func BuildParallel(f *seq.File, opts ParallelOptions) (*Result, error) {
+	p, err := sharedDisk(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(f, opts.Options)
+}
+
+// sharedDisk is BuildParallel's pipeline.
+func sharedDisk(f *seq.File, opts ParallelOptions) (pipeline, error) {
 	if opts.Workers < 1 {
-		return nil, fmt.Errorf("core: Workers must be ≥ 1, got %d", opts.Workers)
+		return pipeline{}, fmt.Errorf("core: Workers must be ≥ 1, got %d", opts.Workers)
 	}
 	raw, err := f.Disk().Bytes(f.Name())
 	if err != nil {
-		return nil, err
+		return pipeline{}, err
 	}
 	model := f.Disk().Model()
 	return pipeline{
 		workers: opts.Workers,
+		lend:    true,
 		// Every core must fit its virtual trees in its own share.
 		budget: opts.MemoryBudget / int64(opts.Workers),
 		context: func(_ int, layout MemoryLayout) (*buildContext, error) {
@@ -74,5 +92,5 @@ func BuildParallel(f *seq.File, opts ParallelOptions) (*Result, error) {
 			}
 			return sim.CombineSharedDisk(cpu, io)
 		},
-	}.run(f, opts.Options)
+	}, nil
 }

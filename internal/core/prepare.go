@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"era/internal/seq"
 	"era/internal/sim"
@@ -196,30 +199,35 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 	}
 	starts = starts[:len(subs)]
 	ctx.startsBuf = starts
-	var cpuOps int64
-	chunks := &ctx.chunks
 	for i, st := range subs {
 		starts[i] = len(st.prefix.Label)
-		// The chunks captured by the collect scan are round one.
-		if st.active > 0 {
-			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[i])
-			if err != nil {
-				return nil, stats, err
-			}
-			cpuOps += ops
-		}
-		starts[i] += rng1
 	}
-	clock.Advance(model.CPUTime(cpuOps))
-	cpuOps = 0
 
 	// Round-loop scratch, reused every round (and, through the context,
 	// across groups): the fill schedule's positions, the merge heap and the
 	// chunk buffer. Once sized, the loop allocates nothing.
 	offs, heap := ctx.offs, ctx.heap
 	defer func() { ctx.offs, ctx.heap = offs[:0], heap[:0] }()
+	chunks := &ctx.chunks
+	crew := ctx.startCrew()
+	defer crew.stop()
 
+	// The chunks captured by the collect scan are round one; every later
+	// round fetches its own. cpuOps carries a round's fill schedule into
+	// the charge of its sub-tree steps.
+	rng := rng1
+	var cpuOps int64
 	for {
+		// Per sub-tree: sort active areas, split them, and extend B.
+		ops, err := crew.round(subs, starts, chunks, n)
+		if err != nil {
+			return nil, stats, err
+		}
+		clock.Advance(model.CPUTime(cpuOps + ops))
+		for i := range starts {
+			starts[i] += rng
+		}
+
 		if err := stopped(ctx.stop); err != nil {
 			return nil, stats, err
 		}
@@ -232,22 +240,9 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		}
 
 		// Elastic range (§4.4): range = |R| / |L'|.
-		rng := staticRange
-		if rng <= 0 {
-			rng = int(rCap / int64(activeTotal))
-			if rng < 1 {
-				rng = 1
-			}
-			if rng > n {
-				rng = n
-			}
-		}
-		if rng < stats.MinRange {
-			stats.MinRange = rng
-		}
-		if rng > stats.MaxRange {
-			stats.MaxRange = rng
-		}
+		rng = roundRange(rCap, staticRange, activeTotal, n)
+		stats.MinRange = min(stats.MinRange, rng)
+		stats.MaxRange = max(stats.MaxRange, rng)
 		stats.Rounds++
 
 		// Gather the fill schedule in string order: the leaves of each
@@ -280,25 +275,13 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 				heap = heap.popMin()
 			}
 		}
-		cpuOps += int64(len(offs))
+		cpuOps = int64(len(offs))
 
 		read, err := fetchRound(sc, chunks, offs, rng, n)
 		if err != nil {
 			return nil, stats, fmt.Errorf("core: group of %q: %w", group.Prefixes[0].Label, err)
 		}
 		stats.SymbolsRead += read
-
-		// Per sub-tree: sort active areas, split them, and extend B.
-		for si, st := range subs {
-			ops, err := st.round(chunks, &ctx.sortScratch, n, starts[si])
-			if err != nil {
-				return nil, stats, err
-			}
-			cpuOps += ops
-			starts[si] += rng
-		}
-		clock.Advance(model.CPUTime(cpuOps))
-		cpuOps = 0
 	}
 
 	// The output is the sub-trees' windows: of the build's suffix order,
@@ -318,6 +301,108 @@ func GroupPrepare(ctx *buildContext, f *seq.File, sc *seq.Scanner, clock *sim.Cl
 		stats.MinRange = 0
 	}
 	return out, stats, nil
+}
+
+// roundCrew runs a prepare round's per-sub-tree steps (subState.round: area
+// sorts, splits, B offsets) on the owning worker's goroutine and one
+// goroutine per context of its crew — the workers a short group queue left
+// idle — each pulling sub-trees from a shared cursor and sorting in its own
+// context's scratch. The collect scan, the fill schedule and the fetch stay
+// with the owner, between rounds; during one, every goroutine reads the
+// round's chunks and writes only the sub-trees it pulled. The operations are
+// summed, so the charge is the one a lone worker makes.
+type roundCrew struct {
+	owner   *sortScratch
+	helpers int
+	work    chan struct{} // one token per helper per round; closed by stop
+	busy    sync.WaitGroup
+	quit    sync.WaitGroup
+
+	// The round in flight, set by the owner before it hands out the tokens.
+	subs   []*subState
+	starts []int
+	ch     *chunkBuf
+	n      int
+	next   atomic.Int64
+	ops    atomic.Int64
+	mu     sync.Mutex
+	err    error
+	errAt  int
+}
+
+// startCrew readies the context's round crew for one GroupPrepare, starting
+// a goroutine per lent context; they wait for rounds until stop.
+func (ctx *buildContext) startCrew() *roundCrew {
+	c := &ctx.rounds
+	c.owner, c.helpers = &ctx.sortScratch, len(ctx.crew)
+	if c.helpers == 0 {
+		return c
+	}
+	c.work = make(chan struct{}, c.helpers)
+	c.quit.Add(c.helpers)
+	for _, h := range ctx.crew {
+		go func(scr *sortScratch) {
+			defer c.quit.Done()
+			for range c.work {
+				c.pull(scr)
+				c.busy.Done()
+			}
+		}(&h.sortScratch)
+	}
+	return c
+}
+
+// stop ends the crew's goroutines and waits for them.
+func (c *roundCrew) stop() {
+	if c.helpers > 0 {
+		close(c.work)
+		c.quit.Wait()
+	}
+}
+
+// round runs one round's step on every sub-tree that has active leaves, the
+// chunks of sub-tree i starting at offset starts[i], and returns the
+// operations performed. An error ends the round: no goroutine pulls another
+// sub-tree, and of the failures the lowest sub-tree's is returned.
+func (c *roundCrew) round(subs []*subState, starts []int, ch *chunkBuf, n int) (int64, error) {
+	c.subs, c.starts, c.ch, c.n = subs, starts, ch, n
+	c.next.Store(0)
+	c.ops.Store(0)
+	c.err = nil
+	c.busy.Add(c.helpers)
+	for range c.helpers {
+		c.work <- struct{}{}
+	}
+	c.pull(c.owner)
+	c.busy.Wait()
+	return c.ops.Load(), c.err
+}
+
+// pull runs sub-tree steps until the cursor passes the last sub-tree.
+func (c *roundCrew) pull(scr *sortScratch) {
+	var ops int64
+	for {
+		si := int(c.next.Add(1) - 1)
+		if si >= len(c.subs) {
+			break
+		}
+		st := c.subs[si]
+		if st.active == 0 {
+			continue
+		}
+		o, err := st.round(c.ch, scr, c.n, c.starts[si])
+		ops += o
+		if err != nil {
+			c.next.Store(int64(len(c.subs)))
+			c.mu.Lock()
+			if c.err == nil || si < c.errAt {
+				c.err, c.errAt = err, si
+			}
+			c.mu.Unlock()
+			break
+		}
+	}
+	c.ops.Add(ops)
 }
 
 // fetchRound runs one fill round for either horizontal builder: it sizes
@@ -483,53 +568,297 @@ func sortCharge(m int, adjacent int64) int64 {
 	return (cmps + atNeighbours) / 2
 }
 
-// areaRec is one chunk of an area being sorted: keyBytes of its symbols,
-// packed so integer order is symbol order, beside its index in the subState
-// arrays.
+// areaRec is one chunk of a bucket being sorted: keyBytes of its symbols,
+// packed so integer order is symbol order, beside its appearance rank (the
+// tie order) and its index in the subState arrays.
 type areaRec struct {
 	key uint64
+	p   int32
 	idx int32
 }
 
-// sortScratch is sortArea's working memory — the sort records and one
-// column the permutation passes through, 20 bytes per element of the largest
-// area sorted so far — shared by every sub-tree a build context prepares, so
-// the round loop stays allocation-free in the steady state.
+// bucketCap is the most chunks sortArea sorts on packed-key records at once:
+// a larger area is partitioned in place until its buckets fit.
+const bucketCap = 1 << 11
+
+// sortScratch is sortArea's working memory: one bucket's sort records and the
+// column its permutation passes through, bucketCap of each (40 KiB) however
+// large the area, allocated on first use. Every goroutine that runs prepare
+// rounds sorts in a scratch of its own, its worker context's, so the round
+// loop stays allocation-free in the steady state.
 type sortScratch struct {
 	recs []areaRec
 	perm []int32
+	// inspect, when set (tests), is shown P's window of every area before
+	// the area is sorted.
+	inspect func(p []int32)
 }
 
-// sortArea lexicographically sorts the triple (R, P, L) on R's chunks within
-// the contiguous index range [i, j), maintaining the inverse index I. Equal
-// chunks keep their current relative order.
+// sortArea lexicographically sorts the triple (L, P, R) on R's chunks within
+// the contiguous index range [i, j), breaking ties by P, and maintains the
+// inverse index I. P ascends across an area — its pairs tied in every earlier
+// sort, which kept them in P order — so equal chunks keep their current
+// relative order, as a stable sort would leave them. The order is a function
+// of the data alone, however the kernel moves the triples on the way to it.
 func (st *subState) sortArea(ch *chunkBuf, scr *sortScratch, i, j int) {
-	m := j - i
-	if cap(scr.recs) < m {
-		scr.recs = make([]areaRec, m)
-		scr.perm = make([]int32, m)
+	if scr.recs == nil {
+		scr.recs = make([]areaRec, bucketCap)
+		scr.perm = make([]int32, bucketCap)
 	}
-	recs := scr.recs[:m]
-	for k := range recs {
-		recs[k] = areaRec{ch.key(st.R[i+k], 0), int32(i + k)}
+	if scr.inspect != nil {
+		scr.inspect(st.P[i:j])
 	}
-	ch.sortRecs(recs, st.R, 0)
-	// Apply the permutation to L, P and R, one column at a time.
-	perm := scr.perm[:m]
-	for _, col := range [...][]int32{st.L, st.P, st.R} {
-		for k, rec := range recs {
-			perm[k] = col[rec.idx]
-		}
-		copy(col[i:j], perm)
-	}
+	st.partition(ch, scr, i, j, 0, splitBudget(j-i))
 	for x := i; x < j; x++ {
 		st.I[st.P[x]] = int32(x)
 	}
 }
 
+// partition sorts [lo, hi), whose chunks agree on their first depth symbols,
+// by the rest of their chunks and then by P. While the range is larger than a
+// bucket it is split in place around a pivot key into lesser, equal and
+// greater parts, the equal part a whole key deeper; a range that fits is
+// sorted on packed-key records (a few chunks by insertion), and one tied to
+// the end of its chunks is put in P order. budget is how many more splits at this depth may run before the
+// range is heap-sorted instead, which keeps a run of bad pivots at
+// O(b log b).
+func (st *subState) partition(ch *chunkBuf, scr *sortScratch, lo, hi, depth, budget int) {
+	for hi-lo > 1 {
+		switch {
+		case depth >= ch.rng:
+			// A range no split moved is still in P order.
+			if !slices.IsSorted(st.P[lo:hi]) {
+				st.heapSort(ch, lo, hi, depth)
+			}
+			return
+		case hi-lo <= insertionMax:
+			st.insertionSort(ch, lo, hi, depth)
+			return
+		case hi-lo <= len(scr.recs):
+			st.sortBucket(ch, scr, lo, hi, depth)
+			return
+		case budget == 0:
+			st.heapSort(ch, lo, hi, depth)
+			return
+		}
+		lt, gt := st.split(ch, scr, lo, hi, depth)
+		// Recurse into the two smaller parts and go on with the largest, so
+		// the stack holds O(log b) frames.
+		type part struct{ lo, hi, depth, budget int }
+		parts := [3]part{{lo, lt, depth, budget - 1}, {lt, gt, depth + keyBytes, splitBudget(gt - lt)}, {gt, hi, depth, budget - 1}}
+		big := 0
+		for k := 1; k < len(parts); k++ {
+			if parts[k].hi-parts[k].lo > parts[big].hi-parts[big].lo {
+				big = k
+			}
+		}
+		for k, p := range parts {
+			if k != big {
+				st.partition(ch, scr, p.lo, p.hi, p.depth, p.budget)
+			}
+		}
+		lo, hi, depth, budget = parts[big].lo, parts[big].hi, parts[big].depth, parts[big].budget
+	}
+}
+
+// splitBudget is the number of splits at one depth a range of m chunks may
+// take before partition heap-sorts it: twice the depth of a balanced split
+// tree.
+func splitBudget(m int) int { return 2 * bits.Len(uint(m)) }
+
+// split partitions [lo, hi) in place on the chunks' keys at depth around the
+// ninther of nine spread keys: on return [lo, lt) holds the lesser keys,
+// [lt, gt) the pivot's and [gt, hi) the greater. It reads each key once, and
+// moves nothing in a range of one key. When seven of the nine keys agree —
+// an area that is mostly one tie class, as a repetitive input's are round
+// after round, its strays the suffixes nearest the end of S, which P order
+// puts last — it first tries splitStable, which keeps every part in P order.
+func (st *subState) split(ch *chunkBuf, scr *sortScratch, lo, hi, depth int) (lt, gt int) {
+	key := func(x int) uint64 { return ch.key(st.R[x], depth) }
+	s, mid, last := (hi-lo)/8, lo+(hi-lo)/2, hi-1
+	k := [9]uint64{key(lo), key(lo + s), key(lo + 2*s), key(mid - s), key(mid), key(mid + s), key(last - 2*s), key(last - s), key(last)}
+	pivot := median3(median3(k[0], k[1], k[2]), median3(k[3], k[4], k[5]), median3(k[6], k[7], k[8]))
+	if count(k[:], pivot) >= 7 {
+		if lt, gt, ok := st.splitStable(ch, scr, lo, hi, depth, pivot); ok {
+			return lt, gt
+		}
+	}
+	lt, gt = lo, hi
+	for x := lo; x < gt; {
+		switch k := key(x); {
+		case k < pivot:
+			if lt != x {
+				st.swap(lt, x)
+			}
+			lt++
+			x++
+		case k > pivot:
+			gt--
+			st.swap(x, gt)
+		default:
+			x++
+		}
+	}
+	return lt, gt
+}
+
+// splitStable is split keeping every part in its current order: the pivot's
+// triples are packed toward lo in place and the others set aside in the
+// scratch records (L in key, R in idx) — lesser ones from the front, greater
+// ones from the back — and then put on either side. Once the others
+// outnumber the scratch it puts them back where the packing left room and
+// gives up, [lo, hi) holding the same triples in another order.
+func (st *subState) splitStable(ch *chunkBuf, scr *sortScratch, lo, hi, depth int, pivot uint64) (lt, gt int, ok bool) {
+	aside := scr.recs
+	nl, ng := 0, len(aside) // lesser in aside[:nl], greater in aside[ng:], last seen first
+	w := lo
+	for x := lo; x < hi; x++ {
+		k := ch.key(st.R[x], depth)
+		if k == pivot {
+			if w != x {
+				st.L[w], st.P[w], st.R[w] = st.L[x], st.P[x], st.R[x]
+			}
+			w++
+			continue
+		}
+		if nl == ng {
+			for _, t := range aside {
+				st.L[w], st.P[w], st.R[w] = int32(t.key), t.p, t.idx
+				w++
+			}
+			return 0, 0, false
+		}
+		t := areaRec{uint64(st.L[x]), st.P[x], st.R[x]}
+		if k < pivot {
+			aside[nl] = t
+			nl++
+		} else {
+			ng--
+			aside[ng] = t
+		}
+	}
+	lt, gt = lo+nl, lo+nl+(w-lo)
+	for _, col := range [...][]int32{st.L, st.P, st.R} {
+		copy(col[lt:gt], col[lo:w])
+	}
+	for k, t := range aside[:nl] {
+		st.L[lo+k], st.P[lo+k], st.R[lo+k] = int32(t.key), t.p, t.idx
+	}
+	for k := range len(aside) - ng {
+		t := aside[len(aside)-1-k]
+		st.L[gt+k], st.P[gt+k], st.R[gt+k] = int32(t.key), t.p, t.idx
+	}
+	return lt, gt, true
+}
+
+// count returns how many of ks equal k.
+func count(ks []uint64, k uint64) int {
+	c := 0
+	for _, x := range ks {
+		if x == k {
+			c++
+		}
+	}
+	return c
+}
+
+func median3(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
+}
+
+// sortBucket sorts [lo, hi), at most a bucket, on packed-key records from
+// depth on and then by P, and applies the order to L, P and R.
+func (st *subState) sortBucket(ch *chunkBuf, scr *sortScratch, lo, hi, depth int) {
+	recs := scr.recs[:hi-lo]
+	for k := range recs {
+		x := lo + k
+		recs[k] = areaRec{ch.key(st.R[x], depth), st.P[x], int32(x)}
+	}
+	ch.sortRecs(recs, st.R, depth)
+	// Apply the permutation to L and R, one column at a time; P is in the
+	// records.
+	perm := scr.perm[:len(recs)]
+	for _, col := range [...][]int32{st.L, st.R} {
+		for k, rec := range recs {
+			perm[k] = col[rec.idx]
+		}
+		copy(col[lo:hi], perm)
+	}
+	for k, rec := range recs {
+		st.P[lo+k] = rec.p
+	}
+}
+
+// insertionMax is the largest range partition sorts by insertion: a few
+// whole-chunk comparisons cost less than packing records for them, and most
+// areas of a repetitive input are a pair.
+const insertionMax = 8
+
+// insertionSort orders [lo, hi) by the chunks' symbols from depth on and
+// then by P.
+func (st *subState) insertionSort(ch *chunkBuf, lo, hi, depth int) {
+	for x := lo + 1; x < hi; x++ {
+		for y := x; y > lo && st.less(ch, y, y-1, depth); y-- {
+			st.swap(y, y-1)
+		}
+	}
+}
+
+// heapSort orders [lo, hi) by the chunks' symbols from depth on and then by
+// P, in O(b log b) comparisons whatever the data.
+func (st *subState) heapSort(ch *chunkBuf, lo, hi, depth int) {
+	m := hi - lo
+	for r := m/2 - 1; r >= 0; r-- {
+		st.siftDown(ch, lo, r, m, depth)
+	}
+	for end := m - 1; end > 0; end-- {
+		st.swap(lo, lo+end)
+		st.siftDown(ch, lo, 0, end, depth)
+	}
+}
+
+func (st *subState) siftDown(ch *chunkBuf, lo, r, m, depth int) {
+	for {
+		c := 2*r + 1
+		if c >= m {
+			return
+		}
+		if c+1 < m && st.less(ch, lo+c, lo+c+1, depth) {
+			c++
+		}
+		if !st.less(ch, lo+r, lo+c, depth) {
+			return
+		}
+		st.swap(lo+r, lo+c)
+		r = c
+	}
+}
+
+// less orders indices a and b by their chunks' symbols from depth on, then
+// by P.
+func (st *subState) less(ch *chunkBuf, a, b, depth int) bool {
+	if depth < ch.rng {
+		x, y := int(st.R[a])*ch.rng, int(st.R[b])*ch.rng
+		if c := bytes.Compare(ch.buf[x+depth:x+ch.rng], ch.buf[y+depth:y+ch.rng]); c != 0 {
+			return c < 0
+		}
+	}
+	return st.P[a] < st.P[b]
+}
+
+// swap exchanges the triples at indices a and b.
+func (st *subState) swap(a, b int) {
+	st.L[a], st.L[b] = st.L[b], st.L[a]
+	st.P[a], st.P[b] = st.P[b], st.P[a]
+	st.R[a], st.R[b] = st.R[b], st.R[a]
+}
+
 // sortRecs orders recs, whose keys hold their chunks' symbols from depth on,
-// by the rest of their chunks and then by index. Records are sorted by value
-// on the key; chunk bytes are touched again only to re-key the runs the key
+// by the rest of their chunks and then by P. Records are sorted by value on
+// the key; chunk bytes are touched again only to re-key the runs the key
 // left tied, keyBytes symbols deeper each time.
 func (ch *chunkBuf) sortRecs(recs []areaRec, slots []int32, depth int) {
 	for {
@@ -541,7 +870,7 @@ func (ch *chunkBuf) sortRecs(recs []areaRec, slots []int32, depth int) {
 				}
 				return 1
 			}
-			return int(a.idx - b.idx)
+			return int(a.p - b.p)
 		})
 		depth += keyBytes
 		if depth >= ch.rng {

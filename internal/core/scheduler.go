@@ -108,6 +108,25 @@ func runGroupQueue(ctxs []*buildContext, jobs []groupJob, model sim.CostModel,
 	return runs, nil
 }
 
+// lendIdle lends the workers a short queue leaves idle to the ones that run
+// it: with g groups and w ≥ 2g workers, each of the first g contexts gets
+// ⌊w/g⌋−1 of the others as its crew, whose goroutines run its groups'
+// prepare rounds beside its own. It returns the contexts that pull groups —
+// all of them when there are fewer than two workers per group. A crew adds
+// goroutines, not demand: its work is charged to the owner, so every
+// modeled figure is the one the owner alone would give.
+func lendIdle(ctxs []*buildContext, groups int) []*buildContext {
+	if groups < 1 || len(ctxs) < 2*groups {
+		return ctxs
+	}
+	per := len(ctxs)/groups - 1
+	idle := ctxs[groups:]
+	for _, ctx := range ctxs[:groups] {
+		ctx.crew, idle = idle[:per], idle[per:]
+	}
+	return ctxs[:groups]
+}
+
 // runGroupOn builds one group on a worker context, measuring its demands as
 // deltas of the worker's clocks and counters.
 func runGroupOn(ctx *buildContext, job groupJob, model sim.CostModel,

@@ -34,7 +34,10 @@ func (s *stableAreaSorter) Less(a, b int) bool {
 
 // areaFixture is a subState over the suffixes of text at the given
 // positions, with their rng-symbol chunks fetched into scattered slots the
-// way a round leaves them.
+// way a round leaves them. P ascends across the whole window, as it does
+// across every area the round loop sorts (TestAreasAscendInP): the pairs of
+// an area tied in every earlier sort, which kept them in P order. sortArea
+// breaks ties by P, so it matches the stable reference only on that premise.
 type areaFixture struct {
 	st     *subState
 	ch     chunkBuf
@@ -52,9 +55,8 @@ func newAreaFixture(rnd *rand.Rand, text []byte, positions []int32, rng int) *ar
 		L: slices.Clone(positions), P: make([]int32, m), I: make([]int32, m),
 		area: make([]byte, m), R: make([]int32, m),
 	}
-	for i, r := range rnd.Perm(m) {
-		st.P[i] = int32(r)
-		st.I[r] = int32(i)
+	for i := range st.P {
+		st.P[i], st.I[i] = int32(i), int32(i)
 	}
 	for i, slot := range rnd.Perm(m) {
 		c := text[positions[i]:min(int(positions[i])+rng, len(text))]
@@ -66,10 +68,35 @@ func newAreaFixture(rnd *rand.Rand, text []byte, positions []int32, rng int) *ar
 	return fx
 }
 
-// checkSortArea sorts [lo, hi) with the kernel and with the reference and
-// requires the same L, P, I and slot order, and everything outside the
-// window untouched.
-func checkSortArea(t *testing.T, name string, fx *areaFixture, lo, hi int) {
+// areaKernels are the ways the differential sorts an area: sortArea as the
+// round loop calls it; sortArea with buckets so small that every area but a
+// pair takes the in-place splits, the stable split setting its strays aside
+// in a scratch that often runs out; and the heap sort those splits fall
+// back on when the pivots go bad.
+var areaKernels = []func(st *subState, ch *chunkBuf, lo, hi int){
+	func(st *subState, ch *chunkBuf, lo, hi int) { st.sortArea(ch, new(sortScratch), lo, hi) },
+	bucketKernel(2),
+	bucketKernel(5),
+	bucketKernel(64),
+	func(st *subState, ch *chunkBuf, lo, hi int) {
+		st.heapSort(ch, lo, hi, 0)
+		for x := lo; x < hi; x++ {
+			st.I[st.P[x]] = int32(x)
+		}
+	},
+}
+
+// bucketKernel is sortArea with a scratch of b records, the bucket size.
+func bucketKernel(b int) func(st *subState, ch *chunkBuf, lo, hi int) {
+	return func(st *subState, ch *chunkBuf, lo, hi int) {
+		st.sortArea(ch, &sortScratch{recs: make([]areaRec, b), perm: make([]int32, b)}, lo, hi)
+	}
+}
+
+// checkSortArea sorts [lo, hi) with areaKernels[kernel] and with the
+// reference and requires the same L, P, I and slot order, and everything
+// outside the window untouched.
+func checkSortArea(t *testing.T, name string, fx *areaFixture, lo, hi, kernel int) {
 	t.Helper()
 	st := fx.st
 	wantL, wantP, wantR := slices.Clone(st.L), slices.Clone(st.P), slices.Clone(st.R)
@@ -82,20 +109,19 @@ func checkSortArea(t *testing.T, name string, fx *areaFixture, lo, hi int) {
 		wantL[lo+k], wantP[lo+k], wantR[lo+k] = st.L[src], st.P[src], st.R[src]
 	}
 
-	var scr sortScratch
-	st.sortArea(&fx.ch, &scr, lo, hi)
+	areaKernels[kernel](st, &fx.ch, lo, hi)
 	if !slices.Equal(st.L, wantL) {
-		t.Fatalf("%s: L differs from the stable reference", name)
+		t.Fatalf("%s, kernel %d: L differs from the stable reference", name, kernel)
 	}
 	if !slices.Equal(st.P, wantP) {
-		t.Fatalf("%s: P differs from the stable reference", name)
+		t.Fatalf("%s, kernel %d: P differs from the stable reference", name, kernel)
 	}
 	if !slices.Equal(st.R, wantR) {
-		t.Fatalf("%s: slot order differs from the stable reference", name)
+		t.Fatalf("%s, kernel %d: slot order differs from the stable reference", name, kernel)
 	}
 	for x, r := range st.P {
 		if st.I[r] != int32(x) {
-			t.Fatalf("%s: I[P[%d]] = %d", name, x, st.I[r])
+			t.Fatalf("%s, kernel %d: I[P[%d]] = %d", name, kernel, x, st.I[r])
 		}
 	}
 }
@@ -124,7 +150,7 @@ func sortAreaTexts(rnd *rand.Rand, n int) map[string][]byte {
 // TestSortAreaMatchesStableReference is the differential that lets the
 // packed-key kernel replace sort.Stable: identical L, P, I and slot order on
 // every chunk population, for ranges on both sides of the key width and of
-// its multiples, and areas from a pair to thousands.
+// its multiples, areas from a pair to thousands and every kernel.
 func TestSortAreaMatchesStableReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(18))
 	sizes := []int{2, 3, 7, 64, 500, 4096}
@@ -148,7 +174,7 @@ func TestSortAreaMatchesStableReference(t *testing.T) {
 				if rnd.Intn(2) == 0 {
 					lo, hi = 0, m
 				}
-				checkSortArea(t, name, fx, lo, hi)
+				checkSortArea(t, name, fx, lo, hi, rnd.Intn(len(areaKernels)))
 			}
 		}
 	}
@@ -156,7 +182,8 @@ func TestSortAreaMatchesStableReference(t *testing.T) {
 
 // FuzzSortArea drives the same differential from arbitrary symbols, in the
 // style of FuzzVerticalPartition: the text is the fuzz input over a small
-// alphabet (so ties are common), every suffix is a leaf of one area.
+// alphabet (so ties are common), every suffix is a leaf of one area, and the
+// range byte also picks the kernel.
 func FuzzSortArea(f *testing.F) {
 	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), uint8(3))
 	f.Add([]byte("abababababababababababababab"), uint8(9))
@@ -176,7 +203,7 @@ func FuzzSortArea(f *testing.F) {
 		}
 		rnd := rand.New(rand.NewSource(int64(len(core))))
 		fx := newAreaFixture(rnd, text, positions, 1+int(rngRaw)%48)
-		checkSortArea(t, "fuzz", fx, 0, len(positions))
+		checkSortArea(t, "fuzz", fx, 0, len(positions), int(rngRaw/48)%len(areaKernels))
 	})
 }
 
