@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"era/internal/alphabet"
+	"era/internal/suffixarray"
 	"era/internal/suffixtree"
 )
 
@@ -36,8 +37,8 @@ import (
 // one pass of the op's consumer (suffixOrderAnswer): lrs is the first maximum
 // of that LCP (repeatScan), topk a run-length count of LCP ≥ L into a bounded
 // selection (topScan, topSelection). lcs is one algorithm on every layer: the
-// same kernel over the two documents alone (commonSubstring), so its cost is
-// theirs, never the corpus's.
+// same kernel (SA-IS + Kasai's permuted LCP) over the two documents alone
+// (commonSubstring), so its cost is theirs, never the corpus's.
 //
 // Answer identity across layers is the package discipline: every analytics
 // answer is a pure function of the virtual global string and the document
@@ -347,7 +348,9 @@ func ctxDocOcc(ctx context.Context, docOcc func([]byte) ([]DocHit, error)) func(
 }
 
 // commonSubstring answers lcs for documents a and b from the suffix order of
-// a '$' b '#' (suffixOrder). Both separators rank below every alphabet symbol
+// a '$' b '#': its suffix array and its permuted LCP array, read through the
+// suffix array in rank order, so the call holds one LCP array and no
+// rank-order copy of it. Both separators rank below every alphabet symbol
 // and occur once, so no LCP between neighbours runs over one. The answer is as
 // long as the largest LCP of neighbours that start on different sides of the
 // '$', and the first such pair in suffix order names the smallest label of
@@ -359,17 +362,18 @@ func commonSubstring(ctx context.Context, a, b []byte) (Answer, error) {
 	text = append(text, alphabet.Terminator)
 	text = append(text, b...)
 	text = append(text, alphabet.Terminator-1)
-	sa, lcp, err := suffixOrder(text)
+	sa, err := suffixarray.Build(text)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		return Answer{}, err
 	}
+	plcp := suffixarray.PLCP(text, sa)
 	best, at := 0, 0
 	for i := 1; i < len(sa); i++ {
-		if int(lcp[i]) > best && (int(sa[i-1]) < len(a)) != (int(sa[i]) < len(a)) {
-			best, at = int(lcp[i]), int(sa[i])
+		if h := int(plcp[sa[i]]); h > best && (int(sa[i-1]) < len(a)) != (int(sa[i]) < len(a)) {
+			best, at = h, int(sa[i])
 		}
 	}
 	if best == 0 {

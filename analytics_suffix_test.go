@@ -576,6 +576,41 @@ func TestWalkAllocationsDoNotScale(t *testing.T) {
 	}
 }
 
+// TestLCSAllocationPerSymbol pins what one lcs call allocates per symbol of
+// its sorted text a '$' b '#': the text, its suffix array and one LCP array,
+// permuted and read through the suffix array: 9 B, ≈ 10.8 with the SA-IS
+// state and the allocator's page rounding. A rank-order copy of the LCPs
+// adds 4 B more (≈ 15), which the bound of 12.5 refuses. The least of a few
+// calls is the call's own.
+func TestLCSAllocationPerSymbol(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator changes allocation counts")
+	}
+	const n = 16 << 10
+	a := workload.MustGenerate(workload.DNA, n, 31)[:n]
+	b := workload.MustGenerate(workload.DNA, n, 32)[:n]
+	x, err := BuildCorpus([][]byte{a, b}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Kind: OpCommonSubstring, DocA: 0, DocB: 1}
+	run := func() {
+		if _, err := x.Analytics(context.Background(), q); err != nil {
+			t.Error(err)
+		}
+	}
+	run()
+	least := allocatedBy(run)
+	for range 4 {
+		least = min(least, allocatedBy(run))
+	}
+	perSym := float64(least) / float64(2*n+2)
+	t.Logf("lcs of two %d-symbol DNA documents: %d B, %.2f B per symbol of the pair", n, least, perSym)
+	if perSym > 12.5 {
+		t.Errorf("lcs of two %d-symbol DNA documents allocated %.2f B per symbol of the pair, want ≤ 12.5", n, perSym)
+	}
+}
+
 // TestLCSAllocationFollowsTheDocuments pins lcs to its two documents: the
 // same pair inside a 2 Ki- and a 64 Ki-symbol corpus costs the same bytes
 // (within 2×) and objects (within 4), and answers the same.

@@ -282,9 +282,10 @@ func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int, sink i
 
 // suffixOrder returns the suffix array of the terminated text and the LCP
 // of each suffix with its predecessor, both in rank order and freshly
-// allocated: the kernel of lcs (commonSubstring) and of the live index's lrs /
-// topk (textOrder), and what the in-memory builder computes into its sink's
-// suffix array.
+// allocated: the kernel of the live index's lrs / topk (textOrder), which
+// read it many times per snapshot, and what the in-memory builder computes
+// into its sink's suffix array. lcs reads its LCPs once, through the suffix
+// array, so it sorts with suffixarray.PLCP instead (commonSubstring).
 func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 	if sa, err = suffixarray.Build(text); err != nil {
 		return nil, nil, err

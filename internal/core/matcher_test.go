@@ -244,7 +244,11 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const rCap = 50000 // no multiple of the leaf counts: slots·range moves from round to round
+	// No multiple of the leaf counts, so slots·range moves from round to
+	// round; and small enough that the elastic range takes several rounds (4
+	// for this group), so an R sized by each round's need has rounds in which
+	// to regrow. A wide rCap resolves the group in one refill.
+	const rCap = 8000
 	var rounds int
 	run := func(name string, static int) func() {
 		return func() {
@@ -299,6 +303,9 @@ func TestRoundLoopsSteadyStateAllocFree(t *testing.T) {
 		staticRounds := rounds
 		elastic := bytesPerRun(3, run(name, 0))
 		t.Logf("%s: static range %.0f B per run over %d rounds, elastic %.0f B over %d rounds", name, static, staticRounds, elastic, rounds)
+		if rounds < 3 {
+			t.Fatalf("%s: the elastic range took %d rounds; the byte check needs at least 3", name, rounds)
+		}
 		if elastic > static+rCap/2 {
 			t.Errorf("%s: the elastic range allocated %.0f B per run, the static %.0f B; R must be allocated once, at the plan's %d bytes",
 				name, elastic, static, rCap)

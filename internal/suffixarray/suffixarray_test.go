@@ -114,6 +114,25 @@ func TestBuildQuick(t *testing.T) {
 	}
 }
 
+// lcpAgrees reports whether LCP and PLCP of s both give the LCPs counted
+// symbol by symbol: LCP in rank order, PLCP read through the suffix array.
+func lcpAgrees(s []byte, sa []int32) bool {
+	want := naiveLCP(s, sa)
+	if !equal32(LCP(s, sa), want) {
+		return false
+	}
+	plcp := PLCP(s, sa)
+	if len(plcp) != len(sa) {
+		return false
+	}
+	for k, p := range sa {
+		if plcp[p] != want[k] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestLCPQuick(t *testing.T) {
 	f := func(core []byte) bool {
 		s := terminated(core)
@@ -121,10 +140,22 @@ func TestLCPQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return equal32(LCP(s, sa), naiveLCP(s, sa))
+		return lcpAgrees(s, sa)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	// Text where every suffix repeats to the end: each LCP is as long as the
+	// shorter suffix allows, the Φ walk's longest carried h.
+	for _, c := range []string{"$", "A$", "AAAAAAAAAAAAAAAA$", "ABABABABABABABA$", "ACGTTGAACGTTGAACGTTGA$"} {
+		s := []byte(c)
+		sa, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lcpAgrees(s, sa) {
+			t.Errorf("%q: LCP = %v, PLCP = %v, counting gives %v", c, LCP(s, sa), PLCP(s, sa), naiveLCP(s, sa))
+		}
 	}
 }
 
@@ -166,7 +197,10 @@ func TestBuildLongRepetitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := naiveSA(s); !equal32(got, want) {
-		t.Error("SA mismatch on repetitive input")
+		t.Fatal("SA mismatch on repetitive input")
+	}
+	if !lcpAgrees(s, got) {
+		t.Error("LCP or PLCP mismatch on repetitive input")
 	}
 }
 
@@ -182,10 +216,10 @@ func equal32(a, b []int32) bool {
 	return true
 }
 
-// FuzzBuildLCP holds Build and LCP to two references that share nothing with
-// them or with each other: suffixes sorted by comparing them, with their LCPs
-// counted symbol by symbol, and the standard library's suffix array, asked
-// where windows of the text occur.
+// FuzzBuildLCP holds Build, LCP and PLCP to two references that share
+// nothing with them or with each other: suffixes sorted by comparing them,
+// with their LCPs counted symbol by symbol, and the standard library's suffix
+// array, asked where windows of the text occur.
 func FuzzBuildLCP(f *testing.F) {
 	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), byte(4))
 	f.Add([]byte("mississippi"), byte(26))
@@ -217,6 +251,12 @@ func FuzzBuildLCP(f *testing.F) {
 		lcp := naiveLCP(s, want)
 		if got := LCP(s, sa); !equal32(got, lcp) {
 			t.Fatalf("LCP(%q) = %v, counting gives %v", s, got, lcp)
+		}
+		plcp := PLCP(s, sa)
+		for k, p := range sa {
+			if plcp[p] != lcp[k] {
+				t.Fatalf("PLCP(%q)[%d] = %d, counting gives %d for rank %d", s, p, plcp[p], lcp[k], k)
+			}
 		}
 
 		std := stdsa.New(s)
@@ -251,33 +291,49 @@ func benchTexts(n int) map[string][]byte {
 	}
 }
 
-// TestAllocationPerSymbol pins what the package doc promises: Build and LCP
-// together allocate at most 16 bytes per symbol beyond the text — the two
-// results, LCP's scratch array, and under a byte of SA-IS state at scale
-// (the 4 Ki figure carries 2 KiB of byte buckets and the allocator's
-// size-class rounding). TotalAlloc is process-wide, so whatever else the
-// runtime allocates meanwhile (the race detector's bookkeeping, a parallel
-// test) lands in one reading; the least of several is the pass's own.
+// TestAllocationPerSymbol pins what the package doc promises beyond the
+// text: Build and PLCP together allocate at most 10 bytes per symbol at 1 Mi
+// symbols — the suffix array, PLCP's one array and under a byte of SA-IS
+// state — and Build and LCP at most 16, the rank-order gather's array on top.
+// The 4 Ki figures carry 2 KiB of byte buckets and the allocator's size-class
+// rounding, so PLCP's bound there is 12. TotalAlloc is process-wide, so
+// whatever else the runtime allocates meanwhile (the race detector's
+// bookkeeping, a parallel test) lands in one reading; the least of several is
+// the pass's own.
 func TestAllocationPerSymbol(t *testing.T) {
+	kernels := []struct {
+		name         string
+		lcp          func(s []byte, sa []int32) []int32
+		small, large float64 // B/symbol at 4 Ki and at 1 Mi symbols
+	}{
+		{"LCP", LCP, 16, 16},
+		{"PLCP", PLCP, 12, 10},
+	}
 	for _, n := range []int{4 << 10, 1 << 20} {
 		for name, s := range benchTexts(n) {
-			least := uint64(math.MaxUint64)
-			for range 4 {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				sa, err := Build(s)
-				if err != nil {
-					t.Fatal(err)
+			for _, kn := range kernels {
+				least := uint64(math.MaxUint64)
+				for range 4 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					sa, err := Build(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lcp := kn.lcp(s, sa)
+					runtime.ReadMemStats(&after)
+					runtime.KeepAlive(lcp)
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
 				}
-				lcp := LCP(s, sa)
-				runtime.ReadMemStats(&after)
-				runtime.KeepAlive(lcp)
-				least = min(least, after.TotalAlloc-before.TotalAlloc)
-			}
-			perSym := float64(least) / float64(len(s))
-			t.Logf("%s, %d symbols: %.2f B/symbol", name, n, perSym)
-			if perSym > 16 {
-				t.Errorf("%s, %d symbols: Build + LCP allocated %.2f B/symbol, want ≤ 16", name, n, perSym)
+				perSym := float64(least) / float64(len(s))
+				t.Logf("%s, %d symbols: Build + %s %.2f B/symbol", name, n, kn.name, perSym)
+				bound := kn.large
+				if n < 1<<20 {
+					bound = kn.small
+				}
+				if perSym > bound {
+					t.Errorf("%s, %d symbols: Build + %s allocated %.2f B/symbol, want ≤ %g", name, n, kn.name, perSym, bound)
+				}
 			}
 		}
 	}
@@ -285,20 +341,26 @@ func TestAllocationPerSymbol(t *testing.T) {
 
 var sink []int32
 
-// BenchmarkBuildLCP is the kernel as the in-memory builder and the
-// partitioned analytics run it: the suffix array and its LCP array.
+// BenchmarkBuildLCP is the kernel as its callers run it: the suffix array
+// and its LCP array in rank order (LCP: the in-memory builder, the live
+// index's suffix order, the B²ST baseline) or in text order (PLCP: lcs).
 func BenchmarkBuildLCP(b *testing.B) {
-	for name, s := range benchTexts(1 << 20) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(s)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sa, err := Build(s)
-				if err != nil {
-					b.Fatal(err)
+	for _, kn := range []struct {
+		name string
+		lcp  func(s []byte, sa []int32) []int32
+	}{{"LCP", LCP}, {"PLCP", PLCP}} {
+		for name, s := range benchTexts(1 << 20) {
+			b.Run(kn.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(len(s)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sa, err := Build(s)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink = kn.lcp(s, sa)
 				}
-				sink = LCP(s, sa)
-			}
-		})
+			})
+		}
 	}
 }
