@@ -1,11 +1,12 @@
 // Package alphabet defines the symbol alphabets used by the suffix tree
-// builders and bit-packed sequence encodings.
+// builders.
 //
 // The ERA paper (§6.1) encodes DNA at 2 bits per symbol and protein/English
 // at 5 bits per symbol; the encoding density determines how much of the input
 // string fits in a given memory budget, which in turn drives the number of
-// vertical partitions and string scans. This package provides the alphabets
-// and a BitPacked sequence type with arbitrary bits-per-symbol.
+// vertical partitions and string scans. Each alphabet gives every symbol a
+// code Bits wide (CodeTable): the memory plan sizes its buffers by the
+// width, and the rolling-code scans of vertical partitioning read the codes.
 package alphabet
 
 import (
@@ -141,24 +142,4 @@ func (a *Alphabet) Validate(s []byte) error {
 		}
 	}
 	return nil
-}
-
-// PackedBytes returns the number of bytes the packed encoding of n symbols
-// occupies, the quantity the memory accountant charges for resident string
-// data (paper §6.1: 2-bit DNA lets a larger part of S fit in memory).
-func (a *Alphabet) PackedBytes(n int) int {
-	return (n*int(a.bits) + 7) / 8
-}
-
-// ByName returns a predefined alphabet by its name (case-sensitive).
-func ByName(name string) (*Alphabet, error) {
-	switch name {
-	case DNA.name:
-		return DNA, nil
-	case Protein.name:
-		return Protein, nil
-	case English.name:
-		return English, nil
-	}
-	return nil, fmt.Errorf("unknown alphabet %q", name)
 }

@@ -1,10 +1,6 @@
 package alphabet
 
-import (
-	"bytes"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestPredefinedAlphabets(t *testing.T) {
 	cases := []struct {
@@ -77,76 +73,5 @@ func TestValidate(t *testing.T) {
 	}
 	if err := DNA.Validate(nil); err == nil {
 		t.Error("empty string accepted")
-	}
-}
-
-func TestPackRoundTrip(t *testing.T) {
-	for _, a := range []*Alphabet{DNA, Protein, English} {
-		syms := a.Symbols()
-		data := make([]byte, 0, 1001)
-		for i := 0; i < 1000; i++ {
-			data = append(data, syms[i%len(syms)])
-		}
-		data = append(data, Terminator)
-		p, err := Pack(a, data)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-		if p.Len() != len(data) {
-			t.Fatalf("%s: Len %d, want %d", a.Name(), p.Len(), len(data))
-		}
-		if !bytes.Equal(p.Bytes(), data) {
-			t.Errorf("%s: round trip mismatch", a.Name())
-		}
-		// Density: DNA at 3 bits/sym packs below 1 byte/sym.
-		if p.SizeBytes() >= len(data) && a.Bits() < 8 {
-			t.Errorf("%s: packed size %d not smaller than raw %d", a.Name(), p.SizeBytes(), len(data))
-		}
-	}
-}
-
-func TestPackQuick(t *testing.T) {
-	f := func(raw []byte) bool {
-		data := make([]byte, len(raw)+1)
-		for i, c := range raw {
-			data[i] = "ACGT"[c%4]
-		}
-		data[len(raw)] = Terminator
-		p, err := Pack(DNA, data)
-		if err != nil {
-			return false
-		}
-		for i := range data {
-			if p.At(i) != data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackedBytes(t *testing.T) {
-	// 2.6 Gsym of DNA at 3 bits ≈ 0.975 GB — the packing that lets a
-	// larger share of S stay resident (§6.1).
-	if got := DNA.PackedBytes(8); got != 3 {
-		t.Errorf("DNA.PackedBytes(8) = %d, want 3", got)
-	}
-	if got := Protein.PackedBytes(8); got != 5 {
-		t.Errorf("Protein.PackedBytes(8) = %d, want 5", got)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"DNA", "Protein", "English"} {
-		a, err := ByName(name)
-		if err != nil || a.Name() != name {
-			t.Errorf("ByName(%s) = %v, %v", name, a, err)
-		}
-	}
-	if _, err := ByName("klingon"); err == nil {
-		t.Error("unknown alphabet accepted")
 	}
 }

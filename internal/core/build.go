@@ -15,28 +15,68 @@ import (
 // ERa-str, Fig. 7).
 //
 // The sub-tree hangs below a fresh root whose single outgoing edge starts
-// with the S-prefix.
+// with the S-prefix, so an LCP shorter than the prefix is refused. The
+// builds themselves finish a sub-tree with countSubTreeNodes, which this is
+// the oracle of.
 func BuildSubTree(view seq.String, clock *sim.Clock, model sim.CostModel, p Prepared) (*suffixtree.Tree, error) {
-	return buildSubTreeInto(suffixtree.New(view), clock, model, p)
-}
-
-// buildSubTreeInto is BuildSubTree recycling a caller-owned tree: the tree is
-// Reset and rebuilt in place, so only callers that drop each sub-tree after
-// accounting may use it. Accounting is identical to BuildSubTree.
-func buildSubTreeInto(tree *suffixtree.Tree, clock *sim.Clock, model sim.CostModel, p Prepared) (*suffixtree.Tree, error) {
 	m := len(p.L)
 	if m == 0 {
 		return nil, fmt.Errorf("core: prefix %q has no occurrences", p.Prefix.Label)
 	}
-	tree.Reset()
-	tree.EnsureCap(2 * m)
-	t, err := suffixtree.FromSortedSuffixesInto(tree, p.L, p.LCP)
+	for i := 1; i < m; i++ {
+		if p.LCP[i] < int32(len(p.Prefix.Label)) {
+			return nil, fmt.Errorf("core: prefix %q: lcp %d below the prefix length at entry %d", p.Prefix.Label, p.LCP[i], i)
+		}
+	}
+	t, err := suffixtree.FromSortedSuffixes(view, p.L, p.LCP)
 	if err != nil {
 		return nil, fmt.Errorf("core: prefix %q: %w", p.Prefix.Label, err)
 	}
 	// One stack pass touching 2m nodes, sequential access.
 	clock.Advance(model.CPUTime(int64(2 * m)))
 	return t, nil
+}
+
+// countSubTreeNodes is BuildSubTree without the tree: it replays the
+// rightmost-path walk over the depths of one prepared sub-tree of an
+// n-symbol string and returns exactly the node count of the sub-tree
+// BuildSubTree would materialize (every suffix adds a leaf, and every branch
+// landing inside an edge adds one split node; the local root is excluded),
+// charging the same 2m node touches. It refuses every window BuildSubTree
+// refuses, and one whose first suffix lies outside the string. LCP[0] is not
+// read.
+func countSubTreeNodes(clock *sim.Clock, model sim.CostModel, n int32, p Prepared, scratch *[]int32) (int64, error) {
+	l, lcp, labelLen := p.L, p.LCP, int32(len(p.Prefix.Label))
+	if len(l) == 0 || l[0] < 0 || l[0] >= n {
+		return 0, fmt.Errorf("core: prefix %q: no suffix, or one outside the %d-byte string", p.Prefix.Label, n)
+	}
+	stack := append((*scratch)[:0], n-l[0])
+	nodes := int64(len(l))
+	for i := 1; i < len(l); i++ {
+		off := lcp[i]
+		if off >= n-l[i] {
+			return 0, fmt.Errorf("core: prefix %q: lcp %d ≥ suffix length %d at entry %d (suffixes not distinct?)", p.Prefix.Label, off, n-l[i], i)
+		}
+		if off < labelLen {
+			return 0, fmt.Errorf("core: prefix %q: lcp %d below the prefix length at entry %d", p.Prefix.Label, off, i)
+		}
+		for len(stack) > 0 && stack[len(stack)-1] > off {
+			stack = stack[:len(stack)-1]
+			var pd int32
+			if len(stack) > 0 {
+				pd = stack[len(stack)-1]
+			}
+			if pd < off {
+				nodes++ // the branch splits this edge: one new internal node
+				stack = append(stack, off)
+				break
+			}
+		}
+		stack = append(stack, n-l[i])
+	}
+	*scratch = stack[:0]
+	clock.Advance(model.CPUTime(int64(2 * len(l))))
+	return nodes, nil
 }
 
 // VerifyPrepared cross-checks the LCP window against the string view: the

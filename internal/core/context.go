@@ -6,17 +6,16 @@ import (
 	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
-	"era/internal/suffixtree"
 )
 
 // buildContext is the reusable state of one construction worker. Everything
 // a group build needs beyond its inputs lives here — the rolling-code window
-// counter, the round-loop scratch, the collect-scan buffers, the windows
-// the sub-trees are written into and a recycled sub-tree. Each array grows
-// to the largest group the worker meets, R to the memory plan's size and the
-// area-sort scratch to its fixed size, after which a round allocates nothing,
-// not even a regrowth of R, and a group only per-group bookkeeping (and, when
-// the context has a crew, the crew's goroutines). A build creates one per
+// counter, the round-loop scratch, the collect-scan buffers, the windows the
+// sub-trees are written into and the stack their nodes are counted on. Each
+// array grows to the largest group the worker meets, R to the memory plan's
+// size and the area-sort scratch to its fixed size, after which a round
+// allocates nothing, not even a regrowth of R, and a group only per-group
+// bookkeeping (and, when the context has a crew, the crew's goroutines). A build creates one per
 // worker (a serial build has one) and keeps it across vertical partitioning
 // and every group the worker pulls from the queue.
 //
@@ -61,16 +60,14 @@ type buildContext struct {
 	// Collect-scan scratch: the streaming window buffer.
 	collectBuf []byte
 
-	// Sub-tree materialization: a recycled arena-backed tree — every
-	// ERa-str+mem sub-tree is dropped after accounting — and the depth stack
-	// a flat build replays each sub-tree's node count on.
-	tree         *suffixtree.Tree
+	// The depth stack countSubTreeNodes replays each ERa-str+mem sub-tree's
+	// node count on: no sub-tree of that method is materialized.
 	depthScratch []int32
 
 	// The windows the groups write their sub-trees into. A flat build sets
 	// order to the build's one suffix order, shared by every worker (each
 	// prefix's window sits at its Rank, and workers write disjoint
-	// windows); a build that drops its sub-trees leaves it empty, and the
+	// windows); a build that assembles no image leaves it empty, and the
 	// windows come from winSlab instead, laid out in group order and reused
 	// by the next group.
 	order   suffixOrder

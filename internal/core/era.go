@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -51,11 +52,13 @@ type Options struct {
 	// Method selects ERa-str+mem (default) or ERa-str.
 	Method Method
 	// AssembleFlat emits the mmap-native flat (format v4) sections of the
-	// whole tree directly from the groups' sorted suffixes: no heap tree is
-	// ever materialized. The image is byte-identical to flattening the
-	// suffix tree of S. Off, every sub-tree is accounted and dropped — the
-	// paper's experiments measure construction, not the tree. Mutually
-	// exclusive with WriteTrees; requires ERa-str+mem.
+	// whole tree directly from the windows of the suffix order the groups
+	// sorted their sub-trees into. The image is byte-identical to
+	// flattening the suffix tree of S. Off, the windows are reused group to
+	// group and only the counters remain — the paper's experiments measure
+	// construction, not the tree. Either way no ERa-str+mem sub-tree is
+	// materialized: each is counted. Mutually exclusive with WriteTrees;
+	// requires ERa-str+mem.
 	AssembleFlat bool
 	// Shards is how many prefix ranges of the suffix order AssembleFlat cuts
 	// the tree into, each an image of its own (Result.Shards) — what
@@ -66,8 +69,11 @@ type Options struct {
 	// and the node and symbol sections of each assembled tree; nil allocates
 	// them (suffixtree.HeapSink).
 	Sink suffixtree.Sink
-	// WriteTrees serializes every finished sub-tree to the disk (charged
-	// I/O), as the real system does.
+	// WriteTrees writes every finished sub-tree to a disk file of its own
+	// (charged I/O), as the real system does. Nothing reads the files back:
+	// an ERa-str+mem sub-tree, counted and never built, is written as a
+	// zeroed stream of its size (suffixtree.WriteSized), an ERa-str one
+	// through Tree.WriteTo.
 	WriteTrees bool
 	// Validate cross-checks every prepared sub-tree against the string
 	// (slow; tests only).
@@ -245,29 +251,29 @@ func (p pipeline) run(f *seq.File, opts Options) (*Result, error) {
 }
 
 // processGroup runs one virtual tree end to end on a worker context: collect
-// occurrence lists (one scan shared by the group), prepare or branch, then
-// either count the nodes of each sub-tree its windows of the suffix order
-// now hold (Options.AssembleFlat: the assembly reads the windows where they
-// are) or materialize each sub-tree, serialize it if asked, and drop it,
-// adding the group's counters to st. gi is the group's global index —
-// sub-tree file names derive from it alone, so serialized output is
-// identical whichever worker of whichever build processes the group. CPU
-// work is charged to the context's CPU clock and scans and serialized-tree
-// writes to its I/O clock.
-//
-// A dropped ERa-str+mem sub-tree is built into the context's arena-backed
-// tree, recycled across sub-trees instead of allocated fresh each time.
+// occurrence lists (one scan shared by the group), then prepare and count
+// each sub-tree (ERa-str+mem) or branch (ERa-str), serialize each sub-tree
+// if asked, and add the group's counters to st. An ERa-str+mem sub-tree is
+// never materialized: countSubTreeNodes gives BuildSubTree's node count and
+// CPU charge, its windows of the suffix order are what a flat build
+// assembles, and WriteTrees writes a stream of its size. gi is the group's
+// global index — sub-tree file names derive from it alone, so serialized
+// output is identical whichever worker of whichever build processes the
+// group. CPU work is charged to the context's CPU clock and scans and
+// serialized-tree writes to its I/O clock.
 func processGroup(ctx *buildContext, model sim.CostModel, layout MemoryLayout, opts Options, g Group, gi int, st *Stats) error {
 	f := ctx.f
-	account := func(t *suffixtree.Tree, ti int) error {
+	// record adds sub-tree ti, of nodes nodes besides its local root, to st
+	// and, under WriteTrees, serializes it to a file of its own.
+	record := func(ti int, nodes int64, write func(io.Writer) (int64, error)) error {
 		st.SubTrees++
-		st.TreeNodes += int64(t.NumNodes() - 1) // exclude the local root
-		if opts.WriteTrees {
-			name := fmt.Sprintf("trees/g%04d-p%02d.st", gi, ti)
-			w := f.Disk().Create(name, ctx.io)
-			if _, err := t.WriteTo(w); err != nil {
-				return fmt.Errorf("serializing %s: %w", name, err)
-			}
+		st.TreeNodes += nodes
+		if !opts.WriteTrees {
+			return nil
+		}
+		name := fmt.Sprintf("trees/g%04d-p%02d.st", gi, ti)
+		if _, err := write(f.Disk().Create(name, ctx.io)); err != nil {
+			return fmt.Errorf("serializing %s: %w", name, err)
 		}
 		return nil
 	}
@@ -280,44 +286,24 @@ func processGroup(ctx *buildContext, model sim.CostModel, layout MemoryLayout, o
 			return err
 		}
 		pstats = ps
-		view, err := f.View()
-		if err != nil {
-			return err
-		}
 		if opts.Validate {
+			view, err := f.View()
+			if err != nil {
+				return err
+			}
 			for _, p := range prepared {
 				if err := VerifyPrepared(view, p); err != nil {
 					return fmt.Errorf("group %d: %w", gi, err)
 				}
 			}
 		}
-		if !opts.AssembleFlat {
-			// Pre-size the recycled tree once from the group's leaf count
-			// (≤ 2·leaves nodes plus the local root across all sub-trees).
-			if ctx.tree == nil {
-				ctx.tree = suffixtree.New(view)
-			}
-			ctx.tree.EnsureCap(2*int(g.Freq) + 1)
-		}
 		for ti, p := range prepared {
-			if opts.AssembleFlat {
-				// The node count and the one-stack-pass charge (2m
-				// sequential node touches) materializing the sub-tree
-				// would give, so Stats and modeled times match either way.
-				nodes, err := countSubTreeNodes(int32(f.Len()), p, &ctx.depthScratch)
-				if err != nil {
-					return err
-				}
-				ctx.cpu.Advance(model.CPUTime(int64(2 * len(p.L))))
-				st.SubTrees++
-				st.TreeNodes += nodes
-				continue
-			}
-			t, err := buildSubTreeInto(ctx.tree, ctx.cpu, model, p)
+			nodes, err := countSubTreeNodes(ctx.cpu, model, int32(f.Len()), p, &ctx.depthScratch)
 			if err != nil {
 				return err
 			}
-			if err := account(t, ti); err != nil {
+			sized := func(w io.Writer) (int64, error) { return suffixtree.WriteSized(w, f.Len(), int(nodes)+1) }
+			if err := record(ti, nodes, sized); err != nil {
 				return err
 			}
 		}
@@ -332,7 +318,7 @@ func processGroup(ctx *buildContext, model sim.CostModel, layout MemoryLayout, o
 		}
 		pstats = ps
 		for ti, t := range trees {
-			if err := account(t, ti); err != nil {
+			if err := record(ti, int64(t.NumNodes()-1), t.WriteTo); err != nil {
 				return err
 			}
 		}

@@ -297,8 +297,8 @@ func TestBuildSerialVariants(t *testing.T) {
 			}
 		})
 	}
-	// WriteTrees serializes heap sub-trees, so it builds no image: it must do
-	// the same work as the flat build, plus one charged file per sub-tree.
+	// WriteTrees writes sub-tree files instead of an image: it must do the
+	// same work as the flat build, plus one charged file per sub-tree.
 	t.Run("write-trees", func(t *testing.T) {
 		flat, err := BuildSerial(publish(t, alphabet.DNA, data), testOptions(32*1024))
 		if err != nil {

@@ -100,46 +100,6 @@ func commonPrefix(a, b []byte) int {
 	return c
 }
 
-// countSubTreeNodes replays FromSortedSuffixes' rightmost-path walk over the
-// depths of one prepared sub-tree of a flat build: the returned count is
-// exactly the node count of the heap sub-tree the same windows would
-// materialize (every suffix adds a leaf, and every branch landing inside an
-// edge adds one split node; the local root is excluded), with the same
-// malformed-input rejections — and an LCP shorter than the sub-tree's prefix
-// label, which its suffixes all share — at no tree cost. LCP[0] is not read.
-func countSubTreeNodes(n int32, p Prepared, scratch *[]int32) (int64, error) {
-	l, lcp, labelLen := p.L, p.LCP, int32(len(p.Prefix.Label))
-	if len(l) == 0 || l[0] < 0 || l[0] >= n {
-		return 0, fmt.Errorf("core: prefix %q: no suffix, or one outside the %d-byte string", p.Prefix.Label, n)
-	}
-	stack := append((*scratch)[:0], n-l[0])
-	nodes := int64(len(l))
-	for i := 1; i < len(l); i++ {
-		off := lcp[i]
-		if off >= n-l[i] {
-			return 0, fmt.Errorf("core: prefix %q: lcp %d ≥ suffix length %d at entry %d (suffixes not distinct?)", p.Prefix.Label, off, n-l[i], i)
-		}
-		if off < labelLen {
-			return 0, fmt.Errorf("core: prefix %q: lcp %d below the prefix length at entry %d", p.Prefix.Label, off, i)
-		}
-		for len(stack) > 0 && stack[len(stack)-1] > off {
-			stack = stack[:len(stack)-1]
-			var pd int32
-			if len(stack) > 0 {
-				pd = stack[len(stack)-1]
-			}
-			if pd < off {
-				nodes++ // the branch splits this edge: one new internal node
-				stack = append(stack, off)
-				break
-			}
-		}
-		stack = append(stack, n-l[i])
-	}
-	*scratch = stack[:0]
-	return nodes, nil
-}
-
 // validateFlatOptions rejects option combinations the direct-to-flat path
 // cannot honor.
 func validateFlatOptions(opts Options) error {
@@ -147,7 +107,7 @@ func validateFlatOptions(opts Options) error {
 		return nil
 	}
 	if opts.WriteTrees {
-		return fmt.Errorf("core: AssembleFlat cannot serialize heap sub-trees (WriteTrees)")
+		return fmt.Errorf("core: AssembleFlat and WriteTrees are exclusive: a build writes an image or sub-tree files, not both")
 	}
 	if opts.Method != StrMem {
 		return fmt.Errorf("core: AssembleFlat requires the ERa-str+mem method")

@@ -17,8 +17,9 @@ import (
 // prefix's window of the suffix array — and LCP[i] is the offset at which
 // the branches to leaves L[i-1] and L[i] part, array B of §4.2.2 (its
 // triplets' symbols C1 < C2 are S[L[i-1]+LCP[i]] and S[L[i]+LCP[i]]), from
-// which BuildSubTree materializes the sub-tree in one batch pass. LCP[0] is
-// not prepare's: in a flat build it is the join with the window before.
+// which BuildSubTree materializes the sub-tree in one batch pass (a build
+// only counts its nodes, countSubTreeNodes). LCP[0] is not prepare's: in a
+// flat build it is the join with the window before.
 type Prepared struct {
 	Prefix Prefix
 	L      []int32

@@ -8,7 +8,6 @@ import (
 
 	"era/internal/alphabet"
 	"era/internal/sim"
-	"era/internal/suffixtree"
 	"era/internal/workload"
 )
 
@@ -280,50 +279,6 @@ func TestGroupRoundsSteadyStateZeroAllocs(t *testing.T) {
 		if perRound := (aNarrow - aWide) / float64(rNarrow-rWide); perRound != 0 {
 			t.Errorf("%s: %.2f allocations per extra round (wide %.0f over %d rounds, narrow %.0f over %d rounds); steady-state rounds must be allocation-free",
 				name, perRound, aWide, rWide, aNarrow, rNarrow)
-		}
-	}
-}
-
-// TestRecycledSubTreeMatchesFresh pins the arena-backed tree reuse: building
-// each prepared sub-tree into one recycled tree (Reset between builds) must
-// produce exactly the shape a fresh build produces, with identical clock
-// accounting.
-func TestRecycledSubTreeMatchesFresh(t *testing.T) {
-	model := sim.DefaultModel()
-	data := workload.MustGenerate(workload.DNA, 3000, 3)
-	f := publish(t, alphabet.DNA, data)
-	sc, clock := matcherScanner(t, f)
-	groups, _, err := VerticalPartition(f, sc, clock, model, 64, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := f.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := new(buildContext)
-	recycled := suffixtree.New(view)
-	for _, g := range groups {
-		prepared, _, err := GroupPrepare(ctx, f, sc, clock, model, g, 1<<20, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range prepared {
-			freshClock, reusedClock := new(sim.Clock), new(sim.Clock)
-			fresh, err := BuildSubTree(view, freshClock, model, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := buildSubTreeInto(recycled, reusedClock, model, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !treesEqual(got, fresh) {
-				t.Fatalf("recycled build of %q differs from fresh build", p.Prefix.Label)
-			}
-			if freshClock.Now() != reusedClock.Now() {
-				t.Fatalf("recycled build of %q charged %v, fresh %v", p.Prefix.Label, reusedClock.Now(), freshClock.Now())
-			}
 		}
 	}
 }

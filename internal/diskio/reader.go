@@ -67,9 +67,6 @@ func (r *Reader) Skip(n int64) {
 	r.pos += n
 }
 
-// Pos returns the current head position (-1 before the first read).
-func (r *Reader) Pos() int64 { return r.pos }
-
 // Writer appends to a disk file, charging sequential write time.
 type Writer struct {
 	d     *Disk

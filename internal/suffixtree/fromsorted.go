@@ -21,34 +21,18 @@ import (
 // if it covers the occurrences of one S-prefix the result is that sub-tree
 // (root with a single outgoing edge).
 func FromSortedSuffixes(s seq.String, sorted []int32, lcp []int32) (*Tree, error) {
-	return FromSortedSuffixesInto(New(s), sorted, lcp)
-}
-
-// FromSortedSuffixesInto is FromSortedSuffixes building into an existing
-// tree, which must hold only a root (freshly New'd, or Reset). Reusing one
-// pre-sized tree across sub-tree builds keeps the steady-state
-// materialization loop allocation-free; see Tree.Reset for the aliasing
-// caveat.
-func FromSortedSuffixesInto(t *Tree, sorted []int32, lcp []int32) (*Tree, error) {
 	if len(sorted) == 0 {
 		return nil, fmt.Errorf("suffixtree: no suffixes")
 	}
 	if len(lcp) != len(sorted) {
 		return nil, fmt.Errorf("suffixtree: %d suffixes but %d lcp entries", len(sorted), len(lcp))
 	}
-	if len(t.nodes) != 1 {
-		return nil, fmt.Errorf("suffixtree: build target holds %d nodes, want a lone root", len(t.nodes))
-	}
-	s := t.s
+	t := New(s)
 	n := int32(s.Len())
 
 	// Stack of edges (node ids) on the rightmost path; depth is the string
 	// depth at the bottom of the stack top's edge.
-	if t.path == nil {
-		t.path = make([]int32, 0, 64)
-	}
-	stack := t.path[:0]
-	defer func() { t.path = stack[:0] }()
+	stack := make([]int32, 0, 64)
 	first := t.NewNode(sorted[0], n, sorted[0])
 	t.AttachLast(t.Root(), first)
 	stack = append(stack, first)

@@ -43,10 +43,6 @@ type node struct {
 type Tree struct {
 	s     seq.String
 	nodes []node
-	// path is the rightmost-path stack reused by FromSortedSuffixesInto, so
-	// a build context that recycles one Tree across many sub-trees performs
-	// zero allocations per build in the steady state.
-	path []int32
 }
 
 // New returns a tree over s containing only the root.
@@ -54,27 +50,6 @@ func New(s seq.String) *Tree {
 	t := &Tree{s: s}
 	t.nodes = append(t.nodes, node{parent: None, firstChild: None, nextSib: None, suffix: -1})
 	return t
-}
-
-// Reset truncates t back to a lone root, keeping the node array's capacity.
-// Any node ids or sub-tree references handed out before the reset become
-// invalid; builders that recycle one tree across sub-trees may only do so
-// when the previous sub-tree is no longer referenced (not grafted, not
-// collected).
-func (t *Tree) Reset() {
-	t.nodes = t.nodes[:1]
-	t.nodes[0] = node{parent: None, firstChild: None, nextSib: None, suffix: -1}
-}
-
-// EnsureCap grows the node array's capacity to hold at least n nodes without
-// further allocation. Existing nodes are preserved.
-func (t *Tree) EnsureCap(n int) {
-	if cap(t.nodes) >= n {
-		return
-	}
-	nodes := make([]node, len(t.nodes), n)
-	copy(nodes, t.nodes)
-	t.nodes = nodes
 }
 
 // String returns the underlying string.
@@ -218,15 +193,6 @@ func (t *Tree) Child(u int32, sym byte) int32 {
 		}
 	}
 	return None
-}
-
-// NumChildren returns the number of children of u.
-func (t *Tree) NumChildren(u int32) int {
-	n := 0
-	for c := t.nodes[u].firstChild; c != None; c = t.nodes[c].nextSib {
-		n++
-	}
-	return n
 }
 
 // PathLen returns the total label length from the root to u (the string

@@ -337,52 +337,3 @@ func TestPathLabelIterative(t *testing.T) {
 		})
 	}
 }
-
-// TestResetAndBuildInto exercises the recycled-tree path: one tree, Reset
-// between builds, must reproduce the same structure as fresh builds, with
-// zero steady-state allocations once the node array has grown.
-func TestResetAndBuildInto(t *testing.T) {
-	inputs := []string{"ACGT$", "GATTACA$", "TGGTGGTGGTGCGGTGATGGTGC$"}
-	var recycled *Tree
-	for _, s := range inputs {
-		m := mem(t, s)
-		sa, err := suffixarray.Build(m.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		lcp := suffixarray.LCP(m.Bytes(), sa)
-		fresh, err := FromSortedSuffixes(m, sa, lcp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycled = New(m)
-		recycled.EnsureCap(2 * len(sa))
-		got, err := FromSortedSuffixesInto(recycled, sa, lcp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumNodes() != fresh.NumNodes() {
-			t.Fatalf("%q: recycled build has %d nodes, fresh %d", s, got.NumNodes(), fresh.NumNodes())
-		}
-		if err := got.Validate(true); err != nil {
-			t.Fatalf("%q: recycled build invalid: %v", s, err)
-		}
-		// Rebuilding after Reset must be allocation-free and identical.
-		if allocs := testing.AllocsPerRun(10, func() {
-			recycled.Reset()
-			if _, err := FromSortedSuffixesInto(recycled, sa, lcp); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%q: Reset+rebuild allocates %v times, want 0", s, allocs)
-		}
-		if err := recycled.Validate(true); err != nil {
-			t.Fatalf("%q: rebuilt tree invalid: %v", s, err)
-		}
-	}
-
-	// A dirty target is rejected.
-	if _, err := FromSortedSuffixesInto(recycled, []int32{0}, []int32{0}); err == nil {
-		t.Error("FromSortedSuffixesInto accepted a non-empty target tree")
-	}
-}
