@@ -577,16 +577,32 @@ func TestWalkAllocationsDoNotScale(t *testing.T) {
 }
 
 // TestLCSAllocationPerSymbol pins what one lcs call allocates per symbol of
-// its sorted text a '$' b '#': the text, its suffix array and one LCP array,
-// permuted and read through the suffix array: 9 B, ≈ 10.8 with the SA-IS
-// state and the allocator's page rounding. A rank-order copy of the LCPs
-// adds 4 B more (≈ 15), which the bound of 12.5 refuses. The least of a few
-// calls is the call's own.
+// its sorted text a '$' b '#'. A warmed call sorts into the kept scratch, so
+// it allocates SA-IS's LMS bits and bucket arrays and the answer's label:
+// ≈ 1 B, bound 1.5. A pair above lcsKeepSymbols sorts into fresh arrays: the
+// text, its suffix array and one LCP array, permuted and read through the
+// suffix array: 9 B, ≈ 10.8 with the SA-IS state and the allocator's page
+// rounding. A rank-order copy of the LCPs adds 4 B more (≈ 15), which that
+// pair's bound of 12.5 refuses. The least of a few calls is the call's own.
 func TestLCSAllocationPerSymbol(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator changes allocation counts")
 	}
-	const n = 16 << 10
+	for _, c := range []struct {
+		n     int
+		bound float64
+	}{{16 << 10, 1.5}, {lcsKeepSymbols / 2, 12.5}} {
+		perSym := float64(lcsAllocated(t, c.n)) / float64(2*c.n+2)
+		t.Logf("lcs of two %d-symbol DNA documents: %.2f B per symbol of the pair", c.n, perSym)
+		if perSym > c.bound {
+			t.Errorf("lcs of two %d-symbol DNA documents allocated %.2f B per symbol of the pair, want ≤ %g", c.n, perSym, c.bound)
+		}
+	}
+}
+
+// lcsAllocated is what a warmed lcs of two n-symbol DNA documents
+// allocates: the least of a few calls.
+func lcsAllocated(t *testing.T, n int) uint64 {
 	a := workload.MustGenerate(workload.DNA, n, 31)[:n]
 	b := workload.MustGenerate(workload.DNA, n, 32)[:n]
 	x, err := BuildCorpus([][]byte{a, b}, nil)
@@ -604,11 +620,7 @@ func TestLCSAllocationPerSymbol(t *testing.T) {
 	for range 4 {
 		least = min(least, allocatedBy(run))
 	}
-	perSym := float64(least) / float64(2*n+2)
-	t.Logf("lcs of two %d-symbol DNA documents: %d B, %.2f B per symbol of the pair", n, least, perSym)
-	if perSym > 12.5 {
-		t.Errorf("lcs of two %d-symbol DNA documents allocated %.2f B per symbol of the pair, want ≤ 12.5", n, perSym)
-	}
+	return least
 }
 
 // TestLCSAllocationFollowsTheDocuments pins lcs to its two documents: the
@@ -644,5 +656,104 @@ func TestLCSAllocationFollowsTheDocuments(t *testing.T) {
 	if bytesOf[1] > 2*bytesOf[0] || objectsOf[1] > objectsOf[0]+4 {
 		t.Errorf("lcs of two 768-byte documents: %.0f B in %.0f objects in a 2 Ki corpus, %.0f B in %.0f in a 64 Ki one: it grows with the corpus",
 			bytesOf[0], objectsOf[0], bytesOf[1], objectsOf[1])
+	}
+}
+
+// TestLCSKeptScratchConcurrent runs lcs from eight goroutines at once on a
+// monolithic, a sharded and a live index, over pairs on both sides of the
+// kept scratch's cap (lowered here so that brute force can check them): some
+// calls sort into the kept scratch, others, finding it held or the pair too
+// large, into fresh arrays. Every answer must be the brute-force one, and
+// must still be once every call has returned, so that no answer aliases a
+// scratch a later call sorted into.
+func TestLCSKeptScratchConcurrent(t *testing.T) {
+	defer func(keep int) { lcsKeepSymbols = keep }(lcsKeepSymbols)
+	lcsKeepSymbols = 512
+	data := workload.MustGenerate(workload.DNA, 4<<10, 37)
+	shared := data[:48]
+	var docs [][]byte
+	for i, n := range []int{90, 140, 200, 250, 310, 380} {
+		d := append([]byte(nil), data[1024*(i%3)+100*i:][:n]...)
+		if i%2 == 0 {
+			copy(d[n/3:], shared[:20+4*i])
+		}
+		docs = append(docs, d)
+	}
+	type pair struct{ a, b int }
+	var pairs []pair
+	want := map[pair]Answer{}
+	below := 0
+	for a := range docs {
+		for b := range docs {
+			if a != b {
+				p := pair{a, b}
+				pairs = append(pairs, p)
+				want[p] = naiveLCS(docs[a], docs[b])
+				if len(docs[a])+len(docs[b])+2 <= lcsKeepSymbols {
+					below++
+				}
+			}
+		}
+	}
+	if below == 0 || below == len(pairs) {
+		t.Fatalf("%d of %d pairs fit the kept scratch: want both sides of its cap", below, len(pairs))
+	}
+
+	mono, err := BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildShardedCorpus(docs, &ShardConfig{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lx, err := NewLive("lcs-scratch", &LiveConfig{MemtableMaxDocs: 1 << 20, MemtableMaxBytes: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lx.Close()
+	if _, err := lx.Append(docs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := lx.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lx.Append(docs[3:]); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, layer := range []struct {
+		name string
+		ask  func(context.Context, Query) (Answer, error)
+	}{{"mono", mono.Analytics}, {"sharded", sx.Analytics}, {"live", lx.Analytics}} {
+		const workers, rounds = 8, 3
+		got := make([][]Answer, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := range rounds * len(pairs) {
+					p := pairs[(r*(2*w+1)+w)%len(pairs)]
+					ans, err := layer.ask(context.Background(), Query{Kind: OpCommonSubstring, DocA: p.a, DocB: p.b})
+					if err != nil {
+						t.Errorf("%s: lcs(%d, %d): %v", layer.name, p.a, p.b, err)
+						return
+					}
+					if !reflect.DeepEqual(ans, want[p]) {
+						t.Errorf("%s: lcs(%d, %d) = %+v, brute force gives %+v", layer.name, p.a, p.b, ans, want[p])
+					}
+					got[w] = append(got[w], ans)
+				}
+			}()
+		}
+		wg.Wait()
+		for w, answers := range got {
+			for r, ans := range answers {
+				if p := pairs[(r*(2*w+1)+w)%len(pairs)]; !reflect.DeepEqual(ans, want[p]) {
+					t.Errorf("%s: lcs(%d, %d) answered %+v, which later calls turned into %+v", layer.name, p.a, p.b, want[p], ans)
+				}
+			}
+		}
 	}
 }

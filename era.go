@@ -285,7 +285,8 @@ func buildShards(ctx context.Context, docs [][]byte, cfgp *Config, k int, sink i
 // allocated: the kernel of the live index's lrs / topk (textOrder), which
 // read it many times per snapshot, and what the in-memory builder computes
 // into its sink's suffix array. lcs reads its LCPs once, through the suffix
-// array, so it sorts with suffixarray.PLCP instead (commonSubstring).
+// array, so it sorts with suffixarray.BuildInto and PLCPInto instead, into
+// arrays it keeps from call to call (commonSubstring).
 func suffixOrder(text []byte) (sa, lcp []int32, err error) {
 	if sa, err = suffixarray.Build(text); err != nil {
 		return nil, nil, err

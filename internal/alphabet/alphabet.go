@@ -25,7 +25,6 @@ const Terminator = byte('$')
 type Alphabet struct {
 	name    string
 	symbols []byte
-	rank    [256]int16 // symbol -> index, -1 if absent
 	codes   [256]int16 // symbol -> packed code (terminator 0), -1 if absent
 	bits    uint       // bits per symbol when packed
 }
@@ -53,13 +52,11 @@ func New(name string, symbols []byte) (*Alphabet, error) {
 	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
 
 	a := &Alphabet{name: name, symbols: uniq}
-	for i := range a.rank {
-		a.rank[i] = -1
+	for i := range a.codes {
 		a.codes[i] = -1
 	}
 	a.codes[Terminator] = 0
 	for i, s := range uniq {
-		a.rank[s] = int16(i)
 		a.codes[s] = int16(i) + 1
 	}
 	a.bits = bitsFor(len(uniq))
@@ -112,13 +109,8 @@ func (a *Alphabet) Bits() uint { return a.bits }
 // be modified.
 func (a *Alphabet) Symbols() []byte { return a.symbols }
 
-// Rank returns the index of symbol s in sorted order, or -1 if s is not in
-// the alphabet. The terminator has rank -1: it sorts before every symbol,
-// which callers handle explicitly.
-func (a *Alphabet) Rank(s byte) int { return int(a.rank[s]) }
-
 // Contains reports whether s is a member of the alphabet.
-func (a *Alphabet) Contains(s byte) bool { return a.rank[s] >= 0 }
+func (a *Alphabet) Contains(s byte) bool { return a.codes[s] > 0 }
 
 // CodeTable returns the byte→packed-code mapping used by the bit-packed
 // encoding and the construction hot-path matchers: the terminator maps to

@@ -48,9 +48,6 @@ func New(f *seq.File, n int) (*Cluster, error) {
 	return c, nil
 }
 
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
 // Node returns node i's private view of the input string.
 func (c *Cluster) Node(i int) *seq.File { return c.nodes[i] }
 

@@ -72,7 +72,6 @@ type Writer struct {
 	d     *Disk
 	clock *sim.Clock
 	name  string
-	n     int64
 }
 
 // Write appends p to the file.
@@ -84,9 +83,5 @@ func (w *Writer) Write(p []byte) (int, error) {
 	w.d.charge(w.clock, w.d.model.SeqWriteTime(int64(len(p))))
 	w.d.writeOps.Add(1)
 	w.d.bytesWritten.Add(int64(len(p)))
-	w.n += int64(len(p))
 	return len(p), nil
 }
-
-// Written returns the total number of bytes written through w.
-func (w *Writer) Written() int64 { return w.n }

@@ -222,7 +222,6 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 type Resource struct {
 	mu   sync.Mutex
 	free time.Duration
-	busy time.Duration // total serviced time, for utilization reporting
 }
 
 // Acquire schedules a request of duration d issued at virtual time at and
@@ -238,13 +237,5 @@ func (r *Resource) Acquire(at, d time.Duration) time.Duration {
 		start = r.free
 	}
 	r.free = start + d
-	r.busy += d
 	return r.free
-}
-
-// Busy returns the total virtual time the resource has been held.
-func (r *Resource) Busy() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busy
 }

@@ -71,9 +71,6 @@ func TestResourceSerializes(t *testing.T) {
 	if done := r.Acquire(100*time.Millisecond, 5*time.Millisecond); done != 105*time.Millisecond {
 		t.Errorf("late completion %v, want 105ms", done)
 	}
-	if r.Busy() != 25*time.Millisecond {
-		t.Errorf("busy %v, want 25ms", r.Busy())
-	}
 }
 
 func TestCombineSharedDisk(t *testing.T) {

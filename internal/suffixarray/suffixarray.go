@@ -19,7 +19,10 @@
 // live inside the output. PLCP allocates its result, one int32 per symbol,
 // and LCP one more for the rank-order gather: at 1 Mi symbols Build + PLCP
 // allocates 8.2 to 9.2 bytes per symbol and Build + LCP 12.2 to 13.2
-// (TestAllocationPerSymbol).
+// (TestAllocationPerSymbol). BuildInto and PLCPInto write into arrays the
+// caller owns and may keep from one text to the next (lcs sorts every pair
+// of documents into one kept set), so past the text all they allocate is
+// SA-IS's LMS bits and bucket arrays, about a byte per symbol.
 package suffixarray
 
 import (
@@ -286,11 +289,24 @@ func LCP(s []byte, sa []int32) []int32 {
 // predecessor in sa — so the only random reads are the symbol comparisons,
 // and the LCPs overwrite Φ in its own array.
 func PLCP(s []byte, sa []int32) []int32 {
+	phi := make([]int32, len(s))
+	if err := PLCPInto(s, sa, phi); err != nil {
+		panic(err)
+	}
+	return phi
+}
+
+// PLCPInto is PLCP writing the array into phi, which must hold exactly
+// len(s) entries: memory the caller owns and may reuse, since every entry is
+// written whatever it held.
+func PLCPInto(s []byte, sa, phi []int32) error {
 	n := len(s)
+	if len(sa) != n || len(phi) != n {
+		return fmt.Errorf("suffixarray: %d and %d entries for the suffix array and PLCP of %d bytes", len(sa), len(phi), n)
+	}
 	if n == 0 {
 		return nil
 	}
-	phi := make([]int32, n)
 	phi[sa[0]] = -1
 	for k := 1; k < n; k++ {
 		phi[sa[k]] = sa[k-1]
@@ -310,5 +326,5 @@ func PLCP(s []byte, sa []int32) []int32 {
 			h--
 		}
 	}
-	return phi
+	return nil
 }

@@ -310,6 +310,30 @@ func FuzzBuildLCP(f *testing.F) {
 			}
 		}
 
+		// BuildInto and PLCPInto write every entry, whatever the arrays
+		// held: sorted first into by a longer text (the core reversed,
+		// then s), they must give what Build and PLCP gave.
+		longer := slices.Clone(s[:len(core)])
+		slices.Reverse(longer)
+		longer = append(longer, s...)
+		keptSA, keptPhi := make([]int32, len(longer)), make([]int32, len(longer))
+		if err := BuildInto(longer, keptSA); err != nil {
+			t.Fatal(err)
+		}
+		if err := PLCPInto(longer, keptSA, keptPhi); err != nil {
+			t.Fatal(err)
+		}
+		if err := BuildInto(s, keptSA[:len(s)]); err != nil {
+			t.Fatal(err)
+		}
+		if err := PLCPInto(s, keptSA[:len(s)], keptPhi[:len(s)]); err != nil {
+			t.Fatal(err)
+		}
+		if !equal32(keptSA[:len(s)], sa) || !equal32(keptPhi[:len(s)], plcp) {
+			t.Fatalf("BuildInto + PLCPInto(%q) into arrays %q left = %v, %v; Build + PLCP = %v, %v",
+				s, longer, keptSA[:len(s)], keptPhi[:len(s)], sa, plcp)
+		}
+
 		// The two answers are sets of distinct offsets: each of index/
 		// suffixarray's must be one of this window's, consumed once.
 		std, in := stdsa.New(s), make([]bool, len(s))

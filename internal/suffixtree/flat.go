@@ -269,13 +269,6 @@ func (t *FlatTree) ranks(r []byte) (lo, hi int32) {
 	return int32(ls), int32(ls + min(lc, uint32(t.nLeaves)-ls))
 }
 
-// Depth returns the string depth of u (path length from the root): the
-// length of its path window. O(1) for either kind of node.
-func (t *FlatTree) Depth(u int32) int32 {
-	o, e := t.pathWindow(u)
-	return e - o
-}
-
 // pathWindow returns the window of S that spells u's path label: from the
 // lexicographically first suffix o below u to o + u's depth, clamped to the
 // string. Invalid ids yield an empty window.

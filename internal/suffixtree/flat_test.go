@@ -265,7 +265,6 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 		ft.Leaves(u)
 		ft.CountLeaves(u)
 		ft.PathLabel(u)
-		ft.Depth(u)
 		ft.Suffix(u)
 		ft.IsLeaf(u)
 		ft.Edge(u, -1)

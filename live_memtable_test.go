@@ -169,7 +169,11 @@ func randDocN(rng *rand.Rand, n int) string {
 
 // allocatedBy returns the heap bytes f allocated (runtime.ReadMemStats'
 // cumulative TotalAlloc, which it makes exact by flushing every P's cache).
+// It runs f on one P, as testing.AllocsPerRun does: with an idle P, the
+// world that ReadMemStats restarts may wake it on a new OS thread, whose
+// runtime structures (5 248 B) would be counted as f's.
 func allocatedBy(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
