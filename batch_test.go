@@ -128,8 +128,9 @@ func TestFirstOccurrencesIsTheSortedWindow(t *testing.T) {
 			}
 			slices.Sort(window)
 			n := len(window)
-			if ft.IsLeaf(u) && (n != 1 || window[0] != int(ft.Suffix(u))) {
-				t.Fatalf("%s: leaf %d's window is %v, its suffix %d", name, u, window, ft.Suffix(u))
+			// A leaf's path label runs from its suffix to the end of the string.
+			if suffix := x.Len() - len(ft.PathLabel(u)); ft.IsLeaf(u) && (n != 1 || window[0] != suffix) {
+				t.Fatalf("%s: leaf %d's window is %v, its suffix %d", name, u, window, suffix)
 			}
 			for _, k := range []int{0, 1, 2, n - 1, n, n + 5} {
 				want := window

@@ -274,27 +274,20 @@ func TestFormatsDifferential(t *testing.T) {
 
 // suffixArraySections is the image's independent oracle: SA-IS and Kasai
 // share no code with vertical partitioning, the elastic range or the group
-// sorts, and their suffix and LCP arrays over the terminated corpus, streamed
-// into a builder sized loosely, must produce the sections of any ERA build of
-// it.
+// sorts, and their suffix and LCP arrays over the terminated corpus,
+// assembled as one tree (AssembleShards), must produce the sections of any ERA
+// build of it.
 func suffixArraySections(t *testing.T, data []byte) *suffixtree.Flat {
 	t.Helper()
 	sa, err := suffixarray.Build(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := suffixtree.NewFlatBuilder(data, sa, len(data))
+	shards, err := suffixtree.AssembleShards(data, sa, suffixarray.LCP(data, sa), 1, suffixtree.HeapSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Stream(suffixarray.LCP(data, sa)); err != nil {
-		t.Fatal(err)
-	}
-	want, err := fb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return want
+	return shards[0].Flat
 }
 
 // assertSectionsEqual compares a build's sections with the oracle's.

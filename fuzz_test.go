@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
-
-	"era/internal/alphabet"
-	"era/internal/seq"
-	"era/internal/ukkonen"
 )
 
 // fuzzAlphabets are the symbol sets FuzzBuildQuery maps raw fuzz bytes
@@ -23,8 +20,8 @@ var fuzzAlphabets = []string{
 
 // FuzzBuildQuery builds an ERA index over fuzzer-chosen data and
 // cross-checks every query kind — Contains, Count, Occurrences and the
-// batched path — against a naive suffix tree from internal/ukkonen, the
-// repository's correctness oracle.
+// batched path — against a scan of the string (scanOracle), and the
+// analytics plans against the naive analytics oracles.
 func FuzzBuildQuery(f *testing.F) {
 	f.Add([]byte("TGGTGGTGGTGCGGTGATGGTGC"), []byte("TG"), byte(0))
 	f.Add([]byte("GATTACA"), []byte("TTTT"), byte(0))
@@ -79,30 +76,21 @@ func FuzzBuildQuery(f *testing.F) {
 			t.Fatalf("Build(%q) did not run ERA", data)
 		}
 
-		// The oracle: a naive O(n²) suffix tree over the same string.
-		terminated := append(append([]byte(nil), data...), alphabet.Terminator)
-		mem, err := seq.NewMem(idx.Alphabet(), terminated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := ukkonen.BuildNaive(mem)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The oracle: a bytes.HasPrefix scan over every offset of the
+		// terminated string, which shares no code with any tree.
+		oracle := newScanOracle([][]byte{data})
 
 		for _, p := range [][]byte{pat, data, nil} {
-			wantContains := oracle.Contains(p)
+			wantOcc := oracle.occurrences(p)
+			wantContains, wantCount := len(wantOcc) > 0, len(wantOcc)
 			if got := idx.Contains(p); got != wantContains {
 				t.Errorf("Contains(%q) = %v, oracle says %v (data %q)", p, got, wantContains, data)
 			}
-			wantCount := oracle.Count(p)
 			if got := idx.Count(p); got != wantCount {
 				t.Errorf("Count(%q) = %d, oracle says %d (data %q)", p, got, wantCount, data)
 			}
-			wantOcc := oracle.Occurrences(p)
-			gotOcc, _ := idx.Occurrences(p)
-			if len(gotOcc) != len(wantOcc) {
-				t.Errorf("Occurrences(%q): %d offsets, oracle has %d (data %q)", p, len(gotOcc), len(wantOcc), data)
+			if gotOcc, _ := idx.Occurrences(p); !slices.Equal(gotOcc, wantOcc) && len(gotOcc)+len(wantOcc) > 0 {
+				t.Errorf("Occurrences(%q) = %v, oracle says %v (data %q)", p, gotOcc, wantOcc, data)
 			}
 
 			// The batched path must agree with the single-query path.
@@ -123,8 +111,8 @@ func FuzzBuildQuery(f *testing.F) {
 			if len(occ) < 2 {
 				t.Errorf("LRS %q has %d occurrences", lrs, len(occ))
 			}
-			if oracle.Count(lrs) != len(occ) {
-				t.Errorf("LRS %q: %d occurrences, oracle says %d", lrs, len(occ), oracle.Count(lrs))
+			if want := len(oracle.occurrences(lrs)); want != len(occ) {
+				t.Errorf("LRS %q: %d occurrences, oracle says %d", lrs, len(occ), want)
 			}
 		} else if bytes.ContainsFunc(data[1:], func(r rune) bool { return byte(r) == data[0] }) && len(data) > 1 {
 			// Any repeated single symbol implies a non-empty LRS.

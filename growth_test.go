@@ -26,11 +26,21 @@ func TestGrowthPins(t *testing.T) {
 		allocs bool
 	}{
 		{"ERA serial at 13 B/symbol, DNA: bytes fetched", func(t *testing.T, n int) uint64 {
-			st, _ := eraSerialCost(t, n)
+			st, _ := eraCost(t, n, 1)
 			return uint64(st.BytesFetched)
 		}, 1.1, false},
 		{"ERA serial at 13 B/symbol, DNA: bytes allocated", func(t *testing.T, n int) uint64 {
-			_, alloc := eraSerialCost(t, n)
+			_, alloc := eraCost(t, n, 1)
+			return alloc
+		}, 1.1, true},
+		// Two workers at 13 B/symbol each: five groups at both sizes, so the
+		// multi-group queue, not the idle-worker loan, is what grows.
+		{"ERA SharedDisk-2 at 26 B/symbol, DNA: bytes fetched", func(t *testing.T, n int) uint64 {
+			st, _ := eraCost(t, n, 2)
+			return uint64(st.BytesFetched)
+		}, 1.1, false},
+		{"ERA SharedDisk-2 at 26 B/symbol, DNA: bytes allocated", func(t *testing.T, n int) uint64 {
+			_, alloc := eraCost(t, n, 2)
 			return alloc
 		}, 1.1, true},
 		{"warmed lcs of two n-symbol DNA documents: bytes allocated", lcsAllocated, 1.25, true},
@@ -49,20 +59,27 @@ func TestGrowthPins(t *testing.T) {
 	}
 }
 
-// eraSerialCost builds the flat tree of n DNA symbols with serial ERA at a
-// budget of 13 B/symbol, below the in-memory builder's, and returns the
-// build's Stats and the bytes it allocated: the least of a few builds.
-func eraSerialCost(t *testing.T, n int) (core.Stats, uint64) {
+// eraCost builds the flat tree of n DNA symbols with ERA at a budget of
+// 13 B/symbol per worker, below the in-memory builder's — serially for one
+// worker, SharedDisk for more — and returns the build's Stats and the bytes
+// it allocated: the least of a few builds.
+func eraCost(t *testing.T, n, workers int) (core.Stats, uint64) {
 	data := workload.MustGenerate(workload.DNA, n, 1)
 	f, err := seq.Publish(diskio.NewDisk(sim.DefaultModel()), "input.seq", alphabet.DNA, data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := core.Options{MemoryBudget: 13 * int64(workers*n), AssembleFlat: true}
 	var st core.Stats
 	least := ^uint64(0)
 	for range 3 {
 		least = min(least, allocatedBy(func() {
-			res, err := core.BuildSerial(f, core.Options{MemoryBudget: 13 * int64(n), AssembleFlat: true})
+			var res *core.Result
+			if workers == 1 {
+				res, err = core.BuildSerial(f, opts)
+			} else {
+				res, err = core.BuildParallel(f, core.ParallelOptions{Options: opts, Workers: workers})
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,5 +87,6 @@ func eraSerialCost(t *testing.T, n int) (core.Stats, uint64) {
 		}))
 	}
 	runtime.KeepAlive(f)
+	t.Logf("ERA with %d worker(s) over %d symbols: %d groups, %d scans", workers, n, st.Groups, st.Scans)
 	return st, least
 }

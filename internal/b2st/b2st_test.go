@@ -1,13 +1,15 @@
 package b2st
 
 import (
+	"bytes"
 	"testing"
 
 	"era/internal/alphabet"
 	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
-	"era/internal/ukkonen"
+	"era/internal/suffixarray"
+	"era/internal/suffixtree"
 	"era/internal/workload"
 )
 
@@ -19,6 +21,27 @@ func publish(t testing.TB, a *alphabet.Alphabet, data []byte) *seq.File {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// matchesSuffixArray reports whether tr, flattened, is byte for byte the
+// image assembled from data's suffix array and LCP array, which share no
+// code with the builder under test: leaf order, branching depths and edges.
+func matchesSuffixArray(t testing.TB, tr *suffixtree.Tree, data []byte) bool {
+	t.Helper()
+	got, err := suffixtree.Flatten(tr, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := suffixarray.Build(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := suffixtree.AssembleShards(data, sa, suffixarray.LCP(data, sa), 1, suffixtree.HeapSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := shards[0].Flat
+	return bytes.Equal(got.Nodes, want.Nodes) && bytes.Equal(got.Sym, want.Sym) && bytes.Equal(got.LeafData, want.LeafData)
 }
 
 func TestBuildSerialMatchesOracle(t *testing.T) {
@@ -38,22 +61,8 @@ func TestBuildSerialMatchesOracle(t *testing.T) {
 			if err := res.Tree.Validate(true); err != nil {
 				t.Fatal(err)
 			}
-			m, err := seq.NewMem(a, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := ukkonen.Build(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := res.Tree.NumNodes(), oracle.NumNodes(); got != want {
-				t.Errorf("node count %d, want %d", got, want)
-			}
-			gl, ol := res.Tree.Leaves(res.Tree.Root()), oracle.Leaves(oracle.Root())
-			for i := range gl {
-				if gl[i] != ol[i] {
-					t.Fatalf("leaf order differs at %d: %d vs %d", i, gl[i], ol[i])
-				}
+			if !matchesSuffixArray(t, res.Tree, data) {
+				t.Error("the tree differs from the suffix array's")
 			}
 			if res.Stats.Partitions < 2 {
 				t.Errorf("expected multiple partitions under a tight budget, got %d", res.Stats.Partitions)

@@ -91,15 +91,15 @@ func requireStrMatchesStrMem(t *testing.T, a *alphabet.Alphabet, data []byte, bu
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !treesEqual(branched[i], built) {
+			if !treesEqual(branched[i], built, data) {
 				t.Fatalf("group %d: the ERa-str sub-tree of %q differs from ERa-str+mem's", gi, p.Prefix.Label)
 			}
 		}
 	}
 }
 
-// treesEqual compares two trees structurally via DFS signatures.
-func treesEqual(a, b *suffixtree.Tree) bool {
+// treesEqual compares two trees over data structurally via DFS signatures.
+func treesEqual(a, b *suffixtree.Tree, data []byte) bool {
 	type sig struct {
 		depth  int32
 		label  string
@@ -108,7 +108,7 @@ func treesEqual(a, b *suffixtree.Tree) bool {
 	collect := func(t *suffixtree.Tree) []sig {
 		var out []sig
 		t.WalkDFS(t.Root(), func(id, depth int32) bool {
-			out = append(out, sig{depth, string(t.Label(id)), t.Suffix(id)})
+			out = append(out, sig{depth, string(data[t.EdgeStart(id):t.EdgeEnd(id)]), t.Suffix(id)})
 			return true
 		})
 		return out

@@ -19,9 +19,6 @@ type Reader struct {
 	pos   int64 // next byte the head would read sequentially; -1 before first read
 }
 
-// Size returns the file size in bytes.
-func (r *Reader) Size() int64 { return int64(len(r.data)) }
-
 // ReadAt fills p from offset off, charging seek time if off differs from the
 // current head position and sequential transfer time for the bytes returned.
 // It returns io.EOF when fewer than len(p) bytes are available.

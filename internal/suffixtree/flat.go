@@ -13,8 +13,8 @@ import (
 // no node structs are materialized, no pointers fixed up, and concurrent
 // processes serving the same file share one page-cache copy. It is the only
 // layout that serves: its queries are methods here, and the analytics walks
-// (walk.go) take it directly. The heap Tree is construction's layout and the
-// tests' reference, with queries and walks of its own.
+// (walk.go) take it directly. The heap Tree is construction's layout and has
+// no queries.
 //
 // The layout is chosen for the descent and occurrence-listing hot paths, and
 // sized by what a node has to say:
@@ -155,9 +155,6 @@ func NewFlatTree(data, nodes, sym, dense, leafIdx, leafData []byte, nLeaves int3
 	}, nil
 }
 
-// Data returns the underlying string bytes (terminator included).
-func (t *FlatTree) Data() []byte { return t.data }
-
 // Sections returns the encoded sections the tree views — what NewFlatTree
 // was given — so a writer emits the image it holds instead of re-encoding it.
 func (t *FlatTree) Sections() Flat {
@@ -285,14 +282,6 @@ func (t *FlatTree) pathWindow(u int32) (o, e int32) {
 // IsLeaf reports whether u is a leaf: the id alone decides.
 func (t *FlatTree) IsLeaf(u int32) bool { return u < 0 || u >= t.nInt }
 
-// Suffix returns the suffix offset for a leaf, or -1 for internal nodes.
-func (t *FlatTree) Suffix(u int32) int32 {
-	if !t.valid(u) || u < t.nInt {
-		return -1
-	}
-	return t.suffixAt(u - t.nInt)
-}
-
 // CountLeaves returns the number of leaves below u — O(1) in the flat
 // layout: the subtree's leaf range is precomputed at encode time.
 func (t *FlatTree) CountLeaves(u int32) int {
@@ -386,6 +375,14 @@ func (t *FlatTree) child(r []byte, u, d int32, b byte) (c, lo, depth int32) {
 	return t.nInt + lo, lo, int32(len(t.data)) - t.suffixAt(lo)
 }
 
+// Locus is the position reached by matching a pattern into the tree: the
+// node whose edge the match ends on, and how many symbols of that node's
+// edge label were consumed.
+type Locus struct {
+	Node  int32
+	Depth int32 // symbols consumed on Node's edge label (0 < Depth ≤ its length except at the root)
+}
+
 // Find matches pattern from the root and returns the locus where the match
 // ends, or ok=false if the pattern does not occur in S. The descent holds
 // one node record at a time and compares edge labels a word at a time; the
@@ -423,12 +420,21 @@ func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
 	return Locus{Node: 0}, true // the empty pattern ends at the root
 }
 
-// MatchTrace matches pattern against the tree with per-symbol loci, resuming
-// from trace[from-1]; see Tree.MatchTrace for the contract. The two layouts
-// produce identical traces for identical trees. Like Find, the descent is
-// fused: the child lookup supplies the first edge symbol, the rest of the
-// label is compared a word at a time. A locus Depth symbols into the edge of
-// a node, after i matched symbols, hangs below a parent at depth i − Depth.
+// MatchTrace matches pattern against the tree, recording in trace[d] the
+// locus reached after consuming pattern[:d+1]. The descent resumes from
+// trace[from-1] — which must hold the locus of pattern[:from], recorded by a
+// previous MatchTrace whose pattern shared that prefix — or from the root
+// when from is 0. trace must have length ≥ len(pattern).
+//
+// It returns the number of symbols matched: matched == len(pattern) means
+// the whole pattern occurs in S (its locus is in trace[len(pattern)-1]);
+// trace[from:matched] is valid either way, so a failed match still seeds
+// prefix reuse for the next pattern. Batched queries exploit this: patterns
+// sorted lexicographically walk only the suffix they do not share with their
+// predecessor. Like Find, the descent is fused: the child lookup supplies
+// the first edge symbol, the rest of the label is compared a word at a time.
+// A locus Depth symbols into the edge of a node, after i matched symbols,
+// hangs below a parent at depth i − Depth.
 func (t *FlatTree) MatchTrace(pattern []byte, from int, trace []Locus) int {
 	i := from
 	cur := int32(0)

@@ -5,13 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"era/internal/alphabet"
 	"era/internal/seq"
 )
 
-// flatten builds a heap tree over data (terminator appended) via the naive
+// buildBoth builds a heap tree over data (terminator appended) via the naive
 // insert path and returns both layouts.
 func buildBoth(t testing.TB, data []byte) (*Tree, *FlatTree, []byte) {
 	t.Helper()
@@ -33,6 +34,13 @@ func buildBoth(t testing.TB, data []byte) (*Tree, *FlatTree, []byte) {
 		t.Fatal(err)
 	}
 	tree := naiveTree(t, mem)
+	return tree, flatOf(t, tree, term), term
+}
+
+// flatOf flattens the complete heap tree tree over term into the layout
+// that serves.
+func flatOf(t testing.TB, tree *Tree, term []byte) *FlatTree {
+	t.Helper()
 	f, err := Flatten(tree, term)
 	if err != nil {
 		t.Fatalf("Flatten: %v", err)
@@ -41,7 +49,7 @@ func buildBoth(t testing.TB, data []byte) (*Tree, *FlatTree, []byte) {
 	if err != nil {
 		t.Fatalf("NewFlatTree: %v", err)
 	}
-	return tree, ft, term
+	return ft
 }
 
 // naiveTree inserts every suffix of s by splitting edges — a small, obviously
@@ -90,9 +98,11 @@ var flatCorpora = [][]byte{
 	[]byte("GATTACagattacaGATTACA"),
 }
 
-// TestFlatTreeDifferential pins the two layouts to identical answers for
-// every query both layouts answer, over fixed corpora and random
-// strings on small alphabets (which stress branchy nodes and deep repeats).
+// TestFlatTreeDifferential holds every answer of the flat layout to the scan
+// oracles (oracle_test.go) — finds, counts, occurrence lists in suffix order,
+// loci, traced matches, the longest repeat and the repeat walk — over fixed
+// corpora and random strings on small alphabets (which stress branchy nodes
+// and deep repeats). Each tree is the naive heap builder's, flattened.
 func TestFlatTreeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	corpora := append([][]byte(nil), flatCorpora...)
@@ -135,98 +145,64 @@ func TestFlatTreeDifferential(t *testing.T) {
 				pats = append(pats, data[i:i+1+rand.Intn(4)])
 			}
 		}
-		pats = append(pats, nil, []byte("\x00zz"), term[len(term)-2:], []byte("$"))
+		pats = append(pats, nil, []byte("\x00zz"), term[len(term)-2:], []byte("$"), append(term[:len(term)-1:len(term)-1], 'z'))
 
 		for _, p := range pats {
-			wantLoc, wantOK := tree.Find(p)
-			gotLoc, gotOK := flat.Find(p)
-			if wantOK != gotOK {
-				t.Fatalf("corpus %d: Find(%q) ok %v vs flat %v", ci, p, wantOK, gotOK)
+			want := scanOccurrences(term, p)
+			loc, ok := flat.Find(p)
+			if ok != (len(want) > 0) {
+				t.Fatalf("corpus %d: Find(%q) ok %v, the scan finds %d occurrences", ci, p, ok, len(want))
 			}
-			if got, want := flat.Count(p), tree.Count(p); got != want {
-				t.Fatalf("corpus %d: Count(%q) = %d, heap %d", ci, p, got, want)
+			if got := flat.Count(p); got != len(want) {
+				t.Fatalf("corpus %d: Count(%q) = %d, the scan %d", ci, p, got, len(want))
 			}
-			wantOcc := tree.Occurrences(p)
-			gotOcc := flat.Occurrences(p)
-			if len(wantOcc) != len(gotOcc) {
-				t.Fatalf("corpus %d: Occurrences(%q) len %d vs %d", ci, p, len(gotOcc), len(wantOcc))
+			if got := flat.Occurrences(p); !slices.Equal(got, want) {
+				t.Fatalf("corpus %d: Occurrences(%q) = %v, the scan in suffix order %v", ci, p, got, want)
 			}
-			for i := range wantOcc {
-				if wantOcc[i] != gotOcc[i] {
-					t.Fatalf("corpus %d: Occurrences(%q)[%d] = %d, heap %d (lex order must match)", ci, p, i, gotOcc[i], wantOcc[i])
+			if ok && len(p) > 0 {
+				// The locus's node spells p on its path, and the match ends
+				// as far into its edge as p runs past the last branching.
+				if l := flat.PathLabel(loc.Node); !bytes.HasPrefix(l, p) || loc.Depth != locusDepth(term, p) {
+					t.Fatalf("corpus %d: Find(%q) ends %d into the edge of a node spelling %q, want %d", ci, p, loc.Depth, l, locusDepth(term, p))
 				}
 			}
-			if wantOK && len(p) > 0 {
-				// The locus labels must spell the same string even though the
-				// node ids differ across layouts, and end as deep into the edge.
-				wl := append(tree.PathLabel(tree.Parent(wantLoc.Node)), tree.Label(wantLoc.Node)[:wantLoc.Depth]...)
-				gl := flat.PathLabel(gotLoc.Node)
-				if !bytes.Equal(wl, gl[:min(len(p), len(gl))]) || gotLoc.Depth != wantLoc.Depth {
-					t.Fatalf("corpus %d: Find(%q) loci diverge: %q at %d vs %q at %d", ci, p, wl, wantLoc.Depth, gl, gotLoc.Depth)
-				}
+			trace := make([]Locus, len(p))
+			if got, want := flat.MatchTrace(p, 0, trace), longestOccurringPrefix(term, p); got != want {
+				t.Fatalf("corpus %d: MatchTrace(%q) matched %d, the longest prefix occurring is %d", ci, p, got, want)
 			}
 		}
 
-		// MatchTrace equivalence, including prefix resume.
+		// A resumed MatchTrace matches what a fresh one does.
 		if len(data) >= 8 {
 			p1, p2 := data[:6], append(append([]byte(nil), data[:3]...), data[len(data)-3:]...)
-			tr1 := make([]Locus, len(p1))
-			tr2 := make([]Locus, len(p1))
-			m1 := tree.MatchTrace(p1, 0, tr1)
-			m2 := flat.MatchTrace(p1, 0, tr2)
-			if m1 != m2 {
-				t.Fatalf("corpus %d: MatchTrace(%q) = %d vs %d", ci, p1, m2, m1)
+			trace := make([]Locus, len(p2))
+			m1 := flat.MatchTrace(p1, 0, trace)
+			if want := longestOccurringPrefix(term, p1); m1 != want {
+				t.Fatalf("corpus %d: MatchTrace(%q) = %d, want %d", ci, p1, m1, want)
 			}
-			resume := 3
-			if m1 < resume {
-				resume = m1
-			}
-			tb1 := make([]Locus, len(p2))
-			tb2 := make([]Locus, len(p2))
-			copy(tb1, tr1[:resume])
-			copy(tb2, tr2[:resume])
-			if a, b := tree.MatchTrace(p2, resume, tb1), flat.MatchTrace(p2, resume, tb2); a != b {
-				t.Fatalf("corpus %d: resumed MatchTrace(%q) = %d vs %d", ci, p2, b, a)
+			if got, want := flat.MatchTrace(p2, min(3, m1), trace), longestOccurringPrefix(term, p2); got != want {
+				t.Fatalf("corpus %d: resumed MatchTrace(%q) = %d, want %d", ci, p2, got, want)
 			}
 		}
 
-		// Longest repeated substring: same label and occurrence set.
-		wl, wo := tree.LongestRepeatedSubstring()
-		gl, go_ := LongestRepeated(flat, nil)
-		if !bytes.Equal(wl, gl) {
-			t.Fatalf("corpus %d: LRS %q vs heap %q", ci, gl, wl)
-		}
-		if len(wo) != len(go_) {
-			t.Fatalf("corpus %d: LRS occ %d vs heap %d", ci, len(go_), len(wo))
-		}
-		for i := range wo {
-			if wo[i] != go_[i] {
-				t.Fatalf("corpus %d: LRS occ[%d] %d vs heap %d", ci, i, go_[i], wo[i])
-			}
+		// Longest repeated substring: same label and occurrences as brute
+		// force.
+		wl, wo := bruteLRS(term)
+		gl, gotOcc := LongestRepeated(flat, nil)
+		if !bytes.Equal(wl, gl) || !slices.Equal(wo, gotOcc) {
+			t.Fatalf("corpus %d: LRS %q at %v, brute force %q at %v", ci, gl, gotOcc, wl, wo)
 		}
 
-		// MaximalRepeats: identical (depth, count, label) sequences.
-		type rep struct {
-			depth int32
-			occ   int
-			label string
-		}
-		var wr, gr []rep
-		tree.MaximalRepeats(2, 2, func(node, depth int32, occ int) bool {
-			wr = append(wr, rep{depth, occ, string(tree.PathLabel(node))})
-			return true
-		})
+		// The repeat walk: the (depth, count, label) sequence of counting
+		// every distinct substring.
+		wr := bruteRepeats(term, 2, 2)
+		var gr []repeat
 		VisitRepeats(flat, 2, 2, func(node, depth int32, occ int) bool {
-			gr = append(gr, rep{depth, occ, string(flat.PathLabel(node))})
+			gr = append(gr, repeat{depth, occ, string(flat.PathLabel(node))})
 			return true
 		})
-		if len(wr) != len(gr) {
-			t.Fatalf("corpus %d: MaximalRepeats %d vs heap %d", ci, len(gr), len(wr))
-		}
-		for i := range wr {
-			if wr[i] != gr[i] {
-				t.Fatalf("corpus %d: MaximalRepeats[%d] = %+v, heap %+v", ci, i, gr[i], wr[i])
-			}
+		if !slices.Equal(gr, wr) {
+			t.Fatalf("corpus %d: VisitRepeats = %+v, brute force %+v", ci, gr, wr)
 		}
 	}
 }
@@ -265,7 +241,6 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 		ft.Leaves(u)
 		ft.CountLeaves(u)
 		ft.PathLabel(u)
-		ft.Suffix(u)
 		ft.IsLeaf(u)
 		ft.Edge(u, -1)
 		ft.Edge(u, 1<<30)

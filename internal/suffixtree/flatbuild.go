@@ -84,25 +84,6 @@ func (b *FlatBuilder) put(n *fbRec, i int, sym byte) {
 	b.sym[int(b.intCap)+i] = byte(n.ci)
 }
 
-// NewFlatBuilder starts a direct flat build over data (the terminated
-// string S) of a tree whose leaves are the suffixes sa — all len(data) of
-// them, or one range of the suffix order — in lexicographic order. sa becomes
-// the tree's leaf section as it is, so the caller hands over an array it
-// owns: the image reads it for as long as it lives. internal is an upper
-// bound on the internal nodes below the root, so the image's node and symbol
-// sections are allocated here, once, and Finish hands out those same arrays;
-// a stream that exceeds the bound fails. (AssembleShards counts the nodes
-// exactly and builds into its Sink's sections instead.) A tree whose ids
-// would not fit the layout's 31 bits is refused before anything is
-// allocated.
-func NewFlatBuilder(data []byte, sa []int32, internal int) (*FlatBuilder, error) {
-	if err := checkBounds(len(sa), len(data), internal); err != nil {
-		return nil, err
-	}
-	nodes, sym, _ := HeapSink{}.Tree(internal + 1)
-	return newFlatBuilder(data, sa, nodes, sym), nil
-}
-
 // checkBounds refuses a tree of leaves suffixes over an n-byte string, with
 // internal nodes below the root, that the layout cannot hold.
 func checkBounds(leaves, n, internal int) error {
@@ -115,8 +96,13 @@ func checkBounds(leaves, n, internal int) error {
 	return nil
 }
 
-// newFlatBuilder starts a build into the node and symbol sections given,
-// sized for len(sym)/2 internal records.
+// newFlatBuilder starts a direct flat build over data (the terminated string
+// S) of a tree whose leaves are the suffixes sa — all len(data) of them, or
+// one range of the suffix order — in lexicographic order, into the node and
+// symbol sections given, sized for len(sym)/2 internal records; a stream
+// that needs more fails. sa becomes the tree's leaf section as it is, so the
+// caller hands over an array it owns: the image reads it for as long as it
+// lives.
 func newFlatBuilder(data []byte, sa []int32, nodes, sym []byte) *FlatBuilder {
 	return &FlatBuilder{data: data, n: int32(len(data)), sa: sa, nodes: nodes, sym: sym, intCap: int32(len(sym) / 2)}
 }
@@ -135,7 +121,7 @@ func leafSection(sa []int32) []byte {
 	return b
 }
 
-// Stream runs the tree's suffixes — the array NewFlatBuilder was handed —
+// Stream runs the tree's suffixes — the array newFlatBuilder was handed —
 // through the builder, once: lcp[i] is the longest common prefix of sa[i]
 // and sa[i-1]. lcp[0] is not read: the tree's first suffix hangs off the
 // root, and the suffix before it in the order, if any, belongs to another
@@ -320,7 +306,8 @@ func (b *FlatBuilder) Finish() (*Flat, error) {
 // direct builds are (AssembleShards). The image is therefore a function of
 // the string and the tree's leaf order and branching depths alone; edge
 // windows come out canonical whichever way the source tree based them. The
-// tree must be complete: one leaf per suffix of data.
+// tree must be complete: one leaf per suffix of data, whose path is as long
+// as its suffix (Validate checks what the path spells).
 func Flatten(t *Tree, data []byte) (*Flat, error) {
 	if t.NumNodes() < 1 {
 		return nil, fmt.Errorf("suffixtree: flatten of an empty tree")
@@ -330,16 +317,24 @@ func Flatten(t *Tree, data []byte) (*Flat, error) {
 	// common ancestor of that leaf and the next: its parent's depth is their
 	// LCP.
 	afterLeaf, lcp := true, int32(0)
+	var short error
 	t.WalkDFS(t.Root(), func(id, depth int32) bool {
 		if afterLeaf {
 			afterLeaf, lcp = false, depth-t.EdgeLen(id)
 		}
 		if t.IsLeaf(id) {
-			sa, lcps = append(sa, t.Suffix(id)), append(lcps, lcp)
+			suf := t.Suffix(id)
+			if short == nil && int(suf)+int(depth) != len(data) {
+				short = fmt.Errorf("suffixtree: flatten: the leaf of suffix %d has a path of %d symbols, not %d", suf, depth, len(data)-int(suf))
+			}
+			sa, lcps = append(sa, suf), append(lcps, lcp)
 			afterLeaf = true
 		}
 		return true
 	})
+	if short != nil {
+		return nil, short
+	}
 	shards, err := AssembleShards(data, sa, lcps, 1, HeapSink{})
 	if err != nil {
 		return nil, fmt.Errorf("suffixtree: flatten: %w", err)

@@ -95,11 +95,21 @@ func TestFindSym(t *testing.T) {
 	}
 }
 
-// newBuilder is NewFlatBuilder of a tree over sa for bounds that are known
-// to fit the layout.
+// boundedBuilder starts a build of a tree over sa with heap sections for at
+// most internal nodes below the root — what AssembleShards does once it has
+// counted them — refusing bounds the layout cannot hold.
+func boundedBuilder(term []byte, sa []int32, internal int) (*FlatBuilder, error) {
+	if err := checkBounds(len(sa), len(term), internal); err != nil {
+		return nil, err
+	}
+	nodes, sym, _ := HeapSink{}.Tree(internal + 1)
+	return newFlatBuilder(term, sa, nodes, sym), nil
+}
+
+// newBuilder is boundedBuilder for bounds that are known to fit the layout.
 func newBuilder(t testing.TB, term []byte, sa []int32, internal int) *FlatBuilder {
 	t.Helper()
-	fb, err := NewFlatBuilder(term, sa, internal)
+	fb, err := boundedBuilder(term, sa, internal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +252,13 @@ func TestFlatBuilderErrors(t *testing.T) {
 		t.Error("Finish after a second stream succeeded")
 	}
 	for _, leaves := range []int{0, len(term) + 1} {
-		if _, err := NewFlatBuilder(term, make([]int32, leaves), 1); err == nil {
-			t.Errorf("NewFlatBuilder accepted a tree of %d leaves over %d bytes", leaves, len(term))
+		if _, err := boundedBuilder(term, make([]int32, leaves), 1); err == nil {
+			t.Errorf("boundedBuilder accepted a tree of %d leaves over %d bytes", leaves, len(term))
 		}
 	}
 }
 
-// TestFlatBuilderTablesNeverGrow pins the sizing contract of NewFlatBuilder:
+// TestFlatBuilderTablesNeverGrow pins the sizing contract of boundedBuilder:
 // given the exact internal-node count (what AssembleShards counts from the
 // LCPs), the node and symbol sections Finish hands out are the arrays the
 // constructor allocated, and the leaf section is the suffix array it was
@@ -321,7 +331,7 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 			t.Errorf("%q: Finish allocated %.0f objects", syms, perFinish)
 		}
 		if got := [2]*byte{last(fl.Nodes), last(fl.Sym)}; got != ends[runCount] {
-			t.Errorf("%q: Finish handed out node and symbol sections that are not the arrays NewFlatBuilder allocated", syms)
+			t.Errorf("%q: Finish handed out node and symbol sections that are not the arrays boundedBuilder allocated", syms)
 		}
 		if view := leafView(sa); view != nil && &fl.LeafData[0] != &view[0] {
 			t.Errorf("%q: the leaf section is not the suffix array the builder was handed", syms)
@@ -352,8 +362,8 @@ func TestFlatBuilderTablesNeverGrow(t *testing.T) {
 func TestFlatBuilderRefusesOversizedTree(t *testing.T) {
 	term := append([]byte("abab"), alphabet.Terminator)
 	for _, internal := range []int{math.MaxInt32 - len(term), math.MaxInt32, math.MaxInt64 - 1, -1} {
-		if _, err := NewFlatBuilder(term, make([]int32, len(term)), internal); err == nil {
-			t.Errorf("NewFlatBuilder accepted a bound of %d internal nodes over %d bytes", internal, len(term))
+		if _, err := boundedBuilder(term, make([]int32, len(term)), internal); err == nil {
+			t.Errorf("boundedBuilder accepted a bound of %d internal nodes over %d bytes", internal, len(term))
 		}
 	}
 }
@@ -418,7 +428,7 @@ func TestFlatBuilderWideRuns(t *testing.T) {
 	wide := append(append([]byte{0}, up...), append([]byte{0xff}, append(down, 0)...)...)
 	wide = append(wide, wide...)
 	sa, lcp = sortedStream(wide, len(wide)/2)
-	over, err := NewFlatBuilder(wide, sa, len(sa))
+	over, err := boundedBuilder(wide, sa, len(sa))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestMatchTraceAgreesWithFind checks MatchTrace against Find on random
-// patterns, including resumed descents: each pattern restarts from the
-// longest prefix it shares with its predecessor, exactly as Index.Batch
-// drives it.
+// TestMatchTraceAgreesWithFind checks the flat layout's MatchTrace against
+// its Find and the scan oracle on random patterns, including resumed
+// descents: each pattern restarts from the longest prefix it shares with its
+// predecessor, exactly as Index.Batch drives it.
 func TestMatchTraceAgreesWithFind(t *testing.T) {
 	s := "TGGTGGTGGTGCGGTGATGGTGCGGATTGGCCAATTGGTTGTTGAACCGT$"
-	m := mem(t, s)
-	tr := buildFromSA(t, m)
+	tr := flatOf(t, buildFromSA(t, mem(t, s)), []byte(s))
 
 	rng := rand.New(rand.NewSource(1))
 	patterns := make([][]byte, 200)
@@ -44,6 +43,9 @@ func TestMatchTraceAgreesWithFind(t *testing.T) {
 		}
 		matched := tr.MatchTrace(p, l, trace)
 		prev, prevMatched = p, matched
+		if want := longestOccurringPrefix([]byte(s), p); matched != want {
+			t.Fatalf("MatchTrace(%q) matched %d, the longest prefix occurring is %d", p, matched, want)
+		}
 
 		wantLoc, wantOK := tr.Find(p)
 		if (matched == len(p)) != wantOK {
@@ -71,8 +73,8 @@ func TestMatchTraceAgreesWithFind(t *testing.T) {
 // TestMatchTracePartialFailure pins that a failed match still reports how
 // far it got and leaves that prefix's trace usable.
 func TestMatchTracePartialFailure(t *testing.T) {
-	m := mem(t, "TGGTGGTGGTGCGGTGATGGTGC$")
-	tr := buildFromSA(t, m)
+	s := "TGGTGGTGGTGCGGTGATGGTGC$"
+	tr := flatOf(t, buildFromSA(t, mem(t, s)), []byte(s))
 
 	trace := make([]Locus, 8)
 	p := []byte("TGATXX") // TGAT matches, then diverges

@@ -1,6 +1,12 @@
-// Package suffixtree defines the suffix tree representation shared by every
-// builder in this repository, plus traversal, queries, validation and
-// serialization.
+// Package suffixtree defines the suffix tree layouts of this repository:
+// FlatTree, the immutable layout that serves every query (flat.go, walk.go),
+// with its encoders (flatbuild.go, shards.go), and Tree, the heap layout the
+// construction algorithms build in.
+//
+// A Tree does construction and validation only, never queries: ERa-str and
+// the four competitor builders grow one, Validate checks it, WriteTo charges
+// its record stream to the simulated disk, and Flatten turns a complete one
+// into the flat image, which is how the tests compare builders.
 //
 // A Tree is a compacted trie over the suffixes of a terminated string S.
 // Edges store (start, end) offsets into S instead of label bytes, giving the
@@ -51,9 +57,6 @@ func New(s seq.String) *Tree {
 	t.nodes = append(t.nodes, node{parent: None, firstChild: None, nextSib: None, suffix: -1})
 	return t
 }
-
-// String returns the underlying string.
-func (t *Tree) String() seq.String { return t.s }
 
 // Root returns the root node id (always 0).
 func (t *Tree) Root() int32 { return 0 }
@@ -195,48 +198,6 @@ func (t *Tree) Child(u int32, sym byte) int32 {
 	return None
 }
 
-// PathLen returns the total label length from the root to u (the string
-// depth of u).
-func (t *Tree) PathLen(u int32) int32 {
-	var d int32
-	for u != None {
-		d += t.EdgeLen(u)
-		u = t.nodes[u].parent
-	}
-	return d
-}
-
-// Label materializes u's edge label. Intended for tests and small trees.
-func (t *Tree) Label(u int32) []byte {
-	n := t.nodes[u]
-	out := make([]byte, n.end-n.start)
-	for i := range out {
-		out[i] = t.s.At(int(n.start) + i)
-	}
-	return out
-}
-
-// PathLabel materializes the concatenated edge labels from the root to u:
-// one exactly-sized buffer, filled back to front walking the parent chain
-// (the recursive per-level version re-allocated and re-copied the growing
-// prefix at every level, quadratic on deep paths).
-func (t *Tree) PathLabel(u int32) []byte {
-	if u == 0 {
-		return nil
-	}
-	out := make([]byte, t.PathLen(u))
-	end := len(out)
-	for v := u; v != 0; v = t.nodes[v].parent {
-		n := t.nodes[v]
-		l := int(n.end - n.start)
-		end -= l
-		for i := 0; i < l; i++ {
-			out[end+i] = t.s.At(int(n.start) + i)
-		}
-	}
-	return out
-}
-
 // WalkDFS visits every node reachable from u in depth-first order, children
 // in sibling order; fn receives the node id and its string depth. If fn
 // returns false the subtree below the node is skipped.
@@ -263,37 +224,4 @@ func (t *Tree) WalkDFS(u int32, fn func(id, depth int32) bool) {
 			stack[i], stack[j] = stack[j], stack[i]
 		}
 	}
-}
-
-// Leaves returns the suffix offsets of the leaves below u in DFS (and hence
-// lexicographic) order. The output is sized by a counting pass first, so the
-// result holds exactly its contents instead of append-growth capacity.
-func (t *Tree) Leaves(u int32) []int32 {
-	n := 0
-	t.WalkDFS(u, func(id, _ int32) bool {
-		if t.IsLeaf(id) && t.nodes[id].suffix >= 0 {
-			n++
-		}
-		return true
-	})
-	out := make([]int32, 0, n)
-	t.WalkDFS(u, func(id, _ int32) bool {
-		if t.IsLeaf(id) && t.nodes[id].suffix >= 0 {
-			out = append(out, t.nodes[id].suffix)
-		}
-		return true
-	})
-	return out
-}
-
-// CountLeaves returns the number of leaves below u.
-func (t *Tree) CountLeaves(u int32) int {
-	n := 0
-	t.WalkDFS(u, func(id, _ int32) bool {
-		if t.IsLeaf(id) {
-			n++
-		}
-		return true
-	})
-	return n
 }

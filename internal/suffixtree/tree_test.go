@@ -3,7 +3,6 @@ package suffixtree
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,14 +42,31 @@ func TestFromSortedSuffixesValidates(t *testing.T) {
 		if err := tr.Validate(true); err != nil {
 			t.Errorf("%q: %v", s, err)
 		}
-		leaves := tr.Leaves(tr.Root())
-		sa, _ := suffixarray.Build(m.Bytes())
-		for i := range sa {
-			if leaves[i] != sa[i] {
-				t.Errorf("%q: leaf order diverges from suffix array at %d", s, i)
-			}
+		if !matchesSuffixArray(t, tr, m.Bytes()) {
+			t.Errorf("%q: the tree's image is not the suffix array's", s)
 		}
 	}
+}
+
+// matchesSuffixArray reports whether tr, flattened, is byte for byte the
+// image assembled from data's suffix array and LCP array, which share no
+// code with the builder under test: leaf order, branching depths and edges.
+func matchesSuffixArray(t testing.TB, tr *Tree, data []byte) bool {
+	t.Helper()
+	got, err := Flatten(tr, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := suffixarray.Build(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := AssembleShards(data, sa, suffixarray.LCP(data, sa), 1, HeapSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := shards[0].Flat
+	return bytes.Equal(got.Nodes, want.Nodes) && bytes.Equal(got.Sym, want.Sym) && bytes.Equal(got.LeafData, want.LeafData)
 }
 
 func TestFromSortedSuffixesRejectsBadInput(t *testing.T) {
@@ -87,12 +103,13 @@ func TestSplitEdgePreservesStructure(t *testing.T) {
 		t.Fatal("no splittable edge")
 	}
 	parent := tr.Parent(target)
-	label := tr.Label(target)
+	label := func(u int32) []byte { return m.Bytes()[tr.EdgeStart(u):tr.EdgeEnd(u)] }
+	whole := label(target)
 	mid := tr.SplitEdge(target, 1)
 	if tr.Parent(mid) != parent || tr.Parent(target) != mid {
 		t.Error("split links broken")
 	}
-	if !bytes.Equal(append(tr.Label(mid), tr.Label(target)...), label) {
+	if !bytes.Equal(append(label(mid), label(target)...), whole) {
 		t.Error("split labels do not concatenate to the original")
 	}
 }
@@ -265,9 +282,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err := got.Validate(true); err != nil {
 		t.Fatal(err)
 	}
-	la, lb := tr.Leaves(tr.Root()), got.Leaves(got.Root())
-	if !slices.Equal(la, lb) {
-		t.Fatal("leaf order changed by serialization")
+	if !matchesSuffixArray(t, got, m.Bytes()) {
+		t.Fatal("the tree changed by serialization")
 	}
 }
 
@@ -288,52 +304,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestQueriesOnGrafted queries the paper's example tree, built from its
+// sorted suffixes and flattened, against the scan oracle.
 func TestQueriesOnGrafted(t *testing.T) {
-	m := mem(t, "TGGTGGTGGTGCGGTGATGGTGC$")
-	tr := buildFromSA(t, m)
-	if got := tr.Count([]byte("GGT")); got != 5 {
-		t.Errorf("Count(GGT) = %d, want 5", got)
+	data := []byte("TGGTGGTGGTGCGGTGATGGTGC$")
+	tr := flatOf(t, buildFromSA(t, mem(t, string(data))), data)
+	if got, want := tr.Count([]byte("GGT")), len(scanOccurrences(data, []byte("GGT"))); got != 5 || want != 5 {
+		t.Errorf("Count(GGT) = %d, the scan %d, want 5", got, want)
 	}
-	if loc, ok := tr.Find([]byte("GGTGC")); !ok || tr.PathLabel(loc.Node) == nil {
+	if loc, ok := tr.Find([]byte("GGTGC")); !ok || !bytes.HasPrefix(tr.PathLabel(loc.Node), []byte("GGTGC")) {
 		t.Error("Find(GGTGC) failed")
 	}
 	if _, ok := tr.Find([]byte("GGTT")); ok {
 		t.Error("Find(GGTT) should fail")
-	}
-}
-
-// pathLabelRecursive is the original recursive PathLabel, kept as the
-// reference the iterative implementation is checked against.
-func pathLabelRecursive(t *Tree, u int32) []byte {
-	if u == 0 {
-		return nil
-	}
-	parent := pathLabelRecursive(t, t.nodes[u].parent)
-	return append(parent, t.Label(u)...)
-}
-
-// TestPathLabelIterative checks the single-buffer PathLabel against the
-// recursive reference on every node of several trees, including a deep
-// degenerate path (AAAA...$ chains maximally deep suffix links), and pins
-// it to exactly one allocation per call.
-func TestPathLabelIterative(t *testing.T) {
-	inputs := []string{"$", "A$", "GATTACA$", "TGGTGGTGGTGCGGTGATGGTGC$",
-		string(bytes.Repeat([]byte("A"), 400)) + "$"}
-	for _, s := range inputs {
-		m := mem(t, s)
-		tr := buildFromSA(t, m)
-		tr.WalkDFS(tr.Root(), func(id, _ int32) bool {
-			want := pathLabelRecursive(tr, id)
-			got := tr.PathLabel(id)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%q node %d: PathLabel %q, want %q", s, id, got, want)
-			}
-			if id != 0 {
-				if allocs := testing.AllocsPerRun(10, func() { tr.PathLabel(id) }); allocs > 1 {
-					t.Errorf("%q node %d: PathLabel allocates %v times, want ≤ 1", s, id, allocs)
-				}
-			}
-			return true
-		})
 	}
 }

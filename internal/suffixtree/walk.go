@@ -16,8 +16,9 @@ package suffixtree
 // exponentially. Wrong answers on a corrupt file are acceptable (the
 // checksum layer catches them before they are served); runaway walks are not.
 //
-// The heap layout (*Tree) has reference walks of its own (tree.go, query.go);
-// the differential tests hold the two implementations to identical answers.
+// The heap layout (*Tree) has no queries or walks to compare with: the
+// differential tests hold these walks to brute force over the string
+// (oracle_test.go).
 
 // Walk visits every node reachable from u in depth-first pre-order, children
 // in first-symbol order; fn receives the node id, its string depth and its

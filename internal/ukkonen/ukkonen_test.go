@@ -2,6 +2,7 @@ package ukkonen
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,32 +46,25 @@ func TestUkkonenValidates(t *testing.T) {
 	}
 }
 
-// TreesEquivalent reports whether two trees over the same string have
-// identical shape: same DFS structure, edge labels, and leaf labels.
-func TreesEquivalent(a, b *suffixtree.Tree) bool {
-	type sig struct {
-		depth  int32
-		label  string
-		suffix int32
+// matchesSuffixArray reports whether tr, flattened, is byte for byte the
+// image assembled from data's suffix array and LCP array, which share no
+// code with the builder under test: leaf order, branching depths and edges.
+func matchesSuffixArray(t testing.TB, tr *suffixtree.Tree, data []byte) bool {
+	t.Helper()
+	got, err := suffixtree.Flatten(tr, data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect := func(t *suffixtree.Tree) []sig {
-		var out []sig
-		t.WalkDFS(t.Root(), func(id, depth int32) bool {
-			out = append(out, sig{depth, string(t.Label(id)), t.Suffix(id)})
-			return true
-		})
-		return out
+	sa, err := suffixarray.Build(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sa, sb := collect(a), collect(b)
-	if len(sa) != len(sb) {
-		return false
+	shards, err := suffixtree.AssembleShards(data, sa, suffixarray.LCP(data, sa), 1, suffixtree.HeapSink{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
-		}
-	}
-	return true
+	want := shards[0].Flat
+	return bytes.Equal(got.Nodes, want.Nodes) && bytes.Equal(got.Sym, want.Sym) && bytes.Equal(got.LeafData, want.LeafData)
 }
 
 func TestUkkonenMatchesNaive(t *testing.T) {
@@ -92,8 +86,11 @@ func TestUkkonenMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !TreesEquivalent(tn, tu) {
-			t.Errorf("%s: Ukkonen tree differs from naive tree", k)
+		if !matchesSuffixArray(t, tu, data) {
+			t.Errorf("%s: Ukkonen tree differs from the suffix array's", k)
+		}
+		if !matchesSuffixArray(t, tn, data) {
+			t.Errorf("%s: naive tree differs from the suffix array's", k)
 		}
 	}
 }
@@ -116,68 +113,54 @@ func TestUkkonenQuick(t *testing.T) {
 		if tu.Validate(true) != nil {
 			return false
 		}
-		// Leaf order must equal the suffix array.
-		sa, err := suffixarray.Build(data)
-		if err != nil {
-			return false
-		}
-		leaves := tu.Leaves(tu.Root())
-		if len(leaves) != len(sa) {
-			return false
-		}
-		for i := range sa {
-			if leaves[i] != sa[i] {
-				return false
-			}
-		}
-		return true
+		// The tree must be the suffix array's, leaf order and branching.
+		return matchesSuffixArray(t, tu, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestQueries answers the paper's Table 1 questions from Ukkonen's tree,
+// flattened into the layout that serves.
 func TestQueries(t *testing.T) {
 	data := []byte("TGGTGGTGGTGCGGTGATGGTGC$")
-	m, err := seq.NewMem(alphabet.DNA, data)
+	tr, err := Build(memString(t, string(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Build(m)
+	f, err := suffixtree.Flatten(tr, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := suffixtree.NewFlatTree(data, f.Nodes, f.Sym, nil, nil, f.LeafData, f.NLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if got := tr.Count([]byte("TG")); got != 7 {
+	if got := ft.Count([]byte("TG")); got != 7 {
 		t.Errorf("Count(TG) = %d, want 7 (paper Table 1)", got)
 	}
-	occ := tr.Occurrences([]byte("TG"))
-	want := map[int32]bool{0: true, 3: true, 6: true, 9: true, 14: true, 17: true, 20: true}
-	if len(occ) != len(want) {
-		t.Fatalf("Occurrences(TG) = %v, want offsets %v", occ, want)
+	loc, _ := ft.Find([]byte("TG"))
+	occ := ft.FirstOccurrences(loc.Node, 0)
+	if want := []int{0, 3, 6, 9, 14, 17, 20}; !slices.Equal(occ, want) {
+		t.Errorf("Occurrences(TG) = %v, want %v", occ, want)
 	}
-	for _, o := range occ {
-		if !want[o] {
-			t.Errorf("unexpected occurrence %d", o)
-		}
-	}
-	if !tr.Contains([]byte("GGTGATG")) {
+	if !ft.Contains([]byte("GGTGATG")) {
 		t.Error("Contains(GGTGATG) = false, want true")
 	}
-	if tr.Contains([]byte("TGT")) {
+	if ft.Contains([]byte("TGT")) {
 		t.Error("Contains(TGT) = true, want false (paper: fTGT = 0)")
 	}
-	if tr.Count([]byte("")) != m.Len() {
-		t.Errorf("Count(empty) = %d, want %d", tr.Count([]byte("")), m.Len())
+	if got := ft.Count(nil); got != len(data) {
+		t.Errorf("Count(empty) = %d, want %d", got, len(data))
 	}
 
-	lrs, occs := tr.LongestRepeatedSubstring()
-	// TGGTGGTG occurs at 0 and 3 (paper: B[6] offset 8 under our order).
-	if !bytes.Equal(lrs, []byte("TGGTGGTG")) {
-		t.Errorf("LongestRepeatedSubstring = %q, want TGGTGGTG", lrs)
-	}
-	if len(occs) != 2 {
-		t.Errorf("LRS occurrences = %v, want 2 entries", occs)
+	lrs, occs := suffixtree.LongestRepeated(ft, nil)
+	// TGGTGGTG occurs at 0 and 3 (paper: B[6] offset 8 under our order),
+	// listed in suffix order: TGGTGGTGC… sorts before TGGTGGTGG….
+	if !bytes.Equal(lrs, []byte("TGGTGGTG")) || !slices.Equal(occs, []int32{3, 0}) {
+		t.Errorf("LongestRepeated = %q at %v, want TGGTGGTG at [3 0]", lrs, occs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wavefront
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -8,8 +9,8 @@ import (
 	"era/internal/diskio"
 	"era/internal/seq"
 	"era/internal/sim"
+	"era/internal/suffixarray"
 	"era/internal/suffixtree"
-	"era/internal/ukkonen"
 	"era/internal/workload"
 )
 
@@ -23,43 +24,25 @@ func publish(t testing.TB, a *alphabet.Alphabet, data []byte) *seq.File {
 	return f
 }
 
-func oracle(t testing.TB, a *alphabet.Alphabet, data []byte) *suffixtree.Tree {
+// matchesSuffixArray reports whether tr, flattened, is byte for byte the
+// image assembled from data's suffix array and LCP array, which share no
+// code with the builder under test: leaf order, branching depths and edges.
+func matchesSuffixArray(t testing.TB, tr *suffixtree.Tree, data []byte) bool {
 	t.Helper()
-	m, err := seq.NewMem(a, data)
+	got, err := suffixtree.Flatten(tr, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ukkonen.Build(m)
+	sa, err := suffixarray.Build(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
-}
-
-func treesEqual(a, b *suffixtree.Tree) bool {
-	type sig struct {
-		depth  int32
-		label  string
-		suffix int32
+	shards, err := suffixtree.AssembleShards(data, sa, suffixarray.LCP(data, sa), 1, suffixtree.HeapSink{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect := func(t *suffixtree.Tree) []sig {
-		var out []sig
-		t.WalkDFS(t.Root(), func(id, depth int32) bool {
-			out = append(out, sig{depth, string(t.Label(id)), t.Suffix(id)})
-			return true
-		})
-		return out
-	}
-	sa, sb := collect(a), collect(b)
-	if len(sa) != len(sb) {
-		return false
-	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
-		}
-	}
-	return true
+	want := shards[0].Flat
+	return bytes.Equal(got.Nodes, want.Nodes) && bytes.Equal(got.Sym, want.Sym) && bytes.Equal(got.LeafData, want.LeafData)
 }
 
 func TestBuildSerialMatchesOracle(t *testing.T) {
@@ -79,8 +62,8 @@ func TestBuildSerialMatchesOracle(t *testing.T) {
 			if err := res.Tree.Validate(true); err != nil {
 				t.Fatal(err)
 			}
-			if !treesEqual(res.Tree, oracle(t, a, data)) {
-				t.Error("WaveFront tree differs from Ukkonen oracle")
+			if !matchesSuffixArray(t, res.Tree, data) {
+				t.Error("WaveFront tree differs from the suffix array's")
 			}
 		})
 	}
@@ -101,15 +84,7 @@ func TestBuildSerialQuick(t *testing.T) {
 		if res.Tree.Validate(true) != nil {
 			return false
 		}
-		m, err := seq.NewMem(alphabet.DNA, data)
-		if err != nil {
-			return false
-		}
-		o, err := ukkonen.Build(m)
-		if err != nil {
-			return false
-		}
-		return treesEqual(res.Tree, o)
+		return matchesSuffixArray(t, res.Tree, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
