@@ -64,7 +64,8 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 		return commonSubstring(ctx, s.docBytes(q.DocA), s.docBytes(q.DocB))
 	case OpDocFreq:
 		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, func(p []byte) ([]DocHit, error) {
-			return s.docOccurrences(p), nil
+			occ := s.batch([]Op{{Kind: OpOccurrences, Pattern: p}})[0].Occurrences
+			return docHits(s.docStart[1:], occ, len(p)), nil
 		}), nil)
 	case OpMismatch:
 		ans := s.mismatch(ctx, q)

@@ -13,7 +13,8 @@ import (
 // TestRoutedWireCodec pins the codec between the router and a replica. For
 // one op of every kind, with every parameter set, the wire op encodeChunk
 // sends plans back to the op (server.WireOpOf is Plan's inverse), and a
-// replica's answer (server.ToWire) decodes back to the result it encodes —
+// replica's answer (server.ToWire) decodes back to the result it encodes
+// (server.QueryResponse.Result is ToWire's inverse) —
 // an lcs that found nothing, offsets -1, and patterns holding bytes ≥ 0x80,
 // one of them not UTF-8, included.
 func TestRoutedWireCodec(t *testing.T) {
@@ -52,11 +53,11 @@ func TestRoutedWireCodec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var a shardAnswer
+		var a server.QueryResponse
 		if err := json.Unmarshal(body, &a); err != nil {
 			t.Fatalf("%s: decoding %s: %v", c.kind, body, err)
 		}
-		if got := a.result(); !reflect.DeepEqual(got, c.res) {
+		if got := a.Result(); !reflect.DeepEqual(got, c.res) {
 			t.Errorf("%s: %s decodes to %+v, want %+v", c.kind, body, got, c.res)
 		}
 	}

@@ -5,8 +5,9 @@
 // requests only: it validates ops as a replica does, which shards an op asks
 // and how their answers merge is era.RouteOps, the executor the in-process
 // sharded index runs too, and the HTTP front end is the replica's own
-// (server.NewHandlerOpts, with the Router as its server.Backend), so no
-// validation, routing or merge rule and no request surface is spelled here.
+// (server.NewHandlerOpts, with the Router as its server.Backend), and every
+// body it sends or reads is an internal/server type, so no validation,
+// routing or merge rule, no request surface and no wire type is spelled here.
 // It complements the sibling package cluster (the §5 shared-nothing
 // construction simulation): cluster builds indexes across nodes, route
 // serves them.
@@ -126,12 +127,12 @@ type shardInfo struct {
 // topology is an immutable snapshot of the discovered shard layout;
 // refreshes swap the pointer.
 type topology struct {
-	corpus   string
-	alpha    *alphabet.Alphabet // rebuilt from the listing, what ops are validated against
-	shards   []shardInfo
-	keys     [][]byte // keys[i]: shard i's lower key, what era.RouteOps routes by
-	totalLen int      // every shard's: each holds all of S, terminator included
-	numDocs  int
+	// info is the corpus's listing entry (Describe): every shard's symbols
+	// (each holds all of S), documents and alphabet, their tree nodes summed.
+	info   server.IndexInfo
+	alpha  *alphabet.Alphabet // rebuilt from the listing, what ops are validated against
+	shards []shardInfo
+	keys   [][]byte // keys[i]: shard i's lower key, what era.RouteOps routes by
 }
 
 // NewRouter builds a router over the replica set; call Refresh before
@@ -236,22 +237,20 @@ func (rt *Router) UnderReplicated() []string {
 // Refresh lists it. Serving continues on the previous topology until the swap
 // at the end.
 func (rt *Router) Refresh(ctx context.Context) error {
-	listings := make([]map[string]wireIndexInfo, len(rt.cfg.Replicas)) // nil: unreachable
+	listings := make([]map[string]server.IndexInfo, len(rt.cfg.Replicas)) // nil: unreachable
 	errs := make([]error, len(rt.cfg.Replicas))
 	var wg sync.WaitGroup
 	for r, base := range rt.cfg.Replicas {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var listing struct {
-				Indexes []wireIndexInfo `json:"indexes"`
-			}
+			var listing server.IndexList
 			if errs[r] = rt.doShard(ctx, []string{base}, false, jsonRequest(http.MethodGet, "/v1/indexes", nil), func(body []byte) error {
 				return json.Unmarshal(body, &listing)
 			}); errs[r] != nil {
 				return
 			}
-			listings[r] = make(map[string]wireIndexInfo, len(listing.Indexes))
+			listings[r] = make(map[string]server.IndexInfo, len(listing.Indexes))
 			for _, info := range listing.Indexes {
 				listings[r][info.Name] = info
 			}
@@ -261,7 +260,7 @@ func (rt *Router) Refresh(ctx context.Context) error {
 	if !slices.ContainsFunc(errs, func(e error) bool { return e == nil }) {
 		return fmt.Errorf("cluster: topology discovery failed on every replica: %w", errors.Join(errs...))
 	}
-	byFamily := map[string]map[int]wireIndexInfo{}
+	byFamily := map[string]map[int]server.IndexInfo{}
 	for r, listing := range listings {
 		for _, info := range listing {
 			tilde := strings.LastIndexByte(info.Name, '~')
@@ -274,10 +273,10 @@ func (rt *Router) Refresh(ctx context.Context) error {
 			}
 			fam := info.Name[:tilde]
 			if byFamily[fam] == nil {
-				byFamily[fam] = map[int]wireIndexInfo{}
+				byFamily[fam] = map[int]server.IndexInfo{}
 			}
 			if prev, ok := byFamily[fam][n]; ok && prev != info {
-				return fmt.Errorf("cluster: replicas disagree on shard %s: %s lists %v, another replica %v",
+				return fmt.Errorf("cluster: replicas disagree on shard %s: %s lists %+v, another replica %+v",
 					info.Name, rt.cfg.Replicas[r], info, prev)
 			}
 			byFamily[fam][n] = info
@@ -297,7 +296,9 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		return fmt.Errorf("cluster: no shards named %s~N on the replicas", corpus)
 	}
 
-	topo := &topology{corpus: corpus, totalLen: family[0].Symbols, numDocs: family[0].Documents}
+	first := family[0]
+	topo := &topology{info: server.IndexInfo{Name: corpus, Symbols: first.Symbols, Documents: first.Documents,
+		Alphabet: first.Alphabet, AlphabetSymbols: first.AlphabetSymbols, Shards: len(family)}}
 	for i := 0; i < len(family); i++ {
 		info, ok := family[i]
 		if !ok {
@@ -306,6 +307,7 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		if err := checkMember(corpus, family, i); err != nil {
 			return err
 		}
+		topo.info.TreeNodes += info.TreeNodes
 		sh := shardInfo{Name: info.Name}
 		for k := 0; k < len(listings) && len(sh.Owners) < rt.cfg.Replication; k++ {
 			r := (i + k) % len(listings)
@@ -325,7 +327,7 @@ func (rt *Router) Refresh(ctx context.Context) error {
 		return fmt.Errorf("cluster: shard family %s stops short of the end of the suffix order: %s ends at %q", corpus, last.Name, last.Range.Hi)
 	}
 	var err error
-	if topo.alpha, err = alphabet.New(family[0].Alphabet, []byte(family[0].AlphabetSymbols)); err != nil {
+	if topo.alpha, err = alphabet.New(first.Alphabet, []byte(first.AlphabetSymbols)); err != nil {
 		return fmt.Errorf("cluster: shard family %s lists no usable alphabet: %w", corpus, err)
 	}
 	rt.topo.Store(topo)
@@ -336,7 +338,7 @@ func (rt *Router) Refresh(ctx context.Context) error {
 // documents, alphabet and its symbols) and, from shard 0 on, ranges that
 // abut. A whole-corpus image beside others is a family cut at document
 // boundaries (or two builds mixed), which no router merge answers correctly.
-func checkMember(corpus string, family map[int]wireIndexInfo, i int) error {
+func checkMember(corpus string, family map[int]server.IndexInfo, i int) error {
 	info, first := family[i], family[0]
 	if info.Symbols < 1 || info.Symbols != first.Symbols || info.Documents != first.Documents ||
 		info.Alphabet != first.Alphabet || info.AlphabetSymbols != first.AlphabetSymbols {
@@ -356,23 +358,6 @@ func checkMember(corpus string, family map[int]wireIndexInfo, i int) error {
 		return fmt.Errorf("cluster: shard family %s is not contiguous: %s starts its range at %q where the shard before ends at %q", corpus, info.Name, info.Range.Lo, prevHi)
 	}
 	return nil
-}
-
-// wireIndexInfo is the subset of the replica /v1/indexes entry the router
-// needs: comparable, so two replicas' listings of one shard compare whole.
-type wireIndexInfo struct {
-	Name            string          `json:"name"`
-	Symbols         int             `json:"symbols"`
-	Documents       int             `json:"documents"`
-	Alphabet        string          `json:"alphabet"`
-	AlphabetSymbols server.Text     `json:"alphabet_symbols"`
-	Range           server.KeyRange `json:"range"` // zero for a whole-corpus image
-	Fingerprint     string          `json:"fingerprint"`
-}
-
-func (w wireIndexInfo) String() string {
-	return fmt.Sprintf("%d symbols in %d documents (%s %q), range [%q, %q), fingerprint %s",
-		w.Symbols, w.Documents, w.Alphabet, w.AlphabetSymbols, w.Range.Lo, w.Range.Hi, w.Fingerprint)
 }
 
 // ---------------------------------------------------------------------------
@@ -580,9 +565,7 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary string, heavy b
 
 // wireErrMsg extracts the {"error": ...} body of a replica error response.
 func wireErrMsg(body []byte, status int) string {
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e server.ErrorResponse
 	if json.Unmarshal(body, &e) == nil && e.Error != "" {
 		return e.Error
 	}
@@ -631,9 +614,9 @@ func (rt *Router) askShard(ctx context.Context, sh *shardInfo, ops []era.Op) ([]
 		body := make([]byte, 0, len(sh.batchHead)+chunk.Len()+1)
 		body = append(append(append(body, sh.batchHead...), chunk.Bytes()...), '}')
 		err = rt.doShard(ctx, sh.Owners, heavy, jsonRequest(http.MethodPost, "/v1/batch", body), func(raw []byte) error {
-			var resp struct {
-				Results []shardAnswer `json:"results"`
-			}
+			// Room for the n answers up front: decoding then never regrows the
+			// slice one doubling at a time.
+			resp := server.BatchResponse{Results: make([]server.QueryResponse, 0, n)}
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				return err
 			}
@@ -641,7 +624,7 @@ func (rt *Router) askShard(ctx context.Context, sh *shardInfo, ops []era.Op) ([]
 				return fmt.Errorf("%d results for a %d-op sub-batch", len(resp.Results), n)
 			}
 			for i := range resp.Results {
-				out = append(out, resp.Results[i].result())
+				out = append(out, resp.Results[i].Result())
 			}
 			return nil
 		})
@@ -665,27 +648,6 @@ const (
 	maxChunkOps   = 512
 	maxChunkBytes = 256 << 10
 )
-
-// shardAnswer is a replica's answer to one op (server.ToWire) as the router
-// reads it back. A membership answer carries none of the analytics fields,
-// so it decodes with the pointer to them nil.
-type shardAnswer struct {
-	Found       bool  `json:"found"`
-	Count       int   `json:"count"`
-	Occurrences []int `json:"occurrences"`
-	*AnalyticsFields
-}
-
-// AnalyticsFields are an analytics answer's fields beyond shardAnswer's own.
-// It is exported because encoding/json cannot allocate an embedded pointer
-// to an unexported struct.
-type AnalyticsFields struct {
-	Pattern server.Text       `json:"pattern"`
-	Top     []server.WireTop  `json:"top"`
-	OffsetA int               `json:"offset_a"`
-	OffsetB int               `json:"offset_b"`
-	Stats   []server.WireStat `json:"stats"`
-}
 
 // encodeChunk writes the longest prefix of ops that fits the chunk budgets
 // into buf as a JSON array of wire ops (server.WireOpOf) and returns how many
@@ -717,38 +679,13 @@ func encodeChunk(buf *bytes.Buffer, ops []era.Op) (int, error) {
 	return n, nil
 }
 
-// result is the library result a replica's answer stands for.
-func (a *shardAnswer) result() era.Result {
-	res := era.Result{Found: a.Found, Count: a.Count, Occurrences: a.Occurrences}
-	x := a.AnalyticsFields
-	if x == nil {
-		return res
-	}
-	if x.Pattern != "" {
-		res.Pattern = []byte(x.Pattern)
-	}
-	res.OffsetA, res.OffsetB = x.OffsetA, x.OffsetB
-	if len(x.Top) > 0 {
-		res.Top = make([]era.TopEntry, len(x.Top))
-		for i, t := range x.Top {
-			res.Top[i] = era.TopEntry{Pattern: []byte(t.Pattern), Count: t.Count}
-		}
-	}
-	if len(x.Stats) > 0 {
-		res.Stats = make([]era.PatternStat, len(x.Stats))
-		for i, st := range x.Stats {
-			res.Stats[i] = era.PatternStat{Docs: st.Docs, Count: st.Count}
-		}
-	}
-	return res
-}
-
 // ---------------------------------------------------------------------------
 // The backend of the HTTP front end (server.Backend).
 
 // Handler returns the router's HTTP API: the replica's own handler serving
-// the router as its backend, so clients cannot tell a router from a
-// monolithic server except by the partial field.
+// the router as its backend, so that but for /metricz and the partial field
+// clients cannot tell a router from a server that loaded the corpus as one
+// sharded index of the same K shards, listing included (Describe).
 func (rt *Router) Handler() http.Handler {
 	return server.NewHandlerOpts(rt, server.Options{ErrLog: rt.cfg.ErrLog, QueryTimeout: rt.cfg.Timeout})
 }
@@ -769,27 +706,19 @@ func (rt *Router) Ready() bool {
 // Names lists the routed corpus, once a topology is known.
 func (rt *Router) Names() []string {
 	if topo := rt.topo.Load(); topo != nil {
-		return []string{topo.corpus}
+		return []string{topo.info.Name}
 	}
 	return nil
 }
 
-// routedInfo is the routed corpus's listing entry.
-type routedInfo struct {
-	Name      string `json:"name"`
-	Symbols   int    `json:"symbols"`
-	Documents int    `json:"documents"`
-	Alphabet  string `json:"alphabet"`
-	Shards    int    `json:"shards"`
-}
-
-// Describe is the listing entry of the routed corpus.
-func (rt *Router) Describe(name string) (any, bool) {
+// Describe is the listing entry of the routed corpus: the entry a replica
+// lists for the corpus loaded as one era.ShardedIndex of the same shards.
+func (rt *Router) Describe(name string) (server.IndexInfo, bool) {
 	topo := rt.topo.Load()
-	if topo == nil || name != topo.corpus {
-		return nil, false
+	if topo == nil || name != topo.info.Name {
+		return server.IndexInfo{}, false
 	}
-	return routedInfo{Name: topo.corpus, Symbols: topo.totalLen, Documents: topo.numDocs, Alphabet: topo.alpha.Name(), Shards: len(topo.shards)}, true
+	return topo.info, true
 }
 
 // Answer answers ops over the routed corpus through era.RouteOps, each shard
@@ -804,11 +733,11 @@ func (rt *Router) Answer(ctx context.Context, index string, ops []era.Op) ([]era
 	if topo == nil {
 		return nil, nil, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: "router has no topology yet"}
 	}
-	if index != topo.corpus {
-		return nil, nil, fmt.Errorf("%w: no index named %q routed (serving %q)", server.ErrUnknownIndex, index, topo.corpus)
+	if index != topo.info.Name {
+		return nil, nil, fmt.Errorf("%w: no index named %q routed (serving %q)", server.ErrUnknownIndex, index, topo.info.Name)
 	}
 	for i, op := range ops {
-		if err := op.Validate(topo.alpha, topo.numDocs); err != nil {
+		if err := op.Validate(topo.alpha, topo.info.Documents); err != nil {
 			return nil, nil, &era.OpError{Op: i, Err: err}
 		}
 	}

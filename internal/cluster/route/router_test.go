@@ -38,7 +38,8 @@ type routedCluster struct {
 	numDocs int
 
 	mono    *httptest.Server
-	engines []*server.Engine // the replicas' own
+	sharded *era.ShardedIndex // the shards the replicas load, as one index
+	engines []*server.Engine  // the replicas' own
 	proxies []*FaultProxy
 	fronts  []string
 	rt      *Router
@@ -143,6 +144,7 @@ func newCorpusCluster(t *testing.T, docs [][]byte, shards, replicas int, tweak f
 	if err != nil {
 		t.Fatal(err)
 	}
+	tc.sharded = sx
 	shardIdx := make([]*era.Index, sx.NumShards())
 	for i := range shardIdx {
 		sh, _ := sx.Shard(i)
@@ -237,6 +239,20 @@ func (tc *routedCluster) around(at, r int) string {
 func (tc *routedCluster) window(off, m int) string {
 	off = min(off, max(len(tc.concat)-m, 0))
 	return string(tc.concat[off:min(off+m, len(tc.concat))])
+}
+
+func getRaw(t *testing.T, base, path string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: reading body: %v", path, err)
+	}
+	return resp.StatusCode, b
 }
 
 func postRaw(t *testing.T, base, path string, body []byte) (int, []byte) {
@@ -923,35 +939,24 @@ func TestRoutedHedgeFastFailDegrades(t *testing.T) {
 func TestRoutedMetricsAndProbes(t *testing.T) {
 	tc := newRoutedCluster(t, 2, 2, nil)
 
-	getFrom := func(base, path string) (int, []byte) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, b
-	}
-	get := func(path string) (int, []byte) { return getFrom(tc.routed.URL, path) }
+	get := func(path string) (int, []byte) { return getRaw(t, tc.routed.URL, path) }
 	if s, _ := get("/healthz"); s != http.StatusOK {
 		t.Errorf("/healthz = %d", s)
 	}
 	if s, _ := get("/readyz"); s != http.StatusOK {
 		t.Errorf("/readyz with topology and healthy replicas = %d", s)
 	}
-	var listing struct {
-		Indexes []routedInfo `json:"indexes"`
-	}
+	var listing server.IndexList
 	_, b := get("/v1/indexes")
 	if err := json.Unmarshal(b, &listing); err != nil {
 		t.Fatal(err)
 	}
-	want := routedInfo{Name: "corpus", Symbols: len(tc.concat) + 1, Documents: tc.numDocs, Alphabet: "DNA", Shards: 2}
+	want := server.IndexInfo{Name: "corpus", Symbols: len(tc.concat) + 1, Documents: tc.numDocs, Alphabet: "DNA",
+		AlphabetSymbols: "ACGT", TreeNodes: tc.sharded.TreeNodes(), Shards: 2}
 	if len(listing.Indexes) != 1 || listing.Indexes[0] != want {
 		t.Errorf("routed listing wrong: %s, want the one entry %+v", b, want)
 	}
-	var entry routedInfo
+	var entry server.IndexInfo
 	if s, b := get("/v1/indexes/corpus"); s != http.StatusOK || json.Unmarshal(b, &entry) != nil || entry != want {
 		t.Errorf("GET /v1/indexes/corpus = %d %s, want %+v", s, b, want)
 	}
@@ -970,15 +975,13 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	}
 	// So did the byte endpoints the router fetched corpus content through.
 	for _, path := range []string{"/v1/indexes/corpus~0/slice?lo=0&hi=8", "/v1/indexes/corpus~0/doc/0"} {
-		if s, _ := getFrom(tc.fronts[0], path); s != http.StatusNotFound {
+		if s, _ := getRaw(t, tc.fronts[0], path); s != http.StatusNotFound {
 			t.Errorf("GET %s on a replica = %d, want 404", path, s)
 		}
 	}
 	// A replica lists each shard's range and fingerprint.
-	var replicaListing struct {
-		Indexes []wireIndexInfo `json:"indexes"`
-	}
-	_, b = getFrom(tc.fronts[0], "/v1/indexes")
+	var replicaListing server.IndexList
+	_, b = getRaw(t, tc.fronts[0], "/v1/indexes")
 	if err := json.Unmarshal(b, &replicaListing); err != nil {
 		t.Fatal(err)
 	}
@@ -1047,6 +1050,27 @@ func TestRoutedMetricsAndProbes(t *testing.T) {
 	status, _ := postRaw(t, front.URL, "/v1/query", []byte(`{"index":"corpus","op":"contains","pattern":"A"}`))
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("query with no topology = %d, want 503", status)
+	}
+}
+
+// TestRoutedListsAsShardedIndex pins one listing shape: the router's
+// /v1/indexes and /v1/indexes/corpus are byte for byte a replica's that
+// loaded the cluster's shards as one era.ShardedIndex named corpus.
+func TestRoutedListsAsShardedIndex(t *testing.T) {
+	tc := newRoutedCluster(t, 3, 2, nil)
+	eng := server.NewEngine(0)
+	tc.sharded.SetName("corpus")
+	if err := eng.Load(tc.sharded); err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(server.NewHandler(eng))
+	defer replica.Close()
+	for _, path := range []string{"/v1/indexes", "/v1/indexes/corpus"} {
+		rs, rb := getRaw(t, tc.routed.URL, path)
+		ss, sb := getRaw(t, replica.URL, path)
+		if rs != http.StatusOK || ss != http.StatusOK || !bytes.Equal(rb, sb) {
+			t.Errorf("GET %s:\n  routed  %d %s\n  replica %d %s", path, rs, rb, ss, sb)
+		}
 	}
 }
 

@@ -18,10 +18,12 @@
 //
 // Every index's metadata names its alphabet and lists the alphabet's symbols
 // (alphabet_symbols); a shard's — a split file whose tree holds one range of
-// the suffix order — also carries its range and the image's fingerprint. The
-// cluster router rebuilds the alphabet to validate ops as a replica does,
-// routes each op to the shards whose ranges own it, and refuses replicas
-// that disagree on any of these.
+// the suffix order — also carries its range and the image's fingerprint, and
+// a sharded index's its shard count. The cluster router rebuilds the alphabet
+// to validate ops as a replica does, routes each op to the shards whose
+// ranges own it, refuses replicas that disagree on any of these, and lists
+// its corpus as a sharded index. Every body it reads from a replica is a type
+// of this package.
 //
 // Live (mutable) indexes additionally accept:
 //
@@ -80,9 +82,10 @@ type Backend interface {
 	// Ready reports whether the backend wants new traffic (/readyz).
 	Ready() bool
 	// Names lists the indexes served, and Describe one index's listing entry
-	// (/v1/indexes and /v1/indexes/{name}).
+	// (/v1/indexes and /v1/indexes/{name}): an engine describes each index it
+	// loaded, a router its corpus as one sharded index of its K shards.
 	Names() []string
-	Describe(name string) (any, bool)
+	Describe(name string) (IndexInfo, bool)
 	// Answer answers ops against the index named index. partial[i] marks a
 	// degraded answer to op i; a nil partial marks none. An error naming one
 	// op wraps *era.OpError with the op's position.
@@ -144,13 +147,13 @@ func NewHandlerOpts(b Backend, opts Options) http.Handler {
 		h.writeJSON(w, http.StatusOK, h.metricz())
 	})
 	mux.HandleFunc("GET /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
-		infos := []any{}
+		list := IndexList{Indexes: []IndexInfo{}}
 		for _, name := range b.Names() {
 			if info, ok := b.Describe(name); ok {
-				infos = append(infos, info)
+				list.Indexes = append(list.Indexes, info)
 			}
 		}
-		h.writeJSON(w, http.StatusOK, map[string]any{"indexes": infos})
+		h.writeJSON(w, http.StatusOK, list)
 	})
 	mux.HandleFunc("GET /v1/indexes/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -293,7 +296,7 @@ func (h *api) answer(w http.ResponseWriter, r *http.Request, index string, ops [
 		h.writeJSON(w, http.StatusOK, &wire[0])
 		return
 	}
-	h.writeJSON(w, http.StatusOK, map[string]any{"results": wire})
+	h.writeJSON(w, http.StatusOK, BatchResponse{Results: wire})
 }
 
 // recoverPanics is the outermost middleware: a panicking handler must cost
@@ -529,6 +532,11 @@ type QueryResponse struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
+// BatchResponse is the body of a /v1/batch answer.
+type BatchResponse struct {
+	Results []QueryResponse `json:"results"`
+}
+
 // WireTop is one ranked entry of a topk answer.
 type WireTop struct {
 	Pattern Text `json:"pattern"`
@@ -542,6 +550,8 @@ type WireStat struct {
 	Count int `json:"count"`
 }
 
+// ToWire is the wire form of op's result, as a replica answers it; Result
+// reads it back.
 func ToWire(op era.Op, res era.Result) QueryResponse {
 	out := QueryResponse{Found: res.Found}
 	switch op.Kind {
@@ -599,7 +609,41 @@ func ToWire(op era.Op, res era.Result) QueryResponse {
 	return out
 }
 
-type indexInfo struct {
+// Result is the library result q stands for, as the cluster router reads a
+// replica's answer back: ToWire's inverse but for Truncated and Partial,
+// which only the wire carries.
+func (q QueryResponse) Result() era.Result {
+	res := era.Result{Found: q.Found, Occurrences: q.Occurrences}
+	if q.Count != nil {
+		res.Count = *q.Count
+	}
+	if q.Pattern != "" {
+		res.Pattern = []byte(q.Pattern)
+	}
+	if q.OffsetA != nil {
+		res.OffsetA = *q.OffsetA
+	}
+	if q.OffsetB != nil {
+		res.OffsetB = *q.OffsetB
+	}
+	if len(q.Top) > 0 {
+		res.Top = make([]era.TopEntry, len(q.Top))
+		for i, t := range q.Top {
+			res.Top[i] = era.TopEntry{Pattern: []byte(t.Pattern), Count: t.Count}
+		}
+	}
+	if len(q.Stats) > 0 {
+		res.Stats = make([]era.PatternStat, len(q.Stats))
+		for i, st := range q.Stats {
+			res.Stats[i] = era.PatternStat{Docs: st.Docs, Count: st.Count}
+		}
+	}
+	return res
+}
+
+// IndexInfo is one index's listing entry, the body of /v1/indexes/{name}.
+// It is comparable, so two replicas' entries for one shard compare whole.
+type IndexInfo struct {
 	Name      string `json:"name"`
 	Symbols   int    `json:"symbols"` // indexed length incl. terminator
 	Documents int    `json:"documents"`
@@ -607,11 +651,18 @@ type indexInfo struct {
 	// AlphabetSymbols are the alphabet's symbols, ascending.
 	AlphabetSymbols Text  `json:"alphabet_symbols"`
 	TreeNodes       int64 `json:"tree_nodes"`
+	// Shards is a sharded index's shard count, absent for any other.
+	Shards int `json:"shards,omitempty"`
 	// Range is the part of the suffix order the index's tree holds, absent
 	// for an index over every suffix; Fingerprint is the v4 header checksum
 	// of a monolithic image (era.Index.Fingerprint), in hex.
-	Range       *KeyRange `json:"range,omitempty"`
-	Fingerprint string    `json:"fingerprint,omitempty"`
+	Range       KeyRange `json:"range,omitzero"`
+	Fingerprint string   `json:"fingerprint,omitempty"`
+}
+
+// IndexList is the body of /v1/indexes.
+type IndexList struct {
+	Indexes []IndexInfo `json:"indexes"`
 }
 
 // KeyRange is a shard's part of the suffix order on the wire: the suffixes s
@@ -621,8 +672,8 @@ type KeyRange struct {
 	Hi Text `json:"hi"`
 }
 
-func describe(name string, idx era.Queryable) indexInfo {
-	info := indexInfo{
+func describe(name string, idx era.Queryable) IndexInfo {
+	info := IndexInfo{
 		Name:            name,
 		Symbols:         idx.Len(),
 		Documents:       idx.NumDocs(),
@@ -630,20 +681,22 @@ func describe(name string, idx era.Queryable) indexInfo {
 		AlphabetSymbols: Text(idx.Alphabet().Symbols()),
 		TreeNodes:       idx.TreeNodes(),
 	}
-	if x, ok := idx.(*era.Index); ok {
+	switch x := idx.(type) {
+	case *era.Index:
 		info.Fingerprint = fmt.Sprintf("%08x", x.Fingerprint())
-		if lo, hi := x.Range(); len(lo)+len(hi) > 0 {
-			info.Range = &KeyRange{Lo: Text(lo), Hi: Text(hi)}
-		}
+		lo, hi := x.Range()
+		info.Range = KeyRange{Lo: Text(lo), Hi: Text(hi)}
+	case *era.ShardedIndex:
+		info.Shards = x.NumShards()
 	}
 	return info
 }
 
 // Describe is the listing entry of the index named name.
-func (e *Engine) Describe(name string) (any, bool) {
+func (e *Engine) Describe(name string) (IndexInfo, bool) {
 	idx, ok := e.Get(name)
 	if !ok {
-		return nil, false
+		return IndexInfo{}, false
 	}
 	return describe(name, idx), true
 }
@@ -653,7 +706,7 @@ func (e *Engine) Describe(name string) (any, bool) {
 // how much of it the page cache currently holds, -1 when the platform cannot
 // tell).
 type indexMemInfo struct {
-	indexInfo
+	IndexInfo
 	MappedBytes   int64    `json:"mapped_bytes"`
 	ResidentBytes int64    `json:"resident_bytes"`
 	Quarantined   []string `json:"quarantined_tiers,omitempty"` // live indexes: tier files renamed aside at load
@@ -670,7 +723,7 @@ func (e *Engine) Metrics() map[string]any {
 			continue
 		}
 		info := indexMemInfo{
-			indexInfo:     describe(name, idx),
+			IndexInfo:     describe(name, idx),
 			MappedBytes:   idx.MappedBytes(),
 			ResidentBytes: idx.ResidentBytes(),
 		}
@@ -708,5 +761,10 @@ func (h *api) writeJSON(w http.ResponseWriter, status int, v any) {
 func (h *api) writeError(w http.ResponseWriter, status int, msg string) {
 	// Engine errors carry a "server: " package prefix that means nothing to
 	// HTTP clients.
-	h.writeJSON(w, status, map[string]string{"error": strings.TrimPrefix(msg, "server: ")})
+	h.writeJSON(w, status, ErrorResponse{Error: strings.TrimPrefix(msg, "server: ")})
+}
+
+// ErrorResponse is the body of every error status.
+type ErrorResponse struct {
+	Error string `json:"error"`
 }

@@ -116,9 +116,7 @@ func TestHTTPIndexListingAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var listing struct {
-		Indexes []indexInfo `json:"indexes"`
-	}
+	var listing IndexList
 	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
 		t.Fatal(err)
 	}
@@ -446,13 +444,84 @@ func TestHTTPServesShardedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var info indexInfo
+	var info IndexInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if info.Documents != sx.NumDocs() || info.Symbols != sx.Len() {
-		t.Errorf("index info = %+v, want %d docs / %d symbols", info, sx.NumDocs(), sx.Len())
+	if info.Documents != sx.NumDocs() || info.Symbols != sx.Len() || info.Shards != sx.NumShards() {
+		t.Errorf("index info = %+v, want %d docs / %d symbols / %d shards", info, sx.NumDocs(), sx.Len(), sx.NumShards())
+	}
+}
+
+// TestHTTPListingGolden pins the listing bytes a replica sends for each
+// kind of index: a whole image (fingerprint, no range), a range shard
+// (range and fingerprint), a sharded index (its shard count) and a live
+// index (a sealed tier's nodes, none for its memtable).
+func TestHTTPListingGolden(t *testing.T) {
+	docs := [][]byte{[]byte("GATTACAGATTACA"), []byte("CCCGATTACACCC"), []byte("TTAGGGAC")}
+	mono, err := era.BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono.SetName("mono")
+	sharded := func(name string) *era.ShardedIndex {
+		sx, err := era.BuildShardedCorpus(docs, &era.ShardConfig{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx.SetName(name)
+		return sx
+	}
+	shard, _ := sharded("").Shard(1)
+	shard.SetName("mono~1")
+	lx, err := era.NewLive("live", &era.LiveConfig{MemtableMaxDocs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][][]byte{docs[:2], docs[2:]} {
+		if _, err := lx.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(0)
+	for _, idx := range []era.Queryable{mono, shard, sharded("sharded"), lx} {
+		if err := e.Load(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { e.Close() })
+	ts := httptest.NewServer(NewHandler(e))
+	t.Cleanup(ts.Close)
+
+	golden := []struct{ name, entry string }{
+		{"live", `{"name":"live","symbols":36,"documents":3,"alphabet":"DNA","alphabet_symbols":"ACGT","tree_nodes":47}`},
+		{"mono", `{"name":"mono","symbols":36,"documents":3,"alphabet":"DNA","alphabet_symbols":"ACGT","tree_nodes":61,"fingerprint":"2c76b4e4"}`},
+		{"mono~1", `{"name":"mono~1","symbols":36,"documents":3,"alphabet":"DNA","alphabet_symbols":"ACGT","tree_nodes":35,"range":{"lo":"CC","hi":""},"fingerprint":"0e04fce6"}`},
+		{"sharded", `{"name":"sharded","symbols":36,"documents":3,"alphabet":"DNA","alphabet_symbols":"ACGT","tree_nodes":62,"shards":2}`},
+	}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s %v", path, resp.StatusCode, b, err)
+		}
+		return string(b)
+	}
+	var entries []string
+	for _, g := range golden {
+		entries = append(entries, g.entry)
+		if got := get("/v1/indexes/" + g.name); got != g.entry+"\n" {
+			t.Errorf("GET /v1/indexes/%s = %s, want %s", g.name, got, g.entry)
+		}
+	}
+	if got, want := get("/v1/indexes"), `{"indexes":[`+strings.Join(entries, ",")+"]}\n"; got != want {
+		t.Errorf("GET /v1/indexes = %s, want %s", got, want)
 	}
 }
 

@@ -565,7 +565,8 @@ func (lx *LiveIndex) DocOccurrences(p []byte) ([]DocHit, error) {
 	if err := s.checkErr(); err != nil {
 		return nil, err
 	}
-	return s.docOccurrences(p), nil
+	occ := s.batch([]Op{{Kind: OpOccurrences, Pattern: p}})[0].Occurrences
+	return docHits(s.docStart[1:], occ, len(p)), nil
 }
 
 // Batch answers many queries against one consistent snapshot: every op sees

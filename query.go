@@ -243,27 +243,28 @@ func (x *Index) DocOccurrences(pattern []byte) ([]DocHit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return x.docHits(occ, len(pattern)), nil
+	return docHits(x.docEnds, occ, len(pattern)), nil
 }
 
 // docHits cuts the ascending global offsets of an m-byte pattern's
-// occurrences into per-document hits, in (document, offset) order, dropping
-// the matches that cross a document's end and the terminator's own suffix.
-func (x *Index) docHits(occ []int, m int) []DocHit {
+// occurrences into per-document hits at the documents' exclusive ends, in
+// (document, offset) order, dropping the matches that cross a document's end
+// and those that start past the last one (the terminator's own suffix).
+func docHits[E int | int32](ends []E, occ []int, m int) []DocHit {
 	hits := make([]DocHit, 0, len(occ))
 	d := 0
 	for _, o := range occ {
 		// The first document ending after o; occ ascends, so d only advances.
-		for d < len(x.docEnds) && int(x.docEnds[d]) <= o {
+		for d < len(ends) && int(ends[d]) <= o {
 			d++
 		}
-		if d == len(x.docEnds) {
+		if d == len(ends) {
 			break
 		}
-		if o+m <= int(x.docEnds[d]) {
+		if o+m <= int(ends[d]) {
 			start := 0
 			if d > 0 {
-				start = int(x.docEnds[d-1])
+				start = int(ends[d-1])
 			}
 			hits = append(hits, DocHit{Doc: d, Offset: o - start})
 		}
@@ -272,18 +273,15 @@ func (x *Index) docHits(occ []int, m int) []DocHit {
 }
 
 // LongestRepeatedSubstring returns the longest substring occurring at least
-// twice, with its occurrence offsets.
+// twice, with its occurrence offsets ascending — OpLongestRepeat's answer, of
+// which it is a shorthand. No repeat, or a corrupt index, answers nil and an
+// empty list.
 func (x *Index) LongestRepeatedSubstring() ([]byte, []int) {
-	if !x.healthy() {
+	ans, err := x.Analytics(context.Background(), Query{Kind: OpLongestRepeat})
+	if err != nil || !ans.Found {
 		return nil, []int{}
 	}
-	lbl, occ := suffixtree.LongestRepeated(x.tree, nil)
-	out := make([]int, len(occ))
-	for i, o := range occ {
-		out[i] = int(o)
-	}
-	sort.Ints(out)
-	return lbl, out
+	return ans.Pattern, ans.Occurrences
 }
 
 // Repeat is a repeated substring found by Repeats.

@@ -277,7 +277,7 @@ func (sx *ShardedIndex) DocOccurrences(pattern []byte) ([]DocHit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sx.shards[0].docHits(occ, len(pattern)), nil
+	return docHits(sx.shards[0].docEnds, occ, len(pattern)), nil
 }
 
 // Batch answers many queries in one call through RouteOps: every shard

@@ -10,16 +10,16 @@ import (
 )
 
 // This file is the live index's executor: the immutable, reference-counted
-// snapshot that answers batch — contains, count and occurrences are one-op
-// batches — and doc-occurrences (here) and the analytics ops
-// (analytics_live.go) over a sequence of tiers, each an ordinary Index over a
-// contiguous run of documents, by fan-out → stitch → merge (lrs, topk and lcs
-// excepted: they read a suffix array of the bytes they need, the virtual
-// string or the two documents). A LiveIndex (live.go)
-// publishes a fresh snapshot per mutation, with per-tier bookkeeping that maps
-// tier-local suffix tree answers onto the virtual global string of live
-// documents. (A ShardedIndex cuts the suffix order instead of the documents,
-// so its shards need no stitch: shard.go.)
+// snapshot that answers batch — contains, count, occurrences and
+// doc-occurrences are one-op batches, the last cut at the live documents'
+// ends (docHits) — and the analytics ops (analytics_live.go) over a sequence
+// of tiers, each an ordinary Index over a contiguous run of documents, by
+// fan-out → stitch → merge (lrs, topk and lcs excepted: they read a suffix
+// array of the bytes they need, the virtual string or the two documents). A
+// LiveIndex (live.go) publishes a fresh snapshot per mutation, with per-tier
+// bookkeeping that maps tier-local suffix tree answers onto the virtual
+// global string of live documents. (A ShardedIndex cuts the suffix order
+// instead of the documents, so its shards need no stitch: shard.go.)
 //
 // The model: a live corpus is a sequence of documents identified by stable,
 // monotonically increasing ids. Documents live in tiers, each an ordinary
@@ -111,13 +111,9 @@ type liveTier struct {
 	h     *tierHandle
 	dead  []bool
 	nDead int
-	// gStart[d] is the global offset of local document d's first byte,
-	// gDoc[d] its global (live-ordinal) document number; both -1 when dead.
-	// docBase counts the live documents in earlier tiers, i.e. the ordinal
-	// this tier's first live document has.
-	gStart  []int
-	gDoc    []int
-	docBase int
+	// gStart[d] is the global offset of local document d's first byte, -1
+	// when d is dead.
+	gStart []int
 	// runEnd[d] is the tier-local end offset of the run of consecutive live
 	// documents containing d (-1 when d is dead): a tier-local match starting
 	// in d is globally valid iff it ends at or before runEnd[d], i.e. it
@@ -209,13 +205,11 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 		var t *liveTier
 		if st.h != nil {
 			t = &liveTier{
-				h:       st.h,
-				dead:    append([]bool(nil), st.dead...),
-				nDead:   st.nDead,
-				gStart:  make([]int, n),
-				gDoc:    make([]int, n),
-				docBase: ord,
-				runEnd:  make([]int, n),
+				h:      st.h,
+				dead:   append([]bool(nil), st.dead...),
+				nDead:  st.nDead,
+				gStart: make([]int, n),
+				runEnd: make([]int, n),
 			}
 		}
 		// [runLo, start) is the current run of live documents, opened at
@@ -235,7 +229,7 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 			end := int(de[d])
 			if st.dead[d] {
 				if t != nil {
-					t.gStart[d], t.gDoc[d], t.runEnd[d] = -1, -1, -1
+					t.gStart[d], t.runEnd[d] = -1, -1
 				}
 				endRun()
 				start = end
@@ -245,7 +239,7 @@ func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapsho
 				runLo, runOff = start, off
 			}
 			if t != nil {
-				t.gStart[d], t.gDoc[d] = off, ord
+				t.gStart[d] = off
 			}
 			s.docStart = append(s.docStart, off)
 			ord++
@@ -324,56 +318,6 @@ func (s *liveSnapshot) tailMatch(p []byte) int {
 		return -1
 	}
 	return off
-}
-
-func (s *liveSnapshot) docOccurrences(p []byte) []DocHit {
-	if bytes.IndexByte(p, alphabet.Terminator) >= 0 {
-		// Document content never holds the terminator; the monolithic oracle
-		// likewise reports no per-document hits for such patterns.
-		return []DocHit{}
-	}
-	perTier := make([][]DocHit, len(s.tiers))
-	fanOut(len(s.tiers), func(i int) {
-		t := s.tiers[i]
-		hits, _ := t.h.idx.DocOccurrences(p) // LiveIndex.DocOccurrences surfaced checkErr already
-		if t.nDead == 0 {
-			for j := range hits {
-				hits[j].Doc += t.docBase
-			}
-			perTier[i] = hits
-		} else {
-			k := 0
-			for _, hh := range hits {
-				if t.dead[hh.Doc] {
-					continue
-				}
-				hits[k] = DocHit{Doc: t.gDoc[hh.Doc], Offset: hh.Offset}
-				k++
-			}
-			perTier[i] = hits[:k]
-		}
-	})
-	var n int
-	for _, h := range perTier {
-		n += len(h)
-	}
-	out := make([]DocHit, 0, n)
-	for _, h := range perTier {
-		out = append(out, h...) // tiers hold ascending live-ordinal runs
-	}
-	// Uncovered runs follow every tier and answer for themselves: a match
-	// inside one is a hit unless it straddles a document boundary.
-	for _, r := range s.stitch.uncovered {
-		eachMatch(r.Data, p, func(j int) bool {
-			g := r.Off + j
-			ord := sort.Search(s.numDocs, func(i int) bool { return s.docStart[i+1] > g })
-			if g+len(p) <= s.docStart[ord+1] {
-				out = append(out, DocHit{Doc: ord, Offset: g - s.docStart[ord]})
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // batch answers many queries over one snapshot: every tier serves the whole
