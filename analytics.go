@@ -280,12 +280,7 @@ func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 		if len(lbl) == 0 {
 			return Answer{}, nil
 		}
-		out := make([]int, len(occ))
-		for i, o := range occ {
-			out[i] = int(o)
-		}
-		sort.Ints(out)
-		return Answer{Found: true, Pattern: lbl, Occurrences: out, Count: len(out)}, nil
+		return Answer{Found: true, Pattern: lbl, Occurrences: occ, Count: len(occ)}, nil
 	case OpCommonSubstring:
 		return commonSubstring(ctx, x.docBytes(q.DocA), x.docBytes(q.DocB))
 	case OpDocFreq:
@@ -293,18 +288,13 @@ func (x *Index) Analytics(ctx context.Context, q Query) (Answer, error) {
 		if x.partial() {
 			counts = x.holdsFirst
 		}
-		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, x.DocOccurrences), counts)
+		return docFreqAnswer(ctx, q.Patterns, x.Batch, x.docEnds, counts)
 	case OpMismatch:
 		occ := suffixtree.MismatchSearch(x.tree, x.data, q.Pattern, q.K, alphabet.Terminator, stop)
 		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
-		out := make([]int, len(occ))
-		for i, o := range occ {
-			out[i] = int(o)
-		}
-		sort.Ints(out)
-		return mismatchAnswer(out, q.MaxOccurrences), nil
+		return mismatchAnswer(occ, q.MaxOccurrences), nil
 	}
 	return x.Batch([]Query{q})[0], nil
 }
@@ -331,21 +321,6 @@ func ctxStop(ctx context.Context) func() bool {
 // stopCheckInterval is how many stop-predicate polls elapse between actual
 // ctx.Err samples; must be a power of two.
 const stopCheckInterval = 1024
-
-// ctxDocOcc wraps a DocOccurrences implementation with a per-pattern ctx
-// check, so a canceled docfreq query stops between patterns instead of
-// scanning the whole set.
-func ctxDocOcc(ctx context.Context, docOcc func([]byte) ([]DocHit, error)) func([]byte) ([]DocHit, error) {
-	if ctx.Done() == nil {
-		return docOcc
-	}
-	return func(p []byte) ([]DocHit, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return docOcc(p)
-	}
-}
 
 // commonSubstring answers lcs for documents a and b from the suffix order of
 // a '$' b '#': its suffix array and its permuted LCP array, read through the
@@ -682,31 +657,42 @@ func suffixOrderAnswer(ctx context.Context, q Query, o *textOrder) (Answer, erro
 	return rep.answer(o.text), nil
 }
 
-// docFreqAnswer aggregates per-document stats for a pattern set through any
-// layer's DocOccurrences (whose cross-layer identity is already pinned). A
-// non-nil counts decides, from its first hit, whether a document is counted
+// docFreqAnswer aggregates per-document stats for a pattern set. batch, the
+// layer's own executor, answers one OpOccurrences op per pattern, a chunk of
+// at most batchStackOps patterns per call, so a large set neither holds
+// every occurrence list at once nor runs uncancelable: ctx is checked
+// between chunks. docHits cuts each answer at the documents' ends. A non-nil
+// counts decides, from its first hit, whether a document is counted
 // (Index.holdsFirst); nil counts every document with a hit.
-func docFreqAnswer(patterns [][]byte, docOcc func([]byte) ([]DocHit, error), counts func([]byte, DocHit) bool) (Answer, error) {
+func docFreqAnswer[E int | int32](ctx context.Context, patterns [][]byte, batch func([]Op) []Result, ends []E, counts func([]byte, DocHit) bool) (Answer, error) {
 	ans := Answer{Stats: make([]PatternStat, len(patterns))}
-	for i, p := range patterns {
-		hits, err := docOcc(p)
-		if err != nil {
+	ops := make([]Op, 0, min(len(patterns), batchStackOps))
+	for lo := 0; lo < len(patterns); lo += batchStackOps {
+		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
-		st := &ans.Stats[i]
-		st.Count = len(hits)
-		last := -1
-		for _, h := range hits {
-			if h.Doc != last {
-				if counts == nil || counts(p, h) {
-					st.Docs++
-				}
-				last = h.Doc
-			}
+		chunk := patterns[lo:min(lo+batchStackOps, len(patterns))]
+		ops = ops[:0]
+		for _, p := range chunk {
+			ops = append(ops, Op{Kind: OpOccurrences, Pattern: p})
 		}
-		ans.Count += st.Count
-		if st.Count > 0 {
-			ans.Found = true
+		for i, res := range batch(ops) {
+			p, st := chunk[i], &ans.Stats[lo+i]
+			hits := docHits(ends, res.Occurrences, len(p))
+			st.Count = len(hits)
+			last := -1
+			for _, h := range hits {
+				if h.Doc != last {
+					if counts == nil || counts(p, h) {
+						st.Docs++
+					}
+					last = h.Doc
+				}
+			}
+			ans.Count += st.Count
+			if st.Count > 0 {
+				ans.Found = true
+			}
 		}
 	}
 	return ans, nil
@@ -743,7 +729,7 @@ func hammingAtMost(a, b []byte, k int) bool {
 
 // crossingWindows invokes fn for every length-m content window of the
 // virtual global string that no per-segment tree can see — those crossing a
-// junction, deduplicated across junctions, and those inside an uncovered run
+// junction, deduplicated across junctions, and those inside an unindexed run
 // (the regions crossingOccurrences scans) — in ascending start order; start
 // is the global window offset and window its bytes, valid only during the
 // call. Windows touching the virtual terminator are excluded — analytics

@@ -3,7 +3,6 @@ package era
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"era/internal/alphabet"
 	"era/internal/suffixtree"
@@ -36,7 +35,7 @@ func (s *liveSnapshot) checkErr() error {
 // discipline: a tier with dead documents contributes only matches that
 // start in a live document and stay inside its live run (translate), and
 // the stitched scans see only live content — the virtual global string is
-// assembled from live segments, so a `$`-window, junction or uncovered-run
+// assembled from live segments, so a `$`-window, junction or unindexed-run
 // scan touches no tombstoned byte and no tier tree at all. lrs, topk and lcs
 // do not fan out at all: lrs and topk are read off the suffix array of the
 // virtual string laid out from the live segments (textOrder), which is linear
@@ -63,10 +62,7 @@ func (s *liveSnapshot) analytics(ctx context.Context, q Query) (Answer, error) {
 	case OpCommonSubstring:
 		return commonSubstring(ctx, s.docBytes(q.DocA), s.docBytes(q.DocB))
 	case OpDocFreq:
-		return docFreqAnswer(q.Patterns, ctxDocOcc(ctx, func(p []byte) ([]DocHit, error) {
-			occ := s.batch([]Op{{Kind: OpOccurrences, Pattern: p}})[0].Occurrences
-			return docHits(s.docStart[1:], occ, len(p)), nil
-		}), nil)
+		return docFreqAnswer(ctx, q.Patterns, s.batch, s.docStart[1:], nil)
 	case OpMismatch:
 		ans := s.mismatch(ctx, q)
 		if err := ctx.Err(); err != nil {
@@ -107,12 +103,7 @@ func (s *liveSnapshot) mismatch(ctx context.Context, q Query) Answer {
 	parts := make([]part, len(s.tiers))
 	fanOut(len(s.tiers), func(i int) {
 		t := s.tiers[i]
-		raw := suffixtree.MismatchSearch(t.h.idx.tree, t.h.idx.data, q.Pattern, q.K, alphabet.Terminator, ctxStop(ctx))
-		occ := make([]int, len(raw))
-		for j, o := range raw {
-			occ[j] = int(o)
-		}
-		sort.Ints(occ)
+		occ := suffixtree.MismatchSearch(t.h.idx.tree, t.h.idx.data, q.Pattern, q.K, alphabet.Terminator, ctxStop(ctx))
 		if t.nDead > 0 {
 			occ = t.translate(occ, len(q.Pattern), 0)
 		}

@@ -319,6 +319,55 @@ func TestAnalyticsCostPins(t *testing.T) {
 	}
 }
 
+// TestLiveDocFreqIsOneBatchPerChunk pins live docfreq at one snapshot batch
+// per chunk of patterns: 64 patterns on a 3-tier live index with tombstones
+// are one OpOccurrences batch, whose per-call set-up (op classes, results,
+// the per-tier fan-out, the junction windows) is paid once, not once per
+// pattern. What is left per pattern is its occurrence lists — per tier,
+// translated, merged — and its document hits: at most 10 allocations.
+func TestLiveDocFreqIsOneBatchPerChunk(t *testing.T) {
+	const n, patterns = 32 << 10, 64
+	docs, err := workload.SliceDocs(workload.MustGenerate(workload.DNA, n, 3)[:n], 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := workload.SliceDocs(workload.MustGenerate(workload.DNA, 2*len(docs[0]), 4)[:2*len(docs[0])], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := BuildCorpus(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lx := analyticsLive(t, docs, extra)
+	defer lx.Close()
+	q := Query{Kind: OpDocFreq}
+	for i := range patterns {
+		d := docs[i%len(docs)]
+		o := (i * 97) % (len(d) - 8)
+		q.Patterns = append(q.Patterns, d[o:o+4+i%5])
+	}
+	ctx := context.Background()
+	want, err := mono.Analytics(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Answer
+	allocs := testing.AllocsPerRun(5, func() {
+		if got, err = lx.Analytics(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("live docfreq differs from mono:\n got %+v\nwant %+v", got, want)
+	}
+	t.Logf("a %d-pattern live docfreq: %.0f allocations, %.1f per pattern", patterns, allocs, allocs/patterns)
+	// ≈ 8.2 per pattern; a batch per pattern allocated ≈ 23.
+	if allocs > 10*patterns {
+		t.Errorf("a %d-pattern live docfreq allocated %.0f objects, want ≤ %d: the snapshot batch is not shared by the patterns", patterns, allocs, 10*patterns)
+	}
+}
+
 // TestLiveAnalyticsSortsOncePerSnapshot: lrs and topk asked of one live
 // snapshot at once sort its suffix order once between them and answer as the
 // monolithic index does; a mutation's snapshot sorts its own on the next

@@ -42,8 +42,6 @@ var allowlist = map[string]string{
 	"internal/suffixtree.Flatten":            "test oracle: flattens a heap tree, so builders are compared image to image",
 	"internal/suffixtree.Tree.Validate":      "test oracle: the structural check of every heap tree a builder test makes",
 	"internal/seq.NewMem":                    "test oracle: the in-memory string the oracles build over",
-	"internal/suffixtree.NewRankCursor":      "parked: kept for a sorted-stream compaction merge (ROADMAP, Parked)",
-	"internal/suffixtree.RankCursor.Next":    "parked: kept for a sorted-stream compaction merge (ROADMAP, Parked)",
 	"internal/workload.Kinds":                "shared test input: the generator kinds tests sweep",
 	"internal/server.Engine.Unload":          "router-test fixture: takes a replica's index away mid-test",
 	"internal/server.BatchRequest":           "router-test fixture: the /v1/batch body tests send",

@@ -384,40 +384,10 @@ type Locus struct {
 }
 
 // Find matches pattern from the root and returns the locus where the match
-// ends, or ok=false if the pattern does not occur in S. The descent holds
-// one node record at a time and compares edge labels a word at a time; the
-// string depth of the node it stands on is the length of the pattern
-// matched so far.
+// ends, or ok=false if the pattern does not occur in S (descend).
 func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
-	cur := int32(0)
-	r := t.rec(cur)
-	i := 0
-	for i < len(pattern) {
-		d := int32(i)
-		c, lo, depth := t.child(r, cur, d, pattern[i])
-		if c == None {
-			return Locus{}, false
-		}
-		// The child lookup already matched the first edge symbol, so the
-		// label compare starts one byte in — and single-symbol edges, the
-		// common case near the root, skip it, and the read of the child's
-		// first suffix, entirely.
-		k := int32(1)
-		if depth-d > 1 && len(pattern)-i > 1 {
-			if cs, ce := t.span(t.suffixAt(lo), d, depth); ce-cs > 1 {
-				k += int32(commonPrefixLen(t.data[cs+1:ce], pattern[i+1:]))
-			}
-		}
-		i += int(k)
-		if i == len(pattern) {
-			return Locus{Node: c, Depth: k}, true
-		}
-		if k < depth-d || c >= t.nInt {
-			return Locus{}, false // mismatch inside the edge, or past a leaf
-		}
-		cur, r = c, t.rec(c)
-	}
-	return Locus{Node: 0}, true // the empty pattern ends at the root
+	loc, matched := t.descend(pattern, 0, nil)
+	return loc, matched == len(pattern)
 }
 
 // MatchTrace matches pattern against the tree, recording in trace[d] the
@@ -431,60 +401,81 @@ func (t *FlatTree) Find(pattern []byte) (Locus, bool) {
 // trace[from:matched] is valid either way, so a failed match still seeds
 // prefix reuse for the next pattern. Batched queries exploit this: patterns
 // sorted lexicographically walk only the suffix they do not share with their
-// predecessor. Like Find, the descent is fused: the child lookup supplies
-// the first edge symbol, the rest of the label is compared a word at a time.
-// A locus Depth symbols into the edge of a node, after i matched symbols,
-// hangs below a parent at depth i − Depth.
+// predecessor. A locus Depth symbols into the edge of a node, after i
+// matched symbols, hangs below a parent at depth i − Depth.
 func (t *FlatTree) MatchTrace(pattern []byte, from int, trace []Locus) int {
-	i := from
-	cur := int32(0)
-	var depth int32
+	_, matched := t.descend(pattern, from, trace)
+	return matched
+}
+
+// descend is the one descent behind Find and MatchTrace. It matches
+// pattern[from:] below the locus trace[from-1] (from the root when from is
+// 0), writing trace[d] as MatchTrace documents when trace is non-nil, and
+// returns the locus where the match ends and the number of symbols matched;
+// the locus is the zero Locus unless the whole pattern matched. A resumed
+// descent first finishes the edge its locus stands on. Below that it holds
+// one node record at a time: the child lookup matches an edge's first
+// symbol, and the rest of the label is compared a word at a time — so
+// single-symbol edges, the common case near the root, skip the compare and
+// the read of the child's first suffix entirely. The string depth of the
+// node it stands on is the length of the pattern matched so far.
+func (t *FlatTree) descend(pattern []byte, from int, trace []Locus) (Locus, int) {
+	i, cur := from, int32(0)
 	if i > 0 {
-		cur, depth = trace[i-1].Node, trace[i-1].Depth
-		if !t.valid(cur) {
-			return i
+		loc := trace[i-1]
+		if !t.valid(loc.Node) {
+			return Locus{}, i
+		}
+		if i >= len(pattern) {
+			return loc, i
+		}
+		cur = loc.Node
+		cs, ce := t.Edge(cur, int32(i)-loc.Depth)
+		if rest := ce - cs - loc.Depth; rest > 0 {
+			k := commonPrefixLen(t.data[cs+loc.Depth:ce], pattern[i:])
+			for j := range k {
+				trace[i+j] = Locus{Node: cur, Depth: loc.Depth + int32(j) + 1}
+			}
+			i += k
+			if i == len(pattern) {
+				return Locus{Node: cur, Depth: loc.Depth + int32(k)}, i
+			}
+			if int32(k) < rest {
+				return Locus{}, i // mismatch inside the edge
+			}
+		}
+		if cur >= t.nInt {
+			return Locus{}, i // a leaf has no children
 		}
 	}
-	if i >= len(pattern) {
-		return i
-	}
-	cs, ce := t.Edge(cur, int32(i)-depth)
+	r := t.rec(cur)
 	for i < len(pattern) {
-		if depth >= ce-cs {
-			if cur >= t.nInt {
-				return i // a leaf has no children
-			}
-			d := int32(i)
-			c, lo, cd := t.child(t.rec(cur), cur, d, pattern[i])
-			if c == None {
-				return i
-			}
-			// The child lookup matched the first edge symbol; record it and
-			// move on — single-symbol edges never reach the label compare,
-			// nor the read of the child's first suffix.
-			cur = c
-			trace[i] = Locus{Node: cur, Depth: 1}
-			i++
-			depth = 1
-			cs, ce = 0, 0 // nothing left on a single-symbol edge
-			if i < len(pattern) && cd-d > 1 {
-				cs, ce = t.span(t.suffixAt(lo), d, cd)
-			}
-			if depth >= ce-cs {
-				continue
+		d := int32(i)
+		c, lo, depth := t.child(r, cur, d, pattern[i])
+		if c == None {
+			return Locus{}, i
+		}
+		k := int32(1)
+		if depth-d > 1 && len(pattern)-i > 1 {
+			if cs, ce := t.span(t.suffixAt(lo), d, depth); ce-cs > 1 {
+				k += int32(commonPrefixLen(t.data[cs+1:ce], pattern[i+1:]))
 			}
 		}
-		k := commonPrefixLen(t.data[cs+depth:ce], pattern[i:])
-		for j := 0; j < k; j++ {
-			trace[i+j] = Locus{Node: cur, Depth: depth + int32(j) + 1}
+		if trace != nil {
+			for j := range k {
+				trace[i+int(j)] = Locus{Node: c, Depth: j + 1}
+			}
 		}
-		i += k
-		depth += int32(k)
-		if i < len(pattern) && depth < ce-cs {
-			return i // mismatch inside the edge
+		i += int(k)
+		if i == len(pattern) {
+			return Locus{Node: c, Depth: k}, i
 		}
+		if k < depth-d || c >= t.nInt {
+			return Locus{}, i // mismatch inside the edge, or past a leaf
+		}
+		cur, r = c, t.rec(c)
 	}
-	return i
+	return Locus{Node: cur}, i // the empty pattern ends at the root
 }
 
 // Contains reports whether pattern occurs in S.
@@ -518,15 +509,15 @@ func (t *FlatTree) Occurrences(pattern []byte) []int32 {
 // Leaves returns the suffix offsets of the leaves below u in lexicographic
 // order: a leaf's own suffix, or an internal node's window of the suffix
 // array.
-func (t *FlatTree) Leaves(u int32) []int32 { return t.appendLeaves(nil, u) }
+func (t *FlatTree) Leaves(u int32) []int32 { return appendLeaves(t, []int32(nil), u) }
 
 // appendLeaves appends the suffix offsets of the leaves below u to out, in
 // lexicographic order, growing out once.
-func (t *FlatTree) appendLeaves(out []int32, u int32) []int32 {
+func appendLeaves[E int | int32](t *FlatTree, out []E, u int32) []E {
 	lo, hi := t.leafRange(u)
 	out = slices.Grow(out, int(hi-lo))
 	for r := lo; r < hi; r++ {
-		out = append(out, t.suffixAt(r))
+		out = append(out, E(t.suffixAt(r)))
 	}
 	return out
 }

@@ -231,12 +231,6 @@ func exerciseCorrupt(t testing.TB, ft *FlatTree, term []byte) {
 	}
 	LongestRepeated(ft, nil)
 	VisitRepeats(ft, 1, 2, func(_, _ int32, _ int) bool { return true })
-	leaves, cur := 0, NewRankCursor(ft)
-	for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
-		if leaves++; leaves > ft.NumNodes() {
-			t.Fatalf("the rank cursor returned more leaves than the tree's %d nodes", ft.NumNodes())
-		}
-	}
 	for u := int32(-2); u < int32(ft.NumNodes())+2; u++ {
 		ft.Leaves(u)
 		ft.CountLeaves(u)

@@ -72,8 +72,8 @@ func locusDepth(text, p []byte) int32 {
 
 // bruteLRS returns the longest substring of text that occurs at least
 // twice, the lexicographically smallest of equal length, with its
-// occurrences in suffix order; nil, nil when no symbol repeats.
-func bruteLRS(text []byte) ([]byte, []int32) {
+// occurrences ascending; nil, nil when no symbol repeats.
+func bruteLRS(text []byte) ([]byte, []int) {
 	var best []byte
 	for i := range text {
 		for j := i + 1; j < len(text); j++ {
@@ -86,7 +86,13 @@ func bruteLRS(text []byte) ([]byte, []int32) {
 	if best == nil {
 		return nil, nil
 	}
-	return best, scanOccurrences(text, best)
+	var occ []int
+	for i := range text {
+		if bytes.HasPrefix(text[i:], best) {
+			occ = append(occ, i)
+		}
+	}
+	return best, occ
 }
 
 // repeat is one internal node as a repeat walk reports it.

@@ -1,5 +1,7 @@
 package suffixtree
 
+import "slices"
+
 // The analytics walks over the serving layout, *FlatTree (era's query-plan
 // executor). Traversal order is pinned: children are visited in first-symbol
 // order, so pre-order DFS enumerates path labels in lexicographic order —
@@ -64,13 +66,13 @@ func FirstLeaf(t *FlatTree, u int32) int32 {
 
 // LongestRepeated returns the deepest internal node's path label — the
 // longest substring of S occurring at least twice — with the offsets of its
-// occurrences. It reads the internal records once rather than walking: of
-// the deepest ones it keeps the smallest first leaf rank. Internal nodes of
-// equal depth have disjoint leaf ranges, so that is the lexicographically
-// smallest label, the first in pre-order. A non-nil stop is polled once per
-// record; when it reports true the pass abandons and returns nil — the
-// caller owns mapping that to a cancellation error.
-func LongestRepeated(t *FlatTree, stop func() bool) ([]byte, []int32) {
+// occurrences, ascending. It reads the internal records once rather than
+// walking: of the deepest ones it keeps the smallest first leaf rank.
+// Internal nodes of equal depth have disjoint leaf ranges, so that is the
+// lexicographically smallest label, the first in pre-order. A non-nil stop
+// is polled once per record; when it reports true the pass abandons and
+// returns nil — the caller owns mapping that to a cancellation error.
+func LongestRepeated(t *FlatTree, stop func() bool) ([]byte, []int) {
 	best, bestDepth, bestLo := None, int32(0), int32(0)
 	for u := int32(1); u < t.nInt; u++ {
 		if stop != nil && stop() {
@@ -88,7 +90,7 @@ func LongestRepeated(t *FlatTree, stop func() bool) ([]byte, []int32) {
 	if best == None {
 		return nil, nil
 	}
-	return t.PathLabel(best), t.Leaves(best)
+	return t.PathLabel(best), t.FirstOccurrences(best, 0)
 }
 
 // VisitRepeats calls fn for every internal node whose path label has length
@@ -131,23 +133,23 @@ func PrefixLoci(t *FlatTree, L int32, fn func(node int32) bool) {
 	})
 }
 
-// MismatchSearch returns the suffix offsets (unsorted, in leaf order) where
-// pattern occurs in s within at most k symbol mismatches — Hamming distance,
+// MismatchSearch returns the suffix offsets, ascending, where pattern
+// occurs in s within at most k symbol mismatches — Hamming distance,
 // no insertions or deletions. The descent branches only where the mismatch
 // budget allows: on a mismatched symbol the budget drops by one and every
 // child edge is tried, so the explored frontier is bounded by |Σ|^k · |P|
 // paths. Edges carrying the skip byte (the corpus terminator) are pruned —
 // a terminator is never content, so no window containing it can match.
-// Each matched locus appends its window of the suffix array to the answer in
-// place. A non-nil stop is polled once per entered node; true abandons the
-// search and returns what was found so far — the caller owns mapping that
-// to a cancellation error.
-func MismatchSearch(t *FlatTree, s []byte, pattern []byte, k int, skip byte, stop func() bool) []int32 {
+// Each matched locus appends its window of the suffix array to the answer,
+// which is sorted once at the end. A non-nil stop is polled once per entered
+// node; true abandons the search and returns what was found so far — the
+// caller owns mapping that to a cancellation error.
+func MismatchSearch(t *FlatTree, s []byte, pattern []byte, k int, skip byte, stop func() bool) []int {
 	m := len(pattern)
 	if m == 0 {
 		return nil
 	}
-	var out []int32
+	var out []int
 	// Nodes entered across all branches, bounding corrupt-layout cycles
 	// (a zero-length child edge would otherwise recurse forever).
 	budget := t.NumNodes() * (k + 2)
@@ -166,7 +168,7 @@ func MismatchSearch(t *FlatTree, s []byte, pattern []byte, k int, skip byte, sto
 		budget--
 		for ; ; es++ {
 			if pi == m {
-				out = t.appendLeaves(out, u)
+				out = appendLeaves(t, out, u)
 				return
 			}
 			if es >= ee {
@@ -194,5 +196,6 @@ func MismatchSearch(t *FlatTree, s []byte, pattern []byte, k int, skip byte, sto
 		}
 	}
 	walk(t.Root(), 0, 0, 0, 0) // the root's edge is empty
+	slices.Sort(out)
 	return out
 }

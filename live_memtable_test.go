@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"era/internal/workload"
 )
 
 // Tests for the scanned memtable: unsealed documents have no index, so every
@@ -62,6 +64,9 @@ func checkLiveAnalytics(t *testing.T, lx *LiveIndex, o *liveOracle) {
 		Query{Kind: OpTopK, K: MaxTopK, MinLen: 5},
 	)
 	for _, p := range straddling {
+		if len(p) == 0 {
+			continue // all documents empty: no valid mismatch or docfreq query
+		}
 		qs = append(qs,
 			Query{Kind: OpMismatch, Pattern: p, K: 1},
 			Query{Kind: OpDocFreq, Patterns: [][]byte{p}},
@@ -344,5 +349,58 @@ func TestLiveTierImagesAreDirectBuilds(t *testing.T) {
 	survivors := append(append([][]byte(nil), docs[:4]...), docs[5:]...)
 	if got, want := tierImage(1), wantImage(survivors); !bytes.Equal(got, want) {
 		t.Fatalf("compacted tier image (%d bytes) differs from the direct build's (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestLiveDeleteAllocatesPerLiveDocument pins what a Delete publishes: a
+// snapshot whose only per-document table is docStart, sized once (8 B per
+// live document), beside the runs of live documents, one per tombstone. The
+// index is heap-resident, 4 tiers × 32 Ki documents of 16 DNA bytes, one
+// tombstone per tier; the bound is 12 B per live document over the mean of
+// 200 Deletes (per-tier translation tables and a regrowing docStart read
+// ≈ 57).
+func TestLiveDeleteAllocatesPerLiveDocument(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator changes the count")
+	}
+	const tiers, perTier, docLen, deletes = 4, 32 << 10, 16, 200
+	lx, err := NewLive("deletes", &LiveConfig{MemtableMaxDocs: perTier, MemtableMaxBytes: 2 * perTier * docLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lx.Close()
+	data := workload.MustGenerate(workload.DNA, tiers*perTier*docLen, 1)
+	var ids []uint64
+	for i := range tiers {
+		docs := make([][]byte, perTier)
+		for d := range docs {
+			o := (i*perTier + d) * docLen
+			docs[d] = data[o : o+docLen]
+		}
+		got, err := lx.Append(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, got...)
+	}
+	if st := lx.Stats(); st.Tiers != tiers {
+		t.Fatalf("%d tiers sealed, want %d", st.Tiers, tiers)
+	}
+	for i := range tiers {
+		if ok, err := lx.Delete(ids[i*perTier+perTier/2]); !ok || err != nil {
+			t.Fatalf("Delete: %v, %v", ok, err)
+		}
+	}
+	alloc := allocatedBy(func() {
+		for k := range deletes {
+			if ok, err := lx.Delete(ids[k%tiers*perTier+2*(k/tiers)]); !ok || err != nil {
+				t.Fatalf("Delete: %v, %v", ok, err)
+			}
+		}
+	})
+	perDoc := float64(alloc) / deletes / float64(lx.NumDocs())
+	t.Logf("a Delete over %d live documents in %d tiers allocated %.0f B: %.2f B per live document", lx.NumDocs(), tiers, float64(alloc)/deletes, perDoc)
+	if perDoc > 12 {
+		t.Errorf("a Delete allocated %.2f B per live document, want ≤ 12", perDoc)
 	}
 }

@@ -67,7 +67,15 @@ func TestStitchMergeAbsentParts(t *testing.T) {
 				answers[i] = append(answers[i], a)
 			}
 		}
-		st := &stitch{totalLen: len(concat), bounds: bounds, segs: []run{{Off: 0, Data: concat[:len(concat)-1]}}}
+		// The stitch's runs are the corpus cut at those junctions: the
+		// absent tier's bytes stay inside a run, where no scan crosses them.
+		var segs []run
+		lo := 0
+		for _, b := range append(bounds, len(concat)-1) {
+			segs = append(segs, run{Off: lo, Local: lo, Data: concat[lo:b], Indexed: true})
+			lo = b
+		}
+		st := &stitch{totalLen: len(concat), segs: segs}
 		mono, err := BuildCorpus(surviving, nil)
 		if err != nil {
 			t.Fatal(err)

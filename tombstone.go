@@ -16,15 +16,17 @@ import (
 // of tiers, each an ordinary Index over a contiguous run of documents, by
 // fan-out → stitch → merge (lrs, topk and lcs excepted: they read a suffix
 // array of the bytes they need, the virtual string or the two documents). A
-// LiveIndex (live.go) publishes a fresh snapshot per mutation, with per-tier
-// bookkeeping that maps tier-local suffix tree answers onto the virtual
-// global string of live documents. (A ShardedIndex cuts the suffix order
-// instead of the documents, so its shards need no stitch: shard.go.)
+// LiveIndex (live.go) publishes a fresh snapshot per mutation, described by
+// one table: the runs of consecutive live documents (run). The runs lay out
+// the virtual global string of live documents, map each tier's tree answers
+// onto it, and mark where the stitch must look — between two runs, and inside
+// the runs no tree indexes. (A ShardedIndex cuts the suffix order instead of
+// the documents, so its shards need no stitch: shard.go.)
 //
 // The model: a live corpus is a sequence of documents identified by stable,
 // monotonically increasing ids. Documents live in tiers, each an ordinary
 // Index over a contiguous run of ids, followed by the unsealed memtable
-// extents, which have no index at all: their live bytes are uncovered runs of
+// extents, which have no index at all: their live bytes are unindexed runs of
 // the virtual string, answered by the stitch scan in place (stitch, below).
 // Deletes are per-document tombstones. The query surface must answer exactly
 // as a from-scratch BuildCorpus over the surviving documents (in id order)
@@ -34,11 +36,11 @@ import (
 //   - A tombstoned document leaves its bytes in the tier (rebuilding the
 //     tier per delete would be re-derivation, the very cost this subsystem
 //     exists to avoid), so tier answers are filtered: a match is valid only
-//     when it starts in a live document and ends before the next dead one.
+//     when it starts in a run of live documents and ends inside it.
 //   - Live documents adjacent in the virtual string may sit in different
-//     tiers or be separated by tombstones within one tier, so matches
-//     crossing those junctions are recovered by the stitch scan over the
-//     junction windows.
+//     tiers or be separated by tombstones within one tier — in different
+//     runs either way — so matches crossing those junctions are recovered
+//     by the stitch scan over the junction windows.
 
 // tierHandle owns the lifecycle of one tier's Index. Snapshots sharing a
 // tier each hold a reference; the mutator holds one while the tier is part
@@ -73,7 +75,7 @@ func (h *tierHandle) release() {
 // stable ids and tombstone flags (mutated only under LiveIndex.mu), and the
 // handle of the Index built over them. A memtable extent is a tierState with
 // no handle: nothing indexes its bytes, so a snapshot serves them as
-// uncovered runs of the virtual string. Only an extent ever grows, and only
+// unindexed runs of the virtual string. Only an extent ever grows, and only
 // by appending — bytes a snapshot already views never change.
 type tierState struct {
 	h       *tierHandle // nil until sealed
@@ -103,47 +105,37 @@ func (t *tierState) sizes() (total, live int) {
 	return int(start), live
 }
 
-// liveTier is a tier as one snapshot sees it: a private copy of the
-// tombstone flags (the mutator keeps flipping its own) plus the derived
-// translation tables from tier-local offsets to the snapshot's virtual
-// global string. All fields are immutable once the snapshot is built.
+// liveTier is an indexed tier as one snapshot sees it: the handle, the
+// tombstone count, the global offset of the tier's first byte and the
+// tier's window of the snapshot's runs — its live stretches, which are all
+// that maps tier-local answers onto the virtual global string. Immutable
+// once the snapshot is built.
 type liveTier struct {
 	h     *tierHandle
-	dead  []bool
 	nDead int
-	// gStart[d] is the global offset of local document d's first byte, -1
-	// when d is dead.
-	gStart []int
-	// runEnd[d] is the tier-local end offset of the run of consecutive live
-	// documents containing d (-1 when d is dead): a tier-local match starting
-	// in d is globally valid iff it ends at or before runEnd[d], i.e. it
-	// never reaches into a tombstoned document or the tier's own terminator.
-	runEnd []int
+	off   int
+	runs  []run
 }
 
 // translate filters tier-local occurrence offsets (ascending) of an m-byte
 // pattern down to the matches valid in the live view and maps them to global
-// offsets. The output is ascending: the local→global map is strictly
+// offsets: a match is valid iff it starts in one of the tier's runs and ends
+// inside it, so it never reaches into a tombstoned document or the tier's own
+// terminator. The output is ascending: the local→global map is strictly
 // increasing over live content. max > 0 caps the output length.
 func (t *liveTier) translate(occ []int, m, max int) []int {
 	out := make([]int, 0, len(occ))
-	de := t.h.idx.docEnds
-	d := 0
+	runs := t.runs
 	for _, o := range occ {
-		// First document with end > o; occ is ascending, so d only advances
-		// (and naturally skips empty documents, whose end equals their start).
-		for d < len(de) && int(de[d]) <= o {
-			d++
+		// The first run ending after o; occ is ascending, so runs only advance.
+		for len(runs) > 0 && runs[0].Local+len(runs[0].Data) <= o {
+			runs = runs[1:]
 		}
-		if d == len(de) {
-			break // defensive: offsets at/past the terminator cannot match
+		if len(runs) == 0 {
+			break
 		}
-		if re := t.runEnd[d]; re >= 0 && o+m <= re {
-			start := 0
-			if d > 0 {
-				start = int(de[d-1])
-			}
-			out = append(out, t.gStart[d]+(o-start))
+		if r := &runs[0]; o >= r.Local && o+m <= r.Local+len(r.Data) {
+			out = append(out, r.Off+(o-r.Local))
 			if max > 0 && len(out) == max {
 				break
 			}
@@ -157,7 +149,7 @@ func (t *liveTier) translate(occ []int, m, max int) []int {
 // tier's answers went through translate and are global already.
 func (t *liveTier) shift() int {
 	if t.nDead == 0 {
-		return t.gStart[0]
+		return t.off
 	}
 	return 0
 }
@@ -172,7 +164,8 @@ type liveSnapshot struct {
 	tiers []*liveTier // the indexed tiers; memtable extents appear only in segs
 	// segs are the maximal runs of consecutive live documents, each viewing
 	// its tier's data in place: the units the virtual global string is
-	// assembled from. Zero-width runs (all-empty documents) are omitted.
+	// assembled from, the tiers' translation tables and the stitch's
+	// junctions. Zero-width runs (all-empty documents) are omitted.
 	segs []run
 	// docStart[ord] is the global offset of live document ord's first byte;
 	// docStart[numDocs] closes the last one.
@@ -191,88 +184,60 @@ type liveSnapshot struct {
 // newLiveSnapshot derives the query view over the given tier states,
 // acquiring one reference on every included tier handle. Unsealed states
 // (no handle) must follow the sealed ones — document hits concatenate in that
-// order — and contribute segments and document offsets but no tier: their
-// bytes become the stitch string's uncovered runs. The caller must hold the
-// LiveIndex mutex (it reads mutator state).
+// order — and contribute runs and document offsets but no tier: their runs
+// are the stitch string's unindexed ones. The caller must hold the LiveIndex
+// mutex (it reads mutator state).
 func newLiveSnapshot(states []*tierState, alpha *alphabet.Alphabet) *liveSnapshot {
 	s := &liveSnapshot{alpha: alpha}
 	s.refs.Store(1) // the owner (current-snapshot) reference
-	var uncovered []run
-	off, ord := 0, 0
+	// Tombstones separate runs, so a state holds at most nDead+1 of them:
+	// with both slices sized up front, neither regrows, and each tier's
+	// window of segs stays a view of the final array.
+	live, runs := 0, 0
 	for _, st := range states {
-		de := st.docEnds
-		n := len(de)
-		var t *liveTier
-		if st.h != nil {
-			t = &liveTier{
-				h:      st.h,
-				dead:   append([]bool(nil), st.dead...),
-				nDead:  st.nDead,
-				gStart: make([]int, n),
-				runEnd: make([]int, n),
-			}
-		}
+		live += len(st.docEnds) - st.nDead
+		runs += st.nDead + 1
+	}
+	s.docStart = make([]int, 0, live+1)
+	s.segs = make([]run, 0, runs)
+	off := 0
+	for _, st := range states {
+		first, tierOff, indexed := len(s.segs), off, st.h != nil
 		// [runLo, start) is the current run of live documents, opened at
 		// global offset runOff; endRun closes it into a segment.
 		runLo, runOff, start := -1, 0, 0
 		endRun := func() {
 			if runLo >= 0 && start > runLo {
-				seg := run{Off: runOff, Data: st.data[runLo:start]}
-				s.segs = append(s.segs, seg)
-				if t == nil {
-					uncovered = append(uncovered, seg)
-				}
+				s.segs = append(s.segs, run{Off: runOff, Local: runLo, Data: st.data[runLo:start], Indexed: indexed})
 			}
 			runLo = -1
 		}
-		for d := 0; d < n; d++ {
-			end := int(de[d])
+		for d, e := range st.docEnds {
+			end := int(e)
 			if st.dead[d] {
-				if t != nil {
-					t.gStart[d], t.runEnd[d] = -1, -1
-				}
 				endRun()
-				start = end
-				continue
+			} else {
+				if runLo < 0 {
+					runLo, runOff = start, off
+				}
+				s.docStart = append(s.docStart, off)
+				off += end - start
 			}
-			if runLo < 0 {
-				runLo, runOff = start, off
-			}
-			if t != nil {
-				t.gStart[d] = off
-			}
-			s.docStart = append(s.docStart, off)
-			ord++
-			off += end - start
 			start = end
 		}
 		endRun()
-		if t == nil {
+		if !indexed {
 			continue
 		}
-		for d := n - 1; d >= 0; d-- {
-			if t.dead[d] {
-				continue
-			}
-			if d == n-1 || t.dead[d+1] {
-				t.runEnd[d] = int(de[d])
-			} else {
-				t.runEnd[d] = t.runEnd[d+1]
-			}
-		}
 		st.h.acquire()
-		s.tiers = append(s.tiers, t)
+		s.tiers = append(s.tiers, &liveTier{h: st.h, nDead: st.nDead, off: tierOff, runs: s.segs[first:]})
 		s.treeNodes += st.h.idx.TreeNodes()
 		s.mapped += st.h.idx.MappedBytes()
 	}
+	s.numDocs = len(s.docStart)
 	s.docStart = append(s.docStart, off)
 	s.totalLen = off + 1
-	s.numDocs = ord
-	bounds := make([]int, 0, len(s.segs))
-	for i := 1; i < len(s.segs); i++ {
-		bounds = append(bounds, s.segs[i].Off)
-	}
-	s.stitch = stitch{totalLen: s.totalLen, bounds: bounds, segs: s.segs, uncovered: uncovered}
+	s.stitch = stitch{totalLen: s.totalLen, segs: s.segs}
 	return s
 }
 
@@ -479,18 +444,14 @@ func (s *liveSnapshot) liveDocs() [][]byte {
 
 // stitch is the virtual global string a live snapshot serves, reduced to
 // what merging per-tier answers needs: totalLen counts the concatenated live
-// content plus the single terminator, bounds are the ascending interior
-// junction offsets no single tier tree sees across (live-segment boundaries),
-// and segs are the snapshot's segments, which slice reads any [lo, hi) window
-// of the string from. uncovered lists, ascending, the runs between junctions
-// that no tree indexes at all (the unsealed documents): the scan that recovers
-// junction-crossing matches answers for their interiors too, over the bytes
-// in place.
+// content plus the single terminator, and segs are the snapshot's runs, which
+// slice reads any [lo, hi) window of the string from. Every run after the
+// first opens at a junction no single tier tree sees across, and the runs no
+// tree indexes at all (the unsealed documents) are scanned in place by the
+// pass that recovers junction-crossing matches (eachRegion).
 type stitch struct {
-	totalLen  int
-	bounds    []int
-	segs      []run
-	uncovered []run
+	totalLen int
+	segs     []run
 }
 
 // slice copies the bytes [lo, hi) of the virtual global string — the
@@ -521,10 +482,13 @@ func (ss *stitch) slice(buf []byte, lo, hi int) []byte {
 }
 
 // run is a stretch of the virtual string viewed in place: Data starts at
-// global offset Off.
+// global offset Off, and at offset Local of the data of the tier or memtable
+// extent it lies in. Indexed reports whether that tier's tree indexes it.
 type run struct {
-	Off  int
-	Data []byte
+	Off     int
+	Local   int
+	Data    []byte
+	Indexed bool
 }
 
 // part is one tier's own answer to an op, handed to merge: offsets are local
@@ -539,7 +503,7 @@ type part struct {
 // merge folds the tiers' answers to one contains / count / occurrences /
 // mismatch op (parts in ascending Off order) into the answer over the virtual
 // string, adding what no tier can see: the matches the stitch scan finds
-// across junctions and in uncovered runs (Hamming matches for mismatch).
+// across junctions and in unindexed runs (Hamming matches for mismatch).
 // Found if anyone found it, counts sum, offsets interleave ascending under the
 // op's cap; nothing found is the zero Result.
 func (ss *stitch) merge(op Op, parts []part) Result {
@@ -586,49 +550,37 @@ func eachMatch(data, pattern []byte, fn func(j int) bool) {
 
 // eachRegion visits, in ascending order, every stretch of the virtual string
 // in which a length-m match or window no per-segment tree can see may start:
-// the stitch window around each junction — one ≤ 2(m−1)-byte slice,
-// materialized once, no per-byte segment lookups — and each uncovered run,
-// in place. fn receives the stretch's global offset, its bytes, and the range
-// [from, limit) of starts that belong to it; whether start+m still fits in
-// the bytes is the caller's check. At a junction only starts before it cross
-// it (they always end after it), and starts an earlier junction already
-// covered are skipped, so a match spanning several tiny segments is seen
-// once. end clips the windows: totalLen, or totalLen−1 to keep the
-// terminator out. fn returning false ends the visit.
+// the stitch window around each junction (each run's start but the first's) —
+// one ≤ 2(m−1)-byte slice, materialized once, no per-byte segment lookups —
+// and each unindexed run, in place. fn receives the stretch's global offset,
+// its bytes, and the range [from, limit) of starts that belong to it; whether
+// start+m still fits in the bytes is the caller's check. At a junction only
+// starts before it cross it (they always end after it), and starts an earlier
+// junction already covered are skipped, so a match spanning several tiny
+// segments is seen once. end clips the windows: totalLen, or totalLen−1 to
+// keep the terminator out. fn returning false ends the visit.
 func (ss *stitch) eachRegion(m, end int, fn func(off int, data []byte, from, limit int) bool) {
-	runs := ss.uncovered
-	// inside visits the uncovered runs starting before global offset b: what
-	// starts in them sorts before anything crossing b.
-	inside := func(b int) bool {
-		for ; len(runs) > 0 && runs[0].Off < b; runs = runs[1:] {
-			if !fn(runs[0].Off, runs[0].Data, 0, len(runs[0].Data)) {
-				return false
-			}
-		}
-		return true
-	}
 	var win []byte
 	next := 0 // first start not yet covered by a junction
-	for _, b := range ss.bounds {
-		if m < 2 {
-			break // one byte crosses nothing
+	for i := range ss.segs {
+		seg := &ss.segs[i]
+		if b := seg.Off; i > 0 && m >= 2 { // one byte crosses nothing
+			winLo := max(b-m+1, 0)
+			win = ss.slice(win, winLo, min(b+m-1, end))
+			if !fn(winLo, win, max(next-winLo, 0), b-winLo) {
+				return
+			}
+			next = b
 		}
-		if !inside(b) {
+		if !seg.Indexed && !fn(seg.Off, seg.Data, 0, len(seg.Data)) {
 			return
 		}
-		winLo := max(b-m+1, 0)
-		win = ss.slice(win, winLo, min(b+m-1, end))
-		if !fn(winLo, win, max(next-winLo, 0), b-winLo) {
-			return
-		}
-		next = b
 	}
-	inside(ss.totalLen)
 }
 
 // crossingOccurrences returns the sorted global start offsets of the pattern
 // occurrences no per-segment tree can see: those that cross a junction and
-// those inside an uncovered run. max > 0 caps the number returned.
+// those inside an unindexed run. max > 0 caps the number returned.
 func (ss *stitch) crossingOccurrences(pattern []byte, max int) []int {
 	var out []int
 	more := func() bool { return max <= 0 || len(out) < max }
